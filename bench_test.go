@@ -1,8 +1,9 @@
 // Benchmarks regenerating every figure and table of the paper's
-// evaluation (see DESIGN.md §4 for the experiment index) plus
-// micro-benchmarks of the hot control paths. Closed-loop benches run at a
-// reduced trace scale with coarse learning grids so one iteration stays in
-// the hundreds of milliseconds; run cmd/hpmbench for paper-scale numbers.
+// evaluation (the "§4.3 / §5.2 — evaluation" rows of docs/ARCHITECTURE.md
+// are the experiment index) plus micro-benchmarks of the hot control
+// paths. Closed-loop benches run at a reduced trace scale with coarse
+// learning grids so one iteration stays in the hundreds of milliseconds;
+// run cmd/hpmbench for paper-scale numbers.
 //
 // The decision engine's worker pools follow GOMAXPROCS when Parallelism
 // is 0, so `go test -bench Sweep -cpu 1,4,8` measures the concurrent
@@ -196,7 +197,8 @@ func BenchmarkEnergyVsBaselines(b *testing.B) {
 	}
 }
 
-// Ablation benches (EXT2): the design choices DESIGN.md calls out.
+// Ablation benches (EXT2): the design choices RunAblations toggles
+// (docs/ARCHITECTURE.md, "§4.3 / §5.2 — evaluation").
 func benchmarkAblation(b *testing.B, mutate func(*Config)) {
 	spec, err := StandardModuleCluster()
 	if err != nil {

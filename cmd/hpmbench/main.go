@@ -1,6 +1,7 @@
-// Command hpmbench regenerates the paper's figures and tables (see
-// DESIGN.md §4 for the experiment index). Figures are rendered as ASCII
-// series; tables as aligned text.
+// Command hpmbench regenerates the paper's figures and tables (see the
+// README's "Command-line tools" section for the experiment index) and the
+// committed BENCH_*.json snapshots. Figures are rendered as ASCII series;
+// tables as aligned text.
 //
 // Usage:
 //
@@ -13,16 +14,18 @@
 //	hpmbench -table overhead-cluster
 //	hpmbench -table energy          # EXT1: LLC vs baselines
 //	hpmbench -table ablations       # EXT2: design-choice ablations
-//	hpmbench -table scenarios       # robustness matrix; writes BENCH_scenarios.json
-//	hpmbench -table chaos           # degraded-mode matrix; writes BENCH_chaos.json
-//	hpmbench -all                   # everything at the given scale
-//	hpmbench -llc-json BENCH_llc.json    # branch-and-bound engine snapshot
-//	hpmbench -tick-json BENCH_tick.json  # ns/B/allocs per decision snapshot
-//	hpmbench -fleet-json BENCH_fleet.json # fleet capacity at 64/1k/10k tenants
+//	hpmbench -all                   # every figure and table at the given scale
+//	hpmbench -snapshot scenarios    # robustness matrix  -> BENCH_scenarios.json
+//	hpmbench -snapshot chaos        # degraded-mode matrix -> BENCH_chaos.json
+//	hpmbench -snapshot llc          # branch-and-bound engine -> BENCH_llc.json
+//	hpmbench -snapshot tick         # ns/B/allocs per decision -> BENCH_tick.json
+//	hpmbench -snapshot fleet -out /tmp/fleet.json # fleet capacity, elsewhere
 //
-// Exactly one mode may be selected per invocation (-fig, -table, -all,
-// -llc-json, -tick-json, or -fleet-json); conflicting or unknown
-// selections are rejected with the valid list.
+// Exactly one mode may be selected per invocation (-fig, -table, -all or
+// -snapshot); conflicting or unknown selections are rejected with the
+// valid list. A snapshot runs at its canonical configuration: of the
+// workload flags it accepts only the ones its registry entry names
+// (snapshots below) and rejects the rest instead of ignoring them.
 package main
 
 import (
@@ -32,6 +35,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 
 	"hierctl"
@@ -49,18 +53,15 @@ func main() {
 func run(args []string, w io.Writer) (retErr error) {
 	fs := flag.NewFlagSet("hpmbench", flag.ContinueOnError)
 	fig := fs.Int("fig", 0, "figure to regenerate (3-7)")
-	table := fs.String("table", "", "table to regenerate: overhead-module, overhead-cluster, energy, ablations, scalability, scenarios, chaos")
+	table := fs.String("table", "", "table to regenerate: "+strings.Join(allTables, ", "))
 	all := fs.Bool("all", false, "regenerate every figure and table")
 	scale := fs.Float64("scale", 1, "fraction of each trace to simulate (0, 1]")
 	seed := fs.Int64("seed", 1, "random seed")
 	fast := fs.Bool("fast", false, "coarse learning grids (quick runs)")
 	parallelism := fs.Int("parallelism", 0, "per-pool worker width; pools nest (sweep × module × search) (0 = one per CPU, 1 = fully sequential; results identical)")
 	searchParallelism := fs.Int("search-parallelism", 0, "workers fanning each L0 lookahead search's level-0 candidates (0/1 = sequential; decisions identical, explored counters may vary when > 1)")
-	llcJSON := fs.String("llc-json", "", "write the branch-and-bound LLC engine benchmark (pruned vs naive on the §4.3 configuration) to this JSON file; honours -parallelism for the pruned-parallel row (the workload is fixed — -seed/-scale/-fast do not apply)")
-	tickJSON := fs.String("tick-json", "", "write the decision-tick benchmark (ns, B and allocs per L0/L1/L2 decision, table probe, fleet tenant-ticks/sec) to this JSON file (the workload is fixed and the measurement sequential — -seed/-scale/-fast/-parallelism do not apply)")
-	fleetJSON := fs.String("fleet-json", "", "write the fleet capacity benchmark (batched-ingest tenant-ticks/sec and snapshot/restore latency at 64, 1024 and 10240 tenants) to this JSON file; the generation verifies batch-vs-sequential and restore-vs-replay decision equivalence (the configuration is fixed — -seed/-scale/-fast/-parallelism do not apply)")
-	scenariosJSON := fs.String("scenarios-json", "BENCH_scenarios.json", "path the robustness-matrix snapshot is written to by -table scenarios")
-	chaosJSON := fs.String("chaos-json", "BENCH_chaos.json", "path the degraded-mode matrix snapshot is written to by -table chaos")
+	snapshot := fs.String("snapshot", "", "committed benchmark snapshot to regenerate at its canonical configuration: "+strings.Join(snapshotNames(), ", ")+" (each prints its table and writes BENCH_<name>.json)")
+	out := fs.String("out", "", "path -snapshot writes to (default: the committed BENCH_<name>.json in the current directory)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file at exit")
 	if err := fs.Parse(args); err != nil {
@@ -90,19 +91,13 @@ func run(args []string, w io.Writer) (retErr error) {
 	if *searchParallelism < 0 {
 		return fmt.Errorf("-search-parallelism %d is negative; use 0 or 1 for a sequential search or a positive worker width", *searchParallelism)
 	}
-	if err := validateModes(fs, *fig, *table, *all, *llcJSON, *tickJSON, *fleetJSON); err != nil {
+	if err := validateModes(*fig, *table, *all, *snapshot, *out); err != nil {
 		return err
 	}
+	if *snapshot != "" {
+		return writeSnapshot(w, fs, *snapshot, *out, *seed, *parallelism)
+	}
 	opts := hierctl.ExperimentOptions{Scale: *scale, Seed: *seed, Fast: *fast, Parallelism: *parallelism, SearchParallelism: *searchParallelism}
-	if *llcJSON != "" {
-		return writeLLCBench(w, *llcJSON, *parallelism)
-	}
-	if *tickJSON != "" {
-		return writeTickBench(w, *tickJSON)
-	}
-	if *fleetJSON != "" {
-		return writeFleetBench(w, *fleetJSON)
-	}
 
 	if *all {
 		for _, f := range []int{3, 4, 5, 6, 7} {
@@ -120,87 +115,43 @@ func run(args []string, w io.Writer) (retErr error) {
 	if *fig != 0 {
 		return runFig(w, *fig, opts)
 	}
-	if *table == "scenarios" {
-		return writeScenarioMatrix(w, *scenariosJSON, *seed, *parallelism)
-	}
-	if *table == "chaos" {
-		return writeChaosMatrix(w, *chaosJSON, *seed, *parallelism)
-	}
 	if *table != "" {
 		return runTable(w, *table, opts)
 	}
 	return fmt.Errorf("nothing to do: pass one of %s", strings.Join(modeFlags, ", "))
 }
 
-// modeFlags are the mutually exclusive top-level selections. allTables is
-// the batch `-all` runs in order; validTables additionally accepts the
-// snapshot-writing scenarios table — both mode validation and the -all
-// loop derive from this single registry, mirroring how the scenario
-// registry rejects unknown names with the valid list.
+// modeFlags are the mutually exclusive top-level selections (validateModes
+// indexes them in this order); allTables is the batch `-all` runs in order
+// and the set -table accepts.
 var (
-	modeFlags   = []string{"-fig", "-table", "-all", "-llc-json", "-tick-json", "-fleet-json"}
-	allTables   = []string{"overhead-module", "overhead-cluster", "energy", "ablations", "scalability"}
-	validTables = append(append([]string(nil), allTables...), "scenarios", "chaos")
+	modeFlags = []string{"-fig", "-table", "-all", "-snapshot"}
+	allTables = []string{"overhead-module", "overhead-cluster", "energy", "ablations", "scalability"}
 )
 
+// workloadFlags shape an experiment's workload or worker width. Figures
+// and tables honour all of them; a snapshot runs at a fixed canonical
+// configuration and honours only the ones its registry entry lists.
+var workloadFlags = []string{"scale", "seed", "fast", "parallelism", "search-parallelism"}
+
 // validateModes rejects conflicting or unknown mode selections with a
-// usage error listing the valid modes, and flags that only apply to a
-// mode that was not selected.
-func validateModes(fs *flag.FlagSet, fig int, table string, all bool, llcJSON, tickJSON, fleetJSON string) error {
+// usage error listing the valid modes.
+func validateModes(fig int, table string, all bool, snapshot, out string) error {
 	var selected []string
-	if fig != 0 {
-		selected = append(selected, "-fig")
-	}
-	if table != "" {
-		selected = append(selected, "-table")
-	}
-	if all {
-		selected = append(selected, "-all")
-	}
-	if llcJSON != "" {
-		selected = append(selected, "-llc-json")
-	}
-	if tickJSON != "" {
-		selected = append(selected, "-tick-json")
-	}
-	if fleetJSON != "" {
-		selected = append(selected, "-fleet-json")
+	for i, on := range []bool{fig != 0, table != "", all, snapshot != ""} {
+		if on {
+			selected = append(selected, modeFlags[i])
+		}
 	}
 	if len(selected) > 1 {
 		return fmt.Errorf("conflicting modes %s: pass exactly one of %s",
 			strings.Join(selected, " and "), strings.Join(modeFlags, ", "))
 	}
-	if table != "" {
-		known := false
-		for _, t := range validTables {
-			if table == t {
-				known = true
-				break
-			}
-		}
-		if !known {
-			return fmt.Errorf("unknown table %q; valid tables: %s", table, strings.Join(validTables, ", "))
-		}
+	if table != "" && !slices.Contains(allTables, table) {
+		return fmt.Errorf("unknown table %q; valid tables: %s", table, strings.Join(allTables, ", "))
 	}
-	explicit := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	if explicit["scenarios-json"] && table != "scenarios" {
-		return fmt.Errorf("-scenarios-json only applies to -table scenarios")
-	}
-	if explicit["chaos-json"] && table != "chaos" {
-		return fmt.Errorf("-chaos-json only applies to -table chaos")
-	}
-	// The tick benchmark is deliberately sequential (its B/allocs columns
-	// are a deterministic projection CI diffs); reject worker-width flags
-	// rather than silently ignoring them.
-	if tickJSON != "" && (explicit["parallelism"] || explicit["search-parallelism"]) {
-		return fmt.Errorf("-parallelism/-search-parallelism do not apply to -tick-json (the tick measurement is sequential by design)")
-	}
-	// The fleet benchmark's parallelism comes from the fleet's own shard
-	// workers; reject the sweep worker-width flags rather than silently
-	// ignoring them.
-	if fleetJSON != "" && (explicit["parallelism"] || explicit["search-parallelism"]) {
-		return fmt.Errorf("-parallelism/-search-parallelism do not apply to -fleet-json (the fleet's shard workers set the parallelism)")
+	if snapshot == "" && out != "" {
+		return fmt.Errorf("-out only applies to -snapshot")
 	}
 	return nil
 }
@@ -328,23 +279,100 @@ func runTable(w io.Writer, name string, opts hierctl.ExperimentOptions) error {
 		fmt.Fprintln(w, tab)
 		return nil
 	default:
-		return fmt.Errorf("unknown table %q; valid tables: %s", name, strings.Join(validTables, ", "))
+		return fmt.Errorf("unknown table %q; valid tables: %s", name, strings.Join(allTables, ", "))
 	}
 }
 
-// writeScenarioMatrix runs the robustness matrix at its canonical
-// benchmark configuration (DefaultScenarioMatrixOptions; -scale and -fast
-// do not apply, matching the -llc-json convention), prints the table, and
-// writes the BENCH_scenarios.json snapshot. The snapshot carries no
-// wall-clock fields, so regeneration with the same -seed is bit-identical
-// at any -parallelism.
-func writeScenarioMatrix(w io.Writer, path string, seed int64, parallelism int) error {
+// benchSnapshot is one committed BENCH_<name>.json snapshot: how to
+// regenerate it, which workload flags its generator honours, and which of
+// its columns are deterministic.
+type benchSnapshot struct {
+	name string
+	// honours lists the workload flags (of -seed and -parallelism) the
+	// generator takes; every other workload flag is rejected — the
+	// configuration is otherwise fixed so the committed file regenerates.
+	honours []string
+	// columns is the deterministic projection CI diffs across two
+	// regenerations and against the committed file; the remaining columns
+	// are wall-clock. nil means the snapshot carries no wall-clock fields
+	// and regenerates byte-identically at any -parallelism.
+	columns []string
+	// run generates the snapshot, prints its table to w, and returns the
+	// JSON payload.
+	run func(w io.Writer, seed int64, parallelism int) (any, error)
+}
+
+// file is the committed snapshot at the repo root, and the default -out.
+func (b benchSnapshot) file() string { return "BENCH_" + b.name + ".json" }
+
+// snapshots is the registry behind -snapshot, in the order CI regenerates
+// them.
+var snapshots = []benchSnapshot{
+	{name: "llc", honours: []string{"parallelism"}, columns: []string{"engine"}, run: runLLCBench},
+	{name: "tick", columns: []string{"allocsPerDecision", "bytesPerDecision"}, run: runTickBench},
+	{name: "fleet", columns: []string{"tenants", "bins", "countPerBin", "snapshotBytes", "batchEqualsSequential", "restoreEqualsReplay"}, run: runFleetBench},
+	{name: "scenarios", honours: []string{"seed", "parallelism"}, run: runScenarioMatrix},
+	{name: "chaos", honours: []string{"seed", "parallelism"}, run: runChaosMatrix},
+}
+
+func snapshotNames() []string {
+	names := make([]string, len(snapshots))
+	for i, b := range snapshots {
+		names[i] = b.name
+	}
+	return names
+}
+
+// writeSnapshot regenerates one registered snapshot: table to w, JSON to
+// path (default: the committed file name), then the line CI reads to know
+// what to diff. A workload flag the snapshot does not honour is rejected,
+// never silently ignored.
+func writeSnapshot(w io.Writer, fs *flag.FlagSet, name, path string, seed int64, parallelism int) error {
+	i := slices.IndexFunc(snapshots, func(b benchSnapshot) bool { return b.name == name })
+	if i < 0 {
+		return fmt.Errorf("unknown snapshot %q; valid snapshots: %s", name, strings.Join(snapshotNames(), ", "))
+	}
+	b := snapshots[i]
+	var stray []string
+	fs.Visit(func(f *flag.Flag) {
+		if slices.Contains(workloadFlags, f.Name) && !slices.Contains(b.honours, f.Name) {
+			stray = append(stray, "-"+f.Name)
+		}
+	})
+	if len(stray) > 0 {
+		return fmt.Errorf("%s does not apply to -snapshot %s: its configuration is fixed (workload flags it honours: %q)",
+			strings.Join(stray, ", "), b.name, b.honours)
+	}
+	if path == "" {
+		path = b.file()
+	}
+	snap, err := b.run(w, seed, parallelism)
+	if err != nil {
+		return err
+	}
+	data, err := json.MarshalIndent(snap, "", "  ")
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "snapshot written to %s\n", path)
+	if b.columns != nil {
+		fmt.Fprintf(w, "deterministic columns: %s\n", strings.Join(b.columns, " "))
+	}
+	return nil
+}
+
+// runScenarioMatrix runs the robustness matrix at its canonical benchmark
+// configuration (DefaultScenarioMatrixOptions).
+func runScenarioMatrix(w io.Writer, seed int64, parallelism int) (any, error) {
 	opts := hierctl.DefaultScenarioMatrixOptions()
 	opts.Seed = seed
 	opts.Parallelism = parallelism
 	snap, err := hierctl.RunScenarioMatrix(opts)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	fmt.Fprintln(w, "== Robustness matrix: every registered scenario x {LLC hierarchy, threshold, centralized} ==")
 	tab := metrics.NewTable("scenario", "policy", "bins", "completed", "dropped", "energy", "mean resp (s)", "violations", "states/period")
@@ -352,30 +380,18 @@ func writeScenarioMatrix(w io.Writer, path string, seed int64, parallelism int) 
 		tab.AddRow(c.Scenario, c.Policy, c.Bins, c.Completed, c.Dropped, c.Energy, c.MeanResponse, c.ViolationFrac, c.ExploredPerPeriod)
 	}
 	fmt.Fprintln(w, tab)
-	data, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "snapshot written to %s\n", path)
-	return nil
+	return snap, nil
 }
 
-// writeChaosMatrix runs the degraded-mode matrix at its canonical
-// benchmark configuration (DefaultChaosMatrixOptions; -scale and -fast do
-// not apply, matching the scenario-matrix convention), prints the table,
-// and writes the BENCH_chaos.json snapshot. The snapshot carries no
-// wall-clock fields, so regeneration with the same -seed is bit-identical
-// at any -parallelism.
-func writeChaosMatrix(w io.Writer, path string, seed int64, parallelism int) error {
+// runChaosMatrix runs the degraded-mode matrix at its canonical benchmark
+// configuration (DefaultChaosMatrixOptions).
+func runChaosMatrix(w io.Writer, seed int64, parallelism int) (any, error) {
 	opts := hierctl.DefaultChaosMatrixOptions()
 	opts.Seed = seed
 	opts.Parallelism = parallelism
 	snap, err := hierctl.RunChaosMatrix(opts)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	fmt.Fprintf(w, "== Degraded-mode matrix: every registered chaos plan x {LLC hierarchy, threshold, centralized} on %s ==\n", snap.Scenario)
 	tab := metrics.NewTable("plan", "policy", "bins", "completed", "dropped", "energy", "mean resp (s)", "violations", "degraded", "stale", "rejects")
@@ -383,34 +399,17 @@ func writeChaosMatrix(w io.Writer, path string, seed int64, parallelism int) err
 		tab.AddRow(c.Plan, c.Policy, c.Bins, c.Completed, c.Dropped, c.Energy, c.MeanResponse, c.ViolationFrac, c.DegradedTicks, c.StaleObservations, c.SanitizedRejects)
 	}
 	fmt.Fprintln(w, tab)
-	data, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "snapshot written to %s\n", path)
-	return nil
+	return snap, nil
 }
 
-// writeTickBench measures the steady-state decision tick (ns, heap bytes
+// runTickBench measures the steady-state decision tick (ns, heap bytes
 // and heap allocations per L0/L1/L2 decision and per table probe, plus
-// fleet tenant-ticks/sec), prints the rows, and writes the
-// BENCH_tick.json snapshot. The byte/alloc columns are deterministic in
-// steady state and are the projection CI diffs across regenerations;
-// ns/decision and tenant-ticks/sec are wall-clock and vary run to run.
-func writeTickBench(w io.Writer, path string) error {
+// fleet tenant-ticks/sec). The measurement is sequential by design, which
+// is what makes the byte/alloc columns deterministic.
+func runTickBench(w io.Writer, _ int64, _ int) (any, error) {
 	snap, err := hierctl.RunTickBench(256, 64)
 	if err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
+		return nil, err
 	}
 	fmt.Fprintln(w, "== Decision tick: ns / B / allocs per decision (steady state, warm controllers) ==")
 	for _, r := range snap.Rows {
@@ -422,30 +421,19 @@ func writeTickBench(w io.Writer, path string) error {
 		fmt.Fprintf(w, "%-12s %8d decisions  %9.0f ns/decision  %6.0f B/decision  %4.0f allocs/decision\n",
 			r.Level, r.Decisions, r.NsPerDecision, r.BytesPerDecision, r.AllocsPerDecision)
 	}
-	fmt.Fprintf(w, "snapshot written to %s\n", path)
-	return nil
+	return snap, nil
 }
 
-// writeFleetBench measures fleet capacity at the canonical tenant scales
+// runFleetBench measures fleet capacity at the canonical tenant scales
 // (64, 1024 and 10240 tenants, 16 bins each, constant aggregate offered
-// load), prints the rows, and writes the BENCH_fleet.json snapshot. The
+// load; the fleet's own shard workers set the parallelism). The
 // generation doubles as an equivalence check: it fails the checks fields
 // if batched ingest diverges from sequential Observe calls or a restored
-// fleet diverges from the original on the next bin. Tenant counts, bins,
-// per-bin load and snapshot bytes are deterministic and are the
-// projection CI diffs across regenerations; throughput, creation and
-// latency columns are wall-clock and vary run to run.
-func writeFleetBench(w io.Writer, path string) error {
+// fleet diverges from the original on the next bin.
+func runFleetBench(w io.Writer, _ int64, _ int) (any, error) {
 	snap, err := hierctl.RunFleetBench(16, []int{64, 1024, 10240})
 	if err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
+		return nil, err
 	}
 	fmt.Fprintln(w, "== Fleet capacity: batched ingest, snapshot and restore across tenant scales ==")
 	for _, r := range snap.Rows {
@@ -454,36 +442,27 @@ func writeFleetBench(w io.Writer, path string) error {
 	}
 	fmt.Fprintf(w, "checks: batchEqualsSequential=%v restoreEqualsReplay=%v\n",
 		snap.Checks.BatchEqualsSequential, snap.Checks.RestoreEqualsReplay)
-	fmt.Fprintf(w, "snapshot written to %s\n", path)
-	return nil
+	return snap, nil
 }
 
-// writeLLCBench measures the branch-and-bound LLC engine against the
-// naive search on the §4.3 configuration, prints the comparison, and
-// writes the BENCH_llc.json snapshot (the generation doubles as a
+// runLLCBench measures the branch-and-bound LLC engine against the naive
+// search on the §4.3 configuration (the generation doubles as a
 // decision-equivalence check across engines). parallelism sets the
 // pruned-parallel row's worker count, following the -parallelism
-// convention (0 = one per CPU).
-func writeLLCBench(w io.Writer, path string, parallelism int) error {
+// convention (0 = one per CPU), so only the set of engine rows is
+// deterministic.
+func runLLCBench(w io.Writer, _ int64, parallelism int) (any, error) {
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)
 	}
 	snap, err := hierctl.RunLLCBench(400, parallelism)
 	if err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
+		return nil, err
 	}
 	fmt.Fprintln(w, "== LLC engine: branch-and-bound vs naive search (§4.3 configuration) ==")
 	for _, r := range snap.Rows {
 		fmt.Fprintf(w, "%-16s explored %8d (%.2fx naive)  %9.0f ns/decision (%.2fx speedup)\n",
 			r.Engine, r.Explored, r.ExploredVsNaive, r.NsPerDecision, r.SpeedupVsNaive)
 	}
-	fmt.Fprintf(w, "snapshot written to %s\n", path)
-	return nil
+	return snap, nil
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -85,17 +86,17 @@ func TestRunErrors(t *testing.T) {
 }
 
 // TestRunRejectsConflictingModes pins the mode validation: exactly one of
-// -fig/-table/-all/-llc-json/-tick-json per invocation, unknown tables
-// rejected with the valid list, and mode-specific flags rejected outside
-// their mode.
+// -fig/-table/-all/-snapshot per invocation, unknown tables and snapshots
+// rejected with the valid list, and flags rejected where they do not
+// apply — in particular every workload flag a snapshot's registry entry
+// does not name, with one message (none is silently ignored).
 func TestRunRejectsConflictingModes(t *testing.T) {
 	conflicts := [][]string{
 		{"-fig", "3", "-table", "energy"},
 		{"-fig", "3", "-all"},
-		{"-table", "energy", "-llc-json", "x.json"},
-		{"-llc-json", "x.json", "-tick-json", "y.json"},
-		{"-all", "-tick-json", "y.json"},
-		{"-tick-json", "y.json", "-fleet-json", "z.json"},
+		{"-table", "energy", "-snapshot", "llc"},
+		{"-all", "-snapshot", "tick"},
+		{"-fig", "3", "-snapshot", "fleet"},
 	}
 	for _, args := range conflicts {
 		var out bytes.Buffer
@@ -104,31 +105,65 @@ func TestRunRejectsConflictingModes(t *testing.T) {
 			t.Errorf("args %v: got %v, want a conflicting-modes usage error", args, err)
 		}
 	}
-	// Unknown table names list the registry of valid tables.
 	var out bytes.Buffer
-	err := run([]string{"-table", "nope"}, &out)
-	if err == nil || !strings.Contains(err.Error(), "valid tables") || !strings.Contains(err.Error(), "scenarios") {
-		t.Errorf("unknown table: got %v, want the valid-table list", err)
+	// Unknown names list the registry of valid ones; the snapshot-writing
+	// matrices are snapshots, no longer tables.
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-table", "nope"}, "valid tables"},
+		{[]string{"-table", "scenarios"}, "valid tables"},
+		{[]string{"-snapshot", "nope"}, "valid snapshots: llc, tick, fleet, scenarios, chaos"},
+		{[]string{"-fig", "3", "-out", "x.json"}, "-out only applies to -snapshot"},
+		{nil, "-snapshot"}, // the nothing-to-do error lists the modes
+	} {
+		if err := run(c.args, &out); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("args %v: got %v, want an error mentioning %q", c.args, err, c.want)
+		}
 	}
-	// -scenarios-json only applies to -table scenarios.
-	err = run([]string{"-fig", "3", "-scenarios-json", "x.json"}, &out)
-	if err == nil || !strings.Contains(err.Error(), "scenarios-json") {
-		t.Errorf("-scenarios-json with -fig: got %v, want usage error", err)
+	// Each snapshot runs at a fixed configuration: every workload flag
+	// outside its registry entry is refused before any work starts.
+	honours := map[string][]string{
+		"llc":       {"parallelism"},
+		"tick":      nil,
+		"fleet":     nil,
+		"scenarios": {"seed", "parallelism"},
+		"chaos":     {"seed", "parallelism"},
 	}
-	// Worker-width flags do not apply to the sequential tick measurement.
-	err = run([]string{"-tick-json", "x.json", "-parallelism", "4"}, &out)
-	if err == nil || !strings.Contains(err.Error(), "sequential") {
-		t.Errorf("-parallelism with -tick-json: got %v, want usage error", err)
+	values := map[string]string{"scale": "0.5", "seed": "7", "fast": "true", "parallelism": "4", "search-parallelism": "2"}
+	for _, b := range snapshots {
+		for _, name := range workloadFlags {
+			if slices.Contains(honours[b.name], name) != slices.Contains(b.honours, name) {
+				t.Errorf("snapshot %s: registry and test disagree on whether -%s applies", b.name, name)
+			}
+			if slices.Contains(b.honours, name) {
+				continue
+			}
+			args := []string{"-snapshot", b.name, "-out", filepath.Join(t.TempDir(), "x.json"), "-" + name + "=" + values[name]}
+			err := run(args, &out)
+			if err == nil || !strings.Contains(err.Error(), "-"+name+" does not apply to -snapshot "+b.name) {
+				t.Errorf("args %v: got %v, want the does-not-apply usage error", args, err)
+			}
+		}
 	}
-	// Nor to the fleet benchmark, whose parallelism is the fleet's shards.
-	err = run([]string{"-fleet-json", "x.json", "-parallelism", "4"}, &out)
-	if err == nil || !strings.Contains(err.Error(), "shard") {
-		t.Errorf("-parallelism with -fleet-json: got %v, want usage error", err)
-	}
-	// The nothing-to-do error lists the modes.
-	err = run(nil, &out)
-	if err == nil || !strings.Contains(err.Error(), "-tick-json") {
-		t.Errorf("empty args: got %v, want the mode list", err)
+}
+
+// TestSnapshotRegistryMatchesCommittedFiles pins the registry against the
+// repo root: every entry's committed BENCH file exists and carries each
+// column CI projects it onto.
+func TestSnapshotRegistryMatchesCommittedFiles(t *testing.T) {
+	for _, b := range snapshots {
+		data, err := os.ReadFile(filepath.Join("..", "..", b.file()))
+		if err != nil {
+			t.Errorf("snapshot %s: %v", b.name, err)
+			continue
+		}
+		for _, col := range b.columns {
+			if !bytes.Contains(data, []byte(`"`+col+`"`)) {
+				t.Errorf("snapshot %s: committed %s has no %q column", b.name, b.file(), col)
+			}
+		}
 	}
 }
 
@@ -146,17 +181,17 @@ func TestValidTablesMatchRunTable(t *testing.T) {
 	}
 }
 
-// TestRunTickBenchSnapshot smokes -tick-json: rows for every level, the
+// TestRunTickBenchSnapshot smokes -snapshot tick: rows for every level, the
 // deterministic alloc columns at their pinned steady-state values, and a
 // regeneration that agrees on them.
 func TestRunTickBenchSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "BENCH_tick.json")
 	var out bytes.Buffer
-	if err := run([]string{"-tick-json", path}, &out); err != nil {
+	if err := run([]string{"-snapshot", "tick", "-out", path}, &out); err != nil {
 		t.Fatal(err)
 	}
-	for _, frag := range []string{"Decision tick", "L0-decide", "L1-decide", "L2-decide", "table-probe", "fleet-64", "tenant-ticks/sec", "snapshot written"} {
+	for _, frag := range []string{"Decision tick", "L0-decide", "L1-decide", "L2-decide", "table-probe", "fleet-64", "tenant-ticks/sec", "snapshot written", "deterministic columns: allocsPerDecision bytesPerDecision"} {
 		if !strings.Contains(out.String(), frag) {
 			t.Errorf("output missing %q:\n%s", frag, out.String())
 		}
@@ -194,14 +229,14 @@ func TestRunRejectsNegativeParallelism(t *testing.T) {
 	}
 }
 
-// TestRunScenariosTable smokes the robustness matrix table: it must print
-// one row per (scenario, policy) cell and write a snapshot that
+// TestRunScenariosTable smokes the robustness matrix snapshot: it must
+// print one row per (scenario, policy) cell and write a snapshot that
 // regenerates bit-identically at -parallelism 1.
 func TestRunScenariosTable(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "BENCH_scenarios.json")
 	var out bytes.Buffer
-	if err := run([]string{"-table", "scenarios", "-scenarios-json", path}, &out); err != nil {
+	if err := run([]string{"-snapshot", "scenarios", "-out", path}, &out); err != nil {
 		t.Fatal(err)
 	}
 	for _, frag := range []string{"Robustness matrix", "flashcrowd", "failstorm", "hierarchical-llc", "threshold", "centralized", "snapshot written"} {
@@ -209,11 +244,14 @@ func TestRunScenariosTable(t *testing.T) {
 			t.Errorf("output missing %q:\n%s", frag, out.String())
 		}
 	}
+	if strings.Contains(out.String(), "deterministic columns") {
+		t.Error("the matrix has no wall-clock fields, yet a column projection was printed")
+	}
 	first, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-table", "scenarios", "-scenarios-json", path, "-parallelism", "1"}, &out); err != nil {
+	if err := run([]string{"-snapshot", "scenarios", "-out", path, "-parallelism", "1"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	second, err := os.ReadFile(path)

@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"hierctl"
 )
@@ -236,76 +235,25 @@ func TestServerBatchAndJournalMetrics(t *testing.T) {
 // journal), and reboot recovering the fleet from the log.
 func TestRunJournalPersistence(t *testing.T) {
 	logPath := filepath.Join(t.TempDir(), "fleet.log")
-	start := func(ctx context.Context, out *syncBuffer) chan error {
-		errc := make(chan error, 1)
-		go func() {
-			errc <- run(ctx, []string{"-addr", "127.0.0.1:0", "-shards", "2", "-journal", logPath}, out)
-		}()
-		return errc
-	}
-	waitAddr := func(out *syncBuffer) string {
-		deadline := time.Now().Add(10 * time.Second)
-		for time.Now().Before(deadline) {
-			if s := out.String(); strings.Contains(s, "listening on ") {
-				line := s[strings.Index(s, "listening on ")+len("listening on "):]
-				return strings.Fields(line)[0]
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-		t.Fatalf("daemon never reported its address; output: %q", out.String())
-		return ""
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	out := &syncBuffer{}
-	errc := start(ctx, out)
-	base := "http://" + waitAddr(out)
-
-	resp, err := http.Post(base+"/v1/tenants", "application/json",
-		strings.NewReader(`{"id":"web","moduleSize":2,"fast":true,"binSeconds":30}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("create tenant = %d", resp.StatusCode)
-	}
-	resp, err = http.Post(base+"/v1/observe:batch", "application/json",
-		strings.NewReader(`{"entries":[{"tenant":"web","counts":[500,600]}]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("batch observe = %d", resp.StatusCode)
-	}
-
-	cancel()
-	if err := <-errc; err != nil {
+	base, out, stop := bootDaemon(t, "-journal", logPath)
+	httpDo(t, http.MethodPost, base+"/v1/tenants", webTenant, http.StatusCreated)
+	httpDo(t, http.MethodPost, base+"/v1/observe:batch",
+		`{"entries":[{"tenant":"web","counts":[500,600]}]}`, http.StatusOK)
+	if err := stop(); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	if !strings.Contains(out.String(), "journal flushed") {
 		t.Fatalf("no shutdown journal flush; output: %q", out.String())
 	}
 
-	ctx2, cancel2 := context.WithCancel(context.Background())
-	out2 := &syncBuffer{}
-	errc2 := start(ctx2, out2)
-	addr2 := waitAddr(out2)
-	if !strings.Contains(out2.String(), "1 tenants recovered") {
-		t.Errorf("recovery not reported; output: %q", out2.String())
+	base, out, stop = bootDaemon(t, "-journal", logPath)
+	if !strings.Contains(out.String(), "1 tenants recovered") {
+		t.Errorf("recovery not reported; output: %q", out.String())
 	}
-	resp, err = http.Get("http://" + addr2 + "/v1/tenants/web/state")
-	if err != nil {
-		t.Fatal(err)
+	if body := httpDo(t, http.MethodGet, base+"/v1/tenants/web/state", "", http.StatusOK); !strings.Contains(body, `"bins":2`) {
+		t.Fatalf("recovered state = %s", body)
 	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"bins":2`) {
-		t.Fatalf("recovered state = %d %s", resp.StatusCode, body)
-	}
-	cancel2()
-	if err := <-errc2; err != nil {
+	if err := stop(); err != nil {
 		t.Fatalf("run (second boot): %v", err)
 	}
 }
@@ -317,8 +265,5 @@ func TestRunJournalFlagValidation(t *testing.T) {
 	}
 	if err := run(ctx, []string{"-journal-interval", "-5s", "-journal", "x"}, io.Discard); err == nil {
 		t.Error("negative journal interval: want error")
-	}
-	if err := run(ctx, []string{"-snapshot", "a", "-journal", "b"}, io.Discard); err == nil {
-		t.Error("snapshot and journal together: want error")
 	}
 }

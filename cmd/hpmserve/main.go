@@ -7,7 +7,6 @@
 // Usage:
 //
 //	hpmserve -addr :8700
-//	hpmserve -addr :8700 -snapshot fleet.snap -snapshot-interval 5m
 //	hpmserve -addr :8700 -journal fleet.log -journal-interval 30s
 //
 // Then:
@@ -19,15 +18,16 @@
 //	curl localhost:8700/metrics
 //
 // The daemon shuts down gracefully on SIGINT/SIGTERM: in-flight requests
-// finish, a final snapshot is written (when -snapshot is set) or the
-// journal is flushed (when -journal is set), and the fleet's shard
-// workers stop.
+// get 10 s to finish, the journal is flushed (when -journal is set)
+// whether or not they did, and the fleet's shard workers stop.
 //
-// -snapshot rewrites the full fleet state each cadence; -journal keeps
-// an incremental log — one base snapshot plus deltas for what changed
-// since, compacted automatically — so large fleets persist at a cost
-// proportional to new observations, and a crash mid-append recovers to
-// the last durable write.
+// -journal is the daemon's one persistence mode: an incremental frame
+// log — one base snapshot plus deltas for what changed since, compacted
+// automatically — so large fleets persist at a cost proportional to new
+// observations, and a crash mid-append recovers to the last durable
+// write. A file written by Fleet.Snapshot (or by the removed -snapshot
+// flag of earlier builds) is already a valid log: pass its path to
+// -journal.
 package main
 
 import (
@@ -40,7 +40,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 	"time"
 
@@ -60,9 +59,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("hpmserve", flag.ContinueOnError)
 	addr := fs.String("addr", ":8700", "HTTP listen address")
 	shards := fs.Int("shards", 0, "worker shards hosting tenants (0 = one per CPU)")
-	snapshot := fs.String("snapshot", "", "snapshot file: restored on start when present, written on shutdown and every -snapshot-interval")
-	interval := fs.Duration("snapshot-interval", 0, "periodic snapshot cadence (0 = only on shutdown; needs -snapshot)")
-	journal := fs.String("journal", "", "incremental snapshot journal: recovered on start when present, appended on shutdown and every -journal-interval (mutually exclusive with -snapshot)")
+	journal := fs.String("journal", "", "incremental snapshot journal: recovered on start when present, appended on shutdown and every -journal-interval")
 	journalInterval := fs.Duration("journal-interval", 0, "periodic journal append cadence (0 = only on shutdown; needs -journal)")
 	telemetryRecords := fs.Int("telemetry-records", 4096, "flight-recorder ring size per tenant: decisions retained for /v1/tenants/{id}/telemetry and the per-level /metrics histograms (0 disables recording)")
 	debugAddr := fs.String("debug-addr", "", "serve net/http/pprof on this separate address (empty = profiling off; keep it private)")
@@ -73,20 +70,11 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if *journalVerify != "" {
 		return verifyJournal(*journalVerify, stdout)
 	}
-	if *interval < 0 {
-		return fmt.Errorf("negative snapshot interval %v", *interval)
-	}
-	if *interval > 0 && *snapshot == "" {
-		return fmt.Errorf("-snapshot-interval needs -snapshot")
-	}
 	if *journalInterval < 0 {
 		return fmt.Errorf("negative journal interval %v", *journalInterval)
 	}
 	if *journalInterval > 0 && *journal == "" {
 		return fmt.Errorf("-journal-interval needs -journal")
-	}
-	if *snapshot != "" && *journal != "" {
-		return fmt.Errorf("-snapshot and -journal are mutually exclusive; pick one persistence mode")
 	}
 	if *telemetryRecords < 0 {
 		return fmt.Errorf("negative -telemetry-records %d", *telemetryRecords)
@@ -94,11 +82,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 
 	f := hierctl.NewFleet(hierctl.FleetConfig{Shards: *shards})
 	defer f.Close()
-	if *snapshot != "" {
-		if err := restoreSnapshot(f, *snapshot, stdout); err != nil {
-			return err
-		}
-	}
 	var jnl *hierctl.FleetJournal
 	if *journal != "" {
 		j, err := hierctl.OpenFleetJournal(f, *journal, hierctl.FleetJournalConfig{})
@@ -116,8 +99,8 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 	sv := newServer(f, *telemetryRecords)
 	sv.journal = jnl
-	// Recovery (snapshot restore / journal replay) is done: the daemon can
-	// serve. /readyz flips back to 503 the moment shutdown starts.
+	// Recovery (journal replay) is done: the daemon can serve. /readyz
+	// flips back to 503 the moment shutdown starts.
 	sv.ready.Store(true)
 	// Timeouts bound what one slow or stalled client can hold: a header
 	// must arrive promptly, a whole request body within ReadTimeout (ample
@@ -163,40 +146,25 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 
-	// One periodic persister at most: full snapshots or journal appends,
-	// per the mutually exclusive flags.
-	snapDone := make(chan struct{})
-	close(snapDone)
-	persist := func() {}
-	switch {
-	case *interval > 0:
-		persist = func() {
-			if err := writeSnapshot(f, *snapshot); err != nil {
-				fmt.Fprintf(stdout, "hpmserve: periodic snapshot: %v\n", err)
-			}
-		}
-	case *journalInterval > 0:
-		persist = func() {
-			if err := jnl.Append(); err != nil {
-				fmt.Fprintf(stdout, "hpmserve: periodic journal append: %v\n", err)
-			}
-		}
-	}
-	if cadence := max(*interval, *journalInterval); cadence > 0 {
-		snapDone = make(chan struct{})
+	persistDone := make(chan struct{})
+	if *journalInterval > 0 {
 		go func() {
-			defer close(snapDone)
-			ticker := time.NewTicker(cadence)
+			defer close(persistDone)
+			ticker := time.NewTicker(*journalInterval)
 			defer ticker.Stop()
 			for {
 				select {
 				case <-ctx.Done():
 					return
 				case <-ticker.C:
-					persist()
+					if err := jnl.Append(); err != nil {
+						fmt.Fprintf(stdout, "hpmserve: periodic journal append: %v\n", err)
+					}
 				}
 			}
 		}()
+	} else {
+		close(persistDone)
 	}
 
 	select {
@@ -210,31 +178,38 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	sv.ready.Store(false)
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if err := srv.Shutdown(shutdownCtx); err != nil {
-		return err
-	}
+	err = drainAndFlush(shutdownCtx, srv, persistDone, jnl)
 	if debugSrv != nil {
 		_ = debugSrv.Close()
 	}
-	// Join the periodic persister before the final write so a stale
-	// in-flight snapshot or append can never overwrite the shutdown state.
-	<-snapDone
-	if *snapshot != "" {
-		if err := writeSnapshot(f, *snapshot); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "hpmserve snapshot written to %s\n", *snapshot)
+	if err != nil {
+		return err
 	}
 	if jnl != nil {
-		if err := jnl.Append(); err != nil {
-			return err
-		}
-		if err := jnl.Close(); err != nil {
-			return err
-		}
 		fmt.Fprintf(stdout, "hpmserve journal flushed to %s\n", *journal)
 	}
 	return nil
+}
+
+// drainAndFlush is the graceful-stop tail: give in-flight requests until
+// ctx expires, join the periodic persister (so a stale in-flight append
+// can never land after the final one), then flush and close the journal.
+// The flush runs whether or not the drain finished — one stalled client
+// outliving the deadline must not cost every observation acknowledged
+// since the last periodic append — and the first error is returned.
+func drainAndFlush(ctx context.Context, srv *http.Server, persistDone <-chan struct{}, jnl *hierctl.FleetJournal) error {
+	err := srv.Shutdown(ctx)
+	<-persistDone
+	if jnl == nil {
+		return err
+	}
+	if aerr := jnl.Append(); err == nil {
+		err = aerr
+	}
+	if cerr := jnl.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // verifyJournal runs the read-only integrity scan behind -journal-verify.
@@ -254,40 +229,4 @@ func verifyJournal(path string, stdout io.Writer) error {
 	}
 	fmt.Fprintln(stdout, "hpmserve journal: ok")
 	return nil
-}
-
-// restoreSnapshot loads a prior snapshot when the file exists; a missing
-// file is a clean first start.
-func restoreSnapshot(f *hierctl.Fleet, path string, stdout io.Writer) error {
-	file, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	defer file.Close()
-	if err := f.Restore(file); err != nil {
-		return fmt.Errorf("restore %s: %w", path, err)
-	}
-	fmt.Fprintf(stdout, "hpmserve restored %d tenants from %s\n", f.Stats().Tenants, path)
-	return nil
-}
-
-// writeSnapshot writes via a temp file and rename so a crash never leaves
-// a truncated snapshot behind.
-func writeSnapshot(f *hierctl.Fleet, path string) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if err := f.Snapshot(tmp); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
 }

@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -159,92 +163,203 @@ func (b *syncBuffer) String() string {
 	return b.buf.String()
 }
 
+// bootDaemon runs the real daemon loop on an ephemeral port with the given
+// extra flags and returns its base URL, its stdout, and a stop function
+// that cancels the daemon's context and returns run's error.
+func bootDaemon(t *testing.T, args ...string) (base string, out *syncBuffer, stop func() error) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	out = &syncBuffer{}
+	errc := make(chan error, 1)
+	go func() {
+		errc <- run(ctx, append([]string{"-addr", "127.0.0.1:0", "-shards", "2"}, args...), out)
+	}()
+	stop = func() error {
+		cancel()
+		return <-errc
+	}
+	const marker = "listening on "
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
+		select {
+		case err := <-errc:
+			t.Fatalf("daemon exited before listening: %v; output: %q", err, out.String())
+		default:
+		}
+		if s := out.String(); strings.Contains(s, marker) {
+			return "http://" + strings.Fields(s[strings.Index(s, marker)+len(marker):])[0], out, stop
+		}
+	}
+	t.Fatalf("daemon never reported its address; output: %q", out.String())
+	return "", nil, nil
+}
+
+// httpDo issues one request against a live daemon and returns the body,
+// failing the test unless the status matches.
+func httpDo(t *testing.T, method, url, body string, wantStatus int) string {
+	t.Helper()
+	req, err := http.NewRequest(method, url, strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != wantStatus {
+		t.Fatalf("%s %s = %d, want %d (body %s)", method, url, resp.StatusCode, wantStatus, data)
+	}
+	return string(data)
+}
+
+// webTenant is createFastTenant's request for id "web", for live daemons.
+const webTenant = `{"id":"web","moduleSize":2,"fast":true,"binSeconds":30}`
+
 // TestRunServesAndSnapshotsOnShutdown drives the real daemon loop: boot
 // on an ephemeral port, create a tenant over HTTP, shut down via context
-// cancellation, and verify the snapshot landed and restores on reboot.
+// cancellation, and verify the journal was flushed and recovers on reboot.
 func TestRunServesAndSnapshotsOnShutdown(t *testing.T) {
-	snap := filepath.Join(t.TempDir(), "fleet.snap")
-	start := func(ctx context.Context, out *syncBuffer) chan error {
-		errc := make(chan error, 1)
-		go func() {
-			errc <- run(ctx, []string{"-addr", "127.0.0.1:0", "-shards", "2", "-snapshot", snap}, out)
-		}()
-		return errc
+	logPath := filepath.Join(t.TempDir(), "fleet.log")
+	base, out, stop := bootDaemon(t, "-journal", logPath, "-journal-interval", "1h")
+	httpDo(t, http.MethodPost, base+"/v1/tenants", webTenant, http.StatusCreated)
+	if body := httpDo(t, http.MethodPost, base+"/v1/tenants/web/observe", `{"count":500}`, http.StatusOK); !strings.Contains(body, `"freqHz"`) {
+		t.Fatalf("observe returned no decision: %s", body)
 	}
-	waitAddr := func(out *syncBuffer) string {
-		deadline := time.Now().Add(10 * time.Second)
-		for time.Now().Before(deadline) {
-			if s := out.String(); strings.Contains(s, "listening on ") {
-				line := s[strings.Index(s, "listening on ")+len("listening on "):]
-				return strings.Fields(line)[0]
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-		t.Fatalf("daemon never reported its address; output: %q", out.String())
-		return ""
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	out := &syncBuffer{}
-	errc := start(ctx, out)
-	addr := waitAddr(out)
-	base := "http://" + addr
-
-	resp, err := http.Post(base+"/v1/tenants", "application/json",
-		strings.NewReader(`{"id":"web","moduleSize":2,"fast":true,"binSeconds":30}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("create tenant = %d", resp.StatusCode)
-	}
-	resp, err = http.Post(base+"/v1/tenants/web/observe", "application/json",
-		strings.NewReader(`{"count":500}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"freqHz"`) {
-		t.Fatalf("observe = %d %s", resp.StatusCode, body)
-	}
-
-	cancel()
-	if err := <-errc; err != nil {
+	if err := stop(); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if !strings.Contains(out.String(), "snapshot written") {
-		t.Fatalf("no shutdown snapshot; output: %q", out.String())
+	if !strings.Contains(out.String(), "journal flushed") {
+		t.Fatalf("no shutdown journal flush; output: %q", out.String())
 	}
 
-	// Reboot: the daemon restores the tenant from the snapshot.
-	ctx2, cancel2 := context.WithCancel(context.Background())
-	out2 := &syncBuffer{}
-	errc2 := start(ctx2, out2)
-	addr2 := waitAddr(out2)
-	resp, err = http.Get("http://" + addr2 + "/v1/tenants/web/state")
-	if err != nil {
-		t.Fatal(err)
+	// Reboot: the daemon recovers the tenant from the journal.
+	base, _, stop = bootDaemon(t, "-journal", logPath)
+	if body := httpDo(t, http.MethodGet, base+"/v1/tenants/web/state", "", http.StatusOK); !strings.Contains(body, `"bins":1`) {
+		t.Fatalf("recovered state = %s", body)
 	}
-	body, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"bins":1`) {
-		t.Fatalf("restored state = %d %s", resp.StatusCode, body)
-	}
-	cancel2()
-	if err := <-errc2; err != nil {
+	if err := stop(); err != nil {
 		t.Fatalf("run (second boot): %v", err)
 	}
 }
 
-func TestRunFlagValidation(t *testing.T) {
-	ctx := context.Background()
-	if err := run(ctx, []string{"-snapshot-interval", "5s"}, io.Discard); err == nil {
-		t.Error("interval without snapshot path: want error")
+// TestRunJournalAdoptsSnapshotFile pins the migration off the removed
+// -snapshot flag: a file of Fleet.Snapshot bytes is already a valid frame
+// log, so the daemon booted with -journal on that path restores the
+// tenant with its history and decides the next bin bit-identically to the
+// fleet that wrote the file.
+func TestRunJournalAdoptsSnapshotFile(t *testing.T) {
+	h, f := testHandler(t)
+	createFastTenant(t, h, "web")
+	for _, c := range []string{`{"count":500}`, `{"count":650}`} {
+		doJSON(t, h, http.MethodPost, "/v1/tenants/web/observe", c, http.StatusOK)
 	}
-	if err := run(ctx, []string{"-snapshot-interval", "-5s", "-snapshot", "x"}, io.Discard); err == nil {
-		t.Error("negative interval: want error")
+	var snap bytes.Buffer
+	if err := f.Snapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "fleet.snap")
+	if err := os.WriteFile(path, snap.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	req := httptest.NewRequest(http.MethodPost, "/v1/tenants/web/observe", strings.NewReader(`{"count":580}`))
+	want := httptest.NewRecorder()
+	h.ServeHTTP(want, req)
+
+	base, out, stop := bootDaemon(t, "-journal", path)
+	if !strings.Contains(out.String(), "1 tenants recovered") {
+		t.Errorf("recovery not reported; output: %q", out.String())
+	}
+	if body := httpDo(t, http.MethodGet, base+"/v1/tenants/web/state", "", http.StatusOK); !strings.Contains(body, `"bins":2`) {
+		t.Fatalf("restored state = %s", body)
+	}
+	if got := httpDo(t, http.MethodPost, base+"/v1/tenants/web/observe", `{"count":580}`, http.StatusOK); got != want.Body.String() {
+		t.Errorf("next decision after migration differs:\n got %s\nwant %s", got, want.Body.String())
+	}
+	if err := stop(); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+}
+
+// TestDrainAndFlushPastDeadline is the graceful-stop durability pin: a
+// stalled client holds its request open past the drain deadline, so
+// Shutdown fails — and the journal must be flushed anyway, or a SIGTERM
+// behind one slow client drops every observation acknowledged since the
+// last periodic append.
+func TestDrainAndFlushPastDeadline(t *testing.T) {
+	logPath := filepath.Join(t.TempDir(), "fleet.log")
+	f := hierctl.NewFleet(hierctl.FleetConfig{Shards: 2})
+	t.Cleanup(f.Close)
+	jnl, err := hierctl.OpenFleetJournal(f, logPath, hierctl.FleetJournalConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := newServer(f, 0).routes()
+	createFastTenant(t, h, "web")
+	doJSON(t, h, http.MethodPost, "/v1/tenants/web/observe", `{"count":500}`, http.StatusOK)
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	active := make(chan struct{})
+	srv := &http.Server{Handler: h, ConnState: func(_ net.Conn, st http.ConnState) {
+		if st == http.StateActive {
+			close(active) // the one connection below, which never completes
+		}
+	}}
+	go func() { _ = srv.Serve(ln) }()
+	t.Cleanup(func() { srv.Close() })
+
+	// The stalled client: headers promise a body that never arrives, so its
+	// handler blocks reading and the connection is never idle.
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fmt.Fprint(conn, "POST /v1/tenants/web/observe HTTP/1.1\r\nHost: x\r\nContent-Length: 64\r\n\r\n{\"count\":")
+	<-active
+
+	expired, cancel := context.WithCancel(context.Background())
+	cancel() // the drain deadline has already passed
+	persistDone := make(chan struct{})
+	close(persistDone)
+	if err := drainAndFlush(expired, srv, persistDone, jnl); !errors.Is(err, context.Canceled) {
+		t.Fatalf("drainAndFlush = %v, want the drain's context error", err)
+	}
+
+	f2 := hierctl.NewFleet(hierctl.FleetConfig{Shards: 2})
+	t.Cleanup(f2.Close)
+	jnl2, err := hierctl.OpenFleetJournal(f2, logPath, hierctl.FleetJournalConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jnl2.Close()
+	st, err := f2.State("web")
+	if err != nil || st.Bins != 1 {
+		t.Fatalf("reopened journal: state %+v, err %v; want the acknowledged observation (1 bin)", st, err)
+	}
+}
+
+// TestRunFlagValidation pins the daemon's flag checks, including that the
+// removed full-snapshot persistence flags are now ordinary unknown flags.
+func TestRunFlagValidation(t *testing.T) {
+	for _, args := range [][]string{
+		{"-journal-interval", "5s"},                   // cadence without a journal
+		{"-journal-interval", "-5s", "-journal", "x"}, // negative cadence
+		{"-telemetry-records", "-1"},
+	} {
+		if err := run(context.Background(), args, io.Discard); err == nil {
+			t.Errorf("args %v: want error", args)
+		}
+	}
+	for _, args := range [][]string{{"-snapshot", "x"}, {"-snapshot-interval", "5s"}} {
+		err := run(context.Background(), args, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("args %v: got %v, want an unknown-flag error", args, err)
+		}
 	}
 }
 

@@ -555,11 +555,17 @@ func RunScenarioMatrix(opts ScenarioMatrixOptions) (*ScenarioMatrixSnapshot, err
 	}
 	cells, err := par.Map(par.Workers(opts.Parallelism), len(scens)*len(policies), func(i int) (ScenarioCell, error) {
 		sc, policy := scens[i/len(policies)], policies[i%len(policies)]
-		cell, err := runScenarioCell(sc, policy, opts)
+		c, err := runMatrixCell(sc, nil, policy, opts.Seed, opts.MaxBins, opts.Fast)
 		if err != nil {
 			return ScenarioCell{}, fmt.Errorf("hierctl: scenario %s under %s: %w", sc.Name, policy, err)
 		}
-		return cell, nil
+		return ScenarioCell{
+			Scenario: sc.Name, Policy: policy, Bins: c.bins,
+			Completed: c.completed, Dropped: c.dropped,
+			Energy: c.energy, Switches: c.switches,
+			MeanResponse: c.meanResponse, ViolationFrac: c.violationFrac,
+			ExploredPerPeriod: c.exploredPerPeriod,
+		}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -568,78 +574,108 @@ func RunScenarioMatrix(opts ScenarioMatrixOptions) (*ScenarioMatrixSnapshot, err
 	return snap, nil
 }
 
-// runScenarioCell runs one (scenario, policy) cell on the §4.3 module.
-// Every policy sees the identical trace, store configuration, and failure
-// plan, so rows compare control strategies, not inputs.
-func runScenarioCell(sc workload.Scenario, policy string, opts ScenarioMatrixOptions) (ScenarioCell, error) {
+// matrixCell is one closed-loop run's outcome, the union of what the two
+// matrices report; each projects the columns its snapshot carries.
+type matrixCell struct {
+	bins               int
+	completed, dropped int64
+	energy             float64
+	switches           int
+	meanResponse       float64
+	violationFrac      float64
+	exploredPerPeriod  float64
+	degradedTicks      int
+	staleObservations  int64
+	sanitizedRejects   int64
+}
+
+// runMatrixCell runs one matrix cell — one policy over one scenario on the
+// §4.3 module, under the sensor-fault plan buildChaos materializes for the
+// run's span. A nil buildChaos is the scenario-matrix case: the empty plan,
+// which is bit-identical to never injecting one (TestChaosZeroFault*).
+// Every policy sees the identical trace (trimmed to maxBins), store
+// configuration, failure plan and fault plan, so rows compare control
+// strategies, not inputs.
+func runMatrixCell(sc workload.Scenario, buildChaos func(seed int64, span float64) chaos.Plan, policy string, seed int64, maxBins int, fast bool) (matrixCell, error) {
 	spec, err := StandardModuleCluster()
 	if err != nil {
-		return ScenarioCell{}, err
+		return matrixCell{}, err
 	}
-	trace, err := sc.Trace(opts.Seed)
+	trace, err := sc.Trace(seed)
 	if err != nil {
-		return ScenarioCell{}, err
+		return matrixCell{}, err
 	}
 	sc.ScaleToCluster(trace, spec.Computers())
-	if trace.Len() > opts.MaxBins {
-		trace = trace.Slice(0, opts.MaxBins)
+	if trace.Len() > maxBins {
+		trace = trace.Slice(0, maxBins)
 	}
-	plan := sc.FailurePlan(trace)
-	store, err := NewStore(opts.Seed, sc.StoreConfig())
+	failures := sc.FailurePlan(trace)
+	var plan chaos.Plan
+	if buildChaos != nil {
+		plan = buildChaos(seed, float64(trace.Len())*trace.Step)
+	}
+	store, err := NewStore(seed, sc.StoreConfig())
 	if err != nil {
-		return ScenarioCell{}, err
+		return matrixCell{}, err
 	}
-	cell := ScenarioCell{Scenario: sc.Name, Policy: policy, Bins: trace.Len()}
+	cell := matrixCell{bins: trace.Len()}
 	switch policy {
 	case "hierarchical-llc":
 		// Cells already fan out; per-manager parallelism on top would
 		// oversubscribe the scheduler (results are identical either way).
-		eopts := ExperimentOptions{Scale: 1, Seed: opts.Seed, Fast: opts.Fast, Parallelism: 1}
+		eopts := ExperimentOptions{Scale: 1, Seed: seed, Fast: fast, Parallelism: 1}
 		mgr, err := NewManager(spec, eopts.Config())
 		if err != nil {
-			return ScenarioCell{}, err
+			return matrixCell{}, err
 		}
-		mgr.InjectPlan(plan)
+		mgr.InjectPlan(failures)
+		mgr.InjectChaos(plan)
 		rec, err := mgr.Run(trace, store)
 		if err != nil {
-			return ScenarioCell{}, err
+			return matrixCell{}, err
 		}
-		cell.Completed, cell.Dropped = rec.Completed, rec.Dropped
-		cell.Energy, cell.Switches = rec.Energy, rec.Switches
-		cell.MeanResponse, cell.ViolationFrac = rec.MeanResponse(), rec.ViolationFrac
-		cell.ExploredPerPeriod = rec.ExploredPerL1Decision()
+		cell.completed, cell.dropped = rec.Completed, rec.Dropped
+		cell.energy, cell.switches = rec.Energy, rec.Switches
+		cell.meanResponse, cell.violationFrac = rec.MeanResponse(), rec.ViolationFrac
+		cell.exploredPerPeriod = rec.ExploredPerL1Decision()
+		cell.degradedTicks = rec.DegradedTicks
+		cell.staleObservations, cell.sanitizedRejects = rec.StaleObservations, rec.SanitizedRejects
 	case "threshold":
 		pol, err := ThresholdPolicy(0.35, 0.8, 1)
 		if err != nil {
-			return ScenarioCell{}, err
+			return matrixCell{}, err
 		}
 		bcfg := DefaultBaselineConfig()
-		bcfg.Seed = opts.Seed
-		bcfg.Failures = plan
+		bcfg.Seed = seed
+		bcfg.Failures = failures
+		bcfg.Chaos = plan
 		res, err := RunBaseline(spec, pol, trace, store, bcfg)
 		if err != nil {
-			return ScenarioCell{}, err
+			return matrixCell{}, err
 		}
-		cell.Completed, cell.Dropped = res.Completed, res.Dropped
-		cell.Energy, cell.Switches = res.Energy, res.Switches
-		cell.MeanResponse, cell.ViolationFrac = res.MeanResponse, res.ViolationFrac
+		cell.completed, cell.dropped = res.Completed, res.Dropped
+		cell.energy, cell.switches = res.Energy, res.Switches
+		cell.meanResponse, cell.violationFrac = res.MeanResponse, res.ViolationFrac
+		cell.staleObservations, cell.sanitizedRejects = res.StaleObservations, res.SanitizedRejects
 	case "centralized":
 		ccfg := central.DefaultRunnerConfig()
-		ccfg.Seed = opts.Seed
-		ccfg.Failures = plan
-		if opts.Fast {
+		ccfg.Seed = seed
+		ccfg.Failures = failures
+		ccfg.Chaos = plan
+		if fast {
 			ccfg.Controller.NeighbourDepth = 1
 		}
 		res, err := central.Run(spec, trace, store, ccfg)
 		if err != nil {
-			return ScenarioCell{}, err
+			return matrixCell{}, err
 		}
-		cell.Completed, cell.Dropped = res.Completed, res.Dropped
-		cell.Energy, cell.Switches = res.Energy, res.Switches
-		cell.MeanResponse, cell.ViolationFrac = res.MeanResponse, res.ViolationFrac
-		cell.ExploredPerPeriod = res.ExploredPerStep
+		cell.completed, cell.dropped = res.Completed, res.Dropped
+		cell.energy, cell.switches = res.Energy, res.Switches
+		cell.meanResponse, cell.violationFrac = res.MeanResponse, res.ViolationFrac
+		cell.exploredPerPeriod = res.ExploredPerStep
+		cell.staleObservations, cell.sanitizedRejects = res.StaleObservations, res.SanitizedRejects
 	default:
-		return ScenarioCell{}, fmt.Errorf("unknown matrix policy %q", policy)
+		return matrixCell{}, fmt.Errorf("unknown matrix policy %q", policy)
 	}
 	return cell, nil
 }
@@ -754,102 +790,24 @@ func RunChaosMatrix(opts ChaosMatrixOptions) (*ChaosMatrixSnapshot, error) {
 	}
 	cells, err := par.Map(par.Workers(opts.Parallelism), len(plans)*len(policies), func(i int) (ChaosCell, error) {
 		spec, policy := plans[i/len(policies)], policies[i%len(policies)]
-		cell, err := runChaosCell(sc, spec, policy, opts)
+		c, err := runMatrixCell(sc, spec.Build, policy, opts.Seed, opts.MaxBins, opts.Fast)
 		if err != nil {
 			return ChaosCell{}, fmt.Errorf("hierctl: chaos plan %s under %s: %w", spec.Name, policy, err)
 		}
-		return cell, nil
+		return ChaosCell{
+			Plan: spec.Name, Policy: policy, Bins: c.bins,
+			Completed: c.completed, Dropped: c.dropped,
+			Energy: c.energy, Switches: c.switches,
+			MeanResponse: c.meanResponse, ViolationFrac: c.violationFrac,
+			DegradedTicks:     c.degradedTicks,
+			StaleObservations: c.staleObservations, SanitizedRejects: c.sanitizedRejects,
+		}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	snap.Cells = cells
 	return snap, nil
-}
-
-// runChaosCell runs one (plan, policy) cell on the §4.3 module. Every
-// policy sees the identical trace, store configuration, scenario failure
-// plan, and fault plan, so rows compare degraded-mode behaviour, not
-// inputs.
-func runChaosCell(sc workload.Scenario, cspec chaos.Spec, policy string, opts ChaosMatrixOptions) (ChaosCell, error) {
-	spec, err := StandardModuleCluster()
-	if err != nil {
-		return ChaosCell{}, err
-	}
-	trace, err := sc.Trace(opts.Seed)
-	if err != nil {
-		return ChaosCell{}, err
-	}
-	sc.ScaleToCluster(trace, spec.Computers())
-	if trace.Len() > opts.MaxBins {
-		trace = trace.Slice(0, opts.MaxBins)
-	}
-	failures := sc.FailurePlan(trace)
-	span := float64(trace.Len()) * trace.Step
-	plan := cspec.Build(opts.Seed, span)
-	store, err := NewStore(opts.Seed, sc.StoreConfig())
-	if err != nil {
-		return ChaosCell{}, err
-	}
-	cell := ChaosCell{Plan: cspec.Name, Policy: policy, Bins: trace.Len()}
-	switch policy {
-	case "hierarchical-llc":
-		eopts := ExperimentOptions{Scale: 1, Seed: opts.Seed, Fast: opts.Fast, Parallelism: 1}
-		mgr, err := NewManager(spec, eopts.Config())
-		if err != nil {
-			return ChaosCell{}, err
-		}
-		mgr.InjectPlan(failures)
-		mgr.InjectChaos(plan)
-		rec, err := mgr.Run(trace, store)
-		if err != nil {
-			return ChaosCell{}, err
-		}
-		cell.Completed, cell.Dropped = rec.Completed, rec.Dropped
-		cell.Energy, cell.Switches = rec.Energy, rec.Switches
-		cell.MeanResponse, cell.ViolationFrac = rec.MeanResponse(), rec.ViolationFrac
-		cell.DegradedTicks = rec.DegradedTicks
-		cell.StaleObservations = rec.StaleObservations
-		cell.SanitizedRejects = rec.SanitizedRejects
-	case "threshold":
-		pol, err := ThresholdPolicy(0.35, 0.8, 1)
-		if err != nil {
-			return ChaosCell{}, err
-		}
-		bcfg := DefaultBaselineConfig()
-		bcfg.Seed = opts.Seed
-		bcfg.Failures = failures
-		bcfg.Chaos = plan
-		res, err := RunBaseline(spec, pol, trace, store, bcfg)
-		if err != nil {
-			return ChaosCell{}, err
-		}
-		cell.Completed, cell.Dropped = res.Completed, res.Dropped
-		cell.Energy, cell.Switches = res.Energy, res.Switches
-		cell.MeanResponse, cell.ViolationFrac = res.MeanResponse, res.ViolationFrac
-		cell.StaleObservations = res.StaleObservations
-		cell.SanitizedRejects = res.SanitizedRejects
-	case "centralized":
-		ccfg := central.DefaultRunnerConfig()
-		ccfg.Seed = opts.Seed
-		ccfg.Failures = failures
-		ccfg.Chaos = plan
-		if opts.Fast {
-			ccfg.Controller.NeighbourDepth = 1
-		}
-		res, err := central.Run(spec, trace, store, ccfg)
-		if err != nil {
-			return ChaosCell{}, err
-		}
-		cell.Completed, cell.Dropped = res.Completed, res.Dropped
-		cell.Energy, cell.Switches = res.Energy, res.Switches
-		cell.MeanResponse, cell.ViolationFrac = res.MeanResponse, res.ViolationFrac
-		cell.StaleObservations = res.StaleObservations
-		cell.SanitizedRejects = res.SanitizedRejects
-	default:
-		return ChaosCell{}, fmt.Errorf("unknown matrix policy %q", policy)
-	}
-	return cell, nil
 }
 
 // AblationRow is one line of the EXT2 ablation table.

@@ -8,19 +8,15 @@ import (
 	"reflect"
 	"time"
 
-	"hierctl/internal/approx"
 	"hierctl/internal/cluster"
-	"hierctl/internal/controller"
-	"hierctl/internal/core"
 	"hierctl/internal/fleet"
-	"hierctl/internal/workload"
 )
 
 // fleetScaleTenantConfig is the fleet benchmark's per-tenant shape: a
 // 10k-tenant node hosts many small, lightly loaded hierarchies, not ten
 // thousand copies of the §4.3 benchmark module. Each tenant manages a
 // 2-computer module under a greedy (horizon-1) L0, a coarse learning
-// grid, and the paper's multi-rate cadence stretched to T_L1 = 240 s —
+// grid, and the paper's multi-rate cadence stretched to T_L1 = 480 s —
 // the observe→decide loop this leaves is what has to be cheap for fleet
 // scale (the tick bench's fleet-64 row keeps the heavier §4.3 module as
 // the per-tenant depth benchmark; this one measures breadth).
@@ -29,37 +25,7 @@ func fleetScaleTenantConfig(seed int64, dir string) (fleet.TenantConfig, error) 
 	if err != nil {
 		return fleet.TenantConfig{}, err
 	}
-	storeCfg := workload.DefaultStoreConfig()
-	storeCfg.Objects = 100
-	storeCfg.PopularCount = 10
-
-	cfg := core.DefaultConfig()
-	cfg.Seed = seed
-	cfg.Parallelism = 1 // shards provide the parallelism, not the tenants
-	cfg.RecordFrequencies = false
-	cfg.L0.Horizon = 1
-	cfg.L1.PeriodSeconds = 480
-	cfg.L2.PeriodSeconds = 960
-	cfg.GMap = controller.GMapConfig{
-		QMax: 100, QStep: 50,
-		LambdaMax: 100, LambdaStep: 50,
-		CMin: 0.016, CMax: 0.02, CStep: 0.004,
-		SubSteps: 2,
-	}
-	cfg.ModuleSim = controller.ModuleSimConfig{
-		QLevels:      []float64{0, 50},
-		LambdaLevels: []float64{0, 30, 60, 120, 200},
-		CLevels:      []float64{0.018},
-		Tree:         approx.TreeConfig{MaxDepth: 6, MinLeaf: 1},
-	}
-	cfg.ArtifactDir = dir // identical hardware: learn once, load the rest
-	return fleet.TenantConfig{
-		Spec:       cluster.Spec{Modules: []cluster.ModuleSpec{module}},
-		Core:       cfg,
-		Store:      storeCfg,
-		StoreSeed:  seed,
-		BinSeconds: 30,
-	}, nil
+	return benchTenantShape(seed, dir, module, 100, 1, 480, 960), nil
 }
 
 // FleetBenchRow is one scale point of the fleet benchmark: n tenants

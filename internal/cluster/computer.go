@@ -6,11 +6,12 @@
 // frequency, and timed, so controller decisions are evaluated under real
 // model mismatch.
 //
-// Power-state semantics (DESIGN.md §6): powering on takes BootDelay
-// seconds (the control dead time of §1) during which the computer draws
-// base power and serves nothing; powering off stops new routing
-// immediately but the computer drains its local queue before going dark,
-// so requests are never dropped by control actions (failures do drop).
+// Power-state semantics (docs/ARCHITECTURE.md, "§4 — the plant"):
+// powering on takes BootDelay seconds (the control dead time of §1)
+// during which the computer draws base power and serves nothing;
+// powering off stops new routing immediately but the computer drains its
+// local queue before going dark, so requests are never dropped by control
+// actions (failures do drop).
 package cluster
 
 import (

@@ -333,19 +333,7 @@ func (j *Journal) compactLocked() error {
 	if err != nil {
 		return fmt.Errorf("fleet: compact journal: %w", err)
 	}
-	var written int64
-	_, werr := file.WriteString(snapshotMagic)
-	if werr == nil {
-		written = int64(len(snapshotMagic))
-		for i := range snaps {
-			n, err := writeFrame(file, &logFrame{Kind: frameBase, Base: &snaps[i]})
-			if err != nil {
-				werr = err
-				break
-			}
-			written += n
-		}
-	}
+	written, werr := writeBaseLog(file, snaps)
 	if werr == nil {
 		werr = file.Sync()
 	}

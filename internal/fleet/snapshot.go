@@ -150,61 +150,116 @@ func readFrame(r io.Reader) (logFrame, error) {
 	return fr, nil
 }
 
-// assembleLog streams the frame log from r and folds it into per-tenant
-// end states, in order of first appearance. tolerateTorn stops cleanly
-// at a truncated final frame (journal crash recovery) instead of
-// erroring (strict restore).
-func assembleLog(r io.Reader, tolerateTorn bool) ([]tenantSnap, error) {
+// foldLog is the one reader of the frame log: it streams r frame by
+// frame, enforces every structural rule the restore path relies on (the
+// magic header, readFrame's length bound and CRC, base frames naming a
+// tenant, delta frames extending a known tenant with no gap, known kinds)
+// and reports what it scanned. Each accepted frame is handed to visit
+// (nil = scan only) with, for a delta, the suffix of its counts past the
+// overlap with the log so far — a delta re-sent after a crash between
+// frame write and mark update overlaps and contributes only what is new.
+//
+// A torn final frame — the signature of a crash mid-append — stops the
+// scan cleanly with VerifyReport.TornTail set; whether that is tolerable
+// is the caller's decision. Any other defect is corruption, returned as
+// an error alongside the report of everything scanned up to that point.
+func foldLog(r io.Reader, visit func(fr *logFrame, fresh []float64)) (*VerifyReport, error) {
+	rep := &VerifyReport{}
 	magic := make([]byte, len(snapshotMagic))
 	if _, err := io.ReadFull(r, magic); err != nil || string(magic) != snapshotMagic {
-		return nil, fmt.Errorf("fleet: not a v2 snapshot log (bad magic)")
+		return rep, fmt.Errorf("fleet: not a v2 snapshot log (bad magic)")
 	}
-	states := map[string]*tenantSnap{}
-	var order []string
+	// live is the fold's own view of each tenant: the observation-log
+	// length the gap rule checks against, and the quarantine latch.
+	type tenantCheck struct {
+		obs  int
+		quar bool
+	}
+	live := map[string]tenantCheck{}
 	for {
 		fr, err := readFrame(r)
 		if err == io.EOF {
 			break
 		}
 		if errors.Is(err, errTornFrame) {
-			if tolerateTorn {
-				break
-			}
-			return nil, fmt.Errorf("fleet: truncated snapshot log")
+			rep.TornTail = true
+			break
 		}
 		if err != nil {
-			return nil, err
+			return rep, err
 		}
+		rep.Frames++
+		var fresh []float64
 		switch fr.Kind {
 		case frameBase:
+			rep.BaseFrames++
 			if fr.Base == nil || fr.Base.ID == "" {
-				return nil, fmt.Errorf("fleet: base frame without tenant")
+				return rep, fmt.Errorf("fleet: frame %d: base frame without tenant", rep.Frames)
 			}
-			s := *fr.Base
-			if _, seen := states[s.ID]; !seen {
-				order = append(order, s.ID)
-			}
-			states[s.ID] = &s
+			// A later base for the same id replaces the state wholesale.
+			live[fr.Base.ID] = tenantCheck{obs: len(fr.Base.Observations), quar: fr.Base.Quarantined}
 		case frameDelta:
-			st, ok := states[fr.ID]
+			rep.DeltaFrames++
+			st, ok := live[fr.ID]
 			if !ok {
-				return nil, fmt.Errorf("fleet: delta frame for unknown tenant %q", fr.ID)
+				return rep, fmt.Errorf("fleet: frame %d: delta frame for unknown tenant %q", rep.Frames, fr.ID)
 			}
-			// skip counts the frame's overlap with the assembled log
-			// (re-sent after a crash between frame write and mark
-			// update); a positive gap means lost frames — corrupt.
-			skip := len(st.Observations) - fr.From
+			// skip counts the frame's overlap with the log so far; a
+			// positive gap means lost frames — corrupt.
+			skip := st.obs - fr.From
 			if skip < 0 {
-				return nil, fmt.Errorf("fleet: delta gap for tenant %q: log at %d, frame from %d", fr.ID, len(st.Observations), fr.From)
+				return rep, fmt.Errorf("fleet: frame %d: delta gap for tenant %q: log at %d, frame from %d", rep.Frames, fr.ID, st.obs, fr.From)
 			}
 			if skip < len(fr.Counts) {
-				st.Observations = append(st.Observations, fr.Counts[skip:]...)
+				fresh = fr.Counts[skip:]
+				st.obs += len(fresh)
+				live[fr.ID] = st
 			}
 		case frameRemove:
-			delete(states, fr.ID)
+			rep.RemoveFrames++
+			delete(live, fr.ID)
 		default:
-			return nil, fmt.Errorf("fleet: unknown frame kind %d", fr.Kind)
+			return rep, fmt.Errorf("fleet: frame %d: unknown frame kind %d", rep.Frames, fr.Kind)
 		}
+		if visit != nil {
+			visit(&fr, fresh)
+		}
+	}
+	rep.Tenants = len(live)
+	for _, st := range live {
+		rep.Observations += int64(st.obs)
+		if st.quar {
+			rep.Quarantined++
+		}
+	}
+	return rep, nil
+}
+
+// assembleLog folds the frame log from r into per-tenant end states, in
+// order of first appearance. tolerateTorn accepts a truncated final frame
+// (journal crash recovery) instead of erroring (strict restore).
+func assembleLog(r io.Reader, tolerateTorn bool) ([]tenantSnap, error) {
+	states := map[string]*tenantSnap{}
+	var order []string
+	rep, err := foldLog(r, func(fr *logFrame, fresh []float64) {
+		switch fr.Kind {
+		case frameBase:
+			if _, seen := states[fr.Base.ID]; !seen {
+				order = append(order, fr.Base.ID)
+			}
+			states[fr.Base.ID] = fr.Base
+		case frameDelta:
+			st := states[fr.ID]
+			st.Observations = append(st.Observations, fresh...)
+		case frameRemove:
+			delete(states, fr.ID)
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	if rep.TornTail && !tolerateTorn {
+		return nil, fmt.Errorf("fleet: truncated snapshot log")
 	}
 	out := make([]tenantSnap, 0, len(states))
 	for _, id := range order {
@@ -247,6 +302,25 @@ func (f *Fleet) captureAll() ([]tenantSnap, error) {
 	return kept, nil
 }
 
+// writeBaseLog writes snaps as a complete frame log — the magic header
+// and one base frame per tenant — and reports the bytes written. It is
+// the one base-log writer: Fleet.Snapshot streams it to the caller's
+// writer, journal compaction to the temp file it then fsyncs and swaps in.
+func writeBaseLog(w io.Writer, snaps []tenantSnap) (int64, error) {
+	if _, err := io.WriteString(w, snapshotMagic); err != nil {
+		return 0, fmt.Errorf("fleet: write frame log: %w", err)
+	}
+	written := int64(len(snapshotMagic))
+	for i := range snaps {
+		n, err := writeFrame(w, &logFrame{Kind: frameBase, Base: &snaps[i]})
+		if err != nil {
+			return written, err
+		}
+		written += n
+	}
+	return written, nil
+}
+
 // Snapshot serializes every tenant's controller state to w as a log of
 // base frames (sorted by tenant id — identical fleet state yields
 // identical bytes).
@@ -255,13 +329,8 @@ func (f *Fleet) Snapshot(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if _, err := io.WriteString(w, snapshotMagic); err != nil {
-		return fmt.Errorf("fleet: write snapshot: %w", err)
-	}
-	for i := range snaps {
-		if _, err := writeFrame(w, &logFrame{Kind: frameBase, Base: &snaps[i]}); err != nil {
-			return err
-		}
+	if _, err := writeBaseLog(w, snaps); err != nil {
+		return err
 	}
 	f.snapshots.Add(1)
 	return nil

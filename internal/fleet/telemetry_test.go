@@ -139,7 +139,11 @@ func TestFleetTelemetryDisabled(t *testing.T) {
 func TestFleetTelemetrySurvivesRestore(t *testing.T) {
 	f1 := New(Config{Shards: 1})
 	defer f1.Close()
-	if err := f1.CreateTenant("a", telemetryTenantConfig(1<<12)); err != nil {
+	// Sequential L1 planning: the parallel fan-out lands the two modules'
+	// records in scheduling order, and this pin compares record by record.
+	tc := telemetryTenantConfig(1 << 12)
+	tc.Core.Parallelism = 1
+	if err := f1.CreateTenant("a", tc); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {

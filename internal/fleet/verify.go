@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -42,67 +41,7 @@ type VerifyReport struct {
 // corruption the recovery path would also refuse, returned as an error
 // alongside the report of everything scanned up to that point.
 func VerifyJournal(r io.Reader) (*VerifyReport, error) {
-	rep := &VerifyReport{}
-	magic := make([]byte, len(snapshotMagic))
-	if _, err := io.ReadFull(r, magic); err != nil || string(magic) != snapshotMagic {
-		return rep, fmt.Errorf("fleet: not a v2 snapshot log (bad magic)")
-	}
-	// live folds the log the way assembleLog does, but keeps only the
-	// observation-log length and quarantine latch per tenant.
-	type tenantCheck struct {
-		obs  int
-		quar bool
-	}
-	live := map[string]tenantCheck{}
-	for {
-		fr, err := readFrame(r)
-		if err == io.EOF {
-			break
-		}
-		if errors.Is(err, errTornFrame) {
-			rep.TornTail = true
-			break
-		}
-		if err != nil {
-			return rep, err
-		}
-		rep.Frames++
-		switch fr.Kind {
-		case frameBase:
-			rep.BaseFrames++
-			if fr.Base == nil || fr.Base.ID == "" {
-				return rep, fmt.Errorf("fleet: frame %d: base frame without tenant", rep.Frames)
-			}
-			live[fr.Base.ID] = tenantCheck{obs: len(fr.Base.Observations), quar: fr.Base.Quarantined}
-		case frameDelta:
-			rep.DeltaFrames++
-			st, ok := live[fr.ID]
-			if !ok {
-				return rep, fmt.Errorf("fleet: frame %d: delta frame for unknown tenant %q", rep.Frames, fr.ID)
-			}
-			skip := st.obs - fr.From
-			if skip < 0 {
-				return rep, fmt.Errorf("fleet: frame %d: delta gap for tenant %q: log at %d, frame from %d", rep.Frames, fr.ID, st.obs, fr.From)
-			}
-			if skip < len(fr.Counts) {
-				st.obs += len(fr.Counts) - skip
-				live[fr.ID] = st
-			}
-		case frameRemove:
-			rep.RemoveFrames++
-			delete(live, fr.ID)
-		default:
-			return rep, fmt.Errorf("fleet: frame %d: unknown frame kind %d", rep.Frames, fr.Kind)
-		}
-	}
-	rep.Tenants = len(live)
-	for _, st := range live {
-		rep.Observations += int64(st.obs)
-		if st.quar {
-			rep.Quarantined++
-		}
-	}
-	return rep, nil
+	return foldLog(r, nil)
 }
 
 // VerifyJournalFile opens path read-only and runs VerifyJournal on it.

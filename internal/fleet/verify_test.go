@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -52,9 +53,32 @@ func buildVerifyJournal(t *testing.T) (path string, wantObs int64) {
 	return path, 3 + 1 + 3 // a: 4 bins, b: 3 clean bins, gone: removed
 }
 
+// verifyAndRecover runs both consumers of the frame-log fold over the same
+// bytes — the scan-only VerifyJournal and the torn-tolerant restore
+// OpenJournal recovers with — and fails unless they reach the same
+// verdict: both refuse, or both accept and agree on the live tenants.
+func verifyAndRecover(t *testing.T, name string, data []byte) (*VerifyReport, error) {
+	t.Helper()
+	rep, verr := VerifyJournal(bytes.NewReader(data))
+	f := New(Config{Shards: 2})
+	defer f.Close()
+	rerr := f.restoreLog(bytes.NewReader(data), true)
+	if (verr == nil) != (rerr == nil) {
+		t.Errorf("%s: verify says %v, recovery says %v", name, verr, rerr)
+	}
+	if verr == nil && rerr == nil && len(f.Tenants()) != rep.Tenants {
+		t.Errorf("%s: recovery found %d tenants, verify reported %d", name, len(f.Tenants()), rep.Tenants)
+	}
+	return rep, verr
+}
+
 func TestVerifyJournalClean(t *testing.T) {
 	path, wantObs := buildVerifyJournal(t)
-	rep, err := VerifyJournalFile(path)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := verifyAndRecover(t, "clean", data)
 	if err != nil {
 		t.Fatalf("verify of a clean journal failed: %v", err)
 	}
@@ -80,8 +104,8 @@ func TestVerifyJournalClean(t *testing.T) {
 		t.Errorf("frame counts don't add up: %+v", rep)
 	}
 
-	// The verified log must still recover: verify is a preflight for the
-	// same structure OpenJournal replays.
+	// The verified log must still recover through the journal itself:
+	// verify is a preflight for the same structure OpenJournal replays.
 	f2 := New(Config{Shards: 2})
 	defer f2.Close()
 	j2, err := OpenJournal(f2, path, JournalConfig{})
@@ -101,36 +125,58 @@ func TestVerifyJournalTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Cut the final frame short, as a crash mid-append would.
-	if err := os.WriteFile(path, data[:len(data)-7], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := VerifyJournalFile(path)
+	rep, err := verifyAndRecover(t, "torn tail", data[:len(data)-7])
 	if err != nil {
 		t.Fatalf("torn tail must be reported, not fatal: %v", err)
 	}
 	if !rep.TornTail {
 		t.Error("truncated journal did not report a torn tail")
 	}
+	// Strict restore is the one consumer that refuses a torn log.
+	f := New(Config{Shards: 2})
+	defer f.Close()
+	if err := f.Restore(bytes.NewReader(data[:len(data)-7])); err == nil {
+		t.Error("strict Restore accepted a torn log")
+	}
 }
 
+// TestVerifyJournalCorruption feeds every defect the fold refuses — a
+// checksum mismatch on a complete frame, and each structural rule broken
+// by a well-formed frame appended to a clean log — to both of its
+// consumers: each must be an error (never a torn tail) for verify and
+// recovery alike.
 func TestVerifyJournalCorruption(t *testing.T) {
 	path, _ := buildVerifyJournal(t)
-	data, err := os.ReadFile(path)
+	clean, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Flip one payload byte in the middle of the log: the frame is still
 	// complete, so this must surface as a checksum error, not a torn tail.
-	data[len(data)/2] ^= 0xff
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
+	flipped := append([]byte(nil), clean...)
+	flipped[len(flipped)/2] ^= 0xff
+	cases := map[string][]byte{"crc flip": flipped}
+	for name, fr := range map[string]logFrame{
+		"delta gap":            {Kind: frameDelta, ID: "a", From: 99, Counts: []float64{400}},
+		"delta unknown tenant": {Kind: frameDelta, ID: "gone", From: 0, Counts: []float64{400}},
+		"base without tenant":  {Kind: frameBase},
+		"base with empty id":   {Kind: frameBase, Base: &tenantSnap{}},
+		"unknown kind":         {Kind: 9, ID: "a"},
+	} {
+		buf := bytes.NewBuffer(append([]byte(nil), clean...))
+		if _, err := writeFrame(buf, &fr); err != nil {
+			t.Fatal(err)
+		}
+		cases[name] = buf.Bytes()
 	}
-	rep, err := VerifyJournalFile(path)
-	if err == nil {
-		t.Fatalf("verify accepted a corrupted journal: %+v", rep)
-	}
-	if rep.TornTail {
-		t.Error("mid-log corruption misreported as a torn tail")
+	for name, data := range cases {
+		rep, err := verifyAndRecover(t, name, data)
+		if err == nil {
+			t.Errorf("%s: verify accepted a corrupted journal: %+v", name, rep)
+		}
+		if rep.TornTail {
+			t.Errorf("%s: corruption misreported as a torn tail", name)
+		}
 	}
 }
 

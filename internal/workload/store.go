@@ -23,7 +23,7 @@
 //   - Store demand draws with TailFrac == 0 preserve the historical RNG
 //     call sequence, so pre-scenario runs stay bit-identical.
 //
-// Substitution note (see DESIGN.md §3): the real WC'98 and ISP traces are
+// Substitution note (see the README's "Scenario gallery"): the real WC'98 and ISP traces are
 // not redistributable; the profiles here reproduce the published shapes
 // (time-of-day nonstationarity, noise bands, peak/trough ratios), which is
 // what the controllers respond to.

@@ -262,24 +262,24 @@ func RunTickBench(decisions, tenants int) (TickBenchSnapshot, error) {
 	return snap, nil
 }
 
-// benchTenantConfig is the per-tenant configuration the fleet benchmarks
-// share (the tick bench's fleet row and RunFleetBench's scale rows): the
-// §4.3 standard module under a coarse learning grid, with artifacts
-// cached in dir so the first tenant learns and the rest load.
-func benchTenantConfig(seed int64, dir string) (fleet.TenantConfig, error) {
-	module, err := cluster.StandardModule("M1", "M1")
-	if err != nil {
-		return fleet.TenantConfig{}, err
-	}
+// benchTenantShape is the tenant both fleet benchmarks host: one module
+// under a coarse learning grid, a small object store sized to it
+// (objects, a tenth of them popular), 30 s bins, and artifacts cached in
+// dir so the first tenant learns and the identical-hardware rest load.
+// The shapes differ only in depth: the module, the L0 lookahead horizon
+// and the L1/L2 periods.
+func benchTenantShape(seed int64, dir string, module cluster.ModuleSpec, objects, l0Horizon int, l1Period, l2Period float64) fleet.TenantConfig {
 	storeCfg := workload.DefaultStoreConfig()
-	storeCfg.Objects = 500
-	storeCfg.PopularCount = 50
+	storeCfg.Objects = objects
+	storeCfg.PopularCount = objects / 10
 
 	cfg := core.DefaultConfig()
 	cfg.Seed = seed
 	cfg.Parallelism = 1 // shards provide the parallelism, not the tenants
 	cfg.RecordFrequencies = false
-	cfg.L0.Horizon = 2
+	cfg.L0.Horizon = l0Horizon
+	cfg.L1.PeriodSeconds = l1Period
+	cfg.L2.PeriodSeconds = l2Period
 	cfg.GMap = controller.GMapConfig{
 		QMax: 100, QStep: 50,
 		LambdaMax: 100, LambdaStep: 50,
@@ -292,14 +292,25 @@ func benchTenantConfig(seed int64, dir string) (fleet.TenantConfig, error) {
 		CLevels:      []float64{0.018},
 		Tree:         approx.TreeConfig{MaxDepth: 6, MinLeaf: 1},
 	}
-	cfg.ArtifactDir = dir // identical hardware: learn once, load the rest
+	cfg.ArtifactDir = dir
 	return fleet.TenantConfig{
 		Spec:       cluster.Spec{Modules: []cluster.ModuleSpec{module}},
 		Core:       cfg,
 		Store:      storeCfg,
 		StoreSeed:  seed,
 		BinSeconds: 30,
-	}, nil
+	}
+}
+
+// benchTenantConfig is the tick bench's fleet-row tenant — the per-tenant
+// depth benchmark: the §4.3 standard module, a horizon-2 L0 and the
+// paper's 120 s L1/L2 cadence.
+func benchTenantConfig(seed int64, dir string) (fleet.TenantConfig, error) {
+	module, err := cluster.StandardModule("M1", "M1")
+	if err != nil {
+		return fleet.TenantConfig{}, err
+	}
+	return benchTenantShape(seed, dir, module, 500, 2, 120, 120), nil
 }
 
 // runFleetTick steps `tenants` concurrent tenant hierarchies `bins` times
