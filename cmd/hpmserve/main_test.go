@@ -513,3 +513,57 @@ func TestServerRejectsParameterizedScenario(t *testing.T) {
 		t.Fatalf("bare tracefile: status %d, want 400", w.Code)
 	}
 }
+
+// TestServerArtifactSharing: tenants of one shape cost one offline learn
+// per distinct computer hardware (two in a moduleSize-2 tenant). /metrics
+// shows it — learns stay put while shares grow, two artifacts held however
+// many tenants, none once the last is deleted — and the journal stores
+// each artifact once, which -journal-verify reports.
+func TestServerArtifactSharing(t *testing.T) {
+	logPath := filepath.Join(t.TempDir(), "fleet.log")
+	base, _, stop := bootDaemon(t, "-journal", logPath)
+	scrape := func(want ...string) {
+		t.Helper()
+		body := httpDo(t, http.MethodGet, base+"/metrics", "", http.StatusOK)
+		for _, w := range want {
+			if !strings.Contains(body, w+"\n") {
+				t.Errorf("metrics missing %q", w)
+			}
+		}
+	}
+	for i, id := range []string{"a", "b", "c"} {
+		httpDo(t, http.MethodPost, base+"/v1/tenants",
+			fmt.Sprintf(`{"id":%q,"moduleSize":2,"fast":true,"seed":%d}`, id, i+1), http.StatusCreated)
+		scrape(
+			`hpmserve_artifacts{kind="gmap"} 2`,
+			`hpmserve_artifact_learns_total{kind="gmap"} 2`,
+			fmt.Sprintf(`hpmserve_artifact_shares_total{kind="gmap"} %d`, 2*i),
+			`hpmserve_artifacts{kind="tree"} 0`,
+		)
+	}
+	if err := stop(); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	var report bytes.Buffer
+	if err := run(context.Background(), []string{"-journal-verify", logPath}, &report); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(report.String(), "(3 base, 0 delta, 0 remove, 2 artifact), 3 tenants") {
+		t.Errorf("journal of three same-shape tenants: %s", report.String())
+	}
+
+	base, _, stop = bootDaemon(t, "-journal", logPath)
+	// Recovered, not learned: the two logged artifacts serve all three.
+	scrape(
+		`hpmserve_artifacts{kind="gmap"} 2`,
+		`hpmserve_artifact_learns_total{kind="gmap"} 0`,
+		`hpmserve_artifact_shares_total{kind="gmap"} 4`,
+	)
+	for _, id := range []string{"a", "b", "c"} {
+		httpDo(t, http.MethodDelete, base+"/v1/tenants/"+id, "", http.StatusOK)
+	}
+	scrape(`hpmserve_artifacts{kind="gmap"} 0`)
+	if err := stop(); err != nil {
+		t.Fatalf("run (second boot): %v", err)
+	}
+}

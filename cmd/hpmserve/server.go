@@ -65,6 +65,11 @@ type server struct {
 	handlerPanics      metrics.Counter
 	tenantPanics       metrics.Counter
 	quarantinedTenants metrics.Gauge
+	// Shared learning artifacts, per kind (gmap/tree): how many the fleet
+	// holds, how many it learned, how many constructions shared one.
+	artifacts      *metrics.GaugeVec
+	artifactLearns *metrics.CounterVec
+	artifactShares *metrics.CounterVec
 	// Per-tenant progress, rebuilt from Fleet.States at scrape time so
 	// closed tenants' series disappear.
 	tenantBins        *metrics.CounterVec
@@ -147,6 +152,12 @@ func newServer(f *hierctl.Fleet, telemetryRecords int) *server {
 		"Tenant controller panics recovered on the fleet's shards.").With()
 	s.quarantinedTenants = mustGauge("hpmserve_quarantined_tenants",
 		"Registered tenants currently quarantined after a panic.").With()
+	s.artifacts = mustGauge("hpmserve_artifacts",
+		"Distinct learned artifacts (abstraction maps g, module trees) held in memory, shared by every tenant of the same learning fingerprint.", "kind")
+	s.artifactLearns = mustCounter("hpmserve_artifact_learns_total",
+		"Offline learning passes run (or loaded from the artifact cache directory), one per fingerprint the fleet did not hold.", "kind")
+	s.artifactShares = mustCounter("hpmserve_artifact_shares_total",
+		"Tenant constructions served an artifact the fleet already held instead of learning it.", "kind")
 	s.batch = f.ObserveBatch
 	s.tenantBins = mustCounter("hpmserve_tenant_bins", "Observation bins ingested per tenant.", "tenant")
 	s.tenantOperational = mustGauge("hpmserve_tenant_operational", "Operational computers per tenant.", "tenant")
@@ -772,6 +783,8 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.queueRejects.SetTotal(float64(stats.QueueRejects))
 	s.tenantPanics.SetTotal(float64(stats.Panics))
 	s.quarantinedTenants.Set(float64(stats.Quarantined))
+	s.setArtifactStats("gmap", stats.Artifacts.GMaps)
+	s.setArtifactStats("tree", stats.Artifacts.Trees)
 	s.shardQueueDepth.Reset()
 	for i, depth := range s.fleet.QueueDepths() {
 		s.shardQueueDepth.With(strconv.Itoa(i)).Set(float64(depth))
@@ -798,6 +811,12 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	_ = s.reg.WriteText(w)
+}
+
+func (s *server) setArtifactStats(kind string, ks hierctl.ArtifactKindStats) {
+	s.artifacts.With(kind).Set(float64(ks.Held))
+	s.artifactLearns.With(kind).SetTotal(float64(ks.Learns))
+	s.artifactShares.With(kind).SetTotal(float64(ks.Shares))
 }
 
 // drainTelemetry folds a tenant's flight-recorder records written since

@@ -3,8 +3,6 @@ package hierctl
 import (
 	"bytes"
 	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
 	"time"
 
@@ -20,12 +18,12 @@ import (
 // the observe→decide loop this leaves is what has to be cheap for fleet
 // scale (the tick bench's fleet-64 row keeps the heavier §4.3 module as
 // the per-tenant depth benchmark; this one measures breadth).
-func fleetScaleTenantConfig(seed int64, dir string) (fleet.TenantConfig, error) {
+func fleetScaleTenantConfig(seed int64) (fleet.TenantConfig, error) {
 	module, err := cluster.ScaledModule("M1", "M1", 2)
 	if err != nil {
 		return fleet.TenantConfig{}, err
 	}
-	return benchTenantShape(seed, dir, module, 100, 1, 480, 960), nil
+	return benchTenantShape(seed, module, 100, 1, 480, 960), nil
 }
 
 // FleetBenchRow is one scale point of the fleet benchmark: n tenants
@@ -36,7 +34,8 @@ func fleetScaleTenantConfig(seed int64, dir string) (fleet.TenantConfig, error) 
 // are wall-clock and vary run to run; Tenants, Bins, CountPerBin and
 // SnapshotBytes are deterministic and form the projection CI diffs
 // across regenerations (snapshot bytes are reproducible because the
-// snapshot encoder sorts every map — see TestSnapshotBytesDeterministic).
+// snapshot encoder sorts every map — see TestSnapshotBytesDeterministic —
+// and the tenant configuration embeds no host path).
 type FleetBenchRow struct {
 	Tenants int `json:"tenants"`
 	// Bins is the number of observation bins ingested per tenant in the
@@ -50,7 +49,7 @@ type FleetBenchRow struct {
 	TenantTicksPerSec float64 `json:"tenantTicksPerSec"`
 	NsPerTick         float64 `json:"nsPerTick"`
 	// CreateSeconds is the wall-clock cost of standing up all n tenants
-	// (artifact-cached: the first tenant learns, the rest load).
+	// (the first tenant learns, the rest share its artifacts).
 	CreateSeconds  float64 `json:"createSeconds"`
 	SnapshotMillis float64 `json:"snapshotMillis"`
 	RestoreMillis  float64 `json:"restoreMillis"`
@@ -109,20 +108,13 @@ func RunFleetBench(bins int, scales []int) (FleetBenchSnapshot, error) {
 			return FleetBenchSnapshot{}, fmt.Errorf("hierctl: fleet bench scale %d < 1", n)
 		}
 	}
-	// A fixed artifact-cache path (not MkdirTemp) keeps the embedded
-	// ArtifactDir — and with it the snapshot bytes — identical across
-	// regenerations, and lets back-to-back runs reuse the learned maps.
-	dir := filepath.Join(os.TempDir(), "hpm-fleetbench-artifacts")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return FleetBenchSnapshot{}, err
-	}
 	snap := FleetBenchSnapshot{
 		AggregateCountPerRound: fleetBenchAggregate,
 		ComputersPerTenant:     2,
 		Checks:                 FleetBenchChecks{BatchEqualsSequential: true, RestoreEqualsReplay: true},
 	}
 	for si, n := range scales {
-		row, restoreOK, batchOK, err := runFleetBenchScale(n, bins, fleetBenchAggregate/float64(n), dir, si == 0)
+		row, restoreOK, batchOK, err := runFleetBenchScale(n, bins, fleetBenchAggregate/float64(n), si == 0)
 		if err != nil {
 			return FleetBenchSnapshot{}, err
 		}
@@ -137,11 +129,11 @@ func RunFleetBench(bins int, scales []int) (FleetBenchSnapshot, error) {
 
 // newBenchFleet stands up n bench tenants on a fleet whose shard queues
 // are sized to accept one whole-fleet batch.
-func newBenchFleet(n int, dir string) (*fleet.Fleet, []string, error) {
+func newBenchFleet(n int) (*fleet.Fleet, []string, error) {
 	f := fleet.New(fleet.Config{QueueDepth: n})
 	ids := make([]string, n)
 	for i := range ids {
-		tc, err := fleetScaleTenantConfig(int64(i+1), dir)
+		tc, err := fleetScaleTenantConfig(int64(i + 1))
 		if err != nil {
 			f.Close()
 			return nil, nil, err
@@ -170,9 +162,9 @@ func observeRound(f *fleet.Fleet, entries []fleet.BatchEntry) ([]fleet.BatchResu
 	return results, nil
 }
 
-func runFleetBenchScale(n, bins int, count float64, dir string, verifySequential bool) (FleetBenchRow, bool, bool, error) {
+func runFleetBenchScale(n, bins int, count float64, verifySequential bool) (FleetBenchRow, bool, bool, error) {
 	createStart := time.Now()
-	f, ids, err := newBenchFleet(n, dir)
+	f, ids, err := newBenchFleet(n)
 	if err != nil {
 		return FleetBenchRow{}, false, false, err
 	}
@@ -201,7 +193,7 @@ func runFleetBenchScale(n, bins int, count float64, dir string, verifySequential
 
 	batchOK := true
 	if verifySequential {
-		g, gids, err := newBenchFleet(n, dir)
+		g, gids, err := newBenchFleet(n)
 		if err != nil {
 			return FleetBenchRow{}, false, false, err
 		}

@@ -76,8 +76,7 @@ func TestRunFleetBenchSmall(t *testing.T) {
 // built outside the timer, then each iteration pushes one bin to every
 // tenant through a single ObserveBatch call.
 func benchmarkFleetIngest(b *testing.B, n int) {
-	dir := b.TempDir()
-	f, ids, err := newBenchFleet(n, dir)
+	f, ids, err := newBenchFleet(n)
 	if err != nil {
 		b.Fatal(err)
 	}

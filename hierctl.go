@@ -107,6 +107,9 @@ type (
 	TenantState = fleet.TenantState
 	// FleetStats summarizes fleet-level counters.
 	FleetStats = fleet.Stats
+	// ArtifactKindStats counts one kind of shared learning artifact in a
+	// fleet (FleetStats.Artifacts): held, learned, shared.
+	ArtifactKindStats = core.ArtifactKindStats
 	// BatchEntry is one tenant's slice of a batched ingest call.
 	BatchEntry = fleet.BatchEntry
 	// BatchResult reports one batch entry's outcome (index-aligned with

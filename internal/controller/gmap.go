@@ -63,6 +63,7 @@ type GMap struct {
 	table *approx.Table
 	cfg   GMapConfig
 	spec  cluster.ComputerSpec
+	saved savedMemo
 }
 
 // gMap output columns.

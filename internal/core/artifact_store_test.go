@@ -1,0 +1,236 @@
+package core
+
+import (
+	"errors"
+	"path/filepath"
+	"sync"
+	"testing"
+	"time"
+
+	"hierctl/internal/cluster"
+	"hierctl/internal/controller"
+)
+
+// waitForRefs blocks until fingerprint's entry counts n references — the
+// learner plus every waiter parked on it.
+func waitForRefs(t *testing.T, tier *artifactTier[*controller.GMap], fingerprint string, n int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		tier.mu.Lock()
+		e := tier.entries[fingerprint]
+		refs := 0
+		if e != nil {
+			refs = e.refs
+		}
+		tier.mu.Unlock()
+		if refs == n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("entry %q at %d references, want %d", fingerprint, refs, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestArtifactStoreLearnOnce pins the store's contract on one tier: the
+// first acquirer learns while the rest wait and share; a failed (or
+// panicking) learn reaches every waiter and is not cached, so the next
+// acquire retries; the last release empties the store.
+func TestArtifactStoreLearnOnce(t *testing.T) {
+	cfg := fastConfig()
+	g, err := controller.LearnGMap(cfg.L0, moduleOf("M1", 1).Computers[0], cfg.GMap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const waiters = 5
+	errLearn := errors.New("injected learn failure")
+
+	for _, tc := range []struct {
+		name  string
+		learn func() (*controller.GMap, error)
+		fails bool
+	}{
+		{"success", func() (*controller.GMap, error) { return g, nil }, false},
+		{"error", func() (*controller.GMap, error) { return nil, errLearn }, true},
+		{"panic", func() (*controller.GMap, error) { panic("injected learn panic") }, true},
+	} {
+		tier := &NewArtifactStore().gmaps
+		gate := make(chan struct{})
+		learns := 0
+		learn := func() (*controller.GMap, error) {
+			learns++
+			<-gate
+			return tc.learn()
+		}
+		var wg sync.WaitGroup
+		results := make([]error, waiters+1)
+		for i := range results {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				defer func() {
+					if v := recover(); v != nil {
+						results[i] = errors.New("learner panicked")
+					}
+				}()
+				got, held, err := tier.acquire("fp", nil, learn)
+				if err == nil && (got != g || !held) {
+					err = errors.New("acquire returned a different artifact or no reference")
+				}
+				results[i] = err
+			}(i)
+		}
+		waitForRefs(t, tier, "fp", waiters+1)
+		close(gate)
+		wg.Wait()
+
+		if learns != 1 {
+			t.Errorf("%s: %d learns for %d concurrent acquirers, want 1", tc.name, learns, waiters+1)
+		}
+		for i, err := range results {
+			if (err != nil) != tc.fails {
+				t.Errorf("%s: acquirer %d got %v", tc.name, i, err)
+			}
+		}
+		st := tier.stats()
+		if tc.fails {
+			if st.Held != 0 || st.Learns != 0 || st.Shares != 0 {
+				t.Errorf("%s: failed learn left %+v", tc.name, st)
+			}
+			// Not cached: the next acquire learns again.
+			if _, _, err := tier.acquire("fp", nil, func() (*controller.GMap, error) { return g, nil }); err != nil {
+				t.Errorf("%s: retry after failure: %v", tc.name, err)
+			}
+			if st := tier.stats(); st.Held != 1 || st.Learns != 1 {
+				t.Errorf("%s: after retry: %+v", tc.name, st)
+			}
+			tier.release("fp")
+		} else {
+			if st.Held != 1 || st.Learns != 1 || st.Shares != waiters {
+				t.Errorf("%s: %+v, want 1 held, 1 learn, %d shares", tc.name, st, waiters)
+			}
+			for i := 0; i <= waiters; i++ {
+				if tier.stats().Held != 1 {
+					t.Fatalf("%s: entry dropped with %d holders left", tc.name, waiters+1-i)
+				}
+				tier.release("fp")
+			}
+		}
+		if st := tier.stats(); st.Held != 0 {
+			t.Errorf("%s: store holds %d entries after the last release", tc.name, st.Held)
+		}
+	}
+}
+
+// TestArtifactStoreLoggedArtifact: an artifact restored from a snapshot
+// log is used as logged. It seeds an empty fingerprint, is shared when the
+// store already holds the same content, and stays the caller's private
+// copy — never swapped — when the store holds different content.
+func TestArtifactStoreLoggedArtifact(t *testing.T) {
+	cfg := fastConfig()
+	cs := moduleOf("M1", 1).Computers[0]
+	learn := func() (*controller.GMap, error) { return controller.LearnGMap(cfg.L0, cs, cfg.GMap) }
+	logged, err := learn()
+	if err != nil {
+		t.Fatal(err)
+	}
+	noLearn := func() (*controller.GMap, error) {
+		t.Error("learned despite a logged artifact")
+		return nil, errors.New("unreachable")
+	}
+
+	tier := &NewArtifactStore().gmaps
+	if got, held, err := tier.acquire("fp", logged, noLearn); err != nil || got != logged || !held {
+		t.Fatalf("seeding: got %p held %v err %v", got, held, err)
+	}
+	// Later constructions of the fingerprint share the seeded artifact.
+	if got, held, err := tier.acquire("fp", nil, noLearn); err != nil || got != logged || !held {
+		t.Fatalf("create after seeding: got %p held %v err %v", got, held, err)
+	}
+	// Same content decoded separately: the store's copy is the one kept.
+	twin, err := learn()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, held, err := tier.acquire("fp", twin, noLearn); err != nil || got != logged || !held {
+		t.Fatalf("same content: got %p (store has %p) held %v err %v", got, logged, held, err)
+	}
+	// Different content under the same fingerprint (a log from a build that
+	// learned differently): the logged artifact is used, privately.
+	coarse := cfg.GMap
+	coarse.QStep *= 2
+	other, err := controller.LearnGMap(cfg.L0, cs, coarse)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, held, err := tier.acquire("fp", other, noLearn); err != nil || got != other || held {
+		t.Fatalf("different content: got %p (logged %p) held %v err %v", got, other, held, err)
+	}
+	if st := tier.stats(); st.Held != 1 || st.Learns != 0 || st.Shares != 2 {
+		t.Errorf("store: %+v, want 1 held, 0 learns, 2 shares", st)
+	}
+	for i := 0; i < 3; i++ {
+		tier.release("fp")
+	}
+	if st := tier.stats(); st.Held != 0 {
+		t.Errorf("store holds %d entries after the last release", st.Held)
+	}
+}
+
+// TestStoreManagersShareAndRelease: managers built through one store use
+// the same artifact objects, only the first learns, Release is idempotent,
+// and the store empties with its last manager.
+func TestStoreManagersShareAndRelease(t *testing.T) {
+	spec := cluster.Spec{Modules: []cluster.ModuleSpec{moduleOf("M1", 2), moduleOf("M2", 2)}}
+	cfg := fastConfig()
+	store := NewArtifactStore()
+	first, err := store.NewManager(spec, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Seed = 99 // the seed is not part of the learning fingerprint
+	second, err := store.NewManager(spec, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for key, g := range first.Artifacts().GMaps {
+		if second.Artifacts().GMaps[key] != g {
+			t.Error("second manager holds its own gmap")
+		}
+	}
+	for key, jt := range first.Artifacts().Trees {
+		if second.Artifacts().Trees[key] != jt {
+			t.Error("second manager holds its own tree")
+		}
+	}
+	want := ArtifactStats{
+		GMaps: ArtifactKindStats{Held: 1, Learns: 1, Shares: 1},
+		Trees: ArtifactKindStats{Held: 1, Learns: 1, Shares: 1},
+	}
+	if got := store.Stats(); got != want {
+		t.Fatalf("store: %+v, want %+v", got, want)
+	}
+	// A construction that fails after acquiring releases what it took:
+	// the logged map is adopted, then the tree's learn cannot write its
+	// cache file.
+	bad := cfg
+	bad.ArtifactDir = filepath.Join(t.TempDir(), "does-not-exist")
+	other := NewArtifactStore()
+	if _, err := other.NewManager(spec, bad, &ArtifactSet{GMaps: first.Artifacts().GMaps}); err == nil {
+		t.Fatal("construction with a missing artifact dir succeeded")
+	}
+	if got := other.Stats(); got.GMaps.Held != 0 || got.Trees.Held != 0 {
+		t.Fatalf("failed construction left references behind: %+v", got)
+	}
+	first.Release()
+	first.Release()
+	if got := store.Stats(); got.GMaps.Held != 1 || got.Trees.Held != 1 {
+		t.Fatalf("store after one of two managers released (twice): %+v", got)
+	}
+	second.Release()
+	if got := store.Stats(); got.GMaps.Held != 0 || got.Trees.Held != 0 {
+		t.Fatalf("store after the last release: %+v", got)
+	}
+}

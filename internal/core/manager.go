@@ -199,6 +199,11 @@ type Manager struct {
 	bandG   *forecast.Band   // δ at T_L2 granularity
 
 	artifacts ArtifactSet
+	// store and the two held lists record the references this manager took
+	// in its ArtifactStore (fingerprints, per kind); Release returns them.
+	store     *ArtifactStore
+	heldGMaps []string
+	heldTrees []string
 
 	learnTime time.Duration
 
@@ -277,26 +282,40 @@ type failureEvent struct {
 // abstraction map g for every distinct computer hardware (§4.2) and, when
 // the cluster has more than one module, the regression-tree J̃ for every
 // distinct module composition (§5.1). Learning results are shared across
-// identical hardware, which is what keeps the approach scalable.
+// identical hardware, which is what keeps the approach scalable. A manager
+// built here shares only within itself (its store is private); to share
+// across managers build them through one ArtifactStore.
 func NewManager(spec cluster.Spec, cfg Config) (*Manager, error) {
-	return NewManagerWithArtifacts(spec, cfg, nil)
+	return NewArtifactStore().NewManager(spec, cfg, nil)
 }
 
-// NewManagerWithArtifacts is NewManager with pre-learned approximations: a
-// hardware or module composition found in art skips the offline learning
-// entirely and uses the supplied artifact, which is what makes restoring a
-// snapshotted controller cheap and exact. Entries are matched by the same
-// fingerprints NewManager shares learning under; missing entries are
-// learned as usual. The artifacts must have been learned under an
-// identical Config — the set carries no provenance of its own.
-func NewManagerWithArtifacts(spec cluster.Spec, cfg Config, art *ArtifactSet) (*Manager, error) {
+// NewManager is the package-level NewManager with the offline learning
+// shared through the store: every artifact is acquired by fingerprint, so
+// only the first manager of a fingerprint learns it and all of them use
+// the same read-only copy. Call Release when the manager is discarded.
+//
+// logged, when non-nil, supplies artifacts restored from a snapshot log,
+// keyed like Manager.Artifacts: a hardware or module composition found
+// there uses the logged artifact — which is what makes restoring a
+// snapshotted controller cheap and exact — and offers it to the store for
+// later managers of the same fingerprint. They must have been learned
+// under an identical Config; the set carries no provenance of its own.
+func (s *ArtifactStore) NewManager(spec cluster.Spec, cfg Config, logged *ArtifactSet) (_ *Manager, err error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	m := &Manager{cfg: cfg, spec: spec}
+	m := &Manager{cfg: cfg, spec: spec, store: s}
+	defer func() {
+		if err != nil {
+			m.Release()
+		}
+	}()
+	if logged == nil {
+		logged = &ArtifactSet{}
+	}
 	learnStart := time.Now() //hpm:wallclock one-time learning-phase duration report; observe-only
 	workers := par.Workers(cfg.Parallelism)
 
@@ -316,22 +335,32 @@ func NewManagerWithArtifacts(spec cluster.Spec, cfg Config, art *ArtifactSet) (*
 		}
 	}
 	gmapSlots := make([]*controller.GMap, len(gmapKeys))
-	if err := par.For(workers, len(gmapKeys), func(i int) error {
+	gmapHeld := make([]string, len(gmapKeys)) // fingerprint of each reference taken
+	err = par.For(workers, len(gmapKeys), func(i int) error {
 		key := gmapKeys[i]
 		cs := gmapSpec[key]
-		if art != nil && art.GMaps[key] != nil {
-			gmapSlots[i] = art.GMaps[key]
-			return nil
+		fp := gmapFingerprint(cfg, key)
+		learn := func() (*controller.GMap, error) {
+			return loadOrLearn(cfg.ArtifactDir, "gmap", fp, controller.ReadGMap, func() (*controller.GMap, error) {
+				return controller.LearnGMap(cfg.L0, cs, cfg.GMap)
+			})
 		}
-		g, err := loadOrLearnGMap(cfg, key, func() (*controller.GMap, error) {
-			return controller.LearnGMap(cfg.L0, cs, cfg.GMap)
-		})
+		g, held, err := s.gmaps.acquire(fp, logged.GMaps[key], learn)
 		if err != nil {
 			return fmt.Errorf("core: learning g for %s: %w", cs.Name, err)
 		}
 		gmapSlots[i] = g
+		if held {
+			gmapHeld[i] = fp
+		}
 		return nil
-	}); err != nil {
+	})
+	for _, fp := range gmapHeld {
+		if fp != "" {
+			m.heldGMaps = append(m.heldGMaps, fp)
+		}
+	}
+	if err != nil {
 		return nil, err
 	}
 	gmapCache := make(map[string]*controller.GMap, len(gmapKeys))
@@ -388,23 +417,33 @@ func NewManagerWithArtifacts(spec cluster.Spec, cfg Config, art *ArtifactSet) (*
 			}
 		}
 		treeSlots := make([]*controller.TreeJTilde, len(treeKeys))
-		if err := par.For(workers, len(treeKeys), func(ti int) error {
+		treeHeld := make([]string, len(treeKeys))
+		err = par.For(workers, len(treeKeys), func(ti int) error {
 			key := treeKeys[ti]
 			i := treeModule[key]
 			asm := m.modules[i]
-			if art != nil && art.Trees[key] != nil {
-				treeSlots[ti] = art.Trees[key]
-				return nil
+			fp := treeFingerprint(cfg, key)
+			learn := func() (*controller.TreeJTilde, error) {
+				return loadOrLearn(cfg.ArtifactDir, "jtree", fp, controller.ReadTreeJTilde, func() (*controller.TreeJTilde, error) {
+					return controller.LearnModuleTree(cfg.L0, cfg.L1, asm.gmaps, cfg.ModuleSim)
+				})
 			}
-			jt, err := loadOrLearnTree(cfg, key, func() (*controller.TreeJTilde, error) {
-				return controller.LearnModuleTree(cfg.L0, cfg.L1, asm.gmaps, cfg.ModuleSim)
-			})
+			jt, held, err := s.trees.acquire(fp, logged.Trees[key], learn)
 			if err != nil {
 				return fmt.Errorf("core: learning J̃ for module %s: %w", spec.Modules[i].Name, err)
 			}
 			treeSlots[ti] = jt
+			if held {
+				treeHeld[ti] = fp
+			}
 			return nil
-		}); err != nil {
+		})
+		for _, fp := range treeHeld {
+			if fp != "" {
+				m.heldTrees = append(m.heldTrees, fp)
+			}
+		}
+		if err != nil {
 			return nil, err
 		}
 		treeCache := make(map[string]*controller.TreeJTilde, len(treeKeys))
@@ -424,6 +463,22 @@ func NewManagerWithArtifacts(spec cluster.Spec, cfg Config, art *ArtifactSet) (*
 	}
 	m.learnTime = time.Since(learnStart) //hpm:wallclock one-time learning-phase duration report; observe-only
 	return m, nil
+}
+
+// Release returns the references this manager holds in its ArtifactStore;
+// the store drops an artifact when its last holder releases it. The
+// manager keeps its own pointers, so a released manager still works — it
+// just no longer keeps the store's entries alive. Idempotent; a manager
+// from the package-level NewManager need not call it (its private store
+// dies with it).
+func (m *Manager) Release() {
+	for _, fp := range m.heldGMaps {
+		m.store.gmaps.release(fp)
+	}
+	for _, fp := range m.heldTrees {
+		m.store.trees.release(fp)
+	}
+	m.heldGMaps, m.heldTrees = nil, nil
 }
 
 // hardwareKey fingerprints the control-relevant hardware of a computer

@@ -251,7 +251,7 @@ func TestManagerWithArtifactsSkipsLearning(t *testing.T) {
 	if len(art.Trees) == 0 {
 		t.Fatal("no module trees retained (multi-module cluster)")
 	}
-	second, err := NewManagerWithArtifacts(spec, cfg, &art)
+	second, err := NewArtifactStore().NewManager(spec, cfg, &art)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,6 +21,11 @@
 //     the next K decisions after a restore are bit-identical to an
 //     uninterrupted run (pinned by the snapshot tests). Scenario failure
 //     plans ride in TenantConfig, so restores re-inject them.
+//   - Learn once, share everywhere: the fleet holds one artifact store, so
+//     an abstraction map g or tree J̃ is learned once and kept in memory
+//     once per learning fingerprint however many tenants use it, and a
+//     snapshot log stores it once; shared artifacts are read-only (pinned
+//     by the sharing tests).
 package fleet
 
 import (
@@ -91,6 +96,11 @@ type Fleet struct {
 	nextShard int
 	nextGen   uint64 // registration generations; see tenant.gen
 
+	// artifacts shares the offline learning results across the fleet's
+	// tenants; every tenant construction (create and restore) goes through
+	// it and every removal releases into it.
+	artifacts *core.ArtifactStore
+
 	observations atomic.Int64
 	ticks        atomic.Int64
 	decideNanos  atomic.Int64
@@ -129,6 +139,7 @@ func New(cfg Config) *Fleet {
 		tenants:   map[string]*tenant{},
 		shards:    make([]*shard, n),
 		done:      make(chan struct{}),
+		artifacts: core.NewArtifactStore(),
 		failpoint: cfg.ObserveFailpoint,
 	}
 	f.ctx, f.cancel = context.WithCancel(context.Background())
@@ -231,9 +242,11 @@ func (f *Fleet) register(t *tenant) error {
 	return nil
 }
 
-// CreateTenant builds a tenant's hierarchy (including the offline
-// learning, unless Core.ArtifactDir caches it) and registers it. The id
-// must be unique and non-empty.
+// CreateTenant builds a tenant's hierarchy and registers it. The offline
+// learning runs only for artifacts the fleet does not hold yet: the first
+// tenant of a learning fingerprint learns (or loads Core.ArtifactDir's
+// cache), concurrent creators of the same fingerprint wait for it, and
+// everyone after shares the result. The id must be unique and non-empty.
 func (f *Fleet) CreateTenant(id string, tc TenantConfig) error {
 	if err := f.ctx.Err(); err != nil {
 		return ErrClosed
@@ -247,11 +260,15 @@ func (f *Fleet) CreateTenant(id string, tc TenantConfig) error {
 	if taken {
 		return ErrExists
 	}
-	t, err := newTenant(id, tc, nil)
+	t, err := newTenant(id, tc, f.artifacts, nil)
 	if err != nil {
 		return err
 	}
-	return f.register(t)
+	if err := f.register(t); err != nil {
+		t.mgr.Release()
+		return err
+	}
+	return nil
 }
 
 // Observe feeds one arrival-count bin to the tenant and returns the
@@ -354,6 +371,9 @@ func (f *Fleet) CloseTenant(id string) (*core.Record, error) {
 	var rec *core.Record
 	var ferr error
 	if err := f.exec(t, func() {
+		// Released on the home shard, so concurrent closes of one id
+		// serialize; the store drops what this tenant held last.
+		defer t.mgr.Release()
 		if t.quarantined.Load() {
 			ferr = ErrTenantQuarantined
 			return
@@ -428,6 +448,10 @@ type Stats struct {
 	QueueRejects  int64 // batch entries refused with ErrQueueFull
 	Panics        int64 // tenant panics recovered over the fleet's life
 	Quarantined   int   // currently registered tenants under quarantine
+	// Artifacts reports the fleet's shared learning artifacts: how many it
+	// holds, how many it learned, and how many tenant constructions were
+	// served one it already held.
+	Artifacts core.ArtifactStats
 }
 
 // Stats returns a snapshot of the fleet counters.
@@ -452,5 +476,6 @@ func (f *Fleet) Stats() Stats {
 		QueueRejects:  f.queueRejects.Load(),
 		Panics:        f.panics.Load(),
 		Quarantined:   q,
+		Artifacts:     f.artifacts.Stats(),
 	}
 }

@@ -8,12 +8,16 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"hierctl/internal/cluster"
 )
 
 // fuzzSeedLogs builds the seed inputs for FuzzSnapshotRestore: valid
 // snapshot and journal-shaped logs plus characteristic damage (torn
-// tail, flipped byte, bad magic). The same generator writes the
-// committed corpus under testdata/fuzz (see TestWriteFuzzCorpus).
+// tail, flipped byte, bad magic), then a mixed-shape fleet whose log holds
+// several artifact frames of both kinds and bases referencing different
+// subsets of them. The same generator writes the committed corpus under
+// testdata/fuzz (see TestWriteFuzzCorpus).
 func fuzzSeedLogs(t testing.TB) [][]byte {
 	f := New(Config{Shards: 1})
 	defer f.Close()
@@ -47,6 +51,28 @@ func fuzzSeedLogs(t testing.TB) [][]byte {
 		}
 	}
 
+	// Mixed shapes: c has its own learning grid (a second map g), d is
+	// two modules of a's hardware (a's map again, plus a tree J̃).
+	tc := batchTenantConfig("", 3)
+	tc.Core.GMap.QStep = 50
+	if err := f.CreateTenant("c", tc); err != nil {
+		t.Fatal(err)
+	}
+	tc = batchTenantConfig("", 4)
+	tc.Spec = cluster.Spec{Modules: []cluster.ModuleSpec{moduleOf("M1", 2), moduleOf("M2", 2)}}
+	if err := f.CreateTenant("d", tc); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"c", "d"} {
+		if _, err := f.Observe(id, 180); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var mixed bytes.Buffer
+	if err := f.Snapshot(&mixed); err != nil {
+		t.Fatal(err)
+	}
+
 	valid := snap.Bytes()
 	flipped := append([]byte(nil), valid...)
 	flipped[len(flipped)/2] ^= 0x40
@@ -58,6 +84,7 @@ func fuzzSeedLogs(t testing.TB) [][]byte {
 		[]byte(snapshotMagic),
 		[]byte("HPMSNAP1 not a log"),
 		{},
+		mixed.Bytes(),
 	}
 }
 
@@ -166,11 +193,11 @@ func FuzzSnapshotRestore(f *testing.F) {
 			// nothing decodable, nothing to rebuild.
 			return
 		}
-		snaps, err := assembleLog(bytes.NewReader(data), false)
+		log, err := assembleLog(bytes.NewReader(data), false)
 		if err != nil {
 			return
 		}
-		for _, s := range snaps {
+		for _, s := range log.tenants {
 			if !fuzzSafeShape(s) {
 				return
 			}
@@ -208,9 +235,12 @@ func FuzzSnapshotRestore(f *testing.F) {
 	})
 }
 
-// TestWriteFuzzCorpus regenerates the committed seed corpus under
-// testdata/fuzz/FuzzSnapshotRestore. Gated so a normal run never
-// rewrites checked-in files:
+// TestWriteFuzzCorpus writes the seeds missing from the committed corpus
+// under testdata/fuzz/FuzzSnapshotRestore. Existing files are left alone:
+// seed-00 to seed-06 were written before artifact frames existed and are
+// the corpus's embedded-blob, union-typed-delta inputs (FuzzSnapshotRestore
+// adds the current layout of the same logs at run time). Gated so a normal
+// run never touches checked-in files:
 //
 //	HPM_WRITE_FUZZ_CORPUS=1 go test ./internal/fleet -run TestWriteFuzzCorpus
 func TestWriteFuzzCorpus(t *testing.T) {
@@ -224,6 +254,9 @@ func TestWriteFuzzCorpus(t *testing.T) {
 	for i, seed := range fuzzSeedLogs(t) {
 		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", seed)
 		name := filepath.Join(dir, fmt.Sprintf("seed-%02d", i))
+		if _, err := os.Stat(name); err == nil {
+			continue
+		}
 		if err := os.WriteFile(name, []byte(body), 0o644); err != nil {
 			t.Fatal(err)
 		}

@@ -33,9 +33,10 @@ const (
 // Journal maintains an incremental on-disk snapshot of a fleet: a frame
 // log (see snapshot.go) holding one full base snapshot plus the delta
 // frames appended since. Append writes only what changed — new tenants
-// as base frames, grown tenants as observation deltas, closed tenants as
-// removes — so steady-state persistence cost is proportional to new
-// observations, not fleet size. When the delta tail outgrows the base
+// as base frames (behind an artifact frame for any learned artifact the
+// log does not hold yet), grown tenants as observation deltas, closed
+// tenants as removes — so steady-state persistence cost is proportional
+// to new observations, not fleet size. When the delta tail outgrows the base
 // (CompactFactor) or ages out (MaxAppends), the journal compacts: a
 // fresh full snapshot is written to a temp file, fsynced, and renamed
 // over the log, so a crash at any instant leaves either the old log
@@ -60,7 +61,13 @@ type Journal struct {
 	// log already holds; Append journals past the mark and advances it
 	// only after the frames are durably written, so a crash between the
 	// two re-sends an idempotent overlap instead of losing a suffix.
-	marks       map[string]journalMark
+	marks map[string]journalMark
+	// artifacts lists the learned artifacts (by content address) the log
+	// holds since its last compaction; a base frame appended for a tenant
+	// whose artifacts are all listed writes references only. Like the
+	// marks it moves only with durable frames: a failed append takes back
+	// what it added.
+	artifacts   map[digest]bool
 	baseBytes   int64
 	tailBytes   int64
 	appends     int
@@ -76,9 +83,10 @@ type Journal struct {
 	// failpoints: when non-nil, invoked at the matching point and the
 	// operation aborts with the returned error — the crash injection
 	// seam for the recovery tests.
-	hookAfterAppend func() error
-	hookAfterFrames func() error
-	hookBeforeSwap  func() error
+	hookAfterAppend    func() error
+	hookAfterFrames    func() error
+	hookAfterArtifacts func() error // artifact frames written, their base not yet
+	hookBeforeSwap     func() error
 }
 
 // journalMark is the log's high-water mark for one tenant incarnation:
@@ -140,8 +148,9 @@ func OpenJournal(fl *Fleet, path string, cfg JournalConfig) (*Journal, error) {
 }
 
 // Append journals everything that changed since the last Append or
-// compaction: base frames for tenants the log has never seen, delta
-// frames for grown observation logs, remove frames for closed tenants.
+// compaction: base frames for tenants the log has never seen (each behind
+// the artifact frames it references and the log lacks), delta frames for
+// grown observation logs, remove frames for closed tenants.
 // A tenant closed and recreated under the same id (detected by its
 // registration generation) is retired and re-based — a remove frame then
 // a fresh base — never mistaken for growth of the old incarnation.
@@ -226,6 +235,15 @@ func (j *Journal) Append() error {
 	// middle of frames a later Append fsyncs.
 	offset := j.baseBytes + j.tailBytes
 	var written int64
+	// added lists the artifacts this append put in the log; fail takes
+	// them back out of j.artifacts along with the truncated frames.
+	var added []digest
+	fail := func(err error) error {
+		for _, d := range added {
+			delete(j.artifacts, d)
+		}
+		return j.failAppend(offset, err)
+	}
 	for i, c := range changes {
 		if c.frame == nil {
 			continue
@@ -233,31 +251,44 @@ func (j *Journal) Append() error {
 		if c.stale {
 			n, err := writeFrame(j.file, &logFrame{Kind: frameRemove, ID: ids[i]})
 			if err != nil {
-				return j.failAppend(offset, err)
+				return fail(err)
 			}
 			written += n
 		}
+		if c.frame.Kind == frameBase {
+			n, more, err := writeArtifactFrames(j.file, c.frame.Base, j.artifacts)
+			written += n
+			added = append(added, more...)
+			if err != nil {
+				return fail(err)
+			}
+			if n > 0 && j.hookAfterArtifacts != nil {
+				if err := j.hookAfterArtifacts(); err != nil {
+					return fail(err)
+				}
+			}
+		}
 		n, err := writeFrame(j.file, c.frame)
 		if err != nil {
-			return j.failAppend(offset, err)
+			return fail(err)
 		}
 		written += n
 	}
 	for _, id := range removed {
 		n, err := writeFrame(j.file, &logFrame{Kind: frameRemove, ID: id})
 		if err != nil {
-			return j.failAppend(offset, err)
+			return fail(err)
 		}
 		written += n
 	}
 	if written > 0 {
 		if j.hookAfterFrames != nil {
 			if err := j.hookAfterFrames(); err != nil {
-				return j.failAppend(offset, err)
+				return fail(err)
 			}
 		}
 		if err := j.file.Sync(); err != nil {
-			return j.failAppend(offset, fmt.Errorf("fleet: sync journal: %w", err))
+			return fail(fmt.Errorf("fleet: sync journal: %w", err))
 		}
 	}
 	// The frames are durable; only now may the marks move past them.
@@ -333,7 +364,7 @@ func (j *Journal) compactLocked() error {
 	if err != nil {
 		return fmt.Errorf("fleet: compact journal: %w", err)
 	}
-	written, werr := writeBaseLog(file, snaps)
+	written, held, werr := writeBaseLog(file, snaps)
 	if werr == nil {
 		werr = file.Sync()
 	}
@@ -370,6 +401,7 @@ func (j *Journal) compactLocked() error {
 		marks[snaps[i].ID] = journalMark{obs: len(snaps[i].Observations), gen: snaps[i].gen, quar: snaps[i].Quarantined}
 	}
 	j.marks = marks
+	j.artifacts = held
 	j.baseBytes = written
 	j.tailBytes = 0
 	j.appends = 0

@@ -1,0 +1,383 @@
+package fleet
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"reflect"
+	"sync"
+	"testing"
+
+	"hierctl/internal/cluster"
+	"hierctl/internal/core"
+	"hierctl/internal/workload"
+)
+
+// scenarioTenant builds a tenant of `modules` two-computer modules seeded
+// from a registered workload scenario, plus the leading bins of its trace.
+func scenarioTenant(t *testing.T, scenario string, seed int64, modules, bins int) (TenantConfig, []float64) {
+	t.Helper()
+	sc, err := workload.LookupScenario(scenario)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spec cluster.Spec
+	for m := 0; m < modules; m++ {
+		spec.Modules = append(spec.Modules, moduleOf(fmt.Sprintf("M%d", m+1), 2))
+	}
+	trace, err := sc.Trace(seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.ScaleToCluster(trace, spec.Computers())
+	cfg := fastCore()
+	cfg.Seed = seed
+	cfg.Parallelism = 1
+	return TenantConfig{
+		Spec:        spec,
+		Core:        cfg,
+		Store:       sc.StoreConfig(),
+		StoreSeed:   seed,
+		BinSeconds:  trace.Step,
+		Start:       trace.Start,
+		Calibration: trace.Values[:16],
+		Failures:    sc.FailurePlan(trace),
+	}, trace.Values[:bins]
+}
+
+// runTenant feeds counts to a fresh tenant of f and returns its decision
+// stream and final record, wall-clock fields zeroed.
+func runTenant(t *testing.T, f *Fleet, id string, tc TenantConfig, counts []float64) ([]core.BinDecision, *core.Record) {
+	t.Helper()
+	if err := f.CreateTenant(id, tc); err != nil {
+		t.Fatal(err)
+	}
+	decs := make([]core.BinDecision, 0, len(counts))
+	for _, c := range counts {
+		dec, err := f.Observe(id, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		decs = append(decs, dec)
+	}
+	rec, err := f.CloseTenant(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.L0Time, rec.L1Time, rec.L2Time, rec.LearnTime = 0, 0, 0, 0
+	return decs, rec
+}
+
+// TestSharedArtifactsEquivalence: sharing changes how many copies of an
+// artifact exist, never a decision. A tenant that learned its own maps and
+// trees (alone in a fresh fleet) and one served another tenant's through
+// the store produce the same decision stream and the same final record,
+// and a restore through the artifact-frame layout continues identically.
+func TestSharedArtifactsEquivalence(t *testing.T) {
+	const bins = 24
+	for _, scenario := range []string{"flashcrowd", "failstorm", "step"} {
+		for _, seed := range []int64{1, 2} {
+			for _, modules := range []int{1, 4} {
+				name := fmt.Sprintf("%s/seed%d/%dmodules", scenario, seed, modules)
+				tc, counts := scenarioTenant(t, scenario, seed, modules, bins)
+
+				private := New(Config{Shards: 1})
+				wantDecs, wantRec := runTenant(t, private, "x", tc, counts)
+				private.Close()
+
+				shared := New(Config{Shards: 2})
+				warm, _ := scenarioTenant(t, scenario, seed+100, modules, bins)
+				if err := shared.CreateTenant("warm", warm); err != nil {
+					t.Fatal(err)
+				}
+				learned := shared.Stats().Artifacts
+
+				// Restore-equals-replay through the new layout: snapshot a
+				// sharing tenant mid-stream, restore it next to a live tenant
+				// of the same fingerprint, finish both.
+				if err := shared.CreateTenant("y", tc); err != nil {
+					t.Fatal(err)
+				}
+				for _, c := range counts[:bins/2] {
+					if _, err := shared.Observe("y", c); err != nil {
+						t.Fatal(err)
+					}
+				}
+				var log bytes.Buffer
+				if err := shared.Snapshot(&log); err != nil {
+					t.Fatal(err)
+				}
+				restored := New(Config{Shards: 2})
+				if err := restored.Restore(bytes.NewReader(log.Bytes())); err != nil {
+					t.Fatal(err)
+				}
+				for i, c := range counts[bins/2:] {
+					dec, err := restored.Observe("y", c)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(dec, wantDecs[bins/2+i]) {
+						t.Fatalf("%s: restored tenant diverged at bin %d", name, bins/2+i)
+					}
+				}
+				restored.Close()
+				if _, err := shared.CloseTenant("y"); err != nil {
+					t.Fatal(err)
+				}
+
+				gotDecs, gotRec := runTenant(t, shared, "x", tc, counts)
+				if after := shared.Stats().Artifacts; after.GMaps.Learns != learned.GMaps.Learns || after.Trees.Learns != learned.Trees.Learns {
+					t.Fatalf("%s: tenant x relearned: %+v -> %+v", name, learned, after)
+				}
+				shared.Close()
+				if !reflect.DeepEqual(gotDecs, wantDecs) {
+					t.Errorf("%s: decision streams diverged between private and shared artifacts", name)
+				}
+				if !reflect.DeepEqual(gotRec, wantRec) {
+					t.Errorf("%s: final records diverged between private and shared artifacts", name)
+				}
+			}
+		}
+	}
+}
+
+// TestArtifactsLearnedOncePerFingerprint: 64 tenants of two shapes over
+// the same hardware, created from 4 goroutines, cost one learn per
+// distinct fingerprint — one map g for both shapes, one tree J̃ for the
+// multi-module shape — and the store is empty again once every tenant,
+// including a quarantined one, is closed.
+func TestArtifactsLearnedOncePerFingerprint(t *testing.T) {
+	f := panicFleet(t, 4)
+	single := quarantineTenantConfig()
+	double := quarantineTenantConfig()
+	double.Spec = cluster.Spec{Modules: []cluster.ModuleSpec{moduleOf("M1", 2), moduleOf("M2", 2)}}
+
+	const tenants, creators = 64, 4
+	var wg sync.WaitGroup
+	for g := 0; g < creators; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; i < tenants; i += creators {
+				tc := single
+				if i%2 == 1 {
+					tc = double
+				}
+				tc.StoreSeed = int64(i + 1)
+				if err := f.CreateTenant(fmt.Sprintf("t%02d", i), tc); err != nil {
+					t.Error(err)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	want := core.ArtifactStats{
+		GMaps: core.ArtifactKindStats{Held: 1, Learns: 1, Shares: tenants - 1},
+		Trees: core.ArtifactKindStats{Held: 1, Learns: 1, Shares: tenants/2 - 1},
+	}
+	if got := f.Stats().Artifacts; got != want {
+		t.Fatalf("store after %d creates: %+v, want %+v", tenants, got, want)
+	}
+
+	// Creators racing for one id all build — the losers wait for the
+	// winner's learn of this new fingerprint, then share it — before all
+	// but one are refused; a refusal must give its references back, or the
+	// store would not empty below.
+	dup := single
+	dup.Core.GMap.QStep = 50
+	var won, lost int
+	var mu sync.Mutex
+	for g := 0; g < creators; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			err := f.CreateTenant("dup", dup)
+			mu.Lock()
+			defer mu.Unlock()
+			switch {
+			case err == nil:
+				won++
+			case errors.Is(err, ErrExists):
+				lost++
+			default:
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if won != 1 || lost != creators-1 {
+		t.Fatalf("racing creates of one id: %d won, %d refused", won, lost)
+	}
+	if _, err := f.CloseTenant("dup"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Observe("t00", panicCount); !errors.Is(err, ErrTenantQuarantined) {
+		t.Fatalf("tenant t00 did not quarantine: %v", err)
+	}
+	for i := 0; i < tenants; i++ {
+		_, err := f.CloseTenant(fmt.Sprintf("t%02d", i))
+		if i == 0 && !errors.Is(err, ErrTenantQuarantined) || i != 0 && err != nil {
+			t.Fatalf("close t%02d: %v", i, err)
+		}
+		if i == tenants-2 {
+			if got := f.Stats().Artifacts; got.GMaps.Held != 1 || got.Trees.Held != 1 {
+				t.Fatalf("store dropped an artifact its last tenant still holds: %+v", got)
+			}
+		}
+	}
+	if got := f.Stats().Artifacts; got.GMaps.Held != 0 || got.Trees.Held != 0 {
+		t.Fatalf("store not empty after the last close: %+v", got)
+	}
+
+	// Bounded by the live fleet, not by uptime: the next tenant learns anew.
+	if err := f.CreateTenant("again", single); err != nil {
+		t.Fatal(err)
+	}
+	if got := f.Stats().Artifacts.GMaps; got.Held != 1 || got.Learns != 3 { // shape, dup, shape again
+		t.Fatalf("store after re-create: %+v, want 1 held, 3 learns", got)
+	}
+}
+
+// TestFailedLearnIsNotCached: a construction whose learning fails (here:
+// the artifact cache directory does not exist) leaves nothing in the
+// store, and the next construction of the same fingerprint retries.
+func TestFailedLearnIsNotCached(t *testing.T) {
+	f := New(Config{Shards: 1})
+	defer f.Close()
+	bad := batchTenantConfig(t.TempDir()+"/does-not-exist", 1)
+	if err := f.CreateTenant("a", bad); err == nil {
+		t.Fatal("create with a missing artifact dir succeeded")
+	}
+	if got := f.Stats().Artifacts.GMaps; got.Held != 0 || got.Learns != 0 {
+		t.Fatalf("failed learn left %+v in the store", got)
+	}
+	if err := f.CreateTenant("a", batchTenantConfig("", 1)); err != nil {
+		t.Fatal(err)
+	}
+	if got := f.Stats().Artifacts.GMaps; got.Held != 1 || got.Learns != 1 {
+		t.Fatalf("retry: %+v, want 1 held, 1 learn", got)
+	}
+}
+
+// TestRestoreSharesWithLiveTenants: restoring next to live tenants of the
+// same fingerprint keeps one copy — the logged artifact has the content
+// the store already holds, so the restored tenants share the store's —
+// and a failed (all-or-nothing) restore gives every reference back.
+func TestRestoreSharesWithLiveTenants(t *testing.T) {
+	src := New(Config{Shards: 2})
+	defer src.Close()
+	for i, id := range []string{"a", "b"} {
+		if err := src.CreateTenant(id, batchTenantConfig("", int64(i+1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var log bytes.Buffer
+	if err := src.Snapshot(&log); err != nil {
+		t.Fatal(err)
+	}
+
+	dst := New(Config{Shards: 2})
+	defer dst.Close()
+	if err := dst.CreateTenant("live", batchTenantConfig("", 9)); err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.Restore(bytes.NewReader(log.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	want := core.ArtifactKindStats{Held: 1, Learns: 1, Shares: 2}
+	if got := dst.Stats().Artifacts.GMaps; got != want {
+		t.Fatalf("store after restore beside a live tenant: %+v, want %+v", got, want)
+	}
+	// The same log again clashes on ids: nothing registers, nothing leaks.
+	if err := dst.Restore(bytes.NewReader(log.Bytes())); !errors.Is(err, ErrExists) {
+		t.Fatalf("second restore: %v, want ErrExists", err)
+	}
+	for _, id := range []string{"live", "a", "b"} {
+		if _, err := dst.CloseTenant(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := dst.Stats().Artifacts.GMaps.Held; got != 0 {
+		t.Fatalf("store holds %d artifacts after the last close (a refused restore leaked references)", got)
+	}
+}
+
+// TestSharedArtifactStress runs every way the fleet touches a shared
+// artifact at once, for the race detector: tenants on every shard stepping
+// (L1 probing the one shared GMap, L2 the one shared tree) while tenants
+// of the same fingerprint are created and closed, and while Snapshot,
+// Journal.Append and Compact serialize the artifacts.
+func TestSharedArtifactStress(t *testing.T) {
+	const shards, steppers, rounds = 4, 8, 12
+	f := New(Config{Shards: shards})
+	defer f.Close()
+	tc := quarantineTenantConfig()
+	tc.Spec = cluster.Spec{Modules: []cluster.ModuleSpec{moduleOf("M1", 2), moduleOf("M2", 2)}}
+	for i := 0; i < steppers; i++ {
+		tc.StoreSeed = int64(i + 1)
+		if err := f.CreateTenant(fmt.Sprintf("s%d", i), tc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j, err := OpenJournal(f, journalPath(t), JournalConfig{MaxAppends: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+
+	var wg sync.WaitGroup
+	run := func(fn func(round int) error) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				if err := fn(r); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < steppers; i++ {
+		id := fmt.Sprintf("s%d", i)
+		run(func(r int) error {
+			_, err := f.Observe(id, float64(150+10*r))
+			return err
+		})
+	}
+	run(func(r int) error { // churn: the store's entry gains and loses holders
+		id := fmt.Sprintf("churn%d", r)
+		if err := f.CreateTenant(id, tc); err != nil {
+			return err
+		}
+		if _, err := f.Observe(id, 200); err != nil {
+			return err
+		}
+		_, err := f.CloseTenant(id)
+		return err
+	})
+	run(func(int) error { return f.Snapshot(&bytes.Buffer{}) })
+	run(func(int) error { return j.Append() })
+	run(func(r int) error {
+		if r%4 != 0 {
+			return nil
+		}
+		return j.Compact()
+	})
+	wg.Wait()
+
+	if got := f.Stats().Artifacts; got.GMaps.Learns != 1 || got.Trees.Learns != 1 || got.GMaps.Held != 1 || got.Trees.Held != 1 {
+		t.Errorf("store after the stress: %+v, want one map and one tree, each learned once", got)
+	}
+	// What the journal holds restores to the fleet's current state.
+	if err := j.Append(); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := VerifyJournalFile(j.path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Tenants != steppers || rep.Observations != steppers*rounds {
+		t.Errorf("journal after the stress: %+v, want %d tenants with %d observations", rep, steppers, steppers*rounds)
+	}
+}

@@ -2,12 +2,15 @@ package fleet
 
 import (
 	"bytes"
+	"context"
+	"crypto/sha256"
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"sort"
 
 	"hierctl/internal/controller"
 	"hierctl/internal/core"
@@ -16,26 +19,36 @@ import (
 
 // Snapshot format v2: an event-sourced frame log. Mid-run plant state
 // (queues, in-flight requests, RNG positions) is never serialized —
-// instead the log captures, per tenant, (a) the configuration, (b) the
-// learned artifacts via the controller/approx persistence layers (the
-// expensive offline phase), and (c) the observation log. Because runs
-// are deterministic per seed, restoring = rebuild from artifacts +
-// replay the log, which reconstructs bit-identical controller state:
-// the next K decisions after a restore equal the original's.
+// instead the log captures (a) each distinct learned artifact once, via
+// the controller/approx persistence layers (the expensive offline phase),
+// and per tenant (b) the configuration with references to its artifacts
+// and (c) the observation log. Because runs are deterministic per seed,
+// restoring = rebuild from artifacts + replay the log, which reconstructs
+// bit-identical controller state: the next K decisions after a restore
+// equal the original's.
 //
 // The container is a magic header followed by self-contained frames:
 //
-//	[u32 payload length][u32 crc32(payload)][gob(logFrame)]
+//	[u32 payload length][u32 crc32(payload)][gob(frame)]
 //
 // Each payload is encoded by a fresh gob encoder, so any frame decodes
-// without the stream state of its predecessors. A full snapshot is a log
-// of base frames only (one per tenant, sorted by id); the Journal
-// appends delta frames (counts since the tenant's last frame) and remove
-// frames to the same container, which is what makes an interrupted
-// journal restorable by the same reader. A torn final frame — the
-// signature of a crash mid-append — is tolerated on the journal recovery
-// path and rejected by strict Restore; a checksum mismatch on a complete
-// frame is corruption and always an error.
+// without the stream state of its predecessors — and each kind is encoded
+// from its own narrow struct (baseWire, deltaWire, artifactWire), so a
+// frame pays for the type descriptors of its own fields only; the reader
+// decodes every kind into their union, logFrame (gob matches fields by
+// name). A full snapshot is a log of the artifact frames its tenants
+// reference followed by one base frame per tenant (sorted by id); the
+// Journal appends delta frames (counts since the tenant's last frame),
+// remove frames, and base frames for new tenants — preceded by the
+// artifact frames the log does not hold yet — to the same container,
+// which is what makes an interrupted journal restorable by the same
+// reader. A torn final frame — the signature of a crash mid-append — is
+// tolerated on the journal recovery path and rejected by strict Restore; a
+// checksum mismatch on a complete frame is corruption and always an error.
+//
+// Logs written before artifact frames existed embed each tenant's
+// artifact blobs in its base frame (artifactRef.Data) and encode
+// delta/remove frames from the full logFrame type; both remain readable.
 //
 // Frame bytes are deterministic: tenant artifacts ride as key-sorted
 // slices (gob map encoding is randomized), so identical fleet state
@@ -47,21 +60,58 @@ const (
 	frameBase byte = iota + 1
 	frameDelta
 	frameRemove
+	frameArtifact
+)
+
+// Artifact kinds carried by artifact frames.
+const (
+	artifactGMap byte = iota + 1
+	artifactTree
 )
 
 // maxFramePayload bounds a single frame (64 MiB) so a corrupt or
 // hostile length header cannot drive an arbitrary allocation.
 const maxFramePayload = 64 << 20
 
-// errTornFrame marks a frame cut short by EOF — recoverable crash
-// damage, unlike a checksum failure.
-var errTornFrame = errors.New("fleet: torn snapshot frame")
+var (
+	// errTornFrame marks a frame cut short by EOF — recoverable crash
+	// damage, unlike a checksum failure.
+	errTornFrame = errors.New("fleet: torn snapshot frame")
+	// errArtifactDigest marks an artifact frame whose data does not hash to
+	// the digest it is stored under.
+	errArtifactDigest = errors.New("fleet: artifact data does not match its digest")
+	// errArtifactMissing marks a base frame referencing an artifact that no
+	// earlier artifact frame of that kind put in the log.
+	errArtifactMissing = errors.New("fleet: base frame references an artifact not in the log")
+)
 
-// artifactBlob is one serialized learning artifact. Slices sorted by Key
-// replace maps so frame bytes are deterministic.
-type artifactBlob struct {
-	Key  string
+// digest is an artifact's content address: the SHA-256 of its serialized
+// form.
+type digest = [sha256.Size]byte
+
+func asDigest(b []byte) (d digest, ok bool) {
+	if len(b) != len(d) {
+		return d, false
+	}
+	copy(d[:], b)
+	return d, true
+}
+
+// artifactRef names one learning artifact of a tenant's base frame.
+type artifactRef struct {
+	// Key is the manager's configuration fingerprint for the artifact (a
+	// hardware key for a map g, a module composition key for a tree J̃).
+	Key string
+	// Digest is the content address of the artifact frame that holds the
+	// serialized artifact (controller.GMap.Save / TreeJTilde.Save framing).
+	Digest []byte
+	// Data is the serialized artifact embedded in the base frame itself —
+	// the layout of logs written before artifact frames existed. Read
+	// only: the fold moves it into the log's artifact table.
 	Data []byte
+	// saved is the write side's handle on the artifact's memoized
+	// serialized form. Unexported, so gob never serializes it.
+	saved *controller.Saved
 }
 
 type tenantSnap struct {
@@ -75,18 +125,19 @@ type tenantSnap struct {
 	// un-quarantining by restore would invite a re-panic). Decoded as
 	// false from frames written before the field existed.
 	Quarantined bool
-	// GMaps and Trees hold the serialized learning artifacts keyed by the
-	// manager's configuration fingerprints (controller.GMap.Save /
-	// TreeJTilde.Save framing), sorted by key.
-	GMaps []artifactBlob
-	Trees []artifactBlob
+	// GMaps and Trees reference the tenant's learning artifacts, sorted by
+	// key. The serialized artifacts themselves live in artifact frames,
+	// once per distinct content, ahead of the first base that needs them.
+	GMaps []artifactRef
+	Trees []artifactRef
 	// gen carries the captured tenant's registration generation to the
 	// journal's marks. Unexported, so gob never serializes it — the
 	// generation is process-local.
 	gen uint64
 }
 
-// logFrame is one frame of the snapshot/journal log.
+// logFrame is one frame of the snapshot/journal log as the reader sees
+// it: the union of the per-kind wire structs below.
 type logFrame struct {
 	Kind byte
 	// Base carries a tenant's full state (Kind == frameBase).
@@ -98,12 +149,57 @@ type logFrame struct {
 	// frames (crash between write and mark update) are idempotent.
 	From   int
 	Counts []float64
+	// Digest, Artifact and Data carry one serialized learning artifact
+	// (Kind == frameArtifact): its content address, its kind, its bytes.
+	Digest   []byte
+	Artifact byte
+	Data     []byte
 }
 
-// writeFrame encodes fr as one framed payload and reports bytes written.
+// The wire structs: what each frame kind is encoded from. A fresh gob
+// encoder ships the descriptors of every type reachable from the value it
+// encodes, so encoding a delta from logFrame would carry ~2 KB describing
+// the unused Base arm (TenantConfig → core.Config → …) in every frame.
+type (
+	baseWire struct {
+		Kind byte
+		Base *tenantSnap
+	}
+	deltaWire struct { // delta and remove frames
+		Kind   byte
+		ID     string
+		From   int
+		Counts []float64
+	}
+	artifactWire struct {
+		Kind     byte
+		Digest   []byte
+		Artifact byte
+		Data     []byte
+	}
+)
+
+func (fr *logFrame) wire() any {
+	switch fr.Kind {
+	case frameBase:
+		return baseWire{Kind: fr.Kind, Base: fr.Base}
+	case frameArtifact:
+		return artifactWire{Kind: fr.Kind, Digest: fr.Digest, Artifact: fr.Artifact, Data: fr.Data}
+	default:
+		return deltaWire{Kind: fr.Kind, ID: fr.ID, From: fr.From, Counts: fr.Counts}
+	}
+}
+
+// writeFrame encodes fr, through its kind's wire struct, as one framed
+// payload and reports bytes written.
 func writeFrame(w io.Writer, fr *logFrame) (int64, error) {
+	return writePayload(w, fr.wire())
+}
+
+// writePayload frames the gob encoding of v: length, CRC, payload.
+func writePayload(w io.Writer, v any) (int64, error) {
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(fr); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
 		return 0, fmt.Errorf("fleet: encode frame: %w", err)
 	}
 	payload := buf.Bytes()
@@ -152,12 +248,14 @@ func readFrame(r io.Reader) (logFrame, error) {
 
 // foldLog is the one reader of the frame log: it streams r frame by
 // frame, enforces every structural rule the restore path relies on (the
-// magic header, readFrame's length bound and CRC, base frames naming a
-// tenant, delta frames extending a known tenant with no gap, known kinds)
-// and reports what it scanned. Each accepted frame is handed to visit
-// (nil = scan only) with, for a delta, the suffix of its counts past the
-// overlap with the log so far — a delta re-sent after a crash between
-// frame write and mark update overlaps and contributes only what is new.
+// magic header, readFrame's length bound and CRC, artifact data hashing to
+// its digest, base frames naming a tenant and referencing only artifacts
+// already in the log, delta frames extending a known tenant with no gap,
+// known kinds) and reports what it scanned. Each accepted frame is handed
+// to visit (nil = scan only) with, for a delta, the suffix of its counts
+// past the overlap with the log so far — a delta re-sent after a crash
+// between frame write and mark update overlaps and contributes only what
+// is new.
 //
 // A torn final frame — the signature of a crash mid-append — stops the
 // scan cleanly with VerifyReport.TornTail set; whether that is tolerable
@@ -176,6 +274,9 @@ func foldLog(r io.Reader, visit func(fr *logFrame, fresh []float64)) (*VerifyRep
 		quar bool
 	}
 	live := map[string]tenantCheck{}
+	// artifacts maps the content address of every artifact frame seen so
+	// far to its kind — what a later base frame may reference.
+	artifacts := map[digest]byte{}
 	for {
 		fr, err := readFrame(r)
 		if err == io.EOF {
@@ -191,10 +292,26 @@ func foldLog(r io.Reader, visit func(fr *logFrame, fresh []float64)) (*VerifyRep
 		rep.Frames++
 		var fresh []float64
 		switch fr.Kind {
+		case frameArtifact:
+			rep.ArtifactFrames++
+			// A repeated artifact frame is idempotent: same digest, same
+			// verified bytes.
+			d, ok := asDigest(fr.Digest)
+			if !ok || sha256.Sum256(fr.Data) != d {
+				return rep, fmt.Errorf("fleet: frame %d: %w", rep.Frames, errArtifactDigest)
+			}
+			artifacts[d] = fr.Artifact
 		case frameBase:
 			rep.BaseFrames++
 			if fr.Base == nil || fr.Base.ID == "" {
 				return rep, fmt.Errorf("fleet: frame %d: base frame without tenant", rep.Frames)
+			}
+			ref := unresolved(fr.Base.GMaps, artifactGMap, artifacts)
+			if ref == nil {
+				ref = unresolved(fr.Base.Trees, artifactTree, artifacts)
+			}
+			if ref != nil {
+				return rep, fmt.Errorf("fleet: frame %d: tenant %q artifact %x: %w", rep.Frames, fr.Base.ID, ref.Digest, errArtifactMissing)
 			}
 			// A later base for the same id replaces the state wholesale.
 			live[fr.Base.ID] = tenantCheck{obs: len(fr.Base.Observations), quar: fr.Base.Quarantined}
@@ -235,18 +352,63 @@ func foldLog(r io.Reader, visit func(fr *logFrame, fresh []float64)) (*VerifyRep
 	return rep, nil
 }
 
-// assembleLog folds the frame log from r into per-tenant end states, in
-// order of first appearance. tolerateTorn accepts a truncated final frame
-// (journal crash recovery) instead of erroring (strict restore).
-func assembleLog(r io.Reader, tolerateTorn bool) ([]tenantSnap, error) {
+// unresolved returns the first of refs that neither embeds its blob (the
+// pre-artifact-frame layout) nor names an artifact frame of the given
+// kind already in the log; nil when every reference resolves.
+func unresolved(refs []artifactRef, kind byte, artifacts map[digest]byte) *artifactRef {
+	for i := range refs {
+		if len(refs[i].Digest) == 0 && len(refs[i].Data) > 0 {
+			continue
+		}
+		if d, ok := asDigest(refs[i].Digest); !ok || artifacts[d] != kind {
+			return &refs[i]
+		}
+	}
+	return nil
+}
+
+// assembledLog is a frame log folded to its end state.
+type assembledLog struct {
+	// tenants are the live tenants' end states, in order of first
+	// appearance; every artifact reference carries a Digest into blobs.
+	tenants []tenantSnap
+	// blobs holds each distinct serialized artifact the log carries, by
+	// content address — whether it arrived in an artifact frame or embedded
+	// in a base frame (hashed here, so ten thousand tenants embedding the
+	// same blob keep one copy and decode it once).
+	blobs map[digest][]byte
+}
+
+// assembleLog folds the frame log from r into per-tenant end states.
+// tolerateTorn accepts a truncated final frame (journal crash recovery)
+// instead of erroring (strict restore).
+func assembleLog(r io.Reader, tolerateTorn bool) (*assembledLog, error) {
 	states := map[string]*tenantSnap{}
+	blobs := map[digest][]byte{}
 	var order []string
+	intern := func(refs []artifactRef) {
+		for i := range refs {
+			if len(refs[i].Digest) != 0 {
+				continue
+			}
+			d := sha256.Sum256(refs[i].Data)
+			if _, ok := blobs[d]; !ok {
+				blobs[d] = refs[i].Data
+			}
+			refs[i].Digest, refs[i].Data = d[:], nil
+		}
+	}
 	rep, err := foldLog(r, func(fr *logFrame, fresh []float64) {
 		switch fr.Kind {
+		case frameArtifact:
+			d, _ := asDigest(fr.Digest)
+			blobs[d] = fr.Data
 		case frameBase:
 			if _, seen := states[fr.Base.ID]; !seen {
 				order = append(order, fr.Base.ID)
 			}
+			intern(fr.Base.GMaps)
+			intern(fr.Base.Trees)
 			states[fr.Base.ID] = fr.Base
 		case frameDelta:
 			st := states[fr.ID]
@@ -261,10 +423,10 @@ func assembleLog(r io.Reader, tolerateTorn bool) ([]tenantSnap, error) {
 	if rep.TornTail && !tolerateTorn {
 		return nil, fmt.Errorf("fleet: truncated snapshot log")
 	}
-	out := make([]tenantSnap, 0, len(states))
+	out := &assembledLog{tenants: make([]tenantSnap, 0, len(states)), blobs: blobs}
 	for _, id := range order {
 		if st, ok := states[id]; ok {
-			out = append(out, *st)
+			out.tenants = append(out.tenants, *st)
 			delete(states, id)
 		}
 	}
@@ -302,34 +464,70 @@ func (f *Fleet) captureAll() ([]tenantSnap, error) {
 	return kept, nil
 }
 
-// writeBaseLog writes snaps as a complete frame log — the magic header
-// and one base frame per tenant — and reports the bytes written. It is
-// the one base-log writer: Fleet.Snapshot streams it to the caller's
-// writer, journal compaction to the temp file it then fsyncs and swaps in.
-func writeBaseLog(w io.Writer, snaps []tenantSnap) (int64, error) {
+// writeArtifactFrames writes an artifact frame for every artifact snap
+// references that held does not list yet and adds those to held; it
+// reports the bytes written and the digests added (on error too, so a
+// caller that rolls the write back can take them out of held again).
+func writeArtifactFrames(w io.Writer, snap *tenantSnap, held map[digest]bool) (written int64, added []digest, err error) {
+	emit := func(kind byte, refs []artifactRef) error {
+		for _, ref := range refs {
+			if held[ref.saved.Digest] {
+				continue
+			}
+			n, err := writeFrame(w, &logFrame{Kind: frameArtifact, Digest: ref.Digest, Artifact: kind, Data: ref.saved.Data})
+			if err != nil {
+				return err
+			}
+			written += n
+			held[ref.saved.Digest] = true
+			added = append(added, ref.saved.Digest)
+		}
+		return nil
+	}
+	if err = emit(artifactGMap, snap.GMaps); err == nil {
+		err = emit(artifactTree, snap.Trees)
+	}
+	return written, added, err
+}
+
+// writeBaseLog writes snaps as a complete frame log — the magic header,
+// one artifact frame per distinct artifact the tenants reference, then one
+// base frame per tenant — and reports the bytes written and the artifacts
+// the log now holds. It is the one base-log writer: Fleet.Snapshot streams
+// it to the caller's writer, journal compaction to the temp file it then
+// fsyncs and swaps in.
+func writeBaseLog(w io.Writer, snaps []tenantSnap) (int64, map[digest]bool, error) {
 	if _, err := io.WriteString(w, snapshotMagic); err != nil {
-		return 0, fmt.Errorf("fleet: write frame log: %w", err)
+		return 0, nil, fmt.Errorf("fleet: write frame log: %w", err)
 	}
 	written := int64(len(snapshotMagic))
+	held := map[digest]bool{}
+	for i := range snaps {
+		n, _, err := writeArtifactFrames(w, &snaps[i], held)
+		written += n
+		if err != nil {
+			return written, nil, err
+		}
+	}
 	for i := range snaps {
 		n, err := writeFrame(w, &logFrame{Kind: frameBase, Base: &snaps[i]})
 		if err != nil {
-			return written, err
+			return written, nil, err
 		}
 		written += n
 	}
-	return written, nil
+	return written, held, nil
 }
 
-// Snapshot serializes every tenant's controller state to w as a log of
-// base frames (sorted by tenant id — identical fleet state yields
-// identical bytes).
+// Snapshot serializes every tenant's controller state to w as a base log:
+// each distinct learned artifact once, then one base frame per tenant
+// (sorted by tenant id — identical fleet state yields identical bytes).
 func (f *Fleet) Snapshot(w io.Writer) error {
 	snaps, err := f.captureAll()
 	if err != nil {
 		return err
 	}
-	if _, err := writeBaseLog(w, snaps); err != nil {
+	if _, _, err := writeBaseLog(w, snaps); err != nil {
 		return err
 	}
 	f.snapshots.Add(1)
@@ -337,11 +535,12 @@ func (f *Fleet) Snapshot(w io.Writer) error {
 }
 
 // Restore rebuilds the tenants of a frame log written by Snapshot or a
-// Journal and registers them. Restores fan out across tenants; each
-// rebuild loads the learned artifacts (skipping the offline learning)
-// and replays the observation log to reconstruct the exact controller
-// state. Strict: a truncated log is an error (use OpenJournal for
-// crash-tolerant recovery).
+// Journal and registers them. Each distinct artifact in the log is decoded
+// once and shared, through the fleet's artifact store, by every tenant
+// that references it (and by tenants of the same fingerprint created
+// later); restores then fan out across tenants, each replaying its
+// observation log to reconstruct the exact controller state. Strict: a
+// truncated log is an error (use OpenJournal for crash-tolerant recovery).
 func (f *Fleet) Restore(r io.Reader) error {
 	return f.restoreLog(r, false)
 }
@@ -350,21 +549,71 @@ func (f *Fleet) restoreLog(r io.Reader, tolerateTorn bool) error {
 	if err := f.ctx.Err(); err != nil {
 		return ErrClosed
 	}
-	snaps, err := assembleLog(r, tolerateTorn)
+	log, err := assembleLog(r, tolerateTorn)
 	if err != nil {
 		return err
 	}
-	tenants, err := par.MapCtx(f.ctx, par.Workers(0), len(snaps), func(i int) (*tenant, error) {
-		return restoreTenant(snaps[i])
+	gmaps, err := decodeDistinct(f.ctx, log, func(s *tenantSnap) []artifactRef { return s.GMaps }, controller.DecodeGMap)
+	if err != nil {
+		return err
+	}
+	trees, err := decodeDistinct(f.ctx, log, func(s *tenantSnap) []artifactRef { return s.Trees }, controller.DecodeTreeJTilde)
+	if err != nil {
+		return err
+	}
+	tenants := make([]*tenant, len(log.tenants))
+	err = par.ForCtx(f.ctx, par.Workers(0), len(log.tenants), func(i int) error {
+		t, err := restoreTenant(log.tenants[i], f.artifacts, gmaps, trees)
+		tenants[i] = t
+		return err
 	})
-	if err != nil {
-		return err
+	if err == nil {
+		err = f.registerAll(tenants)
 	}
-	if err := f.registerAll(tenants); err != nil {
+	if err != nil {
+		// All-or-nothing: the tenants that did build give their artifact
+		// references back.
+		for _, t := range tenants {
+			if t != nil {
+				t.mgr.Release()
+			}
+		}
 		return err
 	}
 	f.restores.Add(1)
 	return nil
+}
+
+// decodeDistinct decodes each distinct artifact the live tenants reference
+// through refsOf exactly once, fanning the distinct blobs across the
+// worker pool; restoreTenant then hands every tenant the shared decoded
+// objects.
+func decodeDistinct[T any](ctx context.Context, l *assembledLog, refsOf func(*tenantSnap) []artifactRef, decode func([]byte) (T, error)) (map[digest]T, error) {
+	var ids []digest
+	seen := map[digest]bool{}
+	for i := range l.tenants {
+		for _, ref := range refsOf(&l.tenants[i]) {
+			if d, _ := asDigest(ref.Digest); !seen[d] {
+				seen[d] = true
+				ids = append(ids, d)
+			}
+		}
+	}
+	decoded, err := par.MapCtx(ctx, par.Workers(0), len(ids), func(i int) (T, error) {
+		a, err := decode(l.blobs[ids[i]])
+		if err != nil {
+			return a, fmt.Errorf("fleet: artifact %x: %w", ids[i][:8], err)
+		}
+		return a, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[digest]T, len(ids))
+	for i, d := range ids {
+		out[d] = decoded[i]
+	}
+	return out, nil
 }
 
 // registerAll registers the restored tenants all-or-nothing: an id clash
@@ -389,7 +638,9 @@ func (f *Fleet) registerAll(tenants []*tenant) error {
 	return nil
 }
 
-// snapshot captures one tenant. Runs on the tenant's home shard.
+// snapshot captures one tenant. Runs on the tenant's home shard. The
+// artifacts' serialized forms are memoized with the (shared) artifacts, so
+// only the first capture of a fingerprint in the fleet encodes anything.
 func (t *tenant) snapshot() (tenantSnap, error) {
 	snap := tenantSnap{
 		ID:           t.id,
@@ -399,63 +650,56 @@ func (t *tenant) snapshot() (tenantSnap, error) {
 		gen:          t.gen,
 	}
 	art := t.mgr.Artifacts()
-	for key, g := range art.GMaps {
-		var buf bytes.Buffer
-		if err := g.Save(&buf); err != nil {
-			return snap, fmt.Errorf("fleet: tenant %s gmap: %w", t.id, err)
-		}
-		snap.GMaps = append(snap.GMaps, artifactBlob{Key: key, Data: buf.Bytes()})
+	var err error
+	if snap.GMaps, err = refsTo(art.GMaps); err != nil {
+		return snap, fmt.Errorf("fleet: tenant %s gmap: %w", t.id, err)
 	}
-	for key, jt := range art.Trees {
-		var buf bytes.Buffer
-		if err := jt.Save(&buf); err != nil {
-			return snap, fmt.Errorf("fleet: tenant %s tree: %w", t.id, err)
-		}
-		snap.Trees = append(snap.Trees, artifactBlob{Key: key, Data: buf.Bytes()})
+	if snap.Trees, err = refsTo(art.Trees); err != nil {
+		return snap, fmt.Errorf("fleet: tenant %s tree: %w", t.id, err)
 	}
-	sortBlobs(snap.GMaps)
-	sortBlobs(snap.Trees)
 	return snap, nil
 }
 
-func sortBlobs(blobs []artifactBlob) {
-	for i := 1; i < len(blobs); i++ {
-		b := blobs[i]
-		j := i - 1
-		for j >= 0 && blobs[j].Key > b.Key {
-			blobs[j+1] = blobs[j]
-			j--
+// refsTo references each artifact of a manager's set by the digest of its
+// memoized serialized form, sorted by key.
+func refsTo[T interface {
+	Saved() (*controller.Saved, error)
+}](artifacts map[string]T) ([]artifactRef, error) {
+	var refs []artifactRef
+	for key, a := range artifacts {
+		saved, err := a.Saved()
+		if err != nil {
+			return nil, err
 		}
-		blobs[j+1] = b
+		refs = append(refs, artifactRef{Key: key, Digest: saved.Digest[:], saved: saved})
 	}
+	sort.Slice(refs, func(i, j int) bool { return refs[i].Key < refs[j].Key })
+	return refs, nil
 }
 
-// restoreTenant rebuilds one tenant from its snapshot.
-func restoreTenant(s tenantSnap) (*tenant, error) {
-	art := &core.ArtifactSet{
+// restoreTenant rebuilds one tenant from its assembled state: its logged
+// artifacts (already decoded, shared) go to the store with it, and the
+// observation log is replayed.
+func restoreTenant(s tenantSnap, store *core.ArtifactStore, gmaps map[digest]*controller.GMap, trees map[digest]*controller.TreeJTilde) (*tenant, error) {
+	logged := &core.ArtifactSet{
 		GMaps: make(map[string]*controller.GMap, len(s.GMaps)),
 		Trees: make(map[string]*controller.TreeJTilde, len(s.Trees)),
 	}
-	for _, b := range s.GMaps {
-		g, err := controller.ReadGMap(bytes.NewReader(b.Data))
-		if err != nil {
-			return nil, fmt.Errorf("fleet: tenant %s gmap: %w", s.ID, err)
-		}
-		art.GMaps[b.Key] = g
+	for _, ref := range s.GMaps {
+		d, _ := asDigest(ref.Digest)
+		logged.GMaps[ref.Key] = gmaps[d]
 	}
-	for _, b := range s.Trees {
-		jt, err := controller.ReadTreeJTilde(bytes.NewReader(b.Data))
-		if err != nil {
-			return nil, fmt.Errorf("fleet: tenant %s tree: %w", s.ID, err)
-		}
-		art.Trees[b.Key] = jt
+	for _, ref := range s.Trees {
+		d, _ := asDigest(ref.Digest)
+		logged.Trees[ref.Key] = trees[d]
 	}
-	t, err := newTenant(s.ID, s.Config, art)
+	t, err := newTenant(s.ID, s.Config, store, logged)
 	if err != nil {
 		return nil, err
 	}
 	for _, count := range s.Observations {
 		if _, err := t.observe(count); err != nil {
+			t.mgr.Release()
 			return nil, fmt.Errorf("fleet: tenant %s replay: %w", s.ID, err)
 		}
 	}

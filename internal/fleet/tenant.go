@@ -16,8 +16,10 @@ type TenantConfig struct {
 	// Spec is the tenant's cluster hardware.
 	Spec cluster.Spec
 	// Core configures the tenant's controller hierarchy. Seed drives all
-	// of the tenant's random streams; ArtifactDir (optional) shares the
-	// offline learning across tenants with identical hardware.
+	// of the tenant's random streams. The offline learning is shared by
+	// every tenant of the fleet with the same learning fingerprint
+	// regardless of ArtifactDir, which (optional) additionally caches it
+	// on disk across fleets and processes.
 	Core core.Config
 	// Store parameterizes the tenant's virtual object store, built from
 	// StoreSeed. Every tenant owns a private store: its temporal-locality
@@ -95,16 +97,25 @@ type tenant struct {
 	quarantined atomic.Bool
 }
 
-// newTenant builds a tenant's manager and session. A non-nil artifact set
-// (from a snapshot) skips the offline learning.
-func newTenant(id string, tc TenantConfig, art *core.ArtifactSet) (*tenant, error) {
+// newTenant builds a tenant's manager and session. The learned artifacts
+// come through the fleet's store — shared with every tenant of the same
+// fingerprint, learned only when the store does not hold them — except
+// those a snapshot log supplies in logged (nil on create), which are used
+// as logged. On error no store reference is left behind; the owner of a
+// built tenant releases them (mgr.Release) when it discards the tenant.
+func newTenant(id string, tc TenantConfig, artifacts *core.ArtifactStore, logged *core.ArtifactSet) (_ *tenant, err error) {
 	if tc.TelemetryRecords < 0 {
 		return nil, fmt.Errorf("fleet: tenant %s: telemetry records %d < 0", id, tc.TelemetryRecords)
 	}
-	mgr, err := core.NewManagerWithArtifacts(tc.Spec, tc.Core, art)
+	mgr, err := artifacts.NewManager(tc.Spec, tc.Core, logged)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: tenant %s: %w", id, err)
 	}
+	defer func() {
+		if err != nil {
+			mgr.Release()
+		}
+	}()
 	if tc.TelemetryRecords > 0 {
 		rec, err := obs.NewRecorder(tc.TelemetryRecords)
 		if err != nil {

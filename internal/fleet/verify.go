@@ -11,8 +11,11 @@ import (
 type VerifyReport struct {
 	// Frames is the number of complete, checksum-clean frames scanned.
 	Frames int
-	// BaseFrames/DeltaFrames/RemoveFrames break Frames down by kind.
-	BaseFrames, DeltaFrames, RemoveFrames int
+	// BaseFrames/DeltaFrames/RemoveFrames/ArtifactFrames break Frames down
+	// by kind. ArtifactFrames counts serialized learning artifacts — one
+	// per distinct content, not per tenant; zero in logs written before
+	// artifact frames existed (their base frames embed the blobs).
+	BaseFrames, DeltaFrames, RemoveFrames, ArtifactFrames int
 	// Tenants is the number of tenants live at the end of the log.
 	Tenants int
 	// Observations is the total observation-log length across live
@@ -29,9 +32,11 @@ type VerifyReport struct {
 
 // VerifyJournal scans a snapshot/journal log and checks every integrity
 // property the restore path relies on — the magic header, each frame's
-// length bound and CRC, base frames naming a tenant, delta frames
-// referencing a known tenant with no gap past the assembled log — without
-// building any tenant (no artifact decode, no replay), so it is cheap
+// length bound and CRC, artifact frames hashing to their digest, base
+// frames naming a tenant and referencing only artifacts already in the
+// log, delta frames referencing a known tenant with no gap past the
+// assembled log — without building any tenant (no artifact decode, no
+// replay), so it is cheap
 // enough to run against a large journal before trusting it. The scan is
 // read-only: the log is never modified.
 //

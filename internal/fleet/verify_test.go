@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"os"
 	"path/filepath"
@@ -100,7 +101,10 @@ func TestVerifyJournalClean(t *testing.T) {
 	if rep.BaseFrames < 4 { // 3 initial bases + b's quarantine re-base
 		t.Errorf("base frames = %d, want >= 4", rep.BaseFrames)
 	}
-	if rep.Frames != rep.BaseFrames+rep.DeltaFrames+rep.RemoveFrames {
+	if rep.ArtifactFrames != 1 { // three same-shape tenants, one learned map
+		t.Errorf("artifact frames = %d, want 1", rep.ArtifactFrames)
+	}
+	if rep.Frames != rep.BaseFrames+rep.DeltaFrames+rep.RemoveFrames+rep.ArtifactFrames {
 		t.Errorf("frame counts don't add up: %+v", rep)
 	}
 
@@ -140,6 +144,60 @@ func TestVerifyJournalTornTail(t *testing.T) {
 	}
 }
 
+// firstArtifactFrame returns the first artifact frame of a clean log.
+func firstArtifactFrame(t *testing.T, log []byte) logFrame {
+	t.Helper()
+	var art *logFrame
+	if _, err := foldLog(bytes.NewReader(log), func(fr *logFrame, _ []float64) {
+		if fr.Kind == frameArtifact && art == nil {
+			held := *fr
+			art = &held
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if art == nil {
+		t.Fatal("log holds no artifact frame")
+	}
+	return *art
+}
+
+// TestVerifyJournalArtifactFrames: artifact frames in places a healthy
+// journal never puts them must still get one verdict from both consumers
+// of the fold. A repeated artifact frame is idempotent (same digest, same
+// verified bytes) and changes nothing; an artifact frame written after a
+// torn frame cannot be reached — the torn frame's length header swallows
+// it — so the log is refused as corrupt, never half-read.
+func TestVerifyJournalArtifactFrames(t *testing.T) {
+	path, wantObs := buildVerifyJournal(t)
+	clean, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	art := firstArtifactFrame(t, clean)
+
+	dup := bytes.NewBuffer(append([]byte(nil), clean...))
+	if _, err := writeFrame(dup, &art); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := verifyAndRecover(t, "duplicate artifact frame", dup.Bytes())
+	if err != nil {
+		t.Fatalf("duplicate artifact frame refused: %v", err)
+	}
+	if rep.ArtifactFrames != 2 || rep.Tenants != 2 || rep.Observations != wantObs {
+		t.Errorf("duplicate artifact frame changed the fold: %+v", rep)
+	}
+
+	torn := bytes.NewBuffer(append([]byte(nil), clean[:len(clean)-7]...))
+	if _, err := writeFrame(torn, &art); err != nil {
+		t.Fatal(err)
+	}
+	rep, err = verifyAndRecover(t, "artifact frame after torn tail", torn.Bytes())
+	if err == nil || rep.TornTail {
+		t.Errorf("artifact frame after a torn frame: got report %+v, err %v; want corruption", rep, err)
+	}
+}
+
 // TestVerifyJournalCorruption feeds every defect the fold refuses — a
 // checksum mismatch on a complete frame, and each structural rule broken
 // by a well-formed frame appended to a clean log — to both of its
@@ -156,12 +214,24 @@ func TestVerifyJournalCorruption(t *testing.T) {
 	flipped := append([]byte(nil), clean...)
 	flipped[len(flipped)/2] ^= 0xff
 	cases := map[string][]byte{"crc flip": flipped}
+	absent := sha256.Sum256([]byte("no artifact frame holds this"))
+	art := firstArtifactFrame(t, clean)
+	wantErr := map[string]error{
+		"reference to missing artifact": errArtifactMissing,
+		"reference to wrong kind":       errArtifactMissing,
+		"artifact digest mismatch":      errArtifactDigest,
+		"artifact without digest":       errArtifactDigest,
+	}
 	for name, fr := range map[string]logFrame{
-		"delta gap":            {Kind: frameDelta, ID: "a", From: 99, Counts: []float64{400}},
-		"delta unknown tenant": {Kind: frameDelta, ID: "gone", From: 0, Counts: []float64{400}},
-		"base without tenant":  {Kind: frameBase},
-		"base with empty id":   {Kind: frameBase, Base: &tenantSnap{}},
-		"unknown kind":         {Kind: 9, ID: "a"},
+		"reference to missing artifact": {Kind: frameBase, Base: &tenantSnap{ID: "x", GMaps: []artifactRef{{Key: "k", Digest: absent[:]}}}},
+		"reference to wrong kind":       {Kind: frameBase, Base: &tenantSnap{ID: "x", Trees: []artifactRef{{Key: "k", Digest: art.Digest}}}},
+		"artifact digest mismatch":      {Kind: frameArtifact, Artifact: artifactGMap, Digest: absent[:], Data: []byte("other bytes")},
+		"artifact without digest":       {Kind: frameArtifact, Artifact: artifactGMap, Data: []byte("bytes")},
+		"delta gap":                     {Kind: frameDelta, ID: "a", From: 99, Counts: []float64{400}},
+		"delta unknown tenant":          {Kind: frameDelta, ID: "gone", From: 0, Counts: []float64{400}},
+		"base without tenant":           {Kind: frameBase},
+		"base with empty id":            {Kind: frameBase, Base: &tenantSnap{}},
+		"unknown kind":                  {Kind: 9, ID: "a"},
 	} {
 		buf := bytes.NewBuffer(append([]byte(nil), clean...))
 		if _, err := writeFrame(buf, &fr); err != nil {
@@ -176,6 +246,9 @@ func TestVerifyJournalCorruption(t *testing.T) {
 		}
 		if rep.TornTail {
 			t.Errorf("%s: corruption misreported as a torn tail", name)
+		}
+		if want := wantErr[name]; want != nil && !errors.Is(err, want) {
+			t.Errorf("%s: got %v, want %v", name, err, want)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package hierctl
 import (
 	"fmt"
 	"math"
-	"os"
 	"runtime"
 	"time"
 
@@ -264,11 +263,11 @@ func RunTickBench(decisions, tenants int) (TickBenchSnapshot, error) {
 
 // benchTenantShape is the tenant both fleet benchmarks host: one module
 // under a coarse learning grid, a small object store sized to it
-// (objects, a tenth of them popular), 30 s bins, and artifacts cached in
-// dir so the first tenant learns and the identical-hardware rest load.
+// (objects, a tenth of them popular) and 30 s bins; the fleet's artifact
+// store makes the first tenant learn and the identical-hardware rest share.
 // The shapes differ only in depth: the module, the L0 lookahead horizon
 // and the L1/L2 periods.
-func benchTenantShape(seed int64, dir string, module cluster.ModuleSpec, objects, l0Horizon int, l1Period, l2Period float64) fleet.TenantConfig {
+func benchTenantShape(seed int64, module cluster.ModuleSpec, objects, l0Horizon int, l1Period, l2Period float64) fleet.TenantConfig {
 	storeCfg := workload.DefaultStoreConfig()
 	storeCfg.Objects = objects
 	storeCfg.PopularCount = objects / 10
@@ -292,7 +291,6 @@ func benchTenantShape(seed int64, dir string, module cluster.ModuleSpec, objects
 		CLevels:      []float64{0.018},
 		Tree:         approx.TreeConfig{MaxDepth: 6, MinLeaf: 1},
 	}
-	cfg.ArtifactDir = dir
 	return fleet.TenantConfig{
 		Spec:       cluster.Spec{Modules: []cluster.ModuleSpec{module}},
 		Core:       cfg,
@@ -305,28 +303,22 @@ func benchTenantShape(seed int64, dir string, module cluster.ModuleSpec, objects
 // benchTenantConfig is the tick bench's fleet-row tenant — the per-tenant
 // depth benchmark: the §4.3 standard module, a horizon-2 L0 and the
 // paper's 120 s L1/L2 cadence.
-func benchTenantConfig(seed int64, dir string) (fleet.TenantConfig, error) {
+func benchTenantConfig(seed int64) (fleet.TenantConfig, error) {
 	module, err := cluster.StandardModule("M1", "M1")
 	if err != nil {
 		return fleet.TenantConfig{}, err
 	}
-	return benchTenantShape(seed, dir, module, 500, 2, 120, 120), nil
+	return benchTenantShape(seed, module, 500, 2, 120, 120), nil
 }
 
 // runFleetTick steps `tenants` concurrent tenant hierarchies `bins` times
 // each and reports tenant-ticks/sec, mirroring BenchmarkFleet64Tenants.
 func runFleetTick(tenants, bins int) (TickBenchRow, error) {
-	dir, err := os.MkdirTemp("", "hpm-tickbench-")
-	if err != nil {
-		return TickBenchRow{}, err
-	}
-	defer os.RemoveAll(dir)
-
 	f := fleet.New(fleet.Config{})
 	defer f.Close()
 	ids := make([]string, tenants)
 	for i := range ids {
-		tc, err := benchTenantConfig(int64(i+1), dir)
+		tc, err := benchTenantConfig(int64(i + 1))
 		if err != nil {
 			return TickBenchRow{}, err
 		}
@@ -336,7 +328,7 @@ func runFleetTick(tenants, bins int) (TickBenchRow, error) {
 		}
 	}
 	start := time.Now()
-	err = par.For(runtime.GOMAXPROCS(0), tenants, func(i int) error {
+	err := par.For(runtime.GOMAXPROCS(0), tenants, func(i int) error {
 		for n := 0; n < bins; n++ {
 			if _, err := f.Observe(ids[i], 400); err != nil {
 				return err
