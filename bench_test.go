@@ -22,6 +22,7 @@ import (
 
 	"hierctl/internal/cluster"
 	"hierctl/internal/controller"
+	"hierctl/internal/fleet"
 	"hierctl/internal/forecast"
 	"hierctl/internal/queue"
 )
@@ -428,6 +429,32 @@ func BenchmarkTickTableProbe(b *testing.B) {
 		}
 	}
 }
+
+func benchmarkTickBin(b *testing.B, config func(int64) (fleet.TenantConfig, error)) {
+	tc, err := config(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sess, err := newTickBinSession(tc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 2*len(tickBinCounts); i++ {
+		if err := driveTickBin(sess, i); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := driveTickBin(sess, i); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkTickBinScale(b *testing.B) { benchmarkTickBin(b, fleetScaleTenantConfig) }
+func BenchmarkTickBinDepth(b *testing.B) { benchmarkTickBin(b, benchTenantConfig) }
 
 // Micro-benchmarks of the hot paths.
 

@@ -191,7 +191,7 @@ func TestRunTickBenchSnapshot(t *testing.T) {
 	if err := run([]string{"-snapshot", "tick", "-out", path}, &out); err != nil {
 		t.Fatal(err)
 	}
-	for _, frag := range []string{"Decision tick", "L0-decide", "L1-decide", "L2-decide", "table-probe", "fleet-64", "tenant-ticks/sec", "snapshot written", "deterministic columns: allocsPerDecision bytesPerDecision"} {
+	for _, frag := range []string{"Decision tick", "L0-decide", "L1-decide", "L2-decide", "table-probe", "bin-scale", "bin-depth", "fleet-64", "tenant-ticks/sec", "snapshot written", "deterministic columns: allocsPerDecision bytesPerDecision"} {
 		if !strings.Contains(out.String(), frag) {
 			t.Errorf("output missing %q:\n%s", frag, out.String())
 		}
@@ -209,7 +209,9 @@ func TestRunTickBenchSnapshot(t *testing.T) {
 	if err := json.Unmarshal(data, &snap); err != nil {
 		t.Fatal(err)
 	}
-	want := map[string]float64{"L0-decide": 0, "L1-decide": 2, "L2-decide": 2, "table-probe": 0, "fleet-64": -1}
+	// bin-*: the returned decision (Modules + four slices) and, on the
+	// §4.3-module tenant's 120 s L1 cadence, half an L1 copy-out per bin.
+	want := map[string]float64{"L0-decide": 0, "L1-decide": 2, "L2-decide": 2, "table-probe": 0, "bin-scale": 5, "bin-depth": 6, "fleet-64": -1}
 	for _, r := range snap.Rows {
 		if w, ok := want[r.Level]; !ok || r.AllocsPerDecision != w {
 			t.Errorf("row %s: %v allocs/decision, want %v", r.Level, r.AllocsPerDecision, want[r.Level])

@@ -80,15 +80,20 @@ type server struct {
 	qosViolations  *metrics.CounterVec
 	degradedTicks  *metrics.CounterVec
 	staleObs       *metrics.CounterVec
-	// Per-level decision telemetry folded in from the flight recorders.
-	levelDecide   *metrics.HistogramVec
-	levelExplored *metrics.HistogramVec
+	// Per-level decision telemetry folded in from the flight recorders,
+	// and the records the drain never saw because a ring wrapped between
+	// two scrapes (the two histograms undercount by exactly these).
+	levelDecide      *metrics.HistogramVec
+	levelExplored    *metrics.HistogramVec
+	telemetryDropped metrics.Counter
 
 	// cursors tracks, per tenant, how far the scrape-time drain has read
-	// each flight recorder (guarded by mu; scrapes may race tenant
-	// deletion).
-	mu      sync.Mutex
-	cursors map[string]uint64
+	// each flight recorder, and drainBuf is the one buffer every drain
+	// copies new records into (both guarded by mu, which serializes
+	// drains; scrapes may race tenant deletion).
+	mu       sync.Mutex
+	cursors  map[string]uint64
+	drainBuf []obs.Record
 }
 
 func newServer(f *hierctl.Fleet, telemetryRecords int) *server {
@@ -176,6 +181,8 @@ func newServer(f *hierctl.Fleet, telemetryRecords int) *server {
 	s.levelExplored = mustHistogram("hpmserve_level_explored",
 		"States explored per decision from the flight recorders, per hierarchy level.",
 		[]float64{1, 10, 100, 1e3, 1e4, 1e5}, "level")
+	s.telemetryDropped = mustCounter("hpmserve_telemetry_dropped_records_total",
+		"Flight-recorder records overwritten before a scrape drained them; hpmserve_level_decide_seconds, hpmserve_level_explored and the per-tenant tick counters miss exactly these.").With()
 	return s
 }
 
@@ -823,17 +830,23 @@ func (s *server) setArtifactStats(kind string, ks hierctl.ArtifactKindStats) {
 // the last scrape into the per-level and per-tenant series. Detail
 // records (per-computer rows under an L1 summary, per-module rows under
 // an L2 summary) carry no timing of their own and are skipped; if the
-// ring wrapped between scrapes the gap is simply lost, matching the
-// recorder's bounded-window contract.
+// ring wrapped between scrapes the gap is lost, matching the recorder's
+// bounded-window contract, and counted in
+// hpmserve_telemetry_dropped_records_total.
 func (s *server) drainTelemetry(id string) {
 	// The lock spans the read-drain-advance sequence so concurrent scrapes
-	// cannot double-count the same window.
+	// cannot double-count the same window, and it is what lets every
+	// drain share drainBuf.
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	recs, next, err := s.fleet.TelemetrySince(id, s.cursors[id])
-	if err != nil || next == s.cursors[id] {
+	recs, next, dropped, err := s.fleet.TelemetryInto(s.drainBuf[:0], id, s.cursors[id])
+	if err != nil {
+		// An abandoned shard job may still write the buffer: let it go.
+		s.drainBuf = nil
 		return
 	}
+	s.drainBuf = recs
+	s.telemetryDropped.Add(float64(dropped))
 	for _, rec := range recs {
 		switch rec.Level {
 		case obs.LevelTick:

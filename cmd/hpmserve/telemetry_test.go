@@ -160,3 +160,52 @@ func TestServerMetricsTelemetry(t *testing.T) {
 		t.Error("tenant gauge did not drop to 0")
 	}
 }
+
+// TestServerMetricsCountDroppedTelemetry: when a tenant's flight-recorder
+// ring wraps between two scrapes the drain can only fold what the ring
+// still holds — and must say how much it missed, so the per-level
+// histograms' undercount is visible. With a 64-record ring, the records
+// the drains folded plus hpmserve_telemetry_dropped_records_total account
+// for every record the tenant ever wrote.
+func TestServerMetricsCountDroppedTelemetry(t *testing.T) {
+	const ring = 64
+	f := hierctl.NewFleet(hierctl.FleetConfig{Shards: 1})
+	t.Cleanup(f.Close)
+	h := newServer(f, ring).routes()
+	createFastTenant(t, h, "small")
+
+	dropped := func(body string) uint64 {
+		m := regexp.MustCompile(`(?m)^hpmserve_telemetry_dropped_records_total (\d+)$`).FindStringSubmatch(body)
+		if m == nil {
+			t.Fatalf("no unlabelled hpmserve_telemetry_dropped_records_total in:\n%s", body)
+		}
+		n, _ := strconv.ParseUint(m[1], 10, 64)
+		return n
+	}
+	body := scrape(t, h)
+	if err := metrics.LintPromText(strings.NewReader(body)); err != nil {
+		t.Fatalf("metrics output fails the exposition linter: %v", err)
+	}
+	if n := dropped(body); n != 0 {
+		t.Fatalf("dropped = %d before any observation", n)
+	}
+
+	var folded uint64
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 40; i++ { // far more than 64 records between scrapes
+			doJSON(t, h, http.MethodPost, "/v1/tenants/small/observe", `{"count":300}`, http.StatusOK)
+		}
+		_, before, err := f.Telemetry("small", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body = scrape(t, h)
+		folded += ring
+		if got, want := dropped(body), before-folded; got != want {
+			t.Fatalf("round %d: dropped %d, want %d (%d records written, %d folded)", round, got, want, before, folded)
+		}
+	}
+	if again := dropped(scrape(t, h)); again != dropped(body) {
+		t.Errorf("idle rescrape moved the dropped count %d -> %d", dropped(body), again)
+	}
+}

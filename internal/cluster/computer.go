@@ -154,9 +154,14 @@ type Computer struct {
 	bootDoneAt float64
 	freqIdx    int
 
+	// queue is a power-of-two ring of the FCFS backlog: job i (0 = in
+	// service) lives at queue[(head+i)&(len(queue)-1)], i < count. Memory
+	// is bounded by the peak backlog, not by the jobs served since the
+	// computer last idled.
 	queue      []job
 	head       int
-	headServed float64 // full-speed seconds already served on queue[head]
+	count      int
+	headServed float64 // full-speed seconds already served on the head job
 
 	now float64
 
@@ -201,7 +206,7 @@ func (c *Computer) FrequencyIndex() int { return c.freqIdx }
 func (c *Computer) Phi() float64 { return c.spec.Phi(c.freqIdx) }
 
 // QueueLen returns the number of queued (incl. in-service) requests.
-func (c *Computer) QueueLen() int { return len(c.queue) - c.head }
+func (c *Computer) QueueLen() int { return c.count }
 
 // Accepting reports whether the dispatcher may route new requests here:
 // true while On or Booting (work queues behind the boot, §4.2's
@@ -295,11 +300,10 @@ func (c *Computer) PowerOff() error {
 // Fail crashes the computer at time now: the queue is lost (counted as
 // drops) and the node goes dark until Repair.
 func (c *Computer) Fail() {
-	lost := c.QueueLen()
+	lost := c.count
 	c.dropped += lost
 	c.totalDropped += int64(lost)
-	c.queue = c.queue[:0]
-	c.head = 0
+	c.head, c.count = 0, 0
 	c.headServed = 0
 	c.state = Failed
 }
@@ -316,9 +320,31 @@ func (c *Computer) Repair() {
 // Requests may be enqueued in any state — the dispatcher is responsible
 // for routing only to Accepting computers; a guard here would hide
 // dispatcher bugs.
+//
+//hpm:hotpath
 func (c *Computer) Enqueue(arrival, demand float64) {
-	c.queue = append(c.queue, job{arrival: arrival, demand: demand})
+	if c.count == len(c.queue) {
+		c.growQueue()
+	}
+	c.queue[(c.head+c.count)&(len(c.queue)-1)] = job{arrival: arrival, demand: demand}
+	c.count++
 	c.arrived++
+}
+
+// queueMinCap is the ring's first capacity (a power of two).
+const queueMinCap = 16
+
+// growQueue doubles the full ring, unrolling it so the backlog sits in
+// FCFS order from index 0.
+func (c *Computer) growQueue() {
+	n := 2 * len(c.queue)
+	if n < queueMinCap {
+		n = queueMinCap
+	}
+	grown := make([]job, n)
+	k := copy(grown, c.queue[c.head:])
+	copy(grown[k:], c.queue[:c.head])
+	c.queue, c.head = grown, 0
 }
 
 // effectiveRate returns demand-units served per second at the current
@@ -372,9 +398,11 @@ func (c *Computer) observePower(acct *power.Accountant, w float64) {
 // serve processes the FCFS queue from c.now to t1 at the current rate.
 // On return c.now is the time service stopped (t1, or earlier if the
 // queue drained).
+//
+//hpm:hotpath
 func (c *Computer) serve(t1 float64) {
 	rate := c.effectiveRate()
-	for c.head < len(c.queue) {
+	for c.count > 0 {
 		j := &c.queue[c.head]
 		start := c.now
 		if j.arrival > start {
@@ -389,7 +417,8 @@ func (c *Computer) serve(t1 float64) {
 			c.busySeconds += done - start
 			c.recordCompletion(done-j.arrival, j.demand)
 			c.now = done
-			c.head++
+			c.head = (c.head + 1) & (len(c.queue) - 1)
+			c.count--
 			c.headServed = 0
 		} else {
 			served := (t1 - start) * rate
@@ -405,7 +434,6 @@ func (c *Computer) serve(t1 float64) {
 	if c.now < t1 {
 		c.now = t1
 	}
-	c.compact()
 }
 
 func (c *Computer) recordCompletion(response, demand float64) {
@@ -420,23 +448,6 @@ func (c *Computer) recordCompletion(response, demand float64) {
 	}
 	c.demandSum += demand
 	c.totalCompleted++
-}
-
-// compact reclaims served queue prefix storage.
-func (c *Computer) compact() {
-	if c.head == 0 {
-		return
-	}
-	if c.head == len(c.queue) {
-		c.queue = c.queue[:0]
-		c.head = 0
-		return
-	}
-	if c.head > 1024 && c.head > len(c.queue)/2 {
-		n := copy(c.queue, c.queue[c.head:])
-		c.queue = c.queue[:n]
-		c.head = 0
-	}
 }
 
 // TakeIntervalStats returns the statistics accumulated since the previous

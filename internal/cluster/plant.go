@@ -216,7 +216,10 @@ func (p *Plant) Repair(i, j int) error {
 // controller). Fractions are normalized internally; a request whose chosen
 // target is not accepting falls back to any accepting computer (counted in
 // Misroutes); if nothing accepts, the request queues on the target anyway
-// — the global buffer never drops work.
+// — the global buffer never drops work. Requests are copied into the
+// computers' queues; reqs is not retained.
+//
+//hpm:hotpath
 func (p *Plant) Dispatch(reqs []workload.Request, gammaModules []float64, gammaComputers [][]float64) error {
 	if len(gammaModules) != len(p.modules) {
 		return fmt.Errorf("cluster: %d module fractions for %d modules", len(gammaModules), len(p.modules))
@@ -335,12 +338,27 @@ func (p *Plant) OperationalComputers() int {
 
 // ModuleIntervalStats harvests and aggregates the interval statistics of
 // module i's computers. The per-computer stats are returned alongside the
-// aggregate (Eq. 9's abstraction map Ψ inputs).
+// aggregate (Eq. 9's abstraction map Ψ inputs). It is the allocating
+// wrapper over ModuleIntervalStatsInto.
 func (p *Plant) ModuleIntervalStats(i int) (agg IntervalStats, per []IntervalStats, err error) {
+	return p.ModuleIntervalStatsInto(i, nil)
+}
+
+// ModuleIntervalStatsInto is ModuleIntervalStats harvesting into the
+// caller's buffer: the per-computer stats overwrite dst (grown only when
+// its capacity is short of the module size) and are returned as per, so a
+// caller that passes the previous call's per back harvests without
+// allocating.
+//
+//hpm:hotpath
+func (p *Plant) ModuleIntervalStatsInto(i int, dst []IntervalStats) (agg IntervalStats, per []IntervalStats, err error) {
 	if i < 0 || i >= len(p.modules) {
 		return IntervalStats{}, nil, fmt.Errorf("cluster: module index %d outside [0, %d)", i, len(p.modules))
 	}
-	per = make([]IntervalStats, len(p.modules[i]))
+	if cap(dst) < len(p.modules[i]) {
+		dst = make([]IntervalStats, len(p.modules[i])) //hpm:alloc first harvest into a caller buffer; module sizes are fixed, so once per module
+	}
+	per = dst[:len(p.modules[i])]
 	var respSum, demandSum float64
 	var respN, demandN int
 	for j, c := range p.modules[i] {

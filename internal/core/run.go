@@ -101,6 +101,18 @@ type run struct {
 	l2QAvg  []float64
 	l2CHat  []float64
 	l2Avail []bool
+
+	// Decide scratch, sized once in initPolicy and reused every tick: the
+	// per-module L1 plans, the equal-share module split in force before
+	// the first L2 decision, and the dispatch weights. The harness hands
+	// the weights to Plant.Dispatch, which reads and never retains them.
+	plans       []l1Plan
+	equalShares []float64
+	weights     [][]float64
+
+	// last is the decision in force after the most recent cleanly applied
+	// bin, refreshed in place by refreshDecision (see Session.Decision).
+	last BinDecision
 }
 
 // capacities returns relative capacity weights used for seed allocations.
@@ -125,6 +137,8 @@ func (r *run) Init(p *cluster.Plant) error { return r.initPolicy(p) }
 // harness applies it ahead of the controllers, matching the event
 // calendar's replay order); the returned fractions dispatch this step's
 // arrivals.
+//
+//hpm:hotpath
 func (r *run) Decide(k int, obs engine.TickObs) (engine.Settings, error) {
 	m := r.m
 	degraded := false
@@ -150,12 +164,20 @@ func (r *run) Decide(k int, obs engine.TickObs) (engine.Settings, error) {
 	// keeping the run bit-identical to the sequential engine. Errors are
 	// captured in the plans — the closures always return nil, so par.For
 	// never early-exits and every module's estimator folds still run.
+	// One worker (every fleet tenant) is the plain loop par.For would
+	// degenerate to, without its closure.
 	if k%r.l1Every == 0 {
-		plans := make([]l1Plan, len(m.modules))
-		_ = par.For(r.workers, len(m.modules), func(i int) error {
-			plans[i] = r.planL1Guarded(i, k)
-			return nil
-		})
+		plans := r.plans
+		if r.workers == 1 {
+			for i := range m.modules {
+				plans[i] = r.planL1Guarded(i, k)
+			}
+		} else {
+			_ = par.For(r.workers, len(m.modules), func(i int) error { //hpm:alloc fan-out closure; the parallel path trades a per-call alloc for wall-clock
+				plans[i] = r.planL1Guarded(i, k)
+				return nil
+			})
+		}
 		for i := range m.modules {
 			if plans[i].err != nil {
 				if !degradable(plans[i].err) {
@@ -198,26 +220,22 @@ func (r *run) Decide(k int, obs engine.TickObs) (engine.Settings, error) {
 	}
 	gm := r.gammaModules
 	if gm == nil {
-		gm = make([]float64, len(m.modules))
-		for i := range gm {
-			gm[i] = 1 / float64(len(gm))
-		}
+		gm = r.equalShares
 	}
-	gc := make([][]float64, len(m.modules))
 	for i, asm := range m.modules {
-		weights := make([]float64, len(asm.specs))
+		weights := r.weights[i]
 		for j := range asm.specs {
 			comp, err := r.plant.Computer(i, j)
 			if err != nil {
 				return engine.Settings{}, err
 			}
+			weights[j] = 0
 			if comp.State() == cluster.PowerOn {
 				weights[j] = asm.gamma[j]
 			}
 		}
-		gc[i] = weights
 	}
-	return engine.Settings{GammaModules: gm, GammaComputers: gc, Degraded: degraded}, nil
+	return engine.Settings{GammaModules: gm, GammaComputers: r.weights, Degraded: degraded}, nil
 }
 
 // decideL2Guarded is decideL2 with panic recovery: a panicking search is
@@ -556,7 +574,11 @@ func (r *run) recordFreq(name string, hz float64) {
 }
 
 // Observe implements engine.Policy: fold the plant interval the harness
-// just harvested into the estimators and records.
+// just harvested into the estimators and records. asm.lastPer aliases the
+// harness's harvest buffer, which stays valid through the next Decide —
+// the only reader — and is overwritten by the harvest after it.
+//
+//hpm:hotpath
 func (r *run) Observe(k int, stats []engine.ModuleStats) error {
 	m := r.m
 	var respSum float64

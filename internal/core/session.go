@@ -252,38 +252,77 @@ func (r *run) initPolicy(plant *cluster.Plant) error {
 		}
 	}
 	r.freqIdx = make([][]int, len(m.modules))
+	r.plans = make([]l1Plan, len(m.modules))
+	r.equalShares = make([]float64, len(m.modules))
+	r.weights = make([][]float64, len(m.modules))
+	r.last.Modules = make([]ModuleDecision, len(m.modules))
 	for i, asm := range m.modules {
 		r.freqIdx[i] = make([]int, len(asm.specs))
 		for j := range r.freqIdx[i] {
 			r.freqIdx[i][j] = -1
 		}
+		r.equalShares[i] = 1 / float64(len(m.modules))
+		r.weights[i] = make([]float64, len(asm.specs))
 	}
 	return nil
 }
 
 // ObserveBin ingests the next observation bin's arrival count, advances
 // the hierarchy through the bin's T_L0 control periods against the
-// synthesized requests, and returns the decisions now in force.
+// synthesized requests, and returns the decisions now in force: StepBin
+// followed by Decision.
 func (s *Session) ObserveBin(count float64) (BinDecision, error) {
+	if err := s.StepBin(count); err != nil {
+		return BinDecision{}, err
+	}
+	return s.Decision(), nil
+}
+
+// StepBin is ObserveBin without the decision payload: it ingests the bin
+// and steps the hierarchy through it, allocating nothing in steady state
+// beyond the controllers' own decision copy-outs. Callers that need the
+// decisions in force read them with Decision, once, where they escape.
+func (s *Session) StepBin(count float64) error {
 	if s.finished {
-		return BinDecision{}, fmt.Errorf("core: session already finished")
+		return fmt.Errorf("core: session already finished")
 	}
 	r := s.r
 	if r.trace != nil && s.h.Bins() >= r.trace.Len() {
-		return BinDecision{}, fmt.Errorf("core: trace exhausted at bin %d", s.h.Bins())
+		return fmt.Errorf("core: trace exhausted at bin %d", s.h.Bins())
 	}
 	if err := s.h.PushBin(count); err != nil {
-		return BinDecision{}, err
+		return err
 	}
 	if r.observed != nil {
 		r.observed.Values = append(r.observed.Values, count)
 	}
 	for d := 0; d < r.sub; d++ {
 		if err := s.h.Tick(); err != nil {
-			return BinDecision{}, err
+			return err
 		}
 	}
-	return r.binDecision(s.h.Bins() - 1), nil
+	r.refreshDecision(s.h.Bins() - 1)
+	return nil
+}
+
+// Decision returns the decisions in force after the most recent bin that
+// stepped cleanly (bin 0 with empty settings before the first) — a bin
+// that errored or panicked mid-step leaves it at its predecessor's. The
+// result owns its slices, so it may leave the session's goroutine.
+func (s *Session) Decision() BinDecision {
+	last := &s.r.last
+	d := *last
+	d.GammaModules = append([]float64(nil), last.GammaModules...)
+	d.Modules = make([]ModuleDecision, len(last.Modules))
+	for i, md := range last.Modules {
+		d.Modules[i] = ModuleDecision{
+			Alpha:   append([]bool(nil), md.Alpha...),
+			Gamma:   append([]float64(nil), md.Gamma...),
+			FreqIdx: append([]int(nil), md.FreqIdx...),
+			FreqHz:  append([]float64(nil), md.FreqHz...),
+		}
+	}
+	return d
 }
 
 // Progress reports how far the session has advanced: observation bins
@@ -315,31 +354,28 @@ func (s *Session) Finish() (*Record, error) {
 	return rec, nil
 }
 
-// binDecision assembles the decision payload after a bin's steps ran.
-func (r *run) binDecision(bin int) BinDecision {
+// refreshDecision rewrites r.last, in place, with the decision payload
+// after bin's steps ran.
+func (r *run) refreshDecision(bin int) {
 	m := r.m
-	d := BinDecision{
-		Bin:         bin,
-		Time:        r.start0 + float64(bin+1)*r.binStep,
-		Operational: r.plant.OperationalComputers(),
-		Modules:     make([]ModuleDecision, len(m.modules)),
-	}
-	if r.gammaModules != nil {
-		d.GammaModules = append([]float64(nil), r.gammaModules...)
-	}
+	d := &r.last
+	d.Bin = bin
+	d.Time = r.start0 + float64(bin+1)*r.binStep
+	d.Operational = r.plant.OperationalComputers()
+	d.GammaModules = append(d.GammaModules[:0], r.gammaModules...)
 	for i, asm := range m.modules {
-		md := ModuleDecision{
-			Alpha:   append([]bool(nil), asm.alpha...),
-			Gamma:   append([]float64(nil), asm.gamma...),
-			FreqIdx: append([]int(nil), r.freqIdx[i]...),
-			FreqHz:  make([]float64, len(asm.specs)),
-		}
+		md := &d.Modules[i]
+		md.Alpha = append(md.Alpha[:0], asm.alpha...)
+		md.Gamma = append(md.Gamma[:0], asm.gamma...)
+		md.FreqIdx = append(md.FreqIdx[:0], r.freqIdx[i]...)
+		md.FreqHz = md.FreqHz[:0]
 		for j, idx := range md.FreqIdx {
+			hz := 0.0
 			if idx >= 0 {
-				md.FreqHz[j] = asm.specs[j].FrequenciesHz[idx]
+				hz = asm.specs[j].FrequenciesHz[idx]
 			}
+			md.FreqHz = append(md.FreqHz, hz)
 		}
-		d.Modules[i] = md
 	}
 	// Mean response over the bin's completed T_L0 intervals.
 	vals := r.rec.ResponseMean.Values
@@ -354,8 +390,8 @@ func (r *run) binDecision(bin int) BinDecision {
 			cnt++
 		}
 	}
+	d.MeanResponse = 0
 	if cnt > 0 {
 		d.MeanResponse = sum / float64(cnt)
 	}
-	return d
 }

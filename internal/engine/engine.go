@@ -121,7 +121,11 @@ type Harness struct {
 	ring [][]workload.Request // SpreadBinRing: one slot per tick of a bin
 	flat [][]workload.Request // SpreadRunArray: one slot per tick of the run
 
-	stats    []ModuleStats
+	stats []ModuleStats
+	// per holds the harness-owned harvest buffers, one per module:
+	// stats[i].Per aliases per[i] unless the injector or sanitizer
+	// substituted its own stash/last-good buffer for the tick.
+	per      [][]cluster.IntervalStats
 	spilled  int64
 	finished bool
 
@@ -179,6 +183,10 @@ func New(cfg Config, store *workload.Store, p Policy) (*Harness, error) {
 		sub:    sub,
 		steps:  cfg.TotalBins * sub,
 		stats:  make([]ModuleStats, len(cfg.Spec.Modules)),
+		per:    make([][]cluster.IntervalStats, len(cfg.Spec.Modules)),
+	}
+	for i, m := range cfg.Spec.Modules {
+		h.per[i] = make([]cluster.IntervalStats, len(m.Computers))
 	}
 	if cfg.Spread == SpreadBinRing {
 		h.ring = make([][]workload.Request, sub)
@@ -222,7 +230,7 @@ func New(cfg Config, store *workload.Store, p Policy) (*Harness, error) {
 		}
 		for i := range cfg.Spec.Modules {
 			// Discard boot-interval stats.
-			if _, _, err := plant.ModuleIntervalStats(i); err != nil {
+			if _, _, err := plant.ModuleIntervalStatsInto(i, h.per[i]); err != nil {
 				return nil, err
 			}
 		}
@@ -307,6 +315,8 @@ func (h *Harness) PushBin(count float64) error {
 // spread maps one bin's requests onto the tick grid, rebasing arrival
 // times onto the simulation clock (workload time zero is the end of the
 // boot pre-roll; traces sliced mid-day have a non-zero Start).
+//
+//hpm:hotpath
 func (h *Harness) spread(bin int, reqs []workload.Request) {
 	binStart := h.cfg.Start + float64(bin)*h.cfg.BinSeconds
 	for _, req := range reqs {
@@ -341,9 +351,10 @@ func (h *Harness) pending(k int) []workload.Request {
 }
 
 // clearPending consumes tick k's batch. Ring slots keep their capacity —
-// Dispatch copies requests into the computer queues, so the batch never
-// escapes, and a long-running session would otherwise reallocate the
-// slot's backing array every bin. Flat slots are one-shot per run and are
+// Dispatch copies each request's arrival and demand into the computers'
+// queues (cluster.Computer.Enqueue takes them by value), so the batch
+// never escapes, and a long-running session would otherwise reallocate
+// the slot's backing array every bin. Flat slots are one-shot per run and are
 // released so a batch run's memory falls as it drains.
 func (h *Harness) clearPending(k int) {
 	if h.cfg.Spread == SpreadBinRing {
@@ -356,7 +367,11 @@ func (h *Harness) clearPending(k int) {
 // Tick advances one control period: planned failures fire at the boundary,
 // the policy decides, the tick's arrivals dispatch under the returned
 // fractions, the plant advances through the period, and the harvested
-// interval statistics go back to the policy.
+// interval statistics go back to the policy. The harvest reuses
+// harness-owned buffers, so a steady-state tick allocates nothing outside
+// the policy's own Decide/Observe.
+//
+//hpm:hotpath
 func (h *Harness) Tick() error {
 	if h.finished {
 		return fmt.Errorf("engine: harness already finished")
@@ -402,7 +417,7 @@ func (h *Harness) Tick() error {
 	}
 	completedBefore, respBefore := h.cumCompleted, h.cumRespSum
 	for i := range h.stats {
-		agg, per, err := h.plant.ModuleIntervalStats(i)
+		agg, per, err := h.plant.ModuleIntervalStatsInto(i, h.per[i])
 		if err != nil {
 			return err
 		}

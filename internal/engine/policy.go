@@ -68,7 +68,11 @@ type Policy interface {
 	// cadence) and returns the dispatch fractions for the tick's arrivals.
 	Decide(tick int, obs TickObs) (Settings, error)
 	// Observe folds the tick's harvested plant statistics into the
-	// policy's estimators and records.
+	// policy's estimators and records. stats and every stats[i].Per are
+	// harness-owned buffers, valid until the next Tick's harvest
+	// overwrites them: a policy may keep them across its next Decide
+	// (which runs before that harvest) but must copy anything it needs
+	// longer.
 	Observe(tick int, stats []ModuleStats) error
 }
 

@@ -1,0 +1,145 @@
+package fleet
+
+import (
+	"fmt"
+	"testing"
+
+	"hierctl/internal/cluster"
+	"hierctl/internal/obs"
+)
+
+// TestTelemetryIntoZeroAlloc: a poller that hands its buffer back reads a
+// tenant's new flight-recorder records without allocating for them — the
+// records land in the caller's buffer, and a full-ring read costs exactly
+// the allocations of an empty one (the shard hop's completion channel and
+// closures, which are per call, not per record).
+func TestTelemetryIntoZeroAlloc(t *testing.T) {
+	const ring = 256
+	f := New(Config{Shards: 1})
+	defer f.Close()
+	if err := f.CreateTenant("rec", telemetryTenantConfig(ring)); err != nil {
+		t.Fatal(err)
+	}
+	step := func() {
+		if _, err := f.Observe("rec", 600); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 100; i++ { // wrap the ring
+		step()
+	}
+	buf := make([]obs.Record, 0, ring)
+	recs, cursor, dropped, err := f.TelemetryInto(buf, "rec", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != ring {
+		t.Fatalf("full read returned %d records, want the whole %d-record ring", len(recs), ring)
+	}
+	if &recs[0] != &buf[:1][0] {
+		t.Fatal("the records were not read into the caller's buffer")
+	}
+	if want := cursor - ring; dropped != want {
+		t.Fatalf("dropped %d, want %d (cursor %d past a %d-record ring)", dropped, want, cursor, ring)
+	}
+	empty := testing.AllocsPerRun(50, func() {
+		if _, _, _, err := f.TelemetryInto(buf[:0], "rec", cursor); err != nil {
+			t.Fatal(err)
+		}
+	})
+	full := testing.AllocsPerRun(50, func() {
+		got, _, _, err := f.TelemetryInto(buf[:0], "rec", 0)
+		if err != nil || len(got) != ring {
+			t.Fatalf("full read: %d records, err %v", len(got), err)
+		}
+	})
+	if full != empty {
+		t.Fatalf("reading %d records costs %v allocs, an empty read %v: the records are being allocated for", ring, full, empty)
+	}
+
+	// The next poll sees only what was written since, nothing dropped.
+	step()
+	recs, next, dropped, err := f.TelemetryInto(buf[:0], "rec", cursor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if uint64(len(recs)) != next-cursor || dropped != 0 || len(recs) == 0 {
+		t.Fatalf("incremental read: %d records for cursor %d -> %d, dropped %d", len(recs), cursor, next, dropped)
+	}
+	// TelemetrySince is the same read into a fresh slice.
+	since, next2, err := f.TelemetrySince("rec", cursor)
+	if err != nil || next2 != next || len(since) != len(recs) {
+		t.Fatalf("TelemetrySince: %d records, cursor %d, err %v; want %d, %d", len(since), next2, err, len(recs), next)
+	}
+	for i := range since {
+		if since[i] != recs[i] {
+			t.Fatalf("TelemetrySince record %d differs from TelemetryInto's", i)
+		}
+	}
+}
+
+// TestObserveBatchAllocsPerEntry: a batch call's allocations are bounded
+// per call and per entry, not per bin. Deepening every entry from 1 bin
+// to 33 may add only what the controllers' own decision copy-outs cost
+// (two slices per L1 decision, every fourth bin at this cadence) — no
+// per-bin decision payloads, harvest slices or request buffers — and an
+// entry's fixed cost (its job closure, the one decision it returns, the
+// copy the tenant keeps) stays small.
+func TestObserveBatchAllocsPerEntry(t *testing.T) {
+	const tenants = 4
+	f := New(Config{Shards: 2})
+	defer f.Close()
+	tc := TenantConfig{
+		Spec:       cluster.Spec{Modules: []cluster.ModuleSpec{moduleOf("M1", 2)}},
+		Core:       fastCore(),
+		Store:      testStoreConfig(),
+		StoreSeed:  5,
+		BinSeconds: 30,
+	}
+	tc.Core.Parallelism = 1
+	tc.Core.RecordFrequencies = false
+	ids := make([]string, tenants)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("t%d", i)
+		if err := f.CreateTenant(ids[i], tc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	series := []float64{300, 520, 12, 700, 150, 5, 480, 660, 30, 240, 680, 9}
+	batch := func(bins int) func() {
+		entries := make([]BatchEntry, tenants)
+		for i := range entries {
+			entries[i] = BatchEntry{Tenant: ids[i], Counts: make([]float64, bins)}
+			for b := range entries[i].Counts {
+				entries[i].Counts[b] = series[(b+i)%len(series)]
+			}
+		}
+		return func() {
+			results, err := f.ObserveBatch(entries)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range results {
+				if r.Err != nil || r.Applied != bins || r.LastDecision == nil {
+					t.Fatalf("entry %s: applied %d of %d, err %v", r.Tenant, r.Applied, bins, r.Err)
+				}
+			}
+		}
+	}
+	shallow, deep := batch(1), batch(33)
+	for i := 0; i < 40; i++ { // past 1024 bins: the tenants' logs and series regrow rarely
+		deep()
+	}
+	perShallow := testing.AllocsPerRun(40, shallow)
+	perDeep := testing.AllocsPerRun(40, deep)
+
+	// 32 extra bins per entry hold 8 L1 decisions of 2 slices each.
+	l1CopyOuts := float64(tenants * 32 / 4 * 2)
+	if extra := perDeep - perShallow; extra > l1CopyOuts+tenants {
+		t.Errorf("32 more bins per entry cost %v allocs per call, want <= %v (the L1 decision copy-outs): the batch allocates per bin",
+			extra, l1CopyOuts+tenants)
+	}
+	if perEntry := perShallow / tenants; perEntry > 20 {
+		t.Errorf("a 1-bin entry costs %v allocs, want <= 20", perEntry)
+	}
+}

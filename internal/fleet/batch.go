@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"sync/atomic"
 	"time"
 
 	"hierctl/internal/core"
@@ -28,13 +29,30 @@ type BatchResult struct {
 	Err error
 }
 
-// batchOut is the shard-side result cell of one entry's job. The job owns
-// it until its done channel closes; the caller reads it only after that,
-// so a job abandoned by fleet shutdown can still write it harmlessly.
+// batchOut is the shard-side result cell of one entry's job, carved from
+// one slice per call. The job owns it until it sets finished; the caller
+// reads it only after loading finished true, so a job abandoned by fleet
+// shutdown can still write it harmlessly.
 type batchOut struct {
-	applied int
-	last    *core.BinDecision
-	err     error
+	enqueued bool // caller-side only: the entry's job reached its shard
+	finished atomic.Bool
+	applied  int
+	last     *core.BinDecision
+	err      error
+}
+
+// batchCall is one ObserveBatch call's completion counter: pending counts
+// the enqueued jobs still running plus one hold the caller keeps while it
+// is enqueueing; whoever drops it to zero closes done.
+type batchCall struct {
+	pending atomic.Int64
+	done    chan struct{}
+}
+
+func (c *batchCall) release() {
+	if c.pending.Add(-1) == 0 {
+		close(c.done)
+	}
 }
 
 // ObserveBatch feeds many observation bins across many tenants in one
@@ -62,8 +80,9 @@ func (f *Fleet) ObserveBatch(entries []BatchEntry) ([]BatchResult, error) {
 		return nil, ErrClosed
 	}
 	results := make([]BatchResult, len(entries))
-	outs := make([]*batchOut, len(entries))
-	dones := make([]chan struct{}, len(entries))
+	outs := make([]batchOut, len(entries))
+	call := &batchCall{done: make(chan struct{})}
+	call.pending.Store(1)
 	var blocked map[string]bool
 	for i := range entries {
 		e := &entries[i]
@@ -83,30 +102,35 @@ func (f *Fleet) ObserveBatch(entries []BatchEntry) ([]BatchResult, error) {
 			f.queueRejects.Add(1)
 			continue
 		}
-		out := &batchOut{}
-		done := make(chan struct{})
+		out := &outs[i]
 		counts := e.Counts
 		job := func() {
-			defer close(done)
+			defer call.release()
+			defer out.finished.Store(true)
 			start := time.Now()
 			for _, c := range counts {
-				dec, err := f.stepTenant(t, c)
-				if err != nil {
+				if err := f.stepTenant(t, c); err != nil {
 					out.err = err
 					break
 				}
 				out.applied++
-				held := dec
-				out.last = &held
+			}
+			if out.applied > 0 {
+				// One decision per entry, built where it escapes the
+				// shard: the one in force after the last applied bin.
+				dec := t.decide()
+				out.last = &dec
 			}
 			f.observations.Add(int64(out.applied))
 			f.ticks.Add(int64(out.applied * t.sub))
 			f.decideNanos.Add(time.Since(start).Nanoseconds())
 		}
+		call.pending.Add(1)
 		select {
 		case t.home.jobs <- job:
-			outs[i], dones[i] = out, done
+			out.enqueued = true
 		default:
+			call.pending.Add(-1) // cannot reach zero: the caller's hold is still in
 			results[i].Err = ErrQueueFull
 			f.queueRejects.Add(1)
 			if blocked == nil {
@@ -115,29 +139,29 @@ func (f *Fleet) ObserveBatch(entries []BatchEntry) ([]BatchResult, error) {
 			blocked[e.Tenant] = true
 		}
 	}
-	for i, done := range dones {
-		if done == nil {
+	call.release()
+	select {
+	case <-call.done:
+	case <-f.ctx.Done():
+	}
+	for i := range outs {
+		out := &outs[i]
+		if !out.enqueued {
 			continue
 		}
-		select {
-		case <-done:
-		case <-f.ctx.Done():
-			// Both may be ready at once; prefer done so a job that did
-			// run is never reported as closed.
-			select {
-			case <-done:
-			default:
-				// The job is either still queued (it will never run —
-				// the shard loops exited) or mid-flight on a shard that
-				// outlives the cancellation; either way its cell cannot
-				// be read safely, so the entry reports ErrClosed.
-				results[i].Err = ErrClosed
-				continue
-			}
+		if !out.finished.Load() {
+			// The fleet closed under the call. The job is either still
+			// queued (it will never run — the shard loops exited) or
+			// mid-flight on a shard that outlives the cancellation;
+			// either way its cell cannot be read safely, so the entry
+			// reports ErrClosed. A job that did finish is never reported
+			// as closed.
+			results[i].Err = ErrClosed
+			continue
 		}
-		results[i].Applied = outs[i].applied
-		results[i].LastDecision = outs[i].last
-		results[i].Err = outs[i].err
+		results[i].Applied = out.applied
+		results[i].LastDecision = out.last
+		results[i].Err = out.err
 	}
 	return results, nil
 }

@@ -389,3 +389,72 @@ func TestObserveBatchStress(t *testing.T) {
 		t.Errorf("observations = %d, want >= %d", stats.Observations, clients*batches*3)
 	}
 }
+
+// TestObserveBatchClosedMidCall closes the fleet under in-flight batch
+// calls (run under -race): every call returns promptly, and every entry
+// reports either a finished job — all of its bins applied, a decision —
+// or ErrClosed, never a half-read cell. The per-call completion counter
+// must not report a finished job as closed nor wait for a job that will
+// never run.
+func TestObserveBatchClosedMidCall(t *testing.T) {
+	const clients = 4
+	dir := t.TempDir()
+	f := New(Config{Shards: 2})
+	ids := make([]string, clients)
+	for i := range ids {
+		ids[i] = string(rune('a' + i))
+		if err := f.CreateTenant(ids[i], batchTenantConfig(dir, int64(i+1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	counts := make([]float64, 24)
+	for i := range counts {
+		counts[i] = 150 + float64(10*i)
+	}
+	started := make(chan struct{}, clients)
+	var wg sync.WaitGroup
+	for i := 0; i < clients; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for call := 0; ; call++ {
+				results, err := f.ObserveBatch([]BatchEntry{
+					{Tenant: ids[i], Counts: counts},
+					{Tenant: ids[(i+1)%clients], Counts: counts[:3]},
+				})
+				if call == 0 {
+					started <- struct{}{}
+				}
+				if errors.Is(err, ErrClosed) {
+					return
+				}
+				if err != nil {
+					t.Errorf("client %d: %v", i, err)
+					return
+				}
+				for e, r := range results {
+					want := len(counts)
+					if e == 1 {
+						want = 3
+					}
+					switch {
+					case errors.Is(r.Err, ErrClosed):
+						if r.Applied != 0 || r.LastDecision != nil {
+							t.Errorf("client %d entry %d: ErrClosed with a read cell (%d applied)", i, e, r.Applied)
+						}
+					case errors.Is(r.Err, ErrQueueFull):
+					case r.Err != nil:
+						t.Errorf("client %d entry %d: %v", i, e, r.Err)
+					case r.Applied != want || r.LastDecision == nil:
+						t.Errorf("client %d entry %d: %d of %d bins applied, decision %v", i, e, r.Applied, want, r.LastDecision != nil)
+					}
+				}
+			}
+		}(i)
+	}
+	for i := 0; i < clients; i++ {
+		<-started
+	}
+	f.Close()
+	wg.Wait()
+}

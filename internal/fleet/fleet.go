@@ -199,22 +199,21 @@ func (f *Fleet) exec(t *tenant, fn func()) error {
 // operation return ErrTenantQuarantined. The observation log gains an
 // entry only after a bin applies cleanly, so a quarantined tenant's
 // snapshot/journal state is exactly the pre-fault state.
-func (f *Fleet) stepTenant(t *tenant, count float64) (dec core.BinDecision, err error) {
+func (f *Fleet) stepTenant(t *tenant, count float64) (err error) {
 	if t.quarantined.Load() {
-		return core.BinDecision{}, ErrTenantQuarantined
+		return ErrTenantQuarantined
 	}
 	defer func() {
 		if v := recover(); v != nil {
 			t.quarantined.Store(true)
 			f.panics.Add(1)
-			dec = core.BinDecision{}
 			err = fmt.Errorf("%w: %v", ErrTenantQuarantined, v)
 		}
 	}()
 	if f.failpoint != nil {
 		f.failpoint(t.id, count)
 	}
-	return t.observe(count)
+	return t.step(count)
 }
 
 func (f *Fleet) tenant(id string) (*tenant, error) {
@@ -287,7 +286,9 @@ func (f *Fleet) Observe(id string, count float64) (core.BinDecision, error) {
 		// Time inside the shard job so the counter measures stepping,
 		// not shard-queue wait.
 		start := time.Now()
-		dec, oerr = f.stepTenant(t, count)
+		if oerr = f.stepTenant(t, count); oerr == nil {
+			dec = t.decide()
+		}
 		decided = time.Since(start)
 	}); err != nil {
 		return core.BinDecision{}, err
@@ -316,7 +317,7 @@ func (f *Fleet) State(id string) (TenantState, error) {
 
 // Telemetry returns up to max of the tenant's most recent flight-recorder
 // records (oldest first) plus the cursor one past the newest record — the
-// value to hand TelemetrySince to resume from here. max <= 0 means the
+// value to hand TelemetryInto (or TelemetrySince) to resume from here. max <= 0 means the
 // whole retained window. Tenants configured with TelemetryRecords == 0
 // return an empty window and cursor 0. The ring read executes on the
 // tenant's home shard, so it never races the tenant's own writers.
@@ -337,24 +338,38 @@ func (f *Fleet) Telemetry(id string, max int) ([]obs.Record, uint64, error) {
 	return recs, cursor, nil
 }
 
-// TelemetrySince returns the tenant's flight-recorder records written at or
-// after cursor (oldest first) and the next cursor. If the ring wrapped past
-// the cursor the gap is skipped: the oldest retained record is returned
-// next, so pollers lose records rather than block — the recorder is a
-// bounded window, not a durable log.
+// TelemetrySince is TelemetryInto reading into a fresh slice and dropping
+// the lost-record count — the allocating form for one-off readers.
 func (f *Fleet) TelemetrySince(id string, cursor uint64) ([]obs.Record, uint64, error) {
+	recs, next, _, err := f.TelemetryInto(nil, id, cursor)
+	return recs, next, err
+}
+
+// TelemetryInto appends the tenant's flight-recorder records written at or
+// after cursor (oldest first) to dst and returns the extended slice, the
+// next cursor, and how many records the ring overwrote between cursor and
+// the oldest it still retains. Those are skipped, not waited for: the
+// recorder is a bounded window, not a durable log, so pollers lose records
+// rather than block — and dropped is how they know. A poller that passes
+// the previous call's slice back (re-sliced to [:0]) reads without
+// allocating; the home shard only block-copies the ring. On error dst
+// must not be reused: a job abandoned by fleet shutdown may still write
+// it.
+func (f *Fleet) TelemetryInto(dst []obs.Record, id string, cursor uint64) (recs []obs.Record, next, dropped uint64, err error) {
 	t, err := f.tenant(id)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
-	var recs []obs.Record
-	var next uint64
 	if err := f.exec(t, func() {
-		recs, next = t.mgr.Recorder().Since(nil, cursor)
+		rec := t.mgr.Recorder()
+		if oldest := rec.Oldest(); cursor < oldest {
+			dropped = oldest - cursor
+		}
+		recs, next = rec.Since(dst, cursor)
 	}); err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
-	return recs, next, nil
+	return recs, next, dropped, nil
 }
 
 // CloseTenant finishes the tenant's session (draining in-flight work),

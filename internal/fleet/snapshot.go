@@ -698,10 +698,13 @@ func restoreTenant(s tenantSnap, store *core.ArtifactStore, gmaps map[digest]*co
 		return nil, err
 	}
 	for _, count := range s.Observations {
-		if _, err := t.observe(count); err != nil {
+		if err := t.step(count); err != nil {
 			t.mgr.Release()
 			return nil, fmt.Errorf("fleet: tenant %s replay: %w", s.ID, err)
 		}
+	}
+	if len(s.Observations) > 0 {
+		t.decide()
 	}
 	if s.Quarantined {
 		t.quarantined.Store(true)

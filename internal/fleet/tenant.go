@@ -146,15 +146,24 @@ func newTenant(id string, tc TenantConfig, artifacts *core.ArtifactStore, logged
 	}, nil
 }
 
-func (t *tenant) observe(count float64) (core.BinDecision, error) {
-	dec, err := t.sess.ObserveBin(count)
-	if err != nil {
-		return core.BinDecision{}, err
+// step applies one observation bin and logs it. It builds no decision:
+// a stepping job calls decide once, after its last bin.
+func (t *tenant) step(count float64) error {
+	if err := t.sess.StepBin(count); err != nil {
+		return err
 	}
 	t.observations = append(t.observations, count)
-	held := dec
-	t.lastDecision = &held
-	return dec, nil
+	return nil
+}
+
+// decide materializes the decision in force after the last cleanly
+// applied bin and keeps it for state. The result owns its slices — it
+// leaves the home shard. Every stepping job that applied a bin ends with
+// it, so lastDecision is current whenever the shard is between jobs.
+func (t *tenant) decide() core.BinDecision {
+	dec := t.sess.Decision()
+	t.lastDecision = &dec
+	return dec
 }
 
 func (t *tenant) state() TenantState {

@@ -207,23 +207,41 @@ func (r *Recorder) Window(dst []Record, max int) []Record {
 	return recs
 }
 
+// Oldest returns the sequence number of the oldest record the ring still
+// retains (equal to Total when it retains none). A cursor below it has
+// lost Oldest() - cursor records to overwrites.
+func (r *Recorder) Oldest() uint64 {
+	if r == nil {
+		return 0
+	}
+	return r.head.Load() - uint64(r.Len())
+}
+
 // Since appends every retained record with sequence number >= cursor to
 // dst, oldest first, and returns the extended slice plus the next
 // cursor (pass it back to read only newer records next time). Records
-// overwritten before the read are silently gone — a scraper polling
-// Since sees gaps, never duplicates. Callers must not race Since with
-// writers.
+// overwritten before the read are gone — a scraper polling Since sees
+// gaps (Oldest tells how wide), never duplicates. The read is at most two
+// block copies into dst and allocates only when dst is short. Callers
+// must not race Since with writers.
 func (r *Recorder) Since(dst []Record, cursor uint64) ([]Record, uint64) {
 	if r == nil {
 		return dst, 0
 	}
 	total := r.head.Load()
 	start := cursor
-	if oldest := total - uint64(r.Len()); start < oldest {
+	if oldest := r.Oldest(); start < oldest {
 		start = oldest
 	}
-	for seq := start; seq < total; seq++ {
-		dst = append(dst, r.ring[seq%uint64(len(r.ring))])
+	if start >= total {
+		return dst, total
 	}
-	return dst, total
+	n := uint64(len(r.ring))
+	lo, hi := start%n, total%n
+	if lo < hi {
+		return append(dst, r.ring[lo:hi]...), total
+	}
+	// The window wraps the ring's end (lo == hi is the full ring).
+	dst = append(dst, r.ring[lo:]...)
+	return append(dst, r.ring[:hi]...), total
 }

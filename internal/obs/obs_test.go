@@ -106,6 +106,60 @@ func TestRecorderSinceCursor(t *testing.T) {
 	}
 }
 
+// TestRecorderSinceEveryWindow checks the block-copy read against the
+// definition — record seq lives at ring[seq % capacity] — for every cursor
+// at every fill level of a small ring: straight windows, windows that wrap
+// the ring's end, the full ring, and stale or future cursors. Oldest
+// reports how many records a stale cursor lost, and a read into a buffer
+// that is large enough does not allocate.
+func TestRecorderSinceEveryWindow(t *testing.T) {
+	const capacity = 7
+	r, err := NewRecorder(capacity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]Record, 0, capacity)
+	for total := uint64(0); total <= 3*capacity; total++ {
+		oldest := uint64(0)
+		if total > capacity {
+			oldest = total - capacity
+		}
+		if got := r.Oldest(); got != oldest {
+			t.Fatalf("total %d: Oldest() = %d, want %d", total, got, oldest)
+		}
+		for cursor := uint64(0); cursor <= total+2; cursor++ {
+			got, next := r.Since(buf[:0], cursor)
+			if next != total {
+				t.Fatalf("total %d cursor %d: next cursor %d", total, cursor, next)
+			}
+			start := cursor
+			if start < oldest {
+				start = oldest
+			}
+			want := 0
+			if start < total {
+				want = int(total - start)
+			}
+			if len(got) != want {
+				t.Fatalf("total %d cursor %d: %d records, want %d", total, cursor, len(got), want)
+			}
+			for i, rec := range got {
+				if rec.Explored != int32(start)+int32(i) {
+					t.Fatalf("total %d cursor %d: record %d is seq %d, want %d", total, cursor, i, rec.Explored, start+uint64(i))
+				}
+			}
+		}
+		r.Record(Record{Level: LevelL0, Explored: int32(total)})
+	}
+	if allocs := testing.AllocsPerRun(100, func() { r.Since(buf[:0], 0) }); allocs != 0 {
+		t.Fatalf("Since into a large-enough buffer allocated %v/op, want 0", allocs)
+	}
+	var off *Recorder
+	if off.Oldest() != 0 {
+		t.Fatal("nil recorder: Oldest() != 0")
+	}
+}
+
 // Concurrent writers (the parallel L1 fan-out) must be race-clean and
 // lose nothing when the ring is large enough.
 func TestRecorderConcurrentWriters(t *testing.T) {

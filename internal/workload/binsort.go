@@ -1,10 +1,22 @@
 package workload
 
 // binScratch holds the reusable buffers of the per-bin arrival sort. Each
-// Generator/Feed owns one, so concurrent tenants never share scratch.
+// Generator/Feed owns one, so concurrent tenants never share scratch. The
+// buffers keep their full capacity across bins of any size and grow
+// geometrically, so a count series settles at its peak and stops
+// allocating.
 type binScratch struct {
 	heads []int32
 	tmp   []Request
+}
+
+// grownCap is the capacity a buffer of capacity have grows to when it
+// must hold need: at least double, so growth is amortized across bins.
+func grownCap(have, need int) int {
+	if 2*have > need {
+		return 2 * have
+	}
+	return need
 }
 
 // sortByArrival sorts reqs ascending by Arrival and returns the sorted
@@ -19,6 +31,8 @@ type binScratch struct {
 // (continuous uniforms) any comparison sort yields the same permutation,
 // so replacing the previous unstable sort leaves every committed run
 // byte-identical.
+//
+//hpm:hotpath
 func sortByArrival(reqs []Request, start, step float64, s *binScratch) []Request {
 	n := len(reqs)
 	if n < 2 {
@@ -29,16 +43,16 @@ func sortByArrival(reqs []Request, start, step float64, s *binScratch) []Request
 		return reqs
 	}
 	if cap(s.heads) < n+1 {
-		s.heads = make([]int32, n+1)
+		s.heads = make([]int32, grownCap(cap(s.heads), n+1)) //hpm:alloc geometric scratch growth; settles at the peak bin
 	}
 	if cap(s.tmp) < n {
-		s.tmp = make([]Request, n)
+		s.tmp = make([]Request, grownCap(cap(s.tmp), n)) //hpm:alloc geometric scratch growth; settles at the peak bin
 	}
-	heads := s.heads[: n+1 : n+1]
+	heads := s.heads[:n+1]
 	for i := range heads {
 		heads[i] = 0
 	}
-	tmp := s.tmp[:n:n]
+	tmp := s.tmp[:n]
 	inv := float64(n) / step
 	// Count bucket occupancy, then prefix-sum into scatter offsets.
 	for i := range reqs {
@@ -54,7 +68,8 @@ func sortByArrival(reqs []Request, start, step float64, s *binScratch) []Request
 	}
 	insertionByArrival(tmp)
 	// Ping-pong the buffers: the sorted scratch becomes the caller's
-	// batch, the old batch becomes next bin's scratch.
+	// batch, the old batch becomes next bin's scratch. Both keep their
+	// full capacity.
 	s.tmp = reqs[:0]
 	return tmp
 }

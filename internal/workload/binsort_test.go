@@ -71,3 +71,49 @@ func BenchmarkSortByArrival400(b *testing.B) {
 		reqs = sortByArrival(reqs, 0, 30, &scratch)
 	}
 }
+
+// TestSortByArrivalReusesCapacity drives the sort the way synthBin does —
+// the returned batch is refilled for the next bin, the scratch ping-pongs
+// — across shrinking and growing n on both sides of the 16-request
+// insertion-sort cutover. The result must still equal the stdlib stable
+// sort, and neither buffer may ever lose capacity: a bin smaller than its
+// predecessor must not clip what the next larger bin needs.
+func TestSortByArrivalReusesCapacity(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	sizes := []int{400, 30, 900, 7, 16, 15, 650, 0, 1, 899, 17, 900, 2, 300}
+	var scratch binScratch
+	var buf []Request
+	peak := 0
+	for trial := 0; trial < 20*len(sizes); trial++ {
+		n := sizes[trial%len(sizes)]
+		if trial >= len(sizes) && trial%5 == 0 {
+			n = rng.Intn(901)
+		}
+		start, step := float64(trial)*30, 30.0
+		if cap(buf) < n {
+			buf = make([]Request, 0, n)
+		}
+		buf = buf[:0]
+		for i := 0; i < n; i++ {
+			buf = append(buf, Request{Arrival: start + rng.Float64()*step, Object: i, Demand: rng.Float64()})
+		}
+		want := append([]Request(nil), buf...)
+		sort.SliceStable(want, func(i, j int) bool { return want[i].Arrival < want[j].Arrival })
+		buf = sortByArrival(buf, start, step, &scratch)
+		if len(buf) != len(want) {
+			t.Fatalf("trial %d (n=%d): length %d, want %d", trial, n, len(buf), len(want))
+		}
+		for i := range want {
+			if buf[i] != want[i] {
+				t.Fatalf("trial %d (n=%d): index %d: got %+v, want %+v", trial, n, i, buf[i], want[i])
+			}
+		}
+		if n > peak {
+			peak = n
+		}
+		if cap(buf) < peak || (peak >= 16 && cap(scratch.tmp) < peak) {
+			t.Fatalf("trial %d (n=%d): capacity clipped below the peak bin %d: batch %d, scratch %d",
+				trial, n, peak, cap(buf), cap(scratch.tmp))
+		}
+	}
+}

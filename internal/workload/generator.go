@@ -78,9 +78,11 @@ func (g *Generator) Reset() { g.next = 0 }
 // and Feed share this one code path — including the exact RNG call
 // sequence — which is what makes a pushed count stream reproduce a
 // pre-materialized trace bit-for-bit.
+//
+//hpm:hotpath
 func synthBin(buf []Request, scratch *binScratch, n int, start, step float64, store *Store, rng *rand.Rand) []Request {
 	if cap(buf) < n {
-		buf = make([]Request, 0, n)
+		buf = make([]Request, 0, grownCap(cap(buf), n)) //hpm:alloc geometric batch growth; settles at the peak bin
 	}
 	buf = buf[:0]
 	for i := 0; i < n; i++ {
@@ -134,6 +136,8 @@ func (f *Feed) BinSeconds() float64 { return f.step }
 // Push ingests the next bin's arrival count and returns the bin index and
 // its synthesized requests, sorted by arrival time. The returned slice is
 // reused by subsequent calls; callers that retain requests must copy them.
+//
+//hpm:hotpath
 func (f *Feed) Push(count float64) (bin int, reqs []Request) {
 	bin = f.next
 	f.next++

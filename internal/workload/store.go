@@ -169,6 +169,9 @@ func NewStore(rng *rand.Rand, cfg StoreConfig) (*Store, error) {
 		logMu:        cfg.LogMu,
 		logSigma:     cfg.LogSigma,
 		historyCap:   cfg.HistoryCap,
+		// remember appends one past the cap before it drops the oldest
+		// half, so this is the history's final size: no growth later.
+		history: make([]int, 0, cfg.HistoryCap+1),
 	}
 	for i := range s.demands {
 		s.demands[i] = cfg.MinDemand + rng.Float64()*(cfg.MaxDemand-cfg.MinDemand)

@@ -447,3 +447,53 @@ func TestFeedValidation(t *testing.T) {
 		t.Errorf("bin seconds = %v, want 30", feed.BinSeconds())
 	}
 }
+
+// TestFeedPushSteadyStateZeroAlloc pins the feed's steady state under a
+// varying count series — bins under and over the arrival sort's 16-request
+// cutover, rising and falling. After one warm-up pass the batch and
+// scratch buffers have met the peak bin and the store's locality history
+// its final size, so a further pass allocates nothing. (A constant series
+// hides capacity clipped to the current bin: every bin then fits the
+// previous one's buffers.)
+func TestFeedPushSteadyStateZeroAlloc(t *testing.T) {
+	store, err := NewStore(rand.New(rand.NewSource(3)), DefaultStoreConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed, err := NewFeed(0, 30, store, rand.New(rand.NewSource(4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	series := []float64{400, 620, 12, 900, 150, 5, 480, 760, 30, 240, 880, 9, 330, 560, 700, 60}
+	pass := func() {
+		for _, c := range series {
+			feed.Push(c)
+		}
+	}
+	pass()
+	if allocs := testing.AllocsPerRun(20, pass); allocs != 0 {
+		t.Fatalf("Feed.Push allocates in steady state: %v allocs per %d-bin pass, want 0", allocs, len(series))
+	}
+}
+
+// TestStoreHistoryAllocatedOnce: the locality history has its final
+// capacity from NewStore on — sampling past the cap (where remember drops
+// the oldest half) never regrows it, so a long-lived tenant does not pay
+// append growth on the measured path.
+func TestStoreHistoryAllocatedOnce(t *testing.T) {
+	cfg := DefaultStoreConfig()
+	store, err := NewStore(rand.New(rand.NewSource(3)), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := cap(store.history); got != cfg.HistoryCap+1 {
+		t.Fatalf("history capacity %d after NewStore, want %d", got, cfg.HistoryCap+1)
+	}
+	rng := rand.New(rand.NewSource(4))
+	for i := 0; i < 3*cfg.HistoryCap; i++ {
+		store.Sample(rng)
+	}
+	if got := cap(store.history); got != cfg.HistoryCap+1 {
+		t.Fatalf("history capacity grew to %d, want %d", got, cfg.HistoryCap+1)
+	}
+}

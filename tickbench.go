@@ -27,7 +27,10 @@ import (
 // measured window cannot flap the committed numbers.
 type TickBenchRow struct {
 	// Level identifies the hot path: "L0-decide", "L1-decide",
-	// "L2-decide", "table-probe", or "fleet-<tenants>".
+	// "L2-decide", "table-probe", "bin-scale" / "bin-depth" (one whole
+	// Session.ObserveBin — feed, decide, dispatch, plant, harvest and the
+	// returned decision — on the fleet bench's scale tenant and on the
+	// §4.3-module tenant; Decisions counts bins), or "fleet-<tenants>".
 	Level             string  `json:"level"`
 	Decisions         int     `json:"decisions"`
 	NsPerDecision     float64 `json:"nsPerDecision"`
@@ -154,6 +157,31 @@ func driveTickProbe(g *controller.GMap, scratch []float64, i int) error {
 	return err
 }
 
+// tickBinCounts is the bin rows' arrival-count series, cycled: rising,
+// falling, and bins on both sides of the arrival sort's 16-request
+// cutover. A constant count would hide any buffer that is sized to the
+// current bin instead of the peak one.
+var tickBinCounts = []float64{400, 620, 12, 900, 150, 5, 480, 760, 30, 240, 880, 9, 330, 560, 700, 60}
+
+func driveTickBin(sess *core.Session, i int) error {
+	_, err := sess.ObserveBin(tickBinCounts[i%len(tickBinCounts)])
+	return err
+}
+
+// newTickBinSession opens a streaming session for one bench tenant the
+// way the fleet does, minus the fleet.
+func newTickBinSession(tc fleet.TenantConfig) (*core.Session, error) {
+	mgr, err := core.NewManager(tc.Spec, tc.Core)
+	if err != nil {
+		return nil, err
+	}
+	store, err := NewStore(tc.StoreSeed, tc.Store)
+	if err != nil {
+		return nil, err
+	}
+	return mgr.NewSession(store, core.SessionConfig{BinSeconds: tc.BinSeconds})
+}
+
 // RunTickBench measures the steady-state decision tick of every level of
 // the hierarchy — L0 banded lookahead, L1 bounded (α, γ) search, L2
 // simplex enumeration, the abstraction-map probe behind them, and the
@@ -250,6 +278,30 @@ func RunTickBench(decisions, tenants int) (TickBenchSnapshot, error) {
 		return TickBenchSnapshot{}, err
 	}
 	snap.Rows = append(snap.Rows, row)
+
+	// One whole observation bin per tenant shape, under the varying
+	// count series; the warm-up is two passes over it, so the feed
+	// buffers and the plant's queues have met their peaks.
+	for _, shape := range []struct {
+		level  string
+		config func(int64) (fleet.TenantConfig, error)
+	}{{"bin-scale", fleetScaleTenantConfig}, {"bin-depth", benchTenantConfig}} {
+		tc, err := shape.config(1)
+		if err != nil {
+			return TickBenchSnapshot{}, err
+		}
+		sess, err := newTickBinSession(tc)
+		if err != nil {
+			return TickBenchSnapshot{}, err
+		}
+		row, err = measureTick(shape.level, 2*len(tickBinCounts), decisions, func(i int) error {
+			return driveTickBin(sess, i)
+		})
+		if err != nil {
+			return TickBenchSnapshot{}, err
+		}
+		snap.Rows = append(snap.Rows, row)
+	}
 
 	// Fleet throughput: tenants stepping concurrently, one bin per
 	// Observe. Byte/alloc columns are -1 by design (see TickBenchRow).

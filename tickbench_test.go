@@ -31,7 +31,7 @@ func TestRunTickBenchRowsAndInvariants(t *testing.T) {
 	for _, r := range snap.Rows {
 		rows[r.Level] = r
 	}
-	for _, level := range []string{"L0-decide", "L1-decide", "L2-decide", "table-probe", "fleet-4"} {
+	for _, level := range []string{"L0-decide", "L1-decide", "L2-decide", "table-probe", "bin-scale", "bin-depth", "fleet-4"} {
 		if _, ok := rows[level]; !ok {
 			t.Fatalf("missing row %q (have %v)", level, snap.Rows)
 		}
@@ -48,6 +48,15 @@ func TestRunTickBenchRowsAndInvariants(t *testing.T) {
 		}
 		if r.NsPerDecision <= 0 || r.Decisions <= 0 {
 			t.Errorf("%s: implausible row %+v", level, r)
+		}
+	}
+	// A whole observation bin, under the varying count series: the
+	// returned decision (Modules plus four slices) and a fraction of an L1
+	// copy-out — and no bytes that scale with the bin's request count.
+	for _, level := range []string{"bin-scale", "bin-depth"} {
+		r := rows[level]
+		if r.AllocsPerDecision < 5 || r.AllocsPerDecision > 6 || r.BytesPerDecision > 512 {
+			t.Errorf("%s: %v allocs / %v B per bin, want 5-6 allocs and <= 512 B", level, r.AllocsPerDecision, r.BytesPerDecision)
 		}
 	}
 	fleet := rows["fleet-4"]
