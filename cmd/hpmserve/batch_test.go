@@ -19,6 +19,20 @@ func createFastTenant(t *testing.T, h http.Handler, id string) {
 		fmt.Sprintf(`{"id":%q,"moduleSize":2,"fast":true,"binSeconds":30}`, id), http.StatusCreated)
 }
 
+// batchBody renders a /v1/observe:batch body of n entries.
+func batchBody(n int, entry func(i int) string) string {
+	var sb strings.Builder
+	sb.WriteString(`{"entries":[`)
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			sb.WriteByte(',')
+		}
+		sb.WriteString(entry(i))
+	}
+	sb.WriteString(`]}`)
+	return sb.String()
+}
+
 func tenantBins(t *testing.T, h http.Handler, id string) float64 {
 	t.Helper()
 	st := doJSON(t, h, http.MethodGet, "/v1/tenants/"+id+"/state", "", http.StatusOK)
@@ -100,16 +114,8 @@ func TestServerObserveBatchValidation(t *testing.T) {
 	}
 
 	// Width caps: one entry over the per-batch entry limit.
-	var sb strings.Builder
-	sb.WriteString(`{"entries":[`)
-	for i := 0; i <= maxBatchEntries; i++ {
-		if i > 0 {
-			sb.WriteString(",")
-		}
-		sb.WriteString(`{"tenant":"a","counts":[]}`)
-	}
-	sb.WriteString(`]}`)
-	doJSON(t, h, http.MethodPost, "/v1/observe:batch", sb.String(), http.StatusBadRequest)
+	doJSON(t, h, http.MethodPost, "/v1/observe:batch",
+		batchBody(maxBatchEntries+1, func(int) string { return `{"tenant":"a","counts":[]}` }), http.StatusBadRequest)
 
 	req := httptest.NewRequest(http.MethodGet, "/v1/observe:batch", nil)
 	w := httptest.NewRecorder()
@@ -159,12 +165,11 @@ func TestServerObserveBatchQueueFull(t *testing.T) {
 	f := hierctl.NewFleet(hierctl.FleetConfig{Shards: 1})
 	t.Cleanup(f.Close)
 	sv := newServer(f, 0)
-	sv.batch = func(entries []hierctl.BatchEntry) ([]hierctl.BatchResult, error) {
-		out := make([]hierctl.BatchResult, len(entries))
-		for i, e := range entries {
-			out[i] = hierctl.BatchResult{Tenant: e.Tenant, Err: hierctl.ErrFleetQueueFull}
+	sv.batch = func(dst []hierctl.BatchResult, entries []hierctl.BatchEntry, _ bool) ([]hierctl.BatchResult, error) {
+		for _, e := range entries {
+			dst = append(dst, hierctl.BatchResult{Tenant: e.Tenant, Err: hierctl.ErrFleetQueueFull})
 		}
-		return out, nil
+		return dst, nil
 	}
 	h := sv.routes()
 
@@ -265,5 +270,165 @@ func TestRunJournalFlagValidation(t *testing.T) {
 	}
 	if err := run(ctx, []string{"-journal-interval", "-5s", "-journal", "x"}, io.Discard); err == nil {
 		t.Error("negative journal interval: want error")
+	}
+}
+
+// TestServerRejectsTrailingInput: a POST body is exactly one JSON value.
+// A client that concatenates two payloads used to get the first applied
+// and the second silently dropped; now anything but whitespace after the
+// value is a 400 on every endpoint and nothing is applied.
+func TestServerRejectsTrailingInput(t *testing.T) {
+	h, _ := testHandler(t)
+	createFastTenant(t, h, "a")
+	const create = `{"id":"b","moduleSize":2,"fast":true,"binSeconds":30}`
+	const observe = `{"count":100}`
+	const batch = `{"entries":[{"tenant":"a","counts":[100]}]}`
+	for _, c := range []struct{ path, body string }{
+		{"/v1/tenants", create + create},
+		{"/v1/tenants", create + ` x`},
+		{"/v1/tenants/a/observe", observe + observe},
+		{"/v1/tenants/a/observe", observe + `]`},
+		{"/v1/observe:batch", batch + batch},
+		{"/v1/observe:batch", batch + "\n" + batch},
+		{"/v1/observe:batch", batch + `,`},
+	} {
+		resp := doJSON(t, h, http.MethodPost, c.path, c.body, http.StatusBadRequest)
+		if msg, _ := resp["error"].(string); !strings.HasPrefix(msg, "decode request: ") {
+			t.Errorf("POST %s with trailing input: error %q, want a decode error", c.path, msg)
+		}
+	}
+	if bins := tenantBins(t, h, "a"); bins != 0 {
+		t.Errorf("tenant a bins = %v after rejected bodies, want 0", bins)
+	}
+	doJSON(t, h, http.MethodGet, "/v1/tenants/b/state", "", http.StatusNotFound)
+
+	// Trailing whitespace is not input.
+	doJSON(t, h, http.MethodPost, "/v1/tenants", create+"\n", http.StatusCreated)
+	doJSON(t, h, http.MethodPost, "/v1/tenants/a/observe", observe+" \r\n", http.StatusOK)
+	doJSON(t, h, http.MethodPost, "/v1/observe:batch", batch+"\n\t ", http.StatusOK)
+	if bins := tenantBins(t, h, "a"); bins != 2 {
+		t.Errorf("tenant a bins = %v, want 2", bins)
+	}
+
+	// The body caps still hold, read through the same MaxBytesReader.
+	for path, limit := range map[string]int{"/v1/tenants/a/observe": maxBodyBytes, "/v1/observe:batch": maxBatchBodyBytes} {
+		resp := doJSON(t, h, http.MethodPost, path, strings.Repeat(" ", limit)+observe, http.StatusBadRequest)
+		if msg, _ := resp["error"].(string); !strings.Contains(msg, "request body too large") {
+			t.Errorf("POST %s over the body cap: error %q", path, msg)
+		}
+	}
+}
+
+// echoBatch stands in for the fleet fan-out: every entry applies in full,
+// and a decisions:true call gets a decision naming the entry's bin count.
+func echoBatch(dst []hierctl.BatchResult, entries []hierctl.BatchEntry, decisions bool) ([]hierctl.BatchResult, error) {
+	for _, e := range entries {
+		res := hierctl.BatchResult{Tenant: e.Tenant, Applied: len(e.Counts)}
+		if decisions {
+			res.LastDecision = &hierctl.BinDecision{Bin: len(e.Counts)}
+		}
+		dst = append(dst, res)
+	}
+	return dst, nil
+}
+
+// TestServerBatchScratchBounded: the request scratch is pooled, but only
+// while it is small. One maximal batch (4096 entries, 65536 bins) must not
+// leave its buffers behind — an idle daemon's memory would ratchet up to
+// its largest request — while a full-width batch of one-bin entries, the
+// 10k-tenant fan-out's shape, is kept.
+func TestServerBatchScratchBounded(t *testing.T) {
+	f := hierctl.NewFleet(hierctl.FleetConfig{Shards: 1})
+	t.Cleanup(f.Close)
+	sv := newServer(f, 0)
+	sv.batch = echoBatch
+	body := func(binsPerEntry int) string {
+		return batchBody(maxBatchEntries, func(i int) string {
+			return fmt.Sprintf(`{"tenant":"tenant-%04d","counts":[7%s]}`, i, strings.Repeat(",7", binsPerEntry-1))
+		})
+	}
+	serve := func(binsPerEntry int) *batchScratch {
+		body := body(binsPerEntry)
+		sc := new(batchScratch)
+		w := httptest.NewRecorder()
+		if !sv.observeBatch(w, httptest.NewRequest(http.MethodPost, "/v1/observe:batch", strings.NewReader(body)), sc) || w.Code != http.StatusOK {
+			t.Fatalf("batch = %d (body %.200s)", w.Code, w.Body.String())
+		}
+		if !strings.Contains(w.Body.String(), fmt.Sprintf(`{"applied":%d,`, maxBatchEntries*binsPerEntry)) {
+			t.Fatalf("batch reply %.100s", w.Body.String())
+		}
+		return sc
+	}
+	if got := serve(1).recycle(); got > maxPooledScratchBytes {
+		t.Errorf("a %d-entry one-bin batch retains %d B, over the %d B pooling bound: full-width fan-outs would never reuse their scratch", maxBatchEntries, got, maxPooledScratchBytes)
+	}
+	if got := serve(maxBatchBins / maxBatchEntries).recycle(); got <= maxPooledScratchBytes {
+		t.Errorf("a maximal batch retains only %d B: the %d B bound does not bound anything", got, maxPooledScratchBytes)
+	}
+
+	// Through the handler: whatever the pool holds after a maximal batch is
+	// under the bound.
+	h := sv.routes()
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/observe:batch", strings.NewReader(body(maxBatchBins/maxBatchEntries))))
+	if w.Code != http.StatusOK {
+		t.Fatalf("maximal batch = %d", w.Code)
+	}
+	for {
+		sc, _ := sv.scratch.Get().(*batchScratch)
+		if sc == nil {
+			break
+		}
+		if got := sc.recycle(); got > maxPooledScratchBytes {
+			t.Errorf("the pool kept a %d B scratch after a maximal batch, bound %d B", got, maxPooledScratchBytes)
+		}
+	}
+}
+
+// TestHandleObserveBatchSteadyStateAllocs: with a warm scratch pool a
+// batch request costs heap per call, not per entry. Widening the request
+// from 8 to 64 one-bin entries may add, per entry, the decoded tenant-id
+// string and the tenant's own L1 decision copy-outs (2 slices every
+// fourth bin) — no decode slices, result or row copies, job closures or
+// decisions.
+func TestHandleObserveBatchSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	const tenants = 64
+	f := hierctl.NewFleet(hierctl.FleetConfig{Shards: 2})
+	t.Cleanup(f.Close)
+	h := newServer(f, 0).routes()
+	for i := 0; i < tenants; i++ {
+		createFastTenant(t, h, fmt.Sprintf("tenant-%02d", i))
+	}
+	post := func(width int) func() {
+		body := batchBody(width, func(i int) string {
+			return fmt.Sprintf(`{"tenant":"tenant-%02d","counts":[%d]}`, i, 2+i%5)
+		})
+		want := fmt.Sprintf(`{"applied":%d,"rejected":0,`, width)
+		return func() {
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/observe:batch", strings.NewReader(body)))
+			if w.Code != http.StatusOK || !strings.HasPrefix(w.Body.String(), want) {
+				t.Fatalf("batch of %d = %d %.120s", width, w.Code, w.Body.String())
+			}
+		}
+	}
+	narrow, wide := post(8), post(tenants)
+	// Warm the pool at full width and park every tenant between two
+	// regrowths of its per-bin logs (append doubles at 256 and 512 bins).
+	for i := 0; i < 300; i++ {
+		wide()
+	}
+	for i := 0; i < 300; i++ {
+		narrow()
+	}
+	perNarrow := testing.AllocsPerRun(40, narrow)
+	perWide := testing.AllocsPerRun(40, wide)
+	t.Logf("allocs per request: 8 entries %v, %d entries %v", perNarrow, tenants, perWide)
+	perEntry := (perWide - perNarrow) / (tenants - 8)
+	if perEntry > 1.5+0.25 {
+		t.Errorf("an extra one-bin entry costs %.2f allocs per request, want <= 1.5 (its tenant-id string and L1 copy-outs)", perEntry)
 	}
 }

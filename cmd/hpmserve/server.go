@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -10,6 +11,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"hierctl"
 	"hierctl/internal/metrics"
@@ -34,9 +36,12 @@ type server struct {
 	// and compaction counters surface on /metrics.
 	journal *hierctl.FleetJournal
 	// batch performs the fan-out for /v1/observe:batch; defaults to the
-	// fleet's ObserveBatch, overridable so tests can force deterministic
+	// fleet's ObserveBatchInto, overridable so tests can force deterministic
 	// queue-full responses.
-	batch func([]hierctl.BatchEntry) ([]hierctl.BatchResult, error)
+	batch func(dst []hierctl.BatchResult, entries []hierctl.BatchEntry, decisions bool) ([]hierctl.BatchResult, error)
+	// scratch pools the /v1/observe:batch request state (*batchScratch) and
+	// bodies the other POST endpoints' body buffers (*bytes.Buffer).
+	scratch, bodies sync.Pool
 	// telemetryRecords sizes each new tenant's flight recorder (0 turns
 	// recording off and empties the telemetry endpoint and the per-level
 	// decision histograms).
@@ -163,7 +168,7 @@ func newServer(f *hierctl.Fleet, telemetryRecords int) *server {
 		"Offline learning passes run (or loaded from the artifact cache directory), one per fingerprint the fleet did not hold.", "kind")
 	s.artifactShares = mustCounter("hpmserve_artifact_shares_total",
 		"Tenant constructions served an artifact the fleet already held instead of learning it.", "kind")
-	s.batch = f.ObserveBatch
+	s.batch = f.ObserveBatchInto
 	s.tenantBins = mustCounter("hpmserve_tenant_bins", "Observation bins ingested per tenant.", "tenant")
 	s.tenantOperational = mustGauge("hpmserve_tenant_operational", "Operational computers per tenant.", "tenant")
 	s.observeLatency = mustHistogram("hpmserve_observe_seconds",
@@ -384,6 +389,41 @@ func writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
+// decodeBody reads the whole request body (at most limit bytes) into buf
+// and unmarshals it into v. The body must be exactly one JSON value:
+// anything but whitespace after it is an error, never silently dropped.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, buf *bytes.Buffer, v any) error {
+	buf.Reset()
+	if n := r.ContentLength; n > 0 && n <= limit {
+		buf.Grow(int(n) + bytes.MinRead) // ReadFrom wants MinRead spare to see EOF
+	}
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit)); err != nil {
+		return fmt.Errorf("decode request: %w", err)
+	}
+	if err := json.Unmarshal(buf.Bytes(), v); err != nil {
+		return fmt.Errorf("decode request: %w", err)
+	}
+	return nil
+}
+
+// maxPooledBodyBytes bounds the body buffers kept for reuse; a larger one
+// (a create call with a long calibration) is left to the collector.
+const maxPooledBodyBytes = 64 << 10
+
+// decodeSmallBody is decodeBody through a pooled buffer, for the endpoints
+// whose bodies are small and whose decoded values do not outlive the call.
+func (s *server) decodeSmallBody(w http.ResponseWriter, r *http.Request, v any) error {
+	buf, _ := s.bodies.Get().(*bytes.Buffer)
+	if buf == nil {
+		buf = new(bytes.Buffer)
+	}
+	err := decodeBody(w, r, maxBodyBytes, buf, v)
+	if buf.Cap() <= maxPooledBodyBytes {
+		s.bodies.Put(buf)
+	}
+	return err
+}
+
 // handleTenants serves the collection: POST create, GET list.
 func (s *server) handleTenants(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
@@ -402,8 +442,8 @@ func (s *server) handleTenants(w http.ResponseWriter, r *http.Request) {
 
 func (s *server) createTenant(w http.ResponseWriter, r *http.Request) {
 	req := createReq{ModuleSize: standardModuleSize, Seed: 1, BinSeconds: 30}
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
-		writeError(w, fmt.Errorf("decode request: %w", err))
+	if err := s.decodeSmallBody(w, r, &req); err != nil {
+		writeError(w, err)
 		return
 	}
 	if err := validTenantID(req.ID); err != nil {
@@ -556,16 +596,13 @@ func (s *server) createTenant(w http.ResponseWriter, r *http.Request) {
 // batchReq is the /v1/observe:batch payload: per-tenant runs of arrival
 // bins, applied in entry order (entries naming the same tenant apply
 // consecutively in the order given). decisions=true echoes each entry's
-// last control decision back — off by default to keep 10k-tenant
-// responses small.
+// last control decision back — off by default, and then no decision is
+// even built, which keeps 10k-tenant fan-outs cheap and their responses
+// small. The entries are the fleet's own type: they go to the fan-out as
+// decoded.
 type batchReq struct {
-	Entries   []batchEntryReq `json:"entries"`
-	Decisions bool            `json:"decisions"`
-}
-
-type batchEntryReq struct {
-	Tenant string    `json:"tenant"`
-	Counts []float64 `json:"counts"`
+	Entries   []hierctl.BatchEntry `json:"entries"`
+	Decisions bool                 `json:"decisions"`
 }
 
 type batchEntryResp struct {
@@ -583,6 +620,63 @@ type batchResp struct {
 	Results  []batchEntryResp `json:"results"`
 }
 
+// batchScratch is everything one in-flight /v1/observe:batch request
+// needs, kept from call to call so a batch costs heap per call, not per
+// entry: the body bytes, the decode destination (the entries and each
+// entry's Counts backing array), the fleet's results and the reply rows.
+type batchScratch struct {
+	body    bytes.Buffer
+	req     batchReq
+	results []hierctl.BatchResult
+	resp    batchResp
+}
+
+// maxPooledScratchBytes bounds what a pooled batchScratch may retain. It
+// keeps a full-width batch of short entries (4096 tenants, a bin or two
+// each) and drops the scratch of a maximal one (65536 bins), so an idle
+// daemon's memory does not ratchet up to its largest request.
+const maxPooledScratchBytes = 1 << 20
+
+func (s *server) getScratch() *batchScratch {
+	if sc, _ := s.scratch.Get().(*batchScratch); sc != nil {
+		return sc
+	}
+	return new(batchScratch)
+}
+
+// putScratch recycles sc and pools it when it is still small enough.
+func (s *server) putScratch(sc *batchScratch) {
+	if sc.recycle() <= maxPooledScratchBytes {
+		s.scratch.Put(sc)
+	}
+}
+
+// recycle clears the scratch for its next request and returns the bytes
+// it retains. json.Unmarshal decodes into what the destination already
+// holds — an omitted field keeps its old value, and a slice element past
+// the new length is stale until something overwrites it — so every entry
+// up to the slice's capacity and every count up to each Counts' capacity
+// goes back to zero: a reused scratch decodes every body exactly as a
+// fresh one does. Results and rows drop the pointers they hold.
+func (sc *batchScratch) recycle() int {
+	entries := sc.req.Entries[:cap(sc.req.Entries)]
+	retained := sc.body.Cap() + cap(entries)*int(unsafe.Sizeof(hierctl.BatchEntry{}))
+	for i := range entries {
+		counts := entries[i].Counts[:cap(entries[i].Counts)]
+		clear(counts)
+		entries[i] = hierctl.BatchEntry{Counts: counts[:0]}
+		retained += 8 * cap(counts)
+	}
+	sc.req = batchReq{Entries: entries[:0]}
+	// Results and rows are only ever appended to, so nothing past their
+	// lengths is dirty.
+	clear(sc.results)
+	sc.results = sc.results[:0]
+	clear(sc.resp.Results)
+	sc.resp = batchResp{Results: sc.resp.Results[:0]}
+	return retained + cap(sc.results)*int(unsafe.Sizeof(hierctl.BatchResult{})) + cap(sc.resp.Results)*int(unsafe.Sizeof(batchEntryResp{}))
+}
+
 // handleObserveBatch ingests many bins across many tenants in one
 // round-trip. Validation is all-or-nothing: a malformed request (bad id,
 // non-finite or oversized count, too many entries/bins) 400s before any
@@ -597,53 +691,63 @@ func (s *server) handleObserveBatch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	var req batchReq
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBodyBytes)).Decode(&req); err != nil {
-		writeError(w, fmt.Errorf("decode request: %w", err))
-		return
+	sc := s.getScratch()
+	if s.observeBatch(w, r, sc) {
+		s.putScratch(sc)
+	}
+}
+
+// observeBatch serves one batch request out of sc and reports whether sc
+// may be used again: not once the fleet closed under the call, when an
+// abandoned shard job may still be reading the decoded counts.
+func (s *server) observeBatch(w http.ResponseWriter, r *http.Request, sc *batchScratch) (reusable bool) {
+	req := &sc.req
+	if err := decodeBody(w, r, maxBatchBodyBytes, &sc.body, req); err != nil {
+		writeError(w, err)
+		return true
 	}
 	if len(req.Entries) == 0 {
 		writeError(w, fmt.Errorf("empty batch"))
-		return
+		return true
 	}
 	if len(req.Entries) > maxBatchEntries {
 		writeError(w, fmt.Errorf("%d entries exceed the %d per-batch cap", len(req.Entries), maxBatchEntries))
-		return
+		return true
 	}
 	totalBins := 0
-	for i, e := range req.Entries {
+	for i := range req.Entries {
+		e := &req.Entries[i]
 		if err := validTenantID(e.Tenant); err != nil {
 			writeError(w, fmt.Errorf("entry %d: %w", i, err))
-			return
+			return true
 		}
 		totalBins += len(e.Counts)
 		for _, c := range e.Counts {
 			if !(c >= 0) || c > maxBinCount { // also rejects NaN
 				writeError(w, fmt.Errorf("entry %d (%s): count %v outside [0, %g]", i, e.Tenant, c, float64(maxBinCount)))
-				return
+				return true
 			}
 		}
 	}
 	if totalBins > maxBatchBins {
 		writeError(w, fmt.Errorf("%d bins exceed the %d per-batch cap", totalBins, maxBatchBins))
-		return
+		return true
 	}
 
-	entries := make([]hierctl.BatchEntry, len(req.Entries))
-	for i, e := range req.Entries {
-		entries[i] = hierctl.BatchEntry{Tenant: e.Tenant, Counts: e.Counts}
-	}
-	results, err := s.batch(entries)
+	results, err := s.batch(sc.results[:0], req.Entries, req.Decisions)
 	if err != nil {
 		writeError(w, err)
-		return
+		return false
 	}
-	s.batchEntries.Observe(float64(len(entries)))
+	sc.results = results
+	s.batchEntries.Observe(float64(len(req.Entries)))
 	s.batchBins.Observe(float64(totalBins))
 
-	resp := batchResp{Results: make([]batchEntryResp, len(results))}
+	reusable = true
+	resp := &sc.resp
 	status := http.StatusOK
-	for i, res := range results {
+	for i := range results {
+		res := &results[i]
 		out := batchEntryResp{Tenant: res.Tenant, Applied: res.Applied}
 		resp.Applied += res.Applied
 		switch {
@@ -653,15 +757,19 @@ func (s *server) handleObserveBatch(w http.ResponseWriter, r *http.Request) {
 				resp.Rejected++
 				status = http.StatusTooManyRequests
 			}
+			if errors.Is(res.Err, hierctl.ErrFleetClosed) {
+				reusable = false
+			}
 		case req.Decisions && res.LastDecision != nil:
 			out.LastDecision = toDecisionDTO(*res.LastDecision)
 		}
-		resp.Results[i] = out
+		resp.Results = append(resp.Results, out)
 	}
 	if status == http.StatusTooManyRequests {
 		w.Header().Set("Retry-After", "1")
 	}
 	writeJSON(w, status, resp)
+	return reusable
 }
 
 // handleTenant serves one tenant: {id}/observe, {id}/state, DELETE {id}.
@@ -675,8 +783,8 @@ func (s *server) handleTenant(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case len(parts) == 2 && parts[1] == "observe" && r.Method == http.MethodPost:
 		var req observeReq
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
-			writeError(w, fmt.Errorf("decode request: %w", err))
+		if err := s.decodeSmallBody(w, r, &req); err != nil {
+			writeError(w, err)
 			return
 		}
 		if !(req.Count >= 0) || req.Count > maxBinCount { // also rejects NaN

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"runtime"
 	"time"
 
 	"hierctl/internal/cluster"
@@ -31,11 +32,13 @@ func fleetScaleTenantConfig(seed int64) (fleet.TenantConfig, error) {
 // snapshot and a streaming restore of the fleet.
 //
 // TenantTicksPerSec, NsPerTick, CreateSeconds and the latency columns
-// are wall-clock and vary run to run; Tenants, Bins, CountPerBin and
-// SnapshotBytes are deterministic and form the projection CI diffs
-// across regenerations (snapshot bytes are reproducible because the
-// snapshot encoder sorts every map — see TestSnapshotBytesDeterministic —
-// and the tenant configuration embeds no host path).
+// are wall-clock and vary run to run, and the two alloc columns move with
+// the collector's timing (pooled call state is dropped at a GC); Tenants,
+// Bins, CountPerBin and SnapshotBytes are deterministic and form the
+// projection CI diffs across regenerations (snapshot bytes are
+// reproducible because the snapshot encoder sorts every map — see
+// TestSnapshotBytesDeterministic — and the tenant configuration embeds no
+// host path).
 type FleetBenchRow struct {
 	Tenants int `json:"tenants"`
 	// Bins is the number of observation bins ingested per tenant in the
@@ -48,6 +51,15 @@ type FleetBenchRow struct {
 	CountPerBin       float64 `json:"countPerBin"`
 	TenantTicksPerSec float64 `json:"tenantTicksPerSec"`
 	NsPerTick         float64 `json:"nsPerTick"`
+	// AllocBytesPerBin and AllocsPerBin are the process's heap allocation
+	// (runtime.MemStats delta) over the measured ingest rounds, per tenant
+	// bin: the step plus the fleet's fan-out. The rounds go through
+	// ObserveBatchInto with a reused result slice and decisions off — the
+	// daemon's default path — except at the scale whose decisions the
+	// BatchEqualsSequential check reads, where every entry's decision is
+	// built and kept.
+	AllocBytesPerBin float64 `json:"allocBytesPerBin"`
+	AllocsPerBin     float64 `json:"allocsPerBin"`
 	// CreateSeconds is the wall-clock cost of standing up all n tenants
 	// (the first tenant learns, the rest share its artifacts).
 	CreateSeconds  float64 `json:"createSeconds"`
@@ -148,9 +160,10 @@ func newBenchFleet(n int) (*fleet.Fleet, []string, error) {
 }
 
 // observeRound pushes one bin of count arrivals to every tenant in a
-// single ObserveBatch call and returns the per-entry decisions.
-func observeRound(f *fleet.Fleet, entries []fleet.BatchEntry) ([]fleet.BatchResult, error) {
-	results, err := f.ObserveBatch(entries)
+// single ObserveBatchInto call over dst[:0] and returns the per-entry
+// results (with decisions when asked for).
+func observeRound(f *fleet.Fleet, dst []fleet.BatchResult, entries []fleet.BatchEntry, decisions bool) ([]fleet.BatchResult, error) {
+	results, err := f.ObserveBatchInto(dst[:0], entries, decisions)
 	if err != nil {
 		return nil, err
 	}
@@ -175,13 +188,19 @@ func runFleetBenchScale(n, bins int, count float64, verifySequential bool) (Flee
 	for i := range entries {
 		entries[i] = fleet.BatchEntry{Tenant: ids[i], Counts: []float64{count}}
 	}
-	// Batched decisions are retained only when the sequential twin will
-	// need them for the equivalence check.
+	// Batched decisions are built, and their rounds retained, only when the
+	// sequential twin will need them for the equivalence check; otherwise
+	// every round reuses one result slice.
 	var rounds [][]fleet.BatchResult
+	var results []fleet.BatchResult
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	start := time.Now()
 	for r := 0; r < bins; r++ {
-		results, err := observeRound(f, entries)
-		if err != nil {
+		if verifySequential {
+			results = nil
+		}
+		if results, err = observeRound(f, results, entries, verifySequential); err != nil {
 			return FleetBenchRow{}, false, false, err
 		}
 		if verifySequential {
@@ -189,6 +208,7 @@ func runFleetBenchScale(n, bins int, count float64, verifySequential bool) (Flee
 		}
 	}
 	elapsed := time.Since(start)
+	runtime.ReadMemStats(&after)
 	ticks := n * bins
 
 	batchOK := true
@@ -232,11 +252,11 @@ func runFleetBenchScale(n, bins int, count float64, verifySequential bool) (Flee
 	// The restored fleet must continue exactly where the original left
 	// off: one more bin on both, decisions bit-identical.
 	restoreOK := true
-	orig, err := observeRound(f, entries)
+	orig, err := observeRound(f, nil, entries, true)
 	if err != nil {
 		return FleetBenchRow{}, false, false, err
 	}
-	rest, err := observeRound(restored, entries)
+	rest, err := observeRound(restored, nil, entries, true)
 	if err != nil {
 		return FleetBenchRow{}, false, false, err
 	}
@@ -254,6 +274,8 @@ func runFleetBenchScale(n, bins int, count float64, verifySequential bool) (Flee
 		CountPerBin:       count,
 		TenantTicksPerSec: float64(ticks) / elapsed.Seconds(),
 		NsPerTick:         float64(elapsed.Nanoseconds()) / float64(ticks),
+		AllocBytesPerBin:  float64(after.TotalAlloc-before.TotalAlloc) / float64(ticks),
+		AllocsPerBin:      float64(after.Mallocs-before.Mallocs) / float64(ticks),
 		CreateSeconds:     createSeconds,
 		SnapshotMillis:    snapshotMillis,
 		RestoreMillis:     restoreMillis,

@@ -55,6 +55,9 @@ func TestRunFleetBenchSmall(t *testing.T) {
 		if row.TenantTicksPerSec <= 0 || row.NsPerTick <= 0 {
 			t.Errorf("row %d: non-positive throughput %v / %v", i, row.TenantTicksPerSec, row.NsPerTick)
 		}
+		if row.AllocBytesPerBin <= 0 || row.AllocsPerBin <= 0 {
+			t.Errorf("row %d: alloc columns %v B / %v per bin", i, row.AllocBytesPerBin, row.AllocsPerBin)
+		}
 		if row.SnapshotBytes <= 0 {
 			t.Errorf("row %d: snapshot bytes %d", i, row.SnapshotBytes)
 		}
@@ -74,8 +77,10 @@ func TestRunFleetBenchSmall(t *testing.T) {
 
 // benchmarkFleetIngest measures steady-state batched ingest: the fleet is
 // built outside the timer, then each iteration pushes one bin to every
-// tenant through a single ObserveBatch call.
-func benchmarkFleetIngest(b *testing.B, n int) {
+// tenant through a single batch call — ObserveBatch (a fresh result slice,
+// every entry's decision built), or with into the daemon's default path:
+// ObserveBatchInto over one reused slice, decisions off.
+func benchmarkFleetIngest(b *testing.B, n int, into bool) {
 	f, ids, err := newBenchFleet(n)
 	if err != nil {
 		b.Fatal(err)
@@ -86,9 +91,14 @@ func benchmarkFleetIngest(b *testing.B, n int) {
 	for i := range entries {
 		entries[i] = fleet.BatchEntry{Tenant: ids[i], Counts: []float64{count}}
 	}
+	var results []fleet.BatchResult
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := observeRound(f, entries); err != nil {
+		if !into {
+			results = nil
+		}
+		if results, err = observeRound(f, results, entries, !into); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -97,5 +107,6 @@ func benchmarkFleetIngest(b *testing.B, n int) {
 	b.ReportMetric(ticks/b.Elapsed().Seconds(), "tenant-ticks/sec")
 }
 
-func BenchmarkFleetIngest64(b *testing.B)   { benchmarkFleetIngest(b, 64) }
-func BenchmarkFleetIngest1024(b *testing.B) { benchmarkFleetIngest(b, 1024) }
+func BenchmarkFleetIngest64(b *testing.B)   { benchmarkFleetIngest(b, 64, false) }
+func BenchmarkFleetIngest1024(b *testing.B) { benchmarkFleetIngest(b, 1024, false) }
+func BenchmarkFleetBatchInto(b *testing.B)  { benchmarkFleetIngest(b, 1024, true) }

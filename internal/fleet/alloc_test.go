@@ -83,10 +83,12 @@ func TestTelemetryIntoZeroAlloc(t *testing.T) {
 // to 33 may add only what the controllers' own decision copy-outs cost
 // (two slices per L1 decision, every fourth bin at this cadence) — no
 // per-bin decision payloads, harvest slices or request buffers — and an
-// entry's fixed cost (its job closure, the one decision it returns, the
-// copy the tenant keeps) stays small.
+// ObserveBatch entry's fixed cost (the one decision it returns) stays
+// small. Through ObserveBatchInto with a warm dst and decisions off, the
+// entry itself costs nothing: widening the call from 16 to 256 one-bin
+// entries adds only those tenants' L1 copy-outs.
 func TestObserveBatchAllocsPerEntry(t *testing.T) {
-	const tenants = 4
+	const tenants = 256
 	f := New(Config{Shards: 2})
 	defer f.Close()
 	tc := TenantConfig{
@@ -106,27 +108,42 @@ func TestObserveBatchAllocsPerEntry(t *testing.T) {
 		}
 	}
 	series := []float64{300, 520, 12, 700, 150, 5, 480, 660, 30, 240, 680, 9}
-	batch := func(bins int) func() {
-		entries := make([]BatchEntry, tenants)
+	var dst []BatchResult
+	// batch builds one call over the first width tenants; silent sends it
+	// through ObserveBatchInto(dst[:0], decisions off)
+	// (at a fiftieth of the load: that arm prices the entry, not the bin).
+	batch := func(width, bins int, silent bool) func() {
+		entries := make([]BatchEntry, width)
 		for i := range entries {
 			entries[i] = BatchEntry{Tenant: ids[i], Counts: make([]float64, bins)}
 			for b := range entries[i].Counts {
 				entries[i].Counts[b] = series[(b+i)%len(series)]
+				if silent {
+					entries[i].Counts[b] = float64(int(entries[i].Counts[b]) / 50)
+				}
 			}
 		}
 		return func() {
-			results, err := f.ObserveBatch(entries)
+			var results []BatchResult
+			var err error
+			if silent {
+				dst, err = f.ObserveBatchInto(dst[:0], entries, false)
+				results = dst
+			} else {
+				results, err = f.ObserveBatch(entries)
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, r := range results {
-				if r.Err != nil || r.Applied != bins || r.LastDecision == nil {
-					t.Fatalf("entry %s: applied %d of %d, err %v", r.Tenant, r.Applied, bins, r.Err)
+				if r.Err != nil || r.Applied != bins || (r.LastDecision == nil) != silent {
+					t.Fatalf("entry %s: applied %d of %d, decision %v, err %v", r.Tenant, r.Applied, bins, r.LastDecision != nil, r.Err)
 				}
 			}
 		}
 	}
-	shallow, deep := batch(1), batch(33)
+	const few = 4
+	shallow, deep := batch(few, 1, false), batch(few, 33, false)
 	for i := 0; i < 40; i++ { // past 1024 bins: the tenants' logs and series regrow rarely
 		deep()
 	}
@@ -134,12 +151,32 @@ func TestObserveBatchAllocsPerEntry(t *testing.T) {
 	perDeep := testing.AllocsPerRun(40, deep)
 
 	// 32 extra bins per entry hold 8 L1 decisions of 2 slices each.
-	l1CopyOuts := float64(tenants * 32 / 4 * 2)
-	if extra := perDeep - perShallow; extra > l1CopyOuts+tenants {
+	l1CopyOuts := float64(few * 32 / 4 * 2)
+	if extra := perDeep - perShallow; extra > l1CopyOuts+few {
 		t.Errorf("32 more bins per entry cost %v allocs per call, want <= %v (the L1 decision copy-outs): the batch allocates per bin",
-			extra, l1CopyOuts+tenants)
+			extra, l1CopyOuts+few)
 	}
-	if perEntry := perShallow / tenants; perEntry > 20 {
+	if perEntry := perShallow / few; perEntry > 20 {
 		t.Errorf("a 1-bin entry costs %v allocs, want <= 20", perEntry)
+	}
+
+	narrow, wide := batch(16, 1, true), batch(tenants, 1, true)
+	// Warm dst and the pooled cells at full width, and park every tenant
+	// between two regrowths of its per-bin logs and series (append doubles
+	// at 256 and 512 bins; the first four tenants are past 2560).
+	for i := 0; i < 300; i++ {
+		wide()
+	}
+	perNarrow := testing.AllocsPerRun(40, narrow)
+	perWide := testing.AllocsPerRun(40, wide)
+	// One L1 decision (2 slices) per tenant every fourth call.
+	widerCopyOuts := float64((tenants - 16) * 2 / 4)
+	if extra := perWide - perNarrow; extra > widerCopyOuts+8 {
+		t.Errorf("%d more one-bin entries cost %v allocs per call, want <= %v (their L1 decision copy-outs): ObserveBatchInto allocates per entry",
+			tenants-16, extra, widerCopyOuts+8)
+	}
+	t.Logf("allocs per call: ObserveBatch 4x1 %v, 4x33 %v; ObserveBatchInto 16x1 %v, 256x1 %v", perShallow, perDeep, perNarrow, perWide)
+	if perNarrow > 16*2/4+8 {
+		t.Errorf("a warm 16-entry ObserveBatchInto call costs %v allocs, want <= %d", perNarrow, 16*2/4+8)
 	}
 }

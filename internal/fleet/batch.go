@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -8,10 +9,12 @@ import (
 )
 
 // BatchEntry is one tenant's slice of a batched ingest call: Counts are
-// consecutive observation bins, applied in order.
+// consecutive observation bins, applied in order. The tags are the
+// /v1/observe:batch wire shape, so the daemon decodes requests straight
+// into the entries it hands to ObserveBatchInto.
 type BatchEntry struct {
-	Tenant string
-	Counts []float64
+	Tenant string    `json:"tenant"`
+	Counts []float64 `json:"counts"`
 }
 
 // BatchResult reports one entry's outcome, index-aligned with the entries
@@ -22,18 +25,26 @@ type BatchResult struct {
 	// when a bin errored mid-entry; bins before the error stay applied).
 	Applied int
 	// LastDecision is the decision in force after the entry's final
-	// applied bin (nil when nothing was applied).
+	// applied bin (nil when nothing was applied, or when the call did not
+	// ask for decisions).
 	LastDecision *core.BinDecision
 	// Err is nil on full application; ErrNotFound, ErrQueueFull,
 	// ErrClosed, or the session error that stopped the entry otherwise.
 	Err error
 }
 
-// batchOut is the shard-side result cell of one entry's job, carved from
-// one slice per call. The job owns it until it sets finished; the caller
-// reads it only after loading finished true, so a job abandoned by fleet
-// shutdown can still write it harmlessly.
+// batchOut is one entry's cell in a batch call, and the job its home shard
+// runs: the caller fills t and counts and sends the cell itself down the
+// shard queue, so an entry costs no closure. The job owns applied, last
+// and err until it sets finished; the caller reads them only after loading
+// finished true, so a job abandoned by fleet shutdown can still write its
+// cell harmlessly — which is also why the cells of a call that saw the
+// fleet close are never reused.
 type batchOut struct {
+	call   *batchCall
+	t      *tenant // nil: the entry's id did not resolve
+	counts []float64
+
 	enqueued bool // caller-side only: the entry's job reached its shard
 	finished atomic.Bool
 	applied  int
@@ -41,27 +52,68 @@ type batchOut struct {
 	err      error
 }
 
-// batchCall is one ObserveBatch call's completion counter: pending counts
-// the enqueued jobs still running plus one hold the caller keeps while it
-// is enqueueing; whoever drops it to zero closes done.
+// batchCall is one ObserveBatchInto call's state, pooled per fleet: the
+// entries' cells and the completion counter. pending counts the enqueued
+// jobs still running plus one hold the caller keeps while it is
+// enqueueing; whoever drops it to zero puts the call's one token in done.
 type batchCall struct {
-	pending atomic.Int64
-	done    chan struct{}
+	f         *Fleet
+	decisions bool
+	cells     []batchOut
+	pending   atomic.Int64
+	done      chan struct{} // capacity 1: one token per call, taken before reuse
 }
 
 func (c *batchCall) release() {
 	if c.pending.Add(-1) == 0 {
-		close(c.done)
+		c.done <- struct{}{}
 	}
 }
 
-// ObserveBatch feeds many observation bins across many tenants in one
-// call. Entries fan out to their tenants' home shards as one job per
+// run steps the entry's bins on its tenant's home shard. The decision is
+// built here, where it leaves the shard, and only for a call that asked.
+//
+//hpm:hotpath
+func (o *batchOut) run() {
+	c, t := o.call, o.t
+	f := c.f
+	start := time.Now()
+	for _, count := range o.counts {
+		if err := f.stepTenant(t, count); err != nil {
+			o.err = err
+			break
+		}
+		o.applied++
+	}
+	if c.decisions && o.applied > 0 {
+		dec := t.sess.Decision()
+		o.last = &dec //hpm:alloc the decision leaves the shard in the reply
+	}
+	f.observations.Add(int64(o.applied))
+	f.ticks.Add(int64(o.applied * t.sub))
+	f.decideNanos.Add(time.Since(start).Nanoseconds())
+	o.finished.Store(true)
+	c.release()
+}
+
+// ObserveBatch is ObserveBatchInto into a fresh slice with every entry's
+// decision built — the allocating form for callers that read them.
+func (f *Fleet) ObserveBatch(entries []BatchEntry) ([]BatchResult, error) {
+	return f.ObserveBatchInto(nil, entries, true)
+}
+
+// ObserveBatchInto feeds many observation bins across many tenants in one
+// call, appending one result per entry to dst and returning the extended
+// slice. Entries fan out to their tenants' home shards as one job per
 // entry; a tenant's bins are applied in entry order (shard queues are
 // FIFO), so per-tenant ordering is deterministic and the resulting
 // records are bit-identical to delivering the same counts one-by-one via
 // Observe — the batch≡sequential invariant pinned by
 // TestObserveBatchEquivalence. Distinct tenants step concurrently.
+//
+// decisions asks for each entry's LastDecision; without it no decision is
+// built at all, and a caller that hands the previous call's slice back
+// (re-sliced to [:0]) pays a fixed cost per call, not per entry.
 //
 // Enqueueing is non-blocking: an entry whose home shard's ingest queue is
 // full fails with ErrQueueFull, and so do the batch's later entries for
@@ -74,24 +126,72 @@ func (c *batchCall) release() {
 // waits for the entries it did enqueue, so results are final on return.
 //
 // The error return is reserved for whole-call failures (ErrClosed);
-// per-entry failures ride in the results.
-func (f *Fleet) ObserveBatch(entries []BatchEntry) ([]BatchResult, error) {
+// per-entry failures ride in the results. After ErrClosed, whole-call or
+// on any entry, the entries' Counts must not be reused: a job abandoned by
+// the shutdown may still be reading them.
+func (f *Fleet) ObserveBatchInto(dst []BatchResult, entries []BatchEntry, decisions bool) ([]BatchResult, error) {
 	if err := f.ctx.Err(); err != nil {
 		return nil, ErrClosed
 	}
-	results := make([]BatchResult, len(entries))
-	outs := make([]batchOut, len(entries))
-	call := &batchCall{done: make(chan struct{})}
+	base := len(dst)
+	dst = slices.Grow(dst, len(entries))[:base+len(entries)]
+	results := dst[base:]
+
+	call, _ := f.batchCalls.Get().(*batchCall)
+	if call == nil {
+		call = &batchCall{f: f, done: make(chan struct{}, 1)}
+	}
+	call.decisions = decisions
+	if cap(call.cells) < len(entries) {
+		call.cells = make([]batchOut, len(entries))
+	}
+	cells := call.cells[:len(entries)]
 	call.pending.Store(1)
+
+	f.mu.RLock()
+	for i := range entries {
+		cells[i].t = f.tenants[entries[i].Tenant]
+	}
+	f.mu.RUnlock()
+	call.enqueue(cells, entries, results)
+	call.release()
+	closed := false
+	select {
+	case <-call.done:
+	case <-f.ctx.Done():
+		closed = true
+	}
+	for i := range cells {
+		if cells[i].enqueued {
+			cells[i].collect(&results[i])
+		}
+	}
+	if closed {
+		// The fleet closed under the call: a job that has not finished may
+		// still write its cell, so the cells are left to the collector.
+		return dst, nil
+	}
+	// Nothing a pooled cell holds may pin a closed tenant, the caller's
+	// counts or a returned decision.
+	clear(cells)
+	f.batchCalls.Put(call)
+	return dst, nil
+}
+
+// enqueue validates each entry and sends its cell to its tenant's home
+// shard, writing the entries that fail without reaching one into results.
+//
+//hpm:hotpath
+func (c *batchCall) enqueue(cells []batchOut, entries []BatchEntry, results []BatchResult) {
+	f := c.f
 	var blocked map[string]bool
 	for i := range entries {
-		e := &entries[i]
-		results[i].Tenant = e.Tenant
-		t, err := f.tenant(e.Tenant)
-		if err != nil {
+		e, out := &entries[i], &cells[i]
+		results[i] = BatchResult{Tenant: e.Tenant}
+		if out.t == nil {
 			// Unknown tenants fail even with no bins to apply, matching
 			// Observe — an empty entry is a validated no-op, not a skip.
-			results[i].Err = err
+			results[i].Err = ErrNotFound
 			continue
 		}
 		if len(e.Counts) == 0 {
@@ -102,68 +202,35 @@ func (f *Fleet) ObserveBatch(entries []BatchEntry) ([]BatchResult, error) {
 			f.queueRejects.Add(1)
 			continue
 		}
-		out := &outs[i]
-		counts := e.Counts
-		job := func() {
-			defer call.release()
-			defer out.finished.Store(true)
-			start := time.Now()
-			for _, c := range counts {
-				if err := f.stepTenant(t, c); err != nil {
-					out.err = err
-					break
-				}
-				out.applied++
-			}
-			if out.applied > 0 {
-				// One decision per entry, built where it escapes the
-				// shard: the one in force after the last applied bin.
-				dec := t.decide()
-				out.last = &dec
-			}
-			f.observations.Add(int64(out.applied))
-			f.ticks.Add(int64(out.applied * t.sub))
-			f.decideNanos.Add(time.Since(start).Nanoseconds())
-		}
-		call.pending.Add(1)
+		out.call, out.counts = c, e.Counts
+		c.pending.Add(1)
 		select {
-		case t.home.jobs <- job:
+		case out.t.home.jobs <- out:
 			out.enqueued = true
 		default:
-			call.pending.Add(-1) // cannot reach zero: the caller's hold is still in
+			c.pending.Add(-1) // cannot reach zero: the caller's hold is still in
 			results[i].Err = ErrQueueFull
 			f.queueRejects.Add(1)
 			if blocked == nil {
-				blocked = map[string]bool{}
+				blocked = map[string]bool{} //hpm:alloc backpressure path only
 			}
 			blocked[e.Tenant] = true
 		}
 	}
-	call.release()
-	select {
-	case <-call.done:
-	case <-f.ctx.Done():
+}
+
+// collect copies a finished job's outcome into its result. A job that has
+// not finished means the fleet closed under the call — it is either still
+// queued (it will never run: the shard loops exited) or mid-flight on a
+// shard that outlives the cancellation — and its cell cannot be read
+// safely, so the entry reports ErrClosed. A job that did finish is never
+// reported as closed.
+func (o *batchOut) collect(res *BatchResult) {
+	if !o.finished.Load() {
+		res.Err = ErrClosed
+		return
 	}
-	for i := range outs {
-		out := &outs[i]
-		if !out.enqueued {
-			continue
-		}
-		if !out.finished.Load() {
-			// The fleet closed under the call. The job is either still
-			// queued (it will never run — the shard loops exited) or
-			// mid-flight on a shard that outlives the cancellation;
-			// either way its cell cannot be read safely, so the entry
-			// reports ErrClosed. A job that did finish is never reported
-			// as closed.
-			results[i].Err = ErrClosed
-			continue
-		}
-		results[i].Applied = out.applied
-		results[i].LastDecision = out.last
-		results[i].Err = out.err
-	}
-	return results, nil
+	res.Applied, res.LastDecision, res.Err = o.applied, o.last, o.err
 }
 
 // QueueDepths reports each shard's pending ingest-queue length — the

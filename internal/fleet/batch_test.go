@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -249,10 +250,10 @@ func TestObserveBatchQueueFull(t *testing.T) {
 	// slot; the next enqueue cannot succeed until both are released.
 	release := make(chan struct{})
 	wedged := make(chan struct{})
-	f.shards[0].jobs <- func() { close(wedged); <-release }
+	f.shards[0].jobs <- funcJob(func() { close(wedged); <-release })
 	<-wedged
 	drained := make(chan struct{})
-	f.shards[0].jobs <- func() { close(drained) }
+	f.shards[0].jobs <- funcJob(func() { close(drained) })
 
 	entries := []BatchEntry{
 		{Tenant: "x", Counts: []float64{200}},
@@ -390,71 +391,168 @@ func TestObserveBatchStress(t *testing.T) {
 	}
 }
 
-// TestObserveBatchClosedMidCall closes the fleet under in-flight batch
-// calls (run under -race): every call returns promptly, and every entry
-// reports either a finished job — all of its bins applied, a decision —
-// or ErrClosed, never a half-read cell. The per-call completion counter
-// must not report a finished job as closed nor wait for a job that will
-// never run.
+// TestObserveBatchClosedMidCall closes fleets under in-flight batch calls
+// (run under -race), many times over: every call returns promptly, and
+// every entry reports either a finished job — all of its bins applied, a
+// decision if asked for — or ErrClosed, never a half-read cell. The
+// per-call completion counter must not report a finished job as closed nor
+// wait for a job that will never run. Calls alternate between ObserveBatch
+// and a warm ObserveBatchInto, so the cells are pooled ones: a cell handed
+// back to the pool while an abandoned job could still write it would race
+// the next call's use of it. A client gives its result slice up at the
+// first ErrClosed, as the contract asks.
 func TestObserveBatchClosedMidCall(t *testing.T) {
 	const clients = 4
+	const fleets = 12
 	dir := t.TempDir()
-	f := New(Config{Shards: 2})
-	ids := make([]string, clients)
-	for i := range ids {
-		ids[i] = string(rune('a' + i))
-		if err := f.CreateTenant(ids[i], batchTenantConfig(dir, int64(i+1))); err != nil {
-			t.Fatal(err)
-		}
-	}
 	counts := make([]float64, 24)
 	for i := range counts {
 		counts[i] = 150 + float64(10*i)
 	}
-	started := make(chan struct{}, clients)
-	var wg sync.WaitGroup
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for call := 0; ; call++ {
-				results, err := f.ObserveBatch([]BatchEntry{
-					{Tenant: ids[i], Counts: counts},
-					{Tenant: ids[(i+1)%clients], Counts: counts[:3]},
-				})
-				if call == 0 {
-					started <- struct{}{}
-				}
-				if errors.Is(err, ErrClosed) {
-					return
-				}
-				if err != nil {
-					t.Errorf("client %d: %v", i, err)
-					return
-				}
-				for e, r := range results {
-					want := len(counts)
-					if e == 1 {
-						want = 3
-					}
-					switch {
-					case errors.Is(r.Err, ErrClosed):
-						if r.Applied != 0 || r.LastDecision != nil {
-							t.Errorf("client %d entry %d: ErrClosed with a read cell (%d applied)", i, e, r.Applied)
-						}
-					case errors.Is(r.Err, ErrQueueFull):
-					case r.Err != nil:
-						t.Errorf("client %d entry %d: %v", i, e, r.Err)
-					case r.Applied != want || r.LastDecision == nil:
-						t.Errorf("client %d entry %d: %d of %d bins applied, decision %v", i, e, r.Applied, want, r.LastDecision != nil)
-					}
-				}
+	for round := 0; round < fleets; round++ {
+		f := New(Config{Shards: 2})
+		ids := make([]string, clients)
+		for i := range ids {
+			ids[i] = string(rune('a' + i))
+			if err := f.CreateTenant(ids[i], batchTenantConfig(dir, int64(i+1))); err != nil {
+				t.Fatal(err)
 			}
-		}(i)
+		}
+		started := make(chan struct{}, clients)
+		var wg sync.WaitGroup
+		for i := 0; i < clients; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				var dst []BatchResult
+				for call := 0; ; call++ {
+					entries := []BatchEntry{
+						{Tenant: ids[i], Counts: counts},
+						{Tenant: ids[(i+1)%clients], Counts: counts[:3]},
+					}
+					decisions := call%2 == 0
+					var results []BatchResult
+					var err error
+					if decisions {
+						results, err = f.ObserveBatch(entries)
+					} else {
+						dst, err = f.ObserveBatchInto(dst[:0], entries, false)
+						results = dst
+					}
+					if call == 0 {
+						started <- struct{}{}
+					}
+					if errors.Is(err, ErrClosed) {
+						return
+					}
+					if err != nil {
+						t.Errorf("client %d: %v", i, err)
+						return
+					}
+					for e, r := range results {
+						want := len(counts)
+						if e == 1 {
+							want = 3
+						}
+						switch {
+						case errors.Is(r.Err, ErrClosed):
+							if r.Applied != 0 || r.LastDecision != nil {
+								t.Errorf("client %d entry %d: ErrClosed with a read cell (%d applied)", i, e, r.Applied)
+							}
+							dst = nil
+						case errors.Is(r.Err, ErrQueueFull):
+						case r.Err != nil:
+							t.Errorf("client %d entry %d: %v", i, e, r.Err)
+						case r.Applied != want || (r.LastDecision != nil) != decisions:
+							t.Errorf("client %d entry %d: %d of %d bins applied, decision %v", i, e, r.Applied, want, r.LastDecision != nil)
+						}
+					}
+				}
+			}(i)
+		}
+		for i := 0; i < clients; i++ {
+			<-started
+		}
+		f.Close()
+		wg.Wait()
 	}
-	for i := 0; i < clients; i++ {
-		<-started
+}
+
+// TestStateAfterSilentBatch: skipping a decision where nobody reads it
+// loses nothing. A tenant fed through decisions-off batches reports the
+// same State — last decision included — as a twin fed the same bins one
+// Observe at a time, before and after a snapshot→restore (whose replay
+// builds no decision either); and a tenant quarantined on its very first
+// bin, which never had a decision in force, reports none.
+func TestStateAfterSilentBatch(t *testing.T) {
+	dir := t.TempDir()
+	counts := []float64{300, 520, 12, 700, 150, 5, 480}
+	seq := panicFleet(t, 2)
+	silent := panicFleet(t, 2)
+	for _, f := range []*Fleet{seq, silent} {
+		for i, id := range []string{"a", "b", "fresh", "doomed"} {
+			if err := f.CreateTenant(id, batchTenantConfig(dir, int64(i+1))); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	f.Close()
-	wg.Wait()
+	for _, id := range []string{"a", "b"} {
+		for _, c := range counts {
+			if _, err := seq.Observe(id, c); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if _, err := seq.Observe("doomed", panicCount); !errors.Is(err, ErrTenantQuarantined) {
+		t.Fatalf("doomed via Observe: %v, want ErrTenantQuarantined", err)
+	}
+	results, err := silent.ObserveBatchInto(nil, []BatchEntry{
+		{Tenant: "a", Counts: counts[:3]},
+		{Tenant: "b", Counts: counts},
+		{Tenant: "a", Counts: counts[3:]},
+		{Tenant: "doomed", Counts: []float64{panicCount, 100}},
+	}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range results {
+		if r.LastDecision != nil {
+			t.Errorf("entry %d: a decisions-off call returned a decision", i)
+		}
+		if doomed := r.Tenant == "doomed"; errors.Is(r.Err, ErrTenantQuarantined) != doomed || (r.Err != nil) != doomed {
+			t.Errorf("entry %d (%s): err %v", i, r.Tenant, r.Err)
+		}
+	}
+
+	check := func(stage string, got *Fleet) {
+		t.Helper()
+		for _, id := range []string{"a", "b", "fresh", "doomed"} {
+			want, err := seq.State(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			have, err := got.State(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(want, have) {
+				t.Errorf("%s: tenant %s state after silent batches\n got %+v\nwant %+v", stage, id, have, want)
+			}
+			if stepped := id == "a" || id == "b"; (have.LastDecision != nil) != stepped {
+				t.Errorf("%s: tenant %s lastDecision present = %v, want %v", stage, id, have.LastDecision != nil, stepped)
+			}
+		}
+	}
+	check("live", silent)
+
+	var buf bytes.Buffer
+	if err := silent.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	restored := New(Config{Shards: 2})
+	defer restored.Close()
+	if err := restored.Restore(&buf); err != nil {
+		t.Fatal(err)
+	}
+	check("restored", restored)
 }

@@ -110,11 +110,22 @@ type Fleet struct {
 	panics       atomic.Int64
 
 	failpoint func(id string, count float64)
+
+	// batchCalls pools ObserveBatchInto's per-call state (*batchCall).
+	batchCalls sync.Pool
 }
+
+// job is one unit of work on a shard queue. A batch entry's pooled cell is
+// its own job; everything else rides as a funcJob.
+type job interface{ run() }
+
+type funcJob func()
+
+func (fn funcJob) run() { fn() }
 
 // shard executes the jobs of its assigned tenants serially.
 type shard struct {
-	jobs chan func()
+	jobs chan job
 }
 
 func (s *shard) run(ctx context.Context) {
@@ -122,8 +133,8 @@ func (s *shard) run(ctx context.Context) {
 		select {
 		case <-ctx.Done():
 			return
-		case job := <-s.jobs:
-			job()
+		case j := <-s.jobs:
+			j.run()
 		}
 	}
 }
@@ -144,7 +155,7 @@ func New(cfg Config) *Fleet {
 	}
 	f.ctx, f.cancel = context.WithCancel(context.Background())
 	for i := range f.shards {
-		f.shards[i] = &shard{jobs: make(chan func(), depth)}
+		f.shards[i] = &shard{jobs: make(chan job, depth)}
 	}
 	go func() { //hpm:goroutine single long-lived supervisor; the fan-out inside is the bounded par pool
 		defer close(f.done)
@@ -170,9 +181,8 @@ func (f *Fleet) Close() {
 // ErrClosed if the fleet shuts down first.
 func (f *Fleet) exec(t *tenant, fn func()) error {
 	done := make(chan struct{})
-	job := func() { defer close(done); fn() }
 	select {
-	case t.home.jobs <- job:
+	case t.home.jobs <- funcJob(func() { defer close(done); fn() }):
 	case <-f.ctx.Done():
 		return ErrClosed
 	}
@@ -287,7 +297,7 @@ func (f *Fleet) Observe(id string, count float64) (core.BinDecision, error) {
 		// not shard-queue wait.
 		start := time.Now()
 		if oerr = f.stepTenant(t, count); oerr == nil {
-			dec = t.decide()
+			dec = t.sess.Decision()
 		}
 		decided = time.Since(start)
 	}); err != nil {

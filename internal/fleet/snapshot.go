@@ -703,9 +703,6 @@ func restoreTenant(s tenantSnap, store *core.ArtifactStore, gmaps map[digest]*co
 			return nil, fmt.Errorf("fleet: tenant %s replay: %w", s.ID, err)
 		}
 	}
-	if len(s.Observations) > 0 {
-		t.decide()
-	}
 	if s.Quarantined {
 		t.quarantined.Store(true)
 	}

@@ -87,7 +87,6 @@ type tenant struct {
 	// uptime; very long-lived tenants will want periodic compaction
 	// (close + recreate, or a future checkpoint format).
 	observations []float64
-	lastDecision *core.BinDecision
 
 	// quarantined latches true when a panic was recovered while stepping
 	// this tenant (see Fleet.stepTenant). Atomic because readers off the
@@ -147,7 +146,9 @@ func newTenant(id string, tc TenantConfig, artifacts *core.ArtifactStore, logged
 }
 
 // step applies one observation bin and logs it. It builds no decision:
-// a stepping job calls decide once, after its last bin.
+// the session keeps the one in force, and whoever sends it off the home
+// shard (an Observe reply, a batch entry that asked, state) copies it out
+// with sess.Decision there.
 func (t *tenant) step(count float64) error {
 	if err := t.sess.StepBin(count); err != nil {
 		return err
@@ -156,16 +157,10 @@ func (t *tenant) step(count float64) error {
 	return nil
 }
 
-// decide materializes the decision in force after the last cleanly
-// applied bin and keeps it for state. The result owns its slices — it
-// leaves the home shard. Every stepping job that applied a bin ends with
-// it, so lastDecision is current whenever the shard is between jobs.
-func (t *tenant) decide() core.BinDecision {
-	dec := t.sess.Decision()
-	t.lastDecision = &dec
-	return dec
-}
-
+// state reports the tenant's progress. Runs on the home shard. The last
+// decision is the session's — refreshed only by a bin that stepped cleanly,
+// so a tenant quarantined mid-stream reports its last good one and a
+// tenant with no bin applied reports none.
 func (t *tenant) state() TenantState {
 	bins, steps, simTime := t.sess.Progress()
 	st := TenantState{
@@ -176,9 +171,9 @@ func (t *tenant) state() TenantState {
 		SimTime:     simTime,
 		Quarantined: t.quarantined.Load(),
 	}
-	if t.lastDecision != nil {
-		held := *t.lastDecision
-		st.LastDecision = &held
+	if len(t.observations) > 0 {
+		dec := t.sess.Decision()
+		st.LastDecision = &dec
 	}
 	return st
 }
