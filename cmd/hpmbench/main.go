@@ -59,7 +59,6 @@ func run(args []string, w io.Writer) (retErr error) {
 	seed := fs.Int64("seed", 1, "random seed")
 	fast := fs.Bool("fast", false, "coarse learning grids (quick runs)")
 	parallelism := fs.Int("parallelism", 0, "per-pool worker width; pools nest (sweep × module × search) (0 = one per CPU, 1 = fully sequential; results identical)")
-	searchParallelism := fs.Int("search-parallelism", 0, "workers fanning each L0 lookahead search's level-0 candidates (0/1 = sequential; decisions identical, explored counters may vary when > 1)")
 	snapshot := fs.String("snapshot", "", "committed benchmark snapshot to regenerate at its canonical configuration: "+strings.Join(snapshotNames(), ", ")+" (each prints its table and writes BENCH_<name>.json)")
 	out := fs.String("out", "", "path -snapshot writes to (default: the committed BENCH_<name>.json in the current directory)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
@@ -88,16 +87,13 @@ func run(args []string, w io.Writer) (retErr error) {
 	if *parallelism < 0 {
 		return fmt.Errorf("-parallelism %d is negative; use 0 for one worker per CPU or a positive width", *parallelism)
 	}
-	if *searchParallelism < 0 {
-		return fmt.Errorf("-search-parallelism %d is negative; use 0 or 1 for a sequential search or a positive worker width", *searchParallelism)
-	}
 	if err := validateModes(*fig, *table, *all, *snapshot, *out); err != nil {
 		return err
 	}
 	if *snapshot != "" {
 		return writeSnapshot(w, fs, *snapshot, *out, *seed, *parallelism)
 	}
-	opts := hierctl.ExperimentOptions{Scale: *scale, Seed: *seed, Fast: *fast, Parallelism: *parallelism, SearchParallelism: *searchParallelism}
+	opts := hierctl.ExperimentOptions{Scale: *scale, Seed: *seed, Fast: *fast, Parallelism: *parallelism}
 
 	if *all {
 		for _, f := range []int{3, 4, 5, 6, 7} {
@@ -132,7 +128,7 @@ var (
 // workloadFlags shape an experiment's workload or worker width. Figures
 // and tables honour all of them; a snapshot runs at a fixed canonical
 // configuration and honours only the ones its registry entry lists.
-var workloadFlags = []string{"scale", "seed", "fast", "parallelism", "search-parallelism"}
+var workloadFlags = []string{"scale", "seed", "fast", "parallelism"}
 
 // validateModes rejects conflicting or unknown mode selections with a
 // usage error listing the valid modes.

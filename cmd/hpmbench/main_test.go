@@ -131,7 +131,7 @@ func TestRunRejectsConflictingModes(t *testing.T) {
 		"scenarios": {"seed", "parallelism"},
 		"chaos":     {"seed", "parallelism"},
 	}
-	values := map[string]string{"scale": "0.5", "seed": "7", "fast": "true", "parallelism": "4", "search-parallelism": "2"}
+	values := map[string]string{"scale": "0.5", "seed": "7", "fast": "true", "parallelism": "4"}
 	for _, b := range snapshots {
 		for _, name := range workloadFlags {
 			if slices.Contains(honours[b.name], name) != slices.Contains(b.honours, name) {

@@ -376,6 +376,23 @@ func TestServerRejectsOversizedRequests(t *testing.T) {
 	doJSON(t, h, http.MethodPost, "/v1/tenants/ok/observe", `{"count":100}`, http.StatusOK)
 }
 
+// TestServerModuleSizeCap pins the moduleSize bound at its edge: the
+// largest accepted module creates, one computer more is the range 400.
+func TestServerModuleSizeCap(t *testing.T) {
+	h, _ := testHandler(t)
+	created := doJSON(t, h, http.MethodPost, "/v1/tenants",
+		fmt.Sprintf(`{"id":"edge","moduleSize":%d,"fast":true}`, maxModuleSize), http.StatusCreated)
+	if created["computers"].(float64) != maxModuleSize {
+		t.Errorf("moduleSize %d built %v computers", maxModuleSize, created["computers"])
+	}
+	rejected := doJSON(t, h, http.MethodPost, "/v1/tenants",
+		fmt.Sprintf(`{"id":"over","moduleSize":%d,"fast":true}`, maxModuleSize+1), http.StatusBadRequest)
+	want := fmt.Sprintf("moduleSize %d outside [1, %d]", maxModuleSize+1, maxModuleSize)
+	if msg, _ := rejected["error"].(string); msg != want {
+		t.Errorf("error %q, want %q", msg, want)
+	}
+}
+
 func TestServerRejectsBadTenantIDs(t *testing.T) {
 	h, _ := testHandler(t)
 	for _, id := range []string{"a/b", "a b", "a\tb"} {

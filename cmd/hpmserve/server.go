@@ -263,8 +263,16 @@ const (
 	// doubles as the moduleSize decode default.
 	standardModuleSize = 4
 
-	maxModules     = 64
-	maxModuleSize  = 64
+	maxModules = 64
+	// maxModuleSize bounds the work of one L1 decision, which runs on the
+	// tenant's home shard with every sibling tenant queued behind it: the
+	// candidate set grows ~m⁴ (depth-2 γ neighbourhood × single-computer
+	// α toggles), and a fresh m-computer module explores 41,855 states at
+	// m = 12, 178,609 at 16, 244,010 at 17, 1,112,475 at 24 (the L1
+	// summary record's explored count; deterministic, so the cap does not
+	// depend on the host). 16 is the largest size under 2×10⁵ states per
+	// decision; README "Online control plane" has the measured table.
+	maxModuleSize  = 16
 	maxBinCount    = 1e6
 	maxBinSeconds  = 3600 // one bin = at most 120 T_L0 control periods
 	maxCalibration = 1 << 16

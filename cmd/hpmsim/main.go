@@ -55,7 +55,6 @@ func run(args []string, stdout io.Writer) (retErr error) {
 	seed := fs.Int64("seed", 1, "random seed")
 	fast := fs.Bool("fast", false, "coarse learning grids (quick runs)")
 	parallelism := fs.Int("parallelism", 0, "per-pool worker width; pools nest (sweep × module × search) (0 = one per CPU, 1 = fully sequential; results identical)")
-	searchParallelism := fs.Int("search-parallelism", 0, "workers fanning each L0 lookahead search's level-0 candidates (0/1 = sequential; decisions identical, explored counters may vary when > 1)")
 	artifacts := fs.String("artifacts", "", "directory caching offline learning results (must exist)")
 	traceOut := fs.String("trace", "", "write the LLC decision timeline as a Chrome trace_event file (chrome://tracing / Perfetto)")
 	traceJSONL := fs.String("trace-jsonl", "", "write the LLC decision records as JSON Lines")
@@ -89,9 +88,6 @@ func run(args []string, stdout io.Writer) (retErr error) {
 	if *parallelism < 0 {
 		return fmt.Errorf("-parallelism %d is negative; use 0 for one worker per CPU or a positive width", *parallelism)
 	}
-	if *searchParallelism < 0 {
-		return fmt.Errorf("-search-parallelism %d is negative; use 0 or 1 for a sequential search or a positive worker width", *searchParallelism)
-	}
 
 	var spec hierctl.ClusterSpec
 	var err error
@@ -123,7 +119,7 @@ func run(args []string, stdout io.Writer) (retErr error) {
 		return err
 	}
 	sc.ScaleToCluster(trace, spec.Computers())
-	opts := hierctl.ExperimentOptions{Scale: *scale, Seed: *seed, Fast: *fast, Parallelism: *parallelism, SearchParallelism: *searchParallelism}
+	opts := hierctl.ExperimentOptions{Scale: *scale, Seed: *seed, Fast: *fast, Parallelism: *parallelism}
 	trace = trimTrace(trace, *scale)
 	// Entries addressing slots outside the selected cluster are skipped by
 	// the runners themselves (the shared injection contract).

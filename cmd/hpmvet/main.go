@@ -2,14 +2,9 @@
 // the internal/analysis suite — the machine-checkable forms of the
 // conventions every equivalence pin depends on — over Go packages.
 //
-// Standalone (the CI entry point):
+// Usage (the CI entry point; patterns default to ./...):
 //
 //	go run ./cmd/hpmvet ./...
-//
-// As a vet tool (per-package, driven by the go command):
-//
-//	go build -o hpmvet ./cmd/hpmvet
-//	go vet -vettool=$(pwd)/hpmvet ./...
 //
 // The analyzers:
 //
@@ -26,11 +21,8 @@
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"fmt"
 	"go/token"
-	"go/types"
 	"io"
 	"os"
 	"path/filepath"
@@ -60,49 +52,11 @@ var analyzers = []*analysis.Analyzer{
 }
 
 func main() {
-	args := os.Args[1:]
-	// The go command probes a vettool before use: -V=full must print a
-	// version line, -flags the JSON list of supported flags.
-	for _, a := range args {
-		switch {
-		case strings.HasPrefix(a, "-V"):
-			// The go command derives the vettool's cache key from the
-			// trailing buildID field, so it must track the executable's
-			// content: hash ourselves, like x/tools' unitchecker does.
-			fmt.Printf("%s version devel buildID=%s\n", filepath.Base(os.Args[0]), selfHash())
-			return
-		case a == "-flags":
-			fmt.Println("[]")
-			return
-		}
-	}
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(unitcheck(args[0]))
-	}
-	patterns := args
+	patterns := os.Args[1:]
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
 	os.Exit(standalone(patterns))
-}
-
-// selfHash returns a content hash of the running executable, the
-// stand-in build ID reported to the go command's tool-probing protocol.
-func selfHash() string {
-	exe, err := os.Executable()
-	if err != nil {
-		return "unknown"
-	}
-	f, err := os.Open(exe)
-	if err != nil {
-		return "unknown"
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		return "unknown"
-	}
-	return fmt.Sprintf("%x", h.Sum(nil)[:16])
 }
 
 // standalone loads whole-module packages via go list and analyzes them.
@@ -127,100 +81,6 @@ func standalone(patterns []string) int {
 		return 1
 	}
 	return 0
-}
-
-// vetConfig is the per-package JSON the go command hands a vettool
-// (the unitchecker protocol).
-type vetConfig struct {
-	ImportPath                string
-	Dir                       string
-	GoFiles                   []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// unitcheck analyzes one package from a go vet cfg file.
-func unitcheck(cfgPath string) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "hpmvet: %v\n", err)
-		return 2
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "hpmvet: parse %s: %v\n", cfgPath, err)
-		return 2
-	}
-	// The go command requires the facts file to exist after the run;
-	// this suite carries no cross-package facts.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, []byte{}, 0o666); err != nil {
-			fmt.Fprintf(os.Stderr, "hpmvet: %v\n", err)
-			return 2
-		}
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-	// The invariants are production-code conventions: test files read
-	// clocks and environments legitimately, so test variants reduce to
-	// their non-test sources (external test packages to nothing).
-	importPath := strings.TrimSuffix(strings.SplitN(cfg.ImportPath, " ", 2)[0], ".test")
-	var goFiles []string
-	for _, f := range cfg.GoFiles {
-		if !strings.HasSuffix(f, "_test.go") {
-			goFiles = append(goFiles, f)
-		}
-	}
-	if len(goFiles) == 0 {
-		return 0
-	}
-	fset := token.NewFileSet()
-	exports := map[string]string{}
-	for p, f := range cfg.PackageFile {
-		exports[p] = f
-	}
-	imp := cfgImporter{base: load.ExportImporter(fset, exports), importMap: cfg.ImportMap}
-	pkg, err := load.File(fset, importPath, cfg.Dir, goFiles, imp)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		fmt.Fprintf(os.Stderr, "hpmvet: %v\n", err)
-		return 2
-	}
-	diags, err := analyze(pkg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "hpmvet: %v\n", err)
-		return 2
-	}
-	if len(diags) > 0 {
-		printDiags(os.Stderr, fset, diags)
-		return 2
-	}
-	return 0
-}
-
-// cfgImporter resolves imports through the cfg's ImportMap/PackageFile
-// export-data tables. A single underlying gc importer preserves package
-// identity across shared dependencies.
-type cfgImporter struct {
-	base      types.ImporterFrom
-	importMap map[string]string
-}
-
-func (ci cfgImporter) Import(path string) (*types.Package, error) {
-	return ci.ImportFrom(path, "", 0)
-}
-
-func (ci cfgImporter) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
-	if mapped, ok := ci.importMap[path]; ok {
-		path = mapped
-	}
-	return ci.base.ImportFrom(path, dir, mode)
 }
 
 // analyze runs the whole suite over one package, stamping analyzer

@@ -36,15 +36,6 @@ type ExperimentOptions struct {
 	// default) uses one worker per available CPU; 1 reproduces the
 	// sequential runners exactly. Results are identical at any setting.
 	Parallelism int
-	// SearchParallelism additionally fans each L0 lookahead search's
-	// level-0 candidates across this many workers (0 or 1 = sequential
-	// search, the default). Decisions are bit-identical at any setting,
-	// but a parallel search's explored-state accounting depends on
-	// branch-and-bound pruning timing and may vary run to run, so leave
-	// this off when comparing overhead metrics; it mainly benefits
-	// standalone or few-module deployments whose outer pools leave CPUs
-	// idle.
-	SearchParallelism int
 	// Scenario selects a registered workload scenario by name for the
 	// scenario-driven runners (RunScenario); empty means "synthetic".
 	// See workload.Scenarios / ScenarioNames for the registry.
@@ -63,9 +54,6 @@ func (o ExperimentOptions) validate() error {
 	if o.Parallelism < 0 {
 		return fmt.Errorf("hierctl: parallelism %d < 0", o.Parallelism)
 	}
-	if o.SearchParallelism < 0 {
-		return fmt.Errorf("hierctl: search parallelism %d < 0", o.SearchParallelism)
-	}
 	return nil
 }
 
@@ -74,7 +62,6 @@ func (o ExperimentOptions) Config() Config {
 	cfg := DefaultConfig()
 	cfg.Seed = o.Seed
 	cfg.Parallelism = o.Parallelism
-	cfg.L0.SearchParallelism = o.SearchParallelism
 	if o.Fast {
 		cfg.L0.Horizon = 2
 		cfg.GMap.QStep = 40

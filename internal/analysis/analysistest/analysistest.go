@@ -83,11 +83,10 @@ func newLoader(dir string) (*loader, error) {
 	if err != nil {
 		return nil, err
 	}
-	exports, err := load.StdlibExports(ext)
+	ld.stdlib, err = load.StdlibImporter(ld.fset, ext)
 	if err != nil {
 		return nil, err
 	}
-	ld.stdlib = load.ExportImporter(ld.fset, exports)
 	return ld, nil
 }
 

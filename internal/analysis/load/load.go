@@ -110,14 +110,8 @@ func Packages(dir string, patterns []string) ([]*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	exports := map[string]string{}
-	for _, lp := range listed {
-		if lp.Export != "" {
-			exports[lp.ImportPath] = lp.Export
-		}
-	}
 	fset := token.NewFileSet()
-	imp := newExportImporter(fset, exports)
+	imp := newExportImporter(fset, exportsOf(listed))
 	var out []*Package
 	for _, lp := range listed {
 		if lp.DepOnly || lp.Standard || lp.Module == nil {
@@ -136,37 +130,36 @@ func Packages(dir string, patterns []string) ([]*Package, error) {
 }
 
 // File loads and type-checks a single package given its directory,
-// import path, file list, and an export map for its dependencies. This
-// is the entry point the unitchecker (vettool) mode and the analysistest
-// harness share with Packages.
+// import path, file list, and an importer for its dependencies — the
+// entry point the analysistest harness shares with Packages.
 func File(fset *token.FileSet, importPath, dir string, goFiles []string, imp types.ImporterFrom) (*Package, error) {
 	return typecheck(fset, &listPkg{ImportPath: importPath, Dir: dir, GoFiles: goFiles}, imp)
 }
 
-// ExportImporter builds a dependency importer over a path → export-data
-// file map (as produced by `go list -export`).
-func ExportImporter(fset *token.FileSet, exports map[string]string) types.ImporterFrom {
-	return newExportImporter(fset, exports)
+// StdlibImporter returns an importer over the export data of the named
+// standard library packages (plus their dependencies) — used by the
+// analysistest harness to type-check testdata that imports the standard
+// library.
+func StdlibImporter(fset *token.FileSet, paths []string) (types.ImporterFrom, error) {
+	var listed []*listPkg
+	if len(paths) > 0 {
+		var err error
+		if listed, err = goList("", paths); err != nil {
+			return nil, err
+		}
+	}
+	return newExportImporter(fset, exportsOf(listed)), nil
 }
 
-// StdlibExports resolves export-data files for the named standard
-// library packages (plus their dependencies) — used by the analysistest
-// harness to type-check testdata that imports the standard library.
-func StdlibExports(paths []string) (map[string]string, error) {
-	if len(paths) == 0 {
-		return map[string]string{}, nil
-	}
-	listed, err := goList("", paths)
-	if err != nil {
-		return nil, err
-	}
+// exportsOf maps each listed package that has export data to its file.
+func exportsOf(listed []*listPkg) map[string]string {
 	exports := map[string]string{}
 	for _, lp := range listed {
 		if lp.Export != "" {
 			exports[lp.ImportPath] = lp.Export
 		}
 	}
-	return exports, nil
+	return exports
 }
 
 func typecheck(fset *token.FileSet, lp *listPkg, imp types.ImporterFrom) (*Package, error) {

@@ -85,7 +85,7 @@ func TestTableAddLookup(t *testing.T) {
 	if err := tab.Add([]float64{2.9}, []float64{20, 3}); err != nil {
 		t.Fatal(err)
 	}
-	got, ok, err := tab.Lookup([]float64{3.0})
+	got, ok, err := tab.LookupInto(nil, []float64{3.0})
 	if err != nil || !ok {
 		t.Fatalf("Lookup: ok=%v err=%v", ok, err)
 	}
@@ -93,7 +93,7 @@ func TestTableAddLookup(t *testing.T) {
 		t.Errorf("Lookup = %v, want [15 2]", got)
 	}
 	// Empty cell misses.
-	if _, ok, err := tab.Lookup([]float64{9}); err != nil || ok {
+	if _, ok, err := tab.LookupInto(nil, []float64{9}); err != nil || ok {
 		t.Errorf("empty cell: ok=%v err=%v, want miss", ok, err)
 	}
 	if tab.Cells() != 1 {
@@ -117,7 +117,7 @@ func TestTableNegativeCells(t *testing.T) {
 	if err := tab.Add([]float64{-7}, []float64{42}); err != nil {
 		t.Fatal(err)
 	}
-	got, ok, err := tab.Lookup([]float64{-7.2})
+	got, ok, err := tab.LookupInto(nil, []float64{-7.2})
 	if err != nil || !ok || got[0] != 42 {
 		t.Errorf("Lookup = %v ok=%v err=%v, want [42] true nil", got, ok, err)
 	}

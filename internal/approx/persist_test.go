@@ -76,11 +76,11 @@ func TestTableRoundTrip(t *testing.T) {
 		t.Fatalf("cells = %d, want %d", loaded.Cells(), tab.Cells())
 	}
 	for _, probe := range [][]float64{{3, 4}, {7, 8}} {
-		a, okA, err := tab.Lookup(probe)
+		a, okA, err := tab.LookupInto(nil, probe)
 		if err != nil || !okA {
 			t.Fatal(err)
 		}
-		b, okB, err := loaded.Lookup(probe)
+		b, okB, err := loaded.LookupInto(nil, probe)
 		if err != nil || !okB {
 			t.Fatal(err)
 		}
@@ -91,7 +91,7 @@ func TestTableRoundTrip(t *testing.T) {
 		}
 	}
 	// Unpopulated cells still miss.
-	if _, ok, err := loaded.Lookup([]float64{0, 0}); err != nil || ok {
+	if _, ok, err := loaded.LookupInto(nil, []float64{0, 0}); err != nil || ok {
 		t.Error("empty cell should miss after round trip")
 	}
 }

@@ -21,10 +21,9 @@
 // cells by a single packed uint64 of quantized indices (one hash probe per
 // Add/Lookup), and the *Into APIs (Quantizer.CellInto, Table.LookupInto)
 // write into caller-owned scratch — TestTableLookupIntoZeroAlloc and
-// TestQuantizerCellIntoZeroAlloc pin both at 0 allocs/op. Grids whose
-// index ranges overflow 64 packed bits fall back to the historical
-// string-keyed cells (see NewTable); the fallback answers identically but
-// allocates one key per probe.
+// TestQuantizerCellIntoZeroAlloc pin both at 0 allocs/op. A grid whose
+// index ranges need more than 64 packed bits is rejected by NewTable: it
+// has more than 2^64 cells, and Learn sweeps every cell.
 package approx
 
 import (
@@ -62,8 +61,8 @@ func NewQuantizer(min, max, step []float64) (*Quantizer, error) {
 func (q *Quantizer) Dims() int { return len(q.Min) }
 
 // index returns the grid index of v along dimension d (clamped into
-// range). Every keying path funnels through this one expression so packed
-// and string-keyed lookups agree bit-for-bit.
+// range). Every keying path funnels through this one expression so the
+// in-memory packed keys and the persisted index strings agree bit-for-bit.
 func (q *Quantizer) index(d int, v float64) int {
 	if v < q.Min[d] {
 		v = q.Min[d]
@@ -149,27 +148,21 @@ type cell struct {
 // averaged. Construct with NewTable.
 //
 // Cells are keyed by a single packed uint64 of the quantized indices
-// (bitWidth[d] bits per dimension), so Add and Lookup cost one hash probe
-// and build no intermediate slice or string. Grids too large to pack —
-// Σ_d bits(maxIndex[d]) > 64 — keep the historical string-keyed map
-// instead (Packed reports which); answers are identical either way.
+// (nbits[d] bits per dimension), so Add and Lookup cost one hash probe
+// and build no intermediate slice or string.
 type Table struct {
 	quant *Quantizer
 	width int
 
-	// Packed representation (packed == true): shift[d]/bitsPerDim[d]
-	// place dimension d's index inside the uint64 key.
-	packed bool
-	shift  []uint
-	nbits  []uint
-	cells  map[uint64]*cell
-
-	// Fallback representation for overflowing grids.
-	wide map[string]*cell
+	// shift[d]/nbits[d] place dimension d's index inside the uint64 key.
+	shift []uint
+	nbits []uint
+	cells map[uint64]*cell
 }
 
 // NewTable builds an empty table over the quantizer's grid with the given
-// output width (number of learned values per cell, ≥ 1).
+// output width (number of learned values per cell, ≥ 1). The grid must
+// pack: Σ_d bits(maxIndex[d]) ≤ 64.
 func NewTable(quant *Quantizer, outputWidth int) (*Table, error) {
 	if quant == nil {
 		return nil, fmt.Errorf("approx: nil quantizer")
@@ -177,39 +170,28 @@ func NewTable(quant *Quantizer, outputWidth int) (*Table, error) {
 	if outputWidth < 1 {
 		return nil, fmt.Errorf("approx: output width %d < 1", outputWidth)
 	}
-	t := &Table{quant: quant, width: outputWidth}
-	total := uint(0)
-	nbits := make([]uint, quant.Dims())
-	for d := range nbits {
+	t := &Table{
+		quant: quant, width: outputWidth,
+		shift: make([]uint, quant.Dims()), nbits: make([]uint, quant.Dims()),
+		cells: make(map[uint64]*cell),
+	}
+	at := uint(0)
+	for d := range t.nbits {
 		b := uint(bits.Len(uint(quant.maxIndex(d))))
 		if b == 0 {
 			b = 1 // single-level dimension still owns one bit
 		}
-		nbits[d] = b
-		total += b
+		t.shift[d], t.nbits[d] = at, b
+		at += b
 	}
-	if total <= 64 {
-		t.packed = true
-		t.nbits = nbits
-		t.shift = make([]uint, len(nbits))
-		at := uint(0)
-		for d, b := range nbits {
-			t.shift[d] = at
-			at += b
-		}
-		t.cells = make(map[uint64]*cell)
-	} else {
-		t.wide = make(map[string]*cell)
+	if at > 64 {
+		return nil, fmt.Errorf("approx: grid needs %d index bits, a table packs at most 64", at)
 	}
 	return t, nil
 }
 
-// Packed reports whether the table uses the packed-uint64 cell keys (false
-// only for grids whose index ranges overflow 64 bits — see NewTable).
-func (t *Table) Packed() bool { return t.packed }
-
 // packKey computes the packed cell key of x without materializing the
-// index slice. Only valid when t.packed.
+// index slice.
 func (t *Table) packKey(x []float64) uint64 {
 	k := uint64(0)
 	for d, v := range x {
@@ -237,20 +219,13 @@ func (t *Table) unpackKey(k uint64) []int {
 	return idx
 }
 
-// lookupCell returns the populated cell containing x, or nil. The packed
-// path performs no allocation; the wide fallback builds one string key.
+// lookupCell returns the populated cell containing x, or nil, without
+// allocating.
 func (t *Table) lookupCell(x []float64) (*cell, error) {
 	if len(x) != t.quant.Dims() {
 		return nil, fmt.Errorf("approx: point has %d dims, quantizer has %d", len(x), t.quant.Dims())
 	}
-	if t.packed {
-		return t.cells[t.packKey(x)], nil
-	}
-	idx, err := t.quant.Cell(x)
-	if err != nil {
-		return nil, err
-	}
-	return t.wide[cellKey(idx)], nil
+	return t.cells[t.packKey(x)], nil
 }
 
 // Add folds an observation into the cell containing x.
@@ -264,15 +239,7 @@ func (t *Table) Add(x []float64, outputs []float64) error {
 	}
 	if c == nil {
 		c = &cell{sum: make([]float64, t.width)}
-		if t.packed {
-			t.cells[t.packKey(x)] = c
-		} else {
-			idx, err := t.quant.Cell(x)
-			if err != nil {
-				return err
-			}
-			t.wide[cellKey(idx)] = c
-		}
+		t.cells[t.packKey(x)] = c
 	}
 	for i, v := range outputs {
 		c.sum[i] += v
@@ -281,18 +248,12 @@ func (t *Table) Add(x []float64, outputs []float64) error {
 	return nil
 }
 
-// Lookup returns the cell average for the cell containing x, and whether
-// the cell has any observations.
-func (t *Table) Lookup(x []float64) ([]float64, bool, error) {
-	return t.LookupInto(nil, x)
-}
-
-// LookupInto is Lookup writing the averages into dst: when cap(dst) ≥ the
-// table's output width the returned slice aliases dst and a hit performs
-// no allocation — one hash probe, no intermediate cell slice or key
-// string (pinned by TestTableLookupIntoZeroAlloc; the wide-grid fallback
-// additionally builds one key string per probe). On a miss dst is left
-// untouched and the returned slice is nil.
+// LookupInto returns the cell average for the cell containing x, and
+// whether the cell has any observations, writing the averages into dst:
+// when cap(dst) ≥ the table's output width the returned slice aliases dst
+// and a hit performs no allocation — one hash probe, no intermediate cell
+// slice or key string (pinned by TestTableLookupIntoZeroAlloc). On a miss
+// dst is left untouched and the returned slice is nil.
 //
 //hpm:hotpath
 func (t *Table) LookupInto(dst []float64, x []float64) ([]float64, bool, error) {
@@ -320,12 +281,7 @@ func (t *Table) LookupInto(dst []float64, x []float64) ([]float64, bool, error) 
 func (t *Table) Width() int { return t.width }
 
 // Cells returns the number of populated cells.
-func (t *Table) Cells() int {
-	if t.packed {
-		return len(t.cells)
-	}
-	return len(t.wide)
-}
+func (t *Table) Cells() int { return len(t.cells) }
 
 // Samples exports the populated cells as training samples (cell centroid →
 // first output average), the "large lookup table … then used to train a
@@ -339,42 +295,23 @@ func (t *Table) Samples(col int) ([]Sample, error) {
 	// fitter's tie-breaking is input-order-sensitive, so exporting in
 	// map order could train different trees from identical tables.
 	out := make([]Sample, 0, t.Cells())
-	if t.packed {
-		for _, k := range t.sortedPackedKeys() {
-			out = append(out, Sample{
-				X: t.quant.Centroid(t.unpackKey(k)),
-				Y: t.cells[k].sum[col] / float64(t.cells[k].n),
-			})
-		}
-		return out, nil
-	}
-	for _, k := range t.sortedWideKeys() {
+	for _, k := range t.sortedKeys() {
 		out = append(out, Sample{
-			X: t.quant.Centroid(decodeKey(k)),
-			Y: t.wide[k].sum[col] / float64(t.wide[k].n),
+			X: t.quant.Centroid(t.unpackKey(k)),
+			Y: t.cells[k].sum[col] / float64(t.cells[k].n),
 		})
 	}
 	return out, nil
 }
 
-// sortedPackedKeys returns the packed-cell keys in ascending order —
-// the deterministic iteration order for serialization and export.
-func (t *Table) sortedPackedKeys() []uint64 {
+// sortedKeys returns the cell keys in ascending order — the
+// deterministic iteration order for serialization and export.
+func (t *Table) sortedKeys() []uint64 {
 	keys := make([]uint64, 0, len(t.cells))
 	for k := range t.cells {
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
-}
-
-// sortedWideKeys returns the wide-grid string keys in ascending order.
-func (t *Table) sortedWideKeys() []string {
-	keys := make([]string, 0, len(t.wide))
-	for k := range t.wide {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	return keys
 }
 

@@ -1,10 +1,10 @@
 package approx
 
-// Equivalence and allocation pins for the packed-uint64 table rework: the
-// flat-keyed table must answer bit-identically to the historical
-// string-keyed implementation on any grid (including the 64-bit packing
-// boundary where it falls back to string keys), and the steady-state
-// lookup path must not allocate.
+// Equivalence and allocation pins for the packed-uint64 table: it must
+// answer bit-identically to the historical string-keyed implementation on
+// any grid it accepts (up to the 64-bit packing boundary, past which
+// construction and loading fail), and the steady-state lookup path must
+// not allocate.
 
 import (
 	"bytes"
@@ -104,9 +104,6 @@ func TestTablePackedEquivalenceRandom(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !tab.Packed() {
-			t.Fatalf("trial %d: small random grid should pack", trial)
-		}
 		ref := newRefTable(q, width)
 		for i := 0; i < 40; i++ {
 			x := randomPoint(rng, q)
@@ -126,7 +123,7 @@ func TestTablePackedEquivalenceRandom(t *testing.T) {
 		}
 		for i := 0; i < 60; i++ {
 			x := randomPoint(rng, q)
-			got, okG, err := tab.Lookup(x)
+			got, okG, err := tab.LookupInto(nil, x)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -154,98 +151,110 @@ func hugeDim(bits uint) (float64, float64, float64) {
 }
 
 // TestTableOverflowFallbackBoundary pins the 64-bit packing boundary: a
-// grid needing exactly 64 bits packs, one bit more falls back to string
-// keys, and both representations answer identically to the oracle.
+// grid needing exactly 64 bits builds and answers identically to the
+// oracle; one bit more is an error from NewTable and from ReadTable on an
+// artifact carrying such a grid (artifact files are outside input — an
+// error, never a panic).
 func TestTableOverflowFallbackBoundary(t *testing.T) {
 	// Two 31-bit dimensions plus a 2-bit one hit the 64-bit budget
 	// exactly; widening the third to 3 bits crosses it. (Per-dimension
 	// indices stay within int32 — the persisted key format's own bound.)
 	min31, max31, step31 := hugeDim(31)
-	cases := []struct {
-		name   string
-		min    []float64
-		max    []float64
-		step   []float64
-		packed bool
-	}{
-		{"exactly-64-bits", []float64{min31, min31, 0}, []float64{max31, max31, 3}, []float64{step31, step31, 1}, true},
-		{"65-bits-falls-back", []float64{min31, min31, 0}, []float64{max31, max31, 7}, []float64{step31, step31, 1}, false},
-	}
-	rng := rand.New(rand.NewSource(7))
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			q, err := NewQuantizer(tc.min, tc.max, tc.step)
+	t.Run("exactly-64-bits", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(7))
+		q, err := NewQuantizer([]float64{min31, min31, 0}, []float64{max31, max31, 3}, []float64{step31, step31, 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tab, err := NewTable(q, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := newRefTable(q, 2)
+		for i := 0; i < 50; i++ {
+			x := randomPoint(rng, q)
+			outs := []float64{rng.NormFloat64(), rng.NormFloat64()}
+			if err := tab.Add(x, outs); err != nil {
+				t.Fatal(err)
+			}
+			if err := ref.add(x, outs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if tab.Cells() != len(ref.counts) {
+			t.Fatalf("cells %d vs oracle %d", tab.Cells(), len(ref.counts))
+		}
+		for i := 0; i < 80; i++ {
+			x := randomPoint(rng, q)
+			got, okG, err := tab.LookupInto(nil, x)
 			if err != nil {
 				t.Fatal(err)
 			}
-			tab, err := NewTable(q, 2)
+			want, okW, err := ref.lookup(x)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tab.Packed() != tc.packed {
-				t.Fatalf("Packed() = %v, want %v", tab.Packed(), tc.packed)
+			if okG != okW {
+				t.Fatalf("probe %v: hit %v vs oracle %v", x, okG, okW)
 			}
-			ref := newRefTable(q, 2)
-			for i := 0; i < 50; i++ {
-				x := randomPoint(rng, q)
-				outs := []float64{rng.NormFloat64(), rng.NormFloat64()}
-				if err := tab.Add(x, outs); err != nil {
-					t.Fatal(err)
-				}
-				if err := ref.add(x, outs); err != nil {
-					t.Fatal(err)
+			for j := range want {
+				if got[j] != want[j] {
+					t.Fatalf("probe %v: output %d = %v, oracle %v", x, j, got[j], want[j])
 				}
 			}
-			if tab.Cells() != len(ref.counts) {
-				t.Fatalf("cells %d vs oracle %d", tab.Cells(), len(ref.counts))
+		}
+		// Round-trip through the persisted format preserves answers at
+		// the boundary.
+		var buf bytes.Buffer
+		if err := tab.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := ReadTable(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if loaded.Cells() != tab.Cells() {
+			t.Fatalf("round trip cells %d, want %d", loaded.Cells(), tab.Cells())
+		}
+		for i := 0; i < 40; i++ {
+			x := randomPoint(rng, q)
+			a, okA, _ := tab.LookupInto(nil, x)
+			b, okB, _ := loaded.LookupInto(nil, x)
+			if okA != okB {
+				t.Fatalf("round trip probe %v: hit %v vs %v", x, okA, okB)
 			}
-			for i := 0; i < 80; i++ {
-				x := randomPoint(rng, q)
-				got, okG, err := tab.Lookup(x)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, okW, err := ref.lookup(x)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if okG != okW {
-					t.Fatalf("probe %v: hit %v vs oracle %v", x, okG, okW)
-				}
-				for j := range want {
-					if got[j] != want[j] {
-						t.Fatalf("probe %v: output %d = %v, oracle %v", x, j, got[j], want[j])
-					}
-				}
-			}
-			// Round-trip through the persisted format preserves answers on
-			// both sides of the boundary.
-			var buf bytes.Buffer
-			if err := tab.Save(&buf); err != nil {
-				t.Fatal(err)
-			}
-			loaded, err := ReadTable(&buf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if loaded.Cells() != tab.Cells() {
-				t.Fatalf("round trip cells %d, want %d", loaded.Cells(), tab.Cells())
-			}
-			for i := 0; i < 40; i++ {
-				x := randomPoint(rng, q)
-				a, okA, _ := tab.Lookup(x)
-				b, okB, _ := loaded.Lookup(x)
-				if okA != okB {
-					t.Fatalf("round trip probe %v: hit %v vs %v", x, okA, okB)
-				}
-				for j := range a {
-					if a[j] != b[j] {
-						t.Fatalf("round trip probe %v diverged", x)
-					}
+			for j := range a {
+				if a[j] != b[j] {
+					t.Fatalf("round trip probe %v diverged", x)
 				}
 			}
-		})
-	}
+		}
+	})
+	t.Run("65-bits-is-an-error", func(t *testing.T) {
+		q, err := NewQuantizer([]float64{min31, min31, 0}, []float64{max31, max31, 7}, []float64{step31, step31, 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tab, err := NewTable(q, 2); err == nil {
+			t.Fatalf("NewTable built a 65-bit grid: %+v", tab)
+		}
+		// The same grid arriving in an artifact file, with one
+		// well-formed cell.
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(tableDTO{
+			Version: persistVersion,
+			Min:     q.Min, Max: q.Max, Step: q.Step,
+			Width:  2,
+			Keys:   []string{cellKey([]int{1, 2, 3})},
+			Sums:   [][]float64{{1, 2}},
+			Counts: []int{1},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if tab, err := ReadTable(&buf); err == nil {
+			t.Fatalf("ReadTable loaded a 65-bit grid: %+v", tab)
+		}
+	})
 }
 
 // TestTableCellMigration pins the sums/counts → single-cell-map migration:
@@ -277,7 +286,7 @@ func TestTableCellMigration(t *testing.T) {
 	if loaded.Cells() != 2 {
 		t.Fatalf("Cells = %d, want 2", loaded.Cells())
 	}
-	got, ok, err := loaded.Lookup([]float64{3, 4})
+	got, ok, err := loaded.LookupInto(nil, []float64{3, 4})
 	if err != nil || !ok {
 		t.Fatalf("lookup: ok=%v err=%v", ok, err)
 	}
@@ -315,9 +324,6 @@ func TestTableLookupIntoZeroAlloc(t *testing.T) {
 	tab, err := NewTable(q, 4)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !tab.Packed() {
-		t.Fatal("gmap-sized grid should pack")
 	}
 	if err := tab.Add([]float64{100, 50, 0.018}, []float64{1, 2, 3, 4}); err != nil {
 		t.Fatal(err)

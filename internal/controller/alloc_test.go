@@ -2,12 +2,15 @@ package controller
 
 // Allocation pins for the decision tick (the §4.3 controller-overhead
 // story): warm controllers must not allocate beyond the slices of the
-// decisions they return, and the pooled/packed candidate generators must
-// produce exactly the candidate sets of the historical allocating ones.
+// decisions they return, and the pooled/packed candidate generator must
+// produce exactly the candidate lists of the historical allocating ones
+// (legacy_oracle_test.go).
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -51,36 +54,53 @@ func TestL0DecideZeroAlloc(t *testing.T) {
 }
 
 // TestL1DecideSteadyStateAllocs pins the warm L1 period at its small
-// constant: the two slices of the returned decision and nothing else.
+// constant — the two slices of the returned decision and nothing else —
+// for a one-word γ key (m = 4) and a two-word one (m = 16).
 func TestL1DecideSteadyStateAllocs(t *testing.T) {
-	l1 := newTestL1(t, 4)
-	if !l1.fastPaths {
-		t.Fatal("m=4 module should take the pooled candidate paths")
-	}
-	avail := []bool{true, true, true, true}
-	queues := make([]float64, 4)
-	decide := func(i int) {
-		lam := 60 + 40*math.Sin(float64(i)/9)
-		for j := range queues {
-			queues[j] = float64((i * (3 + 2*j)) % 80)
+	for _, m := range []int{4, 16} {
+		l1 := newTestL1(t, m)
+		swing := 40.0
+		if m == 16 {
+			// Depth 1 keeps a 16-computer decision in the millisecond
+			// range — the key stride (80 bits → 2 words) is what is
+			// pinned — and a steady load keeps the on/off masks it visits
+			// inside the 256-entry neighbourhood memo.
+			cfg := DefaultL1Config()
+			cfg.NeighbourDepth = 1
+			var err error
+			if l1, err = NewL1(cfg, testModuleGMaps(t, m)); err != nil {
+				t.Fatal(err)
+			}
+			swing = 4
 		}
-		if _, err := l1.Decide(L1Observation{
-			QueueLens: queues, LambdaHat: lam, Delta: 8, CHat: 0.0175, Available: avail,
-		}); err != nil {
-			t.Fatal(err)
+		avail := make([]bool, m)
+		for j := range avail {
+			avail[j] = true
 		}
-	}
-	for i := 0; i < 20; i++ {
-		decide(i)
-	}
-	i := 0
-	allocs := testing.AllocsPerRun(100, func() {
-		decide(i)
-		i++
-	})
-	// Exactly the returned L1Decision's Alpha and Gamma copies.
-	if allocs > 2 {
-		t.Fatalf("warm L1 decide allocated %v/op, want <= 2 (the returned decision's slices)", allocs)
+		queues := make([]float64, m)
+		decide := func(i int) {
+			lam := 15*float64(m) + swing*math.Sin(float64(i)/9)
+			for j := range queues {
+				queues[j] = float64((i * (3 + 2*j)) % 80)
+			}
+			if _, err := l1.Decide(L1Observation{
+				QueueLens: queues, LambdaHat: lam, Delta: 8, CHat: 0.0175, Available: avail,
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 20; i++ {
+			decide(i)
+		}
+		i := 0
+		allocs := testing.AllocsPerRun(100, func() {
+			decide(i)
+			i++
+		})
+		// Exactly the returned L1Decision's Alpha and Gamma copies.
+		if allocs > 2 {
+			t.Fatalf("m=%d: warm L1 decide allocated %v/op, want <= 2 (the returned decision's slices)", m, allocs)
+		}
 	}
 }
 
@@ -129,76 +149,83 @@ func (q allocQuadJTilde) Predict(qAvg, lambda, c float64) (float64, error) {
 	return (lambda/q.scale)*(lambda/q.scale) + 0.01*qAvg + 0.8, nil
 }
 
-// TestL1CandidateGeneratorsMatchLegacy drives the pooled/packed candidate
-// generators and the historical allocating ones through random
-// availability masks and controller states and requires identical
-// candidate lists, in order.
+// TestL1CandidateGeneratorsMatchLegacy drives the one candidate generator
+// and the in-test string-keyed oracle through every module size the
+// controller accepts, four quanta, and random availability masks and
+// previous decisions, and requires identical candidate lists, in order.
 func TestL1CandidateGeneratorsMatchLegacy(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	l1 := newTestL1(t, 4)
-	if !l1.fastPaths {
-		t.Fatal("m=4 module should take the pooled candidate paths")
+	// Three capacities, cycled, so seed allocations are not uniform.
+	var pool []*GMap
+	for _, speed := range []float64{1, 0.75, 1.5} {
+		spec := ctrlSpec(fmt.Sprintf("oracle-%v", speed))
+		spec.SpeedFactor = speed
+		pool = append(pool, testGMap(t, spec))
 	}
-	m := l1.Size()
-	for trial := 0; trial < 200; trial++ {
-		// Random controller state on the quantized simplex.
-		alpha := make([]bool, m)
-		on := 0
-		for j := range alpha {
-			alpha[j] = rng.Intn(3) > 0
-			if alpha[j] {
-				on++
+	for m := 1; m <= 64; m++ {
+		gmaps := make([]*GMap, m)
+		for j := range gmaps {
+			gmaps[j] = pool[j%len(pool)]
+		}
+		for _, quantum := range []float64{0.05, 0.1, 0.2, 0.25} {
+			cfg := DefaultL1Config()
+			cfg.Quantum = quantum
+			l1, err := NewL1(cfg, gmaps)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if on == 0 {
-			alpha[rng.Intn(m)] = true
-		}
-		weights := make([]float64, m)
-		for j := range weights {
-			weights[j] = rng.Float64()
-		}
-		gamma, err := SnapSimplex(weights, alpha, l1.cfg.Quantum)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := l1.SetState(alpha, gamma); err != nil {
-			t.Fatal(err)
-		}
-		avail := make([]bool, m)
-		up := 0
-		for j := range avail {
-			avail[j] = rng.Intn(4) > 0
-			if avail[j] {
-				up++
+			trials := 12
+			if m > 8 {
+				trials = 3
 			}
-		}
-		if up == 0 {
-			avail[rng.Intn(m)] = true
-		}
-
-		fastA := l1.alphaCandidates(avail)
-		legacyA := l1.alphaCandidatesLegacy(avail)
-		if len(fastA) != len(legacyA) {
-			t.Fatalf("trial %d: %d alpha candidates, legacy %d", trial, len(fastA), len(legacyA))
-		}
-		for i := range legacyA {
-			for j := range legacyA[i] {
-				if fastA[i][j] != legacyA[i][j] {
-					t.Fatalf("trial %d: alpha candidate %d diverged: %v vs %v", trial, i, fastA[i], legacyA[i])
+			for trial := 0; trial < trials; trial++ {
+				// Above 8 computers the depth-2 neighbourhood of a full
+				// module runs to 10^4..10^6 vectors; keep at most 6
+				// available, at random positions, so the supports stay
+				// small while the keys still span every word.
+				maxUp := m
+				if m > 8 {
+					maxUp = 6
 				}
-			}
-		}
-		for _, cand := range legacyA {
-			fastG := l1.gammaCandidates(cand)
-			legacyG := l1.gammaCandidatesLegacy(cand)
-			if len(fastG) != len(legacyG) {
-				t.Fatalf("trial %d: %d gamma candidates for %v, legacy %d", trial, len(fastG), cand, len(legacyG))
-			}
-			for i := range legacyG {
-				for j := range legacyG[i] {
-					if fastG[i][j] != legacyG[i][j] {
-						t.Fatalf("trial %d: gamma candidate %d for %v diverged: %v vs %v",
-							trial, i, cand, fastG[i], legacyG[i])
+				avail := make([]bool, m)
+				for _, j := range rng.Perm(m)[:1+rng.Intn(maxUp)] {
+					avail[j] = true
+				}
+				// Random previous decision on the quantized simplex, partly
+				// outside availability (a computer that has since failed).
+				alpha := make([]bool, m)
+				for j := range alpha {
+					alpha[j] = avail[j] && rng.Intn(3) > 0
+				}
+				alpha[rng.Intn(m)] = true
+				weights := make([]float64, m)
+				for j := range weights {
+					weights[j] = rng.Float64()
+				}
+				gamma, err := SnapSimplex(weights, alpha, quantum)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := l1.SetState(alpha, gamma); err != nil {
+					t.Fatal(err)
+				}
+
+				at := fmt.Sprintf("m=%d quantum=%v trial %d", m, quantum, trial)
+				gotA := l1.alphaCandidates(avail)
+				wantA := alphaCandidatesLegacy(l1, avail)
+				if !reflect.DeepEqual(gotA, wantA) {
+					t.Fatalf("%s: alpha candidates diverged:\n got %v\nwant %v", at, gotA, wantA)
+				}
+				for _, cand := range wantA {
+					gotG := l1.gammaCandidates(cand)
+					wantG := gammaCandidatesLegacy(l1, cand)
+					if len(gotG) != len(wantG) {
+						t.Fatalf("%s: %d gamma candidates for %v, oracle %d", at, len(gotG), cand, len(wantG))
+					}
+					for i := range wantG {
+						if !reflect.DeepEqual(gotG[i], wantG[i]) {
+							t.Fatalf("%s: gamma candidate %d for %v diverged: %v vs %v", at, i, cand, gotG[i], wantG[i])
+						}
 					}
 				}
 			}
@@ -206,45 +233,97 @@ func TestL1CandidateGeneratorsMatchLegacy(t *testing.T) {
 	}
 }
 
-// TestL1DecideLargeModuleLegacyPath exercises a quantum too fine to pack
-// so the legacy generators drive the decision; the controller must still
-// answer.
+// TestSimplexNeighboursMatchesStringKeyedOracle pins the packed-word
+// dedup set inside SimplexNeighbours against the string-keyed oracle on
+// full-support neighbourhoods whose keys are one, two and three words.
+func TestSimplexNeighboursMatchesStringKeyedOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	for _, n := range []int{3, 12, 13, 16, 30} {
+		mask := make([]bool, n)
+		weights := make([]float64, n)
+		for j := range mask {
+			mask[j] = rng.Intn(5) > 0
+			weights[j] = rng.Float64()
+		}
+		mask[0] = true
+		seed, err := SnapSimplex(weights, mask, 0.05)
+		if err != nil {
+			t.Fatal(err)
+		}
+		depth := 2
+		if n > 16 {
+			depth = 1
+		}
+		got := SimplexNeighbours(seed, mask, 0.05, depth)
+		want := simplexNeighboursLegacy(seed, mask, 0.05, depth)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("n=%d: %d neighbours, oracle %d (or order differs)", n, len(got), len(want))
+		}
+	}
+}
+
+// TestGammaPackedKeyMatchesStringKey: the packed multi-word key must
+// induce exactly the string key's equivalence, including where entries
+// straddle a word boundary (m·bits = 60, 64, 65, 128, 320).
 func TestGammaPackedKeyMatchesStringKey(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 300; trial++ {
-		n := 1 + rng.Intn(6)
-		quantum := []float64{0.05, 0.1, 0.2, 0.25, 0.5}[rng.Intn(5)]
-		per, ok := gammaBits(n, quantum)
-		if !ok {
-			t.Fatalf("trial %d: (%d, %v) should pack", trial, n, quantum)
+	shapes := []struct {
+		n       int
+		quantum float64
+		bits    int
+	}{
+		{12, 0.05, 60}, {16, 0.1, 64}, {13, 0.05, 65}, {32, 0.1, 128}, {64, 0.05, 320},
+		{1, 0.5, 2}, {6, 0.25, 18}, {64, 1, 64},
+	}
+	for _, sh := range shapes {
+		per, words := gammaLayout(sh.n, sh.quantum)
+		if sh.n*int(per) != sh.bits || words != (sh.bits+63)/64 {
+			t.Fatalf("(%d, %v): layout %d bits x %d words, want %d bits total", sh.n, sh.quantum, per, words, sh.bits)
 		}
-		mask := make([]bool, n)
-		mask[rng.Intn(n)] = true
-		for j := range mask {
-			if rng.Intn(2) == 0 {
-				mask[j] = true
+		for trial := 0; trial < 200; trial++ {
+			mask := make([]bool, sh.n)
+			mask[rng.Intn(sh.n)] = true
+			for j := range mask {
+				if rng.Intn(2) == 0 {
+					mask[j] = true
+				}
 			}
-		}
-		weights := make([]float64, n)
-		for j := range weights {
-			weights[j] = rng.Float64()
-		}
-		a, err := SnapSimplex(weights, mask, quantum)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := range weights {
-			weights[j] = rng.Float64()
-		}
-		b, err := SnapSimplex(weights, mask, quantum)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Packed keys must induce exactly the string keys' equivalence.
-		samePacked := gammaPack(a, quantum, per) == gammaPack(b, quantum, per)
-		sameString := gammaKey(a, quantum) == gammaKey(b, quantum)
-		if samePacked != sameString {
-			t.Fatalf("trial %d: packed equality %v, string equality %v for %v / %v", trial, samePacked, sameString, a, b)
+			weights := make([]float64, sh.n)
+			for j := range weights {
+				weights[j] = rng.Float64()
+			}
+			a, err := SnapSimplex(weights, mask, sh.quantum)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// b: a itself, a single-quantum move of it, or a fresh draw —
+			// near-equal vectors are where a dropped bit would show.
+			b := append([]float64(nil), a...)
+			switch trial % 3 {
+			case 1:
+				from, to := rng.Intn(sh.n), rng.Intn(sh.n)
+				if b[from] >= sh.quantum && mask[to] {
+					b[from] -= sh.quantum
+					b[to] += sh.quantum
+				}
+			case 2:
+				for j := range weights {
+					weights[j] = rng.Float64()
+				}
+				if b, err = SnapSimplex(weights, mask, sh.quantum); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ka := appendGammaKey(nil, a, sh.quantum, per)
+			kb := appendGammaKey(nil, b, sh.quantum, per)
+			if len(ka) != words || len(kb) != words {
+				t.Fatalf("(%d, %v): key of %d words, layout says %d", sh.n, sh.quantum, len(ka), words)
+			}
+			samePacked := reflect.DeepEqual(ka, kb)
+			sameString := gammaKey(a, sh.quantum) == gammaKey(b, sh.quantum)
+			if samePacked != sameString {
+				t.Fatalf("(%d, %v) trial %d: packed equality %v, string equality %v for %v / %v", sh.n, sh.quantum, trial, samePacked, sameString, a, b)
+			}
 		}
 	}
 }

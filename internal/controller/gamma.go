@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // simplexRem is one largest-remainder entry during snapping.
@@ -142,87 +143,96 @@ func SnapSimplex(weights []float64, mask []bool, quantum float64) ([]float64, er
 	return sn.snapInto(nil, weights, mask, quantum)
 }
 
-// gammaBits returns the packed-key layout for γ vectors of length n at the
-// given quantum: bits per entry and whether n entries fit a uint64. Each
-// entry holds its unit count (0..1/quantum).
-func gammaBits(n int, quantum float64) (perEntry uint, ok bool) {
-	units := int(math.Round(1 / quantum))
-	if units < 1 {
-		return 0, false
-	}
-	perEntry = uint(bits.Len(uint(units)))
-	return perEntry, uint(n)*perEntry <= 64
+// gammaLayout returns the packed dedup-key layout for γ vectors of length
+// n at the given quantum: bits per entry (each entry holds its unit count,
+// 0..1/quantum) and the key length in 64-bit words, ⌈n·bits/64⌉. Every
+// shape a benchmark runs (m ≤ 4) is one word.
+func gammaLayout(n int, quantum float64) (perEntry uint, words int) {
+	perEntry = uint(bits.Len(uint(math.Round(1 / quantum))))
+	return perEntry, (n*int(perEntry) + 63) / 64
 }
 
-// gammaPack packs g's unit counts into a uint64. Only valid when
-// gammaBits reported ok for (len(g), quantum).
-func gammaPack(g []float64, quantum float64, perEntry uint) uint64 {
-	k := uint64(0)
-	at := uint(0)
+// appendGammaKey appends g's packed key — its unit counts, perEntry bits
+// each, packed densely so an entry may straddle two words — to dst.
+func appendGammaKey(dst []uint64, g []float64, quantum float64, perEntry uint) []uint64 {
+	w, at := uint64(0), uint(0)
 	for _, v := range g {
-		k |= uint64(int(math.Round(v/quantum))) << at
+		u := uint64(int(math.Round(v / quantum)))
+		w |= u << at
 		at += perEntry
+		if at >= 64 {
+			dst = append(dst, w)
+			at -= 64
+			w = u >> (perEntry - at) // the bits that spilled past the word
+		}
 	}
-	return k
+	if at > 0 {
+		dst = append(dst, w)
+	}
+	return dst
 }
 
-// gammaKey is the historical string dedup key, kept for vectors too long
-// to pack (and as the oracle the packed key is tested against).
-func gammaKey(g []float64, quantum float64) string {
-	buf := make([]byte, 0, len(g)*2)
-	for _, v := range g {
-		u := uint16(int(math.Round(v / quantum)))
-		buf = append(buf, byte(u), byte(u>>8))
-	}
-	return string(buf)
-}
-
-// gammaSeen is a dedup set over γ vectors that uses packed uint64 keys
-// whenever the (length, quantum) pair fits one, falling back to the
-// historical string keys otherwise.
+// gammaSeen is a dedup set over γ vectors of one (length, quantum) shape,
+// keyed by their packed words: an open-addressing table of indices into
+// the flat key store, so a vector of any length costs one hash and, on a
+// hit, one word-wise compare.
 type gammaSeen struct {
 	quantum  float64
 	perEntry uint
-	packed   bool
-	u        map[uint64]bool
-	s        map[string]bool
+	words    int
+	n        int      // keys inserted
+	keys     []uint64 // inserted keys, flat, words per key
+	slots    []int32  // key index + 1; 0 = empty; len is a power of two
 }
 
 func newGammaSeen(n int, quantum float64) *gammaSeen {
-	g := &gammaSeen{quantum: quantum}
-	if per, ok := gammaBits(n, quantum); ok {
-		g.packed, g.perEntry = true, per
-		g.u = make(map[uint64]bool)
-	} else {
-		g.s = make(map[string]bool)
+	per, words := gammaLayout(n, quantum)
+	return &gammaSeen{quantum: quantum, perEntry: per, words: words, slots: make([]int32, 64)}
+}
+
+// slot returns the table position holding key, or the empty position
+// where it belongs.
+func (gs *gammaSeen) slot(key []uint64) int {
+	h := uint64(0)
+	for _, w := range key {
+		h = (h ^ w) * 0x9E3779B97F4A7C15
+		h ^= h >> 32
 	}
-	return g
+	mask := len(gs.slots) - 1
+	for i := int(h) & mask; ; i = (i + 1) & mask {
+		at := int(gs.slots[i]) - 1
+		if at < 0 || slices.Equal(gs.keys[at*gs.words:(at+1)*gs.words], key) {
+			return i
+		}
+	}
 }
 
 // insert reports whether g was new, adding it if so.
 func (gs *gammaSeen) insert(g []float64) bool {
-	if gs.packed {
-		k := gammaPack(g, gs.quantum, gs.perEntry)
-		if gs.u[k] {
-			return false
-		}
-		gs.u[k] = true
-		return true
-	}
-	k := gammaKey(g, gs.quantum)
-	if gs.s[k] {
+	tail := len(gs.keys)
+	gs.keys = appendGammaKey(gs.keys, g, gs.quantum, gs.perEntry)
+	i := gs.slot(gs.keys[tail:])
+	if gs.slots[i] != 0 {
+		gs.keys = gs.keys[:tail]
 		return false
 	}
-	gs.s[k] = true
+	gs.n++
+	gs.slots[i] = int32(gs.n)
+	if 2*gs.n > len(gs.slots) {
+		// Keep the load factor at most one half: re-seat every key in a
+		// table twice the size.
+		gs.slots = make([]int32, 2*len(gs.slots))
+		for k := 0; k < gs.n; k++ {
+			gs.slots[gs.slot(gs.keys[k*gs.words:(k+1)*gs.words])] = int32(k + 1)
+		}
+	}
 	return true
 }
 
 // SimplexNeighbours generates the quantized-simplex neighbourhood of gamma:
 // all vectors obtained by moving up to depth quanta from one masked entry
 // to another, each still summing to 1. The input vector itself is included
-// first. Entries outside the mask stay zero. Duplicate vectors are removed
-// (packed-integer keys when the vector fits a uint64, string keys
-// otherwise — identical sets either way).
+// first. Entries outside the mask stay zero. Duplicate vectors are removed.
 func SimplexNeighbours(gamma []float64, mask []bool, quantum float64, depth int) [][]float64 {
 	seen := newGammaSeen(len(gamma), quantum)
 	var out [][]float64

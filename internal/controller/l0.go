@@ -38,12 +38,14 @@ type L0Config struct {
 	// arrival bursts instead of riding the queue at the set-point.
 	UncertaintySamples bool
 	// SearchParallelism fans the lookahead tree's level-0 candidates
-	// (frequency indices) across that many workers inside each Decide.
-	// 0 or 1 (the default) keeps the search sequential, which also keeps
-	// the explored-state overhead counters deterministic; the hierarchy
-	// normally leaves this off because its outer per-module pools
-	// already own the CPUs, but standalone or few-module deployments can
-	// turn it on. Decisions are bit-identical at any setting.
+	// (frequency indices) across that many workers inside each Decide; 0
+	// or 1 (the default) keeps the search sequential and the
+	// explored-state overhead counters deterministic. Decisions are
+	// bit-identical at any setting. No command sets it — it was slower
+	// than the sequential search on every shape measured — but L0Config
+	// is a persisted format: its gob descriptor rides in every journal
+	// base frame (BENCH_fleet.json's snapshotBytes) and its %+v form keys
+	// the ArtifactDir cache, so dropping the field would move both.
 	SearchParallelism int
 	// MaxExplored caps the states one Decide's lookahead search may
 	// evaluate — the deterministic per-tick decision deadline. A search

@@ -3,6 +3,7 @@ package controller
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"hierctl/internal/llc"
@@ -178,7 +179,7 @@ func packBools(a []bool) uint64 {
 // memoized per mask.
 type gammaMemoEntry struct {
 	cands [][]float64
-	keys  []uint64
+	keys  []uint64 // packed dedup keys, flat, L1.gammaWords per candidate
 }
 
 // L1 is the module-level controller. Construct with NewL1.
@@ -186,8 +187,10 @@ type gammaMemoEntry struct {
 // The controller owns candidate pools, dedup key slices, a per-α-mask
 // memo of capacity-seeded γ neighbourhoods, and abstraction-map scratch,
 // so a warm Decide allocates only the two slices of the returned
-// decision (pinned by TestL1DecideSteadyStateAllocs). Not safe for
-// concurrent use.
+// decision (pinned by TestL1DecideSteadyStateAllocs). α candidates dedup
+// on a 64-bit on/off mask — hence the m ≤ 64 bound in NewL1 — and γ
+// candidates on their packed unit counts (see gammaLayout), one mechanism
+// for every module size. Not safe for concurrent use.
 type L1 struct {
 	cfg   L1Config
 	gmaps []*GMap
@@ -196,12 +199,8 @@ type L1 struct {
 	prevAlpha []bool
 	prevGamma []float64
 
-	// fastPaths gates the pooled/packed candidate machinery: the module
-	// must fit a 64-bit α mask and its γ vectors a packed uint64. Larger
-	// modules keep the historical allocating generators (identical
-	// candidate sets either way).
-	fastPaths bool
-	gammaPer  uint // packed-γ bits per entry (valid when fastPaths)
+	gammaPer   uint // packed-γ key: bits per entry
+	gammaWords int  // packed-γ key: words per candidate
 
 	snap         snapper
 	samplesBuf   [3]float64
@@ -250,15 +249,16 @@ func NewL1(cfg L1Config, gmaps []*GMap) (*L1, error) {
 		return nil, fmt.Errorf("controller: L1 min-on %d exceeds module size %d", cfg.MinOn, len(gmaps))
 	}
 	m := len(gmaps)
+	if m > 64 {
+		return nil, fmt.Errorf("controller: L1 module size %d exceeds 64 (the on/off mask is one uint64)", m)
+	}
 	l := &L1{cfg: cfg, gmaps: gmaps, caps: make([]float64, m)}
 	for j, g := range gmaps {
 		// Capacity proxy: service rate at full speed for a nominal
 		// demand, used only to seed allocations.
 		l.caps[j] = g.Spec().SpeedFactor
 	}
-	per, gammaOK := gammaBits(m, cfg.Quantum)
-	l.fastPaths = m <= 64 && gammaOK
-	l.gammaPer = per
+	l.gammaPer, l.gammaWords = gammaLayout(m, cfg.Quantum)
 	l.gammaMemo = make(map[uint64]*gammaMemoEntry)
 	l.qEndBuf = make([]float64, m)
 	l.alphaBase = make([]bool, m)
@@ -557,9 +557,6 @@ func (l *L1) evaluate(alpha []bool, gamma []float64, obs L1Observation, lambda f
 // (or as many as availability allows). Candidate vectors live in the
 // controller's pool and are recycled on the next call.
 func (l *L1) alphaCandidates(avail []bool) [][]bool {
-	if !l.fastPaths {
-		return l.alphaCandidatesLegacy(avail)
-	}
 	m := l.Size()
 	minOn := l.cfg.MinOn
 	if a := countTrue(avail); a < minOn {
@@ -609,52 +606,6 @@ func (l *L1) alphaCandidates(avail []bool) [][]bool {
 	return l.alphaCands
 }
 
-// alphaCandidatesLegacy is the historical allocating generator, kept for
-// modules too large for a 64-bit mask.
-func (l *L1) alphaCandidatesLegacy(avail []bool) [][]bool {
-	m := l.Size()
-	minOn := l.cfg.MinOn
-	if a := countTrue(avail); a < minOn {
-		minOn = a
-	}
-	base := make([]bool, m)
-	for j := range base {
-		base[j] = l.prevAlpha[j] && avail[j]
-	}
-	ensureMinOn(base, avail, minOn)
-
-	seen := map[string]bool{}
-	var out [][]bool
-	add := func(a []bool) {
-		if countOn(a) < minOn {
-			return
-		}
-		k := alphaKey(a)
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, append([]bool(nil), a...))
-		}
-	}
-	add(base)
-	for j := 0; j < m; j++ {
-		cand := append([]bool(nil), base...)
-		if cand[j] {
-			cand[j] = false
-		} else if avail[j] {
-			cand[j] = true
-		} else {
-			continue
-		}
-		add(cand)
-	}
-	allOn := make([]bool, m)
-	for j := range allOn {
-		allOn[j] = avail[j]
-	}
-	add(allOn)
-	return out
-}
-
 // gammaCandidates returns the bounded γ candidate set for a given α: the
 // quantized neighbourhoods of the capacity-proportional seed and of the
 // previous allocation projected onto α's support. The capacity-seeded
@@ -663,9 +614,6 @@ func (l *L1) alphaCandidatesLegacy(avail []bool) [][]bool {
 // regenerated each period into pooled vectors, deduped against the list
 // by packed keys. Returned vectors are recycled on the next call.
 func (l *L1) gammaCandidates(alpha []bool) [][]float64 {
-	if !l.fastPaths {
-		return l.gammaCandidatesLegacy(alpha)
-	}
 	// Bound the memo so long-lived controllers (daemon tenants under
 	// rotating failure masks) cannot grow it toward 2^m entries; a miss
 	// past the cap computes without storing, which is merely slower.
@@ -678,9 +626,9 @@ func (l *L1) gammaCandidates(alpha []bool) [][]float64 {
 			return nil
 		}
 		cands := SimplexNeighbours(seedCap, alpha, l.cfg.Quantum, l.cfg.NeighbourDepth)
-		entry = &gammaMemoEntry{cands: cands, keys: make([]uint64, len(cands))}
-		for i, g := range cands {
-			entry.keys[i] = gammaPack(g, l.cfg.Quantum, l.gammaPer)
+		entry = &gammaMemoEntry{cands: cands, keys: make([]uint64, 0, len(cands)*l.gammaWords)}
+		for _, g := range cands {
+			entry.keys = appendGammaKey(entry.keys, g, l.cfg.Quantum, l.gammaPer)
 		}
 		if len(l.gammaMemo) < maxGammaMemoEntries {
 			l.gammaMemo[mask] = entry
@@ -724,44 +672,24 @@ func (l *L1) gammaCandidates(alpha []bool) [][]float64 {
 }
 
 // addGammaIfNew appends a copy of g to the candidate list unless its
-// packed key is already present.
+// packed key is already present. The key is packed onto the tail of
+// gammaKeys and dropped again on a match, so the scan needs no scratch.
 func (l *L1) addGammaIfNew(g []float64) {
-	k := gammaPack(g, l.cfg.Quantum, l.gammaPer)
-	for _, ek := range l.gammaKeys {
-		if ek == k {
+	w := l.gammaWords
+	tail := len(l.gammaKeys)
+	l.gammaKeys = appendGammaKey(l.gammaKeys, g, l.cfg.Quantum, l.gammaPer)
+	key := l.gammaKeys[tail:]
+	for at := 0; at < tail; at += w {
+		// First word first: for one-word keys (m·bits ≤ 64, every
+		// benchmarked shape) that is the whole comparison.
+		if l.gammaKeys[at] == key[0] && slices.Equal(l.gammaKeys[at+1:at+w], key[1:]) {
+			l.gammaKeys = l.gammaKeys[:tail]
 			return
 		}
 	}
-	l.gammaKeys = append(l.gammaKeys, k)
 	cp := l.gammaPool.get(len(g))
 	copy(cp, g)
 	l.gammaList = append(l.gammaList, cp)
-}
-
-// gammaCandidatesLegacy is the historical allocating generator, kept for
-// modules whose γ vectors overflow the packed key.
-func (l *L1) gammaCandidatesLegacy(alpha []bool) [][]float64 {
-	seedCap, errCap := SnapSimplex(l.caps, alpha, l.cfg.Quantum)
-	if errCap != nil {
-		return nil
-	}
-	cands := SimplexNeighbours(seedCap, alpha, l.cfg.Quantum, l.cfg.NeighbourDepth)
-	if prev, err := SnapSimplex(l.prevGamma, alpha, l.cfg.Quantum); err == nil {
-		for _, g := range SimplexNeighbours(prev, alpha, l.cfg.Quantum, 1) {
-			cands = appendUniqueGamma(cands, g, l.cfg.Quantum)
-		}
-	}
-	return cands
-}
-
-func appendUniqueGamma(list [][]float64, g []float64, quantum float64) [][]float64 {
-	k := gammaKey(g, quantum)
-	for _, existing := range list {
-		if gammaKey(existing, quantum) == k {
-			return list
-		}
-	}
-	return append(list, g)
 }
 
 // Overhead reports accumulated overhead counters.
@@ -787,14 +715,4 @@ func ensureMinOn(a, avail []bool, minOn int) {
 			a[j] = true
 		}
 	}
-}
-
-func alphaKey(a []bool) string {
-	buf := make([]byte, len(a))
-	for i, v := range a {
-		if v {
-			buf[i] = 1
-		}
-	}
-	return string(buf)
 }

@@ -93,6 +93,17 @@ func TestNewL1Validation(t *testing.T) {
 	if _, err := NewL1(cfg, testModuleGMaps(t, 2)); err == nil {
 		t.Error("min-on > module size: want error")
 	}
+	// The on/off dedup key is one uint64: 64 computers build, 65 do not.
+	wide := make([]*GMap, 65)
+	for j := range wide {
+		wide[j] = testGMap(t, ctrlSpec("c0"))
+	}
+	if _, err := NewL1(DefaultL1Config(), wide[:64]); err != nil {
+		t.Errorf("64-computer module: %v", err)
+	}
+	if _, err := NewL1(DefaultL1Config(), wide); err == nil {
+		t.Error("65-computer module: want error")
+	}
 }
 
 func TestGMapLearnAndEvaluate(t *testing.T) {

@@ -62,11 +62,7 @@ type Config struct {
 	// reproduces the sequential engine exactly. Decisions are
 	// deterministic given observations, so any value produces
 	// bit-identical run records — Parallelism only changes wall-clock
-	// time. A further, orthogonal knob — L0.SearchParallelism — fans out
-	// the candidates inside each L0 lookahead search; it too keeps
-	// decisions bit-identical, but it makes the explored-state overhead
-	// counters depend on branch-and-bound pruning timing, so leave it at
-	// the sequential default when comparing overhead records.
+	// time.
 	Parallelism int
 }
 

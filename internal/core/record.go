@@ -2,8 +2,7 @@
 // internal/cluster, the L0/L1/L2 controllers from internal/controller, the
 // Kalman/EWMA estimators from internal/forecast, and the offline learning
 // of abstraction maps and regression trees from internal/approx — all
-// driven by the discrete-event kernel in internal/des on the multi-rate
-// schedule T_L0 ≤ T_L1 ≤ T_L2.
+// driven by engine.Harness on the multi-rate schedule T_L0 ≤ T_L1 ≤ T_L2.
 //
 // Invariants:
 //

@@ -1,10 +1,6 @@
-// Package des implements a minimal discrete-event simulation kernel: a
-// simulation clock, an event calendar backed by container/heap, and
-// deterministic per-component RNG streams. The cluster plant in
-// internal/cluster is built on it.
-//
-// Events are plain callbacks scheduled at absolute simulation times.
-// Ties are broken by insertion order so runs are fully deterministic.
+// Package des provides the deterministic per-component random streams of
+// the discrete-event simulation: engine.Harness seeds the plant's
+// dispatcher and the workload feed from it, one named stream each.
 //
 // Invariant: RNG(seed, name) derives an independent, reproducible stream
 // per (seed, component-name) pair, so adding a consumer of randomness to
@@ -13,172 +9,7 @@
 // throughout the test suites possible.
 package des
 
-import (
-	"container/heap"
-	"fmt"
-	"math/rand"
-)
-
-// Event is a scheduled callback. The callback receives the simulator so it
-// can schedule further events.
-type Event struct {
-	time   float64
-	seq    uint64
-	fn     func(*Simulator)
-	index  int // heap index; -1 once popped or cancelled
-	cancel bool
-}
-
-// Time returns the simulation time the event is scheduled at.
-func (e *Event) Time() float64 { return e.time }
-
-// Cancel marks the event so its callback will not run. Cancelling an
-// already-fired event is a no-op.
-func (e *Event) Cancel() { e.cancel = true }
-
-type eventQueue []*Event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].time != q[j].time {
-		return q[i].time < q[j].time
-	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-func (q *eventQueue) Push(x any) {
-	ev := x.(*Event)
-	ev.index = len(*q)
-	*q = append(*q, ev)
-}
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*q = old[:n-1]
-	return ev
-}
-
-// Simulator owns the clock and the event calendar. Construct with New.
-type Simulator struct {
-	now     float64
-	queue   eventQueue
-	seq     uint64
-	fired   uint64
-	stopped bool
-}
-
-// New returns a simulator with the clock at 0.
-func New() *Simulator {
-	return &Simulator{}
-}
-
-// Now returns the current simulation time in seconds.
-func (s *Simulator) Now() float64 { return s.now }
-
-// Fired returns the number of events executed so far.
-func (s *Simulator) Fired() uint64 { return s.fired }
-
-// Pending returns the number of events still scheduled (including
-// cancelled events not yet discarded).
-func (s *Simulator) Pending() int { return len(s.queue) }
-
-// Schedule registers fn to run at absolute time t and returns the event so
-// the caller can cancel it. Scheduling in the past (t < Now) is an error.
-func (s *Simulator) Schedule(t float64, fn func(*Simulator)) (*Event, error) {
-	if t < s.now {
-		return nil, fmt.Errorf("des: schedule at %v before now %v", t, s.now)
-	}
-	ev := &Event{time: t, seq: s.seq, fn: fn}
-	s.seq++
-	heap.Push(&s.queue, ev)
-	return ev, nil
-}
-
-// ScheduleAfter registers fn to run delay seconds from now.
-func (s *Simulator) ScheduleAfter(delay float64, fn func(*Simulator)) (*Event, error) {
-	return s.Schedule(s.now+delay, fn)
-}
-
-// Stop halts the run loop after the current event completes.
-func (s *Simulator) Stop() { s.stopped = true }
-
-// purgeCancelled discards cancelled events sitting at the head of the
-// calendar so the step primitives observe only live events. Cancelled
-// events deeper in the heap are discarded lazily once they surface.
-func (s *Simulator) purgeCancelled() {
-	for len(s.queue) > 0 && s.queue[0].cancel {
-		heap.Pop(&s.queue)
-	}
-}
-
-// HasPendingEvents reports whether any live (non-cancelled) event remains
-// on the calendar.
-func (s *Simulator) HasPendingEvents() bool {
-	s.purgeCancelled()
-	return len(s.queue) > 0
-}
-
-// PeekNextEventTime returns the scheduled time of the next live event
-// without executing it, and ok=false when the calendar is empty. The clock
-// does not move. An event cancelled after being peeked will still be
-// skipped by ProcessNextEvent.
-func (s *Simulator) PeekNextEventTime() (t float64, ok bool) {
-	s.purgeCancelled()
-	if len(s.queue) == 0 {
-		return 0, false
-	}
-	return s.queue[0].time, true
-}
-
-// ProcessNextEvent pops the next live event, advances the clock to its
-// time, and runs its callback. It reports whether an event executed (false
-// on an empty calendar). Unlike Run it enforces no horizon: callers
-// sequencing multiple simulators against a shared clock peek first and
-// decide which one advances.
-func (s *Simulator) ProcessNextEvent() bool {
-	s.purgeCancelled()
-	if len(s.queue) == 0 {
-		return false
-	}
-	next := heap.Pop(&s.queue).(*Event)
-	s.now = next.time
-	s.fired++
-	next.fn(s)
-	return true
-}
-
-// Run executes events in time order until the calendar is empty, Stop is
-// called, or the clock would pass horizon (events at exactly horizon run).
-// It returns the number of events executed during the call.
-//
-// Run is a thin loop over the step primitives (PeekNextEventTime /
-// ProcessNextEvent); shared-clock drivers such as engine.MultiCluster use
-// the primitives directly to interleave several simulations in global
-// timestamp order.
-func (s *Simulator) Run(horizon float64) uint64 {
-	s.stopped = false
-	start := s.fired
-	for !s.stopped {
-		t, ok := s.PeekNextEventTime()
-		if !ok || t > horizon {
-			break
-		}
-		s.ProcessNextEvent()
-	}
-	if s.now < horizon && !s.stopped {
-		// Advance the clock to the horizon so repeated Run calls observe
-		// contiguous time even across empty stretches.
-		s.now = horizon
-	}
-	return s.fired - start
-}
+import "math/rand"
 
 // RNG derives a deterministic random stream for the named component from
 // the given master seed. Streams for distinct names are independent; the

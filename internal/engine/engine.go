@@ -260,9 +260,8 @@ func (h *Harness) Ticks() int { return h.tick }
 // Bins returns the number of observation bins ingested.
 func (h *Harness) Bins() int { return h.feed.Bins() }
 
-// NextTickTime returns the simulation time the next tick starts at — the
-// harness-level analogue of des.Simulator.PeekNextEventTime, used by
-// shared-clock drivers to pick which harness advances next.
+// NextTickTime returns the simulation time the next tick starts at, used
+// by shared-clock drivers to pick which harness advances next.
 func (h *Harness) NextTickTime() float64 {
 	return h.preroll + float64(h.tick)*h.cfg.PeriodSeconds
 }

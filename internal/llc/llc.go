@@ -11,9 +11,11 @@
 //
 //   - Exhaustive: explore every admissible input sequence (used by the L0
 //     controller, whose input set — processor frequencies — is small).
-//   - Bounded: explore only a caller-defined neighbourhood of the previous
-//     input at each tree level (used by the L1/L2 controllers, whose input
-//     spaces are combinatorial).
+//   - Bounded (Searcher.Bounded): explore only a caller-defined
+//     neighbourhood of the previous input at each tree level, for input
+//     spaces that are combinatorial. The L1/L2 controllers apply the same
+//     idea with their own one-step candidate loops (PrunePartialMean is
+//     the bound they share with this engine).
 //
 // Uncertainty in environment forecasts is handled as in §4.2: each horizon
 // step may carry several sampled environment vectors (e.g. λ̂−δ, λ̂, λ̂+δ)
@@ -193,19 +195,6 @@ func Exhaustive[S, U any](m Model[S, U], x0 S, envs []([]Env), opt Options) (Res
 		return Result[S, U]{}, err
 	}
 	return sr.Exhaustive(x0, envs)
-}
-
-// Bounded runs the bounded neighbourhood search of §4.2: at each tree
-// level the candidate inputs are neighbours(prev, state, level) — typically
-// a small perturbation set around the previous decision, since environment
-// parameters rarely change drastically within one sampling period. prev
-// seeds the neighbourhood at level 0.
-func Bounded[S, U any](m Model[S, U], x0 S, prev U, neighbours func(prev U, s S, level int) []U, envs []([]Env), opt Options) (Result[S, U], error) {
-	sr, err := NewSearcher(m, opt)
-	if err != nil {
-		return Result[S, U]{}, err
-	}
-	return sr.Bounded(x0, prev, neighbours, envs)
 }
 
 func checkEnvs(envs []([]Env)) error {

@@ -108,3 +108,13 @@ func refReverse[T any](xs []T) {
 		xs[i], xs[j] = xs[j], xs[i]
 	}
 }
+
+// Bounded is the one-shot form of Searcher.Bounded (a fresh Searcher per
+// call) the bounded-search tests and benchmarks share.
+func Bounded[S, U any](m Model[S, U], x0 S, prev U, neighbours func(prev U, s S, level int) []U, envs []([]Env), opt Options) (Result[S, U], error) {
+	sr, err := NewSearcher(m, opt)
+	if err != nil {
+		return Result[S, U]{}, err
+	}
+	return sr.Bounded(x0, prev, neighbours, envs)
+}

@@ -13,9 +13,9 @@ import (
 // per-level buffers, so driving many receding-horizon decisions through
 // one Searcher performs no steady-state allocation (the buffers are
 // reallocated only when the horizon length changes). The one-shot
-// Exhaustive/Bounded package functions construct a fresh Searcher per
-// call; controllers that decide every period hold one instead — the L0
-// controller and the receding-horizon Controller both do.
+// Exhaustive package function constructs a fresh Searcher per call;
+// controllers that decide every period hold one instead, as the L0
+// controller does.
 //
 // A Searcher is NOT safe for concurrent use: its buffers are shared
 // across calls (Options.Parallelism > 1 still fans one call's level-0
@@ -64,9 +64,11 @@ func (sr *Searcher[S, U]) Exhaustive(x0 S, envs []([]Env)) (Result[S, U], error)
 	return sr.run(x0)
 }
 
-// Bounded runs the bounded neighbourhood search of §4.2 from x0, seeding
-// the level-0 neighbourhood with prev (see the package function of the
-// same name for semantics).
+// Bounded runs the bounded neighbourhood search of §4.2 from x0: at each
+// tree level the candidate inputs are neighbours(prev, state, level) —
+// typically a small perturbation set around the previous decision, since
+// environment parameters rarely change drastically within one sampling
+// period. prev seeds the neighbourhood at level 0.
 func (sr *Searcher[S, U]) Bounded(x0 S, prev U, neighbours func(prev U, s S, level int) []U, envs []([]Env)) (Result[S, U], error) {
 	if err := checkEnvs(envs); err != nil {
 		return Result[S, U]{}, err

@@ -277,13 +277,6 @@ func (g Gauge) Set(v float64) {
 	g.fam.mu.Unlock()
 }
 
-// Add shifts the value by delta (may be negative).
-func (g Gauge) Add(delta float64) {
-	g.fam.mu.Lock()
-	g.s.value += delta
-	g.fam.mu.Unlock()
-}
-
 // HistogramVec is a fixed-bucket histogram family; With resolves one
 // labeled histogram.
 type HistogramVec struct{ vec }

@@ -16,23 +16,11 @@ type Welford struct {
 	n    int64
 	mean float64
 	m2   float64
-	min  float64
-	max  float64
 }
 
 // Add folds x into the accumulator.
 func (w *Welford) Add(x float64) {
 	w.n++
-	if w.n == 1 {
-		w.min, w.max = x, x
-	} else {
-		if x < w.min {
-			w.min = x
-		}
-		if x > w.max {
-			w.max = x
-		}
-	}
 	d := x - w.mean
 	w.mean += d / float64(w.n)
 	w.m2 += d * (x - w.mean)
@@ -52,15 +40,6 @@ func (w *Welford) Variance() float64 {
 	return w.m2 / float64(w.n-1)
 }
 
-// StdDev returns the unbiased sample standard deviation.
-func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
-
-// Min returns the smallest sample, or 0 with no samples.
-func (w *Welford) Min() float64 { return w.min }
-
-// Max returns the largest sample, or 0 with no samples.
-func (w *Welford) Max() float64 { return w.max }
-
 // Merge folds another accumulator into w (parallel Welford combination).
 func (w *Welford) Merge(o *Welford) {
 	if o.n == 0 {
@@ -74,12 +53,6 @@ func (w *Welford) Merge(o *Welford) {
 	d := o.mean - w.mean
 	w.m2 += o.m2 + d*d*float64(w.n)*float64(o.n)/float64(n)
 	w.mean += d * float64(o.n) / float64(n)
-	if o.min < w.min {
-		w.min = o.min
-	}
-	if o.max > w.max {
-		w.max = o.max
-	}
 	w.n = n
 }
 

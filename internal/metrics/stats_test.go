@@ -23,14 +23,11 @@ func TestWelfordBasics(t *testing.T) {
 	if got, want := w.Variance(), 32.0/7.0; math.Abs(got-want) > 1e-12 {
 		t.Errorf("Variance = %v, want %v", got, want)
 	}
-	if w.Min() != 2 || w.Max() != 9 {
-		t.Errorf("Min/Max = %v/%v, want 2/9", w.Min(), w.Max())
-	}
 }
 
 func TestWelfordEmptyAndSingle(t *testing.T) {
 	var w Welford
-	if w.Mean() != 0 || w.Variance() != 0 || w.StdDev() != 0 {
+	if w.Mean() != 0 || w.Variance() != 0 {
 		t.Error("empty Welford stats should be 0")
 	}
 	w.Add(3)

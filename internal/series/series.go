@@ -93,14 +93,6 @@ func (s *Series) Scale(k float64) *Series {
 	return s
 }
 
-// Shift adds k to every sample in place and returns the receiver.
-func (s *Series) Shift(k float64) *Series {
-	for i := range s.Values {
-		s.Values[i] += k
-	}
-	return s
-}
-
 // ClampMin raises every sample below lo to lo, in place, and returns the
 // receiver. Workload counts use this to stay non-negative after noise.
 func (s *Series) ClampMin(lo float64) *Series {

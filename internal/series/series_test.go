@@ -72,8 +72,8 @@ func TestAtPiecewiseConstant(t *testing.T) {
 
 func TestScaleShiftClamp(t *testing.T) {
 	s := FromValues(0, 1, []float64{-1, 0, 2})
-	s.Scale(3).Shift(1).ClampMin(0)
-	want := []float64{0, 1, 7}
+	s.Scale(3).ClampMin(0)
+	want := []float64{0, 0, 6}
 	for i, w := range want {
 		if s.Values[i] != w {
 			t.Errorf("Values[%d] = %v, want %v", i, s.Values[i], w)

@@ -200,15 +200,6 @@ func (s *Store) Objects() int { return len(s.demands) }
 // Demand returns the full-speed processing time of object id in seconds.
 func (s *Store) Demand(id int) float64 { return s.demands[id] }
 
-// MeanDemand returns the average full-speed processing time across objects.
-func (s *Store) MeanDemand() float64 {
-	sum := 0.0
-	for _, d := range s.demands {
-		sum += d
-	}
-	return sum / float64(len(s.demands))
-}
-
 // Sample draws the next requested object id, honouring temporal locality
 // and the popular/rare partition split.
 func (s *Store) Sample(rng *rand.Rand) int {
