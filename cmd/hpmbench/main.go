@@ -61,29 +61,15 @@ func run(args []string, w io.Writer) (retErr error) {
 	parallelism := fs.Int("parallelism", 0, "per-pool worker width; pools nest (sweep × module × search) (0 = one per CPU, 1 = fully sequential; results identical)")
 	snapshot := fs.String("snapshot", "", "committed benchmark snapshot to regenerate at its canonical configuration: "+strings.Join(snapshotNames(), ", ")+" (each prints its table and writes BENCH_<name>.json)")
 	out := fs.String("out", "", "path -snapshot writes to (default: the committed BENCH_<name>.json in the current directory)")
-	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := fs.String("memprofile", "", "write a heap profile to this file at exit")
+	startProfiles := obs.ProfileFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *cpuprofile != "" {
-		stop, err := obs.StartCPUProfile(*cpuprofile)
-		if err != nil {
-			return err
-		}
-		defer func() {
-			if err := stop(); err != nil && retErr == nil {
-				retErr = err
-			}
-		}()
+	stopProfiles, err := startProfiles()
+	if err != nil {
+		return err
 	}
-	if *memprofile != "" {
-		defer func() {
-			if err := obs.WriteHeapProfile(*memprofile); err != nil && retErr == nil {
-				retErr = err
-			}
-		}()
-	}
+	defer stopProfiles(&retErr)
 	if *parallelism < 0 {
 		return fmt.Errorf("-parallelism %d is negative; use 0 for one worker per CPU or a positive width", *parallelism)
 	}

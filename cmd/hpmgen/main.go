@@ -42,29 +42,15 @@ func run(args []string, stdout io.Writer) (retErr error) {
 	period := fs.Int("period", 20, "step profile: bins per half-cycle")
 	list := fs.Bool("list", false, "list the registered scenarios and exit")
 	inspect := fs.Bool("inspect", false, "print a scenario summary (bins, load stats, failure plan) instead of CSV")
-	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := fs.String("memprofile", "", "write a heap profile to this file at exit")
+	startProfiles := obs.ProfileFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *cpuprofile != "" {
-		stop, err := obs.StartCPUProfile(*cpuprofile)
-		if err != nil {
-			return err
-		}
-		defer func() {
-			if err := stop(); err != nil && retErr == nil {
-				retErr = err
-			}
-		}()
+	stopProfiles, err := startProfiles()
+	if err != nil {
+		return err
 	}
-	if *memprofile != "" {
-		defer func() {
-			if err := obs.WriteHeapProfile(*memprofile); err != nil && retErr == nil {
-				retErr = err
-			}
-		}()
-	}
+	defer stopProfiles(&retErr)
 
 	if *list {
 		return listScenarios(stdout)

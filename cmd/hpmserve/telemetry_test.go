@@ -97,9 +97,12 @@ func TestServerTelemetryDisabled(t *testing.T) {
 }
 
 // TestServerMetricsTelemetry covers the /metrics rewrite end to end: the
-// output parses under the strict exposition linter, the flight-recorder
-// drain populates the per-level histograms exactly once per record, and
-// closing a tenant removes its per-tenant series.
+// whole scrape of a serving daemon — a tenant created and observed, then a
+// second tenant of the same shape sharing its learned artifacts — parses
+// under the strict exposition linter (the check CI once piped a live scrape
+// through), the flight-recorder drain populates the per-level histograms
+// exactly once per record, and closing a tenant removes its per-tenant
+// series.
 func TestServerMetricsTelemetry(t *testing.T) {
 	h, _ := testHandler(t)
 	doJSON(t, h, http.MethodPost, "/v1/tenants",
@@ -107,6 +110,8 @@ func TestServerMetricsTelemetry(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		doJSON(t, h, http.MethodPost, "/v1/tenants/we%22ird/observe", `{"count":400}`, http.StatusOK)
 	}
+	doJSON(t, h, http.MethodPost, "/v1/tenants",
+		`{"id":"twin","moduleSize":2,"fast":true}`, http.StatusCreated)
 
 	body := scrape(t, h)
 	if err := metrics.LintPromText(strings.NewReader(body)); err != nil {
@@ -118,6 +123,10 @@ func TestServerMetricsTelemetry(t *testing.T) {
 		`hpmserve_level_decide_seconds_count{level="l0"}`,
 		`hpmserve_level_explored_count{level="l1"}`,
 		"# TYPE hpmserve_level_decide_seconds histogram",
+		"hpmserve_tenants 2",
+		// Two hardware kinds learned once; the twin shares both.
+		`hpmserve_artifact_learns_total{kind="gmap"} 2`,
+		`hpmserve_artifact_shares_total{kind="gmap"} 2`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q\n%s", want, body)
@@ -144,6 +153,7 @@ func TestServerMetricsTelemetry(t *testing.T) {
 
 	// Closing the tenant drops its per-tenant series on the next scrape.
 	doJSON(t, h, http.MethodDelete, "/v1/tenants/we%22ird", "", http.StatusOK)
+	doJSON(t, h, http.MethodDelete, "/v1/tenants/twin", "", http.StatusOK)
 	after := scrape(t, h)
 	if err := metrics.LintPromText(strings.NewReader(after)); err != nil {
 		t.Fatalf("post-delete metrics fail the linter: %v", err)

@@ -58,29 +58,15 @@ func run(args []string, stdout io.Writer) (retErr error) {
 	artifacts := fs.String("artifacts", "", "directory caching offline learning results (must exist)")
 	traceOut := fs.String("trace", "", "write the LLC decision timeline as a Chrome trace_event file (chrome://tracing / Perfetto)")
 	traceJSONL := fs.String("trace-jsonl", "", "write the LLC decision records as JSON Lines")
-	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := fs.String("memprofile", "", "write a heap profile to this file at exit")
+	startProfiles := obs.ProfileFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *cpuprofile != "" {
-		stop, err := obs.StartCPUProfile(*cpuprofile)
-		if err != nil {
-			return err
-		}
-		defer func() {
-			if err := stop(); err != nil && retErr == nil {
-				retErr = err
-			}
-		}()
+	stopProfiles, err := startProfiles()
+	if err != nil {
+		return err
 	}
-	if *memprofile != "" {
-		defer func() {
-			if err := obs.WriteHeapProfile(*memprofile); err != nil && retErr == nil {
-				retErr = err
-			}
-		}()
-	}
+	defer stopProfiles(&retErr)
 	wantTrace := *traceOut != "" || *traceJSONL != ""
 	if wantTrace && (*policy != "llc" || *l3 > 0) {
 		return fmt.Errorf("-trace/-trace-jsonl record the LLC hierarchy's decisions; they need -policy llc without -l3")
@@ -90,7 +76,6 @@ func run(args []string, stdout io.Writer) (retErr error) {
 	}
 
 	var spec hierctl.ClusterSpec
-	var err error
 	if *clusterFlag > 0 {
 		spec, err = hierctl.StandardCluster(*clusterFlag)
 	} else if *moduleSize == 4 {

@@ -32,29 +32,15 @@ func main() {
 func run(args []string, w io.Writer) (retErr error) {
 	fs := flag.NewFlagSet("hpmtrain", flag.ContinueOnError)
 	probe := fs.Bool("probe", false, "print learned costs on a probe grid")
-	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := fs.String("memprofile", "", "write a heap profile to this file at exit")
+	startProfiles := obs.ProfileFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *cpuprofile != "" {
-		stop, err := obs.StartCPUProfile(*cpuprofile)
-		if err != nil {
-			return err
-		}
-		defer func() {
-			if err := stop(); err != nil && retErr == nil {
-				retErr = err
-			}
-		}()
+	stopProfiles, err := startProfiles()
+	if err != nil {
+		return err
 	}
-	if *memprofile != "" {
-		defer func() {
-			if err := obs.WriteHeapProfile(*memprofile); err != nil && retErr == nil {
-				retErr = err
-			}
-		}()
-	}
+	defer stopProfiles(&retErr)
 
 	l0cfg := controller.DefaultL0Config()
 	gcfg := controller.DefaultGMapConfig()

@@ -8,6 +8,7 @@ import (
 	"hierctl/internal/central"
 	"hierctl/internal/chaos"
 	"hierctl/internal/econ"
+	"hierctl/internal/engine"
 	"hierctl/internal/metrics"
 	"hierctl/internal/par"
 	"hierctl/internal/workload"
@@ -289,14 +290,10 @@ func RunOverheadClusters(ps []int, opts ExperimentOptions) ([]OverheadRow, error
 
 // EnergyRow is one line of the EXT1 policy-comparison table.
 type EnergyRow struct {
-	Policy        string
-	Energy        float64
-	MeanResponse  float64
-	ResponseP95   float64
-	ViolationFrac float64
-	Switches      int
-	Completed     int64
-	Dropped       int64
+	Policy string
+	// Totals is the run outcome every policy reports through the shared
+	// engine harness.
+	engine.Totals
 	// ProfitUSD is the §4.3 "scalarized" cost: the run priced with the
 	// default tariff (revenue per met-target request minus SLA, energy,
 	// and switching costs).
@@ -367,16 +364,7 @@ func RunEnergyComparison(opts ExperimentOptions) ([]EnergyRow, error) {
 			if err != nil {
 				return err
 			}
-			rows[i] = EnergyRow{
-				Policy:        "hierarchical-llc",
-				Energy:        rec.Energy,
-				MeanResponse:  rec.MeanResponse(),
-				ResponseP95:   rec.ResponseP95,
-				ViolationFrac: rec.ViolationFrac,
-				Switches:      rec.Switches,
-				Completed:     rec.Completed,
-				Dropped:       rec.Dropped,
-			}
+			rows[i] = EnergyRow{Policy: "hierarchical-llc", Totals: rec.Totals}
 			return priceRow(&rows[i])
 		}
 		bcfg := DefaultBaselineConfig()
@@ -385,16 +373,7 @@ func RunEnergyComparison(opts ExperimentOptions) ([]EnergyRow, error) {
 		if err != nil {
 			return err
 		}
-		rows[i] = EnergyRow{
-			Policy:        res.Policy,
-			Energy:        res.Energy,
-			MeanResponse:  res.MeanResponse,
-			ResponseP95:   res.ResponseP95,
-			ViolationFrac: res.ViolationFrac,
-			Switches:      res.Switches,
-			Completed:     res.Completed,
-			Dropped:       res.Dropped,
-		}
+		rows[i] = EnergyRow{Policy: res.Policy, Totals: res.Totals}
 		return priceRow(&rows[i])
 	})
 	if err != nil {
@@ -548,9 +527,9 @@ func RunScenarioMatrix(opts ScenarioMatrixOptions) (*ScenarioMatrixSnapshot, err
 		}
 		return ScenarioCell{
 			Scenario: sc.Name, Policy: policy, Bins: c.bins,
-			Completed: c.completed, Dropped: c.dropped,
-			Energy: c.energy, Switches: c.switches,
-			MeanResponse: c.meanResponse, ViolationFrac: c.violationFrac,
+			Completed: c.Completed, Dropped: c.Dropped,
+			Energy: c.Energy, Switches: c.Switches,
+			MeanResponse: c.MeanResponse, ViolationFrac: c.ViolationFrac,
 			ExploredPerPeriod: c.exploredPerPeriod,
 		}, nil
 	})
@@ -564,16 +543,9 @@ func RunScenarioMatrix(opts ScenarioMatrixOptions) (*ScenarioMatrixSnapshot, err
 // matrixCell is one closed-loop run's outcome, the union of what the two
 // matrices report; each projects the columns its snapshot carries.
 type matrixCell struct {
-	bins               int
-	completed, dropped int64
-	energy             float64
-	switches           int
-	meanResponse       float64
-	violationFrac      float64
-	exploredPerPeriod  float64
-	degradedTicks      int
-	staleObservations  int64
-	sanitizedRejects   int64
+	bins int
+	engine.Totals
+	exploredPerPeriod float64
 }
 
 // runMatrixCell runs one matrix cell — one policy over one scenario on the
@@ -621,12 +593,8 @@ func runMatrixCell(sc workload.Scenario, buildChaos func(seed int64, span float6
 		if err != nil {
 			return matrixCell{}, err
 		}
-		cell.completed, cell.dropped = rec.Completed, rec.Dropped
-		cell.energy, cell.switches = rec.Energy, rec.Switches
-		cell.meanResponse, cell.violationFrac = rec.MeanResponse(), rec.ViolationFrac
+		cell.Totals = rec.Totals
 		cell.exploredPerPeriod = rec.ExploredPerL1Decision()
-		cell.degradedTicks = rec.DegradedTicks
-		cell.staleObservations, cell.sanitizedRejects = rec.StaleObservations, rec.SanitizedRejects
 	case "threshold":
 		pol, err := ThresholdPolicy(0.35, 0.8, 1)
 		if err != nil {
@@ -640,10 +608,7 @@ func runMatrixCell(sc workload.Scenario, buildChaos func(seed int64, span float6
 		if err != nil {
 			return matrixCell{}, err
 		}
-		cell.completed, cell.dropped = res.Completed, res.Dropped
-		cell.energy, cell.switches = res.Energy, res.Switches
-		cell.meanResponse, cell.violationFrac = res.MeanResponse, res.ViolationFrac
-		cell.staleObservations, cell.sanitizedRejects = res.StaleObservations, res.SanitizedRejects
+		cell.Totals = res.Totals
 	case "centralized":
 		ccfg := central.DefaultRunnerConfig()
 		ccfg.Seed = seed
@@ -656,11 +621,8 @@ func runMatrixCell(sc workload.Scenario, buildChaos func(seed int64, span float6
 		if err != nil {
 			return matrixCell{}, err
 		}
-		cell.completed, cell.dropped = res.Completed, res.Dropped
-		cell.energy, cell.switches = res.Energy, res.Switches
-		cell.meanResponse, cell.violationFrac = res.MeanResponse, res.ViolationFrac
+		cell.Totals = res.Totals
 		cell.exploredPerPeriod = res.ExploredPerStep
-		cell.staleObservations, cell.sanitizedRejects = res.StaleObservations, res.SanitizedRejects
 	default:
 		return matrixCell{}, fmt.Errorf("unknown matrix policy %q", policy)
 	}
@@ -783,11 +745,11 @@ func RunChaosMatrix(opts ChaosMatrixOptions) (*ChaosMatrixSnapshot, error) {
 		}
 		return ChaosCell{
 			Plan: spec.Name, Policy: policy, Bins: c.bins,
-			Completed: c.completed, Dropped: c.dropped,
-			Energy: c.energy, Switches: c.switches,
-			MeanResponse: c.meanResponse, ViolationFrac: c.violationFrac,
-			DegradedTicks:     c.degradedTicks,
-			StaleObservations: c.staleObservations, SanitizedRejects: c.sanitizedRejects,
+			Completed: c.Completed, Dropped: c.Dropped,
+			Energy: c.Energy, Switches: c.Switches,
+			MeanResponse: c.MeanResponse, ViolationFrac: c.ViolationFrac,
+			DegradedTicks:     c.DegradedTicks,
+			StaleObservations: c.StaleObservations, SanitizedRejects: c.SanitizedRejects,
 		}, nil
 	})
 	if err != nil {

@@ -23,7 +23,7 @@ func TestQuantizerValidation(t *testing.T) {
 	}
 }
 
-func TestQuantizerCellAndCentroid(t *testing.T) {
+func TestQuantizerCell(t *testing.T) {
 	q, err := NewQuantizer([]float64{0, 10}, []float64{1, 20}, []float64{0.25, 5})
 	if err != nil {
 		t.Fatal(err)
@@ -34,10 +34,6 @@ func TestQuantizerCellAndCentroid(t *testing.T) {
 	}
 	if cell[0] != 1 || cell[1] != 1 {
 		t.Errorf("Cell = %v, want [1 1]", cell)
-	}
-	cent := q.Centroid(cell)
-	if cent[0] != 0.25 || cent[1] != 15 {
-		t.Errorf("Centroid = %v, want [0.25 15]", cent)
 	}
 	// Clamping.
 	cell, err = q.Cell([]float64{-5, 100})
@@ -120,40 +116,6 @@ func TestTableNegativeCells(t *testing.T) {
 	got, ok, err := tab.LookupInto(nil, []float64{-7.2})
 	if err != nil || !ok || got[0] != 42 {
 		t.Errorf("Lookup = %v ok=%v err=%v, want [42] true nil", got, ok, err)
-	}
-}
-
-func TestTableSamplesRoundTrip(t *testing.T) {
-	q, err := NewQuantizer([]float64{0, 0}, []float64{4, 4}, []float64{1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab, err := NewTable(q, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tab.Add([]float64{1, 2}, []float64{7}); err != nil {
-		t.Fatal(err)
-	}
-	if err := tab.Add([]float64{3, 0}, []float64{9}); err != nil {
-		t.Fatal(err)
-	}
-	samples, err := tab.Samples(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(samples) != 2 {
-		t.Fatalf("got %d samples, want 2", len(samples))
-	}
-	seen := map[string]float64{}
-	for _, s := range samples {
-		seen[fmt.Sprintf("%v", s.X)] = s.Y
-	}
-	if seen["[1 2]"] != 7 || seen["[3 0]"] != 9 {
-		t.Errorf("samples = %v", seen)
-	}
-	if _, err := tab.Samples(5); err == nil {
-		t.Error("bad column: want error")
 	}
 }
 

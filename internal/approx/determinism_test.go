@@ -49,39 +49,3 @@ func TestTableSaveDeterministic(t *testing.T) {
 		}
 	})
 }
-
-// TestTableSamplesDeterministic pins the companion fix: Samples feeds the
-// regression-tree fitter, whose tie-breaking is input-order-sensitive, so
-// the export must not follow map order either.
-func TestTableSamplesDeterministic(t *testing.T) {
-	q, err := NewQuantizer([]float64{0, 0, 0}, []float64{10, 10, 10}, []float64{1, 1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab, err := NewTable(q, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fillTable(t, tab, q.Dims())
-	first, err := tab.Samples(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := tab.Samples(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(first) != len(second) {
-		t.Fatalf("sample counts differ: %d vs %d", len(first), len(second))
-	}
-	for i := range first {
-		if first[i].Y != second[i].Y {
-			t.Fatalf("sample %d differs across exports: %v vs %v", i, first[i], second[i])
-		}
-		for d := range first[i].X {
-			if first[i].X[d] != second[i].X[d] {
-				t.Fatalf("sample %d centroid differs across exports", i)
-			}
-		}
-	}
-}

@@ -101,19 +101,6 @@ func (q *Quantizer) CellInto(dst []int, x []float64) ([]int, error) {
 	return dst, nil
 }
 
-// Centroid returns the representative point of the given cell.
-func (q *Quantizer) Centroid(cell []int) []float64 {
-	out := make([]float64, len(cell))
-	for d, c := range cell {
-		v := q.Min[d] + float64(c)*q.Step[d]
-		if v > q.Max[d] {
-			v = q.Max[d]
-		}
-		out[d] = v
-	}
-	return out
-}
-
 // Levels returns the grid values of dimension d from Min to Max inclusive,
 // the sweep set used by the learning harness.
 func (q *Quantizer) Levels(d int) []float64 {
@@ -283,29 +270,8 @@ func (t *Table) Width() int { return t.width }
 // Cells returns the number of populated cells.
 func (t *Table) Cells() int { return len(t.cells) }
 
-// Samples exports the populated cells as training samples (cell centroid →
-// first output average), the "large lookup table … then used to train a
-// regression tree" step of §5.1. Output column col selects which learned
-// value becomes the target.
-func (t *Table) Samples(col int) ([]Sample, error) {
-	if col < 0 || col >= t.width {
-		return nil, fmt.Errorf("approx: column %d outside [0, %d)", col, t.width)
-	}
-	// Samples are emitted in sorted key order: the regression-tree
-	// fitter's tie-breaking is input-order-sensitive, so exporting in
-	// map order could train different trees from identical tables.
-	out := make([]Sample, 0, t.Cells())
-	for _, k := range t.sortedKeys() {
-		out = append(out, Sample{
-			X: t.quant.Centroid(t.unpackKey(k)),
-			Y: t.cells[k].sum[col] / float64(t.cells[k].n),
-		})
-	}
-	return out, nil
-}
-
 // sortedKeys returns the cell keys in ascending order — the
-// deterministic iteration order for serialization and export.
+// deterministic iteration order for serialization.
 func (t *Table) sortedKeys() []uint64 {
 	keys := make([]uint64, 0, len(t.cells))
 	for k := range t.cells {

@@ -343,10 +343,6 @@ func TestRunMatchesLegacyOracle(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d: engine: %v", seed, err)
 				}
-
-				// The oracle predates spill accounting; align the new
-				// field before the bit-identical comparison.
-				want.Spilled = got.Spilled
 				if !reflect.DeepEqual(want, got) {
 					t.Errorf("seed %d: engine run diverges from legacy oracle\nlegacy: %+v\nengine: %+v", seed, want, got)
 				}

@@ -19,7 +19,8 @@ type RunnerConfig struct {
 	// the comparison to the hierarchy is fair under the same boot
 	// dead-time).
 	AdaptEverySeconds float64
-	// TargetResponse is r*, used only for violation accounting.
+	// TargetResponse is r*, used only for violation accounting (it is the
+	// harness's QoSTarget).
 	TargetResponse float64
 	// DefaultCHat seeds the processing-time estimate.
 	DefaultCHat float64
@@ -75,27 +76,13 @@ func (c RunnerConfig) Validate() error {
 }
 
 // Result summarizes a baseline run with the same quantities the
-// hierarchical Record reports, so EXT1 tables can be built side by side.
+// hierarchical Record reports, so EXT1 tables can be built side by side:
+// the harness's run outcome plus the two series the runner records.
 type Result struct {
-	Policy       string
-	Energy       float64
-	Switches     int
-	Completed    int64
-	Dropped      int64
-	MeanResponse float64
-	// ResponseP95 is the per-request 95th-percentile latency.
-	ResponseP95   float64
-	ViolationFrac float64
-	// Spilled counts requests whose arrival offset landed past the run's
-	// final measurement period and were folded into it (a float-rounding
-	// edge at the trace end; see engine.Harness.Spilled). Almost always 0.
-	Spilled int64
-	// StaleObservations and SanitizedRejects are the engine sanitizer's
-	// degraded-input counters (module-ticks; zero on healthy runs).
-	StaleObservations int64
-	SanitizedRejects  int64
-	Operational       *series.Series // per adaptation period
-	ResponseMean      *series.Series // per measurement period
+	Policy string
+	engine.Totals
+	Operational  *series.Series // per adaptation period
+	ResponseMean *series.Series // per measurement period
 }
 
 // runner adapts a flat Policy onto the shared simulation engine: it keeps
@@ -115,9 +102,6 @@ type runner struct {
 	cHat     float64
 	lastRate float64
 	lastUtil float64
-
-	violations int
-	respBins   int
 
 	// budget caps operational computers when a cross-cluster L3 layer
 	// imposes one (engine.Budgeted); 0 means uncapped.
@@ -140,13 +124,10 @@ func (r *runner) SetBudget(maxOperational int) { r.budget = maxOperational }
 // are module-agnostic — and seeds the result series on the pre-roll.
 func (r *runner) Init(p *cluster.Plant) error {
 	r.plant = p
-	preroll := 0.0
+	preroll := p.Now()
 	for i := range r.spec.Modules {
 		for j := range r.spec.Modules[i].Computers {
 			r.slots = append(r.slots, slot{i, j})
-			if d := r.spec.Modules[i].Computers[j].BootDelaySeconds; d > preroll {
-				preroll = d
-			}
 		}
 	}
 	r.total = len(r.slots)
@@ -247,41 +228,24 @@ func (r *runner) Decide(k int, obs engine.TickObs) (engine.Settings, error) {
 }
 
 // Observe implements engine.Policy: fold the period's harvest into the
-// measurement state (arrival rate, utilization, c-hat EWMA) and the
-// violation accounting.
-func (r *runner) Observe(k int, stats []engine.ModuleStats) error {
-	arrived, completed := 0, 0
-	respSum, busySum, demandSum := 0.0, 0.0, 0.0
-	busyN := 0
+// measurement state (arrival rate, utilization, c-hat EWMA).
+func (r *runner) Observe(k int, iv engine.Interval, stats []engine.ModuleStats) error {
+	busySum := 0.0
 	for i, st := range stats {
-		agg := st.Agg
-		arrived += agg.Arrived
-		completed += agg.Completed
-		if agg.Completed > 0 {
-			respSum += agg.MeanResponse * float64(agg.Completed)
-			demandSum += agg.MeanDemand * float64(agg.Completed)
-		}
-		busySum += agg.Busy * float64(len(r.spec.Modules[i].Computers))
-		busyN += len(r.spec.Modules[i].Computers)
+		busySum += st.Agg.Busy * float64(len(r.spec.Modules[i].Computers))
 	}
-	r.lastRate = float64(arrived) / r.cfg.PeriodSeconds
-	if op := r.plant.OperationalComputers(); op > 0 && busyN > 0 {
+	r.lastRate = float64(iv.Arrived) / r.cfg.PeriodSeconds
+	if op := r.plant.OperationalComputers(); op > 0 {
 		// Utilization over operational computers only.
 		r.lastUtil = busySum / float64(op)
 		if r.lastUtil > 1 {
 			r.lastUtil = 1
 		}
 	}
-	mean := 0.0
-	if completed > 0 {
-		mean = respSum / float64(completed)
-		r.cHat = 0.9*r.cHat + 0.1*demandSum/float64(completed)
-		r.respBins++
-		if mean > r.cfg.TargetResponse {
-			r.violations++
-		}
+	if iv.Completed > 0 {
+		r.cHat = 0.9*r.cHat + 0.1*iv.DemandMass/float64(iv.Completed)
 	}
-	r.res.ResponseMean.Values = append(r.res.ResponseMean.Values, mean)
+	r.res.ResponseMean.Values = append(r.res.ResponseMean.Values, iv.MeanResponse())
 	return nil
 }
 
@@ -334,7 +298,7 @@ func PrepareEngine(spec cluster.Spec, policy Policy, trace *series.Series, store
 		DrainSeconds:   cfg.DrainSeconds,
 		Failures:       cfg.Failures,
 		Chaos:          cfg.Chaos,
-		Spread:         engine.SpreadRunArray,
+		QoSTarget:      cfg.TargetResponse,
 	}, store, r)
 	if err != nil {
 		return nil, nil, err
@@ -344,20 +308,8 @@ func PrepareEngine(spec cluster.Spec, policy Policy, trace *series.Series, store
 		if err != nil {
 			return nil, err
 		}
-		res := r.res
-		res.Energy = tot.Energy
-		res.Switches = tot.Switches
-		res.Completed = tot.Completed
-		res.Dropped = tot.Dropped
-		res.MeanResponse = tot.MeanResponse
-		res.ResponseP95 = tot.ResponseP95
-		res.Spilled = h.Spilled()
-		res.StaleObservations = h.StaleObservations()
-		res.SanitizedRejects = h.SanitizedRejects()
-		if r.respBins > 0 {
-			res.ViolationFrac = float64(r.violations) / float64(r.respBins)
-		}
-		return res, nil
+		r.res.Totals = tot
+		return r.res, nil
 	}
 	return h, finalize, nil
 }

@@ -196,18 +196,6 @@ type Observation struct {
 	Available []bool
 }
 
-// SetState overrides the controller's previous decision.
-func (c *Controller) SetState(alpha []bool, gamma []float64, freq []int) error {
-	n := len(c.specs)
-	if len(alpha) != n || len(gamma) != n || len(freq) != n {
-		return fmt.Errorf("central: state size mismatch")
-	}
-	c.prevAlpha = append([]bool(nil), alpha...)
-	c.prevGamma = append([]float64(nil), gamma...)
-	c.prevFreq = append([]int(nil), freq...)
-	return nil
-}
-
 // Decide jointly picks (α, γ, u) for the next period by bounded search
 // over the flat configuration space: candidate α vectors (previous plus
 // single toggles plus all-on), for each a γ neighbourhood on the quantized

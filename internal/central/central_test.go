@@ -87,9 +87,9 @@ func TestDecideScalesWithLoad(t *testing.T) {
 		t.Errorf("computers on at trivial load = %d, want 1", on)
 	}
 	// Overload from one computer: scale up.
-	if err := ctl.SetState([]bool{true, false, false, false}, []float64{1, 0, 0, 0}, []int{3, 3, 3, 3}); err != nil {
-		t.Fatal(err)
-	}
+	ctl.prevAlpha = []bool{true, false, false, false}
+	ctl.prevGamma = []float64{1, 0, 0, 0}
+	ctl.prevFreq = []int{3, 3, 3, 3}
 	dec, err := ctl.Decide(Observation{
 		QueueLens: []float64{200, 0, 0, 0},
 		LambdaHat: 150,
@@ -176,9 +176,6 @@ func TestDecideValidation(t *testing.T) {
 	}
 	if _, err := ctl.Decide(Observation{QueueLens: []float64{1, 1}, LambdaHat: 1, CHat: 0}); err == nil {
 		t.Error("zero c-hat: want error")
-	}
-	if err := ctl.SetState([]bool{true}, []float64{1}, []int{0}); err == nil {
-		t.Error("state size mismatch: want error")
 	}
 }
 

@@ -332,12 +332,12 @@ func TestRunMatchesLegacyOracle(t *testing.T) {
 					t.Fatalf("seed %d: engine: %v", seed, err)
 				}
 
-				// Zero the wall-clock field; align the new spill counter
-				// the oracle predates.
+				// Zero the wall-clock field; align the p95 the shared run
+				// totals carry and the oracle predates.
 				want.DecideTimePerStep = 0
 				gotCopy := *got
 				gotCopy.DecideTimePerStep = 0
-				want.Spilled = gotCopy.Spilled
+				want.ResponseP95 = gotCopy.ResponseP95
 				if !reflect.DeepEqual(want, &gotCopy) {
 					t.Errorf("seed %d: engine run diverges from legacy oracle\nlegacy: %+v\nengine: %+v", seed, want, &gotCopy)
 				}

@@ -53,24 +53,13 @@ func DefaultRunnerConfig() RunnerConfig {
 	}
 }
 
-// Result summarizes a flat-controller run with the hierarchy-comparable
-// quantities plus the overhead counters the scalability study needs.
+// Result summarizes a flat-controller run: the harness's run outcome (the
+// hierarchy-comparable quantities) plus the overhead counters the
+// scalability study needs.
 type Result struct {
-	Energy            float64
-	Switches          int
-	Completed         int64
-	Dropped           int64
-	MeanResponse      float64
-	ViolationFrac     float64
+	engine.Totals
 	ExploredPerStep   float64
 	DecideTimePerStep time.Duration // wall-clock per decision
-	// Spilled counts requests folded into the final sub-period by the
-	// trace-end rounding edge (see engine.Harness.Spilled).
-	Spilled int64
-	// StaleObservations and SanitizedRejects are the engine sanitizer's
-	// degraded-input counters (module-ticks; zero on healthy runs).
-	StaleObservations int64
-	SanitizedRejects  int64
 	Operational       *series.Series
 }
 
@@ -93,8 +82,6 @@ type runner struct {
 	queues        []float64
 	gamma         []float64
 	arrivedPeriod int
-	violations    int
-	respBins      int
 	cHat          float64
 
 	res *Result
@@ -109,18 +96,14 @@ func (r *runner) Name() string { return "centralized" }
 // flattens the cluster and seeds the controller-visible state.
 func (r *runner) Init(p *cluster.Plant) error {
 	r.plant = p
-	preroll := 0.0
 	for i := range r.spec.Modules {
 		for j := range r.spec.Modules[i].Computers {
 			r.slots = append(r.slots, slot{i, j})
-			if d := r.spec.Modules[i].Computers[j].BootDelaySeconds; d > preroll {
-				preroll = d
-			}
 		}
 	}
 	tl0 := r.cfg.Controller.SubPeriodSeconds
 	r.decideEvery = int(r.cfg.Controller.PeriodSeconds/tl0 + 0.5)
-	r.res = &Result{Operational: series.New(preroll, r.cfg.Controller.PeriodSeconds, 0)}
+	r.res = &Result{Operational: series.New(p.Now(), r.cfg.Controller.PeriodSeconds, 0)}
 	r.queues = make([]float64, len(r.slots))
 	r.gamma = append([]float64(nil), r.ctl.prevGamma...)
 	r.cHat = r.cfg.DefaultCHat
@@ -205,33 +188,19 @@ func (r *runner) Decide(k int, obs engine.TickObs) (engine.Settings, error) {
 }
 
 // Observe implements engine.Policy: fold the sub-period's harvest into the
-// queue snapshot, arrival accumulator, processing-time EWMA, and QoS
-// accounting.
-func (r *runner) Observe(k int, stats []engine.ModuleStats) error {
-	arrived, completed := 0, 0
-	respSum, demandSum := 0.0, 0.0
+// queue snapshot, arrival accumulator and processing-time EWMA.
+func (r *runner) Observe(k int, iv engine.Interval, stats []engine.ModuleStats) error {
 	qi := 0
 	for _, st := range stats {
-		agg := st.Agg
-		arrived += agg.Arrived
-		completed += agg.Completed
-		if agg.Completed > 0 {
-			respSum += agg.MeanResponse * float64(agg.Completed)
-			demandSum += agg.MeanDemand * float64(agg.Completed)
-		}
 		for _, p := range st.Per {
 			r.queues[qi] = float64(p.QueueLen)
 			qi++
 		}
 	}
-	r.arrivedPeriod += arrived
-	if completed > 0 {
-		if r.cEst.Observe(demandSum / float64(completed)); r.cEst.Started() {
+	r.arrivedPeriod += iv.Arrived
+	if iv.Completed > 0 {
+		if r.cEst.Observe(iv.DemandMass / float64(iv.Completed)); r.cEst.Started() {
 			r.cHat = r.cEst.Value()
-		}
-		r.respBins++
-		if respSum/float64(completed) > r.cfg.Controller.TargetResponse {
-			r.violations++
 		}
 	}
 	return nil
@@ -292,7 +261,7 @@ func Run(spec cluster.Spec, trace *series.Series, store *workload.Store, cfg Run
 		DrainSeconds:   cfg.DrainSeconds,
 		Failures:       cfg.Failures,
 		Chaos:          cfg.Chaos,
-		Spread:         engine.SpreadRunArray,
+		QoSTarget:      cfg.Controller.TargetResponse,
 	}, store, r)
 	if err != nil {
 		return nil, err
@@ -305,17 +274,7 @@ func Run(spec cluster.Spec, trace *series.Series, store *workload.Store, cfg Run
 		return nil, err
 	}
 	res := r.res
-	res.Energy = tot.Energy
-	res.Switches = tot.Switches
-	res.Completed = tot.Completed
-	res.Dropped = tot.Dropped
-	res.MeanResponse = tot.MeanResponse
-	res.Spilled = h.Spilled()
-	res.StaleObservations = h.StaleObservations()
-	res.SanitizedRejects = h.SanitizedRejects()
-	if r.respBins > 0 {
-		res.ViolationFrac = float64(r.violations) / float64(r.respBins)
-	}
+	res.Totals = tot
 	explored, decisions, compute := ctl.Overhead()
 	if decisions > 0 {
 		res.ExploredPerStep = float64(explored) / float64(decisions)

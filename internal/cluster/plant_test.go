@@ -244,8 +244,8 @@ func TestPlantEnergyAccumulates(t *testing.T) {
 	}
 	p.FinishAccounting()
 	acct := p.Accountant()
-	if acct.Switches("m1c1") != 1 {
-		t.Errorf("switches = %d, want 1", acct.Switches("m1c1"))
+	if acct.TotalSwitches() != 1 {
+		t.Errorf("switches = %d, want 1", acct.TotalSwitches())
 	}
 	// Boot 120 s at 0.75 + 880 s at 0.75+0.25 (φ=0.5 idle draw) + switch 8.
 	want := 120*0.75 + 880*(0.75+0.25) + 8

@@ -9,6 +9,7 @@ package controller
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -64,7 +65,7 @@ func TestL1DecideSteadyStateAllocs(t *testing.T) {
 			// Depth 1 keeps a 16-computer decision in the millisecond
 			// range — the key stride (80 bits → 2 words) is what is
 			// pinned — and a steady load keeps the on/off masks it visits
-			// inside the 256-entry neighbourhood memo.
+			// inside the neighbourhood memo's bound.
 			cfg := DefaultL1Config()
 			cfg.NeighbourDepth = 1
 			var err error
@@ -324,6 +325,92 @@ func TestGammaPackedKeyMatchesStringKey(t *testing.T) {
 			if samePacked != sameString {
 				t.Fatalf("(%d, %v) trial %d: packed equality %v, string equality %v for %v / %v", sh.n, sh.quantum, trial, samePacked, sameString, a, b)
 			}
+		}
+	}
+}
+
+// TestL1GammaMemoBoundedByFloats pins the γ-neighbourhood memo's footprint
+// bound: a 16-computer controller driven through more distinct
+// availability masks than the memo can hold stops storing at
+// maxGammaMemoFloats — not at an entry count, which at this module size let
+// ~0.5 GB accumulate — and a miss past the bound changes nothing but speed:
+// every candidate list, and every decision under rotating failure masks,
+// equals those of a controller that never reuses an entry.
+func TestL1GammaMemoBoundedByFloats(t *testing.T) {
+	const m = 16
+	gmaps := testModuleGMaps(t, m)
+	memo, err := NewL1(DefaultL1Config(), gmaps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := NewL1(DefaultL1Config(), gmaps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forget := func() {
+		clear(fresh.gammaMemo)
+		fresh.memoFloats = 0
+	}
+	stored := func() int {
+		n := 0
+		for _, e := range memo.gammaMemo {
+			n += len(e.cands) * m
+		}
+		return n
+	}
+
+	// The first 260 ways (of 12,870) to fail half of sixteen computers —
+	// past the old 256-entry cap, a few tens of kilofloats per entry.
+	masks, offered := 0, 0
+	alpha := make([]bool, m)
+	for bitsOn := uint16(0); masks < 260; bitsOn++ {
+		if bits.OnesCount16(bitsOn) != m/2 {
+			continue
+		}
+		for j := range alpha {
+			alpha[j] = bitsOn>>j&1 == 1
+		}
+		forget()
+		want := fresh.gammaCandidates(alpha)
+		got := memo.gammaCandidates(alpha)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("mask %d: memoized candidate list (%d) differs from a fresh one (%d)", masks, len(got), len(want))
+		}
+		masks++
+		offered += len(fresh.gammaMemo[packBools(alpha)].cands) * m
+		if memo.memoFloats > maxGammaMemoFloats || memo.memoFloats != stored() {
+			t.Fatalf("mask %d: memo accounts %d floats, holds %d, bound %d", masks, memo.memoFloats, stored(), maxGammaMemoFloats)
+		}
+	}
+	if len(memo.gammaMemo) == 0 || len(memo.gammaMemo) >= masks || offered <= maxGammaMemoFloats {
+		t.Fatalf("%d masks offering %d floats left %d stored: the bound (%d) never bound", masks, offered, len(memo.gammaMemo), maxGammaMemoFloats)
+	}
+
+	// Decisions with the memo full, under rotating failures (half the
+	// module down keeps a 16-computer search short), against the
+	// controller that forgets every period.
+	avail := make([]bool, m)
+	queues := make([]float64, m)
+	for i := 0; i < 3; i++ {
+		for j := range avail {
+			avail[j] = (j+i)%2 == 0
+			queues[j] = float64((i*(3+2*j) + j) % 40)
+		}
+		obs := L1Observation{QueueLens: queues, LambdaHat: 40 + 25*float64(i), Delta: 6, CHat: 0.0175, Available: avail}
+		forget()
+		want, err := fresh.Decide(obs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := memo.Decide(obs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("period %d: decision %+v with a full memo, %+v without one", i, got, want)
+		}
+		if memo.memoFloats > maxGammaMemoFloats {
+			t.Fatalf("period %d: memo holds %d floats, bound %d", i, memo.memoFloats, maxGammaMemoFloats)
 		}
 	}
 }

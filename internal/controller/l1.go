@@ -182,6 +182,16 @@ type gammaMemoEntry struct {
 	keys  []uint64 // packed dedup keys, flat, L1.gammaWords per candidate
 }
 
+// maxGammaMemoFloats bounds an L1's γ-neighbourhood memo by the float64s
+// its stored candidate vectors hold: 1 Mi floats = 8 MiB, about 10.5 MB
+// with the per-vector slice headers and dedup keys. Entry size grows
+// steeply with module size — a 4-computer mask stores a few hundred
+// floats, a 16-computer one 13,321 vectors ≈ 213k floats ≈ 2.2 MB — so a
+// bound on entries would let one large tenant under rotating failure masks
+// pin hundreds of megabytes. Every benchmarked shape's working set of masks
+// fits well inside the bound.
+const maxGammaMemoFloats = 1 << 20
+
 // L1 is the module-level controller. Construct with NewL1.
 //
 // The controller owns candidate pools, dedup key slices, a per-α-mask
@@ -212,6 +222,7 @@ type L1 struct {
 	alphaCands   [][]bool
 	alphaKeys    []uint64
 	gammaMemo    map[uint64]*gammaMemoEntry
+	memoFloats   int // float64s held by gammaMemo's candidate vectors
 	gammaPool    vecPool[float64]
 	gammaList    [][]float64
 	gammaKeys    []uint64
@@ -614,10 +625,10 @@ func (l *L1) alphaCandidates(avail []bool) [][]bool {
 // regenerated each period into pooled vectors, deduped against the list
 // by packed keys. Returned vectors are recycled on the next call.
 func (l *L1) gammaCandidates(alpha []bool) [][]float64 {
-	// Bound the memo so long-lived controllers (daemon tenants under
-	// rotating failure masks) cannot grow it toward 2^m entries; a miss
-	// past the cap computes without storing, which is merely slower.
-	const maxGammaMemoEntries = 256
+	// The memo is bounded (maxGammaMemoFloats) so long-lived controllers
+	// (daemon tenants under rotating failure masks) cannot grow it toward
+	// 2^m entries; a miss past the bound computes without storing, which
+	// is merely slower.
 	mask := packBools(alpha)
 	entry := l.gammaMemo[mask]
 	if entry == nil {
@@ -630,8 +641,9 @@ func (l *L1) gammaCandidates(alpha []bool) [][]float64 {
 		for _, g := range cands {
 			entry.keys = appendGammaKey(entry.keys, g, l.cfg.Quantum, l.gammaPer)
 		}
-		if len(l.gammaMemo) < maxGammaMemoEntries {
+		if n := len(cands) * len(alpha); l.memoFloats+n <= maxGammaMemoFloats {
 			l.gammaMemo[mask] = entry
+			l.memoFloats += n
 		}
 	}
 	l.gammaPool.reset()

@@ -96,7 +96,12 @@ func legacyMechanicsRun(m *Manager, trace *series.Series, store *workload.Store)
 			}
 		}
 	}
-	preroll := m.maxBootDelay()
+	preroll := 0.0
+	for _, ms := range m.spec.Modules {
+		for _, cs := range ms.Computers {
+			preroll = math.Max(preroll, cs.BootDelaySeconds)
+		}
+	}
 	if preroll > 0 {
 		if err := plant.Advance(preroll); err != nil {
 			return nil, err
@@ -116,7 +121,7 @@ func legacyMechanicsRun(m *Manager, trace *series.Series, store *workload.Store)
 	pending := make([][]workload.Request, sub)
 	failAt := make([]int, len(m.failures))
 	for idx, f := range m.failures {
-		failAt[idx] = int(math.Ceil(f.at / tl0))
+		failAt[idx] = int(math.Ceil(f.At / tl0))
 	}
 	applyFailures := func(k int) error {
 		for idx, f := range m.failures {
@@ -124,10 +129,10 @@ func legacyMechanicsRun(m *Manager, trace *series.Series, store *workload.Store)
 				continue
 			}
 			var err error
-			if f.isRepair {
-				err = plant.Repair(f.module, f.comp)
+			if f.Repair {
+				err = plant.Repair(f.Module, f.Comp)
 			} else {
-				err = plant.Fail(f.module, f.comp)
+				err = plant.Fail(f.Module, f.Comp)
 			}
 			if err != nil {
 				return err
@@ -135,6 +140,11 @@ func legacyMechanicsRun(m *Manager, trace *series.Series, store *workload.Store)
 		}
 		return nil
 	}
+
+	// The interval sum, QoS judgement and run totals the harness now owns,
+	// in the legacy loop's own arithmetic.
+	var tot engine.Totals
+	violations, responseBins := 0, 0
 
 	stepIdx := 0
 	steps := trace.Len() * sub
@@ -179,15 +189,31 @@ func legacyMechanicsRun(m *Manager, trace *series.Series, store *workload.Store)
 			if err := plant.Advance(t + tl0); err != nil {
 				return nil, err
 			}
+			if set.Degraded {
+				tot.DegradedTicks++
+			}
 			stats := make([]engine.ModuleStats, len(m.modules))
+			var iv engine.Interval
 			for i := range m.modules {
 				agg, per, err := plant.ModuleIntervalStats(i)
 				if err != nil {
 					return nil, err
 				}
 				stats[i] = engine.ModuleStats{Agg: agg, Per: per}
+				iv.Arrived += agg.Arrived
+				if agg.Completed > 0 {
+					iv.Completed += agg.Completed
+					iv.RespMass += agg.MeanResponse * float64(agg.Completed)
+					iv.DemandMass += agg.MeanDemand * float64(agg.Completed)
+				}
 			}
-			if err := r.Observe(k, stats); err != nil {
+			if iv.Completed > 0 {
+				responseBins++
+				if iv.RespMass/float64(iv.Completed) > m.cfg.L0.TargetResponse {
+					violations++
+				}
+			}
+			if err := r.Observe(k, iv, stats); err != nil {
 				return nil, err
 			}
 			stepIdx++
@@ -201,7 +227,23 @@ func legacyMechanicsRun(m *Manager, trace *series.Series, store *workload.Store)
 		return nil, err
 	}
 	plant.FinishAccounting()
-	return r.finish()
+	tot.Energy = plant.Accountant().TotalEnergy()
+	tot.Switches = plant.Accountant().TotalSwitches()
+	tot.ResponseP95 = plant.Latencies().Quantile(0.95)
+	for i := range m.modules {
+		for j := 0; j < plant.ModuleSize(i); j++ {
+			c, err := plant.Computer(i, j)
+			if err != nil {
+				return nil, err
+			}
+			tot.Completed += c.TotalCompleted()
+			tot.Dropped += c.TotalDropped()
+		}
+	}
+	if responseBins > 0 {
+		tot.ViolationFrac = float64(violations) / float64(responseBins)
+	}
+	return r.finish(tot)
 }
 
 // TestRunMatchesLegacyMechanics pins the engine migration for the

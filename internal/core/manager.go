@@ -203,7 +203,10 @@ type Manager struct {
 
 	learnTime time.Duration
 
-	failures []failureEvent
+	// failures is the injected availability plan (InjectFailure,
+	// InjectRepair, InjectPlan), handed to the harness as is; it quantizes
+	// each event to the next T_L0 boundary.
+	failures []workload.FailureEvent
 
 	// chaos is the injected sensor-fault plan (see InjectChaos); the zero
 	// plan injects nothing.
@@ -265,13 +268,6 @@ func (m *Manager) Artifacts() ArtifactSet {
 		out.Trees[k] = v
 	}
 	return out
-}
-
-type failureEvent struct {
-	at       float64
-	module   int
-	comp     int
-	isRepair bool
 }
 
 // NewManager builds the hierarchy for the given cluster: it learns the
@@ -501,13 +497,13 @@ func (m *Manager) LearnTime() time.Duration { return m.learnTime }
 // InjectFailure schedules computer comp of module mod to fail at the given
 // simulation time (quantized to the next T_L0 boundary). Call before Run.
 func (m *Manager) InjectFailure(at float64, mod, comp int) {
-	m.failures = append(m.failures, failureEvent{at: at, module: mod, comp: comp})
+	m.failures = append(m.failures, workload.FailureEvent{At: at, Module: mod, Comp: comp})
 }
 
 // InjectRepair schedules a repair (the computer returns to the Off state
 // and may be powered on again by the hierarchy).
 func (m *Manager) InjectRepair(at float64, mod, comp int) {
-	m.failures = append(m.failures, failureEvent{at: at, module: mod, comp: comp, isRepair: true})
+	m.failures = append(m.failures, workload.FailureEvent{At: at, Module: mod, Comp: comp, Repair: true})
 }
 
 // InjectPlan schedules a scenario failure plan, skipping entries whose
@@ -522,11 +518,7 @@ func (m *Manager) InjectPlan(plan []workload.FailureEvent) {
 		if f.Comp < 0 || f.Comp >= len(m.spec.Modules[f.Module].Computers) {
 			continue
 		}
-		if f.Repair {
-			m.InjectRepair(f.At, f.Module, f.Comp)
-		} else {
-			m.InjectFailure(f.At, f.Module, f.Comp)
-		}
+		m.failures = append(m.failures, f)
 	}
 }
 
@@ -558,17 +550,3 @@ func (m *Manager) InjectChaos(p chaos.Plan) {
 // exercises the degraded-tick recovery path. Nil (the default) disables
 // it. Test seam only — never serialized, never set in production.
 func (m *Manager) SetL1Failpoint(fn func(module, tick int)) { m.l1Failpoint = fn }
-
-// maxBootDelay returns the longest boot delay in the cluster — the
-// pre-roll the run uses to start from a warm, all-on configuration.
-func (m *Manager) maxBootDelay() float64 {
-	max := 0.0
-	for _, ms := range m.spec.Modules {
-		for _, cs := range ms.Computers {
-			if cs.BootDelaySeconds > max {
-				max = cs.BootDelaySeconds
-			}
-		}
-	}
-	return max
-}

@@ -21,6 +21,7 @@ package core
 import (
 	"time"
 
+	"hierctl/internal/engine"
 	"hierctl/internal/metrics"
 	"hierctl/internal/series"
 )
@@ -47,24 +48,20 @@ type Record struct {
 	// GammaModules[i] is module i's load fraction per T_L2 bin (Fig. 7).
 	GammaModules []*series.Series
 
-	// Aggregates.
-	Energy        float64 // total energy, abstract units
-	Switches      int     // power-on count
-	Completed     int64   // requests completed
-	Dropped       int64   // requests lost to failures
-	Misroutes     int64   // dispatcher fallbacks
+	// Totals is the harness's run outcome — energy, power-on switches,
+	// completed and dropped requests, the p95 latency, the fraction of
+	// T_L0 intervals violating r*, and the degraded-mode counters (zero on
+	// healthy runs) — the same value the flat runners' results embed. Its
+	// MeanResponse is set to ResponseStats.Mean(), the Welford merge
+	// BENCH_scenarios.json pins, which MeanResponse() also returns.
+	engine.Totals
+	Misroutes     int64 // dispatcher fallbacks
 	ResponseStats metrics.Welford
-	// ResponseP50/P95/P99 are per-request latency percentiles over the
-	// whole run (log-bucketed histogram, ≤ 15% relative error);
-	// ResponseMax is exact.
-	ResponseP50, ResponseP95, ResponseP99, ResponseMax float64
-	ViolationFrac                                      float64 // fraction of T_L0 bins violating r*
-	TargetResponse                                     float64
-
-	// Degraded-mode accounting (zero on healthy runs).
-	DegradedTicks     int   // ticks decided via the deterministic fallback
-	StaleObservations int64 // module observations held at last good value
-	SanitizedRejects  int64 // module observations rejected as invalid
+	// ResponseP50/P99 (and Totals.ResponseP95) are per-request latency
+	// percentiles over the whole run (log-bucketed histogram, ≤ 15%
+	// relative error); ResponseMax is exact.
+	ResponseP50, ResponseP99, ResponseMax float64
+	TargetResponse                        float64
 
 	// Overhead (per level, summed over the run).
 	L0Explored, L1Explored, L2Explored    int

@@ -71,8 +71,7 @@ type run struct {
 	// oracle lookups); 0 when streaming.
 	totalSteps int
 
-	plant   *cluster.Plant // set by the harness via initPolicy
-	preroll float64
+	plant *cluster.Plant // set by the harness via initPolicy
 
 	rec *Record
 	// observed collects the ingested arrival counts when no trace was
@@ -92,9 +91,7 @@ type run struct {
 	// one per module per T_L1 boundary, for the Fig. 4 series.
 	predActual [][2]float64
 
-	arrivedTL2   int
-	violations   int
-	responseBins int
+	arrivedTL2 int
 
 	// L2 observation scratch, reused across periods (the controller
 	// reads, never retains it).
@@ -579,11 +576,8 @@ func (r *run) recordFreq(name string, hz float64) {
 // the only reader — and is overwritten by the harvest after it.
 //
 //hpm:hotpath
-func (r *run) Observe(k int, stats []engine.ModuleStats) error {
-	m := r.m
-	var respSum float64
-	var respN int
-	for i, asm := range m.modules {
+func (r *run) Observe(k int, iv engine.Interval, stats []engine.ModuleStats) error {
+	for i, asm := range r.m.modules {
 		agg, per := stats[i].Agg, stats[i].Per
 		asm.lastAgg = agg
 		asm.lastPer = per
@@ -592,22 +586,12 @@ func (r *run) Observe(k int, stats []engine.ModuleStats) error {
 			asm.band0.Observe(prior, float64(agg.Arrived))
 		}
 		asm.arrivedTL1 += agg.Arrived
-		r.arrivedTL2 += agg.Arrived
 		if agg.Completed > 0 {
 			asm.cEst.Observe(agg.MeanDemand)
-			respSum += agg.MeanResponse * float64(agg.Completed)
-			respN += agg.Completed
 		}
 	}
-	mean := 0.0
-	if respN > 0 {
-		mean = respSum / float64(respN)
-		r.responseBins++
-		if mean > m.cfg.L0.TargetResponse {
-			r.violations++
-		}
-	}
-	r.rec.ResponseMean.Values = append(r.rec.ResponseMean.Values, mean)
+	r.arrivedTL2 += iv.Arrived
+	r.rec.ResponseMean.Values = append(r.rec.ResponseMean.Values, iv.MeanResponse())
 	return nil
 }
 
@@ -668,9 +652,10 @@ func moduleAvailable(p *cluster.Plant, i int) bool {
 	return false
 }
 
-// finish assembles the Record. The harness has already drained in-flight
-// work and closed the energy accounting.
-func (r *run) finish() (*Record, error) {
+// finish assembles the Record around the harness's run outcome. The
+// harness has already drained in-flight work and closed the energy
+// accounting.
+func (r *run) finish(tot engine.Totals) (*Record, error) {
 	m := r.m
 	rec := r.rec
 
@@ -687,28 +672,25 @@ func (r *run) finish() (*Record, error) {
 		rec.ActualL1.Values = append(rec.ActualL1.Values, a)
 	}
 
-	rec.Energy = r.plant.Accountant().TotalEnergy()
-	rec.Switches = r.plant.Accountant().TotalSwitches()
+	rec.Totals = tot
 	rec.Misroutes = r.plant.Misroutes()
 	lat := r.plant.Latencies()
 	rec.ResponseP50 = lat.Quantile(0.50)
-	rec.ResponseP95 = lat.Quantile(0.95)
 	rec.ResponseP99 = lat.Quantile(0.99)
 	rec.ResponseMax = lat.Max()
+	// The record's mean response is the Welford merge of the computers'
+	// lifetime statistics — not the harness's mass-weighted sum, which
+	// rounds differently — and BENCH_scenarios.json pins its bits.
 	for i := range m.modules {
 		for j := 0; j < r.plant.ModuleSize(i); j++ {
 			c, err := r.plant.Computer(i, j)
 			if err != nil {
 				return nil, err
 			}
-			rec.Completed += c.TotalCompleted()
-			rec.Dropped += c.TotalDropped()
 			rec.ResponseStats.Merge(c.LifetimeResponse())
 		}
 	}
-	if r.responseBins > 0 {
-		rec.ViolationFrac = float64(r.violations) / float64(r.responseBins)
-	}
+	rec.Totals.MeanResponse = rec.ResponseStats.Mean()
 	for _, asm := range m.modules {
 		for _, l0 := range asm.l0s {
 			e, d, ct := l0.Overhead()

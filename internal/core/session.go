@@ -169,14 +169,6 @@ func (m *Manager) NewSession(store *workload.Store, sc SessionConfig) (*Session,
 		return nil, err
 	}
 
-	// The failure schedule, quantized to T_L0 boundaries, goes to the
-	// harness as a scenario plan (InjectPlan and the harness skip invalid
-	// indices identically).
-	plan := make([]workload.FailureEvent, len(m.failures))
-	for idx, f := range m.failures {
-		plan[idx] = workload.FailureEvent{At: f.at, Module: f.module, Comp: f.comp, Repair: f.isRepair}
-	}
-
 	h, err := engine.New(engine.Config{
 		Spec:           m.spec,
 		Seed:           m.cfg.Seed,
@@ -187,9 +179,8 @@ func (m *Manager) NewSession(store *workload.Store, sc SessionConfig) (*Session,
 		Start:          start0,
 		TotalBins:      totalBins,
 		DrainSeconds:   m.cfg.DrainSeconds,
-		Failures:       plan,
+		Failures:       m.failures,
 		Chaos:          m.chaos,
-		Spread:         engine.SpreadBinRing,
 		Recorder:       m.recorder,
 		QoSTarget:      m.cfg.L0.TargetResponse,
 	}, store, r)
@@ -211,7 +202,7 @@ func (m *Manager) NewSession(store *workload.Store, sc SessionConfig) (*Session,
 func (r *run) initPolicy(plant *cluster.Plant) error {
 	m := r.m
 	r.plant = plant
-	r.preroll = m.maxBootDelay()
+	preroll := plant.Now()
 	for _, asm := range m.modules {
 		allOn := make([]bool, len(asm.specs))
 		for j := range allOn {
@@ -230,10 +221,10 @@ func (r *run) initPolicy(plant *cluster.Plant) error {
 
 	r.rec = &Record{
 		Trace:          r.trace,
-		PredictedL1:    series.New(r.preroll+m.cfg.L1.PeriodSeconds, m.cfg.L1.PeriodSeconds, 0),
-		ActualL1:       series.New(r.preroll+m.cfg.L1.PeriodSeconds, m.cfg.L1.PeriodSeconds, 0),
-		Operational:    series.New(r.preroll, m.cfg.L1.PeriodSeconds, 0),
-		ResponseMean:   series.New(r.preroll, r.tl0, 0),
+		PredictedL1:    series.New(preroll+m.cfg.L1.PeriodSeconds, m.cfg.L1.PeriodSeconds, 0),
+		ActualL1:       series.New(preroll+m.cfg.L1.PeriodSeconds, m.cfg.L1.PeriodSeconds, 0),
+		Operational:    series.New(preroll, m.cfg.L1.PeriodSeconds, 0),
+		ResponseMean:   series.New(preroll, r.tl0, 0),
 		FreqByComputer: map[string]*series.Series{},
 		TargetResponse: m.cfg.L0.TargetResponse,
 		LearnTime:      m.learnTime,
@@ -241,13 +232,13 @@ func (r *run) initPolicy(plant *cluster.Plant) error {
 	if m.l2 != nil {
 		r.rec.GammaModules = make([]*series.Series, len(m.modules))
 		for i := range r.rec.GammaModules {
-			r.rec.GammaModules[i] = series.New(r.preroll, m.cfg.L2.PeriodSeconds, 0)
+			r.rec.GammaModules[i] = series.New(preroll, m.cfg.L2.PeriodSeconds, 0)
 		}
 	}
 	if m.cfg.RecordFrequencies {
 		for _, ms := range m.spec.Modules {
 			for _, cs := range ms.Computers {
-				r.rec.FreqByComputer[cs.Name] = series.New(r.preroll, r.tl0, 0)
+				r.rec.FreqByComputer[cs.Name] = series.New(preroll, r.tl0, 0)
 			}
 		}
 	}
@@ -287,9 +278,8 @@ func (s *Session) StepBin(count float64) error {
 		return fmt.Errorf("core: session already finished")
 	}
 	r := s.r
-	if r.trace != nil && s.h.Bins() >= r.trace.Len() {
-		return fmt.Errorf("core: trace exhausted at bin %d", s.h.Bins())
-	}
+	// A session opened on a trace refuses bins past its end: the harness
+	// was given the trace length as TotalBins.
 	if err := s.h.PushBin(count); err != nil {
 		return err
 	}
@@ -344,14 +334,11 @@ func (s *Session) Finish() (*Record, error) {
 	if err := s.h.Finish(); err != nil {
 		return nil, err
 	}
-	rec, err := s.r.finish()
+	tot, err := s.h.Totals()
 	if err != nil {
 		return nil, err
 	}
-	rec.DegradedTicks = s.h.DegradedTicks()
-	rec.StaleObservations = s.h.StaleObservations()
-	rec.SanitizedRejects = s.h.SanitizedRejects()
-	return rec, nil
+	return s.r.finish(tot)
 }
 
 // refreshDecision rewrites r.last, in place, with the decision payload

@@ -29,8 +29,8 @@ func (p *fixedPolicy) Init(plant *cluster.Plant) error {
 	return nil
 }
 
-func (p *fixedPolicy) Decide(int, TickObs) (Settings, error) { return p.st, nil }
-func (p *fixedPolicy) Observe(int, []ModuleStats) error      { return nil }
+func (p *fixedPolicy) Decide(int, TickObs) (Settings, error)      { return p.st, nil }
+func (p *fixedPolicy) Observe(int, Interval, []ModuleStats) error { return nil }
 
 // TestHarnessTickSteadyStateAllocs pins the mechanics of one observation
 // bin — feed synthesis, spreading, dispatch, the plant's request-level
@@ -51,7 +51,7 @@ func TestHarnessTickSteadyStateAllocs(t *testing.T) {
 					}
 					spec.Modules = append(spec.Modules, m)
 				}
-				cfg := testConfig(spec, 0, SpreadBinRing)
+				cfg := testConfig(spec, 0)
 				if recorded {
 					rec, err := flight.NewRecorder(256)
 					if err != nil {

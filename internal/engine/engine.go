@@ -3,16 +3,16 @@
 // — the simulation clock and control-tick cadence, the boot pre-roll, the
 // push-driven request feed (workload.Feed), the quantized failure-plan
 // schedule (cluster.FailureSteps / ApplyPlannedFailures), request spreading
-// and dispatch, plant advancement, and the per-tick interval harvest —
-// and calls back into a small Policy interface that the hierarchical,
-// threshold, and centralized controllers implement.
+// and dispatch, plant advancement, the per-tick interval harvest with its
+// aggregate and QoS judgement, and the run's totals — and calls back into
+// a small Policy interface that the hierarchical, threshold, and
+// centralized controllers implement.
 //
-// The harness's tick loop mirrors the step-primitive decomposition of the
-// des kernel (HasPendingEvents / PeekNextEventTime / ProcessNextEvent):
-// Tick advances exactly one control period, NextTickTime peeks the clock,
-// and Done reports exhaustion — which is what lets MultiCluster interleave
-// several harnesses in global timestamp order behind one clock and layer a
-// cross-cluster L3 optimizer on top.
+// The harness's tick loop is a set of step primitives rather than one
+// Run(): Tick advances exactly one control period, NextTickTime peeks the
+// clock, and Done reports exhaustion — which is what lets MultiCluster
+// interleave several harnesses in global timestamp order behind one clock
+// and layer a cross-cluster L3 optimizer on top.
 //
 // Invariant: a policy rewritten from a private step loop onto the harness
 // produces bit-identical results — decisions, QoS violations, energy,
@@ -34,23 +34,6 @@ import (
 	flight "hierctl/internal/obs"
 	"hierctl/internal/series"
 	"hierctl/internal/workload"
-)
-
-// SpreadMode selects how a bin's arrivals map onto control ticks.
-type SpreadMode int
-
-const (
-	// SpreadBinRing folds each request into one of its own bin's ticks
-	// (offset clamped to the bin), buffered in a ring of one slot per
-	// tick of the bin — the hierarchical engine's historical semantics,
-	// and the only mode available to open-ended streaming runs.
-	SpreadBinRing SpreadMode = iota
-	// SpreadRunArray indexes each request onto the absolute tick grid of
-	// a fixed-length run — the flat runners' historical semantics.
-	// Requests whose offset lands past the final tick (a float-rounding
-	// edge at the trace end) are folded into the last tick and counted in
-	// Spilled, so the accounting is no longer silent. Requires TotalBins.
-	SpreadRunArray
 )
 
 // Config parameterizes a Harness. PeriodSeconds is the control-tick width
@@ -90,16 +73,15 @@ type Config struct {
 	// events are merged into Failures at construction. An empty plan is
 	// pinned bit-identical to no plan at all.
 	Chaos chaos.Plan
-	// Spread selects the bin-to-tick request mapping.
-	Spread SpreadMode
 	// Recorder, when non-nil, receives one flight-recorder record per
 	// tick (whole-decision latency, interval mean response, QoS flag) and
 	// carries the tick stamp the controllers' own records pick up.
 	// Recording is observe-only: runs are bit-identical with it on or
 	// off.
 	Recorder *flight.Recorder
-	// QoSTarget is the mean-response target (seconds) the tick records'
-	// QoS-violation flag is judged against; 0 disables the flag.
+	// QoSTarget is the mean-response target (seconds) every tick's
+	// interval is judged against — the one judgement behind both the tick
+	// record's QoS flag and Totals.ViolationFrac; 0 disables it.
 	QoSTarget float64
 }
 
@@ -113,20 +95,18 @@ type Harness struct {
 	feed   *workload.Feed
 
 	sub     int // ticks per observation bin
-	steps   int // TotalBins*sub; 0 when open-ended
 	preroll float64
 	tick    int
 	failAt  []int
 
-	ring [][]workload.Request // SpreadBinRing: one slot per tick of a bin
-	flat [][]workload.Request // SpreadRunArray: one slot per tick of the run
+	// ring buffers the current bin's requests, one slot per tick of a bin.
+	ring [][]workload.Request
 
 	stats []ModuleStats
 	// per holds the harness-owned harvest buffers, one per module:
 	// stats[i].Per aliases per[i] unless the injector or sanitizer
 	// substituted its own stash/last-good buffer for the tick.
 	per      [][]cluster.IntervalStats
-	spilled  int64
 	finished bool
 
 	chaos    *chaos.Schedule
@@ -136,6 +116,11 @@ type Harness struct {
 	stale    int64
 	rejects  int64
 
+	// respTicks counts ticks whose observed interval completed anything;
+	// violations those of them whose mean response exceeded QoSTarget.
+	respTicks  int
+	violations int
+
 	// Lifetime arrival/completion counters for cross-cluster observation
 	// windows (MultiCluster snapshots deltas between L3 boundaries).
 	cumArrived   int64
@@ -144,9 +129,10 @@ type Harness struct {
 }
 
 // New builds the harness: the plant is constructed and warm-started (every
-// computer on at full frequency), the boot pre-roll is advanced with its
-// interval statistics discarded, and the policy is initialized against the
-// warmed plant.
+// computer on at full frequency), the boot pre-roll — the longest boot
+// delay, defined here and nowhere else — is advanced with its interval
+// statistics discarded, and the policy is initialized against the warmed
+// plant, whose clock (Plant.Now) then reads the pre-roll.
 func New(cfg Config, store *workload.Store, p Policy) (*Harness, error) {
 	if p == nil {
 		return nil, fmt.Errorf("engine: nil policy")
@@ -154,9 +140,6 @@ func New(cfg Config, store *workload.Store, p Policy) (*Harness, error) {
 	sub, err := series.SubSteps(cfg.BinSeconds, cfg.PeriodSeconds)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.Spread == SpreadRunArray && cfg.TotalBins <= 0 {
-		return nil, fmt.Errorf("engine: run-array spreading needs TotalBins")
 	}
 	if cfg.TotalBins < 0 {
 		return nil, fmt.Errorf("engine: total bins %d < 0", cfg.TotalBins)
@@ -181,17 +164,12 @@ func New(cfg Config, store *workload.Store, p Policy) (*Harness, error) {
 		plant:  plant,
 		feed:   feed,
 		sub:    sub,
-		steps:  cfg.TotalBins * sub,
+		ring:   make([][]workload.Request, sub),
 		stats:  make([]ModuleStats, len(cfg.Spec.Modules)),
 		per:    make([][]cluster.IntervalStats, len(cfg.Spec.Modules)),
 	}
 	for i, m := range cfg.Spec.Modules {
 		h.per[i] = make([]cluster.IntervalStats, len(m.Computers))
-	}
-	if cfg.Spread == SpreadBinRing {
-		h.ring = make([][]workload.Request, sub)
-	} else {
-		h.flat = make([][]workload.Request, h.steps)
 	}
 	if len(cfg.Chaos.Failures) > 0 {
 		// Merge the chaos plan's availability events into the scenario
@@ -248,9 +226,6 @@ func (h *Harness) Plant() *cluster.Plant { return h.plant }
 // cross-cluster layer uses to reach capabilities like Budgeted.
 func (h *Harness) Policy() Policy { return h.policy }
 
-// Preroll returns the boot pre-roll in seconds (the longest boot delay).
-func (h *Harness) Preroll() float64 { return h.preroll }
-
 // SubSteps returns the number of control ticks per observation bin.
 func (h *Harness) SubSteps() int { return h.sub }
 
@@ -269,28 +244,8 @@ func (h *Harness) NextTickTime() float64 {
 // Done reports whether a fixed-length run has consumed its trace and run
 // every tick (always false for open-ended runs until Finish).
 func (h *Harness) Done() bool {
-	return h.finished || (h.cfg.TotalBins > 0 && h.tick >= h.steps)
+	return h.finished || (h.cfg.TotalBins > 0 && h.tick >= h.cfg.TotalBins*h.sub)
 }
-
-// Spilled reports how many requests were folded into the final tick
-// because their arrival offset landed past the end of a fixed-length run —
-// the float-rounding edge at the trace end that used to be clamped
-// silently. Always 0 in SpreadBinRing mode, where offsets fold within
-// their own bin instead.
-func (h *Harness) Spilled() int64 { return h.spilled }
-
-// DegradedTicks reports how many ticks the policy decided through its
-// deterministic fallback path (Settings.Degraded).
-func (h *Harness) DegradedTicks() int { return h.degraded }
-
-// StaleObservations reports how many module observations the sanitizer
-// held at the last good value (module-ticks, cumulative).
-func (h *Harness) StaleObservations() int64 { return h.stale }
-
-// SanitizedRejects reports how many module observations the sanitizer
-// rejected for carrying non-finite or negative values (module-ticks,
-// cumulative). Rejected observations are also counted stale.
-func (h *Harness) SanitizedRejects() int64 { return h.rejects }
 
 // PushBin ingests the next observation bin's arrival count: the bin's
 // requests are synthesized through the feed and spread onto the tick grid.
@@ -311,9 +266,12 @@ func (h *Harness) PushBin(count float64) error {
 	return nil
 }
 
-// spread maps one bin's requests onto the tick grid, rebasing arrival
-// times onto the simulation clock (workload time zero is the end of the
-// boot pre-roll; traces sliced mid-day have a non-zero Start).
+// spread maps one bin's requests onto the bin's ticks by the one
+// arrival-spread rule every policy runs under: a request lands on the tick
+// its offset into the bin falls in, clamped to the bin. PushBin only runs
+// on a bin boundary, so that offset in ticks is the ring slot. Arrival
+// times are rebased onto the simulation clock (workload time zero is the
+// end of the boot pre-roll; traces sliced mid-day have a non-zero Start).
 //
 //hpm:hotpath
 func (h *Harness) spread(bin int, reqs []workload.Request) {
@@ -321,54 +279,23 @@ func (h *Harness) spread(bin int, reqs []workload.Request) {
 	for _, req := range reqs {
 		d := int((req.Arrival - binStart) / h.cfg.PeriodSeconds)
 		req.Arrival += h.preroll - h.cfg.Start
-		if h.cfg.Spread == SpreadBinRing {
-			if d < 0 {
-				d = 0
-			}
-			if d >= h.sub {
-				d = h.sub - 1
-			}
-			slot := (h.tick + d) % h.sub
-			h.ring[slot] = append(h.ring[slot], req)
-			continue
+		if d < 0 {
+			d = 0
 		}
-		idx := h.tick + d
-		if idx >= h.steps {
-			idx = h.steps - 1
-			h.spilled++
+		if d >= h.sub {
+			d = h.sub - 1
 		}
-		h.flat[idx] = append(h.flat[idx], req)
+		h.ring[d] = append(h.ring[d], req)
 	}
-}
-
-// pending returns the request batch queued for tick k without consuming it.
-func (h *Harness) pending(k int) []workload.Request {
-	if h.cfg.Spread == SpreadBinRing {
-		return h.ring[k%h.sub]
-	}
-	return h.flat[k]
-}
-
-// clearPending consumes tick k's batch. Ring slots keep their capacity —
-// Dispatch copies each request's arrival and demand into the computers'
-// queues (cluster.Computer.Enqueue takes them by value), so the batch
-// never escapes, and a long-running session would otherwise reallocate
-// the slot's backing array every bin. Flat slots are one-shot per run and are
-// released so a batch run's memory falls as it drains.
-func (h *Harness) clearPending(k int) {
-	if h.cfg.Spread == SpreadBinRing {
-		h.ring[k%h.sub] = h.ring[k%h.sub][:0]
-		return
-	}
-	h.flat[k] = nil
 }
 
 // Tick advances one control period: planned failures fire at the boundary,
 // the policy decides, the tick's arrivals dispatch under the returned
 // fractions, the plant advances through the period, and the harvested
-// interval statistics go back to the policy. The harvest reuses
-// harness-owned buffers, so a steady-state tick allocates nothing outside
-// the policy's own Decide/Observe.
+// interval statistics — per module, plus their one cluster-wide Interval —
+// go back to the policy. The harvest reuses harness-owned buffers, so a
+// steady-state tick allocates nothing outside the policy's own
+// Decide/Observe.
 //
 //hpm:hotpath
 func (h *Harness) Tick() error {
@@ -383,9 +310,10 @@ func (h *Harness) Tick() error {
 	if err := h.plant.ApplyPlannedFailures(h.cfg.Failures, h.failAt, k); err != nil {
 		return err
 	}
+	reqs := h.ring[k%h.sub]
 	obs := TickObs{
 		Time:            t,
-		PendingRequests: len(h.pending(k)),
+		PendingRequests: len(reqs),
 	}
 	if k%h.sub == 0 {
 		obs.NewBin = true
@@ -405,16 +333,19 @@ func (h *Harness) Tick() error {
 	if rec.Enabled() {
 		decideNs = time.Since(decideStart).Nanoseconds() //hpm:wallclock decide-latency telemetry; observe-only, never a decision input
 	}
-	if reqs := h.pending(k); len(reqs) > 0 {
+	if len(reqs) > 0 {
 		if err := h.plant.Dispatch(reqs, st.GammaModules, st.GammaComputers); err != nil {
 			return err
 		}
 	}
-	h.clearPending(k)
+	// The slot keeps its capacity for the next bin: Dispatch copied each
+	// request's arrival and demand into the computers' queues
+	// (cluster.Computer.Enqueue takes them by value), so the batch never
+	// escapes and a long-running session does not reallocate it every bin.
+	h.ring[k%h.sub] = reqs[:0]
 	if err := h.plant.Advance(t + h.cfg.PeriodSeconds); err != nil {
 		return err
 	}
-	completedBefore, respBefore := h.cumCompleted, h.cumRespSum
 	for i := range h.stats {
 		agg, per, err := h.plant.ModuleIntervalStatsInto(i, h.per[i])
 		if err != nil {
@@ -434,14 +365,22 @@ func (h *Harness) Tick() error {
 	if st.Degraded {
 		h.degraded++
 	}
-	if rec.Enabled() {
-		// One tick record after the harvest: the interval's mean response
-		// across modules, judged against the configured QoS target.
-		completed := h.cumCompleted - completedBefore
-		mean := 0.0
-		if completed > 0 {
-			mean = (h.cumRespSum - respBefore) / float64(completed)
+	// The interval is summed over what the policy is shown, so the QoS
+	// judgement, the tick record and the policy's estimators all read one
+	// value.
+	var iv Interval
+	for i := range h.stats {
+		iv.add(h.stats[i].Agg)
+	}
+	mean := iv.MeanResponse()
+	violated := h.cfg.QoSTarget > 0 && mean > h.cfg.QoSTarget
+	if iv.Completed > 0 {
+		h.respTicks++
+		if violated {
+			h.violations++
 		}
+	}
+	if rec.Enabled() {
 		rec.Record(flight.Record{
 			Level:    flight.LevelTick,
 			Module:   -1,
@@ -449,13 +388,13 @@ func (h *Harness) Tick() error {
 			FreqIdx:  -1,
 			DecideNs: decideNs,
 			Resp:     mean,
-			QoS:      h.cfg.QoSTarget > 0 && completed > 0 && mean > h.cfg.QoSTarget,
+			QoS:      violated,
 			Degraded: st.Degraded,
 			Stale:    int16(staleNow),
 		})
 	}
 	h.tick++
-	return h.policy.Observe(k, h.stats)
+	return h.policy.Observe(k, iv, h.stats)
 }
 
 // Finish fires failures quantized exactly to the final boundary, drains
@@ -494,23 +433,44 @@ func (h *Harness) RunTrace(trace *series.Series) error {
 	return h.Finish()
 }
 
-// Totals aggregates the plant's lifetime accounting in module-major
-// computer order — the order and arithmetic every legacy runner used, so
-// results summed through the harness stay bit-identical.
+// Totals is a run's outcome, totalled once for every policy: the plant's
+// lifetime accounting in module-major computer order — the order and
+// arithmetic every legacy runner used, so results summed through the
+// harness stay bit-identical — plus the harness's own per-tick counters.
 type Totals struct {
 	Energy       float64
 	Switches     int
 	Completed    int64
 	Dropped      int64
 	MeanResponse float64
-	ResponseP95  float64
+	// ResponseP95 is the per-request 95th-percentile latency.
+	ResponseP95 float64
+	// ViolationFrac is the fraction of ticks with completions whose
+	// interval mean response exceeded Config.QoSTarget.
+	ViolationFrac float64
+	// DegradedTicks counts ticks the policy decided through its
+	// deterministic fallback path (Settings.Degraded).
+	DegradedTicks int
+	// StaleObservations counts module observations the sanitizer held at
+	// the last good value, SanitizedRejects those of them it rejected for
+	// carrying non-finite or negative values (module-ticks; zero on
+	// healthy runs).
+	StaleObservations int64
+	SanitizedRejects  int64
 }
 
 // Totals reads the run's aggregate outcomes; call after Finish.
 func (h *Harness) Totals() (Totals, error) {
-	var out Totals
-	out.Energy = h.plant.Accountant().TotalEnergy()
-	out.Switches = h.plant.Accountant().TotalSwitches()
+	out := Totals{
+		Energy:            h.plant.Accountant().TotalEnergy(),
+		Switches:          h.plant.Accountant().TotalSwitches(),
+		DegradedTicks:     h.degraded,
+		StaleObservations: h.stale,
+		SanitizedRejects:  h.rejects,
+	}
+	if h.respTicks > 0 {
+		out.ViolationFrac = float64(h.violations) / float64(h.respTicks)
+	}
 	var respAll float64
 	var respCount int64
 	for i := 0; i < h.plant.Modules(); i++ {

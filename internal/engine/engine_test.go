@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"math"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
@@ -17,6 +19,8 @@ type stubPolicy struct {
 	inits   int
 	decides []TickObs
 	observe int
+	// intervals keeps every Interval Observe was handed.
+	intervals []Interval
 }
 
 func (s *stubPolicy) Name() string { return "stub" }
@@ -41,8 +45,9 @@ func (s *stubPolicy) Decide(tick int, obs TickObs) (Settings, error) {
 	return Settings{GammaModules: gm, GammaComputers: gc}, nil
 }
 
-func (s *stubPolicy) Observe(tick int, stats []ModuleStats) error {
+func (s *stubPolicy) Observe(tick int, iv Interval, stats []ModuleStats) error {
 	s.observe++
+	s.intervals = append(s.intervals, iv)
 	return nil
 }
 
@@ -64,7 +69,7 @@ func testStore(t *testing.T) *workload.Store {
 	return s
 }
 
-func testConfig(spec cluster.Spec, bins int, mode SpreadMode) Config {
+func testConfig(spec cluster.Spec, bins int) Config {
 	return Config{
 		Spec:           spec,
 		Seed:           1,
@@ -74,14 +79,13 @@ func testConfig(spec cluster.Spec, bins int, mode SpreadMode) Config {
 		BinSeconds:     60,
 		TotalBins:      bins,
 		DrainSeconds:   60,
-		Spread:         mode,
 	}
 }
 
 func TestHarnessLifecycle(t *testing.T) {
 	spec := testSpec(t)
 	pol := &stubPolicy{}
-	h, err := New(testConfig(spec, 3, SpreadRunArray), testStore(t), pol)
+	h, err := New(testConfig(spec, 3), testStore(t), pol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,12 +96,14 @@ func TestHarnessLifecycle(t *testing.T) {
 		t.Fatalf("SubSteps = %d, want 2", got)
 	}
 	// The warm start boots every computer; the pre-roll is the longest
-	// boot delay and the first tick starts there.
-	if h.Preroll() <= 0 {
-		t.Fatalf("Preroll = %v, want > 0", h.Preroll())
+	// boot delay, the plant's clock sits at its end and the first tick
+	// starts there.
+	preroll := h.Plant().Now()
+	if preroll <= 0 {
+		t.Fatalf("plant clock after the pre-roll = %v, want > 0", preroll)
 	}
-	if got := h.NextTickTime(); got != h.Preroll() {
-		t.Fatalf("NextTickTime = %v before any tick, want preroll %v", got, h.Preroll())
+	if got := h.NextTickTime(); got != preroll {
+		t.Fatalf("NextTickTime = %v before any tick, want preroll %v", got, preroll)
 	}
 	if op := h.Plant().OperationalComputers(); op != 4 {
 		t.Fatalf("warm start left %d computers operational, want 4", op)
@@ -123,7 +129,7 @@ func TestHarnessLifecycle(t *testing.T) {
 	if err := h.PushBin(40); err != nil {
 		t.Fatal(err)
 	}
-	if want := h.Preroll() + 2*30; h.NextTickTime() != want {
+	if want := preroll + 2*30; h.NextTickTime() != want {
 		t.Fatalf("NextTickTime = %v after 2 ticks, want %v", h.NextTickTime(), want)
 	}
 
@@ -185,40 +191,11 @@ func TestHarnessLifecycle(t *testing.T) {
 	}
 }
 
-// TestRunArraySpillIsCounted pins the fix for the historically silent
-// index clamp: a request whose arrival offset lands past the final tick of
-// a fixed-length run is folded into the last tick AND counted in Spilled.
-func TestRunArraySpillIsCounted(t *testing.T) {
-	spec := testSpec(t)
-	h, err := New(testConfig(spec, 2, SpreadRunArray), testStore(t), &stubPolicy{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Bin 1 spans workload time [60, 120) and is pushed at tick 2; its
-	// last tick is index 3. An arrival stamped exactly at the bin's right
-	// edge — the float-rounding edge traces can produce — offsets one
-	// period past the grid.
-	h.tick = 2
-	h.spread(1, []workload.Request{
-		{Arrival: 60, Demand: 0.01},  // first tick of bin 1 → index 2
-		{Arrival: 120, Demand: 0.01}, // past the end → folded into index 3
-	})
-	if got := h.Spilled(); got != 1 {
-		t.Fatalf("Spilled = %d, want 1", got)
-	}
-	if n := len(h.flat[2]); n != 1 {
-		t.Fatalf("tick 2 holds %d requests, want 1", n)
-	}
-	if n := len(h.flat[3]); n != 1 {
-		t.Fatalf("final tick holds %d requests, want the spilled 1", n)
-	}
-}
-
-// TestBinRingSpreadFoldsWithinBin pins the hierarchical semantics: offsets
-// clamp within the request's own bin and never spill.
+// TestBinRingSpreadFoldsWithinBin pins the spread rule's clamp: offsets
+// fold within the request's own bin.
 func TestBinRingSpreadFoldsWithinBin(t *testing.T) {
 	spec := testSpec(t)
-	h, err := New(testConfig(spec, 0, SpreadBinRing), testStore(t), &stubPolicy{})
+	h, err := New(testConfig(spec, 0), testStore(t), &stubPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,9 +205,6 @@ func TestBinRingSpreadFoldsWithinBin(t *testing.T) {
 		{Arrival: 45, Demand: 0.01},  // second tick
 		{Arrival: 500, Demand: 0.01}, // past the bin → clamped to its last tick
 	})
-	if got := h.Spilled(); got != 0 {
-		t.Fatalf("Spilled = %d in ring mode, want 0", got)
-	}
 	if n := len(h.ring[0]); n != 2 {
 		t.Fatalf("ring slot 0 holds %d, want 2", n)
 	}
@@ -239,20 +213,85 @@ func TestBinRingSpreadFoldsWithinBin(t *testing.T) {
 	}
 }
 
+// TestRingSlotMatchesAbsoluteGridIndex pins why one spread rule serves
+// every runner. The flat runners used to index a request onto the run's
+// absolute tick grid, tick + int((a − binStart)/period); the ring drops it
+// in slot int((a − binStart)/period) of its own bin, clamped. For arrivals
+// drawn the way the feed draws them (binStart + u·bin, u in [0, 1)) the two
+// agree — tick + slot is the old index — for every offset the old index
+// kept inside the bin. The only other case is the rounding edge the old
+// spill counter existed for: u so close to 1 that binStart + u·bin rounds
+// onto the bin's right edge, where the old rule moved the request one tick
+// into the next bin (or spilled it at the trace end) and the ring keeps it
+// in its own bin's last tick.
+func TestRingSlotMatchesAbsoluteGridIndex(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	periods := []float64{0.25, 1, 7.5, 30, 45, 0.1}
+	starts := []float64{0, 3600, 86400, 1.5e6, 977.25, 1e-3}
+	edges := 0
+	for trial := 0; trial < 2000; trial++ {
+		sub := 1 + rng.Intn(12)
+		period := periods[rng.Intn(len(periods))]
+		cfg := Config{
+			PeriodSeconds: period,
+			BinSeconds:    period * float64(sub),
+			Start:         starts[rng.Intn(len(starts))],
+		}
+		h := &Harness{cfg: cfg, sub: sub, ring: make([][]workload.Request, sub)}
+		bin := rng.Intn(5000)
+		h.tick = bin * sub
+		binStart := cfg.Start + float64(bin)*cfg.BinSeconds
+
+		us := []float64{0, math.Nextafter(1, 0), float64(rng.Intn(sub)) / float64(sub)}
+		for i := 0; i < 8; i++ {
+			us = append(us, rng.Float64())
+		}
+		for _, u := range us {
+			a := binStart + u*cfg.BinSeconds // synthBin's draw
+			old := h.tick + int((a-binStart)/period)
+			for d := range h.ring {
+				h.ring[d] = h.ring[d][:0]
+			}
+			h.spread(bin, []workload.Request{{Arrival: a}})
+			slot := -1
+			for d := range h.ring {
+				if len(h.ring[d]) == 1 {
+					slot = d
+				}
+			}
+			switch {
+			case slot < 0:
+				t.Fatalf("trial %d u=%v: request landed in no slot", trial, u)
+			case old < h.tick+sub:
+				if h.tick+slot != old {
+					t.Fatalf("trial %d (sub %d, period %v, start %v, bin %d) u=%v: ring tick %d, absolute-grid index %d",
+						trial, sub, period, cfg.Start, bin, u, h.tick+slot, old)
+				}
+			default:
+				// Past the bin on the old grid: only the rounding edge gets
+				// here, and the ring folds it into the bin's last tick.
+				edges++
+				if u != math.Nextafter(1, 0) || a-binStart < cfg.BinSeconds {
+					t.Fatalf("trial %d u=%v: offset %v of a %v s bin indexed past the bin", trial, u, a-binStart, cfg.BinSeconds)
+				}
+				if slot != sub-1 {
+					t.Fatalf("trial %d: right-edge arrival in slot %d, want the last (%d)", trial, slot, sub-1)
+				}
+			}
+		}
+	}
+	t.Logf("%d of 2000 largest-u draws rounded onto the bin's right edge", edges)
+}
+
 func TestConfigValidation(t *testing.T) {
 	spec := testSpec(t)
 	store := testStore(t)
-	base := testConfig(spec, 2, SpreadRunArray)
+	base := testConfig(spec, 2)
 
 	bad := base
 	bad.PeriodSeconds = 45
 	if _, err := New(bad, store, &stubPolicy{}); err == nil {
 		t.Fatal("non-tiling period accepted")
-	}
-	bad = base
-	bad.TotalBins = 0
-	if _, err := New(bad, store, &stubPolicy{}); err == nil {
-		t.Fatal("run-array spreading without TotalBins accepted")
 	}
 	bad = base
 	bad.WorkloadStream = ""
@@ -278,7 +317,7 @@ func TestRunTraceMatchesManualStepping(t *testing.T) {
 		trace.Values = append(trace.Values, 40+10*float64(i%3))
 	}
 
-	batch, err := New(testConfig(spec, trace.Len(), SpreadRunArray), testStore(t), &stubPolicy{})
+	batch, err := New(testConfig(spec, trace.Len()), testStore(t), &stubPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +329,7 @@ func TestRunTraceMatchesManualStepping(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	man, err := New(testConfig(spec, trace.Len(), SpreadRunArray), testStore(t), &stubPolicy{})
+	man, err := New(testConfig(spec, trace.Len()), testStore(t), &stubPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,40 +355,44 @@ func TestRunTraceMatchesManualStepping(t *testing.T) {
 	}
 }
 
-// TestHarnessTickRecords pins the engine's flight-recorder contract: one
-// LevelTick record per tick carrying the whole-decision latency, the
-// interval mean response, and a QoS flag judged against cfg.QoSTarget —
-// and an unchanged run when the recorder is nil.
-func TestHarnessTickRecords(t *testing.T) {
-	spec := testSpec(t)
-	cfg := testConfig(spec, 3, SpreadRunArray)
-	cfg.QoSTarget = 1e-9 // any completed interval violates
+// recordedRun drives a varied 12-bin run under a flight recorder with the
+// given QoS target and returns its tick records, the intervals the policy
+// observed and the run totals.
+func recordedRun(t *testing.T, target float64) ([]flight.Record, []Interval, Totals) {
+	t.Helper()
+	counts := []float64{60, 900, 2400, 40, 3000, 3000, 10, 1500, 2800, 5, 700, 90}
+	cfg := testConfig(testSpec(t), len(counts))
+	cfg.QoSTarget = target
 	rec, err := flight.NewRecorder(64)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Recorder = rec
-	h, err := New(cfg, testStore(t), &stubPolicy{})
+	pol := &stubPolicy{}
+	h, err := New(cfg, testStore(t), pol)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for bin := 0; bin < 3; bin++ {
-		if err := h.PushBin(60); err != nil {
-			t.Fatal(err)
-		}
-		for s := 0; s < h.SubSteps(); s++ {
-			if err := h.Tick(); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := h.Finish(); err != nil {
+	if err := h.RunTrace(series.FromValues(0, cfg.BinSeconds, counts)); err != nil {
 		t.Fatal(err)
 	}
 	recs := rec.Window(nil, 0)
-	if len(recs) != h.Ticks() {
-		t.Fatalf("%d tick records for %d ticks", len(recs), h.Ticks())
+	if len(recs) != h.Ticks() || len(pol.intervals) != h.Ticks() {
+		t.Fatalf("%d tick records and %d observed intervals for %d ticks", len(recs), len(pol.intervals), h.Ticks())
 	}
+	tot, err := h.Totals()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs, pol.intervals, tot
+}
+
+// TestHarnessTickRecords pins the engine's flight-recorder contract: one
+// LevelTick record per tick carrying the whole-decision latency, the
+// interval mean response — the very value the policy observed — and a QoS
+// flag judged against cfg.QoSTarget.
+func TestHarnessTickRecords(t *testing.T) {
+	recs, intervals, _ := recordedRun(t, 1e-9) // any completed interval violates
 	sawCompleted := false
 	for i, r := range recs {
 		if r.Level != flight.LevelTick || r.Tick != int64(i) || r.Module != -1 || r.Comp != -1 {
@@ -357,6 +400,9 @@ func TestHarnessTickRecords(t *testing.T) {
 		}
 		if r.DecideNs < 0 {
 			t.Fatalf("record %d: negative decide latency", i)
+		}
+		if r.Resp != intervals[i].MeanResponse() {
+			t.Fatalf("record %d: resp %v, the policy observed %v", i, r.Resp, intervals[i].MeanResponse())
 		}
 		if r.Resp > 0 {
 			sawCompleted = true
@@ -367,5 +413,39 @@ func TestHarnessTickRecords(t *testing.T) {
 	}
 	if !sawCompleted {
 		t.Fatal("no tick saw completions; the QoS path went unexercised")
+	}
+}
+
+// TestViolationFracCountsTickRecordFlags pins the one QoS judgement: on a
+// run where some intervals violate and some do not, the tick records'
+// QoS-flag count is exactly Totals.ViolationFrac × the ticks that completed
+// anything — telemetry and the run outcome cannot disagree.
+func TestViolationFracCountsTickRecordFlags(t *testing.T) {
+	// Judge against the median observed response so the run splits.
+	first, _, _ := recordedRun(t, 1e-9)
+	var resps []float64
+	for _, r := range first {
+		if r.Resp > 0 {
+			resps = append(resps, r.Resp)
+		}
+	}
+	sort.Float64s(resps)
+	target := resps[len(resps)/2]
+
+	recs, intervals, tot := recordedRun(t, target)
+	flags, respTicks := 0, 0
+	for i, r := range recs {
+		if intervals[i].Completed > 0 {
+			respTicks++
+		}
+		if r.QoS {
+			flags++
+		}
+	}
+	if flags == 0 || flags == respTicks {
+		t.Fatalf("%d of %d response ticks violate a median target %v; the run does not split", flags, respTicks, target)
+	}
+	if want := float64(flags) / float64(respTicks); tot.ViolationFrac != want {
+		t.Fatalf("ViolationFrac %v, tick records flag %d of %d response ticks (%v)", tot.ViolationFrac, flags, respTicks, want)
 	}
 }

@@ -22,13 +22,41 @@ type Settings struct {
 }
 
 // ModuleStats is one module's harvested plant interval: the aggregate and
-// the per-computer statistics, in module order. Slices are owned by the
-// harness until the next tick's harvest; policies that retain them across
-// ticks must copy (the per-computer slice is freshly allocated each
-// harvest, matching the plant's contract).
+// the per-computer statistics, in module order. The per-computer slice is a
+// harness-owned buffer the next tick's harvest overwrites (see
+// Policy.Observe); policies that need it longer must copy.
 type ModuleStats struct {
 	Agg cluster.IntervalStats
 	Per []cluster.IntervalStats
+}
+
+// Interval is one tick's cluster-wide aggregate of the module observations
+// handed to Policy.Observe, summed in module order: the request counts and
+// the response and demand masses Σ(module mean × module completions).
+// Modules that completed nothing contribute no mass.
+type Interval struct {
+	Arrived    int
+	Completed  int
+	RespMass   float64
+	DemandMass float64
+}
+
+func (iv *Interval) add(agg cluster.IntervalStats) {
+	iv.Arrived += agg.Arrived
+	iv.Completed += agg.Completed
+	if agg.Completed > 0 {
+		iv.RespMass += agg.MeanResponse * float64(agg.Completed)
+		iv.DemandMass += agg.MeanDemand * float64(agg.Completed)
+	}
+}
+
+// MeanResponse is the interval's completion-weighted mean response time (0
+// when nothing completed).
+func (iv Interval) MeanResponse() float64 {
+	if iv.Completed == 0 {
+		return 0
+	}
+	return iv.RespMass / float64(iv.Completed)
 }
 
 // TickObs is the harness's payload for one Decide call.
@@ -48,7 +76,8 @@ type TickObs struct {
 
 // Policy is the control side of a closed-loop run. The harness owns the
 // mechanics — clock, pre-roll, workload feed, failure schedule, dispatch,
-// plant advance, and interval harvest — and calls back into the policy:
+// plant advance, interval harvest and its aggregate, QoS judgement and the
+// run's totals — and calls back into the policy:
 //
 //	Init    once, after the warm start and boot pre-roll
 //	Decide  at the start of every control tick (failures already applied)
@@ -62,18 +91,20 @@ type Policy interface {
 	// Name identifies the policy in reports.
 	Name() string
 	// Init prepares policy state against the warmed plant (every computer
-	// on at full speed, boot pre-roll completed).
+	// on at full speed, boot pre-roll completed: p.Now() is the pre-roll,
+	// the simulation time of tick 0).
 	Init(p *cluster.Plant) error
 	// Decide runs the policy's controllers for tick (deciding at its own
 	// cadence) and returns the dispatch fractions for the tick's arrivals.
 	Decide(tick int, obs TickObs) (Settings, error)
 	// Observe folds the tick's harvested plant statistics into the
-	// policy's estimators and records. stats and every stats[i].Per are
-	// harness-owned buffers, valid until the next Tick's harvest
-	// overwrites them: a policy may keep them across its next Decide
-	// (which runs before that harvest) but must copy anything it needs
-	// longer.
-	Observe(tick int, stats []ModuleStats) error
+	// policy's estimators and records: iv is their cluster-wide sum (the
+	// same value the harness judged against its QoS target), stats the
+	// per-module detail. stats and every stats[i].Per are harness-owned
+	// buffers, valid until the next Tick's harvest overwrites them: a
+	// policy may keep them across its next Decide (which runs before that
+	// harvest) but must copy anything it needs longer.
+	Observe(tick int, iv Interval, stats []ModuleStats) error
 }
 
 // Budgeted is implemented by policies that honour an externally-imposed

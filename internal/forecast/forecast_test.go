@@ -187,15 +187,6 @@ func TestKalmanForecastClampsHorizon(t *testing.T) {
 	}
 }
 
-func TestKalmanReset(t *testing.T) {
-	kf, _ := NewKalman(1, 0.1, 1)
-	kf.Observe(5)
-	kf.Reset()
-	if kf.Steps() != 0 || kf.Level() != 0 || kf.Forecast(1) != 0 {
-		t.Error("Reset did not clear state")
-	}
-}
-
 func TestKalmanBeatsNaiveOnNoisyTrend(t *testing.T) {
 	// One-step RMSE of the tuned filter should beat the naive
 	// "tomorrow = today" predictor on a noisy trending signal.

@@ -129,12 +129,6 @@ func (k *Kalman) Params() (qLevel, qTrend, rObs float64) {
 	return k.qLevel, k.qTrend, k.rObs
 }
 
-// Reset clears the filter state but keeps the noise parameters.
-func (k *Kalman) Reset() {
-	k.level, k.trend, k.steps = 0, 0, 0
-	k.p = [2][2]float64{{1e6, 0}, {0, 1e6}}
-}
-
 // TuneKalman grid-searches (qLevel, qTrend, rObs) multipliers around the
 // signal's variance to minimize one-step-ahead RMSE on the training series,
 // mirroring the paper's "parameters of the Kalman filter were first tuned

@@ -114,20 +114,3 @@ func (h *Histogram) Quantile(q float64) float64 {
 	}
 	return h.max
 }
-
-// Merge folds another histogram with identical parameters into h.
-func (h *Histogram) Merge(o *Histogram) error {
-	if o.base != h.base || o.growth != h.growth || len(o.buckets) != len(h.buckets) {
-		return fmt.Errorf("metrics: merging incompatible histograms")
-	}
-	for i, c := range o.buckets {
-		h.buckets[i] += c
-	}
-	h.under += o.under
-	h.count += o.count
-	h.sum += o.sum
-	if o.max > h.max {
-		h.max = o.max
-	}
-	return nil
-}

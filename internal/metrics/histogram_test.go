@@ -90,37 +90,6 @@ func TestHistogramEdges(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	a := DefaultLatencyHistogram()
-	b := DefaultLatencyHistogram()
-	for i := 0; i < 1000; i++ {
-		a.Observe(0.01)
-		b.Observe(1.0)
-	}
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.Count() != 2000 {
-		t.Errorf("merged Count = %d", a.Count())
-	}
-	med := a.Quantile(0.5)
-	if med < 0.005 || med > 0.02 {
-		t.Errorf("median = %v, want ≈0.01", med)
-	}
-	p99 := a.Quantile(0.99)
-	if p99 < 0.8 || p99 > 1.3 {
-		t.Errorf("p99 = %v, want ≈1.0", p99)
-	}
-	// Incompatible histograms refuse to merge.
-	c, err := NewHistogram(1, 2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Merge(c); err == nil {
-		t.Error("incompatible merge: want error")
-	}
-}
-
 // Satellite coverage: the degenerate shapes the general tests skip —
 // fully empty, a single observation, and mass past the top bucket.
 
@@ -137,17 +106,6 @@ func TestHistogramEmpty(t *testing.T) {
 		if got := h.Quantile(q); got != 0 {
 			t.Errorf("empty Quantile(%v) = %v, want 0", q, got)
 		}
-	}
-	// Merging two empties stays empty and error-free.
-	o, err := NewHistogram(1, 2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := h.Merge(o); err != nil {
-		t.Fatal(err)
-	}
-	if h.Count() != 0 {
-		t.Fatalf("empty merge Count = %d", h.Count())
 	}
 }
 

@@ -11,9 +11,9 @@ import (
 )
 
 // This file is a strict line-format linter for the Prometheus text
-// exposition format (v0.0.4), used three ways: the registry's own tests
-// lint WriteText output, the hpmserve handler tests lint /metrics, and
-// cmd/hpmlint pipes a live scrape through it in CI. It is deliberately
+// exposition format (v0.0.4), used two ways: the registry's own tests
+// lint WriteText output and the hpmserve handler tests lint the real
+// handler's whole /metrics scrape in-process. It is deliberately
 // stricter than a Prometheus scraper: every sample must belong to a
 // family announced by a preceding `# TYPE` line, each family's lines
 // must be contiguous, and histogram invariants (cumulative buckets,

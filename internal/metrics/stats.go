@@ -7,7 +7,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Welford accumulates count, mean, and variance of a stream in a single
@@ -54,48 +53,6 @@ func (w *Welford) Merge(o *Welford) {
 	w.m2 += o.m2 + d*d*float64(w.n)*float64(o.n)/float64(n)
 	w.mean += d * float64(o.n) / float64(n)
 	w.n = n
-}
-
-// Percentile returns the p-th percentile (0 ≤ p ≤ 100) of xs using linear
-// interpolation between closest ranks. It returns 0 for an empty slice.
-// The input is not modified.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// RMSE returns the root-mean-square error between two equal-length slices.
-func RMSE(a, b []float64) (float64, error) {
-	if len(a) != len(b) {
-		return 0, fmt.Errorf("metrics: RMSE length mismatch %d vs %d", len(a), len(b))
-	}
-	if len(a) == 0 {
-		return 0, nil
-	}
-	sum := 0.0
-	for i := range a {
-		d := a[i] - b[i]
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(a))), nil
 }
 
 // MAE returns the mean absolute error between two equal-length slices.

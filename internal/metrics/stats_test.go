@@ -76,46 +76,9 @@ func TestWelfordMergeMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	xs := []float64{15, 20, 35, 40, 50}
-	cases := []struct {
-		p, want float64
-	}{
-		{0, 15}, {100, 50}, {50, 35}, {25, 20}, {-5, 15}, {200, 50},
-	}
-	for _, c := range cases {
-		if got := Percentile(xs, c.p); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("Percentile(%v) = %v, want %v", c.p, got, c.want)
-		}
-	}
-	if got := Percentile(nil, 50); got != 0 {
-		t.Errorf("Percentile(nil) = %v, want 0", got)
-	}
-	// Input must not be reordered.
-	in := []float64{3, 1, 2}
-	Percentile(in, 50)
-	if in[0] != 3 || in[1] != 1 || in[2] != 2 {
-		t.Error("Percentile mutated its input")
-	}
-}
-
-func TestPercentileInterpolates(t *testing.T) {
-	xs := []float64{0, 10}
-	if got := Percentile(xs, 50); got != 5 {
-		t.Errorf("Percentile 50 of {0,10} = %v, want 5", got)
-	}
-}
-
-func TestRMSEAndMAE(t *testing.T) {
+func TestMAE(t *testing.T) {
 	a := []float64{1, 2, 3}
 	b := []float64{1, 4, 3}
-	rmse, err := RMSE(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := math.Sqrt(4.0 / 3.0); math.Abs(rmse-want) > 1e-12 {
-		t.Errorf("RMSE = %v, want %v", rmse, want)
-	}
 	mae, err := MAE(a, b)
 	if err != nil {
 		t.Fatal(err)
@@ -123,16 +86,11 @@ func TestRMSEAndMAE(t *testing.T) {
 	if want := 2.0 / 3.0; math.Abs(mae-want) > 1e-12 {
 		t.Errorf("MAE = %v, want %v", mae, want)
 	}
-	if _, err := RMSE(a, b[:2]); err == nil {
-		t.Error("RMSE length mismatch: want error")
-	}
 	if _, err := MAE(a, b[:2]); err == nil {
 		t.Error("MAE length mismatch: want error")
 	}
-	zeroR, _ := RMSE(nil, nil)
-	zeroM, _ := MAE(nil, nil)
-	if zeroR != 0 || zeroM != 0 {
-		t.Error("empty RMSE/MAE should be 0")
+	if zero, _ := MAE(nil, nil); zero != 0 {
+		t.Error("empty MAE should be 0")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"flag"
 	"math"
 	"os"
 	"path/filepath"
@@ -321,17 +322,31 @@ func TestWriteTrace(t *testing.T) {
 	}
 }
 
+// TestProfileHelpers drives the profiling flags the way a CLI does:
+// register on a FlagSet, parse, start, stop into the run's error.
 func TestProfileHelpers(t *testing.T) {
-	dir := t.TempDir()
-	stop, err := StartCPUProfile("")
+	profiles := func(args ...string) (stop func() error, err error) {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		start := ProfileFlags(fs)
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		stopInto, err := start()
+		if err != nil {
+			return nil, err
+		}
+		return func() (runErr error) {
+			stopInto(&runErr)
+			return runErr
+		}, nil
+	}
+	stop, err := profiles()
 	if err != nil || stop() != nil {
-		t.Fatalf("empty cpu path: %v", err)
+		t.Fatalf("no profile flags: %v", err)
 	}
-	if err := WriteHeapProfile(""); err != nil {
-		t.Fatalf("empty heap path: %v", err)
-	}
-	cpu := filepath.Join(dir, "cpu.out")
-	stop, err = StartCPUProfile(cpu)
+	dir := t.TempDir()
+	cpu, heap := filepath.Join(dir, "cpu.out"), filepath.Join(dir, "heap.out")
+	stop, err = profiles("-cpuprofile", cpu, "-memprofile", heap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,20 +356,20 @@ func TestProfileHelpers(t *testing.T) {
 	if err := stop(); err != nil {
 		t.Fatal(err)
 	}
-	heap := filepath.Join(dir, "heap.out")
-	if err := WriteHeapProfile(heap); err != nil {
-		t.Fatal(err)
-	}
 	for _, p := range []string{cpu, heap} {
 		fi, err := os.Stat(p)
 		if err != nil || fi.Size() == 0 {
 			t.Fatalf("profile %s empty or missing (err %v)", p, err)
 		}
 	}
-	if _, err := StartCPUProfile(filepath.Join(dir, "no/such/dir/x")); err == nil {
+	if _, err := profiles("-cpuprofile", filepath.Join(dir, "no/such/dir/x")); err == nil {
 		t.Fatal("unwritable cpu path accepted")
 	}
-	if err := WriteHeapProfile(filepath.Join(dir, "no/such/dir/x")); err == nil {
+	stop, err = profiles("-memprofile", filepath.Join(dir, "no/such/dir/x"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := stop(); err == nil {
 		t.Fatal("unwritable heap path accepted")
 	}
 }

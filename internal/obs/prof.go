@@ -1,19 +1,45 @@
-// Profiling helpers shared by the CLIs' -cpuprofile/-memprofile flags,
-// so each main wires two flags and two calls instead of re-rolling the
-// pprof file dance.
+// Profiling flags shared by the CLIs, so each main registers them with one
+// call instead of re-rolling the pprof file dance.
 package obs
 
 import (
+	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
 )
 
-// StartCPUProfile begins a CPU profile written to path and returns a
+// ProfileFlags registers -cpuprofile and -memprofile on fs and returns the
+// start function to call once fs is parsed. start begins the CPU profile
+// and returns stop, which the caller defers with the address of its named
+// error result: it writes the heap profile, then ends the CPU profile, and
+// stores the first failure there unless the run already failed. A flag
+// left empty turns its profile off.
+func ProfileFlags(fs *flag.FlagSet) (start func() (stop func(runErr *error), err error)) {
+	cpu := fs.String("cpuprofile", "", "write a CPU profile to this file")
+	mem := fs.String("memprofile", "", "write a heap profile to this file at exit")
+	return func() (func(*error), error) {
+		stopCPU, err := startCPUProfile(*cpu)
+		if err != nil {
+			return nil, err
+		}
+		return func(runErr *error) {
+			heapErr := writeHeapProfile(*mem)
+			if err := stopCPU(); heapErr == nil {
+				heapErr = err
+			}
+			if *runErr == nil {
+				*runErr = heapErr
+			}
+		}, nil
+	}
+}
+
+// startCPUProfile begins a CPU profile written to path and returns a
 // stop function that ends the profile and closes the file. An empty
-// path is a no-op (the returned stop still must be safe to call).
-func StartCPUProfile(path string) (stop func() error, err error) {
+// path is a no-op (the returned stop is still safe to call).
+func startCPUProfile(path string) (stop func() error, err error) {
 	if path == "" {
 		return func() error { return nil }, nil
 	}
@@ -31,10 +57,10 @@ func StartCPUProfile(path string) (stop func() error, err error) {
 	}, nil
 }
 
-// WriteHeapProfile garbage-collects (so the profile reflects live
+// writeHeapProfile garbage-collects (so the profile reflects live
 // objects, not garbage awaiting collection) and writes the heap profile
 // to path. An empty path is a no-op.
-func WriteHeapProfile(path string) error {
+func writeHeapProfile(path string) error {
 	if path == "" {
 		return nil
 	}

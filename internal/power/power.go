@@ -115,9 +115,6 @@ func (a *Accountant) TotalEnergy() float64 {
 	return sum
 }
 
-// Switches returns the number of power-ons recorded for the component.
-func (a *Accountant) Switches(name string) int { return a.switches[name] }
-
 // TotalSwitches sums power-ons across all components.
 func (a *Accountant) TotalSwitches() int {
 	sum := 0
@@ -125,11 +122,4 @@ func (a *Accountant) TotalSwitches() int {
 		sum += n
 	}
 	return sum
-}
-
-// Components returns component names in first-observed order.
-func (a *Accountant) Components() []string {
-	out := make([]string, len(a.order))
-	copy(out, a.order)
-	return out
 }

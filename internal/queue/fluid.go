@@ -69,50 +69,3 @@ func Step(s State, p Params) (State, error) {
 	r := (1 + q) * p.C / p.Phi
 	return State{Q: q, R: r}, nil
 }
-
-// ResponseTime returns the predicted average response time for a queue of
-// length q at processing time c and scaling factor phi (Eq. 6).
-func ResponseTime(q, c, phi float64) float64 {
-	if phi <= 0 || c <= 0 {
-		return math.Inf(1)
-	}
-	return (1 + q) * c / phi
-}
-
-// ServiceRate returns the modelled service rate φ/c in requests/second.
-func ServiceRate(c, phi float64) float64 {
-	if c <= 0 {
-		return 0
-	}
-	return phi / c
-}
-
-// Utilization returns λ·c/φ, the offered load relative to capacity; values
-// ≥ 1 mean the queue is unstable at these settings.
-func Utilization(lambda, c, phi float64) float64 {
-	rate := ServiceRate(c, phi)
-	if rate <= 0 {
-		return math.Inf(1)
-	}
-	return lambda / rate
-}
-
-// StablePhi returns the smallest scaling factor from the candidate set that
-// keeps utilization below the given target (< 1), or false if none does.
-// Controllers use it to prune infeasible branches early.
-func StablePhi(lambda, c, target float64, candidates []float64) (float64, bool) {
-	best := math.Inf(1)
-	found := false
-	for _, phi := range candidates {
-		if phi <= 0 || phi > 1 {
-			continue
-		}
-		if Utilization(lambda, c, phi) < target && phi < best {
-			best, found = phi, true
-		}
-	}
-	if !found {
-		return 0, false
-	}
-	return best, true
-}

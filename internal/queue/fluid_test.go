@@ -96,18 +96,6 @@ func TestQueueNeverNegativeProperty(t *testing.T) {
 	}
 }
 
-func TestResponseTimeMonotonicInQueue(t *testing.T) {
-	if ResponseTime(10, 0.02, 1) <= ResponseTime(5, 0.02, 1) {
-		t.Error("response time should grow with queue length")
-	}
-	if got := ResponseTime(0, 0.02, 0); !math.IsInf(got, 1) {
-		t.Errorf("phi=0: got %v, want +Inf", got)
-	}
-	if got := ResponseTime(0, 0, 1); !math.IsInf(got, 1) {
-		t.Errorf("c=0: got %v, want +Inf", got)
-	}
-}
-
 func TestHigherFrequencyNeverHurts(t *testing.T) {
 	// For the same state/inputs, a higher φ yields shorter or equal
 	// response time and lower or equal queue.
@@ -127,38 +115,5 @@ func TestHigherFrequencyNeverHurts(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestUtilizationAndServiceRate(t *testing.T) {
-	if got := ServiceRate(0.02, 1); math.Abs(got-50) > 1e-9 {
-		t.Errorf("ServiceRate = %v, want 50", got)
-	}
-	if got := ServiceRate(0, 1); got != 0 {
-		t.Errorf("ServiceRate(c=0) = %v, want 0", got)
-	}
-	if got := Utilization(25, 0.02, 1); math.Abs(got-0.5) > 1e-9 {
-		t.Errorf("Utilization = %v, want 0.5", got)
-	}
-	if got := Utilization(25, 0, 1); !math.IsInf(got, 1) {
-		t.Errorf("Utilization(c=0) = %v, want +Inf", got)
-	}
-}
-
-func TestStablePhi(t *testing.T) {
-	candidates := []float64{0.25, 0.5, 0.75, 1.0}
-	// λ=20, c=0.02 → utilization at φ: 0.4/φ. Need util < 0.9 → φ > 0.444.
-	phi, ok := StablePhi(20, 0.02, 0.9, candidates)
-	if !ok || phi != 0.5 {
-		t.Errorf("StablePhi = %v,%v, want 0.5,true", phi, ok)
-	}
-	// Impossible load.
-	if _, ok := StablePhi(1000, 0.02, 0.9, candidates); ok {
-		t.Error("overload: want ok=false")
-	}
-	// Bad candidates are skipped.
-	phi, ok = StablePhi(20, 0.02, 0.9, []float64{-1, 0, 2, 1})
-	if !ok || phi != 1 {
-		t.Errorf("StablePhi with junk candidates = %v,%v, want 1,true", phi, ok)
 	}
 }

@@ -1,6 +1,6 @@
 // Package series provides uniformly sampled time-series containers and the
 // small set of transformations the workload generators, forecasters, and
-// reporting code need: rebinning, smoothing, scaling, noise injection,
+// reporting code need: slicing, smoothing, scaling, noise injection,
 // summary statistics, CSV persistence, and ASCII plotting for the figure
 // reproductions.
 //
@@ -13,11 +13,7 @@
 // ("tracefile:<path>", see internal/workload).
 package series
 
-import (
-	"fmt"
-	"math"
-	"math/rand"
-)
+import "math/rand"
 
 // Series is a uniformly sampled time series. The i-th sample covers the
 // half-open interval [Start+i*Step, Start+(i+1)*Step).
@@ -54,36 +50,6 @@ func (s *Series) End() float64 { return s.Start + float64(len(s.Values))*s.Step 
 
 // TimeAt returns the start time of sample i.
 func (s *Series) TimeAt(i int) float64 { return s.Start + float64(i)*s.Step }
-
-// IndexOf returns the sample index covering time t, clamped to the valid
-// range. It returns 0 for an empty series.
-func (s *Series) IndexOf(t float64) int {
-	if len(s.Values) == 0 {
-		return 0
-	}
-	i := int(math.Floor((t - s.Start) / s.Step))
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(s.Values) {
-		i = len(s.Values) - 1
-	}
-	return i
-}
-
-// At returns the sample value covering time t (piecewise-constant
-// interpolation), clamping t to the series extent.
-func (s *Series) At(t float64) float64 {
-	if len(s.Values) == 0 {
-		return 0
-	}
-	return s.Values[s.IndexOf(t)]
-}
-
-// Clone returns a deep copy.
-func (s *Series) Clone() *Series {
-	return FromValues(s.Start, s.Step, s.Values)
-}
 
 // Scale multiplies every sample by k in place and returns the receiver.
 func (s *Series) Scale(k float64) *Series {
@@ -147,34 +113,6 @@ func (s *Series) Smooth(window int) *Series {
 		out.Values[i] = sum / float64(hi-lo+1)
 	}
 	return out
-}
-
-// Rebin aggregates consecutive groups of factor samples into one sample of a
-// new series whose step is factor times larger. Aggregation is by sum when
-// sum is true (appropriate for counts) and by mean otherwise (appropriate
-// for rates). A trailing partial group is aggregated over the samples it has.
-func (s *Series) Rebin(factor int, sum bool) (*Series, error) {
-	if factor < 1 {
-		return nil, fmt.Errorf("series: rebin factor %d < 1", factor)
-	}
-	n := (len(s.Values) + factor - 1) / factor
-	out := New(s.Start, s.Step*float64(factor), n)
-	for i := 0; i < n; i++ {
-		lo := i * factor
-		hi := lo + factor
-		if hi > len(s.Values) {
-			hi = len(s.Values)
-		}
-		acc := 0.0
-		for j := lo; j < hi; j++ {
-			acc += s.Values[j]
-		}
-		if !sum {
-			acc /= float64(hi - lo)
-		}
-		out.Values[i] = acc
-	}
-	return out, nil
 }
 
 // Slice returns a copy of samples [from, to), clamped to the valid range.

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func almostEqual(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
@@ -35,38 +34,10 @@ func TestFromValuesCopies(t *testing.T) {
 	}
 }
 
-func TestTimeAtAndIndexOf(t *testing.T) {
+func TestTimeAt(t *testing.T) {
 	s := FromValues(100, 30, []float64{1, 2, 3, 4})
 	if got := s.TimeAt(2); got != 160 {
 		t.Errorf("TimeAt(2) = %v, want 160", got)
-	}
-	cases := []struct {
-		t    float64
-		want int
-	}{
-		{99, 0}, {100, 0}, {129.9, 0}, {130, 1}, {219, 3}, {500, 3},
-	}
-	for _, c := range cases {
-		if got := s.IndexOf(c.t); got != c.want {
-			t.Errorf("IndexOf(%v) = %d, want %d", c.t, got, c.want)
-		}
-	}
-}
-
-func TestAtPiecewiseConstant(t *testing.T) {
-	s := FromValues(0, 10, []float64{5, 7, 9})
-	if got := s.At(15); got != 7 {
-		t.Errorf("At(15) = %v, want 7", got)
-	}
-	if got := s.At(-3); got != 5 {
-		t.Errorf("At(-3) = %v, want clamp to first = 5", got)
-	}
-	if got := s.At(1e9); got != 9 {
-		t.Errorf("At(big) = %v, want clamp to last = 9", got)
-	}
-	var empty Series
-	if got := empty.At(1); got != 0 {
-		t.Errorf("empty At = %v, want 0", got)
 	}
 }
 
@@ -110,64 +81,6 @@ func TestSmoothReducesVariance(t *testing.T) {
 	}
 	if vs, vo := variance(s.Values), variance(s.Smooth(9).Values); vo >= vs {
 		t.Errorf("Smooth did not reduce variance: %v >= %v", vo, vs)
-	}
-}
-
-func TestRebinSum(t *testing.T) {
-	s := FromValues(0, 1, []float64{1, 2, 3, 4, 5})
-	out, err := s.Rebin(2, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{3, 7, 5}
-	if out.Step != 2 {
-		t.Errorf("Step = %v, want 2", out.Step)
-	}
-	for i, w := range want {
-		if out.Values[i] != w {
-			t.Errorf("Rebin sum [%d] = %v, want %v", i, out.Values[i], w)
-		}
-	}
-}
-
-func TestRebinMean(t *testing.T) {
-	s := FromValues(0, 1, []float64{2, 4, 6, 8})
-	out, err := s.Rebin(2, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{3, 7}
-	for i, w := range want {
-		if out.Values[i] != w {
-			t.Errorf("Rebin mean [%d] = %v, want %v", i, out.Values[i], w)
-		}
-	}
-}
-
-func TestRebinInvalidFactor(t *testing.T) {
-	s := FromValues(0, 1, []float64{1})
-	if _, err := s.Rebin(0, true); err == nil {
-		t.Error("Rebin(0) error = nil, want error")
-	}
-}
-
-func TestRebinSumPreservesTotal(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	f := func(n uint16, factorSeed uint8) bool {
-		raw := make([]float64, int(n%300)+1)
-		for i := range raw {
-			raw[i] = rng.NormFloat64() * 1e4
-		}
-		factor := int(factorSeed%7) + 1
-		s := FromValues(0, 1, raw)
-		out, err := s.Rebin(factor, true)
-		if err != nil {
-			return false
-		}
-		return almostEqual(out.Sum(), s.Sum(), 1e-6*(1+math.Abs(s.Sum())))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -264,14 +177,5 @@ func TestASCIIPlotShape(t *testing.T) {
 	var empty Series
 	if got := empty.ASCIIPlot("none", 10, 4); !strings.Contains(got, "empty") {
 		t.Errorf("empty plot = %q, want note", got)
-	}
-}
-
-func TestCloneIndependent(t *testing.T) {
-	s := FromValues(0, 1, []float64{1, 2})
-	c := s.Clone()
-	c.Values[0] = 42
-	if s.Values[0] != 1 {
-		t.Error("Clone shares backing array")
 	}
 }
