@@ -355,6 +355,12 @@ func TestRunFlagValidation(t *testing.T) {
 			t.Errorf("args %v: want error", args)
 		}
 	}
+	// A ring size past the bound fails at start-up with the message a
+	// tenant create (or a restored frame) asking for it gets.
+	err := run(context.Background(), []string{"-telemetry-records", "1048577"}, io.Discard)
+	if want := hierctl.CheckTelemetryRecords(1048577); err == nil || want == nil || !strings.Contains(err.Error(), want.Error()) {
+		t.Errorf("-telemetry-records 1048577: got %v, want an error carrying %q", err, want)
+	}
 	for _, args := range [][]string{{"-snapshot", "x"}, {"-snapshot-interval", "5s"}} {
 		err := run(context.Background(), args, io.Discard)
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {

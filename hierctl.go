@@ -204,6 +204,11 @@ func ChaosPlanNames() []string { return chaos.Names() }
 // error with the registered list.
 func LookupChaosPlan(name string) (ChaosSpec, error) { return chaos.Lookup(name) }
 
+// CheckTelemetryRecords reports whether n is a valid
+// TenantConfig.TelemetryRecords: 0 (off) up to the 1 << 20 records
+// (48 MB of ring) a tenant may retain.
+func CheckTelemetryRecords(n int) error { return fleet.CheckTelemetryRecords(n) }
+
 // NewTelemetryRecorder builds a flight recorder retaining the newest
 // capacity records. Writes are allocation-free and safe from the L1
 // planning fan-out's concurrent goroutines.

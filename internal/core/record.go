@@ -13,9 +13,10 @@
 //     so run records are bit-identical at any worker count (pinned by
 //     parallel_test.go at the repo root).
 //   - Manager.Run is a thin replay over the incremental Session engine:
-//     a Session fed a trace's bins in order produces the identical
-//     Record, which is what lets the online control plane (internal/
-//     fleet) and the batch experiments share one code path.
+//     a streaming Session fed a trace's bins in order takes the identical
+//     decisions bin for bin and finishes with the identical totals, which
+//     is what lets the online control plane (internal/fleet) and the
+//     batch experiments share one code path.
 package core
 
 import (
@@ -28,6 +29,14 @@ import (
 
 // Record holds everything a run captures for the paper's figures and
 // tables. Series are sampled at the cadence noted on each field.
+//
+// The series rule: a run's series are bounded by its trace. A session
+// opened on a Trace (Manager.Run, every experiment) records all seven
+// series fields below; a streaming session (SessionConfig.Trace == nil —
+// unbounded input, every fleet tenant) records none and leaves them nil,
+// so its memory does not grow with uptime, and its Record carries the
+// totals, percentiles and overhead counters only. Per-bin values of a
+// streaming run are served as they happen, by BinDecision.
 type Record struct {
 	// Trace is the offered load in requests per trace bin.
 	Trace *series.Series

@@ -73,10 +73,12 @@ type run struct {
 
 	plant *cluster.Plant // set by the harness via initPolicy
 
+	// rec is the run's record. Its series exist only when the trace does
+	// (see Record): a streaming run has no end to bound them by.
 	rec *Record
-	// observed collects the ingested arrival counts when no trace was
-	// given up front; it then serves as Record.Trace.
-	observed *series.Series
+	// respWindow holds the current observation bin's per-tick mean
+	// response times, slot k % sub — what refreshDecision averages.
+	respWindow []float64
 
 	// freqIdx is the last L0 frequency decision per computer (-1 while
 	// off or failed), captured for the per-bin decision payload.
@@ -88,7 +90,8 @@ type run struct {
 	// right after reallocations.
 	lambdaGRate float64
 	// predActual collects (predicted, actual) L1-level arrival pairs,
-	// one per module per T_L1 boundary, for the Fig. 4 series.
+	// one per module per T_L1 boundary, for the Fig. 4 series (trace runs
+	// only).
 	predActual [][2]float64
 
 	arrivedTL2 int
@@ -196,7 +199,9 @@ func (r *run) Decide(k int, obs engine.TickObs) (engine.Settings, error) {
 				return engine.Settings{}, err
 			}
 		}
-		r.rec.Operational.Values = append(r.rec.Operational.Values, float64(r.plant.OperationalComputers()))
+		if s := r.rec.Operational; s != nil {
+			s.Values = append(s.Values, float64(r.plant.OperationalComputers()))
+		}
 	}
 
 	// (3) L0 per computer: frequency for the next period. Budget trips
@@ -258,8 +263,14 @@ func (r *run) fallbackL2() {
 		}
 		r.gammaModules = gm
 	}
-	for i := range m.modules {
-		r.rec.GammaModules[i].Values = append(r.rec.GammaModules[i].Values, r.gammaModules[i])
+	r.recordGammaModules(r.gammaModules)
+}
+
+// recordGammaModules appends one T_L2 sample to each module's γ series
+// (none exist on a streaming run).
+func (r *run) recordGammaModules(gamma []float64) {
+	for i, s := range r.rec.GammaModules {
+		s.Values = append(s.Values, gamma[i])
 	}
 }
 
@@ -351,9 +362,7 @@ func (r *run) decideL2(k int) error {
 		asm.pendingRatio = math.Min(5, math.Max(0.2, ratio))
 	}
 	r.lambdaGRate = obs.LambdaHat
-	for i := range m.modules {
-		r.rec.GammaModules[i].Values = append(r.rec.GammaModules[i].Values, dec.Gamma[i])
-	}
+	r.recordGammaModules(dec.Gamma)
 	r.gammaModules = dec.Gamma
 	return nil
 }
@@ -473,7 +482,7 @@ func (r *run) planL1(i int, k int) (l1Plan, error) {
 // sequentially in module order.
 func (r *run) applyL1(i int, plan l1Plan) error {
 	asm := r.m.modules[i]
-	if plan.hasPredActual {
+	if plan.hasPredActual && r.trace != nil {
 		r.predActual = append(r.predActual, plan.predActual)
 	}
 	dec := plan.dec
@@ -591,7 +600,11 @@ func (r *run) Observe(k int, iv engine.Interval, stats []engine.ModuleStats) err
 		}
 	}
 	r.arrivedTL2 += iv.Arrived
-	r.rec.ResponseMean.Values = append(r.rec.ResponseMean.Values, iv.MeanResponse())
+	mean := iv.MeanResponse()
+	r.respWindow[k%r.sub] = mean
+	if s := r.rec.ResponseMean; s != nil {
+		s.Values = append(s.Values, mean)
+	}
 	return nil
 }
 
@@ -660,7 +673,8 @@ func (r *run) finish(tot engine.Totals) (*Record, error) {
 	rec := r.rec
 
 	// Assemble the Fig. 4 prediction series: per T_L1 boundary, sum the
-	// per-module predictions and actuals.
+	// per-module predictions and actuals (predActual is empty on a
+	// streaming run, which has no series to fill).
 	per := len(m.modules)
 	for i := 0; i+per <= len(r.predActual); i += per {
 		var p, a float64

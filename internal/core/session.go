@@ -19,7 +19,9 @@ import (
 // to tune the Kalman filters before the first observation. Batch replays
 // supply Trace instead: the bin width and calibration prefix then come
 // from the trace, and oracle forecasts (Config.OracleForecast) become
-// possible because the future is known.
+// possible because the future is known. Only a session opened on a Trace
+// records the Record's series (see Record): a streaming session keeps no
+// per-bin state at all.
 type SessionConfig struct {
 	// BinSeconds is the observation bin width in seconds; it must be an
 	// integer multiple of T_L0. Ignored when Trace is set.
@@ -34,16 +36,17 @@ type SessionConfig struct {
 	Calibration []float64
 	// Trace, when set, fixes the whole workload plan up front: ObserveBin
 	// must then be fed the trace's values in order. Required for
-	// Config.OracleForecast.
+	// Config.OracleForecast and for the Record's series.
 	Trace *series.Series
 }
 
 // Session advances one hierarchy incrementally: each ObserveBin ingests
 // the next arrival-count bin, steps the plant and the L0/L1/L2 controllers
 // through the bin's T_L0 periods, and reports the decisions taken. Finish
-// drains in-flight work and assembles the same Record a batch Run
-// produces. A session fed a trace's bins in order is bit-identical to
-// Manager.Run over that trace.
+// drains in-flight work and assembles the Record. A session opened on a
+// trace and fed its bins in order is Manager.Run over that trace; a
+// streaming session fed the same bins decides bit-identically and differs
+// only in recording no series.
 //
 // The mechanics — clock, pre-roll, request feed, failure schedule,
 // dispatch, plant advance, harvest — live in the shared simulation engine
@@ -187,12 +190,6 @@ func (m *Manager) NewSession(store *workload.Store, sc SessionConfig) (*Session,
 	if err != nil {
 		return nil, err
 	}
-	if sc.Trace == nil {
-		// Streaming: collect the ingested counts so the record still
-		// carries the workload it ran against.
-		r.observed = series.New(start0, binStep, 0)
-		r.rec.Trace = r.observed
-	}
 	return &Session{r: r, h: h}, nil
 }
 
@@ -220,28 +217,13 @@ func (r *run) initPolicy(plant *cluster.Plant) error {
 	}
 
 	r.rec = &Record{
-		Trace:          r.trace,
-		PredictedL1:    series.New(preroll+m.cfg.L1.PeriodSeconds, m.cfg.L1.PeriodSeconds, 0),
-		ActualL1:       series.New(preroll+m.cfg.L1.PeriodSeconds, m.cfg.L1.PeriodSeconds, 0),
-		Operational:    series.New(preroll, m.cfg.L1.PeriodSeconds, 0),
-		ResponseMean:   series.New(preroll, r.tl0, 0),
-		FreqByComputer: map[string]*series.Series{},
 		TargetResponse: m.cfg.L0.TargetResponse,
 		LearnTime:      m.learnTime,
 	}
-	if m.l2 != nil {
-		r.rec.GammaModules = make([]*series.Series, len(m.modules))
-		for i := range r.rec.GammaModules {
-			r.rec.GammaModules[i] = series.New(preroll, m.cfg.L2.PeriodSeconds, 0)
-		}
+	if r.trace != nil {
+		r.initSeries(preroll)
 	}
-	if m.cfg.RecordFrequencies {
-		for _, ms := range m.spec.Modules {
-			for _, cs := range ms.Computers {
-				r.rec.FreqByComputer[cs.Name] = series.New(preroll, r.tl0, 0)
-			}
-		}
-	}
+	r.respWindow = make([]float64, r.sub)
 	r.freqIdx = make([][]int, len(m.modules))
 	r.plans = make([]l1Plan, len(m.modules))
 	r.equalShares = make([]float64, len(m.modules))
@@ -256,6 +238,33 @@ func (r *run) initPolicy(plant *cluster.Plant) error {
 		r.weights[i] = make([]float64, len(asm.specs))
 	}
 	return nil
+}
+
+// initSeries gives the record its per-period series. Only a run opened on
+// a trace has them: the trace bounds their length, where a streaming
+// session's would grow for as long as the tenant lives.
+func (r *run) initSeries(preroll float64) {
+	m := r.m
+	rec := r.rec
+	rec.Trace = r.trace
+	rec.PredictedL1 = series.New(preroll+m.cfg.L1.PeriodSeconds, m.cfg.L1.PeriodSeconds, 0)
+	rec.ActualL1 = series.New(preroll+m.cfg.L1.PeriodSeconds, m.cfg.L1.PeriodSeconds, 0)
+	rec.Operational = series.New(preroll, m.cfg.L1.PeriodSeconds, 0)
+	rec.ResponseMean = series.New(preroll, r.tl0, 0)
+	rec.FreqByComputer = map[string]*series.Series{}
+	if m.l2 != nil {
+		rec.GammaModules = make([]*series.Series, len(m.modules))
+		for i := range rec.GammaModules {
+			rec.GammaModules[i] = series.New(preroll, m.cfg.L2.PeriodSeconds, 0)
+		}
+	}
+	if m.cfg.RecordFrequencies {
+		for _, ms := range m.spec.Modules {
+			for _, cs := range ms.Computers {
+				rec.FreqByComputer[cs.Name] = series.New(preroll, r.tl0, 0)
+			}
+		}
+	}
 }
 
 // ObserveBin ingests the next observation bin's arrival count, advances
@@ -282,9 +291,6 @@ func (s *Session) StepBin(count float64) error {
 	// was given the trace length as TotalBins.
 	if err := s.h.PushBin(count); err != nil {
 		return err
-	}
-	if r.observed != nil {
-		r.observed.Values = append(r.observed.Values, count)
 	}
 	for d := 0; d < r.sub; d++ {
 		if err := s.h.Tick(); err != nil {
@@ -365,13 +371,8 @@ func (r *run) refreshDecision(bin int) {
 		}
 	}
 	// Mean response over the bin's completed T_L0 intervals.
-	vals := r.rec.ResponseMean.Values
-	n := r.sub
-	if len(vals) < n {
-		n = len(vals)
-	}
 	sum, cnt := 0.0, 0
-	for _, v := range vals[len(vals)-n:] {
+	for _, v := range r.respWindow {
 		if v > 0 {
 			sum += v
 			cnt++

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"hierctl/internal/cluster"
@@ -26,7 +27,33 @@ func seriesIdentical(t *testing.T, name string, a, b *series.Series) {
 	}
 }
 
+// recordsIdentical compares two trace-mode records: every scalar and
+// every series.
 func recordsIdentical(t *testing.T, batch, online *Record) {
+	t.Helper()
+	scalarsIdentical(t, batch, online)
+	seriesIdentical(t, "Trace", batch.Trace, online.Trace)
+	seriesIdentical(t, "PredictedL1", batch.PredictedL1, online.PredictedL1)
+	seriesIdentical(t, "ActualL1", batch.ActualL1, online.ActualL1)
+	seriesIdentical(t, "Operational", batch.Operational, online.Operational)
+	seriesIdentical(t, "ResponseMean", batch.ResponseMean, online.ResponseMean)
+	if len(batch.GammaModules) != len(online.GammaModules) {
+		t.Fatalf("gamma series count %d vs %d", len(batch.GammaModules), len(online.GammaModules))
+	}
+	for i := range batch.GammaModules {
+		seriesIdentical(t, "GammaModules", batch.GammaModules[i], online.GammaModules[i])
+	}
+	if len(batch.FreqByComputer) != len(online.FreqByComputer) {
+		t.Fatalf("frequency series count %d vs %d", len(batch.FreqByComputer), len(online.FreqByComputer))
+	}
+	for name, s := range batch.FreqByComputer {
+		seriesIdentical(t, "FreqByComputer["+name+"]", s, online.FreqByComputer[name])
+	}
+}
+
+// scalarsIdentical compares everything a record carries besides its
+// series — all a streaming session's record has.
+func scalarsIdentical(t *testing.T, batch, online *Record) {
 	t.Helper()
 	if batch.Completed != online.Completed || batch.Dropped != online.Dropped {
 		t.Errorf("requests diverged: (%d, %d) vs (%d, %d)", batch.Completed, batch.Dropped, online.Completed, online.Dropped)
@@ -53,30 +80,16 @@ func recordsIdentical(t *testing.T, batch, online *Record) {
 	if batch.L0Decisions != online.L0Decisions || batch.L1Decisions != online.L1Decisions || batch.L2Decisions != online.L2Decisions {
 		t.Error("decision counts diverged")
 	}
-	seriesIdentical(t, "Trace", batch.Trace, online.Trace)
-	seriesIdentical(t, "PredictedL1", batch.PredictedL1, online.PredictedL1)
-	seriesIdentical(t, "ActualL1", batch.ActualL1, online.ActualL1)
-	seriesIdentical(t, "Operational", batch.Operational, online.Operational)
-	seriesIdentical(t, "ResponseMean", batch.ResponseMean, online.ResponseMean)
-	if len(batch.GammaModules) != len(online.GammaModules) {
-		t.Fatalf("gamma series count %d vs %d", len(batch.GammaModules), len(online.GammaModules))
-	}
-	for i := range batch.GammaModules {
-		seriesIdentical(t, "GammaModules", batch.GammaModules[i], online.GammaModules[i])
-	}
-	if len(batch.FreqByComputer) != len(online.FreqByComputer) {
-		t.Fatalf("frequency series count %d vs %d", len(batch.FreqByComputer), len(online.FreqByComputer))
-	}
-	for name, s := range batch.FreqByComputer {
-		seriesIdentical(t, "FreqByComputer["+name+"]", s, online.FreqByComputer[name])
-	}
 }
 
 // TestStreamingSessionMatchesBatchRun pins the online engine to the batch
 // one: a session that never sees the trace — only the streamed counts plus
-// the same calibration prefix the batch run tunes on — must reproduce the
-// batch record bit for bit. Failure injections ride along to cover the
-// event-calendar ordering.
+// the same calibration prefix the batch run tunes on — must take the batch
+// run's decisions bin for bin (α, γ, frequencies, mean response and
+// operational count: what the series sampled, and more) and finish with
+// its totals bit for bit, while recording no series. The batch side is the
+// trace-mode session Manager.Run is. Failure injections ride along to
+// cover the event-calendar ordering.
 func TestStreamingSessionMatchesBatchRun(t *testing.T) {
 	spec := cluster.Spec{Modules: []cluster.ModuleSpec{
 		moduleOf("M1", 2), moduleOf("M2", 2),
@@ -93,9 +106,24 @@ func TestStreamingSessionMatchesBatchRun(t *testing.T) {
 	}
 	batchMgr.InjectFailure(600, 0, 0)
 	batchMgr.InjectRepair(1200, 0, 0)
-	batch, err := batchMgr.Run(trace, testStore(t))
+	batchSess, err := batchMgr.NewSession(testStore(t), SessionConfig{Trace: trace})
 	if err != nil {
 		t.Fatal(err)
+	}
+	want := make([]BinDecision, 0, trace.Len())
+	for _, count := range trace.Values {
+		dec, err := batchSess.ObserveBin(count)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, dec)
+	}
+	batch, err := batchSess.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if batch.ResponseMean.Len() != trace.Len() || batch.Operational.Len() == 0 || batch.Trace != trace {
+		t.Fatal("trace-mode session recorded no series")
 	}
 
 	onlineMgr, err := NewManager(spec, cfg)
@@ -113,16 +141,24 @@ func TestStreamingSessionMatchesBatchRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, count := range trace.Values {
-		if _, err := sess.ObserveBin(count); err != nil {
+	for bin, count := range trace.Values {
+		got, err := sess.ObserveBin(count)
+		if err != nil {
 			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want[bin]) {
+			t.Fatalf("bin %d decision diverged:\nbatch  %+v\nonline %+v", bin, want[bin], got)
 		}
 	}
 	online, err := sess.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
-	recordsIdentical(t, batch, online)
+	scalarsIdentical(t, batch, online)
+	if online.Trace != nil || online.PredictedL1 != nil || online.ActualL1 != nil || online.Operational != nil ||
+		online.ResponseMean != nil || online.GammaModules != nil || online.FreqByComputer != nil {
+		t.Errorf("streaming session recorded series: %+v", online)
+	}
 }
 
 func TestSessionBinDecisionShape(t *testing.T) {

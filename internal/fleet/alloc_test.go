@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"hierctl/internal/cluster"
@@ -179,4 +180,52 @@ func TestObserveBatchAllocsPerEntry(t *testing.T) {
 	if perNarrow > 16*2/4+8 {
 		t.Errorf("a warm 16-entry ObserveBatchInto call costs %v allocs, want <= %d", perNarrow, 16*2/4+8)
 	}
+}
+
+// TestTenantFootprintFlatInUptime pins the property behind the fixed-size
+// tenant: once warm (flight-recorder ring wrapped, plant queues and the
+// store's locality history at their working size), the only thing a
+// telemetry-on tenant retains per bin is its observation-log entry — the
+// replay log restores need, 8 bytes. Four times the warm-up's bins may
+// grow the live heap (HeapAlloc after a forced collection) by 8 B/bin plus
+// a slack of 4 B/bin + 16 KB: the log grows by append, so up to a quarter
+// of its capacity (plus a size class) is headroom not yet written, and the
+// rest of the test binary's heap is not perfectly still. A session that
+// kept per-bin series (mean response, operational count, prediction
+// pairs, the observed trace) grew ~40 B/bin here.
+func TestTenantFootprintFlatInUptime(t *testing.T) {
+	const warm, more = 2500, 10_000
+	f := New(Config{Shards: 1})
+	defer f.Close()
+	tc := telemetryTenantConfig(4096) // hpmserve's default ring
+	tc.Spec = cluster.Spec{Modules: []cluster.ModuleSpec{moduleOf("M1", 2)}}
+	if err := f.CreateTenant("t", tc); err != nil {
+		t.Fatal(err)
+	}
+	bin := 0
+	run := func(n int) {
+		for ; n > 0; n-- {
+			if _, err := f.Observe("t", float64(20+bin%17)); err != nil {
+				t.Fatal(err)
+			}
+			bin++
+		}
+	}
+	live := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	run(warm)
+	before := live()
+	run(more)
+	after := live()
+	grew := int64(after) - int64(before)
+	if limit := int64(more*(8+4) + 16<<10); grew > limit {
+		t.Fatalf("%d more bins grew the live heap by %d B (%.1f B/bin), want <= %d B: 8 B/bin of observation log plus slack",
+			more, grew, float64(grew)/more, limit)
+	}
+	t.Logf("live heap grew %d B over %d bins (%.1f B/bin)", grew, more, float64(grew)/more)
 }

@@ -82,7 +82,33 @@ func seriesIdentical(t *testing.T, name string, a, b *series.Series) {
 	}
 }
 
+// recordsIdentical compares two records of one mode: every scalar, and
+// every series (all nil when both sides streamed).
 func recordsIdentical(t *testing.T, batch, online *core.Record) {
+	t.Helper()
+	scalarsIdentical(t, batch, online)
+	seriesIdentical(t, "Trace", batch.Trace, online.Trace)
+	seriesIdentical(t, "PredictedL1", batch.PredictedL1, online.PredictedL1)
+	seriesIdentical(t, "ActualL1", batch.ActualL1, online.ActualL1)
+	seriesIdentical(t, "Operational", batch.Operational, online.Operational)
+	seriesIdentical(t, "ResponseMean", batch.ResponseMean, online.ResponseMean)
+	if len(batch.GammaModules) != len(online.GammaModules) {
+		t.Fatalf("gamma series count %d vs %d", len(batch.GammaModules), len(online.GammaModules))
+	}
+	for i := range batch.GammaModules {
+		seriesIdentical(t, "GammaModules", batch.GammaModules[i], online.GammaModules[i])
+	}
+	if len(batch.FreqByComputer) != len(online.FreqByComputer) {
+		t.Fatalf("frequency series count %d vs %d", len(batch.FreqByComputer), len(online.FreqByComputer))
+	}
+	for name, s := range batch.FreqByComputer {
+		seriesIdentical(t, "FreqByComputer["+name+"]", s, online.FreqByComputer[name])
+	}
+}
+
+// scalarsIdentical compares everything a record carries besides its
+// series — all a tenant's (streaming) record has.
+func scalarsIdentical(t *testing.T, batch, online *core.Record) {
 	t.Helper()
 	if batch.Completed != online.Completed || batch.Dropped != online.Dropped {
 		t.Errorf("requests diverged: (%d, %d) vs (%d, %d)", batch.Completed, batch.Dropped, online.Completed, online.Dropped)
@@ -109,30 +135,15 @@ func recordsIdentical(t *testing.T, batch, online *core.Record) {
 	if batch.L0Decisions != online.L0Decisions || batch.L1Decisions != online.L1Decisions || batch.L2Decisions != online.L2Decisions {
 		t.Error("decision counts diverged")
 	}
-	seriesIdentical(t, "Trace", batch.Trace, online.Trace)
-	seriesIdentical(t, "PredictedL1", batch.PredictedL1, online.PredictedL1)
-	seriesIdentical(t, "ActualL1", batch.ActualL1, online.ActualL1)
-	seriesIdentical(t, "Operational", batch.Operational, online.Operational)
-	seriesIdentical(t, "ResponseMean", batch.ResponseMean, online.ResponseMean)
-	if len(batch.GammaModules) != len(online.GammaModules) {
-		t.Fatalf("gamma series count %d vs %d", len(batch.GammaModules), len(online.GammaModules))
-	}
-	for i := range batch.GammaModules {
-		seriesIdentical(t, "GammaModules", batch.GammaModules[i], online.GammaModules[i])
-	}
-	if len(batch.FreqByComputer) != len(online.FreqByComputer) {
-		t.Fatalf("frequency series count %d vs %d", len(batch.FreqByComputer), len(online.FreqByComputer))
-	}
-	for name, s := range batch.FreqByComputer {
-		seriesIdentical(t, "FreqByComputer["+name+"]", s, online.FreqByComputer[name])
-	}
 }
 
 // TestFleetOnlineMatchesBatchRun is the control plane's equivalence pin:
 // a tenant stepped online through the fleet over the §4.3 synthetic trace
-// produces a record identical to the batch Manager.Run on the same trace
-// and seed. The tenant never sees the trace — only the streamed counts
-// and the same calibration prefix the batch engine tunes on.
+// takes, bin for bin, the decisions of the batch run on the same trace and
+// seed (the trace-mode session Manager.Run is) — α, γ, frequencies, mean
+// response and operational count — and closes with identical totals. The
+// tenant never sees the trace — only the streamed counts and the same
+// calibration prefix the batch engine tunes on — and keeps no series.
 func TestFleetOnlineMatchesBatchRun(t *testing.T) {
 	syn := workload.DefaultSyntheticConfig()
 	syn.Seed = 1
@@ -153,9 +164,24 @@ func TestFleetOnlineMatchesBatchRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := batchMgr.Run(trace, batchStore)
+	batchSess, err := batchMgr.NewSession(batchStore, core.SessionConfig{Trace: trace})
 	if err != nil {
 		t.Fatal(err)
+	}
+	want := make([]core.BinDecision, 0, trace.Len())
+	for _, count := range trace.Values {
+		dec, err := batchSess.ObserveBin(count)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, dec)
+	}
+	batch, err := batchSess.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if batch.ResponseMean.Len() == 0 || batch.Operational.Len() == 0 || batch.Trace != trace {
+		t.Fatal("trace-mode session recorded no series")
 	}
 
 	f := New(Config{Shards: 4})
@@ -172,9 +198,13 @@ func TestFleetOnlineMatchesBatchRun(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	for _, count := range trace.Values {
-		if _, err := f.Observe("t1", count); err != nil {
+	for bin, count := range trace.Values {
+		got, err := f.Observe("t1", count)
+		if err != nil {
 			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want[bin]) {
+			t.Fatalf("bin %d decision diverged:\nbatch  %+v\nonline %+v", bin, want[bin], got)
 		}
 	}
 	st, err := f.State("t1")
@@ -191,7 +221,11 @@ func TestFleetOnlineMatchesBatchRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recordsIdentical(t, batch, online)
+	scalarsIdentical(t, batch, online)
+	if online.Trace != nil || online.PredictedL1 != nil || online.ActualL1 != nil || online.Operational != nil ||
+		online.ResponseMean != nil || online.GammaModules != nil || online.FreqByComputer != nil {
+		t.Errorf("tenant recorded series: %+v", online)
+	}
 	if _, err := f.State("t1"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("closed tenant still visible: %v", err)
 	}

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"strings"
 	"testing"
@@ -182,5 +183,72 @@ func TestFleetTelemetrySurvivesRestore(t *testing.T) {
 		if w != g {
 			t.Fatalf("record %d diverged after restore:\noriginal %+v\nrestored %+v", i, want[i], got[i])
 		}
+	}
+}
+
+// TestTelemetryRecordsBounded: the ring size is input — a create request,
+// or a snapshot / journal frame that may be crafted or corrupt — and sizes
+// an allocation, so it is bounded at both doors. A snapshot hand-edited to
+// ask for a 2^40-record ring (a well-formed frame: the CRC is recomputed)
+// must fail Restore with the bound's message instead of allocating, and
+// register nothing.
+func TestTelemetryRecordsBounded(t *testing.T) {
+	f := New(Config{Shards: 1})
+	defer f.Close()
+	if err := f.CreateTenant("edge", telemetryTenantConfig(maxTelemetryRecords)); err != nil {
+		t.Fatalf("ring of exactly maxTelemetryRecords rejected: %v", err)
+	}
+	wantMsg := CheckTelemetryRecords(maxTelemetryRecords + 1).Error()
+	err := f.CreateTenant("over", telemetryTenantConfig(maxTelemetryRecords+1))
+	if err == nil || !strings.Contains(err.Error(), wantMsg) {
+		t.Fatalf("oversized TelemetryRecords at create: %v, want %q", err, wantMsg)
+	}
+	if _, err := f.CloseTenant("edge"); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := f.CreateTenant("a", telemetryTenantConfig(64)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Observe("a", 500); err != nil {
+		t.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if err := f.Snapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	edited := bytes.NewBufferString(snapshotMagic)
+	r := bytes.NewReader(snap.Bytes()[len(snapshotMagic):])
+	bases := 0
+	for {
+		fr, err := readFrame(r)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fr.Kind == frameBase {
+			fr.Base.Config.TelemetryRecords = 1 << 40
+			bases++
+		}
+		if _, err := writeFrame(edited, &fr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if bases != 1 {
+		t.Fatalf("edited %d base frames, want 1", bases)
+	}
+	f2 := New(Config{Shards: 1})
+	defer f2.Close()
+	wantMsg = CheckTelemetryRecords(1 << 40).Error()
+	if err := f2.Restore(edited); err == nil || !strings.Contains(err.Error(), wantMsg) {
+		t.Fatalf("restore of a snapshot asking for a 2^40-record ring: %v, want %q", err, wantMsg)
+	}
+	if n := f2.Stats().Tenants; n != 0 {
+		t.Fatalf("failed restore registered %d tenants", n)
+	}
+	if err := f2.Restore(bytes.NewReader(snap.Bytes())); err != nil {
+		t.Fatalf("the unedited snapshot does not restore: %v", err)
 	}
 }

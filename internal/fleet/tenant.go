@@ -42,10 +42,27 @@ type TenantConfig struct {
 	Failures []workload.FailureEvent
 	// TelemetryRecords sizes the tenant's decision flight recorder (the
 	// retained window of per-tick and per-controller records served by
-	// Fleet.Telemetry); 0 disables recording. Part of the configuration,
-	// so snapshots persist it; the ring itself is ephemeral — a restore
-	// re-fills it by replaying the observation log.
+	// Fleet.Telemetry); 0 disables recording, and the ring costs 48 bytes
+	// of resident memory per record, so at most 1 << 20 (48 MB). Part
+	// of the configuration, so snapshots persist it; the ring itself is
+	// ephemeral — a restore re-fills it by replaying the observation log.
 	TelemetryRecords int
+}
+
+// maxTelemetryRecords bounds TenantConfig.TelemetryRecords: a 48 MB ring.
+// The size arrives from outside the process — a flag, a snapshot or a
+// journal frame — and sizes an allocation made before anything else about
+// the tenant is checked, so a crafted or corrupt frame must not be able
+// to name an arbitrary one.
+const maxTelemetryRecords = 1 << 20
+
+// CheckTelemetryRecords reports whether n is a valid
+// TenantConfig.TelemetryRecords.
+func CheckTelemetryRecords(n int) error {
+	if n < 0 || n > maxTelemetryRecords {
+		return fmt.Errorf("telemetry records %d outside [0, %d]", n, maxTelemetryRecords)
+	}
+	return nil
 }
 
 // TenantState is the progress report served by Fleet.State.
@@ -83,9 +100,11 @@ type tenant struct {
 	// so far. Snapshots persist it; restores replay it (runs are
 	// deterministic per seed, so replay reconstructs the exact state).
 	// Known limitation: the log grows one float per bin for the tenant's
-	// lifetime, so snapshot size and restore replay time grow with
-	// uptime; very long-lived tenants will want periodic compaction
-	// (close + recreate, or a future checkpoint format).
+	// lifetime — the only state of a tenant that does (pinned by
+	// TestTenantFootprintFlatInUptime) — so snapshot size and restore
+	// replay time grow with uptime; very long-lived tenants will want
+	// periodic compaction (close + recreate, or a future checkpoint
+	// format).
 	observations []float64
 
 	// quarantined latches true when a panic was recovered while stepping
@@ -103,8 +122,8 @@ type tenant struct {
 // as logged. On error no store reference is left behind; the owner of a
 // built tenant releases them (mgr.Release) when it discards the tenant.
 func newTenant(id string, tc TenantConfig, artifacts *core.ArtifactStore, logged *core.ArtifactSet) (_ *tenant, err error) {
-	if tc.TelemetryRecords < 0 {
-		return nil, fmt.Errorf("fleet: tenant %s: telemetry records %d < 0", id, tc.TelemetryRecords)
+	if err := CheckTelemetryRecords(tc.TelemetryRecords); err != nil {
+		return nil, fmt.Errorf("fleet: tenant %s: %w", id, err)
 	}
 	mgr, err := artifacts.NewManager(tc.Spec, tc.Core, logged)
 	if err != nil {

@@ -20,6 +20,8 @@ package obs
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sync/atomic"
 )
 
@@ -87,6 +89,11 @@ func (l *Level) UnmarshalText(b []byte) error {
 //   - L2 summary records (Module == -1): Explored/Cost/DecideNs for the
 //     cluster-level search, followed by one detail record per module
 //     (Module == i) carrying the module's Gamma share.
+//
+// Resp, Alpha and Gamma are therefore mutually exclusive, and the ring
+// relies on it: a recorder retains Resp on tick records only, Alpha on L1
+// summaries only and Gamma on every other record (see cell); whichever of
+// the three does not apply reads back as zero.
 type Record struct {
 	Tick     int64   `json:"tick"`
 	Level    Level   `json:"level"`
@@ -110,9 +117,114 @@ type Record struct {
 // returns emptiness) on a nil receiver, which is how instrumented code
 // stays allocation-free when telemetry is off.
 type Recorder struct {
-	ring []Record
+	ring []cell
 	head atomic.Uint64 // total records ever written
 	tick atomic.Int64  // current engine tick, stamped onto writes
+}
+
+// cell is a Record as the ring holds it: 48 bytes against Record's 72, so
+// a tenant's resident ring is capacity × 48 B. The fields are ordered
+// widest first so nothing pads, the three booleans share one byte, and
+// Resp, Alpha and Gamma — never set together (see Record) — share slot.
+type cell struct {
+	tick     int64
+	decideNs int64
+	cost     float64
+	slot     uint64 // Resp, Alpha or Gamma bits, by slotOf(level, comp)
+	explored int32
+	module   int16
+	comp     int16
+	freqIdx  int16
+	stale    int16
+	level    Level
+	flags    uint8
+}
+
+const (
+	flagOn uint8 = 1 << iota
+	flagQoS
+	flagDegraded
+)
+
+// The field of a Record its cell's slot retains.
+const (
+	slotGamma = iota
+	slotResp
+	slotAlpha
+)
+
+// slotOf is the exclusivity rule of the Record doc comment: tick records
+// carry Resp, L1 summaries (Comp == -1) carry Alpha, and Gamma is the only
+// one of the three any other record carries.
+func slotOf(level Level, comp int16) int {
+	switch {
+	case level == LevelTick:
+		return slotResp
+	case level == LevelL1 && comp == -1:
+		return slotAlpha
+	}
+	return slotGamma
+}
+
+// pack stores rec, stamped with tick, into the cell. Both directions
+// assign field by field: a composite literal through the pointer is built
+// in a temporary and copied, which costs more than the rest of a write.
+func (c *cell) pack(rec *Record, tick int64) {
+	var slot uint64
+	switch slotOf(rec.Level, rec.Comp) {
+	case slotResp:
+		slot = math.Float64bits(rec.Resp)
+	case slotAlpha:
+		slot = rec.Alpha
+	default:
+		slot = math.Float64bits(rec.Gamma)
+	}
+	var flags uint8
+	if rec.On {
+		flags |= flagOn
+	}
+	if rec.QoS {
+		flags |= flagQoS
+	}
+	if rec.Degraded {
+		flags |= flagDegraded
+	}
+	c.tick = tick
+	c.decideNs = rec.DecideNs
+	c.cost = rec.Cost
+	c.slot = slot
+	c.explored = rec.Explored
+	c.module = rec.Module
+	c.comp = rec.Comp
+	c.freqIdx = rec.FreqIdx
+	c.stale = rec.Stale
+	c.level = rec.Level
+	c.flags = flags
+}
+
+// unpack rebuilds the record the cell was packed from.
+func (c *cell) unpack(rec *Record) {
+	*rec = Record{} // dst may be a reused buffer: no field keeps what it held
+	rec.Tick = c.tick
+	rec.Level = c.level
+	rec.Module = c.module
+	rec.Comp = c.comp
+	rec.FreqIdx = c.freqIdx
+	rec.On = c.flags&flagOn != 0
+	rec.QoS = c.flags&flagQoS != 0
+	rec.Explored = c.explored
+	rec.DecideNs = c.decideNs
+	rec.Cost = c.cost
+	rec.Degraded = c.flags&flagDegraded != 0
+	rec.Stale = c.stale
+	switch slotOf(c.level, c.comp) {
+	case slotResp:
+		rec.Resp = math.Float64frombits(c.slot)
+	case slotAlpha:
+		rec.Alpha = c.slot
+	default:
+		rec.Gamma = math.Float64frombits(c.slot)
+	}
 }
 
 // NewRecorder returns a recorder retaining the most recent capacity
@@ -121,7 +233,7 @@ func NewRecorder(capacity int) (*Recorder, error) {
 	if capacity < 1 {
 		return nil, fmt.Errorf("obs: recorder capacity %d, need >= 1", capacity)
 	}
-	return &Recorder{ring: make([]Record, capacity)}, nil
+	return &Recorder{ring: make([]cell, capacity)}, nil
 }
 
 // Enabled reports whether records will actually be retained. It is the
@@ -165,9 +277,8 @@ func (r *Recorder) Record(rec Record) {
 	if r == nil {
 		return
 	}
-	rec.Tick = r.tick.Load()
 	seq := r.head.Add(1) - 1
-	r.ring[seq%uint64(len(r.ring))] = rec
+	r.ring[seq%uint64(len(r.ring))].pack(&rec, r.tick.Load())
 }
 
 // Total returns how many records were ever written, including ones the
@@ -221,8 +332,8 @@ func (r *Recorder) Oldest() uint64 {
 // dst, oldest first, and returns the extended slice plus the next
 // cursor (pass it back to read only newer records next time). Records
 // overwritten before the read are gone — a scraper polling Since sees
-// gaps (Oldest tells how wide), never duplicates. The read is at most two
-// block copies into dst and allocates only when dst is short. Callers
+// gaps (Oldest tells how wide), never duplicates. The read decodes the
+// window's cells into dst and allocates only when dst is short. Callers
 // must not race Since with writers.
 func (r *Recorder) Since(dst []Record, cursor uint64) ([]Record, uint64) {
 	if r == nil {
@@ -237,11 +348,24 @@ func (r *Recorder) Since(dst []Record, cursor uint64) ([]Record, uint64) {
 		return dst, total
 	}
 	n := uint64(len(r.ring))
+	at := len(dst)
+	dst = slices.Grow(dst, int(total-start))[:at+int(total-start)]
+	out := dst[at:]
 	lo, hi := start%n, total%n
 	if lo < hi {
-		return append(dst, r.ring[lo:hi]...), total
+		unpackAll(out, r.ring[lo:hi])
+		return dst, total
 	}
 	// The window wraps the ring's end (lo == hi is the full ring).
-	dst = append(dst, r.ring[lo:]...)
-	return append(dst, r.ring[:hi]...), total
+	unpackAll(out, r.ring[lo:])
+	unpackAll(out[n-lo:], r.ring[:hi])
+	return dst, total
+}
+
+// unpackAll decodes cells into the front of dst.
+func unpackAll(dst []Record, cells []cell) {
+	dst = dst[:len(cells)]
+	for i := range cells {
+		cells[i].unpack(&dst[i])
+	}
 }

@@ -52,11 +52,12 @@ type Store struct {
 	popZipf  *rand.Zipf
 	rareZipf *rand.Zipf
 
-	// Temporal locality parameters.
+	// Temporal locality parameters. The history holds object ids as
+	// int32 (Validate bounds Objects), half the resident bytes of []int.
 	localProb  float64
 	logMu      float64
 	logSigma   float64
-	history    []int
+	history    []int32
 	historyCap int
 }
 
@@ -117,8 +118,8 @@ func DefaultStoreConfig() StoreConfig {
 
 // Validate reports whether the configuration is usable.
 func (c StoreConfig) Validate() error {
-	if c.Objects <= 0 {
-		return fmt.Errorf("workload: objects %d <= 0", c.Objects)
+	if c.Objects <= 0 || c.Objects > math.MaxInt32 {
+		return fmt.Errorf("workload: objects %d outside (0, %d]", c.Objects, math.MaxInt32)
 	}
 	if c.PopularCount <= 0 || c.PopularCount > c.Objects {
 		return fmt.Errorf("workload: popular count %d outside (0, %d]", c.PopularCount, c.Objects)
@@ -171,7 +172,7 @@ func NewStore(rng *rand.Rand, cfg StoreConfig) (*Store, error) {
 		historyCap:   cfg.HistoryCap,
 		// remember appends one past the cap before it drops the oldest
 		// half, so this is the history's final size: no growth later.
-		history: make([]int, 0, cfg.HistoryCap+1),
+		history: make([]int32, 0, cfg.HistoryCap+1),
 	}
 	for i := range s.demands {
 		s.demands[i] = cfg.MinDemand + rng.Float64()*(cfg.MaxDemand-cfg.MinDemand)
@@ -207,7 +208,7 @@ func (s *Store) Sample(rng *rand.Rand) int {
 		// Lognormal stack distance into the recent-history buffer.
 		d := int(math.Exp(s.logMu + s.logSigma*rng.NormFloat64()))
 		if d < len(s.history) {
-			id := s.history[len(s.history)-1-d]
+			id := int(s.history[len(s.history)-1-d])
 			s.remember(id)
 			return id
 		}
@@ -223,7 +224,7 @@ func (s *Store) Sample(rng *rand.Rand) int {
 }
 
 func (s *Store) remember(id int) {
-	s.history = append(s.history, id)
+	s.history = append(s.history, int32(id))
 	if len(s.history) > s.historyCap {
 		// Drop the oldest half to amortize the copy.
 		keep := s.historyCap / 2

@@ -23,6 +23,8 @@ func TestStoreConfigValidation(t *testing.T) {
 	}
 	mutations := []func(*StoreConfig){
 		func(c *StoreConfig) { c.Objects = 0 },
+		// One past what the int32 locality history can hold.
+		func(c *StoreConfig) { c.Objects = math.MaxInt32; c.Objects++ },
 		func(c *StoreConfig) { c.PopularCount = 0 },
 		func(c *StoreConfig) { c.PopularCount = c.Objects + 1 },
 		func(c *StoreConfig) { c.PopularShare = 1.5 },
