@@ -419,8 +419,8 @@ func runFleetBench(w io.Writer, _ int64, _ int) (any, error) {
 	}
 	fmt.Fprintln(w, "== Fleet capacity: batched ingest, snapshot and restore across tenant scales ==")
 	for _, r := range snap.Rows {
-		fmt.Fprintf(w, "%6d tenants  %6.0f tenant-ticks/sec  %8.0f ns/tick  %5.0f B/bin  %4.1f allocs/bin  create %6.2fs  snapshot %7.1fms  restore %7.1fms  %9d B\n",
-			r.Tenants, r.TenantTicksPerSec, r.NsPerTick, r.AllocBytesPerBin, r.AllocsPerBin, r.CreateSeconds, r.SnapshotMillis, r.RestoreMillis, r.SnapshotBytes)
+		fmt.Fprintf(w, "%6d tenants  %6.0f tenant-ticks/sec  %8.0f ns/tick  %5.0f B/bin  %4.1f allocs/bin  scrape %4.0fus %5.0f B  create %6.2fs  snapshot %7.1fms  restore %7.1fms  %9d B\n",
+			r.Tenants, r.TenantTicksPerSec, r.NsPerTick, r.AllocBytesPerBin, r.AllocsPerBin, r.ScrapeMicros, r.ScrapeAllocBytes, r.CreateSeconds, r.SnapshotMillis, r.RestoreMillis, r.SnapshotBytes)
 	}
 	fmt.Fprintf(w, "checks: batchEqualsSequential=%v restoreEqualsReplay=%v\n",
 		snap.Checks.BatchEqualsSequential, snap.Checks.RestoreEqualsReplay)

@@ -137,7 +137,8 @@ func TestServerMetrics(t *testing.T) {
 		"# TYPE hpmserve_observations_total counter",
 		"hpmserve_observations_total 1",
 		"hpmserve_ticks_total 1",
-		`hpmserve_tenant_bins{tenant="m1"} 1`,
+		"hpmserve_observe_seconds_count 1",
+		"# TYPE hpmserve_operational_computers gauge",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q\n%s", want, body)

@@ -15,7 +15,6 @@ import (
 
 	"hierctl"
 	"hierctl/internal/metrics"
-	"hierctl/internal/obs"
 )
 
 // server wires the fleet to the HTTP/JSON API:
@@ -43,8 +42,8 @@ type server struct {
 	// bodies the other POST endpoints' body buffers (*bytes.Buffer).
 	scratch, bodies sync.Pool
 	// telemetryRecords sizes each new tenant's flight recorder (0 turns
-	// recording off and empties the telemetry endpoint and the per-level
-	// decision histograms).
+	// recording off and empties the telemetry endpoint, the per-level
+	// decision histograms and the tick counters).
 	telemetryRecords int
 	// ready gates /readyz: false until startup recovery finished and again
 	// once shutdown begins, so load balancers stop routing before the
@@ -58,7 +57,7 @@ type server struct {
 	snapshots, restores                metrics.Counter
 	queueRejects                       metrics.Counter
 	// Per-shard ingest backlog, sampled at scrape time.
-	shardQueueDepth *metrics.GaugeVec
+	shardQueueDepth []metrics.Gauge
 	// Batch ingest shape, observed per /v1/observe:batch call.
 	batchEntries, batchBins metrics.FixedHistogram
 	// Journal size/compaction series; stay zero when no journal runs.
@@ -75,30 +74,23 @@ type server struct {
 	artifacts      *metrics.GaugeVec
 	artifactLearns *metrics.CounterVec
 	artifactShares *metrics.CounterVec
-	// Per-tenant progress, rebuilt from Fleet.States at scrape time so
-	// closed tenants' series disappear.
-	tenantBins        *metrics.CounterVec
-	tenantOperational *metrics.GaugeVec
-	// Cumulative per-tenant series fed by the handlers/scrape drain;
-	// deleted explicitly when a tenant closes.
-	observeLatency *metrics.HistogramVec
-	qosViolations  *metrics.CounterVec
-	degradedTicks  *metrics.CounterVec
-	staleObs       *metrics.CounterVec
-	// Per-level decision telemetry folded in from the flight recorders,
-	// and the records the drain never saw because a ring wrapped between
-	// two scrapes (the two histograms undercount by exactly these).
-	levelDecide      *metrics.HistogramVec
-	levelExplored    *metrics.HistogramVec
-	telemetryDropped metrics.Counter
-
-	// cursors tracks, per tenant, how far the scrape-time drain has read
-	// each flight recorder, and drainBuf is the one buffer every drain
-	// copies new records into (both guarded by mu, which serializes
-	// drains; scrapes may race tenant deletion).
-	mu       sync.Mutex
-	cursors  map[string]uint64
-	drainBuf []obs.Record
+	// Wall-clock latency of the single-bin /observe calls, fleet-wide.
+	observeLatency metrics.FixedHistogram
+	// The fleet's step-time fold of the tenants' flight recorders, set from
+	// Fleet.TelemetrySummary at scrape time: fleet-wide totals, the
+	// per-level decision histograms, and the worst tenants per counter — at
+	// most hierctl.FleetTopK series each, so no family grows with the
+	// tenant count. Per-tenant detail is served by /v1/tenants/{id}/state
+	// and /telemetry.
+	qosViolations, degradedTicks, staleObs metrics.Counter
+	telemetryDropped                       metrics.Counter
+	operational                            metrics.Gauge
+	levelDecide, levelExplored             *metrics.HistogramVec
+	qosTop, degradedTop, staleTop          *metrics.GaugeVec
+	// renderMu makes one scrape's registry update and rendering atomic, so
+	// racing scrapes cannot leave the union of two rankings in a top-K
+	// family. It is never held across a call into the fleet.
+	renderMu sync.Mutex
 }
 
 func newServer(f *hierctl.Fleet, telemetryRecords int) *server {
@@ -107,7 +99,6 @@ func newServer(f *hierctl.Fleet, telemetryRecords int) *server {
 		start:            time.Now(),
 		telemetryRecords: telemetryRecords,
 		reg:              metrics.NewRegistry(),
-		cursors:          map[string]uint64{},
 	}
 	// Registration only fails on malformed names/labels, which would be a
 	// programming error here — the must helpers keep wiring linear.
@@ -142,8 +133,11 @@ func newServer(f *hierctl.Fleet, telemetryRecords int) *server {
 	s.restores = mustCounter("hpmserve_restores_total", "Fleet snapshots restored.").With()
 	s.queueRejects = mustCounter("hpmserve_queue_rejects_total",
 		"Batch entries rejected because a shard's ingest queue was full.").With()
-	s.shardQueueDepth = mustGauge("hpmserve_shard_queue_depth",
+	shardQueueDepth := mustGauge("hpmserve_shard_queue_depth",
 		"Jobs waiting in each shard's ingest queue at scrape time.", "shard")
+	for i := range f.QueueDepths() {
+		s.shardQueueDepth = append(s.shardQueueDepth, shardQueueDepth.With(strconv.Itoa(i))) //hpm:boundedlabel shard index, fixed at startup
+	}
 	s.batchEntries = mustHistogram("hpmserve_batch_entries",
 		"Tenant entries per /v1/observe:batch call.",
 		[]float64{1, 4, 16, 64, 256, 1024, 4096}).With()
@@ -169,25 +163,31 @@ func newServer(f *hierctl.Fleet, telemetryRecords int) *server {
 	s.artifactShares = mustCounter("hpmserve_artifact_shares_total",
 		"Tenant constructions served an artifact the fleet already held instead of learning it.", "kind")
 	s.batch = f.ObserveBatchInto
-	s.tenantBins = mustCounter("hpmserve_tenant_bins", "Observation bins ingested per tenant.", "tenant")
-	s.tenantOperational = mustGauge("hpmserve_tenant_operational", "Operational computers per tenant.", "tenant")
 	s.observeLatency = mustHistogram("hpmserve_observe_seconds",
-		"Wall-clock latency of /observe calls (decode + shard step) per tenant.",
-		[]float64{1e-4, 1e-3, 1e-2, 0.1, 1, 10}, "tenant")
+		"Wall-clock latency of /observe calls (decode + shard step) across tenants.",
+		[]float64{1e-4, 1e-3, 1e-2, 0.1, 1, 10}).With()
 	s.qosViolations = mustCounter("hpmserve_qos_violations_total",
-		"Control periods whose interval mean response exceeded the target, per tenant.", "tenant")
+		"Control periods whose interval mean response exceeded the target, across tenants.").With()
 	s.degradedTicks = mustCounter("hpmserve_degraded_ticks_total",
-		"Control periods decided through the deterministic fallback (decision budget exhausted or recovered controller panic), per tenant.", "tenant")
+		"Control periods decided through the deterministic fallback (decision budget exhausted or recovered controller panic), across tenants.").With()
 	s.staleObs = mustCounter("hpmserve_stale_observations_total",
-		"Module observations held at the last good value by the input sanitizer, per tenant.", "tenant")
+		"Module observations held at the last good value by the input sanitizer, across tenants.").With()
+	s.operational = mustGauge("hpmserve_operational_computers",
+		"Operational computers across tenants, as of each tenant's last decision.").With()
 	s.levelDecide = mustHistogram("hpmserve_level_decide_seconds",
 		"Controller decide latency from the flight recorders, per hierarchy level.",
-		[]float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1}, "level")
+		hierctl.FleetTelemetryDecideBounds(), "level")
 	s.levelExplored = mustHistogram("hpmserve_level_explored",
 		"States explored per decision from the flight recorders, per hierarchy level.",
-		[]float64{1, 10, 100, 1e3, 1e4, 1e5}, "level")
+		hierctl.FleetTelemetryExploredBounds(), "level")
 	s.telemetryDropped = mustCounter("hpmserve_telemetry_dropped_records_total",
-		"Flight-recorder records overwritten before a scrape drained them; hpmserve_level_decide_seconds, hpmserve_level_explored and the per-tenant tick counters miss exactly these.").With()
+		"Flight-recorder records a ring smaller than one bin's output overwrote before the step-time fold read them; the hpmserve_level_* histograms and the tick counters miss exactly these.").With()
+	s.qosTop = mustGauge("hpmserve_qos_violations_top",
+		"QoS-violating control periods of the tenants with the most (at most 8 series).", "tenant")
+	s.degradedTop = mustGauge("hpmserve_degraded_ticks_top",
+		"Fallback-decided control periods of the tenants with the most (at most 8 series).", "tenant")
+	s.staleTop = mustGauge("hpmserve_stale_observations_top",
+		"Held module observations of the tenants with the most (at most 8 series).", "tenant")
 	return s
 }
 
@@ -805,7 +805,7 @@ func (s *server) handleTenant(w http.ResponseWriter, r *http.Request) {
 			writeError(w, err)
 			return
 		}
-		s.observeLatency.With(id).Observe(time.Since(start).Seconds())
+		s.observeLatency.Observe(time.Since(start).Seconds())
 		writeJSON(w, http.StatusOK, toDecisionDTO(dec))
 	case len(parts) == 2 && parts[1] == "telemetry" && r.Method == http.MethodGet:
 		s.handleTelemetry(w, r, id)
@@ -818,19 +818,11 @@ func (s *server) handleTenant(w http.ResponseWriter, r *http.Request) {
 		}
 		writeJSON(w, http.StatusOK, toStateDTO(st))
 	case len(parts) == 1 && r.Method == http.MethodDelete:
-		// Fold in any last recorded decisions before the ring goes away.
-		s.drainTelemetry(id)
 		rec, err := s.fleet.CloseTenant(id)
 		if err != nil {
-			// A quarantined tenant is removed without a drain, so there is
-			// no record to report — but its per-tenant series must still go.
-			if errors.Is(err, hierctl.ErrTenantQuarantined) {
-				s.forgetTenant(id)
-			}
 			writeError(w, err)
 			return
 		}
-		s.forgetTenant(id)
 		writeJSON(w, http.StatusOK, recordDTO{
 			Completed:     rec.Completed,
 			Dropped:       rec.Dropped,
@@ -889,12 +881,26 @@ func (s *server) handleTelemetry(w http.ResponseWriter, r *http.Request, id stri
 
 // handleMetrics renders the fleet counters and the flight-recorder
 // telemetry in the Prometheus text exposition format (the internal
-// registry — no client library). Fleet-wide and per-tenant progress
-// series are refreshed from the fleet's authoritative counters at scrape
-// time; decision telemetry is drained incrementally from each tenant's
-// flight recorder so repeated scrapes fold in only new records.
+// registry — no client library). Every series is set from the fleet's
+// authoritative counters at scrape time: Stats, and one TelemetrySummary
+// sweep — one job per shard, nothing per tenant — for what the shards
+// folded out of the flight recorders as the bins stepped. No family has a
+// series per tenant, so the output does not grow with the tenant count.
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	stats := s.fleet.Stats()
+	depths := s.fleet.QueueDepths()
+	tel, err := s.fleet.TelemetrySummary()
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	var js hierctl.FleetJournalStats
+	if s.journal != nil {
+		js = s.journal.Stats()
+	}
+
+	var body bytes.Buffer
+	s.renderMu.Lock()
 	s.tenants.Set(float64(stats.Tenants))
 	s.shards.Set(float64(stats.Shards))
 	s.uptime.Set(time.Since(s.start).Seconds())
@@ -908,99 +914,50 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.quarantinedTenants.Set(float64(stats.Quarantined))
 	s.setArtifactStats("gmap", stats.Artifacts.GMaps)
 	s.setArtifactStats("tree", stats.Artifacts.Trees)
-	s.shardQueueDepth.Reset()
-	for i, depth := range s.fleet.QueueDepths() {
-		s.shardQueueDepth.With(strconv.Itoa(i)).Set(float64(depth))
+	for i, depth := range depths {
+		s.shardQueueDepth[i].Set(float64(depth))
 	}
-	if s.journal != nil {
-		js := s.journal.Stats()
-		s.journalBase.Set(float64(js.BaseBytes))
-		s.journalTail.Set(float64(js.TailBytes))
-		s.journalCompactions.SetTotal(float64(js.Compactions))
-	}
+	s.journalBase.Set(float64(js.BaseBytes))
+	s.journalTail.Set(float64(js.TailBytes))
+	s.journalCompactions.SetTotal(float64(js.Compactions))
 
-	// Rebuild the per-tenant progress series from scratch: States() is the
-	// authority, and a Reset drops series for tenants closed since the
-	// last scrape.
-	s.tenantBins.Reset()
-	s.tenantOperational.Reset()
-	for _, st := range s.fleet.States() {
-		s.tenantBins.With(st.ID).SetTotal(float64(st.Bins))
-		if st.LastDecision != nil {
-			s.tenantOperational.With(st.ID).Set(float64(st.LastDecision.Operational))
+	s.qosViolations.SetTotal(float64(tel.QoSViolations))
+	s.degradedTicks.SetTotal(float64(tel.DegradedTicks))
+	s.staleObs.SetTotal(float64(tel.StaleObservations))
+	s.telemetryDropped.SetTotal(float64(tel.Dropped))
+	s.operational.Set(float64(tel.Operational))
+	for i, level := range hierctl.FleetTelemetryLevels {
+		lv := &tel.Levels[i]
+		if lv.Decisions == 0 {
+			continue // a level no tenant has (L2 on single-module fleets) gets no series
 		}
-		s.drainTelemetry(st.ID)
+		name := level.String()
+		s.levelDecide.With(name).SetBuckets(lv.DecideBuckets[:], lv.Decisions, float64(lv.DecideNs)/1e9) //hpm:boundedlabel level enum: l0, l1, l2
+		s.levelExplored.With(name).SetBuckets(lv.ExploredBuckets[:], lv.Decisions, float64(lv.Explored)) //hpm:boundedlabel level enum: l0, l1, l2
 	}
-
+	setTop(s.qosTop, &tel.Top.QoS)
+	setTop(s.degradedTop, &tel.Top.Degraded)
+	setTop(s.staleTop, &tel.Top.Stale)
+	_ = s.reg.WriteText(&body) // a Buffer write cannot fail
+	s.renderMu.Unlock()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	_ = s.reg.WriteText(w)
+	_, _ = w.Write(body.Bytes()) // the client went away: nothing to report to
+}
+
+// setTop replaces a worst-tenants family's series with the ranking's
+// entries (those with a non-zero count).
+func setTop(g *metrics.GaugeVec, top *hierctl.FleetTopTenants) {
+	g.Reset()
+	for _, e := range top {
+		if e.Count == 0 {
+			break
+		}
+		g.With(e.ID).Set(float64(e.Count)) //hpm:boundedlabel at most FleetTopK tenants, replaced every scrape
+	}
 }
 
 func (s *server) setArtifactStats(kind string, ks hierctl.ArtifactKindStats) {
-	s.artifacts.With(kind).Set(float64(ks.Held))
-	s.artifactLearns.With(kind).SetTotal(float64(ks.Learns))
-	s.artifactShares.With(kind).SetTotal(float64(ks.Shares))
-}
-
-// drainTelemetry folds a tenant's flight-recorder records written since
-// the last scrape into the per-level and per-tenant series. Detail
-// records (per-computer rows under an L1 summary, per-module rows under
-// an L2 summary) carry no timing of their own and are skipped; if the
-// ring wrapped between scrapes the gap is lost, matching the recorder's
-// bounded-window contract, and counted in
-// hpmserve_telemetry_dropped_records_total.
-func (s *server) drainTelemetry(id string) {
-	// The lock spans the read-drain-advance sequence so concurrent scrapes
-	// cannot double-count the same window, and it is what lets every
-	// drain share drainBuf.
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	recs, next, dropped, err := s.fleet.TelemetryInto(s.drainBuf[:0], id, s.cursors[id])
-	if err != nil {
-		// An abandoned shard job may still write the buffer: let it go.
-		s.drainBuf = nil
-		return
-	}
-	s.drainBuf = recs
-	s.telemetryDropped.Add(float64(dropped))
-	for _, rec := range recs {
-		switch rec.Level {
-		case obs.LevelTick:
-			if rec.QoS {
-				s.qosViolations.With(id).Inc()
-			}
-			if rec.Degraded {
-				s.degradedTicks.With(id).Inc()
-			}
-			if rec.Stale > 0 {
-				s.staleObs.With(id).Add(float64(rec.Stale))
-			}
-			continue
-		case obs.LevelL1:
-			if rec.Comp != -1 { // per-computer detail row
-				continue
-			}
-		case obs.LevelL2:
-			if rec.Module != -1 { // per-module detail row
-				continue
-			}
-		}
-		level := rec.Level.String()
-		s.levelDecide.With(level).Observe(float64(rec.DecideNs) / 1e9)
-		s.levelExplored.With(level).Observe(float64(rec.Explored))
-	}
-	s.cursors[id] = next
-}
-
-// forgetTenant drops the cumulative per-tenant series and the telemetry
-// cursor once a tenant is closed (the scrape-time series vanish on their
-// own at the next Reset).
-func (s *server) forgetTenant(id string) {
-	s.mu.Lock()
-	delete(s.cursors, id)
-	s.mu.Unlock()
-	s.observeLatency.Delete(id)
-	s.qosViolations.Delete(id)
-	s.degradedTicks.Delete(id)
-	s.staleObs.Delete(id)
+	s.artifacts.With(kind).Set(float64(ks.Held))             //hpm:boundedlabel artifact kind: gmap or tree
+	s.artifactLearns.With(kind).SetTotal(float64(ks.Learns)) //hpm:boundedlabel artifact kind: gmap or tree
+	s.artifactShares.With(kind).SetTotal(float64(ks.Shares)) //hpm:boundedlabel artifact kind: gmap or tree
 }

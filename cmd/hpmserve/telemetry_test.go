@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -96,19 +97,19 @@ func TestServerTelemetryDisabled(t *testing.T) {
 	}
 }
 
-// TestServerMetricsTelemetry covers the /metrics rewrite end to end: the
-// whole scrape of a serving daemon — a tenant created and observed, then a
-// second tenant of the same shape sharing its learned artifacts — parses
-// under the strict exposition linter (the check CI once piped a live scrape
-// through), the flight-recorder drain populates the per-level histograms
-// exactly once per record, and closing a tenant removes its per-tenant
-// series.
+// TestServerMetricsTelemetry covers /metrics end to end: the whole scrape
+// of a serving daemon — a tenant created and observed, then a second tenant
+// of the same shape sharing its learned artifacts — parses under the strict
+// exposition linter (the check CI once piped a live scrape through), the
+// step-time fold populates the per-level histograms exactly once per
+// record, and a closed tenant leaves the worst-tenant rankings while the
+// fleet totals keep what it contributed.
 func TestServerMetricsTelemetry(t *testing.T) {
 	h, _ := testHandler(t)
 	doJSON(t, h, http.MethodPost, "/v1/tenants",
 		`{"id":"we\"ird","moduleSize":2,"fast":true}`, http.StatusCreated)
-	for i := 0; i < 3; i++ {
-		doJSON(t, h, http.MethodPost, "/v1/tenants/we%22ird/observe", `{"count":400}`, http.StatusOK)
+	for i := 0; i < 3; i++ { // overloaded: every control period violates the QoS target
+		doJSON(t, h, http.MethodPost, "/v1/tenants/we%22ird/observe", `{"count":3000}`, http.StatusOK)
 	}
 	doJSON(t, h, http.MethodPost, "/v1/tenants",
 		`{"id":"twin","moduleSize":2,"fast":true}`, http.StatusCreated)
@@ -118,8 +119,10 @@ func TestServerMetricsTelemetry(t *testing.T) {
 		t.Fatalf("metrics output fails the exposition linter: %v\n%s", err, body)
 	}
 	for _, want := range []string{
-		`hpmserve_tenant_bins{tenant="we\"ird"} 3`,
-		`hpmserve_observe_seconds_count{tenant="we\"ird"} 3`,
+		"hpmserve_observe_seconds_count 3",
+		"hpmserve_qos_violations_total 3",
+		// The only place a tenant id is a label value: the rankings.
+		`hpmserve_qos_violations_top{tenant="we\"ird"} 3`,
 		`hpmserve_level_decide_seconds_count{level="l0"}`,
 		`hpmserve_level_explored_count{level="l1"}`,
 		"# TYPE hpmserve_level_decide_seconds histogram",
@@ -133,89 +136,239 @@ func TestServerMetricsTelemetry(t *testing.T) {
 		}
 	}
 
-	// The drain is cursor-based: a second scrape with no new observations
+	// The fold is cursor-based: a second scrape with no new observations
 	// must not re-count the same records.
-	l0Count := func(body string) int {
-		m := regexp.MustCompile(`hpmserve_level_decide_seconds_count\{level="l0"\} (\d+)`).FindStringSubmatch(body)
-		if m == nil {
-			t.Fatalf("no l0 decide count in:\n%s", body)
-		}
-		n, _ := strconv.Atoi(m[1])
-		return n
-	}
-	first := l0Count(body)
+	first := levelCount(t, body, "decide_seconds", "l0")
 	if first == 0 {
-		t.Fatal("no l0 decides drained")
+		t.Fatal("no l0 decides folded")
 	}
-	if again := l0Count(scrape(t, h)); again != first {
+	if again := levelCount(t, scrape(t, h), "decide_seconds", "l0"); again != first {
 		t.Errorf("idle rescrape moved the l0 decide count %d -> %d", first, again)
 	}
 
-	// Closing the tenant drops its per-tenant series on the next scrape.
+	// Closing the tenants empties the rankings and the gauges; the
+	// counters are monotonic and keep the closed tenants' share.
 	doJSON(t, h, http.MethodDelete, "/v1/tenants/we%22ird", "", http.StatusOK)
 	doJSON(t, h, http.MethodDelete, "/v1/tenants/twin", "", http.StatusOK)
 	after := scrape(t, h)
 	if err := metrics.LintPromText(strings.NewReader(after)); err != nil {
 		t.Fatalf("post-delete metrics fail the linter: %v", err)
 	}
-	for _, gone := range []string{
-		`hpmserve_tenant_bins{tenant="we\"ird"}`,
-		`hpmserve_observe_seconds_count{tenant="we\"ird"}`,
-	} {
-		if strings.Contains(after, gone) {
-			t.Errorf("closed tenant's series %q still exported", gone)
+	if strings.Contains(after, `tenant="`) {
+		t.Errorf("a closed tenant is still a label value:\n%s", after)
+	}
+	for _, want := range []string{"hpmserve_tenants 0", "hpmserve_operational_computers 0", "hpmserve_observe_seconds_count 3"} {
+		if !strings.Contains(after, want) {
+			t.Errorf("post-delete metrics missing %q", want)
 		}
 	}
-	if !strings.Contains(after, "hpmserve_tenants 0") {
-		t.Error("tenant gauge did not drop to 0")
+	if got := sampleValue(t, after, "hpmserve_qos_violations_total"); got < 3 {
+		t.Errorf("hpmserve_qos_violations_total fell to %v after the close", got)
+	}
+	if got := levelCount(t, after, "decide_seconds", "l0"); got < first {
+		t.Errorf("l0 decide count fell %d -> %d after the close", first, got)
 	}
 }
 
-// TestServerMetricsCountDroppedTelemetry: when a tenant's flight-recorder
-// ring wraps between two scrapes the drain can only fold what the ring
-// still holds — and must say how much it missed, so the per-level
-// histograms' undercount is visible. With a 64-record ring, the records
-// the drains folded plus hpmserve_telemetry_dropped_records_total account
-// for every record the tenant ever wrote.
+// sampleValue reads the value of the sample line starting with prefix
+// (a metric name, with its label set if it has one).
+func sampleValue(t *testing.T, body, prefix string) float64 {
+	t.Helper()
+	m := regexp.MustCompile(`(?m)^` + regexp.QuoteMeta(prefix) + ` (\S+)$`).FindStringSubmatch(body)
+	if m == nil {
+		t.Fatalf("no %q sample in:\n%s", prefix, body)
+	}
+	v, err := strconv.ParseFloat(m[1], 64)
+	if err != nil {
+		t.Fatalf("%q: %v", m[0], err)
+	}
+	return v
+}
+
+// levelCount reads hpmserve_level_<hist>_count{level=...}.
+func levelCount(t *testing.T, body, hist, level string) int {
+	t.Helper()
+	return int(sampleValue(t, body, fmt.Sprintf(`hpmserve_level_%s_count{level=%q}`, hist, level)))
+}
+
+// TestServerMetricsCountDroppedTelemetry: the fold runs after every bin,
+// so it loses records only when the ring cannot hold one bin's output —
+// and then it must say how many, so the histograms' undercount is visible.
+// A 2-record ring under a tenant that writes at least three records a bin
+// (a tick and two L0 decisions) keeps two per bin: the rest of everything
+// the tenant ever wrote is hpmserve_telemetry_dropped_records_total.
 func TestServerMetricsCountDroppedTelemetry(t *testing.T) {
-	const ring = 64
+	const ring, bins = 2, 12
 	f := hierctl.NewFleet(hierctl.FleetConfig{Shards: 1})
 	t.Cleanup(f.Close)
 	h := newServer(f, ring).routes()
 	createFastTenant(t, h, "small")
 
-	dropped := func(body string) uint64 {
-		m := regexp.MustCompile(`(?m)^hpmserve_telemetry_dropped_records_total (\d+)$`).FindStringSubmatch(body)
-		if m == nil {
-			t.Fatalf("no unlabelled hpmserve_telemetry_dropped_records_total in:\n%s", body)
-		}
-		n, _ := strconv.ParseUint(m[1], 10, 64)
-		return n
-	}
 	body := scrape(t, h)
 	if err := metrics.LintPromText(strings.NewReader(body)); err != nil {
 		t.Fatalf("metrics output fails the exposition linter: %v", err)
 	}
-	if n := dropped(body); n != 0 {
-		t.Fatalf("dropped = %d before any observation", n)
+	if n := sampleValue(t, body, "hpmserve_telemetry_dropped_records_total"); n != 0 {
+		t.Fatalf("dropped = %v before any observation", n)
 	}
+	for i := 0; i < bins; i++ {
+		doJSON(t, h, http.MethodPost, "/v1/tenants/small/observe", `{"count":300}`, http.StatusOK)
+	}
+	_, written, err := f.Telemetry("small", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body = scrape(t, h)
+	if got, want := sampleValue(t, body, "hpmserve_telemetry_dropped_records_total"), float64(written-ring*bins); got != want {
+		t.Fatalf("dropped %v, want %v (%d records written, %d folded)", got, want, written, ring*bins)
+	}
+	if again := sampleValue(t, scrape(t, h), "hpmserve_telemetry_dropped_records_total"); again != float64(written-ring*bins) {
+		t.Errorf("idle rescrape moved the dropped count to %v", again)
+	}
+}
 
-	var folded uint64
-	for round := 0; round < 3; round++ {
-		for i := 0; i < 40; i++ { // far more than 64 records between scrapes
-			doJSON(t, h, http.MethodPost, "/v1/tenants/small/observe", `{"count":300}`, http.StatusOK)
-		}
-		_, before, err := f.Telemetry("small", 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		body = scrape(t, h)
-		folded += ring
-		if got, want := dropped(body), before-folded; got != want {
-			t.Fatalf("round %d: dropped %d, want %d (%d records written, %d folded)", round, got, want, before, folded)
+// TestMetricsFoldExactAcrossRingWrap: the per-level histograms count every
+// decision the tenants made, however rarely anyone scrapes. Two tenants
+// with 64-record rings wrap them several times over before the only
+// scrape — a scrape-time drain would have seen the last 64 of each — and
+// one of them is closed mid-stream. hpmserve_level_*_count equals the
+// number of decision records twins with rings large enough to keep
+// everything wrote, nothing is reported dropped, and the closed tenant's
+// share stays.
+func TestMetricsFoldExactAcrossRingWrap(t *testing.T) {
+	const ring, bins = 64, 240
+	f := hierctl.NewFleet(hierctl.FleetConfig{Shards: 2})
+	t.Cleanup(f.Close)
+	h := newServer(f, ring).routes()
+	twins := hierctl.NewFleet(hierctl.FleetConfig{Shards: 1})
+	t.Cleanup(twins.Close)
+	th := newServer(twins, 1<<16).routes()
+
+	want := map[hierctl.TelemetryLevel]int{}
+	observe := func(id string, n int) {
+		for i := 0; i < n; i++ {
+			body := fmt.Sprintf(`{"count":%d}`, 150+37*i%400)
+			doJSON(t, h, http.MethodPost, "/v1/tenants/"+id+"/observe", body, http.StatusOK)
+			doJSON(t, th, http.MethodPost, "/v1/tenants/"+id+"/observe", body, http.StatusOK)
 		}
 	}
-	if again := dropped(scrape(t, h)); again != dropped(body) {
-		t.Errorf("idle rescrape moved the dropped count %d -> %d", dropped(body), again)
+	// countTwin adds the decision records id's twin has written so far.
+	countTwin := func(id string) {
+		recs, total, err := twins.Telemetry(id, 0)
+		if err != nil || int(total) != len(recs) {
+			t.Fatalf("twin %s: %d of %d records retained, err %v", id, len(recs), total, err)
+		}
+		for _, r := range recs {
+			if r.Level == hierctl.TelemetryLevel(1) || // every L0 record is a decision
+				r.Level == hierctl.TelemetryLevel(2) && r.Comp == -1 || // L1 summary
+				r.Level == hierctl.TelemetryLevel(3) && r.Module == -1 { // L2 summary
+				want[r.Level]++
+			}
+		}
 	}
+	for _, id := range []string{"gone", "stays"} {
+		createFastTenant(t, h, id)
+		createFastTenant(t, th, id)
+	}
+	observe("gone", bins/2)
+	observe("stays", bins/2)
+	countTwin("gone")
+	// The drain a close runs decides nothing: the tally above is final.
+	doJSON(t, h, http.MethodDelete, "/v1/tenants/gone", "", http.StatusOK)
+	observe("stays", bins/2)
+	countTwin("stays")
+
+	body := scrape(t, h)
+	for _, hist := range []string{"decide_seconds", "explored"} {
+		for level, n := range want {
+			if got := levelCount(t, body, hist, level.String()); got != n {
+				t.Errorf("hpmserve_level_%s_count{level=%q} = %d, want %d decisions", hist, level, got, n)
+			}
+		}
+	}
+	if _, written, err := f.Telemetry("stays", 1); err != nil || written < 4*ring || want[hierctl.TelemetryLevel(2)] == 0 {
+		t.Fatalf("tenant stays wrote %d records (err %v), decisions %v: not enough to wrap its %d-record ring", written, err, want, ring)
+	}
+	if n := sampleValue(t, body, "hpmserve_telemetry_dropped_records_total"); n != 0 {
+		t.Errorf("dropped = %v with a ring that holds a bin's output", n)
+	}
+}
+
+// metricLines splits a scrape's sample lines into the worst-tenant
+// rankings (by family) and everything else.
+func metricLines(body string) (fixed int, top map[string]int) {
+	top = map[string]int{}
+	for _, line := range strings.Split(body, "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		if name, _, ok := strings.Cut(line, "{tenant="); ok {
+			top[name]++
+			continue
+		}
+		fixed++
+	}
+	return fixed, top
+}
+
+// TestMetricsCardinalityFlatInTenants pins ROADMAP 6a: a scrape's sample
+// lines do not grow with the number of tenants. Fleets of 4, 64 and 512
+// observed tenants render the same lines except for the worst-tenant
+// rankings, which name min(tenants, K) tenants — and the cost follows: a
+// warm scrape of 512 tenants allocates what one of 64 does.
+func TestMetricsCardinalityFlatInTenants(t *testing.T) {
+	type fleetScrape struct {
+		fixed  int
+		top    map[string]int
+		allocs float64
+	}
+	measure := func(tenants int) fleetScrape {
+		f := hierctl.NewFleet(hierctl.FleetConfig{Shards: 2, QueueDepth: tenants})
+		defer f.Close()
+		h := newServer(f, 256).routes()
+		for i := 0; i < tenants; i++ {
+			createFastTenant(t, h, fmt.Sprintf("t%03d", i))
+		}
+		// Three overloaded bins each: every tenant violates its QoS target.
+		doJSON(t, h, http.MethodPost, "/v1/observe:batch",
+			batchBody(tenants, func(i int) string { return fmt.Sprintf(`{"tenant":"t%03d","counts":[2000,3000,100]}`, i) }),
+			http.StatusOK)
+		body := scrape(t, h)
+		if err := metrics.LintPromText(strings.NewReader(body)); err != nil {
+			t.Fatalf("%d tenants: metrics output fails the exposition linter: %v", tenants, err)
+		}
+		if got := sampleValue(t, body, "hpmserve_tenants"); got != float64(tenants) {
+			t.Fatalf("hpmserve_tenants = %v, want %d", got, tenants)
+		}
+		out := fleetScrape{}
+		out.fixed, out.top = metricLines(body)
+		req := httptest.NewRequest(http.MethodGet, "/metrics", nil)
+		out.allocs = testing.AllocsPerRun(20, func() { h.ServeHTTP(httptest.NewRecorder(), req) })
+		return out
+	}
+	small, mid, large := measure(4), measure(64), measure(512)
+	if small.fixed != mid.fixed || mid.fixed != large.fixed {
+		t.Errorf("sample lines outside the rankings: %d with 4 tenants, %d with 64, %d with 512; want equal",
+			small.fixed, mid.fixed, large.fixed)
+	}
+	if got := small.top["hpmserve_qos_violations_top"]; got != 4 {
+		t.Errorf("4 tenants: %d ranked QoS violators, want 4", got)
+	}
+	for _, s := range []fleetScrape{mid, large} {
+		if got := s.top["hpmserve_qos_violations_top"]; got != hierctl.FleetTopK {
+			t.Errorf("%d ranked QoS violators, want the ranking saturated at %d", got, hierctl.FleetTopK)
+		}
+		for name, n := range s.top {
+			if n > hierctl.FleetTopK {
+				t.Errorf("%s has %d series, want <= %d", name, n, hierctl.FleetTopK)
+			}
+		}
+	}
+	// The larger fleet's larger counts cost a few more allocations to print
+	// (an integer above 255 is boxed on its way into Fprintf); 448 more
+	// tenants may cost nothing that scales with them.
+	if diff := large.allocs - mid.allocs; diff > 64 {
+		t.Errorf("a scrape allocates %v times with 64 tenants and %v with 512: the scrape allocates per tenant", mid.allocs, large.allocs)
+	}
+	t.Logf("%d fixed sample lines; %v allocs per scrape at 64 tenants, %v at 512", large.fixed, mid.allocs, large.allocs)
 }

@@ -14,7 +14,8 @@
 //	hotalloc        no allocating constructs in //hpm:hotpath functions
 //	recordernil     nil-receiver guards on internal/obs recorder methods
 //	rawgo           goroutine fan-out only via internal/par (or cmd/)
-//	metriclabel     constant, well-formed Prometheus registration
+//	metriclabel     constant, well-formed Prometheus registration;
+//	                label values constant or //hpm:boundedlabel
 //	hpmdirective    every //hpm: annotation parses (no typo'd escapes)
 //
 // Exit status: 0 clean, 1 diagnostics reported, 2 internal failure.

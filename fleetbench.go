@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"sort"
 	"time"
 
 	"hierctl/internal/cluster"
@@ -60,6 +61,13 @@ type FleetBenchRow struct {
 	// built and kept.
 	AllocBytesPerBin float64 `json:"allocBytesPerBin"`
 	AllocsPerBin     float64 `json:"allocsPerBin"`
+	// ScrapeMicros and ScrapeAllocBytes price what a /metrics scrape asks
+	// of the fleet — one Fleet.TelemetrySummary sweep, on the idle fleet
+	// after the ingest rounds, median of fleetBenchScrapes: one job per
+	// shard, so the bytes are the same at every scale and the time grows
+	// only by the per-tenant ranking visit (informational, wall-clock).
+	ScrapeMicros     float64 `json:"scrapeMicros"`
+	ScrapeAllocBytes float64 `json:"scrapeAllocBytes"`
 	// CreateSeconds is the wall-clock cost of standing up all n tenants
 	// (the first tenant learns, the rest share its artifacts).
 	CreateSeconds  float64 `json:"createSeconds"`
@@ -175,6 +183,34 @@ func observeRound(f *fleet.Fleet, dst []fleet.BatchResult, entries []fleet.Batch
 	return results, nil
 }
 
+// fleetBenchScrapes is how many telemetry sweeps a scale row's scrape
+// columns are the median of.
+const fleetBenchScrapes = 9
+
+// measureScrape times fleetBenchScrapes TelemetrySummary sweeps after a
+// warm-up one and returns the median microseconds and allocated bytes.
+func measureScrape(f *fleet.Fleet) (micros, allocBytes float64, err error) {
+	if _, err := f.TelemetrySummary(); err != nil {
+		return 0, 0, err
+	}
+	took := make([]float64, fleetBenchScrapes)
+	allocated := make([]float64, fleetBenchScrapes)
+	var before, after runtime.MemStats
+	for i := range took {
+		runtime.ReadMemStats(&before)
+		start := time.Now()
+		if _, err := f.TelemetrySummary(); err != nil {
+			return 0, 0, err
+		}
+		took[i] = float64(time.Since(start).Nanoseconds()) / 1e3
+		runtime.ReadMemStats(&after)
+		allocated[i] = float64(after.TotalAlloc - before.TotalAlloc)
+	}
+	sort.Float64s(took)
+	sort.Float64s(allocated)
+	return took[len(took)/2], allocated[len(allocated)/2], nil
+}
+
 func runFleetBenchScale(n, bins int, count float64, verifySequential bool) (FleetBenchRow, bool, bool, error) {
 	createStart := time.Now()
 	f, ids, err := newBenchFleet(n)
@@ -234,6 +270,11 @@ func runFleetBenchScale(n, bins int, count float64, verifySequential bool) (Flee
 		g.Close()
 	}
 
+	scrapeMicros, scrapeAllocBytes, err := measureScrape(f)
+	if err != nil {
+		return FleetBenchRow{}, false, false, err
+	}
+
 	var buf bytes.Buffer
 	snapStart := time.Now()
 	if err := f.Snapshot(&buf); err != nil {
@@ -276,6 +317,8 @@ func runFleetBenchScale(n, bins int, count float64, verifySequential bool) (Flee
 		NsPerTick:         float64(elapsed.Nanoseconds()) / float64(ticks),
 		AllocBytesPerBin:  float64(after.TotalAlloc-before.TotalAlloc) / float64(ticks),
 		AllocsPerBin:      float64(after.Mallocs-before.Mallocs) / float64(ticks),
+		ScrapeMicros:      scrapeMicros,
+		ScrapeAllocBytes:  scrapeAllocBytes,
 		CreateSeconds:     createSeconds,
 		SnapshotMillis:    snapshotMillis,
 		RestoreMillis:     restoreMillis,

@@ -61,6 +61,14 @@ func TestRunFleetBenchSmall(t *testing.T) {
 		if row.SnapshotBytes <= 0 {
 			t.Errorf("row %d: snapshot bytes %d", i, row.SnapshotBytes)
 		}
+		if row.ScrapeMicros <= 0 || row.ScrapeAllocBytes <= 0 {
+			t.Errorf("row %d: scrape columns %v us / %v B", i, row.ScrapeMicros, row.ScrapeAllocBytes)
+		}
+	}
+	// A telemetry scrape is one job per shard: it allocates the same
+	// whatever the fleet hosts.
+	if a, b := snap.Rows[0].ScrapeAllocBytes, snap.Rows[1].ScrapeAllocBytes; a != b {
+		t.Errorf("scrape allocates %v B with %d tenants, %v B with %d", a, snap.Rows[0].Tenants, b, snap.Rows[1].Tenants)
 	}
 	// Larger fleets under the same load must snapshot larger.
 	if snap.Rows[1].SnapshotBytes <= snap.Rows[0].SnapshotBytes {

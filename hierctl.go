@@ -107,6 +107,13 @@ type (
 	TenantState = fleet.TenantState
 	// FleetStats summarizes fleet-level counters.
 	FleetStats = fleet.Stats
+	// FleetTelemetry is the fixed-size fleet-wide fold of the tenants'
+	// flight recorders (Fleet.TelemetrySummary): per-level decision
+	// histograms, tick counters, and the FleetTopK worst tenants per
+	// counter.
+	FleetTelemetry = fleet.TelemetrySummary
+	// FleetTopTenants is one worst-tenant ranking of a FleetTelemetry.
+	FleetTopTenants = fleet.TopTenants
 	// ArtifactKindStats counts one kind of shared learning artifact in a
 	// fleet (FleetStats.Artifacts): held, learned, shared.
 	ArtifactKindStats = core.ArtifactKindStats
@@ -171,6 +178,21 @@ var (
 	// shard and sibling tenants keep running.
 	ErrTenantQuarantined = fleet.ErrTenantQuarantined
 )
+
+// FleetTopK is the length of a FleetTelemetry worst-tenant ranking.
+const FleetTopK = fleet.TopK
+
+// FleetTelemetryLevels are the hierarchy levels FleetTelemetry.Levels is
+// indexed by.
+var FleetTelemetryLevels = fleet.TelemetryLevels
+
+// FleetTelemetryDecideBounds returns the bucket bounds (seconds) of a
+// FleetTelemetry level's DecideBuckets.
+func FleetTelemetryDecideBounds() []float64 { return fleet.TelemetryDecideBounds() }
+
+// FleetTelemetryExploredBounds returns the bucket bounds (states) of a
+// FleetTelemetry level's ExploredBuckets.
+func FleetTelemetryExploredBounds() []float64 { return fleet.TelemetryExploredBounds() }
 
 // NewFleet starts an online control plane hosting tenant hierarchies
 // sharded across worker goroutines.

@@ -16,8 +16,12 @@
 //	    by the AllocsPerRun pins).
 //	//hpm:goroutine <justification>  — sanctioned bare `go` statement
 //	    outside internal/par and cmd/ (rawgo).
+//	//hpm:boundedlabel <justification> — a metric label value that is
+//	    not a constant but comes from a bounded set: an enum, a shard
+//	    index, a top-K ranking (metriclabel).
 //
-// Line-level directives (wallclock, orderfree, alloc, goroutine) apply
+// Line-level directives (wallclock, orderfree, alloc, goroutine,
+// boundedlabel) apply
 // to the line they sit on or the line immediately below — i.e. write
 // them at the end of the offending line or on their own line directly
 // above it. hotpath lives in the function's doc comment.
@@ -39,22 +43,24 @@ type Kind string
 
 // The recognized kinds.
 const (
-	Wallclock Kind = "wallclock"
-	Orderfree Kind = "orderfree"
-	Hotpath   Kind = "hotpath"
-	Alloc     Kind = "alloc"
-	Goroutine Kind = "goroutine"
+	Wallclock    Kind = "wallclock"
+	Orderfree    Kind = "orderfree"
+	Hotpath      Kind = "hotpath"
+	Alloc        Kind = "alloc"
+	Goroutine    Kind = "goroutine"
+	Boundedlabel Kind = "boundedlabel"
 )
 
 // needsArg reports whether the kind requires a justification argument.
 func needsArg(k Kind) bool { return k != Hotpath }
 
 var known = map[Kind]bool{
-	Wallclock: true,
-	Orderfree: true,
-	Hotpath:   true,
-	Alloc:     true,
-	Goroutine: true,
+	Wallclock:    true,
+	Orderfree:    true,
+	Hotpath:      true,
+	Alloc:        true,
+	Goroutine:    true,
+	Boundedlabel: true,
 }
 
 // Directive is one parsed `//hpm:` annotation.
@@ -103,7 +109,7 @@ func ParseFile(fset *token.FileSet, f *ast.File) (Map, []Problem) {
 			if !known[kind] {
 				problems = append(problems, Problem{
 					Pos:     c.Pos(),
-					Message: "unknown //hpm: directive " + strings.TrimSpace(kindStr) + " (recognized: wallclock, orderfree, hotpath, alloc, goroutine)",
+					Message: "unknown //hpm: directive " + strings.TrimSpace(kindStr) + " (recognized: wallclock, orderfree, hotpath, alloc, goroutine, boundedlabel)",
 				})
 				continue
 			}

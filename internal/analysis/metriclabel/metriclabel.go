@@ -16,6 +16,16 @@
 // position (e.g. hpmserve's mustCounter helper) marks that parameter's
 // position, and the wrapper's call sites are then checked under the
 // same rules, to a fixpoint.
+//
+// Label values: every distinct value passed to With on a CounterVec,
+// GaugeVec or HistogramVec is a series the process holds and renders for
+// the rest of its life, so a value computed at run time (a tenant id, a
+// path) is how an exposition comes to grow with the workload. A With
+// whose argument is not a constant is reported unless the call carries
+// `//hpm:boundedlabel <why>` naming the bound — an enum, a shard index, a
+// top-K ranking. cmd/hpmperf is exempt: the benchmark contract freezes
+// that directory, and the registry it fills with one series per tenant is
+// the throwaway input of its WriteText timing, never served.
 package metriclabel
 
 import (
@@ -26,6 +36,7 @@ import (
 	"strings"
 
 	"hierctl/internal/analysis"
+	"hierctl/internal/analysis/directive"
 )
 
 // Analyzer implements the check.
@@ -83,7 +94,42 @@ func run(pass *analysis.Pass) error {
 		prev = len(c.wrappers)
 		c.walkCalls(c.checkWrapperCall)
 	}
+	if pass.Pkg.Path() != "hierctl/cmd/hpmperf" {
+		c.checkLabelValues()
+	}
 	return nil
+}
+
+// checkLabelValues reports With calls on the metrics vector types whose
+// label values are not all constants, unless annotated as bounded.
+func (c *checker) checkLabelValues() {
+	for _, file := range c.pass.Files {
+		dirs, _ := directive.ParseFile(c.pass.Fset, file)
+		ast.Inspect(file, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok || sel.Sel.Name != "With" {
+				return true
+			}
+			fn, ok := c.pass.TypesInfo.Uses[sel.Sel].(*types.Func)
+			if !ok || fn.Pkg() == nil || !strings.HasSuffix(fn.Pkg().Path(), "internal/metrics") {
+				return true
+			}
+			for _, arg := range call.Args {
+				if tv, ok := c.pass.TypesInfo.Types[arg]; ok && tv.Value != nil {
+					continue
+				}
+				if !dirs.EscapedAt(c.pass.Fset, call.Pos(), directive.Boundedlabel) {
+					c.pass.Reportf(arg.Pos(), "label value is not a constant: every distinct value is a series held and rendered forever (use a constant, or annotate the call with //hpm:boundedlabel <what bounds it>)")
+				}
+				break
+			}
+			return true
+		})
+	}
 }
 
 // paramRef locates one parameter within its callable.

@@ -27,7 +27,21 @@ func wrapped(r *metrics.Registry) {
 	mustCounter("wrapped-bad", "wrapped counter") // want `metric name "wrapped-bad" does not match the Prometheus name grammar`
 }
 
+// Label values: a value computed at run time is a series per distinct
+// value, so it needs a constant or a stated bound.
+func labelValues(r *metrics.Registry, tenant string, shard int) {
+	c, _ := r.Counter("requests_total", "requests served", "who")
+	c.With("all").Inc()
+	c.With(tenant).Inc()           // want `label value is not a constant`
+	c.With(levelName(shard)).Inc() //hpm:boundedlabel one of three level names
+	//hpm:boundedlabel annotation on the line above works too
+	c.With(levelName(shard)).Inc()
+}
+
+func levelName(i int) string { return [...]string{"l0", "l1", "l2"}[i%3] }
+
 func main() {
 	direct(&metrics.Registry{}, "computed_name")
 	wrapped(&metrics.Registry{})
+	labelValues(&metrics.Registry{}, "tenant-7", 1)
 }

@@ -321,6 +321,10 @@ func (s *Session) Decision() BinDecision {
 	return d
 }
 
+// Operational returns Decision().Operational — the operational computers
+// after the most recent clean bin — without building the decision.
+func (s *Session) Operational() int { return s.r.last.Operational }
+
 // Progress reports how far the session has advanced: observation bins
 // ingested, T_L0 steps run, and the simulation clock (which includes the
 // boot pre-roll).

@@ -145,7 +145,7 @@ func TestObserveBatchAllocsPerEntry(t *testing.T) {
 	}
 	const few = 4
 	shallow, deep := batch(few, 1, false), batch(few, 33, false)
-	for i := 0; i < 40; i++ { // past 1024 bins: the tenants' logs and series regrow rarely
+	for i := 0; i < 40; i++ { // past 1024 bins: the tenants' series regrow rarely, their logs add a chunk every 512
 		deep()
 	}
 	perShallow := testing.AllocsPerRun(40, shallow)
@@ -163,8 +163,9 @@ func TestObserveBatchAllocsPerEntry(t *testing.T) {
 
 	narrow, wide := batch(16, 1, true), batch(tenants, 1, true)
 	// Warm dst and the pooled cells at full width, and park every tenant
-	// between two regrowths of its per-bin logs and series (append doubles
-	// at 256 and 512 bins; the first four tenants are past 2560).
+	// between two growths of its per-bin state (series double at 256 and
+	// 512 bins, the observation log adds a chunk every 512; the first four
+	// tenants are past 2560).
 	for i := 0; i < 300; i++ {
 		wide()
 	}
@@ -188,11 +189,11 @@ func TestObserveBatchAllocsPerEntry(t *testing.T) {
 // telemetry-on tenant retains per bin is its observation-log entry — the
 // replay log restores need, 8 bytes. Four times the warm-up's bins may
 // grow the live heap (HeapAlloc after a forced collection) by 8 B/bin plus
-// a slack of 4 B/bin + 16 KB: the log grows by append, so up to a quarter
-// of its capacity (plus a size class) is headroom not yet written, and the
-// rest of the test binary's heap is not perfectly still. A session that
-// kept per-bin series (mean response, operational count, prediction
-// pairs, the observed trace) grew ~40 B/bin here.
+// one chunk of the log — the one being filled is allocated whole — and 8 KB
+// for the rest of the test binary's heap not being perfectly still: the
+// chunked log re-copies nothing and keeps no headroom beyond that chunk. A
+// session that kept per-bin series (mean response, operational count,
+// prediction pairs, the observed trace) grew ~40 B/bin here.
 func TestTenantFootprintFlatInUptime(t *testing.T) {
 	const warm, more = 2500, 10_000
 	f := New(Config{Shards: 1})
@@ -223,8 +224,8 @@ func TestTenantFootprintFlatInUptime(t *testing.T) {
 	run(more)
 	after := live()
 	grew := int64(after) - int64(before)
-	if limit := int64(more*(8+4) + 16<<10); grew > limit {
-		t.Fatalf("%d more bins grew the live heap by %d B (%.1f B/bin), want <= %d B: 8 B/bin of observation log plus slack",
+	if limit := int64(more*8 + obsChunk*8 + 8<<10); grew > limit {
+		t.Fatalf("%d more bins grew the live heap by %d B (%.1f B/bin), want <= %d B: 8 B/bin of observation log plus one chunk and jitter",
 			more, grew, float64(grew)/more, limit)
 	}
 	t.Logf("live heap grew %d B over %d bins (%.1f B/bin)", grew, more, float64(grew)/more)

@@ -8,8 +8,13 @@
 // Concurrency model: every tenant has a home shard, and all operations on
 // a tenant execute serially on that shard's goroutine — per-tenant
 // ordering is total, distinct tenants step concurrently, and the tenant
-// state needs no locks. The shard loops run under the context-aware
-// fan-out in internal/par, so closing the fleet stops them promptly.
+// state needs no locks. Whole-fleet reads never hop once per tenant:
+// States, Snapshot and a journal append are one sweep — one job per shard
+// that visits the shard's tenants in bounded slices — and
+// TelemetrySummary one job per shard that visits none, because the shards
+// fold telemetry as the bins step. The shard loops run under the
+// context-aware fan-out in internal/par, so closing the fleet stops them
+// promptly.
 //
 // Invariants:
 //
@@ -108,6 +113,9 @@ type Fleet struct {
 	restores     atomic.Int64
 	queueRejects atomic.Int64
 	panics       atomic.Int64
+	// quarantined counts the registered tenants under quarantine: up at the
+	// latch (or when a quarantined tenant is restored), down at close.
+	quarantined atomic.Int64
 
 	failpoint func(id string, count float64)
 
@@ -126,6 +134,17 @@ func (fn funcJob) run() { fn() }
 // shard executes the jobs of its assigned tenants serially.
 type shard struct {
 	jobs chan job
+	// The shard's share of the fleet-wide telemetry fold, kept current as
+	// its tenants step (see fold): the cumulative totals, the rankings of
+	// its registered tenants, and foldBuf, the scratch a tenant's new
+	// records are decoded into — all owned by the shard goroutine.
+	agg     TelemetryTotals
+	top     TelemetryRankings
+	foldBuf []obs.Record
+	// operational sums the shard's registered tenants' operational
+	// computers as of their last decisions. Atomic because a restored
+	// tenant brings its count in at admission, off the shard.
+	operational atomic.Int64
 }
 
 func (s *shard) run(ctx context.Context) {
@@ -186,19 +205,7 @@ func (f *Fleet) exec(t *tenant, fn func()) error {
 	case <-f.ctx.Done():
 		return ErrClosed
 	}
-	select {
-	case <-done:
-		return nil
-	case <-f.ctx.Done():
-		// Both channels may be ready at once; prefer done so a job that
-		// did run (and mutated tenant state) is never reported as closed.
-		select {
-		case <-done:
-			return nil
-		default:
-			return ErrClosed
-		}
-	}
+	return f.await(done)
 }
 
 // stepTenant applies one observation bin to t with panic containment.
@@ -208,22 +215,40 @@ func (f *Fleet) exec(t *tenant, fn func()) error {
 // and the tenant is quarantined: this bin and every later stepping
 // operation return ErrTenantQuarantined. The observation log gains an
 // entry only after a bin applies cleanly, so a quarantined tenant's
-// snapshot/journal state is exactly the pre-fault state.
+// snapshot/journal state is exactly the pre-fault state. A clean bin's
+// flight-recorder records are folded into the shard's telemetry aggregate
+// before anything else can overwrite them. A step that reaches the shard
+// behind the tenant's close job finds the tenant gone.
 func (f *Fleet) stepTenant(t *tenant, count float64) (err error) {
+	if t.closed {
+		return ErrNotFound
+	}
 	if t.quarantined.Load() {
 		return ErrTenantQuarantined
 	}
 	defer func() {
 		if v := recover(); v != nil {
-			t.quarantined.Store(true)
-			f.panics.Add(1)
-			err = fmt.Errorf("%w: %v", ErrTenantQuarantined, v)
+			err = f.quarantine(t, v)
 		}
 	}()
 	if f.failpoint != nil {
 		f.failpoint(t.id, count)
 	}
-	return t.step(count)
+	if err := t.step(count); err != nil {
+		return err
+	}
+	t.home.fold(t)
+	return nil
+}
+
+// quarantine latches t's quarantine after a recovered panic v and returns
+// the error the interrupted operation reports. Runs on t's home shard, on
+// a tenant that is still registered.
+func (f *Fleet) quarantine(t *tenant, v any) error {
+	t.quarantined.Store(true)
+	f.quarantined.Add(1)
+	f.panics.Add(1)
+	return fmt.Errorf("%w: %v", ErrTenantQuarantined, v)
 }
 
 func (f *Fleet) tenant(id string) (*tenant, error) {
@@ -243,12 +268,22 @@ func (f *Fleet) register(t *tenant) error {
 	if _, ok := f.tenants[t.id]; ok {
 		return ErrExists
 	}
+	f.admit(t)
+	return nil
+}
+
+// admit assigns t its home shard and generation and registers it; the
+// caller holds f.mu and has checked the id is free.
+func (f *Fleet) admit(t *tenant) {
 	t.home = f.shards[f.nextShard%len(f.shards)]
 	f.nextShard++
 	f.nextGen++
 	t.gen = f.nextGen
+	t.home.operational.Add(int64(t.operational)) // non-zero only when restored
 	f.tenants[t.id] = t
-	return nil
+	if t.quarantined.Load() { // restored under quarantine
+		f.quarantined.Add(1)
+	}
 }
 
 // CreateTenant builds a tenant's hierarchy and registers it. The offline
@@ -396,57 +431,58 @@ func (f *Fleet) CloseTenant(id string) (*core.Record, error) {
 	var rec *core.Record
 	var ferr error
 	if err := f.exec(t, func() {
-		// Released on the home shard, so concurrent closes of one id
-		// serialize; the store drops what this tenant held last.
+		if t.closed { // a concurrent close of this incarnation got here first
+			ferr = ErrNotFound
+			return
+		}
+		t.closed = true
+		// Released on the home shard; the store drops what this tenant
+		// held last. Before that the shard folds what the recorder gained
+		// since the last clean bin — the drain's ticks, a faulted bin's
+		// partial output — so the fleet totals keep all of it.
 		defer t.mgr.Release()
+		defer func() {
+			t.home.fold(t)
+			t.home.forget(f, t)
+		}()
 		if t.quarantined.Load() {
 			ferr = ErrTenantQuarantined
 			return
 		}
 		defer func() {
 			if v := recover(); v != nil {
-				t.quarantined.Store(true)
-				f.panics.Add(1)
 				rec = nil
-				ferr = fmt.Errorf("%w: %v", ErrTenantQuarantined, v)
+				ferr = f.quarantine(t, v)
 			}
 		}()
 		rec, ferr = t.sess.Finish()
 	}); err != nil {
 		return nil, err
 	}
+	if errors.Is(ferr, ErrNotFound) {
+		return nil, ferr
+	}
 	f.mu.Lock()
 	delete(f.tenants, id)
 	f.mu.Unlock()
+	if t.quarantined.Load() {
+		f.quarantined.Add(-1)
+	}
 	if ferr != nil {
 		return nil, ferr
 	}
 	return rec, nil
 }
 
-// States reports every tenant's state. Per-tenant reads fan out across
-// the shards, so a caller (e.g. a metrics scrape) waits for at most the
-// busiest shard's queue rather than the sum of every tenant's; tenants
-// removed mid-listing are skipped.
+// States reports every tenant's state, sorted by tenant id: one sweep, so
+// a caller waits for at most the busiest shard's queue rather than the sum
+// of every tenant's. Tenants removed mid-listing are skipped.
 func (f *Fleet) States() []TenantState {
-	ids := f.Tenants()
-	states, err := par.MapCtx(f.ctx, len(f.shards), len(ids), func(i int) (TenantState, error) {
-		st, err := f.State(ids[i])
-		if err != nil {
-			return TenantState{}, nil // removed or closing: skip
-		}
-		return st, nil
-	})
+	states, err := sweep(f, func(t *tenant) (TenantState, error) { return t.state(), nil })
 	if err != nil {
 		return nil
 	}
-	kept := states[:0]
-	for _, st := range states {
-		if st.ID != "" {
-			kept = append(kept, st)
-		}
-	}
-	return kept
+	return states
 }
 
 // Tenants returns the registered tenant ids in sorted order.
@@ -483,12 +519,6 @@ type Stats struct {
 func (f *Fleet) Stats() Stats {
 	f.mu.RLock()
 	n := len(f.tenants)
-	q := 0
-	for _, t := range f.tenants {
-		if t.quarantined.Load() {
-			q++
-		}
-	}
 	f.mu.RUnlock()
 	return Stats{
 		Tenants:       n,
@@ -500,7 +530,7 @@ func (f *Fleet) Stats() Stats {
 		Restores:      f.restores.Load(),
 		QueueRejects:  f.queueRejects.Load(),
 		Panics:        f.panics.Load(),
-		Quarantined:   q,
+		Quarantined:   int(f.quarantined.Load()),
 		Artifacts:     f.artifacts.Stats(),
 	}
 }

@@ -6,8 +6,6 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
-
-	"hierctl/internal/par"
 )
 
 // JournalConfig tunes the incremental snapshot journal's compaction
@@ -165,62 +163,50 @@ func (j *Journal) Append() error {
 	if j.broken {
 		return fmt.Errorf("fleet: journal poisoned by a failed append; Compact to recover")
 	}
-	ids := j.fl.Tenants()
 	type change struct {
-		frame *logFrame
+		id    string
+		frame *logFrame // nil: nothing new since the tenant's mark
 		mark  journalMark
 		// stale flags a mark left by an older incarnation of this id
 		// (tenant closed and recreated between Appends): a remove frame
 		// precedes the fresh base so recovery retires the old state.
 		stale bool
 	}
-	// Captures fan out across the home shards like Snapshot's; frame
-	// order follows the sorted id listing, so identical change sets
-	// append identical bytes.
-	changes, err := par.MapCtx(j.fl.ctx, len(j.fl.shards), len(ids), func(i int) (change, error) {
-		t, err := j.fl.tenant(ids[i])
-		if err != nil {
-			return change{}, nil // closed since the listing: removed next Append
-		}
-		mark, marked := j.marks[ids[i]]
+	// One sweep captures the changes on the home shards; they come back
+	// in tenant id order, so identical change sets append identical bytes.
+	// The marks are only read here (j.mu is held, nothing writes them).
+	changes, err := sweep(j.fl, func(t *tenant) (change, error) {
+		mark, marked := j.marks[t.id]
 		known := marked && mark.gen == t.gen
-		var c change
-		var serr error
-		if err := j.fl.exec(t, func() {
-			switch {
-			case !known, t.quarantined.Load() != mark.quar:
-				// Never journaled under this incarnation, or the
-				// quarantine latch flipped since the last frame: write a
-				// full base (a later base frame for the same id replaces
-				// the assembled state wholesale, so no remove is needed
-				// for the quarantine re-base).
-				var snap tenantSnap
-				snap, serr = t.snapshot()
-				if serr == nil {
-					c = change{
-						frame: &logFrame{Kind: frameBase, Base: &snap},
-						mark:  journalMark{obs: len(snap.Observations), gen: t.gen, quar: snap.Quarantined},
-						stale: marked && !known,
-					}
-				}
-			case len(t.observations) > mark.obs:
-				counts := append([]float64(nil), t.observations[mark.obs:]...)
-				c = change{
-					frame: &logFrame{Kind: frameDelta, ID: t.id, From: mark.obs, Counts: counts},
-					mark:  journalMark{obs: mark.obs + len(counts), gen: t.gen, quar: mark.quar},
-				}
+		c := change{id: t.id}
+		switch {
+		case !known, t.quarantined.Load() != mark.quar:
+			// Never journaled under this incarnation, or the quarantine
+			// latch flipped since the last frame: write a full base (a
+			// later base frame for the same id replaces the assembled
+			// state wholesale, so no remove is needed for the quarantine
+			// re-base).
+			snap, err := t.snapshot()
+			if err != nil {
+				return c, err
 			}
-		}); err != nil {
-			return change{}, err
+			c.frame = &logFrame{Kind: frameBase, Base: &snap}
+			c.mark = journalMark{obs: len(snap.Observations), gen: t.gen, quar: snap.Quarantined}
+			c.stale = marked && !known
+		case t.observations.len() > mark.obs:
+			counts := t.observations.tail(mark.obs)
+			c.frame = &logFrame{Kind: frameDelta, ID: t.id, From: mark.obs, Counts: counts}
+			c.mark = journalMark{obs: mark.obs + len(counts), gen: t.gen, quar: mark.quar}
 		}
-		return c, serr
+		return c, nil
 	})
 	if err != nil {
 		return err
 	}
-	live := make(map[string]bool, len(ids))
-	for _, id := range ids {
-		live[id] = true
+	// A marked tenant the sweep did not visit is closed: retire it.
+	live := make(map[string]bool, len(changes))
+	for i := range changes {
+		live[changes[i].id] = true
 	}
 	var removed []string
 	for id := range j.marks {
@@ -244,12 +230,12 @@ func (j *Journal) Append() error {
 		}
 		return j.failAppend(offset, err)
 	}
-	for i, c := range changes {
+	for _, c := range changes {
 		if c.frame == nil {
 			continue
 		}
 		if c.stale {
-			n, err := writeFrame(j.file, &logFrame{Kind: frameRemove, ID: ids[i]})
+			n, err := writeFrame(j.file, &logFrame{Kind: frameRemove, ID: c.id})
 			if err != nil {
 				return fail(err)
 			}
@@ -292,9 +278,9 @@ func (j *Journal) Append() error {
 		}
 	}
 	// The frames are durable; only now may the marks move past them.
-	for i, c := range changes {
+	for _, c := range changes {
 		if c.frame != nil {
-			j.marks[ids[i]] = c.mark
+			j.marks[c.id] = c.mark
 		}
 	}
 	for _, id := range removed {

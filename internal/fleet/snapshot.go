@@ -433,35 +433,12 @@ func assembleLog(r io.Reader, tolerateTorn bool) (*assembledLog, error) {
 	return out, nil
 }
 
-// captureAll snapshots every tenant, sorted by id. Per-tenant captures
-// run on the tenants' home shards (so they serialize against in-flight
-// observations) and fan out across shards concurrently; tenants removed
+// captureAll snapshots every tenant, sorted by id: one sweep, so each
+// capture runs on the tenant's home shard (serialized against in-flight
+// observations) and shards capture concurrently; tenants removed
 // mid-capture are skipped.
 func (f *Fleet) captureAll() ([]tenantSnap, error) {
-	ids := f.Tenants()
-	snaps, err := par.MapCtx(f.ctx, len(f.shards), len(ids), func(i int) (tenantSnap, error) {
-		t, err := f.tenant(ids[i])
-		if err != nil {
-			// Removed since the listing: skip (marked by the empty id).
-			return tenantSnap{}, nil
-		}
-		var snap tenantSnap
-		var serr error
-		if err := f.exec(t, func() { snap, serr = t.snapshot() }); err != nil {
-			return tenantSnap{}, err
-		}
-		return snap, serr
-	})
-	if err != nil {
-		return nil, err
-	}
-	kept := snaps[:0]
-	for _, s := range snaps {
-		if s.ID != "" {
-			kept = append(kept, s)
-		}
-	}
-	return kept, nil
+	return sweep(f, (*tenant).snapshot)
 }
 
 // writeArtifactFrames writes an artifact frame for every artifact snap
@@ -629,11 +606,7 @@ func (f *Fleet) registerAll(tenants []*tenant) error {
 		seen[t.id] = true
 	}
 	for _, t := range tenants {
-		t.home = f.shards[f.nextShard%len(f.shards)]
-		f.nextShard++
-		f.nextGen++
-		t.gen = f.nextGen
-		f.tenants[t.id] = t
+		f.admit(t)
 	}
 	return nil
 }
@@ -645,7 +618,7 @@ func (t *tenant) snapshot() (tenantSnap, error) {
 	snap := tenantSnap{
 		ID:           t.id,
 		Config:       t.cfg,
-		Observations: append([]float64(nil), t.observations...),
+		Observations: t.observations.tail(0),
 		Quarantined:  t.quarantined.Load(),
 		gen:          t.gen,
 	}
@@ -706,5 +679,9 @@ func restoreTenant(s tenantSnap, store *core.ArtifactStore, gmaps map[digest]*co
 	if s.Quarantined {
 		t.quarantined.Store(true)
 	}
+	// The replay is reconstruction, not work this fleet did: the telemetry
+	// fold starts past it.
+	t.cursor = t.mgr.Recorder().Total()
+	t.operational = t.sess.Operational()
 	return t, nil
 }

@@ -105,11 +105,24 @@ type tenant struct {
 	// replay time grow with uptime; very long-lived tenants will want
 	// periodic compaction (close + recreate, or a future checkpoint
 	// format).
-	observations []float64
+	observations obsLog
+
+	// The tenant's share of the step-time telemetry fold (see shard.fold):
+	// how far its flight recorder has been folded, the operational
+	// computers after the last clean bin, and the three cumulative tick
+	// counters the shard's worst-tenant rankings go by.
+	cursor               uint64
+	operational          int
+	qos, degraded, stale uint64
+
+	// closed is set by the tenant's close job, on the home shard, and read
+	// only there: whatever reaches the shard after it — a sweep that listed
+	// the tenant, a step that raced the close — finds the tenant gone.
+	closed bool
 
 	// quarantined latches true when a panic was recovered while stepping
 	// this tenant (see Fleet.stepTenant). Atomic because readers off the
-	// home shard (Fleet.Stats, pre-exec fast paths) may inspect it while
+	// home shard (admit, CloseTenant once its job ran) may inspect it while
 	// the shard is mid-job; it never resets — a quarantined tenant's only
 	// exit is CloseTenant.
 	quarantined atomic.Bool
@@ -172,7 +185,7 @@ func (t *tenant) step(count float64) error {
 	if err := t.sess.StepBin(count); err != nil {
 		return err
 	}
-	t.observations = append(t.observations, count)
+	t.observations.add(count)
 	return nil
 }
 
@@ -190,9 +203,46 @@ func (t *tenant) state() TenantState {
 		SimTime:     simTime,
 		Quarantined: t.quarantined.Load(),
 	}
-	if len(t.observations) > 0 {
+	if t.observations.len() > 0 {
 		dec := t.sess.Decision()
 		st.LastDecision = &dec
 	}
 	return st
+}
+
+// obsChunk is the observation log's growth unit: 512 counts, one 4 KB
+// allocation.
+const obsChunk = 512
+
+// obsLog is an append-only log of observation counts held in fixed-size
+// chunks: an entry costs its own 8 bytes and the log never re-copies its
+// history to grow, where one appended slice paid ~27 B per entry in
+// copy-on-grow garbage. The zero value is an empty log.
+type obsLog struct {
+	chunks []*[obsChunk]float64
+	n      int
+}
+
+func (l *obsLog) len() int { return l.n }
+
+func (l *obsLog) add(count float64) {
+	if l.n%obsChunk == 0 {
+		l.chunks = append(l.chunks, new([obsChunk]float64))
+	}
+	l.chunks[l.n/obsChunk][l.n%obsChunk] = count
+	l.n++
+}
+
+// tail returns a fresh copy of the entries from index from on (nil when
+// there are none).
+func (l *obsLog) tail(from int) []float64 {
+	if from >= l.n {
+		return nil
+	}
+	out := make([]float64, 0, l.n-from)
+	for at := from; at < l.n; at = (at/obsChunk + 1) * obsChunk {
+		end := min(l.n-at/obsChunk*obsChunk, obsChunk)
+		out = append(out, l.chunks[at/obsChunk][at%obsChunk:end]...)
+	}
+	return out
 }

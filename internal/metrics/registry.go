@@ -199,20 +199,13 @@ func (v vec) resolve(values []string) *series {
 	return s
 }
 
-// Reset drops every series in the family. Scrape handlers that rebuild
-// state-derived per-tenant series each scrape call this first, so
-// deleted tenants don't linger.
+// Reset drops every series in the family. A scrape handler that rebuilds
+// a small ranking family (the worst K tenants) each scrape calls this
+// first, so tenants that left the ranking don't linger.
 func (v vec) Reset() {
 	v.fam.mu.Lock()
 	defer v.fam.mu.Unlock()
 	v.fam.series = map[string]*series{}
-}
-
-// Delete drops the series with the given label values, if present.
-func (v vec) Delete(values ...string) {
-	v.fam.mu.Lock()
-	defer v.fam.mu.Unlock()
-	delete(v.fam.series, strings.Join(values, "\xff"))
 }
 
 // CounterVec is a counter family; With resolves one labeled counter.
@@ -309,6 +302,26 @@ func (h FixedHistogram) Observe(x float64) {
 	}
 	h.s.count++
 	h.s.sum += x
+	h.fam.mu.Unlock()
+}
+
+// SetBuckets sets the histogram to externally maintained running totals —
+// the histogram counterpart of Counter.SetTotal: buckets[i] is the number
+// of observations that fell in bucket i (at or under bound i, above bound
+// i-1; the same layout Observe fills), count and sum cover every
+// observation including those above the last bound. It panics when the
+// bucket count is not the family's — a programming error, like a label
+// arity mismatch. A count lower than the one held is ignored, preserving
+// monotonicity across racing setters.
+func (h FixedHistogram) SetBuckets(buckets []uint64, count uint64, sum float64) {
+	if len(buckets) != len(h.fam.bounds) {
+		panic(fmt.Sprintf("metrics: %s: got %d buckets for %d bounds", h.fam.name, len(buckets), len(h.fam.bounds)))
+	}
+	h.fam.mu.Lock()
+	if count >= h.s.count {
+		copy(h.s.buckets, buckets)
+		h.s.count, h.s.sum = count, sum
+	}
 	h.fam.mu.Unlock()
 }
 

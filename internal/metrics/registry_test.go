@@ -142,20 +142,56 @@ func TestRegistryCounterSemantics(t *testing.T) {
 	}
 }
 
-func TestRegistryResetAndDelete(t *testing.T) {
+func TestRegistryReset(t *testing.T) {
 	r := NewRegistry()
 	g := mustGauge(t, r, "bins", "h", "tenant")
 	g.With("a").Set(1)
 	g.With("b").Set(2)
-	g.Delete("a")
-	out := render(t, r)
-	if strings.Contains(out, `tenant="a"`) || !strings.Contains(out, `tenant="b"`) {
-		t.Fatalf("Delete broken:\n%s", out)
+	if out := render(t, r); !strings.Contains(out, `tenant="a"`) || !strings.Contains(out, `tenant="b"`) {
+		t.Fatalf("series missing before Reset:\n%s", out)
 	}
 	g.Reset()
-	if out := render(t, r); strings.Contains(out, `tenant="b"`) {
+	g.With("c").Set(3)
+	if out := render(t, r); strings.Contains(out, `tenant="a"`) || strings.Contains(out, `tenant="b"`) || !strings.Contains(out, `tenant="c"`) {
 		t.Fatalf("Reset broken:\n%s", out)
 	}
+}
+
+func TestFixedHistogramSetBuckets(t *testing.T) {
+	r := NewRegistry()
+	hv, err := r.Histogram("lat_seconds", "h", []float64{0.1, 1}, "level")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := hv.With("l0")
+	h.SetBuckets([]uint64{2, 1}, 4, 7.5) // one observation above the last bound
+	want := []string{
+		`lat_seconds_bucket{level="l0",le="0.1"} 2`,
+		`lat_seconds_bucket{level="l0",le="1"} 3`,
+		`lat_seconds_bucket{level="l0",le="+Inf"} 4`,
+		`lat_seconds_sum{level="l0"} 7.5`,
+		`lat_seconds_count{level="l0"} 4`,
+	}
+	out := render(t, r)
+	for _, w := range want {
+		if !strings.Contains(out, w) {
+			t.Fatalf("missing %q:\n%s", w, out)
+		}
+	}
+	if err := LintPromText(strings.NewReader(out)); err != nil {
+		t.Fatalf("SetBuckets output fails the linter: %v", err)
+	}
+	// A setter that lost a race to a newer total must not move it back.
+	h.SetBuckets([]uint64{1, 1}, 2, 1)
+	if out := render(t, r); !strings.Contains(out, want[4]) {
+		t.Fatalf("a stale SetBuckets moved the count back:\n%s", out)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("SetBuckets with the wrong bucket count did not panic")
+		}
+	}()
+	h.SetBuckets([]uint64{1}, 1, 1)
 }
 
 func TestRegistryWithArityPanics(t *testing.T) {
