@@ -284,13 +284,12 @@ func BenchmarkScalabilityHierVsCentral(b *testing.B) {
 	}
 }
 
-// Parallel sweep benches: every level of the concurrent decision engine at
-// once. Run with -cpu 1,4,8 — the worker pools inherit GOMAXPROCS, so the
+// Parallel sweep benches: every worker pool at once. Run with -cpu 1,4,8 — the worker pools inherit GOMAXPROCS, so the
 // -cpu 1 column is the sequential engine and the others the speedup.
 
 // BenchmarkScalabilitySweep is the Fig. 6/EXT3 sweep end-to-end: cluster
-// sizes fan out, each hierarchy fans out its per-module L1 decisions and
-// learning, and the centralized baseline shards its candidate search.
+// sizes fan out, each hierarchy fans out its offline learning, and the
+// centralized baseline shards its candidate search.
 func BenchmarkScalabilitySweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		opts := benchOpts(int64(i + 1))

@@ -209,8 +209,7 @@ func TestDeadlineFallbackDeterministic(t *testing.T) {
 func TestPanicFallbackDeterministic(t *testing.T) {
 	// Trigger on module 0's third planning call rather than a fixed tick,
 	// so the test doesn't depend on the L1 cadence. Only module 0's calls
-	// touch the counter, and ticks are sequenced by the run loop, so this
-	// is race-free even with parallel L1 fan-out.
+	// touch the counter, and ticks are sequenced by the run loop.
 	boom := func(m *Manager) {
 		calls := 0
 		m.SetL1Failpoint(func(module, tick int) {

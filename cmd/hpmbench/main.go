@@ -34,7 +34,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"slices"
 	"strings"
 
@@ -58,7 +57,7 @@ func run(args []string, w io.Writer) (retErr error) {
 	scale := fs.Float64("scale", 1, "fraction of each trace to simulate (0, 1]")
 	seed := fs.Int64("seed", 1, "random seed")
 	fast := fs.Bool("fast", false, "coarse learning grids (quick runs)")
-	parallelism := fs.Int("parallelism", 0, "per-pool worker width; pools nest (sweep × module × search) (0 = one per CPU, 1 = fully sequential; results identical)")
+	parallelism := fs.Int("parallelism", 0, "per-pool worker width; pools nest (sweep × learning) (0 = one per CPU, 1 = fully sequential; results identical)")
 	snapshot := fs.String("snapshot", "", "committed benchmark snapshot to regenerate at its canonical configuration: "+strings.Join(snapshotNames(), ", ")+" (each prints its table and writes BENCH_<name>.json)")
 	out := fs.String("out", "", "path -snapshot writes to (default: the committed BENCH_<name>.json in the current directory)")
 	startProfiles := obs.ProfileFlags(fs)
@@ -290,7 +289,7 @@ func (b benchSnapshot) file() string { return "BENCH_" + b.name + ".json" }
 // snapshots is the registry behind -snapshot, in the order CI regenerates
 // them.
 var snapshots = []benchSnapshot{
-	{name: "llc", honours: []string{"parallelism"}, columns: []string{"engine"}, run: runLLCBench},
+	{name: "llc", columns: []string{"engine", "explored", "exploredVsNaive"}, run: runLLCBench},
 	{name: "tick", columns: []string{"allocsPerDecision", "bytesPerDecision"}, run: runTickBench},
 	{name: "fleet", columns: []string{"tenants", "bins", "countPerBin", "snapshotBytes", "batchEqualsSequential", "restoreEqualsReplay"}, run: runFleetBench},
 	{name: "scenarios", honours: []string{"seed", "parallelism"}, run: runScenarioMatrix},
@@ -429,15 +428,10 @@ func runFleetBench(w io.Writer, _ int64, _ int) (any, error) {
 
 // runLLCBench measures the branch-and-bound LLC engine against the naive
 // search on the §4.3 configuration (the generation doubles as a
-// decision-equivalence check across engines). parallelism sets the
-// pruned-parallel row's worker count, following the -parallelism
-// convention (0 = one per CPU), so only the set of engine rows is
-// deterministic.
-func runLLCBench(w io.Writer, _ int64, parallelism int) (any, error) {
-	if parallelism <= 0 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
-	snap, err := hierctl.RunLLCBench(400, parallelism)
+// decision-equivalence check across engines). Only the ns/decision and
+// speedup columns are wall-clock.
+func runLLCBench(w io.Writer, _ int64, _ int) (any, error) {
+	snap, err := hierctl.RunLLCBench(400)
 	if err != nil {
 		return nil, err
 	}

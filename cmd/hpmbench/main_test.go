@@ -125,7 +125,7 @@ func TestRunRejectsConflictingModes(t *testing.T) {
 	// Each snapshot runs at a fixed configuration: every workload flag
 	// outside its registry entry is refused before any work starts.
 	honours := map[string][]string{
-		"llc":       {"parallelism"},
+		"llc":       nil,
 		"tick":      nil,
 		"fleet":     nil,
 		"scenarios": {"seed", "parallelism"},

@@ -308,32 +308,6 @@ func validTenantID(id string) error {
 	return nil
 }
 
-type moduleDTO struct {
-	Alpha   []bool    `json:"alpha"`
-	Gamma   []float64 `json:"gamma"`
-	FreqIdx []int     `json:"freqIdx"`
-	FreqHz  []float64 `json:"freqHz"`
-}
-
-type decisionDTO struct {
-	Bin          int         `json:"bin"`
-	Time         float64     `json:"time"`
-	GammaModules []float64   `json:"gammaModules,omitempty"`
-	Modules      []moduleDTO `json:"modules"`
-	MeanResponse float64     `json:"meanResponse"`
-	Operational  int         `json:"operational"`
-}
-
-type stateDTO struct {
-	ID           string       `json:"id"`
-	Computers    int          `json:"computers"`
-	Bins         int          `json:"bins"`
-	Steps        int          `json:"steps"`
-	SimTime      float64      `json:"simTime"`
-	Quarantined  bool         `json:"quarantined,omitempty"`
-	LastDecision *decisionDTO `json:"lastDecision,omitempty"`
-}
-
 type recordDTO struct {
 	Completed     int64   `json:"completed"`
 	Dropped       int64   `json:"dropped"`
@@ -342,36 +316,6 @@ type recordDTO struct {
 	MeanResponse  float64 `json:"meanResponse"`
 	ResponseP95   float64 `json:"responseP95"`
 	ViolationFrac float64 `json:"violationFrac"`
-}
-
-func toDecisionDTO(d hierctl.BinDecision) *decisionDTO {
-	out := &decisionDTO{
-		Bin:          d.Bin,
-		Time:         d.Time,
-		GammaModules: d.GammaModules,
-		Modules:      make([]moduleDTO, len(d.Modules)),
-		MeanResponse: d.MeanResponse,
-		Operational:  d.Operational,
-	}
-	for i, m := range d.Modules {
-		out.Modules[i] = moduleDTO{Alpha: m.Alpha, Gamma: m.Gamma, FreqIdx: m.FreqIdx, FreqHz: m.FreqHz}
-	}
-	return out
-}
-
-func toStateDTO(st hierctl.TenantState) stateDTO {
-	out := stateDTO{
-		ID:          st.ID,
-		Computers:   st.Computers,
-		Bins:        st.Bins,
-		Steps:       st.Steps,
-		SimTime:     st.SimTime,
-		Quarantined: st.Quarantined,
-	}
-	if st.LastDecision != nil {
-		out.LastDecision = toDecisionDTO(*st.LastDecision)
-	}
-	return out
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -438,9 +382,9 @@ func (s *server) handleTenants(w http.ResponseWriter, r *http.Request) {
 	case http.MethodPost:
 		s.createTenant(w, r)
 	case http.MethodGet:
-		states := make([]stateDTO, 0)
-		for _, st := range s.fleet.States() {
-			states = append(states, toStateDTO(st))
+		states := s.fleet.States()
+		if states == nil {
+			states = []hierctl.TenantState{} // an empty fleet lists as [], not null
 		}
 		writeJSON(w, http.StatusOK, map[string]any{"tenants": states})
 	default:
@@ -617,9 +561,9 @@ type batchEntryResp struct {
 	Tenant string `json:"tenant"`
 	// Applied counts the entry's bins actually ingested; on a per-entry
 	// error it reports how far the entry got before stopping.
-	Applied      int          `json:"applied"`
-	Error        string       `json:"error,omitempty"`
-	LastDecision *decisionDTO `json:"lastDecision,omitempty"`
+	Applied      int                  `json:"applied"`
+	Error        string               `json:"error,omitempty"`
+	LastDecision *hierctl.BinDecision `json:"lastDecision,omitempty"`
 }
 
 type batchResp struct {
@@ -769,7 +713,7 @@ func (s *server) observeBatch(w http.ResponseWriter, r *http.Request, sc *batchS
 				reusable = false
 			}
 		case req.Decisions && res.LastDecision != nil:
-			out.LastDecision = toDecisionDTO(*res.LastDecision)
+			out.LastDecision = res.LastDecision
 		}
 		resp.Results = append(resp.Results, out)
 	}
@@ -806,7 +750,7 @@ func (s *server) handleTenant(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		s.observeLatency.Observe(time.Since(start).Seconds())
-		writeJSON(w, http.StatusOK, toDecisionDTO(dec))
+		writeJSON(w, http.StatusOK, dec)
 	case len(parts) == 2 && parts[1] == "telemetry" && r.Method == http.MethodGet:
 		s.handleTelemetry(w, r, id)
 	case len(parts) == 2 && parts[1] == "state" && r.Method == http.MethodGet,
@@ -816,7 +760,7 @@ func (s *server) handleTenant(w http.ResponseWriter, r *http.Request) {
 			writeError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, toStateDTO(st))
+		writeJSON(w, http.StatusOK, st)
 	case len(parts) == 1 && r.Method == http.MethodDelete:
 		rec, err := s.fleet.CloseTenant(id)
 		if err != nil {

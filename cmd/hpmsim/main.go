@@ -54,7 +54,7 @@ func run(args []string, stdout io.Writer) (retErr error) {
 	scale := fs.Float64("scale", 1, "fraction of the trace to simulate (0, 1]")
 	seed := fs.Int64("seed", 1, "random seed")
 	fast := fs.Bool("fast", false, "coarse learning grids (quick runs)")
-	parallelism := fs.Int("parallelism", 0, "per-pool worker width; pools nest (sweep × module × search) (0 = one per CPU, 1 = fully sequential; results identical)")
+	parallelism := fs.Int("parallelism", 0, "per-pool worker width; pools nest (sweep × learning) (0 = one per CPU, 1 = fully sequential; results identical)")
 	artifacts := fs.String("artifacts", "", "directory caching offline learning results (must exist)")
 	traceOut := fs.String("trace", "", "write the LLC decision timeline as a Chrome trace_event file (chrome://tracing / Perfetto)")
 	traceJSONL := fs.String("trace-jsonl", "", "write the LLC decision records as JSON Lines")

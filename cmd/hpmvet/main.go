@@ -11,8 +11,8 @@
 //	simdeterminism  no wall clock / global rand / env / sleeps in
 //	                deterministic simulation packages
 //	maprange        no order-sensitive map iteration in those packages
-//	hotalloc        no allocating constructs in //hpm:hotpath functions
-//	recordernil     nil-receiver guards on internal/obs recorder methods
+//	hotalloc        no allocating constructs and no internal/par fan-out
+//	                in //hpm:hotpath functions
 //	rawgo           goroutine fan-out only via internal/par (or cmd/)
 //	metriclabel     constant, well-formed Prometheus registration;
 //	                label values constant or //hpm:boundedlabel
@@ -37,7 +37,6 @@ import (
 	"hierctl/internal/analysis/maprange"
 	"hierctl/internal/analysis/metriclabel"
 	"hierctl/internal/analysis/rawgo"
-	"hierctl/internal/analysis/recordernil"
 	"hierctl/internal/analysis/simdeterminism"
 )
 
@@ -46,7 +45,6 @@ var analyzers = []*analysis.Analyzer{
 	simdeterminism.Analyzer,
 	maprange.Analyzer,
 	hotalloc.Analyzer,
-	recordernil.Analyzer,
 	rawgo.Analyzer,
 	metriclabel.Analyzer,
 	hpmdirective.Analyzer,

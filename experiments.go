@@ -27,15 +27,16 @@ type ExperimentOptions struct {
 	// horizon to 2; use for benchmarks where learning time would
 	// dominate. The paper-fidelity setting is false.
 	Fast bool
-	// Parallelism bounds the worker pools used throughout the stack: the
-	// per-module L1 fan-out and offline learning inside each Manager,
-	// the centralized baseline's sharded candidate search, and the
-	// embarrassingly independent experiment sweeps (scalability sizes,
-	// ablation variants, policy comparisons, overhead cases). The bound
-	// is per pool, and pools nest (a sweep worker's Manager runs its own
-	// L1 fan-out), so total concurrency can exceed this value. 0 (the
-	// default) uses one worker per available CPU; 1 reproduces the
-	// sequential runners exactly. Results are identical at any setting.
+	// Parallelism bounds the worker pools that run independent work side
+	// by side: offline learning inside each Manager, the centralized
+	// baseline's sharded candidate search, and the embarrassingly
+	// independent experiment sweeps (scalability sizes, ablation variants,
+	// policy comparisons, overhead cases). Nothing fans out inside a
+	// control tick. The bound is per pool, and pools nest (a sweep
+	// worker's Manager runs its own learning pool), so total concurrency
+	// can exceed this value. 0 (the default) uses one worker per
+	// available CPU; 1 runs everything sequentially. Results are identical
+	// at any setting.
 	Parallelism int
 	// Scenario selects a registered workload scenario by name for the
 	// scenario-driven runners (RunScenario); empty means "synthetic".

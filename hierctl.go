@@ -232,8 +232,7 @@ func LookupChaosPlan(name string) (ChaosSpec, error) { return chaos.Lookup(name)
 func CheckTelemetryRecords(n int) error { return fleet.CheckTelemetryRecords(n) }
 
 // NewTelemetryRecorder builds a flight recorder retaining the newest
-// capacity records. Writes are allocation-free and safe from the L1
-// planning fan-out's concurrent goroutines.
+// capacity records. Writes are allocation-free.
 func NewTelemetryRecorder(capacity int) (*TelemetryRecorder, error) {
 	return obs.NewRecorder(capacity)
 }

@@ -20,6 +20,13 @@
 // function — a warm-up, a documented cold fallback, or a copy-out the
 // AllocsPerRun budget already counts — carries `//hpm:alloc <why>` on
 // its line.
+//
+// It also enforces the altitude rule of the worker pools: any call into
+// hierctl/internal/par inside a hot function is reported, with no escape
+// directive. Work fans out between independent runs, tenants, sweep cells
+// and learning tasks — never inside one control tick, where it would make
+// the explored-state counters and the flight-recorder sequence depend on
+// scheduling.
 package hotalloc
 
 import (
@@ -31,10 +38,13 @@ import (
 	"hierctl/internal/analysis/directive"
 )
 
+// parPath is the worker-pool package hot functions may not call.
+const parPath = "hierctl/internal/par"
+
 // Analyzer implements the check.
 var Analyzer = &analysis.Analyzer{
 	Name: "hotalloc",
-	Doc:  "flag allocating constructs inside //hpm:hotpath functions",
+	Doc:  "flag allocating constructs and worker-pool fan-outs inside //hpm:hotpath functions",
 	Run:  run,
 }
 
@@ -121,6 +131,9 @@ func (c *checker) checkCall(call *ast.CallExpr) bool {
 		}
 	case *ast.SelectorExpr:
 		if fn, ok := c.pass.TypesInfo.Uses[fun.Sel].(*types.Func); ok && fn.Pkg() != nil {
+			if fn.Pkg().Path() == parPath {
+				c.pass.Reportf(call.Pos(), "par.%s fans out inside a hot path (parallelism belongs between runs, tenants and sweep cells, never inside a control tick; there is no escape directive)", fn.Name())
+			}
 			qualified := fn.Pkg().Path() + "." + fn.Name()
 			switch qualified {
 			case "fmt.Sprintf", "fmt.Sprint", "fmt.Sprintln", "strings.Join":

@@ -1,6 +1,10 @@
 package llc
 
-import "fmt"
+import (
+	"fmt"
+
+	"hierctl/internal/par"
+)
 
 type pool struct {
 	scratch []float64
@@ -65,4 +69,18 @@ func (p *pool) legal(xs []float64) (float64, error) {
 	consume(nil)
 	consume(&p.scratch)
 	return g(acc), nil
+}
+
+func step(int) error { return nil }
+
+// A hot function may not fan out: the pool is rejected even behind an
+// //hpm:alloc escape, and stays legal everywhere else.
+//
+//hpm:hotpath
+func (p *pool) fanOut(n int) error {
+	return par.For(2, n, step) //hpm:alloc no escape applies // want `par\.For fans out inside a hot path`
+}
+
+func (p *pool) learn(n int) error {
+	return par.For(2, n, step)
 }

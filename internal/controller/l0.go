@@ -37,21 +37,10 @@ type L0Config struct {
 	// averaged over {λ̂−δ, λ̂, λ̂+δ}, so the processor hedges against
 	// arrival bursts instead of riding the queue at the set-point.
 	UncertaintySamples bool
-	// SearchParallelism fans the lookahead tree's level-0 candidates
-	// (frequency indices) across that many workers inside each Decide; 0
-	// or 1 (the default) keeps the search sequential and the
-	// explored-state overhead counters deterministic. Decisions are
-	// bit-identical at any setting. No command sets it — it was slower
-	// than the sequential search on every shape measured — but L0Config
-	// is a persisted format: its gob descriptor rides in every journal
-	// base frame (BENCH_fleet.json's snapshotBytes) and its %+v form keys
-	// the ArtifactDir cache, so dropping the field would move both.
-	SearchParallelism int
 	// MaxExplored caps the states one Decide's lookahead search may
 	// evaluate — the deterministic per-tick decision deadline. A search
 	// exhausting it fails with llc.ErrBudget and the caller applies safe
-	// fallback settings for the tick. 0 = unlimited. A positive budget
-	// forces the sequential search (see llc.Options.MaxExplored).
+	// fallback settings for the tick. 0 = unlimited.
 	MaxExplored int
 }
 
@@ -90,9 +79,6 @@ func (c L0Config) Validate() error {
 	}
 	if c.SlackWeight < 0 || c.PowerWeight < 0 {
 		return fmt.Errorf("controller: L0 weights (%v, %v) negative", c.SlackWeight, c.PowerWeight)
-	}
-	if c.SearchParallelism < 0 {
-		return fmt.Errorf("controller: L0 search parallelism %d < 0", c.SearchParallelism)
 	}
 	if c.MaxExplored < 0 {
 		return fmt.Errorf("controller: L0 explored budget %d < 0", c.MaxExplored)
@@ -181,7 +167,6 @@ func NewL0(cfg L0Config, spec cluster.ComputerSpec) (*L0, error) {
 	}
 	sr, err := llc.NewSearcher[queue.State, int](m, llc.Options{
 		NonNegativeCosts: true,
-		Parallelism:      cfg.SearchParallelism,
 		MaxExplored:      cfg.MaxExplored,
 	})
 	if err != nil {

@@ -11,7 +11,6 @@ import (
 	"hierctl/internal/des"
 	"hierctl/internal/engine"
 	"hierctl/internal/forecast"
-	"hierctl/internal/par"
 	"hierctl/internal/series"
 	"hierctl/internal/workload"
 )
@@ -39,7 +38,6 @@ func legacyMechanicsRun(m *Manager, trace *series.Series, store *workload.Store)
 		start0:  start0,
 		l1Every: int(m.cfg.L1.PeriodSeconds/tl0 + 0.5),
 		l2Every: int(m.cfg.L2.PeriodSeconds/tl0 + 0.5),
-		workers: par.Workers(m.cfg.Parallelism),
 	}
 	r.totalSteps = trace.Len() * sub
 

@@ -56,13 +56,12 @@ type Config struct {
 	// perfect information, bounding how much of the remaining QoS gap
 	// is attributable to forecast error (EXT2 ablation).
 	OracleForecast bool
-	// Parallelism bounds the worker pool that fans out the per-module L1
-	// decisions and the offline learning of abstraction maps and module
-	// trees. 0 (the default) uses one worker per available CPU; 1
-	// reproduces the sequential engine exactly. Decisions are
-	// deterministic given observations, so any value produces
-	// bit-identical run records — Parallelism only changes wall-clock
-	// time.
+	// Parallelism bounds the worker pool that fans out the offline
+	// learning of abstraction maps and module trees in NewManager. 0 (the
+	// default) uses one worker per available CPU; 1 learns sequentially.
+	// Nothing fans out inside a control tick, so the run and its
+	// flight-recorder sequence are bit-identical at any value —
+	// Parallelism only changes learning wall-clock time.
 	Parallelism int
 }
 
@@ -311,53 +310,29 @@ func (s *ArtifactStore) NewManager(spec cluster.Spec, cfg Config, logged *Artifa
 	learnStart := time.Now() //hpm:wallclock one-time learning-phase duration report; observe-only
 	workers := par.Workers(cfg.Parallelism)
 
-	// Learn the abstraction map g once per distinct hardware, fanning the
-	// distinct kinds across the worker pool. Keys are collected in
-	// first-seen order and results land in indexed slots, so the cache
-	// contents are identical to the sequential walk's.
-	var gmapKeys []string
-	gmapSpec := map[string]cluster.ComputerSpec{}
+	// Learn the abstraction map g once per distinct hardware.
+	var computers []cluster.ComputerSpec
 	for _, ms := range spec.Modules {
-		for _, cs := range ms.Computers {
-			key := hardwareKey(cs)
-			if _, ok := gmapSpec[key]; !ok {
-				gmapSpec[key] = cs
-				gmapKeys = append(gmapKeys, key)
+		computers = append(computers, ms.Computers...)
+	}
+	gmapCache, err := acquireDistinct(&s.gmaps, workers, len(computers), &m.heldGMaps,
+		func(i int) string { return hardwareKey(computers[i]) },
+		func(i int, key string) artifactTask[*controller.GMap] {
+			cs := computers[i]
+			fp := gmapFingerprint(cfg, key)
+			return artifactTask[*controller.GMap]{
+				fingerprint: fp,
+				logged:      logged.GMaps[key],
+				what:        "g for " + cs.Name,
+				learn: func() (*controller.GMap, error) {
+					return loadOrLearn(cfg.ArtifactDir, "gmap", fp, controller.ReadGMap, func() (*controller.GMap, error) {
+						return controller.LearnGMap(cfg.L0, cs, cfg.GMap)
+					})
+				},
 			}
-		}
-	}
-	gmapSlots := make([]*controller.GMap, len(gmapKeys))
-	gmapHeld := make([]string, len(gmapKeys)) // fingerprint of each reference taken
-	err = par.For(workers, len(gmapKeys), func(i int) error {
-		key := gmapKeys[i]
-		cs := gmapSpec[key]
-		fp := gmapFingerprint(cfg, key)
-		learn := func() (*controller.GMap, error) {
-			return loadOrLearn(cfg.ArtifactDir, "gmap", fp, controller.ReadGMap, func() (*controller.GMap, error) {
-				return controller.LearnGMap(cfg.L0, cs, cfg.GMap)
-			})
-		}
-		g, held, err := s.gmaps.acquire(fp, logged.GMaps[key], learn)
-		if err != nil {
-			return fmt.Errorf("core: learning g for %s: %w", cs.Name, err)
-		}
-		gmapSlots[i] = g
-		if held {
-			gmapHeld[i] = fp
-		}
-		return nil
-	})
-	for _, fp := range gmapHeld {
-		if fp != "" {
-			m.heldGMaps = append(m.heldGMaps, fp)
-		}
-	}
+		})
 	if err != nil {
 		return nil, err
-	}
-	gmapCache := make(map[string]*controller.GMap, len(gmapKeys))
-	for i, key := range gmapKeys {
-		gmapCache[key] = gmapSlots[i]
 	}
 	m.artifacts = ArtifactSet{GMaps: gmapCache, Trees: map[string]*controller.TreeJTilde{}}
 
@@ -398,49 +373,25 @@ func (s *ArtifactStore) NewManager(spec cluster.Spec, cfg Config, logged *Artifa
 
 	if len(spec.Modules) > 1 {
 		// Same scheme for the per-composition J̃ trees: one learning task
-		// per distinct module composition, fanned across the pool.
-		var treeKeys []string
-		treeModule := map[string]int{}
-		for i := range m.modules {
-			key := moduleKey(spec.Modules[i])
-			if _, ok := treeModule[key]; !ok {
-				treeModule[key] = i
-				treeKeys = append(treeKeys, key)
-			}
-		}
-		treeSlots := make([]*controller.TreeJTilde, len(treeKeys))
-		treeHeld := make([]string, len(treeKeys))
-		err = par.For(workers, len(treeKeys), func(ti int) error {
-			key := treeKeys[ti]
-			i := treeModule[key]
-			asm := m.modules[i]
-			fp := treeFingerprint(cfg, key)
-			learn := func() (*controller.TreeJTilde, error) {
-				return loadOrLearn(cfg.ArtifactDir, "jtree", fp, controller.ReadTreeJTilde, func() (*controller.TreeJTilde, error) {
-					return controller.LearnModuleTree(cfg.L0, cfg.L1, asm.gmaps, cfg.ModuleSim)
-				})
-			}
-			jt, held, err := s.trees.acquire(fp, logged.Trees[key], learn)
-			if err != nil {
-				return fmt.Errorf("core: learning J̃ for module %s: %w", spec.Modules[i].Name, err)
-			}
-			treeSlots[ti] = jt
-			if held {
-				treeHeld[ti] = fp
-			}
-			return nil
-		})
-		for _, fp := range treeHeld {
-			if fp != "" {
-				m.heldTrees = append(m.heldTrees, fp)
-			}
-		}
+		// per distinct module composition.
+		treeCache, err := acquireDistinct(&s.trees, workers, len(spec.Modules), &m.heldTrees,
+			func(i int) string { return moduleKey(spec.Modules[i]) },
+			func(i int, key string) artifactTask[*controller.TreeJTilde] {
+				asm := m.modules[i]
+				fp := treeFingerprint(cfg, key)
+				return artifactTask[*controller.TreeJTilde]{
+					fingerprint: fp,
+					logged:      logged.Trees[key],
+					what:        "J̃ for module " + spec.Modules[i].Name,
+					learn: func() (*controller.TreeJTilde, error) {
+						return loadOrLearn(cfg.ArtifactDir, "jtree", fp, controller.ReadTreeJTilde, func() (*controller.TreeJTilde, error) {
+							return controller.LearnModuleTree(cfg.L0, cfg.L1, asm.gmaps, cfg.ModuleSim)
+						})
+					},
+				}
+			})
 		if err != nil {
 			return nil, err
-		}
-		treeCache := make(map[string]*controller.TreeJTilde, len(treeKeys))
-		for ti, key := range treeKeys {
-			treeCache[key] = treeSlots[ti]
 		}
 		m.artifacts.Trees = treeCache
 		jtildes := make([]controller.JTilde, len(spec.Modules))
@@ -455,6 +406,61 @@ func (s *ArtifactStore) NewManager(spec cluster.Spec, cfg Config, logged *Artifa
 	}
 	m.learnTime = time.Since(learnStart) //hpm:wallclock one-time learning-phase duration report; observe-only
 	return m, nil
+}
+
+// artifactTask is one distinct artifact a manager needs from a tier.
+type artifactTask[T learned] struct {
+	fingerprint string
+	logged      T      // the artifact a snapshot log recorded under this key, if any
+	what        string // names the artifact in a learning error
+	learn       func() (T, error)
+}
+
+// acquireDistinct resolves one artifact per distinct key among n items,
+// fanning the learning tasks across the worker pool — the one fan-out a
+// Manager keeps, and it runs before any control tick. Keys are collected in
+// first-seen order and results land in indexed slots, so the returned map
+// is identical to the sequential walk's; task receives the first item that
+// carried each key. The fingerprint of every reference taken is appended
+// to *held, on error too, so the caller's Release returns them.
+func acquireDistinct[T learned](t *artifactTier[T], workers, n int, held *[]string, keyOf func(i int) string, task func(i int, key string) artifactTask[T]) (map[string]T, error) {
+	var keys []string
+	var first []int
+	seen := map[string]bool{}
+	for i := 0; i < n; i++ {
+		if key := keyOf(i); !seen[key] {
+			seen[key] = true
+			keys = append(keys, key)
+			first = append(first, i)
+		}
+	}
+	slots := make([]T, len(keys))
+	taken := make([]string, len(keys)) // fingerprint of each reference taken
+	err := par.For(workers, len(keys), func(j int) error {
+		tk := task(first[j], keys[j])
+		val, ok, err := t.acquire(tk.fingerprint, tk.logged, tk.learn)
+		if err != nil {
+			return fmt.Errorf("core: learning %s: %w", tk.what, err)
+		}
+		slots[j] = val
+		if ok {
+			taken[j] = tk.fingerprint
+		}
+		return nil
+	})
+	for _, fp := range taken {
+		if fp != "" {
+			*held = append(*held, fp)
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	cache := make(map[string]T, len(keys))
+	for j, key := range keys {
+		cache[key] = slots[j]
+	}
+	return cache, nil
 }
 
 // Release returns the references this manager holds in its ArtifactStore;

@@ -8,10 +8,12 @@
 //
 //   - A run is deterministic for a given (spec, config, trace, store)
 //     tuple: every random stream derives from Config.Seed.
-//   - Config.Parallelism only changes wall-clock time — the per-module L1
-//     fan-out plans in parallel and applies sequentially in module order,
-//     so run records are bit-identical at any worker count (pinned by
-//     parallel_test.go at the repo root).
+//   - Config.Parallelism only changes the wall-clock time of offline
+//     learning: a control tick runs on one goroutine (every module's L1
+//     decision is planned, then every plan applied, in module order), so
+//     run records and flight-recorder sequences are bit-identical at any
+//     worker count (pinned by parallel_test.go at the repo root and
+//     TestManagerRecorderEquivalence).
 //   - Manager.Run is a thin replay over the incremental Session engine:
 //     a streaming Session fed a trace's bins in order takes the identical
 //     decisions bin for bin and finishes with the identical totals, which

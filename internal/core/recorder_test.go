@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"hierctl/internal/cluster"
@@ -12,12 +13,13 @@ import (
 
 // TestManagerRecorderEquivalence is the recorder equivalence suite: the
 // flight recorder must be observe-only. Randomized over the scenario
-// registry, seeds, and the L1 planning fan-out, a run with the recorder
-// attached must reproduce the unrecorded run bit-for-bit — decisions,
-// QoS accounting, energy, explored counts. Wall-clock overhead fields
-// are the only nondeterministic ones and are zeroed before comparing.
-// CI runs this suite under -race (the parallel L1 fan-out writes the
-// ring concurrently).
+// registry and seeds, a run with the recorder attached must reproduce the
+// unrecorded run bit-for-bit — decisions, QoS accounting, energy, explored
+// counts — and, because nothing fans out inside a control tick, the
+// recorded *sequence* is identical at Parallelism 1 and 8 (the knob only
+// widens the learning pool). Wall-clock fields are the only
+// nondeterministic ones and are zeroed before comparing. CI runs this
+// suite under -race.
 func TestManagerRecorderEquivalence(t *testing.T) {
 	spec := cluster.Spec{Modules: []cluster.ModuleSpec{moduleOf("M1", 2), moduleOf("M2", 2)}}
 	scenarios := workload.Scenarios()
@@ -28,7 +30,7 @@ func TestManagerRecorderEquivalence(t *testing.T) {
 			sc = scenarios[rng.Intn(len(scenarios))]
 		}
 		seed := int64(1 + rng.Intn(100))
-		parallelism := 1 + rng.Intn(4)
+		rng.Intn(4) // the draw that once picked an L1 fan-out width: keeps the scenario and seed stream, and so the subtest names
 		t.Run(sc.Name, func(t *testing.T) {
 			trace, err := sc.Trace(seed)
 			if err != nil {
@@ -41,7 +43,6 @@ func TestManagerRecorderEquivalence(t *testing.T) {
 			plan := sc.FailurePlan(trace)
 			cfg := fastConfig()
 			cfg.Seed = seed
-			cfg.Parallelism = parallelism
 			newStore := func() *workload.Store {
 				s, err := workload.NewStore(rand.New(rand.NewSource(seed)), sc.StoreConfig())
 				if err != nil {
@@ -49,7 +50,9 @@ func TestManagerRecorderEquivalence(t *testing.T) {
 				}
 				return s
 			}
-			runOnce := func(rec *obs.Recorder) *Record {
+			runOnce := func(parallelism int, rec *obs.Recorder) *Record {
+				cfg := cfg
+				cfg.Parallelism = parallelism
 				mgr, err := NewManager(spec, cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -63,15 +66,36 @@ func TestManagerRecorderEquivalence(t *testing.T) {
 				r.LearnTime, r.L0Time, r.L1Time, r.L2Time = 0, 0, 0, 0
 				return r
 			}
+			// sequence is everything the recorder holds, oldest first,
+			// with the one wall-clock field zeroed.
+			sequence := func(rec *obs.Recorder) []obs.Record {
+				recs := rec.Window(nil, 0)
+				for i := range recs {
+					recs[i].DecideNs = 0
+				}
+				return recs
+			}
 			rec, err := obs.NewRecorder(1 << 14)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := runOnce(nil)
-			got := runOnce(rec)
-			if !reflect.DeepEqual(want, got) {
-				t.Errorf("seed %d parallelism %d: recorded run diverges\nplain:    %+v\nrecorded: %+v",
-					seed, parallelism, want, got)
+			rec8, err := obs.NewRecorder(1 << 14)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := runOnce(1, nil)
+			got := runOnce(1, rec)
+			got8 := runOnce(8, rec8)
+			if !reflect.DeepEqual(want, got) || !reflect.DeepEqual(want, got8) {
+				t.Errorf("seed %d: recorded run diverges\nplain:            %+v\nrecorded:         %+v\nrecorded, 8 wide: %+v",
+					seed, want, got, got8)
+			}
+			if rec.Total() > 1<<14 {
+				t.Fatalf("ring of %d wrapped (%d records): the sequences below are not whole runs", 1<<14, rec.Total())
+			}
+			if seq, seq8 := sequence(rec), sequence(rec8); !slices.Equal(seq, seq8) {
+				t.Errorf("seed %d: record sequence differs between Parallelism 1 (%d records) and 8 (%d records)",
+					seed, len(seq), len(seq8))
 			}
 
 			// The recorder actually saw the hierarchy: tick records for

@@ -9,7 +9,6 @@ import (
 	"hierctl/internal/controller"
 	"hierctl/internal/engine"
 	"hierctl/internal/llc"
-	"hierctl/internal/par"
 	"hierctl/internal/series"
 	"hierctl/internal/workload"
 )
@@ -65,7 +64,6 @@ type run struct {
 	start0  float64 // workload-clock time of the first bin
 	l1Every int
 	l2Every int
-	workers int // L1 fan-out width
 
 	// totalSteps is trace.Len()*sub when the trace is known (bounds the
 	// oracle lookups); 0 when streaming.
@@ -158,25 +156,15 @@ func (r *run) Decide(k int, obs engine.TickObs) (engine.Settings, error) {
 	}
 
 	// (2) L1 per module: operating states and within-module fractions.
-	// The modules' searches are independent (§3's decomposition), so the
-	// planning fans out across the worker pool; plant mutations and
-	// record appends are applied sequentially in module order afterwards,
-	// keeping the run bit-identical to the sequential engine. Errors are
-	// captured in the plans — the closures always return nil, so par.For
-	// never early-exits and every module's estimator folds still run.
-	// One worker (every fleet tenant) is the plain loop par.For would
-	// degenerate to, without its closure.
+	// Every module is planned first, against the plant as the previous
+	// boundary left it (§3's decomposition: the modules decide
+	// independently); plant mutations and record appends are applied in
+	// module order afterwards. Errors are captured in the plans, so one
+	// module's failure never skips a sibling's estimator folds.
 	if k%r.l1Every == 0 {
 		plans := r.plans
-		if r.workers == 1 {
-			for i := range m.modules {
-				plans[i] = r.planL1Guarded(i, k)
-			}
-		} else {
-			_ = par.For(r.workers, len(m.modules), func(i int) error { //hpm:alloc fan-out closure; the parallel path trades a per-call alloc for wall-clock
-				plans[i] = r.planL1Guarded(i, k)
-				return nil
-			})
+		for i := range m.modules {
+			plans[i] = r.planL1Guarded(i, k)
 		}
 		for i := range m.modules {
 			if plans[i].err != nil {
@@ -367,17 +355,17 @@ func (r *run) decideL2(k int) error {
 	return nil
 }
 
-// l1Plan is one module's L1 outcome, computed in parallel and applied to
-// the shared plant and record sequentially in module order.
+// l1Plan is one module's L1 outcome, computed before any module's plan is
+// applied to the shared plant and record.
 type l1Plan struct {
 	dec controller.L1Decision
 	// predActual is the (predicted, actual) pair for the Fig. 4 series;
 	// hasPredActual marks boundaries where the module had a forecast.
 	predActual    [2]float64
 	hasPredActual bool
-	// err is the planning failure, captured here instead of returned
-	// through par.For so the fan-out never early-exits (which would make
-	// which sibling modules folded their estimators depend on timing).
+	// err is the planning failure, captured here so the planning loop
+	// never exits early (every module's estimator folds run each
+	// boundary, whichever sibling failed).
 	err error
 }
 
@@ -395,8 +383,8 @@ func (r *run) planL1Guarded(i, k int) (plan l1Plan) {
 }
 
 // planL1 runs one module's L1 controller. It touches only module i's own
-// estimators and reads (never mutates) the shared plant, so plans for
-// different modules may run concurrently.
+// estimators and reads (never mutates) the shared plant, so the plans do
+// not depend on the order the modules are planned in.
 func (r *run) planL1(i int, k int) (l1Plan, error) {
 	m := r.m
 	asm := m.modules[i]

@@ -7,7 +7,6 @@ import (
 	"hierctl/internal/controller"
 	"hierctl/internal/engine"
 	"hierctl/internal/forecast"
-	"hierctl/internal/par"
 	"hierctl/internal/series"
 	"hierctl/internal/workload"
 )
@@ -64,34 +63,35 @@ type Session struct {
 
 // BinDecision is the controller output for one observation bin: the
 // provisioning (on/off), load-sharing, and frequency settings in force
-// after the bin's control periods ran.
+// after the bin's control periods ran. The JSON tags are hpmserve's wire
+// format for a decision.
 type BinDecision struct {
 	// Bin is the observation bin index this decision closes.
-	Bin int
+	Bin int `json:"bin"`
 	// Time is the workload-clock time at the end of the bin.
-	Time float64
+	Time float64 `json:"time"`
 	// GammaModules is the cluster-level load split γ_i (nil for
 	// single-module hierarchies, which have no L2).
-	GammaModules []float64
+	GammaModules []float64 `json:"gammaModules,omitempty"`
 	// Modules holds the per-module operating decisions.
-	Modules []ModuleDecision
+	Modules []ModuleDecision `json:"modules"`
 	// MeanResponse is the mean response time over the bin's completed
 	// T_L0 intervals (0 when nothing completed).
-	MeanResponse float64
+	MeanResponse float64 `json:"meanResponse"`
 	// Operational is the number of operational computers at bin end.
-	Operational int
+	Operational int `json:"operational"`
 }
 
 // ModuleDecision is one module's operating state after a control period.
 type ModuleDecision struct {
 	// Alpha marks which computers the L1 controller keeps powered.
-	Alpha []bool
+	Alpha []bool `json:"alpha"`
 	// Gamma is the within-module dispatch split γ_ij.
-	Gamma []float64
+	Gamma []float64 `json:"gamma"`
 	// FreqIdx is each computer's operating-frequency index (-1 while the
 	// computer is off or failed); FreqHz is the same in Hz (0 when off).
-	FreqIdx []int
-	FreqHz  []float64
+	FreqIdx []int     `json:"freqIdx"`
+	FreqHz  []float64 `json:"freqHz"`
 }
 
 // NewSession builds the runtime state for an incremental run: the plant is
@@ -126,7 +126,6 @@ func (m *Manager) NewSession(store *workload.Store, sc SessionConfig) (*Session,
 		start0:  start0,
 		l1Every: int(m.cfg.L1.PeriodSeconds/tl0 + 0.5),
 		l2Every: int(m.cfg.L2.PeriodSeconds/tl0 + 0.5),
-		workers: par.Workers(m.cfg.Parallelism),
 	}
 	totalBins := 0
 	if sc.Trace != nil {

@@ -6,78 +6,7 @@ import (
 	"testing"
 
 	"hierctl/internal/cluster"
-	"hierctl/internal/obs"
 )
-
-// TestTelemetryIntoZeroAlloc: a poller that hands its buffer back reads a
-// tenant's new flight-recorder records without allocating for them — the
-// records land in the caller's buffer, and a full-ring read costs exactly
-// the allocations of an empty one (the shard hop's completion channel and
-// closures, which are per call, not per record).
-func TestTelemetryIntoZeroAlloc(t *testing.T) {
-	const ring = 256
-	f := New(Config{Shards: 1})
-	defer f.Close()
-	if err := f.CreateTenant("rec", telemetryTenantConfig(ring)); err != nil {
-		t.Fatal(err)
-	}
-	step := func() {
-		if _, err := f.Observe("rec", 600); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 100; i++ { // wrap the ring
-		step()
-	}
-	buf := make([]obs.Record, 0, ring)
-	recs, cursor, dropped, err := f.TelemetryInto(buf, "rec", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != ring {
-		t.Fatalf("full read returned %d records, want the whole %d-record ring", len(recs), ring)
-	}
-	if &recs[0] != &buf[:1][0] {
-		t.Fatal("the records were not read into the caller's buffer")
-	}
-	if want := cursor - ring; dropped != want {
-		t.Fatalf("dropped %d, want %d (cursor %d past a %d-record ring)", dropped, want, cursor, ring)
-	}
-	empty := testing.AllocsPerRun(50, func() {
-		if _, _, _, err := f.TelemetryInto(buf[:0], "rec", cursor); err != nil {
-			t.Fatal(err)
-		}
-	})
-	full := testing.AllocsPerRun(50, func() {
-		got, _, _, err := f.TelemetryInto(buf[:0], "rec", 0)
-		if err != nil || len(got) != ring {
-			t.Fatalf("full read: %d records, err %v", len(got), err)
-		}
-	})
-	if full != empty {
-		t.Fatalf("reading %d records costs %v allocs, an empty read %v: the records are being allocated for", ring, full, empty)
-	}
-
-	// The next poll sees only what was written since, nothing dropped.
-	step()
-	recs, next, dropped, err := f.TelemetryInto(buf[:0], "rec", cursor)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if uint64(len(recs)) != next-cursor || dropped != 0 || len(recs) == 0 {
-		t.Fatalf("incremental read: %d records for cursor %d -> %d, dropped %d", len(recs), cursor, next, dropped)
-	}
-	// TelemetrySince is the same read into a fresh slice.
-	since, next2, err := f.TelemetrySince("rec", cursor)
-	if err != nil || next2 != next || len(since) != len(recs) {
-		t.Fatalf("TelemetrySince: %d records, cursor %d, err %v; want %d, %d", len(since), next2, err, len(recs), next)
-	}
-	for i := range since {
-		if since[i] != recs[i] {
-			t.Fatalf("TelemetrySince record %d differs from TelemetryInto's", i)
-		}
-	}
-}
 
 // TestObserveBatchAllocsPerEntry: a batch call's allocations are bounded
 // per call and per entry, not per bin. Deepening every entry from 1 bin

@@ -362,8 +362,8 @@ func (f *Fleet) State(id string) (TenantState, error) {
 
 // Telemetry returns up to max of the tenant's most recent flight-recorder
 // records (oldest first) plus the cursor one past the newest record — the
-// value to hand TelemetryInto (or TelemetrySince) to resume from here. max <= 0 means the
-// whole retained window. Tenants configured with TelemetryRecords == 0
+// value to hand TelemetrySince to resume from here. max <= 0 means the whole
+// retained window. Tenants configured with TelemetryRecords == 0
 // return an empty window and cursor 0. The ring read executes on the
 // tenant's home shard, so it never races the tenant's own writers.
 func (f *Fleet) Telemetry(id string, max int) ([]obs.Record, uint64, error) {
@@ -383,38 +383,25 @@ func (f *Fleet) Telemetry(id string, max int) ([]obs.Record, uint64, error) {
 	return recs, cursor, nil
 }
 
-// TelemetrySince is TelemetryInto reading into a fresh slice and dropping
-// the lost-record count — the allocating form for one-off readers.
+// TelemetrySince returns the tenant's flight-recorder records written at
+// or after cursor (oldest first) and the next cursor. Records the ring
+// overwrote between cursor and the oldest it still retains are skipped,
+// not waited for: the recorder is a bounded window, not a durable log, so
+// pollers lose records rather than block — a reply shorter than
+// next − cursor is how they know.
 func (f *Fleet) TelemetrySince(id string, cursor uint64) ([]obs.Record, uint64, error) {
-	recs, next, _, err := f.TelemetryInto(nil, id, cursor)
-	return recs, next, err
-}
-
-// TelemetryInto appends the tenant's flight-recorder records written at or
-// after cursor (oldest first) to dst and returns the extended slice, the
-// next cursor, and how many records the ring overwrote between cursor and
-// the oldest it still retains. Those are skipped, not waited for: the
-// recorder is a bounded window, not a durable log, so pollers lose records
-// rather than block — and dropped is how they know. A poller that passes
-// the previous call's slice back (re-sliced to [:0]) reads without
-// allocating; the home shard only block-copies the ring. On error dst
-// must not be reused: a job abandoned by fleet shutdown may still write
-// it.
-func (f *Fleet) TelemetryInto(dst []obs.Record, id string, cursor uint64) (recs []obs.Record, next, dropped uint64, err error) {
 	t, err := f.tenant(id)
 	if err != nil {
-		return nil, 0, 0, err
+		return nil, 0, err
 	}
+	var recs []obs.Record
+	var next uint64
 	if err := f.exec(t, func() {
-		rec := t.mgr.Recorder()
-		if oldest := rec.Oldest(); cursor < oldest {
-			dropped = oldest - cursor
-		}
-		recs, next = rec.Since(dst, cursor)
+		recs, next = t.mgr.Recorder().Since(nil, cursor)
 	}); err != nil {
-		return nil, 0, 0, err
+		return nil, 0, err
 	}
-	return recs, next, dropped, nil
+	return recs, next, nil
 }
 
 // CloseTenant finishes the tenant's session (draining in-flight work),

@@ -134,7 +134,7 @@ func fuzzSafeShape(s tenantSnap) bool {
 	if c.Core.L0.PeriodSeconds > 0 && c.BinSeconds/c.Core.L0.PeriodSeconds > 8 {
 		return false
 	}
-	if c.Core.L0.Horizon > 3 || c.Core.DrainSeconds > 900 || c.Core.L0.SearchParallelism > 2 {
+	if c.Core.L0.Horizon > 3 || c.Core.DrainSeconds > 900 {
 		return false
 	}
 	g := c.Core.GMap

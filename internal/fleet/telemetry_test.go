@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -98,6 +99,44 @@ func TestFleetTelemetry(t *testing.T) {
 		if r.Tick < lastTick {
 			t.Errorf("incremental record regressed to tick %d (window ended at %d)", r.Tick, lastTick)
 		}
+	}
+
+	// A cursor the ring has overwritten past reads the retained window:
+	// the lost records are skipped, not waited for, and the reply falls
+	// short of next - cursor by exactly what was lost.
+	const ring = 256
+	if err := f.CreateTenant("small", telemetryTenantConfig(ring)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ { // wrap the ring
+		if _, err := f.Observe("small", counts(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	window, total, err := f.Telemetry("small", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, next, err = f.TelemetrySince("small", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != ring || next != total || total <= ring {
+		t.Fatalf("read from an overwritten cursor: %d records, next %d (written %d); want the whole %d-record ring", len(got), next, total, ring)
+	}
+	if !slices.Equal(got, window) {
+		t.Error("read from an overwritten cursor is not the retained window")
+	}
+	if _, err := f.Observe("small", counts(100)); err != nil {
+		t.Fatal(err)
+	}
+	cursor = next
+	got, next, err = f.TelemetrySince("small", cursor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) == 0 || uint64(len(got)) != next-cursor {
+		t.Fatalf("resumed read: %d records for cursor %d -> %d, want exactly the new ones", len(got), cursor, next)
 	}
 }
 

@@ -65,19 +65,20 @@ func CheckTelemetryRecords(n int) error {
 	return nil
 }
 
-// TenantState is the progress report served by Fleet.State.
+// TenantState is the progress report served by Fleet.State. The JSON tags
+// are hpmserve's wire format for it.
 type TenantState struct {
-	ID        string
-	Computers int
-	Bins      int
-	Steps     int
-	SimTime   float64
+	ID        string  `json:"id"`
+	Computers int     `json:"computers"`
+	Bins      int     `json:"bins"`
+	Steps     int     `json:"steps"`
+	SimTime   float64 `json:"simTime"`
 	// Quarantined marks a tenant whose controller stack panicked: its
 	// stepping operations return ErrTenantQuarantined until it is closed.
-	Quarantined bool
+	Quarantined bool `json:"quarantined,omitempty"`
 	// LastDecision is the most recent observation's decision (nil before
 	// the first observation).
-	LastDecision *core.BinDecision
+	LastDecision *core.BinDecision `json:"lastDecision,omitempty"`
 }
 
 // tenant pairs one manager hierarchy with its live session. All fields

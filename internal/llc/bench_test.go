@@ -3,8 +3,6 @@ package llc_test
 // Benchmarks of the branch-and-bound LLC engine on the paper's §4.3
 // configuration (computer C4 under the default L0 settings: horizon 3,
 // three uncertainty samples per step, eight operating frequencies).
-// Run with -cpu 1,4,8: the parallel variant follows GOMAXPROCS, so the
-// -cpu 1 column is the sequential engine and the others its speedup.
 //
 // Custom metric: explored/decide — states evaluated per decision, the
 // paper's §4.3 controller-overhead metric. Pruned variants must report
@@ -12,7 +10,6 @@ package llc_test
 
 import (
 	"math"
-	"runtime"
 	"testing"
 
 	"hierctl/internal/cluster"
@@ -60,7 +57,7 @@ func benchLLC(b *testing.B, opt llc.Options) {
 	b.ReportMetric(float64(explored)/float64(b.N), "explored/decide")
 }
 
-// BenchmarkLLCNaive is the unpruned sequential engine — the original
+// BenchmarkLLCNaive is the unpruned engine — the original
 // recursive search's exploration, Σ|U|^q states per decision.
 func BenchmarkLLCNaive(b *testing.B) {
 	benchLLC(b, llc.Options{})
@@ -70,12 +67,6 @@ func BenchmarkLLCNaive(b *testing.B) {
 // decisions, fewer explored states).
 func BenchmarkLLCPruned(b *testing.B) {
 	benchLLC(b, llc.Options{NonNegativeCosts: true})
-}
-
-// BenchmarkLLCPrunedParallel additionally fans the level-0 candidates
-// across one worker per CPU (per the -cpu flag).
-func BenchmarkLLCPrunedParallel(b *testing.B) {
-	benchLLC(b, llc.Options{NonNegativeCosts: true, Parallelism: runtime.GOMAXPROCS(0)})
 }
 
 // BenchmarkLLCBoundedPruned measures the bounded neighbourhood strategy

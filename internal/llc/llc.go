@@ -36,18 +36,16 @@
 // the incumbent — such a trajectory can only tie, and ties never displace
 // the incumbent, so the returned decision is bit-identical to the
 // unpruned search while Result.Explored (the paper's §4.3
-// controller-overhead metric) shrinks. Options.Parallelism additionally
-// fans the level-0 candidates out across worker goroutines that share the
-// incumbent bound through an atomic; per-worker results are merged in
-// candidate order, so the decision stays bit-identical at any worker
-// count (Explored then depends on pruning timing and may vary run to run).
+// controller-overhead metric) shrinks. One search runs on one goroutine:
+// Explored is a pure function of the model, the state and the forecasts,
+// so it can be gated byte-exact. Work fans out between independent
+// decisions (runs, tenants, sweep cells), never inside one.
 package llc
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"sync/atomic"
 )
 
 // Env is one sampled environment vector ω̂(q) — e.g. {arrival rate,
@@ -62,8 +60,7 @@ type Env []float64
 //
 // S is the state type and U the input type; both are opaque to the
 // framework. Methods must be pure functions of their arguments: the search
-// may evaluate them in any order, and with Options.Parallelism > 1 from
-// several goroutines at once.
+// may evaluate them in any order.
 type Model[S, U any] interface {
 	// Step predicts the successor state from s under input u and
 	// environment sample env.
@@ -82,7 +79,7 @@ type Model[S, U any] interface {
 }
 
 // Options tunes a search. The zero value selects sensible defaults and
-// reproduces the naive engine: no pruning, sequential exploration.
+// reproduces the naive engine: no pruning.
 //
 // One deliberate difference from the historical recursive engine at any
 // setting: a subtree none of whose completions has a finite, comparable
@@ -114,25 +111,10 @@ type Options struct {
 	// cannot improve the incumbent is skipped without calling
 	// Model.Inputs (or the neighbourhood function) on its states, so an
 	// ErrNoInputs that the naive search would have hit deep inside such
-	// a subtree may not surface — and with Parallelism > 1, whether it
-	// surfaces can depend on when other workers publish the shared
-	// bound. The bit-identical guarantee covers the returned decision;
-	// models should not rely on the search to probe states that cannot
-	// win.
+	// a subtree may not surface. The bit-identical guarantee covers the
+	// returned decision; models should not rely on the search to probe
+	// states that cannot win.
 	NonNegativeCosts bool
-
-	// Parallelism bounds the workers that fan out the level-0 candidate
-	// subtrees; values <= 1 run the classic sequential walk. Workers
-	// share the incumbent cost through an atomic bound (pruning requires
-	// NonNegativeCosts) and merge per-worker bests in candidate order,
-	// so the decision is bit-identical at any setting. Explored is
-	// deterministic at <= 1; with more workers it depends on how early
-	// each worker publishes its incumbent and may vary run to run.
-	// Unlike the application-level Parallelism knobs, 0 here means
-	// sequential, not one-per-CPU: the search is usually nested inside
-	// outer worker pools that already own the CPUs, so parallel search
-	// must be an explicit choice.
-	Parallelism int
 
 	// MaxExplored caps the state evaluations one search may perform — the
 	// deterministic analogue of a wall-clock decision deadline,
@@ -140,9 +122,6 @@ type Options struct {
 	// point is identical on every machine and every run. A search that
 	// exhausts the budget aborts with ErrBudget; callers fall back to
 	// safe settings for the tick and retry next period. 0 = unlimited.
-	// A positive budget forces the sequential walk (Parallelism is
-	// ignored): with parallel walkers the explored count at the trip
-	// point would depend on scheduling, breaking reproducibility.
 	MaxExplored int
 }
 
@@ -215,61 +194,34 @@ func checkEnvs(envs []([]Env)) error {
 // the package doc).
 func nominal(samples []Env) Env { return samples[len(samples)/2] }
 
-// search carries the shared engine configuration for both strategies.
-type search[S, U any] struct {
-	m          Model[S, U]
-	envs       []([]Env)
-	opt        Options
-	neighbours func(prev U, s S, level int) []U
-	seed       U
-}
-
 // inputsAt returns the candidate inputs at one tree level: the bounded
 // neighbourhood when one is installed, the model's full input set
 // otherwise. A plain method (not a per-call closure) so reusing a
 // Searcher allocates nothing.
-func (s *search[S, U]) inputsAt(st S, level int, prev U) []U {
-	if s.neighbours != nil {
-		return s.neighbours(prev, st, level)
+func (sr *Searcher[S, U]) inputsAt(st S, level int, prev U) []U {
+	if sr.neighbours != nil {
+		return sr.neighbours(prev, st, level)
 	}
-	return s.m.Inputs(st)
+	return sr.m.Inputs(st)
 }
 
-// finish merges per-walker incumbents (and errors) in candidate order and
-// assembles the Result exactly as the sequential walk would have.
-func (s *search[S, U]) finish(walkers []*walker[S, U]) (Result[S, U], error) {
-	var firstErr error
-	errRoot := -1
-	explored := 0
-	var best *walker[S, U]
-	for _, w := range walkers {
-		explored += w.explored
-		if w.err != nil && (errRoot < 0 || w.errRoot < errRoot) {
-			firstErr, errRoot = w.err, w.errRoot
-		}
-		if !w.bestSet {
-			continue
-		}
-		if best == nil || w.bestCost < best.bestCost ||
-			(w.bestCost == best.bestCost && w.bestRoot < best.bestRoot) {
-			best = w
-		}
+// finish assembles the Result from the walk's incumbent.
+func (sr *Searcher[S, U]) finish() (Result[S, U], error) {
+	if sr.err != nil {
+		return Result[S, U]{}, sr.err
 	}
-	if firstErr != nil {
-		return Result[S, U]{}, firstErr
-	}
-	if best == nil {
+	if !sr.bestSet {
 		return Result[S, U]{}, errors.New("llc: no finite-cost trajectory")
 	}
 	res := Result[S, U]{
-		Inputs:   best.bestInputs,
-		States:   best.bestStates,
-		Cost:     best.bestCost,
-		Explored: explored,
+		Inputs:   sr.bestInputs,
+		States:   sr.bestStates,
+		Cost:     sr.bestCost,
+		Explored: sr.explored,
 		Feasible: true,
 	}
 	for _, st := range res.States {
-		if !s.m.Feasible(st) {
+		if !sr.m.Feasible(st) {
 			res.Feasible = false
 			break
 		}
@@ -285,73 +237,26 @@ type frame[S, U any] struct {
 	idx   int
 }
 
-// walker owns the preallocated buffers for one depth-first exploration of
-// a subset of the level-0 candidates.
-type walker[S, U any] struct {
-	s  *search[S, U]
-	x0 S
-
-	roots  []U // all level-0 candidates (shared, read-only)
-	first  int // first root index owned by this walker
-	stride int // owned roots are first, first+stride, ...
-
-	frames []frame[S, U] // per-level cursors, frames[0] unused for cands
-	inputs []U           // current path: input chosen per level
-	states []S           // current path: nominal successor per level
-	stage  []float64     // current path: expected stage cost per level
-
-	bestSet    bool
-	bestCost   float64
-	bestRoot   int // level-0 candidate index of the incumbent
-	bestInputs []U
-	bestStates []S
-
-	explored int
-	err      error
-	errRoot  int // root index being explored when err was hit
-}
-
-// reset (re)arms the walker for one exploration: per-level buffers are
-// reallocated only when the horizon changed, so a Searcher reusing its
-// walkers performs no steady-state allocation.
-func (w *walker[S, U]) reset(x0 S, roots []U, first, stride int) {
-	if n := len(w.s.envs); len(w.frames) != n {
-		w.frames = make([]frame[S, U], n)
-		w.inputs = make([]U, n)
-		w.states = make([]S, n)
-		w.stage = make([]float64, n)
-		w.bestInputs = make([]U, n)
-		w.bestStates = make([]S, n)
+// reset (re)arms the Searcher for one exploration of roots from x0:
+// per-level buffers are reallocated only when the horizon changed, so a
+// reused Searcher performs no steady-state allocation.
+func (sr *Searcher[S, U]) reset(x0 S, roots []U) {
+	if n := len(sr.envs); len(sr.frames) != n {
+		sr.frames = make([]frame[S, U], n)
+		sr.inputs = make([]U, n)
+		sr.states = make([]S, n)
+		sr.stage = make([]float64, n)
+		sr.bestInputs = make([]U, n)
+		sr.bestStates = make([]S, n)
 	}
-	w.x0 = x0
-	w.roots = roots
-	w.first = first
-	w.stride = stride
-	w.bestSet = false
-	w.bestCost = math.Inf(1)
-	w.bestRoot = 0
-	w.explored = 0
-	w.err = nil
-	w.errRoot = 0
+	sr.frames[0] = frame[S, U]{x: x0, cands: roots}
+	sr.bestSet = false
+	sr.bestCost = math.Inf(1)
+	sr.explored = 0
+	sr.err = nil
 }
 
-// load reads the shared bound as a float64.
-func load(shared *atomic.Uint64) float64 { return math.Float64frombits(shared.Load()) }
-
-// publish CAS-mins cost into the shared bound.
-func publish(shared *atomic.Uint64, cost float64) {
-	for {
-		cur := shared.Load()
-		if !(cost < math.Float64frombits(cur)) {
-			return
-		}
-		if shared.CompareAndSwap(cur, math.Float64bits(cost)) {
-			return
-		}
-	}
-}
-
-// run explores every owned root subtree depth-first. The expected stage
+// walk explores the tree depth-first in candidate order. The expected stage
 // cost of the node entered at each level is accumulated in stage[];
 // trajectory costs are folded leaf-to-root (bound(), matching the original
 // recursive engine's summation order exactly), and under the
@@ -359,103 +264,72 @@ func publish(shared *atomic.Uint64, cost float64) {
 // every completion, enabling incumbent pruning.
 //
 //hpm:hotpath
-func (w *walker[S, U]) run(shared *atomic.Uint64) {
-	s := w.s
-	last := len(s.envs) - 1
-	prune := s.opt.NonNegativeCosts
-	penalty := s.opt.penalty()
-	maxExplored := s.opt.MaxExplored
-	for root := w.first; root < len(w.roots); root += w.stride {
-		w.frames[0].x = w.x0
-		lv := 0
-		rootDone := false
-		for !rootDone {
-			f := &w.frames[lv]
-			var u U
-			if lv == 0 {
-				// Level 0 holds exactly the single owned root; deeper
-				// levels iterate their own candidate lists.
-				u = w.roots[root]
-			} else {
-				if f.idx >= len(f.cands) {
-					lv--
-					if lv == 0 {
-						rootDone = true
-					}
-					continue
-				}
-				u = f.cands[f.idx]
-				f.idx++
-			}
+func (sr *Searcher[S, U]) walk() {
+	last := len(sr.envs) - 1
+	prune := sr.opt.NonNegativeCosts
+	penalty := sr.opt.penalty()
+	maxExplored := sr.opt.MaxExplored
+	for lv := 0; lv >= 0; {
+		f := &sr.frames[lv]
+		if f.idx >= len(f.cands) {
+			lv--
+			continue
+		}
+		u := f.cands[f.idx]
+		f.idx++
 
-			// Expected stage cost over the uncertainty samples (§4.2):
-			// each sample yields its own successor; the cost is their
-			// average. The nominal sample drives the state recursion.
-			samples := s.envs[lv]
-			stage := 0.0
-			for _, env := range samples {
-				next := s.m.Step(f.x, u, env)
-				w.explored++
-				if maxExplored > 0 && w.explored > maxExplored {
-					// Deterministic decision deadline: the budget is
-					// denominated in explored states, so the trip point
-					// is identical across runs and machines.
-					w.err = ErrBudget
-					w.errRoot = root
-					return
-				}
-				c := s.m.Cost(next, u, env)
-				if !s.m.Feasible(next) {
-					c += penalty
-				}
-				stage += c
-			}
-			stage /= float64(len(samples))
-			nominalNext := s.m.Step(f.x, u, nominal(samples))
-			w.inputs[lv] = u
-			w.states[lv] = nominalNext
-			w.stage[lv] = stage
-
-			b := w.bound(lv)
-			if prune && (b >= w.bestCost || (shared != nil && b > load(shared))) {
-				// Every completion costs at least b: it cannot strictly
-				// beat the incumbent, and ties never displace it. The
-				// strict > against the shared bound keeps equal-cost
-				// trajectories from lower candidate indices alive so the
-				// candidate-order merge stays bit-identical.
-				if lv == 0 {
-					rootDone = true
-				}
-				continue
-			}
-			if lv == last {
-				// b is the exact leaf-to-root cost of the full path.
-				if b < w.bestCost {
-					w.bestSet = true
-					w.bestCost = b
-					w.bestRoot = root
-					copy(w.bestInputs, w.inputs)
-					copy(w.bestStates, w.states)
-					if shared != nil {
-						publish(shared, b)
-					}
-				}
-				if lv == 0 {
-					rootDone = true
-				}
-				continue
-			}
-			nf := &w.frames[lv+1]
-			nf.x = nominalNext
-			nf.cands = s.inputsAt(nominalNext, lv+1, u)
-			nf.idx = 0
-			if len(nf.cands) == 0 {
-				w.err = fmt.Errorf("%w (level %d)", ErrNoInputs, lv+1)
-				w.errRoot = root
+		// Expected stage cost over the uncertainty samples (§4.2):
+		// each sample yields its own successor; the cost is their
+		// average. The nominal sample drives the state recursion.
+		samples := sr.envs[lv]
+		stage := 0.0
+		for _, env := range samples {
+			next := sr.m.Step(f.x, u, env)
+			sr.explored++
+			if maxExplored > 0 && sr.explored > maxExplored {
+				// Deterministic decision deadline: the budget is
+				// denominated in explored states, so the trip point
+				// is identical across runs and machines.
+				sr.err = ErrBudget
 				return
 			}
-			lv++
+			c := sr.m.Cost(next, u, env)
+			if !sr.m.Feasible(next) {
+				c += penalty
+			}
+			stage += c
 		}
+		stage /= float64(len(samples))
+		nominalNext := sr.m.Step(f.x, u, nominal(samples))
+		sr.inputs[lv] = u
+		sr.states[lv] = nominalNext
+		sr.stage[lv] = stage
+
+		b := sr.bound(lv)
+		if prune && b >= sr.bestCost {
+			// Every completion costs at least b: it cannot strictly
+			// beat the incumbent, and ties never displace it.
+			continue
+		}
+		if lv == last {
+			// b is the exact leaf-to-root cost of the full path.
+			if b < sr.bestCost {
+				sr.bestSet = true
+				sr.bestCost = b
+				copy(sr.bestInputs, sr.inputs)
+				copy(sr.bestStates, sr.states)
+			}
+			continue
+		}
+		nf := &sr.frames[lv+1]
+		nf.x = nominalNext
+		nf.cands = sr.inputsAt(nominalNext, lv+1, u)
+		nf.idx = 0
+		if len(nf.cands) == 0 {
+			sr.err = fmt.Errorf("%w (level %d)", ErrNoInputs, lv+1)
+			return
+		}
+		lv++
 	}
 }
 
@@ -466,10 +340,10 @@ func (w *walker[S, U]) run(shared *atomic.Uint64) {
 // inside the fold can only round upward, never below the prefix fold).
 //
 //hpm:hotpath
-func (w *walker[S, U]) bound(lv int) float64 {
-	acc := w.stage[lv]
+func (sr *Searcher[S, U]) bound(lv int) float64 {
+	acc := sr.stage[lv]
 	for l := lv - 1; l >= 0; l-- {
-		acc = w.stage[l] + acc
+		acc = sr.stage[l] + acc
 	}
 	return acc
 }

@@ -7,8 +7,8 @@ import (
 
 // This file preserves the original recursive, unpruned search engine as a
 // test oracle: the branch-and-bound engine must reproduce its decisions
-// bit-for-bit (inputs, states, cost, feasibility) and, when pruning and
-// parallelism are off, its exact Explored count and evaluation order.
+// bit-for-bit (inputs, states, cost, feasibility) and, when pruning is
+// off, its exact Explored count and evaluation order.
 
 type refSearch[S, U any] struct {
 	m        Model[S, U]

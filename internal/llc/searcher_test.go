@@ -17,7 +17,6 @@ func TestSearcherReuseMatchesFreshSearch(t *testing.T) {
 	for _, opt := range []Options{
 		{},
 		{NonNegativeCosts: true},
-		{NonNegativeCosts: true, Parallelism: 3},
 	} {
 		m := scalarModel{target: 5, inputs: []int{-2, -1, 0, 1, 2}, inputWeight: 0.01}
 		sr, err := NewSearcher[float64, int](m, opt)
@@ -50,7 +49,7 @@ func TestSearcherReuseMatchesFreshSearch(t *testing.T) {
 					t.Fatalf("decision %d (opt %+v): inputs %v, want %v", d, opt, got.Inputs, want.Inputs)
 				}
 			}
-			if opt.Parallelism <= 1 && got.Explored != want.Explored {
+			if got.Explored != want.Explored {
 				t.Fatalf("decision %d (opt %+v): explored %d, want %d", d, opt, got.Explored, want.Explored)
 			}
 		}
@@ -88,8 +87,8 @@ func TestSearcherBoundedReuseMatchesFreshSearch(t *testing.T) {
 	}
 }
 
-// TestSearcherWarmDecideZeroAlloc pins a warm sequential Searcher decide
-// at zero allocations per call: the walker buffers, candidate cursors and
+// TestSearcherWarmDecideZeroAlloc pins a warm Searcher decide
+// at zero allocations per call: the walk buffers, candidate cursors and
 // result slices are all reused.
 func TestSearcherWarmDecideZeroAlloc(t *testing.T) {
 	m := scalarModel{target: 5, inputs: []int{-2, -1, 0, 1, 2}, inputWeight: 0.01}

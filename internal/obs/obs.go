@@ -12,10 +12,11 @@
 // by the recorder equivalence suites in internal/controller and
 // internal/core).
 //
-// Writers may be concurrent (the L1 planning fan-out decides modules in
-// parallel); each Record call claims a distinct slot with one atomic
-// add. Readers must be externally synchronized with writers — the fleet
-// reads on the tenant's home shard, the CLIs read after the run.
+// Writers may be concurrent: each Record call claims a distinct slot with
+// one atomic add (the hierarchy itself writes from one goroutine — nothing
+// fans out inside a control tick — so its record sequence is
+// deterministic). Readers must be externally synchronized with writers —
+// the fleet reads on the tenant's home shard, the CLIs read after the run.
 package obs
 
 import (

@@ -161,8 +161,8 @@ func TestRecorderSinceEveryWindow(t *testing.T) {
 	}
 }
 
-// Concurrent writers (the parallel L1 fan-out) must be race-clean and
-// lose nothing when the ring is large enough.
+// Concurrent writers must be race-clean and lose nothing when the ring is
+// large enough.
 func TestRecorderConcurrentWriters(t *testing.T) {
 	const writers, each = 8, 500
 	r, err := NewRecorder(writers * each)

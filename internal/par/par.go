@@ -1,11 +1,19 @@
-// Package par provides the bounded fan-out primitive the concurrent
-// decision engine is built on. The hierarchy's structural parallelism
-// (§3's dimensionality argument: module-level controllers decide
-// independently) maps onto indexed task slots: workers pull task indices
-// from a shared counter, write results into per-index slots, and the
-// caller reduces the slots in index order — so a parallel run produces
-// bit-identical output to the sequential loop it replaces, regardless of
-// scheduling order. Workers == 1 degenerates to the plain inline loop.
+// Package par provides the bounded fan-out primitive for work that is
+// independent by construction: whole runs, tenants, sweep cells, candidate
+// shards and offline learning tasks. It maps them onto indexed task slots:
+// workers pull task indices from a shared counter, write results into
+// per-index slots, and the caller reduces the slots in index order — so a
+// parallel run produces bit-identical output to the sequential loop it
+// replaces, regardless of scheduling order. Workers == 1 degenerates to
+// the plain inline loop.
+//
+// The pool is never entered from inside the hierarchy's control tick: a
+// tick's L2, L1 and L0 decisions run on one goroutine, which keeps the
+// explored-state counters and the flight-recorder sequence deterministic
+// (hotalloc rejects a call into this package from a //hpm:hotpath
+// function). The centralized baseline's candidate shards are the one
+// decision that enters it, with per-shard incumbents so its explored
+// count is independent of the worker count by construction.
 package par
 
 import (
@@ -34,46 +42,7 @@ func Workers(n int) int {
 // inline in index order, stopping at the first error exactly like the
 // pre-parallel code did.
 func For(workers, n int, fn func(i int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, n)
-	var next atomic.Int64
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !failed.Load() {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if errs[i] = fn(i); errs[i] != nil {
-					failed.Store(true)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return ForCtx(context.Background(), workers, n, fn)
 }
 
 // Map runs fn(i) for every i in [0, n) across at most workers goroutines
@@ -81,19 +50,7 @@ func For(workers, n int, fn func(i int) error) error {
 // pattern the experiment sweeps share. On error the partial results are
 // dropped and the lowest-index error is returned, per For's contract.
 func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	err := For(workers, n, func(i int) error {
-		v, err := fn(i)
-		if err != nil {
-			return err
-		}
-		out[i] = v
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return MapCtx(context.Background(), workers, n, fn)
 }
 
 // ForCtx is For with cooperative cancellation: once ctx is cancelled,

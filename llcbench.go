@@ -15,10 +15,9 @@ import (
 // total states explored (the paper's controller-overhead metric) and mean
 // wall-clock nanoseconds per receding-horizon decision.
 type LLCBenchRow struct {
-	// Engine identifies the search variant: "naive" (unpruned,
-	// sequential — the original recursive engine's exploration),
-	// "pruned" (branch-and-bound), or "pruned-parallel" (branch-and-
-	// bound with level-0 fan-out).
+	// Engine identifies the search variant: "naive" (unpruned — the
+	// original recursive engine's exploration) or "pruned"
+	// (branch-and-bound).
 	Engine        string  `json:"engine"`
 	Explored      int     `json:"explored"`
 	NsPerDecision float64 `json:"nsPerDecision"`
@@ -32,28 +31,23 @@ type LLCBenchRow struct {
 // the engines were driven over and one row per engine. Decisions are
 // verified bit-identical across engines before the snapshot is returned.
 type LLCBenchSnapshot struct {
-	Computers   []string      `json:"computers"`
-	Horizon     int           `json:"horizon"`
-	Samples     int           `json:"samples"`
-	Decisions   int           `json:"decisions"`
-	Parallelism int           `json:"parallelism"`
-	Rows        []LLCBenchRow `json:"rows"`
+	Computers []string      `json:"computers"`
+	Horizon   int           `json:"horizon"`
+	Samples   int           `json:"samples"`
+	Decisions int           `json:"decisions"`
+	Rows      []LLCBenchRow `json:"rows"`
 }
 
-// RunLLCBench drives the naive, pruned, and pruned-parallel LLC engines
-// over an identical sequence of decisions on the paper's §4.3 module
-// (computers C1–C4, horizon 3, three uncertainty samples per step) and
-// reports explored states and ns/decision per engine. It errors if any
-// engine's decision sequence diverges from the naive engine's — the
-// snapshot doubles as an equivalence check. parallelism sets the
-// pruned-parallel engine's worker count (values < 2 are raised to 2 so
-// the row actually exercises the fan-out).
-func RunLLCBench(decisions, parallelism int) (LLCBenchSnapshot, error) {
+// RunLLCBench drives the naive and pruned LLC engines over an identical
+// sequence of decisions on the paper's §4.3 module (computers C1–C4,
+// horizon 3, three uncertainty samples per step) and reports explored
+// states and ns/decision per engine. It errors if the pruned engine's
+// decision sequence diverges from the naive engine's — the snapshot
+// doubles as an equivalence check. Explored is deterministic: two
+// generations differ only in the wall-clock columns.
+func RunLLCBench(decisions int) (LLCBenchSnapshot, error) {
 	if decisions < 1 {
 		return LLCBenchSnapshot{}, fmt.Errorf("hierctl: llc bench needs >= 1 decision, got %d", decisions)
-	}
-	if parallelism < 2 {
-		parallelism = 2
 	}
 	cfg := controller.DefaultL0Config()
 	names := []string{"C1", "C2", "C3", "C4"}
@@ -91,14 +85,12 @@ func RunLLCBench(decisions, parallelism int) (LLCBenchSnapshot, error) {
 	}{
 		{"naive", llc.Options{}},
 		{"pruned", llc.Options{NonNegativeCosts: true}},
-		{"pruned-parallel", llc.Options{NonNegativeCosts: true, Parallelism: parallelism}},
 	}
 	snap := LLCBenchSnapshot{
-		Computers:   names,
-		Horizon:     cfg.Horizon,
-		Samples:     3,
-		Decisions:   decisions * len(models),
-		Parallelism: parallelism,
+		Computers: names,
+		Horizon:   cfg.Horizon,
+		Samples:   3,
+		Decisions: decisions * len(models),
 	}
 	var reference []int
 	for _, eng := range engines {
