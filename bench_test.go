@@ -22,7 +22,6 @@ import (
 
 	"hierctl/internal/cluster"
 	"hierctl/internal/controller"
-	"hierctl/internal/fleet"
 	"hierctl/internal/forecast"
 	"hierctl/internal/queue"
 )
@@ -338,123 +337,6 @@ func BenchmarkAblationSweep(b *testing.B) {
 	}
 }
 
-// Tick benchmarks: the steady-state decision hot paths behind
-// BENCH_tick.json (run with -benchmem; CI does). They share the
-// driveTick* workload helpers with RunTickBench, so the snapshot and
-// this alarm wire measure the same steady state by construction. Warm
-// controllers must report 0 allocs/op for L0 and the table probe and 2
-// allocs/op (the returned decision's slices) for L1/L2.
-
-func tickGMaps(b *testing.B, n int) []*controller.GMap {
-	b.Helper()
-	gmaps, err := learnTickGMaps(n)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return gmaps
-}
-
-func BenchmarkTickL0Decide(b *testing.B) {
-	spec, err := cluster.StandardComputer(3, "C4")
-	if err != nil {
-		b.Fatal(err)
-	}
-	l0, err := controller.NewL0(controller.DefaultL0Config(), spec)
-	if err != nil {
-		b.Fatal(err)
-	}
-	lambda := make([]float64, 3)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := driveTickL0(l0, lambda, i); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTickL1Decide(b *testing.B) {
-	l1, err := controller.NewL1(controller.DefaultL1Config(), tickGMaps(b, 4))
-	if err != nil {
-		b.Fatal(err)
-	}
-	queues := make([]float64, 4)
-	avail := []bool{true, true, true, true}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := driveTickL1(l1, queues, avail, i); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTickL2Decide(b *testing.B) {
-	gmaps := tickGMaps(b, 4)
-	l0cfg := controller.DefaultL0Config()
-	l0cfg.Horizon = 2
-	tree, err := controller.LearnModuleTree(l0cfg, controller.DefaultL1Config(), gmaps, controller.DefaultModuleSimConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	jts := make([]controller.JTilde, 4)
-	for i := range jts {
-		jts[i] = tree
-	}
-	l2, err := controller.NewL2(controller.DefaultL2Config(), jts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	qavg := make([]float64, 4)
-	chat := []float64{0.0175, 0.0175, 0.0175, 0.0175}
-	avail := []bool{true, true, true, true}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := driveTickL2(l2, qavg, chat, avail, i); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTickTableProbe(b *testing.B) {
-	g := tickGMaps(b, 1)[0]
-	scratch := make([]float64, 4)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := driveTickProbe(g, scratch, i); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func benchmarkTickBin(b *testing.B, config func(int64) (fleet.TenantConfig, error)) {
-	tc, err := config(1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sess, err := newTickBinSession(tc)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < 2*len(tickBinCounts); i++ {
-		if err := driveTickBin(sess, i); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := driveTickBin(sess, i); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTickBinScale(b *testing.B) { benchmarkTickBin(b, fleetScaleTenantConfig) }
-func BenchmarkTickBinDepth(b *testing.B) { benchmarkTickBin(b, benchTenantConfig) }
-
 // Micro-benchmarks of the hot paths.
 
 func BenchmarkLLCExhaustiveSearch(b *testing.B) {
@@ -530,7 +412,7 @@ func BenchmarkPlantServeInterval(b *testing.B) {
 			comp.Enqueue(t+float64(r)*0.3, 0.0175)
 		}
 		t += 30
-		if err := comp.Advance(t, nil); err != nil {
+		if err := comp.Advance(t); err != nil {
 			b.Fatal(err)
 		}
 		comp.TakeIntervalStats()

@@ -13,7 +13,6 @@
 //	maprange        no order-sensitive map iteration in those packages
 //	hotalloc        no allocating constructs and no internal/par fan-out
 //	                in //hpm:hotpath functions
-//	rawgo           goroutine fan-out only via internal/par (or cmd/)
 //	metriclabel     constant, well-formed Prometheus registration;
 //	                label values constant or //hpm:boundedlabel
 //	hpmdirective    every //hpm: annotation parses (no typo'd escapes)
@@ -36,7 +35,6 @@ import (
 	"hierctl/internal/analysis/load"
 	"hierctl/internal/analysis/maprange"
 	"hierctl/internal/analysis/metriclabel"
-	"hierctl/internal/analysis/rawgo"
 	"hierctl/internal/analysis/simdeterminism"
 )
 
@@ -45,7 +43,6 @@ var analyzers = []*analysis.Analyzer{
 	simdeterminism.Analyzer,
 	maprange.Analyzer,
 	hotalloc.Analyzer,
-	rawgo.Analyzer,
 	metriclabel.Analyzer,
 	hpmdirective.Analyzer,
 }

@@ -3,8 +3,6 @@ package hierctl
 import (
 	"strings"
 	"testing"
-
-	"hierctl/internal/fleet"
 )
 
 func TestRunFleetBenchRejectsBadInputs(t *testing.T) {
@@ -82,39 +80,3 @@ func TestRunFleetBenchSmall(t *testing.T) {
 		t.Error("restored fleet diverged from the original on the next bin")
 	}
 }
-
-// benchmarkFleetIngest measures steady-state batched ingest: the fleet is
-// built outside the timer, then each iteration pushes one bin to every
-// tenant through a single batch call — ObserveBatch (a fresh result slice,
-// every entry's decision built), or with into the daemon's default path:
-// ObserveBatchInto over one reused slice, decisions off.
-func benchmarkFleetIngest(b *testing.B, n int, into bool) {
-	f, ids, err := newBenchFleet(n)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer f.Close()
-	count := fleetBenchAggregate / float64(n)
-	entries := make([]fleet.BatchEntry, n)
-	for i := range entries {
-		entries[i] = fleet.BatchEntry{Tenant: ids[i], Counts: []float64{count}}
-	}
-	var results []fleet.BatchResult
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !into {
-			results = nil
-		}
-		if results, err = observeRound(f, results, entries, !into); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	ticks := float64(n) * float64(b.N)
-	b.ReportMetric(ticks/b.Elapsed().Seconds(), "tenant-ticks/sec")
-}
-
-func BenchmarkFleetIngest64(b *testing.B)   { benchmarkFleetIngest(b, 64, false) }
-func BenchmarkFleetIngest1024(b *testing.B) { benchmarkFleetIngest(b, 1024, false) }
-func BenchmarkFleetBatchInto(b *testing.B)  { benchmarkFleetIngest(b, 1024, true) }

@@ -14,14 +14,11 @@
 //	//hpm:alloc <justification>      — sanctioned allocation site inside
 //	    a hotpath function (warm-up, cold subpath, or a copy-out counted
 //	    by the AllocsPerRun pins).
-//	//hpm:goroutine <justification>  — sanctioned bare `go` statement
-//	    outside internal/par and cmd/ (rawgo).
 //	//hpm:boundedlabel <justification> — a metric label value that is
 //	    not a constant but comes from a bounded set: an enum, a shard
 //	    index, a top-K ranking (metriclabel).
 //
-// Line-level directives (wallclock, orderfree, alloc, goroutine,
-// boundedlabel) apply
+// Line-level directives (wallclock, orderfree, alloc, boundedlabel) apply
 // to the line they sit on or the line immediately below — i.e. write
 // them at the end of the offending line or on their own line directly
 // above it. hotpath lives in the function's doc comment.
@@ -47,7 +44,6 @@ const (
 	Orderfree    Kind = "orderfree"
 	Hotpath      Kind = "hotpath"
 	Alloc        Kind = "alloc"
-	Goroutine    Kind = "goroutine"
 	Boundedlabel Kind = "boundedlabel"
 )
 
@@ -59,7 +55,6 @@ var known = map[Kind]bool{
 	Orderfree:    true,
 	Hotpath:      true,
 	Alloc:        true,
-	Goroutine:    true,
 	Boundedlabel: true,
 }
 
@@ -109,7 +104,7 @@ func ParseFile(fset *token.FileSet, f *ast.File) (Map, []Problem) {
 			if !known[kind] {
 				problems = append(problems, Problem{
 					Pos:     c.Pos(),
-					Message: "unknown //hpm: directive " + strings.TrimSpace(kindStr) + " (recognized: wallclock, orderfree, hotpath, alloc, goroutine, boundedlabel)",
+					Message: "unknown //hpm: directive " + strings.TrimSpace(kindStr) + " (recognized: wallclock, orderfree, hotpath, alloc, boundedlabel)",
 				})
 				continue
 			}

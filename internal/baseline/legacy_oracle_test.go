@@ -60,10 +60,7 @@ func legacyRun(spec cluster.Spec, policy Policy, trace *series.Series, store *wo
 		if err := plant.PowerOn(s.i, s.j); err != nil {
 			return nil, err
 		}
-		comp, err := plant.Computer(s.i, s.j)
-		if err != nil {
-			return nil, err
-		}
+		comp := plant.Computer(s.i, s.j)
 		if err := comp.SetFrequencyIndex(len(comp.Spec().FrequenciesHz) - 1); err != nil {
 			return nil, err
 		}
@@ -137,10 +134,7 @@ func legacyRun(spec cluster.Spec, policy Policy, trace *series.Series, store *wo
 			wantOn = want
 			on := 0
 			for _, s := range slots {
-				comp, err := plant.Computer(s.i, s.j)
-				if err != nil {
-					return nil, err
-				}
+				comp := plant.Computer(s.i, s.j)
 				operational := comp.State() == cluster.PowerOn || comp.State() == cluster.Booting
 				switch {
 				case on < wantOn && !operational && comp.State() != cluster.Failed:
@@ -160,10 +154,7 @@ func legacyRun(spec cluster.Spec, policy Policy, trace *series.Series, store *wo
 			// Frequency targets for the coming period.
 			perComp := lastRate / math.Max(1, float64(plant.OperationalComputers()))
 			for _, s := range slots {
-				comp, err := plant.Computer(s.i, s.j)
-				if err != nil {
-					return nil, err
-				}
+				comp := plant.Computer(s.i, s.j)
 				if !comp.Serving() && comp.State() != cluster.Booting {
 					continue
 				}
@@ -183,10 +174,7 @@ func legacyRun(spec cluster.Spec, policy Policy, trace *series.Series, store *wo
 				gc[i] = make([]float64, len(spec.Modules[i].Computers))
 			}
 			for _, s := range slots {
-				comp, err := plant.Computer(s.i, s.j)
-				if err != nil {
-					return nil, err
-				}
+				comp := plant.Computer(s.i, s.j)
 				if comp.State() == cluster.PowerOn {
 					gc[s.i][s.j] = 1
 					gm[s.i]++
@@ -250,15 +238,12 @@ func legacyRun(spec cluster.Spec, policy Policy, trace *series.Series, store *wo
 		return nil, err
 	}
 	plant.FinishAccounting()
-	res.Energy = plant.Accountant().TotalEnergy()
-	res.Switches = plant.Accountant().TotalSwitches()
+	res.Energy = plant.TotalEnergy()
+	res.Switches = plant.TotalSwitches()
 	var respAll float64
 	var respCount int64
 	for _, s := range slots {
-		comp, err := plant.Computer(s.i, s.j)
-		if err != nil {
-			return nil, err
-		}
+		comp := plant.Computer(s.i, s.j)
 		res.Completed += comp.TotalCompleted()
 		res.Dropped += comp.TotalDropped()
 		respAll += comp.LifetimeResponse().Mean() * float64(comp.LifetimeResponse().Count())

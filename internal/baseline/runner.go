@@ -167,11 +167,8 @@ func (r *runner) Decide(k int, obs engine.TickObs) (engine.Settings, error) {
 		wantOn := want
 		on := 0
 		for _, s := range r.slots {
-			comp, err := r.plant.Computer(s.i, s.j)
-			if err != nil {
-				return engine.Settings{}, err
-			}
-			operational := comp.State() == cluster.PowerOn || comp.State() == cluster.Booting
+			comp := r.plant.Computer(s.i, s.j)
+			operational := comp.Accepting()
 			switch {
 			case on < wantOn && !operational && comp.State() != cluster.Failed:
 				if err := r.plant.PowerOn(s.i, s.j); err != nil {
@@ -190,10 +187,7 @@ func (r *runner) Decide(k int, obs engine.TickObs) (engine.Settings, error) {
 		// Frequency targets for the coming period.
 		perComp := r.lastRate / math.Max(1, float64(r.plant.OperationalComputers()))
 		for _, s := range r.slots {
-			comp, err := r.plant.Computer(s.i, s.j)
-			if err != nil {
-				return engine.Settings{}, err
-			}
+			comp := r.plant.Computer(s.i, s.j)
 			if !comp.Serving() && comp.State() != cluster.Booting {
 				continue
 			}
@@ -215,11 +209,7 @@ func (r *runner) Decide(k int, obs engine.TickObs) (engine.Settings, error) {
 		gc[i] = make([]float64, len(r.spec.Modules[i].Computers))
 	}
 	for _, s := range r.slots {
-		comp, err := r.plant.Computer(s.i, s.j)
-		if err != nil {
-			return engine.Settings{}, err
-		}
-		if comp.State() == cluster.PowerOn {
+		if r.plant.Computer(s.i, s.j).State() == cluster.PowerOn {
 			gc[s.i][s.j] = 1
 			gm[s.i]++
 		}
@@ -267,7 +257,7 @@ func Run(spec cluster.Spec, policy Policy, trace *series.Series, store *workload
 	if err := h.RunTrace(trace); err != nil {
 		return nil, err
 	}
-	return finalize()
+	return finalize(), nil
 }
 
 // PrepareEngine builds the engine harness for a baseline run without
@@ -275,7 +265,7 @@ func Run(spec cluster.Spec, policy Policy, trace *series.Series, store *workload
 // interleave several clusters and impose budgets mid-run; Run is
 // PrepareEngine + Harness.RunTrace + finalize. The returned finalize
 // assembles the Result once the harness has finished.
-func PrepareEngine(spec cluster.Spec, policy Policy, trace *series.Series, store *workload.Store, cfg RunnerConfig) (*engine.Harness, func() (*Result, error), error) {
+func PrepareEngine(spec cluster.Spec, policy Policy, trace *series.Series, store *workload.Store, cfg RunnerConfig) (*engine.Harness, func() *Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
 	}
@@ -303,13 +293,9 @@ func PrepareEngine(spec cluster.Spec, policy Policy, trace *series.Series, store
 	if err != nil {
 		return nil, nil, err
 	}
-	finalize := func() (*Result, error) {
-		tot, err := h.Totals()
-		if err != nil {
-			return nil, err
-		}
-		r.res.Totals = tot
-		return r.res, nil
+	finalize := func() *Result {
+		r.res.Totals = h.Totals()
+		return r.res
 	}
 	return h, finalize, nil
 }

@@ -140,10 +140,7 @@ func legacyRun(spec cluster.Spec, trace *series.Series, store *workload.Store, c
 			}
 			avail := make([]bool, len(slots))
 			for idx, s := range slots {
-				comp, err := plant.Computer(s.i, s.j)
-				if err != nil {
-					return nil, err
-				}
+				comp := plant.Computer(s.i, s.j)
 				avail[idx] = comp.State() != cluster.Failed
 			}
 			dec, err := ctl.Decide(Observation{
@@ -157,10 +154,7 @@ func legacyRun(spec cluster.Spec, trace *series.Series, store *workload.Store, c
 				return nil, err
 			}
 			for idx, s := range slots {
-				comp, err := plant.Computer(s.i, s.j)
-				if err != nil {
-					return nil, err
-				}
+				comp := plant.Computer(s.i, s.j)
 				operational := comp.State() == cluster.PowerOn || comp.State() == cluster.Booting
 				if dec.Alpha[idx] && !operational {
 					if err := plant.PowerOn(s.i, s.j); err != nil {
@@ -188,10 +182,7 @@ func legacyRun(spec cluster.Spec, trace *series.Series, store *workload.Store, c
 				gc[i] = make([]float64, len(spec.Modules[i].Computers))
 			}
 			for idx, s := range slots {
-				comp, err := plant.Computer(s.i, s.j)
-				if err != nil {
-					return nil, err
-				}
+				comp := plant.Computer(s.i, s.j)
 				if comp.State() == cluster.PowerOn {
 					gc[s.i][s.j] = gamma[idx]
 					gm[s.i] += gamma[idx]
@@ -248,15 +239,12 @@ func legacyRun(spec cluster.Spec, trace *series.Series, store *workload.Store, c
 		return nil, err
 	}
 	plant.FinishAccounting()
-	res.Energy = plant.Accountant().TotalEnergy()
-	res.Switches = plant.Accountant().TotalSwitches()
+	res.Energy = plant.TotalEnergy()
+	res.Switches = plant.TotalSwitches()
 	var respAll float64
 	var respCount int64
 	for _, s := range slots {
-		comp, err := plant.Computer(s.i, s.j)
-		if err != nil {
-			return nil, err
-		}
+		comp := plant.Computer(s.i, s.j)
 		res.Completed += comp.TotalCompleted()
 		res.Dropped += comp.TotalDropped()
 		respAll += comp.LifetimeResponse().Mean() * float64(comp.LifetimeResponse().Count())

@@ -125,11 +125,7 @@ func (r *runner) Decide(k int, obs engine.TickObs) (engine.Settings, error) {
 		}
 		avail := make([]bool, len(r.slots))
 		for idx, s := range r.slots {
-			comp, err := r.plant.Computer(s.i, s.j)
-			if err != nil {
-				return engine.Settings{}, err
-			}
-			avail[idx] = comp.State() != cluster.Failed
+			avail[idx] = r.plant.Computer(s.i, s.j).State() != cluster.Failed
 		}
 		dec, err := r.ctl.Decide(Observation{
 			QueueLens: r.queues,
@@ -142,11 +138,7 @@ func (r *runner) Decide(k int, obs engine.TickObs) (engine.Settings, error) {
 			return engine.Settings{}, err
 		}
 		for idx, s := range r.slots {
-			comp, err := r.plant.Computer(s.i, s.j)
-			if err != nil {
-				return engine.Settings{}, err
-			}
-			operational := comp.State() == cluster.PowerOn || comp.State() == cluster.Booting
+			operational := r.plant.Computer(s.i, s.j).Accepting()
 			if dec.Alpha[idx] && !operational {
 				if err := r.plant.PowerOn(s.i, s.j); err != nil {
 					return engine.Settings{}, err
@@ -175,11 +167,7 @@ func (r *runner) Decide(k int, obs engine.TickObs) (engine.Settings, error) {
 		gc[i] = make([]float64, len(r.spec.Modules[i].Computers))
 	}
 	for idx, s := range r.slots {
-		comp, err := r.plant.Computer(s.i, s.j)
-		if err != nil {
-			return engine.Settings{}, err
-		}
-		if comp.State() == cluster.PowerOn {
+		if r.plant.Computer(s.i, s.j).State() == cluster.PowerOn {
 			gc[s.i][s.j] = r.gamma[idx]
 			gm[s.i] += r.gamma[idx]
 		}
@@ -269,12 +257,8 @@ func Run(spec cluster.Spec, trace *series.Series, store *workload.Store, cfg Run
 	if err := h.RunTrace(trace); err != nil {
 		return nil, err
 	}
-	tot, err := h.Totals()
-	if err != nil {
-		return nil, err
-	}
 	res := r.res
-	res.Totals = tot
+	res.Totals = h.Totals()
 	explored, decisions, compute := ctl.Overhead()
 	if decisions > 0 {
 		res.ExploredPerStep = float64(explored) / float64(decisions)

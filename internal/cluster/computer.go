@@ -57,7 +57,7 @@ func (s PowerState) String() string {
 
 // ComputerSpec describes one computer's hardware.
 type ComputerSpec struct {
-	// Name identifies the computer in reports and energy accounting.
+	// Name identifies the computer in reports.
 	Name string
 	// FrequenciesHz lists the discrete DVFS operating points in
 	// ascending order (Fig. 3). The scaling factor of the i-th point is
@@ -180,6 +180,13 @@ type Computer struct {
 	totalDropped   int64
 	totalResponse  metrics.Welford
 
+	// Energy books (§4.1): the integral of the power draw over the
+	// computer's clock, plus one transient per fresh boot the plant
+	// commanded (Plant.PowerOn books it).
+	energy    metrics.TimeWeighted
+	switches  int
+	transient float64
+
 	// sink receives every completed response time (optional).
 	sink *metrics.Histogram
 }
@@ -224,6 +231,15 @@ func (c *Computer) TotalDropped() int64 { return c.totalDropped }
 
 // LifetimeResponse returns the accumulator of all completed response times.
 func (c *Computer) LifetimeResponse() *metrics.Welford { return &c.totalResponse }
+
+// Energy returns the switch-on transients plus the power integral as far
+// as it is closed: the constant-draw stretch Advance last entered stays
+// open until the next one starts or Plant.FinishAccounting closes it at the
+// plant's clock.
+func (c *Computer) Energy() float64 { return c.energy.Total() + c.transient }
+
+// Switches returns how many fresh boots the plant commanded.
+func (c *Computer) Switches() int { return c.switches }
 
 // SetResponseSink registers a histogram that receives every completed
 // response time — the plant shares one across its computers so runs can
@@ -354,9 +370,8 @@ func (c *Computer) effectiveRate() float64 {
 }
 
 // Advance simulates the computer from its current time to t1, serving the
-// queue FCFS, and records power draw into acct (which may be nil for
-// tests that don't need energy accounting).
-func (c *Computer) Advance(t1 float64, acct *power.Accountant) error {
+// queue FCFS and integrating its power draw.
+func (c *Computer) Advance(t1 float64) error {
 	if t1 < c.now {
 		return fmt.Errorf("cluster: %s advance to %v before now %v", c.spec.Name, t1, c.now)
 	}
@@ -364,10 +379,10 @@ func (c *Computer) Advance(t1 float64, acct *power.Accountant) error {
 	for c.now < t1 {
 		switch c.state {
 		case PowerOff, Failed:
-			c.observePower(acct, 0)
+			c.energy.Observe(c.now, 0)
 			c.now = t1
 		case Booting:
-			c.observePower(acct, c.spec.Power.Base)
+			c.energy.Observe(c.now, c.spec.Power.Base)
 			if c.bootDoneAt > t1 {
 				c.now = t1
 			} else {
@@ -375,7 +390,7 @@ func (c *Computer) Advance(t1 float64, acct *power.Accountant) error {
 				c.state = PowerOn
 			}
 		case PowerOn, Draining:
-			c.observePower(acct, c.spec.Power.Draw(c.Phi(), true))
+			c.energy.Observe(c.now, c.spec.Power.Draw(c.Phi(), true))
 			c.serve(t1)
 			if c.state == Draining && c.QueueLen() == 0 {
 				c.state = PowerOff
@@ -387,12 +402,6 @@ func (c *Computer) Advance(t1 float64, acct *power.Accountant) error {
 		}
 	}
 	return nil
-}
-
-func (c *Computer) observePower(acct *power.Accountant, w float64) {
-	if acct != nil {
-		acct.Observe(c.spec.Name, c.now, w)
-	}
 }
 
 // serve processes the FCFS queue from c.now to t1 at the current rate.

@@ -28,7 +28,7 @@ func newOn(t *testing.T, spec ComputerSpec) *Computer {
 	if _, err := c.PowerOn(0); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Advance(spec.BootDelaySeconds, nil); err != nil {
+	if err := c.Advance(spec.BootDelaySeconds); err != nil {
 		t.Fatal(err)
 	}
 	if c.State() != PowerOn {
@@ -83,7 +83,7 @@ func TestFCFSResponseTimes(t *testing.T) {
 	// Two requests of 10 s demand arriving back to back at t=120.
 	c.Enqueue(120, 10)
 	c.Enqueue(120, 10)
-	if err := c.Advance(220, nil); err != nil {
+	if err := c.Advance(220); err != nil {
 		t.Fatal(err)
 	}
 	st := c.TakeIntervalStats()
@@ -108,7 +108,7 @@ func TestFrequencyScalesService(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Enqueue(120, 10)
-	if err := c.Advance(220, nil); err != nil {
+	if err := c.Advance(220); err != nil {
 		t.Fatal(err)
 	}
 	st := c.TakeIntervalStats()
@@ -125,7 +125,7 @@ func TestSpeedFactorScalesService(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Enqueue(120, 10)
-	if err := c.Advance(220, nil); err != nil {
+	if err := c.Advance(220); err != nil {
 		t.Fatal(err)
 	}
 	st := c.TakeIntervalStats()
@@ -139,8 +139,8 @@ func TestPartialServiceAcrossIntervals(t *testing.T) {
 	if err := c.SetFrequencyIndex(1); err != nil {
 		t.Fatal(err)
 	}
-	c.Enqueue(120, 50)                          // 50 s of work
-	if err := c.Advance(150, nil); err != nil { // 30 s served
+	c.Enqueue(120, 50)                     // 50 s of work
+	if err := c.Advance(150); err != nil { // 30 s served
 		t.Fatal(err)
 	}
 	st := c.TakeIntervalStats()
@@ -150,7 +150,7 @@ func TestPartialServiceAcrossIntervals(t *testing.T) {
 	if math.Abs(st.Busy-0.3/0.3*(30.0/30.0)) > 1e-9 && st.Busy != 1 {
 		t.Errorf("Busy = %v, want 1.0", st.Busy)
 	}
-	if err := c.Advance(200, nil); err != nil { // finishes at 170
+	if err := c.Advance(200); err != nil { // finishes at 170
 		t.Fatal(err)
 	}
 	st = c.TakeIntervalStats()
@@ -171,14 +171,14 @@ func TestFrequencyChangeMidService(t *testing.T) {
 	if err := c.SetFrequencyIndex(0); err != nil { // half speed
 		t.Fatal(err)
 	}
-	c.Enqueue(120, 20)                          // at φ=0.5 would take 40 s
-	if err := c.Advance(140, nil); err != nil { // serves 10 demand-units
+	c.Enqueue(120, 20)                     // at φ=0.5 would take 40 s
+	if err := c.Advance(140); err != nil { // serves 10 demand-units
 		t.Fatal(err)
 	}
 	if err := c.SetFrequencyIndex(1); err != nil { // full speed for the rest
 		t.Fatal(err)
 	}
-	if err := c.Advance(160, nil); err != nil { // 10 remaining at φ=1 → done at 150
+	if err := c.Advance(160); err != nil { // 10 remaining at φ=1 → done at 150
 		t.Fatal(err)
 	}
 	st := c.TakeIntervalStats()
@@ -206,14 +206,14 @@ func TestBootDeadTime(t *testing.T) {
 		t.Error("booting computer should accept (anticipatory routing)")
 	}
 	c.Enqueue(10, 5)
-	if err := c.Advance(100, nil); err != nil { // still booting (done at 120)
+	if err := c.Advance(100); err != nil { // still booting (done at 120)
 		t.Fatal(err)
 	}
 	st := c.TakeIntervalStats()
 	if st.Completed != 0 || st.QueueLen != 1 {
 		t.Fatalf("served during boot: completed=%d queue=%d", st.Completed, st.QueueLen)
 	}
-	if err := c.Advance(200, nil); err != nil { // boot at 120, serve 5 s → done 125
+	if err := c.Advance(200); err != nil { // boot at 120, serve 5 s → done 125
 		t.Fatal(err)
 	}
 	st = c.TakeIntervalStats()
@@ -267,7 +267,7 @@ func TestDrainSemantics(t *testing.T) {
 	if !c.Serving() {
 		t.Error("draining computer must keep serving")
 	}
-	if err := c.Advance(200, nil); err != nil { // drains at 150
+	if err := c.Advance(200); err != nil { // drains at 150
 		t.Fatal(err)
 	}
 	if c.State() != PowerOff {
@@ -335,39 +335,38 @@ func TestFailDropsQueueAndRepairRestores(t *testing.T) {
 }
 
 func TestEnergyAccountingStates(t *testing.T) {
-	acct := power.NewAccountant()
 	c, err := NewComputer(testSpec("c"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Off for 100 s: 0 energy.
-	if err := c.Advance(100, acct); err != nil {
+	if err := c.Advance(100); err != nil {
 		t.Fatal(err)
 	}
 	// Boot 120 s: base power 0.75 → 90 units.
 	if _, err := c.PowerOn(100); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Advance(220, acct); err != nil {
+	if err := c.Advance(220); err != nil {
 		t.Fatal(err)
 	}
 	// On at φ=1 for 100 s idle: (0.75 + 1) × 100 = 175.
 	if err := c.SetFrequencyIndex(1); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Advance(320, acct); err != nil {
+	if err := c.Advance(320); err != nil {
 		t.Fatal(err)
 	}
-	acct.FinishAt(320)
+	c.energy.FinishAt(320)
 	want := 90.0 + 175.0
-	if got := acct.Energy("c"); math.Abs(got-want) > 1e-6 {
+	if got := c.Energy(); math.Abs(got-want) > 1e-6 {
 		t.Errorf("Energy = %v, want %v", got, want)
 	}
 }
 
 func TestAdvanceBackwardsRejected(t *testing.T) {
 	c := newOn(t, testSpec("c"))
-	if err := c.Advance(50, nil); err == nil {
+	if err := c.Advance(50); err == nil {
 		t.Error("backwards advance: want error")
 	}
 }
@@ -389,7 +388,7 @@ func TestIdleGapsBetweenArrivals(t *testing.T) {
 	}
 	c.Enqueue(130, 5) // served 130–135
 	c.Enqueue(160, 5) // idle 135–160, served 160–165
-	if err := c.Advance(200, nil); err != nil {
+	if err := c.Advance(200); err != nil {
 		t.Fatal(err)
 	}
 	st := c.TakeIntervalStats()
@@ -410,7 +409,7 @@ func TestLifetimeCounters(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		c.Enqueue(120+float64(i), 1)
 	}
-	if err := c.Advance(300, nil); err != nil {
+	if err := c.Advance(300); err != nil {
 		t.Fatal(err)
 	}
 	if c.TotalCompleted() != 5 {

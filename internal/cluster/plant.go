@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"hierctl/internal/metrics"
-	"hierctl/internal/power"
 	"hierctl/internal/workload"
 )
 
@@ -78,12 +77,12 @@ func (s Spec) Computers() int {
 	return n
 }
 
-// Plant is the simulated cluster: all computers, the dispatcher, and the
-// energy accounting. Construct with NewPlant.
+// Plant is the simulated cluster: all computers and the dispatcher. Each
+// computer keeps its own energy books; the plant totals them. Construct
+// with NewPlant.
 type Plant struct {
 	spec      Spec
 	modules   [][]*Computer
-	acct      *power.Accountant
 	rng       *rand.Rand
 	now       float64
 	misroute  int64
@@ -102,7 +101,6 @@ func NewPlant(spec Spec, rng *rand.Rand) (*Plant, error) {
 	p := &Plant{
 		spec:      spec,
 		modules:   make([][]*Computer, len(spec.Modules)),
-		acct:      power.NewAccountant(),
 		rng:       rng,
 		latencies: metrics.DefaultLatencyHistogram(),
 	}
@@ -137,7 +135,13 @@ func (p *Plant) Modules() int { return len(p.modules) }
 func (p *Plant) ModuleSize(i int) int { return len(p.modules[i]) }
 
 // Computer returns the computer j of module i for observation and control.
-func (p *Plant) Computer(i, j int) (*Computer, error) {
+// Like a slice index it panics out of range: callers hold indices they
+// obtained from Modules and ModuleSize.
+func (p *Plant) Computer(i, j int) *Computer { return p.modules[i][j] }
+
+// checked is Computer for indices that arrive from outside — a failure plan
+// or a caller's command — and so are reported, not trusted.
+func (p *Plant) checked(i, j int) (*Computer, error) {
 	if i < 0 || i >= len(p.modules) {
 		return nil, fmt.Errorf("cluster: module index %d outside [0, %d)", i, len(p.modules))
 	}
@@ -147,8 +151,27 @@ func (p *Plant) Computer(i, j int) (*Computer, error) {
 	return p.modules[i][j], nil
 }
 
-// Accountant exposes the plant's energy accounting.
-func (p *Plant) Accountant() *power.Accountant { return p.acct }
+// TotalEnergy sums the computers' energy in module-major order.
+func (p *Plant) TotalEnergy() float64 {
+	sum := 0.0
+	for i := range p.modules {
+		for _, c := range p.modules[i] {
+			sum += c.Energy()
+		}
+	}
+	return sum
+}
+
+// TotalSwitches sums the computers' power-ons.
+func (p *Plant) TotalSwitches() int {
+	sum := 0
+	for i := range p.modules {
+		for _, c := range p.modules[i] {
+			sum += c.switches
+		}
+	}
+	return sum
+}
 
 // Misroutes returns how many requests could not be routed per the supplied
 // fractions (their targets were not accepting) and fell back to another
@@ -158,7 +181,7 @@ func (p *Plant) Misroutes() int64 { return p.misroute }
 // PowerOn commands computer j of module i on, charging the transient
 // switching cost if a fresh boot starts (the ‖Δα‖_W term of Eq. 14).
 func (p *Plant) PowerOn(i, j int) error {
-	c, err := p.Computer(i, j)
+	c, err := p.checked(i, j)
 	if err != nil {
 		return err
 	}
@@ -167,14 +190,15 @@ func (p *Plant) PowerOn(i, j int) error {
 		return err
 	}
 	if fresh {
-		p.acct.RecordSwitch(c.spec.Name, c.spec.Power.SwitchCost)
+		c.switches++
+		c.transient += c.spec.Power.SwitchCost
 	}
 	return nil
 }
 
 // PowerOff commands computer j of module i off (drain semantics).
 func (p *Plant) PowerOff(i, j int) error {
-	c, err := p.Computer(i, j)
+	c, err := p.checked(i, j)
 	if err != nil {
 		return err
 	}
@@ -183,7 +207,7 @@ func (p *Plant) PowerOff(i, j int) error {
 
 // SetFrequency selects DVFS operating point idx on computer j of module i.
 func (p *Plant) SetFrequency(i, j, idx int) error {
-	c, err := p.Computer(i, j)
+	c, err := p.checked(i, j)
 	if err != nil {
 		return err
 	}
@@ -192,7 +216,7 @@ func (p *Plant) SetFrequency(i, j, idx int) error {
 
 // Fail crashes computer j of module i (failure injection).
 func (p *Plant) Fail(i, j int) error {
-	c, err := p.Computer(i, j)
+	c, err := p.checked(i, j)
 	if err != nil {
 		return err
 	}
@@ -202,7 +226,7 @@ func (p *Plant) Fail(i, j int) error {
 
 // Repair restores a failed computer to Off.
 func (p *Plant) Repair(i, j int) error {
-	c, err := p.Computer(i, j)
+	c, err := p.checked(i, j)
 	if err != nil {
 		return err
 	}
@@ -309,7 +333,7 @@ func (p *Plant) Advance(t1 float64) error {
 	}
 	for i := range p.modules {
 		for _, c := range p.modules[i] {
-			if err := c.Advance(t1, p.acct); err != nil {
+			if err := c.Advance(t1); err != nil {
 				return err
 			}
 		}
@@ -320,7 +344,13 @@ func (p *Plant) Advance(t1 float64) error {
 
 // FinishAccounting closes the energy integrals at the current time; call
 // once at the end of a run before reading energies.
-func (p *Plant) FinishAccounting() { p.acct.FinishAt(p.now) }
+func (p *Plant) FinishAccounting() {
+	for i := range p.modules {
+		for _, c := range p.modules[i] {
+			c.energy.FinishAt(p.now)
+		}
+	}
+}
 
 // OperationalComputers counts computers currently On or Booting — the
 // "number of operational computers" series of Figs. 4 and 6.
@@ -328,7 +358,7 @@ func (p *Plant) OperationalComputers() int {
 	n := 0
 	for i := range p.modules {
 		for _, c := range p.modules[i] {
-			if c.State() == PowerOn || c.State() == Booting {
+			if c.Accepting() {
 				n++
 			}
 		}

@@ -99,10 +99,10 @@ func TestDispatchFractionsRespected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c00, _ := p.Computer(0, 0)
-	c01, _ := p.Computer(0, 1)
-	c10, _ := p.Computer(1, 0)
-	c11, _ := p.Computer(1, 1)
+	c00 := p.Computer(0, 0)
+	c01 := p.Computer(0, 1)
+	c10 := p.Computer(1, 0)
+	c11 := p.Computer(1, 1)
 	m1 := c00.QueueLen() + c01.QueueLen()
 	m2 := c10.QueueLen() + c11.QueueLen()
 	if frac := float64(m1) / n; math.Abs(frac-0.8) > 0.02 {
@@ -144,7 +144,7 @@ func TestDispatchFallbackOnNotAccepting(t *testing.T) {
 	if err := p.Dispatch(reqs, []float64{1, 0}, [][]float64{{1, 0}, {1, 0}}); err != nil {
 		t.Fatal(err)
 	}
-	c01, _ := p.Computer(0, 1)
+	c01 := p.Computer(0, 1)
 	if c01.QueueLen() != 2 {
 		t.Errorf("fallback target queue = %d, want 2", c01.QueueLen())
 	}
@@ -167,7 +167,7 @@ func TestDispatchZeroFractionsFallsBackToUniform(t *testing.T) {
 	total := 0
 	for i := 0; i < p.Modules(); i++ {
 		for j := 0; j < p.ModuleSize(i); j++ {
-			c, _ := p.Computer(i, j)
+			c := p.Computer(i, j)
 			total += c.QueueLen()
 		}
 	}
@@ -243,17 +243,51 @@ func TestPlantEnergyAccumulates(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.FinishAccounting()
-	acct := p.Accountant()
-	if acct.TotalSwitches() != 1 {
-		t.Errorf("switches = %d, want 1", acct.TotalSwitches())
+	if p.TotalSwitches() != 1 {
+		t.Errorf("switches = %d, want 1", p.TotalSwitches())
 	}
 	// Boot 120 s at 0.75 + 880 s at 0.75+0.25 (φ=0.5 idle draw) + switch 8.
 	want := 120*0.75 + 880*(0.75+0.25) + 8
-	if got := acct.Energy("m1c1"); math.Abs(got-want) > 1e-6 {
+	if got := p.Computer(0, 0).Energy(); math.Abs(got-want) > 1e-6 {
 		t.Errorf("Energy = %v, want %v", got, want)
 	}
-	if got := acct.Energy("m2c2"); got != 0 {
+	if got := p.Computer(1, 1).Energy(); got != 0 {
 		t.Errorf("off computer energy = %v, want 0", got)
+	}
+
+	// Additivity: whatever the computers went through, the plant's totals
+	// are the module-major sums of theirs.
+	if err := p.PowerOn(1, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.SetFrequency(1, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Advance(1500); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.PowerOff(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.PowerOn(0, 0); err != nil { // a second fresh boot
+		t.Fatal(err)
+	}
+	if err := p.Advance(2000); err != nil {
+		t.Fatal(err)
+	}
+	p.FinishAccounting()
+	energy, switches := 0.0, 0
+	for i := 0; i < p.Modules(); i++ {
+		for j := 0; j < p.ModuleSize(i); j++ {
+			energy += p.Computer(i, j).Energy()
+			switches += p.Computer(i, j).Switches()
+		}
+	}
+	if got := p.TotalEnergy(); got != energy || got <= want {
+		t.Errorf("TotalEnergy = %v, want the computers' sum %v (> %v)", got, energy, want)
+	}
+	if got := p.TotalSwitches(); got != switches || got != 3 {
+		t.Errorf("TotalSwitches = %d, want the computers' sum %d = 3", got, switches)
 	}
 }
 
@@ -263,7 +297,7 @@ func TestPlantFailRepair(t *testing.T) {
 	if err := p.Fail(0, 0); err != nil {
 		t.Fatal(err)
 	}
-	c, _ := p.Computer(0, 0)
+	c := p.Computer(0, 0)
 	if c.State() != Failed {
 		t.Errorf("state = %v, want failed", c.State())
 	}
@@ -280,10 +314,10 @@ func TestPlantFailRepair(t *testing.T) {
 
 func TestPlantIndexErrors(t *testing.T) {
 	p := newPlant(t, twoModuleSpec())
-	if _, err := p.Computer(9, 0); err == nil {
+	if err := p.PowerOff(9, 0); err == nil {
 		t.Error("bad module: want error")
 	}
-	if _, err := p.Computer(0, 9); err == nil {
+	if err := p.Fail(0, 9); err == nil {
 		t.Error("bad computer: want error")
 	}
 	if err := p.PowerOn(9, 0); err == nil {
@@ -417,7 +451,7 @@ func TestConservationNoControlLoss(t *testing.T) {
 	completed := int64(0)
 	for i := 0; i < p.Modules(); i++ {
 		for j := 0; j < p.ModuleSize(i); j++ {
-			c, _ := p.Computer(i, j)
+			c := p.Computer(i, j)
 			completed += c.TotalCompleted()
 		}
 	}

@@ -223,7 +223,7 @@ func TestComputerRingMatchesSliceQueue(t *testing.T) {
 				ref.enqueue(a, demand)
 			}
 			now += dt
-			if err := ring.Advance(now, nil); err != nil {
+			if err := ring.Advance(now); err != nil {
 				t.Fatal(err)
 			}
 			ref.advance(now)
@@ -280,7 +280,7 @@ func TestComputerQueueBounded(t *testing.T) {
 			c.Enqueue(now+float64(i)/perTick, 0.02)
 		}
 		now++
-		if err := c.Advance(now, nil); err != nil {
+		if err := c.Advance(now); err != nil {
 			t.Fatal(err)
 		}
 		if c.QueueLen() == 0 || c.QueueLen() > 64 || c.headServed <= 0 {

@@ -37,11 +37,6 @@ type L0Config struct {
 	// averaged over {λ̂−δ, λ̂, λ̂+δ}, so the processor hedges against
 	// arrival bursts instead of riding the queue at the set-point.
 	UncertaintySamples bool
-	// MaxExplored caps the states one Decide's lookahead search may
-	// evaluate — the deterministic per-tick decision deadline. A search
-	// exhausting it fails with llc.ErrBudget and the caller applies safe
-	// fallback settings for the tick. 0 = unlimited.
-	MaxExplored int
 }
 
 // EffectiveTarget returns the tightened internal set-point
@@ -79,9 +74,6 @@ func (c L0Config) Validate() error {
 	}
 	if c.SlackWeight < 0 || c.PowerWeight < 0 {
 		return fmt.Errorf("controller: L0 weights (%v, %v) negative", c.SlackWeight, c.PowerWeight)
-	}
-	if c.MaxExplored < 0 {
-		return fmt.Errorf("controller: L0 explored budget %d < 0", c.MaxExplored)
 	}
 	return nil
 }
@@ -165,10 +157,7 @@ func NewL0(cfg L0Config, spec cluster.ComputerSpec) (*L0, error) {
 	if err != nil {
 		return nil, err
 	}
-	sr, err := llc.NewSearcher[queue.State, int](m, llc.Options{
-		NonNegativeCosts: true,
-		MaxExplored:      cfg.MaxExplored,
-	})
+	sr, err := llc.NewSearcher[queue.State, int](m, llc.Options{NonNegativeCosts: true})
 	if err != nil {
 		return nil, err
 	}
@@ -223,16 +212,11 @@ func newL0Model(cfg L0Config, spec cluster.ComputerSpec) (*l0Model, error) {
 // Config returns the controller's configuration.
 func (l *L0) Config() L0Config { return l.cfg }
 
-// SetMaxExplored replaces the decision budget for subsequent searches
-// (see L0Config.MaxExplored); n <= 0 removes it. It lets a runtime chaos
-// plan squeeze the budget of an already-constructed controller.
-func (l *L0) SetMaxExplored(n int) {
-	if n < 0 {
-		n = 0
-	}
-	l.cfg.MaxExplored = n
-	l.searcher.SetMaxExplored(n)
-}
+// SetMaxExplored caps the states each subsequent Decide's lookahead search
+// may evaluate (see llc.Searcher.SetMaxExplored); n <= 0 removes the cap. A
+// Decide that exhausts it fails with llc.ErrBudget and the caller applies
+// safe fallback settings for the tick.
+func (l *L0) SetMaxExplored(n int) { l.searcher.SetMaxExplored(n) }
 
 // SetRecorder attaches a decision flight recorder (nil detaches) and
 // names the (module, computer) coordinates stamped onto records.

@@ -60,12 +60,6 @@ type L1Config struct {
 	// remains deterministic. Disable for custom maps that can price
 	// candidates negatively.
 	NonNegativeCosts bool
-	// MaxExplored caps the candidate-state evaluations one Decide may
-	// perform — the deterministic per-tick decision deadline. A search
-	// exhausting the budget fails with llc.ErrBudget; the caller applies
-	// deterministic safe fallback settings for the tick and searches
-	// again next period. 0 = unlimited.
-	MaxExplored int
 }
 
 // DefaultL1Config returns the paper's §4.3 settings.
@@ -106,9 +100,6 @@ func (c L1Config) Validate() error {
 	}
 	if c.StabilityUtil <= 0 || c.StabilityUtil > 1 {
 		return fmt.Errorf("controller: L1 stability utilization %v outside (0, 1]", c.StabilityUtil)
-	}
-	if c.MaxExplored < 0 {
-		return fmt.Errorf("controller: L1 explored budget %d < 0", c.MaxExplored)
 	}
 	return nil
 }
@@ -234,6 +225,8 @@ type L1 struct {
 	explored    int
 	decisions   int
 	computeTime time.Duration
+	// maxExplored is the decision budget (see SetMaxExplored); 0 = none.
+	maxExplored int
 
 	// Flight recorder (nil = disabled) and the module index stamped onto
 	// records.
@@ -329,15 +322,12 @@ func (l *L1) record(dec L1Decision, cost float64, elapsed time.Duration) {
 	}
 }
 
-// SetMaxExplored replaces the decision budget for subsequent searches
-// (see L1Config.MaxExplored); n <= 0 removes it. It lets a runtime chaos
-// plan squeeze the budget of an already-constructed controller.
-func (l *L1) SetMaxExplored(n int) {
-	if n < 0 {
-		n = 0
-	}
-	l.cfg.MaxExplored = n
-}
+// SetMaxExplored caps the candidate-state evaluations each subsequent
+// Decide may perform — the deterministic per-tick decision deadline (see
+// llc.Searcher.SetMaxExplored); n <= 0 removes the cap. A Decide that
+// exhausts it fails with llc.ErrBudget; the caller applies deterministic
+// safe fallback settings for the tick and searches again next period.
+func (l *L1) SetMaxExplored(n int) { l.maxExplored = n }
 
 // SetState overrides the controller's notion of the previous decision —
 // used when the manager forces a configuration (e.g. initial state).
@@ -416,10 +406,10 @@ func (l *L1) Decide(obs L1Observation) (L1Decision, error) {
 				}
 				sum += c
 				explored++
-				if l.cfg.MaxExplored > 0 && explored > l.cfg.MaxExplored {
-					// Deterministic decision deadline (see
-					// L1Config.MaxExplored): the counter is scheduling-free,
-					// so the trip point is identical on every run.
+				if l.maxExplored > 0 && explored > l.maxExplored {
+					// Deterministic decision deadline (see SetMaxExplored):
+					// the counter is scheduling-free, so the trip point is
+					// identical on every run.
 					return L1Decision{}, fmt.Errorf("controller: L1 search: %w", llc.ErrBudget)
 				}
 				if l.cfg.NonNegativeCosts && llc.PrunePartialMean(sum, len(samples), si, bestCost) {

@@ -43,12 +43,6 @@ type L2Config struct {
 	// incumbent (identical modules otherwise tie exactly and the
 	// enumeration order would starve some of them).
 	DeltaWeight float64
-	// MaxExplored caps the candidate-state evaluations one Decide may
-	// perform — the deterministic per-tick decision deadline. A search
-	// exhausting the budget fails with llc.ErrBudget; the caller applies
-	// deterministic safe fallback settings for the tick and searches
-	// again next period. 0 = unlimited.
-	MaxExplored int
 }
 
 // DefaultL2Config returns the paper's §5.2 settings.
@@ -81,9 +75,6 @@ func (c L2Config) Validate() error {
 	}
 	if c.DeltaWeight < 0 {
 		return fmt.Errorf("controller: L2 delta weight %v < 0", c.DeltaWeight)
-	}
-	if c.MaxExplored < 0 {
-		return fmt.Errorf("controller: L2 explored budget %d < 0", c.MaxExplored)
 	}
 	return nil
 }
@@ -168,6 +159,8 @@ type L2 struct {
 	explored    int
 	decisions   int
 	computeTime time.Duration
+	// maxExplored is the decision budget (see SetMaxExplored); 0 = none.
+	maxExplored int
 
 	// Flight recorder (nil = disabled).
 	rec *flight.Recorder
@@ -213,15 +206,10 @@ func (l *L2) Modules() int { return len(l.jtildes) }
 // decisions are identical with it on or off.
 func (l *L2) SetRecorder(r *flight.Recorder) { l.rec = r }
 
-// SetMaxExplored replaces the decision budget for subsequent searches
-// (see L2Config.MaxExplored); n <= 0 removes it. It lets a runtime chaos
-// plan squeeze the budget of an already-constructed controller.
-func (l *L2) SetMaxExplored(n int) {
-	if n < 0 {
-		n = 0
-	}
-	l.cfg.MaxExplored = n
-}
+// SetMaxExplored caps the candidate-state evaluations each subsequent
+// Decide may perform, exactly as L1.SetMaxExplored does; n <= 0 removes
+// the cap.
+func (l *L2) SetMaxExplored(n int) { l.maxExplored = n }
 
 // Decide solves the L2 optimization (Eq. 15): choose {γ_i} minimizing
 // Σ_i J̃_i. The quantized simplex is enumerated exhaustively while small
@@ -318,9 +306,8 @@ func (l *L2) Decide(obs L2Observation) (L2Decision, error) {
 				sum += c
 			}
 			explored++
-			if l.cfg.MaxExplored > 0 && explored > l.cfg.MaxExplored {
-				// Deterministic decision deadline (see
-				// L2Config.MaxExplored).
+			if l.maxExplored > 0 && explored > l.maxExplored {
+				// Deterministic decision deadline (see SetMaxExplored).
 				return L2Decision{}, fmt.Errorf("controller: L2 search: %w", llc.ErrBudget)
 			}
 			// The reallocation term added below is non-negative, so the

@@ -225,15 +225,12 @@ func legacyMechanicsRun(m *Manager, trace *series.Series, store *workload.Store)
 		return nil, err
 	}
 	plant.FinishAccounting()
-	tot.Energy = plant.Accountant().TotalEnergy()
-	tot.Switches = plant.Accountant().TotalSwitches()
+	tot.Energy = plant.TotalEnergy()
+	tot.Switches = plant.TotalSwitches()
 	tot.ResponseP95 = plant.Latencies().Quantile(0.95)
 	for i := range m.modules {
 		for j := 0; j < plant.ModuleSize(i); j++ {
-			c, err := plant.Computer(i, j)
-			if err != nil {
-				return nil, err
-			}
+			c := plant.Computer(i, j)
 			tot.Completed += c.TotalCompleted()
 			tot.Dropped += c.TotalDropped()
 		}
@@ -241,7 +238,7 @@ func legacyMechanicsRun(m *Manager, trace *series.Series, store *workload.Store)
 	if responseBins > 0 {
 		tot.ViolationFrac = float64(violations) / float64(responseBins)
 	}
-	return r.finish(tot)
+	return r.finish(tot), nil
 }
 
 // TestRunMatchesLegacyMechanics pins the engine migration for the

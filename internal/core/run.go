@@ -81,6 +81,9 @@ type run struct {
 	// freqIdx is the last L0 frequency decision per computer (-1 while
 	// off or failed), captured for the per-bin decision payload.
 	freqIdx [][]int
+	// freqSeries is rec.FreqByComputer by (module, computer), resolved once
+	// in initSeries; nil when the frequencies are not recorded.
+	freqSeries [][]*series.Series
 
 	gammaModules []float64
 	// lambdaGRate is the cluster arrival-rate forecast at the last L2
@@ -215,12 +218,8 @@ func (r *run) Decide(k int, obs engine.TickObs) (engine.Settings, error) {
 	for i, asm := range m.modules {
 		weights := r.weights[i]
 		for j := range asm.specs {
-			comp, err := r.plant.Computer(i, j)
-			if err != nil {
-				return engine.Settings{}, err
-			}
 			weights[j] = 0
-			if comp.State() == cluster.PowerOn {
+			if r.plant.Computer(i, j).State() == cluster.PowerOn {
 				weights[j] = asm.gamma[j]
 			}
 		}
@@ -273,11 +272,7 @@ func (r *run) fallbackL1(i int) (controller.L1Decision, error) {
 	alpha := make([]bool, len(asm.specs))
 	avail := 0
 	for j := range asm.specs {
-		c, err := r.plant.Computer(i, j)
-		if err != nil {
-			return controller.L1Decision{}, err
-		}
-		if c.State() != cluster.Failed {
+		if r.plant.Computer(i, j).State() != cluster.Failed {
 			alpha[j] = true
 			avail++
 		}
@@ -420,11 +415,7 @@ func (r *run) planL1(i int, k int) (l1Plan, error) {
 	queues, avail := asm.obsQueues, asm.obsAvail
 	for j := range asm.specs {
 		queues[j] = float64(asm.lastPer[j].QueueLen)
-		comp, err := r.plant.Computer(i, j)
-		if err != nil {
-			return plan, err
-		}
-		avail[j] = comp.State() != cluster.Failed
+		avail[j] = r.plant.Computer(i, j).State() != cluster.Failed
 	}
 	own := asm.predictedTL1 / m.cfg.L1.PeriodSeconds
 	lambdaHat := asm.pendingRatio * own
@@ -475,12 +466,12 @@ func (r *run) applyL1(i int, plan l1Plan) error {
 	}
 	dec := plan.dec
 	for j := range asm.specs {
-		if dec.Alpha[j] && !r.isOperational(i, j) {
+		switch on := r.plant.Computer(i, j).Accepting(); {
+		case dec.Alpha[j] && !on:
 			if err := r.plant.PowerOn(i, j); err != nil {
 				return err
 			}
-		}
-		if !dec.Alpha[j] && r.isOperational(i, j) {
+		case !dec.Alpha[j] && on:
 			if err := r.plant.PowerOff(i, j); err != nil {
 				return err
 			}
@@ -489,15 +480,6 @@ func (r *run) applyL1(i int, plan l1Plan) error {
 	asm.alpha = dec.Alpha
 	asm.gamma = dec.Gamma
 	return nil
-}
-
-// isOperational reports whether computer (i, j) is on or booting.
-func (r *run) isOperational(i, j int) bool {
-	c, err := r.plant.Computer(i, j)
-	if err != nil {
-		return false
-	}
-	return c.State() == cluster.PowerOn || c.State() == cluster.Booting
 }
 
 // decideL0 runs the frequency controllers of module i at step k. A
@@ -511,13 +493,9 @@ func (r *run) decideL0(i int, asm *moduleAsm, k int) (degraded bool, err error) 
 		asm.l0Lambda = make([]float64, m.cfg.L0.Horizon)
 	}
 	for j := range asm.specs {
-		comp, err := r.plant.Computer(i, j)
-		if err != nil {
-			return degraded, err
-		}
-		if comp.State() == cluster.Failed || comp.State() == cluster.PowerOff {
+		if st := r.plant.Computer(i, j).State(); st == cluster.Failed || st == cluster.PowerOff {
 			r.freqIdx[i][j] = -1
-			r.recordFreq(asm.specs[j].Name, 0)
+			r.recordFreq(i, j, 0)
 			continue
 		}
 		lambda := asm.l0Lambda[:m.cfg.L0.Horizon]
@@ -546,7 +524,7 @@ func (r *run) decideL0(i int, asm *moduleAsm, k int) (degraded bool, err error) 
 			return degraded, err
 		}
 		r.freqIdx[i][j] = idx
-		r.recordFreq(asm.specs[j].Name, asm.specs[j].FrequenciesHz[idx])
+		r.recordFreq(i, j, asm.specs[j].FrequenciesHz[idx])
 	}
 	return degraded, nil
 }
@@ -561,8 +539,11 @@ func decideBandedGuarded(l0 *controller.L0, queueLen float64, lambda []float64, 
 	return l0.DecideBanded(queueLen, lambda, delta, cHat)
 }
 
-func (r *run) recordFreq(name string, hz float64) {
-	if s, ok := r.rec.FreqByComputer[name]; ok {
+// recordFreq appends one T_L0 sample to computer (i, j)'s frequency series
+// (none exist on a streaming run or with RecordFrequencies off).
+func (r *run) recordFreq(i, j int, hz float64) {
+	if r.freqSeries != nil {
+		s := r.freqSeries[i][j]
 		s.Values = append(s.Values, hz)
 	}
 }
@@ -642,11 +623,7 @@ func (r *run) cHat(asm *moduleAsm) float64 {
 
 func moduleAvailable(p *cluster.Plant, i int) bool {
 	for j := 0; j < p.ModuleSize(i); j++ {
-		c, err := p.Computer(i, j)
-		if err != nil {
-			return false
-		}
-		if c.State() != cluster.Failed {
+		if p.Computer(i, j).State() != cluster.Failed {
 			return true
 		}
 	}
@@ -656,7 +633,7 @@ func moduleAvailable(p *cluster.Plant, i int) bool {
 // finish assembles the Record around the harness's run outcome. The
 // harness has already drained in-flight work and closed the energy
 // accounting.
-func (r *run) finish(tot engine.Totals) (*Record, error) {
+func (r *run) finish(tot engine.Totals) *Record {
 	m := r.m
 	rec := r.rec
 
@@ -685,11 +662,7 @@ func (r *run) finish(tot engine.Totals) (*Record, error) {
 	// rounds differently — and BENCH_scenarios.json pins its bits.
 	for i := range m.modules {
 		for j := 0; j < r.plant.ModuleSize(i); j++ {
-			c, err := r.plant.Computer(i, j)
-			if err != nil {
-				return nil, err
-			}
-			rec.ResponseStats.Merge(c.LifetimeResponse())
+			rec.ResponseStats.Merge(r.plant.Computer(i, j).LifetimeResponse())
 		}
 	}
 	rec.Totals.MeanResponse = rec.ResponseStats.Mean()
@@ -711,5 +684,5 @@ func (r *run) finish(tot engine.Totals) (*Record, error) {
 		rec.L2Decisions = d
 		rec.L2Time = ct
 	}
-	return rec, nil
+	return rec
 }

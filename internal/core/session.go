@@ -258,9 +258,12 @@ func (r *run) initSeries(preroll float64) {
 		}
 	}
 	if m.cfg.RecordFrequencies {
-		for _, ms := range m.spec.Modules {
-			for _, cs := range ms.Computers {
-				rec.FreqByComputer[cs.Name] = series.New(preroll, r.tl0, 0)
+		r.freqSeries = make([][]*series.Series, len(m.spec.Modules))
+		for i, ms := range m.spec.Modules {
+			r.freqSeries[i] = make([]*series.Series, len(ms.Computers))
+			for j, cs := range ms.Computers {
+				r.freqSeries[i][j] = series.New(preroll, r.tl0, 0)
+				rec.FreqByComputer[cs.Name] = r.freqSeries[i][j]
 			}
 		}
 	}
@@ -343,11 +346,7 @@ func (s *Session) Finish() (*Record, error) {
 	if err := s.h.Finish(); err != nil {
 		return nil, err
 	}
-	tot, err := s.h.Totals()
-	if err != nil {
-		return nil, err
-	}
-	return s.r.finish(tot)
+	return s.r.finish(s.h.Totals()), nil
 }
 
 // refreshDecision rewrites r.last, in place, with the decision payload

@@ -121,11 +121,9 @@ type Harness struct {
 	respTicks  int
 	violations int
 
-	// Lifetime arrival/completion counters for cross-cluster observation
-	// windows (MultiCluster snapshots deltas between L3 boundaries).
-	cumArrived   int64
-	cumCompleted int64
-	cumRespSum   float64 // sum of interval mean response × completions
+	// window is the running sum of every tick's Interval, module by module
+	// (see WindowTotals).
+	window Interval
 }
 
 // New builds the harness: the plant is constructed and warm-started (every
@@ -352,11 +350,6 @@ func (h *Harness) Tick() error {
 			return err
 		}
 		h.stats[i] = ModuleStats{Agg: agg, Per: per}
-		h.cumArrived += int64(agg.Arrived)
-		h.cumCompleted += int64(agg.Completed)
-		if agg.Completed > 0 {
-			h.cumRespSum += agg.MeanResponse * float64(agg.Completed)
-		}
 	}
 	// Sensor faults and sanitization sit between the harvest and the
 	// policy's Observe: the plant's accounting above is already truthful,
@@ -371,6 +364,7 @@ func (h *Harness) Tick() error {
 	var iv Interval
 	for i := range h.stats {
 		iv.add(h.stats[i].Agg)
+		h.window.add(h.stats[i].Agg)
 	}
 	mean := iv.MeanResponse()
 	violated := h.cfg.QoSTarget > 0 && mean > h.cfg.QoSTarget
@@ -460,10 +454,10 @@ type Totals struct {
 }
 
 // Totals reads the run's aggregate outcomes; call after Finish.
-func (h *Harness) Totals() (Totals, error) {
+func (h *Harness) Totals() Totals {
 	out := Totals{
-		Energy:            h.plant.Accountant().TotalEnergy(),
-		Switches:          h.plant.Accountant().TotalSwitches(),
+		Energy:            h.plant.TotalEnergy(),
+		Switches:          h.plant.TotalSwitches(),
 		DegradedTicks:     h.degraded,
 		StaleObservations: h.stale,
 		SanitizedRejects:  h.rejects,
@@ -475,10 +469,7 @@ func (h *Harness) Totals() (Totals, error) {
 	var respCount int64
 	for i := 0; i < h.plant.Modules(); i++ {
 		for j := 0; j < h.plant.ModuleSize(i); j++ {
-			c, err := h.plant.Computer(i, j)
-			if err != nil {
-				return Totals{}, err
-			}
+			c := h.plant.Computer(i, j)
 			out.Completed += c.TotalCompleted()
 			out.Dropped += c.TotalDropped()
 			respAll += c.LifetimeResponse().Mean() * float64(c.LifetimeResponse().Count())
@@ -489,13 +480,13 @@ func (h *Harness) Totals() (Totals, error) {
 		out.MeanResponse = respAll / float64(respCount)
 	}
 	out.ResponseP95 = h.plant.Latencies().Quantile(0.95)
-	return out, nil
+	return out
 }
 
-// WindowTotals returns the lifetime arrival/completion counters and the
-// response-time mass (interval mean × completions, summed). Shared-clock
-// drivers snapshot these at L3 boundaries and difference them to observe a
-// cluster's recent window.
-func (h *Harness) WindowTotals() (arrived, completed int64, respSum float64) {
-	return h.cumArrived, h.cumCompleted, h.cumRespSum
-}
+// WindowTotals returns the run's Interval so far: every tick's module
+// aggregates, added one by one as the policy was shown them. Shared-clock
+// drivers snapshot it at L3 boundaries and difference the snapshots to
+// observe a cluster's recent window. An L3 layer therefore sees what the
+// member's own policy sees — post-injection and post-sanitizer, sensor
+// faults included; no committed run combines an L3 layer with a chaos plan.
+func (h *Harness) WindowTotals() Interval { return h.window }

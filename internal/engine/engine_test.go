@@ -178,16 +178,12 @@ func TestHarnessLifecycle(t *testing.T) {
 	if err := h.Tick(); err == nil {
 		t.Fatal("Tick after Finish succeeded, want error")
 	}
-	tot, err := h.Totals()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tot := h.Totals()
 	if tot.Completed == 0 || tot.Energy <= 0 {
 		t.Fatalf("Totals = %+v, want completions and energy", tot)
 	}
-	arrived, completed, _ := h.WindowTotals()
-	if arrived == 0 || completed == 0 {
-		t.Fatalf("WindowTotals arrived %d completed %d, want both > 0", arrived, completed)
+	if w := h.WindowTotals(); w.Arrived == 0 || w.Completed == 0 {
+		t.Fatalf("WindowTotals arrived %d completed %d, want both > 0", w.Arrived, w.Completed)
 	}
 }
 
@@ -324,10 +320,7 @@ func TestRunTraceMatchesManualStepping(t *testing.T) {
 	if err := batch.RunTrace(trace); err != nil {
 		t.Fatal(err)
 	}
-	bt, err := batch.Totals()
-	if err != nil {
-		t.Fatal(err)
-	}
+	bt := batch.Totals()
 
 	man, err := New(testConfig(spec, trace.Len()), testStore(t), &stubPolicy{})
 	if err != nil {
@@ -346,10 +339,7 @@ func TestRunTraceMatchesManualStepping(t *testing.T) {
 	if err := man.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	mt, err := man.Totals()
-	if err != nil {
-		t.Fatal(err)
-	}
+	mt := man.Totals()
 	if bt != mt {
 		t.Fatalf("batch totals %+v != manual totals %+v", bt, mt)
 	}
@@ -380,10 +370,7 @@ func recordedRun(t *testing.T, target float64) ([]flight.Record, []Interval, Tot
 	if len(recs) != h.Ticks() || len(pol.intervals) != h.Ticks() {
 		t.Fatalf("%d tick records and %d observed intervals for %d ticks", len(recs), len(pol.intervals), h.Ticks())
 	}
-	tot, err := h.Totals()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tot := h.Totals()
 	return recs, pol.intervals, tot
 }
 

@@ -31,9 +31,8 @@ type MultiCluster struct {
 	budget  int
 	l3Every []int // member ticks per L3 period
 
-	prevArrived   []int64
-	prevCompleted []int64
-	prevRespSum   []float64
+	// prev holds each member's WindowTotals at the previous boundary.
+	prev []Interval
 
 	events []L3Event
 	ran    bool
@@ -54,7 +53,9 @@ type Member struct {
 }
 
 // L3Obs is what the L3 policy sees about one cluster at a reallocation
-// boundary: the window since the previous boundary plus capacity state.
+// boundary: the window since the previous boundary — the difference of two
+// Harness.WindowTotals, so the view the member's own policy had of it —
+// plus capacity state.
 type L3Obs struct {
 	Name string
 	// Arrived and Completed count the window's requests; MeanResponse is
@@ -108,13 +109,11 @@ func NewMultiCluster(members []Member, l3 L3Policy, budget int, l3PeriodSeconds 
 		return nil, fmt.Errorf("engine: budget %d < 1", budget)
 	}
 	mc := &MultiCluster{
-		members:       members,
-		l3:            l3,
-		budget:        budget,
-		l3Every:       make([]int, len(members)),
-		prevArrived:   make([]int64, len(members)),
-		prevCompleted: make([]int64, len(members)),
-		prevRespSum:   make([]float64, len(members)),
+		members: members,
+		l3:      l3,
+		budget:  budget,
+		l3Every: make([]int, len(members)),
+		prev:    make([]Interval, len(members)),
 	}
 	for idx, mem := range members {
 		if mem.Harness == nil {
@@ -187,24 +186,24 @@ func (mc *MultiCluster) Run() error {
 		obs := make([]L3Obs, len(mc.members))
 		arrived := make([]int64, len(mc.members))
 		for idx, mem := range mc.members {
-			a, c, rs := mem.Harness.WindowTotals()
-			da, dc, dr := a-mc.prevArrived[idx], c-mc.prevCompleted[idx], rs-mc.prevRespSum[idx]
-			mc.prevArrived[idx], mc.prevCompleted[idx], mc.prevRespSum[idx] = a, c, rs
-			mean := 0.0
-			if dc > 0 {
-				mean = dr / float64(dc)
+			now, prev := mem.Harness.WindowTotals(), mc.prev[idx]
+			mc.prev[idx] = now
+			window := Interval{
+				Arrived:   now.Arrived - prev.Arrived,
+				Completed: now.Completed - prev.Completed,
+				RespMass:  now.RespMass - prev.RespMass,
 			}
 			plant := mem.Harness.Plant()
 			total := 0
 			for i := 0; i < plant.Modules(); i++ {
 				total += plant.ModuleSize(i)
 			}
-			arrived[idx] = da
+			arrived[idx] = int64(window.Arrived)
 			obs[idx] = L3Obs{
 				Name:         mem.Name,
-				Arrived:      da,
-				Completed:    dc,
-				MeanResponse: mean,
+				Arrived:      int64(window.Arrived),
+				Completed:    int64(window.Completed),
+				MeanResponse: window.MeanResponse(),
 				Operational:  plant.OperationalComputers(),
 				Computers:    total,
 				Done:         mem.Harness.Done(),

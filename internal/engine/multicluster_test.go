@@ -15,12 +15,12 @@ import (
 // farm builds a two-cluster L3 arrangement: cluster A under heavy load,
 // cluster B under light load, threshold policies on both, a shared budget
 // of 5 operational computers (of 8), reallocated every 240 s.
-func farm(t *testing.T) (*engine.MultiCluster, []func() (*baseline.Result, error)) {
+func farm(t *testing.T) (*engine.MultiCluster, []func() *baseline.Result) {
 	t.Helper()
 	loads := []float64{240, 20}
 	names := []string{"A", "B"}
 	members := make([]engine.Member, 2)
-	finals := make([]func() (*baseline.Result, error), 2)
+	finals := make([]func() *baseline.Result, 2)
 	for idx := range members {
 		module, err := cluster.StandardModule("M1", "c")
 		if err != nil {
@@ -95,14 +95,8 @@ func TestMultiClusterReallocatesTowardLoad(t *testing.T) {
 		}
 	}
 
-	resA, err := finals[0]()
-	if err != nil {
-		t.Fatal(err)
-	}
-	resB, err := finals[1]()
-	if err != nil {
-		t.Fatal(err)
-	}
+	resA := finals[0]()
+	resB := finals[1]()
 	if resA.Completed == 0 || resB.Completed == 0 {
 		t.Fatalf("completions A=%d B=%d, want both > 0", resA.Completed, resB.Completed)
 	}
@@ -133,14 +127,8 @@ func TestMultiClusterDeterministic(t *testing.T) {
 		t.Errorf("reallocation histories diverge:\n%+v\n%+v", mc1.Events(), mc2.Events())
 	}
 	for idx := range finals1 {
-		r1, err := finals1[idx]()
-		if err != nil {
-			t.Fatal(err)
-		}
-		r2, err := finals2[idx]()
-		if err != nil {
-			t.Fatal(err)
-		}
+		r1 := finals1[idx]()
+		r2 := finals2[idx]()
 		if !reflect.DeepEqual(r1, r2) {
 			t.Errorf("cluster %d results diverge:\n%+v\n%+v", idx, r1, r2)
 		}

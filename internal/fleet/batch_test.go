@@ -284,13 +284,16 @@ func TestObserveBatchQueueFull(t *testing.T) {
 		t.Errorf("rejected entries reached the tenant: %d bins", st.Bins)
 	}
 
-	// Retry after drain: the same entries apply cleanly, in order.
-	results, err = f.ObserveBatch(entries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range results {
-		if r.Err != nil || r.Applied != 1 {
+	// Retry after drain: the same entries apply cleanly, in order. One call
+	// each — a call returns once its entry ran, so the single queue slot is
+	// free again; offered together, the second entry races the shard's
+	// dequeue of the first for that slot.
+	for i := range entries {
+		results, err = f.ObserveBatch(entries[i : i+1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r := results[0]; r.Err != nil || r.Applied != 1 {
 			t.Errorf("retry entry %d: %+v", i, r)
 		}
 	}

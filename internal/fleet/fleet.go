@@ -176,7 +176,7 @@ func New(cfg Config) *Fleet {
 	for i := range f.shards {
 		f.shards[i] = &shard{jobs: make(chan job, depth)}
 	}
-	go func() { //hpm:goroutine single long-lived supervisor; the fan-out inside is the bounded par pool
+	go func() { // single long-lived supervisor; the fan-out inside is the bounded par pool
 		defer close(f.done)
 		// One long-running task per shard; the context-aware fan-out
 		// stops scheduling (and the loops return) on cancellation.

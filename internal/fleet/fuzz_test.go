@@ -2,11 +2,14 @@ package fleet
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"hierctl/internal/cluster"
@@ -235,30 +238,119 @@ func FuzzSnapshotRestore(f *testing.F) {
 	})
 }
 
-// TestWriteFuzzCorpus writes the seeds missing from the committed corpus
-// under testdata/fuzz/FuzzSnapshotRestore. Existing files are left alone:
+// foldSeedLogs builds the seed inputs for FuzzFoldLog: the journal the
+// PR 12 binary wrote (embedded artifact blobs, union-typed deltas, a torn
+// tail's worth of history) and this build's snapshot and journal-shaped
+// logs of the same small fleet.
+func foldSeedLogs(t testing.TB) [][]byte {
+	parent, err := os.ReadFile(filepath.Join("testdata", "pr12.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append([][]byte{parent}, fuzzSeedLogs(t)[:2]...)
+}
+
+// resealFrames returns data with the checksum of every complete frame
+// rewritten to match its payload, so a mutated payload reaches the gob
+// decoder and the fold's structural rules instead of stopping at the CRC.
+// Bytes that do not walk as frames (a length outside the cap, a torn
+// tail) are left as they are.
+func resealFrames(data []byte) []byte {
+	out := append([]byte(nil), data...)
+	for off := len(snapshotMagic); off+8 <= len(out); {
+		n := int(binary.LittleEndian.Uint32(out[off:]))
+		if n == 0 || n > maxFramePayload || off+8+n > len(out) {
+			break
+		}
+		binary.LittleEndian.PutUint32(out[off+4:], crc32.ChecksumIEEE(out[off+8:off+8+n]))
+		off += 8 + n
+	}
+	return out
+}
+
+// FuzzFoldLog is the frame log reader's safety pin, on the raw bytes and
+// again with every frame re-sealed: foldLog returns a report — with or
+// without an error — and never panics; a scan allocates in proportion to
+// the bytes it was given plus at most one frame's cap (a length header
+// cannot drive an allocation past maxFramePayload, and no payload makes
+// the gob decoder balloon); and Fleet.Restore on the same bytes registers
+// every tenant the log holds or none.
+func FuzzFoldLog(f *testing.F) {
+	for _, seed := range foldSeedLogs(f) {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkFoldLog(t, data)
+		if sealed := resealFrames(data); !bytes.Equal(sealed, data) {
+			checkFoldLog(t, sealed)
+		}
+	})
+}
+
+func checkFoldLog(t *testing.T, log []byte) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rep, err := foldLog(bytes.NewReader(log), nil)
+	runtime.ReadMemStats(&after)
+	if rep == nil {
+		t.Fatalf("foldLog returned no report (err %v)", err)
+	}
+	// Per frame: the payload, its decoded value, and a gob decoder compiled
+	// afresh (well under 1 MiB).
+	bound := uint64(maxFramePayload + (rep.Frames+1)<<20 + 256*len(log))
+	if grown := after.TotalAlloc - before.TotalAlloc; grown > bound {
+		t.Fatalf("scanning %d bytes (%d frames) allocated %d, bound %d", len(log), rep.Frames, grown, bound)
+	}
+
+	asm, aerr := assembleLog(bytes.NewReader(log), false)
+	if aerr == nil {
+		for _, s := range asm.tenants {
+			if !fuzzSafeShape(s) {
+				return // decodes, but too costly to rebuild
+			}
+		}
+	}
+	fl := New(Config{Shards: 1})
+	rerr := fl.Restore(bytes.NewReader(log))
+	registered := len(fl.Tenants())
+	fl.Close()
+	switch {
+	case rerr != nil && registered != 0:
+		t.Fatalf("failed restore (%v) left %d tenants registered", rerr, registered)
+	case rerr == nil && (aerr != nil || registered != len(asm.tenants)):
+		t.Fatalf("restore registered %d tenants; the log assembles to %d (err %v)", registered, len(asm.tenants), aerr)
+	}
+}
+
+// TestWriteFuzzCorpus writes the seeds missing from the committed corpora
+// under testdata/fuzz. Existing files are left alone: FuzzSnapshotRestore's
 // seed-00 to seed-06 were written before artifact frames existed and are
-// the corpus's embedded-blob, union-typed-delta inputs (FuzzSnapshotRestore
-// adds the current layout of the same logs at run time). Gated so a normal
-// run never touches checked-in files:
+// the corpus's embedded-blob, union-typed-delta inputs (the fuzzers add
+// the current layout of the same logs at run time). Gated so a normal run
+// never touches checked-in files:
 //
 //	HPM_WRITE_FUZZ_CORPUS=1 go test ./internal/fleet -run TestWriteFuzzCorpus
 func TestWriteFuzzCorpus(t *testing.T) {
 	if os.Getenv("HPM_WRITE_FUZZ_CORPUS") == "" {
 		t.Skip("corpus generator; set HPM_WRITE_FUZZ_CORPUS=1 to write testdata/fuzz")
 	}
-	dir := filepath.Join("testdata", "fuzz", "FuzzSnapshotRestore")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	for i, seed := range fuzzSeedLogs(t) {
-		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", seed)
-		name := filepath.Join(dir, fmt.Sprintf("seed-%02d", i))
-		if _, err := os.Stat(name); err == nil {
-			continue
-		}
-		if err := os.WriteFile(name, []byte(body), 0o644); err != nil {
+	for target, seeds := range map[string][][]byte{
+		"FuzzSnapshotRestore": fuzzSeedLogs(t),
+		"FuzzFoldLog":         foldSeedLogs(t),
+	} {
+		dir := filepath.Join("testdata", "fuzz", target)
+		if err := os.MkdirAll(dir, 0o755); err != nil {
 			t.Fatal(err)
+		}
+		for i, seed := range seeds {
+			body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", seed)
+			name := filepath.Join(dir, fmt.Sprintf("seed-%02d", i))
+			if _, err := os.Stat(name); err == nil {
+				continue
+			}
+			if err := os.WriteFile(name, []byte(body), 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }

@@ -1,12 +1,13 @@
 package llc_test
 
-// Benchmarks of the branch-and-bound LLC engine on the paper's §4.3
+// Benchmark of the bounded neighbourhood search on the paper's §4.3
 // configuration (computer C4 under the default L0 settings: horizon 3,
-// three uncertainty samples per step, eight operating frequencies).
+// three uncertainty samples per step, eight operating frequencies). The
+// exhaustive engines, naive and pruned, are rows of BENCH_llc.json
+// (hpmbench -snapshot llc).
 //
 // Custom metric: explored/decide — states evaluated per decision, the
-// paper's §4.3 controller-overhead metric. Pruned variants must report
-// fewer than the naive Σ|U|^q count at an identical decision.
+// paper's §4.3 controller-overhead metric.
 
 import (
 	"math"
@@ -41,32 +42,6 @@ func benchEnvs(d int) []([]llc.Env) {
 		envs[q] = []llc.Env{{lo, cHat}, {l, cHat}, {l + delta, cHat}}
 	}
 	return envs
-}
-
-func benchLLC(b *testing.B, opt llc.Options) {
-	m := benchModel(b)
-	explored := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := llc.Exhaustive[queue.State, int](m, queue.State{Q: float64((i * 7) % 200)}, benchEnvs(i), opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		explored += res.Explored
-	}
-	b.ReportMetric(float64(explored)/float64(b.N), "explored/decide")
-}
-
-// BenchmarkLLCNaive is the unpruned engine — the original
-// recursive search's exploration, Σ|U|^q states per decision.
-func BenchmarkLLCNaive(b *testing.B) {
-	benchLLC(b, llc.Options{})
-}
-
-// BenchmarkLLCPruned is the branch-and-bound engine (bit-identical
-// decisions, fewer explored states).
-func BenchmarkLLCPruned(b *testing.B) {
-	benchLLC(b, llc.Options{NonNegativeCosts: true})
 }
 
 // BenchmarkLLCBoundedPruned measures the bounded neighbourhood strategy

@@ -115,14 +115,6 @@ type Options struct {
 	// returned decision; models should not rely on the search to probe
 	// states that cannot win.
 	NonNegativeCosts bool
-
-	// MaxExplored caps the state evaluations one search may perform — the
-	// deterministic analogue of a wall-clock decision deadline,
-	// denominated in the paper's own §4.3 overhead metric so the trip
-	// point is identical on every machine and every run. A search that
-	// exhausts the budget aborts with ErrBudget; callers fall back to
-	// safe settings for the tick and retry next period. 0 = unlimited.
-	MaxExplored int
 }
 
 func (o Options) penalty() float64 {
@@ -156,8 +148,9 @@ type Result[S, U any] struct {
 // some state the search must expand.
 var ErrNoInputs = errors.New("llc: model returned no admissible inputs")
 
-// ErrBudget is returned when a search exhausts Options.MaxExplored (or a
-// controller its configured explored-state budget) before completing.
+// ErrBudget is returned when a search exhausts its decision budget (see
+// Searcher.SetMaxExplored; the L1 and L2 controllers count their own) before
+// completing.
 // Callers treat it as the decision deadline expiring: apply deterministic
 // fallback settings for this tick and search again next tick.
 var ErrBudget = errors.New("llc: decision budget exhausted")
@@ -268,7 +261,7 @@ func (sr *Searcher[S, U]) walk() {
 	last := len(sr.envs) - 1
 	prune := sr.opt.NonNegativeCosts
 	penalty := sr.opt.penalty()
-	maxExplored := sr.opt.MaxExplored
+	maxExplored := sr.maxExplored
 	for lv := 0; lv >= 0; {
 		f := &sr.frames[lv]
 		if f.idx >= len(f.cands) {

@@ -23,6 +23,8 @@ type Searcher[S, U any] struct {
 	envs       []([]Env)
 	neighbours func(prev U, s S, level int) []U // nil: the model's full input set
 	seed       U
+	// maxExplored is the decision budget (see SetMaxExplored); 0 = none.
+	maxExplored int
 
 	frames []frame[S, U] // per-level cursors; frames[0] holds the roots
 	inputs []U           // current path: input chosen per level
@@ -47,15 +49,15 @@ func NewSearcher[S, U any](m Model[S, U], opt Options) (*Searcher[S, U], error) 
 	return &Searcher[S, U]{m: m, opt: opt}, nil
 }
 
-// SetMaxExplored replaces the decision budget for subsequent searches
-// (see Options.MaxExplored); n <= 0 removes it. It lets a runtime chaos
-// plan squeeze the budget of an already-constructed controller.
-func (sr *Searcher[S, U]) SetMaxExplored(n int) {
-	if n < 0 {
-		n = 0
-	}
-	sr.opt.MaxExplored = n
-}
+// SetMaxExplored caps the state evaluations each subsequent search may
+// perform; n <= 0 (the initial state) removes the cap. The budget is the
+// deterministic analogue of a wall-clock decision deadline, denominated in
+// the paper's own §4.3 overhead metric so the trip point is identical on
+// every machine and every run: a search that exhausts it aborts with
+// ErrBudget, and callers fall back to safe settings for the tick and search
+// again next period. It is the budget's one way in — a chaos plan's
+// DecisionBudget arrives here through the controllers' SetMaxExplored.
+func (sr *Searcher[S, U]) SetMaxExplored(n int) { sr.maxExplored = n }
 
 // Exhaustive runs the full tree search of §4.1 from x0 (see the package
 // function of the same name for semantics).

@@ -5,8 +5,10 @@ package llc
 // must not allocate (the zero-allocation half of the §4.3 overhead story).
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -130,5 +132,61 @@ func TestSearcherWarmDecideZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("warm Searcher.Exhaustive allocated %v/op, want 0", allocs)
+	}
+}
+
+// TestSearcherBudget pins the decision budget at its one way in: a warm
+// Searcher under SetMaxExplored(n) trips with ErrBudget iff the unbudgeted
+// search explores more than n states, the trip repeats identically, a
+// budget the search fits in changes nothing, and lifting the budget
+// restores the unbudgeted decision.
+func TestSearcherBudget(t *testing.T) {
+	m := scalarModel{target: 5, inputs: []int{-2, -1, 0, 1, 2}, inputWeight: 0.01}
+	envs := make([]([]Env), 3)
+	for q := range envs {
+		envs[q] = []Env{{-1}, {0}, {1}}
+	}
+	const warm, x0 = 2.0, -3.0
+	for _, opt := range []Options{{}, {NonNegativeCosts: true}} {
+		want, err := Exhaustive[float64, int](m, x0, envs, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := want.Explored
+		same := func(label string, got Result[float64, int]) {
+			t.Helper()
+			if got.Cost != want.Cost || got.Explored != e || got.Feasible != want.Feasible ||
+				!slices.Equal(got.Inputs, want.Inputs) || !slices.Equal(got.States, want.States) {
+				t.Errorf("%s (opt %+v): %+v, want %+v", label, opt, got, want)
+			}
+		}
+		for _, n := range []int{1, e / 2, e - 1, e, e + 1, -1} {
+			sr, err := NewSearcher[float64, int](m, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sr.Exhaustive(warm, envs); err != nil {
+				t.Fatal(err)
+			}
+			sr.SetMaxExplored(n)
+			trips := n > 0 && e > n
+			for run := 0; run < 2; run++ {
+				got, err := sr.Exhaustive(x0, envs)
+				switch {
+				case trips && !errors.Is(err, ErrBudget):
+					t.Errorf("budget %d of %d (opt %+v) run %d: err %v, want ErrBudget", n, e, opt, run, err)
+				case !trips && err != nil:
+					t.Errorf("budget %d of %d (opt %+v) run %d: %v", n, e, opt, run, err)
+				case !trips:
+					same("within budget", got)
+				}
+			}
+			sr.SetMaxExplored(0)
+			got, err := sr.Exhaustive(x0, envs)
+			if err != nil {
+				t.Fatalf("budget %d lifted (opt %+v): %v", n, opt, err)
+			}
+			same("budget lifted", got)
+		}
 	}
 }

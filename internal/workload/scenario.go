@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -195,12 +196,31 @@ func readTraceFile(path string) (*series.Series, error) {
 		return nil, fmt.Errorf("workload: tracefile: %w", err)
 	}
 	defer f.Close()
-	tr, err := series.ReadCSV(f)
+	tr, err := readTrace(f)
 	if err != nil {
 		return nil, fmt.Errorf("workload: tracefile %s: %w", path, err)
 	}
+	return tr, nil
+}
+
+// readTrace parses a CSV trace. The bytes come from outside the process,
+// so an accepted trace is one the engine can run: at least one bin, a
+// finite start and a finite positive step, finite non-negative counts.
+func readTrace(r io.Reader) (*series.Series, error) {
+	tr, err := series.ReadCSV(r)
+	if err != nil {
+		return nil, err
+	}
 	if tr.Len() == 0 {
-		return nil, fmt.Errorf("workload: tracefile %s is empty", path)
+		return nil, fmt.Errorf("no rows")
+	}
+	if math.IsInf(tr.Start, 0) || math.IsNaN(tr.Start) || math.IsInf(tr.Step, 0) || !(tr.Step > 0) {
+		return nil, fmt.Errorf("time column starts at %v in steps of %v, want a finite start and a finite step > 0", tr.Start, tr.Step)
+	}
+	for i, v := range tr.Values {
+		if math.IsInf(v, 0) || !(v >= 0) {
+			return nil, fmt.Errorf("row %d: arrival count %v is not a finite number >= 0", i, v)
+		}
 	}
 	return tr, nil
 }

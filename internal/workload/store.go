@@ -205,10 +205,12 @@ func (s *Store) Demand(id int) float64 { return s.demands[id] }
 // and the popular/rare partition split.
 func (s *Store) Sample(rng *rand.Rand) int {
 	if len(s.history) > 0 && rng.Float64() < s.localProb {
-		// Lognormal stack distance into the recent-history buffer.
-		d := int(math.Exp(s.logMu + s.logSigma*rng.NormFloat64()))
-		if d < len(s.history) {
-			id := int(s.history[len(s.history)-1-d])
+		// Lognormal stack distance into the recent-history buffer, compared
+		// before it is truncated: a distance past the history — +Inf or NaN
+		// under an extreme LogMu included — has no int to convert to.
+		d := math.Exp(s.logMu + s.logSigma*rng.NormFloat64())
+		if d < float64(len(s.history)) {
+			id := int(s.history[len(s.history)-1-int(d)])
 			s.remember(id)
 			return id
 		}

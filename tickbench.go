@@ -118,10 +118,7 @@ func learnTickGMaps(n int) ([]*controller.GMap, error) {
 }
 
 // The driveTick* helpers set the i-th tick's observation into the
-// caller's scratch and run one decision. RunTickBench and the
-// BenchmarkTick* alarm wires in bench_test.go share them, so the
-// committed snapshot and the -benchmem job measure the same steady
-// state by construction.
+// caller's scratch and run one decision.
 
 func driveTickL0(l0 *controller.L0, lambda []float64, i int) error {
 	lam := 40 + 30*math.Sin(float64(i)/9)
@@ -364,7 +361,7 @@ func benchTenantConfig(seed int64) (fleet.TenantConfig, error) {
 }
 
 // runFleetTick steps `tenants` concurrent tenant hierarchies `bins` times
-// each and reports tenant-ticks/sec, mirroring BenchmarkFleet64Tenants.
+// each and reports tenant-ticks/sec.
 func runFleetTick(tenants, bins int) (TickBenchRow, error) {
 	f := fleet.New(fleet.Config{})
 	defer f.Close()
