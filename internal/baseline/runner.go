@@ -145,7 +145,7 @@ func (r *runner) Init(p *cluster.Plant) error {
 // watermark rule plus frequency targets) at the adaptation cadence, and
 // uniform dispatch fractions across fully-on computers for the tick's
 // arrivals.
-func (r *runner) Decide(k int, obs engine.TickObs) (engine.Settings, error) {
+func (r *runner) Decide(k, pending int) (engine.Settings, error) {
 	if k%r.adaptEvery == 0 {
 		act := r.policy.Decide(Observation{
 			Operational: r.plant.OperationalComputers(),
@@ -199,7 +199,7 @@ func (r *runner) Decide(k int, obs engine.TickObs) (engine.Settings, error) {
 		}
 	}
 
-	if obs.PendingRequests == 0 {
+	if pending == 0 {
 		return engine.Settings{}, nil
 	}
 	// Dispatch uniformly across fully-on computers.

@@ -114,7 +114,7 @@ func (r *runner) Init(p *cluster.Plant) error {
 // chain updates and the exhaustive controller picks the joint
 // (alpha, gamma, phi) setting, which is actuated immediately; every
 // sub-period the tick's arrivals dispatch under the current fractions.
-func (r *runner) Decide(k int, obs engine.TickObs) (engine.Settings, error) {
+func (r *runner) Decide(k, pending int) (engine.Settings, error) {
 	if k%r.decideEvery == 0 {
 		if k > 0 {
 			prior := r.kalman.Observe(float64(r.arrivedPeriod))
@@ -157,7 +157,7 @@ func (r *runner) Decide(k int, obs engine.TickObs) (engine.Settings, error) {
 		r.res.Operational.Values = append(r.res.Operational.Values, float64(r.plant.OperationalComputers()))
 	}
 
-	if obs.PendingRequests == 0 {
+	if pending == 0 {
 		return engine.Settings{}, nil
 	}
 	// Dispatch per the joint fractions, zeroing non-serving targets.

@@ -138,8 +138,9 @@ func (p Plan) Schedule(periodSeconds float64, modules int) (*Schedule, error) {
 	}
 	s := &Schedule{at: map[int][]Action{}}
 	for i, f := range p.Faults {
-		if f.At < 0 {
-			return nil, fmt.Errorf("chaos: fault %d at %v < 0", i, f.At)
+		if !(f.At >= 0) || math.IsInf(f.At, 1) {
+			// NaN and +Inf have no tick: int() of either differs by platform.
+			return nil, fmt.Errorf("chaos: fault %d at %v, want a finite time >= 0", i, f.At)
 		}
 		if int(f.Kind) >= len(kindNames) {
 			return nil, fmt.Errorf("chaos: fault %d has unknown kind %d", i, f.Kind)

@@ -128,13 +128,9 @@ type IntervalStats struct {
 	Arrived int
 	// Completed counts requests finished in the interval.
 	Completed int
-	// Dropped counts requests lost to failures in the interval.
-	Dropped int
 	// MeanResponse is the mean response time (queueing + service) of
 	// completed requests, seconds; 0 if none completed.
 	MeanResponse float64
-	// MaxResponse is the worst response among completed requests.
-	MaxResponse float64
 	// MeanDemand is the mean observed full-speed processing time of
 	// completed requests, seconds — the controllers' c measurement.
 	MeanDemand float64
@@ -168,9 +164,7 @@ type Computer struct {
 	// Interval accumulators, harvested by TakeIntervalStats.
 	arrived     int
 	completed   int
-	dropped     int
 	respWelford metrics.Welford
-	maxResp     float64
 	demandSum   float64
 	busySeconds float64
 	intervalLen float64
@@ -205,9 +199,6 @@ func (c *Computer) Spec() ComputerSpec { return c.spec }
 
 // State returns the current power state.
 func (c *Computer) State() PowerState { return c.state }
-
-// FrequencyIndex returns the current DVFS operating point index.
-func (c *Computer) FrequencyIndex() int { return c.freqIdx }
 
 // Phi returns the current frequency scaling factor.
 func (c *Computer) Phi() float64 { return c.spec.Phi(c.freqIdx) }
@@ -316,9 +307,7 @@ func (c *Computer) PowerOff() error {
 // Fail crashes the computer at time now: the queue is lost (counted as
 // drops) and the node goes dark until Repair.
 func (c *Computer) Fail() {
-	lost := c.count
-	c.dropped += lost
-	c.totalDropped += int64(lost)
+	c.totalDropped += int64(c.count)
 	c.head, c.count = 0, 0
 	c.headServed = 0
 	c.state = Failed
@@ -452,9 +441,6 @@ func (c *Computer) recordCompletion(response, demand float64) {
 	if c.sink != nil {
 		c.sink.Observe(response)
 	}
-	if response > c.maxResp {
-		c.maxResp = response
-	}
 	c.demandSum += demand
 	c.totalCompleted++
 }
@@ -465,20 +451,17 @@ func (c *Computer) TakeIntervalStats() IntervalStats {
 	st := IntervalStats{
 		Arrived:   c.arrived,
 		Completed: c.completed,
-		Dropped:   c.dropped,
 		QueueLen:  c.QueueLen(),
 	}
 	if c.completed > 0 {
 		st.MeanResponse = c.respWelford.Mean()
-		st.MaxResponse = c.maxResp
 		st.MeanDemand = c.demandSum / float64(c.completed)
 	}
 	if c.intervalLen > 0 {
 		st.Busy = c.busySeconds / c.intervalLen
 	}
-	c.arrived, c.completed, c.dropped = 0, 0, 0
+	c.arrived, c.completed = 0, 0
 	c.respWelford = metrics.Welford{}
-	c.maxResp = 0
 	c.demandSum = 0
 	c.busySeconds = 0
 	c.intervalLen = 0

@@ -94,9 +94,6 @@ func TestFCFSResponseTimes(t *testing.T) {
 	if math.Abs(st.MeanResponse-15) > 1e-9 {
 		t.Errorf("MeanResponse = %v, want 15", st.MeanResponse)
 	}
-	if math.Abs(st.MaxResponse-20) > 1e-9 {
-		t.Errorf("MaxResponse = %v, want 20", st.MaxResponse)
-	}
 	if st.MeanDemand != 10 {
 		t.Errorf("MeanDemand = %v, want 10", st.MeanDemand)
 	}

@@ -396,16 +396,12 @@ func (p *Plant) ModuleIntervalStatsInto(i int, dst []IntervalStats) (agg Interva
 		per[j] = st
 		agg.Arrived += st.Arrived
 		agg.Completed += st.Completed
-		agg.Dropped += st.Dropped
 		agg.QueueLen += st.QueueLen
 		if st.Completed > 0 {
 			respSum += st.MeanResponse * float64(st.Completed)
 			respN += st.Completed
 			demandSum += st.MeanDemand * float64(st.Completed)
 			demandN += st.Completed
-			if st.MaxResponse > agg.MaxResponse {
-				agg.MaxResponse = st.MaxResponse
-			}
 		}
 		agg.Busy += st.Busy
 	}

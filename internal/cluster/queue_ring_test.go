@@ -23,10 +23,10 @@ type sliceComputer struct {
 	headServed float64
 	now        float64
 
-	arrived, completed, dropped int
-	resp                        metrics.Welford
-	maxResp, demandSum          float64
-	busySeconds, intervalLen    float64
+	arrived, completed       int
+	resp                     metrics.Welford
+	demandSum                float64
+	busySeconds, intervalLen float64
 
 	totalCompleted, totalDropped int64
 	totalResponse                metrics.Welford
@@ -55,7 +55,6 @@ func (c *sliceComputer) powerOff() {
 }
 
 func (c *sliceComputer) fail() {
-	c.dropped += len(c.queue)
 	c.totalDropped += int64(len(c.queue))
 	c.queue = nil
 	c.headServed = 0
@@ -116,9 +115,6 @@ func (c *sliceComputer) serve(t1 float64) {
 			c.completed++
 			c.resp.Add(response)
 			c.totalResponse.Add(response)
-			if response > c.maxResp {
-				c.maxResp = response
-			}
 			c.demandSum += j.demand
 			c.totalCompleted++
 			c.now = done
@@ -139,18 +135,17 @@ func (c *sliceComputer) serve(t1 float64) {
 }
 
 func (c *sliceComputer) takeIntervalStats() IntervalStats {
-	st := IntervalStats{Arrived: c.arrived, Completed: c.completed, Dropped: c.dropped, QueueLen: len(c.queue)}
+	st := IntervalStats{Arrived: c.arrived, Completed: c.completed, QueueLen: len(c.queue)}
 	if c.completed > 0 {
 		st.MeanResponse = c.resp.Mean()
-		st.MaxResponse = c.maxResp
 		st.MeanDemand = c.demandSum / float64(c.completed)
 	}
 	if c.intervalLen > 0 {
 		st.Busy = c.busySeconds / c.intervalLen
 	}
-	c.arrived, c.completed, c.dropped = 0, 0, 0
+	c.arrived, c.completed = 0, 0
 	c.resp = metrics.Welford{}
-	c.maxResp, c.demandSum, c.busySeconds, c.intervalLen = 0, 0, 0, 0
+	c.demandSum, c.busySeconds, c.intervalLen = 0, 0, 0
 	return st
 }
 

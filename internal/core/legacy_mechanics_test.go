@@ -168,13 +168,7 @@ func legacyMechanicsRun(m *Manager, trace *series.Series, store *workload.Store)
 				return nil, err
 			}
 			slot := k % sub
-			set, err := r.Decide(k, engine.TickObs{
-				Time:            t,
-				PendingRequests: len(pending[slot]),
-				NewBin:          dstep == 0,
-				Bin:             bin,
-				BinCount:        count,
-			})
+			set, err := r.Decide(k, len(pending[slot]))
 			if err != nil {
 				return nil, err
 			}

@@ -224,8 +224,9 @@ type Manager struct {
 // — the L2, every module's L1, every L0 — and to sessions created
 // afterwards (which add the engine's per-tick records). A nil recorder
 // detaches. Recording is observe-only: runs are bit-identical with it on
-// or off (pinned by TestManagerRecorderEquivalence); under parallel
-// planning only the interleaving of same-tick records varies.
+// or off, and the record sequence is the same at any Parallelism — the
+// hierarchy records from one goroutine (pinned by
+// TestManagerRecorderEquivalence).
 func (m *Manager) SetRecorder(r *obs.Recorder) {
 	m.recorder = r
 	for i, asm := range m.modules {

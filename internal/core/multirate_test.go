@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"hierctl/internal/cluster"
@@ -94,6 +95,84 @@ func TestAllComputersFailedModule(t *testing.T) {
 	// of completions dominates.
 	if rec.Completed < total/2 {
 		t.Errorf("completed %d of %d — surviving module did not absorb load", rec.Completed, total)
+	}
+}
+
+// outageRun replays a 40-bin steady trace on two 2-computer modules with
+// the computers of the first `down` modules failing at t = 90 s and repaired
+// at 600 s.
+func outageRun(t *testing.T, down int) (*Record, error) {
+	t.Helper()
+	spec := cluster.Spec{Modules: []cluster.ModuleSpec{
+		moduleOf("M1", 2), moduleOf("M2", 2),
+	}}
+	mgr, err := NewManager(spec, fastConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < down; i++ {
+		for j := range spec.Modules[i].Computers {
+			mgr.InjectFailure(90, i, j)
+			mgr.InjectRepair(600, i, j)
+		}
+	}
+	return mgr.Run(steadyTrace(40, 200), testStore(t))
+}
+
+// TestAllModulesFailedRunContinues pins the whole-cluster outage through
+// Manager.Run: with no module available the L2 holds its split (every L1
+// goes all-off on its own), the run neither aborts nor counts the outage as
+// degraded ticks, the repairs land and the backlog is served. It used to
+// fail with "controller: no available modules" at the first L2 boundary
+// inside the outage.
+func TestAllModulesFailedRunContinues(t *testing.T) {
+	rec, err := outageRun(t, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.DegradedTicks != 0 {
+		t.Errorf("%d degraded ticks; an outage is not a controller fault", rec.DegradedTicks)
+	}
+	op := rec.Operational.Values
+	if op[1] != 0 || op[len(op)-1] == 0 {
+		t.Errorf("operational computers per T_L1 %v, want none during the outage and some after the repair", op)
+	}
+	for i, g := range rec.GammaModules {
+		for k, v := range g.Values {
+			if v != 0.5 {
+				t.Fatalf("module %d share %v at L2 boundary %d, want the equal split held throughout", i, v, k)
+			}
+		}
+	}
+	if rec.Completed < 6000 {
+		t.Errorf("completed %d of 8000; the repaired cluster did not serve the backlog", rec.Completed)
+	}
+}
+
+// TestAllButOneModuleFailedDecidesAsBefore pins that the outage path starts
+// only where no module is left: with one module alive the L2 still decides,
+// routing everything to the survivor, and the run's discrete outcomes are
+// the ones recorded before the all-down case was handled.
+func TestAllButOneModuleFailedDecidesAsBefore(t *testing.T) {
+	rec, err := outageRun(t, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Completed != 8000 || rec.Dropped != 0 || rec.Switches != 5 || rec.DegradedTicks != 0 {
+		t.Errorf("completed %d dropped %d switches %d degraded %d, want 8000 0 5 0",
+			rec.Completed, rec.Dropped, rec.Switches, rec.DegradedTicks)
+	}
+	want := [][]float64{
+		{0.5, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+		{0.5, 1, 1, 1, 1, 1, 1, 1, 1, 1},
+	}
+	for i, g := range rec.GammaModules {
+		if !reflect.DeepEqual(g.Values, want[i]) {
+			t.Errorf("module %d shares %v, want %v", i, g.Values, want[i])
+		}
+	}
+	if want := []float64{2, 1, 1, 1, 1, 2, 2, 2, 2, 2}; !reflect.DeepEqual(rec.Operational.Values, want) {
+		t.Errorf("operational computers per T_L1 %v, want %v", rec.Operational.Values, want)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"hierctl/internal/cluster"
 	"hierctl/internal/controller"
@@ -140,7 +141,7 @@ func (r *run) Init(p *cluster.Plant) error { return r.initPolicy(p) }
 // arrivals.
 //
 //hpm:hotpath
-func (r *run) Decide(k int, obs engine.TickObs) (engine.Settings, error) {
+func (r *run) Decide(k, pending int) (engine.Settings, error) {
 	m := r.m
 	degraded := false
 
@@ -208,7 +209,7 @@ func (r *run) Decide(k int, obs engine.TickObs) (engine.Settings, error) {
 	// (4) Dispatch fractions for this step's arrivals. Only computers that
 	// are fully on receive weight — booting machines would sit on requests
 	// for up to the boot delay; the plant renormalizes the rest.
-	if obs.PendingRequests == 0 {
+	if pending == 0 {
 		return engine.Settings{Degraded: degraded}, nil
 	}
 	gm := r.gammaModules
@@ -292,6 +293,12 @@ func (r *run) fallbackL1(i int) (controller.L1Decision, error) {
 }
 
 // decideL2 runs the cluster-level controller and stores its fractions.
+// With every module down there is no split to choose: the previous one is
+// held exactly as fallbackL2 holds it — each module's L1 goes all-off on its
+// own — so the run continues and planned repairs land. Such a tick is not
+// flagged degraded: the flag marks a controller that could not finish its
+// search, and a single-module tenant's all-off L1 decision in the same plant
+// state is not flagged either.
 func (r *run) decideL2(k int) error {
 	m := r.m
 	// Fold the completed T_L2 interval into the cluster filter and band.
@@ -326,6 +333,10 @@ func (r *run) decideL2(k int) error {
 		obs.QAvg[i] = float64(asm.lastAgg.QueueLen) / float64(len(asm.specs))
 		obs.CHat[i] = r.cHat(asm)
 		obs.Available[i] = moduleAvailable(r.plant, i)
+	}
+	if !slices.Contains(obs.Available, true) {
+		r.fallbackL2()
+		return nil
 	}
 	dec, err := m.l2.Decide(obs)
 	if err != nil {

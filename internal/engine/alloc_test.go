@@ -29,7 +29,7 @@ func (p *fixedPolicy) Init(plant *cluster.Plant) error {
 	return nil
 }
 
-func (p *fixedPolicy) Decide(int, TickObs) (Settings, error)      { return p.st, nil }
+func (p *fixedPolicy) Decide(int, int) (Settings, error)          { return p.st, nil }
 func (p *fixedPolicy) Observe(int, Interval, []ModuleStats) error { return nil }
 
 // TestHarnessTickSteadyStateAllocs pins the mechanics of one observation

@@ -99,8 +99,12 @@ type Harness struct {
 	tick    int
 	failAt  []int
 
-	// ring buffers the current bin's requests, one slot per tick of a bin.
-	ring [][]workload.Request
+	// batch is the current bin's requests — the feed's own arrival-sorted
+	// batch, valid until the next PushBin — and cuts the sub+1 offsets that
+	// split it by tick: tick d of the bin dispatches
+	// batch[cuts[d]:cuts[d+1]].
+	batch []workload.Request
+	cuts  []int
 
 	stats []ModuleStats
 	// per holds the harness-owned harvest buffers, one per module:
@@ -162,7 +166,7 @@ func New(cfg Config, store *workload.Store, p Policy) (*Harness, error) {
 		plant:  plant,
 		feed:   feed,
 		sub:    sub,
-		ring:   make([][]workload.Request, sub),
+		cuts:   make([]int, sub+1),
 		stats:  make([]ModuleStats, len(cfg.Spec.Modules)),
 		per:    make([][]cluster.IntervalStats, len(cfg.Spec.Modules)),
 	}
@@ -266,25 +270,29 @@ func (h *Harness) PushBin(count float64) error {
 
 // spread maps one bin's requests onto the bin's ticks by the one
 // arrival-spread rule every policy runs under: a request lands on the tick
-// its offset into the bin falls in, clamped to the bin. PushBin only runs
-// on a bin boundary, so that offset in ticks is the ring slot. Arrival
-// times are rebased onto the simulation clock (workload time zero is the
-// end of the boot pre-roll; traces sliced mid-day have a non-zero Start).
+// its offset into the bin falls in, clamped to the bin. The feed hands the
+// batch over sorted by arrival and that tick is monotone in the arrival, so
+// each tick's share is a contiguous run of the batch: one walk records
+// where the runs start (cuts) and copies nothing. Arrival times are rebased
+// onto the simulation clock in place (workload time zero is the end of the
+// boot pre-roll; traces sliced mid-day have a non-zero Start).
 //
 //hpm:hotpath
 func (h *Harness) spread(bin int, reqs []workload.Request) {
 	binStart := h.cfg.Start + float64(bin)*h.cfg.BinSeconds
-	for _, req := range reqs {
-		d := int((req.Arrival - binStart) / h.cfg.PeriodSeconds)
-		req.Arrival += h.preroll - h.cfg.Start
-		if d < 0 {
-			d = 0
+	rebase := h.preroll - h.cfg.Start
+	d := 0
+	for i := range reqs {
+		at := min(int((reqs[i].Arrival-binStart)/h.cfg.PeriodSeconds), h.sub-1)
+		for ; d < at; d++ {
+			h.cuts[d+1] = i
 		}
-		if d >= h.sub {
-			d = h.sub - 1
-		}
-		h.ring[d] = append(h.ring[d], req)
+		reqs[i].Arrival += rebase
 	}
+	for ; d < h.sub; d++ {
+		h.cuts[d+1] = len(reqs)
+	}
+	h.batch = reqs
 }
 
 // Tick advances one control period: planned failures fire at the boundary,
@@ -308,22 +316,15 @@ func (h *Harness) Tick() error {
 	if err := h.plant.ApplyPlannedFailures(h.cfg.Failures, h.failAt, k); err != nil {
 		return err
 	}
-	reqs := h.ring[k%h.sub]
-	obs := TickObs{
-		Time:            t,
-		PendingRequests: len(reqs),
-	}
-	if k%h.sub == 0 {
-		obs.NewBin = true
-		obs.Bin = k / h.sub
-	}
+	d := k % h.sub
+	reqs := h.batch[h.cuts[d]:h.cuts[d+1]]
 	rec := h.cfg.Recorder
 	rec.SetTick(int64(k))
 	var decideStart time.Time
 	if rec.Enabled() {
 		decideStart = time.Now() //hpm:wallclock decide-latency telemetry; observe-only, never a decision input
 	}
-	st, err := h.policy.Decide(k, obs)
+	st, err := h.policy.Decide(k, len(reqs))
 	if err != nil {
 		return err
 	}
@@ -336,11 +337,6 @@ func (h *Harness) Tick() error {
 			return err
 		}
 	}
-	// The slot keeps its capacity for the next bin: Dispatch copied each
-	// request's arrival and demand into the computers' queues
-	// (cluster.Computer.Enqueue takes them by value), so the batch never
-	// escapes and a long-running session does not reallocate it every bin.
-	h.ring[k%h.sub] = reqs[:0]
 	if err := h.plant.Advance(t + h.cfg.PeriodSeconds); err != nil {
 		return err
 	}

@@ -15,9 +15,10 @@ import (
 
 // stubPolicy records the harness's callbacks and dispatches uniformly.
 type stubPolicy struct {
-	plant   *cluster.Plant
-	inits   int
-	decides []TickObs
+	plant *cluster.Plant
+	inits int
+	// decides keeps the pending count of every Decide call.
+	decides []int
 	observe int
 	// intervals keeps every Interval Observe was handed.
 	intervals []Interval
@@ -31,8 +32,8 @@ func (s *stubPolicy) Init(p *cluster.Plant) error {
 	return nil
 }
 
-func (s *stubPolicy) Decide(tick int, obs TickObs) (Settings, error) {
-	s.decides = append(s.decides, obs)
+func (s *stubPolicy) Decide(tick, pending int) (Settings, error) {
+	s.decides = append(s.decides, pending)
 	gm := make([]float64, s.plant.Modules())
 	gc := make([][]float64, s.plant.Modules())
 	for i := range gc {
@@ -133,15 +134,13 @@ func TestHarnessLifecycle(t *testing.T) {
 		t.Fatalf("NextTickTime = %v after 2 ticks, want %v", h.NextTickTime(), want)
 	}
 
-	// Decide saw the bin boundaries: tick 0 opened bin 0, tick 1 did not.
+	// Decide ran once per tick and was told what each tick dispatches: bin
+	// 0's two ticks share its 40 requests.
 	if len(pol.decides) != 2 || pol.observe != 2 {
 		t.Fatalf("decides %d observes %d, want 2 and 2", len(pol.decides), pol.observe)
 	}
-	if !pol.decides[0].NewBin || pol.decides[0].Bin != 0 {
-		t.Fatalf("tick 0 obs = %+v, want NewBin for bin 0", pol.decides[0])
-	}
-	if pol.decides[1].NewBin {
-		t.Fatalf("tick 1 obs = %+v, want mid-bin", pol.decides[1])
+	if got := pol.decides[0] + pol.decides[1]; got != 40 || pol.decides[0] == 0 || pol.decides[1] == 0 {
+		t.Fatalf("bin 0's ticks were shown %v pending requests, want two non-empty shares of 40", pol.decides)
 	}
 
 	if h.Done() {
@@ -201,25 +200,25 @@ func TestBinRingSpreadFoldsWithinBin(t *testing.T) {
 		{Arrival: 45, Demand: 0.01},  // second tick
 		{Arrival: 500, Demand: 0.01}, // past the bin → clamped to its last tick
 	})
-	if n := len(h.ring[0]); n != 2 {
-		t.Fatalf("ring slot 0 holds %d, want 2", n)
+	if n := h.cuts[1] - h.cuts[0]; n != 2 {
+		t.Fatalf("tick 0's run holds %d, want 2", n)
 	}
-	if n := len(h.ring[1]); n != 2 {
-		t.Fatalf("ring slot 1 holds %d, want 2", n)
+	if n := h.cuts[2] - h.cuts[1]; n != 2 {
+		t.Fatalf("tick 1's run holds %d, want 2", n)
 	}
 }
 
 // TestRingSlotMatchesAbsoluteGridIndex pins why one spread rule serves
 // every runner. The flat runners used to index a request onto the run's
-// absolute tick grid, tick + int((a − binStart)/period); the ring drops it
-// in slot int((a − binStart)/period) of its own bin, clamped. For arrivals
+// absolute tick grid, tick + int((a − binStart)/period); the harness puts it
+// in run int((a − binStart)/period) of its own bin, clamped. For arrivals
 // drawn the way the feed draws them (binStart + u·bin, u in [0, 1)) the two
-// agree — tick + slot is the old index — for every offset the old index
+// agree — tick + run is the old index — for every offset the old index
 // kept inside the bin. The only other case is the rounding edge the old
 // spill counter existed for: u so close to 1 that binStart + u·bin rounds
 // onto the bin's right edge, where the old rule moved the request one tick
-// into the next bin (or spilled it at the trace end) and the ring keeps it
-// in its own bin's last tick.
+// into the next bin (or spilled it at the trace end) and the harness keeps
+// it in its own bin's last tick.
 func TestRingSlotMatchesAbsoluteGridIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	periods := []float64{0.25, 1, 7.5, 30, 45, 0.1}
@@ -233,7 +232,7 @@ func TestRingSlotMatchesAbsoluteGridIndex(t *testing.T) {
 			BinSeconds:    period * float64(sub),
 			Start:         starts[rng.Intn(len(starts))],
 		}
-		h := &Harness{cfg: cfg, sub: sub, ring: make([][]workload.Request, sub)}
+		h := &Harness{cfg: cfg, sub: sub, cuts: make([]int, sub+1)}
 		bin := rng.Intn(5000)
 		h.tick = bin * sub
 		binStart := cfg.Start + float64(bin)*cfg.BinSeconds
@@ -245,33 +244,30 @@ func TestRingSlotMatchesAbsoluteGridIndex(t *testing.T) {
 		for _, u := range us {
 			a := binStart + u*cfg.BinSeconds // synthBin's draw
 			old := h.tick + int((a-binStart)/period)
-			for d := range h.ring {
-				h.ring[d] = h.ring[d][:0]
-			}
 			h.spread(bin, []workload.Request{{Arrival: a}})
 			slot := -1
-			for d := range h.ring {
-				if len(h.ring[d]) == 1 {
+			for d := 0; d < sub; d++ {
+				if h.cuts[d+1]-h.cuts[d] == 1 {
 					slot = d
 				}
 			}
 			switch {
 			case slot < 0:
-				t.Fatalf("trial %d u=%v: request landed in no slot", trial, u)
+				t.Fatalf("trial %d u=%v: request landed in no run", trial, u)
 			case old < h.tick+sub:
 				if h.tick+slot != old {
-					t.Fatalf("trial %d (sub %d, period %v, start %v, bin %d) u=%v: ring tick %d, absolute-grid index %d",
+					t.Fatalf("trial %d (sub %d, period %v, start %v, bin %d) u=%v: harness tick %d, absolute-grid index %d",
 						trial, sub, period, cfg.Start, bin, u, h.tick+slot, old)
 				}
 			default:
 				// Past the bin on the old grid: only the rounding edge gets
-				// here, and the ring folds it into the bin's last tick.
+				// here, and the harness folds it into the bin's last tick.
 				edges++
 				if u != math.Nextafter(1, 0) || a-binStart < cfg.BinSeconds {
 					t.Fatalf("trial %d u=%v: offset %v of a %v s bin indexed past the bin", trial, u, a-binStart, cfg.BinSeconds)
 				}
 				if slot != sub-1 {
-					t.Fatalf("trial %d: right-edge arrival in slot %d, want the last (%d)", trial, slot, sub-1)
+					t.Fatalf("trial %d: right-edge arrival in run %d, want the last (%d)", trial, slot, sub-1)
 				}
 			}
 		}

@@ -59,21 +59,6 @@ func (iv Interval) MeanResponse() float64 {
 	return iv.RespMass / float64(iv.Completed)
 }
 
-// TickObs is the harness's payload for one Decide call.
-type TickObs struct {
-	// Time is the simulation clock at the start of the tick (the boot
-	// pre-roll included).
-	Time float64
-	// PendingRequests is how many requests are queued for dispatch this
-	// tick; when it is zero the returned Settings are not used.
-	PendingRequests int
-	// NewBin marks the first tick after an observation bin was ingested;
-	// Bin and BinCount then identify it.
-	NewBin   bool
-	Bin      int
-	BinCount float64
-}
-
 // Policy is the control side of a closed-loop run. The harness owns the
 // mechanics — clock, pre-roll, workload feed, failure schedule, dispatch,
 // plant advance, interval harvest and its aggregate, QoS judgement and the
@@ -96,7 +81,9 @@ type Policy interface {
 	Init(p *cluster.Plant) error
 	// Decide runs the policy's controllers for tick (deciding at its own
 	// cadence) and returns the dispatch fractions for the tick's arrivals.
-	Decide(tick int, obs TickObs) (Settings, error)
+	// pending is how many requests the tick dispatches; when it is zero the
+	// returned fractions are not used.
+	Decide(tick, pending int) (Settings, error)
 	// Observe folds the tick's harvested plant statistics into the
 	// policy's estimators and records: iv is their cluster-wide sum (the
 	// same value the harness judged against its QoS target), stats the

@@ -60,14 +60,14 @@ func (h *Harness) injectAndSanitize(k int) int {
 		in := &h.inj[a.Module]
 		switch a.Kind {
 		case chaos.KindDrop:
-			in.dropUntil = k + a.Ticks
+			in.dropUntil = tickAfter(k, a.Ticks)
 		case chaos.KindNaN, chaos.KindNegative, chaos.KindSpike:
 			in.corrupt, in.factor, in.hasCorrupt = a.Kind, a.Factor, true
 		case chaos.KindDelay:
 			// Withhold this tick's observation and deliver it late; the
 			// tick it was taken from reads as dropped.
 			in.stashStats(h.stats[a.Module])
-			in.stashDue = k + a.Ticks
+			in.stashDue = tickAfter(k, a.Ticks)
 			in.dropUntil = k + 1
 		case chaos.KindDupe:
 			// This tick delivers normally; its copy supersedes the next
@@ -109,6 +109,16 @@ func (h *Harness) injectAndSanitize(k int) int {
 	return stale
 }
 
+// tickAfter is k + n, saturating: a plan may ask for a fault that outlasts
+// any run, and a sum that wrapped negative would cancel the fault instead
+// of holding it to the end.
+func tickAfter(k, n int) int {
+	if n > math.MaxInt-k {
+		return math.MaxInt
+	}
+	return k + n
+}
+
 // corruptStats applies a one-shot corruption to the module's harvested
 // interval. The harvest buffers are harness-owned until the next tick, so
 // in-place mutation never leaks into the plant.
@@ -148,11 +158,10 @@ func statsValid(st ModuleStats) bool {
 }
 
 func intervalValid(s cluster.IntervalStats) bool {
-	if s.Arrived < 0 || s.Completed < 0 || s.Dropped < 0 || s.QueueLen < 0 {
+	if s.Arrived < 0 || s.Completed < 0 || s.QueueLen < 0 {
 		return false
 	}
-	return nonNegFinite(s.MeanResponse) && nonNegFinite(s.MaxResponse) &&
-		nonNegFinite(s.MeanDemand) && nonNegFinite(s.Busy)
+	return nonNegFinite(s.MeanResponse) && nonNegFinite(s.MeanDemand) && nonNegFinite(s.Busy)
 }
 
 func nonNegFinite(x float64) bool {

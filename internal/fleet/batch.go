@@ -34,8 +34,9 @@ type BatchResult struct {
 }
 
 // batchOut is one entry's cell in a batch call, and the job its home shard
-// runs: the caller fills t and counts and sends the cell itself down the
-// shard queue, so an entry costs no closure. The job owns applied, last
+// runs — the only place a bin is stepped, timed and counted: the caller
+// fills t and counts and sends the cell itself down the shard queue, so an
+// entry costs no closure. The job owns applied, last
 // and err until it sets finished; the caller reads them only after loading
 // finished true, so a job abandoned by fleet shutdown can still write its
 // cell harmlessly — which is also why the cells of a call that saw the
@@ -52,16 +53,40 @@ type batchOut struct {
 	err      error
 }
 
-// batchCall is one ObserveBatchInto call's state, pooled per fleet: the
-// entries' cells and the completion counter. pending counts the enqueued
-// jobs still running plus one hold the caller keeps while it is
-// enqueueing; whoever drops it to zero puts the call's one token in done.
+// batchCall is one ObserveBatchInto or Observe call's state, pooled per
+// fleet: the entries' cells and the completion counter. pending counts the
+// enqueued jobs still running plus, in a batch, one hold the caller keeps
+// while it is enqueueing; whoever drops it to zero puts the call's one
+// token in done.
 type batchCall struct {
 	f         *Fleet
 	decisions bool
 	cells     []batchOut
 	pending   atomic.Int64
 	done      chan struct{} // capacity 1: one token per call, taken before reuse
+	one       [1]float64    // Observe's bin: the counts of its one cell
+}
+
+// takeCall returns a pooled call with n zeroed cells.
+func (f *Fleet) takeCall(n int, decisions bool) *batchCall {
+	call, _ := f.batchCalls.Get().(*batchCall)
+	if call == nil {
+		call = &batchCall{f: f, done: make(chan struct{}, 1)}
+	}
+	call.decisions = decisions
+	if cap(call.cells) < n {
+		call.cells = make([]batchOut, n)
+	}
+	call.cells = call.cells[:n]
+	return call
+}
+
+// putCall pools a call whose token was taken: every job it enqueued has
+// finished. Nothing a pooled cell holds may pin a closed tenant, the
+// caller's counts or a returned decision.
+func (f *Fleet) putCall(call *batchCall) {
+	clear(call.cells)
+	f.batchCalls.Put(call)
 }
 
 func (c *batchCall) release() {
@@ -137,15 +162,8 @@ func (f *Fleet) ObserveBatchInto(dst []BatchResult, entries []BatchEntry, decisi
 	dst = slices.Grow(dst, len(entries))[:base+len(entries)]
 	results := dst[base:]
 
-	call, _ := f.batchCalls.Get().(*batchCall)
-	if call == nil {
-		call = &batchCall{f: f, done: make(chan struct{}, 1)}
-	}
-	call.decisions = decisions
-	if cap(call.cells) < len(entries) {
-		call.cells = make([]batchOut, len(entries))
-	}
-	cells := call.cells[:len(entries)]
+	call := f.takeCall(len(entries), decisions)
+	cells := call.cells
 	call.pending.Store(1)
 
 	f.mu.RLock()
@@ -171,10 +189,7 @@ func (f *Fleet) ObserveBatchInto(dst []BatchResult, entries []BatchEntry, decisi
 		// still write its cell, so the cells are left to the collector.
 		return dst, nil
 	}
-	// Nothing a pooled cell holds may pin a closed tenant, the caller's
-	// counts or a returned decision.
-	clear(cells)
-	f.batchCalls.Put(call)
+	f.putCall(call)
 	return dst, nil
 }
 

@@ -40,7 +40,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"hierctl/internal/core"
 	"hierctl/internal/obs"
@@ -119,12 +118,15 @@ type Fleet struct {
 
 	failpoint func(id string, count float64)
 
-	// batchCalls pools ObserveBatchInto's per-call state (*batchCall).
+	// batchCalls pools the per-call state (*batchCall) of ObserveBatchInto
+	// and Observe.
 	batchCalls sync.Pool
 }
 
-// job is one unit of work on a shard queue. A batch entry's pooled cell is
-// its own job; everything else rides as a funcJob.
+// job is one unit of work on a shard queue. A bin reaches its shard one
+// way, as a pooled batch cell that is its own job (Observe's is a batch of
+// one); a sweep's turn is a sweepJob; the single-tenant reads, CloseTenant
+// and eachShard ride as funcJobs.
 type job interface{ run() }
 
 type funcJob func()
@@ -316,35 +318,39 @@ func (f *Fleet) CreateTenant(id string, tc TenantConfig) error {
 }
 
 // Observe feeds one arrival-count bin to the tenant and returns the
-// frequency/provisioning decisions now in force. Calls for the same
-// tenant serialize on its home shard; calls for different tenants run
-// concurrently.
+// frequency/provisioning decisions now in force. It is a one-entry batch:
+// the bin reaches the home shard as the same pooled cell an ObserveBatch
+// entry does and is stepped, timed and counted in the same place
+// (batchOut.run). The one difference is the enqueue, which waits for room
+// on the shard's queue where ObserveBatch rejects with ErrQueueFull. Calls
+// for the same tenant serialize on its home shard; calls for different
+// tenants run concurrently.
 func (f *Fleet) Observe(id string, count float64) (core.BinDecision, error) {
 	t, err := f.tenant(id)
 	if err != nil {
 		return core.BinDecision{}, err
 	}
-	var dec core.BinDecision
-	var oerr error
-	var decided time.Duration
-	if err := f.exec(t, func() {
-		// Time inside the shard job so the counter measures stepping,
-		// not shard-queue wait.
-		start := time.Now()
-		if oerr = f.stepTenant(t, count); oerr == nil {
-			dec = t.sess.Decision()
-		}
-		decided = time.Since(start)
-	}); err != nil {
+	call := f.takeCall(1, true)
+	cell := &call.cells[0]
+	call.one[0] = count
+	cell.call, cell.t, cell.counts = call, t, call.one[:]
+	call.pending.Store(1)
+	select {
+	case t.home.jobs <- cell:
+	case <-f.ctx.Done():
+		return core.BinDecision{}, ErrClosed
+	}
+	if err := f.await(call.done); err != nil {
+		// The job the shutdown abandoned may still write its cell, so the
+		// call is left to the collector.
 		return core.BinDecision{}, err
 	}
-	if oerr != nil {
-		return core.BinDecision{}, oerr
+	last, err := cell.last, cell.err
+	f.putCall(call)
+	if err != nil {
+		return core.BinDecision{}, err
 	}
-	f.observations.Add(1)
-	f.ticks.Add(int64(t.sub))
-	f.decideNanos.Add(decided.Nanoseconds())
-	return dec, nil
+	return *last, nil
 }
 
 // State reports a tenant's progress and last decision.

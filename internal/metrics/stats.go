@@ -1,5 +1,5 @@
 // Package metrics provides the statistics and reporting substrate used by
-// the simulator and the experiment harness: streaming moments (Welford),
+// the simulator and the experiment harness: streaming means (Welford),
 // percentiles, error measures for forecast evaluation, time-weighted
 // averages for power accounting, and plain-text table rendering.
 package metrics
@@ -9,20 +9,17 @@ import (
 	"math"
 )
 
-// Welford accumulates count, mean, and variance of a stream in a single
-// pass using Welford's algorithm. The zero value is ready to use.
+// Welford accumulates count and mean of a stream in a single pass by
+// Welford's running-mean recurrence. The zero value is ready to use.
 type Welford struct {
 	n    int64
 	mean float64
-	m2   float64
 }
 
 // Add folds x into the accumulator.
 func (w *Welford) Add(x float64) {
 	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
+	w.mean += (x - w.mean) / float64(w.n)
 }
 
 // Count returns the number of samples added.
@@ -30,14 +27,6 @@ func (w *Welford) Count() int64 { return w.n }
 
 // Mean returns the sample mean, or 0 with no samples.
 func (w *Welford) Mean() float64 { return w.mean }
-
-// Variance returns the unbiased sample variance, or 0 with < 2 samples.
-func (w *Welford) Variance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
 
 // Merge folds another accumulator into w (parallel Welford combination).
 func (w *Welford) Merge(o *Welford) {
@@ -49,9 +38,7 @@ func (w *Welford) Merge(o *Welford) {
 		return
 	}
 	n := w.n + o.n
-	d := o.mean - w.mean
-	w.m2 += o.m2 + d*d*float64(w.n)*float64(o.n)/float64(n)
-	w.mean += d * float64(o.n) / float64(n)
+	w.mean += (o.mean - w.mean) * float64(o.n) / float64(n)
 	w.n = n
 }
 

@@ -12,11 +12,12 @@
 // by the recorder equivalence suites in internal/controller and
 // internal/core).
 //
-// Writers may be concurrent: each Record call claims a distinct slot with
-// one atomic add (the hierarchy itself writes from one goroutine — nothing
-// fans out inside a control tick — so its record sequence is
-// deterministic). Readers must be externally synchronized with writers —
-// the fleet reads on the tenant's home shard, the CLIs read after the run.
+// A recorder has one writer: the hierarchy records from the goroutine that
+// steps its tenant — nothing fans out inside a control tick — so the record
+// sequence is deterministic. A Record call still claims its slot with one
+// atomic add; the synchronisation stays although no caller needs it today.
+// Readers must be externally synchronized with the writer — the fleet reads
+// on the tenant's home shard, the CLIs read after the run.
 package obs
 
 import (
@@ -270,8 +271,9 @@ func (r *Recorder) Tick() int64 {
 }
 
 // Record appends rec to the ring, stamping the current tick over
-// rec.Tick and overwriting the oldest entry once the ring is full. Safe
-// for concurrent writers; never allocates.
+// rec.Tick and overwriting the oldest entry once the ring is full. The
+// hierarchy calls it from one goroutine; the atomic slot claim keeps
+// concurrent writers safe all the same. Never allocates.
 //
 //hpm:hotpath
 func (r *Recorder) Record(rec Record) {

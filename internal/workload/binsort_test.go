@@ -4,7 +4,17 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+	"unsafe"
 )
+
+// TestRequestSize pins what a synthesized request costs: a feed's batch
+// and its sort scratch are each the peak bin × this, and it is exactly the
+// (arrival, demand) pair a cluster.Computer queues.
+func TestRequestSize(t *testing.T) {
+	if got := unsafe.Sizeof(Request{}); got != 16 {
+		t.Fatalf("Request is %d bytes, want 16", got)
+	}
+}
 
 // TestSortByArrivalMatchesStableSort pins the bucket sort against the
 // stdlib stable sort over random batches, including tiny bins, skewed
@@ -26,7 +36,7 @@ func TestSortByArrivalMatchesStableSort(t *testing.T) {
 			case 2: // coarse: duplicate keys across distinct payloads
 				arrival = start + float64(rng.Intn(8))*step/8
 			}
-			reqs[i] = Request{Arrival: arrival, Object: i, Demand: rng.Float64()}
+			reqs[i] = Request{Arrival: arrival, Demand: float64(i)}
 		}
 		want := append([]Request(nil), reqs...)
 		sort.SliceStable(want, func(i, j int) bool { return want[i].Arrival < want[j].Arrival })
@@ -50,7 +60,7 @@ func TestSortByArrivalOutOfBinKeys(t *testing.T) {
 	reqs := make([]Request, 64)
 	rng := rand.New(rand.NewSource(3))
 	for i := range reqs {
-		reqs[i] = Request{Arrival: -50 + rng.Float64()*200, Object: i}
+		reqs[i] = Request{Arrival: -50 + rng.Float64()*200, Demand: float64(i)}
 	}
 	got := sortByArrival(reqs, 0, 30, &scratch)
 	for i := 1; i < len(got); i++ {
@@ -66,7 +76,7 @@ func BenchmarkSortByArrival400(b *testing.B) {
 	reqs := make([]Request, 400)
 	for i := 0; i < b.N; i++ {
 		for j := range reqs {
-			reqs[j] = Request{Arrival: rng.Float64() * 30, Object: j}
+			reqs[j] = Request{Arrival: rng.Float64() * 30, Demand: float64(j)}
 		}
 		reqs = sortByArrival(reqs, 0, 30, &scratch)
 	}
@@ -95,7 +105,7 @@ func TestSortByArrivalReusesCapacity(t *testing.T) {
 		}
 		buf = buf[:0]
 		for i := 0; i < n; i++ {
-			buf = append(buf, Request{Arrival: start + rng.Float64()*step, Object: i, Demand: rng.Float64()})
+			buf = append(buf, Request{Arrival: start + rng.Float64()*step, Demand: float64(i)})
 		}
 		want := append([]Request(nil), buf...)
 		sort.SliceStable(want, func(i, j int) bool { return want[i].Arrival < want[j].Arrival })

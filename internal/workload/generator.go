@@ -7,12 +7,11 @@ import (
 	"hierctl/internal/series"
 )
 
-// Request is one generated service request.
+// Request is one generated service request: the 16 bytes the plant queues.
+// Which store object it asked for is looked up at synthesis and not carried.
 type Request struct {
 	// Arrival is the absolute arrival time in simulation seconds.
 	Arrival float64
-	// Object is the requested object's id in the store.
-	Object int
 	// Demand is the full-speed processing time in seconds.
 	Demand float64
 }
@@ -89,7 +88,6 @@ func synthBin(buf []Request, scratch *binScratch, n int, start, step float64, st
 		obj := store.Sample(rng)
 		buf = append(buf, Request{
 			Arrival: start + rng.Float64()*step,
-			Object:  obj,
 			Demand:  store.Demand(obj),
 		})
 	}

@@ -350,9 +350,6 @@ func TestGeneratorProducesTraceCounts(t *testing.T) {
 			if r.Demand <= 0 {
 				t.Fatal("non-positive demand")
 			}
-			if r.Object < 0 || r.Object >= store.Objects() {
-				t.Fatalf("object id %d out of range", r.Object)
-			}
 		}
 	}
 	if total != int(tr.Sum()) {
