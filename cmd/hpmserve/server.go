@@ -273,7 +273,6 @@ const (
 	// depend on the host). 16 is the largest size under 2×10⁵ states per
 	// decision; README "Online control plane" has the measured table.
 	maxModuleSize  = 16
-	maxBinCount    = 1e6
 	maxBinSeconds  = 3600 // one bin = at most 120 T_L0 control periods
 	maxCalibration = 1 << 16
 	maxBodyBytes   = 1 << 20
@@ -675,8 +674,8 @@ func (s *server) observeBatch(w http.ResponseWriter, r *http.Request, sc *batchS
 		}
 		totalBins += len(e.Counts)
 		for _, c := range e.Counts {
-			if !(c >= 0) || c > maxBinCount { // also rejects NaN
-				writeError(w, fmt.Errorf("entry %d (%s): count %v outside [0, %g]", i, e.Tenant, c, float64(maxBinCount)))
+			if err := hierctl.CheckBinCount(c); err != nil {
+				writeError(w, fmt.Errorf("entry %d (%s): %w", i, e.Tenant, err))
 				return true
 			}
 		}
@@ -739,8 +738,8 @@ func (s *server) handleTenant(w http.ResponseWriter, r *http.Request) {
 			writeError(w, err)
 			return
 		}
-		if !(req.Count >= 0) || req.Count > maxBinCount { // also rejects NaN
-			writeError(w, fmt.Errorf("count %v outside [0, %g]", req.Count, float64(maxBinCount)))
+		if err := hierctl.CheckBinCount(req.Count); err != nil {
+			writeError(w, err)
 			return
 		}
 		start := time.Now()

@@ -1,3 +1,3 @@
 module hierctl
 
-go 1.21
+go 1.22

@@ -39,12 +39,12 @@ package hierctl
 import (
 	"fmt"
 	"io"
-	"math/rand"
 
 	"hierctl/internal/baseline"
 	"hierctl/internal/chaos"
 	"hierctl/internal/cluster"
 	"hierctl/internal/core"
+	"hierctl/internal/des"
 	"hierctl/internal/engine"
 	"hierctl/internal/fleet"
 	"hierctl/internal/obs"
@@ -233,6 +233,11 @@ func LookupChaosPlan(name string) (ChaosSpec, error) { return chaos.Lookup(name)
 // (48 MB of ring) a tenant may retain.
 func CheckTelemetryRecords(n int) error { return fleet.CheckTelemetryRecords(n) }
 
+// CheckBinCount reports whether count is a valid arrival count for one
+// observation bin — the bound every fleet tenant applies to a bin before
+// stepping it, exposed so a front end can refuse the request instead.
+func CheckBinCount(count float64) error { return fleet.CheckBinCount(count) }
+
 // NewTelemetryRecorder builds a flight recorder retaining the newest
 // capacity records. Writes are allocation-free.
 func NewTelemetryRecorder(capacity int) (*TelemetryRecorder, error) {
@@ -304,9 +309,12 @@ func StandardCluster(p int) (ClusterSpec, error) {
 // lognormal temporal locality).
 func DefaultStoreConfig() StoreConfig { return workload.DefaultStoreConfig() }
 
-// NewStore builds a virtual object store from a seed.
+// NewStore builds a virtual object store from a seed. The demand table and
+// the Zipf popularity draws come from the stream des.RNG(seed, "store") —
+// the derivation a fleet tenant's store uses, so a store built here and a
+// tenant's agree at one seed.
 func NewStore(seed int64, cfg StoreConfig) (*Store, error) {
-	return workload.NewStore(rand.New(rand.NewSource(seed)), cfg)
+	return workload.NewStore(des.RNG(seed, "store"), cfg)
 }
 
 // DefaultSyntheticConfig returns the §4.3 synthetic trace parameters.

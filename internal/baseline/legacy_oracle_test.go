@@ -31,11 +31,11 @@ func legacyRun(spec cluster.Spec, policy Policy, trace *series.Series, store *wo
 	if sub < 1 || math.Abs(float64(sub)*cfg.PeriodSeconds-trace.Step) > 1e-6 {
 		return nil, fmt.Errorf("baseline: trace bin %vs not a multiple of period %vs", trace.Step, cfg.PeriodSeconds)
 	}
-	plant, err := cluster.NewPlant(spec, des.RNG(cfg.Seed, "baseline-dispatch"))
+	plant, err := cluster.NewPlant(spec, des.RNG(cfg.Seed, "dispatch"))
 	if err != nil {
 		return nil, err
 	}
-	gen, err := workload.NewGenerator(trace, store, des.RNG(cfg.Seed, "baseline-workload"))
+	gen, err := workload.NewGenerator(trace, store, des.RNG(cfg.Seed, "workload"))
 	if err != nil {
 		return nil, err
 	}
@@ -240,18 +240,12 @@ func legacyRun(spec cluster.Spec, policy Policy, trace *series.Series, store *wo
 	plant.FinishAccounting()
 	res.Energy = plant.TotalEnergy()
 	res.Switches = plant.TotalSwitches()
-	var respAll float64
-	var respCount int64
 	for _, s := range slots {
 		comp := plant.Computer(s.i, s.j)
 		res.Completed += comp.TotalCompleted()
 		res.Dropped += comp.TotalDropped()
-		respAll += comp.LifetimeResponse().Mean() * float64(comp.LifetimeResponse().Count())
-		respCount += comp.LifetimeResponse().Count()
 	}
-	if respCount > 0 {
-		res.MeanResponse = respAll / float64(respCount)
-	}
+	res.MeanResponse = plant.Latencies().Mean()
 	res.ResponseP95 = plant.Latencies().Quantile(0.95)
 	if respBins > 0 {
 		res.ViolationFrac = float64(violations) / float64(respBins)

@@ -277,18 +277,16 @@ func PrepareEngine(spec cluster.Spec, policy Policy, trace *series.Series, store
 	}
 	r := &runner{spec: spec, cfg: cfg, policy: policy}
 	h, err := engine.New(engine.Config{
-		Spec:           spec,
-		Seed:           cfg.Seed,
-		DispatchStream: "baseline-dispatch",
-		WorkloadStream: "baseline-workload",
-		PeriodSeconds:  cfg.PeriodSeconds,
-		BinSeconds:     trace.Step,
-		Start:          trace.Start,
-		TotalBins:      trace.Len(),
-		DrainSeconds:   cfg.DrainSeconds,
-		Failures:       cfg.Failures,
-		Chaos:          cfg.Chaos,
-		QoSTarget:      cfg.TargetResponse,
+		Spec:          spec,
+		Seed:          cfg.Seed,
+		PeriodSeconds: cfg.PeriodSeconds,
+		BinSeconds:    trace.Step,
+		Start:         trace.Start,
+		TotalBins:     trace.Len(),
+		DrainSeconds:  cfg.DrainSeconds,
+		Failures:      cfg.Failures,
+		Chaos:         cfg.Chaos,
+		QoSTarget:     cfg.TargetResponse,
 	}, store, r)
 	if err != nil {
 		return nil, nil, err

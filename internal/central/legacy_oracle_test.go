@@ -30,11 +30,11 @@ func legacyRun(spec cluster.Spec, trace *series.Series, store *workload.Store, c
 	if sub < 1 || math.Abs(float64(sub)*cfg.Controller.SubPeriodSeconds-trace.Step) > 1e-6 {
 		return nil, fmt.Errorf("central: trace bin %vs not a multiple of sub-period %vs", trace.Step, cfg.Controller.SubPeriodSeconds)
 	}
-	plant, err := cluster.NewPlant(spec, des.RNG(cfg.Seed, "central-dispatch"))
+	plant, err := cluster.NewPlant(spec, des.RNG(cfg.Seed, "dispatch"))
 	if err != nil {
 		return nil, err
 	}
-	gen, err := workload.NewGenerator(trace, store, des.RNG(cfg.Seed, "central-workload"))
+	gen, err := workload.NewGenerator(trace, store, des.RNG(cfg.Seed, "workload"))
 	if err != nil {
 		return nil, err
 	}
@@ -241,18 +241,12 @@ func legacyRun(spec cluster.Spec, trace *series.Series, store *workload.Store, c
 	plant.FinishAccounting()
 	res.Energy = plant.TotalEnergy()
 	res.Switches = plant.TotalSwitches()
-	var respAll float64
-	var respCount int64
 	for _, s := range slots {
 		comp := plant.Computer(s.i, s.j)
 		res.Completed += comp.TotalCompleted()
 		res.Dropped += comp.TotalDropped()
-		respAll += comp.LifetimeResponse().Mean() * float64(comp.LifetimeResponse().Count())
-		respCount += comp.LifetimeResponse().Count()
 	}
-	if respCount > 0 {
-		res.MeanResponse = respAll / float64(respCount)
-	}
+	res.MeanResponse = plant.Latencies().Mean()
 	if respBins > 0 {
 		res.ViolationFrac = float64(violations) / float64(respBins)
 	}

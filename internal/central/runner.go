@@ -238,18 +238,16 @@ func Run(spec cluster.Spec, trace *series.Series, store *workload.Store, cfg Run
 
 	r := &runner{spec: spec, cfg: cfg, ctl: ctl, kalman: kalman, band: band, cEst: cEst}
 	h, err := engine.New(engine.Config{
-		Spec:           spec,
-		Seed:           cfg.Seed,
-		DispatchStream: "central-dispatch",
-		WorkloadStream: "central-workload",
-		PeriodSeconds:  cfg.Controller.SubPeriodSeconds,
-		BinSeconds:     trace.Step,
-		Start:          trace.Start,
-		TotalBins:      trace.Len(),
-		DrainSeconds:   cfg.DrainSeconds,
-		Failures:       cfg.Failures,
-		Chaos:          cfg.Chaos,
-		QoSTarget:      cfg.Controller.TargetResponse,
+		Spec:          spec,
+		Seed:          cfg.Seed,
+		PeriodSeconds: cfg.Controller.SubPeriodSeconds,
+		BinSeconds:    trace.Step,
+		Start:         trace.Start,
+		TotalBins:     trace.Len(),
+		DrainSeconds:  cfg.DrainSeconds,
+		Failures:      cfg.Failures,
+		Chaos:         cfg.Chaos,
+		QoSTarget:     cfg.Controller.TargetResponse,
 	}, store, r)
 	if err != nil {
 		return nil, err

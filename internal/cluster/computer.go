@@ -164,7 +164,7 @@ type Computer struct {
 	// Interval accumulators, harvested by TakeIntervalStats.
 	arrived     int
 	completed   int
-	respWelford metrics.Welford
+	respSum     float64
 	demandSum   float64
 	busySeconds float64
 	intervalLen float64
@@ -172,7 +172,6 @@ type Computer struct {
 	// Lifetime counters.
 	totalCompleted int64
 	totalDropped   int64
-	totalResponse  metrics.Welford
 
 	// Energy books (§4.1): the integral of the power draw over the
 	// computer's clock, plus one transient per fresh boot the plant
@@ -219,9 +218,6 @@ func (c *Computer) TotalCompleted() int64 { return c.totalCompleted }
 
 // TotalDropped returns the lifetime number of requests lost to failures.
 func (c *Computer) TotalDropped() int64 { return c.totalDropped }
-
-// LifetimeResponse returns the accumulator of all completed response times.
-func (c *Computer) LifetimeResponse() *metrics.Welford { return &c.totalResponse }
 
 // Energy returns the switch-on transients plus the power integral as far
 // as it is closed: the constant-draw stretch Advance last entered stays
@@ -436,8 +432,7 @@ func (c *Computer) serve(t1 float64) {
 
 func (c *Computer) recordCompletion(response, demand float64) {
 	c.completed++
-	c.respWelford.Add(response)
-	c.totalResponse.Add(response)
+	c.respSum += response
 	if c.sink != nil {
 		c.sink.Observe(response)
 	}
@@ -454,14 +449,14 @@ func (c *Computer) TakeIntervalStats() IntervalStats {
 		QueueLen:  c.QueueLen(),
 	}
 	if c.completed > 0 {
-		st.MeanResponse = c.respWelford.Mean()
+		st.MeanResponse = c.respSum / float64(c.completed)
 		st.MeanDemand = c.demandSum / float64(c.completed)
 	}
 	if c.intervalLen > 0 {
 		st.Busy = c.busySeconds / c.intervalLen
 	}
 	c.arrived, c.completed = 0, 0
-	c.respWelford = metrics.Welford{}
+	c.respSum = 0
 	c.demandSum = 0
 	c.busySeconds = 0
 	c.intervalLen = 0

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"hierctl/internal/metrics"
 	"hierctl/internal/power"
 )
 
@@ -400,6 +401,8 @@ func TestIdleGapsBetweenArrivals(t *testing.T) {
 
 func TestLifetimeCounters(t *testing.T) {
 	c := newOn(t, testSpec("c"))
+	lifetime := metrics.DefaultLatencyHistogram()
+	c.SetResponseSink(lifetime)
 	if err := c.SetFrequencyIndex(1); err != nil {
 		t.Fatal(err)
 	}
@@ -412,8 +415,8 @@ func TestLifetimeCounters(t *testing.T) {
 	if c.TotalCompleted() != 5 {
 		t.Errorf("TotalCompleted = %d, want 5", c.TotalCompleted())
 	}
-	if c.LifetimeResponse().Count() != 5 {
-		t.Errorf("LifetimeResponse count = %d, want 5", c.LifetimeResponse().Count())
+	if lifetime.Count() != 5 {
+		t.Errorf("response sink count = %d, want 5", lifetime.Count())
 	}
 	// Interval stats reset on Take; lifetime persists.
 	c.TakeIntervalStats()

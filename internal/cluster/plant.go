@@ -390,24 +390,20 @@ func (p *Plant) ModuleIntervalStatsInto(i int, dst []IntervalStats) (agg Interva
 	}
 	per = dst[:len(p.modules[i])]
 	var respSum, demandSum float64
-	var respN, demandN int
 	for j, c := range p.modules[i] {
 		st := c.TakeIntervalStats()
 		per[j] = st
 		agg.Arrived += st.Arrived
 		agg.Completed += st.Completed
 		agg.QueueLen += st.QueueLen
-		if st.Completed > 0 {
-			respSum += st.MeanResponse * float64(st.Completed)
-			respN += st.Completed
-			demandSum += st.MeanDemand * float64(st.Completed)
-			demandN += st.Completed
-		}
+		// A computer that completed nothing reports zero means: no mass.
+		respSum += st.MeanResponse * float64(st.Completed)
+		demandSum += st.MeanDemand * float64(st.Completed)
 		agg.Busy += st.Busy
 	}
-	if respN > 0 {
-		agg.MeanResponse = respSum / float64(respN)
-		agg.MeanDemand = demandSum / float64(demandN)
+	if agg.Completed > 0 {
+		agg.MeanResponse = respSum / float64(agg.Completed)
+		agg.MeanDemand = demandSum / float64(agg.Completed)
 	}
 	agg.Busy /= float64(len(p.modules[i]))
 	return agg, per, nil

@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
-
-	"hierctl/internal/metrics"
 )
 
 // sliceComputer is the FCFS reference the ring queue is checked against:
@@ -24,12 +22,10 @@ type sliceComputer struct {
 	now        float64
 
 	arrived, completed       int
-	resp                     metrics.Welford
-	demandSum                float64
+	respSum, demandSum       float64
 	busySeconds, intervalLen float64
 
 	totalCompleted, totalDropped int64
-	totalResponse                metrics.Welford
 }
 
 func (c *sliceComputer) powerOn(now float64) {
@@ -113,8 +109,7 @@ func (c *sliceComputer) serve(t1 float64) {
 			c.busySeconds += done - start
 			response := done - j.arrival
 			c.completed++
-			c.resp.Add(response)
-			c.totalResponse.Add(response)
+			c.respSum += response
 			c.demandSum += j.demand
 			c.totalCompleted++
 			c.now = done
@@ -137,15 +132,14 @@ func (c *sliceComputer) serve(t1 float64) {
 func (c *sliceComputer) takeIntervalStats() IntervalStats {
 	st := IntervalStats{Arrived: c.arrived, Completed: c.completed, QueueLen: len(c.queue)}
 	if c.completed > 0 {
-		st.MeanResponse = c.resp.Mean()
+		st.MeanResponse = c.respSum / float64(c.completed)
 		st.MeanDemand = c.demandSum / float64(c.completed)
 	}
 	if c.intervalLen > 0 {
 		st.Busy = c.busySeconds / c.intervalLen
 	}
 	c.arrived, c.completed = 0, 0
-	c.resp = metrics.Welford{}
-	c.demandSum, c.busySeconds, c.intervalLen = 0, 0, 0
+	c.respSum, c.demandSum, c.busySeconds, c.intervalLen = 0, 0, 0, 0
 	return st
 }
 
@@ -230,8 +224,7 @@ func TestComputerRingMatchesSliceQueue(t *testing.T) {
 				t.Fatalf("trial %d step %d: state %v/%v queue %d/%d headServed %v/%v", trial, step,
 					ring.State(), ref.state, ring.QueueLen(), len(ref.queue), ring.headServed, ref.headServed)
 			}
-			if ring.TotalCompleted() != ref.totalCompleted || ring.TotalDropped() != ref.totalDropped ||
-				*ring.LifetimeResponse() != ref.totalResponse {
+			if ring.TotalCompleted() != ref.totalCompleted || ring.TotalDropped() != ref.totalDropped {
 				t.Fatalf("trial %d step %d: lifetime counters diverged", trial, step)
 			}
 			if n := len(ring.queue); n&(n-1) != 0 {

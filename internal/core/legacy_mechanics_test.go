@@ -229,6 +229,7 @@ func legacyMechanicsRun(m *Manager, trace *series.Series, store *workload.Store)
 			tot.Dropped += c.TotalDropped()
 		}
 	}
+	tot.MeanResponse = plant.Latencies().Mean()
 	if responseBins > 0 {
 		tot.ViolationFrac = float64(violations) / float64(responseBins)
 	}

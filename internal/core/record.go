@@ -25,7 +25,6 @@ import (
 	"time"
 
 	"hierctl/internal/engine"
-	"hierctl/internal/metrics"
 	"hierctl/internal/series"
 )
 
@@ -62,12 +61,9 @@ type Record struct {
 	// Totals is the harness's run outcome — energy, power-on switches,
 	// completed and dropped requests, the p95 latency, the fraction of
 	// T_L0 intervals violating r*, and the degraded-mode counters (zero on
-	// healthy runs) — the same value the flat runners' results embed. Its
-	// MeanResponse is set to ResponseStats.Mean(), the Welford merge
-	// BENCH_scenarios.json pins, which MeanResponse() also returns.
+	// healthy runs) — the same value the flat runners' results embed.
 	engine.Totals
-	Misroutes     int64 // dispatcher fallbacks
-	ResponseStats metrics.Welford
+	Misroutes int64 // dispatcher fallbacks
 	// ResponseP50/P99 (and Totals.ResponseP95) are per-request latency
 	// percentiles over the whole run (log-bucketed histogram, ≤ 15%
 	// relative error); ResponseMax is exact.
@@ -83,8 +79,8 @@ type Record struct {
 }
 
 // MeanResponse returns the run's mean response time over completed
-// requests.
-func (r *Record) MeanResponse() float64 { return r.ResponseStats.Mean() }
+// requests, Totals.MeanResponse.
+func (r *Record) MeanResponse() float64 { return r.Totals.MeanResponse }
 
 // ExploredPerL1Decision returns the paper's §4.3 overhead metric: average
 // states examined per L1 sampling period (including the L0 searches that

@@ -668,15 +668,6 @@ func (r *run) finish(tot engine.Totals) *Record {
 	rec.ResponseP50 = lat.Quantile(0.50)
 	rec.ResponseP99 = lat.Quantile(0.99)
 	rec.ResponseMax = lat.Max()
-	// The record's mean response is the Welford merge of the computers'
-	// lifetime statistics — not the harness's mass-weighted sum, which
-	// rounds differently — and BENCH_scenarios.json pins its bits.
-	for i := range m.modules {
-		for j := 0; j < r.plant.ModuleSize(i); j++ {
-			rec.ResponseStats.Merge(r.plant.Computer(i, j).LifetimeResponse())
-		}
-	}
-	rec.Totals.MeanResponse = rec.ResponseStats.Mean()
 	for _, asm := range m.modules {
 		for _, l0 := range asm.l0s {
 			e, d, ct := l0.Overhead()

@@ -172,19 +172,17 @@ func (m *Manager) NewSession(store *workload.Store, sc SessionConfig) (*Session,
 	}
 
 	h, err := engine.New(engine.Config{
-		Spec:           m.spec,
-		Seed:           m.cfg.Seed,
-		DispatchStream: "dispatch",
-		WorkloadStream: "workload",
-		PeriodSeconds:  tl0,
-		BinSeconds:     binStep,
-		Start:          start0,
-		TotalBins:      totalBins,
-		DrainSeconds:   m.cfg.DrainSeconds,
-		Failures:       m.failures,
-		Chaos:          m.chaos,
-		Recorder:       m.recorder,
-		QoSTarget:      m.cfg.L0.TargetResponse,
+		Spec:          m.spec,
+		Seed:          m.cfg.Seed,
+		PeriodSeconds: tl0,
+		BinSeconds:    binStep,
+		Start:         start0,
+		TotalBins:     totalBins,
+		DrainSeconds:  m.cfg.DrainSeconds,
+		Failures:      m.failures,
+		Chaos:         m.chaos,
+		Recorder:      m.recorder,
+		QoSTarget:     m.cfg.L0.TargetResponse,
 	}, store, r)
 	if err != nil {
 		return nil, err

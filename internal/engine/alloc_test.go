@@ -37,7 +37,12 @@ func (p *fixedPolicy) Observe(int, Interval, []ModuleStats) error { return nil }
 // advance and the per-module harvest — at zero allocations in steady
 // state, on a single-module and a 4-module plant, with the flight
 // recorder on and off. The count series varies (a constant one would hide
-// buffers sized to the current bin), and the warm-up is one pass over it.
+// buffers sized to the current bin). One pass over it warms every buffer
+// the series itself bounds — the feed's batch, the harvest — but not a
+// computer's ring queue: that holds the computer's share of a tick's
+// dispatch, which is a draw of the dispatch stream and can set a new peak
+// on any pass. What bounds it is the tick's whole dispatch landing on one
+// computer, so the warm-up hands every computer that: the peak bin.
 func TestHarnessTickSteadyStateAllocs(t *testing.T) {
 	series := []float64{400, 620, 12, 900, 150, 5, 480, 760, 30, 240, 880, 9, 330, 560, 700, 60}
 	for _, modules := range []int{1, 4} {
@@ -73,6 +78,18 @@ func TestHarnessTickSteadyStateAllocs(t *testing.T) {
 							if err := h.Tick(); err != nil {
 								t.Fatal(err)
 							}
+						}
+					}
+				}
+				peak := 0.0
+				for _, c := range series {
+					peak = max(peak, c*float64(modules))
+				}
+				plant := h.Plant()
+				for i := 0; i < plant.Modules(); i++ {
+					for j := 0; j < plant.ModuleSize(i); j++ {
+						for n := 0; n < int(peak); n++ {
+							plant.Computer(i, j).Enqueue(plant.Now(), 1e-6)
 						}
 					}
 				}

@@ -42,14 +42,13 @@ import (
 type Config struct {
 	// Spec is the cluster the plant simulates.
 	Spec cluster.Spec
-	// Seed drives the run's random streams.
+	// Seed drives the run's two random streams, des.RNG(Seed, "dispatch")
+	// for the plant's dispatcher and des.RNG(Seed, "workload") for the
+	// request feed — the same names under every policy, so at one seed
+	// and one store the hierarchy, the threshold baseline and the
+	// centralized controller are compared on the same requests (common
+	// random numbers).
 	Seed int64
-	// DispatchStream and WorkloadStream name the des.RNG streams for the
-	// plant's dispatcher and the request feed. Each policy keeps its
-	// historical stream names so runs stay bit-identical across the
-	// engine migration.
-	DispatchStream string
-	WorkloadStream string
 	// PeriodSeconds is the control-tick width in seconds.
 	PeriodSeconds float64
 	// BinSeconds is the observation-bin width; Start the workload-clock
@@ -149,14 +148,11 @@ func New(cfg Config, store *workload.Store, p Policy) (*Harness, error) {
 	if cfg.DrainSeconds < 0 {
 		return nil, fmt.Errorf("engine: drain %v < 0", cfg.DrainSeconds)
 	}
-	if cfg.DispatchStream == "" || cfg.WorkloadStream == "" {
-		return nil, fmt.Errorf("engine: dispatch and workload RNG stream names are required")
-	}
-	plant, err := cluster.NewPlant(cfg.Spec, des.RNG(cfg.Seed, cfg.DispatchStream))
+	plant, err := cluster.NewPlant(cfg.Spec, des.RNG(cfg.Seed, "dispatch"))
 	if err != nil {
 		return nil, err
 	}
-	feed, err := workload.NewFeed(cfg.Start, cfg.BinSeconds, store, des.RNG(cfg.Seed, cfg.WorkloadStream))
+	feed, err := workload.NewFeed(cfg.Start, cfg.BinSeconds, store, des.RNG(cfg.Seed, "workload"))
 	if err != nil {
 		return nil, err
 	}
@@ -424,9 +420,9 @@ func (h *Harness) RunTrace(trace *series.Series) error {
 }
 
 // Totals is a run's outcome, totalled once for every policy: the plant's
-// lifetime accounting in module-major computer order — the order and
-// arithmetic every legacy runner used, so results summed through the
-// harness stay bit-identical — plus the harness's own per-tick counters.
+// lifetime accounting in module-major computer order, the latency
+// histogram's exact mean and its p95, plus the harness's own per-tick
+// counters.
 type Totals struct {
 	Energy       float64
 	Switches     int
@@ -461,20 +457,14 @@ func (h *Harness) Totals() Totals {
 	if h.respTicks > 0 {
 		out.ViolationFrac = float64(h.violations) / float64(h.respTicks)
 	}
-	var respAll float64
-	var respCount int64
 	for i := 0; i < h.plant.Modules(); i++ {
 		for j := 0; j < h.plant.ModuleSize(i); j++ {
 			c := h.plant.Computer(i, j)
 			out.Completed += c.TotalCompleted()
 			out.Dropped += c.TotalDropped()
-			respAll += c.LifetimeResponse().Mean() * float64(c.LifetimeResponse().Count())
-			respCount += c.LifetimeResponse().Count()
 		}
 	}
-	if respCount > 0 {
-		out.MeanResponse = respAll / float64(respCount)
-	}
+	out.MeanResponse = h.plant.Latencies().Mean()
 	out.ResponseP95 = h.plant.Latencies().Quantile(0.95)
 	return out
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -72,14 +73,12 @@ func testStore(t *testing.T) *workload.Store {
 
 func testConfig(spec cluster.Spec, bins int) Config {
 	return Config{
-		Spec:           spec,
-		Seed:           1,
-		DispatchStream: "test-dispatch",
-		WorkloadStream: "test-workload",
-		PeriodSeconds:  30,
-		BinSeconds:     60,
-		TotalBins:      bins,
-		DrainSeconds:   60,
+		Spec:          spec,
+		Seed:          1,
+		PeriodSeconds: 30,
+		BinSeconds:    60,
+		TotalBins:     bins,
+		DrainSeconds:  60,
 	}
 }
 
@@ -286,11 +285,6 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatal("non-tiling period accepted")
 	}
 	bad = base
-	bad.WorkloadStream = ""
-	if _, err := New(bad, store, &stubPolicy{}); err == nil {
-		t.Fatal("missing RNG stream name accepted")
-	}
-	bad = base
 	bad.DrainSeconds = -1
 	if _, err := New(bad, store, &stubPolicy{}); err == nil {
 		t.Fatal("negative drain accepted")
@@ -430,5 +424,109 @@ func TestViolationFracCountsTickRecordFlags(t *testing.T) {
 	}
 	if want := float64(flags) / float64(respTicks); tot.ViolationFrac != want {
 		t.Fatalf("ViolationFrac %v, tick records flag %d of %d response ticks (%v)", tot.ViolationFrac, flags, respTicks, want)
+	}
+}
+
+// onePolicy routes everything to computer 0 of module 0 — as unlike
+// stubPolicy's uniform split as a dispatch rule gets.
+type onePolicy struct{ st Settings }
+
+func (p *onePolicy) Name() string { return "one" }
+
+func (p *onePolicy) Init(plant *cluster.Plant) error {
+	p.st.GammaModules = make([]float64, plant.Modules())
+	p.st.GammaComputers = make([][]float64, plant.Modules())
+	for i := range p.st.GammaComputers {
+		p.st.GammaComputers[i] = make([]float64, plant.ModuleSize(i))
+	}
+	p.st.GammaModules[0], p.st.GammaComputers[0][0] = 1, 1
+	return nil
+}
+
+func (p *onePolicy) Decide(int, int) (Settings, error)          { return p.st, nil }
+func (p *onePolicy) Observe(int, Interval, []ModuleStats) error { return nil }
+
+// TestPoliciesShareOneRequestStream pins common random numbers: the request
+// stream is a function of (seed, store, counts) and of nothing a policy
+// does, so two harnesses at one seed under two different policies are
+// handed identical (Arrival, Demand) batches, bin after bin.
+func TestPoliciesShareOneRequestStream(t *testing.T) {
+	spec := testSpec(t)
+	cfg := testConfig(spec, 0)
+	a, err := New(cfg, testStore(t), &stubPolicy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := New(cfg, testStore(t), &onePolicy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := 0
+	for bin := 0; bin < 64; bin++ {
+		count := float64(20 + 37*bin%400)
+		for _, h := range []*Harness{a, b} {
+			if err := h.PushBin(count); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(a.batch) != int(count) || !reflect.DeepEqual(a.batch, b.batch) {
+			t.Fatalf("bin %d: the two policies were handed different batches (%d and %d requests)", bin, len(a.batch), len(b.batch))
+		}
+		total += len(a.batch)
+		for _, h := range []*Harness{a, b} {
+			for d := 0; d < h.SubSteps(); d++ {
+				if err := h.Tick(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	if qa, qb := a.Plant().Computer(0, 0).TotalCompleted(), b.Plant().Computer(0, 0).TotalCompleted(); qa == qb {
+		t.Fatalf("both policies completed %d of %d requests on computer 0: they did not route differently", qa, total)
+	}
+}
+
+// TestMeanResponseSummedOnce pins the one response sum: each completion
+// adds its response to its computer's interval sum and to the plant's
+// latency histogram, so the tick intervals' response mass over their
+// completions is the histogram's mean up to summation order, and the run's
+// Totals.MeanResponse is the histogram's mean exactly.
+func TestMeanResponseSummedOnce(t *testing.T) {
+	pol := &stubPolicy{}
+	h, err := New(testConfig(testSpec(t), 100), testStore(t), pol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for bin := 0; bin < 100; bin++ {
+		if err := h.PushBin(float64(300 + 900*(bin%7))); err != nil {
+			t.Fatal(err)
+		}
+		for d := 0; d < h.SubSteps(); d++ {
+			if err := h.Tick(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if h.Ticks() != 200 {
+		t.Fatalf("%d ticks, want 200", h.Ticks())
+	}
+	var mass float64
+	var completed int
+	for _, iv := range pol.intervals {
+		mass += iv.RespMass
+		completed += iv.Completed
+	}
+	lat := h.Plant().Latencies()
+	if int64(completed) != lat.Count() || completed == 0 {
+		t.Fatalf("intervals completed %d, histogram holds %d", completed, lat.Count())
+	}
+	if got, want := mass/float64(completed), lat.Mean(); math.Abs(got-want) > 1e-9*want {
+		t.Fatalf("interval response mass / completions = %v, histogram mean %v", got, want)
+	}
+	if err := h.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if tot := h.Totals(); tot.MeanResponse != lat.Mean() || tot.Completed != lat.Count() {
+		t.Fatalf("totals: mean response %v over %d, histogram %v over %d", tot.MeanResponse, tot.Completed, lat.Mean(), lat.Count())
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"math"
-	"math/rand"
 	"reflect"
 	"testing"
 	"time"
@@ -13,6 +12,7 @@ import (
 	"hierctl/internal/cluster"
 	"hierctl/internal/controller"
 	"hierctl/internal/core"
+	"hierctl/internal/des"
 	"hierctl/internal/power"
 	"hierctl/internal/series"
 	"hierctl/internal/workload"
@@ -154,13 +154,23 @@ func TestFleetOnlineMatchesBatchRun(t *testing.T) {
 	trace := full.Slice(0, 90) // §4.3 shape, trimmed to keep the test quick
 	cfg := fastCore()
 	spec := cluster.Spec{Modules: []cluster.ModuleSpec{moduleOf("M1", 4)}}
-	storeCfg := testStoreConfig()
 
+	// One TenantConfig builds both sides: the batch session's store comes
+	// from the stream newTenant derives the tenant's from.
+	tc := TenantConfig{
+		Spec:        spec,
+		Core:        cfg,
+		Store:       testStoreConfig(),
+		StoreSeed:   3,
+		BinSeconds:  trace.Step,
+		Start:       trace.Start,
+		Calibration: trace.Values[:int(float64(trace.Len())*cfg.TunePrefixFrac)],
+	}
 	batchMgr, err := core.NewManager(spec, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	batchStore, err := workload.NewStore(rand.New(rand.NewSource(3)), storeCfg)
+	batchStore, err := workload.NewStore(des.RNG(tc.StoreSeed, "store"), tc.Store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,16 +196,7 @@ func TestFleetOnlineMatchesBatchRun(t *testing.T) {
 
 	f := New(Config{Shards: 4})
 	defer f.Close()
-	prefix := int(float64(trace.Len()) * cfg.TunePrefixFrac)
-	if err := f.CreateTenant("t1", TenantConfig{
-		Spec:        spec,
-		Core:        cfg,
-		Store:       storeCfg,
-		StoreSeed:   3,
-		BinSeconds:  trace.Step,
-		Start:       trace.Start,
-		Calibration: trace.Values[:prefix],
-	}); err != nil {
+	if err := f.CreateTenant("t1", tc); err != nil {
 		t.Fatal(err)
 	}
 	for bin, count := range trace.Values {

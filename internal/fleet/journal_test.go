@@ -693,7 +693,11 @@ func TestJournalAppendReferencesHeldArtifacts(t *testing.T) {
 }
 
 // parentJournalGolden is what the parent commit's own code reported for
-// testdata/pr12.journal when it wrote it.
+// testdata/pr12.journal when it wrote it — except Next, which is what the
+// replayed tenants decide on their next bin and so follows the random
+// streams: it was regenerated once, with BENCH_scenarios.json, when the
+// streams became des.Stream and synthesis went sort-free (α, γ and the
+// frequencies came out as the old stream's; each bin's mean response moved).
 type parentJournalGolden struct {
 	Report VerifyReport
 	Bins   map[string]int
@@ -704,8 +708,9 @@ type parentJournalGolden struct {
 // the code before artifact frames and wire structs existed — artifact
 // blobs embedded in every base frame, delta and remove frames encoded from
 // the union type — verifies to the same report, recovers to the same
-// tenants and bins, continues with the same next decision, and is
-// rewritten in the current layout by the compaction recovery ends with.
+// tenants and bins, continues with the decision this code's streams give
+// the replayed state, and is rewritten in the current layout by the
+// compaction recovery ends with.
 func TestParentJournalRecovers(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join("testdata", "pr12.journal"))
 	if err != nil {
@@ -756,7 +761,7 @@ func TestParentJournalRecovers(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(dec, want.Next[id]) {
-			t.Errorf("tenant %s next decision diverged from the parent's:\n got %+v\nwant %+v", id, dec, want.Next[id])
+			t.Errorf("tenant %s next decision diverged from the golden's:\n got %+v\nwant %+v", id, dec, want.Next[id])
 		}
 	}
 

@@ -1,8 +1,11 @@
 package fleet
 
 import (
+	"bytes"
 	"errors"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"hierctl/internal/core"
@@ -185,4 +188,49 @@ func TestObserveIsOneEntryBatch(t *testing.T) {
 				per, perObserve-perSilent, perSilent, want, perDecision)
 		}
 	})
+}
+
+// TestBinCountBounded pins the one place a bin's count is checked,
+// tenant.step, from each of its three ways in. A count that is not finite
+// and within [0, 1e6] is an error naming the tenant and the bin — never a
+// request batch sized from it (1e13 used to be an out-of-memory throw, which
+// no recover sees) — and, like any step error, it leaves the tenant as it
+// was: not quarantined, nothing logged, the next good bin applies.
+func TestBinCountBounded(t *testing.T) {
+	f := New(Config{Shards: 1})
+	defer f.Close()
+	if err := f.CreateTenant("t", batchTenantConfig("", 1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Observe("t", 200); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []float64{math.NaN(), -1, math.Inf(1), 1e6 + 1, 1e13} {
+		_, err := f.Observe("t", bad)
+		if err == nil || !strings.Contains(err.Error(), "tenant t bin 1: count") {
+			t.Fatalf("Observe(%v): %v, want an error naming tenant t, bin 1 and the count", bad, err)
+		}
+	}
+	res, err := f.ObserveBatch([]BatchEntry{{Tenant: "t", Counts: []float64{150, 1e13, 150}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res[0].Applied != 1 || res[0].Err == nil || !strings.Contains(res[0].Err.Error(), "tenant t bin 2: count 1e+13") {
+		t.Fatalf("batch entry: applied %d, err %v; want 1 bin applied and bin 2 refused", res[0].Applied, res[0].Err)
+	}
+	if _, err := f.Observe("t", 1e6); err != nil {
+		t.Fatalf("the bound itself refused: %v", err)
+	}
+	if st, err := f.State("t"); err != nil || st.Bins != 3 || st.Quarantined {
+		t.Fatalf("state %+v (err %v), want 3 bins applied and no quarantine", st, err)
+	}
+
+	// The same count arriving in a journal frame: recovery fails loudly and
+	// registers nothing.
+	r := New(Config{Shards: 1})
+	defer r.Close()
+	err = r.Restore(bytes.NewReader(hugeCountLog(t, fuzzSeedLogs(t)[0])))
+	if err == nil || !strings.Contains(err.Error(), "tenant a bin 4: count 1e+13") || len(r.Tenants()) != 0 {
+		t.Fatalf("restore of a 1e13 delta: err %v with %d tenants registered, want bin 4 of tenant a refused and none", err, len(r.Tenants()))
+	}
 }

@@ -2,11 +2,11 @@ package fleet
 
 import (
 	"fmt"
-	"math/rand"
 	"sync/atomic"
 
 	"hierctl/internal/cluster"
 	"hierctl/internal/core"
+	"hierctl/internal/des"
 	"hierctl/internal/obs"
 	"hierctl/internal/workload"
 )
@@ -61,6 +61,22 @@ const maxTelemetryRecords = 1 << 20
 func CheckTelemetryRecords(n int) error {
 	if n < 0 || n > maxTelemetryRecords {
 		return fmt.Errorf("telemetry records %d outside [0, %d]", n, maxTelemetryRecords)
+	}
+	return nil
+}
+
+// maxBinCount bounds one bin's arrival count. Like TelemetryRecords the
+// count arrives from outside the process — an Observe call, a batch entry,
+// a base or delta frame replayed on restore — and sizes an allocation (the
+// feed's request batch), so it must not be able to name an arbitrary one:
+// 1e13 is an out-of-memory throw no recover sees.
+const maxBinCount = 1e6
+
+// CheckBinCount reports whether count is a valid arrival count for one
+// bin: finite and within [0, 1e6].
+func CheckBinCount(count float64) error {
+	if !(count >= 0 && count <= maxBinCount) { // NaN fails both
+		return fmt.Errorf("count %v outside [0, %g]", count, float64(maxBinCount))
 	}
 	return nil
 }
@@ -157,7 +173,9 @@ func newTenant(id string, tc TenantConfig, artifacts *core.ArtifactStore, logged
 		mgr.SetRecorder(rec)
 	}
 	mgr.InjectPlan(tc.Failures)
-	store, err := workload.NewStore(rand.New(rand.NewSource(tc.StoreSeed)), tc.Store)
+	// The derivation hierctl.NewStore uses: a batch run at the same seed and
+	// configuration draws the same demand table and popularity stream.
+	store, err := workload.NewStore(des.RNG(tc.StoreSeed, "store"), tc.Store)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: tenant %s: %w", id, err)
 	}
@@ -181,8 +199,12 @@ func newTenant(id string, tc TenantConfig, artifacts *core.ArtifactStore, logged
 // step applies one observation bin and logs it. It builds no decision:
 // the session keeps the one in force, and whoever sends it off the home
 // shard (an Observe reply, a batch entry that asked, state) copies it out
-// with sess.Decision there.
+// with sess.Decision there. Every bin a tenant ever applies passes through
+// here — live, batched or replayed — so this is where its count is checked.
 func (t *tenant) step(count float64) error {
+	if err := CheckBinCount(count); err != nil {
+		return fmt.Errorf("fleet: tenant %s bin %d: %w", t.id, t.observations.len(), err)
+	}
 	if err := t.sess.StepBin(count); err != nil {
 		return err
 	}

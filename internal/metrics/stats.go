@@ -1,46 +1,14 @@
 // Package metrics provides the statistics and reporting substrate used by
-// the simulator and the experiment harness: streaming means (Welford),
-// percentiles, error measures for forecast evaluation, time-weighted
-// averages for power accounting, and plain-text table rendering.
+// the simulator and the experiment harness: latency histograms (exact mean,
+// bucketed percentiles), error measures for forecast evaluation,
+// time-weighted averages for power accounting, and plain-text table
+// rendering.
 package metrics
 
 import (
 	"fmt"
 	"math"
 )
-
-// Welford accumulates count and mean of a stream in a single pass by
-// Welford's running-mean recurrence. The zero value is ready to use.
-type Welford struct {
-	n    int64
-	mean float64
-}
-
-// Add folds x into the accumulator.
-func (w *Welford) Add(x float64) {
-	w.n++
-	w.mean += (x - w.mean) / float64(w.n)
-}
-
-// Count returns the number of samples added.
-func (w *Welford) Count() int64 { return w.n }
-
-// Mean returns the sample mean, or 0 with no samples.
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Merge folds another accumulator into w (parallel Welford combination).
-func (w *Welford) Merge(o *Welford) {
-	if o.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = *o
-		return
-	}
-	n := w.n + o.n
-	w.mean += (o.mean - w.mean) * float64(o.n) / float64(n)
-	w.n = n
-}
 
 // MAE returns the mean absolute error between two equal-length slices.
 func MAE(a, b []float64) (float64, error) {

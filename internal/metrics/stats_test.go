@@ -2,71 +2,9 @@ package metrics
 
 import (
 	"math"
-	"math/rand"
 	"strings"
 	"testing"
-	"testing/quick"
 )
-
-func TestWelfordBasics(t *testing.T) {
-	var w Welford
-	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		w.Add(x)
-	}
-	if w.Count() != 8 {
-		t.Errorf("Count = %d, want 8", w.Count())
-	}
-	if got := w.Mean(); math.Abs(got-5) > 1e-12 {
-		t.Errorf("Mean = %v, want 5", got)
-	}
-}
-
-func TestWelfordEmptyAndSingle(t *testing.T) {
-	var w Welford
-	if w.Mean() != 0 || w.Count() != 0 {
-		t.Error("empty Welford stats should be 0")
-	}
-	w.Add(3)
-	if w.Mean() != 3 {
-		t.Errorf("Mean = %v, want 3", w.Mean())
-	}
-}
-
-func TestWelfordMergeMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	f := func(na, nb uint8) bool {
-		a := make([]float64, na%64)
-		b := make([]float64, nb%64)
-		for i := range a {
-			a[i] = rng.NormFloat64() * 100
-		}
-		for i := range b {
-			b[i] = rng.NormFloat64() * 100
-		}
-		var wa, wb, all Welford
-		for _, x := range a {
-			wa.Add(x)
-			all.Add(x)
-		}
-		for _, x := range b {
-			wb.Add(x)
-			all.Add(x)
-		}
-		wa.Merge(&wb)
-		if wa.Count() != all.Count() {
-			return false
-		}
-		if all.Count() == 0 {
-			return true
-		}
-		scale := 1 + math.Abs(all.Mean())
-		return math.Abs(wa.Mean()-all.Mean()) < 1e-9*scale
-	}
-	cfg := &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(3))}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
-	}
-}
 
 func TestMAE(t *testing.T) {
 	a := []float64{1, 2, 3}

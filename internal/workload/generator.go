@@ -20,12 +20,11 @@ type Request struct {
 // of individual requests. Batches are generated lazily so multi-million
 // request traces never exist in memory at once. Construct with NewGenerator.
 type Generator struct {
-	trace   *series.Series
-	store   *Store
-	rng     *rand.Rand
-	next    int
-	buf     []Request
-	scratch binScratch
+	trace *series.Series
+	store *Store
+	rng   *rand.Rand
+	next  int
+	buf   []Request
 }
 
 // NewGenerator returns a generator over the trace using the store for
@@ -63,7 +62,7 @@ func (g *Generator) NextBin() (bin int, reqs []Request, ok bool) {
 	bin = g.next
 	g.next++
 	n := int(g.trace.Values[bin] + 0.5)
-	g.buf = synthBin(g.buf, &g.scratch, n, g.trace.TimeAt(bin), g.trace.Step, g.store, g.rng)
+	g.buf = synthBin(g.buf, n, g.trace.TimeAt(bin), g.trace.Step, g.store, g.rng)
 	return bin, g.buf, true
 }
 
@@ -71,27 +70,40 @@ func (g *Generator) NextBin() (bin int, reqs []Request, ok bool) {
 // rewound; use a fresh generator for bit-identical replay.
 func (g *Generator) Reset() { g.next = 0 }
 
-// synthBin fills buf with n requests for the bin starting at start: object
-// draws honour the store's popularity and locality state, arrival offsets
-// are uniform over the bin, and the batch is sorted by arrival. Generator
-// and Feed share this one code path — including the exact RNG call
-// sequence — which is what makes a pushed count stream reproduce a
-// pre-materialized trace bit-for-bit.
+// synthBin fills buf with n requests for the bin starting at start, born in
+// arrival order: each request draws its object — honouring the store's
+// popularity and locality state — and then an exponential gap to the
+// previous arrival; one closing gap and one pass rescale the running sums
+// onto the bin, start + t_k·step/t_{n+1}, which are the order statistics of
+// n uniform offsets (exponential spacings), so nothing is sorted. The i-th
+// sampled object is the i-th arrival: the store's lognormal temporal
+// locality (§4.3's Barford & Crovella reference) reaches the dispatcher in
+// the order it was drawn. An empty bin draws nothing. Generator and Feed
+// share this one code path — including the exact RNG call sequence — which
+// is what makes a pushed count stream reproduce a pre-materialized trace
+// bit-for-bit.
 //
 //hpm:hotpath
-func synthBin(buf []Request, scratch *binScratch, n int, start, step float64, store *Store, rng *rand.Rand) []Request {
+func synthBin(buf []Request, n int, start, step float64, store *Store, rng *rand.Rand) []Request {
 	if cap(buf) < n {
-		buf = make([]Request, 0, grownCap(cap(buf), n)) //hpm:alloc geometric batch growth; settles at the peak bin
+		// At least double, so growth is amortized across bins.
+		buf = make([]Request, 0, max(2*cap(buf), n)) //hpm:alloc geometric batch growth; settles at the peak bin
 	}
 	buf = buf[:0]
+	if n == 0 {
+		return buf
+	}
+	t := 0.0
 	for i := 0; i < n; i++ {
 		obj := store.Sample(rng)
-		buf = append(buf, Request{
-			Arrival: start + rng.Float64()*step,
-			Demand:  store.Demand(obj),
-		})
+		t += rng.ExpFloat64()
+		buf = append(buf, Request{Arrival: t, Demand: store.Demand(obj)})
 	}
-	return sortByArrival(buf, start, step, scratch)
+	scale := step / (t + rng.ExpFloat64())
+	for i := range buf {
+		buf[i].Arrival = start + buf[i].Arrival*scale
+	}
+	return buf
 }
 
 // Feed is the push-driven counterpart of Generator for online operation:
@@ -101,13 +113,12 @@ func synthBin(buf []Request, scratch *binScratch, n int, start, step float64, st
 // a trace produces the same request stream as a Generator over that trace
 // under the same store and RNG. Construct with NewFeed.
 type Feed struct {
-	store   *Store
-	rng     *rand.Rand
-	start   float64
-	step    float64
-	next    int
-	buf     []Request
-	scratch binScratch
+	store *Store
+	rng   *rand.Rand
+	start float64
+	step  float64
+	next  int
+	buf   []Request
 }
 
 // NewFeed returns a feed whose bin i covers [start+i*binSeconds,
@@ -143,6 +154,6 @@ func (f *Feed) Push(count float64) (bin int, reqs []Request) {
 	if n < 0 {
 		n = 0
 	}
-	f.buf = synthBin(f.buf, &f.scratch, n, f.start+float64(bin)*f.step, f.step, f.store, f.rng)
+	f.buf = synthBin(f.buf, n, f.start+float64(bin)*f.step, f.step, f.store, f.rng)
 	return bin, f.buf
 }

@@ -16,12 +16,18 @@
 //     counts reproduces a pre-materialized Generator run bit-for-bit —
 //     the foundation of the online-equals-batch equivalence pinned in
 //     internal/fleet.
+//   - A bin's requests are born in arrival order (exponential gaps
+//     rescaled onto the bin: the order statistics of uniform offsets), so
+//     nothing downstream sorts, and the i-th sampled object is the i-th
+//     arrival — the store's temporal locality reaches the dispatcher in
+//     the order it was drawn (TestSynthBinOrderedUniform).
 //   - Every registered Scenario's trace builder is deterministic per
 //     seed: same seed, bin-for-bin identical series (pinned by
 //     TestScenarioDeterminismPerSeed). The robustness-matrix snapshot
-//     (BENCH_scenarios.json) is byte-reproducible because of it.
-//   - Store demand draws with TailFrac == 0 preserve the historical RNG
-//     call sequence, so pre-scenario runs stay bit-identical.
+//     (BENCH_scenarios.json) is byte-reproducible because of it. The
+//     builders are one-shot — no stream outlives their return — and draw
+//     from math/rand's own source; the resident streams (feed, dispatcher,
+//     store) are des.Stream.
 //
 // Substitution note (see the README's "Scenario gallery"): the real WC'98 and ISP traces are
 // not redistributable; the profiles here reproduce the published shapes
@@ -89,9 +95,8 @@ type StoreConfig struct {
 	// each object independently has its full-speed processing time drawn
 	// from a truncated Pareto distribution (scale MaxDemand, shape
 	// TailAlpha, capped at TailCap seconds) with probability TailFrac
-	// instead of the uniform body. Zero (the default) preserves the
-	// paper's uniform demands and the exact historical RNG call
-	// sequence, so existing runs stay bit-identical.
+	// instead of the uniform body. Zero (the default) is the paper's
+	// uniform demands and draws nothing extra.
 	TailFrac float64
 	// TailAlpha is the Pareto shape (smaller = heavier tail; web service
 	// times are typically 1-1.5).

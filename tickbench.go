@@ -155,9 +155,8 @@ func driveTickProbe(g *controller.GMap, scratch []float64, i int) error {
 }
 
 // tickBinCounts is the bin rows' arrival-count series, cycled: rising,
-// falling, and bins on both sides of the arrival sort's 16-request
-// cutover. A constant count would hide any buffer that is sized to the
-// current bin instead of the peak one.
+// falling, near-empty and near-peak bins. A constant count would hide any
+// buffer that is sized to the current bin instead of the peak one.
 var tickBinCounts = []float64{400, 620, 12, 900, 150, 5, 480, 760, 30, 240, 880, 9, 330, 560, 700, 60}
 
 func driveTickBin(sess *core.Session, i int) error {
