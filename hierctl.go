@@ -309,12 +309,12 @@ func StandardCluster(p int) (ClusterSpec, error) {
 // lognormal temporal locality).
 func DefaultStoreConfig() StoreConfig { return workload.DefaultStoreConfig() }
 
-// NewStore builds a virtual object store from a seed. The demand table and
-// the Zipf popularity draws come from the stream des.RNG(seed, "store") —
-// the derivation a fleet tenant's store uses, so a store built here and a
-// tenant's agree at one seed.
+// NewStore builds a virtual object store from a seed. The per-object
+// demands and the Zipf popularity draws come from the stream
+// des.NewStream(seed, "store") — the derivation a fleet tenant's store
+// uses, so a store built here and a tenant's agree at one seed.
 func NewStore(seed int64, cfg StoreConfig) (*Store, error) {
-	return workload.NewStore(des.RNG(seed, "store"), cfg)
+	return workload.NewStore(des.NewStream(seed, "store"), cfg)
 }
 
 // DefaultSyntheticConfig returns the §4.3 synthetic trace parameters.

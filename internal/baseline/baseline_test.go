@@ -2,10 +2,10 @@ package baseline
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"hierctl/internal/cluster"
+	"hierctl/internal/des"
 	"hierctl/internal/power"
 	"hierctl/internal/series"
 	"hierctl/internal/workload"
@@ -34,7 +34,7 @@ func testStore(t *testing.T) *workload.Store {
 	cfg := workload.DefaultStoreConfig()
 	cfg.Objects = 300
 	cfg.PopularCount = 30
-	s, err := workload.NewStore(rand.New(rand.NewSource(2)), cfg)
+	s, err := workload.NewStore(des.NewStream(2, "store"), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package baseline
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"reflect"
 	"testing"
 
@@ -280,7 +279,7 @@ func TestRunMatchesLegacyOracle(t *testing.T) {
 					trace = trace.Slice(0, 48)
 				}
 				plan := sc.FailurePlan(trace)
-				store, err := workload.NewStore(rand.New(rand.NewSource(seed)), sc.StoreConfig())
+				store, err := workload.NewStore(des.NewStream(seed, "store"), sc.StoreConfig())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -314,7 +313,7 @@ func TestRunMatchesLegacyOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				store2, err := workload.NewStore(rand.New(rand.NewSource(seed)), sc.StoreConfig())
+				store2, err := workload.NewStore(des.NewStream(seed, "store"), sc.StoreConfig())
 				if err != nil {
 					t.Fatal(err)
 				}

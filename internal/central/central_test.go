@@ -2,10 +2,10 @@ package central
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"hierctl/internal/cluster"
+	"hierctl/internal/des"
 	"hierctl/internal/power"
 	"hierctl/internal/series"
 	"hierctl/internal/workload"
@@ -190,7 +190,7 @@ func TestRunClosedLoop(t *testing.T) {
 	storeCfg := workload.DefaultStoreConfig()
 	storeCfg.Objects = 300
 	storeCfg.PopularCount = 30
-	store, err := workload.NewStore(rand.New(rand.NewSource(2)), storeCfg)
+	store, err := workload.NewStore(des.NewStream(2, "store"), storeCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestRunValidation(t *testing.T) {
 		{Name: "M1", Computers: testSpecs(2)},
 	}}
 	storeCfg := workload.DefaultStoreConfig()
-	store, err := workload.NewStore(rand.New(rand.NewSource(1)), storeCfg)
+	store, err := workload.NewStore(des.NewStream(1, "store"), storeCfg)
 	if err != nil {
 		t.Fatal(err)
 	}

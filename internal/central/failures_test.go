@@ -1,10 +1,10 @@
 package central
 
 import (
-	"math/rand"
 	"testing"
 
 	"hierctl/internal/cluster"
+	"hierctl/internal/des"
 	"hierctl/internal/series"
 	"hierctl/internal/workload"
 )
@@ -25,7 +25,7 @@ func TestRunWithFailurePlan(t *testing.T) {
 	storeCfg.Objects = 300
 	storeCfg.PopularCount = 30
 	newStore := func() *workload.Store {
-		s, err := workload.NewStore(rand.New(rand.NewSource(2)), storeCfg)
+		s, err := workload.NewStore(des.NewStream(2, "store"), storeCfg)
 		if err != nil {
 			t.Fatal(err)
 		}

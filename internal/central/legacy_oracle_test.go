@@ -3,7 +3,6 @@ package central
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"reflect"
 	"testing"
 	"time"
@@ -297,7 +296,7 @@ func TestRunMatchesLegacyOracle(t *testing.T) {
 					cfg.Controller.Parallelism = 4
 				}
 
-				store, err := workload.NewStore(rand.New(rand.NewSource(seed)), sc.StoreConfig())
+				store, err := workload.NewStore(des.NewStream(seed, "store"), sc.StoreConfig())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -305,7 +304,7 @@ func TestRunMatchesLegacyOracle(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d: legacy: %v", seed, err)
 				}
-				store2, err := workload.NewStore(rand.New(rand.NewSource(seed)), sc.StoreConfig())
+				store2, err := workload.NewStore(des.NewStream(seed, "store"), sc.StoreConfig())
 				if err != nil {
 					t.Fatal(err)
 				}

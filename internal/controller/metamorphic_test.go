@@ -1,8 +1,10 @@
 package controller
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -87,6 +89,185 @@ func TestL1MetamorphicAvailabilityAndFloor(t *testing.T) {
 		}
 		if on != cfg.MinOn {
 			t.Fatalf("trial %d: %d of %d on after %d idle decisions, want MinOn %d", trial, on, m, m, cfg.MinOn)
+		}
+	}
+}
+
+// l1MeanCost prices a decision the way Decide does — Eq. 14 averaged over
+// the forecast band — on a controller whose previous decision is (alpha,
+// gamma).
+func l1MeanCost(t *testing.T, cfg L1Config, gmaps []*GMap, alpha []bool, gamma []float64, dec L1Decision, obs L1Observation) float64 {
+	t.Helper()
+	l1, err := NewL1(cfg, gmaps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l1.SetState(alpha, gamma); err != nil {
+		t.Fatal(err)
+	}
+	samples := []float64{obs.LambdaHat}
+	if cfg.UncertaintySamples && obs.Delta > 0 {
+		samples = []float64{math.Max(0, obs.LambdaHat-obs.Delta), obs.LambdaHat, obs.LambdaHat + obs.Delta}
+	}
+	sum := 0.0
+	for _, lam := range samples {
+		c, err := l1.evaluate(dec.Alpha, dec.Gamma, obs, lam)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum += c
+	}
+	return sum / float64(len(samples))
+}
+
+// TestL1MetamorphicPermutation: a module of identical computers has no
+// first computer. Relabel them — queues, availability and the previous
+// decision permuted alike — and the decision comes back relabelled: carried
+// back through the permutation it is available-only, on α's support, and
+// costs exactly what the original decision costs, so it is the same optimum
+// up to which of several equal-cost candidates the search met first (the
+// abstraction map is a grid; ties between mirror-image candidates are
+// exact). γ runs on a 4-unit grid with the neighbourhood wide enough to
+// hold every composition, which makes the candidate set itself symmetric;
+// at the paper's quantum the capacity seed hands 20 units' remainder to the
+// lowest indices and the bounded neighbourhood around it is not.
+func TestL1MetamorphicPermutation(t *testing.T) {
+	rng := rand.New(rand.NewSource(20062))
+	cfg := DefaultL1Config()
+	cfg.Quantum, cfg.NeighbourDepth = 0.25, 4
+	for trial := 0; trial < 200; trial++ {
+		m := 2 + rng.Intn(3)
+		gmaps := testModuleGMaps(t, m)
+		perm := rng.Perm(m) // computer j of the original is perm[j] of the relabelled module
+		obs := L1Observation{
+			QueueLens: make([]float64, m),
+			LambdaHat: 220 * rng.Float64(),
+			Delta:     30 * rng.Float64() * float64(rng.Intn(2)),
+			CHat:      0.014 + 0.008*rng.Float64(),
+			Available: make([]bool, m),
+		}
+		alpha, weights := make([]bool, m), make([]float64, m)
+		serving := false
+		for j := 0; j < m; j++ {
+			obs.QueueLens[j] = math.Floor(180 * rng.Float64() * float64(rng.Intn(2)))
+			obs.Available[j] = rng.Intn(4) > 0
+			alpha[j] = rng.Intn(3) > 0
+			weights[j] = rng.Float64()
+			serving = serving || alpha[j] && obs.Available[j]
+		}
+		if !serving {
+			// Nothing of the previous decision survives: the controller
+			// turns on the first available computers, by index.
+			continue
+		}
+		gamma, err := SnapSimplex(weights, alpha, cfg.Quantum)
+		if err != nil {
+			t.Fatal(err)
+		}
+		relabel := L1Observation{
+			QueueLens: make([]float64, m), LambdaHat: obs.LambdaHat, Delta: obs.Delta, CHat: obs.CHat,
+			Available: make([]bool, m),
+		}
+		alphaP, gammaP := make([]bool, m), make([]float64, m)
+		for j, p := range perm {
+			relabel.QueueLens[p], relabel.Available[p] = obs.QueueLens[j], obs.Available[j]
+			alphaP[p], gammaP[p] = alpha[j], gamma[j]
+		}
+		decide := func(alpha []bool, gamma []float64, obs L1Observation) L1Decision {
+			l1, err := NewL1(cfg, gmaps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := l1.SetState(alpha, gamma); err != nil {
+				t.Fatal(err)
+			}
+			dec, err := l1.Decide(obs)
+			if err != nil {
+				t.Fatalf("trial %d: %v", trial, err)
+			}
+			return dec
+		}
+		dec, decP := decide(alpha, gamma, obs), decide(alphaP, gammaP, relabel)
+		back := L1Decision{Alpha: make([]bool, m), Gamma: make([]float64, m)}
+		for j, p := range perm {
+			back.Alpha[j], back.Gamma[j] = decP.Alpha[p], decP.Gamma[p]
+		}
+		for j := range back.Alpha {
+			if back.Alpha[j] && !obs.Available[j] || !back.Alpha[j] && back.Gamma[j] != 0 {
+				t.Fatalf("trial %d: relabelled decision carried back: computer %d available %v got α=%v γ=%v",
+					trial, j, obs.Available[j], back.Alpha[j], back.Gamma[j])
+			}
+		}
+		cost := l1MeanCost(t, cfg, gmaps, alpha, gamma, dec, obs)
+		costBack := l1MeanCost(t, cfg, gmaps, alpha, gamma, back, obs)
+		if math.Abs(cost-costBack) > 1e-9*math.Max(1, math.Abs(cost)) {
+			t.Fatalf("trial %d (perm %v): decision α %v γ %v costs %v; the relabelled module's, carried back, α %v γ %v costs %v",
+				trial, perm, dec.Alpha, dec.Gamma, cost, back.Alpha, back.Gamma, costBack)
+		}
+	}
+}
+
+// TestL1MetamorphicLoadCapacityScaling: requests twice as heavy on computers
+// twice as fast are the same module — every place the controller reads a
+// processing time it divides by the computer's speed (the fluid model under
+// the abstraction map, the stability bound, the capacity-proportional
+// seed). With maps learned on the processing-time grid scaled alike, and
+// a factor of two so no rounding differs, the decision is not merely the
+// same α: α, γ and the explored count are identical over a closed-loop walk
+// of a heterogeneous module.
+func TestL1MetamorphicLoadCapacityScaling(t *testing.T) {
+	const scale = 2
+	speeds := []float64{1, 1.5, 0.75, 1.25}
+	learn := func(k float64) []*GMap {
+		grid := coarseGMapConfig()
+		grid.CMin, grid.CMax, grid.CStep = k*grid.CMin, k*grid.CMax, k*grid.CStep
+		gmaps := make([]*GMap, len(speeds))
+		for j, s := range speeds {
+			spec := ctrlSpec(fmt.Sprintf("s%d", j))
+			spec.SpeedFactor = k * s
+			g, err := LearnGMap(fastL0Config(), spec, grid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gmaps[j] = g
+		}
+		return gmaps
+	}
+	base, err := NewL1(DefaultL1Config(), learn(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	scaled, err := NewL1(DefaultL1Config(), learn(scale))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(20063))
+	m := len(speeds)
+	for step := 0; step < 300; step++ {
+		obs := L1Observation{
+			QueueLens: make([]float64, m),
+			LambdaHat: 300 * rng.Float64(),
+			Delta:     30 * rng.Float64() * float64(rng.Intn(2)),
+			CHat:      0.014 + 0.008*rng.Float64(),
+			Available: make([]bool, m),
+		}
+		for j := range obs.QueueLens {
+			obs.QueueLens[j] = math.Floor(180 * rng.Float64() * float64(rng.Intn(2)))
+			obs.Available[j] = rng.Intn(8) > 0
+		}
+		heavier := obs
+		heavier.CHat = scale * obs.CHat
+		dec, err := base.Decide(obs)
+		if err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		decS, err := scaled.Decide(heavier)
+		if err != nil {
+			t.Fatalf("step %d scaled: %v", step, err)
+		}
+		if !slices.Equal(dec.Alpha, decS.Alpha) || !slices.Equal(dec.Gamma, decS.Gamma) || dec.Explored != decS.Explored {
+			t.Fatalf("step %d: α %v γ %v (%d explored); with demand and speed ×%d: α %v γ %v (%d explored)",
+				step, dec.Alpha, dec.Gamma, dec.Explored, scale, decS.Alpha, decS.Gamma, decS.Explored)
 		}
 	}
 }

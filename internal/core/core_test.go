@@ -2,12 +2,12 @@ package core
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"hierctl/internal/approx"
 	"hierctl/internal/cluster"
 	"hierctl/internal/controller"
+	"hierctl/internal/des"
 	"hierctl/internal/power"
 	"hierctl/internal/series"
 	"hierctl/internal/workload"
@@ -59,7 +59,7 @@ func testStore(t *testing.T) *workload.Store {
 	cfg := workload.DefaultStoreConfig()
 	cfg.Objects = 500
 	cfg.PopularCount = 50
-	s, err := workload.NewStore(rand.New(rand.NewSource(3)), cfg)
+	s, err := workload.NewStore(des.NewStream(3, "store"), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

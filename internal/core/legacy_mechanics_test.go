@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"reflect"
 	"testing"
 
@@ -270,7 +269,7 @@ func TestRunMatchesLegacyMechanics(t *testing.T) {
 				}
 
 				newStore := func() *workload.Store {
-					s, err := workload.NewStore(rand.New(rand.NewSource(seed)), sc.StoreConfig())
+					s, err := workload.NewStore(des.NewStream(seed, "store"), sc.StoreConfig())
 					if err != nil {
 						t.Fatal(err)
 					}

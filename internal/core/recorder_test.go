@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"hierctl/internal/cluster"
+	"hierctl/internal/des"
 	"hierctl/internal/obs"
 	"hierctl/internal/workload"
 )
@@ -44,7 +45,7 @@ func TestManagerRecorderEquivalence(t *testing.T) {
 			cfg := fastConfig()
 			cfg.Seed = seed
 			newStore := func() *workload.Store {
-				s, err := workload.NewStore(rand.New(rand.NewSource(seed)), sc.StoreConfig())
+				s, err := workload.NewStore(des.NewStream(seed, "store"), sc.StoreConfig())
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"hierctl/internal/cluster"
+	"hierctl/internal/des"
 	flight "hierctl/internal/obs"
 	"hierctl/internal/series"
 	"hierctl/internal/workload"
@@ -64,7 +65,7 @@ func testSpec(t *testing.T) cluster.Spec {
 
 func testStore(t *testing.T) *workload.Store {
 	t.Helper()
-	s, err := workload.NewStore(rand.New(rand.NewSource(2)), workload.DefaultStoreConfig())
+	s, err := workload.NewStore(des.NewStream(2, "store"), workload.DefaultStoreConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,12 @@
 package engine_test
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
 
 	"hierctl/internal/baseline"
 	"hierctl/internal/cluster"
+	"hierctl/internal/des"
 	"hierctl/internal/engine"
 	"hierctl/internal/series"
 	"hierctl/internal/workload"
@@ -31,7 +31,7 @@ func farm(t *testing.T) (*engine.MultiCluster, []func() *baseline.Result) {
 		for i := range trace.Values {
 			trace.Values[i] = loads[idx]
 		}
-		store, err := workload.NewStore(rand.New(rand.NewSource(int64(idx+1))), workload.DefaultStoreConfig())
+		store, err := workload.NewStore(des.NewStream(int64(idx+1), "store"), workload.DefaultStoreConfig())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"hierctl/internal/cluster"
+	"hierctl/internal/workload"
 )
 
 // TestObserveBatchAllocsPerEntry: a batch call's allocations are bounded
@@ -112,6 +113,15 @@ func TestObserveBatchAllocsPerEntry(t *testing.T) {
 	}
 }
 
+// liveHeap is HeapAlloc after a forced collection.
+func liveHeap() uint64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
 // TestTenantFootprintFlatInUptime pins the property behind the fixed-size
 // tenant: once warm (flight-recorder ring wrapped, plant queues and the
 // store's locality history at their working size), the only thing a
@@ -141,21 +151,45 @@ func TestTenantFootprintFlatInUptime(t *testing.T) {
 			bin++
 		}
 	}
-	live := func() uint64 {
-		var ms runtime.MemStats
-		runtime.GC()
-		runtime.GC()
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
-	}
 	run(warm)
-	before := live()
+	before := liveHeap()
 	run(more)
-	after := live()
+	after := liveHeap()
 	grew := int64(after) - int64(before)
 	if limit := int64(more*8 + obsChunk*8 + 8<<10); grew > limit {
 		t.Fatalf("%d more bins grew the live heap by %d B (%.1f B/bin), want <= %d B: 8 B/bin of observation log plus one chunk and jitter",
 			more, grew, float64(grew)/more, limit)
 	}
 	t.Logf("live heap grew %d B over %d bins (%.1f B/bin)", grew, more, float64(grew)/more)
+}
+
+// TestTenantFootprintAtRest pins what a tenant costs before its first bin,
+// where it is decided: the two-computer tenant hpmserve creates by default
+// (4096-record ring, the paper's 10,000-object store) is its ring
+// (196,608 B), its store's locality history (18,432 B) and some 10 KB of
+// manager, session, plant and feed — and no table of the store's 10,000
+// demands, which at 80,000 B more put a tenant at ≈ 305,000.
+func TestTenantFootprintAtRest(t *testing.T) {
+	const tenants = 256
+	f := New(Config{Shards: 1})
+	defer f.Close()
+	tc := telemetryTenantConfig(4096)
+	tc.Spec = cluster.Spec{Modules: []cluster.ModuleSpec{moduleOf("M1", 2)}}
+	tc.Store = workload.DefaultStoreConfig()
+	// The first tenant learns the maps the rest share; it is not counted.
+	if err := f.CreateTenant("first", tc); err != nil {
+		t.Fatal(err)
+	}
+	before := liveHeap()
+	for i := 0; i < tenants; i++ {
+		tc.StoreSeed = int64(i)
+		if err := f.CreateTenant(fmt.Sprintf("t%d", i), tc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	per := (liveHeap() - before) / tenants
+	if per > 250_000 {
+		t.Fatalf("a default tenant at rest holds %d B of live heap, want <= 250,000", per)
+	}
+	t.Logf("a default tenant at rest holds %d B of live heap", per)
 }

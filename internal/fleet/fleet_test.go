@@ -170,7 +170,7 @@ func TestFleetOnlineMatchesBatchRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batchStore, err := workload.NewStore(des.RNG(tc.StoreSeed, "store"), tc.Store)
+	batchStore, err := workload.NewStore(des.NewStream(tc.StoreSeed, "store"), tc.Store)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,7 +49,7 @@ func fuzzSeedLogs(t testing.TB) [][]byte {
 		{Kind: frameDelta, ID: "a", From: 3, Counts: []float64{300, 175}},
 		{Kind: frameRemove, ID: "b"},
 	} {
-		if _, err := writeFrame(journal, &fr); err != nil {
+		if _, err := (&frameWriter{w: journal}).frame(&fr); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -267,7 +267,7 @@ func foldSeedLogs(t testing.TB) [][]byte {
 // from it and die of an out-of-memory throw.
 func hugeCountLog(t testing.TB, snap []byte) []byte {
 	log := bytes.NewBuffer(append([]byte(nil), snap...))
-	if _, err := writeFrame(log, &logFrame{Kind: frameDelta, ID: "a", From: 3, Counts: []float64{300, 1e13}}); err != nil {
+	if _, err := (&frameWriter{w: log}).frame(&logFrame{Kind: frameDelta, ID: "a", From: 3, Counts: []float64{300, 1e13}}); err != nil {
 		t.Fatal(err)
 	}
 	return log.Bytes()

@@ -230,19 +230,20 @@ func (j *Journal) Append() error {
 		}
 		return j.failAppend(offset, err)
 	}
+	fw := &frameWriter{w: j.file}
 	for _, c := range changes {
 		if c.frame == nil {
 			continue
 		}
 		if c.stale {
-			n, err := writeFrame(j.file, &logFrame{Kind: frameRemove, ID: c.id})
+			n, err := fw.frame(&logFrame{Kind: frameRemove, ID: c.id})
 			if err != nil {
 				return fail(err)
 			}
 			written += n
 		}
 		if c.frame.Kind == frameBase {
-			n, more, err := writeArtifactFrames(j.file, c.frame.Base, j.artifacts)
+			n, more, err := writeArtifactFrames(fw, c.frame.Base, j.artifacts)
 			written += n
 			added = append(added, more...)
 			if err != nil {
@@ -254,14 +255,14 @@ func (j *Journal) Append() error {
 				}
 			}
 		}
-		n, err := writeFrame(j.file, c.frame)
+		n, err := fw.frame(c.frame)
 		if err != nil {
 			return fail(err)
 		}
 		written += n
 	}
 	for _, id := range removed {
-		n, err := writeFrame(j.file, &logFrame{Kind: frameRemove, ID: id})
+		n, err := fw.frame(&logFrame{Kind: frameRemove, ID: id})
 		if err != nil {
 			return fail(err)
 		}

@@ -450,7 +450,7 @@ func TestJournalReplayedDeltaIsIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Re-send bins 1-2 (already in the base) plus a new bin 3.
-	if _, err := writeFrame(&buf, &logFrame{
+	if _, err := (&frameWriter{w: &buf}).frame(&logFrame{
 		Kind: frameDelta, ID: "a", From: 1, Counts: []float64{250, 150, 300},
 	}); err != nil {
 		t.Fatal(err)
@@ -473,7 +473,7 @@ func TestJournalReplayedDeltaIsIdempotent(t *testing.T) {
 	if err := f2.Snapshot(&gapped); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := writeFrame(&gapped, &logFrame{
+	if _, err := (&frameWriter{w: &gapped}).frame(&logFrame{
 		Kind: frameDelta, ID: "a", From: 9, Counts: []float64{100},
 	}); err != nil {
 		t.Fatal(err)
@@ -526,7 +526,7 @@ func TestDeltaFrameIsSlim(t *testing.T) {
 			counts[i] = float64(150 + 7*i)
 		}
 		var buf bytes.Buffer
-		size, err := writeFrame(&buf, &logFrame{Kind: frameDelta, ID: "tenant-00042", From: 1000, Counts: counts})
+		size, err := (&frameWriter{w: &buf}).frame(&logFrame{Kind: frameDelta, ID: "tenant-00042", From: 1000, Counts: counts})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -535,7 +535,7 @@ func TestDeltaFrameIsSlim(t *testing.T) {
 		}
 	}
 	var rm bytes.Buffer
-	if size, err := writeFrame(&rm, &logFrame{Kind: frameRemove, ID: "tenant-00042"}); err != nil || size > 160 {
+	if size, err := (&frameWriter{w: &rm}).frame(&logFrame{Kind: frameRemove, ID: "tenant-00042"}); err != nil || size > 160 {
 		t.Errorf("remove frame is %d bytes (err %v), want <= 160", size, err)
 	}
 
@@ -549,7 +549,7 @@ func TestDeltaFrameIsSlim(t *testing.T) {
 		t.Fatal(err)
 	}
 	fat := &logFrame{Kind: frameDelta, ID: "a", From: 0, Counts: []float64{200, 250}}
-	size, err := writePayload(&log, fat)
+	size, err := (&frameWriter{w: &log}).payload(fat)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -190,29 +190,37 @@ func (fr *logFrame) wire() any {
 	}
 }
 
-// writeFrame encodes fr, through its kind's wire struct, as one framed
-// payload and reports bytes written.
-func writeFrame(w io.Writer, fr *logFrame) (int64, error) {
-	return writePayload(w, fr.wire())
+// frameWriter writes frames to w through one encode buffer, reset per
+// frame: a base log is one frame per tenant and artifact, and the buffer
+// grows to the largest of them once.
+type frameWriter struct {
+	w   io.Writer
+	buf bytes.Buffer
 }
 
-// writePayload frames the gob encoding of v: length, CRC, payload.
-func writePayload(w io.Writer, v any) (int64, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+// frame encodes fr, through its kind's wire struct, as one framed payload
+// and reports bytes written.
+func (fw *frameWriter) frame(fr *logFrame) (int64, error) {
+	return fw.payload(fr.wire())
+}
+
+// payload frames the gob encoding of v: length, CRC, payload.
+func (fw *frameWriter) payload(v any) (int64, error) {
+	fw.buf.Reset()
+	if err := gob.NewEncoder(&fw.buf).Encode(v); err != nil {
 		return 0, fmt.Errorf("fleet: encode frame: %w", err)
 	}
-	payload := buf.Bytes()
+	payload := fw.buf.Bytes()
 	if len(payload) > maxFramePayload {
 		return 0, fmt.Errorf("fleet: frame payload %d exceeds %d", len(payload), maxFramePayload)
 	}
 	var hdr [8]byte
 	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
-	if _, err := w.Write(hdr[:]); err != nil {
+	if _, err := fw.w.Write(hdr[:]); err != nil {
 		return 0, fmt.Errorf("fleet: write frame: %w", err)
 	}
-	if _, err := w.Write(payload); err != nil {
+	if _, err := fw.w.Write(payload); err != nil {
 		return 0, fmt.Errorf("fleet: write frame: %w", err)
 	}
 	return int64(len(hdr) + len(payload)), nil
@@ -445,13 +453,13 @@ func (f *Fleet) captureAll() ([]tenantSnap, error) {
 // references that held does not list yet and adds those to held; it
 // reports the bytes written and the digests added (on error too, so a
 // caller that rolls the write back can take them out of held again).
-func writeArtifactFrames(w io.Writer, snap *tenantSnap, held map[digest]bool) (written int64, added []digest, err error) {
+func writeArtifactFrames(fw *frameWriter, snap *tenantSnap, held map[digest]bool) (written int64, added []digest, err error) {
 	emit := func(kind byte, refs []artifactRef) error {
 		for _, ref := range refs {
 			if held[ref.saved.Digest] {
 				continue
 			}
-			n, err := writeFrame(w, &logFrame{Kind: frameArtifact, Digest: ref.Digest, Artifact: kind, Data: ref.saved.Data})
+			n, err := fw.frame(&logFrame{Kind: frameArtifact, Digest: ref.Digest, Artifact: kind, Data: ref.saved.Data})
 			if err != nil {
 				return err
 			}
@@ -479,15 +487,16 @@ func writeBaseLog(w io.Writer, snaps []tenantSnap) (int64, map[digest]bool, erro
 	}
 	written := int64(len(snapshotMagic))
 	held := map[digest]bool{}
+	fw := &frameWriter{w: w}
 	for i := range snaps {
-		n, _, err := writeArtifactFrames(w, &snaps[i], held)
+		n, _, err := writeArtifactFrames(fw, &snaps[i], held)
 		written += n
 		if err != nil {
 			return written, nil, err
 		}
 	}
 	for i := range snaps {
-		n, err := writeFrame(w, &logFrame{Kind: frameBase, Base: &snaps[i]})
+		n, err := fw.frame(&logFrame{Kind: frameBase, Base: &snaps[i]})
 		if err != nil {
 			return written, nil, err
 		}

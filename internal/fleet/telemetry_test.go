@@ -271,7 +271,7 @@ func TestTelemetryRecordsBounded(t *testing.T) {
 			fr.Base.Config.TelemetryRecords = 1 << 40
 			bases++
 		}
-		if _, err := writeFrame(edited, &fr); err != nil {
+		if _, err := (&frameWriter{w: edited}).frame(&fr); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -174,8 +174,8 @@ func newTenant(id string, tc TenantConfig, artifacts *core.ArtifactStore, logged
 	}
 	mgr.InjectPlan(tc.Failures)
 	// The derivation hierctl.NewStore uses: a batch run at the same seed and
-	// configuration draws the same demand table and popularity stream.
-	store, err := workload.NewStore(des.RNG(tc.StoreSeed, "store"), tc.Store)
+	// configuration draws the same demands and popularity stream.
+	store, err := workload.NewStore(des.NewStream(tc.StoreSeed, "store"), tc.Store)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: tenant %s: %w", id, err)
 	}

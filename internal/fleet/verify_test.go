@@ -177,7 +177,7 @@ func TestVerifyJournalArtifactFrames(t *testing.T) {
 	art := firstArtifactFrame(t, clean)
 
 	dup := bytes.NewBuffer(append([]byte(nil), clean...))
-	if _, err := writeFrame(dup, &art); err != nil {
+	if _, err := (&frameWriter{w: dup}).frame(&art); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := verifyAndRecover(t, "duplicate artifact frame", dup.Bytes())
@@ -189,7 +189,7 @@ func TestVerifyJournalArtifactFrames(t *testing.T) {
 	}
 
 	torn := bytes.NewBuffer(append([]byte(nil), clean[:len(clean)-7]...))
-	if _, err := writeFrame(torn, &art); err != nil {
+	if _, err := (&frameWriter{w: torn}).frame(&art); err != nil {
 		t.Fatal(err)
 	}
 	rep, err = verifyAndRecover(t, "artifact frame after torn tail", torn.Bytes())
@@ -234,7 +234,7 @@ func TestVerifyJournalCorruption(t *testing.T) {
 		"unknown kind":                  {Kind: 9, ID: "a"},
 	} {
 		buf := bytes.NewBuffer(append([]byte(nil), clean...))
-		if _, err := writeFrame(buf, &fr); err != nil {
+		if _, err := (&frameWriter{w: buf}).frame(&fr); err != nil {
 			t.Fatal(err)
 		}
 		cases[name] = buf.Bytes()

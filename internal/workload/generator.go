@@ -78,8 +78,8 @@ func (g *Generator) Reset() { g.next = 0 }
 // n uniform offsets (exponential spacings), so nothing is sorted. The i-th
 // sampled object is the i-th arrival: the store's lognormal temporal
 // locality (§4.3's Barford & Crovella reference) reaches the dispatcher in
-// the order it was drawn. An empty bin draws nothing. Generator and Feed
-// share this one code path — including the exact RNG call sequence — which
+// the order it was drawn. An empty bin — n <= 0, a negative count is one —
+// draws nothing. Generator and Feed share this one code path — including the exact RNG call sequence — which
 // is what makes a pushed count stream reproduce a pre-materialized trace
 // bit-for-bit.
 //
@@ -90,7 +90,7 @@ func synthBin(buf []Request, n int, start, step float64, store *Store, rng *rand
 		buf = make([]Request, 0, max(2*cap(buf), n)) //hpm:alloc geometric batch growth; settles at the peak bin
 	}
 	buf = buf[:0]
-	if n == 0 {
+	if n <= 0 {
 		return buf
 	}
 	t := 0.0
@@ -150,10 +150,6 @@ func (f *Feed) BinSeconds() float64 { return f.step }
 func (f *Feed) Push(count float64) (bin int, reqs []Request) {
 	bin = f.next
 	f.next++
-	n := int(count + 0.5)
-	if n < 0 {
-		n = 0
-	}
-	f.buf = synthBin(f.buf, n, f.start+float64(bin)*f.step, f.step, f.store, f.rng)
+	f.buf = synthBin(f.buf, int(count+0.5), f.start+float64(bin)*f.step, f.step, f.store, f.rng)
 	return bin, f.buf
 }

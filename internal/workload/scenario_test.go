@@ -1,7 +1,7 @@
 package workload
 
 import (
-	"math/rand"
+	"hierctl/internal/des"
 	"os"
 	"path/filepath"
 	"strings"
@@ -202,7 +202,7 @@ func TestHeavyTailStore(t *testing.T) {
 	if cfg.TailFrac <= 0 {
 		t.Fatalf("heavytail scenario has no tail mix: %+v", cfg)
 	}
-	s, err := NewStore(rand.New(rand.NewSource(5)), cfg)
+	s, err := NewStore(des.NewStream(5, "store"), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestHeavyTailStore(t *testing.T) {
 		t.Errorf("tail fraction %.4f far from configured %.4f", frac, cfg.TailFrac)
 	}
 	// Determinism per seed.
-	s2, err := NewStore(rand.New(rand.NewSource(5)), cfg)
+	s2, err := NewStore(des.NewStream(5, "store"), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

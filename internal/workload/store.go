@@ -39,6 +39,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+
+	"hierctl/internal/des"
 )
 
 // Store is the virtual object store of §4.3: Objects objects whose
@@ -48,9 +50,23 @@ import (
 // partition); and temporal locality re-requests recently seen objects with
 // lognormally distributed stack distances.
 //
+// A store does not keep its demands: object i's is draw i of the stream the
+// store was built from, which des.State.Jump reaches from the stream's
+// origin through coefficients the whole process shares, so it is computed
+// on each lookup. What the store keeps is the origin and every 256th state
+// after it (16 bytes per 256 objects), which makes a lookup one
+// multiply-add from the nearest. Only a store whose i-th demand is not the
+// i-th draw holds the table instead (demands non-nil): a heavy tail takes
+// two or three draws an object, and a stream that hits math/rand's Float64
+// redraw shifts every index after it.
+//
 // Construct with NewStore.
 type Store struct {
-	demands []float64
+	objects   int
+	minDemand float64
+	spread    float64
+	strides   []des.State
+	demands   []float64
 
 	popularCount int
 	popularShare float64
@@ -161,14 +177,16 @@ func (c StoreConfig) Validate() error {
 	return nil
 }
 
-// NewStore builds a store using rng for the per-object demand draws and the
-// popularity samplers.
-func NewStore(rng *rand.Rand, cfg StoreConfig) (*Store, error) {
+// NewStore builds a store over stream: its first draws are the per-object
+// demands, and the popularity samplers draw from where those end.
+func NewStore(stream *des.Stream, cfg StoreConfig) (*Store, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	s := &Store{
-		demands:      make([]float64, cfg.Objects),
+		objects:      cfg.Objects,
+		minDemand:    cfg.MinDemand,
+		spread:       cfg.MaxDemand - cfg.MinDemand,
 		popularCount: cfg.PopularCount,
 		popularShare: cfg.PopularShare,
 		localProb:    cfg.LocalityProb,
@@ -179,17 +197,16 @@ func NewStore(rng *rand.Rand, cfg StoreConfig) (*Store, error) {
 		// half, so this is the history's final size: no growth later.
 		history: make([]int32, 0, cfg.HistoryCap+1),
 	}
-	for i := range s.demands {
-		s.demands[i] = cfg.MinDemand + rng.Float64()*(cfg.MaxDemand-cfg.MinDemand)
-		if cfg.TailFrac > 0 && rng.Float64() < cfg.TailFrac {
-			// Truncated Pareto tail: scale MaxDemand, shape TailAlpha.
-			// (1 - U) is in (0, 1], so the draw is finite; U = 0 lands
-			// exactly on the scale.
-			d := cfg.MaxDemand * math.Pow(1-rng.Float64(), -1/cfg.TailAlpha)
-			if d > cfg.TailCap {
-				d = cfg.TailCap
-			}
-			s.demands[i] = d
+	origin := *stream
+	rng := rand.New(stream)
+	if cfg.TailFrac > 0 || !oneDrawEach(stream, cfg.Objects) {
+		*stream = origin // back over whatever the look drew
+		s.demands = drawDemands(rng, cfg)
+	} else {
+		from := origin.State()
+		s.strides = make([]des.State, cfg.Objects>>8+1)
+		for i := range s.strides {
+			s.strides[i] = from.Jump(uint64(i) << 8)
 		}
 	}
 	s.popZipf = rand.NewZipf(rng, cfg.ZipfS, 1, uint64(cfg.PopularCount-1))
@@ -200,11 +217,57 @@ func NewStore(rng *rand.Rand, cfg StoreConfig) (*Store, error) {
 	return s, nil
 }
 
+// unitFloat is the map math/rand's Float64 applies to a des.Stream draw.
+// It reaches 1 for the top 2^9 or so of the 2^63 values, which Float64
+// throws away and draws again.
+func unitFloat(u uint64) float64 { return float64(int64(u>>1)) / (1 << 63) }
+
+// oneDrawEach advances stream past n Float64 draws, storing nothing, and
+// reports whether each took exactly one value of the stream — whether draw
+// i is object i's. A redraw (2^-54 a draw) shifts every later index.
+func oneDrawEach(stream *des.Stream, n int) bool {
+	for i := 0; i < n; i++ {
+		if unitFloat(stream.Uint64()) == 1 {
+			return false
+		}
+	}
+	return true
+}
+
+// drawDemands is the demand table drawn in full, the definition the
+// computed path reproduces.
+func drawDemands(rng *rand.Rand, cfg StoreConfig) []float64 {
+	demands := make([]float64, cfg.Objects)
+	for i := range demands {
+		demands[i] = cfg.MinDemand + rng.Float64()*(cfg.MaxDemand-cfg.MinDemand)
+		if cfg.TailFrac > 0 && rng.Float64() < cfg.TailFrac {
+			// Truncated Pareto tail: scale MaxDemand, shape TailAlpha.
+			// (1 - U) is in (0, 1], so the draw is finite; U = 0 lands
+			// exactly on the scale.
+			d := cfg.MaxDemand * math.Pow(1-rng.Float64(), -1/cfg.TailAlpha)
+			if d > cfg.TailCap {
+				d = cfg.TailCap
+			}
+			demands[i] = d
+		}
+	}
+	return demands
+}
+
 // Objects returns the number of objects in the store.
-func (s *Store) Objects() int { return len(s.demands) }
+func (s *Store) Objects() int { return s.objects }
 
 // Demand returns the full-speed processing time of object id in seconds.
-func (s *Store) Demand(id int) float64 { return s.demands[id] }
+func (s *Store) Demand(id int) float64 {
+	if s.demands != nil {
+		return s.demands[id]
+	}
+	if uint(id) >= uint(s.objects) {
+		panic("workload: object id out of range")
+	}
+	n := uint64(id) + 1 // arriving at state n draws object n-1's value
+	return s.minDemand + unitFloat(s.strides[n>>8].Jump(n&0xff).Output())*s.spread
+}
 
 // Sample draws the next requested object id, honouring temporal locality
 // and the popular/rare partition split.

@@ -5,6 +5,9 @@ import (
 	"math/rand"
 	"testing"
 	"unsafe"
+
+	"hierctl/internal/des"
+	"hierctl/internal/series"
 )
 
 // TestRequestSize pins what a synthesized request costs: a feed's one
@@ -24,10 +27,14 @@ func TestRequestSize(t *testing.T) {
 // (checked for the first, middle and last within 4 standard errors of the
 // Beta(k, n+1−k) variance) and the pooled offsets fill 20 equal cells
 // without a χ² rejection at 10⁻⁴. The seed is fixed, so none of it can flake.
+// A bin of no arrivals, a negative count included, is empty and draws
+// nothing — through Generator and Feed alike, or the two would part ways
+// after a negative trace value.
 func TestSynthBinOrderedUniform(t *testing.T) {
 	store := newTestStore(t, DefaultStoreConfig())
-	rng := rand.New(rand.NewSource(9))
-	sizes := []int{0, 1, 2, 15, 16, 900}
+	src := des.NewStream(9, "workload")
+	rng := rand.New(src)
+	sizes := []int{0, 1, 2, 15, 16, 900, -3}
 	const bins, step = 10000, 30.0
 	type kth struct {
 		k   int
@@ -46,7 +53,14 @@ func TestSynthBinOrderedUniform(t *testing.T) {
 	for b := 0; b < bins; b++ {
 		s := b % len(sizes)
 		n, start := sizes[s], float64(b)*step
+		before := src.State()
 		buf = synthBin(buf, n, start, step, store, rng)
+		if n <= 0 {
+			if len(buf) != 0 || src.State() != before {
+				t.Fatalf("bin %d (n=%d): %d requests, stream moved: %v", b, n, len(buf), src.State() != before)
+			}
+			continue
+		}
 		if len(buf) != n {
 			t.Fatalf("bin %d: %d requests, want %d", b, len(buf), n)
 		}
@@ -63,6 +77,22 @@ func TestSynthBinOrderedUniform(t *testing.T) {
 		for p := range probes[s] {
 			probes[s][p].sum += buf[probes[s][p].k-1].Arrival - start
 		}
+	}
+	negative := series.FromValues(0, step, []float64{-3})
+	genSrc, feedSrc := des.NewStream(9, "workload"), des.NewStream(9, "workload")
+	gen, err := NewGenerator(negative, store, rand.New(genSrc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed, err := NewFeed(0, step, store, rand.New(feedSrc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, genReqs, _ := gen.NextBin()
+	_, feedReqs := feed.Push(negative.Values[0])
+	if len(genReqs) != 0 || len(feedReqs) != 0 || genSrc.State() != feedSrc.State() {
+		t.Errorf("negative bin: generator made %d requests, feed %d; streams agree: %v",
+			len(genReqs), len(feedReqs), genSrc.State() == feedSrc.State())
 	}
 	for s, n := range sizes {
 		for _, p := range probes[s] {

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"hierctl/internal/des"
 	"math"
 	"math/rand"
 	"sort"
@@ -9,7 +10,7 @@ import (
 
 func newTestStore(t *testing.T, cfg StoreConfig) *Store {
 	t.Helper()
-	s, err := NewStore(rand.New(rand.NewSource(1)), cfg)
+	s, err := NewStore(des.NewStream(1, "store"), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -457,7 +458,7 @@ func TestFeedValidation(t *testing.T) {
 // hides capacity clipped to the current bin: every bin then fits the
 // previous one's buffers.)
 func TestFeedPushSteadyStateZeroAlloc(t *testing.T) {
-	store, err := NewStore(rand.New(rand.NewSource(3)), DefaultStoreConfig())
+	store, err := NewStore(des.NewStream(3, "store"), DefaultStoreConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -483,7 +484,7 @@ func TestFeedPushSteadyStateZeroAlloc(t *testing.T) {
 // append growth on the measured path.
 func TestStoreHistoryAllocatedOnce(t *testing.T) {
 	cfg := DefaultStoreConfig()
-	store, err := NewStore(rand.New(rand.NewSource(3)), cfg)
+	store, err := NewStore(des.NewStream(3, "store"), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
