@@ -229,8 +229,8 @@ func ChaosPlanNames() []string { return chaos.Names() }
 func LookupChaosPlan(name string) (ChaosSpec, error) { return chaos.Lookup(name) }
 
 // CheckTelemetryRecords reports whether n is a valid
-// TenantConfig.TelemetryRecords: 0 (off) up to the 1 << 20 records
-// (48 MB of ring) a tenant may retain.
+// TenantConfig.TelemetryRecords: 0 (off) up to the 1 << 20 records a
+// tenant may retain (28 bytes each allocated at create: 28 MB).
 func CheckTelemetryRecords(n int) error { return fleet.CheckTelemetryRecords(n) }
 
 // CheckBinCount reports whether count is a valid arrival count for one

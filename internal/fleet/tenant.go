@@ -42,14 +42,18 @@ type TenantConfig struct {
 	Failures []workload.FailureEvent
 	// TelemetryRecords sizes the tenant's decision flight recorder (the
 	// retained window of per-tick and per-controller records served by
-	// Fleet.Telemetry); 0 disables recording, and the ring costs 48 bytes
-	// of resident memory per record, so at most 1 << 20 (48 MB). Part
-	// of the configuration, so snapshots persist it; the ring itself is
-	// ephemeral — a restore re-fills it by replaying the observation log.
+	// Fleet.Telemetry); 0 disables recording. The recorder allocates 28
+	// bytes per record at create (a 24-byte arena budget and a 4-byte
+	// offset), so at most 1 << 20 (28 MB); records averaging over the
+	// budget — none the hierarchy writes — would double the arena, to
+	// 100 bytes per record at worst. Part of the configuration, so
+	// snapshots persist it; the ring itself is ephemeral — a restore
+	// re-fills it by replaying the observation log.
 	TelemetryRecords int
 }
 
-// maxTelemetryRecords bounds TenantConfig.TelemetryRecords: a 48 MB ring.
+// maxTelemetryRecords bounds TenantConfig.TelemetryRecords: 28 MB of
+// recorder at create, 100 MB if its arena ever doubled twice.
 // The size arrives from outside the process — a flag, a snapshot or a
 // journal frame — and sizes an allocation made before anything else about
 // the tenant is checked, so a crafted or corrupt frame must not be able

@@ -14,17 +14,16 @@
 //
 // A recorder has one writer: the hierarchy records from the goroutine that
 // steps its tenant — nothing fans out inside a control tick — so the record
-// sequence is deterministic. A Record call still claims its slot with one
-// atomic add; the synchronisation stays although no caller needs it today.
-// Readers must be externally synchronized with the writer — the fleet reads
-// on the tenant's home shard, the CLIs read after the run.
+// sequence is deterministic, and a write claims nothing atomically. Readers
+// must be externally synchronized with the writer — the fleet reads on the
+// tenant's home shard, the CLIs read after the run.
 package obs
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
-	"sync/atomic"
 )
 
 // Level says which layer of the hierarchy a record describes.
@@ -69,9 +68,8 @@ func (l *Level) UnmarshalText(b []byte) error {
 }
 
 // Record is one flight-recorder entry. It is deliberately flat — no
-// slices, no pointers — so writing one is a struct copy into the ring.
-// Fields that don't apply to a record's level keep their zero value
-// (index fields use -1 for "not applicable"):
+// slices, no pointers. Fields that don't apply to a record's level keep
+// their zero value (index fields use -1 for "not applicable"):
 //
 //   - tick records (LevelTick): DecideNs spans the whole hierarchical
 //     decision, Resp is the interval's mean response time and QoS flags a
@@ -92,10 +90,8 @@ func (l *Level) UnmarshalText(b []byte) error {
 //     cluster-level search, followed by one detail record per module
 //     (Module == i) carrying the module's Gamma share.
 //
-// Resp, Alpha and Gamma are therefore mutually exclusive, and the ring
-// relies on it: a recorder retains Resp on tick records only, Alpha on L1
-// summaries only and Gamma on every other record (see cell); whichever of
-// the three does not apply reads back as zero.
+// The recorder keeps every field of every record exactly (floats bit for
+// bit), and a field at its "not applicable" value costs it no byte.
 type Record struct {
 	Tick     int64   `json:"tick"`
 	Level    Level   `json:"level"`
@@ -114,128 +110,81 @@ type Record struct {
 	Stale    int16   `json:"stale,omitempty"`
 }
 
-// Recorder is a fixed-size ring of the most recent Records. The zero
-// value is not usable; a nil *Recorder is — every method no-ops (or
-// returns emptiness) on a nil receiver, which is how instrumented code
-// stays allocation-free when telemetry is off.
+// A record as the arena holds it: a two-byte little-endian header, then
+// the fields it marks present, in the header's bit order. Integers are
+// zigzag varints — the tick as the delta from the previous record's, so a
+// tick's records after its first carry none — Alpha is a uvarint, and the
+// floats are their 8 raw bytes, so NaN payloads and −0 survive. A field is
+// absent at zero, the index fields (Module, Comp, FreqIdx) at −1, a float
+// when its bits are zero. Levels above 3 and Degraded, which only a
+// fallback tick sets, take an extension byte after the header.
+const (
+	hdrLevel    = 0b11   // Level & 3
+	hdrOn       = 1 << 2 // On
+	hdrQoS      = 1 << 3 // QoS
+	hdrExt      = 1 << 4 // extension byte: Degraded in bit 0, Level >> 2 above it
+	hasTick     = 1 << 5
+	hasModule   = 1 << 6
+	hasComp     = 1 << 7
+	hasFreqIdx  = 1 << 8
+	hasExplored = 1 << 9
+	hasDecideNs = 1 << 10
+	hasAlpha    = 1 << 11
+	hasGamma    = 1 << 12
+	hasCost     = 1 << 13
+	hasResp     = 1 << 14
+	hasStale    = 1 << 15
+)
+
+// maxRecordSize is the longest encoding: header, extension byte, three
+// 10-byte 64-bit varints, three int16 and one int32 varint, three floats,
+// the int16 Stale.
+const maxRecordSize = 2 + 1 + 3*binary.MaxVarintLen64 + 3*3 + 5 + 3*8 + 3
+
+// recordBudget is the arena bytes NewRecorder sets aside per record. The
+// records the hierarchy writes take at most 24 bytes at the extremes of
+// what they carry (TestRecordEncodedSize) and 12–14 on average, so a ring
+// of them wraps without the arena ever growing (TestRecorderArenaFlat).
+const recordBudget = 24
+
+// maxCapacity keeps every arena offset a uint32: an arena doubles from
+// capacity × recordBudget only while it is short of capacity ×
+// maxRecordSize, so it never passes 4 × recordBudget per record.
+const maxCapacity = math.MaxUint32 / (4 * recordBudget)
+
+// Recorder is a fixed-size ring of the most recent Records, kept encoded
+// in one byte arena. The zero value is not usable; a nil *Recorder is —
+// every method no-ops (or returns emptiness) on a nil receiver, which is
+// how instrumented code stays allocation-free when telemetry is off.
 type Recorder struct {
-	ring []cell
-	head atomic.Uint64 // total records ever written
-	tick atomic.Int64  // current engine tick, stamped onto writes
-}
-
-// cell is a Record as the ring holds it: 48 bytes against Record's 72, so
-// a tenant's resident ring is capacity × 48 B. The fields are ordered
-// widest first so nothing pads, the three booleans share one byte, and
-// Resp, Alpha and Gamma — never set together (see Record) — share slot.
-type cell struct {
-	tick     int64
-	decideNs int64
-	cost     float64
-	slot     uint64 // Resp, Alpha or Gamma bits, by slotOf(level, comp)
-	explored int32
-	module   int16
-	comp     int16
-	freqIdx  int16
-	stale    int16
-	level    Level
-	flags    uint8
-}
-
-const (
-	flagOn uint8 = 1 << iota
-	flagQoS
-	flagDegraded
-)
-
-// The field of a Record its cell's slot retains.
-const (
-	slotGamma = iota
-	slotResp
-	slotAlpha
-)
-
-// slotOf is the exclusivity rule of the Record doc comment: tick records
-// carry Resp, L1 summaries (Comp == -1) carry Alpha, and Gamma is the only
-// one of the three any other record carries.
-func slotOf(level Level, comp int16) int {
-	switch {
-	case level == LevelTick:
-		return slotResp
-	case level == LevelL1 && comp == -1:
-		return slotAlpha
-	}
-	return slotGamma
-}
-
-// pack stores rec, stamped with tick, into the cell. Both directions
-// assign field by field: a composite literal through the pointer is built
-// in a temporary and copied, which costs more than the rest of a write.
-func (c *cell) pack(rec *Record, tick int64) {
-	var slot uint64
-	switch slotOf(rec.Level, rec.Comp) {
-	case slotResp:
-		slot = math.Float64bits(rec.Resp)
-	case slotAlpha:
-		slot = rec.Alpha
-	default:
-		slot = math.Float64bits(rec.Gamma)
-	}
-	var flags uint8
-	if rec.On {
-		flags |= flagOn
-	}
-	if rec.QoS {
-		flags |= flagQoS
-	}
-	if rec.Degraded {
-		flags |= flagDegraded
-	}
-	c.tick = tick
-	c.decideNs = rec.DecideNs
-	c.cost = rec.Cost
-	c.slot = slot
-	c.explored = rec.Explored
-	c.module = rec.Module
-	c.comp = rec.Comp
-	c.freqIdx = rec.FreqIdx
-	c.stale = rec.Stale
-	c.level = rec.Level
-	c.flags = flags
-}
-
-// unpack rebuilds the record the cell was packed from.
-func (c *cell) unpack(rec *Record) {
-	*rec = Record{} // dst may be a reused buffer: no field keeps what it held
-	rec.Tick = c.tick
-	rec.Level = c.level
-	rec.Module = c.module
-	rec.Comp = c.comp
-	rec.FreqIdx = c.freqIdx
-	rec.On = c.flags&flagOn != 0
-	rec.QoS = c.flags&flagQoS != 0
-	rec.Explored = c.explored
-	rec.DecideNs = c.decideNs
-	rec.Cost = c.cost
-	rec.Degraded = c.flags&flagDegraded != 0
-	rec.Stale = c.stale
-	switch slotOf(c.level, c.comp) {
-	case slotResp:
-		rec.Resp = math.Float64frombits(c.slot)
-	case slotAlpha:
-		rec.Alpha = c.slot
-	default:
-		rec.Gamma = math.Float64frombits(c.slot)
-	}
+	// arena holds the retained records' encodings back to back, wrapping
+	// at its end; a record may straddle it.
+	arena []byte
+	// bound[seq % capacity] is the arena offset record seq starts at.
+	bound []uint32
+	// The retained records are [oldest, total); tail and head are the
+	// bound slots of oldest and total, end the offset the next record
+	// starts at.
+	oldest, total uint64
+	tail, head    int
+	end           int
+	used          int   // arena bytes the retained records take
+	tick          int64 // current engine tick, stamped onto writes
+	base          int64 // tick of the record before oldest: its delta's origin
+	last          int64 // tick of the newest record
 }
 
 // NewRecorder returns a recorder retaining the most recent capacity
-// records.
+// records. It allocates capacity × 28 bytes: the arena's per-record
+// budget and a 4-byte offset.
 func NewRecorder(capacity int) (*Recorder, error) {
-	if capacity < 1 {
-		return nil, fmt.Errorf("obs: recorder capacity %d, need >= 1", capacity)
+	if capacity < 1 || capacity > maxCapacity {
+		return nil, fmt.Errorf("obs: recorder capacity %d outside [1, %d]", capacity, maxCapacity)
 	}
-	return &Recorder{ring: make([]cell, capacity)}, nil
+	return &Recorder{
+		arena: make([]byte, capacity*recordBudget),
+		bound: make([]uint32, capacity),
+	}, nil
 }
 
 // Enabled reports whether records will actually be retained. It is the
@@ -247,7 +196,7 @@ func (r *Recorder) Capacity() int {
 	if r == nil {
 		return 0
 	}
-	return len(r.ring)
+	return len(r.bound)
 }
 
 // SetTick sets the tick stamped onto subsequent records. The engine
@@ -259,7 +208,7 @@ func (r *Recorder) SetTick(tick int64) {
 	if r == nil {
 		return
 	}
-	r.tick.Store(tick)
+	r.tick = tick
 }
 
 // Tick returns the currently stamped tick.
@@ -267,21 +216,94 @@ func (r *Recorder) Tick() int64 {
 	if r == nil {
 		return 0
 	}
-	return r.tick.Load()
+	return r.tick
 }
 
 // Record appends rec to the ring, stamping the current tick over
-// rec.Tick and overwriting the oldest entry once the ring is full. The
-// hierarchy calls it from one goroutine; the atomic slot claim keeps
-// concurrent writers safe all the same. Never allocates.
+// rec.Tick and dropping the oldest record once the ring is full. It
+// encodes into a stack buffer and copies that into the arena; it
+// allocates only if the retained window and rec would overflow the arena,
+// which no record mix the hierarchy writes does.
 //
 //hpm:hotpath
 func (r *Recorder) Record(rec Record) {
 	if r == nil {
 		return
 	}
-	seq := r.head.Add(1) - 1
-	r.ring[seq%uint64(len(r.ring))].pack(&rec, r.tick.Load())
+	var buf [maxRecordSize]byte
+	if r.Len() == len(r.bound) { // full: the oldest record makes room
+		old := r.bytes(r.tail, &buf)
+		r.base += tickDelta(old)
+		r.used -= len(old)
+		r.tail = r.next(r.tail)
+		r.oldest++
+	}
+	n := encode(&buf, &rec, r.tick-r.last)
+	if r.used+n > len(r.arena) {
+		r.grow(n)
+	}
+	r.bound[r.head] = uint32(r.end)
+	r.head = r.next(r.head)
+	if k := copy(r.arena[r.end:], buf[:n]); k < n {
+		copy(r.arena, buf[k:n])
+	}
+	if r.end += n; r.end >= len(r.arena) {
+		r.end -= len(r.arena)
+	}
+	r.used += n
+	r.last = r.tick
+	r.total++
+}
+
+// grow moves the retained records to the front of an arena at least twice
+// the size with room for need more bytes.
+func (r *Recorder) grow(need int) {
+	size := 2 * len(r.arena)
+	for size < r.used+need {
+		size *= 2
+	}
+	arena := make([]byte, size) //hpm:alloc cold: only a window of records averaging over recordBudget bytes reaches it
+	from := r.bound[r.tail]
+	k := copy(arena[:r.used], r.arena[from:])
+	copy(arena[k:r.used], r.arena)
+	for i, s := 0, r.tail; i < r.Len(); i, s = i+1, r.next(s) {
+		off := r.bound[s] - from
+		if r.bound[s] < from {
+			off += uint32(len(r.arena))
+		}
+		r.bound[s] = off
+	}
+	r.end = r.used
+	r.arena = arena
+}
+
+// next and prev step a bound slot around the ring.
+func (r *Recorder) next(slot int) int {
+	if slot++; slot == len(r.bound) {
+		return 0
+	}
+	return slot
+}
+
+func (r *Recorder) prev(slot int) int {
+	if slot == 0 {
+		slot = len(r.bound)
+	}
+	return slot - 1
+}
+
+// bytes returns the encoding of the retained record at slot: a slice of
+// the arena, or of scratch when the record straddles the arena's end.
+func (r *Recorder) bytes(slot int, scratch *[maxRecordSize]byte) []byte {
+	from, to := int(r.bound[slot]), r.end
+	if next := r.next(slot); next != r.head {
+		to = int(r.bound[next])
+	}
+	if to <= from { // wraps; to == from is one record filling the arena
+		k := copy(scratch[:], r.arena[from:])
+		return scratch[:k+copy(scratch[k:], r.arena[:to])]
+	}
+	return r.arena[from:to]
 }
 
 // Total returns how many records were ever written, including ones the
@@ -291,7 +313,7 @@ func (r *Recorder) Total() uint64 {
 	if r == nil {
 		return 0
 	}
-	return r.head.Load()
+	return r.total
 }
 
 // Len returns how many records the ring currently retains.
@@ -299,11 +321,7 @@ func (r *Recorder) Len() int {
 	if r == nil {
 		return 0
 	}
-	total := r.head.Load()
-	if total > uint64(len(r.ring)) {
-		return len(r.ring)
-	}
-	return int(total)
+	return int(r.total - r.oldest)
 }
 
 // Window appends the newest max retained records to dst, oldest first,
@@ -317,7 +335,7 @@ func (r *Recorder) Window(dst []Record, max int) []Record {
 	if max > 0 && max < n {
 		n = max
 	}
-	recs, _ := r.Since(dst, r.head.Load()-uint64(n))
+	recs, _ := r.Since(dst, r.total-uint64(n))
 	return recs
 }
 
@@ -328,7 +346,7 @@ func (r *Recorder) Oldest() uint64 {
 	if r == nil {
 		return 0
 	}
-	return r.head.Load() - uint64(r.Len())
+	return r.oldest
 }
 
 // Since appends every retained record with sequence number >= cursor to
@@ -336,39 +354,198 @@ func (r *Recorder) Oldest() uint64 {
 // cursor (pass it back to read only newer records next time). Records
 // overwritten before the read are gone — a scraper polling Since sees
 // gaps (Oldest tells how wide), never duplicates. The read decodes the
-// window's cells into dst and allocates only when dst is short. Callers
-// must not race Since with writers.
+// window into dst and allocates only when dst is short. Callers must not
+// race Since with writers.
 func (r *Recorder) Since(dst []Record, cursor uint64) ([]Record, uint64) {
 	if r == nil {
 		return dst, 0
 	}
-	total := r.head.Load()
-	start := cursor
-	if oldest := r.Oldest(); start < oldest {
-		start = oldest
+	start := max(cursor, r.oldest)
+	if start >= r.total {
+		return dst, r.total
 	}
-	if start >= total {
-		return dst, total
-	}
-	n := uint64(len(r.ring))
 	at := len(dst)
-	dst = slices.Grow(dst, int(total-start))[:at+int(total-start)]
-	out := dst[at:]
-	lo, hi := start%n, total%n
-	if lo < hi {
-		unpackAll(out, r.ring[lo:hi])
-		return dst, total
+	dst = slices.Grow(dst, int(r.total-start))[:at+int(r.total-start)]
+	slot, tick := r.seek(start)
+	var scratch [maxRecordSize]byte
+	for i := at; i < len(dst); i++ {
+		tick = decode(r.bytes(slot, &scratch), &dst[i], tick)
+		slot = r.next(slot)
 	}
-	// The window wraps the ring's end (lo == hi is the full ring).
-	unpackAll(out, r.ring[lo:])
-	unpackAll(out[n-lo:], r.ring[:hi])
-	return dst, total
+	return dst, r.total
 }
 
-// unpackAll decodes cells into the front of dst.
-func unpackAll(dst []Record, cells []cell) {
-	dst = dst[:len(cells)]
-	for i := range cells {
-		cells[i].unpack(&dst[i])
+// seek returns the bound slot of retained record seq and the tick of the
+// record before it — the origin of seq's tick delta — summing deltas from
+// whichever end of the retained window is nearer.
+func (r *Recorder) seek(seq uint64) (slot int, tick int64) {
+	var scratch [maxRecordSize]byte
+	if seq-r.oldest <= r.total-seq {
+		slot, tick = r.tail, r.base
+		for s := r.oldest; s < seq; s++ {
+			tick += tickDelta(r.bytes(slot, &scratch))
+			slot = r.next(slot)
+		}
+		return slot, tick
 	}
+	slot, tick = r.head, r.last
+	for s := r.total; s > seq; s-- {
+		slot = r.prev(slot)
+		tick -= tickDelta(r.bytes(slot, &scratch))
+	}
+	return slot, tick
+}
+
+// encode writes rec, dtick ticks after the previous record, into b and
+// returns its length.
+func encode(b *[maxRecordSize]byte, rec *Record, dtick int64) int {
+	hdr := uint16(rec.Level & hdrLevel)
+	n := 2
+	if rec.On {
+		hdr |= hdrOn
+	}
+	if rec.QoS {
+		hdr |= hdrQoS
+	}
+	if rec.Degraded || rec.Level > hdrLevel {
+		hdr |= hdrExt
+		b[n] = byte(rec.Level>>2) << 1
+		if rec.Degraded {
+			b[n] |= 1
+		}
+		n++
+	}
+	if dtick != 0 {
+		hdr |= hasTick
+		n += binary.PutVarint(b[n:], dtick)
+	}
+	if rec.Module != -1 {
+		hdr |= hasModule
+		n += binary.PutVarint(b[n:], int64(rec.Module))
+	}
+	if rec.Comp != -1 {
+		hdr |= hasComp
+		n += binary.PutVarint(b[n:], int64(rec.Comp))
+	}
+	if rec.FreqIdx != -1 {
+		hdr |= hasFreqIdx
+		n += binary.PutVarint(b[n:], int64(rec.FreqIdx))
+	}
+	if rec.Explored != 0 {
+		hdr |= hasExplored
+		n += binary.PutVarint(b[n:], int64(rec.Explored))
+	}
+	if rec.DecideNs != 0 {
+		hdr |= hasDecideNs
+		n += binary.PutVarint(b[n:], rec.DecideNs)
+	}
+	if rec.Alpha != 0 {
+		hdr |= hasAlpha
+		n += binary.PutUvarint(b[n:], rec.Alpha)
+	}
+	if bits := math.Float64bits(rec.Gamma); bits != 0 {
+		hdr |= hasGamma
+		binary.LittleEndian.PutUint64(b[n:], bits)
+		n += 8
+	}
+	if bits := math.Float64bits(rec.Cost); bits != 0 {
+		hdr |= hasCost
+		binary.LittleEndian.PutUint64(b[n:], bits)
+		n += 8
+	}
+	if bits := math.Float64bits(rec.Resp); bits != 0 {
+		hdr |= hasResp
+		binary.LittleEndian.PutUint64(b[n:], bits)
+		n += 8
+	}
+	if rec.Stale != 0 {
+		hdr |= hasStale
+		n += binary.PutVarint(b[n:], int64(rec.Stale))
+	}
+	binary.LittleEndian.PutUint16(b[:], hdr)
+	return n
+}
+
+// decode rebuilds into rec the record encode wrote to b, tick being the
+// previous record's tick, and returns rec's tick.
+func decode(b []byte, rec *Record, tick int64) int64 {
+	hdr := binary.LittleEndian.Uint16(b)
+	n := 2
+	*rec = Record{Level: Level(hdr & hdrLevel), Module: -1, Comp: -1, FreqIdx: -1} // dst may be a reused buffer
+	rec.On = hdr&hdrOn != 0
+	rec.QoS = hdr&hdrQoS != 0
+	if hdr&hdrExt != 0 {
+		rec.Level |= Level(b[n]>>1) << 2
+		rec.Degraded = b[n]&1 != 0
+		n++
+	}
+	if hdr&hasTick != 0 {
+		tick += varint(b, &n)
+	}
+	rec.Tick = tick
+	if hdr&hasModule != 0 {
+		rec.Module = int16(varint(b, &n))
+	}
+	if hdr&hasComp != 0 {
+		rec.Comp = int16(varint(b, &n))
+	}
+	if hdr&hasFreqIdx != 0 {
+		rec.FreqIdx = int16(varint(b, &n))
+	}
+	if hdr&hasExplored != 0 {
+		rec.Explored = int32(varint(b, &n))
+	}
+	if hdr&hasDecideNs != 0 {
+		rec.DecideNs = varint(b, &n)
+	}
+	if hdr&hasAlpha != 0 {
+		rec.Alpha = uvarint(b, &n)
+	}
+	if hdr&hasGamma != 0 {
+		rec.Gamma = float(b, &n)
+	}
+	if hdr&hasCost != 0 {
+		rec.Cost = float(b, &n)
+	}
+	if hdr&hasResp != 0 {
+		rec.Resp = float(b, &n)
+	}
+	if hdr&hasStale != 0 {
+		rec.Stale = int16(varint(b, &n))
+	}
+	return tick
+}
+
+// uvarint reads the uvarint at b[*n:] and steps *n past it.
+func uvarint(b []byte, n *int) uint64 {
+	v, k := binary.Uvarint(b[*n:])
+	*n += k
+	return v
+}
+
+// varint reads the zigzag varint at b[*n:] and steps *n past it.
+func varint(b []byte, n *int) int64 {
+	v, k := binary.Varint(b[*n:])
+	*n += k
+	return v
+}
+
+// float reads the 8 raw bytes at b[*n:] and steps *n past them.
+func float(b []byte, n *int) float64 {
+	v := math.Float64frombits(binary.LittleEndian.Uint64(b[*n:]))
+	*n += 8
+	return v
+}
+
+// tickDelta returns the tick delta of the record encoded in b.
+func tickDelta(b []byte) int64 {
+	hdr := binary.LittleEndian.Uint16(b)
+	if hdr&hasTick == 0 {
+		return 0
+	}
+	n := 2
+	if hdr&hdrExt != 0 {
+		n++
+	}
+	return varint(b, &n)
 }

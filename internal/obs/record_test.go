@@ -1,0 +1,290 @@
+package obs
+
+import (
+	"math"
+	"math/rand/v2"
+	"testing"
+)
+
+// sameBits compares two records field for field with the floats compared
+// as bit patterns, so NaN payloads and signed zeros count.
+func sameBits(a, b Record) bool {
+	fa := [3]uint64{math.Float64bits(a.Gamma), math.Float64bits(a.Cost), math.Float64bits(a.Resp)}
+	fb := [3]uint64{math.Float64bits(b.Gamma), math.Float64bits(b.Cost), math.Float64bits(b.Resp)}
+	a.Gamma, a.Cost, a.Resp = 0, 0, 0
+	b.Gamma, b.Cost, b.Resp = 0, 0, 0
+	return a == b && fa == fb
+}
+
+// roundTrip writes rec at tick, after records at prev, into a ring it has
+// to wrap, and returns what Since reads back.
+func roundTrip(t *testing.T, prev, tick int64, rec Record) Record {
+	t.Helper()
+	r, err := NewRecorder(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.SetTick(prev)
+	for i := 0; i < 4; i++ {
+		r.Record(Record{Level: LevelL2, Gamma: 0.25})
+	}
+	r.SetTick(tick)
+	r.Record(rec)
+	got, next := r.Since(nil, r.Total()-1)
+	if len(got) != 1 || next != r.Total() {
+		t.Fatalf("Since returned %d records, cursor %d", len(got), next)
+	}
+	return got[0]
+}
+
+// The extremes of what the committed writers put in a record. The engine
+// writes a tick record every tick, so consecutive records are at most one
+// tick apart; hpmserve admits 64 modules of at most 16 computers, and a
+// 16-computer module's L1 search explores 178,609 states; a decision that
+// takes a minute would be a stall, not a decision.
+const (
+	extremeModule   = 63
+	extremeComp     = 15
+	extremeAlpha    = 1<<16 - 1
+	extremeL1States = 178_609
+	extremeStates   = 1<<20 - 1
+	extremeDecideNs = 60e9
+)
+
+// writerShapes are the records each writer emits — the engine's tick
+// record, the L0 decision, the L1 and L2 summary and detail records,
+// hpmperf's obs.record_ns probe — at ordinary values and at the extremes
+// above, with the tick each is stamped with.
+var writerShapes = []struct {
+	name string
+	tick int64
+	rec  Record
+}{
+	{"engine tick", 41, Record{Level: LevelTick, Module: -1, Comp: -1, FreqIdx: -1, DecideNs: 18_250, Resp: 1.75, QoS: true, Degraded: true, Stale: 3}},
+	{"engine tick idle", 0, Record{Level: LevelTick, Module: -1, Comp: -1, FreqIdx: -1}},
+	{"L0", 7, Record{Level: LevelL0, Module: 2, Comp: 3, FreqIdx: 5, Explored: 341, DecideNs: 2_900, Cost: 12.5}},
+	{"L1 summary", 8, Record{Level: LevelL1, Module: 1, Comp: -1, FreqIdx: -1, Explored: 178_609, DecideNs: 400_000_000, Alpha: 0b1011, Cost: 3.25}},
+	{"L1 detail", 8, Record{Level: LevelL1, Module: 1, Comp: 2, FreqIdx: -1, On: true, Gamma: 0.375}},
+	{"L1 detail off", 8, Record{Level: LevelL1, Module: 1, Comp: 0, FreqIdx: -1}},
+	{"L2 summary", 16, Record{Level: LevelL2, Module: -1, Comp: -1, FreqIdx: -1, Explored: 35, DecideNs: 9_000, Cost: 0.5}},
+	{"L2 detail", 16, Record{Level: LevelL2, Module: 3, Comp: -1, FreqIdx: -1, Gamma: 0.25}},
+	{"hpmperf obs.record_ns", 1, Record{Level: LevelL0, Module: 0, Comp: 3, FreqIdx: 2, Explored: 9, DecideNs: 1500}},
+
+	{"tick at extremes", 1, Record{Level: LevelTick, Module: -1, Comp: -1, FreqIdx: -1, DecideNs: extremeDecideNs, Resp: math.Inf(1), QoS: true, Degraded: true, Stale: extremeModule + 1}},
+	{"L0 at extremes", 1, Record{Level: LevelL0, Module: extremeModule, Comp: extremeComp, FreqIdx: 63, Explored: extremeStates, DecideNs: extremeDecideNs, Cost: math.Inf(-1)}},
+	{"L1 summary at extremes", 1, Record{Level: LevelL1, Module: extremeModule, Comp: -1, FreqIdx: -1, Explored: extremeL1States, DecideNs: extremeDecideNs, Alpha: extremeAlpha, Cost: math.Inf(1)}},
+	{"L1 detail at extremes", 1, Record{Level: LevelL1, Module: extremeModule, Comp: extremeComp, FreqIdx: -1, On: true, Gamma: math.SmallestNonzeroFloat64}},
+	{"L2 summary at extremes", 1, Record{Level: LevelL2, Module: -1, Comp: -1, FreqIdx: -1, Explored: extremeStates, DecideNs: extremeDecideNs, Cost: math.MaxFloat64}},
+	{"L2 detail at extremes", 1, Record{Level: LevelL2, Module: extremeModule, Comp: -1, FreqIdx: -1, Gamma: math.Copysign(0, -1)}},
+}
+
+// TestRecordRoundTripWriterShapes pins write → Since as the identity on
+// every record shape a writer emits, and on each field's extremes.
+func TestRecordRoundTripWriterShapes(t *testing.T) {
+	nan := math.Float64frombits(0x7ff8_dead_beef_0001)
+	cases := append(writerShapes[:len(writerShapes):len(writerShapes)], []struct {
+		name string
+		tick int64
+		rec  Record
+	}{
+		{"tick extremes", math.MaxInt64, Record{Level: LevelTick, Module: -1, Comp: -1, FreqIdx: -1, DecideNs: math.MaxInt64, Resp: math.Inf(1), QoS: true, Stale: math.MaxInt16}},
+		{"tick NaN resp", math.MinInt64, Record{Level: LevelTick, Module: -1, Comp: -1, FreqIdx: -1, DecideNs: math.MinInt64, Resp: nan, Degraded: true}},
+		{"L0 extremes", math.MaxInt64, Record{Level: LevelL0, Module: math.MaxInt16, Comp: math.MaxInt16, FreqIdx: math.MaxInt16, Explored: math.MaxInt32, DecideNs: math.MaxInt64, Cost: math.Inf(-1)}},
+		{"L0 NaN cost", 2, Record{Level: LevelL0, Module: 0, Comp: 0, FreqIdx: 0, Explored: 1, Cost: nan}},
+		{"L1 summary all ones", 3, Record{Level: LevelL1, Module: -1, Comp: -1, FreqIdx: -1, Explored: math.MaxInt32, DecideNs: math.MaxInt64, Alpha: math.MaxUint64, Cost: math.Inf(1)}},
+		{"L1 detail NaN gamma", 3, Record{Level: LevelL1, Module: 0, Comp: 63, FreqIdx: -1, On: true, Gamma: nan}},
+		{"L2 summary -Inf cost", 4, Record{Level: LevelL2, Module: -1, Comp: -1, FreqIdx: -1, Explored: math.MaxInt32, Cost: math.Inf(-1)}},
+		{"L2 detail -0 gamma", 4, Record{Level: LevelL2, Module: 0, Comp: -1, FreqIdx: -1, Gamma: math.Copysign(0, -1)}},
+		{"every field at its longest", math.MinInt64, longestRecord()},
+	}...)
+	for _, tc := range cases {
+		want := tc.rec
+		want.Tick = tc.tick // Record stamps the recorder's tick over rec.Tick
+		for _, prev := range []int64{0, tc.tick - 1, math.MaxInt64} {
+			if got := roundTrip(t, prev, tc.tick, tc.rec); !sameBits(got, want) {
+				t.Errorf("%s after tick %d: wrote %+v, read %+v", tc.name, prev, want, got)
+			}
+		}
+	}
+}
+
+// longestRecord has every field present at its longest encoding: written
+// at a tick math.MinInt64 from the previous record's, it takes
+// maxRecordSize bytes.
+func longestRecord() Record {
+	nan := math.Float64frombits(0xfff8_0000_0000_0001)
+	return Record{
+		Level: math.MaxUint8, Module: math.MinInt16, Comp: math.MinInt16, FreqIdx: math.MinInt16,
+		On: true, QoS: true, Degraded: true, Explored: math.MinInt32, DecideNs: math.MinInt64,
+		Alpha: math.MaxUint64, Gamma: nan, Cost: nan, Resp: nan, Stale: math.MinInt16,
+	}
+}
+
+// TestRecordEncodedSize pins what a record costs the arena: every shape a
+// writer emits, at the extremes of what it writes, fits the per-record
+// budget NewRecorder allocates, and the longest encoding of any record is
+// maxRecordSize. A new field costs nothing while it is zero; once a writer
+// sets it, its bytes show here.
+func TestRecordEncodedSize(t *testing.T) {
+	var buf [maxRecordSize]byte
+	widest := 0
+	for _, tc := range writerShapes {
+		n := encode(&buf, &tc.rec, 1)
+		if n > recordBudget {
+			t.Errorf("%s encodes to %d bytes, over the %d-byte budget", tc.name, n, recordBudget)
+		}
+		widest = max(widest, n)
+	}
+	rec := longestRecord()
+	if n := encode(&buf, &rec, math.MinInt64); n != maxRecordSize {
+		t.Errorf("the longest record encodes to %d bytes, want maxRecordSize = %d", n, maxRecordSize)
+	}
+	t.Logf("writer shapes encode to at most %d bytes (budget %d)", widest, recordBudget)
+}
+
+// FuzzRecorderRoundTrip drives the encoding with arbitrary records: every
+// field, the level and the three flags take any value, and the tick any
+// distance from the previous record's. Since reads back bit for bit.
+func FuzzRecorderRoundTrip(f *testing.F) {
+	for i, tc := range writerShapes[:6] {
+		r := tc.rec
+		var flags uint8
+		for bit, set := range []bool{r.On, r.QoS, r.Degraded} {
+			if set {
+				flags |= 1 << bit
+			}
+		}
+		f.Add(int64(i), tc.tick, uint8(r.Level), r.Module, r.Comp, r.FreqIdx, r.Stale, r.Explored, r.DecideNs, r.Alpha,
+			math.Float64bits(r.Gamma), math.Float64bits(r.Cost), math.Float64bits(r.Resp), flags)
+	}
+	f.Fuzz(func(t *testing.T, prev, tick int64, level uint8, module, comp, freqIdx, stale int16, explored int32, decideNs int64, alpha, gamma, cost, resp uint64, flags uint8) {
+		want := Record{
+			Level: Level(level), Module: module, Comp: comp, FreqIdx: freqIdx, Stale: stale,
+			Explored: explored, DecideNs: decideNs, Alpha: alpha,
+			Gamma: math.Float64frombits(gamma), Cost: math.Float64frombits(cost), Resp: math.Float64frombits(resp),
+			On: flags&1 != 0, QoS: flags&2 != 0, Degraded: flags&4 != 0,
+		}
+		got := roundTrip(t, prev, tick, want)
+		want.Tick = tick
+		if !sameBits(got, want) {
+			t.Fatalf("wrote %+v, read %+v", want, got)
+		}
+	})
+}
+
+// randomRecord draws a record whose fields are each absent about half the
+// time and otherwise anything, extremes, NaN payloads and −0 included.
+func randomRecord(rng *rand.Rand) Record {
+	pick := func() bool { return rng.IntN(2) == 0 }
+	i16 := func(absent int16) int16 {
+		switch {
+		case pick():
+			return absent
+		case pick():
+			return int16(rng.IntN(64))
+		}
+		return int16(rng.Uint32())
+	}
+	u64 := func() uint64 {
+		switch rng.IntN(6) {
+		case 0, 1, 2:
+			return 0
+		case 3:
+			return rng.Uint64N(1 << 20)
+		case 4:
+			return []uint64{math.MaxUint64, 1 << 63, math.Float64bits(math.NaN()), 0x7ff0_0000_0000_0001}[rng.IntN(4)]
+		}
+		return rng.Uint64()
+	}
+	level := Level(rng.IntN(4))
+	if rng.IntN(8) == 0 {
+		level = Level(rng.Uint32())
+	}
+	return Record{
+		Tick: rng.Int64(), Level: level,
+		Module: i16(-1), Comp: i16(-1), FreqIdx: i16(-1), Stale: i16(0),
+		On: pick(), QoS: rng.IntN(4) == 0, Degraded: rng.IntN(8) == 0,
+		Explored: int32(u64()), DecideNs: int64(u64()), Alpha: u64(),
+		Gamma: math.Float64frombits(u64()), Cost: math.Float64frombits(u64()), Resp: math.Float64frombits(u64()),
+	}
+}
+
+// TestRecorderMatchesSliceOracle checks the recorder against its
+// definition — a []Record of everything written, of which it retains the
+// newest Capacity() — over random capacities and random record mixes
+// that include runs of the longest records, through many wraps and the
+// arena's growth: Oldest, Len and Total, Since from every cursor and
+// Window for every max.
+func TestRecorderMatchesSliceOracle(t *testing.T) {
+	rng := rand.New(rand.NewPCG(25, 1))
+	var buf []Record
+	for trial := 0; trial < 12; trial++ {
+		capacity := 1 + rng.IntN(64)
+		r, err := NewRecorder(capacity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var oracle []Record
+		tick := int64(0)
+		// check compares the counters after every write and, every fourth
+		// write, the reads too.
+		check := func(w int) {
+			t.Helper()
+			total := uint64(len(oracle))
+			oldest := uint64(max(0, len(oracle)-capacity))
+			if r.Total() != total || r.Oldest() != oldest || r.Len() != int(total-oldest) {
+				t.Fatalf("cap %d: Total %d Oldest %d Len %d, want %d %d %d", capacity, r.Total(), r.Oldest(), r.Len(), total, oldest, total-oldest)
+			}
+			if w%4 != 3 {
+				return
+			}
+			same := func(what string, got, want []Record) {
+				t.Helper()
+				if len(got) != len(want) {
+					t.Fatalf("cap %d total %d %s: %d records, want %d", capacity, total, what, len(got), len(want))
+				}
+				for i := range got {
+					if !sameBits(got[i], want[i]) {
+						t.Fatalf("cap %d total %d %s: record %d is %+v, want %+v", capacity, total, what, i, got[i], want[i])
+					}
+				}
+			}
+			for cursor := max(oldest, 1) - 1; cursor <= total+1; cursor++ {
+				var next uint64
+				buf, next = r.Since(buf[:0], cursor)
+				if next != total {
+					t.Fatalf("cap %d total %d: Since(%d) cursor %d", capacity, total, cursor, next)
+				}
+				same("Since", buf, oracle[min(max(cursor, oldest), total):])
+			}
+			for m := 0; m <= r.Len()+1; m++ {
+				want := oracle[oldest:]
+				if m > 0 && m < len(want) {
+					want = want[len(want)-m:]
+				}
+				buf = r.Window(buf[:0], m)
+				same("Window", buf, want)
+			}
+		}
+		for w := 0; w < 8*capacity; w++ {
+			rec := randomRecord(rng)
+			switch {
+			case w >= 3*capacity && w < 5*capacity: // a ring of the longest records: the arena must grow
+				rec = longestRecord()
+				tick += math.MinInt64
+			case rng.IntN(16) == 0:
+				tick = rng.Int64()
+			case rng.IntN(4) == 0:
+				tick++
+			}
+			r.SetTick(tick)
+			r.Record(rec)
+			rec.Tick = tick
+			oracle = append(oracle, rec)
+			check(w)
+		}
+		if len(r.arena) <= capacity*recordBudget {
+			t.Fatalf("cap %d: the arena never grew", capacity)
+		}
+	}
+}
