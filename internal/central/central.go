@@ -62,12 +62,10 @@ type Config struct {
 	Parallelism int
 	// NonNegativeCosts declares the per-sample configuration costs
 	// non-negative — true for the fluid-model pricing below, a sum of
-	// slack, power and switch terms — enabling the same branch-and-bound
-	// pruning the hierarchy's searches use: a candidate whose partial
-	// sample average already meets its pass's incumbent is abandoned
-	// early. Incumbents are kept per α shard, so the decision and the
-	// explored-state count stay identical at any Parallelism and the
-	// EXT3 baseline remains apples-to-apples with the pruned hierarchy.
+	// slack, power and switch terms — enabling the partial-mean pruning of
+	// llc.OneStep the hierarchy's searches use. Incumbents are kept per α
+	// shard, so the decision and the explored-state count stay identical
+	// at any Parallelism.
 	NonNegativeCosts bool
 }
 
@@ -135,6 +133,7 @@ type Decision struct {
 type Controller struct {
 	cfg   Config
 	specs []cluster.ComputerSpec
+	caps  []float64 // capacity weights seeding γ allocations
 
 	prevAlpha []bool
 	prevGamma []float64
@@ -163,19 +162,16 @@ func New(cfg Config, specs []cluster.ComputerSpec) (*Controller, error) {
 		return nil, fmt.Errorf("central: min-on %d exceeds cluster size %d", cfg.MinOn, len(specs))
 	}
 	n := len(specs)
-	c := &Controller{cfg: cfg, specs: specs}
+	c := &Controller{cfg: cfg, specs: specs, caps: make([]float64, n)}
 	c.prevAlpha = make([]bool, n)
 	c.prevFreq = make([]int, n)
-	caps := make([]float64, n)
-	mask := make([]bool, n)
 	for j := range specs {
 		c.prevAlpha[j] = true
 		c.prevFreq[j] = len(specs[j].FrequenciesHz) - 1
-		caps[j] = specs[j].SpeedFactor
-		mask[j] = true
+		c.caps[j] = specs[j].SpeedFactor
 	}
 	var err error
-	c.prevGamma, err = controller.SnapSimplex(caps, mask, cfg.Quantum)
+	c.prevGamma, err = controller.SnapSimplex(c.caps, c.prevAlpha, cfg.Quantum)
 	if err != nil {
 		return nil, err
 	}
@@ -241,64 +237,17 @@ func (c *Controller) Decide(obs Observation) (Decision, error) {
 	// the single-threaded loop used, so the winning configuration and the
 	// explored-state count are identical at any worker count.
 	cands := c.alphaCandidates(obs.Available)
-	type shard struct {
-		cost     float64
-		dec      Decision
-		explored int
-		elapsed  time.Duration
-	}
 	shards := make([]shard, len(cands))
-	_ = par.For(par.Workers(c.cfg.Parallelism), len(cands), func(ci int) error {
+	err := par.For(par.Workers(c.cfg.Parallelism), len(cands), func(ci int) error {
 		shardStart := time.Now() //hpm:wallclock §4.3 controller-overhead metric; summed per-shard compute, never a decision input
-		alpha := cands[ci]
-		local := shard{cost: math.Inf(1)}
-		nSamples := float64(len(samples))
-		// price returns the candidate's expected cost and whether it
-		// completed: under NonNegativeCosts a candidate whose partial
-		// sample average already meets the pass's incumbent is abandoned
-		// (it could at best tie, and ties never displace the incumbent),
-		// mirroring the hierarchy's branch-and-bound. The incumbent is
-		// shard-local, so explored counts stay parallelism-independent.
-		price := func(gamma []float64, freq []int, incumbent float64) (float64, bool) {
-			sum := 0.0
-			for si, lam := range samples {
-				sum += c.evaluate(alpha, gamma, freq, obs, lam)
-				local.explored++
-				if c.cfg.NonNegativeCosts && llc.PrunePartialMean(sum, len(samples), si, incumbent) {
-					return 0, false
-				}
-			}
-			return sum / nSamples, true
-		}
-		stay := make([]int, n)
-		for j := range c.specs {
-			stay[j] = clampIdx(c.prevFreq[j], len(c.specs[j].FrequenciesHz))
-		}
-		// Pass 1: best γ at held frequencies.
-		gammaCost := math.Inf(1)
-		var bestGamma []float64
-		for _, gamma := range c.gammaCandidates(alpha) {
-			if cost, ok := price(gamma, stay, gammaCost); ok && cost < gammaCost {
-				gammaCost = cost
-				bestGamma = gamma
-			}
-		}
-		if bestGamma == nil {
-			local.elapsed = time.Since(shardStart) //hpm:wallclock §4.3 controller-overhead metric; observe-only
-			shards[ci] = local
-			return nil
-		}
-		// Pass 2: best frequency vector at the chosen γ.
-		for _, freq := range c.freqCandidates(alpha) {
-			if cost, ok := price(bestGamma, freq, local.cost); ok && cost < local.cost {
-				local.cost = cost
-				local.dec = Decision{Alpha: alpha, Gamma: bestGamma, FreqIdx: freq}
-			}
-		}
-		local.elapsed = time.Since(shardStart) //hpm:wallclock §4.3 controller-overhead metric; observe-only
-		shards[ci] = local
-		return nil
+		var err error
+		shards[ci], err = c.searchShard(cands[ci], obs, samples)
+		shards[ci].elapsed = time.Since(shardStart) //hpm:wallclock §4.3 controller-overhead metric; observe-only
+		return err
 	})
+	if err != nil {
+		return Decision{}, err
+	}
 	best := Decision{}
 	bestCost := math.Inf(1)
 	explored := 0
@@ -330,6 +279,64 @@ func (c *Controller) Decide(obs Observation) (Decision, error) {
 	c.computeTime += elapsed
 	return best, nil
 }
+
+// shard is one α candidate's local optimum (cost +Inf when it has none)
+// and the work it took.
+type shard struct {
+	cost     float64
+	dec      Decision
+	explored int
+	elapsed  time.Duration
+}
+
+// searchShard runs one α candidate's two passes — the best γ at held
+// frequencies, then the best frequency vector at that γ — each one
+// llc.OneStep against its own incumbent. The incumbents start at +Inf and
+// live in the shard, so explored counts stay parallelism-independent.
+func (c *Controller) searchShard(alpha []bool, obs Observation, samples []float64) (shard, error) {
+	sc := llc.Scan{Prune: c.cfg.NonNegativeCosts}
+	// freqs[0] holds every computer at its previous frequency.
+	freqs := c.freqCandidates(alpha)
+	p := &shardPricer{c: c, obs: obs, samples: samples, alpha: alpha, freq: freqs[0]}
+	gammas := c.gammaCandidates(alpha)
+	gi, _, err := llc.OneStep(&sc, p, gammas, len(samples), math.Inf(1))
+	if err != nil || gi < 0 {
+		return shard{cost: math.Inf(1), explored: sc.Explored}, err
+	}
+	p.gamma = gammas[gi]
+	fi, cost, err := llc.OneStep(&sc, (*freqPass)(p), freqs, len(samples), math.Inf(1))
+	if err != nil || fi < 0 {
+		return shard{cost: math.Inf(1), explored: sc.Explored}, err
+	}
+	return shard{cost: cost, dec: Decision{Alpha: alpha, Gamma: p.gamma, FreqIdx: freqs[fi]}, explored: sc.Explored}, nil
+}
+
+// shardPricer prices one shard's γ candidates at its α and the held
+// frequencies; once that pass has chosen γ, freqPass prices frequency
+// vectors at it.
+type shardPricer struct {
+	c       *Controller
+	obs     Observation
+	samples []float64
+	alpha   []bool
+	gamma   []float64
+	freq    []int
+}
+
+func (p *shardPricer) Price(gamma []float64, si int, sum float64) (float64, error) {
+	return sum + p.c.evaluate(p.alpha, gamma, p.freq, p.obs, p.samples[si]), nil
+}
+
+func (p *shardPricer) Finish(_ []float64, mean float64) float64 { return mean }
+
+// freqPass is a shardPricer pricing frequency vectors at the chosen γ.
+type freqPass shardPricer
+
+func (p *freqPass) Price(freq []int, si int, sum float64) (float64, error) {
+	return sum + p.c.evaluate(p.alpha, p.gamma, freq, p.obs, p.samples[si]), nil
+}
+
+func (p *freqPass) Finish(_ []int, mean float64) float64 { return mean }
 
 // evaluate prices a joint configuration: fluid-model slack + power per
 // sub-period per on computer, plus switch-on transients.
@@ -413,11 +420,7 @@ func (c *Controller) alphaCandidates(avail []bool) [][]bool {
 // gammaCandidates is the quantized-simplex neighbourhood over the whole
 // cluster — the joint γ space whose size grows combinatorially with n.
 func (c *Controller) gammaCandidates(alpha []bool) [][]float64 {
-	caps := make([]float64, len(c.specs))
-	for j, s := range c.specs {
-		caps[j] = s.SpeedFactor
-	}
-	seed, err := controller.SnapSimplex(caps, alpha, c.cfg.Quantum)
+	seed, err := controller.SnapSimplex(c.caps, alpha, c.cfg.Quantum)
 	if err != nil {
 		return nil
 	}
@@ -431,7 +434,7 @@ func (c *Controller) gammaCandidates(alpha []bool) [][]float64 {
 // freqCandidates enumerates joint frequency moves: each computer may move
 // up to FreqSteps indices from its previous point; to keep the candidate
 // count finite the moves are axis-aligned (one computer moves per
-// candidate) plus the all-stay and all-max vectors.
+// candidate), after the all-stay vector (first) and the all-max one.
 func (c *Controller) freqCandidates(alpha []bool) [][]int {
 	n := len(c.specs)
 	stay := make([]int, n)

@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -51,14 +52,10 @@ type L1Config struct {
 	UncertaintySamples bool
 	// NonNegativeCosts declares the per-sample candidate costs
 	// non-negative — true for the learned abstraction maps, whose cells
-	// store sums of slack and power terms — enabling branch-and-bound
-	// pruning of the candidate × sample loop: a candidate whose partial
-	// sample average already meets the incumbent best is abandoned
-	// without evaluating its remaining samples. The selected (α, γ) is
-	// bit-identical (a pruned candidate could at best tie, and ties
-	// never displace the incumbent); only Explored shrinks, and it
-	// remains deterministic. Disable for custom maps that can price
-	// candidates negatively.
+	// store sums of slack and power terms — enabling llc.OneStep's
+	// partial-mean pruning: the selected (α, γ) is bit-identical and only
+	// Explored shrinks. Disable for maps that can price candidates
+	// negatively.
 	NonNegativeCosts bool
 }
 
@@ -204,6 +201,7 @@ type L1 struct {
 	gammaWords int  // packed-γ key: words per candidate
 
 	snap         snapper
+	pr           l1Pricer
 	samplesBuf   [3]float64
 	evalBuf      [gColWidth]float64
 	qEndBuf      []float64
@@ -265,6 +263,7 @@ func NewL1(cfg L1Config, gmaps []*GMap) (*L1, error) {
 	l.gammaPer, l.gammaWords = gammaLayout(m, cfg.Quantum)
 	l.gammaMemo = make(map[uint64]*gammaMemoEntry)
 	l.qEndBuf = make([]float64, m)
+	l.pr = l1Pricer{l: l, obs: L1Observation{QueueLens: make([]float64, m)}}
 	l.alphaBase = make([]bool, m)
 	l.alphaScr = make([]bool, m)
 	l.gammaScr = make([]float64, m)
@@ -382,73 +381,81 @@ func (l *L1) Decide(obs L1Observation) (L1Decision, error) {
 	}
 	start := time.Now() //hpm:wallclock decide-latency for the §4.3 overhead metric; observe-only
 
-	samples := l.samplesBuf[:1]
-	samples[0] = obs.LambdaHat
-	if l.cfg.UncertaintySamples && obs.Delta > 0 {
-		samples = l.samplesBuf[:3]
-		samples[0] = math.Max(0, obs.LambdaHat-obs.Delta)
-		samples[1] = obs.LambdaHat
-		samples[2] = obs.LambdaHat + obs.Delta
-	}
-
+	samples := bandSamples(&l.samplesBuf, obs.LambdaHat, obs.Delta, l.cfg.UncertaintySamples)
 	bestCost := math.Inf(1)
-	bestSet := false
-	explored := 0
-	nSamples := float64(len(samples))
+	sc := llc.Scan{Prune: l.cfg.NonNegativeCosts, MaxExplored: l.maxExplored}
+	copy(l.pr.obs.QueueLens, obs.QueueLens)
+	l.pr.obs.CHat = obs.CHat
 	for _, alpha := range l.alphaCandidates(obs.Available) {
-		for _, gamma := range l.gammaCandidates(alpha) {
-			sum := 0.0
-			pruned := false
-			for si, lam := range samples {
-				c, err := l.evaluate(alpha, gamma, obs, lam)
-				if err != nil {
-					return L1Decision{}, err
-				}
-				sum += c
-				explored++
-				if l.maxExplored > 0 && explored > l.maxExplored {
-					// Deterministic decision deadline (see SetMaxExplored):
-					// the counter is scheduling-free, so the trip point is
-					// identical on every run.
-					return L1Decision{}, fmt.Errorf("controller: L1 search: %w", llc.ErrBudget)
-				}
-				if l.cfg.NonNegativeCosts && llc.PrunePartialMean(sum, len(samples), si, bestCost) {
-					pruned = true
-					break
-				}
-			}
-			if pruned {
-				continue
-			}
-			cost := sum / nSamples
-			if cost < bestCost {
-				bestCost = cost
-				bestSet = true
-				// Candidate vectors live in pools recycled on the next
-				// generator call, so the incumbent is copied out now.
-				copy(l.bestAlphaScr, alpha)
-				copy(l.bestGammaScr, gamma)
-			}
+		l.pr.alpha = alpha
+		gammas := l.gammaCandidates(alpha)
+		gi, cost, err := llc.OneStep(&sc, &l.pr, gammas, len(samples), bestCost)
+		if err != nil {
+			return L1Decision{}, searchErr("L1", err)
+		}
+		if gi >= 0 {
+			bestCost = cost
+			// Candidate vectors live in pools recycled on the next
+			// generator call, so the incumbent is copied out now.
+			copy(l.bestAlphaScr, alpha)
+			copy(l.bestGammaScr, gammas[gi])
 		}
 	}
-	if !bestSet || math.IsInf(bestCost, 1) {
+	if math.IsInf(bestCost, 1) {
 		return L1Decision{}, fmt.Errorf("controller: L1 found no candidate configuration")
 	}
 	best := L1Decision{
 		Alpha:    append([]bool(nil), l.bestAlphaScr...),    //hpm:alloc decision copy-out; counted by the allocs/decision pin
 		Gamma:    append([]float64(nil), l.bestGammaScr...), //hpm:alloc decision copy-out; counted by the allocs/decision pin
-		Explored: explored,
+		Explored: sc.Explored,
 	}
 	elapsed := time.Since(start) //hpm:wallclock decide-latency for the §4.3 overhead metric; observe-only
 	l.prevAlpha = best.Alpha
 	l.prevGamma = best.Gamma
-	l.explored += explored
+	l.explored += sc.Explored
 	l.decisions++
 	l.computeTime += elapsed
 	if l.rec.Enabled() {
 		l.record(best, bestCost, elapsed)
 	}
 	return best, nil
+}
+
+// l1Pricer prices the γ candidates of one α for llc.OneStep against the
+// decision in flight: the sampled arrival rates in L1.samplesBuf, and its
+// own copy of the observation fields evaluate reads (QueueLens, CHat), so
+// the controller keeps nothing of the caller's observation.
+type l1Pricer struct {
+	l     *L1
+	alpha []bool
+	obs   L1Observation
+}
+
+func (p *l1Pricer) Price(gamma []float64, si int, sum float64) (float64, error) {
+	c, err := p.l.evaluate(p.alpha, gamma, p.obs, p.l.samplesBuf[si])
+	return sum + c, err
+}
+
+func (p *l1Pricer) Finish(_ []float64, mean float64) float64 { return mean }
+
+// bandSamples fills buf with the arrival rates a decision averages its
+// cost over (§4.2): {max(0, λ̂−δ), λ̂, λ̂+δ} when banded and δ > 0, else λ̂.
+func bandSamples(buf *[3]float64, lambda, delta float64, banded bool) []float64 {
+	if !banded || delta <= 0 {
+		buf[0] = lambda
+		return buf[:1]
+	}
+	buf[0], buf[1], buf[2] = math.Max(0, lambda-delta), lambda, lambda+delta
+	return buf[:]
+}
+
+// searchErr wraps a budget trip of the level's llc.OneStep search and
+// passes a pricing error through as is.
+func searchErr(level string, err error) error {
+	if errors.Is(err, llc.ErrBudget) {
+		return fmt.Errorf("controller: %s search: %w", level, err)
+	}
+	return err
 }
 
 // evaluate prices one (α, γ) candidate under one sampled arrival rate

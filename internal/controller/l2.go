@@ -29,13 +29,9 @@ type L2Config struct {
 	// NonNegativeCosts declares the per-sample candidate costs
 	// non-negative — true for regression trees fitted to the module
 	// costs, which are sums of slack and power terms — enabling
-	// branch-and-bound pruning of the candidate × sample loop: a
-	// candidate whose partial sample average already meets the incumbent
-	// best is abandoned before its remaining samples (the reallocation
-	// term ‖γ − γ_prev‖₁ only adds more). The selected γ is
-	// bit-identical; only Explored shrinks, and it remains
-	// deterministic. Disable for custom JTilde models that can return
-	// negative costs.
+	// llc.OneStep's partial-mean pruning (the reallocation term only adds
+	// more): the selected γ is bit-identical and only Explored shrinks.
+	// Disable for JTilde models that can return negative costs.
 	NonNegativeCosts bool
 	// DeltaWeight is the S weight of Eq. 3 applied to ‖γ − γ_prev‖₁:
 	// a small reallocation cost that stabilizes the distribution and
@@ -154,6 +150,7 @@ type L2 struct {
 	// ≤ 64; larger clusters re-enumerate each period). Memoized vectors
 	// are never mutated, so the incumbent may reference them directly.
 	enumMemo   map[uint64][][]float64
+	pr         l2Pricer
 	samplesBuf [3]float64
 
 	explored    int
@@ -190,10 +187,12 @@ func NewL2(cfg L2Config, jtildes []JTilde) (*L2, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &L2{
+	l := &L2{
 		cfg: cfg, jtildes: jtildes, prevGamma: prev,
 		enumMemo: make(map[uint64][][]float64),
-	}, nil
+	}
+	l.pr = l2Pricer{l: l, obs: L2Observation{QAvg: make([]float64, p), CHat: make([]float64, p), Available: make([]bool, p)}}
+	return l, nil
 }
 
 // Modules returns the number of modules the controller manages.
@@ -231,12 +230,7 @@ func (l *L2) Decide(obs L2Observation) (L2Decision, error) {
 	if len(obs.Available) != p {
 		return L2Decision{}, fmt.Errorf("controller: observation has %d availability flags, modules %d", len(obs.Available), p)
 	}
-	avail := 0
-	for _, a := range obs.Available {
-		if a {
-			avail++
-		}
-	}
+	avail := countTrue(obs.Available)
 	if avail == 0 {
 		return L2Decision{}, fmt.Errorf("controller: no available modules")
 	}
@@ -246,93 +240,45 @@ func (l *L2) Decide(obs L2Observation) (L2Decision, error) {
 	start := time.Now() //hpm:wallclock decide-latency for the §4.3 overhead metric; observe-only
 
 	var candidates [][]float64
-	if CountSimplex(avail, l.cfg.Quantum) <= l.cfg.EnumLimit {
-		if p <= 64 {
-			// The enumeration is a pure function of the mask; memoize it
-			// so steady-state periods skip the combinatorial rebuild. The
-			// memo is bounded (entries hold up to EnumLimit vectors) so a
-			// long-lived controller under rotating availability masks
-			// cannot grow it without limit; past the cap, misses compute
-			// without storing.
-			const maxEnumMemoEntries = 64
-			mask := packBools(obs.Available)
-			if cached, ok := l.enumMemo[mask]; ok {
-				candidates = cached
-			} else {
-				candidates = EnumerateSimplex(p, obs.Available, l.cfg.Quantum)
-				if len(l.enumMemo) < maxEnumMemoEntries {
-					l.enumMemo[mask] = candidates
-				}
-			}
-		} else {
-			candidates = EnumerateSimplex(p, obs.Available, l.cfg.Quantum)
-		}
-	} else {
+	switch {
+	case CountSimplex(avail, l.cfg.Quantum) > l.cfg.EnumLimit:
 		seed, err := SnapSimplex(l.prevGamma, obs.Available, l.cfg.Quantum)
 		if err != nil {
 			return L2Decision{}, err
 		}
 		candidates = SimplexNeighbours(seed, obs.Available, l.cfg.Quantum, l.cfg.NeighbourDepth)
+	case p > 64:
+		candidates = EnumerateSimplex(p, obs.Available, l.cfg.Quantum)
+	default:
+		// The enumeration is a pure function of the mask; memoize it so
+		// steady-state periods skip the combinatorial rebuild. The memo is
+		// bounded (entries hold up to EnumLimit vectors) so a long-lived
+		// controller under rotating availability masks cannot grow it
+		// without limit; past the cap, misses compute without storing.
+		const maxEnumMemoEntries = 64
+		mask := packBools(obs.Available)
+		if candidates = l.enumMemo[mask]; candidates == nil {
+			candidates = EnumerateSimplex(p, obs.Available, l.cfg.Quantum)
+			if len(l.enumMemo) < maxEnumMemoEntries {
+				l.enumMemo[mask] = candidates
+			}
+		}
 	}
 
-	samples := l.samplesBuf[:1]
-	samples[0] = obs.LambdaHat
-	if l.cfg.UncertaintySamples && obs.Delta > 0 {
-		samples = l.samplesBuf[:3]
-		samples[0] = math.Max(0, obs.LambdaHat-obs.Delta)
-		samples[1] = obs.LambdaHat
-		samples[2] = obs.LambdaHat + obs.Delta
+	samples := bandSamples(&l.samplesBuf, obs.LambdaHat, obs.Delta, l.cfg.UncertaintySamples)
+	sc := llc.Scan{Prune: l.cfg.NonNegativeCosts, MaxExplored: l.maxExplored}
+	copy(l.pr.obs.QAvg, obs.QAvg)
+	copy(l.pr.obs.CHat, obs.CHat)
+	copy(l.pr.obs.Available, obs.Available)
+	bi, bestCost, err := llc.OneStep(&sc, &l.pr, candidates, len(samples), math.Inf(1))
+	if err != nil {
+		return L2Decision{}, searchErr("L2", err)
 	}
-
-	bestCost := math.Inf(1)
-	var best []float64
-	explored := 0
-	nSamples := float64(len(samples))
-	for _, gamma := range candidates {
-		sum := 0.0
-		pruned := false
-		for si, lam := range samples {
-			for i := range gamma {
-				if !obs.Available[i] {
-					continue
-				}
-				// Zero-share modules still cost their learned idle
-				// floor (the L1 keeps MinOn computers powered), so
-				// concentration is not falsely free.
-				c, err := l.jtildes[i].Predict(obs.QAvg[i], gamma[i]*lam, obs.CHat[i])
-				if err != nil {
-					return L2Decision{}, err
-				}
-				sum += c
-			}
-			explored++
-			if l.maxExplored > 0 && explored > l.maxExplored {
-				// Deterministic decision deadline (see SetMaxExplored).
-				return L2Decision{}, fmt.Errorf("controller: L2 search: %w", llc.ErrBudget)
-			}
-			// The reallocation term added below is non-negative, so the
-			// partial-mean bound remains valid for the full cost.
-			if l.cfg.NonNegativeCosts && llc.PrunePartialMean(sum, len(samples), si, bestCost) {
-				pruned = true
-				break
-			}
-		}
-		if pruned {
-			continue
-		}
-		cost := sum / nSamples
-		// ‖Δu‖_S reallocation cost (Eq. 3).
-		for i := range gamma {
-			cost += l.cfg.DeltaWeight * math.Abs(gamma[i]-l.prevGamma[i])
-		}
-		if cost < bestCost {
-			bestCost = cost
-			best = gamma
-		}
-	}
-	if best == nil {
+	if bi < 0 {
 		return L2Decision{}, fmt.Errorf("controller: L2 found no candidate allocation")
 	}
+	best := candidates[bi]
+	explored := sc.Explored
 	elapsed := time.Since(start)                  //hpm:wallclock decide-latency for the §4.3 overhead metric; observe-only
 	l.prevGamma = append([]float64(nil), best...) //hpm:alloc decision copy-out; counted by the allocs/decision pin
 	l.explored += explored
@@ -359,6 +305,42 @@ func (l *L2) Decide(obs L2Observation) (L2Decision, error) {
 		}
 	}
 	return L2Decision{Gamma: append([]float64(nil), best...), Explored: explored}, nil //hpm:alloc decision copy-out; counted by the allocs/decision pin
+}
+
+// l2Pricer prices γ candidates for llc.OneStep against the decision in
+// flight: the sampled arrival rates in L2.samplesBuf, and its own copy of
+// the observation's per-module fields, so the controller keeps nothing of
+// the caller's observation.
+type l2Pricer struct {
+	l   *L2
+	obs L2Observation
+}
+
+func (p *l2Pricer) Price(gamma []float64, si int, sum float64) (float64, error) {
+	lam := p.l.samplesBuf[si]
+	for i := range gamma {
+		if !p.obs.Available[i] {
+			continue
+		}
+		// Zero-share modules still cost their learned idle floor (the L1
+		// keeps MinOn computers powered), so concentration is not falsely
+		// free.
+		c, err := p.l.jtildes[i].Predict(p.obs.QAvg[i], gamma[i]*lam, p.obs.CHat[i])
+		if err != nil {
+			return sum, err
+		}
+		sum += c
+	}
+	return sum, nil
+}
+
+// Finish adds the ‖Δu‖_S reallocation cost (Eq. 3). It is non-negative,
+// so the partial-mean bound stays valid for the full cost.
+func (p *l2Pricer) Finish(gamma []float64, mean float64) float64 {
+	for i := range gamma {
+		mean += p.l.cfg.DeltaWeight * math.Abs(gamma[i]-p.l.prevGamma[i])
+	}
+	return mean
 }
 
 // Overhead reports accumulated overhead counters.

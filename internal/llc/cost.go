@@ -30,18 +30,3 @@ func Slack(val, limit float64) float64 {
 	}
 	return val - limit
 }
-
-// PrunePartialMean is the branch-and-bound predicate for flat
-// candidate × sample loops whose score is the mean per-sample cost (the
-// L1/L2 controllers and the centralized baseline): it reports whether a
-// candidate can be abandoned after accumulating sum over the first si+1
-// of n samples. With non-negative per-sample costs the partial mean
-// sum/n lower-bounds the final mean (and any non-negative terms added
-// afterwards), so once it meets the incumbent the candidate can at best
-// tie — and ties never displace the incumbent under the
-// first-best-in-candidate-order rule, keeping the selected candidate
-// bit-identical to the unpruned loop. The check is skipped on the last
-// sample, where abandoning saves nothing.
-func PrunePartialMean(sum float64, n, si int, incumbent float64) bool {
-	return si+1 < n && sum/float64(n) >= incumbent
-}

@@ -7,15 +7,17 @@
 // reachable from the current state over a prediction horizon N, evaluates
 // the cumulative cost of each trajectory against forecast environment
 // inputs, and returns the first input of the best trajectory (Eq. 4). Two
-// search strategies are provided, matching the paper's §3:
+// searches are provided, one per shape of the paper's levels (§3-4):
 //
-//   - Exhaustive: explore every admissible input sequence (used by the L0
-//     controller, whose input set — processor frequencies — is small).
-//   - Bounded (Searcher.Bounded): explore only a caller-defined
-//     neighbourhood of the previous input at each tree level, for input
-//     spaces that are combinatorial. The L1/L2 controllers apply the same
-//     idea with their own one-step candidate loops (PrunePartialMean is
-//     the bound they share with this engine).
+//   - Searcher.Exhaustive: the tree search over every admissible input
+//     sequence, used by the L0 controller, whose input set — processor
+//     frequencies — is small and whose horizon is several steps.
+//   - OneStep: the flat one-step loop over a caller-built candidate set
+//     (a bounded neighbourhood of the previous decision), used by the L1
+//     and L2 controllers and the centralized baseline, whose input spaces
+//     are combinatorial. It owns the explored count, the budget, the
+//     partial-mean pruning and the first-strictly-better rule for all
+//     three.
 //
 // Uncertainty in environment forecasts is handled as in §4.2: each horizon
 // step may carry several sampled environment vectors (e.g. λ̂−δ, λ̂, λ̂+δ)
@@ -28,7 +30,7 @@
 //
 // # Search engine
 //
-// Both strategies run on a shared branch-and-bound engine: an iterative
+// The tree search runs on a branch-and-bound engine: an iterative
 // depth-first walk over preallocated per-level buffers (no recursion, no
 // per-node allocation) that keeps the best trajectory found so far as an
 // incumbent. Under the Options.NonNegativeCosts contract the engine prunes
@@ -109,11 +111,10 @@ type Options struct {
 	//
 	// Error surfacing is best-effort under pruning: a subtree that
 	// cannot improve the incumbent is skipped without calling
-	// Model.Inputs (or the neighbourhood function) on its states, so an
-	// ErrNoInputs that the naive search would have hit deep inside such
-	// a subtree may not surface. The bit-identical guarantee covers the
-	// returned decision; models should not rely on the search to probe
-	// states that cannot win.
+	// Model.Inputs on its states, so an ErrNoInputs that the naive search
+	// would have hit deep inside such a subtree may not surface. The
+	// bit-identical guarantee covers the returned decision; models should
+	// not rely on the search to probe states that cannot win.
 	NonNegativeCosts bool
 }
 
@@ -149,8 +150,7 @@ type Result[S, U any] struct {
 var ErrNoInputs = errors.New("llc: model returned no admissible inputs")
 
 // ErrBudget is returned when a search exhausts its decision budget (see
-// Searcher.SetMaxExplored; the L1 and L2 controllers count their own) before
-// completing.
+// Searcher.SetMaxExplored and Scan.MaxExplored) before completing.
 // Callers treat it as the decision deadline expiring: apply deterministic
 // fallback settings for this tick and search again next tick.
 var ErrBudget = errors.New("llc: decision budget exhausted")
@@ -186,17 +186,6 @@ func checkEnvs(envs []([]Env)) error {
 // upper of the two middle samples for even counts (pinned by tests; see
 // the package doc).
 func nominal(samples []Env) Env { return samples[len(samples)/2] }
-
-// inputsAt returns the candidate inputs at one tree level: the bounded
-// neighbourhood when one is installed, the model's full input set
-// otherwise. A plain method (not a per-call closure) so reusing a
-// Searcher allocates nothing.
-func (sr *Searcher[S, U]) inputsAt(st S, level int, prev U) []U {
-	if sr.neighbours != nil {
-		return sr.neighbours(prev, st, level)
-	}
-	return sr.m.Inputs(st)
-}
 
 // finish assembles the Result from the walk's incumbent.
 func (sr *Searcher[S, U]) finish() (Result[S, U], error) {
@@ -316,7 +305,7 @@ func (sr *Searcher[S, U]) walk() {
 		}
 		nf := &sr.frames[lv+1]
 		nf.x = nominalNext
-		nf.cands = sr.inputsAt(nominalNext, lv+1, u)
+		nf.cands = sr.m.Inputs(nominalNext)
 		nf.idx = 0
 		if len(nf.cands) == 0 {
 			sr.err = fmt.Errorf("%w (level %d)", ErrNoInputs, lv+1)

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 // scalarModel is a toy switching hybrid system for tests: the state chases
@@ -165,57 +164,6 @@ func (asymmetricModel) Cost(next float64, u int, env Env) float64 {
 func (asymmetricModel) Feasible(float64) bool { return true }
 func (asymmetricModel) Inputs(float64) []int  { return []int{0, 1} }
 
-func TestBoundedRespectsNeighbourhood(t *testing.T) {
-	m := scalarModel{target: 100, inputs: []int{-5, 0, 5}, inputWeight: 0}
-	// Neighbourhood only allows moving ±1 from the previous input.
-	neighbours := func(prev int, _ float64, _ int) []int {
-		return []int{prev - 1, prev, prev + 1}
-	}
-	res, err := Bounded[float64, int](m, 0, 0, neighbours, nominalEnvs(3, 0), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Level 0 candidates are {-1, 0, 1}; chasing 100 picks +1, then +2, +3.
-	want := []int{1, 2, 3}
-	for i, w := range want {
-		if res.Inputs[i] != w {
-			t.Errorf("Inputs[%d] = %d, want %d", i, res.Inputs[i], w)
-		}
-	}
-}
-
-func TestBoundedNeverBeatsExhaustive(t *testing.T) {
-	// With neighbourhoods ⊆ the full input set, bounded search cost is
-	// always ≥ exhaustive cost on the same model and horizon.
-	f := func(x0Seed int8, wSeed uint8) bool {
-		m := scalarModel{target: 3, inputs: []int{-2, -1, 0, 1, 2}, inputWeight: 0.1}
-		x0 := float64(x0Seed % 10)
-		w := float64(wSeed%5) - 2
-		envs := nominalEnvs(2, w)
-		ex, err := Exhaustive[float64, int](m, x0, envs, Options{})
-		if err != nil {
-			return false
-		}
-		neighbours := func(prev int, _ float64, _ int) []int {
-			out := []int{}
-			for _, u := range []int{prev - 1, prev, prev + 1} {
-				if u >= -2 && u <= 2 {
-					out = append(out, u)
-				}
-			}
-			return out
-		}
-		bd, err := Bounded[float64, int](m, x0, 0, neighbours, envs, Options{})
-		if err != nil {
-			return false
-		}
-		return bd.Cost >= ex.Cost-1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestErrorCases(t *testing.T) {
 	m := scalarModel{inputs: []int{0}}
 	if _, err := Exhaustive[float64, int](m, 0, nil, Options{}); err == nil {
@@ -228,9 +176,6 @@ func TestErrorCases(t *testing.T) {
 	_, err := Exhaustive[float64, int](empty, 0, nominalEnvs(1, 0), Options{})
 	if !errors.Is(err, ErrNoInputs) {
 		t.Errorf("no inputs: err = %v, want ErrNoInputs", err)
-	}
-	if _, err := Bounded[float64, int](m, 0, 0, nil, nominalEnvs(1, 0), Options{}); err == nil {
-		t.Error("nil neighbourhood: want error")
 	}
 }
 

@@ -8,14 +8,13 @@ import (
 // This file preserves the original recursive, unpruned search engine as a
 // test oracle: the branch-and-bound engine must reproduce its decisions
 // bit-for-bit (inputs, states, cost, feasibility) and, when pruning is
-// off, its exact Explored count and evaluation order.
+// off, its exact Explored count and evaluation order. Beside it sits the
+// naive one-step loop, the oracle OneStep must reproduce the same way.
 
 type refSearch[S, U any] struct {
 	m        Model[S, U]
 	envs     []([]Env)
 	penalty  float64
-	inputsAt func(s S, level int, prev U) []U
-	seed     U
 	explored int
 }
 
@@ -23,24 +22,8 @@ func referenceExhaustive[S, U any](m Model[S, U], x0 S, envs []([]Env), opt Opti
 	if err := checkEnvs(envs); err != nil {
 		return Result[S, U]{}, err
 	}
-	s := &refSearch[S, U]{m: m, envs: envs, penalty: opt.penalty(), inputsAt: func(st S, _ int, _ U) []U {
-		return m.Inputs(st)
-	}}
-	return s.run(x0)
-}
-
-func referenceBounded[S, U any](m Model[S, U], x0 S, prev U, neighbours func(prev U, s S, level int) []U, envs []([]Env), opt Options) (Result[S, U], error) {
-	if err := checkEnvs(envs); err != nil {
-		return Result[S, U]{}, err
-	}
-	s := &refSearch[S, U]{m: m, envs: envs, penalty: opt.penalty(), inputsAt: func(st S, level int, prevU U) []U {
-		return neighbours(prevU, st, level)
-	}, seed: prev}
-	return s.run(x0)
-}
-
-func (s *refSearch[S, U]) run(x0 S) (Result[S, U], error) {
-	best, err := s.expand(x0, s.seed, 0)
+	s := &refSearch[S, U]{m: m, envs: envs, penalty: opt.penalty()}
+	best, err := s.expand(x0, 0)
 	if err != nil {
 		return Result[S, U]{}, err
 	}
@@ -57,10 +40,10 @@ func (s *refSearch[S, U]) run(x0 S) (Result[S, U], error) {
 	return best, nil
 }
 
-func (s *refSearch[S, U]) expand(x S, prev U, level int) (Result[S, U], error) {
+func (s *refSearch[S, U]) expand(x S, level int) (Result[S, U], error) {
 	samples := s.envs[level]
 	nominal := samples[len(samples)/2]
-	candidates := s.inputsAt(x, level, prev)
+	candidates := s.m.Inputs(x)
 	if len(candidates) == 0 {
 		return Result[S, U]{}, fmt.Errorf("%w (level %d)", ErrNoInputs, level)
 	}
@@ -84,7 +67,7 @@ func (s *refSearch[S, U]) expand(x S, prev U, level int) (Result[S, U], error) {
 		var suffix Result[S, U]
 		if level+1 < len(s.envs) {
 			var err error
-			suffix, err = s.expand(nominalNext, u, level+1)
+			suffix, err = s.expand(nominalNext, level+1)
 			if err != nil {
 				return Result[S, U]{}, err
 			}
@@ -109,12 +92,22 @@ func refReverse[T any](xs []T) {
 	}
 }
 
-// Bounded is the one-shot form of Searcher.Bounded (a fresh Searcher per
-// call) the bounded-search tests and benchmarks share.
-func Bounded[S, U any](m Model[S, U], x0 S, prev U, neighbours func(prev U, s S, level int) []U, envs []([]Env), opt Options) (Result[S, U], error) {
-	sr, err := NewSearcher(m, opt)
-	if err != nil {
-		return Result[S, U]{}, err
+// referenceOneStep is the naive one-step loop: every candidate priced over
+// every sample with a plain sum += price loop, the mean passed through
+// finish, and the first candidate strictly cheaper than the incumbent
+// kept — no pruning, no budget. It returns the winner (−1 when none beat
+// the incumbent), its cost and the candidate-samples priced.
+func referenceOneStep[C any](cands []C, n int, incumbent float64, price func(c C, si int) float64, finish func(c C, mean float64) float64) (int, float64, int) {
+	best, cost, explored := -1, incumbent, 0
+	for ci, c := range cands {
+		sum := 0.0
+		for si := 0; si < n; si++ {
+			sum += price(c, si)
+			explored++
+		}
+		if f := finish(c, sum/float64(n)); f < cost {
+			best, cost = ci, f
+		}
 	}
-	return sr.Bounded(x0, prev, neighbours, envs)
+	return best, cost, explored
 }

@@ -18,11 +18,9 @@ import (
 // alias those reused buffers and are valid only until the next call on the
 // same Searcher; copy them if retained. Construct with NewSearcher.
 type Searcher[S, U any] struct {
-	m          Model[S, U]
-	opt        Options
-	envs       []([]Env)
-	neighbours func(prev U, s S, level int) []U // nil: the model's full input set
-	seed       U
+	m    Model[S, U]
+	opt  Options
+	envs []([]Env)
 	// maxExplored is the decision budget (see SetMaxExplored); 0 = none.
 	maxExplored int
 
@@ -60,41 +58,16 @@ func NewSearcher[S, U any](m Model[S, U], opt Options) (*Searcher[S, U], error) 
 func (sr *Searcher[S, U]) SetMaxExplored(n int) { sr.maxExplored = n }
 
 // Exhaustive runs the full tree search of §4.1 from x0 (see the package
-// function of the same name for semantics).
+// function of the same name for semantics), walking the tree in the reused
+// buffers.
+//
+//hpm:hotpath
 func (sr *Searcher[S, U]) Exhaustive(x0 S, envs []([]Env)) (Result[S, U], error) {
 	if err := checkEnvs(envs); err != nil {
 		return Result[S, U]{}, err
 	}
 	sr.envs = envs
-	sr.neighbours = nil
-	var zero U
-	sr.seed = zero
-	return sr.run(x0)
-}
-
-// Bounded runs the bounded neighbourhood search of §4.2 from x0: at each
-// tree level the candidate inputs are neighbours(prev, state, level) —
-// typically a small perturbation set around the previous decision, since
-// environment parameters rarely change drastically within one sampling
-// period. prev seeds the neighbourhood at level 0.
-func (sr *Searcher[S, U]) Bounded(x0 S, prev U, neighbours func(prev U, s S, level int) []U, envs []([]Env)) (Result[S, U], error) {
-	if err := checkEnvs(envs); err != nil {
-		return Result[S, U]{}, err
-	}
-	if neighbours == nil {
-		return Result[S, U]{}, errors.New("llc: nil neighbourhood function")
-	}
-	sr.envs = envs
-	sr.neighbours = neighbours
-	sr.seed = prev
-	return sr.run(x0)
-}
-
-// run walks the tree under the level-0 candidates in the reused buffers.
-//
-//hpm:hotpath
-func (sr *Searcher[S, U]) run(x0 S) (Result[S, U], error) {
-	roots := sr.inputsAt(x0, 0, sr.seed)
+	roots := sr.m.Inputs(x0)
 	if len(roots) == 0 {
 		return Result[S, U]{}, fmt.Errorf("%w (level 0)", ErrNoInputs)
 	}

@@ -58,37 +58,6 @@ func TestSearcherReuseMatchesFreshSearch(t *testing.T) {
 	}
 }
 
-func TestSearcherBoundedReuseMatchesFreshSearch(t *testing.T) {
-	m := scalarModel{target: 0, inputs: []int{-3, -2, -1, 0, 1, 2, 3}, inputWeight: 0.05}
-	neighbours := func(prev int, _ float64, _ int) []int {
-		return []int{prev - 1, prev, prev + 1}
-	}
-	opt := Options{NonNegativeCosts: true}
-	sr, err := NewSearcher[float64, int](m, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prev := 0
-	x := 7.0
-	for d := 0; d < 60; d++ {
-		envs := nominalEnvs(3, math.Sin(float64(d)/5))
-		got, err := sr.Bounded(x, prev, neighbours, envs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := Bounded[float64, int](m, x, prev, neighbours, envs, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Cost != want.Cost || got.Inputs[0] != want.Inputs[0] || got.Explored != want.Explored {
-			t.Fatalf("decision %d: (%v, %d, %d) vs fresh (%v, %d, %d)",
-				d, got.Cost, got.Inputs[0], got.Explored, want.Cost, want.Inputs[0], want.Explored)
-		}
-		prev = got.Inputs[0]
-		x = m.Step(x, prev, envs[0][0])
-	}
-}
-
 // TestSearcherWarmDecideZeroAlloc pins a warm Searcher decide
 // at zero allocations per call: the walk buffers, candidate cursors and
 // result slices are all reused.
