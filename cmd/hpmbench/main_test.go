@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"hierctl"
+	"hierctl/internal/race"
 )
 
 func TestRunFig3(t *testing.T) {
@@ -213,6 +214,10 @@ func TestRunTickBenchSnapshot(t *testing.T) {
 	// §4.3-module tenant's 120 s L1 cadence, half an L1 copy-out per bin.
 	want := map[string]float64{"L0-decide": 0, "L1-decide": 2, "L2-decide": 2, "table-probe": 0, "bin-scale": 5, "bin-depth": 6, "fleet-64": -1}
 	for _, r := range snap.Rows {
+		if race.Enabled && strings.HasPrefix(r.Level, "bin-") {
+			delete(want, r.Level) // the race detector's pools drop Puts; a bin borrows from two
+			continue
+		}
 		if w, ok := want[r.Level]; !ok || r.AllocsPerDecision != w {
 			t.Errorf("row %s: %v allocs/decision, want %v", r.Level, r.AllocsPerDecision, want[r.Level])
 		}

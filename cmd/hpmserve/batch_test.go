@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"hierctl"
+	"hierctl/internal/race"
 )
 
 func createFastTenant(t *testing.T, h http.Handler, id string) {
@@ -392,7 +393,7 @@ func TestServerBatchScratchBounded(t *testing.T) {
 // fourth bin) — no decode slices, result or row copies, job closures or
 // decisions.
 func TestHandleObserveBatchSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("sync.Pool drops Puts at random under the race detector")
 	}
 	const tenants = 64

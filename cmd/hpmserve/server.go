@@ -496,9 +496,6 @@ func (s *server) createTenant(w http.ResponseWriter, r *http.Request) {
 	// A long-running daemon should not accumulate per-T_L0 frequency
 	// series per computer; the decision payloads carry the frequencies.
 	cfg.RecordFrequencies = false
-	// The fleet's shards provide the cross-tenant parallelism; per-tenant
-	// fan-out on top would oversubscribe the scheduler.
-	cfg.Parallelism = 1
 	learnStart := time.Now()
 	if err := s.fleet.CreateTenant(req.ID, hierctl.TenantConfig{
 		Spec:             spec,

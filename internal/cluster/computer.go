@@ -17,6 +17,7 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"hierctl/internal/metrics"
 	"hierctl/internal/power"
@@ -121,6 +122,29 @@ type job struct {
 	demand  float64 // remaining full-speed seconds (at SpeedFactor 1)
 }
 
+// BlockJobs is the jobs one block of a computer's queue holds: 255 16-byte
+// jobs and the link fill the runtime's 4096-byte size class exactly (256
+// would spill into the 4864-byte class).
+const BlockJobs = 255
+
+// jobBlock is one link of a computer's FCFS queue.
+type jobBlock struct {
+	jobs [BlockJobs]job
+	next *jobBlock
+}
+
+// blockPool holds the drained job blocks of every computer in the process,
+// so a backlog borrows memory for as long as it lasts and a drained queue
+// holds none. A block's jobs are always written before they are read, so a
+// block is not cleared on its way back.
+var blockPool = sync.Pool{New: func() any { return new(jobBlock) }}
+
+// putBlock hands a drained block back to blockPool.
+func putBlock(b *jobBlock) {
+	b.next = nil
+	blockPool.Put(b)
+}
+
 // IntervalStats summarizes one observation interval on one computer — the
 // local state the L0/L1 controllers sample.
 type IntervalStats struct {
@@ -150,14 +174,16 @@ type Computer struct {
 	bootDoneAt float64
 	freqIdx    int
 
-	// queue is a power-of-two ring of the FCFS backlog: job i (0 = in
-	// service) lives at queue[(head+i)&(len(queue)-1)], i < count. Memory
-	// is bounded by the peak backlog, not by the jobs served since the
-	// computer last idled.
-	queue      []job
-	head       int
-	count      int
-	headServed float64 // full-speed seconds already served on the head job
+	// The FCFS backlog is a list of pooled job blocks from first to last:
+	// job 0 (in service) is first.jobs[head], the newest is
+	// last.jobs[tail-1], and count jobs lie between. A block goes back to
+	// blockPool as soon as service passes its end, so memory is bounded by
+	// the current backlog — at most ⌈count/BlockJobs⌉+1 blocks, none when
+	// the queue is empty — not by a past peak.
+	first, last *jobBlock
+	head, tail  int
+	count       int
+	headServed  float64 // full-speed seconds already served on the head job
 
 	now float64
 
@@ -204,6 +230,16 @@ func (c *Computer) Phi() float64 { return c.spec.Phi(c.freqIdx) }
 
 // QueueLen returns the number of queued (incl. in-service) requests.
 func (c *Computer) QueueLen() int { return c.count }
+
+// QueueBlocks returns the number of job blocks the queue holds: none when
+// it is empty, at most ⌈QueueLen/BlockJobs⌉+1 otherwise.
+func (c *Computer) QueueBlocks() int {
+	n := 0
+	for b := c.first; b != nil; b = b.next {
+		n++
+	}
+	return n
+}
 
 // Accepting reports whether the dispatcher may route new requests here:
 // true while On or Booting (work queues behind the boot, §4.2's
@@ -304,7 +340,13 @@ func (c *Computer) PowerOff() error {
 // drops) and the node goes dark until Repair.
 func (c *Computer) Fail() {
 	c.totalDropped += int64(c.count)
-	c.head, c.count = 0, 0
+	for b := c.first; b != nil; {
+		next := b.next
+		putBlock(b)
+		b = next
+	}
+	c.first, c.last = nil, nil
+	c.head, c.tail, c.count = 0, 0, 0
 	c.headServed = 0
 	c.state = Failed
 }
@@ -324,28 +366,35 @@ func (c *Computer) Repair() {
 //
 //hpm:hotpath
 func (c *Computer) Enqueue(arrival, demand float64) {
-	if c.count == len(c.queue) {
-		c.growQueue()
+	switch {
+	case c.last == nil:
+		c.first = blockPool.Get().(*jobBlock)
+		c.last, c.head, c.tail = c.first, 0, 0
+	case c.tail == BlockJobs:
+		c.last.next = blockPool.Get().(*jobBlock)
+		c.last, c.tail = c.last.next, 0
 	}
-	c.queue[(c.head+c.count)&(len(c.queue)-1)] = job{arrival: arrival, demand: demand}
+	c.last.jobs[c.tail] = job{arrival: arrival, demand: demand}
+	c.tail++
 	c.count++
 	c.arrived++
 }
 
-// queueMinCap is the ring's first capacity (a power of two).
-const queueMinCap = 16
-
-// growQueue doubles the full ring, unrolling it so the backlog sits in
-// FCFS order from index 0.
-func (c *Computer) growQueue() {
-	n := 2 * len(c.queue)
-	if n < queueMinCap {
-		n = queueMinCap
+// pop drops the head job, handing its block back once service has passed
+// the block's end or the queue is empty.
+func (c *Computer) pop() {
+	c.head++
+	c.count--
+	if c.count == 0 {
+		putBlock(c.first)
+		c.first, c.last = nil, nil
+		return
 	}
-	grown := make([]job, n)
-	k := copy(grown, c.queue[c.head:])
-	copy(grown[k:], c.queue[:c.head])
-	c.queue, c.head = grown, 0
+	if c.head == BlockJobs {
+		b := c.first
+		c.first, c.head = b.next, 0
+		putBlock(b)
+	}
 }
 
 // effectiveRate returns demand-units served per second at the current
@@ -397,7 +446,7 @@ func (c *Computer) Advance(t1 float64) error {
 func (c *Computer) serve(t1 float64) {
 	rate := c.effectiveRate()
 	for c.count > 0 {
-		j := &c.queue[c.head]
+		j := &c.first.jobs[c.head]
 		start := c.now
 		if j.arrival > start {
 			if j.arrival >= t1 {
@@ -411,8 +460,7 @@ func (c *Computer) serve(t1 float64) {
 			c.busySeconds += done - start
 			c.recordCompletion(done-j.arrival, j.demand)
 			c.now = done
-			c.head = (c.head + 1) & (len(c.queue) - 1)
-			c.count--
+			c.pop()
 			c.headServed = 0
 		} else {
 			served := (t1 - start) * rate

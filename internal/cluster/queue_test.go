@@ -5,9 +5,11 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+
+	"hierctl/internal/race"
 )
 
-// sliceComputer is the FCFS reference the ring queue is checked against:
+// sliceComputer is the FCFS reference the block queue is checked against:
 // the same power-state machine and service arithmetic as Computer, over
 // the plainest possible queue — a slice that drops its head by reslicing.
 // Every float operation happens in the same order as in Computer.serve, so
@@ -143,52 +145,66 @@ func (c *sliceComputer) takeIntervalStats() IntervalStats {
 	return st
 }
 
-// TestComputerRingMatchesSliceQueue is the randomized FCFS oracle: random
-// sequences of Enqueue bursts, Advance, SetFrequencyIndex, PowerOff (drain),
-// PowerOn, Fail and Repair run through Computer and through the slice
-// reference side by side. Bursts are sized so the ring grows while it is
-// wrapped, and intervals so the computer is sometimes mid-job at the
-// boundary and sometimes idle. Interval statistics, queue lengths, states
-// and lifetime counters must agree float-for-float after every step.
-func TestComputerRingMatchesSliceQueue(t *testing.T) {
-	wrappedGrowth := false
+// blocksFor is the most blocks a backlog of n jobs may hold: it fills
+// ⌈n/BlockJobs⌉ of them, plus one when service has left the head block
+// part-used.
+func blocksFor(n int) int {
+	if n == 0 {
+		return 0
+	}
+	return (n+BlockJobs-1)/BlockJobs + 1
+}
+
+// TestComputerBlockQueueMatchesSliceQueue is the randomized FCFS oracle:
+// random sequences of Enqueue bursts, Advance, SetFrequencyIndex, PowerOff
+// (drain), PowerOn, Fail and Repair run through Computer and through the
+// slice reference side by side. Bursts are sized so a backlog spans three
+// blocks and more, and intervals so the computer is sometimes mid-job at
+// the boundary, sometimes drained to empty and refilled. Interval
+// statistics, queue lengths, states and lifetime counters must agree
+// float-for-float after every step, and the queue must hold no more blocks
+// than its backlog needs — none when empty.
+func TestComputerBlockQueueMatchesSliceQueue(t *testing.T) {
+	var spanned3, refilled, failedDeep bool
 	for trial := 0; trial < 320; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial) + 1))
 		spec := testSpec("c")
 		spec.SpeedFactor = 0.5 + rng.Float64()
 		spec.BootDelaySeconds = float64(rng.Intn(3)) * 2
-		ring, err := NewComputer(spec)
+		c, err := NewComputer(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ref := &sliceComputer{spec: spec, state: PowerOff}
 		now := 0.0
+		emptied := false
 		var arrivals []float64
 		for step := 0; step < 120; step++ {
 			switch op := rng.Intn(12); {
 			case op < 2:
-				if ring.State() != Failed {
-					if _, err := ring.PowerOn(now); err != nil {
+				if c.State() != Failed {
+					if _, err := c.PowerOn(now); err != nil {
 						t.Fatal(err)
 					}
 					ref.powerOn(now)
 				}
 			case op == 2:
-				if ring.State() != Failed {
-					if err := ring.PowerOff(); err != nil {
+				if c.State() != Failed {
+					if err := c.PowerOff(); err != nil {
 						t.Fatal(err)
 					}
 					ref.powerOff()
 				}
 			case op == 3 && rng.Intn(4) == 0:
-				ring.Fail()
+				failedDeep = failedDeep || c.QueueBlocks() >= 2
+				c.Fail()
 				ref.fail()
 			case op == 4:
-				ring.Repair()
+				c.Repair()
 				ref.repair()
 			case op == 5:
 				idx := rng.Intn(len(spec.FrequenciesHz))
-				if err := ring.SetFrequencyIndex(idx); err != nil {
+				if err := c.SetFrequencyIndex(idx); err != nil {
 					t.Fatal(err)
 				}
 				ref.freqIdx = idx
@@ -197,51 +213,54 @@ func TestComputerRingMatchesSliceQueue(t *testing.T) {
 			// advance through it. Long intervals with small bursts drain
 			// the queue; short ones with big bursts back it up.
 			dt := []float64{0.05, 0.5, 3, 20}[rng.Intn(4)]
-			burst := []int{0, 1, 5, 40, 150}[rng.Intn(5)]
+			burst := []int{0, 1, 5, 40, 150, 400, 900}[rng.Intn(7)]
 			arrivals = arrivals[:0]
 			for i := 0; i < burst; i++ {
 				arrivals = append(arrivals, now+rng.Float64()*dt)
 			}
 			sort.Float64s(arrivals)
 			for _, a := range arrivals {
-				if ring.count == len(ring.queue) && ring.head != 0 {
-					wrappedGrowth = true
-				}
 				demand := 0.005 + 0.03*rng.Float64()
-				ring.Enqueue(a, demand)
+				c.Enqueue(a, demand)
 				ref.enqueue(a, demand)
 			}
+			refilled = refilled || emptied && c.QueueLen() > 0
+			spanned3 = spanned3 || c.QueueBlocks() >= 3
 			now += dt
-			if err := ring.Advance(now); err != nil {
+			if err := c.Advance(now); err != nil {
 				t.Fatal(err)
 			}
 			ref.advance(now)
-			got, want := ring.TakeIntervalStats(), ref.takeIntervalStats()
+			got, want := c.TakeIntervalStats(), ref.takeIntervalStats()
 			if got != want {
 				t.Fatalf("trial %d step %d: interval stats\n got %+v\nwant %+v", trial, step, got, want)
 			}
-			if ring.State() != ref.state || ring.QueueLen() != len(ref.queue) || ring.headServed != ref.headServed {
+			if c.State() != ref.state || c.QueueLen() != len(ref.queue) || c.headServed != ref.headServed {
 				t.Fatalf("trial %d step %d: state %v/%v queue %d/%d headServed %v/%v", trial, step,
-					ring.State(), ref.state, ring.QueueLen(), len(ref.queue), ring.headServed, ref.headServed)
+					c.State(), ref.state, c.QueueLen(), len(ref.queue), c.headServed, ref.headServed)
 			}
-			if ring.TotalCompleted() != ref.totalCompleted || ring.TotalDropped() != ref.totalDropped {
+			if c.TotalCompleted() != ref.totalCompleted || c.TotalDropped() != ref.totalDropped {
 				t.Fatalf("trial %d step %d: lifetime counters diverged", trial, step)
 			}
-			if n := len(ring.queue); n&(n-1) != 0 {
-				t.Fatalf("trial %d step %d: ring capacity %d is not a power of two", trial, step, n)
+			if n, most := c.QueueBlocks(), blocksFor(c.QueueLen()); n > most || (c.QueueLen() > 0) != (n > 0) {
+				t.Fatalf("trial %d step %d: %d blocks for a backlog of %d, want <= %d and none when empty", trial, step, n, c.QueueLen(), most)
 			}
+			emptied = emptied || c.QueueLen() == 0
 		}
 	}
-	if !wrappedGrowth {
-		t.Fatal("no trial grew the ring while it was wrapped; the generator no longer covers the unroll")
+	if !spanned3 || !refilled || !failedDeep {
+		t.Fatalf("generator coverage: backlog over 3 blocks %v, refilled after draining %v, failed mid-backlog %v; want all",
+			spanned3, refilled, failedDeep)
 	}
 }
 
 // TestComputerQueueBounded is the uptime pin: 10^5 jobs through a computer
 // that is mid-job at every Advance boundary (so it never passes through
-// an idle instant) with a backlog that never exceeds 64. The queue's
-// memory must be set by that backlog — not by the jobs served since the
-// computer last idled — and steady-state Enqueue/serve must not allocate.
+// an idle instant) over a standing backlog of some 600 jobs, three blocks
+// and a part. The queue must hold only the blocks that backlog needs — not
+// the peak, not the jobs served since the computer last idled — recycle
+// them through the pool without allocating in steady state, and hold none
+// once it drains.
 func TestComputerQueueBounded(t *testing.T) {
 	spec := testSpec("c")
 	spec.BootDelaySeconds = 0
@@ -255,10 +274,13 @@ func TestComputerQueueBounded(t *testing.T) {
 	if err := c.SetFrequencyIndex(1); err != nil {
 		t.Fatal(err)
 	}
-	// A standing backlog of 20.5 jobs: the half job shifts the service
+	if c.QueueBlocks() != 0 {
+		t.Fatalf("a new computer holds %d blocks, want 0", c.QueueBlocks())
+	}
+	// A standing backlog of 600.5 jobs: the half job shifts the service
 	// phase so every tick boundary falls inside a job.
 	c.Enqueue(0, 0.01)
-	for i := 0; i < 20; i++ {
+	for i := 0; i < 600; i++ {
 		c.Enqueue(0, 0.02)
 	}
 	const perTick, ticks = 50, 2000 // 50 × 0.02 s = exactly one tick of work per tick
@@ -271,20 +293,27 @@ func TestComputerQueueBounded(t *testing.T) {
 		if err := c.Advance(now); err != nil {
 			t.Fatal(err)
 		}
-		if c.QueueLen() == 0 || c.QueueLen() > 64 || c.headServed <= 0 {
-			t.Fatalf("t=%v: backlog %d, head served %v — want busy mid-job with backlog in (0, 64]", now, c.QueueLen(), c.headServed)
+		if c.QueueLen() == 0 || c.QueueLen() > 700 || c.headServed <= 0 {
+			t.Fatalf("t=%v: backlog %d, head served %v — want busy mid-job with backlog in (0, 700]", now, c.QueueLen(), c.headServed)
+		}
+		if n, most := c.QueueBlocks(), blocksFor(c.QueueLen()); n > most {
+			t.Fatalf("t=%v: %d blocks for a backlog of %d, want <= %d", now, n, c.QueueLen(), most)
 		}
 	}
 	for i := 0; i < ticks/2; i++ {
 		tick()
 	}
-	if allocs := testing.AllocsPerRun(ticks/2-1, tick); allocs != 0 {
+	allocs := testing.AllocsPerRun(ticks/2-1, tick)
+	if allocs != 0 && !race.Enabled { // the race detector's pool drops Puts
 		t.Fatalf("%v allocs per %d-job tick after warm-up, want 0", allocs, perTick)
 	}
-	if c.TotalCompleted() < 1e5-64 {
+	if c.TotalCompleted() < 1e5-700 {
 		t.Fatalf("only %d jobs completed, want ~1e5", c.TotalCompleted())
 	}
-	if got := cap(c.queue); got > 128 {
-		t.Fatalf("queue capacity %d after %d jobs with backlog <= 64, want <= 128", got, c.TotalCompleted())
+	if err := c.Advance(now + 60); err != nil {
+		t.Fatal(err)
+	}
+	if c.QueueLen() != 0 || c.QueueBlocks() != 0 {
+		t.Fatalf("drained queue: backlog %d in %d blocks, want none", c.QueueLen(), c.QueueBlocks())
 	}
 }

@@ -2,10 +2,12 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"hierctl/internal/cluster"
 	"hierctl/internal/obs"
+	"hierctl/internal/race"
 )
 
 // TestSessionObserveBinSteadyStateAllocs pins what one observation bin
@@ -84,6 +86,9 @@ func TestSessionObserveBinSteadyStateAllocs(t *testing.T) {
 				for i := 0; i < 70; i++ {
 					stepOnly()
 				}
+				if race.Enabled {
+					t.Skip("the race detector's pools drop Puts; the request batch and queue blocks are pooled")
+				}
 				if got := testing.AllocsPerRun(20, stepOnly); got != float64(copyOuts) {
 					t.Errorf("StepBin: %v allocs per %d-bin pass, want the %d L1/L2 decision copy-outs", got, len(series), copyOuts)
 				}
@@ -94,6 +99,87 @@ func TestSessionObserveBinSteadyStateAllocs(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestSessionMemoryFollowsBacklog is the ratchet pin: one bin at the
+// largest count a tenant accepts (10⁶ requests, a 16 MB batch and a
+// backlog of as much again) must cost memory only while it lasts. Light
+// bins then run until the plant drains. After every bin the session holds
+// no request batch and every computer no more queue blocks than its
+// current backlog needs; once drained, the live heap is back within 1 MB
+// of where it stood before the spike. Before the pooled batch and block
+// queues, the feed kept the spike's batch and each computer a ring at its
+// backlog's peak, for as long as the session lived.
+func TestSessionMemoryFollowsBacklog(t *testing.T) {
+	const spike = 1e6 // fleet's maxBinCount
+	cfg := fastConfig()
+	cfg.Parallelism = 1
+	cfg.RecordFrequencies = false
+	mgr, err := NewManager(cluster.Spec{Modules: []cluster.ModuleSpec{moduleOf("M1", 4)}}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := mgr.NewSession(testStore(t), SessionConfig{BinSeconds: 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plant := sess.r.plant
+	backlog := func() (jobs int) {
+		for i := 0; i < plant.Modules(); i++ {
+			for j := 0; j < plant.ModuleSize(i); j++ {
+				jobs += plant.Computer(i, j).QueueLen()
+			}
+		}
+		return jobs
+	}
+	step := func(count float64) {
+		t.Helper()
+		if err := sess.StepBin(count); err != nil {
+			t.Fatal(err)
+		}
+		if held := sess.h.HeldBatch(); held != 0 {
+			t.Fatalf("bin %d: the session holds a %d-request batch between bins", sess.h.Bins()-1, held)
+		}
+		for i := 0; i < plant.Modules(); i++ {
+			for j := 0; j < plant.ModuleSize(i); j++ {
+				c := plant.Computer(i, j)
+				if n, most := c.QueueBlocks(), (c.QueueLen()+cluster.BlockJobs-1)/cluster.BlockJobs+1; n > most || c.QueueLen() == 0 && n > 0 {
+					t.Fatalf("bin %d computer %d/%d: %d blocks for a backlog of %d", sess.h.Bins()-1, i, j, n, c.QueueLen())
+				}
+			}
+		}
+	}
+	const light = 40
+	for i := 0; i < 32; i++ {
+		step(light)
+	}
+	before := liveHeap()
+	step(spike)
+	peak := backlog()
+	bins := 0
+	for ; backlog() > 0; bins++ {
+		if bins == 2000 {
+			t.Fatalf("backlog of %d jobs left after %d light bins", backlog(), bins)
+		}
+		step(light)
+	}
+	after := liveHeap()
+	runtime.KeepAlive(sess) // measured alive, or the collector frees what it holds
+	if grew := int64(after) - int64(before); grew > 1<<20 {
+		t.Fatalf("after a %g-request bin drained (%d jobs queued at its end, %d bins to drain) the live heap is %d B above its pre-spike %d B, want <= 1 MB",
+			spike, peak, bins, grew, before)
+	}
+	t.Logf("spike queued %d jobs, drained in %d bins; live heap %d B before, %d B after", peak, bins, before, after)
+}
+
+// liveHeap is HeapAlloc after two forced collections: the first moves
+// idle pooled buffers to the pools' victim caches, the second frees them.
+func liveHeap() uint64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }
 
 // TestSessionDecisionOwnsItsSlices: the decision a session hands out must

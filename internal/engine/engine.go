@@ -99,7 +99,8 @@ type Harness struct {
 	failAt  []int
 
 	// batch is the current bin's requests — the feed's own arrival-sorted
-	// batch, valid until the next PushBin — and cuts the sub+1 offsets that
+	// batch, borrowed from PushBin until the bin's last tick has dispatched
+	// it, then released (nil between bins) — and cuts the sub+1 offsets that
 	// split it by tick: tick d of the bin dispatches
 	// batch[cuts[d]:cuts[d+1]].
 	batch []workload.Request
@@ -233,6 +234,10 @@ func (h *Harness) Ticks() int { return h.tick }
 // Bins returns the number of observation bins ingested.
 func (h *Harness) Bins() int { return h.feed.Bins() }
 
+// HeldBatch returns the capacity, in requests, of the request batch the
+// harness holds: 0 between bins, since a bin's last tick releases it.
+func (h *Harness) HeldBatch() int { return h.feed.Held() }
+
 // NextTickTime returns the simulation time the next tick starts at, used
 // by shared-clock drivers to pick which harness advances next.
 func (h *Harness) NextTickTime() float64 {
@@ -332,6 +337,11 @@ func (h *Harness) Tick() error {
 		if err := h.plant.Dispatch(reqs, st.GammaModules, st.GammaComputers); err != nil {
 			return err
 		}
+	}
+	if d == h.sub-1 {
+		// The queues hold copies: the bin's batch goes back to the pool.
+		h.batch = nil
+		h.feed.Release()
 	}
 	if err := h.plant.Advance(t + h.cfg.PeriodSeconds); err != nil {
 		return err

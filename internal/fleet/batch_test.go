@@ -394,6 +394,110 @@ func TestObserveBatchStress(t *testing.T) {
 	}
 }
 
+// TestSharedPoolStress is the -race pin for the pools every shard shares —
+// request batches and queue blocks — and the determinism pin across them:
+// tenants with backlogs of thousands of jobs (several blocks a computer)
+// step on four shards at once while other tenants are created, loaded,
+// quarantined mid-backlog and closed. Every stepping tenant must end where
+// a twin fed the same counts alone on one shard ends — same state, same
+// decision, same close record — whatever memory the pools handed it.
+func TestSharedPoolStress(t *testing.T) {
+	const shards, steppers, rounds = 4, 6, 6
+	counts := make([]float64, 4*rounds)
+	for i := range counts {
+		counts[i] = 300
+		if i%4 == 0 {
+			counts[i] = 6000 // ~2,600 jobs past what two computers serve in a bin
+		}
+	}
+	tc := quarantineTenantConfig()
+	f := panicFleet(t, shards)
+	for i := 0; i < steppers; i++ {
+		tc.StoreSeed = int64(i + 1)
+		if err := f.CreateTenant(fmt.Sprintf("s%d", i), tc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	run := func(fn func(round int) error) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				if err := fn(r); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < steppers; i++ {
+		id := fmt.Sprintf("s%d", i)
+		run(func(r int) error {
+			results, err := f.ObserveBatch([]BatchEntry{{Tenant: id, Counts: counts[4*r : 4*r+4]}})
+			if err == nil {
+				err = results[0].Err
+			}
+			return err
+		})
+	}
+	run(func(r int) error { // churn: backlogs abandoned by a fault and by a close
+		for _, id := range []string{fmt.Sprintf("faulty%d", r), fmt.Sprintf("closed%d", r)} {
+			if err := f.CreateTenant(id, tc); err != nil {
+				return err
+			}
+			if _, err := f.Observe(id, 8000); err != nil {
+				return err
+			}
+			if id[0] == 'f' {
+				if _, err := f.Observe(id, panicCount); !errors.Is(err, ErrTenantQuarantined) {
+					return fmt.Errorf("tenant %s: fault returned %v, want ErrTenantQuarantined", id, err)
+				}
+			}
+			if _, err := f.CloseTenant(id); err != nil && !errors.Is(err, ErrTenantQuarantined) {
+				return err
+			}
+		}
+		return nil
+	})
+	wg.Wait()
+
+	twin := New(Config{Shards: 1})
+	defer twin.Close()
+	for i := 0; i < steppers; i++ {
+		id := fmt.Sprintf("s%d", i)
+		tc.StoreSeed = int64(i + 1)
+		if err := twin.CreateTenant(id, tc); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range counts {
+			if _, err := twin.Observe(id, c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, want := closeState(t, f, id), closeState(t, twin, id)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("tenant %s under shared pools:\n got %+v\nwant %+v (alone on one shard)", id, got, want)
+		}
+	}
+}
+
+// closeState closes tenant id and returns its final state and close
+// record, wall-clock fields cleared.
+func closeState(t *testing.T, f *Fleet, id string) [2]any {
+	t.Helper()
+	st, err := f.State(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := f.CloseTenant(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.L0Time, rec.L1Time, rec.L2Time, rec.LearnTime = 0, 0, 0, 0
+	return [2]any{st, *rec}
+}
+
 // TestObserveBatchClosedMidCall closes fleets under in-flight batch calls
 // (run under -race), many times over: every call returns promptly, and
 // every entry reports either a finished job — all of its bins applied, a

@@ -10,6 +10,7 @@ import (
 
 	"hierctl/internal/core"
 	"hierctl/internal/obs"
+	"hierctl/internal/race"
 )
 
 // TestObserveIsOneEntryBatch pins that a bin reaches its shard as one job
@@ -140,7 +141,7 @@ func TestObserveIsOneEntryBatch(t *testing.T) {
 	})
 
 	t.Run("allocs", func(t *testing.T) {
-		if raceEnabled {
+		if race.Enabled {
 			t.Skip("sync.Pool drops Puts at random under the race detector")
 		}
 		f := New(Config{Shards: 1})

@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"hierctl/internal/series"
 )
@@ -87,7 +88,7 @@ func (g *Generator) Reset() { g.next = 0 }
 func synthBin(buf []Request, n int, start, step float64, store *Store, rng *rand.Rand) []Request {
 	if cap(buf) < n {
 		// At least double, so growth is amortized across bins.
-		buf = make([]Request, 0, max(2*cap(buf), n)) //hpm:alloc geometric batch growth; settles at the peak bin
+		buf = make([]Request, 0, max(2*cap(buf), n)) //hpm:alloc geometric batch growth; a reused batch settles at the largest bin it served
 	}
 	buf = buf[:0]
 	if n <= 0 {
@@ -112,14 +113,27 @@ func synthBin(buf []Request, n int, start, step float64, store *Store, rng *rand
 // synthesizes that bin's requests on the spot. A Feed pushed the values of
 // a trace produces the same request stream as a Generator over that trace
 // under the same store and RNG. Construct with NewFeed.
+//
+// The batch a Push fills is borrowed from a pool every feed in the process
+// shares and is held until Release, so a feed that is released after every
+// bin holds no batch between bins and one outsized bin pins nothing.
 type Feed struct {
 	store *Store
 	rng   *rand.Rand
 	start float64
 	step  float64
 	next  int
-	buf   []Request
+	// batch is the borrowed batch buffer, nil between Release and Push.
+	batch *[]Request
 }
+
+// batchPool holds the released batch buffers of every feed.
+var batchPool = sync.Pool{New: func() any { return new([]Request) }}
+
+// maxPooledBatch is the largest batch, in requests (256 KB), Release hands
+// back to batchPool; a larger one is left to the collector, so a 10⁶-count
+// bin does not keep its 16 MB circulating between feeds.
+const maxPooledBatch = 1 << 14
 
 // NewFeed returns a feed whose bin i covers [start+i*binSeconds,
 // start+(i+1)*binSeconds).
@@ -144,12 +158,38 @@ func (f *Feed) BinSeconds() float64 { return f.step }
 
 // Push ingests the next bin's arrival count and returns the bin index and
 // its synthesized requests, sorted by arrival time. The returned slice is
-// reused by subsequent calls; callers that retain requests must copy them.
+// the feed's batch: valid until the next Push or Release, which reuse it;
+// callers that retain requests must copy them.
 //
 //hpm:hotpath
 func (f *Feed) Push(count float64) (bin int, reqs []Request) {
 	bin = f.next
 	f.next++
-	f.buf = synthBin(f.buf, int(count+0.5), f.start+float64(bin)*f.step, f.step, f.store, f.rng)
-	return bin, f.buf
+	if f.batch == nil {
+		f.batch = batchPool.Get().(*[]Request)
+	}
+	*f.batch = synthBin(*f.batch, int(count+0.5), f.start+float64(bin)*f.step, f.step, f.store, f.rng)
+	return bin, *f.batch
+}
+
+// Release hands the batch the last Push returned back to the shared pool;
+// the slice must not be used afterwards. A feed that is never released
+// keeps reusing its one batch. Releasing a feed that holds none is a no-op.
+func (f *Feed) Release() {
+	if f.batch == nil {
+		return
+	}
+	if cap(*f.batch) <= maxPooledBatch {
+		batchPool.Put(f.batch)
+	}
+	f.batch = nil
+}
+
+// Held returns the capacity, in requests, of the batch the feed holds: 0
+// between a Release and the next Push.
+func (f *Feed) Held() int {
+	if f.batch == nil {
+		return 0
+	}
+	return cap(*f.batch)
 }

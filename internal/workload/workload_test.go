@@ -1,11 +1,13 @@
 package workload
 
 import (
-	"hierctl/internal/des"
 	"math"
 	"math/rand"
 	"sort"
 	"testing"
+
+	"hierctl/internal/des"
+	"hierctl/internal/race"
 )
 
 func newTestStore(t *testing.T, cfg StoreConfig) *Store {
@@ -451,12 +453,13 @@ func TestFeedValidation(t *testing.T) {
 }
 
 // TestFeedPushSteadyStateZeroAlloc pins the feed's steady state under a
-// varying count series — bins under and over the arrival sort's 16-request
-// cutover, rising and falling. After one warm-up pass the batch and
-// scratch buffers have met the peak bin and the store's locality history
-// its final size, so a further pass allocates nothing. (A constant series
-// hides capacity clipped to the current bin: every bin then fits the
-// previous one's buffers.)
+// varying count series, rising and falling, in both of its cycles: a Push
+// per bin reusing the one batch the feed keeps, and a Push and Release per
+// bin borrowing it from the shared pool. After one warm-up pass the batch
+// has met the peak bin and the store's locality history its final size, so
+// a further pass allocates nothing. (A constant series hides capacity
+// clipped to the current bin: every bin then fits the previous one's
+// buffers.)
 func TestFeedPushSteadyStateZeroAlloc(t *testing.T) {
 	store, err := NewStore(des.NewStream(3, "store"), DefaultStoreConfig())
 	if err != nil {
@@ -467,14 +470,52 @@ func TestFeedPushSteadyStateZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	series := []float64{400, 620, 12, 900, 150, 5, 480, 760, 30, 240, 880, 9, 330, 560, 700, 60}
-	pass := func() {
-		for _, c := range series {
-			feed.Push(c)
+	for _, released := range []bool{false, true} {
+		pass := func() {
+			for _, c := range series {
+				feed.Push(c)
+				if released {
+					feed.Release()
+				}
+			}
+		}
+		pass()
+		if released && feed.Held() != 0 {
+			t.Fatalf("a released feed holds a %d-request batch, want none", feed.Held())
+		}
+		allocs := testing.AllocsPerRun(20, pass)
+		if released && race.Enabled {
+			continue // the race detector's pool drops Puts
+		}
+		if allocs != 0 {
+			t.Fatalf("Feed.Push (released %v) allocates in steady state: %v allocs per %d-bin pass, want 0", released, allocs, len(series))
 		}
 	}
-	pass()
-	if allocs := testing.AllocsPerRun(20, pass); allocs != 0 {
-		t.Fatalf("Feed.Push allocates in steady state: %v allocs per %d-bin pass, want 0", allocs, len(series))
+}
+
+// TestFeedReleaseDropsOutsizedBatch: Release hands a bin's batch back to
+// the pool, but not one grown past maxPooledBatch — that one is left to
+// the collector, so no later bin of any feed borrows it.
+func TestFeedReleaseDropsOutsizedBatch(t *testing.T) {
+	store := newTestStore(t, DefaultStoreConfig())
+	feed, err := NewFeed(0, 30, store, rand.New(rand.NewSource(5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed.Release() // holding nothing: a no-op
+	if _, reqs := feed.Push(4 * maxPooledBatch); len(reqs) != 4*maxPooledBatch || feed.Held() < len(reqs) {
+		t.Fatalf("outsized bin: %d requests in a %d-request batch", len(reqs), feed.Held())
+	}
+	feed.Release()
+	if feed.Held() != 0 {
+		t.Fatalf("released feed holds a %d-request batch", feed.Held())
+	}
+	for i := 0; i < 64; i++ {
+		feed.Push(10)
+		if feed.Held() > maxPooledBatch {
+			t.Fatalf("bin %d borrowed the released outsized batch (%d requests)", i, feed.Held())
+		}
+		feed.Release()
 	}
 }
 

@@ -5,7 +5,11 @@ package hierctl
 // values (zero allocations for L0 and the table probe, the returned
 // decision's two slices for L1/L2), and bad inputs error.
 
-import "testing"
+import (
+	"testing"
+
+	"hierctl/internal/race"
+)
 
 func TestRunTickBenchValidation(t *testing.T) {
 	if _, err := RunTickBench(0, 4); err == nil {
@@ -53,9 +57,11 @@ func TestRunTickBenchRowsAndInvariants(t *testing.T) {
 	// A whole observation bin, under the varying count series: the
 	// returned decision (Modules plus four slices) and a fraction of an L1
 	// copy-out — and no bytes that scale with the bin's request count.
+	// Not under the race detector, whose pools drop Puts: a bin borrows
+	// from two.
 	for _, level := range []string{"bin-scale", "bin-depth"} {
 		r := rows[level]
-		if r.AllocsPerDecision < 5 || r.AllocsPerDecision > 6 || r.BytesPerDecision > 512 {
+		if !race.Enabled && (r.AllocsPerDecision < 5 || r.AllocsPerDecision > 6 || r.BytesPerDecision > 512) {
 			t.Errorf("%s: %v allocs / %v B per bin, want 5-6 allocs and <= 512 B", level, r.AllocsPerDecision, r.BytesPerDecision)
 		}
 	}
