@@ -231,16 +231,6 @@ func (c *Computer) Phi() float64 { return c.spec.Phi(c.freqIdx) }
 // QueueLen returns the number of queued (incl. in-service) requests.
 func (c *Computer) QueueLen() int { return c.count }
 
-// QueueBlocks returns the number of job blocks the queue holds: none when
-// it is empty, at most ⌈QueueLen/BlockJobs⌉+1 otherwise.
-func (c *Computer) QueueBlocks() int {
-	n := 0
-	for b := c.first; b != nil; b = b.next {
-		n++
-	}
-	return n
-}
-
 // Accepting reports whether the dispatcher may route new requests here:
 // true while On or Booting (work queues behind the boot, §4.2's
 // anticipatory provisioning), false while Off, Draining, or Failed.

@@ -155,6 +155,15 @@ func blocksFor(n int) int {
 	return (n+BlockJobs-1)/BlockJobs + 1
 }
 
+// blocksHeld counts the job blocks c's queue holds.
+func blocksHeld(c *Computer) int {
+	n := 0
+	for b := c.first; b != nil; b = b.next {
+		n++
+	}
+	return n
+}
+
 // TestComputerBlockQueueMatchesSliceQueue is the randomized FCFS oracle:
 // random sequences of Enqueue bursts, Advance, SetFrequencyIndex, PowerOff
 // (drain), PowerOn, Fail and Repair run through Computer and through the
@@ -196,7 +205,7 @@ func TestComputerBlockQueueMatchesSliceQueue(t *testing.T) {
 					ref.powerOff()
 				}
 			case op == 3 && rng.Intn(4) == 0:
-				failedDeep = failedDeep || c.QueueBlocks() >= 2
+				failedDeep = failedDeep || blocksHeld(c) >= 2
 				c.Fail()
 				ref.fail()
 			case op == 4:
@@ -225,7 +234,7 @@ func TestComputerBlockQueueMatchesSliceQueue(t *testing.T) {
 				ref.enqueue(a, demand)
 			}
 			refilled = refilled || emptied && c.QueueLen() > 0
-			spanned3 = spanned3 || c.QueueBlocks() >= 3
+			spanned3 = spanned3 || blocksHeld(c) >= 3
 			now += dt
 			if err := c.Advance(now); err != nil {
 				t.Fatal(err)
@@ -242,7 +251,7 @@ func TestComputerBlockQueueMatchesSliceQueue(t *testing.T) {
 			if c.TotalCompleted() != ref.totalCompleted || c.TotalDropped() != ref.totalDropped {
 				t.Fatalf("trial %d step %d: lifetime counters diverged", trial, step)
 			}
-			if n, most := c.QueueBlocks(), blocksFor(c.QueueLen()); n > most || (c.QueueLen() > 0) != (n > 0) {
+			if n, most := blocksHeld(c), blocksFor(c.QueueLen()); n > most || (c.QueueLen() > 0) != (n > 0) {
 				t.Fatalf("trial %d step %d: %d blocks for a backlog of %d, want <= %d and none when empty", trial, step, n, c.QueueLen(), most)
 			}
 			emptied = emptied || c.QueueLen() == 0
@@ -274,8 +283,8 @@ func TestComputerQueueBounded(t *testing.T) {
 	if err := c.SetFrequencyIndex(1); err != nil {
 		t.Fatal(err)
 	}
-	if c.QueueBlocks() != 0 {
-		t.Fatalf("a new computer holds %d blocks, want 0", c.QueueBlocks())
+	if blocksHeld(c) != 0 {
+		t.Fatalf("a new computer holds %d blocks, want 0", blocksHeld(c))
 	}
 	// A standing backlog of 600.5 jobs: the half job shifts the service
 	// phase so every tick boundary falls inside a job.
@@ -296,7 +305,7 @@ func TestComputerQueueBounded(t *testing.T) {
 		if c.QueueLen() == 0 || c.QueueLen() > 700 || c.headServed <= 0 {
 			t.Fatalf("t=%v: backlog %d, head served %v — want busy mid-job with backlog in (0, 700]", now, c.QueueLen(), c.headServed)
 		}
-		if n, most := c.QueueBlocks(), blocksFor(c.QueueLen()); n > most {
+		if n, most := blocksHeld(c), blocksFor(c.QueueLen()); n > most {
 			t.Fatalf("t=%v: %d blocks for a backlog of %d, want <= %d", now, n, c.QueueLen(), most)
 		}
 	}
@@ -313,7 +322,7 @@ func TestComputerQueueBounded(t *testing.T) {
 	if err := c.Advance(now + 60); err != nil {
 		t.Fatal(err)
 	}
-	if c.QueueLen() != 0 || c.QueueBlocks() != 0 {
-		t.Fatalf("drained queue: backlog %d in %d blocks, want none", c.QueueLen(), c.QueueBlocks())
+	if c.QueueLen() != 0 || blocksHeld(c) != 0 {
+		t.Fatalf("drained queue: backlog %d in %d blocks, want none", c.QueueLen(), blocksHeld(c))
 	}
 }

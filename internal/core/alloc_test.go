@@ -104,14 +104,17 @@ func TestSessionObserveBinSteadyStateAllocs(t *testing.T) {
 // TestSessionMemoryFollowsBacklog is the ratchet pin: one bin at the
 // largest count a tenant accepts (10⁶ requests, a 16 MB batch and a
 // backlog of as much again) must cost memory only while it lasts. Light
-// bins then run until the plant drains. After every bin the session holds
-// no request batch and every computer no more queue blocks than its
-// current backlog needs; once drained, the live heap is back within 1 MB
-// of where it stood before the spike. Before the pooled batch and block
-// queues, the feed kept the spike's batch and each computer a ring at its
-// backlog's peak, for as long as the session lived.
+// bins then run until the plant drains. After every bin the live heap
+// exceeds its pre-spike value by no more than the queue blocks the current
+// backlog needs, ⌈q/BlockJobs⌉+1 per computer, plus 1 MB — so the session
+// holds no request batch between bins and no computer a block past its
+// backlog — and once drained it is back within 1 MB. Before the pooled
+// batch and block queues, the feed kept the spike's batch and each
+// computer a ring at its backlog's peak, for as long as the session lived.
 func TestSessionMemoryFollowsBacklog(t *testing.T) {
 	const spike = 1e6 // fleet's maxBinCount
+	// A block is BlockJobs 16-byte jobs and the link: one 4096-byte size class.
+	const blockBytes = 16 * (cluster.BlockJobs + 1)
 	cfg := fastConfig()
 	cfg.Parallelism = 1
 	cfg.RecordFrequencies = false
@@ -124,44 +127,43 @@ func TestSessionMemoryFollowsBacklog(t *testing.T) {
 		t.Fatal(err)
 	}
 	plant := sess.r.plant
-	backlog := func() (jobs int) {
+	backlog := func() (jobs, blocks int) {
 		for i := 0; i < plant.Modules(); i++ {
 			for j := 0; j < plant.ModuleSize(i); j++ {
-				jobs += plant.Computer(i, j).QueueLen()
+				if q := plant.Computer(i, j).QueueLen(); q > 0 {
+					jobs += q
+					blocks += (q+cluster.BlockJobs-1)/cluster.BlockJobs + 1
+				}
 			}
 		}
-		return jobs
+		return jobs, blocks
 	}
-	step := func(count float64) {
+	const light = 40
+	for i := 0; i < 32; i++ {
+		if err := sess.StepBin(light); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := liveHeap()
+	step := func(count float64) (jobs int) {
 		t.Helper()
 		if err := sess.StepBin(count); err != nil {
 			t.Fatal(err)
 		}
-		if held := sess.h.HeldBatch(); held != 0 {
-			t.Fatalf("bin %d: the session holds a %d-request batch between bins", sess.h.Bins()-1, held)
+		jobs, blocks := backlog()
+		if live, most := liveHeap(), before+uint64(blocks*blockBytes)+1<<20; live > most {
+			t.Fatalf("bin %d: live heap %d B with %d jobs queued, want <= %d B (pre-spike %d B + %d blocks + 1 MB)",
+				sess.h.Bins()-1, live, jobs, most, before, blocks)
 		}
-		for i := 0; i < plant.Modules(); i++ {
-			for j := 0; j < plant.ModuleSize(i); j++ {
-				c := plant.Computer(i, j)
-				if n, most := c.QueueBlocks(), (c.QueueLen()+cluster.BlockJobs-1)/cluster.BlockJobs+1; n > most || c.QueueLen() == 0 && n > 0 {
-					t.Fatalf("bin %d computer %d/%d: %d blocks for a backlog of %d", sess.h.Bins()-1, i, j, n, c.QueueLen())
-				}
-			}
-		}
+		return jobs
 	}
-	const light = 40
-	for i := 0; i < 32; i++ {
-		step(light)
-	}
-	before := liveHeap()
-	step(spike)
-	peak := backlog()
+	peak := step(spike)
 	bins := 0
-	for ; backlog() > 0; bins++ {
+	for left := peak; left > 0; bins++ {
 		if bins == 2000 {
-			t.Fatalf("backlog of %d jobs left after %d light bins", backlog(), bins)
+			t.Fatalf("backlog of %d jobs left after %d light bins", left, bins)
 		}
-		step(light)
+		left = step(light)
 	}
 	after := liveHeap()
 	runtime.KeepAlive(sess) // measured alive, or the collector frees what it holds

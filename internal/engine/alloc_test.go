@@ -97,8 +97,8 @@ func TestHarnessTickSteadyStateAllocs(t *testing.T) {
 					}
 				}
 				pass()
-				if h.batch != nil || h.HeldBatch() != 0 {
-					t.Fatalf("between bins the harness holds a %d-request batch, want none", h.HeldBatch())
+				if h.batch != nil {
+					t.Fatalf("between bins the harness holds a %d-request batch, want none", len(h.batch))
 				}
 				allocs := testing.AllocsPerRun(10, pass)
 				if allocs != 0 && !race.Enabled { // the race detector's pools drop Puts

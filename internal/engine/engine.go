@@ -234,10 +234,6 @@ func (h *Harness) Ticks() int { return h.tick }
 // Bins returns the number of observation bins ingested.
 func (h *Harness) Bins() int { return h.feed.Bins() }
 
-// HeldBatch returns the capacity, in requests, of the request batch the
-// harness holds: 0 between bins, since a bin's last tick releases it.
-func (h *Harness) HeldBatch() int { return h.feed.Held() }
-
 // NextTickTime returns the simulation time the next tick starts at, used
 // by shared-clock drivers to pick which harness advances next.
 func (h *Harness) NextTickTime() float64 {

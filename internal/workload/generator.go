@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"sync"
 
@@ -88,7 +89,7 @@ func (g *Generator) Reset() { g.next = 0 }
 func synthBin(buf []Request, n int, start, step float64, store *Store, rng *rand.Rand) []Request {
 	if cap(buf) < n {
 		// At least double, so growth is amortized across bins.
-		buf = make([]Request, 0, max(2*cap(buf), n)) //hpm:alloc geometric batch growth; a reused batch settles at the largest bin it served
+		buf = make([]Request, 0, max(2*cap(buf), n)) //hpm:alloc geometric batch growth; a Generator's batch settles at the largest bin it served
 	}
 	buf = buf[:0]
 	if n <= 0 {
@@ -114,7 +115,7 @@ func synthBin(buf []Request, n int, start, step float64, store *Store, rng *rand
 // a trace produces the same request stream as a Generator over that trace
 // under the same store and RNG. Construct with NewFeed.
 //
-// The batch a Push fills is borrowed from a pool every feed in the process
+// The batch a Push fills is borrowed from pools every feed in the process
 // shares and is held until Release, so a feed that is released after every
 // bin holds no batch between bins and one outsized bin pins nothing.
 type Feed struct {
@@ -127,13 +128,23 @@ type Feed struct {
 	batch *[]Request
 }
 
-// batchPool holds the released batch buffers of every feed.
-var batchPool = sync.Pool{New: func() any { return new([]Request) }}
+// batchPools[k] holds released batches of at least 1<<k requests. A bin
+// borrows from the class its count rounds up to, so a steady bin of any
+// size reuses one batch, feeds of different sizes never trade batches, and
+// a batch no bin of its class asks for again — an outsized bin's — is
+// freed by the collector like any idle pooled buffer.
+var batchPools [bits.UintSize]sync.Pool
 
-// maxPooledBatch is the largest batch, in requests (256 KB), Release hands
-// back to batchPool; a larger one is left to the collector, so a 10⁶-count
-// bin does not keep its 16 MB circulating between feeds.
-const maxPooledBatch = 1 << 14
+// borrowBatch returns a pooled batch with room for n requests, or a new
+// one of n rounded up to a power of two.
+func borrowBatch(n int) *[]Request {
+	k := bits.Len(uint(max(n, 1) - 1))
+	if b, ok := batchPools[k].Get().(*[]Request); ok {
+		return b
+	}
+	b := make([]Request, 0, 1<<k)
+	return &b
+}
 
 // NewFeed returns a feed whose bin i covers [start+i*binSeconds,
 // start+(i+1)*binSeconds).
@@ -165,31 +176,23 @@ func (f *Feed) BinSeconds() float64 { return f.step }
 func (f *Feed) Push(count float64) (bin int, reqs []Request) {
 	bin = f.next
 	f.next++
-	if f.batch == nil {
-		f.batch = batchPool.Get().(*[]Request)
+	n := int(count + 0.5)
+	if f.batch == nil || cap(*f.batch) < n {
+		f.Release()
+		f.batch = borrowBatch(n)
 	}
-	*f.batch = synthBin(*f.batch, int(count+0.5), f.start+float64(bin)*f.step, f.step, f.store, f.rng)
+	*f.batch = synthBin(*f.batch, n, f.start+float64(bin)*f.step, f.step, f.store, f.rng)
 	return bin, *f.batch
 }
 
-// Release hands the batch the last Push returned back to the shared pool;
+// Release hands the batch the last Push returned back to the shared pools;
 // the slice must not be used afterwards. A feed that is never released
-// keeps reusing its one batch. Releasing a feed that holds none is a no-op.
+// keeps reusing its batch, trading it for a larger one when a bin outgrows
+// it. Releasing a feed that holds none is a no-op.
 func (f *Feed) Release() {
 	if f.batch == nil {
 		return
 	}
-	if cap(*f.batch) <= maxPooledBatch {
-		batchPool.Put(f.batch)
-	}
+	batchPools[bits.Len(uint(cap(*f.batch)))-1].Put(f.batch)
 	f.batch = nil
-}
-
-// Held returns the capacity, in requests, of the batch the feed holds: 0
-// between a Release and the next Push.
-func (f *Feed) Held() int {
-	if f.batch == nil {
-		return 0
-	}
-	return cap(*f.batch)
 }

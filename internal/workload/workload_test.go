@@ -455,8 +455,8 @@ func TestFeedValidation(t *testing.T) {
 // TestFeedPushSteadyStateZeroAlloc pins the feed's steady state under a
 // varying count series, rising and falling, in both of its cycles: a Push
 // per bin reusing the one batch the feed keeps, and a Push and Release per
-// bin borrowing it from the shared pool. After one warm-up pass the batch
-// has met the peak bin and the store's locality history its final size, so
+// bin borrowing from the shared pools. After one warm-up pass the batches
+// have met every bin size and the store's locality history its final size, so
 // a further pass allocates nothing. (A constant series hides capacity
 // clipped to the current bin: every bin then fits the previous one's
 // buffers.)
@@ -480,8 +480,8 @@ func TestFeedPushSteadyStateZeroAlloc(t *testing.T) {
 			}
 		}
 		pass()
-		if released && feed.Held() != 0 {
-			t.Fatalf("a released feed holds a %d-request batch, want none", feed.Held())
+		if released && feed.batch != nil {
+			t.Fatalf("a released feed holds a %d-request batch, want none", cap(*feed.batch))
 		}
 		allocs := testing.AllocsPerRun(20, pass)
 		if released && race.Enabled {
@@ -493,29 +493,49 @@ func TestFeedPushSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestFeedReleaseDropsOutsizedBatch: Release hands a bin's batch back to
-// the pool, but not one grown past maxPooledBatch — that one is left to
-// the collector, so no later bin of any feed borrows it.
-func TestFeedReleaseDropsOutsizedBatch(t *testing.T) {
+// TestFeedBatchFollowsBin: a released batch goes back to the pool of its
+// size class and a bin borrows only from its own, so two feeds stepped in
+// turn — one at the wc98 day's plateau of some 60,000 requests a bin, one
+// at a few dozen — each keep reusing a batch of their own size and
+// allocate nothing once warm, and after one outsized bin no later small
+// bin holds its batch.
+func TestFeedBatchFollowsBin(t *testing.T) {
 	store := newTestStore(t, DefaultStoreConfig())
-	feed, err := NewFeed(0, 30, store, rand.New(rand.NewSource(5)))
+	big, err := NewFeed(0, 120, store, rand.New(rand.NewSource(5)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	feed.Release() // holding nothing: a no-op
-	if _, reqs := feed.Push(4 * maxPooledBatch); len(reqs) != 4*maxPooledBatch || feed.Held() < len(reqs) {
-		t.Fatalf("outsized bin: %d requests in a %d-request batch", len(reqs), feed.Held())
+	small, err := NewFeed(0, 30, store, rand.New(rand.NewSource(6)))
+	if err != nil {
+		t.Fatal(err)
 	}
-	feed.Release()
-	if feed.Held() != 0 {
-		t.Fatalf("released feed holds a %d-request batch", feed.Held())
-	}
-	for i := 0; i < 64; i++ {
-		feed.Push(10)
-		if feed.Held() > maxPooledBatch {
-			t.Fatalf("bin %d borrowed the released outsized batch (%d requests)", i, feed.Held())
+	small.Release() // holding nothing: a no-op
+	plateau := []float64{58000, 61500, 60200, 62600, 59100}
+	light := []float64{40, 12, 55, 30, 9}
+	pass := func() {
+		for i := range plateau {
+			big.Push(plateau[i])
+			big.Release()
+			small.Push(light[i])
+			small.Release()
 		}
-		feed.Release()
+	}
+	pass()
+	allocs := testing.AllocsPerRun(5, pass)
+	if allocs != 0 && !race.Enabled { // the race detector's pools drop Puts
+		t.Fatalf("interleaved plateau and light feeds: %v allocs per %d-bin pass, want 0", allocs, 2*len(plateau))
+	}
+	const outsized = 1 << 20
+	if _, reqs := small.Push(outsized); len(reqs) != outsized {
+		t.Fatalf("outsized bin: %d requests, want %d", len(reqs), outsized)
+	}
+	small.Release()
+	for _, c := range light {
+		small.Push(c)
+		if held := cap(*small.batch); held >= outsized {
+			t.Fatalf("a %g-request bin borrowed the outsized bin's %d-request batch", c, held)
+		}
+		small.Release()
 	}
 }
 
