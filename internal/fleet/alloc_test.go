@@ -170,10 +170,11 @@ func TestTenantFootprintFlatInUptime(t *testing.T) {
 // TestTenantFootprintAtRest pins what a tenant costs before its first bin,
 // where it is decided: the two-computer tenant hpmserve creates by default
 // (4096-record ring, the paper's 10,000-object store) is its flight
-// recorder (114,688 B: a 98,304 B arena of 24 B per record and 16,384 B
-// of record offsets), its store's locality history (18,432 B) and some
-// 10.8 KB of manager, session, plant and feed — 143,877 B measured, held
-// to that + 5 %. The 48-byte ring cells the arena replaced held 196,608 B.
+// recorder (68,620 B: a 65,536 B arena of 16 B per record on average and
+// 3,084 B of seek anchors, one per 16 records), its store's locality
+// history (18,432 B) and some 11.2 KB of manager, session, plant and feed
+// — 98,229 B measured, held to that + 5 %. The recorder's arena at 24 B a
+// record and one offset per record held 114,688 B.
 func TestTenantFootprintAtRest(t *testing.T) {
 	const tenants = 256
 	f := New(Config{Shards: 1})
@@ -193,8 +194,8 @@ func TestTenantFootprintAtRest(t *testing.T) {
 		}
 	}
 	per := (liveHeap() - before) / tenants
-	if per > 151_000 {
-		t.Fatalf("a default tenant at rest holds %d B of live heap, want <= 151,000", per)
+	if per > 103_140 {
+		t.Fatalf("a default tenant at rest holds %d B of live heap, want <= 103,140", per)
 	}
 	t.Logf("a default tenant at rest holds %d B of live heap", per)
 }

@@ -42,18 +42,19 @@ type TenantConfig struct {
 	Failures []workload.FailureEvent
 	// TelemetryRecords sizes the tenant's decision flight recorder (the
 	// retained window of per-tick and per-controller records served by
-	// Fleet.Telemetry); 0 disables recording. The recorder allocates 28
-	// bytes per record at create (a 24-byte arena budget and a 4-byte
-	// offset), so at most 1 << 20 (28 MB); records averaging over the
-	// budget — none the hierarchy writes — would double the arena, to
-	// 100 bytes per record at worst. Part of the configuration, so
+	// Fleet.Telemetry); 0 disables recording. The recorder allocates about
+	// 16.75 bytes per record at create (a 16-byte average arena budget and
+	// a 12-byte seek anchor every 16 records), so at most 1 << 20
+	// (≈ 17 MB); records averaging over the budget — none the hierarchy
+	// writes on the daemon's tenant shapes — would double the arena, to
+	// 128 bytes per record at worst. Part of the configuration, so
 	// snapshots persist it; the ring itself is ephemeral — a restore
 	// re-fills it by replaying the observation log.
 	TelemetryRecords int
 }
 
-// maxTelemetryRecords bounds TenantConfig.TelemetryRecords: 28 MB of
-// recorder at create, 100 MB if its arena ever doubled twice.
+// maxTelemetryRecords bounds TenantConfig.TelemetryRecords: ≈ 17 MB of
+// recorder at create, 128 MB if its arena ever doubled three times.
 // The size arrives from outside the process — a flag, a snapshot or a
 // journal frame — and sizes an allocation made before anything else about
 // the tenant is checked, so a crafted or corrupt frame must not be able

@@ -23,6 +23,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -141,49 +142,88 @@ const (
 // the int16 Stale.
 const maxRecordSize = 2 + 1 + 3*binary.MaxVarintLen64 + 3*3 + 5 + 3*8 + 3
 
-// recordBudget is the arena bytes NewRecorder sets aside per record. The
-// records the hierarchy writes take at most 24 bytes at the extremes of
-// what they carry (TestRecordEncodedSize) and 12–14 on average, so a ring
-// of them wraps without the arena ever growing (TestRecorderArenaFlat).
-const recordBudget = 24
+// recordBudget is the arena bytes NewRecorder sets aside per record, on
+// average: the records the hierarchy writes take up to 24 bytes at the
+// extremes of what they carry (TestRecordEncodedSize) but 12–15 over a
+// window, so a ring of them wraps without the arena ever growing
+// (TestRecorderArenaFlat). A window of longer records grows it; one made
+// only of fallback ticks, which only a squeezed decision budget writes,
+// sits at the budget.
+const recordBudget = 16
 
-// maxCapacity keeps every arena offset a uint32: an arena doubles from
-// capacity × recordBudget only while it is short of capacity ×
-// maxRecordSize, so it never passes 4 × recordBudget per record.
-const maxCapacity = math.MaxUint32 / (4 * recordBudget)
+// growthCeiling is the most arena bytes a record can come to cost. An arena
+// doubles from capacity × recordBudget only while it is short of capacity ×
+// maxRecordSize, so it stops at the first power-of-two multiple of the
+// budget that covers maxRecordSize (TestRecorderGrowthCeiling).
+const growthCeiling = 128
+
+// maxCapacity keeps every arena offset a uint32 however far the arena
+// grows.
+const maxCapacity = math.MaxUint32 / growthCeiling
+
+// anchorStride is how many records apart the seek anchors are: every
+// record whose sequence number is a multiple of it has one.
+const anchorStride = 16
+
+// A mark locates a record the arena holds: its sequence number, the arena
+// offset it starts at and the tick of the record before it, the origin of
+// its tick delta.
+type mark struct {
+	seq  uint64
+	off  int
+	tick int64
+}
 
 // Recorder is a fixed-size ring of the most recent Records, kept encoded
 // in one byte arena. The zero value is not usable; a nil *Recorder is —
 // every method no-ops (or returns emptiness) on a nil receiver, which is
 // how instrumented code stays allocation-free when telemetry is off.
+//
+// The encoding is self-delimiting, so the recorder keeps no offset per
+// record. A read walks forward from the nearest of the arena's oldest
+// record, a seek anchor (one every anchorStride records) and the mark the
+// last read left at what was then the newest: at most anchorStride − 1
+// records. A record the ring no longer retains keeps its bytes until a
+// write needs the room; the write then jumps the arena's tail to the
+// oldest retained record the same way.
 type Recorder struct {
-	// arena holds the retained records' encodings back to back, wrapping
-	// at its end; a record may straddle it.
+	// arena holds the encodings of records [tail.seq, total) back to back,
+	// wrapping at its end; a record may straddle it. The ring retains the
+	// newest capacity of them.
 	arena []byte
-	// bound[seq % capacity] is the arena offset record seq starts at.
-	bound []uint32
-	// The retained records are [oldest, total); tail and head are the
-	// bound slots of oldest and total, end the offset the next record
-	// starts at.
-	oldest, total uint64
-	tail, head    int
-	end           int
-	used          int   // arena bytes the retained records take
-	tick          int64 // current engine tick, stamped onto writes
-	base          int64 // tick of the record before oldest: its delta's origin
-	last          int64 // tick of the newest record
+	// anchorOff[i] and anchorTick[i] locate record seq (seq a multiple of
+	// anchorStride, i its anchorSlot) until the ring has dropped it and
+	// anchorStride more: where it starts and the tick its delta starts
+	// from.
+	anchorOff  []uint32
+	anchorTick []int64
+	capacity   int
+	tail       mark
+	total      uint64
+	end        int   // the offset the next record starts at
+	used       int   // arena bytes from tail to end
+	tick       int64 // current engine tick, stamped onto writes
+	last       int64 // tick of the newest record
+	// hint is where the last read ended; reads from there on (the fleet
+	// folds each bin's records as it steps) walk nothing.
+	hint mark
 }
 
 // NewRecorder returns a recorder retaining the most recent capacity
-// records. It allocates capacity × 28 bytes: the arena's per-record
-// budget and a 4-byte offset.
+// records. It allocates about capacity × 16.75 bytes: the arena's
+// per-record budget and a 12-byte seek anchor every 16 records.
 func NewRecorder(capacity int) (*Recorder, error) {
 	if capacity < 1 || capacity > maxCapacity {
 		return nil, fmt.Errorf("obs: recorder capacity %d outside [1, %d]", capacity, maxCapacity)
 	}
+	// One anchor more than a full ring holds, so the anchor at or before
+	// the oldest retained record is still there.
+	anchors := (capacity + 2*anchorStride - 1) / anchorStride
 	return &Recorder{
-		arena: make([]byte, capacity*recordBudget),
-		bound: make([]uint32, capacity),
+		arena:      make([]byte, capacity*recordBudget),
+		anchorOff:  make([]uint32, anchors),
+		anchorTick: make([]int64, anchors),
+		capacity:   capacity,
 	}, nil
 }
 
@@ -196,7 +236,7 @@ func (r *Recorder) Capacity() int {
 	if r == nil {
 		return 0
 	}
-	return len(r.bound)
+	return r.capacity
 }
 
 // SetTick sets the tick stamped onto subsequent records. The engine
@@ -231,79 +271,116 @@ func (r *Recorder) Record(rec Record) {
 		return
 	}
 	var buf [maxRecordSize]byte
-	if r.Len() == len(r.bound) { // full: the oldest record makes room
-		old := r.bytes(r.tail, &buf)
-		r.base += tickDelta(old)
-		r.used -= len(old)
-		r.tail = r.next(r.tail)
-		r.oldest++
-	}
 	n := encode(&buf, &rec, r.tick-r.last)
-	if r.used+n > len(r.arena) {
-		r.grow(n)
+	if r.used+n > len(r.arena) { // drop what the ring will not retain, then grow if still short
+		c := uint64(r.capacity)
+		r.trim(max(r.total+1, c) - c)
+		if r.used+n > len(r.arena) {
+			r.grow(n)
+		}
 	}
-	r.bound[r.head] = uint32(r.end)
-	r.head = r.next(r.head)
+	if r.total%anchorStride == 0 {
+		i := r.anchorSlot(r.total)
+		r.anchorOff[i] = uint32(r.end)
+		r.anchorTick[i] = r.last
+	}
 	if k := copy(r.arena[r.end:], buf[:n]); k < n {
 		copy(r.arena, buf[k:n])
 	}
-	if r.end += n; r.end >= len(r.arena) {
-		r.end -= len(r.arena)
-	}
+	r.end = r.wrap(r.end + n)
 	r.used += n
 	r.last = r.tick
 	r.total++
 }
 
-// grow moves the retained records to the front of an arena at least twice
-// the size with room for need more bytes.
+// trim moves the arena's tail up to record seq, freeing the bytes of the
+// records before it.
+func (r *Recorder) trim(seq uint64) {
+	from := r.tail.off
+	if a := seq &^ (anchorStride - 1); a > r.tail.seq {
+		r.tail = r.anchor(a)
+	}
+	var scratch [maxRecordSize]byte
+	for r.tail.seq < seq {
+		r.step(&r.tail, &scratch)
+	}
+	if r.tail.seq == r.total {
+		r.used = 0
+		return
+	}
+	if freed := r.tail.off - from; freed >= 0 {
+		r.used -= freed
+	} else {
+		r.used -= freed + len(r.arena)
+	}
+}
+
+// grow moves the arena's records to the front of an arena at least twice
+// the size with room for need more bytes, and rebases the anchors.
 func (r *Recorder) grow(need int) {
 	size := 2 * len(r.arena)
 	for size < r.used+need {
 		size *= 2
 	}
 	arena := make([]byte, size) //hpm:alloc cold: only a window of records averaging over recordBudget bytes reaches it
-	from := r.bound[r.tail]
+	from := r.tail.off
 	k := copy(arena[:r.used], r.arena[from:])
 	copy(arena[k:r.used], r.arena)
-	for i, s := 0, r.tail; i < r.Len(); i, s = i+1, r.next(s) {
-		off := r.bound[s] - from
-		if r.bound[s] < from {
-			off += uint32(len(r.arena))
+	for seq := (r.tail.seq + anchorStride - 1) &^ (anchorStride - 1); seq < r.total; seq += anchorStride {
+		i := r.anchorSlot(seq)
+		off := int(r.anchorOff[i]) - from
+		if off < 0 {
+			off += len(r.arena)
 		}
-		r.bound[s] = off
+		r.anchorOff[i] = uint32(off)
 	}
-	r.end = r.used
+	r.tail.off, r.end = 0, r.used
+	r.hint = r.tail
 	r.arena = arena
 }
 
-// next and prev step a bound slot around the ring.
-func (r *Recorder) next(slot int) int {
-	if slot++; slot == len(r.bound) {
-		return 0
+// anchor returns the mark of record seq, a multiple of anchorStride from
+// the arena's tail to the next record written.
+func (r *Recorder) anchor(seq uint64) mark {
+	if seq == r.total {
+		return mark{seq, r.end, r.last}
 	}
-	return slot
+	i := r.anchorSlot(seq)
+	return mark{seq, int(r.anchorOff[i]), r.anchorTick[i]}
 }
 
-func (r *Recorder) prev(slot int) int {
-	if slot == 0 {
-		slot = len(r.bound)
-	}
-	return slot - 1
+// anchorSlot returns the index of record seq's anchor, seq a multiple of
+// anchorStride.
+func (r *Recorder) anchorSlot(seq uint64) int {
+	return int(seq / anchorStride % uint64(len(r.anchorOff)))
 }
 
-// bytes returns the encoding of the retained record at slot: a slice of
-// the arena, or of scratch when the record straddles the arena's end.
-func (r *Recorder) bytes(slot int, scratch *[maxRecordSize]byte) []byte {
-	from, to := int(r.bound[slot]), r.end
-	if next := r.next(slot); next != r.head {
-		to = int(r.bound[next])
+// wrap folds an offset up to one arena length past its end back into it.
+func (r *Recorder) wrap(off int) int {
+	if off >= len(r.arena) {
+		return off - len(r.arena)
 	}
-	if to <= from { // wraps; to == from is one record filling the arena
-		k := copy(scratch[:], r.arena[from:])
-		return scratch[:k+copy(scratch[k:], r.arena[:to])]
+	return off
+}
+
+// view returns the arena from offset off on: a slice of the arena, or of
+// scratch when a record starting there could straddle the arena's end. It
+// holds the whole encoding of the record at off, and maybe bytes past it.
+func (r *Recorder) view(off int, scratch *[maxRecordSize]byte) []byte {
+	if off+maxRecordSize <= len(r.arena) {
+		return r.arena[off:]
 	}
-	return r.arena[from:to]
+	k := copy(scratch[:], r.arena[off:])
+	copy(scratch[k:], r.arena)
+	return scratch[:]
+}
+
+// step moves m past the record it locates to the next one.
+func (r *Recorder) step(m *mark, scratch *[maxRecordSize]byte) {
+	n, dtick := span(r.view(m.off, scratch))
+	m.seq++
+	m.off = r.wrap(m.off + n)
+	m.tick += dtick
 }
 
 // Total returns how many records were ever written, including ones the
@@ -321,12 +398,12 @@ func (r *Recorder) Len() int {
 	if r == nil {
 		return 0
 	}
-	return int(r.total - r.oldest)
+	return int(min(r.total, uint64(r.capacity)))
 }
 
 // Window appends the newest max retained records to dst, oldest first,
 // and returns the extended slice. max <= 0 means the whole retained
-// window. Callers must not race Window with writers.
+// window. Callers must not race Window with writers or other readers.
 func (r *Recorder) Window(dst []Record, max int) []Record {
 	if r == nil {
 		return dst
@@ -346,7 +423,7 @@ func (r *Recorder) Oldest() uint64 {
 	if r == nil {
 		return 0
 	}
-	return r.oldest
+	return r.total - uint64(r.Len())
 }
 
 // Since appends every retained record with sequence number >= cursor to
@@ -354,46 +431,47 @@ func (r *Recorder) Oldest() uint64 {
 // cursor (pass it back to read only newer records next time). Records
 // overwritten before the read are gone — a scraper polling Since sees
 // gaps (Oldest tells how wide), never duplicates. The read decodes the
-// window into dst and allocates only when dst is short. Callers must not
-// race Since with writers.
+// window into dst and allocates only when dst is short. It leaves a hint
+// for the next read, so callers must not race Since with writers or
+// other readers.
 func (r *Recorder) Since(dst []Record, cursor uint64) ([]Record, uint64) {
 	if r == nil {
 		return dst, 0
 	}
-	start := max(cursor, r.oldest)
+	start := max(cursor, r.Oldest())
 	if start >= r.total {
 		return dst, r.total
 	}
 	at := len(dst)
 	dst = slices.Grow(dst, int(r.total-start))[:at+int(r.total-start)]
-	slot, tick := r.seek(start)
+	off, tick := r.seek(start)
 	var scratch [maxRecordSize]byte
 	for i := at; i < len(dst); i++ {
-		tick = decode(r.bytes(slot, &scratch), &dst[i], tick)
-		slot = r.next(slot)
+		var n int
+		tick, n = decode(r.view(off, &scratch), &dst[i], tick)
+		off = r.wrap(off + n)
 	}
+	r.hint = mark{r.total, r.end, r.last}
 	return dst, r.total
 }
 
-// seek returns the bound slot of retained record seq and the tick of the
-// record before it — the origin of seq's tick delta — summing deltas from
-// whichever end of the retained window is nearer.
-func (r *Recorder) seek(seq uint64) (slot int, tick int64) {
+// seek returns the arena offset of retained record seq and the tick of the
+// record before it — the origin of seq's tick delta — stepping from the
+// nearest mark at or before it: the arena's tail, seq's anchor or the
+// hint.
+func (r *Recorder) seek(seq uint64) (off int, tick int64) {
+	m := r.tail
+	if a := seq &^ (anchorStride - 1); a > m.seq {
+		m = r.anchor(a)
+	}
+	if r.hint.seq > m.seq && r.hint.seq <= seq {
+		m = r.hint
+	}
 	var scratch [maxRecordSize]byte
-	if seq-r.oldest <= r.total-seq {
-		slot, tick = r.tail, r.base
-		for s := r.oldest; s < seq; s++ {
-			tick += tickDelta(r.bytes(slot, &scratch))
-			slot = r.next(slot)
-		}
-		return slot, tick
+	for m.seq < seq {
+		r.step(&m, &scratch)
 	}
-	slot, tick = r.head, r.last
-	for s := r.total; s > seq; s-- {
-		slot = r.prev(slot)
-		tick -= tickDelta(r.bytes(slot, &scratch))
-	}
-	return slot, tick
+	return m.off, m.tick
 }
 
 // encode writes rec, dtick ticks after the previous record, into b and
@@ -466,9 +544,9 @@ func encode(b *[maxRecordSize]byte, rec *Record, dtick int64) int {
 	return n
 }
 
-// decode rebuilds into rec the record encode wrote to b, tick being the
-// previous record's tick, and returns rec's tick.
-func decode(b []byte, rec *Record, tick int64) int64 {
+// decode rebuilds into rec the record encode wrote to the start of b, tick
+// being the previous record's tick, and returns rec's tick and length.
+func decode(b []byte, rec *Record, tick int64) (int64, int) {
 	hdr := binary.LittleEndian.Uint16(b)
 	n := 2
 	*rec = Record{Level: Level(hdr & hdrLevel), Module: -1, Comp: -1, FreqIdx: -1} // dst may be a reused buffer
@@ -513,7 +591,7 @@ func decode(b []byte, rec *Record, tick int64) int64 {
 	if hdr&hasStale != 0 {
 		rec.Stale = int16(varint(b, &n))
 	}
-	return tick
+	return tick, n
 }
 
 // uvarint reads the uvarint at b[*n:] and steps *n past it.
@@ -537,15 +615,32 @@ func float(b []byte, n *int) float64 {
 	return v
 }
 
-// tickDelta returns the tick delta of the record encoded in b.
-func tickDelta(b []byte) int64 {
+// span returns the length and the tick delta of the record encoded at the
+// start of b: it reads the tick delta and steps over the other fields.
+func span(b []byte) (n int, dtick int64) {
 	hdr := binary.LittleEndian.Uint16(b)
-	if hdr&hasTick == 0 {
-		return 0
-	}
-	n := 2
+	n = 2
 	if hdr&hdrExt != 0 {
 		n++
 	}
-	return varint(b, &n)
+	if hdr&hasTick != 0 {
+		dtick = varint(b, &n)
+	}
+	n = skipVarints(b, n, bits.OnesCount16(hdr&(hasModule|hasComp|hasFreqIdx|hasExplored|hasDecideNs|hasAlpha)))
+	n += 8 * bits.OnesCount16(hdr&(hasGamma|hasCost|hasResp))
+	if hdr&hasStale != 0 {
+		n = skipVarints(b, n, 1)
+	}
+	return n, dtick
+}
+
+// skipVarints returns the offset past the k varints starting at b[n:],
+// each ending at its first byte with the high bit clear.
+func skipVarints(b []byte, n, k int) int {
+	for ; k > 0; n++ {
+		if b[n] < 0x80 {
+			k--
+		}
+	}
+	return n
 }

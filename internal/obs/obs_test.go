@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -108,34 +109,67 @@ func TestRecorderSinceCursor(t *testing.T) {
 
 // TestRecorderSinceEveryWindow checks the read against the definition —
 // the ring retains the newest capacity records — for every cursor at every
-// fill level of a small ring: straight windows, windows that wrap the
-// arena's end, the full ring, and stale or future cursors. Oldest
-// reports how many records a stale cursor lost, and a read into a buffer
-// that is large enough does not allocate.
+// fill level of rings either side of the anchor stride: straight windows,
+// windows that wrap the arena's end, the full ring, and stale or future
+// cursors. Records written in the third lap carry two floats more, so the
+// arena grows under the reads. Oldest reports how many records a stale
+// cursor lost, and a read into a buffer that is large enough does not
+// allocate. The 4095-record ring is read at its fill levels around the
+// first wrap, mid-growth and at the end, whole from the cursors within two
+// anchors of either end.
 func TestRecorderSinceEveryWindow(t *testing.T) {
-	const capacity = 7
+	for _, capacity := range []int{1, 7, 15, anchorStride, 17, 4095} {
+		t.Run(fmt.Sprint(capacity), func(t *testing.T) { sinceEveryWindow(t, capacity) })
+	}
+	var off *Recorder
+	if off.Oldest() != 0 {
+		t.Fatal("nil recorder: Oldest() != 0")
+	}
+}
+
+func sinceEveryWindow(t *testing.T, capacity int) {
 	r, err := NewRecorder(capacity)
 	if err != nil {
 		t.Fatal(err)
 	}
+	read := func(total uint64) bool {
+		if capacity < 64 {
+			return true
+		}
+		c := uint64(capacity)
+		return total == c || total == c+1 || total == 2*c+anchorStride+1 || total == 3*c
+	}
 	buf := make([]Record, 0, capacity)
-	for total := uint64(0); total <= 3*capacity; total++ {
+	for total := uint64(0); total <= 3*uint64(capacity); total++ {
 		oldest := uint64(0)
-		if total > capacity {
-			oldest = total - capacity
+		if total > uint64(capacity) {
+			oldest = total - uint64(capacity)
 		}
 		if got := r.Oldest(); got != oldest {
 			t.Fatalf("total %d: Oldest() = %d, want %d", total, got, oldest)
 		}
-		for cursor := uint64(0); cursor <= total+2; cursor++ {
+		for cursor := uint64(0); read(total) && cursor <= total+2; cursor++ {
+			if capacity >= 64 && cursor > 0 && cursor+1 < oldest {
+				continue // a stale cursor reads what oldest-1 does
+			}
+			if capacity >= 64 && cursor > oldest+2*anchorStride && cursor+2*anchorStride < total {
+				// A large ring's middle cursors: Since decodes on from
+				// where seek lands, so the record there must be the
+				// cursor's. Reading each whole would cost cap² decodes.
+				off, tick := r.seek(cursor)
+				var scratch [maxRecordSize]byte
+				var rec Record
+				decode(r.view(off, &scratch), &rec, tick)
+				if rec.Explored != int32(cursor) || rec.Tick != int64(cursor/3) {
+					t.Fatalf("total %d: seek(%d) lands on seq %d at tick %d", total, cursor, rec.Explored, rec.Tick)
+				}
+				continue
+			}
 			got, next := r.Since(buf[:0], cursor)
 			if next != total {
 				t.Fatalf("total %d cursor %d: next cursor %d", total, cursor, next)
 			}
-			start := cursor
-			if start < oldest {
-				start = oldest
-			}
+			start := max(cursor, oldest)
 			want := 0
 			if start < total {
 				want = int(total - start)
@@ -144,19 +178,23 @@ func TestRecorderSinceEveryWindow(t *testing.T) {
 				t.Fatalf("total %d cursor %d: %d records, want %d", total, cursor, len(got), want)
 			}
 			for i, rec := range got {
-				if rec.Explored != int32(start)+int32(i) {
-					t.Fatalf("total %d cursor %d: record %d is seq %d, want %d", total, cursor, i, rec.Explored, start+uint64(i))
+				if seq := start + uint64(i); rec.Explored != int32(seq) || rec.Tick != int64(seq/3) {
+					t.Fatalf("total %d cursor %d: record %d is seq %d at tick %d, want %d at %d", total, cursor, i, rec.Explored, rec.Tick, seq, seq/3)
 				}
 			}
 		}
-		r.Record(Record{Level: LevelL0, Explored: int32(total)})
+		rec := Record{Level: LevelL0, Explored: int32(total)}
+		if total >= 2*uint64(capacity) {
+			rec.Cost, rec.Resp = 1.5, 2.5
+		}
+		r.SetTick(int64(total / 3))
+		r.Record(rec)
+	}
+	if len(r.arena) == capacity*recordBudget {
+		t.Fatalf("the arena never grew")
 	}
 	if allocs := testing.AllocsPerRun(100, func() { r.Since(buf[:0], 0) }); allocs != 0 {
 		t.Fatalf("Since into a large-enough buffer allocated %v/op, want 0", allocs)
-	}
-	var off *Recorder
-	if off.Oldest() != 0 {
-		t.Fatal("nil recorder: Oldest() != 0")
 	}
 }
 
@@ -170,7 +208,13 @@ func TestRecorderRecordZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A ring of writer shapes at their extremes averages over the budget,
+	// so the arena grows once while the ring first fills, before the count.
 	i := 0
+	for ; i < 2*r.Capacity(); i++ {
+		r.SetTick(int64(i / 5))
+		r.Record(writerShapes[i%len(writerShapes)].rec)
+	}
 	allocs := testing.AllocsPerRun(1000, func() {
 		for k := 0; k < 16; k++ {
 			r.SetTick(int64(i / 5))

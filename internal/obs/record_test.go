@@ -120,18 +120,25 @@ func longestRecord() Record {
 	}
 }
 
+// writerMax is the longest record a writer emits, at the extremes of what
+// it carries. The arena's budget is an average well below it
+// (TestRecorderArenaFlat).
+const writerMax = 24
+
 // TestRecordEncodedSize pins what a record costs the arena: every shape a
-// writer emits, at the extremes of what it writes, fits the per-record
-// budget NewRecorder allocates, and the longest encoding of any record is
-// maxRecordSize. A new field costs nothing while it is zero; once a writer
-// sets it, its bytes show here.
+// writer emits, at the extremes of what it writes, fits writerMax, and the
+// longest encoding of any record is maxRecordSize. A new field costs
+// nothing while it is zero; once a writer sets it, its bytes show here.
 func TestRecordEncodedSize(t *testing.T) {
 	var buf [maxRecordSize]byte
 	widest := 0
 	for _, tc := range writerShapes {
 		n := encode(&buf, &tc.rec, 1)
-		if n > recordBudget {
-			t.Errorf("%s encodes to %d bytes, over the %d-byte budget", tc.name, n, recordBudget)
+		if n > writerMax {
+			t.Errorf("%s encodes to %d bytes, over the %d-byte writer maximum", tc.name, n, writerMax)
+		}
+		if got, _ := span(buf[:]); got != n {
+			t.Errorf("%s encodes to %d bytes, but its header and varints span %d", tc.name, n, got)
 		}
 		widest = max(widest, n)
 	}
@@ -139,7 +146,36 @@ func TestRecordEncodedSize(t *testing.T) {
 	if n := encode(&buf, &rec, math.MinInt64); n != maxRecordSize {
 		t.Errorf("the longest record encodes to %d bytes, want maxRecordSize = %d", n, maxRecordSize)
 	}
-	t.Logf("writer shapes encode to at most %d bytes (budget %d)", widest, recordBudget)
+	t.Logf("writer shapes encode to at most %d bytes (an average budget of %d)", widest, recordBudget)
+}
+
+// TestRecorderGrowthCeiling re-derives what a record can come to cost the
+// arena from grow's rule — double from recordBudget until the window fits,
+// and no window needs more than maxRecordSize a record — and checks that an
+// arena of maxCapacity records at that cost keeps every offset a uint32.
+func TestRecorderGrowthCeiling(t *testing.T) {
+	ceiling := recordBudget
+	for ceiling < maxRecordSize {
+		ceiling *= 2
+	}
+	if ceiling != growthCeiling {
+		t.Fatalf("doubling %d B until it covers %d B ends at %d B, want growthCeiling = %d", recordBudget, maxRecordSize, ceiling, growthCeiling)
+	}
+	if arena := uint64(maxCapacity) * growthCeiling; arena > math.MaxUint32 {
+		t.Fatalf("%d records × %d B = %d B: an offset would overflow a uint32", maxCapacity, growthCeiling, arena)
+	}
+	// A ring of the longest records grows the arena to the ceiling, not past it.
+	r, err := NewRecorder(17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3*r.Capacity(); i++ {
+		r.SetTick(int64(i%2) * math.MinInt64)
+		r.Record(longestRecord())
+	}
+	if got := len(r.arena); got != r.Capacity()*growthCeiling {
+		t.Fatalf("a ring of the longest records has a %d B arena, want %d", got, r.Capacity()*growthCeiling)
+	}
 }
 
 // FuzzRecorderRoundTrip drives the encoding with arbitrary records: every
@@ -211,15 +247,20 @@ func randomRecord(rng *rand.Rand) Record {
 
 // TestRecorderMatchesSliceOracle checks the recorder against its
 // definition — a []Record of everything written, of which it retains the
-// newest Capacity() — over random capacities and random record mixes
-// that include runs of the longest records, through many wraps and the
-// arena's growth: Oldest, Len and Total, Since from every cursor and
-// Window for every max.
+// newest Capacity() — over capacities either side of the anchor stride and
+// random ones, and random record mixes that include runs of the longest
+// records, through many wraps and the arena's growth: Oldest, Len and
+// Total, Since from every cursor and Window for every max. The 4095-record
+// ring reads back at four points (wrapped, mid-growth, grown and at the
+// end), whole reads from the cursors within two anchors of either end.
 func TestRecorderMatchesSliceOracle(t *testing.T) {
 	rng := rand.New(rand.NewPCG(25, 1))
 	var buf []Record
-	for trial := 0; trial < 12; trial++ {
-		capacity := 1 + rng.IntN(64)
+	capacities := []int{1, 15, anchorStride, 17, 4095}
+	for trial := 0; trial < 8; trial++ {
+		capacities = append(capacities, 1+rng.IntN(64))
+	}
+	for _, capacity := range capacities {
 		r, err := NewRecorder(capacity)
 		if err != nil {
 			t.Fatal(err)
@@ -235,7 +276,7 @@ func TestRecorderMatchesSliceOracle(t *testing.T) {
 			if r.Total() != total || r.Oldest() != oldest || r.Len() != int(total-oldest) {
 				t.Fatalf("cap %d: Total %d Oldest %d Len %d, want %d %d %d", capacity, r.Total(), r.Oldest(), r.Len(), total, oldest, total-oldest)
 			}
-			if w%4 != 3 {
+			if capacity <= 64 && w%4 != 3 || capacity > 64 && (w+1)%(2*capacity) != 0 {
 				return
 			}
 			same := func(what string, got, want []Record) {
@@ -250,6 +291,17 @@ func TestRecorderMatchesSliceOracle(t *testing.T) {
 				}
 			}
 			for cursor := max(oldest, 1) - 1; cursor <= total+1; cursor++ {
+				if capacity > 64 && cursor > oldest+2*anchorStride && cursor+2*anchorStride < total {
+					// A large ring's middle cursors: Since decodes on from
+					// where seek lands, so the record there must be the
+					// cursor's. Reading each whole would cost cap² decodes.
+					off, tick := r.seek(cursor)
+					var scratch [maxRecordSize]byte
+					buf = append(buf[:0], Record{})
+					decode(r.view(off, &scratch), &buf[0], tick)
+					same("seek", buf, oracle[cursor:cursor+1])
+					continue
+				}
 				var next uint64
 				buf, next = r.Since(buf[:0], cursor)
 				if next != total {
@@ -258,6 +310,9 @@ func TestRecorderMatchesSliceOracle(t *testing.T) {
 				same("Since", buf, oracle[min(max(cursor, oldest), total):])
 			}
 			for m := 0; m <= r.Len()+1; m++ {
+				if capacity > 64 && m > 33 && m < r.Len()-1 {
+					continue // Window(m) is Since(Total()-m), read above
+				}
 				want := oracle[oldest:]
 				if m > 0 && m < len(want) {
 					want = want[len(want)-m:]
@@ -287,4 +342,130 @@ func TestRecorderMatchesSliceOracle(t *testing.T) {
 			t.Fatalf("cap %d: the arena never grew", capacity)
 		}
 	}
+}
+
+// FuzzRecorderOps drives a recorder of any capacity up to 200 with an
+// arbitrary sequence of SetTick, Record, Since and Window, two bytes an
+// operation, against a []Record oracle: every read returns exactly the
+// newest Capacity() records from its cursor, bit for bit, however the
+// writes wrapped the arena, grew it, and moved the anchors and the hint
+// the last read left.
+func FuzzRecorderOps(f *testing.F) {
+	f.Add(uint16(1), []byte{1, 0, 1, 2, 2, 0, 1, 15, 2, 0x80, 3, 0})
+	f.Add(uint16(15), []byte{1, 1, 0, 3, 1, 2, 1, 3, 1, 4, 2, 0x81, 1, 15, 1, 15, 2, 0x83, 3, 5})
+	f.Add(uint16(16), []byte{0, 0x90, 1, 0, 1, 15, 2, 0x80, 1, 15, 1, 2, 2, 0x82, 0, 1, 1, 6, 2, 4})
+	f.Add(uint16(17), []byte{1, 9, 1, 9, 1, 9, 2, 0x80, 0, 0xff, 1, 15, 1, 15, 2, 0x80, 3, 0})
+	// A read leaves its hint past a wrapped record, then a write grows the
+	// arena and moves every offset under the hint.
+	f.Add(uint16(1), []byte("10102\x81192\x01"))
+	f.Fuzz(func(t *testing.T, capacity uint16, ops []byte) {
+		c := 1 + int(capacity%200)
+		r, err := NewRecorder(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var oracle []Record
+		var buf []Record
+		var tick int64
+		same := func(what string, got, want []Record) {
+			t.Helper()
+			if len(got) != len(want) {
+				t.Fatalf("cap %d, %d written: %s read %d records, want %d", c, len(oracle), what, len(got), len(want))
+			}
+			for i := range got {
+				if !sameBits(got[i], want[i]) {
+					t.Fatalf("cap %d, %d written: %s record %d is %+v, want %+v", c, len(oracle), what, i, got[i], want[i])
+				}
+			}
+		}
+		for ; len(ops) >= 2; ops = ops[2:] {
+			op, arg := ops[0], ops[1]
+			total := uint64(len(oracle))
+			oldest := uint64(max(0, len(oracle)-c))
+			switch op % 4 {
+			case 0: // a step of up to ±63 ticks, or a jump anywhere
+				if arg&0x80 != 0 {
+					tick = int64(uint64(arg) << 57)
+				} else {
+					tick += int64(arg) - 64
+				}
+				r.SetTick(tick)
+			case 1: // a writer shape, or the longest record
+				rec := longestRecord()
+				if i := int(arg) % (len(writerShapes) + 1); i < len(writerShapes) {
+					rec = writerShapes[i].rec
+				}
+				r.Record(rec)
+				rec.Tick = tick
+				oracle = append(oracle, rec)
+			case 2: // a cursor up to 127 past the oldest, or back from the newest
+				cursor := oldest + uint64(arg&0x7f)
+				if arg&0x80 != 0 {
+					cursor = total - min(total, uint64(arg&0x7f))
+				}
+				var next uint64
+				buf, next = r.Since(buf[:0], cursor)
+				if next != total {
+					t.Fatalf("Since(%d) returned cursor %d, want %d", cursor, next, total)
+				}
+				same("Since", buf, oracle[min(max(cursor, oldest), total):])
+			case 3:
+				m := int(arg) % (c + 2)
+				want := oracle[oldest:]
+				if m > 0 && m < len(want) {
+					want = want[len(want)-m:]
+				}
+				buf = r.Window(buf[:0], m)
+				same("Window", buf, want)
+			}
+			if r.Total() != uint64(len(oracle)) || r.Len() != min(len(oracle), c) {
+				t.Fatalf("Total %d Len %d, want %d %d", r.Total(), r.Len(), len(oracle), min(len(oracle), c))
+			}
+		}
+	})
+}
+
+// BenchmarkRecorderSince reads a full 4096-record ring of the hierarchy's
+// record mix two ways. "bin" is the fleet's per-bin fold: write one bin's
+// records (a two-computer tenant's tick: the tick record, two L0 decisions,
+// an L1 summary and its two details) and read them back from the cursor
+// the previous read returned. "window" reads the whole ring.
+func BenchmarkRecorderSince(b *testing.B) {
+	bin := []Record{writerShapes[0].rec, writerShapes[2].rec, writerShapes[8].rec, writerShapes[3].rec, writerShapes[4].rec, writerShapes[5].rec}
+	fill := func(b *testing.B) *Recorder {
+		r, err := NewRecorder(4096)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for k := 0; r.Total() < 3*4096; k++ {
+			r.SetTick(int64(k))
+			for _, rec := range bin {
+				r.Record(rec)
+			}
+		}
+		return r
+	}
+	b.Run("bin", func(b *testing.B) {
+		r := fill(b)
+		buf := make([]Record, 0, len(bin))
+		cursor := r.Total()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			r.SetTick(int64(i))
+			for _, rec := range bin {
+				r.Record(rec)
+			}
+			buf, cursor = r.Since(buf[:0], cursor)
+		}
+	})
+	b.Run("window", func(b *testing.B) {
+		r := fill(b)
+		buf := make([]Record, 0, r.Capacity())
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			buf, _ = r.Since(buf[:0], 0)
+		}
+	})
 }
