@@ -5,9 +5,9 @@
 // learning grids so one iteration stays in the hundreds of milliseconds;
 // run cmd/hpmbench for paper-scale numbers.
 //
-// The decision engine's worker pools follow GOMAXPROCS when Parallelism
-// is 0, so `go test -bench Sweep -cpu 1,4,8` measures the concurrent
-// engine's speedup over the sequential one on the same workloads.
+// The sweep and learning pools are sized by GOMAXPROCS, so `go test
+// -bench Sweep -cpu 1,4,8` measures their speedup over the sequential run
+// on the same workloads.
 //
 // Custom metrics reported per benchmark:
 //

@@ -57,7 +57,6 @@ func run(args []string, w io.Writer) (retErr error) {
 	scale := fs.Float64("scale", 1, "fraction of each trace to simulate (0, 1]")
 	seed := fs.Int64("seed", 1, "random seed")
 	fast := fs.Bool("fast", false, "coarse learning grids (quick runs)")
-	parallelism := fs.Int("parallelism", 0, "per-pool worker width; pools nest (sweep × learning) (0 = one per CPU, 1 = fully sequential; results identical)")
 	snapshot := fs.String("snapshot", "", "committed benchmark snapshot to regenerate at its canonical configuration: "+strings.Join(snapshotNames(), ", ")+" (each prints its table and writes BENCH_<name>.json)")
 	out := fs.String("out", "", "path -snapshot writes to (default: the committed BENCH_<name>.json in the current directory)")
 	startProfiles := obs.ProfileFlags(fs)
@@ -69,16 +68,13 @@ func run(args []string, w io.Writer) (retErr error) {
 		return err
 	}
 	defer stopProfiles(&retErr)
-	if *parallelism < 0 {
-		return fmt.Errorf("-parallelism %d is negative; use 0 for one worker per CPU or a positive width", *parallelism)
-	}
 	if err := validateModes(*fig, *table, *all, *snapshot, *out); err != nil {
 		return err
 	}
 	if *snapshot != "" {
-		return writeSnapshot(w, fs, *snapshot, *out, *seed, *parallelism)
+		return writeSnapshot(w, fs, *snapshot, *out, *seed)
 	}
-	opts := hierctl.ExperimentOptions{Scale: *scale, Seed: *seed, Fast: *fast, Parallelism: *parallelism}
+	opts := hierctl.ExperimentOptions{Scale: *scale, Seed: *seed, Fast: *fast}
 
 	if *all {
 		for _, f := range []int{3, 4, 5, 6, 7} {
@@ -110,10 +106,10 @@ var (
 	allTables = []string{"overhead-module", "overhead-cluster", "energy", "ablations", "scalability"}
 )
 
-// workloadFlags shape an experiment's workload or worker width. Figures
-// and tables honour all of them; a snapshot runs at a fixed canonical
-// configuration and honours only the ones its registry entry lists.
-var workloadFlags = []string{"scale", "seed", "fast", "parallelism"}
+// workloadFlags shape an experiment's workload. Figures and tables honour
+// all of them; a snapshot runs at a fixed canonical configuration and
+// honours only the ones its registry entry lists.
+var workloadFlags = []string{"scale", "seed", "fast"}
 
 // validateModes rejects conflicting or unknown mode selections with a
 // usage error listing the valid modes.
@@ -269,18 +265,18 @@ func runTable(w io.Writer, name string, opts hierctl.ExperimentOptions) error {
 // its columns are deterministic.
 type benchSnapshot struct {
 	name string
-	// honours lists the workload flags (of -seed and -parallelism) the
-	// generator takes; every other workload flag is rejected — the
-	// configuration is otherwise fixed so the committed file regenerates.
+	// honours lists the workload flags (of -seed) the generator takes;
+	// every other workload flag is rejected — the configuration is
+	// otherwise fixed so the committed file regenerates.
 	honours []string
 	// columns is the deterministic projection CI diffs across two
 	// regenerations and against the committed file; the remaining columns
 	// are wall-clock. nil means the snapshot carries no wall-clock fields
-	// and regenerates byte-identically at any -parallelism.
+	// and regenerates byte-identically at any GOMAXPROCS.
 	columns []string
 	// run generates the snapshot, prints its table to w, and returns the
 	// JSON payload.
-	run func(w io.Writer, seed int64, parallelism int) (any, error)
+	run func(w io.Writer, seed int64) (any, error)
 }
 
 // file is the committed snapshot at the repo root, and the default -out.
@@ -292,8 +288,8 @@ var snapshots = []benchSnapshot{
 	{name: "llc", columns: []string{"engine", "explored", "exploredVsNaive"}, run: runLLCBench},
 	{name: "tick", columns: []string{"allocsPerDecision", "bytesPerDecision"}, run: runTickBench},
 	{name: "fleet", columns: []string{"tenants", "bins", "countPerBin", "snapshotBytes", "batchEqualsSequential", "restoreEqualsReplay"}, run: runFleetBench},
-	{name: "scenarios", honours: []string{"seed", "parallelism"}, run: runScenarioMatrix},
-	{name: "chaos", honours: []string{"seed", "parallelism"}, run: runChaosMatrix},
+	{name: "scenarios", honours: []string{"seed"}, run: runScenarioMatrix},
+	{name: "chaos", honours: []string{"seed"}, run: runChaosMatrix},
 }
 
 func snapshotNames() []string {
@@ -308,7 +304,7 @@ func snapshotNames() []string {
 // path (default: the committed file name), then the line CI reads to know
 // what to diff. A workload flag the snapshot does not honour is rejected,
 // never silently ignored.
-func writeSnapshot(w io.Writer, fs *flag.FlagSet, name, path string, seed int64, parallelism int) error {
+func writeSnapshot(w io.Writer, fs *flag.FlagSet, name, path string, seed int64) error {
 	i := slices.IndexFunc(snapshots, func(b benchSnapshot) bool { return b.name == name })
 	if i < 0 {
 		return fmt.Errorf("unknown snapshot %q; valid snapshots: %s", name, strings.Join(snapshotNames(), ", "))
@@ -327,7 +323,7 @@ func writeSnapshot(w io.Writer, fs *flag.FlagSet, name, path string, seed int64,
 	if path == "" {
 		path = b.file()
 	}
-	snap, err := b.run(w, seed, parallelism)
+	snap, err := b.run(w, seed)
 	if err != nil {
 		return err
 	}
@@ -347,10 +343,9 @@ func writeSnapshot(w io.Writer, fs *flag.FlagSet, name, path string, seed int64,
 
 // runScenarioMatrix runs the robustness matrix at its canonical benchmark
 // configuration (DefaultScenarioMatrixOptions).
-func runScenarioMatrix(w io.Writer, seed int64, parallelism int) (any, error) {
+func runScenarioMatrix(w io.Writer, seed int64) (any, error) {
 	opts := hierctl.DefaultScenarioMatrixOptions()
 	opts.Seed = seed
-	opts.Parallelism = parallelism
 	snap, err := hierctl.RunScenarioMatrix(opts)
 	if err != nil {
 		return nil, err
@@ -366,10 +361,9 @@ func runScenarioMatrix(w io.Writer, seed int64, parallelism int) (any, error) {
 
 // runChaosMatrix runs the degraded-mode matrix at its canonical benchmark
 // configuration (DefaultChaosMatrixOptions).
-func runChaosMatrix(w io.Writer, seed int64, parallelism int) (any, error) {
+func runChaosMatrix(w io.Writer, seed int64) (any, error) {
 	opts := hierctl.DefaultChaosMatrixOptions()
 	opts.Seed = seed
-	opts.Parallelism = parallelism
 	snap, err := hierctl.RunChaosMatrix(opts)
 	if err != nil {
 		return nil, err
@@ -387,7 +381,7 @@ func runChaosMatrix(w io.Writer, seed int64, parallelism int) (any, error) {
 // and heap allocations per L0/L1/L2 decision and per table probe, plus
 // fleet tenant-ticks/sec). The measurement is sequential by design, which
 // is what makes the byte/alloc columns deterministic.
-func runTickBench(w io.Writer, _ int64, _ int) (any, error) {
+func runTickBench(w io.Writer, _ int64) (any, error) {
 	snap, err := hierctl.RunTickBench(256, 64)
 	if err != nil {
 		return nil, err
@@ -411,7 +405,7 @@ func runTickBench(w io.Writer, _ int64, _ int) (any, error) {
 // generation doubles as an equivalence check: it fails the checks fields
 // if batched ingest diverges from sequential Observe calls or a restored
 // fleet diverges from the original on the next bin.
-func runFleetBench(w io.Writer, _ int64, _ int) (any, error) {
+func runFleetBench(w io.Writer, _ int64) (any, error) {
 	snap, err := hierctl.RunFleetBench(16, []int{64, 1024, 10240})
 	if err != nil {
 		return nil, err
@@ -430,7 +424,7 @@ func runFleetBench(w io.Writer, _ int64, _ int) (any, error) {
 // search on the §4.3 configuration (the generation doubles as a
 // decision-equivalence check across engines). Only the ns/decision and
 // speedup columns are wall-clock.
-func runLLCBench(w io.Writer, _ int64, _ int) (any, error) {
+func runLLCBench(w io.Writer, _ int64) (any, error) {
 	snap, err := hierctl.RunLLCBench(400)
 	if err != nil {
 		return nil, err

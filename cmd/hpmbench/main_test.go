@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -129,10 +130,10 @@ func TestRunRejectsConflictingModes(t *testing.T) {
 		"llc":       nil,
 		"tick":      nil,
 		"fleet":     nil,
-		"scenarios": {"seed", "parallelism"},
-		"chaos":     {"seed", "parallelism"},
+		"scenarios": {"seed"},
+		"chaos":     {"seed"},
 	}
-	values := map[string]string{"scale": "0.5", "seed": "7", "fast": "true", "parallelism": "4"}
+	values := map[string]string{"scale": "0.5", "seed": "7", "fast": "true"}
 	for _, b := range snapshots {
 		for _, name := range workloadFlags {
 			if slices.Contains(honours[b.name], name) != slices.Contains(b.honours, name) {
@@ -228,17 +229,9 @@ func TestRunTickBenchSnapshot(t *testing.T) {
 	}
 }
 
-func TestRunRejectsNegativeParallelism(t *testing.T) {
-	var out bytes.Buffer
-	err := run([]string{"-fig", "3", "-parallelism", "-1"}, &out)
-	if err == nil || !strings.Contains(err.Error(), "parallelism") {
-		t.Errorf("negative -parallelism: got %v, want a clear error", err)
-	}
-}
-
 // TestRunScenariosTable smokes the robustness matrix snapshot: it must
 // print one row per (scenario, policy) cell and write a snapshot that
-// regenerates bit-identically at -parallelism 1.
+// regenerates bit-identically at GOMAXPROCS=1.
 func TestRunScenariosTable(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "BENCH_scenarios.json")
@@ -258,7 +251,9 @@ func TestRunScenariosTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-snapshot", "scenarios", "-out", path, "-parallelism", "1"}, &out); err != nil {
+	prev := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	if err := run([]string{"-snapshot", "scenarios", "-out", path}, &out); err != nil {
 		t.Fatal(err)
 	}
 	second, err := os.ReadFile(path)
@@ -266,6 +261,6 @@ func TestRunScenariosTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(first, second) {
-		t.Error("snapshot differs between default and -parallelism 1 regenerations")
+		t.Error("snapshot differs between default and GOMAXPROCS=1 regenerations")
 	}
 }

@@ -54,7 +54,6 @@ func run(args []string, stdout io.Writer) (retErr error) {
 	scale := fs.Float64("scale", 1, "fraction of the trace to simulate (0, 1]")
 	seed := fs.Int64("seed", 1, "random seed")
 	fast := fs.Bool("fast", false, "coarse learning grids (quick runs)")
-	parallelism := fs.Int("parallelism", 0, "per-pool worker width; pools nest (sweep × learning) (0 = one per CPU, 1 = fully sequential; results identical)")
 	artifacts := fs.String("artifacts", "", "directory caching offline learning results (must exist)")
 	traceOut := fs.String("trace", "", "write the LLC decision timeline as a Chrome trace_event file (chrome://tracing / Perfetto)")
 	traceJSONL := fs.String("trace-jsonl", "", "write the LLC decision records as JSON Lines")
@@ -70,9 +69,6 @@ func run(args []string, stdout io.Writer) (retErr error) {
 	wantTrace := *traceOut != "" || *traceJSONL != ""
 	if wantTrace && (*policy != "llc" || *l3 > 0) {
 		return fmt.Errorf("-trace/-trace-jsonl record the LLC hierarchy's decisions; they need -policy llc without -l3")
-	}
-	if *parallelism < 0 {
-		return fmt.Errorf("-parallelism %d is negative; use 0 for one worker per CPU or a positive width", *parallelism)
 	}
 
 	var spec hierctl.ClusterSpec
@@ -104,7 +100,7 @@ func run(args []string, stdout io.Writer) (retErr error) {
 		return err
 	}
 	sc.ScaleToCluster(trace, spec.Computers())
-	opts := hierctl.ExperimentOptions{Scale: *scale, Seed: *seed, Fast: *fast, Parallelism: *parallelism}
+	opts := hierctl.ExperimentOptions{Scale: *scale, Seed: *seed, Fast: *fast}
 	trace = trimTrace(trace, *scale)
 	// Entries addressing slots outside the selected cluster are skipped by
 	// the runners themselves (the shared injection contract).

@@ -105,14 +105,6 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-func TestRunRejectsNegativeParallelism(t *testing.T) {
-	var out bytes.Buffer
-	err := run([]string{"-parallelism", "-2", "-fast", "-scale", "0.02"}, &out)
-	if err == nil || !strings.Contains(err.Error(), "parallelism") {
-		t.Errorf("negative -parallelism: got %v, want a clear error", err)
-	}
-}
-
 // TestRunUnknownWorkloadListsScenarios pins the bugfix contract: an
 // unknown -workload value must error with the registered scenario list.
 func TestRunUnknownWorkloadListsScenarios(t *testing.T) {

@@ -57,3 +57,36 @@ func TestDocsRelativeLinks(t *testing.T) {
 		}
 	}
 }
+
+var (
+	// prCitation matches a change-history citation such as "PR 23".
+	prCitation = regexp.MustCompile(`\bPR \d+`)
+	// paperMapHeading matches a heading introducing a paper-to-package
+	// map, however it is worded ("Paper § → package map",
+	// "Paper-to-package map").
+	paperMapHeading = regexp.MustCompile(`(?mi)^#+ .*paper.*package map`)
+)
+
+// TestDocsDescribeThePresent keeps README.md and docs/ARCHITECTURE.md
+// about the current code: history lives in CHANGES.md, so neither cites a
+// PR, and the paper-to-package map exists once, in ARCHITECTURE.
+func TestDocsDescribeThePresent(t *testing.T) {
+	var maps []string
+	for _, file := range []string{"README.md", filepath.Join("docs", "ARCHITECTURE.md")} {
+		data, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(data), "\n") {
+			if m := prCitation.FindString(line); m != "" {
+				t.Errorf("%s:%d cites %q; change history belongs in CHANGES.md", file, i+1, m)
+			}
+		}
+		for _, h := range paperMapHeading.FindAllString(string(data), -1) {
+			maps = append(maps, file+": "+h)
+		}
+	}
+	if len(maps) != 1 {
+		t.Errorf("paper-to-package map headings %q, want exactly one", maps)
+	}
+}

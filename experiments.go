@@ -16,6 +16,12 @@ import (
 
 // ExperimentOptions tunes the preset experiment runners. The zero value is
 // not valid; start from DefaultExperimentOptions.
+//
+// Independent work — offline learning inside each Manager and the
+// experiment sweeps (scalability sizes, ablation variants, policy
+// comparisons, overhead cases) — fans out over pools of GOMAXPROCS
+// workers; nothing fans out inside a decision. Results are identical at
+// any GOMAXPROCS, and GOMAXPROCS=1 runs everything sequentially.
 type ExperimentOptions struct {
 	// Scale shrinks the trace length (0 < Scale ≤ 1) so benchmarks and
 	// smoke tests can run the full pipeline quickly; 1 reproduces the
@@ -27,17 +33,6 @@ type ExperimentOptions struct {
 	// horizon to 2; use for benchmarks where learning time would
 	// dominate. The paper-fidelity setting is false.
 	Fast bool
-	// Parallelism bounds the worker pools that run independent work side
-	// by side: offline learning inside each Manager, the centralized
-	// baseline's sharded candidate search, and the embarrassingly
-	// independent experiment sweeps (scalability sizes, ablation variants,
-	// policy comparisons, overhead cases). Nothing fans out inside a
-	// control tick. The bound is per pool, and pools nest (a sweep
-	// worker's Manager runs its own learning pool), so total concurrency
-	// can exceed this value. 0 (the default) uses one worker per
-	// available CPU; 1 runs everything sequentially. Results are identical
-	// at any setting.
-	Parallelism int
 	// Scenario selects a registered workload scenario by name for the
 	// scenario-driven runners (RunScenario); empty means "synthetic".
 	// See workload.Scenarios / ScenarioNames for the registry.
@@ -53,9 +48,6 @@ func (o ExperimentOptions) validate() error {
 	if o.Scale <= 0 || o.Scale > 1 {
 		return fmt.Errorf("hierctl: scale %v outside (0, 1]", o.Scale)
 	}
-	if o.Parallelism < 0 {
-		return fmt.Errorf("hierctl: parallelism %d < 0", o.Parallelism)
-	}
 	return nil
 }
 
@@ -63,7 +55,6 @@ func (o ExperimentOptions) validate() error {
 func (o ExperimentOptions) Config() Config {
 	cfg := DefaultConfig()
 	cfg.Seed = o.Seed
-	cfg.Parallelism = o.Parallelism
 	if o.Fast {
 		cfg.L0.Horizon = 2
 		cfg.GMap.QStep = 40
@@ -248,13 +239,13 @@ func DefaultOverheadCases() []OverheadCase {
 }
 
 // RunOverheadModules runs the §4.3 overhead sweep (OVH1): each case is an
-// independent closed-loop run, fanned across opts.Parallelism workers.
+// independent closed-loop run, fanned across GOMAXPROCS workers.
 // Row order and contents match running RunOverheadModule case by case.
 func RunOverheadModules(cases []OverheadCase, opts ExperimentOptions) ([]OverheadRow, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	return par.Map(par.Workers(opts.Parallelism), len(cases), func(i int) (OverheadRow, error) {
+	return par.Map(par.Workers(0), len(cases), func(i int) (OverheadRow, error) {
 		return RunOverheadModule(cases[i].M, cases[i].Quantum, opts)
 	})
 }
@@ -278,13 +269,12 @@ func RunOverheadCluster(p int, opts ExperimentOptions) (OverheadRow, error) {
 }
 
 // RunOverheadClusters runs the §5.2 overhead sweep (OVH2) over the given
-// module counts, fanning the independent runs across opts.Parallelism
-// workers.
+// module counts, fanning the independent runs across GOMAXPROCS workers.
 func RunOverheadClusters(ps []int, opts ExperimentOptions) ([]OverheadRow, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	return par.Map(par.Workers(opts.Parallelism), len(ps), func(i int) (OverheadRow, error) {
+	return par.Map(par.Workers(0), len(ps), func(i int) (OverheadRow, error) {
 		return RunOverheadCluster(ps[i], opts)
 	})
 }
@@ -350,7 +340,7 @@ func RunEnergyComparison(opts ExperimentOptions) ([]EnergyRow, error) {
 	}
 	baselines := []BaselinePolicy{AlwaysOnPolicy(), th, dv}
 	rows := make([]EnergyRow, 1+len(baselines))
-	err = par.For(par.Workers(opts.Parallelism), len(rows), func(i int) error {
+	err = par.For(par.Workers(0), len(rows), func(i int) error {
 		store, err := newStore()
 		if err != nil {
 			return err
@@ -425,8 +415,8 @@ func RunScenario(opts ExperimentOptions) (*Record, error) {
 // ScenarioCell is one cell of the robustness matrix: one policy's outcome
 // under one registered scenario. All fields are deterministic per seed —
 // wall-clock quantities are deliberately absent so the serialized matrix
-// (BENCH_scenarios.json) is bit-identical across regenerations and worker
-// counts.
+// (BENCH_scenarios.json) is bit-identical across regenerations at any
+// GOMAXPROCS.
 type ScenarioCell struct {
 	Scenario string `json:"scenario"`
 	Policy   string `json:"policy"`
@@ -460,9 +450,6 @@ type ScenarioMatrixOptions struct {
 	MaxBins int
 	// Fast selects the coarse learning grids (the benchmark setting).
 	Fast bool
-	// Parallelism fans the independent cells across this many workers
-	// (0 = one per CPU). Cell contents are bit-identical at any setting.
-	Parallelism int
 }
 
 // DefaultScenarioMatrixOptions returns the canonical matrix configuration
@@ -481,7 +468,7 @@ func ScenarioMatrixPolicies() []string {
 // ScenarioMatrixSnapshot is the BENCH_scenarios.json payload: the matrix
 // configuration and one cell per (scenario, policy) pair, scenarios in
 // registry order. Serialization is bit-identical across regenerations with
-// the same options at any Parallelism.
+// the same options at any GOMAXPROCS.
 type ScenarioMatrixSnapshot struct {
 	Seed      int64          `json:"seed"`
 	MaxBins   int            `json:"maxBins"`
@@ -495,14 +482,11 @@ type ScenarioMatrixSnapshot struct {
 // parameter-free scenario (see workload.Scenarios) under every matrix
 // policy on the §4.3 module, reporting QoS violations, energy, and search
 // overhead per cell. Cells are independent closed-loop runs fanned across
-// opts.Parallelism workers; order and contents match the sequential sweep
+// GOMAXPROCS workers; order and contents match the sequential sweep
 // exactly.
 func RunScenarioMatrix(opts ScenarioMatrixOptions) (*ScenarioMatrixSnapshot, error) {
 	if opts.MaxBins < 16 {
 		return nil, fmt.Errorf("hierctl: matrix bin budget %d < 16", opts.MaxBins)
-	}
-	if opts.Parallelism < 0 {
-		return nil, fmt.Errorf("hierctl: parallelism %d < 0", opts.Parallelism)
 	}
 	var scens []workload.Scenario
 	for _, sc := range workload.Scenarios() {
@@ -520,7 +504,7 @@ func RunScenarioMatrix(opts ScenarioMatrixOptions) (*ScenarioMatrixSnapshot, err
 	for _, sc := range scens {
 		snap.Scenarios = append(snap.Scenarios, sc.Name)
 	}
-	cells, err := par.Map(par.Workers(opts.Parallelism), len(scens)*len(policies), func(i int) (ScenarioCell, error) {
+	cells, err := par.Map(par.Workers(0), len(scens)*len(policies), func(i int) (ScenarioCell, error) {
 		sc, policy := scens[i/len(policies)], policies[i%len(policies)]
 		c, err := runMatrixCell(sc, nil, policy, opts.Seed, opts.MaxBins, opts.Fast)
 		if err != nil {
@@ -581,10 +565,11 @@ func runMatrixCell(sc workload.Scenario, buildChaos func(seed int64, span float6
 	cell := matrixCell{bins: trace.Len()}
 	switch policy {
 	case "hierarchical-llc":
-		// Cells already fan out; per-manager parallelism on top would
+		// Cells already fan out; a learning pool per manager on top would
 		// oversubscribe the scheduler (results are identical either way).
-		eopts := ExperimentOptions{Scale: 1, Seed: seed, Fast: fast, Parallelism: 1}
-		mgr, err := NewManager(spec, eopts.Config())
+		cfg := ExperimentOptions{Scale: 1, Seed: seed, Fast: fast}.Config()
+		cfg.Parallelism = 1
+		mgr, err := NewManager(spec, cfg)
 		if err != nil {
 			return matrixCell{}, err
 		}
@@ -634,7 +619,7 @@ func runMatrixCell(sc workload.Scenario, buildChaos func(seed int64, span float6
 // under one registered sensor-fault plan on a fixed scenario. Like the
 // scenario matrix, wall-clock quantities are deliberately absent so the
 // serialized matrix (BENCH_chaos.json) is bit-identical across
-// regenerations and worker counts.
+// regenerations at any GOMAXPROCS.
 type ChaosCell struct {
 	Plan   string `json:"plan"`
 	Policy string `json:"policy"`
@@ -670,9 +655,6 @@ type ChaosMatrixOptions struct {
 	MaxBins int
 	// Fast selects the coarse learning grids (the benchmark setting).
 	Fast bool
-	// Parallelism fans the independent cells across this many workers
-	// (0 = one per CPU). Cell contents are bit-identical at any setting.
-	Parallelism int
 	// Scenario names the registered workload every cell runs — the matrix
 	// varies the fault plan, not the load shape.
 	Scenario string
@@ -695,7 +677,7 @@ func ChaosMatrixPolicies() []string {
 // ChaosMatrixSnapshot is the BENCH_chaos.json payload: the matrix
 // configuration and one cell per (plan, policy) pair, plans in registry
 // order. Serialization is bit-identical across regenerations with the
-// same options at any Parallelism.
+// same options at any GOMAXPROCS.
 type ChaosMatrixSnapshot struct {
 	Seed     int64       `json:"seed"`
 	MaxBins  int         `json:"maxBins"`
@@ -710,14 +692,11 @@ type ChaosMatrixSnapshot struct {
 // plan (see ChaosPlans) under every matrix policy on the §4.3 module over
 // one fixed scenario, reporting QoS and the degraded-input/fallback
 // counters per cell. Cells are independent closed-loop runs fanned across
-// opts.Parallelism workers; order and contents match the sequential sweep
+// GOMAXPROCS workers; order and contents match the sequential sweep
 // exactly — the "none" plan row doubles as the pinned healthy baseline.
 func RunChaosMatrix(opts ChaosMatrixOptions) (*ChaosMatrixSnapshot, error) {
 	if opts.MaxBins < 16 {
 		return nil, fmt.Errorf("hierctl: matrix bin budget %d < 16", opts.MaxBins)
-	}
-	if opts.Parallelism < 0 {
-		return nil, fmt.Errorf("hierctl: parallelism %d < 0", opts.Parallelism)
 	}
 	sc, err := workload.LookupScenario(opts.Scenario)
 	if err != nil {
@@ -738,7 +717,7 @@ func RunChaosMatrix(opts ChaosMatrixOptions) (*ChaosMatrixSnapshot, error) {
 	for _, p := range plans {
 		snap.Plans = append(snap.Plans, p.Name)
 	}
-	cells, err := par.Map(par.Workers(opts.Parallelism), len(plans)*len(policies), func(i int) (ChaosCell, error) {
+	cells, err := par.Map(par.Workers(0), len(plans)*len(policies), func(i int) (ChaosCell, error) {
 		spec, policy := plans[i/len(policies)], policies[i%len(policies)]
 		c, err := runMatrixCell(sc, spec.Build, policy, opts.Seed, opts.MaxBins, opts.Fast)
 		if err != nil {
@@ -808,7 +787,7 @@ func RunAblations(opts ExperimentOptions) ([]AblationRow, error) {
 		{"oracle-forecast (not realizable)", func(c *Config) { c.OracleForecast = true }},
 	}
 	// Each variant is an independent closed-loop run; fan them out.
-	return par.Map(par.Workers(opts.Parallelism), len(variants), func(i int) (AblationRow, error) {
+	return par.Map(par.Workers(0), len(variants), func(i int) (AblationRow, error) {
 		v := variants[i]
 		cfg := opts.Config()
 		v.mutate(&cfg)

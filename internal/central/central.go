@@ -12,12 +12,6 @@
 // queue model for prediction, a Kalman filter for arrivals, bounded
 // neighbourhood search over the joint configuration — so the comparison
 // isolates the effect of decomposition, not implementation quality.
-//
-// Invariant: the candidate search shards by α-candidate with a private
-// branch-and-bound incumbent per shard, so decisions, costs, and the
-// explored-state counters are all independent of Config.Parallelism —
-// EXT3's overhead comparison stays apples-to-apples at any worker count
-// (pinned by TestPruningPreservesDecisionAndParallelInvariance).
 package central
 
 import (
@@ -28,7 +22,6 @@ import (
 	"hierctl/internal/cluster"
 	"hierctl/internal/controller"
 	"hierctl/internal/llc"
-	"hierctl/internal/par"
 	"hierctl/internal/queue"
 )
 
@@ -53,19 +46,11 @@ type Config struct {
 	FreqSteps int
 	// MinOn keeps at least this many computers operational.
 	MinOn int
-	// Parallelism bounds the workers that shard the candidate search
-	// (one α candidate with its γ and u passes per task). 0 uses one
-	// worker per CPU; 1 reproduces the sequential search. The selected
-	// decision and the explored-state count are identical at any
-	// setting, so the EXT3 comparison keeps measuring control
-	// decomposition, not thread count.
-	Parallelism int
 	// NonNegativeCosts declares the per-sample configuration costs
 	// non-negative — true for the fluid-model pricing below, a sum of
 	// slack, power and switch terms — enabling the partial-mean pruning of
-	// llc.OneStep the hierarchy's searches use. Incumbents are kept per α
-	// shard, so the decision and the explored-state count stay identical
-	// at any Parallelism.
+	// llc.OneStep the hierarchy's searches use. Each α candidate's passes
+	// start from their own +Inf incumbent.
 	NonNegativeCosts bool
 }
 
@@ -110,9 +95,6 @@ func (c Config) Validate() error {
 	}
 	if c.MinOn < 1 {
 		return fmt.Errorf("central: min-on %d < 1", c.MinOn)
-	}
-	if c.Parallelism < 0 {
-		return fmt.Errorf("central: parallelism %d < 0", c.Parallelism)
 	}
 	return nil
 }
@@ -225,96 +207,78 @@ func (c *Controller) Decide(obs Observation) (Decision, error) {
 	if obs.LambdaHat < 0 {
 		obs.LambdaHat = 0
 	}
+	// With every computer down there is nothing to search: decide all-off
+	// at the previous frequencies so the run keeps going, as the
+	// hierarchy's L1 does for a fully failed module.
+	if countOn(obs.Available) == 0 {
+		dec := Decision{Alpha: make([]bool, n), Gamma: make([]float64, n), FreqIdx: c.prevFreq}
+		c.prevAlpha, c.prevGamma = dec.Alpha, dec.Gamma
+		c.decisions++
+		return dec, nil
+	}
+	start := time.Now() //hpm:wallclock decide-latency for the §4.3 overhead metric; observe-only
 	samples := []float64{obs.LambdaHat}
 	if obs.Delta > 0 {
 		samples = []float64{math.Max(0, obs.LambdaHat-obs.Delta), obs.LambdaHat, obs.LambdaHat + obs.Delta}
 	}
 
-	// The search is sharded by α candidate: each task runs that
-	// candidate's γ and u passes against the previous (read-only) state
-	// and records its local optimum in an indexed slot. The sequential
-	// reduction below then applies the same first-strict-improvement rule
-	// the single-threaded loop used, so the winning configuration and the
-	// explored-state count are identical at any worker count.
-	cands := c.alphaCandidates(obs.Available)
-	shards := make([]shard, len(cands))
-	err := par.For(par.Workers(c.cfg.Parallelism), len(cands), func(ci int) error {
-		shardStart := time.Now() //hpm:wallclock §4.3 controller-overhead metric; summed per-shard compute, never a decision input
-		var err error
-		shards[ci], err = c.searchShard(cands[ci], obs, samples)
-		shards[ci].elapsed = time.Since(shardStart) //hpm:wallclock §4.3 controller-overhead metric; observe-only
-		return err
-	})
-	if err != nil {
-		return Decision{}, err
-	}
+	// Each α candidate is searched against its own +Inf incumbent, and the
+	// first strictly cheaper candidate wins. Every candidate vector is
+	// freshly built, so the winner's slices are returned without copying.
 	best := Decision{}
 	bestCost := math.Inf(1)
 	explored := 0
-	// Overhead is the summed per-shard compute, not the fan-out's
-	// wall-clock span — the same accounting the hierarchy uses (its
-	// L1Time sums each module's own Decide duration), so the EXT3
-	// comparison stays about control decomposition at any Parallelism.
-	var elapsed time.Duration
-	for _, s := range shards {
-		explored += s.explored
-		elapsed += s.elapsed
-		if s.cost < bestCost {
-			bestCost = s.cost
-			best = s.dec
+	for _, alpha := range c.alphaCandidates(obs.Available) {
+		cost, dec, searched, err := c.searchAlpha(alpha, obs, samples)
+		explored += searched
+		if err != nil {
+			return Decision{}, err
+		}
+		if cost < bestCost {
+			bestCost = cost
+			best = dec
 		}
 	}
 	if math.IsInf(bestCost, 1) {
 		return Decision{}, fmt.Errorf("central: no candidate configuration")
 	}
-	best.Alpha = append([]bool(nil), best.Alpha...)
-	best.Gamma = append([]float64(nil), best.Gamma...)
-	best.FreqIdx = append([]int(nil), best.FreqIdx...)
 	best.Explored = explored
 	c.prevAlpha = best.Alpha
 	c.prevGamma = best.Gamma
 	c.prevFreq = best.FreqIdx
 	c.explored += explored
 	c.decisions++
-	c.computeTime += elapsed
+	c.computeTime += time.Since(start) //hpm:wallclock decide-latency for the §4.3 overhead metric; observe-only
 	return best, nil
 }
 
-// shard is one α candidate's local optimum (cost +Inf when it has none)
-// and the work it took.
-type shard struct {
-	cost     float64
-	dec      Decision
-	explored int
-	elapsed  time.Duration
-}
-
-// searchShard runs one α candidate's two passes — the best γ at held
+// searchAlpha runs one α candidate's two passes — the best γ at held
 // frequencies, then the best frequency vector at that γ — each one
-// llc.OneStep against its own incumbent. The incumbents start at +Inf and
-// live in the shard, so explored counts stay parallelism-independent.
-func (c *Controller) searchShard(alpha []bool, obs Observation, samples []float64) (shard, error) {
+// llc.OneStep against a +Inf incumbent. It returns the candidate's cost
+// (+Inf when it has no finite configuration), its configuration, and the
+// states explored.
+func (c *Controller) searchAlpha(alpha []bool, obs Observation, samples []float64) (float64, Decision, int, error) {
 	sc := llc.Scan{Prune: c.cfg.NonNegativeCosts}
 	// freqs[0] holds every computer at its previous frequency.
 	freqs := c.freqCandidates(alpha)
-	p := &shardPricer{c: c, obs: obs, samples: samples, alpha: alpha, freq: freqs[0]}
+	p := &alphaPricer{c: c, obs: obs, samples: samples, alpha: alpha, freq: freqs[0]}
 	gammas := c.gammaCandidates(alpha)
 	gi, _, err := llc.OneStep(&sc, p, gammas, len(samples), math.Inf(1))
 	if err != nil || gi < 0 {
-		return shard{cost: math.Inf(1), explored: sc.Explored}, err
+		return math.Inf(1), Decision{}, sc.Explored, err
 	}
 	p.gamma = gammas[gi]
 	fi, cost, err := llc.OneStep(&sc, (*freqPass)(p), freqs, len(samples), math.Inf(1))
 	if err != nil || fi < 0 {
-		return shard{cost: math.Inf(1), explored: sc.Explored}, err
+		return math.Inf(1), Decision{}, sc.Explored, err
 	}
-	return shard{cost: cost, dec: Decision{Alpha: alpha, Gamma: p.gamma, FreqIdx: freqs[fi]}, explored: sc.Explored}, nil
+	return cost, Decision{Alpha: alpha, Gamma: p.gamma, FreqIdx: freqs[fi]}, sc.Explored, nil
 }
 
-// shardPricer prices one shard's γ candidates at its α and the held
+// alphaPricer prices one α candidate's γ candidates at the held
 // frequencies; once that pass has chosen γ, freqPass prices frequency
 // vectors at it.
-type shardPricer struct {
+type alphaPricer struct {
 	c       *Controller
 	obs     Observation
 	samples []float64
@@ -323,14 +287,14 @@ type shardPricer struct {
 	freq    []int
 }
 
-func (p *shardPricer) Price(gamma []float64, si int, sum float64) (float64, error) {
+func (p *alphaPricer) Price(gamma []float64, si int, sum float64) (float64, error) {
 	return sum + p.c.evaluate(p.alpha, gamma, p.freq, p.obs, p.samples[si]), nil
 }
 
-func (p *shardPricer) Finish(_ []float64, mean float64) float64 { return mean }
+func (p *alphaPricer) Finish(_ []float64, mean float64) float64 { return mean }
 
-// freqPass is a shardPricer pricing frequency vectors at the chosen γ.
-type freqPass shardPricer
+// freqPass is an alphaPricer pricing frequency vectors at the chosen γ.
+type freqPass alphaPricer
 
 func (p *freqPass) Price(freq []int, si int, sum float64) (float64, error) {
 	return sum + p.c.evaluate(p.alpha, p.gamma, freq, p.obs, p.samples[si]), nil

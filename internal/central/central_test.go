@@ -234,29 +234,25 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
-// TestPruningPreservesDecisionAndParallelInvariance pins the flat
-// controller's branch-and-bound contract: pruned and unpruned searches
-// pick the identical joint configuration (pruning never explores more),
-// and — because incumbents are shard-local — the pruned explored count is
-// identical at every Parallelism setting, keeping the EXT3 comparison
-// about decomposition rather than thread count.
-func TestPruningPreservesDecisionAndParallelInvariance(t *testing.T) {
+// TestCentralPruningPreservesDecision pins the flat controller's
+// branch-and-bound contract: pruned and unpruned searches pick the
+// identical joint configuration, and pruning never explores more.
+func TestCentralPruningPreservesDecision(t *testing.T) {
 	obs := []Observation{
 		{QueueLens: []float64{0, 0, 0, 0}, LambdaHat: 30, Delta: 5, CHat: 0.0175},
 		{QueueLens: []float64{60, 10, 0, 5}, LambdaHat: 180, Delta: 40, CHat: 0.0175},
 		{QueueLens: []float64{5, 5, 50, 0}, LambdaHat: 90, Delta: 20, CHat: 0.0175},
 	}
-	mk := func(prune bool, parallelism int) *Controller {
+	mk := func(prune bool) *Controller {
 		cfg := DefaultConfig()
 		cfg.NonNegativeCosts = prune
-		cfg.Parallelism = parallelism
 		ctl, err := New(cfg, testSpecs(4))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return ctl
 	}
-	pruned, naive, prunedPar := mk(true, 1), mk(false, 1), mk(true, 8)
+	pruned, naive := mk(true), mk(false)
 	for step, o := range obs {
 		dp, err := pruned.Decide(o)
 		if err != nil {
@@ -266,23 +262,13 @@ func TestPruningPreservesDecisionAndParallelInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dpp, err := prunedPar.Decide(o)
-		if err != nil {
-			t.Fatal(err)
-		}
 		for j := range dn.Alpha {
 			if dp.Alpha[j] != dn.Alpha[j] || dp.Gamma[j] != dn.Gamma[j] || dp.FreqIdx[j] != dn.FreqIdx[j] {
 				t.Fatalf("step %d computer %d: pruned/naive decisions diverged", step, j)
 			}
-			if dp.Alpha[j] != dpp.Alpha[j] || dp.Gamma[j] != dpp.Gamma[j] || dp.FreqIdx[j] != dpp.FreqIdx[j] {
-				t.Fatalf("step %d computer %d: sequential/parallel decisions diverged", step, j)
-			}
 		}
 		if dp.Explored > dn.Explored {
 			t.Errorf("step %d: pruned explored %d exceeds naive %d", step, dp.Explored, dn.Explored)
-		}
-		if dp.Explored != dpp.Explored {
-			t.Errorf("step %d: explored %d sequential vs %d parallel", step, dp.Explored, dpp.Explored)
 		}
 	}
 }

@@ -259,9 +259,9 @@ func legacyRun(spec cluster.Spec, trace *series.Series, store *workload.Store, c
 
 // TestRunMatchesLegacyOracle pins the engine migration for the flat
 // controller: the engine-backed Run must reproduce the legacy step loop
-// bit-for-bit across the scenario registry, multiple seeds, and both
-// sequential and sharded candidate search. Wall-clock decide time is the
-// one nondeterministic field and is zeroed before comparison.
+// bit-for-bit across the scenario registry and multiple seeds. Wall-clock
+// decide time is the one nondeterministic field and is zeroed before
+// comparison.
 func TestRunMatchesLegacyOracle(t *testing.T) {
 	module, err := cluster.StandardModule("M1", "c")
 	if err != nil {
@@ -289,12 +289,6 @@ func TestRunMatchesLegacyOracle(t *testing.T) {
 				cfg.Seed = seed
 				cfg.Failures = plan
 				cfg.Controller.NeighbourDepth = 1
-				// Sweep the candidate-search sharding: decisions and
-				// explored counts must not depend on worker count.
-				cfg.Controller.Parallelism = 1
-				if seed%2 == 0 {
-					cfg.Controller.Parallelism = 4
-				}
 
 				store, err := workload.NewStore(des.NewStream(seed, "store"), sc.StoreConfig())
 				if err != nil {

@@ -59,7 +59,7 @@ func DefaultRunnerConfig() RunnerConfig {
 type Result struct {
 	engine.Totals
 	ExploredPerStep   float64
-	DecideTimePerStep time.Duration // wall-clock per decision
+	DecideTimePerStep time.Duration // mean wall-clock of one Decide
 	Operational       *series.Series
 }
 

@@ -58,7 +58,9 @@ type Config struct {
 	OracleForecast bool
 	// Parallelism bounds the worker pool that fans out the offline
 	// learning of abstraction maps and module trees in NewManager. 0 (the
-	// default) uses one worker per available CPU; 1 learns sequentially.
+	// default) uses one worker per available CPU (GOMAXPROCS); 1 learns
+	// sequentially, the setting for a Manager built inside another pool
+	// (a matrix cell, a benchmark tenant) so that pools do not nest.
 	// Nothing fans out inside a control tick, so the run and its
 	// flight-recorder sequence are bit-identical at any value —
 	// Parallelism only changes learning wall-clock time.

@@ -91,12 +91,6 @@ type Model[S, U any] interface {
 // behavior turned one degenerate branch into a controller-wide failure
 // even when other branches held perfectly good decisions.
 type Options struct {
-	// InfeasiblePenalty is added to the stage cost of states failing
-	// Model.Feasible. Default 1e12; it must dwarf any legitimate cost so
-	// feasible trajectories always win when they exist, while the search
-	// still returns a least-bad action under unavoidable infeasibility.
-	InfeasiblePenalty float64
-
 	// NonNegativeCosts declares that Model.Cost never returns a negative
 	// value (the infeasible penalty is always positive, so it never
 	// breaks the contract). Under this contract the accumulated cost of
@@ -118,12 +112,11 @@ type Options struct {
 	NonNegativeCosts bool
 }
 
-func (o Options) penalty() float64 {
-	if o.InfeasiblePenalty <= 0 {
-		return 1e12
-	}
-	return o.InfeasiblePenalty
-}
+// infeasiblePenalty is added to the stage cost of states failing
+// Model.Feasible. It must dwarf any legitimate cost so feasible
+// trajectories always win when they exist, while the search still returns
+// a least-bad action under unavoidable infeasibility.
+const infeasiblePenalty = 1e12
 
 // Result is the outcome of a lookahead search.
 type Result[S, U any] struct {
@@ -249,7 +242,6 @@ func (sr *Searcher[S, U]) reset(x0 S, roots []U) {
 func (sr *Searcher[S, U]) walk() {
 	last := len(sr.envs) - 1
 	prune := sr.opt.NonNegativeCosts
-	penalty := sr.opt.penalty()
 	maxExplored := sr.maxExplored
 	for lv := 0; lv >= 0; {
 		f := &sr.frames[lv]
@@ -277,7 +269,7 @@ func (sr *Searcher[S, U]) walk() {
 			}
 			c := sr.m.Cost(next, u, env)
 			if !sr.m.Feasible(next) {
-				c += penalty
+				c += infeasiblePenalty
 			}
 			stage += c
 		}

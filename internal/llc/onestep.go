@@ -1,7 +1,7 @@
 package llc
 
 // Pricer prices OneStep's candidates. Callers implement it on the
-// controller or on a per-shard value, so a search boxes and allocates
+// controller or on a per-pass value, so a search boxes and allocates
 // nothing.
 type Pricer[C any] interface {
 	// Price adds candidate c's cost under sample si to sum and returns the

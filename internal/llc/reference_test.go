@@ -14,15 +14,14 @@ import (
 type refSearch[S, U any] struct {
 	m        Model[S, U]
 	envs     []([]Env)
-	penalty  float64
 	explored int
 }
 
-func referenceExhaustive[S, U any](m Model[S, U], x0 S, envs []([]Env), opt Options) (Result[S, U], error) {
+func referenceExhaustive[S, U any](m Model[S, U], x0 S, envs []([]Env), _ Options) (Result[S, U], error) {
 	if err := checkEnvs(envs); err != nil {
 		return Result[S, U]{}, err
 	}
-	s := &refSearch[S, U]{m: m, envs: envs, penalty: opt.penalty()}
+	s := &refSearch[S, U]{m: m, envs: envs}
 	best, err := s.expand(x0, 0)
 	if err != nil {
 		return Result[S, U]{}, err
@@ -56,7 +55,7 @@ func (s *refSearch[S, U]) expand(x S, level int) (Result[S, U], error) {
 			s.explored++
 			c := s.m.Cost(next, u, env)
 			if !s.m.Feasible(next) {
-				c += s.penalty
+				c += infeasiblePenalty
 			}
 			stage += c
 		}

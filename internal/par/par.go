@@ -1,19 +1,17 @@
 // Package par provides the bounded fan-out primitive for work that is
-// independent by construction: whole runs, tenants, sweep cells, candidate
-// shards and offline learning tasks. It maps them onto indexed task slots:
+// independent by construction: whole runs, tenants, sweep cells and
+// offline learning tasks. It maps them onto indexed task slots:
 // workers pull task indices from a shared counter, write results into
 // per-index slots, and the caller reduces the slots in index order — so a
 // parallel run produces bit-identical output to the sequential loop it
 // replaces, regardless of scheduling order. Workers == 1 degenerates to
 // the plain inline loop.
 //
-// The pool is never entered from inside the hierarchy's control tick: a
-// tick's L2, L1 and L0 decisions run on one goroutine, which keeps the
-// explored-state counters and the flight-recorder sequence deterministic
-// (hotalloc rejects a call into this package from a //hpm:hotpath
-// function). The centralized baseline's candidate shards are the one
-// decision that enters it, with per-shard incumbents so its explored
-// count is independent of the worker count by construction.
+// The pool is never entered from inside a decision: a tick's L2, L1 and
+// L0 decisions, like the centralized baseline's, run on one goroutine,
+// which keeps the explored-state counters and the flight-recorder
+// sequence deterministic (hotalloc rejects a call into this package from
+// a //hpm:hotpath function).
 package par
 
 import (
@@ -23,8 +21,9 @@ import (
 	"sync/atomic"
 )
 
-// Workers resolves a Parallelism setting to an effective worker count:
-// values <= 0 mean "one worker per available CPU" (runtime.GOMAXPROCS).
+// Workers resolves a pool bound to an effective worker count: values <= 0
+// mean "one worker per available CPU" (runtime.GOMAXPROCS), which is how
+// every sweep pool is sized.
 func Workers(n int) int {
 	if n <= 0 {
 		return runtime.GOMAXPROCS(0)

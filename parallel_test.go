@@ -1,24 +1,36 @@
 package hierctl
 
 import (
-	"math"
+	"runtime"
 	"testing"
 
-	"hierctl/internal/central"
-	"hierctl/internal/cluster"
 	"hierctl/internal/series"
 )
 
-// The concurrent decision engine's contract: decisions are deterministic
-// given observations, so fan-out/fan-in by index must preserve exact
-// outputs. These tests pin a Parallelism: 8 run against the sequential
-// Parallelism: 1 engine, comparing everything a run records except
-// wall-clock durations (which legitimately vary).
+// The worker pools' contract: work fans out only between independent
+// runs, sweep cells and learning tasks, each result lands in its own
+// indexed slot, so a run's outputs are the same at any GOMAXPROCS. These
+// tests pin a GOMAXPROCS=8 run against the sequential GOMAXPROCS=1 one,
+// comparing everything a run records except wall-clock durations (which
+// legitimately vary).
 
-func parOpts(p int) ExperimentOptions {
-	o := fastOpts()
-	o.Parallelism = p
-	return o
+// atGOMAXPROCS runs fn once at GOMAXPROCS=1 and once at GOMAXPROCS=n and
+// returns both results; the previous GOMAXPROCS comes back when the test
+// ends. GOMAXPROCS is process-wide, so no test in this package calls
+// t.Parallel.
+func atGOMAXPROCS[T any](t *testing.T, n int, fn func() (T, error)) (seq, par T) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	var err error
+	if seq, err = fn(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GOMAXPROCS(n)
+	if par, err = fn(); err != nil {
+		t.Fatal(err)
+	}
+	return seq, par
 }
 
 func seriesEqual(t *testing.T, name string, a, b *series.Series) {
@@ -86,33 +98,20 @@ func assertRecordsIdentical(t *testing.T, seq, par *Record) {
 }
 
 // TestParallelClusterRunMatchesSequential pins the multi-module §5.2 run —
-// parallel learning, the L1 fan-out, and the L2 loop all engaged — to the
-// sequential engine, record field by record field.
+// parallel learning, then the L2 and per-module L1 decisions on one
+// goroutine — to the sequential run, record field by record field.
 func TestParallelClusterRunMatchesSequential(t *testing.T) {
-	seq, err := RunFig6Fig7(parOpts(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	par8, err := RunFig6Fig7(parOpts(8))
-	if err != nil {
-		t.Fatal(err)
-	}
+	seq, par8 := atGOMAXPROCS(t, 8, func() (*Record, error) { return RunFig6Fig7(fastOpts()) })
 	assertRecordsIdentical(t, seq, par8)
 }
 
 // TestParallelScalabilityMatchesSequential pins the fanned-out EXT3 sweep
-// (parallel sizes, sharded centralized search) to the sequential sweep.
+// (parallel sizes, each centralized decision on one goroutine) to the
+// sequential sweep.
 func TestParallelScalabilityMatchesSequential(t *testing.T) {
-	seqOpts, parOpts8 := parOpts(1), parOpts(8)
-	seqOpts.Scale, parOpts8.Scale = 0.03, 0.03
-	seq, err := RunScalability([]int{4, 8}, seqOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par8, err := RunScalability([]int{4, 8}, parOpts8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	opts := fastOpts()
+	opts.Scale = 0.03
+	seq, par8 := atGOMAXPROCS(t, 8, func() ([]ScalabilityRow, error) { return RunScalability([]int{4, 8}, opts) })
 	if len(seq) != len(par8) {
 		t.Fatalf("row count %d vs %d", len(seq), len(par8))
 	}
@@ -135,16 +134,9 @@ func TestParallelScalabilityMatchesSequential(t *testing.T) {
 // policy comparison to the sequential one (no time fields, so rows must be
 // exactly equal).
 func TestParallelEnergyComparisonMatchesSequential(t *testing.T) {
-	seqOpts, parOpts8 := parOpts(1), parOpts(8)
-	seqOpts.Scale, parOpts8.Scale = 0.03, 0.03
-	seq, err := RunEnergyComparison(seqOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par8, err := RunEnergyComparison(parOpts8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	opts := fastOpts()
+	opts.Scale = 0.03
+	seq, par8 := atGOMAXPROCS(t, 8, func() ([]EnergyRow, error) { return RunEnergyComparison(opts) })
 	if len(seq) != len(par8) {
 		t.Fatalf("row count %d vs %d", len(seq), len(par8))
 	}
@@ -155,74 +147,9 @@ func TestParallelEnergyComparisonMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestCentralShardedDecideMatchesSequential drives the flat controller's
-// Decide directly: the sharded candidate search must pick the same joint
-// configuration and count the same explored states as the sequential
-// search.
-func TestCentralShardedDecideMatchesSequential(t *testing.T) {
-	newCtl := func(parallelism int) (*central.Controller, error) {
-		var specs []cluster.ComputerSpec
-		for j := 0; j < 8; j++ {
-			cs, err := cluster.StandardComputer(j%4, string(rune('A'+j)))
-			if err != nil {
-				return nil, err
-			}
-			specs = append(specs, cs)
-		}
-		cfg := central.DefaultConfig()
-		cfg.Parallelism = parallelism
-		return central.New(cfg, specs)
-	}
-	seqCtl, err := newCtl(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parCtl, err := newCtl(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A few periods with varying load so the search moves through on/off
-	// and frequency changes, not just the initial configuration.
-	for step, lambda := range []float64{20, 180, 300, 40, 5} {
-		obs := central.Observation{
-			QueueLens: make([]float64, 8),
-			LambdaHat: lambda,
-			Delta:     0.1 * lambda,
-			CHat:      0.0175,
-		}
-		for j := range obs.QueueLens {
-			obs.QueueLens[j] = math.Mod(lambda*float64(j+1), 17)
-		}
-		seqDec, err := seqCtl.Decide(obs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parDec, err := parCtl.Decide(obs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seqDec.Explored != parDec.Explored {
-			t.Errorf("step %d: explored %d vs %d", step, seqDec.Explored, parDec.Explored)
-		}
-		for j := 0; j < 8; j++ {
-			if seqDec.Alpha[j] != parDec.Alpha[j] || seqDec.Gamma[j] != parDec.Gamma[j] || seqDec.FreqIdx[j] != parDec.FreqIdx[j] {
-				t.Fatalf("step %d computer %d: (%v, %v, %d) vs (%v, %v, %d)", step, j,
-					seqDec.Alpha[j], seqDec.Gamma[j], seqDec.FreqIdx[j],
-					parDec.Alpha[j], parDec.Gamma[j], parDec.FreqIdx[j])
-			}
-		}
-	}
-}
-
+// TestParallelismValidation pins the one pool bound left in a
+// configuration, Config.Parallelism: a negative value is rejected.
 func TestParallelismValidation(t *testing.T) {
-	bad := fastOpts()
-	bad.Parallelism = -1
-	if _, err := RunFig4Fig5(bad); err == nil {
-		t.Error("negative parallelism: want error")
-	}
-	if _, err := RunScalability([]int{4}, bad); err == nil {
-		t.Error("negative parallelism in scalability: want error")
-	}
 	cfg := DefaultConfig()
 	cfg.Parallelism = -2
 	if err := cfg.Validate(); err == nil {

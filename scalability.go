@@ -32,8 +32,8 @@ type ScalabilityRow struct {
 // controllers share cadences, weights, the fluid prediction model, and
 // the forecasting substrate, so the comparison isolates control
 // decomposition. The sizes are independent runs, so the sweep fans out
-// across opts.Parallelism workers; row order and contents match the
-// sequential sweep exactly.
+// across GOMAXPROCS workers; row order and contents match the sequential
+// sweep exactly.
 func RunScalability(sizes []int, opts ExperimentOptions) ([]ScalabilityRow, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
@@ -47,7 +47,7 @@ func RunScalability(sizes []int, opts ExperimentOptions) ([]ScalabilityRow, erro
 		}
 	}
 	rows := make([]ScalabilityRow, 2*len(sizes))
-	err := par.For(par.Workers(opts.Parallelism), len(sizes), func(si int) error {
+	err := par.For(par.Workers(0), len(sizes), func(si int) error {
 		n := sizes[si]
 		spec, err := StandardCluster(n / 4)
 		if err != nil {
@@ -96,7 +96,6 @@ func RunScalability(sizes []int, opts ExperimentOptions) ([]ScalabilityRow, erro
 		// Centralized.
 		ccfg := central.DefaultRunnerConfig()
 		ccfg.Seed = opts.Seed
-		ccfg.Controller.Parallelism = opts.Parallelism
 		if opts.Fast {
 			ccfg.Controller.NeighbourDepth = 1
 		}

@@ -50,22 +50,13 @@ func TestScenarioMatrixSmoke(t *testing.T) {
 }
 
 // TestScenarioMatrixDeterminism pins the snapshot invariant CI relies on:
-// the matrix is bit-identical across worker counts and across repeated
-// runs with the same seed, and differs across seeds.
+// the matrix is bit-identical across GOMAXPROCS and across repeated runs
+// with the same seed, and differs across seeds.
 func TestScenarioMatrixDeterminism(t *testing.T) {
 	opts := fastMatrixOptions()
-	opts.Parallelism = 1
-	a, err := RunScenarioMatrix(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.Parallelism = 3
-	b, err := RunScenarioMatrix(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b := atGOMAXPROCS(t, 3, func() (*ScenarioMatrixSnapshot, error) { return RunScenarioMatrix(opts) })
 	if !reflect.DeepEqual(a, b) {
-		t.Fatal("matrix differs between -parallelism 1 and 3")
+		t.Fatal("matrix differs between GOMAXPROCS 1 and 3")
 	}
 	opts.Seed = 2
 	c, err := RunScenarioMatrix(opts)
@@ -83,15 +74,10 @@ func TestScenarioMatrixValidation(t *testing.T) {
 	if _, err := RunScenarioMatrix(opts); err == nil {
 		t.Error("bin budget 8 should be rejected")
 	}
-	opts = DefaultScenarioMatrixOptions()
-	opts.Parallelism = -1
-	if _, err := RunScenarioMatrix(opts); err == nil {
-		t.Error("negative parallelism should be rejected")
-	}
 }
 
 func TestRunScenarioByName(t *testing.T) {
-	opts := ExperimentOptions{Scale: 0.05, Seed: 1, Fast: true, Parallelism: 1, Scenario: "flashcrowd"}
+	opts := ExperimentOptions{Scale: 0.05, Seed: 1, Fast: true, Scenario: "flashcrowd"}
 	rec, err := RunScenario(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -116,11 +102,11 @@ func TestRunScenarioByName(t *testing.T) {
 // reaches the hierarchy's failure-injection path: the record must differ
 // from the same run without the storm.
 func TestRunScenarioFailstormInjects(t *testing.T) {
-	storm, err := RunScenario(ExperimentOptions{Scale: 0.05, Seed: 1, Fast: true, Parallelism: 1, Scenario: "failstorm"})
+	storm, err := RunScenario(ExperimentOptions{Scale: 0.05, Seed: 1, Fast: true, Scenario: "failstorm"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean, err := RunScenario(ExperimentOptions{Scale: 0.05, Seed: 1, Fast: true, Parallelism: 1, Scenario: "synthetic"})
+	clean, err := RunScenario(ExperimentOptions{Scale: 0.05, Seed: 1, Fast: true, Scenario: "synthetic"})
 	if err != nil {
 		t.Fatal(err)
 	}
