@@ -211,9 +211,9 @@ func TestRunTickBenchSnapshot(t *testing.T) {
 	if err := json.Unmarshal(data, &snap); err != nil {
 		t.Fatal(err)
 	}
-	// bin-*: the returned decision (Modules + four slices) and, on the
-	// §4.3-module tenant's 120 s L1 cadence, half an L1 copy-out per bin.
-	want := map[string]float64{"L0-decide": 0, "L1-decide": 2, "L2-decide": 2, "table-probe": 0, "bin-scale": 5, "bin-depth": 6, "fleet-64": -1}
+	// bin-*: exactly the returned decision (Modules plus one backing array
+	// per element type); the decides themselves allocate nothing.
+	want := map[string]float64{"L0-decide": 0, "L1-decide": 0, "L2-decide": 0, "table-probe": 0, "bin-scale": 4, "bin-depth": 4, "fleet-64": -1}
 	for _, r := range snap.Rows {
 		if race.Enabled && strings.HasPrefix(r.Level, "bin-") {
 			delete(want, r.Level) // the race detector's pools drop Puts; a bin borrows from two

@@ -1,7 +1,7 @@
 // Package hotalloc is the static complement of the AllocsPerRun runtime
 // pins: inside functions marked `//hpm:hotpath`, it flags the known
 // allocation sources that would silently break the zero-allocation
-// decision tick (PR 5's L0 = 0, L1/L2 ≤ 2, table probe = 0 steady-state
+// decision tick (L0 = L1 = L2 = 0 and table probe = 0 steady-state
 // budgets):
 //
 //   - fmt.Sprint* and strings.Join calls;

@@ -1,8 +1,8 @@
 package controller
 
 // Allocation pins for the decision tick (the §4.3 controller-overhead
-// story): warm controllers must not allocate beyond the slices of the
-// decisions they return, and the pooled/packed candidate generator must
+// story): warm controllers must not allocate at all — the decisions they
+// return are their own buffers — and the pooled/packed candidate generator must
 // produce exactly the candidate lists of the historical allocating ones
 // (legacy_oracle_test.go).
 
@@ -54,9 +54,9 @@ func TestL0DecideZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestL1DecideSteadyStateAllocs pins the warm L1 period at its small
-// constant — the two slices of the returned decision and nothing else —
-// for a one-word γ key (m = 4) and a two-word one (m = 16).
+// TestL1DecideSteadyStateAllocs pins the warm L1 period at zero
+// allocations — the returned decision is the controller's own buffers — for
+// a one-word γ key (m = 4) and a two-word one (m = 16).
 func TestL1DecideSteadyStateAllocs(t *testing.T) {
 	for _, m := range []int{4, 16} {
 		l1 := newTestL1(t, m)
@@ -65,11 +65,11 @@ func TestL1DecideSteadyStateAllocs(t *testing.T) {
 			// Depth 1 keeps a 16-computer decision in the millisecond
 			// range — the key stride (80 bits → 2 words) is what is
 			// pinned — and a steady load keeps the on/off masks it visits
-			// inside the neighbourhood memo's bound.
+			// inside the candidate table's bound.
 			cfg := DefaultL1Config()
 			cfg.NeighbourDepth = 1
 			var err error
-			if l1, err = NewL1(cfg, testModuleGMaps(t, m)); err != nil {
+			if l1, err = NewL1(cfg, testModuleGMaps(t, m), nil); err != nil {
 				t.Fatal(err)
 			}
 			swing = 4
@@ -98,21 +98,20 @@ func TestL1DecideSteadyStateAllocs(t *testing.T) {
 			decide(i)
 			i++
 		})
-		// Exactly the returned L1Decision's Alpha and Gamma copies.
-		if allocs > 2 {
-			t.Fatalf("m=%d: warm L1 decide allocated %v/op, want <= 2 (the returned decision's slices)", m, allocs)
+		if allocs != 0 {
+			t.Fatalf("m=%d: warm L1 decide allocated %v/op, want 0", m, allocs)
 		}
 	}
 }
 
 // TestL2DecideSteadyStateAllocs pins the warm L2 period (enumeration
-// path, memo hot) at the returned decision's slices.
+// path, table hot) at zero allocations.
 func TestL2DecideSteadyStateAllocs(t *testing.T) {
 	jts := make([]JTilde, 4)
 	for i := range jts {
 		jts[i] = allocQuadJTilde{scale: 100 + 20*float64(i)}
 	}
-	l2, err := NewL2(DefaultL2Config(), jts)
+	l2, err := NewL2(DefaultL2Config(), jts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,9 +137,8 @@ func TestL2DecideSteadyStateAllocs(t *testing.T) {
 		decide(i)
 		i++
 	})
-	// The returned Gamma copy plus the prevGamma copy.
-	if allocs > 2 {
-		t.Fatalf("warm L2 decide allocated %v/op, want <= 2 (the returned decision's slices)", allocs)
+	if allocs != 0 {
+		t.Fatalf("warm L2 decide allocated %v/op, want 0", allocs)
 	}
 }
 
@@ -171,7 +169,7 @@ func TestL1CandidateGeneratorsMatchLegacy(t *testing.T) {
 		for _, quantum := range []float64{0.05, 0.1, 0.2, 0.25} {
 			cfg := DefaultL1Config()
 			cfg.Quantum = quantum
-			l1, err := NewL1(cfg, gmaps)
+			l1, err := NewL1(cfg, gmaps, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -329,38 +327,47 @@ func TestGammaPackedKeyMatchesStringKey(t *testing.T) {
 	}
 }
 
-// TestL1GammaMemoBoundedByFloats pins the γ-neighbourhood memo's footprint
-// bound: a 16-computer controller driven through more distinct
-// availability masks than the memo can hold stops storing at
-// maxGammaMemoFloats — not at an entry count, which at this module size let
-// ~0.5 GB accumulate — and a miss past the bound changes nothing but speed:
-// every candidate list, and every decision under rotating failure masks,
-// equals those of a controller that never reuses an entry.
+// tableFloats counts the float64s a table's published vectors hold.
+func tableFloats(tb *CandidateTable) int {
+	n := 0
+	for _, e := range *tb.sets.Load() {
+		for _, c := range e.cands {
+			n += len(c)
+		}
+	}
+	return n
+}
+
+// TestL1GammaMemoBoundedByFloats pins the candidate table's footprint
+// bound: two 16-computer controllers sharing one table, driven between them
+// through more distinct availability masks than the table can hold, stop
+// storing at maxGammaMemoFloats for the table as a whole — one bound per
+// table, not per controller, and not an entry count, which at this module
+// size let ~0.5 GB accumulate — and a miss past the bound changes nothing
+// but allocation: every candidate list, and every decision under rotating
+// failure masks, equals those of a controller whose table is always empty.
 func TestL1GammaMemoBoundedByFloats(t *testing.T) {
 	const m = 16
 	gmaps := testModuleGMaps(t, m)
-	memo, err := NewL1(DefaultL1Config(), gmaps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := NewL1(DefaultL1Config(), gmaps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	forget := func() {
-		clear(fresh.gammaMemo)
-		fresh.memoFloats = 0
-	}
-	stored := func() int {
-		n := 0
-		for _, e := range memo.gammaMemo {
-			n += len(e.cands) * m
+	cfg := DefaultL1Config()
+	shared := NewCandidateTable(L1TableKey(cfg, gmaps))
+	var sharers [2]*L1
+	for i := range sharers {
+		l1, err := NewL1(cfg, gmaps, shared)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return n
+		sharers[i] = l1
 	}
+	fresh, err := NewL1(cfg, gmaps, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forget := func() { fresh.table = NewCandidateTable(fresh.table.key) }
 
 	// The first 260 ways (of 12,870) to fail half of sixteen computers —
-	// past the old 256-entry cap, a few tens of kilofloats per entry.
+	// past the old 256-entry cap, a few tens of kilofloats per entry —
+	// alternating between the two sharers.
 	masks, offered := 0, 0
 	alpha := make([]bool, m)
 	for bitsOn := uint16(0); masks < 260; bitsOn++ {
@@ -372,23 +379,23 @@ func TestL1GammaMemoBoundedByFloats(t *testing.T) {
 		}
 		forget()
 		want := fresh.gammaCandidates(alpha)
-		got := memo.gammaCandidates(alpha)
+		got := sharers[masks%2].gammaCandidates(alpha)
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("mask %d: memoized candidate list (%d) differs from a fresh one (%d)", masks, len(got), len(want))
+			t.Fatalf("mask %d: shared-table candidate list (%d) differs from a fresh one (%d)", masks, len(got), len(want))
 		}
 		masks++
-		offered += len(fresh.gammaMemo[packBools(alpha)].cands) * m
-		if memo.memoFloats > maxGammaMemoFloats || memo.memoFloats != stored() {
-			t.Fatalf("mask %d: memo accounts %d floats, holds %d, bound %d", masks, memo.memoFloats, stored(), maxGammaMemoFloats)
+		offered += tableFloats(fresh.table)
+		if shared.floats > maxGammaMemoFloats || shared.floats != tableFloats(shared) {
+			t.Fatalf("mask %d: table accounts %d floats, holds %d, bound %d", masks, shared.floats, tableFloats(shared), maxGammaMemoFloats)
 		}
 	}
-	if len(memo.gammaMemo) == 0 || len(memo.gammaMemo) >= masks || offered <= maxGammaMemoFloats {
-		t.Fatalf("%d masks offering %d floats left %d stored: the bound (%d) never bound", masks, offered, len(memo.gammaMemo), maxGammaMemoFloats)
+	if held := shared.Len(); held == 0 || held >= masks || offered <= maxGammaMemoFloats {
+		t.Fatalf("%d masks offering %d floats left %d stored: the bound (%d) never bound", masks, offered, held, maxGammaMemoFloats)
 	}
 
-	// Decisions with the memo full, under rotating failures (half the
+	// Decisions with the table full, under rotating failures (half the
 	// module down keeps a 16-computer search short), against the
-	// controller that forgets every period.
+	// controller whose table is emptied every period.
 	avail := make([]bool, m)
 	queues := make([]float64, m)
 	for i := 0; i < 3; i++ {
@@ -402,15 +409,53 @@ func TestL1GammaMemoBoundedByFloats(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := memo.Decide(obs)
+		got, err := sharers[0].Decide(obs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("period %d: decision %+v with a full memo, %+v without one", i, got, want)
+			t.Fatalf("period %d: decision %+v with a full table, %+v without one", i, got, want)
 		}
-		if memo.memoFloats > maxGammaMemoFloats {
-			t.Fatalf("period %d: memo holds %d floats, bound %d", i, memo.memoFloats, maxGammaMemoFloats)
+		if shared.floats > maxGammaMemoFloats {
+			t.Fatalf("period %d: table holds %d floats, bound %d", i, shared.floats, maxGammaMemoFloats)
 		}
+	}
+}
+
+// TestL2EnumerationBoundedByFloats: the L2's table has the same float
+// bound. Twelve modules, six of them up, enumerate 3,003 vectors of twelve
+// floats a mask, so the bound binds after a few dozen of the 924 masks; past
+// it an enumeration still equals a fresh one, and the table stops growing.
+func TestL2EnumerationBoundedByFloats(t *testing.T) {
+	const p = 12
+	jts := make([]JTilde, p)
+	for i := range jts {
+		jts[i] = allocQuadJTilde{scale: 100}
+	}
+	l2, err := NewL2(DefaultL2Config(), jts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	masks, offered := 0, 0
+	avail := make([]bool, p)
+	for bitsOn := uint16(0); masks < 48; bitsOn++ {
+		if bits.OnesCount16(bitsOn) != p/2 || bitsOn>>p != 0 {
+			continue
+		}
+		for i := range avail {
+			avail[i] = bitsOn>>i&1 == 1
+		}
+		want := EnumerateSimplex(p, avail, l2.cfg.Quantum)
+		if got := l2.enumeration(avail); !reflect.DeepEqual(got, want) {
+			t.Fatalf("mask %d: table enumeration (%d) differs from a fresh one (%d)", masks, len(got), len(want))
+		}
+		masks++
+		offered += len(want) * p
+		if tb := l2.table; tb.floats > maxGammaMemoFloats || tb.floats != tableFloats(tb) {
+			t.Fatalf("mask %d: table accounts %d floats, holds %d, bound %d", masks, tb.floats, tableFloats(tb), maxGammaMemoFloats)
+		}
+	}
+	if held := l2.table.Len(); held == 0 || held >= masks || offered <= maxGammaMemoFloats {
+		t.Fatalf("%d masks offering %d floats left %d stored: the bound (%d) never bound", masks, offered, held, maxGammaMemoFloats)
 	}
 }

@@ -16,11 +16,18 @@
 // are read-only during decision making, which is what lets managers share
 // them across identical hardware and lets snapshots skip relearning.
 //
-// Invariant: the steady-state decision tick is allocation-free up to a
-// small pinned constant (see alloc_test.go) — candidate vectors live in
-// per-controller pools, dedup runs on packed integer keys, neighbour sets
-// are memoized per on/off mask, and abstraction-map probes go through the
-// approx *Into APIs with controller-owned scratch.
+// Invariant: the steady-state decision tick is allocation-free (see
+// alloc_test.go) — candidate vectors live in per-controller pools, dedup
+// runs on packed integer keys, abstraction-map probes go through the approx
+// *Into APIs with controller-owned scratch, and L1 and L2 return decisions
+// in buffers they own, valid until their next Decide.
+//
+// Invariant: the candidate sets that are pure functions of a shape — an
+// L1's capacity-seeded γ neighbourhood per on/off mask, an L2's simplex
+// enumeration per availability mask — are memoized once per shape, not per
+// controller: a CandidateTable (table.go) shared by every controller built
+// over the shape, read without a lock, bounded in floats, and never part of
+// a controller's own state.
 //
 // This file provides the quantized-simplex machinery the L1 and L2
 // controllers share: load-fraction vectors must satisfy Σγ = 1, γ ≥ 0,

@@ -160,35 +160,18 @@ func packBools(a []bool) uint64 {
 	return k
 }
 
-// gammaMemoEntry caches the capacity-seeded γ neighbourhood of one α
-// mask. The controller's capacity weights, quantum and neighbour depth
-// are fixed at construction, so the (mask, quantum, depth) →
-// neighbour-set computation that historically reran every period is
-// memoized per mask.
-type gammaMemoEntry struct {
-	cands [][]float64
-	keys  []uint64 // packed dedup keys, flat, L1.gammaWords per candidate
-}
-
-// maxGammaMemoFloats bounds an L1's γ-neighbourhood memo by the float64s
-// its stored candidate vectors hold: 1 Mi floats = 8 MiB, about 10.5 MB
-// with the per-vector slice headers and dedup keys. Entry size grows
-// steeply with module size — a 4-computer mask stores a few hundred
-// floats, a 16-computer one 13,321 vectors ≈ 213k floats ≈ 2.2 MB — so a
-// bound on entries would let one large tenant under rotating failure masks
-// pin hundreds of megabytes. Every benchmarked shape's working set of masks
-// fits well inside the bound.
-const maxGammaMemoFloats = 1 << 20
-
 // L1 is the module-level controller. Construct with NewL1.
 //
-// The controller owns candidate pools, dedup key slices, a per-α-mask
-// memo of capacity-seeded γ neighbourhoods, and abstraction-map scratch,
-// so a warm Decide allocates only the two slices of the returned
-// decision (pinned by TestL1DecideSteadyStateAllocs). α candidates dedup
-// on a 64-bit on/off mask — hence the m ≤ 64 bound in NewL1 — and γ
-// candidates on their packed unit counts (see gammaLayout), one mechanism
-// for every module size. Not safe for concurrent use.
+// The controller owns candidate pools, dedup key slices, abstraction-map
+// scratch and the decision it returns; the capacity-seeded γ neighbourhood
+// of each α mask comes from a CandidateTable shared by every L1 of the
+// shape. A warm Decide allocates nothing (pinned by
+// TestL1DecideSteadyStateAllocs): the returned decision's slices belong to
+// the controller and stay valid until its next Decide, so a caller that
+// keeps a decision longer copies it. α candidates dedup on a 64-bit on/off
+// mask — hence the m ≤ 64 bound in NewL1 — and γ candidates on their packed
+// unit counts (see gammaLayout), one mechanism for every module size. Not
+// safe for concurrent use; the table is.
 type L1 struct {
 	cfg   L1Config
 	gmaps []*GMap
@@ -200,23 +183,24 @@ type L1 struct {
 	gammaPer   uint // packed-γ key: bits per entry
 	gammaWords int  // packed-γ key: words per candidate
 
-	snap         snapper
-	pr           l1Pricer
-	samplesBuf   [3]float64
-	evalBuf      [gColWidth]float64
-	qEndBuf      []float64
-	alphaBase    []bool
-	alphaScr     []bool
-	alphaPool    vecPool[bool]
-	alphaCands   [][]bool
-	alphaKeys    []uint64
-	gammaMemo    map[uint64]*gammaMemoEntry
-	memoFloats   int // float64s held by gammaMemo's candidate vectors
-	gammaPool    vecPool[float64]
-	gammaList    [][]float64
-	gammaKeys    []uint64
-	gammaScr     []float64
-	prevSnap     []float64
+	snap       snapper
+	pr         l1Pricer
+	samplesBuf [3]float64
+	evalBuf    [gColWidth]float64
+	qEndBuf    []float64
+	alphaBase  []bool
+	alphaScr   []bool
+	alphaPool  vecPool[bool]
+	alphaCands [][]bool
+	alphaKeys  []uint64
+	table      *CandidateTable
+	gammaPool  vecPool[float64]
+	gammaList  [][]float64
+	gammaKeys  []uint64
+	gammaScr   []float64
+	prevSnap   []float64
+	// bestAlphaScr and bestGammaScr hold the incumbent of the decision in
+	// flight and, once Decide returns, the decision it hands out.
 	bestAlphaScr []bool
 	bestGammaScr []float64
 
@@ -234,8 +218,11 @@ type L1 struct {
 
 // NewL1 builds an L1 controller over the module's learned abstraction
 // maps (one per computer, in module order). The initial assumed state is
-// all computers on with a capacity-proportional allocation.
-func NewL1(cfg L1Config, gmaps []*GMap) (*L1, error) {
+// all computers on with a capacity-proportional allocation. table holds the
+// γ neighbourhoods of the shape, shared with every L1 built over it (see
+// L1TableKey; a table of another shape is refused); nil gives the
+// controller a private one.
+func NewL1(cfg L1Config, gmaps []*GMap, table *CandidateTable) (*L1, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -260,8 +247,11 @@ func NewL1(cfg L1Config, gmaps []*GMap) (*L1, error) {
 		// demand, used only to seed allocations.
 		l.caps[j] = g.Spec().SpeedFactor
 	}
+	var err error
+	if l.table, err = tableFor(table, L1TableKey(cfg, gmaps)); err != nil {
+		return nil, err
+	}
 	l.gammaPer, l.gammaWords = gammaLayout(m, cfg.Quantum)
-	l.gammaMemo = make(map[uint64]*gammaMemoEntry)
 	l.qEndBuf = make([]float64, m)
 	l.pr = l1Pricer{l: l, obs: L1Observation{QueueLens: make([]float64, m)}}
 	l.alphaBase = make([]bool, m)
@@ -271,13 +261,10 @@ func NewL1(cfg L1Config, gmaps []*GMap) (*L1, error) {
 	l.bestAlphaScr = make([]bool, m)
 	l.bestGammaScr = make([]float64, m)
 	l.prevAlpha = make([]bool, m)
-	allOn := make([]bool, m)
-	for j := range allOn {
+	for j := range l.prevAlpha {
 		l.prevAlpha[j] = true
-		allOn[j] = true
 	}
-	var err error
-	l.prevGamma, err = SnapSimplex(l.caps, allOn, cfg.Quantum)
+	l.prevGamma, err = SnapSimplex(l.caps, l.prevAlpha, cfg.Quantum)
 	if err != nil {
 		return nil, err
 	}
@@ -286,6 +273,9 @@ func NewL1(cfg L1Config, gmaps []*GMap) (*L1, error) {
 
 // Size returns the number of computers the controller manages.
 func (l *L1) Size() int { return len(l.gmaps) }
+
+// Table returns the candidate table the controller reads.
+func (l *L1) Table() *CandidateTable { return l.table }
 
 // SetRecorder attaches a decision flight recorder (nil detaches) and
 // names the module index stamped onto records. Each Decide writes one
@@ -334,8 +324,8 @@ func (l *L1) SetState(alpha []bool, gamma []float64) error {
 	if len(alpha) != l.Size() || len(gamma) != l.Size() {
 		return fmt.Errorf("controller: L1 state size mismatch")
 	}
-	l.prevAlpha = append([]bool(nil), alpha...)
-	l.prevGamma = append([]float64(nil), gamma...)
+	copy(l.prevAlpha, alpha)
+	copy(l.prevGamma, gamma)
 	return nil
 }
 
@@ -344,6 +334,9 @@ func (l *L1) SetState(alpha []bool, gamma []float64) error {
 // candidate load fractions are the quantized neighbourhoods of
 // capacity-proportional and previous allocations; the expected cost of
 // each candidate is averaged over the forecast uncertainty band.
+//
+// The returned Alpha and Gamma belong to the controller and stay valid
+// until its next Decide.
 //
 //hpm:hotpath
 func (l *L1) Decide(obs L1Observation) (L1Decision, error) {
@@ -370,9 +363,11 @@ func (l *L1) Decide(obs L1Observation) (L1Decision, error) {
 	// decision so the hierarchy keeps running (the L2 routes around the
 	// module via its availability flag).
 	if countTrue(obs.Available) == 0 {
-		dec := L1Decision{Alpha: make([]bool, m), Gamma: make([]float64, m)} //hpm:alloc all-off degrade path; off the steady-state loop
-		l.prevAlpha = dec.Alpha
-		l.prevGamma = dec.Gamma
+		clear(l.bestAlphaScr)
+		clear(l.bestGammaScr)
+		dec := L1Decision{Alpha: l.bestAlphaScr, Gamma: l.bestGammaScr}
+		clear(l.prevAlpha)
+		clear(l.prevGamma)
 		l.decisions++
 		if l.rec.Enabled() {
 			l.record(dec, 0, 0)
@@ -404,14 +399,10 @@ func (l *L1) Decide(obs L1Observation) (L1Decision, error) {
 	if math.IsInf(bestCost, 1) {
 		return L1Decision{}, fmt.Errorf("controller: L1 found no candidate configuration")
 	}
-	best := L1Decision{
-		Alpha:    append([]bool(nil), l.bestAlphaScr...),    //hpm:alloc decision copy-out; counted by the allocs/decision pin
-		Gamma:    append([]float64(nil), l.bestGammaScr...), //hpm:alloc decision copy-out; counted by the allocs/decision pin
-		Explored: sc.Explored,
-	}
+	best := L1Decision{Alpha: l.bestAlphaScr, Gamma: l.bestGammaScr, Explored: sc.Explored}
 	elapsed := time.Since(start) //hpm:wallclock decide-latency for the §4.3 overhead metric; observe-only
-	l.prevAlpha = best.Alpha
-	l.prevGamma = best.Gamma
+	copy(l.prevAlpha, best.Alpha)
+	copy(l.prevGamma, best.Gamma)
 	l.explored += sc.Explored
 	l.decisions++
 	l.computeTime += elapsed
@@ -618,30 +609,24 @@ func (l *L1) alphaCandidates(avail []bool) [][]bool {
 // quantized neighbourhoods of the capacity-proportional seed and of the
 // previous allocation projected onto α's support. The capacity-seeded
 // part depends only on the α mask (capacities, quantum and depth are
-// fixed), so it is memoized per mask; the previous-allocation part is
-// regenerated each period into pooled vectors, deduped against the list
-// by packed keys. Returned vectors are recycled on the next call.
+// fixed), so it comes from the shape's candidate table; the
+// previous-allocation part is regenerated each period into pooled vectors,
+// deduped against the list by packed keys. Returned vectors are recycled on
+// the next call; the table's are read, never written.
 func (l *L1) gammaCandidates(alpha []bool) [][]float64 {
-	// The memo is bounded (maxGammaMemoFloats) so long-lived controllers
-	// (daemon tenants under rotating failure masks) cannot grow it toward
-	// 2^m entries; a miss past the bound computes without storing, which
-	// is merely slower.
 	mask := packBools(alpha)
-	entry := l.gammaMemo[mask]
+	entry := l.table.lookup(mask)
 	if entry == nil {
 		seedCap, err := SnapSimplex(l.caps, alpha, l.cfg.Quantum)
 		if err != nil {
 			return nil
 		}
 		cands := SimplexNeighbours(seedCap, alpha, l.cfg.Quantum, l.cfg.NeighbourDepth)
-		entry = &gammaMemoEntry{cands: cands, keys: make([]uint64, 0, len(cands)*l.gammaWords)}
+		entry = &candidateSet{cands: cands, keys: make([]uint64, 0, len(cands)*l.gammaWords)}
 		for _, g := range cands {
 			entry.keys = appendGammaKey(entry.keys, g, l.cfg.Quantum, l.gammaPer)
 		}
-		if n := len(cands) * len(alpha); l.memoFloats+n <= maxGammaMemoFloats {
-			l.gammaMemo[mask] = entry
-			l.memoFloats += n
-		}
+		entry = l.table.publish(mask, entry)
 	}
 	l.gammaPool.reset()
 	l.gammaList = append(l.gammaList[:0], entry.cands...)

@@ -52,7 +52,7 @@ func testModuleGMaps(t *testing.T, m int) []*GMap {
 
 func newTestL1(t *testing.T, m int) *L1 {
 	t.Helper()
-	l1, err := NewL1(DefaultL1Config(), testModuleGMaps(t, m))
+	l1, err := NewL1(DefaultL1Config(), testModuleGMaps(t, m), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,15 +82,15 @@ func TestL1ConfigValidation(t *testing.T) {
 }
 
 func TestNewL1Validation(t *testing.T) {
-	if _, err := NewL1(DefaultL1Config(), nil); err == nil {
+	if _, err := NewL1(DefaultL1Config(), nil, nil); err == nil {
 		t.Error("no gmaps: want error")
 	}
-	if _, err := NewL1(DefaultL1Config(), []*GMap{nil}); err == nil {
+	if _, err := NewL1(DefaultL1Config(), []*GMap{nil}, nil); err == nil {
 		t.Error("nil gmap: want error")
 	}
 	cfg := DefaultL1Config()
 	cfg.MinOn = 5
-	if _, err := NewL1(cfg, testModuleGMaps(t, 2)); err == nil {
+	if _, err := NewL1(cfg, testModuleGMaps(t, 2), nil); err == nil {
 		t.Error("min-on > module size: want error")
 	}
 	// The on/off dedup key is one uint64: 64 computers build, 65 do not.
@@ -98,10 +98,10 @@ func TestNewL1Validation(t *testing.T) {
 	for j := range wide {
 		wide[j] = testGMap(t, ctrlSpec("c0"))
 	}
-	if _, err := NewL1(DefaultL1Config(), wide[:64]); err != nil {
+	if _, err := NewL1(DefaultL1Config(), wide[:64], nil); err != nil {
 		t.Errorf("64-computer module: %v", err)
 	}
-	if _, err := NewL1(DefaultL1Config(), wide); err == nil {
+	if _, err := NewL1(DefaultL1Config(), wide, nil); err == nil {
 		t.Error("65-computer module: want error")
 	}
 }
@@ -222,7 +222,7 @@ func TestL1SwitchPenaltyDiscouragesPowerOn(t *testing.T) {
 	decide := func(w float64) int {
 		cfg := DefaultL1Config()
 		cfg.SwitchWeight = w
-		l1, err := NewL1(cfg, testModuleGMaps(t, 2))
+		l1, err := NewL1(cfg, testModuleGMaps(t, 2), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -273,7 +273,7 @@ func TestL1RespectsAvailability(t *testing.T) {
 func TestL1MinOnEnforced(t *testing.T) {
 	cfg := DefaultL1Config()
 	cfg.MinOn = 2
-	l1, err := NewL1(cfg, testModuleGMaps(t, 4))
+	l1, err := NewL1(cfg, testModuleGMaps(t, 4), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +366,7 @@ func TestL1PruningPreservesDecision(t *testing.T) {
 	mk := func(prune bool) *L1 {
 		cfg := DefaultL1Config()
 		cfg.NonNegativeCosts = prune
-		l1, err := NewL1(cfg, testModuleGMaps(t, 4))
+		l1, err := NewL1(cfg, testModuleGMaps(t, 4), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

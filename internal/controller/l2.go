@@ -136,20 +136,23 @@ type L2Decision struct {
 // L2 is the cluster-level controller. Construct with NewL2.
 //
 // The full-enumeration candidate set depends only on the availability
-// mask (module count and quantum are fixed), so it is memoized per mask;
-// with the memo warm a Decide on the enumeration path allocates only the
-// two slices of the returned decision (pinned by
-// TestL2DecideSteadyStateAllocs). Not safe for concurrent use.
+// mask (module count and quantum are fixed), so it comes from a
+// CandidateTable shared by every L2 of the shape; with the table warm a
+// Decide on the enumeration path allocates nothing (pinned by
+// TestL2DecideSteadyStateAllocs). The returned decision's Gamma belongs to
+// the controller and stays valid until its next Decide. Not safe for
+// concurrent use; the table is.
 type L2 struct {
 	cfg     L2Config
 	jtildes []JTilde
 
 	prevGamma []float64
+	decGamma  []float64 // the returned decision's γ
 
-	// enumMemo caches EnumerateSimplex per availability mask (modules
-	// ≤ 64; larger clusters re-enumerate each period). Memoized vectors
-	// are never mutated, so the incumbent may reference them directly.
-	enumMemo   map[uint64][][]float64
+	// table holds EnumerateSimplex per availability mask (modules ≤ 64;
+	// larger clusters re-enumerate each period). Its vectors are never
+	// mutated, so the incumbent may reference them directly.
+	table      *CandidateTable
 	pr         l2Pricer
 	samplesBuf [3]float64
 
@@ -164,7 +167,10 @@ type L2 struct {
 }
 
 // NewL2 builds an L2 controller over per-module cost approximations.
-func NewL2(cfg L2Config, jtildes []JTilde) (*L2, error) {
+// table holds the simplex enumerations of the shape, shared with every L2
+// built over it (see L2TableKey; a table of another shape is refused); nil
+// gives the controller a private one.
+func NewL2(cfg L2Config, jtildes []JTilde, table *CandidateTable) (*L2, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -187,16 +193,20 @@ func NewL2(cfg L2Config, jtildes []JTilde) (*L2, error) {
 	if err != nil {
 		return nil, err
 	}
-	l := &L2{
-		cfg: cfg, jtildes: jtildes, prevGamma: prev,
-		enumMemo: make(map[uint64][][]float64),
+	table, err = tableFor(table, L2TableKey(cfg, p))
+	if err != nil {
+		return nil, err
 	}
+	l := &L2{cfg: cfg, jtildes: jtildes, prevGamma: prev, decGamma: make([]float64, p), table: table}
 	l.pr = l2Pricer{l: l, obs: L2Observation{QAvg: make([]float64, p), CHat: make([]float64, p), Available: make([]bool, p)}}
 	return l, nil
 }
 
 // Modules returns the number of modules the controller manages.
 func (l *L2) Modules() int { return len(l.jtildes) }
+
+// Table returns the candidate table the controller reads.
+func (l *L2) Table() *CandidateTable { return l.table }
 
 // SetRecorder attaches a decision flight recorder (nil detaches). Each
 // Decide writes one summary record (Module == -1: explored count,
@@ -214,6 +224,9 @@ func (l *L2) SetMaxExplored(n int) { l.maxExplored = n }
 // Σ_i J̃_i. The quantized simplex is enumerated exhaustively while small
 // enough, otherwise a bounded neighbourhood of the previous decision is
 // searched.
+//
+// The returned Gamma belongs to the controller and stays valid until its
+// next Decide.
 //
 //hpm:hotpath
 func (l *L2) Decide(obs L2Observation) (L2Decision, error) {
@@ -250,19 +263,7 @@ func (l *L2) Decide(obs L2Observation) (L2Decision, error) {
 	case p > 64:
 		candidates = EnumerateSimplex(p, obs.Available, l.cfg.Quantum)
 	default:
-		// The enumeration is a pure function of the mask; memoize it so
-		// steady-state periods skip the combinatorial rebuild. The memo is
-		// bounded (entries hold up to EnumLimit vectors) so a long-lived
-		// controller under rotating availability masks cannot grow it
-		// without limit; past the cap, misses compute without storing.
-		const maxEnumMemoEntries = 64
-		mask := packBools(obs.Available)
-		if candidates = l.enumMemo[mask]; candidates == nil {
-			candidates = EnumerateSimplex(p, obs.Available, l.cfg.Quantum)
-			if len(l.enumMemo) < maxEnumMemoEntries {
-				l.enumMemo[mask] = candidates
-			}
-		}
+		candidates = l.enumeration(obs.Available)
 	}
 
 	samples := bandSamples(&l.samplesBuf, obs.LambdaHat, obs.Delta, l.cfg.UncertaintySamples)
@@ -279,8 +280,9 @@ func (l *L2) Decide(obs L2Observation) (L2Decision, error) {
 	}
 	best := candidates[bi]
 	explored := sc.Explored
-	elapsed := time.Since(start)                  //hpm:wallclock decide-latency for the §4.3 overhead metric; observe-only
-	l.prevGamma = append([]float64(nil), best...) //hpm:alloc decision copy-out; counted by the allocs/decision pin
+	elapsed := time.Since(start) //hpm:wallclock decide-latency for the §4.3 overhead metric; observe-only
+	copy(l.prevGamma, best)
+	copy(l.decGamma, best)
 	l.explored += explored
 	l.decisions++
 	l.computeTime += elapsed
@@ -304,7 +306,19 @@ func (l *L2) Decide(obs L2Observation) (L2Decision, error) {
 			})
 		}
 	}
-	return L2Decision{Gamma: append([]float64(nil), best...), Explored: explored}, nil //hpm:alloc decision copy-out; counted by the allocs/decision pin
+	return L2Decision{Gamma: l.decGamma, Explored: explored}, nil
+}
+
+// enumeration returns EnumerateSimplex over the availability mask from the
+// shape's table: a pure function of the mask, so steady-state periods skip
+// the combinatorial rebuild.
+func (l *L2) enumeration(avail []bool) [][]float64 {
+	mask := packBools(avail)
+	set := l.table.lookup(mask)
+	if set == nil {
+		set = l.table.publish(mask, &candidateSet{cands: EnumerateSimplex(len(avail), avail, l.cfg.Quantum)})
+	}
+	return set.cands
 }
 
 // l2Pricer prices γ candidates for llc.OneStep against the decision in

@@ -43,10 +43,10 @@ func TestL2ConfigValidation(t *testing.T) {
 }
 
 func TestNewL2Validation(t *testing.T) {
-	if _, err := NewL2(DefaultL2Config(), nil); err == nil {
+	if _, err := NewL2(DefaultL2Config(), nil, nil); err == nil {
 		t.Error("no models: want error")
 	}
-	if _, err := NewL2(DefaultL2Config(), []JTilde{nil}); err == nil {
+	if _, err := NewL2(DefaultL2Config(), []JTilde{nil}, nil); err == nil {
 		t.Error("nil model: want error")
 	}
 }
@@ -56,7 +56,7 @@ func TestL2BalancesIdenticalModules(t *testing.T) {
 		convexLoadCost(100), convexLoadCost(100),
 		convexLoadCost(100), convexLoadCost(100),
 	}
-	l2, err := NewL2(DefaultL2Config(), models)
+	l2, err := NewL2(DefaultL2Config(), models, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestL2BalancesIdenticalModules(t *testing.T) {
 func TestL2ShiftsLoadToCheaperModule(t *testing.T) {
 	// Module 0 is 4× the capacity of module 1.
 	models := []JTilde{convexLoadCost(200), convexLoadCost(50)}
-	l2, err := NewL2(DefaultL2Config(), models)
+	l2, err := NewL2(DefaultL2Config(), models, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestL2ShiftsLoadToCheaperModule(t *testing.T) {
 
 func TestL2UnavailableModuleGetsZero(t *testing.T) {
 	models := []JTilde{convexLoadCost(100), convexLoadCost(100), convexLoadCost(100)}
-	l2, err := NewL2(DefaultL2Config(), models)
+	l2, err := NewL2(DefaultL2Config(), models, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestL2UnavailableModuleGetsZero(t *testing.T) {
 }
 
 func TestL2NoAvailableModules(t *testing.T) {
-	l2, err := NewL2(DefaultL2Config(), []JTilde{convexLoadCost(100)})
+	l2, err := NewL2(DefaultL2Config(), []JTilde{convexLoadCost(100)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestL2NoAvailableModules(t *testing.T) {
 }
 
 func TestL2ObservationValidation(t *testing.T) {
-	l2, err := NewL2(DefaultL2Config(), []JTilde{convexLoadCost(100), convexLoadCost(100)})
+	l2, err := NewL2(DefaultL2Config(), []JTilde{convexLoadCost(100), convexLoadCost(100)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestL2BoundedModeAboveEnumLimit(t *testing.T) {
 		convexLoadCost(100), convexLoadCost(100),
 		convexLoadCost(100), convexLoadCost(100),
 	}
-	l2, err := NewL2(cfg, models)
+	l2, err := NewL2(cfg, models, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestL2BoundedModeAboveEnumLimit(t *testing.T) {
 
 func TestL2UncertaintySamplesIncreaseExploration(t *testing.T) {
 	models := []JTilde{convexLoadCost(100), convexLoadCost(100)}
-	l2, err := NewL2(DefaultL2Config(), models)
+	l2, err := NewL2(DefaultL2Config(), models, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestL2UncertaintySamplesExactWithoutPruning(t *testing.T) {
 	cfg := DefaultL2Config()
 	cfg.NonNegativeCosts = false
 	models := []JTilde{convexLoadCost(100), convexLoadCost(100)}
-	l2, err := NewL2(cfg, models)
+	l2, err := NewL2(cfg, models, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestL2PruningPreservesDecision(t *testing.T) {
 		cfg := DefaultL2Config()
 		cfg.NonNegativeCosts = prune
 		models := []JTilde{convexLoadCost(90), convexLoadCost(120), convexLoadCost(150)}
-		l2, err := NewL2(cfg, models)
+		l2, err := NewL2(cfg, models, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

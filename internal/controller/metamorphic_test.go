@@ -22,7 +22,7 @@ func TestL1MetamorphicAvailabilityAndFloor(t *testing.T) {
 		m := 2 + rng.Intn(4)
 		cfg := DefaultL1Config()
 		cfg.MinOn = 1 + rng.Intn(2)
-		l1, err := NewL1(cfg, testModuleGMaps(t, m))
+		l1, err := NewL1(cfg, testModuleGMaps(t, m), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +98,7 @@ func TestL1MetamorphicAvailabilityAndFloor(t *testing.T) {
 // gamma).
 func l1MeanCost(t *testing.T, cfg L1Config, gmaps []*GMap, alpha []bool, gamma []float64, dec L1Decision, obs L1Observation) float64 {
 	t.Helper()
-	l1, err := NewL1(cfg, gmaps)
+	l1, err := NewL1(cfg, gmaps, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestL1MetamorphicPermutation(t *testing.T) {
 			alphaP[p], gammaP[p] = alpha[j], gamma[j]
 		}
 		decide := func(alpha []bool, gamma []float64, obs L1Observation) L1Decision {
-			l1, err := NewL1(cfg, gmaps)
+			l1, err := NewL1(cfg, gmaps, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -233,11 +233,11 @@ func TestL1MetamorphicLoadCapacityScaling(t *testing.T) {
 		}
 		return gmaps
 	}
-	base, err := NewL1(DefaultL1Config(), learn(1))
+	base, err := NewL1(DefaultL1Config(), learn(1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scaled, err := NewL1(DefaultL1Config(), learn(scale))
+	scaled, err := NewL1(DefaultL1Config(), learn(scale), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,8 +73,8 @@ func TestL1DecideSteadyStateAllocsWithRecorder(t *testing.T) {
 		decide(i)
 		i++
 	})
-	if allocs > 2 {
-		t.Fatalf("warm recorded L1 decide allocated %v/op, want <= 2", allocs)
+	if allocs != 0 {
+		t.Fatalf("warm recorded L1 decide allocated %v/op, want 0", allocs)
 	}
 }
 
@@ -83,7 +83,7 @@ func TestL2DecideSteadyStateAllocsWithRecorder(t *testing.T) {
 	for i := range jts {
 		jts[i] = allocQuadJTilde{scale: 100 + 20*float64(i)}
 	}
-	l2, err := NewL2(DefaultL2Config(), jts)
+	l2, err := NewL2(DefaultL2Config(), jts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,8 +110,8 @@ func TestL2DecideSteadyStateAllocsWithRecorder(t *testing.T) {
 		decide(i)
 		i++
 	})
-	if allocs > 2 {
-		t.Fatalf("warm recorded L2 decide allocated %v/op, want <= 2", allocs)
+	if allocs != 0 {
+		t.Fatalf("warm recorded L2 decide allocated %v/op, want 0", allocs)
 	}
 }
 
@@ -182,7 +182,7 @@ func TestControllerRecorderEquivalence(t *testing.T) {
 		for i := range jts {
 			jts[i] = allocQuadJTilde{scale: 100 + 20*float64(i)}
 		}
-		l2, err := NewL2(DefaultL2Config(), jts)
+		l2, err := NewL2(DefaultL2Config(), jts, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -284,7 +284,7 @@ func TestControllerRecordShapes(t *testing.T) {
 	for i := range jts {
 		jts[i] = allocQuadJTilde{scale: 100 + 20*float64(i)}
 	}
-	l2, err := NewL2(DefaultL2Config(), jts)
+	l2, err := NewL2(DefaultL2Config(), jts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

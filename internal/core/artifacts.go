@@ -104,9 +104,16 @@ func writeArtifact(path string, write func(w io.Writer) error) error {
 // TreeJTilde.Predict) never mutate them. A fleet owns one store; nothing is
 // cached process-wide. The zero value is not usable — construct with
 // NewArtifactStore.
+//
+// A third tier holds the controllers' candidate tables
+// (controller.CandidateTable: the L1 γ neighbourhoods and the L2 simplex
+// enumerations), one per shape key, reference-counted the same way. They are
+// computed, not learned: a table starts empty, fills as its controllers
+// meet masks, and is never persisted or journalled.
 type ArtifactStore struct {
-	gmaps artifactTier[*controller.GMap]
-	trees artifactTier[*controller.TreeJTilde]
+	gmaps  artifactTier[*controller.GMap]
+	trees  artifactTier[*controller.TreeJTilde]
+	tables tableTier
 }
 
 // NewArtifactStore returns an empty store.
@@ -114,6 +121,7 @@ func NewArtifactStore() *ArtifactStore {
 	s := &ArtifactStore{}
 	s.gmaps.entries = map[string]*artifactEntry[*controller.GMap]{}
 	s.trees.entries = map[string]*artifactEntry[*controller.TreeJTilde]{}
+	s.tables.entries = map[string]*tableEntry{}
 	return s
 }
 
@@ -244,5 +252,42 @@ func (t *artifactTier[T]) release(fingerprint string) {
 	e := t.entries[fingerprint]
 	if e.refs--; e.refs == 0 {
 		delete(t.entries, fingerprint)
+	}
+}
+
+// tableTier is the store's candidate-table tier: one table per shape key,
+// created empty by its first holder and dropped with its last.
+type tableTier struct {
+	mu      sync.Mutex
+	entries map[string]*tableEntry
+}
+
+// tableEntry is one shape's table; refs is guarded by the tier mutex.
+type tableEntry struct {
+	refs  int
+	table *controller.CandidateTable
+}
+
+// acquire returns the table for key and takes a reference the caller must
+// release.
+func (t *tableTier) acquire(key string) *controller.CandidateTable {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	e := t.entries[key]
+	if e == nil {
+		e = &tableEntry{table: controller.NewCandidateTable(key)}
+		t.entries[key] = e
+	}
+	e.refs++
+	return e.table
+}
+
+// release drops one reference; the last one removes the entry.
+func (t *tableTier) release(key string) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	e := t.entries[key]
+	if e.refs--; e.refs == 0 {
+		delete(t.entries, key)
 	}
 }

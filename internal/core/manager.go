@@ -196,11 +196,13 @@ type Manager struct {
 	bandG   *forecast.Band   // δ at T_L2 granularity
 
 	artifacts ArtifactSet
-	// store and the two held lists record the references this manager took
-	// in its ArtifactStore (fingerprints, per kind); Release returns them.
-	store     *ArtifactStore
-	heldGMaps []string
-	heldTrees []string
+	// store and the held lists record the references this manager took in
+	// its ArtifactStore (fingerprints or table keys, per kind); Release
+	// returns them.
+	store      *ArtifactStore
+	heldGMaps  []string
+	heldTrees  []string
+	heldTables []string
 
 	learnTime time.Duration
 
@@ -286,7 +288,8 @@ func NewManager(spec cluster.Spec, cfg Config) (*Manager, error) {
 // NewManager is the package-level NewManager with the offline learning
 // shared through the store: every artifact is acquired by fingerprint, so
 // only the first manager of a fingerprint learns it and all of them use
-// the same read-only copy. Call Release when the manager is discarded.
+// the same read-only copy, and every L1 and L2 reads the candidate table
+// of its shape. Call Release when the manager is discarded.
 //
 // logged, when non-nil, supplies artifacts restored from a snapshot log,
 // keyed like Manager.Artifacts: a hardware or module composition found
@@ -345,7 +348,7 @@ func (s *ArtifactStore) NewManager(spec cluster.Spec, cfg Config, logged *Artifa
 			asm.specs = append(asm.specs, cs)
 			asm.gmaps = append(asm.gmaps, gmapCache[hardwareKey(cs)])
 		}
-		l1, err := controller.NewL1(cfg.L1, asm.gmaps)
+		l1, err := controller.NewL1(cfg.L1, asm.gmaps, m.acquireTable(controller.L1TableKey(cfg.L1, asm.gmaps)))
 		if err != nil {
 			return nil, err
 		}
@@ -401,7 +404,7 @@ func (s *ArtifactStore) NewManager(spec cluster.Spec, cfg Config, logged *Artifa
 		for i := range m.modules {
 			jtildes[i] = treeCache[moduleKey(spec.Modules[i])]
 		}
-		l2, err := controller.NewL2(cfg.L2, jtildes)
+		l2, err := controller.NewL2(cfg.L2, jtildes, m.acquireTable(controller.L2TableKey(cfg.L2, len(jtildes))))
 		if err != nil {
 			return nil, err
 		}
@@ -466,12 +469,21 @@ func acquireDistinct[T learned](t *artifactTier[T], workers, n int, held *[]stri
 	return cache, nil
 }
 
+// acquireTable takes a reference to the store's candidate table for a
+// controller shape key, recorded for Release under the table's own copy of
+// the key, so managers of a shape hold one key string between them.
+func (m *Manager) acquireTable(key string) *controller.CandidateTable {
+	t := m.store.tables.acquire(key)
+	m.heldTables = append(m.heldTables, t.Key())
+	return t
+}
+
 // Release returns the references this manager holds in its ArtifactStore;
-// the store drops an artifact when its last holder releases it. The
-// manager keeps its own pointers, so a released manager still works — it
-// just no longer keeps the store's entries alive. Idempotent; a manager
-// from the package-level NewManager need not call it (its private store
-// dies with it).
+// the store drops an artifact or a candidate table when its last holder
+// releases it. The manager keeps its own pointers, so a released manager
+// still works — it just no longer keeps the store's entries alive.
+// Idempotent; a manager from the package-level NewManager need not call it
+// (its private store dies with it).
 func (m *Manager) Release() {
 	for _, fp := range m.heldGMaps {
 		m.store.gmaps.release(fp)
@@ -479,7 +491,10 @@ func (m *Manager) Release() {
 	for _, fp := range m.heldTrees {
 		m.store.trees.release(fp)
 	}
-	m.heldGMaps, m.heldTrees = nil, nil
+	for _, key := range m.heldTables {
+		m.store.tables.release(key)
+	}
+	m.heldGMaps, m.heldTrees, m.heldTables = nil, nil, nil
 }
 
 // hardwareKey fingerprints the control-relevant hardware of a computer

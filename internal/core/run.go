@@ -86,6 +86,8 @@ type run struct {
 	// in initSeries; nil when the frequencies are not recorded.
 	freqSeries [][]*series.Series
 
+	// gammaModules is the module split in force: the run's own copy of the
+	// last L2 decision (or of the fallback's), nil before the first.
 	gammaModules []float64
 	// lambdaGRate is the cluster arrival-rate forecast at the last L2
 	// boundary (requests/second), used as a floor for module forecasts
@@ -357,13 +359,17 @@ func (r *run) decideL2(k int) error {
 	}
 	r.lambdaGRate = obs.LambdaHat
 	r.recordGammaModules(dec.Gamma)
-	r.gammaModules = dec.Gamma
+	// The decision is the L2's until its next Decide: keep a copy, made
+	// only now that the share ratios above have read the old split.
+	r.gammaModules = append(r.gammaModules[:0], dec.Gamma...)
 	return nil
 }
 
 // l1Plan is one module's L1 outcome, computed before any module's plan is
 // applied to the shared plant and record.
 type l1Plan struct {
+	// dec is the L1's decision, valid until that L1's next Decide — the
+	// next boundary, long after applyL1 copied it.
 	dec controller.L1Decision
 	// predActual is the (predicted, actual) pair for the Fig. 4 series;
 	// hasPredActual marks boundaries where the module had a forecast.
@@ -488,8 +494,9 @@ func (r *run) applyL1(i int, plan l1Plan) error {
 			}
 		}
 	}
-	asm.alpha = dec.Alpha
-	asm.gamma = dec.Gamma
+	// The decision is the L1's until its next Decide: keep a copy.
+	copy(asm.alpha, dec.Alpha)
+	copy(asm.gamma, dec.Gamma)
 	return nil
 }
 

@@ -279,9 +279,9 @@ func (s *Session) ObserveBin(count float64) (BinDecision, error) {
 }
 
 // StepBin is ObserveBin without the decision payload: it ingests the bin
-// and steps the hierarchy through it, allocating nothing in steady state
-// beyond the controllers' own decision copy-outs. Callers that need the
-// decisions in force read them with Decision, once, where they escape.
+// and steps the hierarchy through it, allocating nothing in steady state.
+// Callers that need the decisions in force read them with Decision, once,
+// where they escape.
 func (s *Session) StepBin(count float64) error {
 	if s.finished {
 		return fmt.Errorf("core: session already finished")
@@ -304,21 +304,45 @@ func (s *Session) StepBin(count float64) error {
 // Decision returns the decisions in force after the most recent bin that
 // stepped cleanly (bin 0 with empty settings before the first) — a bin
 // that errored or panicked mid-step leaves it at its predecessor's. The
-// result owns its slices, so it may leave the session's goroutine.
+// result owns its slices, so it may leave the session's goroutine. They are
+// carved from one backing array per element type, each at its own length
+// and capacity, so the copy costs four allocations whatever the shape.
 func (s *Session) Decision() BinDecision {
 	last := &s.r.last
+	floats, bools, ints := len(last.GammaModules), 0, 0
+	for _, md := range last.Modules {
+		floats += len(md.Gamma) + len(md.FreqHz)
+		bools += len(md.Alpha)
+		ints += len(md.FreqIdx)
+	}
+	fs, bs, is := make([]float64, floats), make([]bool, bools), make([]int, ints)
 	d := *last
-	d.GammaModules = append([]float64(nil), last.GammaModules...)
+	d.GammaModules = carve(&fs, last.GammaModules)
 	d.Modules = make([]ModuleDecision, len(last.Modules))
 	for i, md := range last.Modules {
 		d.Modules[i] = ModuleDecision{
-			Alpha:   append([]bool(nil), md.Alpha...),
-			Gamma:   append([]float64(nil), md.Gamma...),
-			FreqIdx: append([]int(nil), md.FreqIdx...),
-			FreqHz:  append([]float64(nil), md.FreqHz...),
+			Alpha:   carve(&bs, md.Alpha),
+			Gamma:   carve(&fs, md.Gamma),
+			FreqIdx: carve(&is, md.FreqIdx),
+			FreqHz:  carve(&fs, md.FreqHz),
 		}
 	}
 	return d
+}
+
+// carve copies src into the front of *back, advances *back past it and
+// returns the copy, capped at its length so that appending to it never
+// writes into its neighbour. An empty src gives nil, as a fresh append
+// would.
+func carve[T any](back *[]T, src []T) []T {
+	if len(src) == 0 {
+		return nil
+	}
+	n := len(src)
+	dst := (*back)[:n:n]
+	copy(dst, src)
+	*back = (*back)[n:]
+	return dst
 }
 
 // Operational returns Decision().Operational — the operational computers

@@ -149,8 +149,8 @@ func TestObserveIsOneEntryBatch(t *testing.T) {
 		if err := f.CreateTenant("a", tc); err != nil {
 			t.Fatal(err)
 		}
-		// Four bins a run: one L1 decision (and its copy-outs) per run at
-		// this cadence, whatever bin the run starts on.
+		// Four bins a run: one L1 decision per run at this cadence,
+		// whatever bin the run starts on.
 		const per = 4
 		bin := 0
 		entries := []BatchEntry{{Tenant: "a", Counts: make([]float64, 1)}}

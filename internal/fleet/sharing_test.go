@@ -381,3 +381,85 @@ func TestSharedArtifactStress(t *testing.T) {
 		t.Errorf("journal after the stress: %+v, want %d tenants with %d observations", rep, steppers, steppers*rounds)
 	}
 }
+
+// TestSharedCandidateTableStress is the -race pin for the controllers'
+// candidate tables, which every tenant of a shape shares through the
+// store: tenants of one L2-active shape (four two-computer modules) step on
+// every shard at once under staggered failure plans, so each meets its
+// on/off and availability masks at its own time and a table publishes
+// while tenants on other shards read it. Every tenant must end bit-identical
+// — decision stream, state and close record — to a twin fed the same
+// counts alone in its own fleet, whose tables nobody else fills.
+func TestSharedCandidateTableStress(t *testing.T) {
+	const shards, tenants, bins = 4, 8, 48
+	counts := make([]float64, bins)
+	for b := range counts {
+		counts[b] = float64(60 + (b*523)%1900) // from one computer's load to all eight
+	}
+	config := func(i int) TenantConfig {
+		tc := quarantineTenantConfig()
+		tc.Spec = cluster.Spec{Modules: []cluster.ModuleSpec{
+			moduleOf("M1", 2), moduleOf("M2", 2), moduleOf("M3", 2), moduleOf("M4", 2),
+		}}
+		tc.Core.Parallelism = 1
+		tc.StoreSeed = int64(i + 1)
+		at := func(bin int) float64 { return tc.BinSeconds * float64(bin) }
+		whole := (i + 2) % 4
+		tc.Failures = []workload.FailureEvent{
+			{At: at(1 + i), Module: i % 4, Comp: i % 2},
+			{At: at(3 + i), Module: whole, Comp: 0},
+			{At: at(3 + i), Module: whole, Comp: 1},
+			{At: at(9 + i), Module: i % 4, Comp: i % 2, Repair: true},
+			{At: at(14 + i), Module: whole, Comp: 0, Repair: true},
+			{At: at(20 + i), Module: whole, Comp: 1, Repair: true},
+		}
+		return tc
+	}
+
+	f := New(Config{Shards: shards})
+	defer f.Close()
+	for i := 0; i < tenants; i++ {
+		if err := f.CreateTenant(fmt.Sprintf("t%d", i), config(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	decs := make([][]core.BinDecision, tenants)
+	var wg sync.WaitGroup
+	for i := 0; i < tenants; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for _, c := range counts {
+				dec, err := f.Observe(fmt.Sprintf("t%d", i), c)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				decs[i] = append(decs[i], dec)
+			}
+		}(i)
+	}
+	wg.Wait()
+
+	for i := 0; i < tenants; i++ {
+		id := fmt.Sprintf("t%d", i)
+		twin := New(Config{Shards: 1})
+		if err := twin.CreateTenant(id, config(i)); err != nil {
+			t.Fatal(err)
+		}
+		for b, c := range counts {
+			dec, err := twin.Observe(id, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b < len(decs[i]) && !reflect.DeepEqual(decs[i][b], dec) {
+				t.Fatalf("tenant %s, bin %d: decision %+v beside seven sharers, %+v alone", id, b, decs[i][b], dec)
+			}
+		}
+		got, want := closeState(t, f, id), closeState(t, twin, id)
+		twin.Close()
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("tenant %s with shared tables:\n got %+v\nwant %+v (alone)", id, got, want)
+		}
+	}
+}

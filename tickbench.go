@@ -220,7 +220,7 @@ func RunTickBench(decisions, tenants int) (TickBenchSnapshot, error) {
 	if err != nil {
 		return TickBenchSnapshot{}, err
 	}
-	l1, err := controller.NewL1(controller.DefaultL1Config(), gmaps)
+	l1, err := controller.NewL1(controller.DefaultL1Config(), gmaps, nil)
 	if err != nil {
 		return TickBenchSnapshot{}, err
 	}
@@ -248,7 +248,7 @@ func RunTickBench(decisions, tenants int) (TickBenchSnapshot, error) {
 	for i := range jts {
 		jts[i] = tree
 	}
-	l2, err := controller.NewL2(controller.DefaultL2Config(), jts)
+	l2, err := controller.NewL2(controller.DefaultL2Config(), jts, nil)
 	if err != nil {
 		return TickBenchSnapshot{}, err
 	}

@@ -2,8 +2,8 @@ package hierctl
 
 // Pins for the decision-tick benchmark harness behind BENCH_tick.json:
 // the rows exist, the deterministic columns hold their steady-state
-// values (zero allocations for L0 and the table probe, the returned
-// decision's two slices for L1/L2), and bad inputs error.
+// values (zero allocations for every decide and the table probe, the
+// returned decision's four for a bin), and bad inputs error.
 
 import (
 	"testing"
@@ -40,11 +40,10 @@ func TestRunTickBenchRowsAndInvariants(t *testing.T) {
 			t.Fatalf("missing row %q (have %v)", level, snap.Rows)
 		}
 	}
-	// The allocation-free invariants the PR pins: L0 decides and table
-	// probes allocate nothing; L1/L2 allocate only the returned
-	// decision's slices.
+	// The allocation-free invariants: decides at every level and table
+	// probes allocate nothing.
 	for level, wantAllocs := range map[string]float64{
-		"L0-decide": 0, "table-probe": 0, "L1-decide": 2, "L2-decide": 2,
+		"L0-decide": 0, "table-probe": 0, "L1-decide": 0, "L2-decide": 0,
 	} {
 		r := rows[level]
 		if r.AllocsPerDecision != wantAllocs {
@@ -54,15 +53,15 @@ func TestRunTickBenchRowsAndInvariants(t *testing.T) {
 			t.Errorf("%s: implausible row %+v", level, r)
 		}
 	}
-	// A whole observation bin, under the varying count series: the
-	// returned decision (Modules plus four slices) and a fraction of an L1
-	// copy-out — and no bytes that scale with the bin's request count.
-	// Not under the race detector, whose pools drop Puts: a bin borrows
-	// from two.
+	// A whole observation bin, under the varying count series: exactly
+	// the returned decision (Modules plus one backing array per element
+	// type) — and no bytes that scale with the bin's request count. Not
+	// under the race detector, whose pools drop Puts: a bin borrows from
+	// two.
 	for _, level := range []string{"bin-scale", "bin-depth"} {
 		r := rows[level]
-		if !race.Enabled && (r.AllocsPerDecision < 5 || r.AllocsPerDecision > 6 || r.BytesPerDecision > 512) {
-			t.Errorf("%s: %v allocs / %v B per bin, want 5-6 allocs and <= 512 B", level, r.AllocsPerDecision, r.BytesPerDecision)
+		if !race.Enabled && (r.AllocsPerDecision != 4 || r.BytesPerDecision > 512) {
+			t.Errorf("%s: %v allocs / %v B per bin, want 4 allocs and <= 512 B", level, r.AllocsPerDecision, r.BytesPerDecision)
 		}
 	}
 	fleet := rows["fleet-4"]
