@@ -68,11 +68,6 @@ func TestRunFleetBenchSmall(t *testing.T) {
 	if a, b := snap.Rows[0].ScrapeAllocBytes, snap.Rows[1].ScrapeAllocBytes; a != b {
 		t.Errorf("scrape allocates %v B with %d tenants, %v B with %d", a, snap.Rows[0].Tenants, b, snap.Rows[1].Tenants)
 	}
-	// Larger fleets under the same load must snapshot larger.
-	if snap.Rows[1].SnapshotBytes <= snap.Rows[0].SnapshotBytes {
-		t.Errorf("snapshot bytes did not grow with the fleet: %d then %d",
-			snap.Rows[0].SnapshotBytes, snap.Rows[1].SnapshotBytes)
-	}
 	if !snap.Checks.BatchEqualsSequential {
 		t.Error("batched ingest diverged from sequential Observe calls")
 	}

@@ -19,6 +19,7 @@ import (
 	"math"
 	"sync"
 
+	"hierctl/internal/ckpt"
 	"hierctl/internal/metrics"
 	"hierctl/internal/power"
 )
@@ -162,6 +163,26 @@ type IntervalStats struct {
 	QueueLen int
 	// Busy is the fraction of the interval spent serving.
 	Busy float64
+}
+
+// Checkpoint appends the interval's six fields.
+func (s IntervalStats) Checkpoint(w *ckpt.Writer) {
+	w.Int(int64(s.Arrived))
+	w.Int(int64(s.Completed))
+	w.Float(s.MeanResponse)
+	w.Float(s.MeanDemand)
+	w.Int(int64(s.QueueLen))
+	w.Float(s.Busy)
+}
+
+// RestoreCheckpoint reads back what Checkpoint wrote.
+func (s *IntervalStats) RestoreCheckpoint(r *ckpt.Reader) {
+	s.Arrived = r.IntIn(math.MinInt32, math.MaxInt32, "arrivals")
+	s.Completed = r.IntIn(math.MinInt32, math.MaxInt32, "completions")
+	s.MeanResponse = r.Float()
+	s.MeanDemand = r.Float()
+	s.QueueLen = r.IntIn(math.MinInt32, math.MaxInt32, "queue length")
+	s.Busy = r.Float()
 }
 
 // Computer is the request-level simulation of one cluster node. Construct
@@ -499,4 +520,68 @@ func (c *Computer) TakeIntervalStats() IntervalStats {
 	c.busySeconds = 0
 	c.intervalLen = 0
 	return st
+}
+
+// Checkpoint appends the computer's mutable state: power state, boot
+// deadline, operating point, clock, the queued jobs with the service
+// already given the head one, the interval accumulators, the lifetime
+// counters and the energy books. The response sink is the plant's and is
+// not written.
+func (c *Computer) Checkpoint(w *ckpt.Writer) {
+	w.Int(int64(c.state))
+	w.Float(c.bootDoneAt)
+	w.Int(int64(c.freqIdx))
+	w.Float(c.now)
+	w.Uint(uint64(c.count))
+	for b, i, n := c.first, c.head, 0; n < c.count; n++ {
+		if i == BlockJobs {
+			b, i = b.next, 0
+		}
+		w.Float(b.jobs[i].arrival)
+		w.Float(b.jobs[i].demand)
+		i++
+	}
+	w.Float(c.headServed)
+	w.Int(int64(c.arrived))
+	w.Int(int64(c.completed))
+	w.Float(c.respSum)
+	w.Float(c.demandSum)
+	w.Float(c.busySeconds)
+	w.Float(c.intervalLen)
+	w.Int(c.totalCompleted)
+	w.Int(c.totalDropped)
+	c.energy.Checkpoint(w)
+	w.Int(int64(c.switches))
+	w.Float(c.transient)
+}
+
+// RestoreCheckpoint replaces the computer's state with what Checkpoint
+// wrote; the queue it held goes back to the pool first.
+func (c *Computer) RestoreCheckpoint(r *ckpt.Reader) {
+	c.state = PowerState(r.IntIn(int(PowerOff), int(Failed), "power state"))
+	c.bootDoneAt = r.Float()
+	c.freqIdx = r.IntIn(0, len(c.spec.FrequenciesHz)-1, "frequency index")
+	c.now = r.Float()
+	for b := c.first; b != nil; {
+		next := b.next
+		putBlock(b)
+		b = next
+	}
+	c.first, c.last = nil, nil
+	c.head, c.tail, c.count = 0, 0, 0
+	for n := r.Count(2, "queued job"); n > 0; n-- {
+		c.Enqueue(r.Float(), r.Float())
+	}
+	c.headServed = r.Float()
+	c.arrived = r.IntIn(math.MinInt32, math.MaxInt32, "arrivals")
+	c.completed = r.IntIn(math.MinInt32, math.MaxInt32, "completions")
+	c.respSum = r.Float()
+	c.demandSum = r.Float()
+	c.busySeconds = r.Float()
+	c.intervalLen = r.Float()
+	c.totalCompleted = r.Int()
+	c.totalDropped = r.Int()
+	c.energy.RestoreCheckpoint(r)
+	c.switches = r.IntIn(0, math.MaxInt32, "switches")
+	c.transient = r.Float()
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"hierctl/internal/ckpt"
 	"hierctl/internal/metrics"
 	"hierctl/internal/workload"
 )
@@ -407,4 +408,32 @@ func (p *Plant) ModuleIntervalStatsInto(i int, dst []IntervalStats) (agg Interva
 	}
 	agg.Busy /= float64(len(p.modules[i]))
 	return agg, per, nil
+}
+
+// Checkpoint appends the plant's mutable state: its clock, the misroute
+// count, the latency histogram and every computer in module-major order.
+// The dispatcher's random stream belongs to whoever built the plant and is
+// not written.
+func (p *Plant) Checkpoint(w *ckpt.Writer) {
+	w.Float(p.now)
+	w.Int(p.misroute)
+	p.latencies.Checkpoint(w)
+	for i := range p.modules {
+		for _, c := range p.modules[i] {
+			c.Checkpoint(w)
+		}
+	}
+}
+
+// RestoreCheckpoint reads back what Checkpoint wrote into a plant of the
+// same spec.
+func (p *Plant) RestoreCheckpoint(r *ckpt.Reader) {
+	p.now = r.Float()
+	p.misroute = r.Int()
+	p.latencies.RestoreCheckpoint(r)
+	for i := range p.modules {
+		for _, c := range p.modules[i] {
+			c.RestoreCheckpoint(r)
+		}
+	}
 }

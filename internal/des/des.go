@@ -50,6 +50,16 @@ func (s *Stream) State() State {
 	return State{Hi: binary.BigEndian.Uint64(b[4:]), Lo: binary.BigEndian.Uint64(b[12:])}
 }
 
+// SetState positions the stream at st, the inverse of State: the draws
+// after it are the draws that followed st where it was read.
+func (s *Stream) SetState(st State) {
+	var b [20]byte
+	copy(b[:], "pcg:")
+	binary.BigEndian.PutUint64(b[4:], st.Hi)
+	binary.BigEndian.PutUint64(b[12:], st.Lo)
+	_ = s.UnmarshalBinary(b[:]) // the layout MarshalBinary writes; never fails
+}
+
 // State is a Stream's position: the two words of the stdlib PCG, on which
 // the generator's walk and output function are restated here so a draw can
 // be computed at a distance. TestStateWalksLikePCG pins both against

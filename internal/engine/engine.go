@@ -25,6 +25,7 @@ package engine
 
 import (
 	"fmt"
+	"math/rand"
 	"time"
 
 	"hierctl/internal/chaos"
@@ -92,6 +93,10 @@ type Harness struct {
 	policy Policy
 	plant  *cluster.Plant
 	feed   *workload.Feed
+	store  *workload.Store
+	// dispatch and workload are the random streams behind the plant's
+	// dispatcher and the feed, kept for Checkpoint.
+	dispatch, workload *des.Stream
 
 	sub     int // ticks per observation bin
 	preroll float64
@@ -149,23 +154,27 @@ func New(cfg Config, store *workload.Store, p Policy) (*Harness, error) {
 	if cfg.DrainSeconds < 0 {
 		return nil, fmt.Errorf("engine: drain %v < 0", cfg.DrainSeconds)
 	}
-	plant, err := cluster.NewPlant(cfg.Spec, des.RNG(cfg.Seed, "dispatch"))
+	dispatch, work := des.NewStream(cfg.Seed, "dispatch"), des.NewStream(cfg.Seed, "workload")
+	plant, err := cluster.NewPlant(cfg.Spec, rand.New(dispatch))
 	if err != nil {
 		return nil, err
 	}
-	feed, err := workload.NewFeed(cfg.Start, cfg.BinSeconds, store, des.RNG(cfg.Seed, "workload"))
+	feed, err := workload.NewFeed(cfg.Start, cfg.BinSeconds, store, rand.New(work))
 	if err != nil {
 		return nil, err
 	}
 	h := &Harness{
-		cfg:    cfg,
-		policy: p,
-		plant:  plant,
-		feed:   feed,
-		sub:    sub,
-		cuts:   make([]int, sub+1),
-		stats:  make([]ModuleStats, len(cfg.Spec.Modules)),
-		per:    make([][]cluster.IntervalStats, len(cfg.Spec.Modules)),
+		cfg:      cfg,
+		policy:   p,
+		plant:    plant,
+		feed:     feed,
+		store:    store,
+		dispatch: dispatch,
+		workload: work,
+		sub:      sub,
+		cuts:     make([]int, sub+1),
+		stats:    make([]ModuleStats, len(cfg.Spec.Modules)),
+		per:      make([][]cluster.IntervalStats, len(cfg.Spec.Modules)),
 	}
 	for i, m := range cfg.Spec.Modules {
 		h.per[i] = make([]cluster.IntervalStats, len(m.Computers))

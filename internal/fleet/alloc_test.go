@@ -121,28 +121,18 @@ func liveHeap() uint64 {
 	return ms.HeapAlloc
 }
 
-// TestTenantFootprintFlatInUptime pins the property behind the fixed-size
-// tenant: once warm (flight-recorder ring wrapped, plant queues and the
-// store's locality history at their working size), the only thing a
-// telemetry-on tenant retains per bin is its observation-log entry — the
-// replay log restores need, 8 bytes. Four times the warm-up's bins may
-// grow the live heap (HeapAlloc after a forced collection) by 8 B/bin plus
-// one chunk of the log — the one being filled is allocated whole — and 8 KB
-// for the rest of the test binary's heap not being perfectly still: the
-// chunked log re-copies nothing and keeps no headroom beyond that chunk. A
-// session that kept per-bin series (mean response, operational count,
-// prediction pairs, the observed trace) grew ~40 B/bin here.
-func TestTenantFootprintFlatInUptime(t *testing.T) {
-	const warm, more = 2500, 10_000
-	f := New(Config{Shards: 1})
-	defer f.Close()
+// footprintTenant creates the two-computer, 4096-record tenant of the
+// footprint pins and returns a function stepping it n more bins.
+func footprintTenant(t *testing.T, f *Fleet) func(n int) {
+	t.Helper()
 	tc := telemetryTenantConfig(4096) // hpmserve's default ring
 	tc.Spec = cluster.Spec{Modules: []cluster.ModuleSpec{moduleOf("M1", 2)}}
 	if err := f.CreateTenant("t", tc); err != nil {
 		t.Fatal(err)
 	}
 	bin := 0
-	run := func(n int) {
+	return func(n int) {
+		t.Helper()
 		for ; n > 0; n-- {
 			if _, err := f.Observe("t", float64(20+bin%17)); err != nil {
 				t.Fatal(err)
@@ -150,16 +140,79 @@ func TestTenantFootprintFlatInUptime(t *testing.T) {
 			bin++
 		}
 	}
+}
+
+// TestTenantFootprintFlatInUptime pins the fixed-size tenant: once warm
+// (flight-recorder ring wrapped, plant queues and the store's locality
+// history at their working size), a telemetry-on tenant without a journal
+// retains nothing per bin — snapshots carry its checkpoint, so it keeps no
+// log of its counts. Four times the warm-up's bins may grow the live heap
+// (HeapAlloc after a forced collection) by 8 KB, for the rest of the test
+// binary's heap not being perfectly still. The replay log a snapshot once
+// needed grew 8 B/bin here; a session that kept per-bin series ~40 B/bin.
+func TestTenantFootprintFlatInUptime(t *testing.T) {
+	const warm, more = 2500, 10_000
+	f := New(Config{Shards: 1})
+	defer f.Close()
+	run := footprintTenant(t, f)
 	run(warm)
 	before := liveHeap()
 	run(more)
 	after := liveHeap()
 	grew := int64(after) - int64(before)
-	if limit := int64(more*8 + obsChunk*8 + 8<<10); grew > limit {
-		t.Fatalf("%d more bins grew the live heap by %d B (%.1f B/bin), want <= %d B: 8 B/bin of observation log plus one chunk and jitter",
+	if limit := int64(8 << 10); grew > limit {
+		t.Fatalf("%d more bins grew the live heap by %d B (%.1f B/bin), want <= %d B of jitter",
 			more, grew, float64(grew)/more, limit)
 	}
 	t.Logf("live heap grew %d B over %d bins (%.1f B/bin)", grew, more, float64(grew)/more)
+}
+
+// TestJournaledTenantFootprintFlatInUptime is the journal's twin of
+// TestTenantFootprintFlatInUptime: a journaled tenant logs the counts its
+// journal has not made durable, and each Append's sweep drops what the one
+// before it made durable — so after an Append the log holds at most the
+// bins since the Append before it, and the live heap stays flat in uptime.
+func TestJournaledTenantFootprintFlatInUptime(t *testing.T) {
+	const warm, more, interval = 2500, 10_000, 100
+	f := New(Config{Shards: 1})
+	defer f.Close()
+	run := footprintTenant(t, f)
+	j, err := OpenJournal(f, journalPath(t), JournalConfig{CompactFactor: 1e9, MaxAppends: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	tn, err := f.tenant("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	logged := func() (n int) {
+		if err := f.exec(tn, func() { n = len(tn.observations.counts) }); err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	appendEvery := func(bins int) {
+		for ; bins > 0; bins -= interval {
+			run(interval)
+			if err := j.Append(); err != nil {
+				t.Fatal(err)
+			}
+			if n := logged(); n > interval {
+				t.Fatalf("after an Append the log holds %d counts, want <= the %d bins since the Append before", n, interval)
+			}
+		}
+	}
+	appendEvery(warm)
+	before := liveHeap()
+	appendEvery(more)
+	after := liveHeap()
+	grew := int64(after) - int64(before)
+	if limit := int64(8 << 10); grew > limit {
+		t.Fatalf("%d more journaled bins grew the live heap by %d B (%.1f B/bin), want <= %d B of jitter",
+			more, grew, float64(grew)/more, limit)
+	}
+	t.Logf("live heap grew %d B over %d journaled bins (%.1f B/bin)", grew, more, float64(grew)/more)
 }
 
 // TestTenantFootprintAtRest pins what a tenant costs before its first bin,
@@ -167,8 +220,8 @@ func TestTenantFootprintFlatInUptime(t *testing.T) {
 // (4096-record ring, the paper's 10,000-object store) is its flight
 // recorder (68,620 B: a 65,536 B arena of 16 B per record on average and
 // 3,084 B of seek anchors, one per 16 records), its store's locality
-// history (18,432 B) and some 11.2 KB of manager, session, plant and feed
-// — 98,229 B measured, held to that + 5 %. The recorder's arena at 24 B a
+// history (18,432 B) and some 11.3 KB of manager, session, plant and feed
+// — 98,385 B measured, held to that + 5 %. The recorder's arena at 24 B a
 // record and one offset per record held 114,688 B.
 func TestTenantFootprintAtRest(t *testing.T) {
 	const tenants = 256
@@ -189,8 +242,8 @@ func TestTenantFootprintAtRest(t *testing.T) {
 		}
 	}
 	per := (liveHeap() - before) / tenants
-	if per > 103_140 {
-		t.Fatalf("a default tenant at rest holds %d B of live heap, want <= 103,140", per)
+	if per > 103_304 {
+		t.Fatalf("a default tenant at rest holds %d B of live heap, want <= 103,304", per)
 	}
 	t.Logf("a default tenant at rest holds %d B of live heap", per)
 }

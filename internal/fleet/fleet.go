@@ -41,6 +41,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"hierctl/internal/ckpt"
 	"hierctl/internal/core"
 	"hierctl/internal/obs"
 	"hierctl/internal/par"
@@ -143,6 +144,9 @@ type shard struct {
 	agg     TelemetryTotals
 	top     TelemetryRankings
 	foldBuf []obs.Record
+	// ckpt is the scratch a capture on this shard encodes a tenant's
+	// checkpoint into before keeping an exact-size copy.
+	ckpt ckpt.Writer
 	// operational sums the shard's registered tenants' operational
 	// computers as of their last decisions. Atomic because a restored
 	// tenant brings its count in at admission, off the shard.

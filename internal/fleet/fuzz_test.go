@@ -8,7 +8,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"reflect"
 	"runtime"
 	"testing"
 
@@ -192,9 +191,10 @@ func fuzzSafeShape(s tenantSnap) bool {
 // FuzzSnapshotRestore is the snapshot subsystem's safety pin: the frame
 // decoder must never panic on arbitrary bytes (both the strict and the
 // torn-tolerant paths), and any log the decoder accepts within the cost
-// bounds must rebuild into a fleet that replays deterministically — a
-// snapshot of the restored fleet restores again to a fleet producing
-// bit-identical next decisions.
+// bounds must rebuild into a fleet whose checkpoint restores it exactly —
+// a snapshot of the restored fleet restores again to a fleet with the same
+// states and telemetry cursors, bit-identical next decisions and records,
+// and the same close records (the checkpoint property, sameFleets).
 func FuzzSnapshotRestore(f *testing.F) {
 	for _, seed := range fuzzSeedLogs(f) {
 		f.Add(seed)
@@ -229,21 +229,7 @@ func FuzzSnapshotRestore(f *testing.F) {
 		if err := fl2.Restore(bytes.NewReader(buf.Bytes())); err != nil {
 			t.Fatalf("re-restore of accepted snapshot: %v", err)
 		}
-		for _, id := range fl.Tenants() {
-			for k := 0; k < 2; k++ {
-				want, err1 := fl.Observe(id, 120)
-				got, err2 := fl2.Observe(id, 120)
-				if (err1 == nil) != (err2 == nil) {
-					t.Fatalf("tenant %s bin %d: errors diverged: %v vs %v", id, k, err1, err2)
-				}
-				if err1 != nil {
-					break
-				}
-				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("tenant %s bin %d: decisions diverged after round-trip", id, k)
-				}
-			}
-		}
+		sameFleets(t, fl, fl2, 0, 2)
 	})
 }
 

@@ -55,10 +55,12 @@ type Journal struct {
 	fl   *Fleet
 	path string
 	file *os.File
-	// marks records, per tenant incarnation, how many observations the
-	// log already holds; Append journals past the mark and advances it
-	// only after the frames are durably written, so a crash between the
-	// two re-sends an idempotent overlap instead of losing a suffix.
+	// marks records, per tenant incarnation, how many bins the log already
+	// holds; Append journals past the mark and advances it only after the
+	// frames are durably written, so a crash between the two re-sends an
+	// idempotent overlap instead of losing a suffix. The tenant's own log
+	// keeps the counts past its mark, and drops the rest at the next
+	// Append's sweep.
 	marks map[string]journalMark
 	// artifacts lists the learned artifacts (by content address) the log
 	// holds since its last compaction; a base frame appended for a tenant
@@ -88,7 +90,8 @@ type Journal struct {
 }
 
 // journalMark is the log's high-water mark for one tenant incarnation:
-// obs counts the observations journaled so far, gen is the tenant's
+// obs counts the bins journaled so far (the checkpoint's and the deltas'
+// since), gen is the tenant's
 // registration generation. A close+recreate under the same id bumps the
 // generation, which Append detects to retire the old incarnation
 // (remove frame) and re-base the new one — keyed by id alone, the new
@@ -140,6 +143,7 @@ func OpenJournal(fl *Fleet, path string, cfg JournalConfig) (*Journal, error) {
 	}
 	j := &Journal{fl: fl, path: path, marks: map[string]journalMark{}, cfg: cfg}
 	if err := j.Compact(); err != nil {
+		j.stopLogging()
 		return nil, err
 	}
 	return j, nil
@@ -179,19 +183,25 @@ func (j *Journal) Append() error {
 		mark, marked := j.marks[t.id]
 		known := marked && mark.gen == t.gen
 		c := change{id: t.id}
+		if known {
+			// Everything before the mark is durable: the log lets it go.
+			t.observations.drop(mark.obs)
+		}
 		switch {
 		case !known, t.quarantined.Load() != mark.quar:
 			// Never journaled under this incarnation, or the quarantine
-			// latch flipped since the last frame: write a full base (a
-			// later base frame for the same id replaces the assembled
+			// latch flipped since the last frame: write a checkpoint base
+			// (a later base frame for the same id replaces the assembled
 			// state wholesale, so no remove is needed for the quarantine
-			// re-base).
+			// re-base) and log the counts past it.
 			snap, err := t.snapshot()
 			if err != nil {
 				return c, err
 			}
-			c.frame = &logFrame{Kind: frameBase, Base: &snap}
-			c.mark = journalMark{obs: len(snap.Observations), gen: t.gen, quar: snap.Quarantined}
+			t.journaled = true
+			t.observations.restart(snap.Bins)
+			c.frame = &logFrame{Kind: frameCheckpoint, Base: &snap}
+			c.mark = journalMark{obs: snap.Bins, gen: t.gen, quar: snap.Quarantined}
 			c.stale = marked && !known
 		case t.observations.len() > mark.obs:
 			counts := t.observations.tail(mark.obs)
@@ -242,7 +252,7 @@ func (j *Journal) Append() error {
 			}
 			written += n
 		}
-		if c.frame.Kind == frameBase {
+		if c.frame.Base != nil {
 			n, more, err := writeArtifactFrames(fw, c.frame.Base, j.artifacts)
 			written += n
 			added = append(added, more...)
@@ -342,7 +352,7 @@ func (j *Journal) Compact() error {
 }
 
 func (j *Journal) compactLocked() error {
-	snaps, err := j.fl.captureAll()
+	snaps, err := j.fl.captureAll(true)
 	if err != nil {
 		return err
 	}
@@ -385,7 +395,7 @@ func (j *Journal) compactLocked() error {
 	}
 	marks := make(map[string]journalMark, len(snaps))
 	for i := range snaps {
-		marks[snaps[i].ID] = journalMark{obs: len(snaps[i].Observations), gen: snaps[i].gen, quar: snaps[i].Quarantined}
+		marks[snaps[i].ID] = journalMark{obs: snaps[i].Bins, gen: snaps[i].gen, quar: snaps[i].Quarantined}
 	}
 	j.marks = marks
 	j.artifacts = held
@@ -410,9 +420,10 @@ func (j *Journal) Stats() JournalStats {
 	}
 }
 
-// Close releases the journal's file handle. The log on disk stays valid;
-// reopen with OpenJournal. Callers wanting the newest observations
-// persisted should Append (or Compact) first.
+// Close releases the journal's file handle, and the fleet's tenants stop
+// logging counts for it. The log on disk stays valid; reopen with
+// OpenJournal. Callers wanting the newest observations persisted should
+// Append (or Compact) first.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -421,5 +432,16 @@ func (j *Journal) Close() error {
 	}
 	err := j.file.Close()
 	j.file = nil
+	j.stopLogging()
 	return err
+}
+
+// stopLogging has every tenant drop its log and log no more. A closed
+// fleet has no tenants left to tell.
+func (j *Journal) stopLogging() {
+	_, _ = sweep(j.fl, func(t *tenant) (struct{}, error) {
+		t.journaled = false
+		t.observations = obsLog{}
+		return struct{}{}, nil
+	})
 }

@@ -48,8 +48,10 @@ func fleetStates(t *testing.T, f *Fleet) map[string]TenantState {
 // tenants a and b behind one artifact frame, written by a compaction (the
 // file the earlier deltas went to is replaced), then delta appends, b's
 // quarantine re-base and a last delta for a. It returns the log and every
-// durable point the file passed after the compaction.
-func buildPrefixJournal(t *testing.T) ([]byte, []durablePoint) {
+// durable point the file passed after the compaction. With stop > 0 it
+// stops at the stop-th durable point and also returns the live fleet
+// there.
+func buildPrefixJournal(t *testing.T, stop int) ([]byte, []durablePoint, *Fleet) {
 	t.Helper()
 	path := journalPath(t)
 	f := panicFleet(t, 2)
@@ -72,48 +74,48 @@ func buildPrefixJournal(t *testing.T) ([]byte, []durablePoint) {
 		}
 	}
 	var points []durablePoint
-	mark := func() {
-		t.Helper()
-		data, err := os.ReadFile(path)
-		if err != nil {
+	// Each step ends at a durable point.
+	steps := []func() error{
+		func() error {
+			observe("a", 200, 250)
+			observe("b", 300)
+			if err := j.Append(); err != nil {
+				return err
+			}
+			observe("a", 150)
+			return j.Compact()
+		},
+		func() error {
+			observe("a", 220, 180)
+			observe("b", 260, 240)
+			return j.Append()
+		},
+		func() error {
+			if _, err := f.Observe("b", panicCount); !errors.Is(err, ErrTenantQuarantined) {
+				t.Fatalf("tenant b did not quarantine: %v", err)
+			}
+			observe("a", 210)
+			return j.Append()
+		},
+		func() error {
+			observe("a", 190)
+			return j.Append()
+		},
+	}
+	var data []byte
+	for _, step := range steps {
+		if err := step(); err != nil {
+			t.Fatal(err)
+		}
+		if data, err = os.ReadFile(path); err != nil {
 			t.Fatal(err)
 		}
 		points = append(points, durablePoint{size: len(data), states: fleetStates(t, f)})
+		if len(points) == stop {
+			break
+		}
 	}
-	observe("a", 200, 250)
-	observe("b", 300)
-	if err := j.Append(); err != nil {
-		t.Fatal(err)
-	}
-	observe("a", 150)
-	if err := j.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	mark()
-	observe("a", 220, 180)
-	observe("b", 260, 240)
-	if err := j.Append(); err != nil {
-		t.Fatal(err)
-	}
-	mark()
-	if _, err := f.Observe("b", panicCount); !errors.Is(err, ErrTenantQuarantined) {
-		t.Fatalf("tenant b did not quarantine: %v", err)
-	}
-	observe("a", 210)
-	if err := j.Append(); err != nil {
-		t.Fatal(err)
-	}
-	mark()
-	observe("a", 190)
-	if err := j.Append(); err != nil {
-		t.Fatal(err)
-	}
-	mark()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data, points
+	return data, points, f
 }
 
 // frameEnds walks the log's frame headers on its own — without the reader
@@ -165,7 +167,7 @@ func recoverStates(log []byte) (map[string]TenantState, error) {
 // never contributes a tenant or a bin. OpenJournal itself, compaction
 // included, recovers one cut inside every frame.
 func TestJournalEveryPrefixRecovers(t *testing.T) {
-	log, points := buildPrefixJournal(t)
+	log, points, _ := buildPrefixJournal(t, 0)
 	ends := frameEnds(t, log)
 	// want[k] is the state the strict read of the first k frames gives.
 	want := make([]map[string]TenantState, len(ends))
@@ -250,7 +252,7 @@ func TestJournalEveryPrefixRecovers(t *testing.T) {
 // loudly or leaves each tenant in a state it held at some frame boundary
 // of the real log — never one assembled from frames that do not follow.
 func TestJournalDroppedOrDuplicatedFrame(t *testing.T) {
-	log, _ := buildPrefixJournal(t)
+	log, _, _ := buildPrefixJournal(t, 0)
 	ends := frameEnds(t, log)
 	held := map[string][]TenantState{}
 	for _, end := range ends {
@@ -294,5 +296,29 @@ func TestJournalDroppedOrDuplicatedFrame(t *testing.T) {
 				t.Fatalf("frame %d dropped: tenant %s recovered to %+v, a state it never held", k, id, st)
 			}
 		}
+	}
+}
+
+// TestJournalCrashRecoveryEqualsUninterrupted runs the checkpoint property
+// over the journal: a process that dies at any durable point of the
+// every-prefix journal recovers, through OpenJournal, to the fleet that
+// kept running — the same states and telemetry cursors, then the same
+// decisions, records and close records (see sameFleets), the quarantined
+// tenant included.
+func TestJournalCrashRecoveryEqualsUninterrupted(t *testing.T) {
+	_, points, _ := buildPrefixJournal(t, 0)
+	for stop := 1; stop <= len(points); stop++ {
+		log, _, live := buildPrefixJournal(t, stop)
+		path := journalPath(t)
+		if err := os.WriteFile(path, log, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		recovered := panicFleet(t, 1)
+		j, err := OpenJournal(recovered, path, JournalConfig{})
+		if err != nil {
+			t.Fatalf("durable point %d: %v", stop, err)
+		}
+		sameFleets(t, live, recovered, 0, 3)
+		j.Close()
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 	"sort"
 
 	"hierctl/internal/controller"
@@ -57,10 +58,18 @@ import (
 const snapshotMagic = "HPMSNAP2"
 
 const (
+	// frameBase is the base kind of logs written before checkpoints: a
+	// tenant's configuration and its whole count stream from genesis. Read
+	// only.
 	frameBase byte = iota + 1
 	frameDelta
 	frameRemove
 	frameArtifact
+	// frameCheckpoint is the base kind the writer writes: a tenant's
+	// configuration, its checkpointed state and the counts since. A kind of
+	// its own, so a reader that predates checkpoints refuses the log
+	// instead of restoring the tenant from genesis with the tail alone.
+	frameCheckpoint
 )
 
 // Artifact kinds carried by artifact frames.
@@ -72,6 +81,10 @@ const (
 // maxFramePayload bounds a single frame (64 MiB) so a corrupt or
 // hostile length header cannot drive an arbitrary allocation.
 const maxFramePayload = 64 << 20
+
+// maxBaseBins bounds the bin a checkpoint base stands at, far past any
+// tenant's uptime, so the gap rule's arithmetic cannot overflow.
+const maxBaseBins = 1 << 40
 
 var (
 	// errTornFrame marks a frame cut short by EOF — recoverable crash
@@ -115,8 +128,16 @@ type artifactRef struct {
 }
 
 type tenantSnap struct {
-	ID           string
-	Config       TenantConfig
+	ID     string
+	Config TenantConfig
+	// Checkpoint is the tenant's session state after its first Bins bins
+	// (core.Session.Checkpoint). Empty in a frameBase frame, and for a
+	// tenant stopped mid-bin by a failed step, which has no consistent
+	// state: both start from genesis, with Bins 0.
+	Checkpoint []byte
+	Bins       int
+	// Observations are the counts of the bins after the checkpoint — every
+	// count since genesis in a frameBase frame; a captured tenant has none.
 	Observations []float64
 	// Quarantined persists the panic-quarantine latch: a restored tenant
 	// that was quarantined stays quarantined (its observation log ends at
@@ -140,13 +161,15 @@ type tenantSnap struct {
 // it: the union of the per-kind wire structs below.
 type logFrame struct {
 	Kind byte
-	// Base carries a tenant's full state (Kind == frameBase).
+	// Base carries a tenant's full state (Kind == frameBase or
+	// frameCheckpoint).
 	Base *tenantSnap
 	// ID names the tenant of a delta or remove frame.
 	ID string
-	// From is the observation-log index of Counts[0]; replay appends
-	// only the counts past the assembled log's length, so re-sent
-	// frames (crash between write and mark update) are idempotent.
+	// From is the absolute bin index of Counts[0]; replay appends only
+	// the counts past the bins the assembled tenant already has, so
+	// re-sent frames (crash between write and mark update) are
+	// idempotent.
 	From   int
 	Counts []float64
 	// Digest, Artifact and Data carry one serialized learning artifact
@@ -181,7 +204,7 @@ type (
 
 func (fr *logFrame) wire() any {
 	switch fr.Kind {
-	case frameBase:
+	case frameBase, frameCheckpoint:
 		return baseWire{Kind: fr.Kind, Base: fr.Base}
 	case frameArtifact:
 		return artifactWire{Kind: fr.Kind, Digest: fr.Digest, Artifact: fr.Artifact, Data: fr.Data}
@@ -240,9 +263,9 @@ func readFrame(r io.Reader) (logFrame, error) {
 	if n == 0 || n > maxFramePayload {
 		return logFrame{}, fmt.Errorf("fleet: frame payload length %d outside (0, %d]", n, maxFramePayload)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return logFrame{}, errTornFrame
+	payload, err := readPayload(r, int(n))
+	if err != nil {
+		return logFrame{}, err
 	}
 	if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(hdr[4:]); got != want {
 		return logFrame{}, fmt.Errorf("fleet: frame checksum %08x, want %08x", got, want)
@@ -252,6 +275,30 @@ func readFrame(r io.Reader) (logFrame, error) {
 		return logFrame{}, fmt.Errorf("fleet: decode frame: %w", err)
 	}
 	return fr, nil
+}
+
+// payloadChunk is the most readPayload allocates ahead of the bytes that
+// have arrived.
+const payloadChunk = 64 << 10
+
+// readPayload reads an n-byte frame payload into a buffer that grows with
+// the bytes actually read — by doubling from payloadChunk — rather than
+// one sized by the header: a torn tail whose header claims up to
+// maxFramePayload costs what is behind the header, not the claim. A
+// payload cut short is errTornFrame.
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, 0, min(n, payloadChunk))
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(n-len(buf), len(buf)))
+		}
+		got, err := io.ReadFull(r, buf[len(buf):min(cap(buf), n)])
+		buf = buf[:len(buf)+got]
+		if err != nil {
+			return nil, errTornFrame
+		}
+	}
+	return buf, nil
 }
 
 // foldLog is the one reader of the frame log: it streams r frame by
@@ -275,8 +322,8 @@ func foldLog(r io.Reader, visit func(fr *logFrame, fresh []float64)) (*VerifyRep
 	if _, err := io.ReadFull(r, magic); err != nil || string(magic) != snapshotMagic {
 		return rep, fmt.Errorf("fleet: not a v2 snapshot log (bad magic)")
 	}
-	// live is the fold's own view of each tenant: the observation-log
-	// length the gap rule checks against, and the quarantine latch.
+	// live is the fold's own view of each tenant: the bins its state
+	// covers, which the gap rule checks against, and the quarantine latch.
 	type tenantCheck struct {
 		obs  int
 		quar bool
@@ -309,10 +356,16 @@ func foldLog(r io.Reader, visit func(fr *logFrame, fresh []float64)) (*VerifyRep
 				return rep, fmt.Errorf("fleet: frame %d: %w", rep.Frames, errArtifactDigest)
 			}
 			artifacts[d] = fr.Artifact
-		case frameBase:
+		case frameBase, frameCheckpoint:
 			rep.BaseFrames++
 			if fr.Base == nil || fr.Base.ID == "" {
 				return rep, fmt.Errorf("fleet: frame %d: base frame without tenant", rep.Frames)
+			}
+			// A base starts from genesis (Bins 0, no checkpoint) or from a
+			// checkpoint, which only the checkpoint kind carries.
+			if b := fr.Base; b.Bins < 0 || b.Bins > maxBaseBins ||
+				(len(b.Checkpoint) == 0 && b.Bins != 0) || (fr.Kind == frameBase && len(b.Checkpoint) > 0) {
+				return rep, fmt.Errorf("fleet: frame %d: tenant %q base at bin %d with a %d-byte checkpoint", rep.Frames, b.ID, b.Bins, len(b.Checkpoint))
 			}
 			ref := unresolved(fr.Base.GMaps, artifactGMap, artifacts)
 			if ref == nil {
@@ -322,7 +375,7 @@ func foldLog(r io.Reader, visit func(fr *logFrame, fresh []float64)) (*VerifyRep
 				return rep, fmt.Errorf("fleet: frame %d: tenant %q artifact %x: %w", rep.Frames, fr.Base.ID, ref.Digest, errArtifactMissing)
 			}
 			// A later base for the same id replaces the state wholesale.
-			live[fr.Base.ID] = tenantCheck{obs: len(fr.Base.Observations), quar: fr.Base.Quarantined}
+			live[fr.Base.ID] = tenantCheck{obs: fr.Base.Bins + len(fr.Base.Observations), quar: fr.Base.Quarantined}
 		case frameDelta:
 			rep.DeltaFrames++
 			st, ok := live[fr.ID]
@@ -411,7 +464,7 @@ func assembleLog(r io.Reader, tolerateTorn bool) (*assembledLog, error) {
 		case frameArtifact:
 			d, _ := asDigest(fr.Digest)
 			blobs[d] = fr.Data
-		case frameBase:
+		case frameBase, frameCheckpoint:
 			if _, seen := states[fr.Base.ID]; !seen {
 				order = append(order, fr.Base.ID)
 			}
@@ -444,9 +497,18 @@ func assembleLog(r io.Reader, tolerateTorn bool) (*assembledLog, error) {
 // captureAll snapshots every tenant, sorted by id: one sweep, so each
 // capture runs on the tenant's home shard (serialized against in-flight
 // observations) and shards capture concurrently; tenants removed
-// mid-capture are skipped.
-func (f *Fleet) captureAll() ([]tenantSnap, error) {
-	return sweep(f, (*tenant).snapshot)
+// mid-capture are skipped. A journal's capture (journaled) also has every
+// tenant log its counts from the checkpoint on, until its journal marks
+// them durable.
+func (f *Fleet) captureAll(journaled bool) ([]tenantSnap, error) {
+	return sweep(f, func(t *tenant) (tenantSnap, error) {
+		snap, err := t.snapshot()
+		if err == nil && journaled && !t.journaled {
+			t.journaled = true
+			t.observations.restart(snap.Bins)
+		}
+		return snap, err
+	})
 }
 
 // writeArtifactFrames writes an artifact frame for every artifact snap
@@ -496,7 +558,7 @@ func writeBaseLog(w io.Writer, snaps []tenantSnap) (int64, map[digest]bool, erro
 		}
 	}
 	for i := range snaps {
-		n, err := fw.frame(&logFrame{Kind: frameBase, Base: &snaps[i]})
+		n, err := fw.frame(&logFrame{Kind: frameCheckpoint, Base: &snaps[i]})
 		if err != nil {
 			return written, nil, err
 		}
@@ -505,11 +567,12 @@ func writeBaseLog(w io.Writer, snaps []tenantSnap) (int64, map[digest]bool, erro
 	return written, held, nil
 }
 
-// Snapshot serializes every tenant's controller state to w as a base log:
-// each distinct learned artifact once, then one base frame per tenant
-// (sorted by tenant id — identical fleet state yields identical bytes).
+// Snapshot serializes every tenant's state to w as a base log: each
+// distinct learned artifact once, then one checkpoint base frame per
+// tenant (sorted by tenant id — identical fleet state yields identical
+// bytes).
 func (f *Fleet) Snapshot(w io.Writer) error {
-	snaps, err := f.captureAll()
+	snaps, err := f.captureAll(false)
 	if err != nil {
 		return err
 	}
@@ -524,9 +587,9 @@ func (f *Fleet) Snapshot(w io.Writer) error {
 // Journal and registers them. Each distinct artifact in the log is decoded
 // once and shared, through the fleet's artifact store, by every tenant
 // that references it (and by tenants of the same fingerprint created
-// later); restores then fan out across tenants, each replaying its
-// observation log to reconstruct the exact controller state. Strict: a
-// truncated log is an error (use OpenJournal for crash-tolerant recovery).
+// later); restores then fan out across tenants, each restoring its
+// checkpoint and stepping the counts logged since. Strict: a truncated
+// log is an error (use OpenJournal for crash-tolerant recovery).
 func (f *Fleet) Restore(r io.Reader) error {
 	return f.restoreLog(r, false)
 }
@@ -620,16 +683,25 @@ func (f *Fleet) registerAll(tenants []*tenant) error {
 	return nil
 }
 
-// snapshot captures one tenant. Runs on the tenant's home shard. The
+// snapshot captures one tenant: its configuration, artifact references
+// and checkpoint. Runs on the tenant's home shard, whose scratch writer
+// encodes the checkpoint; the snapshot keeps an exact-size copy. The
 // artifacts' serialized forms are memoized with the (shared) artifacts, so
 // only the first capture of a fingerprint in the fleet encodes anything.
+// A tenant stopped mid-bin by a failed step has no checkpoint, and its base
+// starts it from genesis.
 func (t *tenant) snapshot() (tenantSnap, error) {
 	snap := tenantSnap{
-		ID:           t.id,
-		Config:       t.cfg,
-		Observations: t.observations.tail(0),
-		Quarantined:  t.quarantined.Load(),
-		gen:          t.gen,
+		ID:          t.id,
+		Config:      t.cfg,
+		Quarantined: t.quarantined.Load(),
+		gen:         t.gen,
+	}
+	w := &t.home.ckpt
+	w.Reset(w.Bytes())
+	if t.sess.Checkpoint(w) == nil {
+		snap.Checkpoint = bytes.Clone(w.Bytes())
+		snap.Bins = t.bins
 	}
 	art := t.mgr.Artifacts()
 	var err error
@@ -660,8 +732,8 @@ func refsTo[T interface {
 }
 
 // restoreTenant rebuilds one tenant from its assembled state: its logged
-// artifacts (already decoded, shared) go to the store with it, and the
-// observation log is replayed.
+// artifacts (already decoded, shared) go to the store with it, its
+// checkpoint (if any) is restored, and the counts since are stepped.
 func restoreTenant(s tenantSnap, store *core.ArtifactStore, gmaps map[digest]*controller.GMap, trees map[digest]*controller.TreeJTilde) (*tenant, error) {
 	logged := &core.ArtifactSet{
 		GMaps: make(map[string]*controller.GMap, len(s.GMaps)),
@@ -679,6 +751,17 @@ func restoreTenant(s tenantSnap, store *core.ArtifactStore, gmaps map[digest]*co
 	if err != nil {
 		return nil, err
 	}
+	if len(s.Checkpoint) > 0 {
+		err = t.sess.RestoreCheckpoint(s.Checkpoint)
+		if bins, _, _ := t.sess.Progress(); err == nil && bins != s.Bins {
+			err = fmt.Errorf("checkpoint at bin %d, base at %d", bins, s.Bins)
+		}
+		if err != nil {
+			t.mgr.Release()
+			return nil, fmt.Errorf("fleet: tenant %s checkpoint: %w", s.ID, err)
+		}
+		t.bins = s.Bins
+	}
 	for _, count := range s.Observations {
 		if err := t.step(count); err != nil {
 			t.mgr.Release()
@@ -688,8 +771,8 @@ func restoreTenant(s tenantSnap, store *core.ArtifactStore, gmaps map[digest]*co
 	if s.Quarantined {
 		t.quarantined.Store(true)
 	}
-	// The replay is reconstruction, not work this fleet did: the telemetry
-	// fold starts past it.
+	// The restore is reconstruction, not work this fleet did: the
+	// telemetry fold starts past it.
 	t.cursor = t.mgr.Recorder().Total()
 	t.operational = t.sess.Operational()
 	return t, nil

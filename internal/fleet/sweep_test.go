@@ -17,32 +17,52 @@ func sweepTenantConfig(seed int64) TenantConfig {
 	return tc
 }
 
+// TestObsLog pins the journaled tenant's count log: absolute bin indices
+// from its start, tail copies, and a dropped prefix that keeps the backing
+// array for the counts after it.
 func TestObsLog(t *testing.T) {
 	var l obsLog
 	if l.len() != 0 || l.tail(0) != nil {
 		t.Fatalf("empty log: len %d, tail %v", l.len(), l.tail(0))
 	}
-	const n = 2*obsChunk + 7
+	l.restart(100)
+	const n = 1031
 	want := make([]float64, n)
 	for i := range want {
 		want[i] = float64(3 * i)
 		l.add(want[i])
 	}
-	if l.len() != n {
-		t.Fatalf("len = %d, want %d", l.len(), n)
+	if l.len() != 100+n {
+		t.Fatalf("len = %d, want %d", l.len(), 100+n)
 	}
-	for _, from := range []int{0, 1, obsChunk - 1, obsChunk, obsChunk + 1, 2 * obsChunk, n - 1} {
-		if got := l.tail(from); !reflect.DeepEqual(got, want[from:]) {
-			t.Errorf("tail(%d): %d entries starting %v, want %d starting %v", from, len(got), got[:1], n-from, want[from])
+	for _, from := range []int{100, 101, 611, 100 + n - 1} {
+		if got := l.tail(from); !reflect.DeepEqual(got, want[from-100:]) {
+			t.Errorf("tail(%d): %d entries starting %v, want %d starting %v", from, len(got), got[:1], n-from+100, want[from-100])
 		}
 	}
-	if got := l.tail(n); got != nil {
+	if got := l.tail(100 + n); got != nil {
 		t.Errorf("tail(len) = %v, want nil", got)
 	}
-	tail := l.tail(n - 2)
+	tail := l.tail(100 + n - 2)
 	tail[0] = -1
-	if l.tail(n - 2)[0] != want[n-2] {
+	if l.tail(100 + n - 2)[0] != want[n-2] {
 		t.Error("tail aliases the log")
+	}
+	backing := &l.counts[:1][0]
+	l.drop(600)
+	if got := l.tail(600); !reflect.DeepEqual(got, want[500:]) || l.len() != 100+n {
+		t.Fatalf("after drop(600): len %d, tail %d entries", l.len(), len(got))
+	}
+	if &l.counts[:1][0] != backing {
+		t.Error("drop moved the log off its backing array")
+	}
+	l.drop(550) // before the start: nothing to drop
+	if l.from != 600 {
+		t.Errorf("drop below the start moved it to %d", l.from)
+	}
+	l.drop(5000) // past the end: an empty log from there
+	if l.len() != 5000 || l.tail(5000) != nil {
+		t.Errorf("drop past the end: len %d, tail %v", l.len(), l.tail(5000))
 	}
 }
 

@@ -172,10 +172,13 @@ func TestFleetTelemetryDisabled(t *testing.T) {
 	}
 }
 
-// TestFleetTelemetrySurvivesRestore pins the snapshot contract: the
-// recorder size is configuration (persisted), the ring is state
-// (ephemeral) — but because restores replay the observation log, the
-// restored tenant's ring is rebuilt with the same record stream.
+// TestFleetTelemetrySurvivesRestore pins the snapshot contract for the
+// flight recorder: the recorder size is configuration (persisted) and its
+// Total is state (checkpointed), but the ring is a bounded window for
+// pollers, not state — a restored tenant's starts empty. A client's cursor
+// stays valid across the restore: the records before the checkpoint read
+// as overwritten, and every record after it is the one the uninterrupted
+// tenant writes.
 func TestFleetTelemetrySurvivesRestore(t *testing.T) {
 	f1 := New(Config{Shards: 1})
 	defer f1.Close()
@@ -191,7 +194,7 @@ func TestFleetTelemetrySurvivesRestore(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want, wantCur, err := f1.Telemetry("a", 0)
+	_, cursor, err := f1.Telemetry("a", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,11 +212,24 @@ func TestFleetTelemetrySurvivesRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gotCur != wantCur {
-		t.Fatalf("restored cursor %d, want %d", gotCur, wantCur)
+	if gotCur != cursor || len(got) != 0 {
+		t.Fatalf("restored ring holds %d records at cursor %d, want none at %d", len(got), gotCur, cursor)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("restored window has %d records, want %d", len(got), len(want))
+	for _, f := range []*Fleet{f1, f2} {
+		if _, err := f.Observe("a", 820); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, wantNext, err := f1.TelemetrySince("a", cursor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, gotNext, err := f2.TelemetrySince("a", cursor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotNext != wantNext || len(got) != len(want) || len(want) == 0 {
+		t.Fatalf("after one more bin: restored %d records to cursor %d, original %d to %d", len(got), gotNext, len(want), wantNext)
 	}
 	for i := range want {
 		w, g := want[i], got[i]
@@ -267,7 +283,7 @@ func TestTelemetryRecordsBounded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fr.Kind == frameBase {
+		if fr.Base != nil {
 			fr.Base.Config.TelemetryRecords = 1 << 40
 			bases++
 		}

@@ -48,8 +48,8 @@ type TenantConfig struct {
 	// (≈ 17 MB); records averaging over the budget — none the hierarchy
 	// writes on the daemon's tenant shapes — would double the arena, to
 	// 128 bytes per record at worst. Part of the configuration, so
-	// snapshots persist it; the ring itself is ephemeral — a restore
-	// re-fills it by replaying the observation log.
+	// snapshots persist it; the ring itself is ephemeral — a restored
+	// tenant's starts empty, its Total carried on from the checkpoint.
 	TelemetryRecords int
 }
 
@@ -118,15 +118,15 @@ type tenant struct {
 	// per-tenant marks; it is process-local and never persisted.
 	gen uint64
 
-	// observations is the event-sourcing log: the exact count stream fed
-	// so far. Snapshots persist it; restores replay it (runs are
-	// deterministic per seed, so replay reconstructs the exact state).
-	// Known limitation: the log grows one float per bin for the tenant's
-	// lifetime — the only state of a tenant that does (pinned by
-	// TestTenantFootprintFlatInUptime) — so snapshot size and restore
-	// replay time grow with uptime; very long-lived tenants will want
-	// periodic compaction (close + recreate, or a future checkpoint
-	// format).
+	// bins counts the bins applied cleanly: the absolute index the journal's
+	// marks and delta frames count in.
+	bins int
+	// journaled is set once a journal has captured the tenant's checkpoint;
+	// from then on observations logs every count past it, and the journal
+	// drops the prefix its marks have made durable (see Journal.Append).
+	// Without a journal a tenant logs nothing: snapshots carry its
+	// checkpoint, so nothing it keeps grows with uptime.
+	journaled    bool
 	observations obsLog
 
 	// The tenant's share of the step-time telemetry fold (see shard.fold):
@@ -208,12 +208,15 @@ func newTenant(id string, tc TenantConfig, artifacts *core.ArtifactStore, logged
 // here — live, batched or replayed — so this is where its count is checked.
 func (t *tenant) step(count float64) error {
 	if err := CheckBinCount(count); err != nil {
-		return fmt.Errorf("fleet: tenant %s bin %d: %w", t.id, t.observations.len(), err)
+		return fmt.Errorf("fleet: tenant %s bin %d: %w", t.id, t.bins, err)
 	}
 	if err := t.sess.StepBin(count); err != nil {
 		return err
 	}
-	t.observations.add(count)
+	t.bins++
+	if t.journaled {
+		t.observations.add(count)
+	}
 	return nil
 }
 
@@ -231,46 +234,49 @@ func (t *tenant) state() TenantState {
 		SimTime:     simTime,
 		Quarantined: t.quarantined.Load(),
 	}
-	if t.observations.len() > 0 {
+	if t.bins > 0 {
 		dec := t.sess.Decision()
 		st.LastDecision = &dec
 	}
 	return st
 }
 
-// obsChunk is the observation log's growth unit: 512 counts, one 4 KB
-// allocation.
-const obsChunk = 512
-
-// obsLog is an append-only log of observation counts held in fixed-size
-// chunks: an entry costs its own 8 bytes and the log never re-copies its
-// history to grow, where one appended slice paid ~27 B per entry in
-// copy-on-grow garbage. The zero value is an empty log.
+// obsLog is a journaled tenant's count stream past its last durable
+// mark: the counts of bins [from, len()). The journal drops the prefix its
+// marks have made durable, so the log spans about two journal intervals,
+// and a dropped prefix leaves its backing array to the counts after it:
+// a steady tenant's log allocates nothing once it has grown to its
+// interval. The zero value is an empty log from bin 0.
 type obsLog struct {
-	chunks []*[obsChunk]float64
-	n      int
+	from   int
+	counts []float64
 }
 
-func (l *obsLog) len() int { return l.n }
+// len returns the bin one past the last logged count.
+func (l *obsLog) len() int { return l.from + len(l.counts) }
 
-func (l *obsLog) add(count float64) {
-	if l.n%obsChunk == 0 {
-		l.chunks = append(l.chunks, new([obsChunk]float64))
-	}
-	l.chunks[l.n/obsChunk][l.n%obsChunk] = count
-	l.n++
-}
+func (l *obsLog) add(count float64) { l.counts = append(l.counts, count) }
 
-// tail returns a fresh copy of the entries from index from on (nil when
-// there are none).
+// tail returns a fresh copy of the counts from bin from on (nil when there
+// are none). from must not precede the log's start.
 func (l *obsLog) tail(from int) []float64 {
-	if from >= l.n {
+	if from >= l.len() {
 		return nil
 	}
-	out := make([]float64, 0, l.n-from)
-	for at := from; at < l.n; at = (at/obsChunk + 1) * obsChunk {
-		end := min(l.n-at/obsChunk*obsChunk, obsChunk)
-		out = append(out, l.chunks[at/obsChunk][at%obsChunk:end]...)
-	}
-	return out
+	return append([]float64(nil), l.counts[from-l.from:]...)
 }
+
+// drop forgets the counts before bin upto, keeping the backing array.
+func (l *obsLog) drop(upto int) {
+	switch {
+	case upto <= l.from:
+	case upto >= l.len():
+		l.restart(upto)
+	default:
+		n := copy(l.counts, l.counts[upto-l.from:])
+		l.from, l.counts = upto, l.counts[:n]
+	}
+}
+
+// restart empties the log to start at bin at.
+func (l *obsLog) restart(at int) { l.from, l.counts = at, l.counts[:0] }

@@ -3,9 +3,11 @@ package fleet
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -260,5 +262,25 @@ func TestVerifyJournalBadMagic(t *testing.T) {
 	}
 	if _, err := VerifyJournalFile(path); err == nil {
 		t.Error("verify accepted a file without the snapshot magic")
+	}
+}
+
+// TestTornHeaderAllocatesWhatArrived: a log whose last frame header claims
+// maxFramePayload with 16 bytes behind it is a torn tail, and reading it
+// allocates for the bytes that are there, not the 64 MiB the header names.
+func TestTornHeaderAllocatesWhatArrived(t *testing.T) {
+	log := []byte(snapshotMagic)
+	log = binary.LittleEndian.AppendUint32(log, maxFramePayload)
+	log = binary.LittleEndian.AppendUint32(log, 0)
+	log = append(log, make([]byte, 16)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rep, err := VerifyJournal(bytes.NewReader(log))
+	runtime.ReadMemStats(&after)
+	if err != nil || !rep.TornTail || rep.Frames != 0 {
+		t.Fatalf("report %+v, err %v; want a torn tail and no frames", rep, err)
+	}
+	if grown := after.TotalAlloc - before.TotalAlloc; grown >= 1<<20 {
+		t.Fatalf("reading a torn 16-byte payload allocated %d bytes, want < 1 MiB", grown)
 	}
 }

@@ -1,6 +1,10 @@
 package forecast
 
-import "fmt"
+import (
+	"fmt"
+
+	"hierctl/internal/ckpt"
+)
 
 // EWMA is the exponentially weighted moving-average filter the paper uses
 // for processing-time estimation: ĉ(k+1) = π·c(k) + (1−π)·ĉ(k−1) with
@@ -36,6 +40,19 @@ func (e *EWMA) Value() float64 { return e.value }
 // Started reports whether at least one sample has been observed.
 func (e *EWMA) Started() bool { return e.started }
 
+// Checkpoint appends the estimate; the smoothing constant is the
+// constructor's.
+func (e *EWMA) Checkpoint(w *ckpt.Writer) {
+	w.Float(e.value)
+	w.Bool(e.started)
+}
+
+// RestoreCheckpoint reads back what Checkpoint wrote.
+func (e *EWMA) RestoreCheckpoint(r *ckpt.Reader) {
+	e.value = r.Float()
+	e.started = r.Bool()
+}
+
 // Band tracks the running mean absolute one-step forecast error δ, the
 // "uncertainty band" λ̂ ± δ of §4.2 used for chattering mitigation. It is an
 // EWMA over |error| so recent accuracy dominates. The zero value is not
@@ -65,3 +82,9 @@ func (b *Band) Observe(forecast, actual float64) float64 {
 
 // Delta returns the current band half-width δ.
 func (b *Band) Delta() float64 { return b.ewma.Value() }
+
+// Checkpoint appends the band's state.
+func (b *Band) Checkpoint(w *ckpt.Writer) { b.ewma.Checkpoint(w) }
+
+// RestoreCheckpoint reads back what Checkpoint wrote.
+func (b *Band) RestoreCheckpoint(r *ckpt.Reader) { b.ewma.RestoreCheckpoint(r) }

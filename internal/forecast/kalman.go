@@ -10,6 +10,8 @@ package forecast
 import (
 	"fmt"
 	"math"
+
+	"hierctl/internal/ckpt"
 )
 
 // Kalman is a two-state Kalman filter over the local linear trend model
@@ -122,6 +124,29 @@ func (k *Kalman) Trend() float64 { return k.trend }
 
 // Steps returns the number of observations folded in so far.
 func (k *Kalman) Steps() int { return k.steps }
+
+// Checkpoint appends the filter's state estimate, covariance and step
+// count; its noise parameters are the constructor's and are not written.
+func (k *Kalman) Checkpoint(w *ckpt.Writer) {
+	w.Float(k.level)
+	w.Float(k.trend)
+	w.Float(k.p[0][0])
+	w.Float(k.p[0][1])
+	w.Float(k.p[1][0])
+	w.Float(k.p[1][1])
+	w.Int(int64(k.steps))
+}
+
+// RestoreCheckpoint reads back what Checkpoint wrote.
+func (k *Kalman) RestoreCheckpoint(r *ckpt.Reader) {
+	k.level = r.Float()
+	k.trend = r.Float()
+	k.p[0][0] = r.Float()
+	k.p[0][1] = r.Float()
+	k.p[1][0] = r.Float()
+	k.p[1][1] = r.Float()
+	k.steps = r.IntIn(0, math.MaxInt32, "kalman steps")
+}
 
 // Params returns the filter's noise parameters (qLevel, qTrend, rObs),
 // e.g. to instantiate fresh filters with tuned settings.

@@ -3,6 +3,8 @@ package metrics
 import (
 	"fmt"
 	"math"
+
+	"hierctl/internal/ckpt"
 )
 
 // Histogram is a log-bucketed latency histogram: bucket i covers
@@ -113,4 +115,28 @@ func (h *Histogram) Quantile(q float64) float64 {
 		}
 	}
 	return h.max
+}
+
+// Checkpoint appends the histogram's counts, sum and max; its bucket
+// layout is the constructor's and is not written.
+func (h *Histogram) Checkpoint(w *ckpt.Writer) {
+	for _, c := range h.buckets {
+		w.Uint(uint64(c))
+	}
+	w.Uint(uint64(h.under))
+	w.Uint(uint64(h.count))
+	w.Float(h.sum)
+	w.Float(h.max)
+}
+
+// RestoreCheckpoint reads back what Checkpoint wrote into a histogram of
+// the same layout.
+func (h *Histogram) RestoreCheckpoint(r *ckpt.Reader) {
+	for i := range h.buckets {
+		h.buckets[i] = int64(r.Uint())
+	}
+	h.under = int64(r.Uint())
+	h.count = int64(r.Uint())
+	h.sum = r.Float()
+	h.max = r.Float()
 }

@@ -8,6 +8,8 @@ package metrics
 import (
 	"fmt"
 	"math"
+
+	"hierctl/internal/ckpt"
 )
 
 // MAE returns the mean absolute error between two equal-length slices.
@@ -53,6 +55,22 @@ func (tw *TimeWeighted) FinishAt(t float64) float64 {
 
 // Total returns the integral accumulated so far.
 func (tw *TimeWeighted) Total() float64 { return tw.total }
+
+// Checkpoint appends the integral's state.
+func (tw *TimeWeighted) Checkpoint(w *ckpt.Writer) {
+	w.Float(tw.lastT)
+	w.Float(tw.lastV)
+	w.Float(tw.total)
+	w.Bool(tw.started)
+}
+
+// RestoreCheckpoint reads back what Checkpoint wrote.
+func (tw *TimeWeighted) RestoreCheckpoint(r *ckpt.Reader) {
+	tw.lastT = r.Float()
+	tw.lastV = r.Float()
+	tw.total = r.Float()
+	tw.started = r.Bool()
+}
 
 // Mean returns the time-weighted mean over [first observation, last], or 0
 // if less than two observations were made.

@@ -25,6 +25,8 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+
+	"hierctl/internal/ckpt"
 )
 
 // Level says which layer of the hierarchy a record describes.
@@ -199,11 +201,14 @@ type Recorder struct {
 	anchorTick []int64
 	capacity   int
 	tail       mark
-	total      uint64
-	end        int   // the offset the next record starts at
-	used       int   // arena bytes from tail to end
-	tick       int64 // current engine tick, stamped onto writes
-	last       int64 // tick of the newest record
+	// start is the sequence number of the first record the ring held: 0,
+	// or the total a checkpoint restored.
+	start uint64
+	total uint64
+	end   int   // the offset the next record starts at
+	used  int   // arena bytes from tail to end
+	tick  int64 // current engine tick, stamped onto writes
+	last  int64 // tick of the newest record
 	// hint is where the last read ended; reads from there on (the fleet
 	// folds each bin's records as it steps) walk nothing.
 	hint mark
@@ -393,12 +398,31 @@ func (r *Recorder) Total() uint64 {
 	return r.total
 }
 
+// Checkpoint appends the recorder's Total. The ring itself is not
+// written: it is a bounded window for pollers, not state a decision reads.
+func (r *Recorder) Checkpoint(w *ckpt.Writer) { w.Uint(r.Total()) }
+
+// RestoreCheckpoint empties the ring and continues numbering at the Total
+// Checkpoint wrote, so cursors taken before the checkpoint stay valid: a
+// poller behind it finds the records up to the checkpoint gone, as if the
+// ring had overwritten them.
+func (r *Recorder) RestoreCheckpoint(rd *ckpt.Reader) {
+	total := rd.Uint()
+	if r == nil {
+		return
+	}
+	r.total, r.start = total, total
+	r.tail = mark{seq: total}
+	r.end, r.used, r.last = 0, 0, 0
+	r.hint = r.tail
+}
+
 // Len returns how many records the ring currently retains.
 func (r *Recorder) Len() int {
 	if r == nil {
 		return 0
 	}
-	return int(min(r.total, uint64(r.capacity)))
+	return int(min(r.total-r.start, uint64(r.capacity)))
 }
 
 // Window appends the newest max retained records to dst, oldest first,

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sync"
 
+	"hierctl/internal/ckpt"
 	"hierctl/internal/series"
 )
 
@@ -166,6 +167,21 @@ func (f *Feed) Bins() int { return f.next }
 
 // BinSeconds returns the bin width in seconds.
 func (f *Feed) BinSeconds() float64 { return f.step }
+
+// Checkpoint appends the feed's position: the bins pushed so far. Its
+// random stream belongs to whoever built the feed and is not written, and
+// a feed is checkpointed between bins, holding no batch.
+func (f *Feed) Checkpoint(w *ckpt.Writer) { w.Int(int64(f.next)) }
+
+// RestoreCheckpoint reads back what Checkpoint wrote, releasing any batch.
+func (f *Feed) RestoreCheckpoint(r *ckpt.Reader) {
+	f.Release()
+	f.next = r.IntIn(0, maxBins, "bins")
+}
+
+// maxBins bounds a restored feed's bin count: far past any run, and far
+// from overflowing the tick count a harness derives from it.
+const maxBins = 1 << 40
 
 // Push ingests the next bin's arrival count and returns the bin index and
 // its synthesized requests, sorted by arrival time. The returned slice is

@@ -40,6 +40,7 @@ import (
 	"math"
 	"math/rand"
 
+	"hierctl/internal/ckpt"
 	"hierctl/internal/des"
 )
 
@@ -71,6 +72,8 @@ type Store struct {
 	popularCount int
 	popularShare float64
 
+	// stream is what the popularity samplers draw from, past the demands.
+	stream   *des.Stream
 	popZipf  *rand.Zipf
 	rareZipf *rand.Zipf
 
@@ -197,6 +200,7 @@ func NewStore(stream *des.Stream, cfg StoreConfig) (*Store, error) {
 		// half, so this is the history's final size: no growth later.
 		history: make([]int32, 0, cfg.HistoryCap+1),
 	}
+	s.stream = stream
 	origin := *stream
 	rng := rand.New(stream)
 	if cfg.TailFrac > 0 || !oneDrawEach(stream, cfg.Objects) {
@@ -300,5 +304,41 @@ func (s *Store) remember(id int) {
 		keep := s.historyCap / 2
 		copy(s.history, s.history[len(s.history)-keep:])
 		s.history = s.history[:keep]
+	}
+}
+
+// Checkpoint appends the store's mutable state: the position of its
+// popularity stream and the locality history, every entry and its length
+// (remember halves it past the cap, so the length is state, not a ring
+// position). The demands and samplers follow from the configuration.
+func (s *Store) Checkpoint(w *ckpt.Writer) {
+	st := s.stream.State()
+	w.Word(st.Hi)
+	w.Word(st.Lo)
+	w.Uint(uint64(len(s.history)))
+	for _, id := range s.history {
+		w.Uint(uint64(id))
+	}
+}
+
+// RestoreCheckpoint reads back what Checkpoint wrote into a store built
+// from the same configuration.
+func (s *Store) RestoreCheckpoint(r *ckpt.Reader) {
+	var st des.State
+	st.Hi, st.Lo = r.Word(), r.Word()
+	s.stream.SetState(st)
+	n := r.Count(1, "locality history")
+	if n > s.historyCap {
+		r.Fail("locality history of %d past its cap %d", n, s.historyCap)
+		n = 0
+	}
+	s.history = s.history[:n]
+	for i := range s.history {
+		id := r.Uint()
+		if id >= uint64(s.objects) {
+			r.Fail("locality history names object %d of %d", id, s.objects)
+			id = 0
+		}
+		s.history[i] = int32(id)
 	}
 }
