@@ -401,12 +401,13 @@ func runTickBench(w io.Writer, _ int64) (any, error) {
 
 // runFleetBench measures fleet capacity at the canonical tenant scales
 // (64, 1024 and 10240 tenants, 16 bins each, constant aggregate offered
-// load; the fleet's own shard workers set the parallelism). The
-// generation doubles as an equivalence check: it fails the checks fields
-// if batched ingest diverges from sequential Observe calls or a restored
-// fleet diverges from the original on the next bin.
+// load; the fleet's own shard workers set the parallelism), plus the
+// long-history row: the 64 tenants after 4096 bins. The generation
+// doubles as an equivalence check: it fails the checks fields if batched
+// ingest diverges from sequential Observe calls or a restored fleet
+// diverges from the original on the next bin.
 func runFleetBench(w io.Writer, _ int64) (any, error) {
-	snap, err := hierctl.RunFleetBench(16, []int{64, 1024, 10240})
+	snap, err := hierctl.RunFleetBench(16, []int{64, 1024, 10240}, 4096)
 	if err != nil {
 		return nil, err
 	}

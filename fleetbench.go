@@ -85,7 +85,9 @@ type FleetBenchChecks struct {
 	// a time (verified at the smallest scale).
 	BatchEqualsSequential bool `json:"batchEqualsSequential"`
 	// RestoreEqualsReplay: at every scale, a fleet restored from the
-	// snapshot produced bit-identical next-bin decisions to the original.
+	// snapshot produced bit-identical next-bin decisions to the original
+	// (the name predates checkpoints: the restored fleet's next bins equal
+	// the uninterrupted fleet's).
 	RestoreEqualsReplay bool `json:"restoreEqualsReplay"`
 }
 
@@ -115,8 +117,10 @@ const fleetBenchAggregate = 64 * 100
 // and snapshot/restore latency, holding the aggregate offered load per
 // round constant across scales. The generation doubles as an
 // equivalence check (see FleetBenchChecks); bins sets the measured
-// rounds per scale.
-func RunFleetBench(bins int, scales []int) (FleetBenchSnapshot, error) {
+// rounds per scale. A positive historyBins adds the long-history row: the
+// first scale's tenants again, after historyBins rounds, whose snapshot
+// and restore a checkpoint keeps at the short row's cost.
+func RunFleetBench(bins int, scales []int, historyBins int) (FleetBenchSnapshot, error) {
 	if bins < 1 {
 		return FleetBenchSnapshot{}, fmt.Errorf("hierctl: fleet bench needs >= 1 bin, got %d", bins)
 	}
@@ -143,6 +147,15 @@ func RunFleetBench(bins int, scales []int) (FleetBenchSnapshot, error) {
 		if si == 0 {
 			snap.Checks.BatchEqualsSequential = batchOK
 		}
+	}
+	if historyBins > 0 {
+		n := scales[0]
+		row, restoreOK, _, err := runFleetBenchScale(n, historyBins, fleetBenchAggregate/float64(n), false)
+		if err != nil {
+			return FleetBenchSnapshot{}, err
+		}
+		snap.Rows = append(snap.Rows, row)
+		snap.Checks.RestoreEqualsReplay = snap.Checks.RestoreEqualsReplay && restoreOK
 	}
 	return snap, nil
 }

@@ -17,7 +17,7 @@ func TestRunFleetBenchRejectsBadInputs(t *testing.T) {
 		{"zero scale", 2, []int{4, 0}, "scale 0"},
 	}
 	for _, tc := range cases {
-		_, err := RunFleetBench(tc.bins, tc.scales)
+		_, err := RunFleetBench(tc.bins, tc.scales, 0)
 		if err == nil || !strings.Contains(err.Error(), tc.frag) {
 			t.Errorf("%s: got %v, want error mentioning %q", tc.name, err, tc.frag)
 		}
@@ -29,7 +29,7 @@ func TestRunFleetBenchRejectsBadInputs(t *testing.T) {
 // equivalence checks passing — the same checks whose failure in a CI
 // regeneration flags a batched-ingest or snapshot regression.
 func TestRunFleetBenchSmall(t *testing.T) {
-	snap, err := RunFleetBench(2, []int{4, 8})
+	snap, err := RunFleetBench(2, []int{4, 8}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,6 +70,25 @@ func TestRunFleetBenchSmall(t *testing.T) {
 	}
 	if !snap.Checks.BatchEqualsSequential {
 		t.Error("batched ingest diverged from sequential Observe calls")
+	}
+	if !snap.Checks.RestoreEqualsReplay {
+		t.Error("restored fleet diverged from the original on the next bin")
+	}
+}
+
+// TestRunFleetBenchHistoryRow: the long-history row re-runs the first
+// scale's tenants for historyBins rounds, after the scale rows, under the
+// same restore check.
+func TestRunFleetBenchHistoryRow(t *testing.T) {
+	snap, err := RunFleetBench(2, []int{4}, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Rows) != 2 {
+		t.Fatalf("got %d rows, want the scale row and the history row", len(snap.Rows))
+	}
+	if row := snap.Rows[1]; row.Tenants != 4 || row.Bins != 5 || row.CountPerBin != snap.Rows[0].CountPerBin {
+		t.Errorf("history row %+v, want 4 tenants at 5 bins and the scale row's load", row)
 	}
 	if !snap.Checks.RestoreEqualsReplay {
 		t.Error("restored fleet diverged from the original on the next bin")

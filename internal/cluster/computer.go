@@ -570,7 +570,12 @@ func (c *Computer) RestoreCheckpoint(r *ckpt.Reader) {
 	c.first, c.last = nil, nil
 	c.head, c.tail, c.count = 0, 0, 0
 	for n := r.Count(2, "queued job"); n > 0; n-- {
-		c.Enqueue(r.Float(), r.Float())
+		arrival, demand := r.Float(), r.Float()
+		if math.IsNaN(arrival) || math.IsInf(arrival, 0) || !(demand >= 0) || math.IsInf(demand, 1) {
+			r.Fail("queued job at %v demanding %v", arrival, demand)
+			break
+		}
+		c.Enqueue(arrival, demand)
 	}
 	c.headServed = r.Float()
 	c.arrived = r.IntIn(math.MinInt32, math.MaxInt32, "arrivals")

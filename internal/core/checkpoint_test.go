@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"hierctl/internal/ckpt"
@@ -21,7 +23,7 @@ type checkpointRun struct {
 	mgr  *Manager
 }
 
-func newCheckpointRun(t *testing.T, store *ArtifactStore) checkpointRun {
+func newCheckpointRun(t testing.TB, store *ArtifactStore) checkpointRun {
 	t.Helper()
 	spec := cluster.Spec{Modules: []cluster.ModuleSpec{moduleOf("M1", 3), moduleOf("M2", 3)}}
 	mgr, err := store.NewManager(spec, fastConfig(), nil)
@@ -197,4 +199,40 @@ func TestSessionCheckpointRefusals(t *testing.T) {
 	if err := run.sess.Checkpoint(&w); err == nil {
 		t.Error("a finished session checkpointed")
 	}
+}
+
+// FuzzCheckpointDecode is the checkpoint reader's safety pin: restoring
+// any blob into a fresh session returns — an error for a corrupt one —
+// and never panics, and allocates in proportion to the blob (a count in
+// it cannot size an allocation past the bytes that follow). Seeds are
+// real checkpoints of a session with a failure plan in progress and
+// computers booting.
+func FuzzCheckpointDecode(f *testing.F) {
+	store := NewArtifactStore()
+	seed := newCheckpointRun(f, store)
+	for b := 0; b < 14; b++ {
+		if b%4 == 0 || b == 11 {
+			var w ckpt.Writer
+			if err := seed.sess.Checkpoint(&w); err != nil {
+				f.Fatal(err)
+			}
+			f.Add(w.Bytes())
+		}
+		if _, err := seed.sess.ObserveBin(checkpointLoad(b)); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		run := newCheckpointRun(t, store)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := run.sess.RestoreCheckpoint(blob)
+		runtime.ReadMemStats(&after)
+		if grown := after.TotalAlloc - before.TotalAlloc; grown > 64<<10+32*uint64(len(blob)) {
+			t.Fatalf("restoring a %d-byte blob allocated %d bytes", len(blob), grown)
+		}
+		if err != nil && !errors.Is(err, ckpt.ErrCorrupt) && !strings.HasPrefix(err.Error(), "core: checkpoint version") {
+			t.Fatalf("restore failed with %v, want a corrupt-checkpoint error", err)
+		}
+	})
 }

@@ -21,11 +21,13 @@
 //   - Online equals batch: a tenant stepped over a trace's bins is
 //     record-for-record identical to core's batch Manager.Run on that
 //     trace (pinned by TestFleetOnlineMatchesBatchRun).
-//   - Snapshots are event-sourced (config + learned artifacts +
-//     observation log); a restore replays the log deterministically, so
-//     the next K decisions after a restore are bit-identical to an
-//     uninterrupted run (pinned by the snapshot tests). Scenario failure
-//     plans ride in TenantConfig, so restores re-inject them.
+//   - Snapshots are checkpoints (config + learned artifacts + the
+//     tenant's state); a restore rebuilds the tenant from its
+//     configuration and puts the checkpointed state back, so the next K
+//     decisions, telemetry cursors and close record after a restore are
+//     those of an uninterrupted run (pinned by the checkpoint property
+//     tests). Scenario failure plans ride in TenantConfig, so restores
+//     re-inject them.
 //   - Learn once, share everywhere: the fleet holds one artifact store, so
 //     an abstraction map g or tree J̃ is learned once and kept in memory
 //     once per learning fingerprint however many tenants use it, and a
@@ -81,10 +83,10 @@ var (
 	ErrQueueFull = errors.New("fleet: shard ingest queue full")
 	// ErrTenantQuarantined is returned for stepping operations on a tenant
 	// whose controller stack panicked. The panic is recovered on the home
-	// shard (siblings keep running); the tenant's observation log holds
-	// only the bins applied before the fault, so snapshots and journal
-	// frames stay consistent. Reads (State, Telemetry) still work, and
-	// CloseTenant removes the tenant without attempting a drain.
+	// shard (siblings keep running); a tenant that panicked before its bin
+	// began is checkpointed at its last clean bin, so snapshots and
+	// journal frames stay consistent. Reads (State, Telemetry) still work,
+	// and CloseTenant removes the tenant without attempting a drain.
 	ErrTenantQuarantined = errors.New("fleet: tenant quarantined after panic")
 )
 
@@ -219,9 +221,9 @@ func (f *Fleet) exec(t *tenant, fn func()) error {
 // stack is recovered here — before the frame unwinds into the shard
 // loop, so sibling tenants (including same-shard ones) are unaffected —
 // and the tenant is quarantined: this bin and every later stepping
-// operation return ErrTenantQuarantined. The observation log gains an
-// entry only after a bin applies cleanly, so a quarantined tenant's
-// snapshot/journal state is exactly the pre-fault state. A clean bin's
+// operation return ErrTenantQuarantined. Its bin count and log gain an
+// entry only after a bin applies cleanly, so a tenant that panicked before
+// its bin began checkpoints to exactly the pre-fault state. A clean bin's
 // flight-recorder records are folded into the shard's telemetry aggregate
 // before anything else can overwrite them. A step that reaches the shard
 // behind the tenant's close job finds the tenant gone.

@@ -18,15 +18,18 @@ import (
 	"hierctl/internal/par"
 )
 
-// Snapshot format v2: an event-sourced frame log. Mid-run plant state
-// (queues, in-flight requests, RNG positions) is never serialized —
-// instead the log captures (a) each distinct learned artifact once, via
-// the controller/approx persistence layers (the expensive offline phase),
-// and per tenant (b) the configuration with references to its artifacts
-// and (c) the observation log. Because runs are deterministic per seed,
-// restoring = rebuild from artifacts + replay the log, which reconstructs
-// bit-identical controller state: the next K decisions after a restore
-// equal the original's.
+// Snapshot format v2: a frame log of checkpoints. The log captures (a)
+// each distinct learned artifact once, via the controller/approx
+// persistence layers (the expensive offline phase), and per tenant (b)
+// the configuration with references to its artifacts and (c) its
+// checkpoint: the tenant's state after its last clean bin — plant queues
+// and clocks, energy books, latency histogram, random-stream positions,
+// the store's locality history, estimators, each controller's previous
+// decision — as one versioned binary blob (core.Session.Checkpoint),
+// followed by the counts of any bins since. Restoring = rebuild from
+// configuration and artifacts, restore the checkpoint, step those counts:
+// the restored tenant's next decisions equal the original's, and a
+// restore costs the tenant's state, not its uptime.
 //
 // The container is a magic header followed by self-contained frames:
 //
@@ -37,24 +40,29 @@ import (
 // from its own narrow struct (baseWire, deltaWire, artifactWire), so a
 // frame pays for the type descriptors of its own fields only; the reader
 // decodes every kind into their union, logFrame (gob matches fields by
-// name). A full snapshot is a log of the artifact frames its tenants
-// reference followed by one base frame per tenant (sorted by id); the
-// Journal appends delta frames (counts since the tenant's last frame),
-// remove frames, and base frames for new tenants — preceded by the
-// artifact frames the log does not hold yet — to the same container,
-// which is what makes an interrupted journal restorable by the same
-// reader. A torn final frame — the signature of a crash mid-append — is
-// tolerated on the journal recovery path and rejected by strict Restore; a
-// checksum mismatch on a complete frame is corruption and always an error.
+// name). The checkpoint rides as one []byte field, so a base pays no
+// descriptor per piece of state. A full snapshot is a log of the artifact
+// frames its tenants reference followed by one checkpoint base frame per
+// tenant (sorted by id); the Journal appends delta frames (counts since
+// the tenant's last frame, indexed by absolute bin), remove frames, and
+// checkpoint bases for new or re-based tenants — preceded by the artifact
+// frames the log does not hold yet — to the same container, which is what
+// makes an interrupted journal restorable by the same reader. A torn final
+// frame — the signature of a crash mid-append — is tolerated on the
+// journal recovery path and rejected by strict Restore; a checksum
+// mismatch on a complete frame is corruption and always an error.
 //
-// Logs written before artifact frames existed embed each tenant's
-// artifact blobs in its base frame (artifactRef.Data) and encode
+// Logs written before checkpoints existed hold frameBase frames — a
+// tenant's configuration and every count since genesis — and still read:
+// such a base is a fresh tenant plus that tail, stepped through the same
+// restore path. Logs written before artifact frames existed embed each
+// tenant's artifact blobs in its base frame (artifactRef.Data) and encode
 // delta/remove frames from the full logFrame type; both remain readable.
 //
 // Frame bytes are deterministic: tenant artifacts ride as key-sorted
-// slices (gob map encoding is randomized), so identical fleet state
-// snapshots to identical bytes — the property that lets CI diff
-// regenerated snapshot sizes.
+// slices (gob map encoding is randomized) and a checkpoint carries no
+// wall-clock value, so identical fleet state snapshots to identical bytes
+// — the property that lets CI diff regenerated snapshot sizes.
 const snapshotMagic = "HPMSNAP2"
 
 const (
@@ -733,8 +741,11 @@ func refsTo[T interface {
 
 // restoreTenant rebuilds one tenant from its assembled state: its logged
 // artifacts (already decoded, shared) go to the store with it, its
-// checkpoint (if any) is restored, and the counts since are stepped.
-func restoreTenant(s tenantSnap, store *core.ArtifactStore, gmaps map[digest]*controller.GMap, trees map[digest]*controller.TreeJTilde) (*tenant, error) {
+// checkpoint (if any) is restored, and the counts since are stepped. A
+// checkpoint is read defensively, but a well-formed one can still hold
+// state no run reaches; a panic stepping from it fails this restore like
+// any other error instead of taking the process down.
+func restoreTenant(s tenantSnap, store *core.ArtifactStore, gmaps map[digest]*controller.GMap, trees map[digest]*controller.TreeJTilde) (_ *tenant, err error) {
 	logged := &core.ArtifactSet{
 		GMaps: make(map[string]*controller.GMap, len(s.GMaps)),
 		Trees: make(map[string]*controller.TreeJTilde, len(s.Trees)),
@@ -751,6 +762,12 @@ func restoreTenant(s tenantSnap, store *core.ArtifactStore, gmaps map[digest]*co
 	if err != nil {
 		return nil, err
 	}
+	defer func() {
+		if v := recover(); v != nil {
+			t.mgr.Release()
+			err = fmt.Errorf("fleet: tenant %s restore: %v", s.ID, v)
+		}
+	}()
 	if len(s.Checkpoint) > 0 {
 		err = t.sess.RestoreCheckpoint(s.Checkpoint)
 		if bins, _, _ := t.sess.Progress(); err == nil && bins != s.Bins {
