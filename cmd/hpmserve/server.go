@@ -785,7 +785,9 @@ const maxTelemetryWindow = 4096
 // recorded decisions (oldest first) plus the recorder's write cursor.
 // Records use the flight recorder's JSON shape (tick, level, module,
 // comp, freqIdx, ...); total only grows, so clients can diff it across
-// polls to detect how much they missed.
+// polls to detect how much they missed. A restart is one such gap: a
+// restored tenant's window starts empty and its total carries on from the
+// checkpoint.
 type telemetryDTO struct {
 	Tenant  string                    `json:"tenant"`
 	Total   uint64                    `json:"total"`

@@ -15,7 +15,7 @@
 // Invariant: learned artifacts serialize (persist.go) and reload
 // byte-faithfully, and lookups after a reload answer identically — the
 // property the artifact cache (core.Config.ArtifactDir) and the fleet's
-// event-sourced snapshots build on.
+// snapshots build on.
 //
 // Invariant: the steady-state lookup path is allocation-free. Table keys
 // cells by a single packed uint64 of quantized indices (one hash probe per

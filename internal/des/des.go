@@ -27,6 +27,8 @@ import (
 	"math/bits"
 	"math/rand"
 	randv2 "math/rand/v2"
+
+	"hierctl/internal/ckpt"
 )
 
 // Stream is one random stream: math/rand/v2's PCG generator (its two state
@@ -50,13 +52,20 @@ func (s *Stream) State() State {
 	return State{Hi: binary.BigEndian.Uint64(b[4:]), Lo: binary.BigEndian.Uint64(b[12:])}
 }
 
-// SetState positions the stream at st, the inverse of State: the draws
-// after it are the draws that followed st where it was read.
-func (s *Stream) SetState(st State) {
+// Checkpoint appends the stream's position: its two state words.
+func (s *Stream) Checkpoint(w *ckpt.Writer) {
+	st := s.State()
+	w.Word(st.Hi)
+	w.Word(st.Lo)
+}
+
+// RestoreCheckpoint positions the stream where Checkpoint read it: the
+// draws after it are the draws that followed there.
+func (s *Stream) RestoreCheckpoint(r *ckpt.Reader) {
 	var b [20]byte
 	copy(b[:], "pcg:")
-	binary.BigEndian.PutUint64(b[4:], st.Hi)
-	binary.BigEndian.PutUint64(b[12:], st.Lo)
+	binary.BigEndian.PutUint64(b[4:], r.Word())
+	binary.BigEndian.PutUint64(b[12:], r.Word())
 	_ = s.UnmarshalBinary(b[:]) // the layout MarshalBinary writes; never fails
 }
 

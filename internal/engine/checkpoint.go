@@ -5,7 +5,6 @@ import (
 
 	"hierctl/internal/ckpt"
 	"hierctl/internal/cluster"
-	"hierctl/internal/des"
 )
 
 // Checkpoint appends the harness's mutable state between two bins: the
@@ -25,11 +24,8 @@ func (h *Harness) Checkpoint(w *ckpt.Writer) error {
 		return fmt.Errorf("engine: checkpoint of a run under a chaos plan")
 	}
 	h.feed.Checkpoint(w)
-	for _, s := range [...]*des.Stream{h.dispatch, h.workload} {
-		st := s.State()
-		w.Word(st.Hi)
-		w.Word(st.Lo)
-	}
+	h.dispatch.Checkpoint(w)
+	h.workload.Checkpoint(w)
 	h.store.Checkpoint(w)
 	h.plant.Checkpoint(w)
 	for _, n := range [...]int{h.degraded, h.respTicks, h.violations} {
@@ -93,11 +89,8 @@ func (h *Harness) RestoreCheckpoint(r *ckpt.Reader) error {
 	}
 	h.feed.RestoreCheckpoint(r)
 	h.tick = h.feed.Bins() * h.sub
-	for _, s := range [...]*des.Stream{h.dispatch, h.workload} {
-		var st des.State
-		st.Hi, st.Lo = r.Word(), r.Word()
-		s.SetState(st)
-	}
+	h.dispatch.RestoreCheckpoint(r)
+	h.workload.RestoreCheckpoint(r)
 	h.store.RestoreCheckpoint(r)
 	h.plant.RestoreCheckpoint(r)
 	for _, n := range [...]*int{&h.degraded, &h.respTicks, &h.violations} {

@@ -31,8 +31,9 @@ const (
 // Journal maintains an incremental on-disk snapshot of a fleet: a frame
 // log (see snapshot.go) holding one full base snapshot plus the delta
 // frames appended since. Append writes only what changed — new tenants
-// as base frames (behind an artifact frame for any learned artifact the
-// log does not hold yet), grown tenants as observation deltas, closed
+// as checkpoint base frames (behind an artifact frame for any learned
+// artifact the log does not hold yet), grown tenants as deltas of the
+// counts past their mark, closed
 // tenants as removes — so steady-state persistence cost is proportional
 // to new observations, not fleet size. When the delta tail outgrows the base
 // (CompactFactor) or ages out (MaxAppends), the journal compacts: a
@@ -150,9 +151,11 @@ func OpenJournal(fl *Fleet, path string, cfg JournalConfig) (*Journal, error) {
 }
 
 // Append journals everything that changed since the last Append or
-// compaction: base frames for tenants the log has never seen (each behind
-// the artifact frames it references and the log lacks), delta frames for
-// grown observation logs, remove frames for closed tenants.
+// compaction: checkpoint base frames for tenants the log has never seen
+// (each behind the artifact frames it references and the log lacks),
+// delta frames of the counts past each tenant's mark, remove frames for
+// closed tenants. Its sweep drops from each tenant's log the counts the
+// last Append made durable.
 // A tenant closed and recreated under the same id (detected by its
 // registration generation) is retired and re-based — a remove frame then
 // a fresh base — never mistaken for growth of the old incarnation.

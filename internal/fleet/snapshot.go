@@ -148,9 +148,9 @@ type tenantSnap struct {
 	// count since genesis in a frameBase frame; a captured tenant has none.
 	Observations []float64
 	// Quarantined persists the panic-quarantine latch: a restored tenant
-	// that was quarantined stays quarantined (its observation log ends at
-	// the last clean bin, so the replayed state is consistent — but the
-	// fault that tripped it is in the config/workload, not the log, and
+	// that was quarantined stays quarantined (its checkpoint is its last
+	// clean bin, so the restored state is consistent — but the fault that
+	// tripped it is in the config/workload, not the state, and
 	// un-quarantining by restore would invite a re-panic). Decoded as
 	// false from frames written before the field existed.
 	Quarantined bool

@@ -111,8 +111,8 @@ func (top *TopTenants) raise(id string, count uint64) {
 
 // TelemetryTotals is the cumulative part of the fleet-wide telemetry fold
 // — what a shard accumulates at step time. It only grows: tenants closed
-// since keep their contribution. A restored tenant's replayed history is
-// not counted, like Stats.Observations.
+// since keep their contribution. A restored tenant's checkpointed history
+// is not counted, like Stats.Observations.
 type TelemetryTotals struct {
 	// Levels holds the per-level decision histograms, indexed like
 	// TelemetryLevels.

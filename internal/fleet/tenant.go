@@ -37,8 +37,8 @@ type TenantConfig struct {
 	// times relative to the first observation bin): events are quantized
 	// to T_L0 boundaries by the session engine; entries whose (Module,
 	// Comp) indices are not in Spec are skipped. The plan is part of the
-	// tenant's configuration, so snapshots persist it and restores replay
-	// it deterministically.
+	// tenant's configuration, so snapshots persist it and a restored
+	// tenant carries on with it from the checkpointed tick.
 	Failures []workload.FailureEvent
 	// TelemetryRecords sizes the tenant's decision flight recorder (the
 	// retained window of per-tick and per-controller records served by

@@ -12,14 +12,16 @@ type VerifyReport struct {
 	// Frames is the number of complete, checksum-clean frames scanned.
 	Frames int
 	// BaseFrames/DeltaFrames/RemoveFrames/ArtifactFrames break Frames down
-	// by kind. ArtifactFrames counts serialized learning artifacts — one
-	// per distinct content, not per tenant; zero in logs written before
-	// artifact frames existed (their base frames embed the blobs).
+	// by kind; BaseFrames counts both base kinds, checkpoints and the
+	// genesis bases of older logs. ArtifactFrames counts serialized
+	// learning artifacts — one per distinct content, not per tenant; zero
+	// in logs written before artifact frames existed (their base frames
+	// embed the blobs).
 	BaseFrames, DeltaFrames, RemoveFrames, ArtifactFrames int
 	// Tenants is the number of tenants live at the end of the log.
 	Tenants int
-	// Observations is the total observation-log length across live
-	// tenants after folding every delta.
+	// Observations is the total bins across live tenants after folding
+	// every delta: each base's checkpointed bins plus the counts after it.
 	Observations int64
 	// Quarantined counts live tenants whose persisted quarantine latch is
 	// set.
@@ -35,8 +37,8 @@ type VerifyReport struct {
 // length bound and CRC, artifact frames hashing to their digest, base
 // frames naming a tenant and referencing only artifacts already in the
 // log, delta frames referencing a known tenant with no gap past the
-// assembled log — without building any tenant (no artifact decode, no
-// replay), so it is cheap
+// assembled bins — without building any tenant (no artifact decode, no
+// restore), so it is cheap
 // enough to run against a large journal before trusting it. The scan is
 // read-only: the log is never modified.
 //

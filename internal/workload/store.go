@@ -199,8 +199,8 @@ func NewStore(stream *des.Stream, cfg StoreConfig) (*Store, error) {
 		// remember appends one past the cap before it drops the oldest
 		// half, so this is the history's final size: no growth later.
 		history: make([]int32, 0, cfg.HistoryCap+1),
+		stream:  stream,
 	}
-	s.stream = stream
 	origin := *stream
 	rng := rand.New(stream)
 	if cfg.TailFrac > 0 || !oneDrawEach(stream, cfg.Objects) {
@@ -312,9 +312,7 @@ func (s *Store) remember(id int) {
 // (remember halves it past the cap, so the length is state, not a ring
 // position). The demands and samplers follow from the configuration.
 func (s *Store) Checkpoint(w *ckpt.Writer) {
-	st := s.stream.State()
-	w.Word(st.Hi)
-	w.Word(st.Lo)
+	s.stream.Checkpoint(w)
 	w.Uint(uint64(len(s.history)))
 	for _, id := range s.history {
 		w.Uint(uint64(id))
@@ -324,9 +322,7 @@ func (s *Store) Checkpoint(w *ckpt.Writer) {
 // RestoreCheckpoint reads back what Checkpoint wrote into a store built
 // from the same configuration.
 func (s *Store) RestoreCheckpoint(r *ckpt.Reader) {
-	var st des.State
-	st.Hi, st.Lo = r.Word(), r.Word()
-	s.stream.SetState(st)
+	s.stream.RestoreCheckpoint(r)
 	n := r.Count(1, "locality history")
 	if n > s.historyCap {
 		r.Fail("locality history of %d past its cap %d", n, s.historyCap)
