@@ -407,7 +407,7 @@ func runTickBench(w io.Writer, _ int64) (any, error) {
 // ingest diverges from sequential Observe calls or a restored fleet
 // diverges from the original on the next bin.
 func runFleetBench(w io.Writer, _ int64) (any, error) {
-	snap, err := hierctl.RunFleetBench(16, []int{64, 1024, 10240}, 4096)
+	snap, err := hierctl.RunFleetBench(16, []int{64, 1024, 10240})
 	if err != nil {
 		return nil, err
 	}

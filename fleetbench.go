@@ -112,15 +112,19 @@ type FleetBenchSnapshot struct {
 // shrinking request-synthesis work per row.
 const fleetBenchAggregate = 64 * 100
 
+// fleetBenchHistory is how many times longer than a scale row the
+// long-history row runs: 4096 rounds at the canonical 16.
+const fleetBenchHistory = 256
+
 // RunFleetBench measures fleet capacity at the given tenant scales:
 // batched ingest throughput (tenant-ticks/sec), tenant creation cost,
 // and snapshot/restore latency, holding the aggregate offered load per
 // round constant across scales. The generation doubles as an
 // equivalence check (see FleetBenchChecks); bins sets the measured
-// rounds per scale. A positive historyBins adds the long-history row: the
-// first scale's tenants again, after historyBins rounds, whose snapshot
-// and restore a checkpoint keeps at the short row's cost.
-func RunFleetBench(bins int, scales []int, historyBins int) (FleetBenchSnapshot, error) {
+// rounds per scale. A last row, the long-history row, runs the first
+// scale's tenants again for fleetBenchHistory × bins rounds: a checkpoint
+// keeps their snapshot and restore near the short row's cost.
+func RunFleetBench(bins int, scales []int) (FleetBenchSnapshot, error) {
 	if bins < 1 {
 		return FleetBenchSnapshot{}, fmt.Errorf("hierctl: fleet bench needs >= 1 bin, got %d", bins)
 	}
@@ -148,15 +152,13 @@ func RunFleetBench(bins int, scales []int, historyBins int) (FleetBenchSnapshot,
 			snap.Checks.BatchEqualsSequential = batchOK
 		}
 	}
-	if historyBins > 0 {
-		n := scales[0]
-		row, restoreOK, _, err := runFleetBenchScale(n, historyBins, fleetBenchAggregate/float64(n), false)
-		if err != nil {
-			return FleetBenchSnapshot{}, err
-		}
-		snap.Rows = append(snap.Rows, row)
-		snap.Checks.RestoreEqualsReplay = snap.Checks.RestoreEqualsReplay && restoreOK
+	n := scales[0]
+	row, restoreOK, _, err := runFleetBenchScale(n, fleetBenchHistory*bins, fleetBenchAggregate/float64(n), false)
+	if err != nil {
+		return FleetBenchSnapshot{}, err
 	}
+	snap.Rows = append(snap.Rows, row)
+	snap.Checks.RestoreEqualsReplay = snap.Checks.RestoreEqualsReplay && restoreOK
 	return snap, nil
 }
 

@@ -17,7 +17,7 @@ func TestRunFleetBenchRejectsBadInputs(t *testing.T) {
 		{"zero scale", 2, []int{4, 0}, "scale 0"},
 	}
 	for _, tc := range cases {
-		_, err := RunFleetBench(tc.bins, tc.scales, 0)
+		_, err := RunFleetBench(tc.bins, tc.scales)
 		if err == nil || !strings.Contains(err.Error(), tc.frag) {
 			t.Errorf("%s: got %v, want error mentioning %q", tc.name, err, tc.frag)
 		}
@@ -25,16 +25,17 @@ func TestRunFleetBenchRejectsBadInputs(t *testing.T) {
 }
 
 // TestRunFleetBenchSmall runs the full generation at toy scales and pins
-// its invariants: one row per scale, constant aggregate load, and both
-// equivalence checks passing — the same checks whose failure in a CI
-// regeneration flags a batched-ingest or snapshot regression.
+// its invariants: one row per scale and the long-history row, constant
+// aggregate load, and both equivalence checks passing — the same checks
+// whose failure in a CI regeneration flags a batched-ingest or snapshot
+// regression.
 func TestRunFleetBenchSmall(t *testing.T) {
-	snap, err := RunFleetBench(2, []int{4, 8}, 0)
+	snap, err := RunFleetBench(2, []int{4, 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(snap.Rows) != 2 {
-		t.Fatalf("got %d rows, want 2", len(snap.Rows))
+	if len(snap.Rows) != 3 {
+		t.Fatalf("got %d rows, want the two scale rows and the history row", len(snap.Rows))
 	}
 	if snap.ComputersPerTenant != 2 {
 		t.Errorf("computersPerTenant = %d, want 2", snap.ComputersPerTenant)
@@ -76,19 +77,37 @@ func TestRunFleetBenchSmall(t *testing.T) {
 	}
 }
 
+// TestFleetBenchSnapshotGrowsWithTenants: at the same per-tenant load, a
+// larger fleet snapshots larger. (Across the scale rows the aggregate load
+// is held instead, and a checkpoint's size follows each tenant's queued
+// and remembered requests, so fewer, busier tenants can snapshot larger.)
+func TestFleetBenchSnapshotGrowsWithTenants(t *testing.T) {
+	var bytes [2]int64
+	for i, n := range []int{4, 8} {
+		row, _, _, err := runFleetBenchScale(n, 2, 100, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bytes[i] = row.SnapshotBytes
+	}
+	if bytes[1] <= bytes[0] {
+		t.Errorf("snapshot bytes did not grow with the fleet: %d at 4 tenants, %d at 8", bytes[0], bytes[1])
+	}
+}
+
 // TestRunFleetBenchHistoryRow: the long-history row re-runs the first
-// scale's tenants for historyBins rounds, after the scale rows, under the
-// same restore check.
+// scale's tenants for fleetBenchHistory times the rounds, after the scale
+// rows, under the same restore check.
 func TestRunFleetBenchHistoryRow(t *testing.T) {
-	snap, err := RunFleetBench(2, []int{4}, 5)
+	snap, err := RunFleetBench(1, []int{4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(snap.Rows) != 2 {
 		t.Fatalf("got %d rows, want the scale row and the history row", len(snap.Rows))
 	}
-	if row := snap.Rows[1]; row.Tenants != 4 || row.Bins != 5 || row.CountPerBin != snap.Rows[0].CountPerBin {
-		t.Errorf("history row %+v, want 4 tenants at 5 bins and the scale row's load", row)
+	if row := snap.Rows[1]; row.Tenants != 4 || row.Bins != fleetBenchHistory || row.CountPerBin != snap.Rows[0].CountPerBin {
+		t.Errorf("history row %+v, want 4 tenants at %d bins and the scale row's load", row, fleetBenchHistory)
 	}
 	if !snap.Checks.RestoreEqualsReplay {
 		t.Error("restored fleet diverged from the original on the next bin")

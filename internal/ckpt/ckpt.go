@@ -9,10 +9,8 @@
 // restore makes proportional to its input.
 //
 // The encoding appends into one reused buffer: unsigned and zig-zag
-// varints, raw 64-bit words for random-stream state, and floats as their
-// IEEE bits byte-reversed and trimmed of high zero bytes behind a length
-// byte (0 is one byte, a small integer value three, an arbitrary double
-// nine). A Reader never panics on malformed input: the first defect
+// varints, and raw 64-bit words for random-stream state and for floats
+// (their IEEE bits). A Reader never panics on malformed input: the first defect
 // latches an error, every later read returns zero, and Err reports it.
 package ckpt
 
@@ -21,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 )
 
 // Writer appends checkpoint words to a byte slice. The zero value is an
@@ -52,17 +49,8 @@ func (w *Writer) Bool(v bool) {
 // Word appends v as eight raw bytes.
 func (w *Writer) Word(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
 
-// Float appends v bit-exactly: its byte-reversed IEEE bits without their
-// high zero bytes, behind a byte counting the rest.
-func (w *Writer) Float(v float64) {
-	r := bits.ReverseBytes64(math.Float64bits(v))
-	n := (bits.Len64(r) + 7) / 8
-	w.buf = append(w.buf, byte(n))
-	for ; n > 0; n-- {
-		w.buf = append(w.buf, byte(r))
-		r >>= 8
-	}
-}
+// Float appends v bit-exactly, as the raw word of its IEEE bits.
+func (w *Writer) Float(v float64) { w.Word(math.Float64bits(v)) }
 
 // Floats appends each of vs.
 func (w *Writer) Floats(vs []float64) {
@@ -187,22 +175,7 @@ func (r *Reader) Word() uint64 {
 }
 
 // Float reads a float written by Writer.Float.
-func (r *Reader) Float() float64 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.buf) == 0 || r.buf[0] > 8 || len(r.buf) < 1+int(r.buf[0]) {
-		r.Fail("bad float")
-		return 0
-	}
-	n := int(r.buf[0])
-	var v uint64
-	for i := n; i > 0; i-- {
-		v = v<<8 | uint64(r.buf[i])
-	}
-	r.buf = r.buf[1+n:]
-	return math.Float64frombits(bits.ReverseBytes64(v))
-}
+func (r *Reader) Float() float64 { return math.Float64frombits(r.Word()) }
 
 // Floats reads len(dst) floats into dst.
 func (r *Reader) Floats(dst []float64) {

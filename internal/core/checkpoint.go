@@ -23,6 +23,8 @@ func (s *Session) Checkpoint(w *ckpt.Writer) error {
 		return fmt.Errorf("core: checkpoint of a finished session")
 	case s.r.trace != nil:
 		return fmt.Errorf("core: checkpoint of a trace-replay session")
+	case s.Halted():
+		return fmt.Errorf("core: checkpoint of a session stopped mid-bin %d", s.bins)
 	}
 	w.Uint(checkpointVersion)
 	if err := s.h.Checkpoint(w); err != nil {
@@ -54,6 +56,7 @@ func (s *Session) RestoreCheckpoint(b []byte) error {
 	if err := rd.Done(); err != nil {
 		return err
 	}
+	s.bins = s.h.Bins()
 	m := s.r.m
 	for i, st := range s.h.LastObserved() {
 		m.modules[i].lastAgg, m.modules[i].lastPer = st.Agg, st.Per

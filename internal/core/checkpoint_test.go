@@ -25,6 +25,12 @@ type checkpointRun struct {
 
 func newCheckpointRun(t testing.TB, store *ArtifactStore) checkpointRun {
 	t.Helper()
+	return newCheckpointRunAt(t, store, 30)
+}
+
+// newCheckpointRunAt is newCheckpointRun with bins binSeconds wide.
+func newCheckpointRunAt(t testing.TB, store *ArtifactStore, binSeconds float64) checkpointRun {
+	t.Helper()
 	spec := cluster.Spec{Modules: []cluster.ModuleSpec{moduleOf("M1", 3), moduleOf("M2", 3)}}
 	mgr, err := store.NewManager(spec, fastConfig(), nil)
 	if err != nil {
@@ -46,7 +52,7 @@ func newCheckpointRun(t testing.TB, store *ArtifactStore) checkpointRun {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := mgr.NewSession(st, SessionConfig{BinSeconds: 30})
+	sess, err := mgr.NewSession(st, SessionConfig{BinSeconds: binSeconds})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,6 +204,59 @@ func TestSessionCheckpointRefusals(t *testing.T) {
 	}
 	if err := run.sess.Checkpoint(&w); err == nil {
 		t.Error("a finished session checkpointed")
+	}
+}
+
+// TestSessionHaltedMidBin: a step that panics inside its bin halts the
+// session — at the bin's first tick, or after its last tick ran and the
+// clock reached the bin boundary. A halted session has no checkpoint, steps
+// no further, and reports the progress and decision of its last clean bin.
+func TestSessionHaltedMidBin(t *testing.T) {
+	store := NewArtifactStore()
+	for _, at := range []string{"first tick", "last tick"} {
+		run := newCheckpointRunAt(t, store, 90)
+		for b := 0; b < 3; b++ {
+			if _, err := run.sess.ObserveBin(400); err != nil {
+				t.Fatal(err)
+			}
+		}
+		bins, steps, simTime := run.sess.Progress()
+		dec := run.sess.Decision()
+		tick := steps
+		if at == "last tick" {
+			tick += run.sess.r.sub - 1
+		}
+		run.mgr.SetObserveFailpoint(func(k int) {
+			if k == tick {
+				panic("injected fault")
+			}
+		})
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: the injected fault did not panic", at)
+				}
+			}()
+			_ = run.sess.StepBin(400)
+		}()
+		if !run.sess.Halted() {
+			t.Fatalf("%s: session not halted", at)
+		}
+		var w ckpt.Writer
+		if err := run.sess.Checkpoint(&w); err == nil {
+			t.Errorf("%s: a halted session checkpointed", at)
+		}
+		b2, s2, t2 := run.sess.Progress()
+		if b2 != bins || s2 != steps || t2 != simTime {
+			t.Errorf("%s: progress (%d, %d, %v), want the last clean bin's (%d, %d, %v)", at, b2, s2, t2, bins, steps, simTime)
+		}
+		if got := run.sess.Decision(); !reflect.DeepEqual(got, dec) {
+			t.Errorf("%s: decision %+v, want the last clean one %+v", at, got, dec)
+		}
+		run.mgr.SetObserveFailpoint(nil)
+		if err := run.sess.StepBin(400); err == nil {
+			t.Errorf("%s: a halted session stepped", at)
+		}
 	}
 }
 

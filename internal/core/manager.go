@@ -218,6 +218,10 @@ type Manager struct {
 	// l1Failpoint is a test seam invoked at the top of every L1 planning
 	// call (see SetL1Failpoint). Never serialized; nil in production.
 	l1Failpoint func(module, tick int)
+	// observeFailpoint is a test seam invoked at the top of every tick's
+	// Observe (see SetObserveFailpoint). Never serialized; nil in
+	// production.
+	observeFailpoint func(tick int)
 
 	// recorder is the attached decision flight recorder (nil = off); it
 	// feeds every controller and the sessions built afterwards.
@@ -574,3 +578,10 @@ func (m *Manager) InjectChaos(p chaos.Plan) {
 // exercises the degraded-tick recovery path. Nil (the default) disables
 // it. Test seam only — never serialized, never set in production.
 func (m *Manager) SetL1Failpoint(fn func(module, tick int)) { m.l1Failpoint = fn }
+
+// SetObserveFailpoint installs a test hook invoked with the tick at the top
+// of every tick's Observe — after the tick's mechanics ran and the clock
+// advanced, outside every controller guard — so a panicking hook stops a
+// session mid-bin the way an unguarded fault would. Nil (the default)
+// disables it. Test seam only — never serialized, never set in production.
+func (m *Manager) SetObserveFailpoint(fn func(tick int)) { m.observeFailpoint = fn }

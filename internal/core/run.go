@@ -573,6 +573,9 @@ func (r *run) recordFreq(i, j int, hz float64) {
 //
 //hpm:hotpath
 func (r *run) Observe(k int, iv engine.Interval, stats []engine.ModuleStats) error {
+	if r.m.observeFailpoint != nil {
+		r.m.observeFailpoint(k)
+	}
 	for i, asm := range r.m.modules {
 		agg, per := stats[i].Agg, stats[i].Per
 		asm.lastAgg = agg

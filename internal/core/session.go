@@ -56,8 +56,11 @@ type SessionConfig struct {
 // A Manager supports one live session at a time — NewSession resets the
 // hierarchy's estimator state. Sessions are not safe for concurrent use.
 type Session struct {
-	r        *run
-	h        *engine.Harness
+	r *run
+	h *engine.Harness
+	// bins counts the bins StepBin finished: one behind the harness while
+	// a bin is in progress, and for good once a step stopped mid-bin.
+	bins     int
 	finished bool
 }
 
@@ -286,6 +289,9 @@ func (s *Session) StepBin(count float64) error {
 	if s.finished {
 		return fmt.Errorf("core: session already finished")
 	}
+	if s.Halted() {
+		return fmt.Errorf("core: session stopped mid-bin %d", s.bins)
+	}
 	r := s.r
 	// A session opened on a trace refuses bins past its end: the harness
 	// was given the trace length as TotalBins.
@@ -298,8 +304,14 @@ func (s *Session) StepBin(count float64) error {
 		}
 	}
 	r.refreshDecision(s.h.Bins() - 1)
+	s.bins++
 	return nil
 }
+
+// Halted reports whether a step stopped mid-bin: a StepBin that failed or
+// panicked after its bin was pushed. A halted session steps no further bin
+// and has no checkpoint; Progress reports its last clean bin.
+func (s *Session) Halted() bool { return s.bins != s.h.Bins() }
 
 // Decision returns the decisions in force after the most recent bin that
 // stepped cleanly (bin 0 with empty settings before the first) — a bin
@@ -349,10 +361,15 @@ func carve[T any](back *[]T, src []T) []T {
 // after the most recent clean bin — without building the decision.
 func (s *Session) Operational() int { return s.r.last.Operational }
 
-// Progress reports how far the session has advanced: observation bins
-// ingested, T_L0 steps run, and the simulation clock (which includes the
-// boot pre-roll).
+// Progress reports how far the session has advanced through its last
+// clean bin: observation bins stepped, T_L0 steps run, and the simulation
+// clock (which includes the boot pre-roll). A halted session reports the
+// bin boundary before the step that stopped.
 func (s *Session) Progress() (bins, steps int, simTime float64) {
+	if s.Halted() {
+		steps = s.bins * s.r.sub
+		return s.bins, steps, s.h.TickTime(steps)
+	}
 	return s.h.Bins(), s.h.Ticks(), s.h.NextTickTime()
 }
 

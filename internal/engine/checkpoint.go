@@ -10,8 +10,7 @@ import (
 // Checkpoint appends the harness's mutable state between two bins: the
 // feed's position, the dispatcher's and feed's random streams, the store,
 // the plant, the run's counters and window, the module statistics the
-// policy last observed and the sanitizer's last good ones (flagged, not
-// repeated, when they are the same). Everything else — the failure
+// policy last observed and the sanitizer's last good ones. Everything else — the failure
 // schedule, the tick cadence, the pre-roll — follows from Config. A
 // harness mid-bin, finished, or running a chaos plan has no checkpoint.
 func (h *Harness) Checkpoint(w *ckpt.Writer) error {
@@ -38,21 +37,8 @@ func (h *Harness) Checkpoint(w *ckpt.Writer) error {
 	w.Float(h.window.RespMass)
 	w.Float(h.window.DemandMass)
 	for i := range h.stats {
-		shown := h.stats[i] // Per is nil before the first tick
-		checkpointStats(w, shown, len(h.per[i]))
-		good := h.san[i].good
-		same := good.Agg == shown.Agg
-		for j := range good.Per {
-			var c cluster.IntervalStats
-			if j < len(shown.Per) {
-				c = shown.Per[j]
-			}
-			same = same && good.Per[j] == c
-		}
-		w.Bool(same)
-		if !same {
-			checkpointStats(w, good, len(h.per[i]))
-		}
+		checkpointStats(w, h.stats[i], len(h.per[i])) // Per is nil before the first tick
+		checkpointStats(w, h.san[i].good, len(h.per[i]))
 	}
 	return nil
 }
@@ -104,13 +90,7 @@ func (h *Harness) RestoreCheckpoint(r *ckpt.Reader) error {
 	h.window.DemandMass = r.Float()
 	for i := range h.stats {
 		restoreStats(r, &h.stats[i], h.per[i])
-		good := &h.san[i].good
-		if r.Bool() {
-			good.Agg = h.stats[i].Agg
-			copy(good.Per, h.stats[i].Per)
-		} else {
-			restoreStats(r, good, good.Per)
-		}
+		restoreStats(r, &h.san[i].good, h.san[i].good.Per)
 	}
 	return r.Err()
 }

@@ -245,8 +245,11 @@ func (h *Harness) Bins() int { return h.feed.Bins() }
 
 // NextTickTime returns the simulation time the next tick starts at, used
 // by shared-clock drivers to pick which harness advances next.
-func (h *Harness) NextTickTime() float64 {
-	return h.preroll + float64(h.tick)*h.cfg.PeriodSeconds
+func (h *Harness) NextTickTime() float64 { return h.TickTime(h.tick) }
+
+// TickTime returns the simulation time tick k starts at.
+func (h *Harness) TickTime(k int) float64 {
+	return h.preroll + float64(k)*h.cfg.PeriodSeconds
 }
 
 // Done reports whether a fixed-length run has consumed its trace and run

@@ -90,7 +90,9 @@ func sameErr(a, b error) bool {
 // checkpointFleet creates the property's tenants on a fleet whose
 // failpoint quarantines on panicCount: "plan", two modules (the L2
 // decides) under a failure plan with a recorder; "quar", quarantined at
-// its third bin; "boot", four computers that power down and boot again.
+// its third bin; "halt", with a recorder, halted inside its fifth (see
+// armCheckpointHalt); "boot", four computers that power down and boot
+// again.
 func checkpointFleet(t *testing.T) *Fleet {
 	t.Helper()
 	f := panicFleet(t, 2)
@@ -99,20 +101,29 @@ func checkpointFleet(t *testing.T) *Fleet {
 	boot := quarantineTenantConfig()
 	boot.Spec = cluster.Spec{Modules: []cluster.ModuleSpec{moduleOf("M1", 4)}}
 	boot.TelemetryRecords = 64
-	for id, tc := range map[string]TenantConfig{"plan": plan, "quar": quarantineTenantConfig(), "boot": boot} {
+	halt := quarantineTenantConfig()
+	halt.TelemetryRecords = 64
+	for id, tc := range map[string]TenantConfig{"plan": plan, "quar": quarantineTenantConfig(), "halt": halt, "boot": boot} {
 		if err := f.CreateTenant(id, tc); err != nil {
 			t.Fatal(err)
 		}
 	}
+	armCheckpointHalt(t, f)
 	return f
 }
 
+// armCheckpointHalt arms f's "halt" tenant to panic after the last tick of
+// bin 4. A restored fleet is armed again: a tenant restored before its
+// halt must halt where the live one does, and one restored halted never
+// steps.
+func armCheckpointHalt(t *testing.T, f *Fleet) { haltAfterBin(t, f, "halt", 4) }
+
 // stepCheckpointFleet applies bins [from, to) to every tenant; "quar"
-// panics on bin 2.
+// panics on bin 2, "halt" inside bin 4.
 func stepCheckpointFleet(t *testing.T, f *Fleet, from, to int) {
 	t.Helper()
 	for b := from; b < to; b++ {
-		for _, id := range []string{"boot", "plan", "quar"} {
+		for _, id := range []string{"boot", "halt", "plan", "quar"} {
 			count := checkpointBins(b)
 			if id == "quar" && b == 2 {
 				count = panicCount
@@ -126,7 +137,8 @@ func stepCheckpointFleet(t *testing.T, f *Fleet, from, to int) {
 
 // TestCheckpointRestoreEqualsUninterrupted is the fleet's checkpoint
 // property: snapshot at any bin — before the first, with a tenant
-// quarantined, mid-failure-plan, with computers booting — restore, and the
+// quarantined, with one halted mid-bin, mid-failure-plan, with computers
+// booting — restore, and the
 // restored fleet is the uninterrupted one (see sameFleets). The snapshot
 // of the restored fleet is the snapshot it was restored from, byte for
 // byte.
@@ -142,6 +154,7 @@ func TestCheckpointRestoreEqualsUninterrupted(t *testing.T) {
 		if err := restored.Restore(bytes.NewReader(snap.Bytes())); err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
+		armCheckpointHalt(t, restored)
 		var again bytes.Buffer
 		if err := restored.Snapshot(&again); err != nil || !bytes.Equal(again.Bytes(), snap.Bytes()) {
 			t.Fatalf("cut %d: the restored fleet snapshots to %d other bytes (err %v)", cut, again.Len(), err)

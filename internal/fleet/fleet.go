@@ -223,7 +223,9 @@ func (f *Fleet) exec(t *tenant, fn func()) error {
 // and the tenant is quarantined: this bin and every later stepping
 // operation return ErrTenantQuarantined. Its bin count and log gain an
 // entry only after a bin applies cleanly, so a tenant that panicked before
-// its bin began checkpoints to exactly the pre-fault state. A clean bin's
+// its bin began checkpoints to exactly the pre-fault state; one that
+// stopped inside the bin — by a panic or an error — is halted (see
+// haltState) and quarantined with it. A clean bin's
 // flight-recorder records are folded into the shard's telemetry aggregate
 // before anything else can overwrite them. A step that reaches the shard
 // behind the tenant's close job finds the tenant gone.
@@ -243,6 +245,9 @@ func (f *Fleet) stepTenant(t *tenant, count float64) (err error) {
 		f.failpoint(t.id, count)
 	}
 	if err := t.step(count); err != nil {
+		if t.sess.Halted() {
+			return f.latch(t, err)
+		}
 		return err
 	}
 	t.home.fold(t)
@@ -253,10 +258,20 @@ func (f *Fleet) stepTenant(t *tenant, count float64) (err error) {
 // the error the interrupted operation reports. Runs on t's home shard, on
 // a tenant that is still registered.
 func (f *Fleet) quarantine(t *tenant, v any) error {
+	f.panics.Add(1)
+	return f.latch(t, v)
+}
+
+// latch quarantines t for cause, freezing what it reports if its session
+// stopped mid-bin, and returns the error the interrupted operation
+// reports. Runs on t's home shard.
+func (f *Fleet) latch(t *tenant, cause any) error {
+	if t.sess.Halted() {
+		t.freeze()
+	}
 	t.quarantined.Store(true)
 	f.quarantined.Add(1)
-	f.panics.Add(1)
-	return fmt.Errorf("%w: %v", ErrTenantQuarantined, v)
+	return fmt.Errorf("%w: %v", ErrTenantQuarantined, cause)
 }
 
 func (f *Fleet) tenant(id string) (*tenant, error) {

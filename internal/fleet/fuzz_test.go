@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -18,7 +19,7 @@ import (
 // snapshot and journal-shaped logs plus characteristic damage (torn
 // tail, flipped byte, bad magic), then a mixed-shape fleet whose log holds
 // several artifact frames of both kinds and bases referencing different
-// subsets of them. The same generator writes the committed corpus under
+// subsets of them, and a halted tenant. The same generator writes the committed corpus under
 // testdata/fuzz (see TestWriteFuzzCorpus).
 func fuzzSeedLogs(t testing.TB) [][]byte {
 	f := New(Config{Shards: 1})
@@ -67,6 +68,16 @@ func fuzzSeedLogs(t testing.TB) [][]byte {
 	}
 	for _, id := range []string{"c", "d"} {
 		if _, err := f.Observe(id, 180); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// e is halted: a panic after its second bin's last tick.
+	if err := f.CreateTenant("e", batchTenantConfig("", 5)); err != nil {
+		t.Fatal(err)
+	}
+	haltAfterBin(t, f, "e", 1)
+	for _, c := range []float64{220, 160} {
+		if _, err := f.Observe("e", c); err != nil && !errors.Is(err, ErrTenantQuarantined) {
 			t.Fatal(err)
 		}
 	}

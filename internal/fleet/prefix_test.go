@@ -46,8 +46,9 @@ func fleetStates(t *testing.T, f *Fleet) map[string]TenantState {
 
 // buildPrefixJournal writes the journal the every-prefix suite attacks:
 // tenants a and b behind one artifact frame, written by a compaction (the
-// file the earlier deltas went to is replaced), then delta appends, b's
-// quarantine re-base and a last delta for a. It returns the log and every
+// file the earlier deltas went to is replaced), then delta appends, the
+// re-base of b quarantined by a halt (a panic after its bin's last tick,
+// see haltState) and a last delta for a. It returns the log and every
 // durable point the file passed after the compaction. With stop > 0 it
 // stops at the stop-th durable point and also returns the live fleet
 // there.
@@ -91,7 +92,8 @@ func buildPrefixJournal(t *testing.T, stop int) ([]byte, []durablePoint, *Fleet)
 			return j.Append()
 		},
 		func() error {
-			if _, err := f.Observe("b", panicCount); !errors.Is(err, ErrTenantQuarantined) {
+			haltAfterBin(t, f, "b", 3)
+			if _, err := f.Observe("b", 280); !errors.Is(err, ErrTenantQuarantined) {
 				t.Fatalf("tenant b did not quarantine: %v", err)
 			}
 			observe("a", 210)
@@ -303,7 +305,7 @@ func TestJournalDroppedOrDuplicatedFrame(t *testing.T) {
 // over the journal: a process that dies at any durable point of the
 // every-prefix journal recovers, through OpenJournal, to the fleet that
 // kept running — the same states and telemetry cursors, then the same
-// decisions, records and close records (see sameFleets), the quarantined
+// decisions, records and close records (see sameFleets), the halted
 // tenant included.
 func TestJournalCrashRecoveryEqualsUninterrupted(t *testing.T) {
 	_, points, _ := buildPrefixJournal(t, 0)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -262,4 +263,106 @@ func TestQuarantineJournalRecovery(t *testing.T) {
 	if st.Bins != 4 {
 		t.Errorf("recovered tenant at %d bins, want 4", st.Bins)
 	}
+}
+
+// haltAfterBin arms tenant id of f to panic after the last tick of its bin
+// bin: the clock stands at the bin boundary and the bin is not done — the
+// fault that halts a session mid-bin (see haltState).
+func haltAfterBin(t testing.TB, f *Fleet, id string, bin int) {
+	t.Helper()
+	tn, err := f.tenant(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := (bin+1)*tn.sub - 1
+	tn.mgr.SetObserveFailpoint(func(k int) {
+		if k == last {
+			panic("injected fault after the bin's last tick")
+		}
+	})
+}
+
+// TestHaltedTenantPersists pins a tenant whose step panicked inside its
+// bin, after the bin's last tick: it is quarantined and reports its last
+// clean bin, and a journal recovery and a snapshot restore bring it back
+// reporting the same — beside a healthy tenant, whose restore it must not
+// block — and the restored fleet is the uninterrupted one (sameFleets).
+func TestHaltedTenantPersists(t *testing.T) {
+	path := journalPath(t)
+	f := panicFleet(t, 2)
+	j, err := OpenJournal(f, path, JournalConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"a", "ok"} {
+		if err := f.CreateTenant(id, quarantineTenantConfig()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const cleanBins = 3
+	var last TenantState
+	for b := 0; b < cleanBins; b++ {
+		for _, id := range []string{"a", "ok"} {
+			if _, err := f.Observe(id, 400); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if last, err = f.State("a"); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append(); err != nil {
+		t.Fatal(err)
+	}
+	haltAfterBin(t, f, "a", cleanBins)
+	if _, err := f.Observe("a", 400); !errors.Is(err, ErrTenantQuarantined) {
+		t.Fatalf("halting step returned %v, want ErrTenantQuarantined", err)
+	}
+	if _, err := f.Observe("ok", 400); err != nil {
+		t.Fatal(err)
+	}
+	halted, err := f.State("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	last.Quarantined = true
+	if !reflect.DeepEqual(halted, last) {
+		t.Fatalf("halted tenant reports\n%+v\nwant its last clean bin\n%+v", halted, last)
+	}
+	if err := j.Append(); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	recovered := panicFleet(t, 1)
+	j2, err := OpenJournal(recovered, path, JournalConfig{})
+	if err != nil {
+		t.Fatalf("journal recovery: %v", err)
+	}
+	defer j2.Close()
+	for _, id := range []string{"a", "ok"} {
+		want, _ := f.State(id)
+		if got, err := recovered.State(id); err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("journal-recovered tenant %s: %+v (%v), want %+v", id, got, err, want)
+		}
+	}
+
+	var snap bytes.Buffer
+	if err := f.Snapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	restored := panicFleet(t, 1)
+	if err := restored.Restore(bytes.NewReader(snap.Bytes())); err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	var again bytes.Buffer
+	if err := restored.Snapshot(&again); err != nil || !bytes.Equal(again.Bytes(), snap.Bytes()) {
+		t.Fatalf("the restored fleet snapshots to %d other bytes (err %v)", again.Len(), err)
+	}
+	if got := restored.Stats().Quarantined; got != 1 {
+		t.Errorf("restored Stats.Quarantined = %d, want 1", got)
+	}
+	sameFleets(t, f, restored, cleanBins+1, 3)
 }

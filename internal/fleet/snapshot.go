@@ -29,7 +29,9 @@ import (
 // followed by the counts of any bins since. Restoring = rebuild from
 // configuration and artifacts, restore the checkpoint, step those counts:
 // the restored tenant's next decisions equal the original's, and a
-// restore costs the tenant's state, not its uptime.
+// restore costs the tenant's state, not its uptime. A tenant halted
+// mid-bin has no checkpoint; its base carries its halt report instead
+// (see haltState), and it restores serving that report.
 //
 // The container is a magic header followed by self-contained frames:
 //
@@ -139,11 +141,16 @@ type tenantSnap struct {
 	ID     string
 	Config TenantConfig
 	// Checkpoint is the tenant's session state after its first Bins bins
-	// (core.Session.Checkpoint). Empty in a frameBase frame, and for a
-	// tenant stopped mid-bin by a failed step, which has no consistent
-	// state: both start from genesis, with Bins 0.
+	// (core.Session.Checkpoint). Empty in a frameBase frame, which starts
+	// from genesis with Bins 0, and for a halted tenant.
 	Checkpoint []byte
 	Bins       int
+	// Halt is a halted tenant's frozen report (gob of its haltState) in
+	// place of a checkpoint: such a tenant is quarantined and steps no
+	// further, so it restores to this report at Bins over a fresh session.
+	// Bytes rather than a struct field, so a base pays no type descriptors
+	// for what almost no tenant carries.
+	Halt []byte
 	// Observations are the counts of the bins after the checkpoint — every
 	// count since genesis in a frameBase frame; a captured tenant has none.
 	Observations []float64
@@ -333,8 +340,8 @@ func foldLog(r io.Reader, visit func(fr *logFrame, fresh []float64)) (*VerifyRep
 	// live is the fold's own view of each tenant: the bins its state
 	// covers, which the gap rule checks against, and the quarantine latch.
 	type tenantCheck struct {
-		obs  int
-		quar bool
+		obs          int
+		quar, halted bool
 	}
 	live := map[string]tenantCheck{}
 	// artifacts maps the content address of every artifact frame seen so
@@ -369,11 +376,8 @@ func foldLog(r io.Reader, visit func(fr *logFrame, fresh []float64)) (*VerifyRep
 			if fr.Base == nil || fr.Base.ID == "" {
 				return rep, fmt.Errorf("fleet: frame %d: base frame without tenant", rep.Frames)
 			}
-			// A base starts from genesis (Bins 0, no checkpoint) or from a
-			// checkpoint, which only the checkpoint kind carries.
-			if b := fr.Base; b.Bins < 0 || b.Bins > maxBaseBins ||
-				(len(b.Checkpoint) == 0 && b.Bins != 0) || (fr.Kind == frameBase && len(b.Checkpoint) > 0) {
-				return rep, fmt.Errorf("fleet: frame %d: tenant %q base at bin %d with a %d-byte checkpoint", rep.Frames, b.ID, b.Bins, len(b.Checkpoint))
+			if err := checkBase(fr.Kind, fr.Base); err != nil {
+				return rep, fmt.Errorf("fleet: frame %d: tenant %q: %w", rep.Frames, fr.Base.ID, err)
 			}
 			ref := unresolved(fr.Base.GMaps, artifactGMap, artifacts)
 			if ref == nil {
@@ -383,7 +387,7 @@ func foldLog(r io.Reader, visit func(fr *logFrame, fresh []float64)) (*VerifyRep
 				return rep, fmt.Errorf("fleet: frame %d: tenant %q artifact %x: %w", rep.Frames, fr.Base.ID, ref.Digest, errArtifactMissing)
 			}
 			// A later base for the same id replaces the state wholesale.
-			live[fr.Base.ID] = tenantCheck{obs: fr.Base.Bins + len(fr.Base.Observations), quar: fr.Base.Quarantined}
+			live[fr.Base.ID] = tenantCheck{obs: fr.Base.Bins + len(fr.Base.Observations), quar: fr.Base.Quarantined, halted: len(fr.Base.Halt) > 0}
 		case frameDelta:
 			rep.DeltaFrames++
 			st, ok := live[fr.ID]
@@ -397,6 +401,9 @@ func foldLog(r io.Reader, visit func(fr *logFrame, fresh []float64)) (*VerifyRep
 				return rep, fmt.Errorf("fleet: frame %d: delta gap for tenant %q: log at %d, frame from %d", rep.Frames, fr.ID, st.obs, fr.From)
 			}
 			if skip < len(fr.Counts) {
+				if st.halted {
+					return rep, fmt.Errorf("fleet: frame %d: delta past the halt of tenant %q", rep.Frames, fr.ID)
+				}
 				fresh = fr.Counts[skip:]
 				st.obs += len(fresh)
 				live[fr.ID] = st
@@ -419,6 +426,26 @@ func foldLog(r io.Reader, visit func(fr *logFrame, fresh []float64)) (*VerifyRep
 		}
 	}
 	return rep, nil
+}
+
+// checkBase enforces what a base frame of kind may hold. A base starts
+// from genesis (Bins 0, nothing else), from a checkpoint, or from a halt
+// report; only the checkpoint kind carries either. A halted tenant is
+// quarantined and has no bins past its halt.
+func checkBase(kind byte, b *tenantSnap) error {
+	switch {
+	case b.Bins < 0 || b.Bins > maxBaseBins:
+		return fmt.Errorf("base at bin %d", b.Bins)
+	case kind == frameBase && (len(b.Checkpoint) > 0 || len(b.Halt) > 0):
+		return fmt.Errorf("checkpoint or halt in a genesis base")
+	case len(b.Checkpoint) > 0 && len(b.Halt) > 0:
+		return fmt.Errorf("base with both a checkpoint and a halt")
+	case len(b.Halt) > 0 && (!b.Quarantined || len(b.Observations) > 0):
+		return fmt.Errorf("halt without quarantine or with bins past it")
+	case len(b.Checkpoint) == 0 && len(b.Halt) == 0 && b.Bins != 0:
+		return fmt.Errorf("base at bin %d with no checkpoint", b.Bins)
+	}
+	return nil
 }
 
 // unresolved returns the first of refs that neither embeds its blob (the
@@ -692,27 +719,34 @@ func (f *Fleet) registerAll(tenants []*tenant) error {
 }
 
 // snapshot captures one tenant: its configuration, artifact references
-// and checkpoint. Runs on the tenant's home shard, whose scratch writer
-// encodes the checkpoint; the snapshot keeps an exact-size copy. The
-// artifacts' serialized forms are memoized with the (shared) artifacts, so
-// only the first capture of a fingerprint in the fleet encodes anything.
-// A tenant stopped mid-bin by a failed step has no checkpoint, and its base
-// starts it from genesis.
+// and checkpoint — or, for a halted tenant, its halt report. Runs on the
+// tenant's home shard, whose scratch writer encodes the checkpoint; the
+// snapshot keeps an exact-size copy. The artifacts' serialized forms are
+// memoized with the (shared) artifacts, so only the first capture of a
+// fingerprint in the fleet encodes anything.
 func (t *tenant) snapshot() (tenantSnap, error) {
 	snap := tenantSnap{
 		ID:          t.id,
 		Config:      t.cfg,
+		Bins:        t.bins,
 		Quarantined: t.quarantined.Load(),
 		gen:         t.gen,
 	}
-	w := &t.home.ckpt
-	w.Reset(w.Bytes())
-	if t.sess.Checkpoint(w) == nil {
+	var err error
+	if t.halt != nil {
+		var buf bytes.Buffer
+		err = gob.NewEncoder(&buf).Encode(t.halt)
+		snap.Halt = buf.Bytes()
+	} else {
+		w := &t.home.ckpt
+		w.Reset(w.Bytes())
+		err = t.sess.Checkpoint(w)
 		snap.Checkpoint = bytes.Clone(w.Bytes())
-		snap.Bins = t.bins
+	}
+	if err != nil {
+		return snap, fmt.Errorf("fleet: tenant %s: %w", t.id, err)
 	}
 	art := t.mgr.Artifacts()
-	var err error
 	if snap.GMaps, err = refsTo(art.GMaps); err != nil {
 		return snap, fmt.Errorf("fleet: tenant %s gmap: %w", t.id, err)
 	}
@@ -768,7 +802,16 @@ func restoreTenant(s tenantSnap, store *core.ArtifactStore, gmaps map[digest]*co
 			err = fmt.Errorf("fleet: tenant %s restore: %v", s.ID, v)
 		}
 	}()
-	if len(s.Checkpoint) > 0 {
+	switch {
+	case len(s.Halt) > 0:
+		var h haltState
+		if err := gob.NewDecoder(bytes.NewReader(s.Halt)).Decode(&h); err != nil {
+			t.mgr.Release()
+			return nil, fmt.Errorf("fleet: tenant %s halt: %w", s.ID, err)
+		}
+		t.halt, t.bins = &h, s.Bins
+		t.mgr.Recorder().Resume(h.Total)
+	case len(s.Checkpoint) > 0:
 		err = t.sess.RestoreCheckpoint(s.Checkpoint)
 		if bins, _, _ := t.sess.Progress(); err == nil && bins != s.Bins {
 			err = fmt.Errorf("checkpoint at bin %d, base at %d", bins, s.Bins)
@@ -792,5 +835,8 @@ func restoreTenant(s tenantSnap, store *core.ArtifactStore, gmaps map[digest]*co
 	// telemetry fold starts past it.
 	t.cursor = t.mgr.Recorder().Total()
 	t.operational = t.sess.Operational()
+	if t.halt != nil && t.halt.Decision != nil {
+		t.operational = t.halt.Decision.Operational
+	}
 	return t, nil
 }

@@ -129,6 +129,10 @@ type tenant struct {
 	journaled    bool
 	observations obsLog
 
+	// halt is what the tenant reports once its session stopped mid-bin
+	// (see haltState); nil while the session can step.
+	halt *haltState
+
 	// The tenant's share of the step-time telemetry fold (see shard.fold):
 	// how far its flight recorder has been folded, the operational
 	// computers after the last clean bin, and the three cumulative tick
@@ -223,22 +227,51 @@ func (t *tenant) step(count float64) error {
 // state reports the tenant's progress. Runs on the home shard. The last
 // decision is the session's — refreshed only by a bin that stepped cleanly,
 // so a tenant quarantined mid-stream reports its last good one and a
-// tenant with no bin applied reports none.
+// tenant with no bin applied reports none. A halted tenant reports what
+// it froze at the halt.
 func (t *tenant) state() TenantState {
-	bins, steps, simTime := t.sess.Progress()
 	st := TenantState{
 		ID:          t.id,
 		Computers:   t.cfg.Spec.Computers(),
-		Bins:        bins,
-		Steps:       steps,
-		SimTime:     simTime,
 		Quarantined: t.quarantined.Load(),
 	}
+	if h := t.halt; h != nil {
+		st.Bins, st.Steps, st.SimTime, st.LastDecision = t.bins, h.Steps, h.SimTime, h.Decision
+		return st
+	}
+	st.Bins, st.Steps, st.SimTime = t.sess.Progress()
 	if t.bins > 0 {
 		dec := t.sess.Decision()
 		st.LastDecision = &dec
 	}
 	return st
+}
+
+// haltState is what a tenant reports once its session stopped mid-bin — a
+// step that panicked or failed after its bin began. The session has no
+// consistent state from then on, so it has no checkpoint; the tenant is
+// quarantined and never steps again. Frozen at the halt, this is its last
+// clean bin's progress and decision and the flight recorder's total; a
+// base carries it in place of a checkpoint, and the restored tenant serves
+// it over a fresh session, so State and the telemetry cursor read across a
+// restart as they did before it. Read-only once frozen.
+type haltState struct {
+	Steps    int
+	SimTime  float64
+	Decision *core.BinDecision // nil before the first clean bin
+	Total    uint64
+}
+
+// freeze records t's haltState. Runs on the home shard, right after the
+// step that halted.
+func (t *tenant) freeze() {
+	h := &haltState{Total: t.mgr.Recorder().Total()}
+	_, h.Steps, h.SimTime = t.sess.Progress()
+	if t.bins > 0 {
+		dec := t.sess.Decision()
+		h.Decision = &dec
+	}
+	t.halt = h
 }
 
 // obsLog is a journaled tenant's count stream past its last durable

@@ -406,8 +406,11 @@ func (r *Recorder) Checkpoint(w *ckpt.Writer) { w.Uint(r.Total()) }
 // Checkpoint wrote, so cursors taken before the checkpoint stay valid: a
 // poller behind it finds the records up to the checkpoint gone, as if the
 // ring had overwritten them.
-func (r *Recorder) RestoreCheckpoint(rd *ckpt.Reader) {
-	total := rd.Uint()
+func (r *Recorder) RestoreCheckpoint(rd *ckpt.Reader) { r.Resume(rd.Uint()) }
+
+// Resume empties the ring and numbers the next record total, as
+// RestoreCheckpoint does with the Total it reads.
+func (r *Recorder) Resume(total uint64) {
 	if r == nil {
 		return
 	}
