@@ -287,7 +287,7 @@ func (b benchSnapshot) file() string { return "BENCH_" + b.name + ".json" }
 var snapshots = []benchSnapshot{
 	{name: "llc", columns: []string{"engine", "explored", "exploredVsNaive"}, run: runLLCBench},
 	{name: "tick", columns: []string{"allocsPerDecision", "bytesPerDecision"}, run: runTickBench},
-	{name: "fleet", columns: []string{"tenants", "bins", "countPerBin", "snapshotBytes", "batchEqualsSequential", "restoreEqualsReplay"}, run: runFleetBench},
+	{name: "fleet", columns: []string{"tenants", "bins", "countPerBin", "snapshotBytes", "batchEqualsSequential", "restoreEqualsUninterrupted"}, run: runFleetBench},
 	{name: "scenarios", honours: []string{"seed"}, run: runScenarioMatrix},
 	{name: "chaos", honours: []string{"seed"}, run: runChaosMatrix},
 }
@@ -416,8 +416,8 @@ func runFleetBench(w io.Writer, _ int64) (any, error) {
 		fmt.Fprintf(w, "%6d tenants  %6.0f tenant-ticks/sec  %8.0f ns/tick  %5.0f B/bin  %4.1f allocs/bin  scrape %4.0fus %5.0f B  create %6.2fs  snapshot %7.1fms  restore %7.1fms  %9d B\n",
 			r.Tenants, r.TenantTicksPerSec, r.NsPerTick, r.AllocBytesPerBin, r.AllocsPerBin, r.ScrapeMicros, r.ScrapeAllocBytes, r.CreateSeconds, r.SnapshotMillis, r.RestoreMillis, r.SnapshotBytes)
 	}
-	fmt.Fprintf(w, "checks: batchEqualsSequential=%v restoreEqualsReplay=%v\n",
-		snap.Checks.BatchEqualsSequential, snap.Checks.RestoreEqualsReplay)
+	fmt.Fprintf(w, "checks: batchEqualsSequential=%v restoreEqualsUninterrupted=%v\n",
+		snap.Checks.BatchEqualsSequential, snap.Checks.RestoreEqualsUninterrupted)
 	return snap, nil
 }
 

@@ -8,7 +8,6 @@
 //	hpmgen -profile synthetic            # §4.3 trace, 6400 30-second bins
 //	hpmgen -profile wc98 -out day.csv    # Fig. 6 World-Cup-98-like day
 //	hpmgen -profile flashcrowd -seed 7   # any registered scenario
-//	hpmgen -profile step -lo 150 -hi 3600
 //	hpmgen -profile heavytail -inspect   # summary stats instead of CSV
 //	hpmgen -profile tracefile:day.csv -inspect
 package main
@@ -36,10 +35,6 @@ func run(args []string, stdout io.Writer) (retErr error) {
 	profile := fs.String("profile", "synthetic", "scenario to build (see -list; tracefile:<path> replays a CSV)")
 	out := fs.String("out", "", "output file (default stdout)")
 	seed := fs.Int64("seed", 1, "noise seed")
-	bins := fs.Int("bins", 0, "override bin count for synthetic/wc98/step (0 = profile default)")
-	lo := fs.Float64("lo", 150, "step profile: low requests per bin")
-	hi := fs.Float64("hi", 3600, "step profile: high requests per bin")
-	period := fs.Int("period", 20, "step profile: bins per half-cycle")
 	list := fs.Bool("list", false, "list the registered scenarios and exit")
 	inspect := fs.Bool("inspect", false, "print a scenario summary (bins, load stats, failure plan) instead of CSV")
 	startProfiles := obs.ProfileFlags(fs)
@@ -60,31 +55,7 @@ func run(args []string, stdout io.Writer) (retErr error) {
 	if err != nil {
 		return err
 	}
-
-	// Legacy overrides rebuild the three seed profiles with custom shapes;
-	// every other scenario comes straight from the registry builder.
-	var trace *hierctl.Series
-	switch {
-	case sc.Name == "synthetic" && *bins > 0:
-		cfg := hierctl.DefaultSyntheticConfig()
-		cfg.Seed = *seed
-		cfg.Bins = *bins
-		cfg.NoiseBounds = []int{cfg.Bins / 5, cfg.Bins / 5 * 3, cfg.Bins}
-		trace, err = hierctl.SyntheticTrace(cfg)
-	case sc.Name == "wc98" && *bins > 0:
-		cfg := hierctl.DefaultWC98Config()
-		cfg.Seed = *seed
-		cfg.Bins = *bins
-		trace, err = hierctl.WC98Trace(cfg)
-	case sc.Name == "step":
-		n := *bins
-		if n == 0 {
-			n = 120
-		}
-		trace, err = hierctl.StepTrace(n, 30, *lo, *hi, *period)
-	default:
-		trace, err = sc.Trace(*seed)
-	}
+	trace, err := sc.Trace(*seed)
 	if err != nil {
 		return err
 	}

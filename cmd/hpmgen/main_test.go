@@ -6,19 +6,69 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"hierctl"
 )
 
 func TestRunSyntheticToStdout(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"-profile", "synthetic", "-bins", "100"}, &out); err != nil {
+	if err := run([]string{"-profile", "synthetic"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
-	if len(lines) != 101 { // header + 100 bins
-		t.Errorf("got %d lines, want 101", len(lines))
+	if want := hierctl.DefaultSyntheticConfig().Bins + 1; len(lines) != want { // header + bins
+		t.Errorf("got %d lines, want %d", len(lines), want)
 	}
 	if lines[0] != "time_s,value" {
 		t.Errorf("header = %q", lines[0])
+	}
+}
+
+// TestRunStepProfile: the step profile is the registered scenario — 480
+// bins of 150/3600 — in the CSV and in -inspect alike.
+func TestRunStepProfile(t *testing.T) {
+	var out bytes.Buffer
+	if err := run([]string{"-profile", "step"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	if len(lines) != 481 || !strings.Contains(out.String(), ",3600\n") {
+		t.Errorf("step emitted %d lines (want 481) or no high value", len(lines))
+	}
+	out.Reset()
+	if err := run([]string{"-profile", "step", "-inspect"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "bins          480 x 30 s") {
+		t.Errorf("step inspect:\n%s", out.String())
+	}
+}
+
+// TestRunEmitsRegistryTraces: for every scenario that takes no argument,
+// hpmgen's CSV is the registered scenario's trace — the one hpmsim,
+// hpmbench and hpmserve run — at the same seed.
+func TestRunEmitsRegistryTraces(t *testing.T) {
+	for _, sc := range hierctl.Scenarios() {
+		if sc.NeedsArg {
+			continue
+		}
+		trace, err := sc.Trace(7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want, got bytes.Buffer
+		if err := trace.WriteCSV(&want); err != nil {
+			t.Fatal(err)
+		}
+		if err := run([]string{"-profile", sc.Name, "-seed", "7"}, &got); err != nil {
+			t.Fatalf("%s: %v", sc.Name, err)
+		}
+		if !strings.HasPrefix(got.String(), "time_s,value\n") {
+			t.Errorf("%s: CSV header missing", sc.Name)
+		}
+		if got.String() != want.String() {
+			t.Errorf("%s: hpmgen emitted %d bytes that differ from the registry trace's %d", sc.Name, got.Len(), want.Len())
+		}
 	}
 }
 
@@ -37,16 +87,6 @@ func TestRunWC98ToFile(t *testing.T) {
 	}
 	if out.Len() != 0 {
 		t.Error("stdout should be empty when -out is used")
-	}
-}
-
-func TestRunStepProfile(t *testing.T) {
-	var out bytes.Buffer
-	if err := run([]string{"-profile", "step", "-bins", "4", "-lo", "1", "-hi", "9", "-period", "2"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "9") {
-		t.Errorf("step profile missing high value:\n%s", out.String())
 	}
 }
 
@@ -113,7 +153,7 @@ func TestRunInspect(t *testing.T) {
 func TestEmitReplayRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "day.csv")
 	var first bytes.Buffer
-	if err := run([]string{"-profile", "synthetic", "-bins", "64", "-out", path}, &first); err != nil {
+	if err := run([]string{"-profile", "synthetic", "-out", path}, &first); err != nil {
 		t.Fatal(err)
 	}
 	var replay bytes.Buffer

@@ -84,11 +84,10 @@ type FleetBenchChecks struct {
 	// bit-identical decisions to a twin fed the same bins one Observe at
 	// a time (verified at the smallest scale).
 	BatchEqualsSequential bool `json:"batchEqualsSequential"`
-	// RestoreEqualsReplay: at every scale, a fleet restored from the
-	// snapshot produced bit-identical next-bin decisions to the original
-	// (the name predates checkpoints: the restored fleet's next bins equal
-	// the uninterrupted fleet's).
-	RestoreEqualsReplay bool `json:"restoreEqualsReplay"`
+	// RestoreEqualsUninterrupted: at every scale, a fleet restored from
+	// the snapshot produced bit-identical next-bin decisions to the
+	// uninterrupted original.
+	RestoreEqualsUninterrupted bool `json:"restoreEqualsUninterrupted"`
 }
 
 // FleetBenchSnapshot is the BENCH_fleet.json payload.
@@ -139,7 +138,7 @@ func RunFleetBench(bins int, scales []int) (FleetBenchSnapshot, error) {
 	snap := FleetBenchSnapshot{
 		AggregateCountPerRound: fleetBenchAggregate,
 		ComputersPerTenant:     2,
-		Checks:                 FleetBenchChecks{BatchEqualsSequential: true, RestoreEqualsReplay: true},
+		Checks:                 FleetBenchChecks{BatchEqualsSequential: true, RestoreEqualsUninterrupted: true},
 	}
 	for si, n := range scales {
 		row, restoreOK, batchOK, err := runFleetBenchScale(n, bins, fleetBenchAggregate/float64(n), si == 0)
@@ -147,7 +146,7 @@ func RunFleetBench(bins int, scales []int) (FleetBenchSnapshot, error) {
 			return FleetBenchSnapshot{}, err
 		}
 		snap.Rows = append(snap.Rows, row)
-		snap.Checks.RestoreEqualsReplay = snap.Checks.RestoreEqualsReplay && restoreOK
+		snap.Checks.RestoreEqualsUninterrupted = snap.Checks.RestoreEqualsUninterrupted && restoreOK
 		if si == 0 {
 			snap.Checks.BatchEqualsSequential = batchOK
 		}
@@ -158,7 +157,7 @@ func RunFleetBench(bins int, scales []int) (FleetBenchSnapshot, error) {
 		return FleetBenchSnapshot{}, err
 	}
 	snap.Rows = append(snap.Rows, row)
-	snap.Checks.RestoreEqualsReplay = snap.Checks.RestoreEqualsReplay && restoreOK
+	snap.Checks.RestoreEqualsUninterrupted = snap.Checks.RestoreEqualsUninterrupted && restoreOK
 	return snap, nil
 }
 

@@ -72,7 +72,7 @@ func TestRunFleetBenchSmall(t *testing.T) {
 	if !snap.Checks.BatchEqualsSequential {
 		t.Error("batched ingest diverged from sequential Observe calls")
 	}
-	if !snap.Checks.RestoreEqualsReplay {
+	if !snap.Checks.RestoreEqualsUninterrupted {
 		t.Error("restored fleet diverged from the original on the next bin")
 	}
 }
@@ -109,7 +109,7 @@ func TestRunFleetBenchHistoryRow(t *testing.T) {
 	if row := snap.Rows[1]; row.Tenants != 4 || row.Bins != fleetBenchHistory || row.CountPerBin != snap.Rows[0].CountPerBin {
 		t.Errorf("history row %+v, want 4 tenants at %d bins and the scale row's load", row, fleetBenchHistory)
 	}
-	if !snap.Checks.RestoreEqualsReplay {
+	if !snap.Checks.RestoreEqualsUninterrupted {
 		t.Error("restored fleet diverged from the original on the next bin")
 	}
 }

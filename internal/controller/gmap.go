@@ -63,7 +63,6 @@ type GMap struct {
 	table *approx.Table
 	cfg   GMapConfig
 	spec  cluster.ComputerSpec
-	saved savedMemo
 }
 
 // gMap output columns.

@@ -86,8 +86,7 @@ type JTilde interface {
 // TreeJTilde adapts a CART regression tree to the JTilde interface — the
 // paper's "compact regression tree to store J̃ values" (§5.1).
 type TreeJTilde struct {
-	tree  *approx.RegressionTree
-	saved savedMemo
+	tree *approx.RegressionTree
 }
 
 // NewTreeJTilde wraps a fitted tree.

@@ -77,9 +77,9 @@ func TestArtifactStoreLearnOnce(t *testing.T) {
 						results[i] = errors.New("learner panicked")
 					}
 				}()
-				got, held, err := tier.acquire("fp", nil, learn)
-				if err == nil && (got != g || !held) {
-					err = errors.New("acquire returned a different artifact or no reference")
+				got, err := tier.acquire("fp", learn)
+				if err == nil && got != g {
+					err = errors.New("acquire returned a different artifact")
 				}
 				results[i] = err
 			}(i)
@@ -102,7 +102,7 @@ func TestArtifactStoreLearnOnce(t *testing.T) {
 				t.Errorf("%s: failed learn left %+v", tc.name, st)
 			}
 			// Not cached: the next acquire learns again.
-			if _, _, err := tier.acquire("fp", nil, func() (*controller.GMap, error) { return g, nil }); err != nil {
+			if _, err := tier.acquire("fp", func() (*controller.GMap, error) { return g, nil }); err != nil {
 				t.Errorf("%s: retry after failure: %v", tc.name, err)
 			}
 			if st := tier.stats(); st.Held != 1 || st.Learns != 1 {
@@ -126,61 +126,6 @@ func TestArtifactStoreLearnOnce(t *testing.T) {
 	}
 }
 
-// TestArtifactStoreLoggedArtifact: an artifact restored from a snapshot
-// log is used as logged. It seeds an empty fingerprint, is shared when the
-// store already holds the same content, and stays the caller's private
-// copy — never swapped — when the store holds different content.
-func TestArtifactStoreLoggedArtifact(t *testing.T) {
-	cfg := fastConfig()
-	cs := moduleOf("M1", 1).Computers[0]
-	learn := func() (*controller.GMap, error) { return controller.LearnGMap(cfg.L0, cs, cfg.GMap) }
-	logged, err := learn()
-	if err != nil {
-		t.Fatal(err)
-	}
-	noLearn := func() (*controller.GMap, error) {
-		t.Error("learned despite a logged artifact")
-		return nil, errors.New("unreachable")
-	}
-
-	tier := &NewArtifactStore().gmaps
-	if got, held, err := tier.acquire("fp", logged, noLearn); err != nil || got != logged || !held {
-		t.Fatalf("seeding: got %p held %v err %v", got, held, err)
-	}
-	// Later constructions of the fingerprint share the seeded artifact.
-	if got, held, err := tier.acquire("fp", nil, noLearn); err != nil || got != logged || !held {
-		t.Fatalf("create after seeding: got %p held %v err %v", got, held, err)
-	}
-	// Same content decoded separately: the store's copy is the one kept.
-	twin, err := learn()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, held, err := tier.acquire("fp", twin, noLearn); err != nil || got != logged || !held {
-		t.Fatalf("same content: got %p (store has %p) held %v err %v", got, logged, held, err)
-	}
-	// Different content under the same fingerprint (a log from a build that
-	// learned differently): the logged artifact is used, privately.
-	coarse := cfg.GMap
-	coarse.QStep *= 2
-	other, err := controller.LearnGMap(cfg.L0, cs, coarse)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, held, err := tier.acquire("fp", other, noLearn); err != nil || got != other || held {
-		t.Fatalf("different content: got %p (logged %p) held %v err %v", got, other, held, err)
-	}
-	if st := tier.stats(); st.Held != 1 || st.Learns != 0 || st.Shares != 2 {
-		t.Errorf("store: %+v, want 1 held, 0 learns, 2 shares", st)
-	}
-	for i := 0; i < 3; i++ {
-		tier.release("fp")
-	}
-	if st := tier.stats(); st.Held != 0 {
-		t.Errorf("store holds %d entries after the last release", st.Held)
-	}
-}
-
 // TestStoreManagersShareAndRelease: managers built through one store use
 // the same artifact objects, only the first learns, Release is idempotent,
 // and the store empties with its last manager.
@@ -188,12 +133,12 @@ func TestStoreManagersShareAndRelease(t *testing.T) {
 	spec := cluster.Spec{Modules: []cluster.ModuleSpec{moduleOf("M1", 2), moduleOf("M2", 2)}}
 	cfg := fastConfig()
 	store := NewArtifactStore()
-	first, err := store.NewManager(spec, cfg, nil)
+	first, err := store.NewManager(spec, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Seed = 99 // the seed is not part of the learning fingerprint
-	second, err := store.NewManager(spec, cfg, nil)
+	second, err := store.NewManager(spec, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,16 +160,25 @@ func TestStoreManagersShareAndRelease(t *testing.T) {
 		t.Fatalf("store: %+v, want %+v", got, want)
 	}
 	// A construction that fails after acquiring releases what it took:
-	// the logged map is adopted, then the tree's learn cannot write its
+	// the map is shared from a live single-module manager (ArtifactDir is
+	// not part of the fingerprint), then the tree's learn cannot write its
 	// cache file.
+	other := NewArtifactStore()
+	single, err := other.NewManager(cluster.Spec{Modules: spec.Modules[:1]}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	bad := cfg
 	bad.ArtifactDir = filepath.Join(t.TempDir(), "does-not-exist")
-	other := NewArtifactStore()
-	if _, err := other.NewManager(spec, bad, &ArtifactSet{GMaps: first.Artifacts().GMaps}); err == nil {
+	if _, err := other.NewManager(spec, bad); err == nil {
 		t.Fatal("construction with a missing artifact dir succeeded")
 	}
-	if got := other.Stats(); got.GMaps.Held != 0 || got.Trees.Held != 0 {
+	if got := other.Stats(); got.GMaps.Held != 1 || got.GMaps.Shares != 1 || got.Trees.Held != 0 {
 		t.Fatalf("failed construction left references behind: %+v", got)
+	}
+	single.Release()
+	if got := other.Stats(); got.GMaps.Held != 0 {
+		t.Fatalf("store after the failed construction's only sibling released: %+v", got)
 	}
 	first.Release()
 	first.Release()
@@ -249,11 +203,11 @@ func TestStoreManagersShareCandidateTables(t *testing.T) {
 	cfg := fastConfig()
 	cfg.Parallelism = 1
 	store := NewArtifactStore()
-	first, err := store.NewManager(spec, cfg, nil)
+	first, err := store.NewManager(spec, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := store.NewManager(spec, cfg, nil)
+	second, err := store.NewManager(spec, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

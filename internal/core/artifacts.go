@@ -35,9 +35,7 @@ func treeFingerprint(cfg Config, module string) string {
 // learned is what the two artifact kinds (*controller.GMap,
 // *controller.TreeJTilde) have in common.
 type learned interface {
-	comparable
 	Save(w io.Writer) error
-	Saved() (*controller.Saved, error)
 }
 
 // loadOrLearn is the ArtifactDir file tier: it returns the cached artifact
@@ -171,15 +169,10 @@ func (t *artifactTier[T]) stats() ArtifactKindStats {
 	return ArtifactKindStats{Held: len(t.entries), Learns: t.learns, Shares: t.shares}
 }
 
-// acquire returns the artifact for fingerprint and whether the caller now
-// holds a reference it must release. With a zero logged value it is
-// learn-once: the first caller runs learn, everyone else waits for it and
-// shares the result. A non-zero logged value is an artifact restored from a
-// snapshot log, which must be used as the log recorded it: it becomes the
-// fingerprint's entry when there is none, is shared through the entry when
-// the entry holds the same content, and is otherwise returned as the
-// caller's private copy (held == false) — never swapped for the store's.
-func (t *artifactTier[T]) acquire(fingerprint string, logged T, learn func() (T, error)) (val T, held bool, err error) {
+// acquire returns the artifact for fingerprint, learn-once: the first
+// caller runs learn, everyone else waits for it and shares the result. On
+// success the caller holds a reference it must release.
+func (t *artifactTier[T]) acquire(fingerprint string, learn func() (T, error)) (T, error) {
 	var zero T
 	t.mu.Lock()
 	e, ok := t.entries[fingerprint]
@@ -187,11 +180,6 @@ func (t *artifactTier[T]) acquire(fingerprint string, logged T, learn func() (T,
 		e = &artifactEntry[T]{refs: 1, ready: make(chan struct{})}
 		t.entries[fingerprint] = e
 		t.mu.Unlock()
-		if logged != zero {
-			e.val = logged
-			close(e.ready)
-			return logged, true, nil
-		}
 		// The deferred completion also runs when learn panics, so waiters
 		// are released (with an error) rather than parked forever.
 		done := false
@@ -210,7 +198,7 @@ func (t *artifactTier[T]) acquire(fingerprint string, logged T, learn func() (T,
 		}()
 		e.val, e.err = learn()
 		done = true
-		return e.val, e.err == nil, e.err
+		return e.val, e.err
 	}
 	e.refs++
 	t.mu.Unlock()
@@ -218,31 +206,12 @@ func (t *artifactTier[T]) acquire(fingerprint string, logged T, learn func() (T,
 	if e.err != nil {
 		// The learner already removed the failed entry; the reference taken
 		// above died with it.
-		return zero, false, e.err
-	}
-	if logged != zero && logged != e.val {
-		same, err := sameContent(logged, e.val)
-		if err != nil || !same {
-			t.release(fingerprint)
-			return logged, false, err
-		}
+		return zero, e.err
 	}
 	t.mu.Lock()
 	t.shares++
 	t.mu.Unlock()
-	return e.val, true, nil
-}
-
-func sameContent[T learned](a, b T) (bool, error) {
-	sa, err := a.Saved()
-	if err != nil {
-		return false, err
-	}
-	sb, err := b.Saved()
-	if err != nil {
-		return false, err
-	}
-	return sa.Digest == sb.Digest, nil
+	return e.val, nil
 }
 
 // release drops one reference; the last one removes the entry.

@@ -32,7 +32,7 @@ func newCheckpointRun(t testing.TB, store *ArtifactStore) checkpointRun {
 func newCheckpointRunAt(t testing.TB, store *ArtifactStore, binSeconds float64) checkpointRun {
 	t.Helper()
 	spec := cluster.Spec{Modules: []cluster.ModuleSpec{moduleOf("M1", 3), moduleOf("M2", 3)}}
-	mgr, err := store.NewManager(spec, fastConfig(), nil)
+	mgr, err := store.NewManager(spec, fastConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

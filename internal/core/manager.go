@@ -255,7 +255,7 @@ func (m *Manager) Recorder() *obs.Recorder { return m.recorder }
 // per distinct hardware and the regression trees J̃ per distinct module
 // composition — keyed by the manager's configuration fingerprints. A set
 // is only valid for the exact Config and cluster hardware it was learned
-// under; snapshot formats pair it with that configuration.
+// under.
 type ArtifactSet struct {
 	GMaps map[string]*controller.GMap
 	Trees map[string]*controller.TreeJTilde
@@ -286,7 +286,7 @@ func (m *Manager) Artifacts() ArtifactSet {
 // built here shares only within itself (its store is private); to share
 // across managers build them through one ArtifactStore.
 func NewManager(spec cluster.Spec, cfg Config) (*Manager, error) {
-	return NewArtifactStore().NewManager(spec, cfg, nil)
+	return NewArtifactStore().NewManager(spec, cfg)
 }
 
 // NewManager is the package-level NewManager with the offline learning
@@ -294,14 +294,7 @@ func NewManager(spec cluster.Spec, cfg Config) (*Manager, error) {
 // only the first manager of a fingerprint learns it and all of them use
 // the same read-only copy, and every L1 and L2 reads the candidate table
 // of its shape. Call Release when the manager is discarded.
-//
-// logged, when non-nil, supplies artifacts restored from a snapshot log,
-// keyed like Manager.Artifacts: a hardware or module composition found
-// there uses the logged artifact — which is what makes restoring a
-// snapshotted controller cheap and exact — and offers it to the store for
-// later managers of the same fingerprint. They must have been learned
-// under an identical Config; the set carries no provenance of its own.
-func (s *ArtifactStore) NewManager(spec cluster.Spec, cfg Config, logged *ArtifactSet) (_ *Manager, err error) {
+func (s *ArtifactStore) NewManager(spec cluster.Spec, cfg Config) (_ *Manager, err error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -314,9 +307,6 @@ func (s *ArtifactStore) NewManager(spec cluster.Spec, cfg Config, logged *Artifa
 			m.Release()
 		}
 	}()
-	if logged == nil {
-		logged = &ArtifactSet{}
-	}
 	learnStart := time.Now() //hpm:wallclock one-time learning-phase duration report; observe-only
 	workers := par.Workers(cfg.Parallelism)
 
@@ -332,7 +322,6 @@ func (s *ArtifactStore) NewManager(spec cluster.Spec, cfg Config, logged *Artifa
 			fp := gmapFingerprint(cfg, key)
 			return artifactTask[*controller.GMap]{
 				fingerprint: fp,
-				logged:      logged.GMaps[key],
 				what:        "g for " + cs.Name,
 				learn: func() (*controller.GMap, error) {
 					return loadOrLearn(cfg.ArtifactDir, "gmap", fp, controller.ReadGMap, func() (*controller.GMap, error) {
@@ -391,7 +380,6 @@ func (s *ArtifactStore) NewManager(spec cluster.Spec, cfg Config, logged *Artifa
 				fp := treeFingerprint(cfg, key)
 				return artifactTask[*controller.TreeJTilde]{
 					fingerprint: fp,
-					logged:      logged.Trees[key],
 					what:        "J̃ for module " + spec.Modules[i].Name,
 					learn: func() (*controller.TreeJTilde, error) {
 						return loadOrLearn(cfg.ArtifactDir, "jtree", fp, controller.ReadTreeJTilde, func() (*controller.TreeJTilde, error) {
@@ -421,7 +409,6 @@ func (s *ArtifactStore) NewManager(spec cluster.Spec, cfg Config, logged *Artifa
 // artifactTask is one distinct artifact a manager needs from a tier.
 type artifactTask[T learned] struct {
 	fingerprint string
-	logged      T      // the artifact a snapshot log recorded under this key, if any
 	what        string // names the artifact in a learning error
 	learn       func() (T, error)
 }
@@ -448,14 +435,11 @@ func acquireDistinct[T learned](t *artifactTier[T], workers, n int, held *[]stri
 	taken := make([]string, len(keys)) // fingerprint of each reference taken
 	err := par.For(workers, len(keys), func(j int) error {
 		tk := task(first[j], keys[j])
-		val, ok, err := t.acquire(tk.fingerprint, tk.logged, tk.learn)
+		val, err := t.acquire(tk.fingerprint, tk.learn)
 		if err != nil {
 			return fmt.Errorf("core: learning %s: %w", tk.what, err)
 		}
-		slots[j] = val
-		if ok {
-			taken[j] = tk.fingerprint
-		}
+		slots[j], taken[j] = val, tk.fingerprint
 		return nil
 	})
 	for _, fp := range taken {

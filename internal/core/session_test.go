@@ -269,14 +269,16 @@ func TestSessionValidation(t *testing.T) {
 	}
 }
 
-// TestManagerWithArtifactsSkipsLearning verifies a manager rebuilt from
-// another's artifacts shares the learned objects and decides identically.
+// TestManagerWithArtifactsSkipsLearning verifies a manager built through
+// the store that holds another's artifacts learns nothing, shares the
+// learned objects and decides identically.
 func TestManagerWithArtifactsSkipsLearning(t *testing.T) {
 	spec := cluster.Spec{Modules: []cluster.ModuleSpec{
 		moduleOf("M1", 2), moduleOf("M2", 2),
 	}}
 	cfg := fastConfig()
-	first, err := NewManager(spec, cfg)
+	store := NewArtifactStore()
+	first, err := store.NewManager(spec, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,9 +289,12 @@ func TestManagerWithArtifactsSkipsLearning(t *testing.T) {
 	if len(art.Trees) == 0 {
 		t.Fatal("no module trees retained (multi-module cluster)")
 	}
-	second, err := NewArtifactStore().NewManager(spec, cfg, &art)
+	second, err := store.NewManager(spec, cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if st := store.Stats(); st.GMaps.Learns != 1 || st.Trees.Learns != 1 {
+		t.Errorf("store learned %+v, want one map and one tree", st)
 	}
 	for key, g := range art.GMaps {
 		if second.artifacts.GMaps[key] != g {

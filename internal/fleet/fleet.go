@@ -21,18 +21,18 @@
 //   - Online equals batch: a tenant stepped over a trace's bins is
 //     record-for-record identical to core's batch Manager.Run on that
 //     trace (pinned by TestFleetOnlineMatchesBatchRun).
-//   - Snapshots are checkpoints (config + learned artifacts + the
-//     tenant's state); a restore rebuilds the tenant from its
-//     configuration and puts the checkpointed state back, so the next K
+//   - Snapshots are checkpoints (config + the tenant's state); a restore
+//     creates the tenant from its configuration, as CreateTenant does,
+//     and puts the checkpointed state back, so the next K
 //     decisions, telemetry cursors and close record after a restore are
 //     those of an uninterrupted run (pinned by the checkpoint property
 //     tests). Scenario failure plans ride in TenantConfig, so restores
 //     re-inject them.
 //   - Learn once, share everywhere: the fleet holds one artifact store, so
 //     an abstraction map g or tree J̃ is learned once and kept in memory
-//     once per learning fingerprint however many tenants use it, and a
-//     snapshot log stores it once; shared artifacts are read-only (pinned
-//     by the sharing tests).
+//     once per learning fingerprint however many tenants use it — a
+//     restore included — and no snapshot log stores it; shared artifacts
+//     are read-only (pinned by the sharing tests).
 package fleet
 
 import (
@@ -327,7 +327,7 @@ func (f *Fleet) CreateTenant(id string, tc TenantConfig) error {
 	if taken {
 		return ErrExists
 	}
-	t, err := newTenant(id, tc, f.artifacts, nil)
+	t, err := newTenant(id, tc, f.artifacts)
 	if err != nil {
 		return err
 	}

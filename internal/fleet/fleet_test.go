@@ -236,8 +236,7 @@ func TestFleetOnlineMatchesBatchRun(t *testing.T) {
 // round-trip through the fleet snapshot path: snapshot a running tenant,
 // restore into a fresh fleet, and the next K decisions must be
 // bit-identical. The multi-module tenant exercises both artifact kinds
-// (abstraction maps and module trees) through the controller/approx
-// persistence layers.
+// (abstraction maps and module trees), which the restore learns afresh.
 func TestSnapshotRestoreDecisionsBitIdentical(t *testing.T) {
 	spec := cluster.Spec{Modules: []cluster.ModuleSpec{
 		moduleOf("M1", 2), moduleOf("M2", 2),

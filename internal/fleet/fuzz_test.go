@@ -17,17 +17,16 @@ import (
 
 // fuzzSeedLogs builds the seed inputs for FuzzSnapshotRestore: valid
 // snapshot and journal-shaped logs plus characteristic damage (torn
-// tail, flipped byte, bad magic), then a mixed-shape fleet whose log holds
-// several artifact frames of both kinds and bases referencing different
-// subsets of them, and a halted tenant. The same generator writes the committed corpus under
-// testdata/fuzz (see TestWriteFuzzCorpus).
+// tail, flipped byte, bad magic), then a mixed-shape fleet — tenants of
+// two learning grids, one of them two modules (a map g and a tree J̃) —
+// with a halted tenant. The same generator writes the committed corpus
+// under testdata/fuzz (see TestWriteFuzzCorpus).
 func fuzzSeedLogs(t testing.TB) [][]byte {
 	f := New(Config{Shards: 1})
 	defer f.Close()
 	for i, id := range []string{"a", "b"} {
-		// No ArtifactDir: the embedded config must be self-contained so
-		// a fuzz-time restore rebuilds from the snapshot's own artifact
-		// blobs instead of erroring on a vanished cache directory.
+		// No ArtifactDir: a restore learns from the embedded config, and
+		// a vanished cache directory would fail it as it fails a create.
 		tc := batchTenantConfig("", int64(i+1))
 		if err := f.CreateTenant(id, tc); err != nil {
 			t.Fatal(err)
@@ -216,11 +215,11 @@ func FuzzSnapshotRestore(f *testing.F) {
 			// nothing decodable, nothing to rebuild.
 			return
 		}
-		log, err := assembleLog(bytes.NewReader(data), false)
+		snaps, err := assembleLog(bytes.NewReader(data), false)
 		if err != nil {
 			return
 		}
-		for _, s := range log.tenants {
+		for _, s := range snaps {
 			if !fuzzSafeShape(s) {
 				return
 			}
@@ -322,9 +321,9 @@ func checkFoldLog(t *testing.T, log []byte) {
 		t.Fatalf("scanning %d bytes (%d frames) allocated %d, bound %d", len(log), rep.Frames, grown, bound)
 	}
 
-	asm, aerr := assembleLog(bytes.NewReader(log), false)
+	snaps, aerr := assembleLog(bytes.NewReader(log), false)
 	if aerr == nil {
-		for _, s := range asm.tenants {
+		for _, s := range snaps {
 			if !fuzzSafeShape(s) {
 				return // decodes, but too costly to rebuild
 			}
@@ -337,17 +336,20 @@ func checkFoldLog(t *testing.T, log []byte) {
 	switch {
 	case rerr != nil && registered != 0:
 		t.Fatalf("failed restore (%v) left %d tenants registered", rerr, registered)
-	case rerr == nil && (aerr != nil || registered != len(asm.tenants)):
-		t.Fatalf("restore registered %d tenants; the log assembles to %d (err %v)", registered, len(asm.tenants), aerr)
+	case rerr == nil && (aerr != nil || registered != len(snaps)):
+		t.Fatalf("restore registered %d tenants; the log assembles to %d (err %v)", registered, len(snaps), aerr)
 	}
 }
 
 // TestWriteFuzzCorpus writes the seeds missing from the committed corpora
-// under testdata/fuzz. Existing files are left alone: FuzzSnapshotRestore's
-// seed-00 to seed-06 were written before artifact frames existed and are
-// the corpus's embedded-blob, union-typed-delta inputs (the fuzzers add
-// the current layout of the same logs at run time). Gated so a normal run
-// never touches checked-in files:
+// under testdata/fuzz. Existing files are left alone, so the corpora keep
+// the older layouts the reader must still take (the fuzzers add the
+// current layout of the same logs at run time): FuzzSnapshotRestore's
+// seed-00 to seed-06 and FuzzFoldLog's seed-00 embed artifact blobs in
+// genesis bases and encode deltas from the union type; FuzzSnapshotRestore's
+// seed-07 and FuzzFoldLog's seed-01 to seed-03 hold artifact frames that
+// genesis bases reference. Gated so a normal run never touches checked-in
+// files:
 //
 //	HPM_WRITE_FUZZ_CORPUS=1 go test ./internal/fleet -run TestWriteFuzzCorpus
 func TestWriteFuzzCorpus(t *testing.T) {

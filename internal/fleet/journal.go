@@ -31,15 +31,13 @@ const (
 // Journal maintains an incremental on-disk snapshot of a fleet: a frame
 // log (see snapshot.go) holding one full base snapshot plus the delta
 // frames appended since. Append writes only what changed — new tenants
-// as checkpoint base frames (behind an artifact frame for any learned
-// artifact the log does not hold yet), grown tenants as deltas of the
-// counts past their mark, closed
-// tenants as removes — so steady-state persistence cost is proportional
-// to new observations, not fleet size. When the delta tail outgrows the base
-// (CompactFactor) or ages out (MaxAppends), the journal compacts: a
-// fresh full snapshot is written to a temp file, fsynced, and renamed
-// over the log, so a crash at any instant leaves either the old log
-// (with its deltas) or the new one — never a half-written base.
+// as checkpoint base frames, grown tenants as deltas of the counts past
+// their mark, closed tenants as removes — so steady-state persistence cost
+// is proportional to new observations, not fleet size. When the delta tail
+// outgrows the base (CompactFactor) or ages out (MaxAppends), the journal
+// compacts: a fresh full snapshot is written to a temp file, fsynced, and
+// renamed over the log, so a crash at any instant leaves either the old
+// log (with its deltas) or the new one — never a half-written base.
 //
 // Recovery is OpenJournal on the same path: an existing log is streamed
 // back into the fleet (tolerating a torn final frame — the signature of
@@ -62,13 +60,7 @@ type Journal struct {
 	// idempotent overlap instead of losing a suffix. The tenant's own log
 	// keeps the counts past its mark, and drops the rest at the next
 	// Append's sweep.
-	marks map[string]journalMark
-	// artifacts lists the learned artifacts (by content address) the log
-	// holds since its last compaction; a base frame appended for a tenant
-	// whose artifacts are all listed writes references only. Like the
-	// marks it moves only with durable frames: a failed append takes back
-	// what it added.
-	artifacts   map[digest]bool
+	marks       map[string]journalMark
 	baseBytes   int64
 	tailBytes   int64
 	appends     int
@@ -84,10 +76,9 @@ type Journal struct {
 	// failpoints: when non-nil, invoked at the matching point and the
 	// operation aborts with the returned error — the crash injection
 	// seam for the recovery tests.
-	hookAfterAppend    func() error
-	hookAfterFrames    func() error
-	hookAfterArtifacts func() error // artifact frames written, their base not yet
-	hookBeforeSwap     func() error
+	hookAfterAppend func() error
+	hookAfterFrames func() error
+	hookBeforeSwap  func() error
 }
 
 // journalMark is the log's high-water mark for one tenant incarnation:
@@ -151,8 +142,7 @@ func OpenJournal(fl *Fleet, path string, cfg JournalConfig) (*Journal, error) {
 }
 
 // Append journals everything that changed since the last Append or
-// compaction: checkpoint base frames for tenants the log has never seen
-// (each behind the artifact frames it references and the log lacks),
+// compaction: checkpoint base frames for tenants the log has never seen,
 // delta frames of the counts past each tenant's mark, remove frames for
 // closed tenants. Its sweep drops from each tenant's log the counts the
 // last Append made durable.
@@ -234,15 +224,6 @@ func (j *Journal) Append() error {
 	// middle of frames a later Append fsyncs.
 	offset := j.baseBytes + j.tailBytes
 	var written int64
-	// added lists the artifacts this append put in the log; fail takes
-	// them back out of j.artifacts along with the truncated frames.
-	var added []digest
-	fail := func(err error) error {
-		for _, d := range added {
-			delete(j.artifacts, d)
-		}
-		return j.failAppend(offset, err)
-	}
 	fw := &frameWriter{w: j.file}
 	for _, c := range changes {
 		if c.frame == nil {
@@ -251,44 +232,31 @@ func (j *Journal) Append() error {
 		if c.stale {
 			n, err := fw.frame(&logFrame{Kind: frameRemove, ID: c.id})
 			if err != nil {
-				return fail(err)
+				return j.failAppend(offset, err)
 			}
 			written += n
-		}
-		if c.frame.Base != nil {
-			n, more, err := writeArtifactFrames(fw, c.frame.Base, j.artifacts)
-			written += n
-			added = append(added, more...)
-			if err != nil {
-				return fail(err)
-			}
-			if n > 0 && j.hookAfterArtifacts != nil {
-				if err := j.hookAfterArtifacts(); err != nil {
-					return fail(err)
-				}
-			}
 		}
 		n, err := fw.frame(c.frame)
 		if err != nil {
-			return fail(err)
+			return j.failAppend(offset, err)
 		}
 		written += n
 	}
 	for _, id := range removed {
 		n, err := fw.frame(&logFrame{Kind: frameRemove, ID: id})
 		if err != nil {
-			return fail(err)
+			return j.failAppend(offset, err)
 		}
 		written += n
 	}
 	if written > 0 {
 		if j.hookAfterFrames != nil {
 			if err := j.hookAfterFrames(); err != nil {
-				return fail(err)
+				return j.failAppend(offset, err)
 			}
 		}
 		if err := j.file.Sync(); err != nil {
-			return fail(fmt.Errorf("fleet: sync journal: %w", err))
+			return j.failAppend(offset, fmt.Errorf("fleet: sync journal: %w", err))
 		}
 	}
 	// The frames are durable; only now may the marks move past them.
@@ -364,7 +332,7 @@ func (j *Journal) compactLocked() error {
 	if err != nil {
 		return fmt.Errorf("fleet: compact journal: %w", err)
 	}
-	written, held, werr := writeBaseLog(file, snaps)
+	written, werr := writeBaseLog(file, snaps)
 	if werr == nil {
 		werr = file.Sync()
 	}
@@ -401,7 +369,6 @@ func (j *Journal) compactLocked() error {
 		marks[snaps[i].ID] = journalMark{obs: snaps[i].Bins, gen: snaps[i].gen, quar: snaps[i].Quarantined}
 	}
 	j.marks = marks
-	j.artifacts = held
 	j.baseBytes = written
 	j.tailBytes = 0
 	j.appends = 0

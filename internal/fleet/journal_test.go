@@ -565,214 +565,109 @@ func TestDeltaFrameIsSlim(t *testing.T) {
 	}
 }
 
-// TestJournalCrashBetweenArtifactAndBase: the process dies after an
-// Append wrote a new tenant's artifact frame but before the base frame
-// that references it. The log then ends in an artifact nothing uses;
-// recovery must restore every observation acknowledged before that append
-// exactly once, and the surviving journal — which truncated the failed
-// append away — must write the artifact again with the retried base.
-func TestJournalCrashBetweenArtifactAndBase(t *testing.T) {
-	path := journalPath(t)
-	crashed := filepath.Join(t.TempDir(), "crashed.journal")
-	f := New(Config{Shards: 2})
-	defer f.Close()
-	if err := f.CreateTenant("a", batchTenantConfig("", 1)); err != nil {
-		t.Fatal(err)
-	}
-	j, err := OpenJournal(f, path, JournalConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	for _, c := range []float64{200, 250, 150} {
-		if _, err := f.Observe("a", c); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := j.Append(); err != nil { // acknowledged: a at 3 bins
-		t.Fatal(err)
-	}
-
-	// A tenant of a new shape brings an artifact the log does not hold.
-	wide := batchTenantConfig("", 2)
-	wide.Core.GMap.QStep = 50
-	if err := f.CreateTenant("b", wide); err != nil {
-		t.Fatal(err)
-	}
-	j.hookAfterArtifacts = func() error {
-		// What a crash at this instant leaves on disk.
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(crashed, data, 0o644); err != nil {
-			return err
-		}
-		return errCrash
-	}
-	if err := j.Append(); !errors.Is(err, errCrash) {
-		t.Fatalf("append: got %v, want injected crash", err)
-	}
-	j.hookAfterArtifacts = nil
-
-	rep, err := VerifyJournalFile(crashed)
-	if err != nil {
-		t.Fatalf("crashed log: %v", err)
-	}
-	if rep.ArtifactFrames != 2 || rep.Tenants != 1 || rep.Observations != 3 {
-		t.Fatalf("crashed log folds to %+v; want the orphan artifact frame, tenant a, 3 observations", rep)
-	}
-	f2 := New(Config{Shards: 2})
-	defer f2.Close()
-	j2, err := OpenJournal(f2, crashed, JournalConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	if got := f2.Tenants(); !reflect.DeepEqual(got, []string{"a"}) {
-		t.Fatalf("recovered tenants %v, want [a]", got)
-	}
-	if st, err := f2.State("a"); err != nil || st.Bins != 3 {
-		t.Fatalf("recovered a at %+v (err %v), want the 3 acknowledged bins", st, err)
-	}
-	// Recovery compacted: the orphan is gone from the rewritten log.
-	if rep, err := VerifyJournalFile(crashed); err != nil || rep.ArtifactFrames != 1 {
-		t.Fatalf("compacted log: %+v, err %v; want 1 artifact frame", rep, err)
-	}
-
-	// The survivor retries: artifact frame and base land together.
-	if _, err := f.Observe("a", 300); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Append(); err != nil {
-		t.Fatal(err)
-	}
-	rep, err = VerifyJournalFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.ArtifactFrames != 2 || rep.Tenants != 2 || rep.Observations != 4 {
-		t.Fatalf("retried append folds to %+v; want 2 artifact frames, 2 tenants, 4 observations", rep)
-	}
-}
-
-// TestJournalAppendReferencesHeldArtifacts: a tenant created after the
-// base was written costs the log a base frame of references only when the
-// log already holds its artifacts — the artifact is on disk once per
-// journal, not once per tenant.
-func TestJournalAppendReferencesHeldArtifacts(t *testing.T) {
-	path := journalPath(t)
-	f := New(Config{Shards: 2})
-	defer f.Close()
-	if err := f.CreateTenant("a", batchTenantConfig("", 1)); err != nil {
-		t.Fatal(err)
-	}
-	j, err := OpenJournal(f, path, JournalConfig{CompactFactor: 1e9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	for i, id := range []string{"b", "c", "d"} {
-		if err := f.CreateTenant(id, batchTenantConfig("", int64(i+2))); err != nil {
-			t.Fatal(err)
-		}
-		if err := j.Append(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rep, err := VerifyJournalFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.BaseFrames != 4 || rep.ArtifactFrames != 1 {
-		t.Fatalf("log holds %d base and %d artifact frames, want 4 and 1", rep.BaseFrames, rep.ArtifactFrames)
-	}
-	if st := j.Stats(); st.TailBytes > st.BaseBytes {
-		t.Errorf("three reference-only bases (%d bytes) outweigh the base log with its artifact (%d bytes)", st.TailBytes, st.BaseBytes)
-	}
-}
-
-// parentJournalGolden is what the parent commit's own code reported for
-// testdata/pr12.journal when it wrote it — except Next, which is what the
-// replayed tenants decide on their next bin and so follows the random
-// streams: it was regenerated once, with BENCH_scenarios.json, when the
-// streams became des.Stream and synthesis went sort-free (α, γ and the
-// frequencies came out as the old stream's; each bin's mean response moved).
+// parentJournalGolden is what the code that wrote a parent journal
+// reported for it: the verify report, each live tenant's bins and (in
+// pr32.journal's golden) State, and Next, what each steppable tenant
+// decides on its next bin of 210 arrivals. pr12.journal's Next follows the
+// random streams: it was regenerated once, with BENCH_scenarios.json, when
+// the streams became des.Stream and synthesis went sort-free (α, γ and the
+// frequencies came out as the old stream's; each bin's mean response
+// moved).
 type parentJournalGolden struct {
 	Report VerifyReport
 	Bins   map[string]int
+	State  map[string]TenantState
 	Next   map[string]core.BinDecision
 }
 
-// TestParentJournalRecovers pins read compatibility: a journal written by
-// the code before artifact frames and wire structs existed — artifact
-// blobs embedded in every base frame, delta and remove frames encoded from
-// the union type — verifies to the same report, recovers to the same
-// tenants and bins, continues with the decision this code's streams give
-// the replayed state, and is rewritten in the current layout by the
+// TestParentJournalRecovers pins read compatibility with two older
+// layouts. pr12.journal predates artifact frames and wire structs:
+// artifact blobs embedded in every genesis base frame, delta and remove
+// frames encoded from the union type. pr32.journal holds artifact frames
+// of both kinds (a map g and a tree J̃) that its checkpoint bases
+// reference, deltas, a remove and a halted tenant. Each verifies to the
+// writer's report; recovers to the same tenants, bins and State, its
+// tenants learning each fingerprint once as creates would; continues with
+// the golden's decisions; and is rewritten without artifacts by the
 // compaction recovery ends with.
 func TestParentJournalRecovers(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("testdata", "pr12.journal"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(filepath.Join("testdata", "pr12.journal.golden.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want parentJournalGolden
-	if err := json.Unmarshal(raw, &want); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := verifyAndRecover(t, "parent journal", data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *rep != want.Report {
-		t.Errorf("verify report %+v, want the parent's %+v", *rep, want.Report)
-	}
+	for _, tc := range []struct {
+		name         string
+		gmaps, trees core.ArtifactKindStats
+	}{
+		{"pr12", core.ArtifactKindStats{Held: 1, Learns: 1, Shares: 1}, core.ArtifactKindStats{}},
+		{"pr32", core.ArtifactKindStats{Held: 1, Learns: 1, Shares: 3}, core.ArtifactKindStats{Held: 1, Learns: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			data, err := os.ReadFile(filepath.Join("testdata", tc.name+".journal"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, err := os.ReadFile(filepath.Join("testdata", tc.name+".journal.golden.json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want parentJournalGolden
+			if err := json.Unmarshal(raw, &want); err != nil {
+				t.Fatal(err)
+			}
+			rep, err := verifyAndRecover(t, tc.name, data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if *rep != want.Report {
+				t.Errorf("verify report %+v, want the writer's %+v", *rep, want.Report)
+			}
 
-	path := journalPath(t)
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	f := New(Config{Shards: 2})
-	defer f.Close()
-	j, err := OpenJournal(f, path, JournalConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	// Three embedded copies of one blob: decoded once, held once, and the
-	// two live tenants share it without a learn.
-	if art := f.Stats().Artifacts.GMaps; art.Held != 1 || art.Learns != 0 || art.Shares != 1 {
-		t.Errorf("store after recovery: %+v, want 1 held, 0 learns, 1 share", art)
-	}
-	for id, bins := range want.Bins {
-		st, err := f.State(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Bins != bins {
-			t.Errorf("tenant %s recovered at %d bins, want %d", id, st.Bins, bins)
-		}
-		dec, err := f.Observe(id, 210)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(dec, want.Next[id]) {
-			t.Errorf("tenant %s next decision diverged from the golden's:\n got %+v\nwant %+v", id, dec, want.Next[id])
-		}
-	}
+			path := journalPath(t)
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			f := New(Config{Shards: 2})
+			defer f.Close()
+			j, err := OpenJournal(f, path, JournalConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer j.Close()
+			if art := f.Stats().Artifacts; art.GMaps != tc.gmaps || art.Trees != tc.trees {
+				t.Errorf("store after recovery: %+v, want maps %+v, trees %+v", art, tc.gmaps, tc.trees)
+			}
+			if got := len(f.Tenants()); got != len(want.Bins) {
+				t.Errorf("recovered %d tenants, want %d", got, len(want.Bins))
+			}
+			for id, bins := range want.Bins {
+				st, err := f.State(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.Bins != bins {
+					t.Errorf("tenant %s recovered at %d bins, want %d", id, st.Bins, bins)
+				}
+				if ws, ok := want.State[id]; ok && !reflect.DeepEqual(st, ws) {
+					t.Errorf("tenant %s state:\n got %+v\nwant %+v", id, st, ws)
+				}
+			}
+			for id, next := range want.Next {
+				dec, err := f.Observe(id, 210)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(dec, next) {
+					t.Errorf("tenant %s next decision diverged from the golden's:\n got %+v\nwant %+v", id, dec, next)
+				}
+			}
 
-	rewritten, err := VerifyJournalFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rewritten.ArtifactFrames != 1 || rewritten.BaseFrames != 2 || rewritten.Observations != want.Report.Observations {
-		t.Errorf("compacted log: %+v; want 1 artifact frame, 2 bases, %d observations", rewritten, want.Report.Observations)
-	}
-	if st, err := os.Stat(path); err != nil || st.Size() >= int64(len(data)) {
-		t.Errorf("compacted log is %d bytes (err %v), want less than the parent layout's %d", st.Size(), err, len(data))
+			rewritten, err := VerifyJournalFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rewritten.Frames != rewritten.BaseFrames || rewritten.BaseFrames != want.Report.Tenants || rewritten.Observations != want.Report.Observations {
+				t.Errorf("compacted log: %+v; want only %d bases, %d observations", rewritten, want.Report.Tenants, want.Report.Observations)
+			}
+			if st, err := os.Stat(path); err != nil || st.Size() >= int64(len(data)) {
+				t.Errorf("compacted log is %d bytes (err %v), want less than the parent layout's %d", st.Size(), err, len(data))
+			}
+		})
 	}
 }

@@ -45,13 +45,12 @@ func fleetStates(t *testing.T, f *Fleet) map[string]TenantState {
 }
 
 // buildPrefixJournal writes the journal the every-prefix suite attacks:
-// tenants a and b behind one artifact frame, written by a compaction (the
-// file the earlier deltas went to is replaced), then delta appends, the
-// re-base of b quarantined by a halt (a panic after its bin's last tick,
-// see haltState) and a last delta for a. It returns the log and every
-// durable point the file passed after the compaction. With stop > 0 it
-// stops at the stop-th durable point and also returns the live fleet
-// there.
+// tenants a and b, written by a compaction (the file the earlier deltas
+// went to is replaced), then delta appends, the re-base of b quarantined
+// by a halt (a panic after its bin's last tick, see haltState) and a last
+// delta for a. It returns the log and every durable point the file passed
+// after the compaction. With stop > 0 it stops at the stop-th durable
+// point and also returns the live fleet there.
 func buildPrefixJournal(t *testing.T, stop int) ([]byte, []durablePoint, *Fleet) {
 	t.Helper()
 	path := journalPath(t)

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
 	"reflect"
 	"sync"
 	"testing"
 
 	"hierctl/internal/cluster"
+	"hierctl/internal/controller"
 	"hierctl/internal/core"
 	"hierctl/internal/workload"
 )
@@ -72,7 +74,8 @@ func runTenant(t *testing.T, f *Fleet, id string, tc TenantConfig, counts []floa
 // artifact exist, never a decision. A tenant that learned its own maps and
 // trees (alone in a fresh fleet) and one served another tenant's through
 // the store produce the same decision stream and the same final record,
-// and a restore through the artifact-frame layout continues identically.
+// and a restore into a fresh fleet, which learns them again as a create
+// would, continues identically.
 func TestSharedArtifactsEquivalence(t *testing.T) {
 	const bins = 24
 	for _, scenario := range []string{"flashcrowd", "failstorm", "step"} {
@@ -260,9 +263,9 @@ func TestFailedLearnIsNotCached(t *testing.T) {
 }
 
 // TestRestoreSharesWithLiveTenants: restoring next to live tenants of the
-// same fingerprint keeps one copy — the logged artifact has the content
-// the store already holds, so the restored tenants share the store's —
-// and a failed (all-or-nothing) restore gives every reference back.
+// same fingerprint keeps one copy — a restored tenant is built as a
+// created one is, so it shares the store's — and a failed (all-or-nothing)
+// restore gives every reference back.
 func TestRestoreSharesWithLiveTenants(t *testing.T) {
 	src := New(Config{Shards: 2})
 	defer src.Close()
@@ -302,11 +305,94 @@ func TestRestoreSharesWithLiveTenants(t *testing.T) {
 	}
 }
 
+// TestRestoreLearnsOnce: restoring N tenants of one fingerprint into an
+// empty fleet learns their map once and shares it N−1 times, and every
+// restored tenant — and a tenant created after — holds the store's one
+// object. A restore naming an ArtifactDir that has vanished fails as a
+// create would, and all-or-nothing: nothing registers, nothing stays held.
+func TestRestoreLearnsOnce(t *testing.T) {
+	const n = 4
+	dir := t.TempDir()
+	src := New(Config{Shards: 2})
+	defer src.Close()
+	for i := 0; i < n; i++ {
+		id := string(rune('a' + i))
+		if err := src.CreateTenant(id, batchTenantConfig("", int64(i+1))); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := src.Observe(id, 200+10*float64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var log bytes.Buffer
+	if err := src.Snapshot(&log); err != nil {
+		t.Fatal(err)
+	}
+
+	dst := New(Config{Shards: 2})
+	defer dst.Close()
+	if err := dst.Restore(bytes.NewReader(log.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := dst.Stats().Artifacts.GMaps, (core.ArtifactKindStats{Held: 1, Learns: 1, Shares: n - 1}); got != want {
+		t.Fatalf("store after restoring %d tenants of one fingerprint: %+v, want %+v", n, got, want)
+	}
+	if err := dst.CreateTenant("late", batchTenantConfig("", 9)); err != nil {
+		t.Fatal(err)
+	}
+	var shared *controller.GMap
+	for _, id := range dst.Tenants() {
+		tn, err := dst.tenant(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, g := range tn.mgr.Artifacts().GMaps {
+			if shared == nil {
+				shared = g
+			}
+			if g != shared {
+				t.Fatalf("tenant %s holds a map of its own", id)
+			}
+		}
+	}
+
+	// One tenant caches its map in dir, one learns another grid's: the
+	// dir is gone by the restore, so the first fails to build.
+	cached := New(Config{Shards: 2})
+	defer cached.Close()
+	if err := cached.CreateTenant("disk", batchTenantConfig(dir, 1)); err != nil {
+		t.Fatal(err)
+	}
+	wide := batchTenantConfig("", 2)
+	wide.Core.GMap.QStep = 50
+	if err := cached.CreateTenant("wide", wide); err != nil {
+		t.Fatal(err)
+	}
+	log.Reset()
+	if err := cached.Snapshot(&log); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	empty := New(Config{Shards: 2})
+	defer empty.Close()
+	if err := empty.Restore(bytes.NewReader(log.Bytes())); err == nil {
+		t.Fatal("restore with a vanished artifact dir succeeded")
+	}
+	if got := empty.Tenants(); len(got) != 0 {
+		t.Fatalf("failed restore registered %v", got)
+	}
+	if got := empty.Stats().Artifacts.GMaps; got.Held != 0 {
+		t.Fatalf("failed restore left %+v in the store", got)
+	}
+}
+
 // TestSharedArtifactStress runs every way the fleet touches a shared
 // artifact at once, for the race detector: tenants on every shard stepping
 // (L1 probing the one shared GMap, L2 the one shared tree) while tenants
 // of the same fingerprint are created and closed, and while Snapshot,
-// Journal.Append and Compact serialize the artifacts.
+// Journal.Append and Compact capture the tenants.
 func TestSharedArtifactStress(t *testing.T) {
 	const shards, steppers, rounds = 4, 8, 12
 	f := New(Config{Shards: shards})

@@ -2,8 +2,6 @@ package fleet
 
 import (
 	"bytes"
-	"context"
-	"crypto/sha256"
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
@@ -11,25 +9,24 @@ import (
 	"hash/crc32"
 	"io"
 	"slices"
-	"sort"
 
-	"hierctl/internal/controller"
 	"hierctl/internal/core"
 	"hierctl/internal/par"
 )
 
-// Snapshot format v2: a frame log of checkpoints. The log captures (a)
-// each distinct learned artifact once, via the controller/approx
-// persistence layers (the expensive offline phase), and per tenant (b)
-// the configuration with references to its artifacts and (c) its
-// checkpoint: the tenant's state after its last clean bin — plant queues
-// and clocks, energy books, latency histogram, random-stream positions,
-// the store's locality history, estimators, each controller's previous
-// decision — as one versioned binary blob (core.Session.Checkpoint),
-// followed by the counts of any bins since. Restoring = rebuild from
-// configuration and artifacts, restore the checkpoint, step those counts:
-// the restored tenant's next decisions equal the original's, and a
-// restore costs the tenant's state, not its uptime. A tenant halted
+// Snapshot format v2: a frame log of checkpoints. Per tenant the log
+// captures (a) its configuration and (b) its checkpoint: the tenant's state
+// after its last clean bin — plant queues and clocks, energy books, latency
+// histogram, random-stream positions, the store's locality history,
+// estimators, each controller's previous decision — as one versioned binary
+// blob (core.Session.Checkpoint), followed by the counts of any bins since.
+// Restoring is creating: the tenant is built from its configuration exactly
+// as Fleet.CreateTenant builds it (its learned maps and trees shared through
+// the fleet's artifact store, learned once per fingerprint or loaded from
+// ArtifactDir — the learners take no seed, so they are a pure function of
+// the configuration), then the checkpoint is restored and those counts are
+// stepped: the restored tenant's next decisions equal the original's, and
+// a restore costs the tenant's state, not its uptime. A tenant halted
 // mid-bin has no checkpoint; its base carries its halt report instead
 // (see haltState), and it restores serving that report.
 //
@@ -39,32 +36,31 @@ import (
 //
 // Each payload is encoded by a fresh gob encoder, so any frame decodes
 // without the stream state of its predecessors — and each kind is encoded
-// from its own narrow struct (baseWire, deltaWire, artifactWire), so a
-// frame pays for the type descriptors of its own fields only; the reader
-// decodes every kind into their union, logFrame (gob matches fields by
-// name). The checkpoint rides as one []byte field, so a base pays no
-// descriptor per piece of state. A full snapshot is a log of the artifact
-// frames its tenants reference followed by one checkpoint base frame per
-// tenant (sorted by id); the Journal appends delta frames (counts since
-// the tenant's last frame, indexed by absolute bin), remove frames, and
-// checkpoint bases for new or re-based tenants — preceded by the artifact
-// frames the log does not hold yet — to the same container, which is what
-// makes an interrupted journal restorable by the same reader. A torn final
-// frame — the signature of a crash mid-append — is tolerated on the
-// journal recovery path and rejected by strict Restore; a checksum
-// mismatch on a complete frame is corruption and always an error.
+// from its own narrow struct (baseWire, deltaWire), so a frame pays for the
+// type descriptors of its own fields only; the reader decodes every kind
+// into their union, logFrame (gob matches fields by name). The checkpoint
+// rides as one []byte field, so a base pays no descriptor per piece of
+// state. A full snapshot is one checkpoint base frame per tenant (sorted by
+// id); the Journal appends delta frames (counts since the tenant's last
+// frame, indexed by absolute bin), remove frames, and checkpoint bases for
+// new or re-based tenants to the same container, which is what makes an
+// interrupted journal restorable by the same reader. A torn final frame —
+// the signature of a crash mid-append — is tolerated on the journal
+// recovery path and rejected by strict Restore; a checksum mismatch on a
+// complete frame is corruption and always an error.
 //
-// Logs written before checkpoints existed hold frameBase frames — a
-// tenant's configuration and every count since genesis — and still read:
-// such a base is a fresh tenant plus that tail, stepped through the same
-// restore path. Logs written before artifact frames existed embed each
-// tenant's artifact blobs in its base frame (artifactRef.Data) and encode
-// delta/remove frames from the full logFrame type; both remain readable.
+// Older layouts still read. Logs written before checkpoints existed hold
+// frameBase frames — a tenant's configuration and every count since
+// genesis: such a base is a fresh tenant plus that tail, stepped through
+// the same restore path. Logs written before learned artifacts left the
+// log hold frameArtifact frames, skipped once their checksum passes, and
+// bases whose artifact references (or, older still, embedded artifact
+// blobs) gob drops as fields no longer declared; their delta and remove
+// frames may be encoded from the full logFrame type.
 //
-// Frame bytes are deterministic: tenant artifacts ride as key-sorted
-// slices (gob map encoding is randomized) and a checkpoint carries no
-// wall-clock value, so identical fleet state snapshots to identical bytes
-// — the property that lets CI diff regenerated snapshot sizes.
+// Frame bytes are deterministic: a checkpoint carries no wall-clock value,
+// so identical fleet state snapshots to identical bytes — the property
+// that lets CI diff regenerated snapshot sizes.
 const snapshotMagic = "HPMSNAP2"
 
 const (
@@ -74,18 +70,14 @@ const (
 	frameBase byte = iota + 1
 	frameDelta
 	frameRemove
+	// frameArtifact is a learned artifact, as logs once carried them. Read
+	// only: skipped once its checksum passes.
 	frameArtifact
 	// frameCheckpoint is the base kind the writer writes: a tenant's
 	// configuration, its checkpointed state and the counts since. A kind of
 	// its own, so a reader that predates checkpoints refuses the log
 	// instead of restoring the tenant from genesis with the tail alone.
 	frameCheckpoint
-)
-
-// Artifact kinds carried by artifact frames.
-const (
-	artifactGMap byte = iota + 1
-	artifactTree
 )
 
 // maxFramePayload bounds a single frame (64 MiB) so a corrupt or
@@ -96,46 +88,9 @@ const maxFramePayload = 64 << 20
 // tenant's uptime, so the gap rule's arithmetic cannot overflow.
 const maxBaseBins = 1 << 40
 
-var (
-	// errTornFrame marks a frame cut short by EOF — recoverable crash
-	// damage, unlike a checksum failure.
-	errTornFrame = errors.New("fleet: torn snapshot frame")
-	// errArtifactDigest marks an artifact frame whose data does not hash to
-	// the digest it is stored under.
-	errArtifactDigest = errors.New("fleet: artifact data does not match its digest")
-	// errArtifactMissing marks a base frame referencing an artifact that no
-	// earlier artifact frame of that kind put in the log.
-	errArtifactMissing = errors.New("fleet: base frame references an artifact not in the log")
-)
-
-// digest is an artifact's content address: the SHA-256 of its serialized
-// form.
-type digest = [sha256.Size]byte
-
-func asDigest(b []byte) (d digest, ok bool) {
-	if len(b) != len(d) {
-		return d, false
-	}
-	copy(d[:], b)
-	return d, true
-}
-
-// artifactRef names one learning artifact of a tenant's base frame.
-type artifactRef struct {
-	// Key is the manager's configuration fingerprint for the artifact (a
-	// hardware key for a map g, a module composition key for a tree J̃).
-	Key string
-	// Digest is the content address of the artifact frame that holds the
-	// serialized artifact (controller.GMap.Save / TreeJTilde.Save framing).
-	Digest []byte
-	// Data is the serialized artifact embedded in the base frame itself —
-	// the layout of logs written before artifact frames existed. Read
-	// only: the fold moves it into the log's artifact table.
-	Data []byte
-	// saved is the write side's handle on the artifact's memoized
-	// serialized form. Unexported, so gob never serializes it.
-	saved *controller.Saved
-}
+// errTornFrame marks a frame cut short by EOF — recoverable crash damage,
+// unlike a checksum failure.
+var errTornFrame = errors.New("fleet: torn snapshot frame")
 
 type tenantSnap struct {
 	ID     string
@@ -161,11 +116,6 @@ type tenantSnap struct {
 	// un-quarantining by restore would invite a re-panic). Decoded as
 	// false from frames written before the field existed.
 	Quarantined bool
-	// GMaps and Trees reference the tenant's learning artifacts, sorted by
-	// key. The serialized artifacts themselves live in artifact frames,
-	// once per distinct content, ahead of the first base that needs them.
-	GMaps []artifactRef
-	Trees []artifactRef
 	// gen carries the captured tenant's registration generation to the
 	// journal's marks. Unexported, so gob never serializes it — the
 	// generation is process-local.
@@ -187,11 +137,6 @@ type logFrame struct {
 	// idempotent.
 	From   int
 	Counts []float64
-	// Digest, Artifact and Data carry one serialized learning artifact
-	// (Kind == frameArtifact): its content address, its kind, its bytes.
-	Digest   []byte
-	Artifact byte
-	Data     []byte
 }
 
 // The wire structs: what each frame kind is encoded from. A fresh gob
@@ -209,27 +154,19 @@ type (
 		From   int
 		Counts []float64
 	}
-	artifactWire struct {
-		Kind     byte
-		Digest   []byte
-		Artifact byte
-		Data     []byte
-	}
 )
 
 func (fr *logFrame) wire() any {
 	switch fr.Kind {
 	case frameBase, frameCheckpoint:
 		return baseWire{Kind: fr.Kind, Base: fr.Base}
-	case frameArtifact:
-		return artifactWire{Kind: fr.Kind, Digest: fr.Digest, Artifact: fr.Artifact, Data: fr.Data}
 	default:
 		return deltaWire{Kind: fr.Kind, ID: fr.ID, From: fr.From, Counts: fr.Counts}
 	}
 }
 
 // frameWriter writes frames to w through one encode buffer, reset per
-// frame: a base log is one frame per tenant and artifact, and the buffer
+// frame: a base log is one frame per tenant, and the buffer
 // grows to the largest of them once.
 type frameWriter struct {
 	w   io.Writer
@@ -318,10 +255,10 @@ func readPayload(r io.Reader, n int) ([]byte, error) {
 
 // foldLog is the one reader of the frame log: it streams r frame by
 // frame, enforces every structural rule the restore path relies on (the
-// magic header, readFrame's length bound and CRC, artifact data hashing to
-// its digest, base frames naming a tenant and referencing only artifacts
-// already in the log, delta frames extending a known tenant with no gap,
-// known kinds) and reports what it scanned. Each accepted frame is handed
+// magic header, readFrame's length bound and CRC, base frames naming a
+// tenant, delta frames extending a known tenant with no gap, known kinds)
+// and reports what it scanned. An artifact frame of an older log is
+// skipped once readFrame has checked it. Each accepted frame is handed
 // to visit (nil = scan only) with, for a delta, the suffix of its counts
 // past the overlap with the log so far — a delta re-sent after a crash
 // between frame write and mark update overlaps and contributes only what
@@ -344,9 +281,6 @@ func foldLog(r io.Reader, visit func(fr *logFrame, fresh []float64)) (*VerifyRep
 		quar, halted bool
 	}
 	live := map[string]tenantCheck{}
-	// artifacts maps the content address of every artifact frame seen so
-	// far to its kind — what a later base frame may reference.
-	artifacts := map[digest]byte{}
 	for {
 		fr, err := readFrame(r)
 		if err == io.EOF {
@@ -363,14 +297,7 @@ func foldLog(r io.Reader, visit func(fr *logFrame, fresh []float64)) (*VerifyRep
 		var fresh []float64
 		switch fr.Kind {
 		case frameArtifact:
-			rep.ArtifactFrames++
-			// A repeated artifact frame is idempotent: same digest, same
-			// verified bytes.
-			d, ok := asDigest(fr.Digest)
-			if !ok || sha256.Sum256(fr.Data) != d {
-				return rep, fmt.Errorf("fleet: frame %d: %w", rep.Frames, errArtifactDigest)
-			}
-			artifacts[d] = fr.Artifact
+			continue
 		case frameBase, frameCheckpoint:
 			rep.BaseFrames++
 			if fr.Base == nil || fr.Base.ID == "" {
@@ -378,13 +305,6 @@ func foldLog(r io.Reader, visit func(fr *logFrame, fresh []float64)) (*VerifyRep
 			}
 			if err := checkBase(fr.Kind, fr.Base); err != nil {
 				return rep, fmt.Errorf("fleet: frame %d: tenant %q: %w", rep.Frames, fr.Base.ID, err)
-			}
-			ref := unresolved(fr.Base.GMaps, artifactGMap, artifacts)
-			if ref == nil {
-				ref = unresolved(fr.Base.Trees, artifactTree, artifacts)
-			}
-			if ref != nil {
-				return rep, fmt.Errorf("fleet: frame %d: tenant %q artifact %x: %w", rep.Frames, fr.Base.ID, ref.Digest, errArtifactMissing)
 			}
 			// A later base for the same id replaces the state wholesale.
 			live[fr.Base.ID] = tenantCheck{obs: fr.Base.Bins + len(fr.Base.Observations), quar: fr.Base.Quarantined, halted: len(fr.Base.Halt) > 0}
@@ -448,63 +368,19 @@ func checkBase(kind byte, b *tenantSnap) error {
 	return nil
 }
 
-// unresolved returns the first of refs that neither embeds its blob (the
-// pre-artifact-frame layout) nor names an artifact frame of the given
-// kind already in the log; nil when every reference resolves.
-func unresolved(refs []artifactRef, kind byte, artifacts map[digest]byte) *artifactRef {
-	for i := range refs {
-		if len(refs[i].Digest) == 0 && len(refs[i].Data) > 0 {
-			continue
-		}
-		if d, ok := asDigest(refs[i].Digest); !ok || artifacts[d] != kind {
-			return &refs[i]
-		}
-	}
-	return nil
-}
-
-// assembledLog is a frame log folded to its end state.
-type assembledLog struct {
-	// tenants are the live tenants' end states, in order of first
-	// appearance; every artifact reference carries a Digest into blobs.
-	tenants []tenantSnap
-	// blobs holds each distinct serialized artifact the log carries, by
-	// content address — whether it arrived in an artifact frame or embedded
-	// in a base frame (hashed here, so ten thousand tenants embedding the
-	// same blob keep one copy and decode it once).
-	blobs map[digest][]byte
-}
-
-// assembleLog folds the frame log from r into per-tenant end states.
-// tolerateTorn accepts a truncated final frame (journal crash recovery)
-// instead of erroring (strict restore).
-func assembleLog(r io.Reader, tolerateTorn bool) (*assembledLog, error) {
+// assembleLog folds the frame log from r into the live tenants' end
+// states, in order of first appearance. tolerateTorn accepts a truncated
+// final frame (journal crash recovery) instead of erroring (strict
+// restore).
+func assembleLog(r io.Reader, tolerateTorn bool) ([]tenantSnap, error) {
 	states := map[string]*tenantSnap{}
-	blobs := map[digest][]byte{}
 	var order []string
-	intern := func(refs []artifactRef) {
-		for i := range refs {
-			if len(refs[i].Digest) != 0 {
-				continue
-			}
-			d := sha256.Sum256(refs[i].Data)
-			if _, ok := blobs[d]; !ok {
-				blobs[d] = refs[i].Data
-			}
-			refs[i].Digest, refs[i].Data = d[:], nil
-		}
-	}
 	rep, err := foldLog(r, func(fr *logFrame, fresh []float64) {
 		switch fr.Kind {
-		case frameArtifact:
-			d, _ := asDigest(fr.Digest)
-			blobs[d] = fr.Data
 		case frameBase, frameCheckpoint:
 			if _, seen := states[fr.Base.ID]; !seen {
 				order = append(order, fr.Base.ID)
 			}
-			intern(fr.Base.GMaps)
-			intern(fr.Base.Trees)
 			states[fr.Base.ID] = fr.Base
 		case frameDelta:
 			st := states[fr.ID]
@@ -519,14 +395,14 @@ func assembleLog(r io.Reader, tolerateTorn bool) (*assembledLog, error) {
 	if rep.TornTail && !tolerateTorn {
 		return nil, fmt.Errorf("fleet: truncated snapshot log")
 	}
-	out := &assembledLog{tenants: make([]tenantSnap, 0, len(states)), blobs: blobs}
+	tenants := make([]tenantSnap, 0, len(states))
 	for _, id := range order {
 		if st, ok := states[id]; ok {
-			out.tenants = append(out.tenants, *st)
+			tenants = append(tenants, *st)
 			delete(states, id)
 		}
 	}
-	return out, nil
+	return tenants, nil
 }
 
 // captureAll snapshots every tenant, sorted by id: one sweep, so each
@@ -546,72 +422,35 @@ func (f *Fleet) captureAll(journaled bool) ([]tenantSnap, error) {
 	})
 }
 
-// writeArtifactFrames writes an artifact frame for every artifact snap
-// references that held does not list yet and adds those to held; it
-// reports the bytes written and the digests added (on error too, so a
-// caller that rolls the write back can take them out of held again).
-func writeArtifactFrames(fw *frameWriter, snap *tenantSnap, held map[digest]bool) (written int64, added []digest, err error) {
-	emit := func(kind byte, refs []artifactRef) error {
-		for _, ref := range refs {
-			if held[ref.saved.Digest] {
-				continue
-			}
-			n, err := fw.frame(&logFrame{Kind: frameArtifact, Digest: ref.Digest, Artifact: kind, Data: ref.saved.Data})
-			if err != nil {
-				return err
-			}
-			written += n
-			held[ref.saved.Digest] = true
-			added = append(added, ref.saved.Digest)
-		}
-		return nil
-	}
-	if err = emit(artifactGMap, snap.GMaps); err == nil {
-		err = emit(artifactTree, snap.Trees)
-	}
-	return written, added, err
-}
-
 // writeBaseLog writes snaps as a complete frame log — the magic header,
-// one artifact frame per distinct artifact the tenants reference, then one
-// base frame per tenant — and reports the bytes written and the artifacts
-// the log now holds. It is the one base-log writer: Fleet.Snapshot streams
-// it to the caller's writer, journal compaction to the temp file it then
-// fsyncs and swaps in.
-func writeBaseLog(w io.Writer, snaps []tenantSnap) (int64, map[digest]bool, error) {
+// then one base frame per tenant — and reports the bytes written. It is
+// the one base-log writer: Fleet.Snapshot streams it to the caller's
+// writer, journal compaction to the temp file it then fsyncs and swaps in.
+func writeBaseLog(w io.Writer, snaps []tenantSnap) (int64, error) {
 	if _, err := io.WriteString(w, snapshotMagic); err != nil {
-		return 0, nil, fmt.Errorf("fleet: write frame log: %w", err)
+		return 0, fmt.Errorf("fleet: write frame log: %w", err)
 	}
 	written := int64(len(snapshotMagic))
-	held := map[digest]bool{}
 	fw := &frameWriter{w: w}
-	for i := range snaps {
-		n, _, err := writeArtifactFrames(fw, &snaps[i], held)
-		written += n
-		if err != nil {
-			return written, nil, err
-		}
-	}
 	for i := range snaps {
 		n, err := fw.frame(&logFrame{Kind: frameCheckpoint, Base: &snaps[i]})
 		if err != nil {
-			return written, nil, err
+			return written, err
 		}
 		written += n
 	}
-	return written, held, nil
+	return written, nil
 }
 
-// Snapshot serializes every tenant's state to w as a base log: each
-// distinct learned artifact once, then one checkpoint base frame per
-// tenant (sorted by tenant id — identical fleet state yields identical
-// bytes).
+// Snapshot serializes every tenant's state to w as a base log: one
+// checkpoint base frame per tenant (sorted by tenant id — identical fleet
+// state yields identical bytes).
 func (f *Fleet) Snapshot(w io.Writer) error {
 	snaps, err := f.captureAll(false)
 	if err != nil {
 		return err
 	}
-	if _, _, err := writeBaseLog(w, snaps); err != nil {
+	if _, err := writeBaseLog(w, snaps); err != nil {
 		return err
 	}
 	f.snapshots.Add(1)
@@ -619,12 +458,11 @@ func (f *Fleet) Snapshot(w io.Writer) error {
 }
 
 // Restore rebuilds the tenants of a frame log written by Snapshot or a
-// Journal and registers them. Each distinct artifact in the log is decoded
-// once and shared, through the fleet's artifact store, by every tenant
-// that references it (and by tenants of the same fingerprint created
-// later); restores then fan out across tenants, each restoring its
-// checkpoint and stepping the counts logged since. Strict: a truncated
-// log is an error (use OpenJournal for crash-tolerant recovery).
+// Journal and registers them. Each tenant is built as CreateTenant builds
+// it — so a fingerprint's maps and trees are learned once and shared, with
+// live tenants and with each other — then restores its checkpoint and
+// steps the counts logged since; the tenants build concurrently. Strict: a
+// truncated log is an error (use OpenJournal for crash-tolerant recovery).
 func (f *Fleet) Restore(r io.Reader) error {
 	return f.restoreLog(r, false)
 }
@@ -633,21 +471,13 @@ func (f *Fleet) restoreLog(r io.Reader, tolerateTorn bool) error {
 	if err := f.ctx.Err(); err != nil {
 		return ErrClosed
 	}
-	log, err := assembleLog(r, tolerateTorn)
+	snaps, err := assembleLog(r, tolerateTorn)
 	if err != nil {
 		return err
 	}
-	gmaps, err := decodeDistinct(f.ctx, log, func(s *tenantSnap) []artifactRef { return s.GMaps }, controller.DecodeGMap)
-	if err != nil {
-		return err
-	}
-	trees, err := decodeDistinct(f.ctx, log, func(s *tenantSnap) []artifactRef { return s.Trees }, controller.DecodeTreeJTilde)
-	if err != nil {
-		return err
-	}
-	tenants := make([]*tenant, len(log.tenants))
-	err = par.ForCtx(f.ctx, par.Workers(0), len(log.tenants), func(i int) error {
-		t, err := restoreTenant(log.tenants[i], f.artifacts, gmaps, trees)
+	tenants := make([]*tenant, len(snaps))
+	err = par.ForCtx(f.ctx, par.Workers(0), len(snaps), func(i int) error {
+		t, err := restoreTenant(snaps[i], f.artifacts)
 		tenants[i] = t
 		return err
 	})
@@ -668,38 +498,6 @@ func (f *Fleet) restoreLog(r io.Reader, tolerateTorn bool) error {
 	return nil
 }
 
-// decodeDistinct decodes each distinct artifact the live tenants reference
-// through refsOf exactly once, fanning the distinct blobs across the
-// worker pool; restoreTenant then hands every tenant the shared decoded
-// objects.
-func decodeDistinct[T any](ctx context.Context, l *assembledLog, refsOf func(*tenantSnap) []artifactRef, decode func([]byte) (T, error)) (map[digest]T, error) {
-	var ids []digest
-	seen := map[digest]bool{}
-	for i := range l.tenants {
-		for _, ref := range refsOf(&l.tenants[i]) {
-			if d, _ := asDigest(ref.Digest); !seen[d] {
-				seen[d] = true
-				ids = append(ids, d)
-			}
-		}
-	}
-	decoded, err := par.MapCtx(ctx, par.Workers(0), len(ids), func(i int) (T, error) {
-		a, err := decode(l.blobs[ids[i]])
-		if err != nil {
-			return a, fmt.Errorf("fleet: artifact %x: %w", ids[i][:8], err)
-		}
-		return a, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[digest]T, len(ids))
-	for i, d := range ids {
-		out[d] = decoded[i]
-	}
-	return out, nil
-}
-
 // registerAll registers the restored tenants all-or-nothing: an id clash
 // (with a live tenant or within the snapshot) registers none of them.
 func (f *Fleet) registerAll(tenants []*tenant) error {
@@ -718,12 +516,10 @@ func (f *Fleet) registerAll(tenants []*tenant) error {
 	return nil
 }
 
-// snapshot captures one tenant: its configuration, artifact references
-// and checkpoint — or, for a halted tenant, its halt report. Runs on the
-// tenant's home shard, whose scratch writer encodes the checkpoint; the
-// snapshot keeps an exact-size copy. The artifacts' serialized forms are
-// memoized with the (shared) artifacts, so only the first capture of a
-// fingerprint in the fleet encodes anything.
+// snapshot captures one tenant: its configuration and checkpoint — or,
+// for a halted tenant, its halt report. Runs on the tenant's home shard,
+// whose scratch writer encodes the checkpoint; the snapshot keeps an
+// exact-size copy.
 func (t *tenant) snapshot() (tenantSnap, error) {
 	snap := tenantSnap{
 		ID:          t.id,
@@ -746,53 +542,17 @@ func (t *tenant) snapshot() (tenantSnap, error) {
 	if err != nil {
 		return snap, fmt.Errorf("fleet: tenant %s: %w", t.id, err)
 	}
-	art := t.mgr.Artifacts()
-	if snap.GMaps, err = refsTo(art.GMaps); err != nil {
-		return snap, fmt.Errorf("fleet: tenant %s gmap: %w", t.id, err)
-	}
-	if snap.Trees, err = refsTo(art.Trees); err != nil {
-		return snap, fmt.Errorf("fleet: tenant %s tree: %w", t.id, err)
-	}
 	return snap, nil
 }
 
-// refsTo references each artifact of a manager's set by the digest of its
-// memoized serialized form, sorted by key.
-func refsTo[T interface {
-	Saved() (*controller.Saved, error)
-}](artifacts map[string]T) ([]artifactRef, error) {
-	var refs []artifactRef
-	for key, a := range artifacts {
-		saved, err := a.Saved()
-		if err != nil {
-			return nil, err
-		}
-		refs = append(refs, artifactRef{Key: key, Digest: saved.Digest[:], saved: saved})
-	}
-	sort.Slice(refs, func(i, j int) bool { return refs[i].Key < refs[j].Key })
-	return refs, nil
-}
-
-// restoreTenant rebuilds one tenant from its assembled state: its logged
-// artifacts (already decoded, shared) go to the store with it, its
+// restoreTenant rebuilds one tenant from its assembled state: it is
+// created from its configuration as CreateTenant creates it, its
 // checkpoint (if any) is restored, and the counts since are stepped. A
 // checkpoint is read defensively, but a well-formed one can still hold
 // state no run reaches; a panic stepping from it fails this restore like
 // any other error instead of taking the process down.
-func restoreTenant(s tenantSnap, store *core.ArtifactStore, gmaps map[digest]*controller.GMap, trees map[digest]*controller.TreeJTilde) (_ *tenant, err error) {
-	logged := &core.ArtifactSet{
-		GMaps: make(map[string]*controller.GMap, len(s.GMaps)),
-		Trees: make(map[string]*controller.TreeJTilde, len(s.Trees)),
-	}
-	for _, ref := range s.GMaps {
-		d, _ := asDigest(ref.Digest)
-		logged.GMaps[ref.Key] = gmaps[d]
-	}
-	for _, ref := range s.Trees {
-		d, _ := asDigest(ref.Digest)
-		logged.Trees[ref.Key] = trees[d]
-	}
-	t, err := newTenant(s.ID, s.Config, store, logged)
+func restoreTenant(s tenantSnap, store *core.ArtifactStore) (_ *tenant, err error) {
+	t, err := newTenant(s.ID, s.Config, store)
 	if err != nil {
 		return nil, err
 	}

@@ -154,17 +154,17 @@ type tenant struct {
 	quarantined atomic.Bool
 }
 
-// newTenant builds a tenant's manager and session. The learned artifacts
-// come through the fleet's store — shared with every tenant of the same
-// fingerprint, learned only when the store does not hold them — except
-// those a snapshot log supplies in logged (nil on create), which are used
-// as logged. On error no store reference is left behind; the owner of a
-// built tenant releases them (mgr.Release) when it discards the tenant.
-func newTenant(id string, tc TenantConfig, artifacts *core.ArtifactStore, logged *core.ArtifactSet) (_ *tenant, err error) {
+// newTenant builds a tenant's manager and session, for a create and a
+// restore alike. The learned artifacts come through the fleet's store —
+// shared with every tenant of the same fingerprint, learned (or loaded
+// from ArtifactDir) only when the store does not hold them. On error no
+// store reference is left behind; the owner of a built tenant releases
+// them (mgr.Release) when it discards the tenant.
+func newTenant(id string, tc TenantConfig, artifacts *core.ArtifactStore) (_ *tenant, err error) {
 	if err := CheckTelemetryRecords(tc.TelemetryRecords); err != nil {
 		return nil, fmt.Errorf("fleet: tenant %s: %w", id, err)
 	}
-	mgr, err := artifacts.NewManager(tc.Spec, tc.Core, logged)
+	mgr, err := artifacts.NewManager(tc.Spec, tc.Core)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: tenant %s: %w", id, err)
 	}

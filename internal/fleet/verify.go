@@ -9,15 +9,13 @@ import (
 // VerifyReport summarizes a read-only integrity scan of a snapshot or
 // journal log (see VerifyJournal).
 type VerifyReport struct {
-	// Frames is the number of complete, checksum-clean frames scanned.
+	// Frames is the number of complete, checksum-clean frames scanned,
+	// including the artifact frames of older logs, which are skipped.
 	Frames int
-	// BaseFrames/DeltaFrames/RemoveFrames/ArtifactFrames break Frames down
-	// by kind; BaseFrames counts both base kinds, checkpoints and the
-	// genesis bases of older logs. ArtifactFrames counts serialized
-	// learning artifacts — one per distinct content, not per tenant; zero
-	// in logs written before artifact frames existed (their base frames
-	// embed the blobs).
-	BaseFrames, DeltaFrames, RemoveFrames, ArtifactFrames int
+	// BaseFrames/DeltaFrames/RemoveFrames break Frames down by kind;
+	// BaseFrames counts both base kinds, checkpoints and the genesis bases
+	// of older logs.
+	BaseFrames, DeltaFrames, RemoveFrames int
 	// Tenants is the number of tenants live at the end of the log.
 	Tenants int
 	// Observations is the total bins across live tenants after folding
@@ -34,13 +32,11 @@ type VerifyReport struct {
 
 // VerifyJournal scans a snapshot/journal log and checks every integrity
 // property the restore path relies on — the magic header, each frame's
-// length bound and CRC, artifact frames hashing to their digest, base
-// frames naming a tenant and referencing only artifacts already in the
-// log, delta frames referencing a known tenant with no gap past the
-// assembled bins — without building any tenant (no artifact decode, no
-// restore), so it is cheap
-// enough to run against a large journal before trusting it. The scan is
-// read-only: the log is never modified.
+// length bound and CRC, base frames naming a tenant, delta frames
+// referencing a known tenant with no gap past the assembled bins — without
+// building any tenant (no learning, no restore), so it is cheap enough to
+// run against a large journal before trusting it. The scan is read-only:
+// the log is never modified.
 //
 // A torn final frame is recoverable crash damage: it sets
 // VerifyReport.TornTail and the scan stops cleanly. Any other defect — a
