@@ -25,9 +25,9 @@
 // log — one base snapshot plus deltas for what changed since, compacted
 // automatically — so large fleets persist at a cost proportional to new
 // observations, and a crash mid-append recovers to the last durable
-// write. A file written by Fleet.Snapshot (or by the removed -snapshot
-// flag of earlier builds) is already a valid log: pass its path to
-// -journal.
+// write. A file written by Fleet.Snapshot is already a valid log: pass
+// its path to -journal. Learned maps and trees are not in it: a restart
+// learns them again, once per learning fingerprint, as creates do.
 package main
 
 import (

@@ -159,7 +159,7 @@ func newServer(f *hierctl.Fleet, telemetryRecords int) *server {
 	s.artifacts = mustGauge("hpmserve_artifacts",
 		"Distinct learned artifacts (abstraction maps g, module trees) held in memory, shared by every tenant of the same learning fingerprint.", "kind")
 	s.artifactLearns = mustCounter("hpmserve_artifact_learns_total",
-		"Offline learning passes run (or loaded from the artifact cache directory), one per fingerprint the fleet did not hold.", "kind")
+		"Offline learning passes run, one per fingerprint the fleet did not hold.", "kind")
 	s.artifactShares = mustCounter("hpmserve_artifact_shares_total",
 		"Tenant constructions served an artifact the fleet already held instead of learning it.", "kind")
 	s.batch = f.ObserveBatchInto

@@ -54,7 +54,6 @@ func run(args []string, stdout io.Writer) (retErr error) {
 	scale := fs.Float64("scale", 1, "fraction of the trace to simulate (0, 1]")
 	seed := fs.Int64("seed", 1, "random seed")
 	fast := fs.Bool("fast", false, "coarse learning grids (quick runs)")
-	artifacts := fs.String("artifacts", "", "directory caching offline learning results (must exist)")
 	traceOut := fs.String("trace", "", "write the LLC decision timeline as a Chrome trace_event file (chrome://tracing / Perfetto)")
 	traceJSONL := fs.String("trace-jsonl", "", "write the LLC decision records as JSON Lines")
 	startProfiles := obs.ProfileFlags(fs)
@@ -113,7 +112,6 @@ func run(args []string, stdout io.Writer) (retErr error) {
 
 	if *policy == "llc" {
 		cfg := opts.Config()
-		cfg.ArtifactDir = *artifacts
 		mgr, err := hierctl.NewManager(spec, cfg)
 		if err != nil {
 			return err

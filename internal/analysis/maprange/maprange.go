@@ -13,9 +13,8 @@
 //
 // Anything else needs an `//hpm:orderfree <justification>` directive on
 // the `for` line (or the line above). The audit that introduced this
-// analyzer found two real violations of the convention — approx.Table
-// Save and Samples serialized cells in map order — fixed by sorting
-// (see TestTableSaveDeterministic).
+// analyzer found two real violations of the convention: serializers that
+// wrote a table's cells in map order.
 package maprange
 
 import (

@@ -12,11 +12,6 @@
 //   - Grid / Learn: the simulation-based learning harness that sweeps the
 //     quantized input domains and produces training samples.
 //
-// Invariant: learned artifacts serialize (persist.go) and reload
-// byte-faithfully, and lookups after a reload answer identically — the
-// property the artifact cache (core.Config.ArtifactDir) and the fleet's
-// snapshots build on.
-//
 // Invariant: the steady-state lookup path is allocation-free. Table keys
 // cells by a single packed uint64 of quantized indices (one hash probe per
 // Add/Lookup), and the *Into APIs (Quantizer.CellInto, Table.LookupInto)
@@ -30,7 +25,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 )
 
 // Quantizer maps continuous feature vectors onto a regular grid so they can
@@ -61,8 +55,7 @@ func NewQuantizer(min, max, step []float64) (*Quantizer, error) {
 func (q *Quantizer) Dims() int { return len(q.Min) }
 
 // index returns the grid index of v along dimension d (clamped into
-// range). Every keying path funnels through this one expression so the
-// in-memory packed keys and the persisted index strings agree bit-for-bit.
+// range). Every keying path funnels through this one expression.
 func (q *Quantizer) index(d int, v float64) int {
 	if v < q.Min[d] {
 		v = q.Min[d]
@@ -109,16 +102,6 @@ func (q *Quantizer) Levels(d int) []float64 {
 		out = append(out, math.Min(v, q.Max[d]))
 	}
 	return out
-}
-
-func cellKey(cell []int) string {
-	// Fixed-width little-endian int32 encoding: compact, collision-free.
-	buf := make([]byte, 0, len(cell)*4)
-	for _, c := range cell {
-		u := uint32(int32(c))
-		buf = append(buf, byte(u), byte(u>>8), byte(u>>16), byte(u>>24))
-	}
-	return string(buf)
 }
 
 // cell is one populated table entry: running output sums and the
@@ -187,25 +170,6 @@ func (t *Table) packKey(x []float64) uint64 {
 	return k
 }
 
-// packCell packs an explicit index vector (used when unpacking persisted
-// string keys).
-func (t *Table) packCell(idx []int) uint64 {
-	k := uint64(0)
-	for d, c := range idx {
-		k |= uint64(c) << t.shift[d]
-	}
-	return k
-}
-
-// unpackKey recovers the index vector from a packed key.
-func (t *Table) unpackKey(k uint64) []int {
-	idx := make([]int, t.quant.Dims())
-	for d := range idx {
-		idx[d] = int((k >> t.shift[d]) & (1<<t.nbits[d] - 1))
-	}
-	return idx
-}
-
 // lookupCell returns the populated cell containing x, or nil, without
 // allocating.
 func (t *Table) lookupCell(x []float64) (*cell, error) {
@@ -269,23 +233,3 @@ func (t *Table) Width() int { return t.width }
 
 // Cells returns the number of populated cells.
 func (t *Table) Cells() int { return len(t.cells) }
-
-// sortedKeys returns the cell keys in ascending order — the
-// deterministic iteration order for serialization.
-func (t *Table) sortedKeys() []uint64 {
-	keys := make([]uint64, 0, len(t.cells))
-	for k := range t.cells {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
-}
-
-func decodeKey(k string) []int {
-	cell := make([]int, len(k)/4)
-	for i := range cell {
-		u := uint32(k[4*i]) | uint32(k[4*i+1])<<8 | uint32(k[4*i+2])<<16 | uint32(k[4*i+3])<<24
-		cell[i] = int(int32(u))
-	}
-	return cell
-}

@@ -3,15 +3,10 @@ package approx
 // Equivalence and allocation pins for the packed-uint64 table: it must
 // answer bit-identically to the historical string-keyed implementation on
 // any grid it accepts (up to the 64-bit packing boundary, past which
-// construction and loading fail), and the steady-state lookup path must
-// not allocate.
+// construction fails), and the steady-state lookup path must not allocate.
 
 import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
 	"math/rand"
-	"sort"
 	"testing"
 )
 
@@ -22,6 +17,17 @@ type refTable struct {
 	sums   map[string][]float64
 	counts map[string]int
 	width  int
+}
+
+// cellKey is the oracle's key: the cell's indices as fixed-width
+// little-endian int32s.
+func cellKey(cell []int) string {
+	buf := make([]byte, 0, len(cell)*4)
+	for _, c := range cell {
+		u := uint32(int32(c))
+		buf = append(buf, byte(u), byte(u>>8), byte(u>>16), byte(u>>24))
+	}
+	return string(buf)
 }
 
 func newRefTable(q *Quantizer, width int) *refTable {
@@ -152,13 +158,11 @@ func hugeDim(bits uint) (float64, float64, float64) {
 
 // TestTableOverflowFallbackBoundary pins the 64-bit packing boundary: a
 // grid needing exactly 64 bits builds and answers identically to the
-// oracle; one bit more is an error from NewTable and from ReadTable on an
-// artifact carrying such a grid (artifact files are outside input — an
-// error, never a panic).
+// oracle; one bit more is an error from NewTable.
 func TestTableOverflowFallbackBoundary(t *testing.T) {
 	// Two 31-bit dimensions plus a 2-bit one hit the 64-bit budget
 	// exactly; widening the third to 3 bits crosses it. (Per-dimension
-	// indices stay within int32 — the persisted key format's own bound.)
+	// indices stay within int32 — the oracle's key format's own bound.)
 	min31, max31, step31 := hugeDim(31)
 	t.Run("exactly-64-bits", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(7))
@@ -203,32 +207,6 @@ func TestTableOverflowFallbackBoundary(t *testing.T) {
 				}
 			}
 		}
-		// Round-trip through the persisted format preserves answers at
-		// the boundary.
-		var buf bytes.Buffer
-		if err := tab.Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		loaded, err := ReadTable(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if loaded.Cells() != tab.Cells() {
-			t.Fatalf("round trip cells %d, want %d", loaded.Cells(), tab.Cells())
-		}
-		for i := 0; i < 40; i++ {
-			x := randomPoint(rng, q)
-			a, okA, _ := tab.LookupInto(nil, x)
-			b, okB, _ := loaded.LookupInto(nil, x)
-			if okA != okB {
-				t.Fatalf("round trip probe %v: hit %v vs %v", x, okA, okB)
-			}
-			for j := range a {
-				if a[j] != b[j] {
-					t.Fatalf("round trip probe %v diverged", x)
-				}
-			}
-		}
 	})
 	t.Run("65-bits-is-an-error", func(t *testing.T) {
 		q, err := NewQuantizer([]float64{min31, min31, 0}, []float64{max31, max31, 7}, []float64{step31, step31, 1})
@@ -238,80 +216,7 @@ func TestTableOverflowFallbackBoundary(t *testing.T) {
 		if tab, err := NewTable(q, 2); err == nil {
 			t.Fatalf("NewTable built a 65-bit grid: %+v", tab)
 		}
-		// The same grid arriving in an artifact file, with one
-		// well-formed cell.
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(tableDTO{
-			Version: persistVersion,
-			Min:     q.Min, Max: q.Max, Step: q.Step,
-			Width:  2,
-			Keys:   []string{cellKey([]int{1, 2, 3})},
-			Sums:   [][]float64{{1, 2}},
-			Counts: []int{1},
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if tab, err := ReadTable(&buf); err == nil {
-			t.Fatalf("ReadTable loaded a 65-bit grid: %+v", tab)
-		}
 	})
-}
-
-// TestTableCellMigration pins the sums/counts → single-cell-map migration:
-// an artifact written in the historical DTO layout (string keys, parallel
-// Sums/Counts arrays) reloads with identical Cells() and averages, and a
-// rewritten artifact keeps the same DTO shape.
-func TestTableCellMigration(t *testing.T) {
-	q, err := NewQuantizer([]float64{0, 0}, []float64{10, 10}, []float64{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Hand-build the historical on-disk form.
-	dto := tableDTO{
-		Version: persistVersion,
-		Min:     q.Min, Max: q.Max, Step: q.Step,
-		Width:  2,
-		Keys:   []string{cellKey([]int{3, 2}), cellKey([]int{7, 4})},
-		Sums:   [][]float64{{30, 6}, {5, 6}},
-		Counts: []int{3, 1},
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(dto); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := ReadTable(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Cells() != 2 {
-		t.Fatalf("Cells = %d, want 2", loaded.Cells())
-	}
-	got, ok, err := loaded.LookupInto(nil, []float64{3, 4})
-	if err != nil || !ok {
-		t.Fatalf("lookup: ok=%v err=%v", ok, err)
-	}
-	if got[0] != 10 || got[1] != 2 {
-		t.Fatalf("averages = %v, want [10 2]", got)
-	}
-	// Rewriting keeps the same DTO layout (keys/sums/counts, modulo map
-	// iteration order).
-	var buf2 bytes.Buffer
-	if err := loaded.Save(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	var dto2 tableDTO
-	if err := gob.NewDecoder(&buf2).Decode(&dto2); err != nil {
-		t.Fatal(err)
-	}
-	sort.Strings(dto2.Keys)
-	want := append([]string(nil), dto.Keys...)
-	sort.Strings(want)
-	if fmt.Sprint(dto2.Keys) != fmt.Sprint(want) {
-		t.Fatalf("rewritten keys %q, want %q", dto2.Keys, want)
-	}
-	if dto2.Width != 2 || len(dto2.Sums) != 2 || len(dto2.Counts) != 2 {
-		t.Fatalf("rewritten DTO shape changed: %+v", dto2)
-	}
 }
 
 // TestTableLookupIntoZeroAlloc pins the steady-state lookup at zero

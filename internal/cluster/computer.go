@@ -569,7 +569,7 @@ func (c *Computer) RestoreCheckpoint(r *ckpt.Reader) {
 	}
 	c.first, c.last = nil, nil
 	c.head, c.tail, c.count = 0, 0, 0
-	for n := r.Count(2, "queued job"); n > 0; n-- {
+	for n := r.Count(16, "queued job"); n > 0; n-- {
 		arrival, demand := r.Float(), r.Float()
 		if math.IsNaN(arrival) || math.IsInf(arrival, 0) || !(demand >= 0) || math.IsInf(demand, 1) {
 			r.Fail("queued job at %v demanding %v", arrival, demand)

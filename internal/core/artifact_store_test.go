@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"path/filepath"
 	"runtime"
 	"slices"
 	"sync"
@@ -160,25 +159,25 @@ func TestStoreManagersShareAndRelease(t *testing.T) {
 		t.Fatalf("store: %+v, want %+v", got, want)
 	}
 	// A construction that fails after acquiring releases what it took:
-	// the map is shared from a live single-module manager (ArtifactDir is
-	// not part of the fingerprint), then the tree's learn cannot write its
-	// cache file.
+	// the map is shared from a live single-module manager (the gmap
+	// fingerprint holds no L1 field), and so is the L1's candidate table,
+	// then NewL1 refuses a minimum on-count larger than the module.
 	other := NewArtifactStore()
 	single, err := other.NewManager(cluster.Spec{Modules: spec.Modules[:1]}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	bad := cfg
-	bad.ArtifactDir = filepath.Join(t.TempDir(), "does-not-exist")
+	bad.L1.MinOn = len(spec.Modules[0].Computers) + 1
 	if _, err := other.NewManager(spec, bad); err == nil {
-		t.Fatal("construction with a missing artifact dir succeeded")
+		t.Fatal("construction with L1.MinOn larger than a module succeeded")
 	}
 	if got := other.Stats(); got.GMaps.Held != 1 || got.GMaps.Shares != 1 || got.Trees.Held != 0 {
 		t.Fatalf("failed construction left references behind: %+v", got)
 	}
 	single.Release()
-	if got := other.Stats(); got.GMaps.Held != 0 {
-		t.Fatalf("store after the failed construction's only sibling released: %+v", got)
+	if got := other.Stats(); got.GMaps.Held != 0 || len(other.tables.entries) != 0 {
+		t.Fatalf("store after the failed construction's only sibling released: %+v, %d candidate tables", got, len(other.tables.entries))
 	}
 	first.Release()
 	first.Release()
@@ -187,6 +186,39 @@ func TestStoreManagersShareAndRelease(t *testing.T) {
 	}
 	second.Release()
 	if got := store.Stats(); got.GMaps.Held != 0 || got.Trees.Held != 0 {
+		t.Fatalf("store after the last release: %+v", got)
+	}
+}
+
+// TestStoreKeyedByConfig: an artifact is keyed by everything that shaped
+// it, so a changed learning grid built through the same store learns its
+// own map instead of reusing the first.
+func TestStoreKeyedByConfig(t *testing.T) {
+	spec := cluster.Spec{Modules: []cluster.ModuleSpec{moduleOf("M1", 2)}}
+	cfg := fastConfig()
+	store := NewArtifactStore()
+	first, err := store.NewManager(spec, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide := cfg
+	wide.GMap.QStep = 50
+	second, err := store.NewManager(spec, wide)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := store.Stats().GMaps; got.Learns != 2 || got.Held != 2 || got.Shares != 0 {
+		t.Fatalf("store after two learning grids: %+v, want 2 learns, 2 held", got)
+	}
+	// Artifacts is keyed by hardware, which both managers share.
+	for key, g := range first.Artifacts().GMaps {
+		if second.Artifacts().GMaps[key] == g {
+			t.Fatal("a changed grid reused the first map")
+		}
+	}
+	first.Release()
+	second.Release()
+	if got := store.Stats().GMaps; got.Held != 0 {
 		t.Fatalf("store after the last release: %+v", got)
 	}
 }

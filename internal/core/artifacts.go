@@ -1,12 +1,7 @@
 package core
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 	"sync"
 
 	"hierctl/internal/controller"
@@ -16,8 +11,8 @@ import (
 // shaped them (hardware + learning configuration) and nothing else — the
 // learners take no seed — so a stale or foreign artifact can never be used
 // for the wrong setup: a changed configuration simply hashes to a different
-// key. One fingerprint serves both tiers: the in-memory ArtifactStore a
-// fleet shares across its tenants, and the ArtifactDir file cache.
+// key. The ArtifactStore a fleet shares across its tenants is keyed by it;
+// nothing persists a learned artifact, so a new process learns it anew.
 
 // gmapFingerprint keys an abstraction map g: the L0 controller it was
 // simulated under, the learning grid, and the computer's hardware key.
@@ -32,71 +27,15 @@ func treeFingerprint(cfg Config, module string) string {
 	return fmt.Sprintf("%+v|%+v|%+v|%+v|%s", cfg.L0, cfg.L1, cfg.GMap, cfg.ModuleSim, module)
 }
 
-// learned is what the two artifact kinds (*controller.GMap,
-// *controller.TreeJTilde) have in common.
-type learned interface {
-	Save(w io.Writer) error
-}
-
-// loadOrLearn is the ArtifactDir file tier: it returns the cached artifact
-// when dir holds a readable one for this fingerprint, otherwise learns and
-// caches it. An empty dir means no file tier.
-func loadOrLearn[T learned](dir, kind, fingerprint string, read func(io.Reader) (T, error), learn func() (T, error)) (T, error) {
-	if dir == "" {
-		return learn()
-	}
-	sum := sha256.Sum256([]byte(fingerprint))
-	path := filepath.Join(dir, kind+"-"+hex.EncodeToString(sum[:8])+".gob")
-	if f, err := os.Open(path); err == nil {
-		a, err := read(f)
-		closeErr := f.Close()
-		if err == nil && closeErr == nil {
-			return a, nil
-		}
-		// Unreadable artifact: fall through to relearn and overwrite.
-	}
-	a, err := learn()
-	if err != nil {
-		return a, err
-	}
-	if err := writeArtifact(path, a.Save); err != nil {
-		var zero T
-		return zero, err
-	}
-	return a, nil
-}
-
-// writeArtifact writes via a temp file and rename so a crashed run never
-// leaves a truncated artifact behind.
-func writeArtifact(path string, write func(w io.Writer) error) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("core: create artifact: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if err := write(tmp); err != nil {
-		tmp.Close()
-		return fmt.Errorf("core: write artifact %s: %w", path, err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("core: close artifact %s: %w", path, err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("core: commit artifact %s: %w", path, err)
-	}
-	return nil
-}
-
 // ArtifactStore shares offline learning results between the managers built
 // through it: one learn and one in-memory copy per fingerprint, however
 // many managers use it and however many goroutines construct them at once.
-// The first construction of a fingerprint learns (or loads from
-// Config.ArtifactDir); concurrent constructions of the same fingerprint
-// wait for that one learner; a failed learn is reported to everyone who
-// waited and not cached, so the next construction retries. Entries are
-// reference-counted by the managers holding them and dropped when the last
-// one calls Release, which bounds the store by its live managers rather
-// than by uptime.
+// The first construction of a fingerprint learns; concurrent constructions
+// of the same fingerprint wait for that one learner; a failed learn is
+// reported to everyone who waited and not cached, so the next construction
+// retries. Entries are reference-counted by the managers holding them and
+// dropped when the last one calls Release, which bounds the store by its
+// live managers rather than by uptime.
 //
 // Shared artifacts are read-only: the decision paths (GMap.EvaluateInto,
 // TreeJTilde.Predict) never mutate them. A fleet owns one store; nothing is
@@ -128,7 +67,7 @@ type ArtifactKindStats struct {
 	// Held is the number of distinct artifacts currently in the store.
 	Held int
 	// Learns counts the artifacts the store obtained by running the offline
-	// learning (or loading its ArtifactDir cache file) over its life.
+	// learning over its life.
 	Learns int64
 	// Shares counts manager constructions served an artifact the store
 	// already held (or was already learning) instead of learning it again.
@@ -147,7 +86,7 @@ func (s *ArtifactStore) Stats() ArtifactStats {
 }
 
 // artifactTier is the store for one artifact kind.
-type artifactTier[T learned] struct {
+type artifactTier[T any] struct {
 	mu      sync.Mutex
 	entries map[string]*artifactEntry[T]
 	learns  int64
@@ -156,7 +95,7 @@ type artifactTier[T learned] struct {
 
 // artifactEntry is one fingerprint's slot. refs is guarded by the tier
 // mutex; val and err are written once, before ready closes.
-type artifactEntry[T learned] struct {
+type artifactEntry[T any] struct {
 	refs  int
 	ready chan struct{}
 	val   T

@@ -43,13 +43,6 @@ type Config struct {
 	// RecordFrequencies enables the per-computer frequency series
 	// (Fig. 5); large clusters may disable it to save memory.
 	RecordFrequencies bool
-	// ArtifactDir, when non-empty, caches the offline learning results
-	// (abstraction maps g, module trees J̃) as files keyed by
-	// configuration fingerprint: a second manager with the same
-	// hardware and learning configuration loads them instead of
-	// relearning. The directory must exist and be writable; artifacts
-	// that fail to load are relearned and overwritten.
-	ArtifactDir string
 	// OracleForecast replaces the Kalman arrival forecasts with the
 	// true future trace counts (scaled by each module's current share).
 	// This is not a realizable controller — it measures the value of
@@ -319,14 +312,11 @@ func (s *ArtifactStore) NewManager(spec cluster.Spec, cfg Config) (_ *Manager, e
 		func(i int) string { return hardwareKey(computers[i]) },
 		func(i int, key string) artifactTask[*controller.GMap] {
 			cs := computers[i]
-			fp := gmapFingerprint(cfg, key)
 			return artifactTask[*controller.GMap]{
-				fingerprint: fp,
+				fingerprint: gmapFingerprint(cfg, key),
 				what:        "g for " + cs.Name,
 				learn: func() (*controller.GMap, error) {
-					return loadOrLearn(cfg.ArtifactDir, "gmap", fp, controller.ReadGMap, func() (*controller.GMap, error) {
-						return controller.LearnGMap(cfg.L0, cs, cfg.GMap)
-					})
+					return controller.LearnGMap(cfg.L0, cs, cfg.GMap)
 				},
 			}
 		})
@@ -377,14 +367,11 @@ func (s *ArtifactStore) NewManager(spec cluster.Spec, cfg Config) (_ *Manager, e
 			func(i int) string { return moduleKey(spec.Modules[i]) },
 			func(i int, key string) artifactTask[*controller.TreeJTilde] {
 				asm := m.modules[i]
-				fp := treeFingerprint(cfg, key)
 				return artifactTask[*controller.TreeJTilde]{
-					fingerprint: fp,
+					fingerprint: treeFingerprint(cfg, key),
 					what:        "J̃ for module " + spec.Modules[i].Name,
 					learn: func() (*controller.TreeJTilde, error) {
-						return loadOrLearn(cfg.ArtifactDir, "jtree", fp, controller.ReadTreeJTilde, func() (*controller.TreeJTilde, error) {
-							return controller.LearnModuleTree(cfg.L0, cfg.L1, asm.gmaps, cfg.ModuleSim)
-						})
+						return controller.LearnModuleTree(cfg.L0, cfg.L1, asm.gmaps, cfg.ModuleSim)
 					},
 				}
 			})
@@ -407,7 +394,7 @@ func (s *ArtifactStore) NewManager(spec cluster.Spec, cfg Config) (_ *Manager, e
 }
 
 // artifactTask is one distinct artifact a manager needs from a tier.
-type artifactTask[T learned] struct {
+type artifactTask[T any] struct {
 	fingerprint string
 	what        string // names the artifact in a learning error
 	learn       func() (T, error)
@@ -420,7 +407,7 @@ type artifactTask[T learned] struct {
 // is identical to the sequential walk's; task receives the first item that
 // carried each key. The fingerprint of every reference taken is appended
 // to *held, on error too, so the caller's Release returns them.
-func acquireDistinct[T learned](t *artifactTier[T], workers, n int, held *[]string, keyOf func(i int) string, task func(i int, key string) artifactTask[T]) (map[string]T, error) {
+func acquireDistinct[T any](t *artifactTier[T], workers, n int, held *[]string, keyOf func(i int) string, task func(i int, key string) artifactTask[T]) (map[string]T, error) {
 	var keys []string
 	var first []int
 	seen := map[string]bool{}

@@ -12,14 +12,14 @@ import (
 	"hierctl/internal/cluster"
 )
 
-// batchTenantConfig builds a batch-test tenant: coarse grids, serial
-// decision pipeline (so replicas across fleets are comparable), and a
-// shared artifact cache so only the first tenant pays offline learning.
-func batchTenantConfig(artifactDir string, storeSeed int64) TenantConfig {
+// batchTenantConfig builds a batch-test tenant: coarse grids and a serial
+// decision pipeline (so replicas across fleets are comparable). Tenants of
+// one fleet share their learned artifacts, so only the first pays offline
+// learning.
+func batchTenantConfig(storeSeed int64) TenantConfig {
 	cfg := fastCore()
 	cfg.Parallelism = 1
 	cfg.RecordFrequencies = false
-	cfg.ArtifactDir = artifactDir
 	return TenantConfig{
 		Spec:       cluster.Spec{Modules: []cluster.ModuleSpec{moduleOf("M1", 2)}},
 		Core:       cfg,
@@ -55,7 +55,6 @@ func splitChunks(rng *rand.Rand, counts []float64) [][]float64 {
 func TestObserveBatchEquivalence(t *testing.T) {
 	const tenants = 4
 	const bins = 8
-	dir := t.TempDir()
 	counts := make([][]float64, tenants)
 	for i := range counts {
 		counts[i] = make([]float64, bins)
@@ -80,7 +79,7 @@ func TestObserveBatchEquivalence(t *testing.T) {
 			seq := New(Config{Shards: c.shards})
 			defer seq.Close()
 			for i, id := range ids {
-				if err := seq.CreateTenant(id, batchTenantConfig(dir, int64(i+1))); err != nil {
+				if err := seq.CreateTenant(id, batchTenantConfig(int64(i+1))); err != nil {
 					t.Fatal(err)
 				}
 				for _, count := range counts[i] {
@@ -93,7 +92,7 @@ func TestObserveBatchEquivalence(t *testing.T) {
 			bf := New(Config{Shards: c.shards})
 			defer bf.Close()
 			for i, id := range ids {
-				if err := bf.CreateTenant(id, batchTenantConfig(dir, int64(i+1))); err != nil {
+				if err := bf.CreateTenant(id, batchTenantConfig(int64(i+1))); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -187,7 +186,7 @@ func TestObserveBatchEquivalence(t *testing.T) {
 func TestObserveBatchErrors(t *testing.T) {
 	f := New(Config{Shards: 2})
 	defer f.Close()
-	if err := f.CreateTenant("x", batchTenantConfig(t.TempDir(), 1)); err != nil {
+	if err := f.CreateTenant("x", batchTenantConfig(1)); err != nil {
 		t.Fatal(err)
 	}
 	results, err := f.ObserveBatch([]BatchEntry{
@@ -242,7 +241,7 @@ func TestObserveBatchErrors(t *testing.T) {
 func TestObserveBatchQueueFull(t *testing.T) {
 	f := New(Config{Shards: 1, QueueDepth: 1})
 	defer f.Close()
-	if err := f.CreateTenant("x", batchTenantConfig(t.TempDir(), 1)); err != nil {
+	if err := f.CreateTenant("x", batchTenantConfig(1)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -314,13 +313,12 @@ func TestObserveBatchQueueFull(t *testing.T) {
 func TestObserveBatchStress(t *testing.T) {
 	const clients = 4
 	const batches = 12
-	dir := t.TempDir()
 	f := New(Config{Shards: 2})
 	defer f.Close()
 	ids := make([]string, clients)
 	for i := range ids {
 		ids[i] = string(rune('a' + i))
-		if err := f.CreateTenant(ids[i], batchTenantConfig(dir, int64(i+1))); err != nil {
+		if err := f.CreateTenant(ids[i], batchTenantConfig(int64(i+1))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -511,7 +509,6 @@ func closeState(t *testing.T, f *Fleet, id string) [2]any {
 func TestObserveBatchClosedMidCall(t *testing.T) {
 	const clients = 4
 	const fleets = 12
-	dir := t.TempDir()
 	counts := make([]float64, 24)
 	for i := range counts {
 		counts[i] = 150 + float64(10*i)
@@ -521,7 +518,7 @@ func TestObserveBatchClosedMidCall(t *testing.T) {
 		ids := make([]string, clients)
 		for i := range ids {
 			ids[i] = string(rune('a' + i))
-			if err := f.CreateTenant(ids[i], batchTenantConfig(dir, int64(i+1))); err != nil {
+			if err := f.CreateTenant(ids[i], batchTenantConfig(int64(i+1))); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -592,13 +589,12 @@ func TestObserveBatchClosedMidCall(t *testing.T) {
 // builds no decision either); and a tenant quarantined on its very first
 // bin, which never had a decision in force, reports none.
 func TestStateAfterSilentBatch(t *testing.T) {
-	dir := t.TempDir()
 	counts := []float64{300, 520, 12, 700, 150, 5, 480}
 	seq := panicFleet(t, 2)
 	silent := panicFleet(t, 2)
 	for _, f := range []*Fleet{seq, silent} {
 		for i, id := range []string{"a", "b", "fresh", "doomed"} {
-			if err := f.CreateTenant(id, batchTenantConfig(dir, int64(i+1))); err != nil {
+			if err := f.CreateTenant(id, batchTenantConfig(int64(i+1))); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -311,9 +311,9 @@ func (f *Fleet) admit(t *tenant) {
 
 // CreateTenant builds a tenant's hierarchy and registers it. The offline
 // learning runs only for artifacts the fleet does not hold yet: the first
-// tenant of a learning fingerprint learns (or loads Core.ArtifactDir's
-// cache), concurrent creators of the same fingerprint wait for it, and
-// everyone after shares the result. The id must be unique and non-empty.
+// tenant of a learning fingerprint learns, concurrent creators of the same
+// fingerprint wait for it, and everyone after shares the result. The id
+// must be unique and non-empty.
 func (f *Fleet) CreateTenant(id string, tc TenantConfig) error {
 	if err := f.ctx.Err(); err != nil {
 		return ErrClosed

@@ -25,9 +25,7 @@ func fuzzSeedLogs(t testing.TB) [][]byte {
 	f := New(Config{Shards: 1})
 	defer f.Close()
 	for i, id := range []string{"a", "b"} {
-		// No ArtifactDir: a restore learns from the embedded config, and
-		// a vanished cache directory would fail it as it fails a create.
-		tc := batchTenantConfig("", int64(i+1))
+		tc := batchTenantConfig(int64(i + 1))
 		if err := f.CreateTenant(id, tc); err != nil {
 			t.Fatal(err)
 		}
@@ -55,12 +53,12 @@ func fuzzSeedLogs(t testing.TB) [][]byte {
 
 	// Mixed shapes: c has its own learning grid (a second map g), d is
 	// two modules of a's hardware (a's map again, plus a tree J̃).
-	tc := batchTenantConfig("", 3)
+	tc := batchTenantConfig(3)
 	tc.Core.GMap.QStep = 50
 	if err := f.CreateTenant("c", tc); err != nil {
 		t.Fatal(err)
 	}
-	tc = batchTenantConfig("", 4)
+	tc = batchTenantConfig(4)
 	tc.Spec = cluster.Spec{Modules: []cluster.ModuleSpec{moduleOf("M1", 2), moduleOf("M2", 2)}}
 	if err := f.CreateTenant("d", tc); err != nil {
 		t.Fatal(err)
@@ -71,7 +69,7 @@ func fuzzSeedLogs(t testing.TB) [][]byte {
 		}
 	}
 	// e is halted: a panic after its second bin's last tick.
-	if err := f.CreateTenant("e", batchTenantConfig("", 5)); err != nil {
+	if err := f.CreateTenant("e", batchTenantConfig(5)); err != nil {
 		t.Fatal(err)
 	}
 	haltAfterBin(t, f, "e", 1)

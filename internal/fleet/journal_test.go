@@ -23,12 +23,11 @@ func journalPath(t *testing.T) string {
 // life: base on open, deltas on append, removes for closed tenants, a
 // policy-triggered compaction, and a reopen that restores the end state.
 func TestJournalAppendCompactCycle(t *testing.T) {
-	dir := t.TempDir()
 	path := journalPath(t)
 	f := New(Config{Shards: 2})
 	defer f.Close()
 	for _, id := range []string{"a", "b"} {
-		if err := f.CreateTenant(id, batchTenantConfig(dir, 1)); err != nil {
+		if err := f.CreateTenant(id, batchTenantConfig(1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -66,7 +65,7 @@ func TestJournalAppendCompactCycle(t *testing.T) {
 	if _, err := f.CloseTenant("b"); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.CreateTenant("c", batchTenantConfig(dir, 2)); err != nil {
+	if err := f.CreateTenant("c", batchTenantConfig(2)); err != nil {
 		t.Fatal(err)
 	}
 	// Third append hits MaxAppends and compacts.
@@ -102,7 +101,7 @@ func TestJournalAppendCompactCycle(t *testing.T) {
 func TestJournalSizeTriggeredCompaction(t *testing.T) {
 	f := New(Config{Shards: 1})
 	defer f.Close()
-	if err := f.CreateTenant("a", batchTenantConfig(t.TempDir(), 1)); err != nil {
+	if err := f.CreateTenant("a", batchTenantConfig(1)); err != nil {
 		t.Fatal(err)
 	}
 	// A tiny factor means the first non-empty delta exceeds the bound.
@@ -129,11 +128,10 @@ func TestJournalSizeTriggeredCompaction(t *testing.T) {
 // The new incarnation's log is deliberately shorter than the old mark,
 // the case an id-keyed journal would skip entirely.
 func TestJournalCloseRecreateSameID(t *testing.T) {
-	dir := t.TempDir()
 	path := journalPath(t)
 	f := New(Config{Shards: 1})
 	defer f.Close()
-	if err := f.CreateTenant("a", batchTenantConfig(dir, 1)); err != nil {
+	if err := f.CreateTenant("a", batchTenantConfig(1)); err != nil {
 		t.Fatal(err)
 	}
 	j, err := OpenJournal(f, path, JournalConfig{})
@@ -154,7 +152,7 @@ func TestJournalCloseRecreateSameID(t *testing.T) {
 	if _, err := f.CloseTenant("a"); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.CreateTenant("a", batchTenantConfig(dir, 9)); err != nil {
+	if err := f.CreateTenant("a", batchTenantConfig(9)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := f.Observe("a", 300); err != nil {
@@ -202,7 +200,7 @@ func TestJournalFailedAppendTruncates(t *testing.T) {
 	path := journalPath(t)
 	f := New(Config{Shards: 1})
 	defer f.Close()
-	if err := f.CreateTenant("a", batchTenantConfig(t.TempDir(), 1)); err != nil {
+	if err := f.CreateTenant("a", batchTenantConfig(1)); err != nil {
 		t.Fatal(err)
 	}
 	j, err := OpenJournal(f, path, JournalConfig{})
@@ -266,11 +264,10 @@ func TestJournalFailedAppendTruncates(t *testing.T) {
 // double-applied — with the restored fleet's next decisions bit-identical
 // to the survivor's.
 func TestJournalCrashAfterAppendRestores(t *testing.T) {
-	dir := t.TempDir()
 	path := journalPath(t)
 	f := New(Config{Shards: 1})
 	defer f.Close()
-	if err := f.CreateTenant("a", batchTenantConfig(dir, 1)); err != nil {
+	if err := f.CreateTenant("a", batchTenantConfig(1)); err != nil {
 		t.Fatal(err)
 	}
 	j, err := OpenJournal(f, path, JournalConfig{})
@@ -333,7 +330,7 @@ func TestJournalCrashDuringCompactKeepsOldLog(t *testing.T) {
 	path := journalPath(t)
 	f := New(Config{Shards: 1})
 	defer f.Close()
-	if err := f.CreateTenant("a", batchTenantConfig(t.TempDir(), 1)); err != nil {
+	if err := f.CreateTenant("a", batchTenantConfig(1)); err != nil {
 		t.Fatal(err)
 	}
 	j, err := OpenJournal(f, path, JournalConfig{})
@@ -377,7 +374,7 @@ func TestJournalTornTailRecovers(t *testing.T) {
 	path := journalPath(t)
 	f := New(Config{Shards: 1})
 	defer f.Close()
-	if err := f.CreateTenant("a", batchTenantConfig(t.TempDir(), 1)); err != nil {
+	if err := f.CreateTenant("a", batchTenantConfig(1)); err != nil {
 		t.Fatal(err)
 	}
 	j, err := OpenJournal(f, path, JournalConfig{})
@@ -437,7 +434,7 @@ func TestJournalTornTailRecovers(t *testing.T) {
 func TestJournalReplayedDeltaIsIdempotent(t *testing.T) {
 	f := New(Config{Shards: 1})
 	defer f.Close()
-	if err := f.CreateTenant("a", batchTenantConfig(t.TempDir(), 1)); err != nil {
+	if err := f.CreateTenant("a", batchTenantConfig(1)); err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range []float64{200, 250, 150} {
@@ -488,12 +485,11 @@ func TestJournalReplayedDeltaIsIdempotent(t *testing.T) {
 // identical bytes — the property that makes snapshot sizes CI-diffable
 // and journal appends reproducible.
 func TestSnapshotBytesDeterministic(t *testing.T) {
-	dir := t.TempDir()
 	build := func() []byte {
 		f := New(Config{Shards: 2})
 		defer f.Close()
 		for i, id := range []string{"a", "b", "c"} {
-			if err := f.CreateTenant(id, batchTenantConfig(dir, int64(i+1))); err != nil {
+			if err := f.CreateTenant(id, batchTenantConfig(int64(i+1))); err != nil {
 				t.Fatal(err)
 			}
 			for b := 0; b < 3; b++ {
@@ -541,7 +537,7 @@ func TestDeltaFrameIsSlim(t *testing.T) {
 
 	f := New(Config{Shards: 1})
 	defer f.Close()
-	if err := f.CreateTenant("a", batchTenantConfig("", 1)); err != nil {
+	if err := f.CreateTenant("a", batchTenantConfig(1)); err != nil {
 		t.Fatal(err)
 	}
 	var log bytes.Buffer

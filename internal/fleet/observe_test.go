@@ -24,7 +24,7 @@ import (
 // channel, no closure — measured against a silent one-entry batch, which
 // pays for the same stepping and builds no decision.
 func TestObserveIsOneEntryBatch(t *testing.T) {
-	tc := batchTenantConfig("", 3)
+	tc := batchTenantConfig(3)
 	tc.TelemetryRecords = 512
 	ids := []string{"a", "b", "c"}
 	count := func(bin, tenant int) float64 { return float64(120 + 90*((bin+2*tenant)%5)) }
@@ -200,7 +200,7 @@ func TestObserveIsOneEntryBatch(t *testing.T) {
 func TestBinCountBounded(t *testing.T) {
 	f := New(Config{Shards: 1})
 	defer f.Close()
-	if err := f.CreateTenant("t", batchTenantConfig("", 1)); err != nil {
+	if err := f.CreateTenant("t", batchTenantConfig(1)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := f.Observe("t", 200); err != nil {

@@ -4,11 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"os"
 	"reflect"
 	"sync"
 	"testing"
 
+	"hierctl/internal/ckpt"
 	"hierctl/internal/cluster"
 	"hierctl/internal/controller"
 	"hierctl/internal/core"
@@ -242,19 +242,21 @@ func TestArtifactsLearnedOncePerFingerprint(t *testing.T) {
 }
 
 // TestFailedLearnIsNotCached: a construction whose learning fails (here:
-// the artifact cache directory does not exist) leaves nothing in the
-// store, and the next construction of the same fingerprint retries.
+// a grid finer than a table packs) leaves nothing in the store, and the
+// next construction learns. That a failed fingerprint's next acquire
+// retries is pinned on the store itself (core's TestArtifactStoreLearnOnce).
 func TestFailedLearnIsNotCached(t *testing.T) {
 	f := New(Config{Shards: 1})
 	defer f.Close()
-	bad := batchTenantConfig(t.TempDir()+"/does-not-exist", 1)
+	bad := batchTenantConfig(1)
+	bad.Core.GMap.QStep, bad.Core.GMap.LambdaStep = 1e-12, 1e-12
 	if err := f.CreateTenant("a", bad); err == nil {
-		t.Fatal("create with a missing artifact dir succeeded")
+		t.Fatal("create with an unpackable learning grid succeeded")
 	}
 	if got := f.Stats().Artifacts.GMaps; got.Held != 0 || got.Learns != 0 {
 		t.Fatalf("failed learn left %+v in the store", got)
 	}
-	if err := f.CreateTenant("a", batchTenantConfig("", 1)); err != nil {
+	if err := f.CreateTenant("a", batchTenantConfig(1)); err != nil {
 		t.Fatal(err)
 	}
 	if got := f.Stats().Artifacts.GMaps; got.Held != 1 || got.Learns != 1 {
@@ -270,7 +272,7 @@ func TestRestoreSharesWithLiveTenants(t *testing.T) {
 	src := New(Config{Shards: 2})
 	defer src.Close()
 	for i, id := range []string{"a", "b"} {
-		if err := src.CreateTenant(id, batchTenantConfig("", int64(i+1))); err != nil {
+		if err := src.CreateTenant(id, batchTenantConfig(int64(i+1))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -281,7 +283,7 @@ func TestRestoreSharesWithLiveTenants(t *testing.T) {
 
 	dst := New(Config{Shards: 2})
 	defer dst.Close()
-	if err := dst.CreateTenant("live", batchTenantConfig("", 9)); err != nil {
+	if err := dst.CreateTenant("live", batchTenantConfig(9)); err != nil {
 		t.Fatal(err)
 	}
 	if err := dst.Restore(bytes.NewReader(log.Bytes())); err != nil {
@@ -308,16 +310,15 @@ func TestRestoreSharesWithLiveTenants(t *testing.T) {
 // TestRestoreLearnsOnce: restoring N tenants of one fingerprint into an
 // empty fleet learns their map once and shares it N−1 times, and every
 // restored tenant — and a tenant created after — holds the store's one
-// object. A restore naming an ArtifactDir that has vanished fails as a
-// create would, and all-or-nothing: nothing registers, nothing stays held.
+// object. A restore with one corrupt checkpoint fails all-or-nothing:
+// nothing registers, nothing stays held.
 func TestRestoreLearnsOnce(t *testing.T) {
 	const n = 4
-	dir := t.TempDir()
 	src := New(Config{Shards: 2})
 	defer src.Close()
 	for i := 0; i < n; i++ {
 		id := string(rune('a' + i))
-		if err := src.CreateTenant(id, batchTenantConfig("", int64(i+1))); err != nil {
+		if err := src.CreateTenant(id, batchTenantConfig(int64(i+1))); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := src.Observe(id, 200+10*float64(i)); err != nil {
@@ -337,7 +338,7 @@ func TestRestoreLearnsOnce(t *testing.T) {
 	if got, want := dst.Stats().Artifacts.GMaps, (core.ArtifactKindStats{Held: 1, Learns: 1, Shares: n - 1}); got != want {
 		t.Fatalf("store after restoring %d tenants of one fingerprint: %+v, want %+v", n, got, want)
 	}
-	if err := dst.CreateTenant("late", batchTenantConfig("", 9)); err != nil {
+	if err := dst.CreateTenant("late", batchTenantConfig(9)); err != nil {
 		t.Fatal(err)
 	}
 	var shared *controller.GMap
@@ -356,29 +357,35 @@ func TestRestoreLearnsOnce(t *testing.T) {
 		}
 	}
 
-	// One tenant caches its map in dir, one learns another grid's: the
-	// dir is gone by the restore, so the first fails to build.
-	cached := New(Config{Shards: 2})
-	defer cached.Close()
-	if err := cached.CreateTenant("disk", batchTenantConfig(dir, 1)); err != nil {
-		t.Fatal(err)
-	}
-	wide := batchTenantConfig("", 2)
+	// Two tenants of different grids, one with a corrupt checkpoint: the
+	// restore fails all or nothing, whichever tenant built first.
+	two := New(Config{Shards: 2})
+	defer two.Close()
+	wide := batchTenantConfig(2)
 	wide.Core.GMap.QStep = 50
-	if err := cached.CreateTenant("wide", wide); err != nil {
+	for i, cfg := range []TenantConfig{batchTenantConfig(1), wide} {
+		id := string(rune('a' + i))
+		if err := two.CreateTenant(id, cfg); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := two.Observe(id, 200); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snaps, err := two.captureAll(false)
+	if err != nil {
 		t.Fatal(err)
 	}
+	cut := snaps[1].Checkpoint
+	snaps[1].Checkpoint = cut[:len(cut)-1]
 	log.Reset()
-	if err := cached.Snapshot(&log); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.RemoveAll(dir); err != nil {
+	if _, err := writeBaseLog(&log, snaps); err != nil {
 		t.Fatal(err)
 	}
 	empty := New(Config{Shards: 2})
 	defer empty.Close()
-	if err := empty.Restore(bytes.NewReader(log.Bytes())); err == nil {
-		t.Fatal("restore with a vanished artifact dir succeeded")
+	if err := empty.Restore(bytes.NewReader(log.Bytes())); !errors.Is(err, ckpt.ErrCorrupt) {
+		t.Fatalf("restore with a corrupt checkpoint: %v, want ckpt.ErrCorrupt", err)
 	}
 	if got := empty.Tenants(); len(got) != 0 {
 		t.Fatalf("failed restore registered %v", got)

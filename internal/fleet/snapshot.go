@@ -22,11 +22,11 @@ import (
 // blob (core.Session.Checkpoint), followed by the counts of any bins since.
 // Restoring is creating: the tenant is built from its configuration exactly
 // as Fleet.CreateTenant builds it (its learned maps and trees shared through
-// the fleet's artifact store, learned once per fingerprint or loaded from
-// ArtifactDir — the learners take no seed, so they are a pure function of
-// the configuration), then the checkpoint is restored and those counts are
-// stepped: the restored tenant's next decisions equal the original's, and
-// a restore costs the tenant's state, not its uptime. A tenant halted
+// the fleet's artifact store, learned once per fingerprint — the learners
+// take no seed, so they are a pure function of the configuration), then
+// the checkpoint is restored and those counts are stepped: the restored
+// tenant's next decisions equal the original's, and a restore costs the
+// tenant's state, not its uptime. A tenant halted
 // mid-bin has no checkpoint; its base carries its halt report instead
 // (see haltState), and it restores serving that report.
 //

@@ -12,7 +12,7 @@ import (
 // sweepTenantConfig is a small recording tenant: a 2-computer module with
 // a ring that holds several bins of records.
 func sweepTenantConfig(seed int64) TenantConfig {
-	tc := batchTenantConfig("", seed)
+	tc := batchTenantConfig(seed)
 	tc.TelemetryRecords = 256
 	return tc
 }
@@ -94,7 +94,7 @@ func TestSweepYieldsInSlices(t *testing.T) {
 	const tenants, depth = 2*sweepSlice + 5, 4
 	f := New(Config{Shards: 1, QueueDepth: depth})
 	defer f.Close()
-	tc := batchTenantConfig(t.TempDir(), 1)
+	tc := batchTenantConfig(1)
 	for i := 0; i < tenants; i++ {
 		if err := f.CreateTenant(fmt.Sprintf("t%03d", i), tc); err != nil {
 			t.Fatal(err)

@@ -17,9 +17,8 @@ type TenantConfig struct {
 	Spec cluster.Spec
 	// Core configures the tenant's controller hierarchy. Seed drives all
 	// of the tenant's random streams. The offline learning is shared by
-	// every tenant of the fleet with the same learning fingerprint
-	// regardless of ArtifactDir, which (optional) additionally caches it
-	// on disk across fleets and processes.
+	// every tenant of the fleet with the same learning fingerprint, and
+	// held in memory only: a new process learns it again.
 	Core core.Config
 	// Store parameterizes the tenant's virtual object store, built from
 	// StoreSeed. Every tenant owns a private store: its temporal-locality
@@ -156,10 +155,10 @@ type tenant struct {
 
 // newTenant builds a tenant's manager and session, for a create and a
 // restore alike. The learned artifacts come through the fleet's store —
-// shared with every tenant of the same fingerprint, learned (or loaded
-// from ArtifactDir) only when the store does not hold them. On error no
-// store reference is left behind; the owner of a built tenant releases
-// them (mgr.Release) when it discards the tenant.
+// shared with every tenant of the same fingerprint, learned only when the
+// store does not hold them. On error no store reference is left behind;
+// the owner of a built tenant releases them (mgr.Release) when it
+// discards the tenant.
 func newTenant(id string, tc TenantConfig, artifacts *core.ArtifactStore) (_ *tenant, err error) {
 	if err := CheckTelemetryRecords(tc.TelemetryRecords); err != nil {
 		return nil, fmt.Errorf("fleet: tenant %s: %w", id, err)
