@@ -493,9 +493,6 @@ func (s *server) createTenant(w http.ResponseWriter, r *http.Request) {
 	}
 
 	cfg := hierctl.ExperimentOptions{Seed: req.Seed, Fast: req.Fast}.Config()
-	// A long-running daemon should not accumulate per-T_L0 frequency
-	// series per computer; the decision payloads carry the frequencies.
-	cfg.RecordFrequencies = false
 	learnStart := time.Now()
 	if err := s.fleet.CreateTenant(req.ID, hierctl.TenantConfig{
 		Spec:             spec,

@@ -23,31 +23,6 @@ func TestQuantizerValidation(t *testing.T) {
 	}
 }
 
-func TestQuantizerCell(t *testing.T) {
-	q, err := NewQuantizer([]float64{0, 10}, []float64{1, 20}, []float64{0.25, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cell, err := q.Cell([]float64{0.3, 14})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cell[0] != 1 || cell[1] != 1 {
-		t.Errorf("Cell = %v, want [1 1]", cell)
-	}
-	// Clamping.
-	cell, err = q.Cell([]float64{-5, 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cell[0] != 0 || cell[1] != 2 {
-		t.Errorf("clamped Cell = %v, want [0 2]", cell)
-	}
-	if _, err := q.Cell([]float64{1}); err == nil {
-		t.Error("wrong dims: want error")
-	}
-}
-
 func TestQuantizerLevels(t *testing.T) {
 	q, err := NewQuantizer([]float64{0}, []float64{1}, []float64{0.25})
 	if err != nil {

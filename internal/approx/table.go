@@ -3,7 +3,7 @@
 // of the closed-loop components below them, so they consult learned
 // abstractions instead —
 //
-//   - Table: the quantized hash-table abstraction map g used by the L1
+//   - Table: the quantized lookup-table abstraction map g used by the L1
 //     controller to predict per-computer cost and behaviour, "obtained
 //     off-line by simulating the L0 controller" (§4.2);
 //   - RegressionTree: the compact CART regression tree the L2 controller
@@ -12,19 +12,17 @@
 //   - Grid / Learn: the simulation-based learning harness that sweeps the
 //     quantized input domains and produces training samples.
 //
-// Invariant: the steady-state lookup path is allocation-free. Table keys
-// cells by a single packed uint64 of quantized indices (one hash probe per
-// Add/Lookup), and the *Into APIs (Quantizer.CellInto, Table.LookupInto)
-// write into caller-owned scratch — TestTableLookupIntoZeroAlloc and
-// TestQuantizerCellIntoZeroAlloc pin both at 0 allocs/op. A grid whose
-// index ranges need more than 64 packed bits is rejected by NewTable: it
-// has more than 2^64 cells, and Learn sweeps every cell.
+// Invariant: the steady-state lookup path is allocation-free. Table is a
+// dense row-major grid sized once by NewTable, so Add and Lookup cost one
+// index computation and no hash probe, and Table.LookupInto writes into
+// caller-owned scratch — TestTableLookupIntoZeroAlloc pins it at 0
+// allocs/op. NewTable rejects a grid of more than maxCells cells, and a
+// NaN coordinate is a miss, never an out-of-range index.
 package approx
 
 import (
 	"fmt"
 	"math"
-	"math/bits"
 )
 
 // Quantizer maps continuous feature vectors onto a regular grid so they can
@@ -66,34 +64,6 @@ func (q *Quantizer) index(d int, v float64) int {
 	return int(math.Round((v - q.Min[d]) / q.Step[d]))
 }
 
-// maxIndex returns the largest index reachable along dimension d (the
-// index of v = Max[d]).
-func (q *Quantizer) maxIndex(d int) int { return q.index(d, q.Max[d]) }
-
-// Cell returns the grid indices of x (clamped into range).
-func (q *Quantizer) Cell(x []float64) ([]int, error) {
-	return q.CellInto(nil, x)
-}
-
-// CellInto is Cell writing into dst: when cap(dst) ≥ Dims() the returned
-// slice aliases dst and the call performs no allocation (pinned by
-// TestQuantizerCellIntoZeroAlloc); otherwise a fresh slice is allocated.
-//
-//hpm:hotpath
-func (q *Quantizer) CellInto(dst []int, x []float64) ([]int, error) {
-	if len(x) != q.Dims() {
-		return nil, fmt.Errorf("approx: point has %d dims, quantizer has %d", len(x), q.Dims())
-	}
-	if cap(dst) < len(x) {
-		dst = make([]int, len(x)) //hpm:alloc fallback when caller scratch is too small; the *Into contract
-	}
-	dst = dst[:len(x)]
-	for d, v := range x {
-		dst[d] = q.index(d, v)
-	}
-	return dst, nil
-}
-
 // Levels returns the grid values of dimension d from Min to Max inclusive,
 // the sweep set used by the learning harness.
 func (q *Quantizer) Levels(d int) []float64 {
@@ -104,35 +74,34 @@ func (q *Quantizer) Levels(d int) []float64 {
 	return out
 }
 
-// cell is one populated table entry: running output sums and the
-// observation count, held behind a single map probe.
-type cell struct {
-	sum []float64
-	n   int
-}
+// maxCells bounds a table's grid. Learning fills every cell by simulating
+// L0 over it (GMapConfig.SubSteps decisions, 70-95 µs a cell under the
+// default L0 on a 2-vCPU x86 box), so a million cells is over a minute of
+// learning per computer shape and 40 MB of sums and counts at g's width;
+// the default g has 2,205.
+const maxCells = 1 << 20
 
-// Table is the quantized abstraction map g: a hash table from quantized
+// Table is the quantized abstraction map g: a table from quantized
 // (state, environment, control) tuples to learned outputs — the paper
 // stores the approximate cost and aggregate behaviour of a computer under
 // its L0 controller. Multiple observations falling in one cell are
 // averaged. Construct with NewTable.
 //
-// Cells are keyed by a single packed uint64 of the quantized indices
-// (nbits[d] bits per dimension), so Add and Lookup cost one hash probe
-// and build no intermediate slice or string.
+// The grid is dense and row-major, the last dimension fastest: cell i
+// keeps its output sums at sums[i*width:] and its observation count at
+// counts[i], and a cell with a zero count is unobserved.
 type Table struct {
-	quant *Quantizer
-	width int
-
-	// shift[d]/nbits[d] place dimension d's index inside the uint64 key.
-	shift []uint
-	nbits []uint
-	cells map[uint64]*cell
+	quant  *Quantizer
+	width  int
+	size   []int // levels per dimension: index(d, Max[d])+1
+	sums   []float64
+	counts []int
+	cells  int // observed cells
 }
 
 // NewTable builds an empty table over the quantizer's grid with the given
-// output width (number of learned values per cell, ≥ 1). The grid must
-// pack: Σ_d bits(maxIndex[d]) ≤ 64.
+// output width (number of learned values per cell, ≥ 1). The grid may
+// hold at most maxCells cells.
 func NewTable(quant *Quantizer, outputWidth int) (*Table, error) {
 	if quant == nil {
 		return nil, fmt.Errorf("approx: nil quantizer")
@@ -140,43 +109,38 @@ func NewTable(quant *Quantizer, outputWidth int) (*Table, error) {
 	if outputWidth < 1 {
 		return nil, fmt.Errorf("approx: output width %d < 1", outputWidth)
 	}
-	t := &Table{
-		quant: quant, width: outputWidth,
-		shift: make([]uint, quant.Dims()), nbits: make([]uint, quant.Dims()),
-		cells: make(map[uint64]*cell),
-	}
-	at := uint(0)
-	for d := range t.nbits {
-		b := uint(bits.Len(uint(quant.maxIndex(d))))
-		if b == 0 {
-			b = 1 // single-level dimension still owns one bit
+	size := make([]int, quant.Dims())
+	cells := 1
+	for d := range size {
+		// index(d, Max[d])+1, kept a float until it is known to fit, so
+		// neither a huge index nor the running product can overflow int.
+		levels := math.Round((quant.Max[d]-quant.Min[d])/quant.Step[d]) + 1
+		if !(levels <= float64(maxCells/cells)) {
+			return nil, fmt.Errorf("approx: grid has more than %d cells (dimension %d has %v levels)", maxCells, d, levels)
 		}
-		t.shift[d], t.nbits[d] = at, b
-		at += b
+		size[d] = int(levels)
+		cells *= size[d]
 	}
-	if at > 64 {
-		return nil, fmt.Errorf("approx: grid needs %d index bits, a table packs at most 64", at)
-	}
-	return t, nil
+	return &Table{
+		quant: quant, width: outputWidth, size: size,
+		sums: make([]float64, cells*outputWidth), counts: make([]int, cells),
+	}, nil
 }
 
-// packKey computes the packed cell key of x without materializing the
-// index slice.
-func (t *Table) packKey(x []float64) uint64 {
-	k := uint64(0)
-	for d, v := range x {
-		k |= uint64(t.quant.index(d, v)) << t.shift[d]
-	}
-	return k
-}
-
-// lookupCell returns the populated cell containing x, or nil, without
-// allocating.
-func (t *Table) lookupCell(x []float64) (*cell, error) {
+// cellOf returns the row-major index of the cell containing x, or -1 when
+// a coordinate is NaN.
+func (t *Table) cellOf(x []float64) (int, error) {
 	if len(x) != t.quant.Dims() {
-		return nil, fmt.Errorf("approx: point has %d dims, quantizer has %d", len(x), t.quant.Dims())
+		return 0, fmt.Errorf("approx: point has %d dims, quantizer has %d", len(x), t.quant.Dims())
 	}
-	return t.cells[t.packKey(x)], nil
+	i := 0
+	for d, v := range x {
+		if math.IsNaN(v) {
+			return -1, nil
+		}
+		i = i*t.size[d] + t.quant.index(d, v)
+	}
+	return i, nil
 }
 
 // Add folds an observation into the cell containing x.
@@ -184,35 +148,38 @@ func (t *Table) Add(x []float64, outputs []float64) error {
 	if len(outputs) != t.width {
 		return fmt.Errorf("approx: %d outputs, table width %d", len(outputs), t.width)
 	}
-	c, err := t.lookupCell(x)
+	i, err := t.cellOf(x)
 	if err != nil {
 		return err
 	}
-	if c == nil {
-		c = &cell{sum: make([]float64, t.width)}
-		t.cells[t.packKey(x)] = c
+	if i < 0 {
+		return fmt.Errorf("approx: NaN coordinate in %v", x)
 	}
-	for i, v := range outputs {
-		c.sum[i] += v
+	if t.counts[i] == 0 {
+		t.cells++
 	}
-	c.n++
+	t.counts[i]++
+	sum := t.sums[i*t.width : (i+1)*t.width]
+	for j, v := range outputs {
+		sum[j] += v
+	}
 	return nil
 }
 
 // LookupInto returns the cell average for the cell containing x, and
 // whether the cell has any observations, writing the averages into dst:
 // when cap(dst) ≥ the table's output width the returned slice aliases dst
-// and a hit performs no allocation — one hash probe, no intermediate cell
-// slice or key string (pinned by TestTableLookupIntoZeroAlloc). On a miss
-// dst is left untouched and the returned slice is nil.
+// and a hit performs no allocation (pinned by TestTableLookupIntoZeroAlloc).
+// On a miss — an unobserved cell or a NaN coordinate — dst is left
+// untouched and the returned slice is nil.
 //
 //hpm:hotpath
 func (t *Table) LookupInto(dst []float64, x []float64) ([]float64, bool, error) {
-	c, err := t.lookupCell(x)
+	i, err := t.cellOf(x)
 	if err != nil {
 		return nil, false, err
 	}
-	if c == nil {
+	if i < 0 || t.counts[i] == 0 {
 		return nil, false, nil
 	}
 	if cap(dst) < t.width {
@@ -221,15 +188,12 @@ func (t *Table) LookupInto(dst []float64, x []float64) ([]float64, bool, error) 
 	dst = dst[:t.width]
 	// Per-output division (not multiply-by-reciprocal): cell averages must
 	// stay bit-identical to the historical implementation.
-	n := float64(c.n)
-	for i, v := range c.sum {
-		dst[i] = v / n
+	n := float64(t.counts[i])
+	for j, v := range t.sums[i*t.width : (i+1)*t.width] {
+		dst[j] = v / n
 	}
 	return dst, true, nil
 }
 
-// Width returns the number of learned values per cell.
-func (t *Table) Width() int { return t.width }
-
-// Cells returns the number of populated cells.
-func (t *Table) Cells() int { return len(t.cells) }
+// Cells returns the number of observed cells.
+func (t *Table) Cells() int { return t.cells }

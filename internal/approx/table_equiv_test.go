@@ -1,11 +1,12 @@
 package approx
 
-// Equivalence and allocation pins for the packed-uint64 table: it must
-// answer bit-identically to the historical string-keyed implementation on
-// any grid it accepts (up to the 64-bit packing boundary, past which
-// construction fails), and the steady-state lookup path must not allocate.
+// Equivalence and allocation pins for the dense table: it must answer
+// bit-identically to the historical string-keyed implementation on any
+// grid it accepts (up to the maxCells bound, past which construction
+// fails), and the steady-state lookup path must not allocate.
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -34,12 +35,18 @@ func newRefTable(q *Quantizer, width int) *refTable {
 	return &refTable{quant: q, sums: map[string][]float64{}, counts: map[string]int{}, width: width}
 }
 
-func (t *refTable) add(x, outputs []float64) error {
-	cellIdx, err := t.quant.Cell(x)
-	if err != nil {
-		return err
+// cell returns the oracle's cell indices of x, straight from the
+// quantizer's per-dimension index.
+func (t *refTable) cell(x []float64) []int {
+	idx := make([]int, len(x))
+	for d, v := range x {
+		idx[d] = t.quant.index(d, v)
 	}
-	k := cellKey(cellIdx)
+	return idx
+}
+
+func (t *refTable) add(x, outputs []float64) error {
+	k := cellKey(t.cell(x))
 	sum, ok := t.sums[k]
 	if !ok {
 		sum = make([]float64, t.width)
@@ -53,11 +60,7 @@ func (t *refTable) add(x, outputs []float64) error {
 }
 
 func (t *refTable) lookup(x []float64) ([]float64, bool, error) {
-	cellIdx, err := t.quant.Cell(x)
-	if err != nil {
-		return nil, false, err
-	}
-	k := cellKey(cellIdx)
+	k := cellKey(t.cell(x))
 	n := t.counts[k]
 	if n == 0 {
 		return nil, false, nil
@@ -70,7 +73,9 @@ func (t *refTable) lookup(x []float64) ([]float64, bool, error) {
 }
 
 // randomGrid builds a random quantizer with 1-4 dimensions, occasionally
-// with negative minima and fractional steps.
+// with negative minima and fractional steps. Each dimension spans under 30
+// steps, not always a whole number of them, so it has at most 31 levels
+// and even a 4-dimensional grid stays within maxCells.
 func randomGrid(rng *rand.Rand) *Quantizer {
 	dims := 1 + rng.Intn(4)
 	min := make([]float64, dims)
@@ -78,8 +83,8 @@ func randomGrid(rng *rand.Rand) *Quantizer {
 	step := make([]float64, dims)
 	for d := range min {
 		min[d] = float64(rng.Intn(21) - 10)
-		max[d] = min[d] + 1 + rng.Float64()*50
 		step[d] = []float64{0.25, 0.5, 1, 2.5, 5}[rng.Intn(5)]
+		max[d] = min[d] + rng.Float64()*30*step[d]
 	}
 	q, err := NewQuantizer(min, max, step)
 	if err != nil {
@@ -98,9 +103,9 @@ func randomPoint(rng *rand.Rand, q *Quantizer) []float64 {
 	return x
 }
 
-// TestTablePackedEquivalenceRandom drives the packed table and the
-// string-keyed oracle through identical Add/Lookup sequences over 300
-// random grids and checks every answer bit-identically.
+// TestTablePackedEquivalenceRandom drives the table and the string-keyed
+// oracle through identical Add/Lookup sequences over 300 random grids and
+// checks every answer bit-identically.
 func TestTablePackedEquivalenceRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 300; trial++ {
@@ -108,65 +113,62 @@ func TestTablePackedEquivalenceRandom(t *testing.T) {
 		width := 1 + rng.Intn(3)
 		tab, err := NewTable(q, width)
 		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		checkAgainstOracle(t, rng, tab, q, width, 40, 60)
+	}
+}
+
+// checkAgainstOracle feeds tab and a fresh oracle the same adds random
+// points, then checks the cell census and every probe bit-identically.
+func checkAgainstOracle(t *testing.T, rng *rand.Rand, tab *Table, q *Quantizer, width, adds, probes int) {
+	t.Helper()
+	ref := newRefTable(q, width)
+	for i := 0; i < adds; i++ {
+		x := randomPoint(rng, q)
+		outs := make([]float64, width)
+		for j := range outs {
+			outs[j] = rng.NormFloat64() * 100
+		}
+		if err := tab.Add(x, outs); err != nil {
 			t.Fatal(err)
 		}
-		ref := newRefTable(q, width)
-		for i := 0; i < 40; i++ {
-			x := randomPoint(rng, q)
-			outs := make([]float64, width)
-			for j := range outs {
-				outs[j] = rng.NormFloat64() * 100
-			}
-			if err := tab.Add(x, outs); err != nil {
-				t.Fatal(err)
-			}
-			if err := ref.add(x, outs); err != nil {
-				t.Fatal(err)
-			}
+		if err := ref.add(x, outs); err != nil {
+			t.Fatal(err)
 		}
-		if tab.Cells() != len(ref.counts) {
-			t.Fatalf("trial %d: cells %d vs oracle %d", trial, tab.Cells(), len(ref.counts))
+	}
+	if tab.Cells() != len(ref.counts) {
+		t.Fatalf("cells %d vs oracle %d", tab.Cells(), len(ref.counts))
+	}
+	for i := 0; i < probes; i++ {
+		x := randomPoint(rng, q)
+		got, okG, err := tab.LookupInto(nil, x)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := 0; i < 60; i++ {
-			x := randomPoint(rng, q)
-			got, okG, err := tab.LookupInto(nil, x)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, okW, err := ref.lookup(x)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if okG != okW {
-				t.Fatalf("trial %d probe %v: hit %v vs oracle %v", trial, x, okG, okW)
-			}
-			for j := range want {
-				if got[j] != want[j] {
-					t.Fatalf("trial %d probe %v: output %d = %v, oracle %v", trial, x, j, got[j], want[j])
-				}
+		want, okW, err := ref.lookup(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if okG != okW {
+			t.Fatalf("probe %v: hit %v vs oracle %v", x, okG, okW)
+		}
+		for j := range want {
+			if got[j] != want[j] {
+				t.Fatalf("probe %v: output %d = %v, oracle %v", x, j, got[j], want[j])
 			}
 		}
 	}
 }
 
-// hugeDim returns (min, max, step) for a dimension whose index range needs
-// the given number of bits exactly.
-func hugeDim(bits uint) (float64, float64, float64) {
-	maxIdx := float64(uint64(1)<<bits - 1)
-	return 0, maxIdx, 1
-}
-
-// TestTableOverflowFallbackBoundary pins the 64-bit packing boundary: a
-// grid needing exactly 64 bits builds and answers identically to the
-// oracle; one bit more is an error from NewTable.
+// TestTableOverflowFallbackBoundary pins the maxCells boundary: the
+// largest allowed grid builds and answers identically to the oracle; one
+// cell more, and a grid whose cell product overflows int, are errors from
+// NewTable, not panics or huge allocations.
 func TestTableOverflowFallbackBoundary(t *testing.T) {
-	// Two 31-bit dimensions plus a 2-bit one hit the 64-bit budget
-	// exactly; widening the third to 3 bits crosses it. (Per-dimension
-	// indices stay within int32 — the oracle's key format's own bound.)
-	min31, max31, step31 := hugeDim(31)
-	t.Run("exactly-64-bits", func(t *testing.T) {
-		rng := rand.New(rand.NewSource(7))
-		q, err := NewQuantizer([]float64{min31, min31, 0}, []float64{max31, max31, 3}, []float64{step31, step31, 1})
+	t.Run("max-cells", func(t *testing.T) {
+		// 1024 × 1024 levels: exactly maxCells.
+		q, err := NewQuantizer([]float64{0, -5}, []float64{1023, 506.5}, []float64{1, 0.5})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,53 +176,66 @@ func TestTableOverflowFallbackBoundary(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref := newRefTable(q, 2)
-		for i := 0; i < 50; i++ {
-			x := randomPoint(rng, q)
-			outs := []float64{rng.NormFloat64(), rng.NormFloat64()}
-			if err := tab.Add(x, outs); err != nil {
-				t.Fatal(err)
-			}
-			if err := ref.add(x, outs); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if tab.Cells() != len(ref.counts) {
-			t.Fatalf("cells %d vs oracle %d", tab.Cells(), len(ref.counts))
-		}
-		for i := 0; i < 80; i++ {
-			x := randomPoint(rng, q)
-			got, okG, err := tab.LookupInto(nil, x)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, okW, err := ref.lookup(x)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if okG != okW {
-				t.Fatalf("probe %v: hit %v vs oracle %v", x, okG, okW)
-			}
-			for j := range want {
-				if got[j] != want[j] {
-					t.Fatalf("probe %v: output %d = %v, oracle %v", x, j, got[j], want[j])
-				}
-			}
-		}
+		checkAgainstOracle(t, rand.New(rand.NewSource(7)), tab, q, 2, 200, 200)
 	})
-	t.Run("65-bits-is-an-error", func(t *testing.T) {
-		q, err := NewQuantizer([]float64{min31, min31, 0}, []float64{max31, max31, 7}, []float64{step31, step31, 1})
+	t.Run("one-cell-more", func(t *testing.T) {
+		q, err := NewQuantizer([]float64{0}, []float64{maxCells}, []float64{1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tab, err := NewTable(q, 2); err == nil {
-			t.Fatalf("NewTable built a 65-bit grid: %+v", tab)
+		if tab, err := NewTable(q, 1); err == nil {
+			t.Fatalf("NewTable built a %d-cell grid: %d cells", maxCells+1, len(tab.counts))
+		}
+	})
+	t.Run("int-overflow", func(t *testing.T) {
+		// Four dimensions of 2^20 levels: 2^80 cells overflows int, and
+		// a dimension of 1e300 steps does not fit one.
+		for _, maxIdx := range []float64{1 << 20, 1e300} {
+			q, err := NewQuantizer([]float64{0, 0, 0, 0}, []float64{maxIdx - 1, maxIdx - 1, maxIdx - 1, maxIdx - 1}, []float64{1, 1, 1, 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tab, err := NewTable(q, 4); err == nil {
+				t.Fatalf("NewTable built a grid of %v^4 cells: %d cells", maxIdx, len(tab.counts))
+			}
 		}
 	})
 }
 
+// TestTableNaNProbeMisses: a NaN coordinate in any dimension is a miss
+// (and an Add error), never an out-of-range index, even on a fully
+// populated grid. (Even level counts matter: int(NaN) times an even
+// stride can wrap to a valid index.)
+func TestTableNaNProbeMisses(t *testing.T) {
+	q, err := NewQuantizer([]float64{0, 0, 0}, []float64{9, 9, 9}, []float64{1, 1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, err := NewTable(q, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	levels := [][]float64{q.Levels(0), q.Levels(1), q.Levels(2)}
+	if err := Grid(levels, func(p []float64) error { return tab.Add(p, []float64{p[0]}) }); err != nil {
+		t.Fatal(err)
+	}
+	for d := 0; d < q.Dims(); d++ {
+		x := []float64{5, 5, 5}
+		x[d] = math.NaN()
+		if out, ok, err := tab.LookupInto(nil, x); err != nil || ok || out != nil {
+			t.Errorf("NaN in dim %d: %v %v %v, want a clean miss", d, out, ok, err)
+		}
+		if err := tab.Add(x, []float64{1}); err == nil {
+			t.Errorf("Add with NaN in dim %d succeeded", d)
+		}
+	}
+	if tab.Cells() != 10*10*10 {
+		t.Errorf("Cells = %d, want %d", tab.Cells(), 10*10*10)
+	}
+}
+
 // TestTableLookupIntoZeroAlloc pins the steady-state lookup at zero
-// allocations per probe on a packed grid.
+// allocations per probe.
 func TestTableLookupIntoZeroAlloc(t *testing.T) {
 	q, err := NewQuantizer([]float64{0, 0, 0.01}, []float64{400, 300, 0.026}, []float64{20, 15, 0.004})
 	if err != nil {
@@ -254,25 +269,5 @@ func TestTableLookupIntoZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("LookupInto miss allocated %v/op, want 0", allocs)
-	}
-}
-
-// TestQuantizerCellIntoZeroAlloc pins CellInto at zero allocations when
-// the destination has capacity.
-func TestQuantizerCellIntoZeroAlloc(t *testing.T) {
-	q, err := NewQuantizer([]float64{0, 0}, []float64{100, 100}, []float64{5, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := make([]int, 2)
-	x := []float64{12, 37}
-	allocs := testing.AllocsPerRun(200, func() {
-		out, err := q.CellInto(dst, x)
-		if err != nil || out[0] != 2 || out[1] != 7 {
-			t.Fatal("cell failed")
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("CellInto allocated %v/op, want 0", allocs)
 	}
 }

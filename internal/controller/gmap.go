@@ -55,7 +55,7 @@ func (c GMapConfig) Validate() error {
 }
 
 // GMap is the learned abstraction map g of one computer under its L0
-// controller (§4.2): a quantized hash table from (queue length, arrival
+// controller (§4.2): a quantized lookup table from (queue length, arrival
 // rate, processing time) to the average closed-loop cost over one L1
 // period, the end-of-period queue length, the average achieved response
 // time, and the average power draw. Construct with LearnGMap.
@@ -154,8 +154,8 @@ func (g *GMap) Evaluate(q0, lambda, c float64) (cost, qEnd, resp, power float64,
 
 // EvaluateInto is Evaluate probing the table through caller-owned scratch
 // (capacity ≥ 4): with scratch supplied the probe performs no allocation —
-// one hash probe on the packed cell key, no intermediate point or output
-// slice (pinned by TestGMapEvaluateIntoZeroAlloc). The map itself is
+// one index into the dense grid, no intermediate point or output slice
+// (pinned by TestGMapEvaluateIntoZeroAlloc). The map itself is
 // read-only here, so distinct callers may share one GMap as long as each
 // brings its own scratch.
 func (g *GMap) EvaluateInto(scratch []float64, q0, lambda, c float64) (cost, qEnd, resp, power float64, err error) {
@@ -166,7 +166,7 @@ func (g *GMap) EvaluateInto(scratch []float64, q0, lambda, c float64) (cost, qEn
 	}
 	if !ok {
 		// The learning sweep populates every grid cell, so a miss means
-		// the map was built with a different grid.
+		// a NaN coordinate.
 		return 0, 0, 0, 0, fmt.Errorf("controller: gmap cell missing for (%v, %v, %v)", q0, lambda, c)
 	}
 	return out[gColCost], out[gColQEnd], out[gColResp], out[gColPower], nil

@@ -31,12 +31,6 @@ type L0Config struct {
 	SlackWeight float64
 	// PowerWeight is R, the weight on power ψ = a + φ² (paper: 1).
 	PowerWeight float64
-	// UncertaintySamples extends the paper's §4.2 uncertainty-band
-	// treatment down to the frequency controller: when true and the
-	// caller supplies a band half-width δ > 0, the stage cost is
-	// averaged over {λ̂−δ, λ̂, λ̂+δ}, so the processor hedges against
-	// arrival bursts instead of riding the queue at the set-point.
-	UncertaintySamples bool
 }
 
 // EffectiveTarget returns the tightened internal set-point
@@ -48,13 +42,12 @@ func (c L0Config) EffectiveTarget() float64 {
 // DefaultL0Config returns the paper's §4.3 settings.
 func DefaultL0Config() L0Config {
 	return L0Config{
-		Horizon:            3,
-		PeriodSeconds:      30,
-		TargetResponse:     4,
-		TargetMargin:       0.8,
-		SlackWeight:        100,
-		PowerWeight:        1,
-		UncertaintySamples: true,
+		Horizon:        3,
+		PeriodSeconds:  30,
+		TargetResponse: 4,
+		TargetMargin:   0.8,
+		SlackWeight:    100,
+		PowerWeight:    1,
 	}
 }
 
@@ -237,9 +230,11 @@ func (l *L0) Decide(queueLen float64, lambda []float64, cHat float64) (freqIdx i
 }
 
 // DecideBanded is Decide with a forecast uncertainty band half-width
-// delta (requests/second): when the configuration enables uncertainty
-// sampling, each horizon step's cost averages the three sampled rates
-// {λ̂−δ, λ̂, λ̂+δ}.
+// delta (requests/second). It extends the paper's §4.2 uncertainty-band
+// treatment down to the frequency controller: with δ > 0 each horizon
+// step's cost averages the three sampled rates {λ̂−δ, λ̂, λ̂+δ}, so the
+// processor hedges against arrival bursts instead of riding the queue at
+// the set-point.
 //
 //hpm:hotpath
 func (l *L0) DecideBanded(queueLen float64, lambda []float64, delta, cHat float64) (freqIdx int, err error) {
@@ -250,7 +245,7 @@ func (l *L0) DecideBanded(queueLen float64, lambda []float64, delta, cHat float6
 		return 0, fmt.Errorf("controller: L0 processing-time estimate %v <= 0", cHat)
 	}
 	start := time.Now() //hpm:wallclock decide-latency for the §4.3 overhead metric; observe-only
-	banded := l.cfg.UncertaintySamples && delta > 0
+	banded := delta > 0
 	samples := 1
 	if banded {
 		samples = 3

@@ -26,16 +26,6 @@ type L1Config struct {
 	// NeighbourDepth bounds the γ neighbourhood search: how many quanta
 	// may move between computers relative to the seed allocations.
 	NeighbourDepth int
-	// Horizon selects the lookahead depth. 1 is the paper's N_L1 = 1
-	// with the optimistic convention that a freshly switched-on computer
-	// serves immediately. 2 prices the boot dead time explicitly
-	// (§1's "control actions with dead times ... requiring proactive
-	// control"): in the first period fresh computers only draw base
-	// power and their load share falls on the surviving computers; in
-	// the second they participate fully. 2 is the default because the
-	// request-level plant in this library really does impose the dead
-	// time.
-	Horizon int
 	// MinOn is the minimum number of operational computers (≥ 1 keeps
 	// the module able to serve).
 	MinOn int
@@ -66,7 +56,6 @@ func DefaultL1Config() L1Config {
 		Quantum:            0.05,
 		SwitchWeight:       8,
 		NeighbourDepth:     2,
-		Horizon:            2,
 		MinOn:              1,
 		StabilityUtil:      0.85,
 		UncertaintySamples: true,
@@ -88,9 +77,6 @@ func (c L1Config) Validate() error {
 	}
 	if c.NeighbourDepth < 0 {
 		return fmt.Errorf("controller: L1 neighbour depth %d < 0", c.NeighbourDepth)
-	}
-	if c.Horizon != 1 && c.Horizon != 2 {
-		return fmt.Errorf("controller: L1 horizon %d must be 1 or 2", c.Horizon)
 	}
 	if c.MinOn < 1 {
 		return fmt.Errorf("controller: L1 min-on %d < 1", c.MinOn)
@@ -161,6 +147,13 @@ func packBools(a []bool) uint64 {
 }
 
 // L1 is the module-level controller. Construct with NewL1.
+//
+// L1 always prices the boot dead time (§1's "control actions with dead
+// times ... requiring proactive control"), because the request-level plant
+// really imposes it: each candidate is priced over two periods, the first
+// with fresh computers booting (see evaluate). The paper's optimistic
+// N_L1 = 1 pricing, where a switched-on computer serves at once, is not
+// offered.
 //
 // The controller owns candidate pools, dedup key slices, abstraction-map
 // scratch and the decision it returns; the capacity-seeded γ neighbourhood
@@ -451,15 +444,11 @@ func searchErr(level string, err error) error {
 
 // evaluate prices one (α, γ) candidate under one sampled arrival rate
 // following Eq. 14: Σ_j α_j·J̃(x, γ_j) + W·‖Δα‖, with J̃ from the
-// abstraction maps.
-//
-// With Horizon = 1 a freshly switched-on computer is assumed to serve its
-// share immediately (the paper's optimistic convention). With Horizon = 2
-// the boot dead time is priced: during the first period fresh computers
-// draw base power only and their load share is renormalized onto the
-// already-serving computers — exactly what the dispatcher does in the
-// plant — and during the second period the full configuration serves from
-// the first period's predicted end queues.
+// abstraction maps, over two periods so the boot dead time is priced:
+// during the first period fresh computers draw base power only and their
+// load share is renormalized onto the already-serving computers — exactly
+// what the dispatcher does in the plant — and during the second period the
+// full configuration serves from the first period's predicted end queues.
 func (l *L1) evaluate(alpha []bool, gamma []float64, obs L1Observation, lambda float64) (float64, error) {
 	switchCost := 0.0
 	for j := range alpha {
@@ -482,23 +471,8 @@ func (l *L1) evaluate(alpha []bool, gamma []float64, obs L1Observation, lambda f
 			switchCost += stabilityPenalty * (util - l.cfg.StabilityUtil)
 		}
 	}
-	if l.cfg.Horizon == 1 {
-		total := switchCost
-		for j := range alpha {
-			if !alpha[j] {
-				continue
-			}
-			cost, _, _, _, err := l.gmaps[j].EvaluateInto(l.evalBuf[:], obs.QueueLens[j], gamma[j]*lambda, obs.CHat)
-			if err != nil {
-				return 0, err
-			}
-			total += cost
-		}
-		return total, nil
-	}
-
-	// Horizon 2, boot-aware. Period 1: only computers already serving do
-	// work; fresh boots draw base power.
+	// Period 1: only computers already serving do work; fresh boots draw
+	// base power.
 	servingShare := 0.0
 	anyServing := false
 	for j := range alpha {

@@ -41,7 +41,9 @@ type Config struct {
 	// in-flight requests complete into the aggregate statistics.
 	DrainSeconds float64
 	// RecordFrequencies enables the per-computer frequency series
-	// (Fig. 5); large clusters may disable it to save memory.
+	// (Fig. 5) of a trace (batch) run; large clusters may disable it to
+	// save memory. It does nothing to a streaming session, which records
+	// no series.
 	RecordFrequencies bool
 	// OracleForecast replaces the Kalman arrival forecasts with the
 	// true future trace counts (scaled by each module's current share).
@@ -448,7 +450,10 @@ func acquireDistinct[T any](t *artifactTier[T], workers, n int, held *[]string, 
 // controller shape key, recorded for Release under the table's own copy of
 // the key, so managers of a shape hold one key string between them.
 func (m *Manager) acquireTable(key string) *controller.CandidateTable {
-	t := m.store.tables.acquire(key)
+	// The error is dropped because this learn cannot fail.
+	t, _ := m.store.tables.acquire(key, func() (*controller.CandidateTable, error) {
+		return controller.NewCandidateTable(key), nil
+	})
 	m.heldTables = append(m.heldTables, t.Key())
 	return t
 }

@@ -69,6 +69,39 @@ func TestRecordFrequenciesDisabled(t *testing.T) {
 	}
 }
 
+// TestStreamingRecordHasNoFrequencySeries: RecordFrequencies governs
+// trace runs only. A streaming session's finished record carries no
+// frequency series whichever way it is set.
+func TestStreamingRecordHasNoFrequencySeries(t *testing.T) {
+	for _, record := range []bool{true, false} {
+		cfg := fastConfig()
+		cfg.RecordFrequencies = record
+		mgr, err := NewManager(cluster.Spec{Modules: []cluster.ModuleSpec{moduleOf("M1", 2)}}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, err := mgr.NewSession(testStore(t), SessionConfig{BinSeconds: 30})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 16; i++ {
+			if err := sess.StepBin(300); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rec, err := sess.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.FreqByComputer != nil {
+			t.Errorf("RecordFrequencies=%v: streaming record has %d frequency series", record, len(rec.FreqByComputer))
+		}
+		if rec.Completed == 0 {
+			t.Errorf("RecordFrequencies=%v: session completed no requests", record)
+		}
+	}
+}
+
 // TestAllComputersFailedModule drives one module to total failure and
 // verifies the hierarchy routes around it.
 func TestAllComputersFailedModule(t *testing.T) {

@@ -242,8 +242,8 @@ func TestArtifactsLearnedOncePerFingerprint(t *testing.T) {
 }
 
 // TestFailedLearnIsNotCached: a construction whose learning fails (here:
-// a grid finer than a table packs) leaves nothing in the store, and the
-// next construction learns. That a failed fingerprint's next acquire
+// a grid of more cells than a table holds) leaves nothing in the store,
+// and the next construction learns. That a failed fingerprint's next acquire
 // retries is pinned on the store itself (core's TestArtifactStoreLearnOnce).
 func TestFailedLearnIsNotCached(t *testing.T) {
 	f := New(Config{Shards: 1})
@@ -251,7 +251,7 @@ func TestFailedLearnIsNotCached(t *testing.T) {
 	bad := batchTenantConfig(1)
 	bad.Core.GMap.QStep, bad.Core.GMap.LambdaStep = 1e-12, 1e-12
 	if err := f.CreateTenant("a", bad); err == nil {
-		t.Fatal("create with an unpackable learning grid succeeded")
+		t.Fatal("create with an oversized learning grid succeeded")
 	}
 	if got := f.Stats().Artifacts.GMaps; got.Held != 0 || got.Learns != 0 {
 		t.Fatalf("failed learn left %+v in the store", got)

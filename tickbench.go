@@ -54,17 +54,20 @@ type TickBenchSnapshot struct {
 	Rows      []TickBenchRow `json:"rows"`
 }
 
-// measureTick warms fn, then measures n iterations under GOMAXPROCS(1)
-// with GC-stat deltas: allocations come from runtime.MemStats.Mallocs the
-// way testing.AllocsPerRun counts them.
+// measureTick warms fn, then measures n iterations with GC-stat deltas:
+// allocations come from runtime.MemStats.Mallocs the way
+// testing.AllocsPerRun counts them. The warm-up runs under the same
+// GOMAXPROCS(1) as the window: a sync.Pool keeps each P's last Put in a
+// slot no other P can take from, so a buffer the warm-up returned on
+// another P would be allocated again inside the window.
 func measureTick(level string, warmup, n int, fn func(i int) error) (TickBenchRow, error) {
+	prev := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(prev)
 	for i := 0; i < warmup; i++ {
 		if err := fn(i); err != nil {
 			return TickBenchRow{}, fmt.Errorf("hierctl: tick bench %s warmup: %w", level, err)
 		}
 	}
-	prev := runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(prev)
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
