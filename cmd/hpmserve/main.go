@@ -220,8 +220,8 @@ func drainAndFlush(ctx context.Context, srv *http.Server, persistDone <-chan str
 func verifyJournal(path string, stdout io.Writer) error {
 	rep, err := hierctl.VerifyFleetJournal(path)
 	if rep != nil {
-		fmt.Fprintf(stdout, "hpmserve journal %s: %d frames (%d base, %d delta, %d remove), %d tenants, %d observations, %d quarantined\n",
-			path, rep.Frames, rep.BaseFrames, rep.DeltaFrames, rep.RemoveFrames, rep.Tenants, rep.Observations, rep.Quarantined)
+		fmt.Fprintf(stdout, "hpmserve journal %s: %d frames (%d segment, %d base, %d delta, %d remove), %d tenants, %d observations, %d quarantined\n",
+			path, rep.Frames, rep.Segments, rep.BaseFrames, rep.DeltaFrames, rep.RemoveFrames, rep.Tenants, rep.Observations, rep.Quarantined)
 		if rep.TornTail {
 			fmt.Fprintln(stdout, "hpmserve journal: torn final frame (crash mid-append); recovery will restore up to the last durable frame")
 		}

@@ -542,8 +542,9 @@ func TestServerRejectsParameterizedScenario(t *testing.T) {
 // per distinct computer hardware (two in a moduleSize-2 tenant). /metrics
 // shows it — learns stay put while shares grow, two artifacts held however
 // many tenants, none once the last is deleted. The journal stores no
-// artifact (-journal-verify counts a base per tenant and nothing else), so
-// a restart learns each one once again, as the first creates did.
+// artifact (-journal-verify counts a segment start and a base per tenant,
+// nothing else), so a restart learns each one once again, as the first
+// creates did.
 func TestServerArtifactSharing(t *testing.T) {
 	logPath := filepath.Join(t.TempDir(), "fleet.log")
 	base, _, stop := bootDaemon(t, "-journal", logPath)
@@ -573,7 +574,7 @@ func TestServerArtifactSharing(t *testing.T) {
 	if err := run(context.Background(), []string{"-journal-verify", logPath}, &report); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(report.String(), ": 3 frames (3 base, 0 delta, 0 remove), 3 tenants") {
+	if !strings.Contains(report.String(), ": 4 frames (1 segment, 3 base, 0 delta, 0 remove), 3 tenants") {
 		t.Errorf("journal of three same-shape tenants: %s", report.String())
 	}
 

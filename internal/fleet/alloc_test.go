@@ -247,3 +247,68 @@ func TestTenantFootprintAtRest(t *testing.T) {
 	}
 	t.Logf("a default tenant at rest holds %d B of live heap", per)
 }
+
+// TestJournalAppendAllocsPerFrame pins what a steady Append costs per delta
+// frame: the encoder's message on the log's warm stream (≈ 24 B), the
+// frame (80 B) and its tenant's share of the sweep (a listing slot, a
+// result, an error and a visited flag, ≈ 95 B) — ≈ 200 B on linux/amd64,
+// held to appendBytesPerFrame, 60 % above it. It is flat in the frames per
+// Append and in the counts per frame: a fresh encoder per frame re-sent
+// ≈ 3 KB of descriptors, and a copied delta cost 8 B a count (504 B more a
+// frame at 64 counts than at 1).
+func TestJournalAppendAllocsPerFrame(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector instruments allocations")
+	}
+	const appendBytesPerFrame = 320
+	// perFrame Appends rounds of one delta frame of counts bins per tenant
+	// of an n-tenant fleet and reports the Appends' bytes a frame.
+	perFrame := func(n, counts int) float64 {
+		f := New(Config{Shards: 2})
+		defer f.Close()
+		entries := make([]BatchEntry, n)
+		for i := range entries {
+			id := fmt.Sprintf("t%03d", i)
+			if err := f.CreateTenant(id, batchTenantConfig(int64(i+1))); err != nil {
+				t.Fatal(err)
+			}
+			entries[i] = BatchEntry{Tenant: id, Counts: make([]float64, counts)}
+			for b := range entries[i].Counts {
+				entries[i].Counts[b] = float64(1 + (i+b)%7)
+			}
+		}
+		j, err := OpenJournal(f, journalPath(t), JournalConfig{CompactFactor: 1e9, MaxAppends: 1 << 30})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer j.Close()
+		var dst []BatchResult
+		const rounds = 8
+		var bytes uint64
+		for r := 0; r <= rounds; r++ {
+			if dst, err = f.ObserveBatchInto(dst[:0], entries, false); err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if err := j.Append(); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			if r > 0 { // the first round grows the writer's buffer
+				bytes += after.TotalAlloc - before.TotalAlloc
+			}
+		}
+		return float64(bytes) / float64(rounds*n)
+	}
+	for _, n := range []int{32, 256} {
+		one, many := perFrame(n, 1), perFrame(n, 64)
+		t.Logf("an Append of %d delta frames: %.1f B a frame of 1 count, %.1f B of 64", n, one, many)
+		if max(one, many) > appendBytesPerFrame {
+			t.Errorf("an Append of %d delta frames allocates %.1f B a frame of 1 count, %.1f B of 64, want <= %d", n, one, many, appendBytesPerFrame)
+		}
+		if many-one > 64 {
+			t.Errorf("an Append of %d delta frames allocates %.1f B more a frame of 64 counts than of 1: it copies the counts", n, many-one)
+		}
+	}
+}

@@ -19,8 +19,10 @@ import (
 // snapshot and journal-shaped logs plus characteristic damage (torn
 // tail, flipped byte, bad magic), then a mixed-shape fleet — tenants of
 // two learning grids, one of them two modules (a map g and a tree J̃) —
-// with a halted tenant. The same generator writes the committed corpus
-// under testdata/fuzz (see TestWriteFuzzCorpus).
+// with a halted tenant, and last the journal-shaped log followed by a
+// second stream — a fresh writer's segment start and a delta — which the
+// reader refuses. The same generator writes the committed corpus under
+// testdata/fuzz (see TestWriteFuzzCorpus).
 func fuzzSeedLogs(t testing.TB) [][]byte {
 	f := New(Config{Shards: 1})
 	defer f.Close()
@@ -35,20 +37,34 @@ func fuzzSeedLogs(t testing.TB) [][]byte {
 			t.Fatal(err)
 		}
 	}
+	snaps, err := f.captureAll(false)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var snap bytes.Buffer
-	if err := f.Snapshot(&snap); err != nil {
+	fw, _, err := writeBaseLog(&snap, snaps)
+	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Journal-shaped: base frames plus a delta and a remove.
+	// Journal-shaped: base frames plus a delta and a remove on their
+	// stream; then a second stream with a delta.
 	journal := bytes.NewBuffer(append([]byte(nil), snap.Bytes()...))
+	fw.w = journal
 	for _, fr := range []logFrame{
 		{Kind: frameDelta, ID: "a", From: 3, Counts: []float64{300, 175}},
 		{Kind: frameRemove, ID: "b"},
 	} {
-		if _, err := (&frameWriter{w: journal}).frame(&fr); err != nil {
+		if _, err := fw.frame(&fr); err != nil {
 			t.Fatal(err)
 		}
+	}
+	twoStreams := bytes.NewBuffer(append([]byte(nil), journal.Bytes()...))
+	if fw, _, err = newFrameWriter(twoStreams); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fw.frame(&logFrame{Kind: frameDelta, ID: "a", From: 5, Counts: []float64{240}}); err != nil {
+		t.Fatal(err)
 	}
 
 	// Mixed shapes: c has its own learning grid (a second map g), d is
@@ -95,6 +111,7 @@ func fuzzSeedLogs(t testing.TB) [][]byte {
 		[]byte("HPMSNAP1 not a log"),
 		{},
 		mixed.Bytes(),
+		twoStreams.Bytes(),
 	}
 }
 
@@ -244,15 +261,18 @@ func FuzzSnapshotRestore(f *testing.F) {
 // foldSeedLogs builds the seed inputs for FuzzFoldLog: the journal the
 // PR 12 binary wrote (embedded artifact blobs, union-typed deltas, a torn
 // tail's worth of history) and this build's snapshot and journal-shaped
-// logs of the same small fleet — and that snapshot followed by a delta
-// naming a count no feed could hold (see hugeCountLog).
+// logs of the same small fleet — that snapshot followed by a delta naming
+// a count no feed could hold (see hugeCountLog), the journal-shaped log
+// followed by a second stream, and a log whose one frame is the byte
+// 0x80, a message length gob never writes.
 func foldSeedLogs(t testing.TB) [][]byte {
 	parent, err := os.ReadFile(filepath.Join("testdata", "pr12.journal"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	logs := fuzzSeedLogs(t)
-	return [][]byte{parent, logs[0], logs[1], hugeCountLog(t, logs[0])}
+	badLength := append([]byte(snapshotMagic), sealFrame([]byte{0x80})...)
+	return [][]byte{parent, logs[0], logs[1], hugeCountLog(t, logs[0]), logs[8], badLength}
 }
 
 // hugeCountLog appends to a snapshot of tenants a (3 bins) and b a sealed
@@ -261,7 +281,7 @@ func foldSeedLogs(t testing.TB) [][]byte {
 // from it and die of an out-of-memory throw.
 func hugeCountLog(t testing.TB, snap []byte) []byte {
 	log := bytes.NewBuffer(append([]byte(nil), snap...))
-	if _, err := (&frameWriter{w: log}).frame(&logFrame{Kind: frameDelta, ID: "a", From: 3, Counts: []float64{300, 1e13}}); err != nil {
+	if _, err := appendWriter(t, log).frame(&logFrame{Kind: frameDelta, ID: "a", From: 3, Counts: []float64{300, 1e13}}); err != nil {
 		t.Fatal(err)
 	}
 	return log.Bytes()
@@ -346,8 +366,10 @@ func checkFoldLog(t *testing.T, log []byte) {
 // seed-00 to seed-06 and FuzzFoldLog's seed-00 embed artifact blobs in
 // genesis bases and encode deltas from the union type; FuzzSnapshotRestore's
 // seed-07 and FuzzFoldLog's seed-01 to seed-03 hold artifact frames that
-// genesis bases reference. Gated so a normal run never touches checked-in
-// files:
+// genesis bases reference; FuzzSnapshotRestore's seed-08 and FuzzFoldLog's
+// seed-04 are logs of one shared stream followed by a second one, and
+// FuzzFoldLog's seed-05 a frame of the byte 0x80. Gated so a normal run
+// never touches checked-in files:
 //
 //	HPM_WRITE_FUZZ_CORPUS=1 go test ./internal/fleet -run TestWriteFuzzCorpus
 func TestWriteFuzzCorpus(t *testing.T) {

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -54,6 +56,10 @@ type Journal struct {
 	fl   *Fleet
 	path string
 	file *os.File
+	// fw writes the log's frames. The compaction that wrote the log's head
+	// hands over its writer, so appends continue that head's gob stream and
+	// pay for no type descriptor.
+	fw *frameWriter
 	// marks records, per tenant incarnation, how many bins the log already
 	// holds; Append journals past the mark and advances it only after the
 	// frames are durably written, so a crash between the two re-sends an
@@ -207,24 +213,20 @@ func (j *Journal) Append() error {
 		return err
 	}
 	// A marked tenant the sweep did not visit is closed: retire it.
-	live := make(map[string]bool, len(changes))
-	for i := range changes {
-		live[changes[i].id] = true
-	}
 	var removed []string
 	for id := range j.marks {
-		if !live[id] {
+		if _, live := slices.BinarySearchFunc(changes, id, func(c change, id string) int { return strings.Compare(c.id, id) }); !live {
 			removed = append(removed, id)
 		}
 	}
 	sort.Strings(removed)
 
-	// The pre-append end of the log: on any write or sync failure the
-	// file is truncated back here, so a torn frame never sits in the
-	// middle of frames a later Append fsyncs.
+	// The pre-append end of the log: on any write or sync failure the file
+	// is truncated back here, so a torn frame never sits in the middle of
+	// frames a later Append fsyncs.
 	offset := j.baseBytes + j.tailBytes
 	var written int64
-	fw := &frameWriter{w: j.file}
+	fw := j.fw
 	for _, c := range changes {
 		if c.frame == nil {
 			continue
@@ -286,8 +288,9 @@ func (j *Journal) Append() error {
 // advanced, leaving it in place would let later successful Appends fsync
 // acknowledged frames *after* garbage that torn-tolerant recovery stops
 // at. Truncating back to the pre-append offset removes the garbage and
-// keeps the journal usable; if even the truncate fails, the journal is
-// poisoned — Append refuses until a Compact rewrites the log wholesale.
+// keeps the journal usable, its stream too: the frames cut away carried
+// data only. If even the truncate fails, the journal is poisoned — Append
+// refuses until a Compact rewrites the log wholesale.
 func (j *Journal) failAppend(offset int64, werr error) error {
 	if terr := j.file.Truncate(offset); terr != nil {
 		j.broken = true
@@ -332,7 +335,7 @@ func (j *Journal) compactLocked() error {
 	if err != nil {
 		return fmt.Errorf("fleet: compact journal: %w", err)
 	}
-	written, werr := writeBaseLog(file, snaps)
+	fw, written, werr := writeBaseLog(file, snaps)
 	if werr == nil {
 		werr = file.Sync()
 	}
@@ -364,6 +367,8 @@ func (j *Journal) compactLocked() error {
 	if err != nil {
 		return fmt.Errorf("fleet: reopen journal: %w", err)
 	}
+	fw.w = j.file
+	j.fw = fw
 	marks := make(map[string]journalMark, len(snaps))
 	for i := range snaps {
 		marks[snaps[i].ID] = journalMark{obs: snaps[i].Bins, gen: snaps[i].gen, quar: snaps[i].Quarantined}

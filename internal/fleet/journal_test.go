@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -17,6 +19,36 @@ var errCrash = errors.New("injected crash")
 
 func journalPath(t *testing.T) string {
 	return filepath.Join(t.TempDir(), "fleet.journal")
+}
+
+// snapshotWriter writes f's snapshot to w and returns the writer whose
+// stream later frames continue, as a journal's appends continue its
+// compaction's.
+func snapshotWriter(t testing.TB, f *Fleet, w io.Writer) *frameWriter {
+	t.Helper()
+	snaps, err := f.captureAll(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fw, _, err := writeBaseLog(w, snaps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fw
+}
+
+// appendWriter returns a writer to w whose frames continue any log this
+// process wrote: its segment start went elsewhere, and gob numbers a
+// process's types the same in every stream, so the frames it writes are
+// the data-only messages the log's own writer would write.
+func appendWriter(t testing.TB, w io.Writer) *frameWriter {
+	t.Helper()
+	fw, _, err := newFrameWriter(io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fw.w = w
+	return fw
 }
 
 // TestJournalAppendCompactCycle drives the journal through its whole
@@ -258,6 +290,62 @@ func TestJournalFailedAppendTruncates(t *testing.T) {
 	}
 }
 
+// TestJournalFailedAppendKeepsStream: an append that fails after writing
+// its frames is cut away and the next one continues the log's gob stream.
+// The first failure comes right after a compaction of an empty fleet,
+// whose log is the magic and the segment start alone; the second inside a
+// stream that already holds frames. Each time the log keeps its one
+// segment start, verifies and recovers every tenant. A second stream
+// opened after it — a fresh writer's segment start and a delta — is
+// refused.
+func TestJournalFailedAppendKeepsStream(t *testing.T) {
+	path := journalPath(t)
+	f := New(Config{Shards: 1})
+	defer f.Close()
+	j, err := OpenJournal(f, path, JournalConfig{CompactFactor: 1e9, MaxAppends: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	var data []byte
+	for _, id := range []string{"a", "b"} {
+		if err := f.CreateTenant(id, batchTenantConfig(1)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Observe(id, 200); err != nil {
+			t.Fatal(err)
+		}
+		j.hookAfterFrames = func() error { return errCrash }
+		if err := j.Append(); !errors.Is(err, errCrash) {
+			t.Fatalf("append: got %v, want injected failure", err)
+		}
+		j.hookAfterFrames = nil
+		if err := j.Append(); err != nil {
+			t.Fatal(err)
+		}
+		if data, err = os.ReadFile(path); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := verifyAndRecover(t, "after a failed append", data)
+		if err != nil || rep.Segments != 1 || rep.Tenants != len(f.Tenants()) {
+			t.Fatalf("log after tenant %s's failed append: %+v (err %v), want 1 segment, %d tenants", id, rep, err, len(f.Tenants()))
+		}
+	}
+
+	second := bytes.NewBuffer(append([]byte(nil), data...))
+	fw, _, err := newFrameWriter(second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fw.frame(&logFrame{Kind: frameDelta, ID: "a", From: 1, Counts: []float64{210}}); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := verifyAndRecover(t, "second stream", second.Bytes())
+	if err == nil || !strings.Contains(err.Error(), "type definition past the log's segment start") || rep.TornTail {
+		t.Fatalf("log with a second stream: report %+v, err %v; want the second segment start refused", rep, err)
+	}
+}
+
 // TestJournalCrashAfterAppendRestores is the crash invariant's pin: the
 // process dies after a delta append but before the next compaction, and
 // recovery must hold exactly the appended observations — none lost, none
@@ -428,6 +516,85 @@ func TestJournalTornTailRecovers(t *testing.T) {
 	}
 }
 
+// TestJournalAppendRacesIngest runs Append and Compact while ObserveBatch
+// steps tenants on four shards, for the race detector: Append encodes each
+// delta straight from its tenant's count log, after the sweep that took
+// the view returned and while the tenant keeps stepping. Once ingest stops,
+// one more Append is the last durable point, and the fleet the journal
+// recovers there is the live one (sameFleets).
+func TestJournalAppendRacesIngest(t *testing.T) {
+	const tenants, rounds = 12, 60
+	f := New(Config{Shards: 4})
+	defer f.Close()
+	entries := make([]BatchEntry, tenants)
+	for i := range entries {
+		id := fmt.Sprintf("t%02d", i)
+		if err := f.CreateTenant(id, batchTenantConfig(int64(i+1))); err != nil {
+			t.Fatal(err)
+		}
+		entries[i] = BatchEntry{Tenant: id, Counts: make([]float64, 1+i%3)}
+	}
+	path := journalPath(t)
+	j, err := OpenJournal(f, path, JournalConfig{CompactFactor: 1e9, MaxAppends: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+
+	ingested := make(chan error, 1)
+	go func() {
+		for r := 0; r < rounds; r++ {
+			for i := range entries {
+				for b := range entries[i].Counts {
+					entries[i].Counts[b] = float64(100 + (37*r+11*i+5*b)%300)
+				}
+			}
+			if _, err := f.ObserveBatch(entries); err != nil {
+				ingested <- err
+				return
+			}
+		}
+		ingested <- nil
+	}()
+	appends := 0
+	for done := false; !done; appends++ {
+		select {
+		case err := <-ingested:
+			if err != nil {
+				t.Fatal(err)
+			}
+			done = true
+		default:
+		}
+		if appends%4 == 3 {
+			err = j.Compact()
+		} else {
+			err = j.Append()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Logf("%d appends and compactions, the last after ingest", appends)
+
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copyPath := journalPath(t)
+	if err := os.WriteFile(copyPath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	recovered := New(Config{Shards: 3})
+	defer recovered.Close()
+	rj, err := OpenJournal(recovered, copyPath, JournalConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rj.Close()
+	sameFleets(t, f, recovered, 0, 2)
+}
+
 // TestJournalReplayedDeltaIsIdempotent: a delta frame re-sent after a
 // crash between the durable write and the mark update overlaps the
 // assembled log; replay must apply the overlap once.
@@ -443,11 +610,8 @@ func TestJournalReplayedDeltaIsIdempotent(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := f.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
 	// Re-send bins 1-2 (already in the base) plus a new bin 3.
-	if _, err := (&frameWriter{w: &buf}).frame(&logFrame{
+	if _, err := snapshotWriter(t, f, &buf).frame(&logFrame{
 		Kind: frameDelta, ID: "a", From: 1, Counts: []float64{250, 150, 300},
 	}); err != nil {
 		t.Fatal(err)
@@ -467,10 +631,7 @@ func TestJournalReplayedDeltaIsIdempotent(t *testing.T) {
 
 	// A gap, by contrast, means lost frames: hard error.
 	var gapped bytes.Buffer
-	if err := f2.Snapshot(&gapped); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := (&frameWriter{w: &gapped}).frame(&logFrame{
+	if _, err := snapshotWriter(t, f2, &gapped).frame(&logFrame{
 		Kind: frameDelta, ID: "a", From: 9, Counts: []float64{100},
 	}); err != nil {
 		t.Fatal(err)
@@ -510,29 +671,35 @@ func TestSnapshotBytesDeterministic(t *testing.T) {
 	}
 }
 
-// TestDeltaFrameIsSlim pins the delta/remove wire struct: a delta of n
-// counts costs its own fields plus a few dozen bytes of descriptors, not
-// the ~2 KB describing the unused base arm of the reader's union type —
-// and a delta encoded from that union (the layout of every journal written
-// before the wire structs) still folds.
+// TestDeltaFrameIsSlim pins what a frame past the segment start costs: its
+// own fields and no type descriptor — a delta of n counts at most 64 + 8·n
+// bytes, a remove at most 48, where the segment start carries the ~2 KB of
+// descriptors once. A delta encoded from the union type by an encoder of
+// its own (the layout of every journal written before the wire structs)
+// still folds, in a log of the layout written before the shared stream.
 func TestDeltaFrameIsSlim(t *testing.T) {
+	fw, start, err := newFrameWriter(io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if start < 1024 {
+		t.Fatalf("the segment start is only %d bytes: it no longer carries the descriptors", start)
+	}
 	for _, n := range []int{1, 8, 256} {
 		counts := make([]float64, n)
 		for i := range counts {
 			counts[i] = float64(150 + 7*i)
 		}
-		var buf bytes.Buffer
-		size, err := (&frameWriter{w: &buf}).frame(&logFrame{Kind: frameDelta, ID: "tenant-00042", From: 1000, Counts: counts})
+		size, err := fw.frame(&logFrame{Kind: frameDelta, ID: "tenant-00042", From: 1000, Counts: counts})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if limit := int64(160 + 8*n); size > limit {
+		if limit := int64(64 + 8*n); size > limit {
 			t.Errorf("delta frame of %d counts is %d bytes, want <= %d", n, size, limit)
 		}
 	}
-	var rm bytes.Buffer
-	if size, err := (&frameWriter{w: &rm}).frame(&logFrame{Kind: frameRemove, ID: "tenant-00042"}); err != nil || size > 160 {
-		t.Errorf("remove frame is %d bytes (err %v), want <= 160", size, err)
+	if size, err := fw.frame(&logFrame{Kind: frameRemove, ID: "tenant-00042"}); err != nil || size > 48 {
+		t.Errorf("remove frame is %d bytes (err %v), want <= 48", size, err)
 	}
 
 	f := New(Config{Shards: 1})
@@ -540,19 +707,16 @@ func TestDeltaFrameIsSlim(t *testing.T) {
 	if err := f.CreateTenant("a", batchTenantConfig(1)); err != nil {
 		t.Fatal(err)
 	}
-	var log bytes.Buffer
-	if err := f.Snapshot(&log); err != nil {
-		t.Fatal(err)
-	}
-	fat := &logFrame{Kind: frameDelta, ID: "a", From: 0, Counts: []float64{200, 250}}
-	size, err := (&frameWriter{w: &log}).payload(fat)
+	snaps, err := f.captureAll(false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if size < 1024 {
-		t.Fatalf("union-typed delta frame is only %d bytes: no longer the fat layout this test reads back", size)
+	log := append([]byte(legacyMagic), legacyFrame(t, logFrame{Kind: frameCheckpoint, Base: &snaps[0]})...)
+	fat := legacyFrame(t, logFrame{Kind: frameDelta, ID: "a", From: 0, Counts: []float64{200, 250}})
+	if len(fat) < 1024 {
+		t.Fatalf("union-typed delta frame is only %d bytes: no longer the fat layout this test reads back", len(fat))
 	}
-	rep, err := verifyAndRecover(t, "fat delta", log.Bytes())
+	rep, err := verifyAndRecover(t, "fat delta", append(log, fat...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -577,12 +741,17 @@ type parentJournalGolden struct {
 }
 
 // TestParentJournalRecovers pins read compatibility with two older
-// layouts. pr12.journal predates artifact frames and wire structs:
-// artifact blobs embedded in every genesis base frame, delta and remove
-// frames encoded from the union type. pr32.journal holds artifact frames
-// of both kinds (a map g and a tree J̃) that its checkpoint bases
-// reference, deltas, a remove and a halted tenant. Each verifies to the
-// writer's report; recovers to the same tenants, bins and State, its
+// layouts and pins the current one. pr12.journal predates artifact
+// frames and wire structs: artifact blobs embedded in every genesis base
+// frame, delta and remove frames encoded from the union type.
+// pr32.journal holds artifact frames of both kinds (a map g and a tree J̃)
+// that its checkpoint bases reference, deltas, a remove and a halted
+// tenant. pr36.journal is one gob stream: the compaction's segment start
+// and checkpoint bases, the first append's deltas, then two appends each
+// after a failed one that was cut away — a halted tenant, a quarantine
+// re-base, a closed tenant's remove, a tenant closed and recreated under
+// its id (remove, fresh base), a two-module tenant's deltas. Each verifies
+// to the writer's report; recovers to the same tenants, bins and State, its
 // tenants learning each fingerprint once as creates would; continues with
 // the golden's decisions; and is rewritten without artifacts by the
 // compaction recovery ends with.
@@ -593,6 +762,7 @@ func TestParentJournalRecovers(t *testing.T) {
 	}{
 		{"pr12", core.ArtifactKindStats{Held: 1, Learns: 1, Shares: 1}, core.ArtifactKindStats{}},
 		{"pr32", core.ArtifactKindStats{Held: 1, Learns: 1, Shares: 3}, core.ArtifactKindStats{Held: 1, Learns: 1}},
+		{"pr36", core.ArtifactKindStats{Held: 1, Learns: 1, Shares: 4}, core.ArtifactKindStats{Held: 1, Learns: 1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			data, err := os.ReadFile(filepath.Join("testdata", tc.name+".journal"))
@@ -658,8 +828,8 @@ func TestParentJournalRecovers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if rewritten.Frames != rewritten.BaseFrames || rewritten.BaseFrames != want.Report.Tenants || rewritten.Observations != want.Report.Observations {
-				t.Errorf("compacted log: %+v; want only %d bases, %d observations", rewritten, want.Report.Tenants, want.Report.Observations)
+			if rewritten.Segments != 1 || rewritten.Frames != 1+rewritten.BaseFrames || rewritten.BaseFrames != want.Report.Tenants || rewritten.Observations != want.Report.Observations {
+				t.Errorf("compacted log: %+v; want one segment of only %d bases, %d observations", rewritten, want.Report.Tenants, want.Report.Observations)
 			}
 			if st, err := os.Stat(path); err != nil || st.Size() >= int64(len(data)) {
 				t.Errorf("compacted log is %d bytes (err %v), want less than the parent layout's %d", st.Size(), err, len(data))

@@ -46,11 +46,13 @@ func fleetStates(t *testing.T, f *Fleet) map[string]TenantState {
 
 // buildPrefixJournal writes the journal the every-prefix suite attacks:
 // tenants a and b, written by a compaction (the file the earlier deltas
-// went to is replaced), then delta appends, the re-base of b quarantined
-// by a halt (a panic after its bin's last tick, see haltState) and a last
-// delta for a. It returns the log and every durable point the file passed
-// after the compaction. With stop > 0 it stops at the stop-th durable
-// point and also returns the live fleet there.
+// went to is replaced) behind the log's segment start, then delta appends
+// on the same stream; then an append that fails after writing its frames
+// and is cut away, so the one after it — a delta for a and the re-base of
+// b quarantined by a halt (a panic after its bin's last tick, see
+// haltState) — continues the stream; and a last delta for a. It returns the log and every durable point the file
+// passed after the compaction. With stop > 0 it stops at the stop-th
+// durable point and also returns the live fleet there.
 func buildPrefixJournal(t *testing.T, stop int) ([]byte, []durablePoint, *Fleet) {
 	t.Helper()
 	path := journalPath(t)
@@ -96,6 +98,11 @@ func buildPrefixJournal(t *testing.T, stop int) ([]byte, []durablePoint, *Fleet)
 				t.Fatalf("tenant b did not quarantine: %v", err)
 			}
 			observe("a", 210)
+			j.hookAfterFrames = func() error { return errCrash }
+			if err := j.Append(); !errors.Is(err, errCrash) {
+				t.Fatalf("append with a failing hook: %v, want the injected crash", err)
+			}
+			j.hookAfterFrames = nil
 			return j.Append()
 		},
 		func() error {
@@ -248,10 +255,13 @@ func TestJournalEveryPrefixRecovers(t *testing.T) {
 }
 
 // TestJournalDroppedOrDuplicatedFrame removes, and separately repeats, each
-// whole frame of the journal. A repeated frame changes nothing: recovery
-// restores the full log's state. A missing frame either fails the read
-// loudly or leaves each tenant in a state it held at some frame boundary
-// of the real log — never one assembled from frames that do not follow.
+// whole frame of the journal. The segment start, its first frame, is the
+// exception to both rules below: missing or repeated, the log is refused,
+// since no other frame may open or reopen its gob stream. Any other
+// repeated frame changes nothing: recovery restores the full log's state.
+// Any other missing frame either fails the read loudly or leaves each
+// tenant in a state it held at some frame boundary of the real log — never
+// one assembled from frames that do not follow.
 func TestJournalDroppedOrDuplicatedFrame(t *testing.T) {
 	log, _, _ := buildPrefixJournal(t, 0)
 	ends := frameEnds(t, log)
@@ -272,6 +282,15 @@ func TestJournalDroppedOrDuplicatedFrame(t *testing.T) {
 	for k := 1; k < len(ends); k++ {
 		frame := log[ends[k-1]:ends[k]]
 		dup := append(append(append([]byte(nil), log[:ends[k]]...), frame...), log[ends[k]:]...)
+		drop := append(append([]byte(nil), log[:ends[k-1]]...), log[ends[k]:]...)
+		if k == 1 {
+			for name, data := range map[string][]byte{"repeated": dup, "dropped": drop} {
+				if _, err := recoverStates(data); err == nil || errors.Is(err, errPartialRestore) {
+					t.Fatalf("segment start %s: recovery says %v, want the log refused", name, err)
+				}
+			}
+			continue
+		}
 		got, err := recoverStates(dup)
 		if err != nil {
 			t.Fatalf("frame %d repeated: %v", k, err)
@@ -280,7 +299,6 @@ func TestJournalDroppedOrDuplicatedFrame(t *testing.T) {
 			t.Fatalf("frame %d repeated: recovered %+v, want the full log's %+v", k, got, full)
 		}
 
-		drop := append(append([]byte(nil), log[:ends[k-1]]...), log[ends[k]:]...)
 		got, err = recoverStates(drop)
 		if errors.Is(err, errPartialRestore) {
 			t.Fatalf("frame %d dropped: %v", k, err)

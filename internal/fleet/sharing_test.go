@@ -379,7 +379,7 @@ func TestRestoreLearnsOnce(t *testing.T) {
 	cut := snaps[1].Checkpoint
 	snaps[1].Checkpoint = cut[:len(cut)-1]
 	log.Reset()
-	if _, err := writeBaseLog(&log, snaps); err != nil {
+	if _, _, err := writeBaseLog(&log, snaps); err != nil {
 		t.Fatal(err)
 	}
 	empty := New(Config{Shards: 2})

@@ -14,7 +14,7 @@ import (
 	"hierctl/internal/par"
 )
 
-// Snapshot format v2: a frame log of checkpoints. Per tenant the log
+// Snapshot format v3: a frame log of checkpoints. Per tenant the log
 // captures (a) its configuration and (b) its checkpoint: the tenant's state
 // after its last clean bin — plant queues and clocks, energy books, latency
 // histogram, random-stream positions, the store's locality history,
@@ -30,38 +30,56 @@ import (
 // mid-bin has no checkpoint; its base carries its halt report instead
 // (see haltState), and it restores serving that report.
 //
-// The container is a magic header followed by self-contained frames:
+// The container is a magic header followed by frames, each one gob
+// message framed by its length and checksum:
 //
-//	[u32 payload length][u32 crc32(payload)][gob(frame)]
+//	[u32 payload length][u32 crc32(payload)][gob(logFrame)]
 //
-// Each payload is encoded by a fresh gob encoder, so any frame decodes
-// without the stream state of its predecessors — and each kind is encoded
-// from its own narrow struct (baseWire, deltaWire), so a frame pays for the
-// type descriptors of its own fields only; the reader decodes every kind
-// into their union, logFrame (gob matches fields by name). The checkpoint
-// rides as one []byte field, so a base pays no descriptor per piece of
-// state. A full snapshot is one checkpoint base frame per tenant (sorted by
-// id); the Journal appends delta frames (counts since the tenant's last
-// frame, indexed by absolute bin), remove frames, and checkpoint bases for
-// new or re-based tenants to the same container, which is what makes an
+// The frames form one gob stream. The log's first frame, the segment
+// start, is a fresh encoder's first message: it carries the type
+// descriptors of logFrame and everything it reaches, and nothing else.
+// Every later frame is a data-only message of the same stream, which the
+// reader decodes with the decoder the segment start primed; it refuses a
+// log whose first frame is not a segment start and any later frame that
+// carries a type definition, so a lost or repeated start fails loudly
+// instead of decoding against a stream it does not belong to. The
+// descriptors are paid once per log, not once per frame. writeBaseLog
+// writes every log head (Fleet.Snapshot's and every journal compaction's),
+// the segment start included, and the journal's appends continue that
+// stream. A failed append is cut away and the stream goes on: the segment
+// start sent every type the stream will use, so an append never leaves
+// the encoder knowing a type the log does not.
+//
+// A full snapshot is one checkpoint base frame per tenant (sorted by id);
+// the Journal appends delta frames (counts since the tenant's last frame,
+// indexed by absolute bin), remove frames, and checkpoint bases for new or
+// re-based tenants to the same container, which is what makes an
 // interrupted journal restorable by the same reader. A torn final frame —
 // the signature of a crash mid-append — is tolerated on the journal
 // recovery path and rejected by strict Restore; a checksum mismatch on a
-// complete frame is corruption and always an error.
+// complete frame is corruption and always an error. The checkpoint rides
+// as one []byte field, so a base pays no descriptor per piece of state.
 //
-// Older layouts still read. Logs written before checkpoints existed hold
+// Older layouts still read. A log headed by legacyMagic predates the
+// shared stream: every payload was a fresh encoder's, so each frame
+// decodes through a decoder of its own, from whatever struct wrote it (the
+// reader's union logFrame, or the narrow per-kind structs of later v2
+// writers — gob matches fields by name). Logs written before checkpoints existed hold
 // frameBase frames — a tenant's configuration and every count since
 // genesis: such a base is a fresh tenant plus that tail, stepped through
 // the same restore path. Logs written before learned artifacts left the
 // log hold frameArtifact frames, skipped once their checksum passes, and
 // bases whose artifact references (or, older still, embedded artifact
-// blobs) gob drops as fields no longer declared; their delta and remove
-// frames may be encoded from the full logFrame type.
+// blobs) gob drops as fields no longer declared.
 //
 // Frame bytes are deterministic: a checkpoint carries no wall-clock value,
 // so identical fleet state snapshots to identical bytes — the property
 // that lets CI diff regenerated snapshot sizes.
-const snapshotMagic = "HPMSNAP2"
+const snapshotMagic = "HPMSNAP3"
+
+// legacyMagic heads the logs written before the shared stream, whose
+// every frame is a gob stream of its own. Read only.
+const legacyMagic = "HPMSNAP2"
 
 const (
 	// frameBase is the base kind of logs written before checkpoints: a
@@ -78,7 +96,13 @@ const (
 	// its own, so a reader that predates checkpoints refuses the log
 	// instead of restoring the tenant from genesis with the tail alone.
 	frameCheckpoint
+	// frameSegment opens the log's gob stream: it carries the stream's
+	// type descriptors and nothing else.
+	frameSegment
 )
+
+// frameHeader is the length and checksum in front of every payload.
+const frameHeader = 8
 
 // maxFramePayload bounds a single frame (64 MiB) so a corrupt or
 // hostile length header cannot drive an arbitrary allocation.
@@ -103,8 +127,8 @@ type tenantSnap struct {
 	// Halt is a halted tenant's frozen report (gob of its haltState) in
 	// place of a checkpoint: such a tenant is quarantined and steps no
 	// further, so it restores to this report at Bins over a fresh session.
-	// Bytes rather than a struct field, so a base pays no type descriptors
-	// for what almost no tenant carries.
+	// Bytes rather than a struct field, so the stream's descriptors stay
+	// those of the types every log needs.
 	Halt []byte
 	// Observations are the counts of the bins after the checkpoint — every
 	// count since genesis in a frameBase frame; a captured tenant has none.
@@ -122,8 +146,9 @@ type tenantSnap struct {
 	gen uint64
 }
 
-// logFrame is one frame of the snapshot/journal log as the reader sees
-// it: the union of the per-kind wire structs below.
+// logFrame is one frame of the snapshot/journal log, every kind in one
+// struct: gob sends no zero field, so a frame pays for the fields its kind
+// sets.
 type logFrame struct {
 	Kind byte
 	// Base carries a tenant's full state (Kind == frameBase or
@@ -139,94 +164,158 @@ type logFrame struct {
 	Counts []float64
 }
 
-// The wire structs: what each frame kind is encoded from. A fresh gob
-// encoder ships the descriptors of every type reachable from the value it
-// encodes, so encoding a delta from logFrame would carry ~2 KB describing
-// the unused Base arm (TenantConfig → core.Config → …) in every frame.
-type (
-	baseWire struct {
-		Kind byte
-		Base *tenantSnap
-	}
-	deltaWire struct { // delta and remove frames
-		Kind   byte
-		ID     string
-		From   int
-		Counts []float64
-	}
-)
-
-func (fr *logFrame) wire() any {
-	switch fr.Kind {
-	case frameBase, frameCheckpoint:
-		return baseWire{Kind: fr.Kind, Base: fr.Base}
-	default:
-		return deltaWire{Kind: fr.Kind, ID: fr.ID, From: fr.From, Counts: fr.Counts}
-	}
-}
-
-// frameWriter writes frames to w through one encode buffer, reset per
-// frame: a base log is one frame per tenant, and the buffer
-// grows to the largest of them once.
+// frameWriter writes the frames of a log's gob stream to w. The stream's
+// encoder writes each frame's gob message into buf behind frameHeader
+// reserved bytes, so header and payload go out in one Write; buf grows to
+// the largest frame once.
 type frameWriter struct {
 	w   io.Writer
 	buf bytes.Buffer
+	enc *gob.Encoder
 }
 
-// frame encodes fr, through its kind's wire struct, as one framed payload
-// and reports bytes written.
+// newFrameWriter opens a gob stream on w by writing its segment start, and
+// reports the bytes written.
+func newFrameWriter(w io.Writer) (*frameWriter, int64, error) {
+	fw := &frameWriter{w: w}
+	fw.enc = gob.NewEncoder(&fw.buf)
+	n, err := fw.frame(&logFrame{Kind: frameSegment})
+	return fw, n, err
+}
+
+// frame encodes fr on the stream behind a reserved header, fills the
+// header in and writes both at once, reporting the bytes written.
 func (fw *frameWriter) frame(fr *logFrame) (int64, error) {
-	return fw.payload(fr.wire())
-}
-
-// payload frames the gob encoding of v: length, CRC, payload.
-func (fw *frameWriter) payload(v any) (int64, error) {
+	var hdr [frameHeader]byte
 	fw.buf.Reset()
-	if err := gob.NewEncoder(&fw.buf).Encode(v); err != nil {
+	fw.buf.Write(hdr[:])
+	if err := fw.enc.Encode(fr); err != nil {
 		return 0, fmt.Errorf("fleet: encode frame: %w", err)
 	}
-	payload := fw.buf.Bytes()
+	frame := fw.buf.Bytes()
+	payload := frame[frameHeader:]
 	if len(payload) > maxFramePayload {
 		return 0, fmt.Errorf("fleet: frame payload %d exceeds %d", len(payload), maxFramePayload)
 	}
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
-	if _, err := fw.w.Write(hdr[:]); err != nil {
+	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(payload))
+	if _, err := fw.w.Write(frame); err != nil {
 		return 0, fmt.Errorf("fleet: write frame: %w", err)
 	}
-	if _, err := fw.w.Write(payload); err != nil {
-		return 0, fmt.Errorf("fleet: write frame: %w", err)
-	}
-	return int64(len(hdr) + len(payload)), nil
+	return int64(len(frame)), nil
 }
 
-// readFrame decodes the next frame. io.EOF marks a clean end at a frame
+// frameReader reads a log's frames in order and decodes them: a legacy
+// log's each through a decoder of its own, a streamed log's through the
+// decoder its segment start primed.
+type frameReader struct {
+	r      io.Reader
+	legacy bool
+	// src feeds the stream one payload at a time. A bytes.Reader is an
+	// io.ByteReader, so the decoder reads no further than the message it
+	// decodes.
+	src bytes.Reader
+	dec *gob.Decoder
+}
+
+// next decodes the next frame. io.EOF marks a clean end at a frame
 // boundary; errTornFrame marks a truncated header or payload.
-func readFrame(r io.Reader) (logFrame, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return logFrame{}, io.EOF
-		}
-		return logFrame{}, errTornFrame
-	}
-	n := binary.LittleEndian.Uint32(hdr[:4])
-	if n == 0 || n > maxFramePayload {
-		return logFrame{}, fmt.Errorf("fleet: frame payload length %d outside (0, %d]", n, maxFramePayload)
-	}
-	payload, err := readPayload(r, int(n))
+func (rd *frameReader) next() (logFrame, error) {
+	payload, err := readFrame(rd.r)
 	if err != nil {
 		return logFrame{}, err
 	}
-	if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(hdr[4:]); got != want {
-		return logFrame{}, fmt.Errorf("fleet: frame checksum %08x, want %08x", got, want)
-	}
 	var fr logFrame
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&fr); err != nil {
+	if rd.legacy {
+		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&fr); err != nil {
+			return logFrame{}, fmt.Errorf("fleet: decode frame: %w", err)
+		}
+		return fr, nil
+	}
+	first := rd.dec == nil
+	if opens := opensStream(payload); opens != first {
+		if first {
+			return logFrame{}, fmt.Errorf("fleet: log does not open with a segment start")
+		}
+		return logFrame{}, fmt.Errorf("fleet: type definition past the log's segment start")
+	}
+	rd.src.Reset(payload)
+	if first {
+		rd.dec = gob.NewDecoder(&rd.src)
+	}
+	if err := rd.dec.Decode(&fr); err != nil {
 		return logFrame{}, fmt.Errorf("fleet: decode frame: %w", err)
 	}
+	switch {
+	case rd.src.Len() != 0:
+		return logFrame{}, fmt.Errorf("fleet: %d bytes past the frame's message", rd.src.Len())
+	case first && fr.Kind != frameSegment:
+		return logFrame{}, fmt.Errorf("fleet: log opens with a frame of kind %d, not a segment start", fr.Kind)
+	case !first && fr.Kind == frameSegment:
+		return logFrame{}, fmt.Errorf("fleet: segment start past the log's first frame")
+	}
 	return fr, nil
+}
+
+// opensStream reports whether a payload's first gob message defines a
+// type, as a fresh encoder's first message does and a warm encoder's
+// data-only message never does. In gob's wire format a message is its byte
+// count then a type id, negative for a definition; each is an integer of
+// one byte below 0x80, or a negated byte count (1 to 8) and that many
+// big-endian bytes, and a signed integer's sign is the low bit of its
+// encoding. A payload that does not start with two such integers defines
+// nothing here; the decoder refuses it.
+func opensStream(p []byte) bool {
+	count := gobIntLen(p)
+	if count == 0 {
+		return false
+	}
+	id := gobIntLen(p[count:])
+	return id > 0 && p[count+id-1]&1 == 1
+}
+
+// gobIntLen returns the length of the gob integer p starts with, or 0 when
+// p is too short to hold it or its first byte is no length gob writes.
+func gobIntLen(p []byte) int {
+	if len(p) == 0 {
+		return 0
+	}
+	n := 1
+	switch {
+	case p[0] >= 0xF8: // -1 to -8 as a byte: that many bytes follow
+		n += 256 - int(p[0])
+	case p[0] >= 0x80:
+		return 0
+	}
+	if n > len(p) {
+		return 0
+	}
+	return n
+}
+
+// readFrame reads the next frame's payload and checks its length bound and
+// checksum. io.EOF marks a clean end at a frame boundary; errTornFrame
+// marks a truncated header or payload.
+func readFrame(r io.Reader) ([]byte, error) {
+	var hdr [frameHeader]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		if err == io.EOF {
+			return nil, io.EOF
+		}
+		return nil, errTornFrame
+	}
+	n := binary.LittleEndian.Uint32(hdr[:4])
+	if n == 0 || n > maxFramePayload {
+		return nil, fmt.Errorf("fleet: frame payload length %d outside (0, %d]", n, maxFramePayload)
+	}
+	payload, err := readPayload(r, int(n))
+	if err != nil {
+		return nil, err
+	}
+	if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(hdr[4:]); got != want {
+		return nil, fmt.Errorf("fleet: frame checksum %08x, want %08x", got, want)
+	}
+	return payload, nil
 }
 
 // payloadChunk is the most readPayload allocates ahead of the bytes that
@@ -255,10 +344,11 @@ func readPayload(r io.Reader, n int) ([]byte, error) {
 
 // foldLog is the one reader of the frame log: it streams r frame by
 // frame, enforces every structural rule the restore path relies on (the
-// magic header, readFrame's length bound and CRC, base frames naming a
-// tenant, delta frames extending a known tenant with no gap, known kinds)
-// and reports what it scanned. An artifact frame of an older log is
-// skipped once readFrame has checked it. Each accepted frame is handed
+// magic header, readFrame's length bound and CRC, the stream rules of
+// frameReader.next, base frames naming a tenant, delta frames extending a
+// known tenant with no gap, known kinds) and reports what it scanned. A
+// segment start is counted, and an artifact frame of an older log skipped,
+// once they have been read. Each base, delta and remove frame is handed
 // to visit (nil = scan only) with, for a delta, the suffix of its counts
 // past the overlap with the log so far — a delta re-sent after a crash
 // between frame write and mark update overlaps and contributes only what
@@ -271,9 +361,10 @@ func readPayload(r io.Reader, n int) ([]byte, error) {
 func foldLog(r io.Reader, visit func(fr *logFrame, fresh []float64)) (*VerifyReport, error) {
 	rep := &VerifyReport{}
 	magic := make([]byte, len(snapshotMagic))
-	if _, err := io.ReadFull(r, magic); err != nil || string(magic) != snapshotMagic {
-		return rep, fmt.Errorf("fleet: not a v2 snapshot log (bad magic)")
+	if _, err := io.ReadFull(r, magic); err != nil || (string(magic) != snapshotMagic && string(magic) != legacyMagic) {
+		return rep, fmt.Errorf("fleet: not a snapshot log (bad magic)")
 	}
+	rd := &frameReader{r: r, legacy: string(magic) == legacyMagic}
 	// live is the fold's own view of each tenant: the bins its state
 	// covers, which the gap rule checks against, and the quarantine latch.
 	type tenantCheck struct {
@@ -282,7 +373,7 @@ func foldLog(r io.Reader, visit func(fr *logFrame, fresh []float64)) (*VerifyRep
 	}
 	live := map[string]tenantCheck{}
 	for {
-		fr, err := readFrame(r)
+		fr, err := rd.next()
 		if err == io.EOF {
 			break
 		}
@@ -296,6 +387,9 @@ func foldLog(r io.Reader, visit func(fr *logFrame, fresh []float64)) (*VerifyRep
 		rep.Frames++
 		var fresh []float64
 		switch fr.Kind {
+		case frameSegment:
+			rep.Segments++
+			continue
 		case frameArtifact:
 			continue
 		case frameBase, frameCheckpoint:
@@ -423,23 +517,27 @@ func (f *Fleet) captureAll(journaled bool) ([]tenantSnap, error) {
 }
 
 // writeBaseLog writes snaps as a complete frame log — the magic header,
-// then one base frame per tenant — and reports the bytes written. It is
-// the one base-log writer: Fleet.Snapshot streams it to the caller's
+// then the segment start and one base frame per tenant — and reports the
+// bytes written and the writer, whose stream later frames may continue. It
+// is the one base-log writer: Fleet.Snapshot streams it to the caller's
 // writer, journal compaction to the temp file it then fsyncs and swaps in.
-func writeBaseLog(w io.Writer, snaps []tenantSnap) (int64, error) {
+func writeBaseLog(w io.Writer, snaps []tenantSnap) (*frameWriter, int64, error) {
 	if _, err := io.WriteString(w, snapshotMagic); err != nil {
-		return 0, fmt.Errorf("fleet: write frame log: %w", err)
+		return nil, 0, fmt.Errorf("fleet: write frame log: %w", err)
 	}
-	written := int64(len(snapshotMagic))
-	fw := &frameWriter{w: w}
+	fw, n, err := newFrameWriter(w)
+	written := int64(len(snapshotMagic)) + n
+	if err != nil {
+		return nil, written, err
+	}
 	for i := range snaps {
 		n, err := fw.frame(&logFrame{Kind: frameCheckpoint, Base: &snaps[i]})
 		if err != nil {
-			return written, err
+			return nil, written, err
 		}
 		written += n
 	}
-	return written, nil
+	return fw, written, nil
 }
 
 // Snapshot serializes every tenant's state to w as a base log: one
@@ -450,7 +548,7 @@ func (f *Fleet) Snapshot(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if _, err := writeBaseLog(w, snaps); err != nil {
+	if _, _, err := writeBaseLog(w, snaps); err != nil {
 		return err
 	}
 	f.snapshots.Add(1)

@@ -18,8 +18,8 @@ func sweepTenantConfig(seed int64) TenantConfig {
 }
 
 // TestObsLog pins the journaled tenant's count log: absolute bin indices
-// from its start, tail copies, and a dropped prefix that keeps the backing
-// array for the counts after it.
+// from its start, tail views that later adds leave as they were, and a
+// dropped prefix that keeps the backing array for the counts after it.
 func TestObsLog(t *testing.T) {
 	var l obsLog
 	if l.len() != 0 || l.tail(0) != nil {
@@ -43,10 +43,18 @@ func TestObsLog(t *testing.T) {
 	if got := l.tail(100 + n); got != nil {
 		t.Errorf("tail(len) = %v, want nil", got)
 	}
-	tail := l.tail(100 + n - 2)
-	tail[0] = -1
-	if l.tail(100 + n - 2)[0] != want[n-2] {
-		t.Error("tail aliases the log")
+	var v obsLog
+	v.add(1)
+	v.add(2)
+	view := v.tail(0)
+	if &view[0] != &v.counts[0] {
+		t.Error("tail copied the log")
+	}
+	for range 100 { // past the array's capacity: add moves the log
+		v.add(-1)
+	}
+	if !reflect.DeepEqual(view, []float64{1, 2}) {
+		t.Errorf("adds rewrote a view tail handed out: %v", view)
 	}
 	backing := &l.counts[:1][0]
 	l.drop(600)

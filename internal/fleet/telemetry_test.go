@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"bytes"
-	"io"
 	"math"
 	"slices"
 	"strings"
@@ -272,32 +271,22 @@ func TestTelemetryRecordsBounded(t *testing.T) {
 	if err := f.Snapshot(&snap); err != nil {
 		t.Fatal(err)
 	}
-	edited := bytes.NewBufferString(snapshotMagic)
-	r := bytes.NewReader(snap.Bytes()[len(snapshotMagic):])
-	bases := 0
-	for {
-		fr, err := readFrame(r)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fr.Base != nil {
-			fr.Base.Config.TelemetryRecords = 1 << 40
-			bases++
-		}
-		if _, err := (&frameWriter{w: edited}).frame(&fr); err != nil {
-			t.Fatal(err)
-		}
+	snaps, err := f.captureAll(false)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if bases != 1 {
-		t.Fatalf("edited %d base frames, want 1", bases)
+	if len(snaps) != 1 {
+		t.Fatalf("captured %d tenants, want 1", len(snaps))
+	}
+	snaps[0].Config.TelemetryRecords = 1 << 40
+	var edited bytes.Buffer
+	if _, _, err := writeBaseLog(&edited, snaps); err != nil {
+		t.Fatal(err)
 	}
 	f2 := New(Config{Shards: 1})
 	defer f2.Close()
 	wantMsg = CheckTelemetryRecords(1 << 40).Error()
-	if err := f2.Restore(edited); err == nil || !strings.Contains(err.Error(), wantMsg) {
+	if err := f2.Restore(&edited); err == nil || !strings.Contains(err.Error(), wantMsg) {
 		t.Fatalf("restore of a snapshot asking for a 2^40-record ring: %v, want %q", err, wantMsg)
 	}
 	if n := f2.Stats().Tenants; n != 0 {

@@ -279,6 +279,15 @@ func (t *tenant) freeze() {
 // and a dropped prefix leaves its backing array to the counts after it:
 // a steady tenant's log allocates nothing once it has grown to its
 // interval. The zero value is an empty log from bin 0.
+//
+// tail hands out views of the backing array, not copies: Journal.Append
+// encodes each delta straight from the view its sweep took, after the sweep
+// returned and while the tenant keeps stepping. That is safe because add
+// only writes past len() (or moves the log to a new array), so a view's
+// elements stay as they were; only drop and restart rewrite elements before
+// len(), and both run only inside a journal sweep — Append's, or a
+// compaction's capture — under Journal.mu, which the Append encoding a view
+// holds until it is done with it.
 type obsLog struct {
 	from   int
 	counts []float64
@@ -289,13 +298,14 @@ func (l *obsLog) len() int { return l.from + len(l.counts) }
 
 func (l *obsLog) add(count float64) { l.counts = append(l.counts, count) }
 
-// tail returns a fresh copy of the counts from bin from on (nil when there
-// are none). from must not precede the log's start.
+// tail returns a view of the counts from bin from on (nil when there are
+// none), valid until the next drop or restart. from must not precede the
+// log's start.
 func (l *obsLog) tail(from int) []float64 {
 	if from >= l.len() {
 		return nil
 	}
-	return append([]float64(nil), l.counts[from-l.from:]...)
+	return l.counts[from-l.from:]
 }
 
 // drop forgets the counts before bin upto, keeping the backing array.

@@ -10,8 +10,13 @@ import (
 // journal log (see VerifyJournal).
 type VerifyReport struct {
 	// Frames is the number of complete, checksum-clean frames scanned,
-	// including the artifact frames of older logs, which are skipped.
+	// including segment starts and the artifact frames of older logs,
+	// which are skipped.
 	Frames int
+	// Segments counts segment starts: 1 in a log whose frames share one
+	// gob stream, 0 in an older log whose every frame is a stream of its
+	// own.
+	Segments int
 	// BaseFrames/DeltaFrames/RemoveFrames break Frames down by kind;
 	// BaseFrames counts both base kinds, checkpoints and the genesis bases
 	// of older logs.
@@ -32,7 +37,8 @@ type VerifyReport struct {
 
 // VerifyJournal scans a snapshot/journal log and checks every integrity
 // property the restore path relies on — the magic header, each frame's
-// length bound and CRC, base frames naming a tenant, delta frames
+// length bound and CRC, the segment start first and no other frame
+// defining a type, base frames naming a tenant, delta frames
 // referencing a known tenant with no gap past the assembled bins — without
 // building any tenant (no learning, no restore), so it is cheap enough to
 // run against a large journal before trusting it. The scan is read-only:

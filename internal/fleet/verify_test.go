@@ -3,7 +3,9 @@ package fleet
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -102,7 +104,10 @@ func TestVerifyJournalClean(t *testing.T) {
 	if rep.BaseFrames < 4 { // 3 initial bases + b's quarantine re-base
 		t.Errorf("base frames = %d, want >= 4", rep.BaseFrames)
 	}
-	if rep.Frames != rep.BaseFrames+rep.DeltaFrames+rep.RemoveFrames {
+	if rep.Segments != 1 {
+		t.Errorf("segments = %d, want the one the log opens with", rep.Segments)
+	}
+	if rep.Frames != rep.Segments+rep.BaseFrames+rep.DeltaFrames+rep.RemoveFrames {
 		t.Errorf("frame counts don't add up: %+v", rep)
 	}
 
@@ -142,21 +147,49 @@ func TestVerifyJournalTornTail(t *testing.T) {
 	}
 }
 
+// sealFrame frames payload by its length and checksum.
+func sealFrame(payload []byte) []byte {
+	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
+	return append(frame, payload...)
+}
+
+// legacyFrame seals v as a frame of a log written before the shared
+// stream: the whole gob stream of a fresh encoder, framed by length and
+// checksum.
+func legacyFrame(t testing.TB, v any) []byte {
+	t.Helper()
+	var payload bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	return sealFrame(payload.Bytes())
+}
+
+// legacyLog rewrites a log in the layout written before the shared
+// stream: legacyMagic, then each base, delta and remove frame encoded
+// from the union type by an encoder of its own.
+func legacyLog(t testing.TB, log []byte) []byte {
+	t.Helper()
+	out := []byte(legacyMagic)
+	if _, err := foldLog(bytes.NewReader(log), func(fr *logFrame, _ []float64) {
+		out = append(out, legacyFrame(t, logFrame{Kind: fr.Kind, Base: fr.Base, ID: fr.ID, From: fr.From, Counts: fr.Counts})...)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // artifactFrame seals an artifact frame as logs once wrote them: its kind,
 // a content address, the artifact kind and the serialized artifact.
 func artifactFrame(t *testing.T, digest []byte) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	fr := struct {
+	return legacyFrame(t, struct {
 		Kind     byte
 		Digest   []byte
 		Artifact byte
 		Data     []byte
-	}{frameArtifact, digest, 1, []byte("serialized map g")}
-	if _, err := (&frameWriter{w: &buf}).payload(fr); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	}{frameArtifact, digest, 1, []byte("serialized map g")})
 }
 
 // TestVerifyJournalArtifactFrames: the artifact frames of older logs are
@@ -164,13 +197,20 @@ func artifactFrame(t *testing.T, digest []byte) []byte {
 // with a digest their bytes do not hash to — and counted as frames only;
 // both consumers of the fold give one verdict. An artifact frame written
 // after a torn frame cannot be reached — the torn frame's length header
-// swallows it — so the log is refused as corrupt, never half-read.
+// swallows it — so the log is refused as corrupt, never half-read. In a
+// log of one shared stream, which no writer of artifact frames produced, a
+// frame that is a stream of its own is corruption.
 func TestVerifyJournalArtifactFrames(t *testing.T) {
 	path, wantObs := buildVerifyJournal(t)
-	clean, err := os.ReadFile(path)
+	streamed, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	withArtifact := append(append([]byte(nil), streamed...), artifactFrame(t, nil)...)
+	if rep, err := verifyAndRecover(t, "artifact frame in a streamed log", withArtifact); err == nil || rep.TornTail {
+		t.Errorf("artifact frame in a streamed log: got report %+v, err %v; want corruption", rep, err)
+	}
+	clean := legacyLog(t, streamed)
 	want, err := VerifyJournal(bytes.NewReader(clean))
 	if err != nil {
 		t.Fatal(err)
@@ -218,7 +258,7 @@ func TestVerifyJournalCorruption(t *testing.T) {
 		"unknown kind":         {Kind: 9, ID: "a"},
 	} {
 		buf := bytes.NewBuffer(append([]byte(nil), clean...))
-		if _, err := (&frameWriter{w: buf}).frame(&fr); err != nil {
+		if _, err := appendWriter(t, buf).frame(&fr); err != nil {
 			t.Fatal(err)
 		}
 		cases[name] = buf.Bytes()
@@ -230,6 +270,31 @@ func TestVerifyJournalCorruption(t *testing.T) {
 		}
 		if rep.TornTail {
 			t.Errorf("%s: corruption misreported as a torn tail", name)
+		}
+	}
+}
+
+// TestVerifyJournalBadGobLength: a checksum-clean payload whose first
+// byte is no integer length gob writes (0x80 to 0xF7), or a length past
+// the payload's end, is refused as corruption — never a panic — whether it
+// stands where the segment start belongs or after it.
+func TestVerifyJournalBadGobLength(t *testing.T) {
+	f := New(Config{Shards: 1})
+	defer f.Close()
+	if err := f.CreateTenant("a", batchTenantConfig(1)); err != nil {
+		t.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if err := f.Snapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	for _, payload := range [][]byte{{0x80}, {0x80, 0x80}, {0xf7, 1, 2}, {0x81, 0x80, 0x00}, {0x03, 0x80}, {0xf8, 1}, {0x02, 0xff}} {
+		for _, head := range [][]byte{[]byte(snapshotMagic), snap.Bytes()} {
+			log := append(append([]byte(nil), head...), sealFrame(payload)...)
+			rep, err := verifyAndRecover(t, "bad gob length", log)
+			if err == nil || rep.TornTail {
+				t.Errorf("payload % x after %d bytes: report %+v, err %v; want corruption", payload, len(head), rep, err)
+			}
 		}
 	}
 }
