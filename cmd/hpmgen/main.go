@@ -21,6 +21,7 @@ import (
 	"hierctl"
 	"hierctl/internal/metrics"
 	"hierctl/internal/obs"
+	"hierctl/internal/workload"
 )
 
 func main() {
@@ -119,9 +120,9 @@ func inspectScenario(w io.Writer, sc hierctl.Scenario, trace *hierctl.Series) er
 	store := sc.StoreConfig()
 	if store.TailFrac > 0 {
 		fmt.Fprintf(w, "service mix   %.0f%% Pareto tail (alpha %.2f, cap %.2f s) over U(%.0f, %.0f) ms\n",
-			100*store.TailFrac, store.TailAlpha, store.TailCap, 1000*store.MinDemand, 1000*store.MaxDemand)
+			100*store.TailFrac, store.TailAlpha, store.TailCap, 1000*workload.MinDemand, 1000*workload.MaxDemand)
 	} else {
-		fmt.Fprintf(w, "service mix   U(%.0f, %.0f) ms\n", 1000*store.MinDemand, 1000*store.MaxDemand)
+		fmt.Fprintf(w, "service mix   U(%.0f, %.0f) ms\n", 1000*workload.MinDemand, 1000*workload.MaxDemand)
 	}
 	return nil
 }

@@ -33,6 +33,7 @@ import (
 	"os"
 
 	"hierctl"
+	"hierctl/internal/controller"
 	"hierctl/internal/obs"
 )
 
@@ -118,7 +119,7 @@ func run(args []string, stdout io.Writer) (retErr error) {
 		}
 		var flight *hierctl.TelemetryRecorder
 		if wantTrace {
-			if flight, err = hierctl.NewTelemetryRecorder(recorderCapacity(trace, spec, cfg.L0.PeriodSeconds)); err != nil {
+			if flight, err = hierctl.NewTelemetryRecorder(recorderCapacity(trace, spec)); err != nil {
 				return err
 			}
 			mgr.SetRecorder(flight)
@@ -129,7 +130,7 @@ func run(args []string, stdout io.Writer) (retErr error) {
 			return err
 		}
 		if wantTrace {
-			if err := exportTelemetry(stdout, flight, *traceOut, *traceJSONL, cfg.L0.PeriodSeconds); err != nil {
+			if err := exportTelemetry(stdout, flight, *traceOut, *traceJSONL); err != nil {
 				return err
 			}
 		}
@@ -173,7 +174,7 @@ func run(args []string, stdout io.Writer) (retErr error) {
 	fmt.Fprintf(stdout, "policy            %s\n", res.Policy)
 	fmt.Fprintf(stdout, "computers         %d\n", spec.Computers())
 	fmt.Fprintf(stdout, "requests          %d completed, %d dropped\n", res.Completed, res.Dropped)
-	fmt.Fprintf(stdout, "mean response     %.3f s (target %.1f s)\n", res.MeanResponse, bcfg.TargetResponse)
+	fmt.Fprintf(stdout, "mean response     %.3f s (target %.1f s)\n", res.MeanResponse, controller.TargetResponse)
 	fmt.Fprintf(stdout, "violation frac    %.3f of intervals\n", res.ViolationFrac)
 	fmt.Fprintf(stdout, "energy            %.1f units\n", res.Energy)
 	fmt.Fprintf(stdout, "power switches    %d\n", res.Switches)
@@ -258,8 +259,8 @@ func runL3(stdout io.Writer, spec hierctl.ClusterSpec, sc hierctl.Scenario, n, b
 // one record per computer and per module every tick. Clamped so a huge
 // -cluster/-scale combination cannot balloon memory; if the ring still
 // wraps, the export keeps the newest window and says so.
-func recorderCapacity(tr *hierctl.Series, spec hierctl.ClusterSpec, periodSeconds float64) int {
-	ticks := int(float64(tr.Len())*tr.Step/periodSeconds) + 2
+func recorderCapacity(tr *hierctl.Series, spec hierctl.ClusterSpec) int {
+	ticks := int(float64(tr.Len())*tr.Step/controller.PeriodL0) + 2
 	perTick := 2 + 2*spec.Computers() + len(spec.Modules)
 	n := ticks * perTick
 	if n > 1<<20 {
@@ -273,7 +274,7 @@ func recorderCapacity(tr *hierctl.Series, spec hierctl.ClusterSpec, periodSecond
 
 // exportTelemetry writes the recorded decision stream to the requested
 // trace/JSONL files.
-func exportTelemetry(stdout io.Writer, flight *hierctl.TelemetryRecorder, tracePath, jsonlPath string, periodSeconds float64) error {
+func exportTelemetry(stdout io.Writer, flight *hierctl.TelemetryRecorder, tracePath, jsonlPath string) error {
 	recs := flight.Window(nil, 0)
 	if dropped := flight.Total() - uint64(len(recs)); dropped > 0 {
 		fmt.Fprintf(stdout, "telemetry         ring wrapped: exporting newest %d of %d records\n", len(recs), flight.Total())
@@ -291,7 +292,7 @@ func exportTelemetry(stdout io.Writer, flight *hierctl.TelemetryRecorder, traceP
 	}
 	if tracePath != "" {
 		if err := write(tracePath, func(w io.Writer) error {
-			return hierctl.WriteDecisionTrace(w, recs, periodSeconds)
+			return hierctl.WriteDecisionTrace(w, recs, controller.PeriodL0)
 		}); err != nil {
 			return err
 		}

@@ -259,9 +259,11 @@ func WriteDecisionTrace(w io.Writer, recs []TelemetryRecord, periodSeconds float
 	return obs.WriteTrace(w, recs, periodSeconds)
 }
 
-// DefaultConfig returns the paper's parameter set (§4.3/§5.2): T_L0 = 30 s,
-// N_L0 = 3, T_L1 = T_L2 = 2 min, r* = 4 s, Q = 100, R = 1, W = 8,
-// γ_ij quantized at 0.05 and γ_i at 0.1.
+// DefaultConfig returns the paper's settable parameters (§4.3/§5.2):
+// N_L0 = 3, T_L1 = T_L2 = 2 min, W = 8, γ_ij quantized at 0.05 and γ_i at
+// 0.1. The paper's fixed ones (T_L0 = 30 s, r* = 4 s, Q = 100, R = 1, the
+// estimator constants and the store's demand and locality laws) are
+// constants, not fields.
 func DefaultConfig() Config { return core.DefaultConfig() }
 
 // NewManager builds the controller hierarchy for a cluster, performing the

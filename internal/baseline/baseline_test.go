@@ -122,11 +122,6 @@ func TestRunnerValidation(t *testing.T) {
 	if _, err := Run(spec, AlwaysOn{}, nil, store, cfg); err == nil {
 		t.Error("nil trace: want error")
 	}
-	bad := cfg
-	bad.PeriodSeconds = 0
-	if _, err := Run(spec, AlwaysOn{}, tr, store, bad); err == nil {
-		t.Error("bad config: want error")
-	}
 	misaligned := series.New(0, 45, 8)
 	for i := range misaligned.Values {
 		misaligned.Values[i] = 10

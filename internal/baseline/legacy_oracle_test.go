@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"hierctl/internal/cluster"
+	"hierctl/internal/controller"
 	"hierctl/internal/des"
+	"hierctl/internal/engine"
 	"hierctl/internal/series"
 	"hierctl/internal/workload"
 )
@@ -17,18 +19,15 @@ import (
 // the whole point is that Run must keep producing bit-identical results
 // against an independent implementation of the mechanics.
 func legacyRun(spec cluster.Spec, policy Policy, trace *series.Series, store *workload.Store, cfg RunnerConfig) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	if policy == nil {
 		return nil, fmt.Errorf("baseline: nil policy")
 	}
 	if trace == nil || trace.Len() == 0 {
 		return nil, fmt.Errorf("baseline: empty trace")
 	}
-	sub := int(trace.Step/cfg.PeriodSeconds + 0.5)
-	if sub < 1 || math.Abs(float64(sub)*cfg.PeriodSeconds-trace.Step) > 1e-6 {
-		return nil, fmt.Errorf("baseline: trace bin %vs not a multiple of period %vs", trace.Step, cfg.PeriodSeconds)
+	sub := int(trace.Step/controller.PeriodL0 + 0.5)
+	if sub < 1 || math.Abs(float64(sub)*controller.PeriodL0-trace.Step) > 1e-6 {
+		return nil, fmt.Errorf("baseline: trace bin %vs not a multiple of period %vs", trace.Step, controller.PeriodL0)
 	}
 	plant, err := cluster.NewPlant(spec, des.RNG(cfg.Seed, "dispatch"))
 	if err != nil {
@@ -76,14 +75,14 @@ func legacyRun(spec cluster.Spec, policy Policy, trace *series.Series, store *wo
 	}
 
 	steps := trace.Len() * sub
-	adaptEvery := int(cfg.AdaptEverySeconds/cfg.PeriodSeconds + 0.5)
+	adaptEvery := int(controller.DefaultPeriodL1 / controller.PeriodL0)
 	res := &Result{
 		Policy:       policy.Name(),
-		Operational:  series.New(preroll, cfg.AdaptEverySeconds, 0),
-		ResponseMean: series.New(preroll, cfg.PeriodSeconds, 0),
+		Operational:  series.New(preroll, controller.DefaultPeriodL1, 0),
+		ResponseMean: series.New(preroll, controller.PeriodL0, 0),
 	}
 	wantOn := total
-	cHat := cfg.DefaultCHat
+	cHat := workload.DefaultCHat
 	lastRate := 0.0
 	lastUtil := 0.0
 	violations, respBins := 0, 0
@@ -91,10 +90,10 @@ func legacyRun(spec cluster.Spec, policy Policy, trace *series.Series, store *wo
 	var pending [][]workload.Request
 	pending = make([][]workload.Request, steps)
 
-	failAt := cluster.FailureSteps(cfg.Failures, cfg.PeriodSeconds)
+	failAt := cluster.FailureSteps(cfg.Failures, controller.PeriodL0)
 
 	for k := 0; k < steps; k++ {
-		t := preroll + float64(k)*cfg.PeriodSeconds
+		t := preroll + float64(k)*controller.PeriodL0
 		if err := plant.ApplyPlannedFailures(cfg.Failures, failAt, k); err != nil {
 			return nil, err
 		}
@@ -105,7 +104,7 @@ func legacyRun(spec cluster.Spec, policy Policy, trace *series.Series, store *wo
 			}
 			binStart := trace.TimeAt(bin)
 			for _, req := range reqs {
-				idx := k + int((req.Arrival-binStart)/cfg.PeriodSeconds)
+				idx := k + int((req.Arrival-binStart)/controller.PeriodL0)
 				if idx >= steps {
 					idx = steps - 1
 				}
@@ -185,7 +184,7 @@ func legacyRun(spec cluster.Spec, policy Policy, trace *series.Series, store *wo
 			pending[k] = nil
 		}
 
-		if err := plant.Advance(t + cfg.PeriodSeconds); err != nil {
+		if err := plant.Advance(t + controller.PeriodL0); err != nil {
 			return nil, err
 		}
 
@@ -207,7 +206,7 @@ func legacyRun(spec cluster.Spec, policy Policy, trace *series.Series, store *wo
 			busySum += agg.Busy * float64(len(spec.Modules[i].Computers))
 			busyN += len(spec.Modules[i].Computers)
 		}
-		lastRate = float64(arrived) / cfg.PeriodSeconds
+		lastRate = float64(arrived) / controller.PeriodL0
 		if op := plant.OperationalComputers(); op > 0 && busyN > 0 {
 			// Utilization over operational computers only.
 			lastUtil = busySum / float64(op)
@@ -220,7 +219,7 @@ func legacyRun(spec cluster.Spec, policy Policy, trace *series.Series, store *wo
 			mean = respSum / float64(completed)
 			cHat = 0.9*cHat + 0.1*demandSum/float64(completed)
 			respBins++
-			if mean > cfg.TargetResponse {
+			if mean > controller.TargetResponse {
 				violations++
 			}
 		}
@@ -232,8 +231,8 @@ func legacyRun(spec cluster.Spec, policy Policy, trace *series.Series, store *wo
 	if err := plant.ApplyPlannedFailures(cfg.Failures, failAt, steps); err != nil {
 		return nil, err
 	}
-	end := preroll + float64(steps)*cfg.PeriodSeconds
-	if err := plant.Advance(end + cfg.DrainSeconds); err != nil {
+	end := preroll + float64(steps)*controller.PeriodL0
+	if err := plant.Advance(end + engine.DefaultDrainSeconds); err != nil {
 		return nil, err
 	}
 	plant.FinishAccounting()

@@ -6,28 +6,22 @@ import (
 
 	"hierctl/internal/chaos"
 	"hierctl/internal/cluster"
+	"hierctl/internal/controller"
 	"hierctl/internal/engine"
 	"hierctl/internal/series"
 	"hierctl/internal/workload"
 )
 
+// A baseline run matches the hierarchy's cadences for a fair comparison:
+// it measures and sets frequencies every T_L0 and adapts the on/off count
+// every T_L1, under the same boot dead-time. r* serves only the violation
+// accounting (the harness's QoSTarget).
+const adaptEvery = int(controller.DefaultPeriodL1 / controller.PeriodL0)
+
 // RunnerConfig parameterizes a baseline run.
 type RunnerConfig struct {
-	// PeriodSeconds is the measurement/frequency period (match T_L0).
-	PeriodSeconds float64
-	// AdaptEverySeconds is the on/off adaptation period (match T_L1 so
-	// the comparison to the hierarchy is fair under the same boot
-	// dead-time).
-	AdaptEverySeconds float64
-	// TargetResponse is r*, used only for violation accounting (it is the
-	// harness's QoSTarget).
-	TargetResponse float64
-	// DefaultCHat seeds the processing-time estimate.
-	DefaultCHat float64
 	// Seed drives dispatch and workload randomness.
 	Seed int64
-	// DrainSeconds extends the run so in-flight work completes.
-	DrainSeconds float64
 	// Failures is an optional injection plan (scenario failure plans):
 	// events are quantized to the next measurement-period boundary and
 	// fire ahead of the policy, matching the hierarchical engine's
@@ -42,37 +36,9 @@ type RunnerConfig struct {
 	Chaos chaos.Plan
 }
 
-// DefaultRunnerConfig matches the hierarchy's cadences for fair
-// comparison.
+// DefaultRunnerConfig returns a run at seed 1.
 func DefaultRunnerConfig() RunnerConfig {
-	return RunnerConfig{
-		PeriodSeconds:     30,
-		AdaptEverySeconds: 120,
-		TargetResponse:    4,
-		DefaultCHat:       0.0175,
-		Seed:              1,
-		DrainSeconds:      300,
-	}
-}
-
-// Validate reports whether the configuration is usable.
-func (c RunnerConfig) Validate() error {
-	if c.PeriodSeconds <= 0 {
-		return fmt.Errorf("baseline: period %v <= 0", c.PeriodSeconds)
-	}
-	if c.AdaptEverySeconds < c.PeriodSeconds {
-		return fmt.Errorf("baseline: adaptation period %v below measurement period %v", c.AdaptEverySeconds, c.PeriodSeconds)
-	}
-	if c.TargetResponse <= 0 {
-		return fmt.Errorf("baseline: target response %v <= 0", c.TargetResponse)
-	}
-	if c.DefaultCHat <= 0 {
-		return fmt.Errorf("baseline: default c-hat %v <= 0", c.DefaultCHat)
-	}
-	if c.DrainSeconds < 0 {
-		return fmt.Errorf("baseline: drain %v < 0", c.DrainSeconds)
-	}
-	return nil
+	return RunnerConfig{Seed: 1}
 }
 
 // Result summarizes a baseline run with the same quantities the
@@ -94,10 +60,9 @@ type runner struct {
 	cfg    RunnerConfig
 	policy Policy
 
-	plant      *cluster.Plant
-	slots      []slot
-	total      int
-	adaptEvery int
+	plant *cluster.Plant
+	slots []slot
+	total int
 
 	cHat     float64
 	lastRate float64
@@ -131,13 +96,12 @@ func (r *runner) Init(p *cluster.Plant) error {
 		}
 	}
 	r.total = len(r.slots)
-	r.adaptEvery = int(r.cfg.AdaptEverySeconds/r.cfg.PeriodSeconds + 0.5)
 	r.res = &Result{
 		Policy:       r.policy.Name(),
-		Operational:  series.New(preroll, r.cfg.AdaptEverySeconds, 0),
-		ResponseMean: series.New(preroll, r.cfg.PeriodSeconds, 0),
+		Operational:  series.New(preroll, controller.DefaultPeriodL1, 0),
+		ResponseMean: series.New(preroll, controller.PeriodL0, 0),
 	}
-	r.cHat = r.cfg.DefaultCHat
+	r.cHat = workload.DefaultCHat
 	return nil
 }
 
@@ -146,7 +110,7 @@ func (r *runner) Init(p *cluster.Plant) error {
 // uniform dispatch fractions across fully-on computers for the tick's
 // arrivals.
 func (r *runner) Decide(k, pending int) (engine.Settings, error) {
-	if k%r.adaptEvery == 0 {
+	if k%adaptEvery == 0 {
 		act := r.policy.Decide(Observation{
 			Operational: r.plant.OperationalComputers(),
 			Total:       r.total,
@@ -224,7 +188,7 @@ func (r *runner) Observe(k int, iv engine.Interval, stats []engine.ModuleStats) 
 	for i, st := range stats {
 		busySum += st.Agg.Busy * float64(len(r.spec.Modules[i].Computers))
 	}
-	r.lastRate = float64(iv.Arrived) / r.cfg.PeriodSeconds
+	r.lastRate = float64(iv.Arrived) / controller.PeriodL0
 	if op := r.plant.OperationalComputers(); op > 0 {
 		// Utilization over operational computers only.
 		r.lastUtil = busySum / float64(op)
@@ -266,9 +230,6 @@ func Run(spec cluster.Spec, policy Policy, trace *series.Series, store *workload
 // PrepareEngine + Harness.RunTrace + finalize. The returned finalize
 // assembles the Result once the harness has finished.
 func PrepareEngine(spec cluster.Spec, policy Policy, trace *series.Series, store *workload.Store, cfg RunnerConfig) (*engine.Harness, func() *Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, nil, err
-	}
 	if policy == nil {
 		return nil, nil, fmt.Errorf("baseline: nil policy")
 	}
@@ -279,14 +240,14 @@ func PrepareEngine(spec cluster.Spec, policy Policy, trace *series.Series, store
 	h, err := engine.New(engine.Config{
 		Spec:          spec,
 		Seed:          cfg.Seed,
-		PeriodSeconds: cfg.PeriodSeconds,
+		PeriodSeconds: controller.PeriodL0,
 		BinSeconds:    trace.Step,
 		Start:         trace.Start,
 		TotalBins:     trace.Len(),
-		DrainSeconds:  cfg.DrainSeconds,
+		DrainSeconds:  engine.DefaultDrainSeconds,
 		Failures:      cfg.Failures,
 		Chaos:         cfg.Chaos,
-		QoSTarget:     cfg.TargetResponse,
+		QoSTarget:     controller.TargetResponse,
 	}, store, r)
 	if err != nil {
 		return nil, nil, err

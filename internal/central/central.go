@@ -25,27 +25,24 @@ import (
 	"hierctl/internal/queue"
 )
 
+// The flat controller mirrors the hierarchy's defaults: it decides every
+// T_L1 at T_L0 granularity, against the L0 set-point, with the same Q, R
+// and W, and quantizes load fractions like L1.
+const (
+	// subSteps is the number of T_L0 sub-periods of the fluid prediction
+	// in one decision period.
+	subSteps = int(controller.DefaultPeriodL1 / controller.PeriodL0)
+	// freqSteps bounds how many frequency-index moves (±1 per computer)
+	// are explored per period.
+	freqSteps = 1
+	// minOn keeps at least this many computers operational.
+	minOn = 1
+)
+
 // Config parameterizes the flat controller.
 type Config struct {
-	// PeriodSeconds is the decision period (match T_L1 for fairness).
-	PeriodSeconds float64
-	// SubPeriodSeconds is the granularity of the internal fluid
-	// prediction (match T_L0).
-	SubPeriodSeconds float64
-	// TargetResponse and TargetMargin mirror the hierarchy's set-point.
-	TargetResponse float64
-	TargetMargin   float64
-	// SlackWeight, PowerWeight and SwitchWeight mirror Q, R and W.
-	SlackWeight, PowerWeight, SwitchWeight float64
-	// Quantum quantizes the joint load fractions.
-	Quantum float64
 	// NeighbourDepth bounds the γ neighbourhood per candidate α/u.
 	NeighbourDepth int
-	// FreqSteps bounds how many frequency-index moves (±1 per computer)
-	// are explored per period.
-	FreqSteps int
-	// MinOn keeps at least this many computers operational.
-	MinOn int
 	// NonNegativeCosts declares the per-sample configuration costs
 	// non-negative — true for the fluid-model pricing below, a sum of
 	// slack, power and switch terms — enabling the partial-mean pruning of
@@ -56,45 +53,13 @@ type Config struct {
 
 // DefaultConfig mirrors the hierarchy's settings.
 func DefaultConfig() Config {
-	return Config{
-		PeriodSeconds:    120,
-		SubPeriodSeconds: 30,
-		TargetResponse:   4,
-		TargetMargin:     0.8,
-		SlackWeight:      100,
-		PowerWeight:      1,
-		SwitchWeight:     8,
-		Quantum:          0.05,
-		NeighbourDepth:   2,
-		FreqSteps:        1,
-		MinOn:            1,
-		NonNegativeCosts: true,
-	}
+	return Config{NeighbourDepth: 2, NonNegativeCosts: true}
 }
 
 // Validate reports whether the configuration is usable.
 func (c Config) Validate() error {
-	if c.PeriodSeconds <= 0 || c.SubPeriodSeconds <= 0 || c.PeriodSeconds < c.SubPeriodSeconds {
-		return fmt.Errorf("central: invalid periods (%v, %v)", c.PeriodSeconds, c.SubPeriodSeconds)
-	}
-	if c.TargetResponse <= 0 {
-		return fmt.Errorf("central: target response %v <= 0", c.TargetResponse)
-	}
-	if c.TargetMargin <= 0 || c.TargetMargin > 1 {
-		return fmt.Errorf("central: target margin %v outside (0, 1]", c.TargetMargin)
-	}
-	if c.SlackWeight < 0 || c.PowerWeight < 0 || c.SwitchWeight < 0 {
-		return fmt.Errorf("central: negative weights")
-	}
-	units := math.Round(1 / c.Quantum)
-	if c.Quantum <= 0 || math.Abs(units*c.Quantum-1) > 1e-9 {
-		return fmt.Errorf("central: quantum %v must divide 1", c.Quantum)
-	}
-	if c.NeighbourDepth < 1 || c.FreqSteps < 0 {
-		return fmt.Errorf("central: invalid search bounds")
-	}
-	if c.MinOn < 1 {
-		return fmt.Errorf("central: min-on %d < 1", c.MinOn)
+	if c.NeighbourDepth < 1 {
+		return fmt.Errorf("central: neighbour depth %d < 1", c.NeighbourDepth)
 	}
 	return nil
 }
@@ -140,9 +105,6 @@ func New(cfg Config, specs []cluster.ComputerSpec) (*Controller, error) {
 			return nil, fmt.Errorf("central: computer %d: %w", i, err)
 		}
 	}
-	if cfg.MinOn > len(specs) {
-		return nil, fmt.Errorf("central: min-on %d exceeds cluster size %d", cfg.MinOn, len(specs))
-	}
 	n := len(specs)
 	c := &Controller{cfg: cfg, specs: specs, caps: make([]float64, n)}
 	c.prevAlpha = make([]bool, n)
@@ -153,7 +115,7 @@ func New(cfg Config, specs []cluster.ComputerSpec) (*Controller, error) {
 		c.caps[j] = specs[j].SpeedFactor
 	}
 	var err error
-	c.prevGamma, err = controller.SnapSimplex(c.caps, c.prevAlpha, cfg.Quantum)
+	c.prevGamma, err = controller.SnapSimplex(c.caps, c.prevAlpha, controller.DefaultQuantumL1)
 	if err != nil {
 		return nil, err
 	}
@@ -177,7 +139,7 @@ type Observation struct {
 // Decide jointly picks (α, γ, u) for the next period by bounded search
 // over the flat configuration space: candidate α vectors (previous plus
 // single toggles plus all-on), for each a γ neighbourhood on the quantized
-// simplex, and per-computer frequency moves within FreqSteps of the
+// simplex, and per-computer frequency moves within freqSteps of the
 // previous operating point. The full cartesian product α×γ×u is
 // intractable even at n = 8 (this is exactly the §3 dimensionality
 // argument), so the search uses coordinate descent per α candidate: best γ
@@ -185,7 +147,7 @@ type Observation struct {
 // with that concession the explored-state count grows super-linearly with
 // the cluster size, which is what the scalability experiment measures.
 // The cost of one candidate is the fluid-model cost accumulated over the
-// period at SubPeriod granularity, with the same slack/power/switch
+// period at T_L0 granularity, with the same slack/power/switch
 // weights the hierarchy uses.
 func (c *Controller) Decide(obs Observation) (Decision, error) {
 	n := len(c.specs)
@@ -305,15 +267,13 @@ func (p *freqPass) Finish(_ []int, mean float64) float64 { return mean }
 // evaluate prices a joint configuration: fluid-model slack + power per
 // sub-period per on computer, plus switch-on transients.
 func (c *Controller) evaluate(alpha []bool, gamma []float64, freq []int, obs Observation, lambda float64) float64 {
-	subSteps := int(c.cfg.PeriodSeconds/c.cfg.SubPeriodSeconds + 0.5)
-	target := c.cfg.TargetMargin * c.cfg.TargetResponse
 	total := 0.0
 	for j := range c.specs {
 		if !alpha[j] {
 			continue
 		}
 		if !c.prevAlpha[j] {
-			total += c.cfg.SwitchWeight
+			total += controller.DefaultSwitchWeight
 		}
 		phi := c.specs[j].Phi(freq[j])
 		state := queue.State{Q: obs.QueueLens[j]}
@@ -323,13 +283,13 @@ func (c *Controller) evaluate(alpha []bool, gamma []float64, freq []int, obs Obs
 				Lambda: lamJ,
 				C:      obs.CHat / c.specs[j].SpeedFactor,
 				Phi:    phi,
-				T:      c.cfg.SubPeriodSeconds,
+				T:      controller.PeriodL0,
 			})
 			if err != nil {
 				return math.Inf(1)
 			}
-			total += c.cfg.SlackWeight*llc.Slack(next.R, target) +
-				c.cfg.PowerWeight*c.specs[j].Power.Draw(phi, true)
+			total += controller.SlackWeight*llc.Slack(next.R, controller.EffectiveTarget) +
+				controller.PowerWeight*c.specs[j].Power.Draw(phi, true)
 			state = next
 		}
 	}
@@ -344,7 +304,7 @@ func (c *Controller) alphaCandidates(avail []bool) [][]bool {
 	for j := range base {
 		base[j] = c.prevAlpha[j] && avail[j]
 	}
-	for j := 0; countOn(base) < c.cfg.MinOn && j < n; j++ {
+	for j := 0; countOn(base) < minOn && j < n; j++ {
 		if avail[j] && !base[j] {
 			base[j] = true
 		}
@@ -352,7 +312,7 @@ func (c *Controller) alphaCandidates(avail []bool) [][]bool {
 	seen := map[string]bool{}
 	var out [][]bool
 	add := func(a []bool) {
-		if countOn(a) < c.cfg.MinOn {
+		if countOn(a) < minOn {
 			return
 		}
 		k := boolKey(a)
@@ -384,19 +344,19 @@ func (c *Controller) alphaCandidates(avail []bool) [][]bool {
 // gammaCandidates is the quantized-simplex neighbourhood over the whole
 // cluster — the joint γ space whose size grows combinatorially with n.
 func (c *Controller) gammaCandidates(alpha []bool) [][]float64 {
-	seed, err := controller.SnapSimplex(c.caps, alpha, c.cfg.Quantum)
+	seed, err := controller.SnapSimplex(c.caps, alpha, controller.DefaultQuantumL1)
 	if err != nil {
 		return nil
 	}
-	cands := controller.SimplexNeighbours(seed, alpha, c.cfg.Quantum, c.cfg.NeighbourDepth)
-	if prev, err := controller.SnapSimplex(c.prevGamma, alpha, c.cfg.Quantum); err == nil {
-		cands = append(cands, controller.SimplexNeighbours(prev, alpha, c.cfg.Quantum, 1)...)
+	cands := controller.SimplexNeighbours(seed, alpha, controller.DefaultQuantumL1, c.cfg.NeighbourDepth)
+	if prev, err := controller.SnapSimplex(c.prevGamma, alpha, controller.DefaultQuantumL1); err == nil {
+		cands = append(cands, controller.SimplexNeighbours(prev, alpha, controller.DefaultQuantumL1, 1)...)
 	}
 	return cands
 }
 
 // freqCandidates enumerates joint frequency moves: each computer may move
-// up to FreqSteps indices from its previous point; to keep the candidate
+// up to freqSteps indices from its previous point; to keep the candidate
 // count finite the moves are axis-aligned (one computer moves per
 // candidate), after the all-stay vector (first) and the all-max one.
 func (c *Controller) freqCandidates(alpha []bool) [][]int {
@@ -412,7 +372,7 @@ func (c *Controller) freqCandidates(alpha []bool) [][]int {
 		if !alpha[j] {
 			continue
 		}
-		for d := -c.cfg.FreqSteps; d <= c.cfg.FreqSteps; d++ {
+		for d := -freqSteps; d <= freqSteps; d++ {
 			if d == 0 {
 				continue
 			}

@@ -8,7 +8,9 @@ import (
 	"time"
 
 	"hierctl/internal/cluster"
+	"hierctl/internal/controller"
 	"hierctl/internal/des"
+	"hierctl/internal/engine"
 	"hierctl/internal/forecast"
 	"hierctl/internal/series"
 	"hierctl/internal/workload"
@@ -25,9 +27,9 @@ func legacyRun(spec cluster.Spec, trace *series.Series, store *workload.Store, c
 	if trace == nil || trace.Len() == 0 {
 		return nil, fmt.Errorf("central: empty trace")
 	}
-	sub := int(trace.Step/cfg.Controller.SubPeriodSeconds + 0.5)
-	if sub < 1 || math.Abs(float64(sub)*cfg.Controller.SubPeriodSeconds-trace.Step) > 1e-6 {
-		return nil, fmt.Errorf("central: trace bin %vs not a multiple of sub-period %vs", trace.Step, cfg.Controller.SubPeriodSeconds)
+	sub := int(trace.Step/controller.PeriodL0 + 0.5)
+	if sub < 1 || math.Abs(float64(sub)*controller.PeriodL0-trace.Step) > 1e-6 {
+		return nil, fmt.Errorf("central: trace bin %vs not a multiple of sub-period %vs", trace.Step, controller.PeriodL0)
 	}
 	plant, err := cluster.NewPlant(spec, des.RNG(cfg.Seed, "dispatch"))
 	if err != nil {
@@ -66,11 +68,11 @@ func legacyRun(spec cluster.Spec, trace *series.Series, store *workload.Store, c
 			return nil, err
 		}
 	}
-	band, err := forecast.NewBand(cfg.BandSmoothing)
+	band, err := forecast.NewBand(forecast.BandSmoothing)
 	if err != nil {
 		return nil, err
 	}
-	cEst, err := forecast.NewEWMA(cfg.CHatSmoothing)
+	cEst, err := forecast.NewEWMA(forecast.CHatSmoothing)
 	if err != nil {
 		return nil, err
 	}
@@ -95,16 +97,16 @@ func legacyRun(spec cluster.Spec, trace *series.Series, store *workload.Store, c
 		}
 	}
 
-	tl0 := cfg.Controller.SubPeriodSeconds
+	tl0 := controller.PeriodL0
 	steps := trace.Len() * sub
-	decideEvery := int(cfg.Controller.PeriodSeconds/tl0 + 0.5)
-	res := &Result{Operational: series.New(preroll, cfg.Controller.PeriodSeconds, 0)}
+	decideEvery := int(controller.DefaultPeriodL1/tl0 + 0.5)
+	res := &Result{Operational: series.New(preroll, controller.DefaultPeriodL1, 0)}
 	pending := make([][]workload.Request, steps)
 	queues := make([]float64, len(slots))
 	gamma := append([]float64(nil), ctl.prevGamma...)
 	arrivedPeriod := 0
 	violations, respBins := 0, 0
-	cHat := cfg.DefaultCHat
+	cHat := workload.DefaultCHat
 
 	failAt := cluster.FailureSteps(cfg.Failures, tl0)
 
@@ -144,8 +146,8 @@ func legacyRun(spec cluster.Spec, trace *series.Series, store *workload.Store, c
 			}
 			dec, err := ctl.Decide(Observation{
 				QueueLens: queues,
-				LambdaHat: math.Max(0, kalman.Forecast(1)) / cfg.Controller.PeriodSeconds,
-				Delta:     band.Delta() / cfg.Controller.PeriodSeconds,
+				LambdaHat: math.Max(0, kalman.Forecast(1)) / controller.DefaultPeriodL1,
+				Delta:     band.Delta() / controller.DefaultPeriodL1,
 				CHat:      cHat,
 				Available: avail,
 			})
@@ -222,7 +224,7 @@ func legacyRun(spec cluster.Spec, trace *series.Series, store *workload.Store, c
 				cHat = cEst.Value()
 			}
 			respBins++
-			if respSum/float64(completed) > cfg.Controller.TargetResponse {
+			if respSum/float64(completed) > controller.TargetResponse {
 				violations++
 			}
 		}
@@ -234,7 +236,7 @@ func legacyRun(spec cluster.Spec, trace *series.Series, store *workload.Store, c
 		return nil, err
 	}
 	end := preroll + float64(steps)*tl0
-	if err := plant.Advance(end + cfg.DrainSeconds); err != nil {
+	if err := plant.Advance(end + engine.DefaultDrainSeconds); err != nil {
 		return nil, err
 	}
 	plant.FinishAccounting()

@@ -7,6 +7,7 @@ import (
 
 	"hierctl/internal/chaos"
 	"hierctl/internal/cluster"
+	"hierctl/internal/controller"
 	"hierctl/internal/engine"
 	"hierctl/internal/forecast"
 	"hierctl/internal/series"
@@ -17,18 +18,10 @@ import (
 type RunnerConfig struct {
 	// Controller is the flat controller's configuration.
 	Controller Config
-	// DefaultCHat seeds the processing-time estimate.
-	DefaultCHat float64
-	// CHatSmoothing is the EWMA constant.
-	CHatSmoothing float64
-	// BandSmoothing is the uncertainty-band EWMA constant.
-	BandSmoothing float64
 	// Seed drives dispatch and workload randomness.
 	Seed int64
-	// DrainSeconds extends the run so in-flight work completes.
-	DrainSeconds float64
 	// Failures is an optional injection plan (scenario failure plans):
-	// events are quantized to the next sub-period boundary and fire
+	// events are quantized to the next T_L0 boundary and fire
 	// ahead of the controller, matching the hierarchical engine's
 	// ordering; entries whose (Module, Comp) indices are not in the
 	// cluster are skipped.
@@ -41,16 +34,10 @@ type RunnerConfig struct {
 	Chaos chaos.Plan
 }
 
-// DefaultRunnerConfig mirrors the hierarchy's cadences.
+// DefaultRunnerConfig returns the default controller at seed 1. A run
+// shares the hierarchy's estimator constants, c-hat prior and drain.
 func DefaultRunnerConfig() RunnerConfig {
-	return RunnerConfig{
-		Controller:    DefaultConfig(),
-		DefaultCHat:   0.0175,
-		CHatSmoothing: 0.1,
-		BandSmoothing: 0.25,
-		Seed:          1,
-		DrainSeconds:  300,
-	}
+	return RunnerConfig{Controller: DefaultConfig(), Seed: 1}
 }
 
 // Result summarizes a flat-controller run: the harness's run outcome (the
@@ -78,7 +65,6 @@ type runner struct {
 	plant *cluster.Plant
 	slots []slot
 
-	decideEvery   int
 	queues        []float64
 	gamma         []float64
 	arrivedPeriod int
@@ -101,12 +87,10 @@ func (r *runner) Init(p *cluster.Plant) error {
 			r.slots = append(r.slots, slot{i, j})
 		}
 	}
-	tl0 := r.cfg.Controller.SubPeriodSeconds
-	r.decideEvery = int(r.cfg.Controller.PeriodSeconds/tl0 + 0.5)
-	r.res = &Result{Operational: series.New(p.Now(), r.cfg.Controller.PeriodSeconds, 0)}
+	r.res = &Result{Operational: series.New(p.Now(), controller.DefaultPeriodL1, 0)}
 	r.queues = make([]float64, len(r.slots))
 	r.gamma = append([]float64(nil), r.ctl.prevGamma...)
-	r.cHat = r.cfg.DefaultCHat
+	r.cHat = workload.DefaultCHat
 	return nil
 }
 
@@ -115,7 +99,7 @@ func (r *runner) Init(p *cluster.Plant) error {
 // (alpha, gamma, phi) setting, which is actuated immediately; every
 // sub-period the tick's arrivals dispatch under the current fractions.
 func (r *runner) Decide(k, pending int) (engine.Settings, error) {
-	if k%r.decideEvery == 0 {
+	if k%subSteps == 0 {
 		if k > 0 {
 			prior := r.kalman.Observe(float64(r.arrivedPeriod))
 			if r.kalman.Steps() > 1 {
@@ -129,8 +113,8 @@ func (r *runner) Decide(k, pending int) (engine.Settings, error) {
 		}
 		dec, err := r.ctl.Decide(Observation{
 			QueueLens: r.queues,
-			LambdaHat: math.Max(0, r.kalman.Forecast(1)) / r.cfg.Controller.PeriodSeconds,
-			Delta:     r.band.Delta() / r.cfg.Controller.PeriodSeconds,
+			LambdaHat: math.Max(0, r.kalman.Forecast(1)) / controller.DefaultPeriodL1,
+			Delta:     r.band.Delta() / controller.DefaultPeriodL1,
 			CHat:      r.cHat,
 			Available: avail,
 		})
@@ -195,8 +179,7 @@ func (r *runner) Observe(k int, iv engine.Interval, stats []engine.ModuleStats) 
 }
 
 // Run simulates the flat controller against the plant for the whole
-// trace. The trace bin width must be an integer multiple of the
-// controller's sub-period.
+// trace. The trace bin width must be an integer multiple of T_L0.
 //
 // Run is a thin adapter over the shared simulation engine (see
 // internal/engine): the harness owns the mechanics, the runner above owns
@@ -227,11 +210,11 @@ func Run(spec cluster.Spec, trace *series.Series, store *workload.Store, cfg Run
 			return nil, err
 		}
 	}
-	band, err := forecast.NewBand(cfg.BandSmoothing)
+	band, err := forecast.NewBand(forecast.BandSmoothing)
 	if err != nil {
 		return nil, err
 	}
-	cEst, err := forecast.NewEWMA(cfg.CHatSmoothing)
+	cEst, err := forecast.NewEWMA(forecast.CHatSmoothing)
 	if err != nil {
 		return nil, err
 	}
@@ -240,14 +223,14 @@ func Run(spec cluster.Spec, trace *series.Series, store *workload.Store, cfg Run
 	h, err := engine.New(engine.Config{
 		Spec:          spec,
 		Seed:          cfg.Seed,
-		PeriodSeconds: cfg.Controller.SubPeriodSeconds,
+		PeriodSeconds: controller.PeriodL0,
 		BinSeconds:    trace.Step,
 		Start:         trace.Start,
 		TotalBins:     trace.Len(),
-		DrainSeconds:  cfg.DrainSeconds,
+		DrainSeconds:  engine.DefaultDrainSeconds,
 		Failures:      cfg.Failures,
 		Chaos:         cfg.Chaos,
-		QoSTarget:     cfg.Controller.TargetResponse,
+		QoSTarget:     controller.TargetResponse,
 	}, store, r)
 	if err != nil {
 		return nil, err

@@ -103,7 +103,7 @@ func LearnGMap(l0cfg L0Config, spec cluster.ComputerSpec, cfg GMapConfig) (*GMap
 	levels := [][]float64{quant.Levels(0), quant.Levels(1), quant.Levels(2)}
 	err = approx.Grid(levels, func(p []float64) error {
 		q0, lambda, c := p[0], p[1], p[2]
-		cost, qEnd, resp, pw, err := g.simulateCell(l0, l0cfg, q0, lambda, c)
+		cost, qEnd, resp, pw, err := g.simulateCell(l0, q0, lambda, c)
 		if err != nil {
 			return err
 		}
@@ -117,7 +117,7 @@ func LearnGMap(l0cfg L0Config, spec cluster.ComputerSpec, cfg GMapConfig) (*GMap
 
 // simulateCell runs the closed L0 loop on the fluid model for one L1
 // period with constant environment inputs.
-func (g *GMap) simulateCell(l0 *L0, l0cfg L0Config, q0, lambda, c float64) (avgCost, qEnd, avgResp, avgPower float64, err error) {
+func (g *GMap) simulateCell(l0 *L0, q0, lambda, c float64) (avgCost, qEnd, avgResp, avgPower float64, err error) {
 	state := queue.State{Q: q0}
 	var costSum, respSum, powerSum float64
 	for step := 0; step < g.cfg.SubSteps; step++ {
@@ -130,13 +130,13 @@ func (g *GMap) simulateCell(l0 *L0, l0cfg L0Config, q0, lambda, c float64) (avgC
 			Lambda: lambda,
 			C:      c / g.spec.SpeedFactor,
 			Phi:    phi,
-			T:      l0cfg.PeriodSeconds,
+			T:      PeriodL0,
 		})
 		if err != nil {
 			return 0, 0, 0, 0, err
 		}
 		psi := g.spec.Power.Draw(phi, true)
-		costSum += l0cfg.SlackWeight*llc.Slack(next.R, l0cfg.EffectiveTarget()) + l0cfg.PowerWeight*psi
+		costSum += SlackWeight*llc.Slack(next.R, EffectiveTarget) + PowerWeight*psi
 		respSum += next.R
 		powerSum += psi
 		state = next

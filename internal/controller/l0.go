@@ -10,63 +10,47 @@ import (
 	"hierctl/internal/queue"
 )
 
-// L0Config parameterizes a per-computer L0 controller (§4.1).
-type L0Config struct {
-	// Horizon is the prediction horizon N_L0 (paper: 3).
-	Horizon int
-	// PeriodSeconds is the sampling time T_L0 (paper: 30 s).
-	PeriodSeconds float64
+// The paper's fixed L0 parameters (§4.1, §4.3). The comparators in
+// internal/central and internal/baseline run at the same cadence and
+// set-point.
+const (
+	// PeriodL0 is the sampling time T_L0 (paper: 30 s), the control tick.
+	PeriodL0 float64 = 30
 	// TargetResponse is the set-point r* in seconds (paper: 4 s).
-	TargetResponse float64
+	TargetResponse float64 = 4
 	// TargetMargin tightens the controller-internal set-point to
 	// TargetMargin·r* (constraint back-off, standard MPC practice under
 	// model mismatch). The paper's plant *is* its fluid model, so it
 	// needs no margin; this library's plant is a request-level
 	// simulation with bursty arrivals and routing noise, and without
 	// back-off the achieved response hovers at r* and violates it half
-	// the time. Must lie in (0, 1]; 1 disables the margin.
-	TargetMargin float64
+	// the time.
+	TargetMargin float64 = 0.8
+	// EffectiveTarget is the tightened set-point the searches optimize
+	// against.
+	EffectiveTarget = TargetMargin * TargetResponse
 	// SlackWeight is Q, the penalty on the response-time slack ε
 	// (paper: 100).
-	SlackWeight float64
+	SlackWeight float64 = 100
 	// PowerWeight is R, the weight on power ψ = a + φ² (paper: 1).
-	PowerWeight float64
-}
+	PowerWeight float64 = 1
+)
 
-// EffectiveTarget returns the tightened internal set-point
-// TargetMargin·TargetResponse the search optimizes against.
-func (c L0Config) EffectiveTarget() float64 {
-	return c.TargetMargin * c.TargetResponse
+// L0Config parameterizes a per-computer L0 controller (§4.1).
+type L0Config struct {
+	// Horizon is the prediction horizon N_L0 (paper: 3).
+	Horizon int
 }
 
 // DefaultL0Config returns the paper's §4.3 settings.
 func DefaultL0Config() L0Config {
-	return L0Config{
-		Horizon:        3,
-		PeriodSeconds:  30,
-		TargetResponse: 4,
-		TargetMargin:   0.8,
-		SlackWeight:    100,
-		PowerWeight:    1,
-	}
+	return L0Config{Horizon: 3}
 }
 
 // Validate reports whether the configuration is usable.
 func (c L0Config) Validate() error {
 	if c.Horizon < 1 {
 		return fmt.Errorf("controller: L0 horizon %d < 1", c.Horizon)
-	}
-	if c.PeriodSeconds <= 0 {
-		return fmt.Errorf("controller: L0 period %v <= 0", c.PeriodSeconds)
-	}
-	if c.TargetResponse <= 0 {
-		return fmt.Errorf("controller: L0 target response %v <= 0", c.TargetResponse)
-	}
-	if c.TargetMargin <= 0 || c.TargetMargin > 1 {
-		return fmt.Errorf("controller: L0 target margin %v outside (0, 1]", c.TargetMargin)
-	}
-	if c.SlackWeight < 0 || c.PowerWeight < 0 {
-		return fmt.Errorf("controller: L0 weights (%v, %v) negative", c.SlackWeight, c.PowerWeight)
 	}
 	return nil
 }
@@ -75,7 +59,6 @@ func (c L0Config) Validate() error {
 // generic LLC framework. The state is the fluid queue state; the input is
 // a frequency index; the environment vector is {λ, c}.
 type l0Model struct {
-	cfg     L0Config
 	spec    cluster.ComputerSpec
 	phis    []float64
 	indices []int
@@ -89,12 +72,12 @@ func (m *l0Model) Step(s queue.State, u int, env llc.Env) queue.State {
 		Lambda: env[0],
 		C:      env[1] / m.spec.SpeedFactor,
 		Phi:    m.phis[u],
-		T:      m.cfg.PeriodSeconds,
+		T:      PeriodL0,
 	})
 	if err != nil {
 		// Defensive: an invalid model parameterization yields a saturated
 		// state rather than a panic inside the search.
-		return queue.State{Q: s.Q, R: m.cfg.TargetResponse * 1e6}
+		return queue.State{Q: s.Q, R: TargetResponse * 1e6}
 	}
 	return next
 }
@@ -104,9 +87,9 @@ func (m *l0Model) Step(s queue.State, u int, env llc.Env) queue.State {
 // physical), so the search runs under the llc.Options.NonNegativeCosts
 // branch-and-bound contract.
 func (m *l0Model) Cost(next queue.State, u int, env llc.Env) float64 {
-	eps := llc.Slack(next.R, m.cfg.EffectiveTarget())
+	eps := llc.Slack(next.R, EffectiveTarget)
 	psi := m.spec.Power.Draw(m.phis[u], true)
-	return m.cfg.SlackWeight*eps + m.cfg.PowerWeight*psi
+	return SlackWeight*eps + PowerWeight*psi
 }
 
 func (m *l0Model) Feasible(queue.State) bool { return true }
@@ -146,7 +129,10 @@ type L0 struct {
 
 // NewL0 builds an L0 controller for the given computer.
 func NewL0(cfg L0Config, spec cluster.ComputerSpec) (*L0, error) {
-	m, err := newL0Model(cfg, spec)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	m, err := newL0Model(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -183,18 +169,15 @@ func (l *L0) ensureEnvs(samples int) {
 // {λ, ĉ} — so benchmarks and custom engines can drive the llc search
 // against the paper's §4.3 configuration directly. Its stage costs are
 // non-negative, satisfying llc.Options.NonNegativeCosts.
-func NewL0Model(cfg L0Config, spec cluster.ComputerSpec) (llc.Model[queue.State, int], error) {
-	return newL0Model(cfg, spec)
+func NewL0Model(spec cluster.ComputerSpec) (llc.Model[queue.State, int], error) {
+	return newL0Model(spec)
 }
 
-func newL0Model(cfg L0Config, spec cluster.ComputerSpec) (*l0Model, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
+func newL0Model(spec cluster.ComputerSpec) (*l0Model, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	m := &l0Model{cfg: cfg, spec: spec, phis: spec.PhiLadder()}
+	m := &l0Model{spec: spec, phis: spec.PhiLadder()}
 	m.indices = make([]int, len(m.phis))
 	for i := range m.indices {
 		m.indices[i] = i

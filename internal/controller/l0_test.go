@@ -36,10 +36,6 @@ func TestL0ConfigValidation(t *testing.T) {
 	}
 	mutations := []func(*L0Config){
 		func(c *L0Config) { c.Horizon = 0 },
-		func(c *L0Config) { c.PeriodSeconds = 0 },
-		func(c *L0Config) { c.TargetResponse = 0 },
-		func(c *L0Config) { c.SlackWeight = -1 },
-		func(c *L0Config) { c.PowerWeight = -1 },
 	}
 	for i, mutate := range mutations {
 		cfg := base

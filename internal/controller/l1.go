@@ -12,16 +12,34 @@ import (
 	flight "hierctl/internal/obs"
 )
 
+// The paper's §4.2-§4.3 L1 settings. StabilityUtil is fixed; the other
+// three are DefaultL1Config's, which the comparators in internal/central
+// and internal/baseline mirror.
+const (
+	// DefaultPeriodL1 is the sampling time T_L1 (paper: 2 min, "the
+	// typical time delay incurred in switching on a computer").
+	DefaultPeriodL1 float64 = 120
+	// DefaultQuantumL1 quantizes the load fractions γ_ij (paper: 0.05
+	// for m = 4, 0.1 for the m = 6 and m = 10 experiments).
+	DefaultQuantumL1 float64 = 0.05
+	// DefaultSwitchWeight is W, the transient cost of powering a computer
+	// on (paper: 8, "much higher than the base operating cost of 0.75").
+	DefaultSwitchWeight float64 = 8
+	// StabilityUtil is the §4.2 queuing-stability limit on the load
+	// fractions: a candidate that would push any computer's full-speed
+	// utilization γ_j·λ̂·ĉ/speed_j beyond this bound is heavily
+	// penalized ("we know the peak request arrival rate that can be
+	// processed by a computer without queuing instability").
+	StabilityUtil float64 = 0.85
+)
+
 // L1Config parameterizes a module-level L1 controller (§4.2).
 type L1Config struct {
-	// PeriodSeconds is the sampling time T_L1 (paper: 2 min, "the
-	// typical time delay incurred in switching on a computer").
+	// PeriodSeconds is the sampling time T_L1.
 	PeriodSeconds float64
-	// Quantum quantizes the load fractions γ_ij (paper: 0.05 for m = 4,
-	// 0.1 for the m = 6 and m = 10 experiments).
+	// Quantum quantizes the load fractions γ_ij.
 	Quantum float64
-	// SwitchWeight is W, the transient cost of powering a computer on
-	// (paper: 8, "much higher than the base operating cost of 0.75").
+	// SwitchWeight is W, the transient cost of powering a computer on.
 	SwitchWeight float64
 	// NeighbourDepth bounds the γ neighbourhood search: how many quanta
 	// may move between computers relative to the seed allocations.
@@ -29,13 +47,6 @@ type L1Config struct {
 	// MinOn is the minimum number of operational computers (≥ 1 keeps
 	// the module able to serve).
 	MinOn int
-	// StabilityUtil is the §4.2 queuing-stability limit on the load
-	// fractions: a candidate that would push any computer's full-speed
-	// utilization γ_j·λ̂·ĉ/speed_j beyond this bound is heavily
-	// penalized ("we know the peak request arrival rate that can be
-	// processed by a computer without queuing instability"). Must lie
-	// in (0, 1].
-	StabilityUtil float64
 	// UncertaintySamples enables the §4.2 chattering mitigation: when
 	// true the expected cost is averaged over {λ̂−δ, λ̂, λ̂+δ}; when
 	// false only the nominal forecast is used (the EXT2 ablation).
@@ -52,12 +63,11 @@ type L1Config struct {
 // DefaultL1Config returns the paper's §4.3 settings.
 func DefaultL1Config() L1Config {
 	return L1Config{
-		PeriodSeconds:      120,
-		Quantum:            0.05,
-		SwitchWeight:       8,
+		PeriodSeconds:      DefaultPeriodL1,
+		Quantum:            DefaultQuantumL1,
+		SwitchWeight:       DefaultSwitchWeight,
 		NeighbourDepth:     2,
 		MinOn:              1,
-		StabilityUtil:      0.85,
 		UncertaintySamples: true,
 		NonNegativeCosts:   true,
 	}
@@ -80,9 +90,6 @@ func (c L1Config) Validate() error {
 	}
 	if c.MinOn < 1 {
 		return fmt.Errorf("controller: L1 min-on %d < 1", c.MinOn)
-	}
-	if c.StabilityUtil <= 0 || c.StabilityUtil > 1 {
-		return fmt.Errorf("controller: L1 stability utilization %v outside (0, 1]", c.StabilityUtil)
 	}
 	return nil
 }
@@ -467,8 +474,8 @@ func (l *L1) evaluate(alpha []bool, gamma []float64, obs L1Observation, lambda f
 			continue
 		}
 		util := gamma[j] * lambda * obs.CHat / l.gmaps[j].Spec().SpeedFactor
-		if util > l.cfg.StabilityUtil {
-			switchCost += stabilityPenalty * (util - l.cfg.StabilityUtil)
+		if util > StabilityUtil {
+			switchCost += stabilityPenalty * (util - StabilityUtil)
 		}
 	}
 	// Period 1: only computers already serving do work; fresh boots draw

@@ -33,13 +33,14 @@ type L2Config struct {
 	// more): the selected γ is bit-identical and only Explored shrinks.
 	// Disable for JTilde models that can return negative costs.
 	NonNegativeCosts bool
-	// DeltaWeight is the S weight of Eq. 3 applied to ‖γ − γ_prev‖₁:
-	// a small reallocation cost that stabilizes the distribution and
-	// breaks ties between equally priced allocations toward the
-	// incumbent (identical modules otherwise tie exactly and the
-	// enumeration order would starve some of them).
-	DeltaWeight float64
 }
+
+// DeltaWeight is the S weight of Eq. 3 applied to ‖γ − γ_prev‖₁: a small
+// reallocation cost that stabilizes the distribution and breaks ties
+// between equally priced allocations toward the incumbent (identical
+// modules otherwise tie exactly and the enumeration order would starve
+// some of them).
+const DeltaWeight float64 = 0.05
 
 // DefaultL2Config returns the paper's §5.2 settings.
 func DefaultL2Config() L2Config {
@@ -50,7 +51,6 @@ func DefaultL2Config() L2Config {
 		NeighbourDepth:     3,
 		UncertaintySamples: true,
 		NonNegativeCosts:   true,
-		DeltaWeight:        0.05,
 	}
 }
 
@@ -68,9 +68,6 @@ func (c L2Config) Validate() error {
 	}
 	if c.NeighbourDepth < 1 {
 		return fmt.Errorf("controller: L2 neighbour depth %d < 1", c.NeighbourDepth)
-	}
-	if c.DeltaWeight < 0 {
-		return fmt.Errorf("controller: L2 delta weight %v < 0", c.DeltaWeight)
 	}
 	return nil
 }
@@ -351,7 +348,7 @@ func (p *l2Pricer) Price(gamma []float64, si int, sum float64) (float64, error) 
 // so the partial-mean bound stays valid for the full cost.
 func (p *l2Pricer) Finish(gamma []float64, mean float64) float64 {
 	for i := range gamma {
-		mean += p.l.cfg.DeltaWeight * math.Abs(gamma[i]-p.l.prevGamma[i])
+		mean += DeltaWeight * math.Abs(gamma[i]-p.l.prevGamma[i])
 	}
 	return mean
 }

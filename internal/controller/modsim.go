@@ -69,7 +69,7 @@ func SimulateModulePeriod(l0cfg L0Config, l1cfg L1Config, gmaps []*GMap, qAvg, l
 		return 0, 0, err
 	}
 
-	subSteps := int(l1cfg.PeriodSeconds / l0cfg.PeriodSeconds)
+	subSteps := int(l1cfg.PeriodSeconds / PeriodL0)
 	if subSteps < 1 {
 		subSteps = 1
 	}
@@ -110,13 +110,13 @@ func SimulateModulePeriod(l0cfg L0Config, l1cfg L1Config, gmaps []*GMap, qAvg, l
 				Lambda: lamJ,
 				C:      c / spec.SpeedFactor,
 				Phi:    phi,
-				T:      l0cfg.PeriodSeconds,
+				T:      PeriodL0,
 			})
 			if err != nil {
 				return 0, 0, err
 			}
 			psi := spec.Power.Draw(phi, true)
-			total += l0cfg.SlackWeight*llc.Slack(next.R, l0cfg.EffectiveTarget()) + l0cfg.PowerWeight*psi
+			total += SlackWeight*llc.Slack(next.R, EffectiveTarget) + PowerWeight*psi
 			states[j] = next
 		}
 	}

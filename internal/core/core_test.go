@@ -94,11 +94,6 @@ func TestConfigValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("T_L2 < T_L1: want error")
 	}
-	bad = cfg
-	bad.TunePrefixFrac = 0.95
-	if err := bad.Validate(); err == nil {
-		t.Error("tune prefix too large: want error")
-	}
 }
 
 func TestSingleModuleSteadyLoadMeetsTarget(t *testing.T) {

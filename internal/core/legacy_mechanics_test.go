@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"hierctl/internal/cluster"
+	"hierctl/internal/controller"
 	"hierctl/internal/des"
 	"hierctl/internal/engine"
 	"hierctl/internal/forecast"
@@ -23,7 +24,7 @@ import (
 // an independent implementation of the mechanics. Do not modify it.
 func legacyMechanicsRun(m *Manager, trace *series.Series, store *workload.Store) (*Record, error) {
 	binStep, start0 := trace.Step, trace.Start
-	tl0 := m.cfg.L0.PeriodSeconds
+	tl0 := controller.PeriodL0
 	sub := int(binStep/tl0 + 0.5)
 	if sub < 1 || math.Abs(float64(sub)*tl0-binStep) > 1e-6 {
 		return nil, fmt.Errorf("mechanics oracle: trace bin %vs is not a multiple of T_L0 %vs", binStep, tl0)
@@ -50,7 +51,7 @@ func legacyMechanicsRun(m *Manager, trace *series.Series, store *workload.Store)
 	}
 
 	// Kalman tuning and estimator resets, as NewSession performs them.
-	prefixBins := int(float64(trace.Len()) * m.cfg.TunePrefixFrac)
+	prefixBins := int(float64(trace.Len()) * TunePrefixFrac)
 	cal := trace.Values[:prefixBins]
 	ql, qt, ro := 1.0, 0.1, 10.0
 	if len(cal) >= 8 {
@@ -78,7 +79,7 @@ func legacyMechanicsRun(m *Manager, trace *series.Series, store *workload.Store)
 	if m.kalmanG, err = newKalman(); err != nil {
 		return nil, err
 	}
-	if m.bandG, err = forecast.NewBand(m.cfg.BandSmoothing); err != nil {
+	if m.bandG, err = forecast.NewBand(forecast.BandSmoothing); err != nil {
 		return nil, err
 	}
 
@@ -200,7 +201,7 @@ func legacyMechanicsRun(m *Manager, trace *series.Series, store *workload.Store)
 			}
 			if iv.Completed > 0 {
 				responseBins++
-				if iv.RespMass/float64(iv.Completed) > m.cfg.L0.TargetResponse {
+				if iv.RespMass/float64(iv.Completed) > controller.TargetResponse {
 					violations++
 				}
 			}

@@ -7,6 +7,7 @@ import (
 	"hierctl/internal/chaos"
 	"hierctl/internal/cluster"
 	"hierctl/internal/controller"
+	"hierctl/internal/engine"
 	"hierctl/internal/forecast"
 	"hierctl/internal/obs"
 	"hierctl/internal/par"
@@ -30,13 +31,6 @@ type Config struct {
 	// DefaultCHat is the processing-time prior used until the EWMA
 	// filter has observations (seconds).
 	DefaultCHat float64
-	// CHatSmoothing is the EWMA constant π (paper: 0.1).
-	CHatSmoothing float64
-	// BandSmoothing is the uncertainty-band EWMA constant.
-	BandSmoothing float64
-	// TunePrefixFrac is the fraction of the trace used to tune the
-	// Kalman filters before the run (§4.3).
-	TunePrefixFrac float64
 	// DrainSeconds extends the simulation past the trace end so
 	// in-flight requests complete into the aggregate statistics.
 	DrainSeconds float64
@@ -71,11 +65,8 @@ func DefaultConfig() Config {
 		GMap:              controller.DefaultGMapConfig(),
 		ModuleSim:         controller.DefaultModuleSimConfig(),
 		Seed:              1,
-		DefaultCHat:       0.0175,
-		CHatSmoothing:     0.1,
-		BandSmoothing:     0.25,
-		TunePrefixFrac:    0.15,
-		DrainSeconds:      300,
+		DefaultCHat:       workload.DefaultCHat,
+		DrainSeconds:      engine.DefaultDrainSeconds,
 		RecordFrequencies: true,
 	}
 }
@@ -100,24 +91,15 @@ func (c Config) Validate() error {
 	if c.DefaultCHat <= 0 {
 		return fmt.Errorf("core: default c-hat %v <= 0", c.DefaultCHat)
 	}
-	if c.CHatSmoothing <= 0 || c.CHatSmoothing > 1 {
-		return fmt.Errorf("core: c-hat smoothing %v outside (0, 1]", c.CHatSmoothing)
-	}
-	if c.BandSmoothing <= 0 || c.BandSmoothing > 1 {
-		return fmt.Errorf("core: band smoothing %v outside (0, 1]", c.BandSmoothing)
-	}
-	if c.TunePrefixFrac < 0 || c.TunePrefixFrac > 0.9 {
-		return fmt.Errorf("core: tune prefix fraction %v outside [0, 0.9]", c.TunePrefixFrac)
-	}
 	if c.DrainSeconds < 0 {
 		return fmt.Errorf("core: drain seconds %v < 0", c.DrainSeconds)
 	}
 	if c.Parallelism < 0 {
 		return fmt.Errorf("core: parallelism %d < 0", c.Parallelism)
 	}
-	if c.L1.PeriodSeconds < c.L0.PeriodSeconds ||
-		modRem(c.L1.PeriodSeconds, c.L0.PeriodSeconds) != 0 {
-		return fmt.Errorf("core: T_L1 %v must be a multiple of T_L0 %v", c.L1.PeriodSeconds, c.L0.PeriodSeconds)
+	if c.L1.PeriodSeconds < controller.PeriodL0 ||
+		modRem(c.L1.PeriodSeconds, controller.PeriodL0) != 0 {
+		return fmt.Errorf("core: T_L1 %v must be a multiple of T_L0 %v", c.L1.PeriodSeconds, controller.PeriodL0)
 	}
 	if c.L2.PeriodSeconds < c.L1.PeriodSeconds ||
 		modRem(c.L2.PeriodSeconds, c.L1.PeriodSeconds) != 0 {
@@ -345,15 +327,15 @@ func (s *ArtifactStore) NewManager(spec cluster.Spec, cfg Config) (_ *Manager, e
 			}
 			asm.l0s = append(asm.l0s, l0)
 		}
-		asm.cEst, err = forecast.NewEWMA(cfg.CHatSmoothing)
+		asm.cEst, err = forecast.NewEWMA(forecast.CHatSmoothing)
 		if err != nil {
 			return nil, err
 		}
-		asm.band, err = forecast.NewBand(cfg.BandSmoothing)
+		asm.band, err = forecast.NewBand(forecast.BandSmoothing)
 		if err != nil {
 			return nil, err
 		}
-		asm.band0, err = forecast.NewBand(cfg.BandSmoothing)
+		asm.band0, err = forecast.NewBand(forecast.BandSmoothing)
 		if err != nil {
 			return nil, err
 		}

@@ -11,6 +11,10 @@ import (
 	"hierctl/internal/workload"
 )
 
+// TunePrefixFrac is the fraction of a trace used to tune the Kalman
+// filters before the run (§4.3) when no calibration is given.
+const TunePrefixFrac float64 = 0.15
+
 // SessionConfig parameterizes an incremental run of the hierarchy.
 //
 // Online operation supplies BinSeconds (the cadence observations will
@@ -112,7 +116,7 @@ func (m *Manager) NewSession(store *workload.Store, sc SessionConfig) (*Session,
 		}
 		binStep, start0 = sc.Trace.Step, sc.Trace.Start
 	}
-	tl0 := m.cfg.L0.PeriodSeconds
+	tl0 := controller.PeriodL0
 	sub, err := series.SubSteps(binStep, tl0)
 	if err != nil {
 		return nil, fmt.Errorf("core: trace bin %vs is not a multiple of T_L0 %vs", binStep, tl0)
@@ -141,7 +145,7 @@ func (m *Manager) NewSession(store *workload.Store, sc SessionConfig) (*Session,
 	// the Q/R ratios, which are scale-invariant across aggregation levels.
 	cal := sc.Calibration
 	if cal == nil && sc.Trace != nil {
-		prefixBins := int(float64(sc.Trace.Len()) * m.cfg.TunePrefixFrac)
+		prefixBins := int(float64(sc.Trace.Len()) * TunePrefixFrac)
 		cal = sc.Trace.Values[:prefixBins]
 	}
 	ql, qt, ro := 1.0, 0.1, 10.0 // fallback prior
@@ -170,7 +174,7 @@ func (m *Manager) NewSession(store *workload.Store, sc SessionConfig) (*Session,
 	if m.kalmanG, err = newKalman(); err != nil {
 		return nil, err
 	}
-	if m.bandG, err = forecast.NewBand(m.cfg.BandSmoothing); err != nil {
+	if m.bandG, err = forecast.NewBand(forecast.BandSmoothing); err != nil {
 		return nil, err
 	}
 
@@ -185,7 +189,7 @@ func (m *Manager) NewSession(store *workload.Store, sc SessionConfig) (*Session,
 		Failures:      m.failures,
 		Chaos:         m.chaos,
 		Recorder:      m.recorder,
-		QoSTarget:     m.cfg.L0.TargetResponse,
+		QoSTarget:     controller.TargetResponse,
 	}, store, r)
 	if err != nil {
 		return nil, err
@@ -217,7 +221,7 @@ func (r *run) initPolicy(plant *cluster.Plant) error {
 	}
 
 	r.rec = &Record{
-		TargetResponse: m.cfg.L0.TargetResponse,
+		TargetResponse: controller.TargetResponse,
 		LearnTime:      m.learnTime,
 	}
 	if r.trace != nil {

@@ -132,7 +132,7 @@ func TestStreamingSessionMatchesBatchRun(t *testing.T) {
 	}
 	onlineMgr.InjectFailure(600, 0, 0)
 	onlineMgr.InjectRepair(1200, 0, 0)
-	prefix := int(float64(trace.Len()) * cfg.TunePrefixFrac)
+	prefix := int(float64(trace.Len()) * TunePrefixFrac)
 	sess, err := onlineMgr.NewSession(testStore(t), SessionConfig{
 		BinSeconds:  trace.Step,
 		Start:       trace.Start,

@@ -37,6 +37,10 @@ import (
 	"hierctl/internal/workload"
 )
 
+// DefaultDrainSeconds is the drain every policy runs with by default: five
+// minutes past the last tick, so in-flight requests complete.
+const DefaultDrainSeconds float64 = 300
+
 // Config parameterizes a Harness. PeriodSeconds is the control-tick width
 // (the finest cadence any level of the policy decides at); BinSeconds must
 // be an integer multiple of it.

@@ -164,7 +164,7 @@ func TestFleetOnlineMatchesBatchRun(t *testing.T) {
 		StoreSeed:   3,
 		BinSeconds:  trace.Step,
 		Start:       trace.Start,
-		Calibration: trace.Values[:int(float64(trace.Len())*cfg.TunePrefixFrac)],
+		Calibration: trace.Values[:int(float64(trace.Len())*core.TunePrefixFrac)],
 	}
 	batchMgr, err := core.NewManager(spec, cfg)
 	if err != nil {

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"hierctl/internal/cluster"
+	"hierctl/internal/controller"
 )
 
 // fuzzSeedLogs builds the seed inputs for FuzzSnapshotRestore: valid
@@ -164,10 +165,10 @@ func fuzzSafeShape(s tenantSnap) bool {
 			}
 		}
 	}
-	if !finite(c.BinSeconds, c.Start, c.Core.L0.PeriodSeconds, c.Core.DrainSeconds) {
+	if !finite(c.BinSeconds, c.Start, c.Core.DrainSeconds) {
 		return false
 	}
-	if c.Core.L0.PeriodSeconds > 0 && c.BinSeconds/c.Core.L0.PeriodSeconds > 8 {
+	if c.BinSeconds/controller.PeriodL0 > 8 {
 		return false
 	}
 	if c.Core.L0.Horizon > 3 || c.Core.DrainSeconds > 900 {
@@ -207,7 +208,7 @@ func fuzzSafeShape(s tenantSnap) bool {
 			return false
 		}
 	}
-	if c.Store.Objects > 5000 || c.Store.HistoryCap > 65536 || c.TelemetryRecords > 4096 || len(c.Failures) > 16 {
+	if c.Store.Objects > 5000 || c.TelemetryRecords > 4096 || len(c.Failures) > 16 {
 		return false
 	}
 	return true

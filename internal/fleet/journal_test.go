@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -835,5 +836,92 @@ func TestParentJournalRecovers(t *testing.T) {
 				t.Errorf("compacted log is %d bytes (err %v), want less than the parent layout's %d", st.Size(), err, len(data))
 			}
 		})
+	}
+}
+
+// TestTenantConfigFields pins the persisted schema: every settable leaf of
+// TenantConfig, walked through structs and slices of structs, is a value
+// every base frame carries. A new knob must be added here on purpose, and
+// earn its field: a binary, an example, an experiment table or a behaviour
+// test sets it to a value other than its default and depends on it. The
+// paper's fixed parameters are constants instead.
+func TestTenantConfigFields(t *testing.T) {
+	want := []string{
+		"BinSeconds",
+		"Calibration",
+		"Core.DefaultCHat",
+		"Core.DrainSeconds",
+		"Core.GMap.CMax",
+		"Core.GMap.CMin",
+		"Core.GMap.CStep",
+		"Core.GMap.LambdaMax",
+		"Core.GMap.LambdaStep",
+		"Core.GMap.QMax",
+		"Core.GMap.QStep",
+		"Core.GMap.SubSteps",
+		"Core.L0.Horizon",
+		"Core.L1.MinOn",
+		"Core.L1.NeighbourDepth",
+		"Core.L1.NonNegativeCosts",
+		"Core.L1.PeriodSeconds",
+		"Core.L1.Quantum",
+		"Core.L1.SwitchWeight",
+		"Core.L1.UncertaintySamples",
+		"Core.L2.EnumLimit",
+		"Core.L2.NeighbourDepth",
+		"Core.L2.NonNegativeCosts",
+		"Core.L2.PeriodSeconds",
+		"Core.L2.Quantum",
+		"Core.L2.UncertaintySamples",
+		"Core.ModuleSim.CLevels",
+		"Core.ModuleSim.LambdaLevels",
+		"Core.ModuleSim.QLevels",
+		"Core.ModuleSim.Tree.MaxDepth",
+		"Core.ModuleSim.Tree.MinLeaf",
+		"Core.OracleForecast",
+		"Core.Parallelism",
+		"Core.RecordFrequencies",
+		"Core.Seed",
+		"Failures[].At",
+		"Failures[].Comp",
+		"Failures[].Module",
+		"Failures[].Repair",
+		"Spec.Modules[].Computers[].BootDelaySeconds",
+		"Spec.Modules[].Computers[].FrequenciesHz",
+		"Spec.Modules[].Computers[].Name",
+		"Spec.Modules[].Computers[].Power.Base",
+		"Spec.Modules[].Computers[].Power.SwitchCost",
+		"Spec.Modules[].Computers[].SpeedFactor",
+		"Spec.Modules[].Name",
+		"Start",
+		"Store.LocalityProb",
+		"Store.Objects",
+		"Store.PopularCount",
+		"Store.TailAlpha",
+		"Store.TailCap",
+		"Store.TailFrac",
+		"StoreSeed",
+		"TelemetryRecords",
+	}
+	var got []string
+	var walk func(reflect.Type, string)
+	walk = func(typ reflect.Type, path string) {
+		switch {
+		case typ.Kind() == reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				if f := typ.Field(i); f.IsExported() {
+					walk(f.Type, path+"."+f.Name)
+				}
+			}
+		case typ.Kind() == reflect.Slice && typ.Elem().Kind() == reflect.Struct:
+			walk(typ.Elem(), path+"[]")
+		default:
+			got = append(got, path[1:])
+		}
+	}
+	walk(reflect.TypeOf(TenantConfig{}), "")
+	slices.Sort(got)
+	if !slices.Equal(got, want) {
+		t.Errorf("TenantConfig has %d leaves, want %d:\n got %q\nwant %q", len(got), len(want), got, want)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"hierctl/internal/cluster"
+	"hierctl/internal/controller"
 	"hierctl/internal/core"
 	"hierctl/internal/des"
 	"hierctl/internal/obs"
@@ -200,7 +201,7 @@ func newTenant(id string, tc TenantConfig, artifacts *core.ArtifactStore) (_ *te
 		cfg:  tc,
 		mgr:  mgr,
 		sess: sess,
-		sub:  int(tc.BinSeconds/tc.Core.L0.PeriodSeconds + 0.5),
+		sub:  int(tc.BinSeconds/controller.PeriodL0 + 0.5),
 	}, nil
 }
 

@@ -6,6 +6,14 @@ import (
 	"hierctl/internal/ckpt"
 )
 
+// The smoothing constants the controllers run their estimators with.
+const (
+	// CHatSmoothing is π of the processing-time EWMA (paper §4.3: 0.1).
+	CHatSmoothing float64 = 0.1
+	// BandSmoothing is the uncertainty band's smoothing constant.
+	BandSmoothing float64 = 0.25
+)
+
 // EWMA is the exponentially weighted moving-average filter the paper uses
 // for processing-time estimation: ĉ(k+1) = π·c(k) + (1−π)·ĉ(k−1) with
 // smoothing constant π (the paper uses π = 0.1). Construct with NewEWMA.

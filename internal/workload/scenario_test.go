@@ -212,7 +212,7 @@ func TestHeavyTailStore(t *testing.T) {
 		if d > cfg.TailCap {
 			t.Fatalf("object %d demand %v exceeds cap %v", i, d, cfg.TailCap)
 		}
-		if d > cfg.MaxDemand {
+		if d > MaxDemand {
 			tail++
 		}
 	}
@@ -242,7 +242,7 @@ func TestStoreConfigTailValidation(t *testing.T) {
 	bad = base
 	bad.TailFrac = 0.1
 	bad.TailAlpha = 1.3
-	bad.TailCap = base.MaxDemand / 2
+	bad.TailCap = MaxDemand / 2
 	if err := bad.Validate(); err == nil {
 		t.Error("tail cap below max demand should not validate")
 	}

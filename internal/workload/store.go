@@ -44,6 +44,32 @@ import (
 	"hierctl/internal/des"
 )
 
+// The virtual store's fixed parameters (§4.3).
+const (
+	// PopularShare is the fraction of requests served by the popular
+	// partition (paper: 0.9).
+	PopularShare float64 = 0.9
+	// MinDemand and MaxDemand bound per-object full-speed processing
+	// times in seconds (paper: 10–25 ms).
+	MinDemand float64 = 0.010
+	MaxDemand float64 = 0.025
+	// DefaultCHat is the processing-time prior a controller uses until
+	// its estimator has observations: the demand range's midpoint.
+	DefaultCHat float64 = 0.0175
+	// ZipfS is the Zipf exponent used within each partition (> 1 as
+	// required by math/rand; web workloads are near 1).
+	ZipfS float64 = 1.1
+	// LogSigma is the σ of the lognormal stack distance of temporal
+	// locality (§4.3 cites Barford & Crovella); LogMu is its μ.
+	LogSigma float64 = 1.5
+	// HistoryCap bounds the locality history length.
+	HistoryCap = 4096
+)
+
+// LogMu is the μ of the lognormal stack distance, ln 50: a variable, as
+// math.Log is not a constant expression.
+var LogMu = math.Log(50)
+
 // Store is the virtual object store of §4.3: Objects objects whose
 // individual processing times are drawn uniformly from [MinDemand,
 // MaxDemand]; a "popular" prefix of PopularCount objects receives
@@ -63,27 +89,21 @@ import (
 //
 // Construct with NewStore.
 type Store struct {
-	objects   int
-	minDemand float64
-	spread    float64
-	strides   []des.State
-	demands   []float64
+	objects int
+	strides []des.State
+	demands []float64
 
 	popularCount int
-	popularShare float64
 
 	// stream is what the popularity samplers draw from, past the demands.
 	stream   *des.Stream
 	popZipf  *rand.Zipf
 	rareZipf *rand.Zipf
 
-	// Temporal locality parameters. The history holds object ids as
-	// int32 (Validate bounds Objects), half the resident bytes of []int.
-	localProb  float64
-	logMu      float64
-	logSigma   float64
-	history    []int32
-	historyCap int
+	// Temporal locality state. The history holds object ids as int32
+	// (Validate bounds Objects), half the resident bytes of []int.
+	localProb float64
+	history   []int32
 }
 
 // StoreConfig parameterizes NewStore. The zero value is not valid; use
@@ -93,23 +113,9 @@ type StoreConfig struct {
 	Objects int
 	// PopularCount is the size of the popular partition (paper: 1000).
 	PopularCount int
-	// PopularShare is the fraction of requests served by the popular
-	// partition (paper: 0.9).
-	PopularShare float64
-	// MinDemand and MaxDemand bound per-object full-speed processing
-	// times in seconds (paper: 10–25 ms).
-	MinDemand, MaxDemand float64
-	// ZipfS is the Zipf exponent used within each partition (> 1 as
-	// required by math/rand; web workloads are near 1).
-	ZipfS float64
 	// LocalityProb is the probability a request re-references a recently
 	// requested object instead of sampling by popularity.
 	LocalityProb float64
-	// LogMu and LogSigma parameterize the lognormal stack distance of
-	// temporal locality (§4.3 cites Barford & Crovella).
-	LogMu, LogSigma float64
-	// HistoryCap bounds the locality history length.
-	HistoryCap int
 	// TailFrac, when positive, mixes a heavy tail into the demand draws:
 	// each object independently has its full-speed processing time drawn
 	// from a truncated Pareto distribution (scale MaxDemand, shape
@@ -129,14 +135,7 @@ func DefaultStoreConfig() StoreConfig {
 	return StoreConfig{
 		Objects:      10000,
 		PopularCount: 1000,
-		PopularShare: 0.9,
-		MinDemand:    0.010,
-		MaxDemand:    0.025,
-		ZipfS:        1.1,
 		LocalityProb: 0.3,
-		LogMu:        math.Log(50),
-		LogSigma:     1.5,
-		HistoryCap:   4096,
 	}
 }
 
@@ -148,23 +147,8 @@ func (c StoreConfig) Validate() error {
 	if c.PopularCount <= 0 || c.PopularCount > c.Objects {
 		return fmt.Errorf("workload: popular count %d outside (0, %d]", c.PopularCount, c.Objects)
 	}
-	if c.PopularShare < 0 || c.PopularShare > 1 {
-		return fmt.Errorf("workload: popular share %v outside [0, 1]", c.PopularShare)
-	}
-	if c.MinDemand <= 0 || c.MaxDemand < c.MinDemand {
-		return fmt.Errorf("workload: demand range [%v, %v] invalid", c.MinDemand, c.MaxDemand)
-	}
-	if c.ZipfS <= 1 {
-		return fmt.Errorf("workload: zipf exponent %v must be > 1", c.ZipfS)
-	}
 	if c.LocalityProb < 0 || c.LocalityProb >= 1 {
 		return fmt.Errorf("workload: locality probability %v outside [0, 1)", c.LocalityProb)
-	}
-	if c.LogSigma < 0 {
-		return fmt.Errorf("workload: lognormal sigma %v < 0", c.LogSigma)
-	}
-	if c.HistoryCap < 1 {
-		return fmt.Errorf("workload: history cap %d < 1", c.HistoryCap)
 	}
 	if c.TailFrac < 0 || c.TailFrac >= 1 {
 		return fmt.Errorf("workload: tail fraction %v outside [0, 1)", c.TailFrac)
@@ -173,8 +157,8 @@ func (c StoreConfig) Validate() error {
 		if c.TailAlpha <= 0 {
 			return fmt.Errorf("workload: tail alpha %v <= 0", c.TailAlpha)
 		}
-		if c.TailCap < c.MaxDemand {
-			return fmt.Errorf("workload: tail cap %v below max demand %v", c.TailCap, c.MaxDemand)
+		if c.TailCap < MaxDemand {
+			return fmt.Errorf("workload: tail cap %v below max demand %v", c.TailCap, MaxDemand)
 		}
 	}
 	return nil
@@ -188,17 +172,11 @@ func NewStore(stream *des.Stream, cfg StoreConfig) (*Store, error) {
 	}
 	s := &Store{
 		objects:      cfg.Objects,
-		minDemand:    cfg.MinDemand,
-		spread:       cfg.MaxDemand - cfg.MinDemand,
 		popularCount: cfg.PopularCount,
-		popularShare: cfg.PopularShare,
 		localProb:    cfg.LocalityProb,
-		logMu:        cfg.LogMu,
-		logSigma:     cfg.LogSigma,
-		historyCap:   cfg.HistoryCap,
 		// remember appends one past the cap before it drops the oldest
 		// half, so this is the history's final size: no growth later.
-		history: make([]int32, 0, cfg.HistoryCap+1),
+		history: make([]int32, 0, HistoryCap+1),
 		stream:  stream,
 	}
 	origin := *stream
@@ -213,10 +191,10 @@ func NewStore(stream *des.Stream, cfg StoreConfig) (*Store, error) {
 			s.strides[i] = from.Jump(uint64(i) << 8)
 		}
 	}
-	s.popZipf = rand.NewZipf(rng, cfg.ZipfS, 1, uint64(cfg.PopularCount-1))
+	s.popZipf = rand.NewZipf(rng, ZipfS, 1, uint64(cfg.PopularCount-1))
 	rare := cfg.Objects - cfg.PopularCount
 	if rare > 0 {
-		s.rareZipf = rand.NewZipf(rng, cfg.ZipfS, 1, uint64(rare-1))
+		s.rareZipf = rand.NewZipf(rng, ZipfS, 1, uint64(rare-1))
 	}
 	return s, nil
 }
@@ -243,12 +221,12 @@ func oneDrawEach(stream *des.Stream, n int) bool {
 func drawDemands(rng *rand.Rand, cfg StoreConfig) []float64 {
 	demands := make([]float64, cfg.Objects)
 	for i := range demands {
-		demands[i] = cfg.MinDemand + rng.Float64()*(cfg.MaxDemand-cfg.MinDemand)
+		demands[i] = MinDemand + rng.Float64()*(MaxDemand-MinDemand)
 		if cfg.TailFrac > 0 && rng.Float64() < cfg.TailFrac {
 			// Truncated Pareto tail: scale MaxDemand, shape TailAlpha.
 			// (1 - U) is in (0, 1], so the draw is finite; U = 0 lands
 			// exactly on the scale.
-			d := cfg.MaxDemand * math.Pow(1-rng.Float64(), -1/cfg.TailAlpha)
+			d := MaxDemand * math.Pow(1-rng.Float64(), -1/cfg.TailAlpha)
 			if d > cfg.TailCap {
 				d = cfg.TailCap
 			}
@@ -270,7 +248,7 @@ func (s *Store) Demand(id int) float64 {
 		panic("workload: object id out of range")
 	}
 	n := uint64(id) + 1 // arriving at state n draws object n-1's value
-	return s.minDemand + unitFloat(s.strides[n>>8].Jump(n&0xff).Output())*s.spread
+	return MinDemand + unitFloat(s.strides[n>>8].Jump(n&0xff).Output())*(MaxDemand-MinDemand)
 }
 
 // Sample draws the next requested object id, honouring temporal locality
@@ -278,9 +256,9 @@ func (s *Store) Demand(id int) float64 {
 func (s *Store) Sample(rng *rand.Rand) int {
 	if len(s.history) > 0 && rng.Float64() < s.localProb {
 		// Lognormal stack distance into the recent-history buffer, compared
-		// before it is truncated: a distance past the history — +Inf or NaN
-		// under an extreme LogMu included — has no int to convert to.
-		d := math.Exp(s.logMu + s.logSigma*rng.NormFloat64())
+		// before it is truncated: a distance past the history may have no
+		// int to convert to.
+		d := math.Exp(LogMu + LogSigma*rng.NormFloat64())
 		if d < float64(len(s.history)) {
 			id := int(s.history[len(s.history)-1-int(d)])
 			s.remember(id)
@@ -288,7 +266,7 @@ func (s *Store) Sample(rng *rand.Rand) int {
 		}
 	}
 	var id int
-	if s.rareZipf == nil || rng.Float64() < s.popularShare {
+	if s.rareZipf == nil || rng.Float64() < PopularShare {
 		id = int(s.popZipf.Uint64())
 	} else {
 		id = s.popularCount + int(s.rareZipf.Uint64())
@@ -299,9 +277,9 @@ func (s *Store) Sample(rng *rand.Rand) int {
 
 func (s *Store) remember(id int) {
 	s.history = append(s.history, int32(id))
-	if len(s.history) > s.historyCap {
+	if len(s.history) > HistoryCap {
 		// Drop the oldest half to amortize the copy.
-		keep := s.historyCap / 2
+		keep := HistoryCap / 2
 		copy(s.history, s.history[len(s.history)-keep:])
 		s.history = s.history[:keep]
 	}
@@ -324,8 +302,8 @@ func (s *Store) Checkpoint(w *ckpt.Writer) {
 func (s *Store) RestoreCheckpoint(r *ckpt.Reader) {
 	s.stream.RestoreCheckpoint(r)
 	n := r.Count(1, "locality history")
-	if n > s.historyCap {
-		r.Fail("locality history of %d past its cap %d", n, s.historyCap)
+	if n > HistoryCap {
+		r.Fail("locality history of %d past its cap %d", n, HistoryCap)
 		n = 0
 	}
 	s.history = s.history[:n]

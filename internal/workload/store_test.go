@@ -18,18 +18,18 @@ func materializedStore(stream *des.Stream, cfg StoreConfig) (demands []float64, 
 	rng := rand.New(stream)
 	demands = make([]float64, cfg.Objects)
 	for i := range demands {
-		demands[i] = cfg.MinDemand + rng.Float64()*(cfg.MaxDemand-cfg.MinDemand)
+		demands[i] = MinDemand + rng.Float64()*(MaxDemand-MinDemand)
 		if cfg.TailFrac > 0 && rng.Float64() < cfg.TailFrac {
-			d := cfg.MaxDemand * math.Pow(1-rng.Float64(), -1/cfg.TailAlpha)
+			d := MaxDemand * math.Pow(1-rng.Float64(), -1/cfg.TailAlpha)
 			if d > cfg.TailCap {
 				d = cfg.TailCap
 			}
 			demands[i] = d
 		}
 	}
-	pop = rand.NewZipf(rng, cfg.ZipfS, 1, uint64(cfg.PopularCount-1))
+	pop = rand.NewZipf(rng, ZipfS, 1, uint64(cfg.PopularCount-1))
 	if n := cfg.Objects - cfg.PopularCount; n > 0 {
-		rare = rand.NewZipf(rng, cfg.ZipfS, 1, uint64(n-1))
+		rare = rand.NewZipf(rng, ZipfS, 1, uint64(n-1))
 	}
 	return demands, pop, rare
 }

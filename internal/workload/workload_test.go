@@ -30,13 +30,7 @@ func TestStoreConfigValidation(t *testing.T) {
 		func(c *StoreConfig) { c.Objects = math.MaxInt32; c.Objects++ },
 		func(c *StoreConfig) { c.PopularCount = 0 },
 		func(c *StoreConfig) { c.PopularCount = c.Objects + 1 },
-		func(c *StoreConfig) { c.PopularShare = 1.5 },
-		func(c *StoreConfig) { c.MinDemand = 0 },
-		func(c *StoreConfig) { c.MaxDemand = c.MinDemand / 2 },
-		func(c *StoreConfig) { c.ZipfS = 1.0 },
 		func(c *StoreConfig) { c.LocalityProb = 1.0 },
-		func(c *StoreConfig) { c.LogSigma = -1 },
-		func(c *StoreConfig) { c.HistoryCap = 0 },
 	}
 	for i, mutate := range mutations {
 		cfg := base
@@ -56,13 +50,13 @@ func TestStoreDemandsInRange(t *testing.T) {
 	sum := 0.0
 	for id := 0; id < s.Objects(); id++ {
 		d := s.Demand(id)
-		if d < cfg.MinDemand || d > cfg.MaxDemand {
-			t.Fatalf("Demand(%d) = %v outside [%v, %v]", id, d, cfg.MinDemand, cfg.MaxDemand)
+		if d < MinDemand || d > MaxDemand {
+			t.Fatalf("Demand(%d) = %v outside [%v, %v]", id, d, MinDemand, MaxDemand)
 		}
 		sum += d
 	}
 	mean := sum / float64(s.Objects())
-	want := (cfg.MinDemand + cfg.MaxDemand) / 2
+	want := (MinDemand + MaxDemand) / 2
 	if math.Abs(mean-want) > 0.002 {
 		t.Errorf("mean demand = %v, want ≈%v", mean, want)
 	}
@@ -81,8 +75,8 @@ func TestStorePopularPartitionDominates(t *testing.T) {
 		}
 	}
 	frac := float64(popular) / n
-	if math.Abs(frac-cfg.PopularShare) > 0.02 {
-		t.Errorf("popular fraction = %v, want ≈%v", frac, cfg.PopularShare)
+	if math.Abs(frac-PopularShare) > 0.02 {
+		t.Errorf("popular fraction = %v, want ≈%v", frac, PopularShare)
 	}
 }
 
@@ -549,14 +543,14 @@ func TestStoreHistoryAllocatedOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := cap(store.history); got != cfg.HistoryCap+1 {
-		t.Fatalf("history capacity %d after NewStore, want %d", got, cfg.HistoryCap+1)
+	if got := cap(store.history); got != HistoryCap+1 {
+		t.Fatalf("history capacity %d after NewStore, want %d", got, HistoryCap+1)
 	}
 	rng := rand.New(rand.NewSource(4))
-	for i := 0; i < 3*cfg.HistoryCap; i++ {
+	for i := 0; i < 3*HistoryCap; i++ {
 		store.Sample(rng)
 	}
-	if got := cap(store.history); got != cfg.HistoryCap+1 {
-		t.Fatalf("history capacity grew to %d, want %d", got, cfg.HistoryCap+1)
+	if got := cap(store.history); got != HistoryCap+1 {
+		t.Fatalf("history capacity grew to %d, want %d", got, HistoryCap+1)
 	}
 }

@@ -57,7 +57,7 @@ func RunLLCBench(decisions int) (LLCBenchSnapshot, error) {
 		if err != nil {
 			return LLCBenchSnapshot{}, err
 		}
-		models[i], err = controller.NewL0Model(cfg, spec)
+		models[i], err = controller.NewL0Model(spec)
 		if err != nil {
 			return LLCBenchSnapshot{}, err
 		}
