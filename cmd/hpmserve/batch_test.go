@@ -1,9 +1,11 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -311,12 +313,51 @@ func TestServerRejectsTrailingInput(t *testing.T) {
 		t.Errorf("tenant a bins = %v, want 2", bins)
 	}
 
-	// The body caps still hold, read through the same MaxBytesReader.
+	// The body caps still hold, whether the body declares its length or
+	// arrives chunked, of unknown length.
 	for path, limit := range map[string]int{"/v1/tenants/a/observe": maxBodyBytes, "/v1/observe:batch": maxBatchBodyBytes} {
 		resp := doJSON(t, h, http.MethodPost, path, strings.Repeat(" ", limit)+observe, http.StatusBadRequest)
 		if msg, _ := resp["error"].(string); !strings.Contains(msg, "request body too large") {
 			t.Errorf("POST %s over the body cap: error %q", path, msg)
 		}
+		req := httptest.NewRequest(http.MethodPost, path, io.MultiReader(strings.NewReader(strings.Repeat(" ", limit)), strings.NewReader(observe)))
+		req.TransferEncoding = []string{"chunked"}
+		if req.ContentLength != -1 {
+			t.Fatalf("chunked request declares %d bytes", req.ContentLength)
+		}
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, req)
+		if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "request body too large") {
+			t.Errorf("chunked POST %s over the body cap = %d %s", path, w.Code, w.Body.String())
+		}
+	}
+	if bins := tenantBins(t, h, "a"); bins != 2 {
+		t.Errorf("tenant a bins = %v after oversized bodies, want 2", bins)
+	}
+
+	// A body running past its declared Content-Length is read only up to
+	// it: the bytes after belong to the connection, not to the request,
+	// so a body that would be trailing input if read whole still applies.
+	srv := httptest.NewServer(h)
+	t.Cleanup(srv.Close)
+	for path, body := range map[string]string{"/v1/tenants/a/observe": observe, "/v1/observe:batch": batch} {
+		conn, err := net.Dial("tcp", srv.Listener.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(conn, "POST %s HTTP/1.1\r\nHost: x\r\nConnection: close\r\nContent-Length: %d\r\n\r\n%s%s", path, len(body), body, body)
+		resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reply, _ := io.ReadAll(resp.Body)
+		conn.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("POST %s with bytes past its Content-Length = %d %s, want 200", path, resp.StatusCode, reply)
+		}
+	}
+	if bins := tenantBins(t, h, "a"); bins != 4 {
+		t.Errorf("tenant a bins = %v, want 4: one per over-long request", bins)
 	}
 }
 

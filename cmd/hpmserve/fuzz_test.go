@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -67,4 +68,51 @@ func sameBatchReq(a, b *batchReq) bool {
 		}
 	}
 	return true
+}
+
+// FuzzObserveDecode is the differential test of parseObserve, the strict
+// fast decoder of single-bin /observe bodies. For any body: when the fast
+// path accepts it, json.Unmarshal into observeReq accepts it too, to the
+// same float64 bit for bit; and the handler answers it with the same
+// status and reply as a twin that decodes with json.Unmarshal alone. The
+// fleet call is a stub echoing the count into the decision, so a reply is
+// a pure function of the decoded count. The committed corpus
+// (testdata/fuzz/FuzzObserveDecode) holds the edges of the compact shape:
+// -0, a number out of range, a leading zero, a bare or leading point, key
+// case, null, a duplicate key and trailing whitespace.
+func FuzzObserveDecode(f *testing.F) {
+	fl := hierctl.NewFleet(hierctl.FleetConfig{Shards: 1})
+	f.Cleanup(fl.Close)
+	sv := newServer(fl, 0)
+	sv.observeInto = func(id string, count float64, dst *hierctl.BinDecision) error {
+		*dst = hierctl.BinDecision{Time: count}
+		return nil
+	}
+	h := sv.routes()
+	const path = "/v1/tenants/a/observe"
+	twin := func(body []byte) (int, string) {
+		w := httptest.NewRecorder()
+		var req observeReq
+		sc := newObserveScratch()
+		if err := decodeBody(w, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)), maxBodyBytes, &sc.body, &req); err != nil {
+			writeError(w, err)
+		} else {
+			sv.observeCount(w, "a", req.Count, sc)
+		}
+		return w.Code, w.Body.String()
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		if count, ok := parseObserve(body); ok {
+			var req observeReq
+			if err := json.Unmarshal(body, &req); err != nil || math.Float64bits(req.Count) != math.Float64bits(count) {
+				t.Fatalf("%q: the fast path decoded %v (%#x), json.Unmarshal %v (%#x), %v",
+					body, count, math.Float64bits(count), req.Count, math.Float64bits(req.Count), err)
+			}
+		}
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		if wantCode, wantReply := twin(body); w.Code != wantCode || w.Body.String() != wantReply {
+			t.Fatalf("%q: the handler answered %d %s, a json.Unmarshal-only twin %d %s", body, w.Code, w.Body.String(), wantCode, wantReply)
+		}
+	})
 }

@@ -593,3 +593,77 @@ func TestServerArtifactSharing(t *testing.T) {
 		t.Fatalf("run (second boot): %v", err)
 	}
 }
+
+// TestTenantRoutes pins handleTenant's routing table: for each path under
+// /v1/tenants/ and each method, the status it answers. Only {id} (GET,
+// DELETE), {id}/state and {id}/telemetry (GET) and {id}/observe (POST)
+// route; an empty id, an empty or unknown sub-resource, a deeper path or
+// another method is a 404, as is every route for an unknown tenant. The
+// rows run in order: the DELETEs come last, the first of them closing a.
+func TestTenantRoutes(t *testing.T) {
+	h, f := testHandler(t)
+	createFastTenant(t, h, "a")
+	const observe = `{"count":100}`
+	for _, c := range []struct {
+		method, path, body string
+		want               int
+	}{
+		{http.MethodPost, "/v1/tenants/a/observe", observe, http.StatusOK},
+		{http.MethodGet, "/v1/tenants/a", "", http.StatusOK},
+		{http.MethodGet, "/v1/tenants/a/state", "", http.StatusOK},
+		{http.MethodGet, "/v1/tenants/a/telemetry", "", http.StatusOK},
+		{http.MethodGet, "/v1/tenants/a/", "", http.StatusNotFound},
+		{http.MethodPost, "/v1/tenants/a/", observe, http.StatusNotFound},
+		{http.MethodDelete, "/v1/tenants/a/", "", http.StatusNotFound},
+		{http.MethodGet, "/v1/tenants/", "", http.StatusNotFound},
+		{http.MethodPost, "/v1/tenants//observe", observe, http.StatusMovedPermanently},
+		{http.MethodPost, "/v1/tenants/a/observe/x", observe, http.StatusNotFound},
+		{http.MethodPost, "/v1/tenants/a/observe/", observe, http.StatusNotFound},
+		{http.MethodGet, "/v1/tenants/a/state/x", "", http.StatusNotFound},
+		{http.MethodGet, "/v1/tenants/a/observe", "", http.StatusNotFound},
+		{http.MethodPut, "/v1/tenants/a/observe", observe, http.StatusNotFound},
+		{http.MethodPost, "/v1/tenants/a/state", observe, http.StatusNotFound},
+		{http.MethodPost, "/v1/tenants/a/telemetry", observe, http.StatusNotFound},
+		{http.MethodPost, "/v1/tenants/a", observe, http.StatusNotFound},
+		{http.MethodPut, "/v1/tenants/a", observe, http.StatusNotFound},
+		{http.MethodPost, "/v1/tenants/a/Observe", observe, http.StatusNotFound},
+		{http.MethodPost, "/v1/tenants/a/unknown", observe, http.StatusNotFound},
+		{http.MethodDelete, "/v1/tenants/a/state", "", http.StatusNotFound},
+		{http.MethodDelete, "/v1/tenants/a/telemetry", "", http.StatusNotFound},
+		{http.MethodDelete, "/v1/tenants/a/observe", "", http.StatusNotFound},
+		{http.MethodPost, "/v1/tenants/b/observe", observe, http.StatusNotFound},
+		{http.MethodGet, "/v1/tenants/b", "", http.StatusNotFound},
+		{http.MethodGet, "/v1/tenants/b/state", "", http.StatusNotFound},
+		{http.MethodGet, "/v1/tenants/b/telemetry", "", http.StatusNotFound},
+		{http.MethodDelete, "/v1/tenants/b", "", http.StatusNotFound},
+		{http.MethodDelete, "/v1/tenants/a", "", http.StatusOK},
+		{http.MethodDelete, "/v1/tenants/a", "", http.StatusNotFound},
+		{http.MethodGet, "/v1/tenants/a", "", http.StatusNotFound},
+		{http.MethodPost, "/v1/tenants/a/observe", observe, http.StatusNotFound},
+	} {
+		var body io.Reader
+		if c.body != "" {
+			body = strings.NewReader(c.body)
+		}
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(c.method, c.path, body))
+		if w.Code != c.want {
+			t.Errorf("%s %s = %d, want %d (body %.120s)", c.method, c.path, w.Code, c.want, w.Body.String())
+		}
+	}
+
+	// The mux redirects a path with an empty segment to its cleaned form;
+	// reached without the mux, the handler refuses the empty id itself —
+	// even with a tenant named like the segment after it.
+	createFastTenant(t, h, "observe")
+	sv := newServer(f, 0)
+	for _, path := range []string{"/v1/tenants//observe", "/v1/tenants/", "/v1/tenants//"} {
+		for _, method := range []string{http.MethodGet, http.MethodPost, http.MethodDelete} {
+			w := httptest.NewRecorder()
+			sv.handleTenant(w, httptest.NewRequest(method, path, strings.NewReader(observe)))
+			if w.Code != http.StatusNotFound {
+				t.Errorf("handleTenant %s %s = %d, want 404", method, path, w.Code)
+			}
+		}
+	}
+}

@@ -38,9 +38,12 @@ type server struct {
 	// fleet's ObserveBatchInto, overridable so tests can force deterministic
 	// queue-full responses.
 	batch func(dst []hierctl.BatchResult, entries []hierctl.BatchEntry, decisions bool) ([]hierctl.BatchResult, error)
+	// observeInto performs the single-bin /observe step; defaults to the
+	// fleet's ObserveInto, overridable so tests can stub the fleet out.
+	observeInto func(id string, count float64, dst *hierctl.BinDecision) error
 	// scratch pools the /v1/observe:batch request state (*batchScratch) and
-	// bodies the other POST endpoints' body buffers (*bytes.Buffer).
-	scratch, bodies sync.Pool
+	// observes the single-bin /observe state (*observeScratch).
+	scratch, observes sync.Pool
 	// telemetryRecords sizes each new tenant's flight recorder (0 turns
 	// recording off and empties the telemetry endpoint, the per-level
 	// decision histograms and the tick counters).
@@ -74,7 +77,8 @@ type server struct {
 	artifacts      *metrics.GaugeVec
 	artifactLearns *metrics.CounterVec
 	artifactShares *metrics.CounterVec
-	// Wall-clock latency of the single-bin /observe calls, fleet-wide.
+	// Wall-clock latency of the fleet call in single-bin /observe requests
+	// (shard-queue wait + step), fleet-wide.
 	observeLatency metrics.FixedHistogram
 	// The fleet's step-time fold of the tenants' flight recorders, set from
 	// Fleet.TelemetrySummary at scrape time: fleet-wide totals, the
@@ -163,8 +167,9 @@ func newServer(f *hierctl.Fleet, telemetryRecords int) *server {
 	s.artifactShares = mustCounter("hpmserve_artifact_shares_total",
 		"Tenant constructions served an artifact the fleet already held instead of learning it.", "kind")
 	s.batch = f.ObserveBatchInto
+	s.observeInto = f.ObserveInto
 	s.observeLatency = mustHistogram("hpmserve_observe_seconds",
-		"Wall-clock latency of /observe calls (decode + shard step) across tenants.",
+		"Wall-clock latency of the fleet call in single-bin /observe requests (shard-queue wait + step), across tenants.",
 		[]float64{1e-4, 1e-3, 1e-2, 0.1, 1, 10}).With()
 	s.qosViolations = mustCounter("hpmserve_qos_violations_total",
 		"Control periods whose interval mean response exceeded the target, across tenants.").With()
@@ -344,12 +349,8 @@ func writeError(w http.ResponseWriter, err error) {
 // and unmarshals it into v. The body must be exactly one JSON value:
 // anything but whitespace after it is an error, never silently dropped.
 func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, buf *bytes.Buffer, v any) error {
-	buf.Reset()
-	if n := r.ContentLength; n > 0 && n <= limit {
-		buf.Grow(int(n) + bytes.MinRead) // ReadFrom wants MinRead spare to see EOF
-	}
-	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit)); err != nil {
-		return fmt.Errorf("decode request: %w", err)
+	if err := readBody(w, r, limit, buf); err != nil {
+		return err
 	}
 	if err := json.Unmarshal(buf.Bytes(), v); err != nil {
 		return fmt.Errorf("decode request: %w", err)
@@ -357,23 +358,27 @@ func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, buf *bytes.
 	return nil
 }
 
-// maxPooledBodyBytes bounds the body buffers kept for reuse; a larger one
-// (a create call with a long calibration) is left to the collector.
-const maxPooledBodyBytes = 64 << 10
-
-// decodeSmallBody is decodeBody through a pooled buffer, for the endpoints
-// whose bodies are small and whose decoded values do not outlive the call.
-func (s *server) decodeSmallBody(w http.ResponseWriter, r *http.Request, v any) error {
-	buf, _ := s.bodies.Get().(*bytes.Buffer)
-	if buf == nil {
-		buf = new(bytes.Buffer)
+// readBody reads the whole request body, at most limit bytes, into buf. A
+// body that declares a length within the limit is read as it is: net/http
+// already ends it there. One of unknown length, or declaring more, goes
+// through http.MaxBytesReader, which refuses the byte past the limit.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64, buf *bytes.Buffer) error {
+	buf.Reset()
+	body := r.Body
+	if n := r.ContentLength; n >= 0 && n <= limit {
+		buf.Grow(int(n) + bytes.MinRead) // ReadFrom wants MinRead spare to see EOF
+	} else {
+		body = http.MaxBytesReader(w, body, limit)
 	}
-	err := decodeBody(w, r, maxBodyBytes, buf, v)
-	if buf.Cap() <= maxPooledBodyBytes {
-		s.bodies.Put(buf)
+	if _, err := buf.ReadFrom(body); err != nil {
+		return fmt.Errorf("decode request: %w", err)
 	}
-	return err
+	return nil
 }
+
+// maxPooledBodyBytes bounds the observe body buffers kept for reuse; a
+// larger one is left to the collector.
+const maxPooledBodyBytes = 64 << 10
 
 // handleTenants serves the collection: POST create, GET list.
 func (s *server) handleTenants(w http.ResponseWriter, r *http.Request) {
@@ -393,7 +398,8 @@ func (s *server) handleTenants(w http.ResponseWriter, r *http.Request) {
 
 func (s *server) createTenant(w http.ResponseWriter, r *http.Request) {
 	req := createReq{ModuleSize: standardModuleSize, Seed: 1, BinSeconds: 30}
-	if err := s.decodeSmallBody(w, r, &req); err != nil {
+	var body bytes.Buffer
+	if err := decodeBody(w, r, maxBodyBytes, &body, &req); err != nil {
 		writeError(w, err)
 		return
 	}
@@ -717,44 +723,28 @@ func (s *server) observeBatch(w http.ResponseWriter, r *http.Request, sc *batchS
 	return reusable
 }
 
-// handleTenant serves one tenant: {id}/observe, {id}/state, DELETE {id}.
+// handleTenant serves one tenant: {id}/observe, {id}/state,
+// {id}/telemetry, GET and DELETE {id}.
 func (s *server) handleTenant(w http.ResponseWriter, r *http.Request) {
-	parts := strings.Split(strings.TrimPrefix(r.URL.Path, "/v1/tenants/"), "/")
-	id := parts[0]
+	id, sub, nested := strings.Cut(strings.TrimPrefix(r.URL.Path, "/v1/tenants/"), "/")
 	if id == "" {
 		http.NotFound(w, r)
 		return
 	}
 	switch {
-	case len(parts) == 2 && parts[1] == "observe" && r.Method == http.MethodPost:
-		var req observeReq
-		if err := s.decodeSmallBody(w, r, &req); err != nil {
-			writeError(w, err)
-			return
-		}
-		if err := hierctl.CheckBinCount(req.Count); err != nil {
-			writeError(w, err)
-			return
-		}
-		start := time.Now()
-		dec, err := s.fleet.Observe(id, req.Count)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		s.observeLatency.Observe(time.Since(start).Seconds())
-		writeJSON(w, http.StatusOK, dec)
-	case len(parts) == 2 && parts[1] == "telemetry" && r.Method == http.MethodGet:
+	case sub == "observe" && r.Method == http.MethodPost:
+		s.handleObserve(w, r, id)
+	case sub == "telemetry" && r.Method == http.MethodGet:
 		s.handleTelemetry(w, r, id)
-	case len(parts) == 2 && parts[1] == "state" && r.Method == http.MethodGet,
-		len(parts) == 1 && r.Method == http.MethodGet:
+	case sub == "state" && r.Method == http.MethodGet,
+		!nested && r.Method == http.MethodGet:
 		st, err := s.fleet.State(id)
 		if err != nil {
 			writeError(w, err)
 			return
 		}
 		writeJSON(w, http.StatusOK, st)
-	case len(parts) == 1 && r.Method == http.MethodDelete:
+	case !nested && r.Method == http.MethodDelete:
 		rec, err := s.fleet.CloseTenant(id)
 		if err != nil {
 			writeError(w, err)
@@ -772,6 +762,141 @@ func (s *server) handleTenant(w http.ResponseWriter, r *http.Request) {
 	default:
 		http.NotFound(w, r)
 	}
+}
+
+// observeScratch is everything one in-flight single-bin /observe needs,
+// kept from call to call so a warm call allocates nothing of its own: the
+// body bytes, the decision the fleet copies into (Fleet.ObserveInto
+// rewrites it in place once it has the tenant's width), and the reply with
+// the encoder that writes it — handed a pointer, so the decision is not
+// boxed, and encoding/json pools its own state.
+type observeScratch struct {
+	body  bytes.Buffer
+	dec   hierctl.BinDecision
+	reply bytes.Buffer
+	enc   *json.Encoder // encodes into reply
+}
+
+// handleObserve feeds one arrival bin to a tenant and answers the
+// decisions now in force, out of a pooled observeScratch. A scratch whose
+// body grew past maxPooledBodyBytes is left to the collector.
+func (s *server) handleObserve(w http.ResponseWriter, r *http.Request, id string) {
+	sc, _ := s.observes.Get().(*observeScratch)
+	if sc == nil {
+		sc = newObserveScratch()
+	}
+	if s.observe(w, r, id, sc) && sc.body.Cap() <= maxPooledBodyBytes {
+		s.observes.Put(sc)
+	}
+}
+
+// newObserveScratch returns an empty scratch with its reply encoder bound.
+func newObserveScratch() *observeScratch {
+	sc := new(observeScratch)
+	sc.enc = json.NewEncoder(&sc.reply)
+	return sc
+}
+
+// observe serves one single-bin observe out of sc and reports whether sc
+// may be used again: not once the fleet closed under the call, when an
+// abandoned shard job may still be writing sc.dec. The body is decoded by
+// parseObserve when it has the compact shape clients send, and by
+// json.Unmarshal otherwise.
+func (s *server) observe(w http.ResponseWriter, r *http.Request, id string, sc *observeScratch) (reusable bool) {
+	if err := readBody(w, r, maxBodyBytes, &sc.body); err != nil {
+		writeError(w, err)
+		return true
+	}
+	count, ok := parseObserve(sc.body.Bytes())
+	if !ok {
+		var req observeReq
+		if err := json.Unmarshal(sc.body.Bytes(), &req); err != nil {
+			writeError(w, fmt.Errorf("decode request: %w", err))
+			return true
+		}
+		count = req.Count
+	}
+	return s.observeCount(w, id, count, sc)
+}
+
+// observeCount is observe after the decode: it checks the count, steps the
+// tenant and writes the decision.
+func (s *server) observeCount(w http.ResponseWriter, id string, count float64, sc *observeScratch) (reusable bool) {
+	if err := hierctl.CheckBinCount(count); err != nil {
+		writeError(w, err)
+		return true
+	}
+	start := time.Now()
+	if err := s.observeInto(id, count, &sc.dec); err != nil {
+		writeError(w, err)
+		return !errors.Is(err, hierctl.ErrFleetClosed)
+	}
+	s.observeLatency.Observe(time.Since(start).Seconds())
+	sc.reply.Reset()
+	_ = sc.enc.Encode(&sc.dec) // as writeJSON: a value that fails to encode leaves the body empty
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(sc.reply.Bytes()) // the client went away: nothing to report to
+	return true
+}
+
+// parseObserve decodes the compact body {"count":<number>}, the exact
+// shape clients send, without encoding/json: the number must match JSON's
+// number grammar, and strconv.ParseFloat converts it, as json.Unmarshal
+// does for a float64. Any other body — whitespace, another key or key
+// case, a second key, null, a number out of float64's range — reports
+// false, for json.Unmarshal to decode or refuse as it always has.
+func parseObserve(body []byte) (float64, bool) {
+	const prefix = `{"count":`
+	if len(body) <= len(prefix) || string(body[:len(prefix)]) != prefix || body[len(body)-1] != '}' {
+		return 0, false
+	}
+	num := body[len(prefix) : len(body)-1]
+	if !isJSONNumber(num) {
+		return 0, false
+	}
+	count, err := strconv.ParseFloat(string(num), 64)
+	return count, err == nil
+}
+
+// isJSONNumber reports whether b is exactly one JSON number:
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
+func isJSONNumber(b []byte) bool {
+	i := 0
+	if i < len(b) && b[i] == '-' {
+		i++
+	}
+	j := digits(b, i)
+	if j == i || b[i] == '0' && j > i+1 {
+		return false
+	}
+	i = j
+	if i < len(b) && b[i] == '.' {
+		if j = digits(b, i+1); j == i+1 {
+			return false
+		}
+		i = j
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		i++
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		if j = digits(b, i); j == i {
+			return false
+		}
+		i = j
+	}
+	return i == len(b)
+}
+
+// digits returns the index of the first byte at or after i in b that is
+// not a decimal digit.
+func digits(b []byte, i int) int {
+	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+		i++
+	}
+	return i
 }
 
 // maxTelemetryWindow bounds one telemetry response; the flight recorder

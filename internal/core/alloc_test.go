@@ -1,7 +1,10 @@
 package core
 
 import (
+	"encoding/json"
 	"fmt"
+	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -216,5 +219,70 @@ func TestSessionDecisionOwnsItsSlices(t *testing.T) {
 	}
 	if now := sess.Decision(); now.Bin != 8 {
 		t.Fatalf("Decision() after 9 bins reports bin %d, want 8", now.Bin)
+	}
+}
+
+// TestSessionDecisionIntoAcrossShapes: one BinDecision reused as the
+// destination across sessions of 1 to 16 computers in 1 to 4 modules, in
+// seeded random order — wider, narrower, before a session's first bin and
+// after — always ends up marshalling byte for byte as a fresh Decision():
+// nil and empty slices as they were, gammaModules omitted for one module,
+// nothing left over from the wider decision before it. A second copy at
+// the same shape rewrites dst in place and allocates nothing.
+func TestSessionDecisionIntoAcrossShapes(t *testing.T) {
+	shapes := [][]int{{1}, {2}, {5}, {3, 1}, {2, 2, 2}, {1, 2, 3, 1}, {4, 4, 4, 4}}
+	sessions := make([]*Session, len(shapes))
+	computers := make([]int, len(shapes))
+	for i, sizes := range shapes {
+		var spec cluster.Spec
+		for m, n := range sizes {
+			spec.Modules = append(spec.Modules, moduleOf(fmt.Sprintf("M%d", m+1), n))
+			computers[i] += n
+		}
+		cfg := fastConfig()
+		cfg.Parallelism = 1
+		cfg.RecordFrequencies = false
+		mgr, err := NewManager(spec, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sessions[i], err = mgr.NewSession(testStore(t), SessionConfig{BinSeconds: 30}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	marshal := func(d *BinDecision) string {
+		b, err := json.Marshal(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	rng := rand.New(rand.NewSource(7))
+	var dst BinDecision
+	for k := 0; k < 200; k++ {
+		i := rng.Intn(len(sessions))
+		sess := sessions[i]
+		if rng.Intn(4) > 0 { // sometimes copy a decision already copied, or none yet
+			if err := sess.StepBin(float64(rng.Intn(60 * computers[i]))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sess.DecisionInto(&dst)
+		fresh := sess.Decision()
+		if got, want := marshal(&dst), marshal(&fresh); got != want {
+			t.Fatalf("copy %d, shape %v: DecisionInto marshals as\n%s\nDecision as\n%s", k, shapes[i], got, want)
+		}
+		// Both copies against their source, the session's own decision:
+		// equal slice for slice, nil where it is nil.
+		for _, c := range []*BinDecision{&dst, &fresh} {
+			if !reflect.DeepEqual(*c, sess.r.last) {
+				t.Fatalf("copy %d, shape %v: copied %+v from %+v", k, shapes[i], *c, sess.r.last)
+			}
+		}
+		if !race.Enabled {
+			if allocs := testing.AllocsPerRun(3, func() { sess.DecisionInto(&dst) }); allocs != 0 {
+				t.Fatalf("copy %d, shape %v: a warm DecisionInto costs %v allocs, want 0", k, shapes[i], allocs)
+			}
+		}
 	}
 }

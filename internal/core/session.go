@@ -320,44 +320,91 @@ func (s *Session) Halted() bool { return s.bins != s.h.Bins() }
 // Decision returns the decisions in force after the most recent bin that
 // stepped cleanly (bin 0 with empty settings before the first) — a bin
 // that errored or panicked mid-step leaves it at its predecessor's. The
-// result owns its slices, so it may leave the session's goroutine. They are
-// carved from one backing array per element type, each at its own length
-// and capacity, so the copy costs four allocations whatever the shape.
+// result owns its slices, so it may leave the session's goroutine: it is
+// DecisionInto a zero BinDecision, four allocations whatever the shape.
 func (s *Session) Decision() BinDecision {
-	last := &s.r.last
-	floats, bools, ints := len(last.GammaModules), 0, 0
-	for _, md := range last.Modules {
-		floats += len(md.Gamma) + len(md.FreqHz)
-		bools += len(md.Alpha)
-		ints += len(md.FreqIdx)
-	}
-	fs, bs, is := make([]float64, floats), make([]bool, bools), make([]int, ints)
-	d := *last
-	d.GammaModules = carve(&fs, last.GammaModules)
-	d.Modules = make([]ModuleDecision, len(last.Modules))
-	for i, md := range last.Modules {
-		d.Modules[i] = ModuleDecision{
-			Alpha:   carve(&bs, md.Alpha),
-			Gamma:   carve(&fs, md.Gamma),
-			FreqIdx: carve(&is, md.FreqIdx),
-			FreqHz:  carve(&fs, md.FreqHz),
-		}
-	}
+	var d BinDecision
+	s.DecisionInto(&d)
 	return d
 }
 
-// carve copies src into the front of *back, advances *back past it and
-// returns the copy, capped at its length so that appending to it never
-// writes into its neighbour. An empty src gives nil, as a fresh append
-// would.
-func carve[T any](back *[]T, src []T) []T {
+// DecisionInto copies Decision's payload into dst. When each of dst's
+// slices has the capacity its part of the copy needs — dst holds an
+// earlier copy of a decision at least as wide — the copy is written there
+// and allocates nothing. Otherwise dst's old slices are dropped, never
+// written, and it gets fresh ones carved from one backing array per
+// element type, each at its own length and capacity: the Modules slice and
+// three arrays, four allocations whatever the shape. Either way an empty
+// source slice copies as nil, so dst marshals exactly as Decision's result
+// does.
+func (s *Session) DecisionInto(dst *BinDecision) {
+	last := &s.r.last
+	if !decisionFits(dst, last) {
+		floats, bools, ints := len(last.GammaModules), 0, 0
+		for _, md := range last.Modules {
+			floats += len(md.Gamma) + len(md.FreqHz)
+			bools += len(md.Alpha)
+			ints += len(md.FreqIdx)
+		}
+		fs, bs, is := make([]float64, floats), make([]bool, bools), make([]int, ints)
+		*dst = BinDecision{
+			GammaModules: carve(&fs, len(last.GammaModules)),
+			Modules:      make([]ModuleDecision, len(last.Modules)),
+		}
+		for i, md := range last.Modules {
+			dst.Modules[i] = ModuleDecision{
+				Alpha:   carve(&bs, len(md.Alpha)),
+				Gamma:   carve(&fs, len(md.Gamma)),
+				FreqIdx: carve(&is, len(md.FreqIdx)),
+				FreqHz:  carve(&fs, len(md.FreqHz)),
+			}
+		}
+	}
+	gamma, modules := fill(dst.GammaModules, last.GammaModules), dst.Modules[:len(last.Modules)]
+	*dst = *last
+	dst.GammaModules, dst.Modules = gamma, modules
+	for i, md := range last.Modules {
+		d := &modules[i]
+		d.Alpha = fill(d.Alpha, md.Alpha)
+		d.Gamma = fill(d.Gamma, md.Gamma)
+		d.FreqIdx = fill(d.FreqIdx, md.FreqIdx)
+		d.FreqHz = fill(d.FreqHz, md.FreqHz)
+	}
+}
+
+// decisionFits reports whether every slice of dst has the capacity for its
+// part of a copy of src.
+func decisionFits(dst, src *BinDecision) bool {
+	if cap(dst.GammaModules) < len(src.GammaModules) || cap(dst.Modules) < len(src.Modules) {
+		return false
+	}
+	for i, md := range src.Modules {
+		d := &dst.Modules[:len(src.Modules)][i]
+		if cap(d.Alpha) < len(md.Alpha) || cap(d.Gamma) < len(md.Gamma) ||
+			cap(d.FreqIdx) < len(md.FreqIdx) || cap(d.FreqHz) < len(md.FreqHz) {
+			return false
+		}
+	}
+	return true
+}
+
+// carve returns the front n elements of *back, capped at n so that
+// appending to them never writes into their neighbour, and advances *back
+// past them.
+func carve[T any](back *[]T, n int) []T {
+	dst := (*back)[:n:n]
+	*back = (*back)[n:]
+	return dst
+}
+
+// fill copies src into the front of dst, which has the capacity for it,
+// and returns the copy. An empty src gives nil, as a fresh append would.
+func fill[T any](dst, src []T) []T {
 	if len(src) == 0 {
 		return nil
 	}
-	n := len(src)
-	dst := (*back)[:n:n]
+	dst = dst[:len(src)]
 	copy(dst, src)
-	*back = (*back)[n:]
 	return dst
 }
 

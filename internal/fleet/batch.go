@@ -35,12 +35,13 @@ type BatchResult struct {
 
 // batchOut is one entry's cell in a batch call, and the job its home shard
 // runs — the only place a bin is stepped, timed and counted: the caller
-// fills t and counts and sends the cell itself down the shard queue, so an
-// entry costs no closure. The job owns applied, last
-// and err until it sets finished; the caller reads them only after loading
-// finished true, so a job abandoned by fleet shutdown can still write its
-// cell harmlessly — which is also why the cells of a call that saw the
-// fleet close are never reused.
+// fills t and counts (and dec, for ObserveInto) and sends the cell itself
+// down the shard queue, so an entry costs no closure. The job owns
+// applied, dec and err until it sets finished; the caller reads them only
+// after loading finished true, so a job abandoned by fleet shutdown can
+// still write its cell harmlessly — which is also why the cells of a call
+// that saw the fleet close, and the decision one was filling, are never
+// reused.
 type batchOut struct {
 	call   *batchCall
 	t      *tenant // nil: the entry's id did not resolve
@@ -49,11 +50,14 @@ type batchOut struct {
 	enqueued bool // caller-side only: the entry's job reached its shard
 	finished atomic.Bool
 	applied  int
-	last     *core.BinDecision
-	err      error
+	// dec is where the decision goes in a call that asked for one: the
+	// caller's destination in ObserveInto; in a batch, nil until the job
+	// allocates the entry's own.
+	dec *core.BinDecision
+	err error
 }
 
-// batchCall is one ObserveBatchInto or Observe call's state, pooled per
+// batchCall is one ObserveBatchInto or ObserveInto call's state, pooled per
 // fleet: the entries' cells and the completion counter. pending counts the
 // enqueued jobs still running plus, in a batch, one hold the caller keeps
 // while it is enqueueing; whoever drops it to zero puts the call's one
@@ -64,7 +68,7 @@ type batchCall struct {
 	cells     []batchOut
 	pending   atomic.Int64
 	done      chan struct{} // capacity 1: one token per call, taken before reuse
-	one       [1]float64    // Observe's bin: the counts of its one cell
+	one       [1]float64    // ObserveInto's bin: the counts of its one cell
 }
 
 // takeCall returns a pooled call with n zeroed cells.
@@ -96,7 +100,7 @@ func (c *batchCall) release() {
 }
 
 // run steps the entry's bins on its tenant's home shard. The decision is
-// built here, where it leaves the shard, and only for a call that asked.
+// copied here, where it leaves the shard, and only for a call that asked.
 //
 //hpm:hotpath
 func (o *batchOut) run() {
@@ -111,8 +115,10 @@ func (o *batchOut) run() {
 		o.applied++
 	}
 	if c.decisions && o.applied > 0 {
-		dec := t.sess.Decision()
-		o.last = &dec //hpm:alloc the decision leaves the shard in the reply
+		if o.dec == nil {
+			o.dec = new(core.BinDecision) //hpm:alloc a batch entry's decision leaves the shard in the reply
+		}
+		t.sess.DecisionInto(o.dec)
 	}
 	f.observations.Add(int64(o.applied))
 	f.ticks.Add(int64(o.applied * t.sub))
@@ -245,7 +251,7 @@ func (o *batchOut) collect(res *BatchResult) {
 		res.Err = ErrClosed
 		return
 	}
-	res.Applied, res.LastDecision, res.Err = o.applied, o.last, o.err
+	res.Applied, res.LastDecision, res.Err = o.applied, o.dec, o.err
 }
 
 // QueueDepths reports each shard's pending ingest-queue length — the

@@ -339,39 +339,52 @@ func (f *Fleet) CreateTenant(id string, tc TenantConfig) error {
 }
 
 // Observe feeds one arrival-count bin to the tenant and returns the
-// frequency/provisioning decisions now in force. It is a one-entry batch:
-// the bin reaches the home shard as the same pooled cell an ObserveBatch
-// entry does and is stepped, timed and counted in the same place
-// (batchOut.run). The one difference is the enqueue, which waits for room
-// on the shard's queue where ObserveBatch rejects with ErrQueueFull. Calls
-// for the same tenant serialize on its home shard; calls for different
-// tenants run concurrently.
+// frequency/provisioning decisions now in force: ObserveInto a fresh
+// decision, which owns its slices.
 func (f *Fleet) Observe(id string, count float64) (core.BinDecision, error) {
+	var dec core.BinDecision
+	if err := f.ObserveInto(id, count, &dec); err != nil {
+		return core.BinDecision{}, err
+	}
+	return dec, nil
+}
+
+// ObserveInto feeds one arrival-count bin to the tenant and copies the
+// decisions now in force into dst (Session.DecisionInto: a dst an earlier
+// call filled for a tenant at least as wide costs no allocation). It is a
+// one-entry batch: the bin reaches the home shard as the same pooled cell
+// an ObserveBatch entry does and is stepped, timed, counted and copied out
+// in the same place (batchOut.run). The one difference is the enqueue,
+// which waits for room on the shard's queue where ObserveBatch rejects
+// with ErrQueueFull. Calls for the same tenant serialize on its home
+// shard; calls for different tenants run concurrently.
+//
+// An error leaves dst as it was, with one exception: after ErrClosed dst
+// must not be read or reused, as a job abandoned by the shutdown may still
+// be writing it.
+func (f *Fleet) ObserveInto(id string, count float64, dst *core.BinDecision) error {
 	t, err := f.tenant(id)
 	if err != nil {
-		return core.BinDecision{}, err
+		return err
 	}
 	call := f.takeCall(1, true)
 	cell := &call.cells[0]
 	call.one[0] = count
-	cell.call, cell.t, cell.counts = call, t, call.one[:]
+	cell.call, cell.t, cell.counts, cell.dec = call, t, call.one[:], dst
 	call.pending.Store(1)
 	select {
 	case t.home.jobs <- cell:
 	case <-f.ctx.Done():
-		return core.BinDecision{}, ErrClosed
+		return ErrClosed
 	}
 	if err := f.await(call.done); err != nil {
 		// The job the shutdown abandoned may still write its cell, so the
 		// call is left to the collector.
-		return core.BinDecision{}, err
+		return err
 	}
-	last, err := cell.last, cell.err
+	err = cell.err
 	f.putCall(call)
-	if err != nil {
-		return core.BinDecision{}, err
-	}
-	return *last, nil
+	return err
 }
 
 // State reports a tenant's progress and last decision.

@@ -191,6 +191,81 @@ func TestObserveIsOneEntryBatch(t *testing.T) {
 	})
 }
 
+// TestObserveIntoWarmAllocs: with a warm destination — one an earlier
+// call filled for the same tenant — ObserveInto costs exactly what a
+// silent one-entry batch costs: the stepping, and nothing for the
+// decision, the call or the enqueue. The decision it leaves is the one
+// Observe returns for the same bin.
+func TestObserveIntoWarmAllocs(t *testing.T) {
+	tc := batchTenantConfig(3)
+	tc.TelemetryRecords = 512
+	count := func(bin int) float64 { return float64(12 + 9*(bin%5)) }
+	into, plain := New(Config{Shards: 1}), New(Config{Shards: 1})
+	defer into.Close()
+	defer plain.Close()
+	for _, f := range []*Fleet{into, plain} {
+		if err := f.CreateTenant("a", tc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var dst core.BinDecision
+	for bin := 0; bin < 8; bin++ {
+		if err := into.ObserveInto("a", count(bin), &dst); err != nil {
+			t.Fatal(err)
+		}
+		want, err := plain.Observe("a", count(bin))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(dst, want) {
+			t.Fatalf("bin %d: ObserveInto left %+v, Observe returned %+v", bin, dst, want)
+		}
+	}
+	if err := into.ObserveInto("ghost", 1, &dst); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("ObserveInto an unknown tenant: %v, want ErrNotFound", err)
+	}
+
+	if race.Enabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	// Four bins a run: one L1 decision per run at this cadence, whatever
+	// bin the run starts on.
+	const per = 4
+	bin := 8
+	entries := []BatchEntry{{Tenant: "a", Counts: make([]float64, 1)}}
+	var results []BatchResult
+	observe := func() {
+		for i := 0; i < per; i++ {
+			if err := into.ObserveInto("a", count(bin), &dst); err != nil {
+				t.Fatal(err)
+			}
+			bin++
+		}
+	}
+	silent := func() {
+		for i := 0; i < per; i++ {
+			entries[0].Counts[0] = count(bin)
+			var err error
+			if results, err = into.ObserveBatchInto(results[:0], entries, false); err != nil || results[0].Err != nil {
+				t.Fatal(err, results[0].Err)
+			}
+			bin++
+		}
+	}
+	// Warm the pooled call and results; the whole test stays inside the
+	// observation log's first 512-bin chunk.
+	for i := 0; i < 10; i++ {
+		observe()
+		silent()
+	}
+	perSilent := testing.AllocsPerRun(40, silent)
+	perObserve := testing.AllocsPerRun(40, observe)
+	t.Logf("allocs per %d bins: ObserveInto %v, silent one-entry batch %v", per, perObserve, perSilent)
+	if perObserve != perSilent {
+		t.Errorf("%d warm ObserveInto calls cost %v allocs, a silent one-entry batch %v: want the same", per, perObserve, perSilent)
+	}
+}
+
 // TestBinCountBounded pins the one place a bin's count is checked,
 // tenant.step, from each of its three ways in. A count that is not finite
 // and within [0, 1e6] is an error naming the tenant and the bin — never a
