@@ -93,9 +93,25 @@ type server struct {
 	qosTop, degradedTop, staleTop          *metrics.GaugeVec
 	// renderMu makes one scrape's registry update and rendering atomic, so
 	// racing scrapes cannot leave the union of two rankings in a top-K
-	// family. It is never held across a call into the fleet.
+	// family, and guards metricsScratch. It is never held across a call
+	// into the fleet or a write to the client.
 	renderMu sync.Mutex
+	// metricsScratch is kept between scrapes; the scrape using it takes it
+	// out, and one that overlaps it makes its own.
+	metricsScratch *metricsScratch
 }
+
+// metricsScratch is what a /metrics scrape reuses: the telemetry read, the
+// queue depths and the render buffer.
+type metricsScratch struct {
+	telemetry hierctl.FleetTelemetryRead
+	depths    []int
+	body      []byte
+}
+
+// metricsContentType is the /metrics Content-Type header value, shared by
+// every scrape instead of built per call.
+var metricsContentType = []string{"text/plain; version=0.0.4"}
 
 func newServer(f *hierctl.Fleet, telemetryRecords int) *server {
 	s := &server{
@@ -139,7 +155,7 @@ func newServer(f *hierctl.Fleet, telemetryRecords int) *server {
 		"Batch entries rejected because a shard's ingest queue was full.").With()
 	shardQueueDepth := mustGauge("hpmserve_shard_queue_depth",
 		"Jobs waiting in each shard's ingest queue at scrape time.", "shard")
-	for i := range f.QueueDepths() {
+	for i := range f.Stats().Shards {
 		s.shardQueueDepth = append(s.shardQueueDepth, shardQueueDepth.With(strconv.Itoa(i))) //hpm:boundedlabel shard index, fixed at startup
 	}
 	s.batchEntries = mustHistogram("hpmserve_batch_entries",
@@ -946,24 +962,37 @@ func (s *server) handleTelemetry(w http.ResponseWriter, r *http.Request, id stri
 // handleMetrics renders the fleet counters and the flight-recorder
 // telemetry in the Prometheus text exposition format (the internal
 // registry — no client library). Every series is set from the fleet's
-// authoritative counters at scrape time: Stats, and one TelemetrySummary
-// sweep — one job per shard, nothing per tenant — for what the shards
-// folded out of the flight recorders as the bins stepped. No family has a
-// series per tenant, so the output does not grow with the tenant count.
+// authoritative counters at scrape time: Stats, and one telemetry read —
+// one job per shard, nothing per tenant — of what the shards folded out
+// of the flight recorders as the bins stepped. No family has a series per
+// tenant, so the output does not grow with the tenant count. A warm scrape
+// allocates nothing here: the reads and the render reuse the server's
+// metricsScratch, and the rendered bytes go straight to the response.
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	s.renderMu.Lock()
+	sc := s.metricsScratch
+	s.metricsScratch = nil
+	s.renderMu.Unlock()
+	if sc == nil {
+		sc = new(metricsScratch)
+	}
+	defer func() {
+		s.renderMu.Lock()
+		s.metricsScratch = sc
+		s.renderMu.Unlock()
+	}()
 	stats := s.fleet.Stats()
-	depths := s.fleet.QueueDepths()
-	tel, err := s.fleet.TelemetrySummary()
-	if err != nil {
+	sc.depths = s.fleet.QueueDepthsInto(sc.depths)
+	if err := s.fleet.TelemetrySummaryInto(&sc.telemetry); err != nil {
 		writeError(w, err)
 		return
 	}
+	tel := &sc.telemetry.Summary
 	var js hierctl.FleetJournalStats
 	if s.journal != nil {
 		js = s.journal.Stats()
 	}
 
-	var body bytes.Buffer
 	s.renderMu.Lock()
 	s.tenants.Set(float64(stats.Tenants))
 	s.shards.Set(float64(stats.Shards))
@@ -978,7 +1007,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.quarantinedTenants.Set(float64(stats.Quarantined))
 	s.setArtifactStats("gmap", stats.Artifacts.GMaps)
 	s.setArtifactStats("tree", stats.Artifacts.Trees)
-	for i, depth := range depths {
+	for i, depth := range sc.depths {
 		s.shardQueueDepth[i].Set(float64(depth))
 	}
 	s.journalBase.Set(float64(js.BaseBytes))
@@ -1002,10 +1031,10 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	setTop(s.qosTop, &tel.Top.QoS)
 	setTop(s.degradedTop, &tel.Top.Degraded)
 	setTop(s.staleTop, &tel.Top.Stale)
-	_ = s.reg.WriteText(&body) // a Buffer write cannot fail
+	sc.body = s.reg.AppendText(sc.body[:0])
 	s.renderMu.Unlock()
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	_, _ = w.Write(body.Bytes()) // the client went away: nothing to report to
+	w.Header()["Content-Type"] = metricsContentType
+	_, _ = w.Write(sc.body) // the client went away: nothing to report to
 }
 
 // setTop replaces a worst-tenants family's series with the ranking's

@@ -1,12 +1,14 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"hierctl"
@@ -315,7 +317,7 @@ func metricLines(body string) (fixed int, top map[string]int) {
 // lines do not grow with the number of tenants. Fleets of 4, 64 and 512
 // observed tenants render the same lines except for the worst-tenant
 // rankings, which name min(tenants, K) tenants — and the cost follows: a
-// warm scrape of 512 tenants allocates what one of 64 does.
+// warm scrape of 512 tenants allocates exactly what one of 64 does.
 func TestMetricsCardinalityFlatInTenants(t *testing.T) {
 	type fleetScrape struct {
 		fixed  int
@@ -364,11 +366,116 @@ func TestMetricsCardinalityFlatInTenants(t *testing.T) {
 			}
 		}
 	}
-	// The larger fleet's larger counts cost a few more allocations to print
-	// (an integer above 255 is boxed on its way into Fprintf); 448 more
-	// tenants may cost nothing that scales with them.
-	if diff := large.allocs - mid.allocs; diff > 64 {
-		t.Errorf("a scrape allocates %v times with 64 tenants and %v with 512: the scrape allocates per tenant", mid.allocs, large.allocs)
+	// 448 more tenants, and their larger counts, cost nothing more.
+	if large.allocs != mid.allocs {
+		t.Errorf("a scrape allocates %v times with 64 tenants and %v with 512, want equal", mid.allocs, large.allocs)
 	}
 	t.Logf("%d fixed sample lines; %v allocs per scrape at 64 tenants, %v at 512", large.fixed, mid.allocs, large.allocs)
+}
+
+// TestHandleMetricsSteadyStateAllocs: a warm /metrics scrape allocates
+// nothing in the handler — the telemetry read, the queue depths, the
+// rankings (saturated, so every one is Reset and resolved again) and the
+// render buffer are the server's retained scratch — at 64 tenants and at
+// 512, into a reused writer.
+func TestHandleMetricsSteadyStateAllocs(t *testing.T) {
+	for _, tenants := range []int{64, 512} {
+		f := hierctl.NewFleet(hierctl.FleetConfig{Shards: 2, QueueDepth: tenants})
+		sv := newServer(f, 256)
+		h := sv.routes()
+		for i := 0; i < tenants; i++ {
+			createFastTenant(t, h, fmt.Sprintf("t%03d", i))
+		}
+		doJSON(t, h, http.MethodPost, "/v1/observe:batch",
+			batchBody(tenants, func(i int) string { return fmt.Sprintf(`{"tenant":"t%03d","counts":[2000,3000,100]}`, i) }),
+			http.StatusOK)
+		req := httptest.NewRequest(http.MethodGet, "/metrics", nil)
+		w := &replyWriter{header: http.Header{}}
+		serve := func() {
+			w.body.Reset()
+			sv.handleMetrics(w, req)
+		}
+		serve()
+		if _, top := metricLines(w.body.String()); top["hpmserve_qos_violations_top"] != hierctl.FleetTopK {
+			t.Fatalf("%d tenants: %d ranked QoS violators, want the ranking saturated at %d", tenants, top["hpmserve_qos_violations_top"], hierctl.FleetTopK)
+		}
+		if err := metrics.LintPromText(bytes.NewReader(w.body.Bytes())); err != nil {
+			t.Fatalf("%d tenants: %v", tenants, err)
+		}
+		if allocs := testing.AllocsPerRun(50, serve); allocs != 0 {
+			t.Errorf("%d tenants: a warm scrape allocates %v times in the handler, want 0", tenants, allocs)
+		}
+		f.Close()
+	}
+}
+
+// TestConcurrentScrapesStayConsistent scrapes from several goroutines at
+// once (run under -race) while ingest keeps reordering the rankings: every
+// scrape lints clean and names at most FleetTopK tenants per ranking —
+// never the union of two — whether it reused the server's scratch or made
+// its own.
+func TestConcurrentScrapesStayConsistent(t *testing.T) {
+	const tenants, scrapers, scrapes = 16, 4, 20
+	f := hierctl.NewFleet(hierctl.FleetConfig{Shards: 2})
+	defer f.Close()
+	h := newServer(f, 64).routes()
+	for i := 0; i < tenants; i++ {
+		createFastTenant(t, h, fmt.Sprintf("t%02d", i))
+	}
+	stop := make(chan struct{})
+	ingested := make(chan struct{})
+	go func() {
+		defer close(ingested)
+		for round := 0; ; round++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			// A rotating overloaded tenant set moves the rankings every round.
+			body := batchBody(tenants, func(i int) string {
+				count := 10
+				if (i+round)%tenants < tenants/2 {
+					count = 3000
+				}
+				return fmt.Sprintf(`{"tenant":"t%02d","counts":[%d]}`, i, count)
+			})
+			req := httptest.NewRequest(http.MethodPost, "/v1/observe:batch", strings.NewReader(body))
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, req)
+			if w.Code != http.StatusOK {
+				t.Errorf("batch round %d = %d %s", round, w.Code, w.Body.String())
+				return
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for g := 0; g < scrapers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < scrapes; i++ {
+				w := httptest.NewRecorder()
+				h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+				if w.Code != http.StatusOK {
+					t.Errorf("GET /metrics = %d", w.Code)
+					return
+				}
+				if err := metrics.LintPromText(bytes.NewReader(w.Body.Bytes())); err != nil {
+					t.Errorf("concurrent scrape fails the linter: %v", err)
+					return
+				}
+				_, top := metricLines(w.Body.String())
+				for name, n := range top {
+					if n > hierctl.FleetTopK {
+						t.Errorf("%s has %d series in one scrape, want <= %d", name, n, hierctl.FleetTopK)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	<-ingested
 }

@@ -62,10 +62,11 @@ type FleetBenchRow struct {
 	AllocBytesPerBin float64 `json:"allocBytesPerBin"`
 	AllocsPerBin     float64 `json:"allocsPerBin"`
 	// ScrapeMicros and ScrapeAllocBytes price what a /metrics scrape asks
-	// of the fleet — one Fleet.TelemetrySummary sweep, on the idle fleet
-	// after the ingest rounds, median of fleetBenchScrapes: one job per
-	// shard, so the bytes are the same at every scale and the time grows
-	// only by the per-tenant ranking visit (informational, wall-clock).
+	// of the fleet — one Fleet.TelemetrySummaryInto read into a reused
+	// read, on the idle fleet after the ingest rounds, median of
+	// fleetBenchScrapes: one job per shard and nothing per tenant, so the
+	// bytes are zero at every scale (the time is informational,
+	// wall-clock).
 	ScrapeMicros     float64 `json:"scrapeMicros"`
 	ScrapeAllocBytes float64 `json:"scrapeAllocBytes"`
 	// CreateSeconds is the wall-clock cost of standing up all n tenants
@@ -201,10 +202,12 @@ func observeRound(f *fleet.Fleet, dst []fleet.BatchResult, entries []fleet.Batch
 // columns are the median of.
 const fleetBenchScrapes = 9
 
-// measureScrape times fleetBenchScrapes TelemetrySummary sweeps after a
-// warm-up one and returns the median microseconds and allocated bytes.
+// measureScrape times fleetBenchScrapes TelemetrySummaryInto reads into
+// one reused read, as the daemon's scrape does, after a warm-up one and
+// returns the median microseconds and allocated bytes.
 func measureScrape(f *fleet.Fleet) (micros, allocBytes float64, err error) {
-	if _, err := f.TelemetrySummary(); err != nil {
+	var rd fleet.TelemetryRead
+	if err := f.TelemetrySummaryInto(&rd); err != nil {
 		return 0, 0, err
 	}
 	took := make([]float64, fleetBenchScrapes)
@@ -213,7 +216,7 @@ func measureScrape(f *fleet.Fleet) (micros, allocBytes float64, err error) {
 	for i := range took {
 		runtime.ReadMemStats(&before)
 		start := time.Now()
-		if _, err := f.TelemetrySummary(); err != nil {
+		if err := f.TelemetrySummaryInto(&rd); err != nil {
 			return 0, 0, err
 		}
 		took[i] = float64(time.Since(start).Nanoseconds()) / 1e3

@@ -60,14 +60,11 @@ func TestRunFleetBenchSmall(t *testing.T) {
 		if row.SnapshotBytes <= 0 {
 			t.Errorf("row %d: snapshot bytes %d", i, row.SnapshotBytes)
 		}
-		if row.ScrapeMicros <= 0 || row.ScrapeAllocBytes <= 0 {
-			t.Errorf("row %d: scrape columns %v us / %v B", i, row.ScrapeMicros, row.ScrapeAllocBytes)
+		// A telemetry scrape is one job per shard into a reused read: it
+		// allocates nothing whatever the fleet hosts.
+		if row.ScrapeMicros <= 0 || row.ScrapeAllocBytes != 0 {
+			t.Errorf("row %d: scrape columns %v us / %v B, want a positive time and 0 B", i, row.ScrapeMicros, row.ScrapeAllocBytes)
 		}
-	}
-	// A telemetry scrape is one job per shard: it allocates the same
-	// whatever the fleet hosts.
-	if a, b := snap.Rows[0].ScrapeAllocBytes, snap.Rows[1].ScrapeAllocBytes; a != b {
-		t.Errorf("scrape allocates %v B with %d tenants, %v B with %d", a, snap.Rows[0].Tenants, b, snap.Rows[1].Tenants)
 	}
 	if !snap.Checks.BatchEqualsSequential {
 		t.Error("batched ingest diverged from sequential Observe calls")

@@ -228,6 +228,8 @@ func (c *checker) checkBoxing(call *ast.CallExpr) {
 	for i, arg := range call.Args {
 		var pt types.Type
 		switch {
+		case sig.Variadic() && i >= params.Len()-1 && call.Ellipsis.IsValid():
+			pt = params.At(params.Len() - 1).Type() // f(xs...) passes the slice (append(b, s...) a string) as is
 		case sig.Variadic() && i >= params.Len()-1:
 			pt = params.At(params.Len() - 1).Type().(*types.Slice).Elem()
 		case i < params.Len():

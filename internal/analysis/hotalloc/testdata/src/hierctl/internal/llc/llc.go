@@ -8,10 +8,14 @@ import (
 
 type pool struct {
 	scratch []float64
+	text    []byte
+	anys    []interface{}
 	seq     *pool
 }
 
 func consume(v interface{}) { _ = v }
+
+func consumeAll(vs ...interface{}) { _ = vs }
 
 // Non-hotpath functions may allocate freely: no diagnostics.
 func cold(n int) []int {
@@ -55,12 +59,15 @@ func (p *pool) warm(xs []float64) []float64 {
 // The pooled-buffer idioms and cold error construction stay legal.
 //
 //hpm:hotpath
-func (p *pool) legal(xs []float64) (float64, error) {
+func (p *pool) legal(xs []float64, name string) (float64, error) {
 	if xs == nil {
 		return 0, fmt.Errorf("llc: nil input %v", xs)
 	}
 	p.scratch = append(p.scratch[:0], xs...)
 	p.scratch = append(p.scratch, 1)
+	p.text = append(p.text[:0], "text"...)
+	p.text = append(p.text, name...)
+	consumeAll(p.anys...)
 	acc := 0.0
 	for _, v := range p.scratch {
 		acc += v

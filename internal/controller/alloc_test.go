@@ -54,6 +54,46 @@ func TestL0DecideZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestL0BandSwitchZeroAlloc: warm decisions alternating between banded
+// (δ > 0, three samples a step) and unbanded (δ = 0, one) allocate
+// nothing — the forecast store is shaped once for three samples — and
+// each equals a fresh controller's decision.
+func TestL0BandSwitchZeroAlloc(t *testing.T) {
+	spec := ctrlSpec("alloc-l0-band")
+	l0, err := NewL0(DefaultL0Config(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lambda := make([]float64, 3)
+	delta := func(i int) float64 { return float64(i%2) * 8 }
+	decide := func(l *L0, i int) int {
+		lam := 40 + 30*math.Sin(float64(i)/9)
+		lambda[0], lambda[1], lambda[2] = lam, lam+2, lam+4
+		u, err := l.DecideBanded(float64((i*7)%200), lambda, delta(i), 0.0175)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return u
+	}
+	for i := 0; i < 40; i++ {
+		fresh, err := NewL0(DefaultL0Config(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := decide(l0, i), decide(fresh, i); got != want {
+			t.Fatalf("decision %d (δ = %v): warm controller chose %d, a fresh one %d", i, delta(i), got, want)
+		}
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		decide(l0, i)
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("warm L0 decisions alternating banded and unbanded allocated %v/op, want 0", allocs)
+	}
+}
+
 // TestL1DecideSteadyStateAllocs pins the warm L1 period at zero
 // allocations — the returned decision is the controller's own buffers — for
 // a one-word γ key (m = 4) and a two-word one (m = 16).

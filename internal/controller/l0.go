@@ -110,8 +110,10 @@ type L0 struct {
 	searcher *llc.Searcher[queue.State, int]
 
 	// Reused forecast buffers: envs[q] holds the uncertainty samples for
-	// horizon step q, each an llc.Env view into envBacking.
+	// horizon step q, a window of envStore, whose entries are llc.Env views
+	// into envBacking.
 	envs       []([]llc.Env)
+	envStore   []llc.Env
 	envBacking []float64
 	envSamples int
 
@@ -140,26 +142,31 @@ func NewL0(cfg L0Config, spec cluster.ComputerSpec) (*L0, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &L0{cfg: cfg, model: m, searcher: sr}, nil
+	l := &L0{cfg: cfg, model: m, searcher: sr}
+	l.envBacking = make([]float64, cfg.Horizon*maxEnvSamples*2)
+	l.envStore = make([]llc.Env, cfg.Horizon*maxEnvSamples)
+	for i := range l.envStore {
+		l.envStore[i] = l.envBacking[2*i : 2*i+2]
+	}
+	l.envs = make([]([]llc.Env), cfg.Horizon)
+	return l, nil
 }
 
-// ensureEnvs (re)shapes the reused forecast buffers for the given sample
-// count per horizon step; the layout is rebuilt only when the shape
-// changes (first call, or banded ↔ unbanded transitions).
+// maxEnvSamples is the most uncertainty samples an L0 horizon step takes:
+// the band's {λ̂−δ, λ̂, λ̂+δ}.
+const maxEnvSamples = 3
+
+// ensureEnvs points envs[q] at the given number of samples of horizon step
+// q's maxEnvSamples slots in envStore, laid out once by NewL0: a banded ↔
+// unbanded switch only reslices.
+//
+//hpm:hotpath
 func (l *L0) ensureEnvs(samples int) {
-	if l.envSamples == samples && len(l.envs) == l.cfg.Horizon {
+	if l.envSamples == samples {
 		return
 	}
-	h := l.cfg.Horizon
-	l.envBacking = make([]float64, h*samples*2)
-	store := make([]llc.Env, h*samples)
-	l.envs = make([]([]llc.Env), h)
-	for q := 0; q < h; q++ {
-		for s := 0; s < samples; s++ {
-			i := q*samples + s
-			store[i] = l.envBacking[2*i : 2*i+2]
-		}
-		l.envs[q] = store[q*samples : (q+1)*samples]
+	for q := range l.envs {
+		l.envs[q] = l.envStore[q*maxEnvSamples : q*maxEnvSamples+samples]
 	}
 	l.envSamples = samples
 }

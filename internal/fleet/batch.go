@@ -254,13 +254,14 @@ func (o *batchOut) collect(res *BatchResult) {
 	res.Applied, res.LastDecision, res.Err = o.applied, o.dec, o.err
 }
 
-// QueueDepths reports each shard's pending ingest-queue length — the
-// live backlog behind the ObserveBatch backpressure boundary, exported
-// per shard on /metrics.
-func (f *Fleet) QueueDepths() []int {
-	depths := make([]int, len(f.shards))
-	for i, s := range f.shards {
-		depths[i] = len(s.jobs)
+// QueueDepthsInto appends each shard's pending ingest-queue length to
+// dst[:0] and returns it — the live backlog behind the ObserveBatch
+// backpressure boundary, exported per shard on /metrics. A dst with room
+// for the shards costs no allocation.
+func (f *Fleet) QueueDepthsInto(dst []int) []int {
+	dst = dst[:0]
+	for _, s := range f.shards {
+		dst = append(dst, len(s.jobs))
 	}
-	return depths
+	return dst
 }

@@ -341,7 +341,7 @@ func TestObserveBatchStress(t *testing.T) {
 			}
 			f.States()
 			f.Stats()
-			f.QueueDepths()
+			f.QueueDepthsInto(nil)
 		}
 	}()
 

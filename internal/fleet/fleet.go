@@ -128,8 +128,8 @@ type Fleet struct {
 
 // job is one unit of work on a shard queue. A bin reaches its shard one
 // way, as a pooled batch cell that is its own job (Observe's is a batch of
-// one); a sweep's turn is a sweepJob; the single-tenant reads, CloseTenant
-// and eachShard ride as funcJobs.
+// one); a sweep's turn is a sweepJob and a telemetry read's a
+// telemetryJob; the single-tenant reads and CloseTenant ride as funcJobs.
 type job interface{ run() }
 
 type funcJob func()

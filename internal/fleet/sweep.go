@@ -128,26 +128,3 @@ func (f *Fleet) await(done <-chan struct{}) error {
 		}
 	}
 }
-
-// eachShard runs fn once on every shard's goroutine — between two jobs, so
-// it may read what the shard owns — and waits for all of them.
-func (f *Fleet) eachShard(fn func(i int, s *shard)) error {
-	var pending atomic.Int64
-	pending.Store(int64(len(f.shards)))
-	done := make(chan struct{})
-	for i, s := range f.shards {
-		i, s := i, s
-		job := funcJob(func() {
-			fn(i, s)
-			if pending.Add(-1) == 0 {
-				close(done)
-			}
-		})
-		select {
-		case s.jobs <- job:
-		case <-f.ctx.Done():
-			return ErrClosed
-		}
-	}
-	return f.await(done)
-}

@@ -204,6 +204,52 @@ func TestTelemetrySummaryAllocsFlatInTenants(t *testing.T) {
 	}
 }
 
+// TestTelemetrySummaryIntoWarmAllocs: a warm TelemetrySummaryInto — the
+// caller's read holding the per-shard parts and jobs — allocates nothing
+// and reads what TelemetrySummary does; a read the fleet's close cut
+// short reports ErrClosed and leaves the read usable on another fleet.
+func TestTelemetrySummaryIntoWarmAllocs(t *testing.T) {
+	f := New(Config{Shards: 3})
+	entries := make([]BatchEntry, 12)
+	for i := range entries {
+		id := fmt.Sprintf("t%02d", i)
+		if err := f.CreateTenant(id, sweepTenantConfig(int64(i+1))); err != nil {
+			t.Fatal(err)
+		}
+		entries[i] = BatchEntry{Tenant: id, Counts: []float64{2000, 100}}
+	}
+	if _, err := f.ObserveBatch(entries); err != nil {
+		t.Fatal(err)
+	}
+	var rd TelemetryRead
+	if err := f.TelemetrySummaryInto(&rd); err != nil {
+		t.Fatal(err)
+	}
+	want, err := f.TelemetrySummary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rd.Summary != want || want.Top.QoS[TopK-1].Count == 0 {
+		t.Fatalf("TelemetrySummaryInto read %+v, TelemetrySummary %+v", rd.Summary, want)
+	}
+	if allocs := testing.AllocsPerRun(50, func() {
+		if err := f.TelemetrySummaryInto(&rd); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("a warm TelemetrySummaryInto allocates %v times, want 0", allocs)
+	}
+	f.Close()
+	if err := f.TelemetrySummaryInto(&rd); err != ErrClosed {
+		t.Fatalf("read of a closed fleet: %v, want ErrClosed", err)
+	}
+	g := New(Config{Shards: 2})
+	defer g.Close()
+	if err := g.TelemetrySummaryInto(&rd); err != nil || rd.Summary != (TelemetrySummary{}) {
+		t.Fatalf("read of an empty fleet after a closed one: %v, %+v", err, rd.Summary)
+	}
+}
+
 // TestSweepRaceAgainstLifecycle is the -race pin for the sweep: telemetry
 // summaries, state listings, snapshots and journal appends run against
 // batched ingest while tenants are created and closed under them. No sweep

@@ -1,6 +1,8 @@
 package fleet
 
 import (
+	"sync/atomic"
+
 	"hierctl/internal/obs"
 )
 
@@ -267,21 +269,88 @@ func (s *shard) forget(f *Fleet, t *tenant) {
 	f.mu.RUnlock()
 }
 
-// TelemetrySummary returns the fleet-wide telemetry fold: one job per
-// shard copies what the shard accumulated as its tenants stepped, summed
-// and merged here. No tenant is visited, so the cost does not depend on
-// how many there are.
+// TelemetrySummary returns the fleet-wide telemetry fold; see
+// TelemetrySummaryInto, which it calls with a read of its own.
 func (f *Fleet) TelemetrySummary() (TelemetrySummary, error) {
-	// One summary per shard, each written by its shard alone.
-	parts := make([]TelemetrySummary, len(f.shards))
-	if err := f.eachShard(func(i int, s *shard) {
-		parts[i] = TelemetrySummary{TelemetryTotals: s.agg, Operational: int(s.operational.Load()), Top: s.top}
-	}); err != nil {
-		return TelemetrySummary{}, err
+	var rd TelemetryRead
+	err := f.TelemetrySummaryInto(&rd)
+	return rd.Summary, err
+}
+
+// TelemetryRead is a caller-owned fleet-wide telemetry read: Summary is
+// the last read's result, and the per-shard parts and the shard jobs that
+// fill them stay for the next read, so a warm read allocates nothing. The
+// zero value is ready to use; it serves one read at a time.
+type TelemetryRead struct {
+	Summary TelemetrySummary
+	call    *telemetryCall
+}
+
+// telemetryCall is a TelemetryRead's per-shard state, bound to one fleet:
+// one part and one job per shard, and the completion the jobs share. A
+// read the fleet's close cut short drops it, since a shard that outlives
+// the close may still write its part.
+type telemetryCall struct {
+	fleet *Fleet
+	parts []TelemetrySummary
+	jobs  []telemetryJob
+	// pending counts the shard jobs still running; the one that drops it to
+	// zero puts the read's token in done (buffered, drained by the read).
+	pending atomic.Int64
+	done    chan struct{}
+}
+
+// telemetryJob copies one shard's share of the fold into its part. It is
+// its own queue entry, as a sweepJob is, so a read costs no closure.
+type telemetryJob struct {
+	call *telemetryCall
+	home *shard
+	part *TelemetrySummary
+}
+
+func (j *telemetryJob) run() {
+	s := j.home
+	*j.part = TelemetrySummary{TelemetryTotals: s.agg, Operational: int(s.operational.Load()), Top: s.top}
+	if j.call.pending.Add(-1) == 0 {
+		j.call.done <- struct{}{}
 	}
-	out := parts[0]
-	for i := 1; i < len(parts); i++ {
-		p := &parts[i]
+}
+
+// TelemetrySummaryInto reads the fleet-wide telemetry fold into
+// dst.Summary: one job per shard copies what the shard accumulated as its
+// tenants stepped into dst's part for it, summed and merged here. No
+// tenant is visited, so the cost does not depend on how many there are.
+func (f *Fleet) TelemetrySummaryInto(dst *TelemetryRead) error {
+	c := dst.call
+	if c == nil || c.fleet != f {
+		c = &telemetryCall{
+			fleet: f,
+			parts: make([]TelemetrySummary, len(f.shards)),
+			jobs:  make([]telemetryJob, len(f.shards)),
+			done:  make(chan struct{}, 1),
+		}
+		for i, s := range f.shards {
+			c.jobs[i] = telemetryJob{call: c, home: s, part: &c.parts[i]}
+		}
+		dst.call = c
+	}
+	c.pending.Store(int64(len(c.jobs)))
+	for i := range c.jobs {
+		select {
+		case c.jobs[i].home.jobs <- &c.jobs[i]:
+		case <-f.ctx.Done():
+			dst.call = nil
+			return ErrClosed
+		}
+	}
+	if err := f.await(c.done); err != nil {
+		dst.call = nil
+		return err
+	}
+	out := &dst.Summary
+	*out = c.parts[0]
+	for i := 1; i < len(c.parts); i++ {
+		p := &c.parts[i]
 		out.TelemetryTotals.add(&p.TelemetryTotals)
 		out.Operational += p.Operational
 		for k := range p.Top.QoS {
@@ -290,5 +359,5 @@ func (f *Fleet) TelemetrySummary() (TelemetrySummary, error) {
 			out.Top.Stale.add(p.Top.Stale[k].ID, p.Top.Stale[k].Count)
 		}
 	}
-	return out, nil
+	return nil
 }

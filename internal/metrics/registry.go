@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -16,11 +17,15 @@ import (
 // text format — so hpmserve can expose labeled series without pulling in
 // a client library. It deliberately supports only what the repo needs:
 // registration-time validation, label vectors keyed by value tuples, and
-// a single WriteText renderer that emits `# HELP` and `# TYPE` exactly
-// once per family with escaped help text and label values.
+// a single renderer (AppendText, which WriteText writes out) that emits
+// `# HELP` and `# TYPE` exactly once per family with escaped help text and
+// label values. Everything a line needs that does not change — the
+// escaped headers, label pairs and le values — is rendered once, when its
+// family or series is created, so a render only copies bytes and formats
+// numbers with strconv, and allocates nothing once its buffer is grown.
 //
 // Concurrency: a Registry and its instruments are safe for concurrent
-// use. WriteText takes the same locks, so a scrape sees a consistent
+// use. A render takes the same locks, so a scrape sees a consistent
 // point-in-time view of each family (not across families, which
 // Prometheus does not require).
 
@@ -53,24 +58,39 @@ func (k familyKind) String() string {
 // the family's bounds; observations above the last bound only appear in
 // count and sum, i.e. the implicit +Inf bucket).
 type series struct {
-	labelValues []string
-	value       float64
-	buckets     []uint64
-	count       uint64
-	sum         float64
+	// key is the label values joined by 0xff: the family's map key and the
+	// order series render in.
+	key string
+	// pairs is the rendered label set without braces, `k1="v1",k2="v2"`,
+	// values escaped; empty for a family without labels.
+	pairs []byte
+	// gen is the family generation that last resolved the series; only
+	// the current generation's series render (see vec.Reset).
+	gen     uint64
+	value   float64
+	buckets []uint64
+	count   uint64
+	sum     float64
 }
 
 // family is one metric family: a name, a kind, a label schema, and the
 // labeled series seen so far.
 type family struct {
 	name   string
-	help   string
 	kind   familyKind
 	labels []string
 	bounds []float64 // histogram upper bounds, strictly increasing
+	// header is the family's `# HELP` and `# TYPE` lines, help escaped at
+	// registration; les are the histogram's rendered `le="…"` pairs, one
+	// per bound and the +Inf bucket's last.
+	header []byte
+	les    []string
 
 	mu     sync.Mutex
 	series map[string]*series
+	sorted []*series // every series in series, by key
+	gen    uint64
+	keyBuf []byte // resolve's scratch for the key of a lookup
 }
 
 // Registry holds metric families and renders them in the Prometheus
@@ -80,6 +100,9 @@ type Registry struct {
 	mu       sync.Mutex
 	families []*family
 	names    map[string]bool // reserved sample names, incl. histogram suffixes
+	// buf is WriteText's render buffer, kept between calls (nil while a
+	// call has it out).
+	buf []byte
 }
 
 // NewRegistry returns an empty registry.
@@ -134,11 +157,19 @@ func (r *Registry) register(name, help string, kind familyKind, labels []string,
 	}
 	f := &family{
 		name:   name,
-		help:   help,
 		kind:   kind,
 		labels: append([]string(nil), labels...),
 		bounds: append([]float64(nil), bounds...),
 		series: map[string]*series{},
+	}
+	f.header = append(f.header, "# HELP "+name+" "...)
+	f.header = appendEscaped(f.header, help, false)
+	f.header = append(f.header, "\n# TYPE "+name+" "+kind.String()+"\n"...)
+	if kind == histogramKind {
+		for _, b := range bounds {
+			f.les = append(f.les, `le="`+string(appendValue(nil, b))+`"`)
+		}
+		f.les = append(f.les, `le="+Inf"`)
 	}
 	r.families = append(r.families, f)
 	return f, nil
@@ -177,35 +208,80 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...stri
 type vec struct{ fam *family }
 
 // resolve returns the series for the given label values, creating it on
-// first use. It panics on label-arity mismatch — like a wrong printf
-// verb, that is a programming error at an instrumentation site, not a
-// runtime condition.
+// first use; a series hidden by Reset comes back zeroed. Resolving a
+// series the family holds allocates nothing. It panics on label-arity
+// mismatch — like a wrong printf verb, that is a programming error at an
+// instrumentation site, not a runtime condition.
 func (v vec) resolve(values []string) *series {
 	f := v.fam
 	if len(values) != len(f.labels) {
 		panic(fmt.Sprintf("metrics: %s: got %d label values for %d labels", f.name, len(values), len(f.labels)))
 	}
-	key := strings.Join(values, "\xff")
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	s := f.series[key]
-	if s == nil {
-		s = &series{labelValues: append([]string(nil), values...)}
-		if f.kind == histogramKind {
-			s.buckets = make([]uint64, len(f.bounds))
+	key := f.keyBuf[:0]
+	for i, val := range values {
+		if i > 0 {
+			key = append(key, 0xff)
 		}
-		f.series[key] = s
+		key = append(key, val...)
 	}
+	f.keyBuf = key
+	s := f.series[string(key)]
+	switch {
+	case s == nil:
+		s = f.newSeries(string(key), values)
+	case s.gen != f.gen:
+		s.value, s.count, s.sum = 0, 0, 0
+		clear(s.buckets)
+	}
+	s.gen = f.gen
 	return s
 }
 
-// Reset drops every series in the family. A scrape handler that rebuilds
-// a small ranking family (the worst K tenants) each scrape calls this
-// first, so tenants that left the ranking don't linger.
+// newSeries adds the series of the given label values under key, in key
+// order. Called with f.mu held.
+func (f *family) newSeries(key string, values []string) *series {
+	s := &series{key: key}
+	for i, val := range values {
+		if i > 0 {
+			s.pairs = append(s.pairs, ',')
+		}
+		s.pairs = append(s.pairs, f.labels[i]+`="`...)
+		s.pairs = appendEscaped(s.pairs, val, true)
+		s.pairs = append(s.pairs, '"')
+	}
+	if f.kind == histogramKind {
+		s.buckets = make([]uint64, len(f.bounds))
+	}
+	f.series[key] = s
+	at := sort.Search(len(f.sorted), func(i int) bool { return f.sorted[i].key > key })
+	f.sorted = slices.Insert(f.sorted, at, s)
+	return s
+}
+
+// Reset hides every series in the family until it is resolved again,
+// which zeroes it. A scrape handler that rebuilds a small ranking family
+// (the worst K tenants) each scrape calls this first, so tenants that left
+// the ranking don't linger, and those still in it are resolved again
+// without allocating. A series not resolved since the previous Reset is
+// dropped, so the family holds at most two rankings' worth. A handle
+// resolved before Reset must be resolved again before it is used.
 func (v vec) Reset() {
-	v.fam.mu.Lock()
-	defer v.fam.mu.Unlock()
-	v.fam.series = map[string]*series{}
+	f := v.fam
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	kept := f.sorted[:0]
+	for _, s := range f.sorted {
+		if s.gen == f.gen {
+			kept = append(kept, s)
+		} else {
+			delete(f.series, s.key)
+		}
+	}
+	clear(f.sorted[len(kept):])
+	f.sorted = kept
+	f.gen++
 }
 
 // CounterVec is a counter family; With resolves one labeled counter.
@@ -325,92 +401,135 @@ func (h FixedHistogram) SetBuckets(buckets []uint64, count uint64, sum float64) 
 	h.fam.mu.Unlock()
 }
 
-// escapeHelp escapes a HELP string per the text format: backslash and
-// newline only.
-func escapeHelp(s string) string {
-	s = strings.ReplaceAll(s, `\`, `\\`)
-	return strings.ReplaceAll(s, "\n", `\n`)
+// appendEscaped appends s escaped per the text format: backslash and
+// newline always (HELP text), the double quote too when quote is set
+// (label values).
+func appendEscaped(b []byte, s string, quote bool) []byte {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c == '\\':
+			b = append(b, `\\`...)
+		case c == '\n':
+			b = append(b, `\n`...)
+		case c == '"' && quote:
+			b = append(b, `\"`...)
+		default:
+			b = append(b, c)
+		}
+	}
+	return b
 }
 
-// escapeLabelValue escapes a label value per the text format:
-// backslash, double quote and newline.
-func escapeLabelValue(s string) string {
-	s = strings.ReplaceAll(s, `\`, `\\`)
-	s = strings.ReplaceAll(s, `"`, `\"`)
-	return strings.ReplaceAll(s, "\n", `\n`)
-}
-
-func formatValue(v float64) string {
+// appendValue appends a sample value: the shortest decimal that reads
+// back as v, ±Inf and NaN as the text format spells them.
+//
+//hpm:hotpath
+func appendValue(b []byte, v float64) []byte {
 	switch {
 	case math.IsInf(v, 1):
-		return "+Inf"
+		b = append(b, "+Inf"...)
 	case math.IsInf(v, -1):
-		return "-Inf"
+		b = append(b, "-Inf"...)
+	default:
+		b = strconv.AppendFloat(b, v, 'g', -1, 64)
 	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
+	return b
 }
 
-// labelPairs renders {k1="v1",k2="v2"} for the series, with an optional
-// extra pair appended (used for histogram le=). Empty schema and no
-// extra renders "".
-func labelPairs(names []string, s *series, extraName, extraValue string) string {
-	if len(names) == 0 && extraName == "" {
-		return ""
+// appendSeriesName appends name and suffix and then the label set in
+// braces — the series' pairs and an extra pair (a histogram's le) — or no
+// braces when both are empty.
+//
+//hpm:hotpath
+func appendSeriesName(b []byte, name, suffix string, pairs []byte, extra string) []byte {
+	b = append(b, name...)
+	b = append(b, suffix...)
+	if len(pairs) == 0 && extra == "" {
+		return b
 	}
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, n := range names {
-		if i > 0 {
-			b.WriteByte(',')
+	b = append(b, '{')
+	b = append(b, pairs...)
+	if extra != "" {
+		if len(pairs) > 0 {
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&b, `%s="%s"`, n, escapeLabelValue(s.labelValues[i]))
+		b = append(b, extra...)
 	}
-	if extraName != "" {
-		if len(names) > 0 {
-			b.WriteByte(',')
+	b = append(b, '}')
+	return b
+}
+
+// appendText appends the family: its `# HELP` and `# TYPE` lines, then
+// the current generation's series in key order.
+//
+//hpm:hotpath
+func (f *family) appendText(b []byte) []byte {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	b = append(b, f.header...)
+	for _, s := range f.sorted {
+		if s.gen != f.gen {
+			continue
 		}
-		fmt.Fprintf(&b, `%s="%s"`, extraName, extraValue)
+		if f.kind != histogramKind {
+			b = appendSeriesName(b, f.name, "", s.pairs, "")
+			b = append(b, ' ')
+			b = appendValue(b, s.value)
+			b = append(b, '\n')
+			continue
+		}
+		cum := uint64(0)
+		for i, le := range f.les {
+			if i < len(f.bounds) {
+				cum += s.buckets[i]
+			} else {
+				cum = s.count // the +Inf bucket holds every observation
+			}
+			b = appendSeriesName(b, f.name, "_bucket", s.pairs, le)
+			b = append(b, ' ')
+			b = strconv.AppendUint(b, cum, 10)
+			b = append(b, '\n')
+		}
+		b = appendSeriesName(b, f.name, "_sum", s.pairs, "")
+		b = append(b, ' ')
+		b = appendValue(b, s.sum)
+		b = append(b, '\n')
+		b = appendSeriesName(b, f.name, "_count", s.pairs, "")
+		b = append(b, ' ')
+		b = strconv.AppendUint(b, s.count, 10)
+		b = append(b, '\n')
 	}
-	b.WriteByte('}')
-	return b.String()
+	return b
+}
+
+// AppendText appends what WriteText writes to dst and returns the
+// extended slice; a dst with room for the text costs no allocation.
+func (r *Registry) AppendText(dst []byte) []byte {
+	r.mu.Lock()
+	fams := r.families // registration only appends: these entries stay as they are
+	r.mu.Unlock()
+	for _, f := range fams {
+		dst = f.appendText(dst)
+	}
+	return dst
 }
 
 // WriteText renders every family in registration order: `# HELP` and
 // `# TYPE` exactly once each, then the family's series sorted by label
 // values. Families with no series yet still emit their headers, so a
-// scraper sees the full catalog from the first scrape.
+// scraper sees the full catalog from the first scrape. The text is built
+// in a buffer the registry keeps for the next call, so a warm WriteText
+// allocates nothing; no lock is held while w is written, and a call
+// overlapping another renders into a buffer of its own.
 func (r *Registry) WriteText(w io.Writer) error {
 	r.mu.Lock()
-	fams := append([]*family(nil), r.families...)
+	buf := r.buf
+	r.buf = nil
 	r.mu.Unlock()
-	var b strings.Builder
-	for _, f := range fams {
-		f.mu.Lock()
-		fmt.Fprintf(&b, "# HELP %s %s\n", f.name, escapeHelp(f.help))
-		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, f.kind)
-		keys := make([]string, 0, len(f.series))
-		for k := range f.series {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			s := f.series[k]
-			switch f.kind {
-			case counterKind, gaugeKind:
-				fmt.Fprintf(&b, "%s%s %s\n", f.name, labelPairs(f.labels, s, "", ""), formatValue(s.value))
-			case histogramKind:
-				cum := uint64(0)
-				for i, bound := range f.bounds {
-					cum += s.buckets[i]
-					fmt.Fprintf(&b, "%s_bucket%s %d\n", f.name, labelPairs(f.labels, s, "le", formatValue(bound)), cum)
-				}
-				fmt.Fprintf(&b, "%s_bucket%s %d\n", f.name, labelPairs(f.labels, s, "le", "+Inf"), s.count)
-				fmt.Fprintf(&b, "%s_sum%s %s\n", f.name, labelPairs(f.labels, s, "", ""), formatValue(s.sum))
-				fmt.Fprintf(&b, "%s_count%s %d\n", f.name, labelPairs(f.labels, s, "", ""), s.count)
-			}
-		}
-		f.mu.Unlock()
-	}
-	_, err := io.WriteString(w, b.String())
+	buf = r.AppendText(buf[:0])
+	_, err := w.Write(buf)
+	r.mu.Lock()
+	r.buf = buf
+	r.mu.Unlock()
 	return err
 }

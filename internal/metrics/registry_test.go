@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"io"
 	"math"
 	"strings"
 	"sync"
@@ -142,6 +143,11 @@ func TestRegistryCounterSemantics(t *testing.T) {
 	}
 }
 
+// TestRegistryReset: Reset hides a family's series; a series resolved
+// again comes back zeroed — a counter, a gauge and a histogram alike,
+// never with the value it held before — and one left out of two rankings
+// in a row is dropped, so a ranking family holds at most two rankings'
+// series.
 func TestRegistryReset(t *testing.T) {
 	r := NewRegistry()
 	g := mustGauge(t, r, "bins", "h", "tenant")
@@ -154,6 +160,56 @@ func TestRegistryReset(t *testing.T) {
 	g.With("c").Set(3)
 	if out := render(t, r); strings.Contains(out, `tenant="a"`) || strings.Contains(out, `tenant="b"`) || !strings.Contains(out, `tenant="c"`) {
 		t.Fatalf("Reset broken:\n%s", out)
+	}
+
+	r = NewRegistry()
+	g = mustGauge(t, r, "rank", "h", "tenant")
+	c := mustCounter(t, r, "c_total", "h", "tenant")
+	h := mustHistogram(t, r, "lat", "h", []float64{1}, "tenant")
+	g.With("a").Set(5)
+	g.With("b").Set(7)
+	c.With("a").Add(9)
+	h.With("a").Observe(0.5)
+	g.Reset()
+	c.Reset()
+	h.Reset()
+	out := render(t, r)
+	if strings.Contains(out, "tenant=") {
+		t.Fatalf("Reset left series rendered:\n%s", out)
+	}
+	g.With("b")
+	c.With("a")
+	h.With("a")
+	out = render(t, r)
+	for _, want := range []string{
+		`rank{tenant="b"} 0`,
+		`c_total{tenant="a"} 0`,
+		`lat_bucket{tenant="a",le="1"} 0`,
+		`lat_bucket{tenant="a",le="+Inf"} 0`,
+		`lat_sum{tenant="a"} 0`,
+		`lat_count{tenant="a"} 0`,
+	} {
+		if !strings.Contains(out, want+"\n") {
+			t.Errorf("re-resolved series not zeroed: missing %q in\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, `rank{tenant="a"}`) {
+		t.Errorf("a series not resolved since Reset rendered:\n%s", out)
+	}
+	if err := LintPromText(strings.NewReader(out)); err != nil {
+		t.Fatal(err)
+	}
+	// "a" sat out one ranking: held, hidden. Sitting out a second drops it.
+	if n := len(g.fam.sorted); n != 2 {
+		t.Fatalf("after one Reset the family holds %d series, want 2", n)
+	}
+	g.Reset()
+	if n := len(g.fam.sorted); n != 1 || g.fam.sorted[0].key != "b" || len(g.fam.series) != 1 {
+		t.Fatalf("after a second Reset the family holds %d series, want only b", n)
+	}
+	g.With("a").Set(1)
+	if out := render(t, r); !strings.Contains(out, `rank{tenant="a"} 1`+"\n") || strings.Contains(out, `rank{tenant="b"}`) {
+		t.Fatalf("ranking after re-entry:\n%s", out)
 	}
 }
 
@@ -254,5 +310,27 @@ func TestRegistryConcurrency(t *testing.T) {
 	}
 	if !strings.Contains(out, `c_total{w="w"} 200`) {
 		t.Fatalf("lost counter increments:\n%s", out)
+	}
+}
+
+// TestRegistryWriteTextSteadyStateAllocs: a warm WriteText of the golden
+// registry allocates nothing, with a saturated ranking family Reset and
+// resolved again before every render.
+func TestRegistryWriteTextSteadyStateAllocs(t *testing.T) {
+	r := goldenRegistry(t)
+	top := mustGauge(t, r, "golden_top", "A ranking rebuilt every render.", "tenant")
+	ids := []string{"t0", "t1", "t2", "t3", "t4", "t5", "t6", "t7"}
+	render := func() {
+		top.Reset()
+		for i, id := range ids {
+			top.With(id).Set(float64(1000 - i))
+		}
+		if err := r.WriteText(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	}
+	render()
+	if allocs := testing.AllocsPerRun(50, render); allocs != 0 {
+		t.Errorf("a warm WriteText allocates %v times, want 0", allocs)
 	}
 }
