@@ -101,12 +101,11 @@ type server struct {
 	metricsScratch *metricsScratch
 }
 
-// metricsScratch is what a /metrics scrape reuses: the telemetry read, the
-// queue depths and the render buffer.
+// metricsScratch is what a /metrics scrape reuses: the queue depths and
+// the render buffer.
 type metricsScratch struct {
-	telemetry hierctl.FleetTelemetryRead
-	depths    []int
-	body      []byte
+	depths []int
+	body   []byte
 }
 
 // metricsContentType is the /metrics Content-Type header value, shared by
@@ -963,11 +962,12 @@ func (s *server) handleTelemetry(w http.ResponseWriter, r *http.Request, id stri
 // telemetry in the Prometheus text exposition format (the internal
 // registry — no client library). Every series is set from the fleet's
 // authoritative counters at scrape time: Stats, and one telemetry read —
-// one job per shard, nothing per tenant — of what the shards folded out
-// of the flight recorders as the bins stepped. No family has a series per
-// tenant, so the output does not grow with the tenant count. A warm scrape
-// allocates nothing here: the reads and the render reuse the server's
-// metricsScratch, and the rendered bytes go straight to the response.
+// each shard's fold under its lock, nothing per tenant and no wait behind
+// queued ingest — of what the shards folded out of the flight recorders
+// as the bins stepped. No family has a series per tenant, so the output
+// does not grow with the tenant count. A warm scrape allocates nothing
+// here: the reads and the render reuse the server's metricsScratch, and
+// the rendered bytes go straight to the response.
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.renderMu.Lock()
 	sc := s.metricsScratch
@@ -983,11 +983,11 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}()
 	stats := s.fleet.Stats()
 	sc.depths = s.fleet.QueueDepthsInto(sc.depths)
-	if err := s.fleet.TelemetrySummaryInto(&sc.telemetry); err != nil {
+	tel, err := s.fleet.TelemetrySummary()
+	if err != nil {
 		writeError(w, err)
 		return
 	}
-	tel := &sc.telemetry.Summary
 	var js hierctl.FleetJournalStats
 	if s.journal != nil {
 		js = s.journal.Stats()

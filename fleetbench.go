@@ -62,10 +62,10 @@ type FleetBenchRow struct {
 	AllocBytesPerBin float64 `json:"allocBytesPerBin"`
 	AllocsPerBin     float64 `json:"allocsPerBin"`
 	// ScrapeMicros and ScrapeAllocBytes price what a /metrics scrape asks
-	// of the fleet — one Fleet.TelemetrySummaryInto read into a reused
-	// read, on the idle fleet after the ingest rounds, median of
-	// fleetBenchScrapes: one job per shard and nothing per tenant, so the
-	// bytes are zero at every scale (the time is informational,
+	// of the fleet — one Fleet.TelemetrySummary, on the idle fleet after
+	// the ingest rounds, median of fleetBenchScrapes: each shard's fold
+	// read under its lock, no shard queue joined and nothing per tenant,
+	// so the bytes are zero at every scale (the time is informational,
 	// wall-clock).
 	ScrapeMicros     float64 `json:"scrapeMicros"`
 	ScrapeAllocBytes float64 `json:"scrapeAllocBytes"`
@@ -202,21 +202,17 @@ func observeRound(f *fleet.Fleet, dst []fleet.BatchResult, entries []fleet.Batch
 // columns are the median of.
 const fleetBenchScrapes = 9
 
-// measureScrape times fleetBenchScrapes TelemetrySummaryInto reads into
-// one reused read, as the daemon's scrape does, after a warm-up one and
-// returns the median microseconds and allocated bytes.
+// measureScrape times fleetBenchScrapes TelemetrySummary reads, as the
+// daemon's scrape makes them, and returns the median microseconds and
+// allocated bytes.
 func measureScrape(f *fleet.Fleet) (micros, allocBytes float64, err error) {
-	var rd fleet.TelemetryRead
-	if err := f.TelemetrySummaryInto(&rd); err != nil {
-		return 0, 0, err
-	}
 	took := make([]float64, fleetBenchScrapes)
 	allocated := make([]float64, fleetBenchScrapes)
 	var before, after runtime.MemStats
 	for i := range took {
 		runtime.ReadMemStats(&before)
 		start := time.Now()
-		if err := f.TelemetrySummaryInto(&rd); err != nil {
+		if _, err := f.TelemetrySummary(); err != nil {
 			return 0, 0, err
 		}
 		took[i] = float64(time.Since(start).Nanoseconds()) / 1e3

@@ -112,9 +112,6 @@ type (
 	// histograms, tick counters, and the FleetTopK worst tenants per
 	// counter.
 	FleetTelemetry = fleet.TelemetrySummary
-	// FleetTelemetryRead is a reusable FleetTelemetry read
-	// (Fleet.TelemetrySummaryInto): a warm read allocates nothing.
-	FleetTelemetryRead = fleet.TelemetryRead
 	// FleetTopTenants is one worst-tenant ranking of a FleetTelemetry.
 	FleetTopTenants = fleet.TopTenants
 	// ArtifactKindStats counts one kind of shared learning artifact in a

@@ -485,7 +485,7 @@ func TestL2EnumerationBoundedByFloats(t *testing.T) {
 		for i := range avail {
 			avail[i] = bitsOn>>i&1 == 1
 		}
-		want := EnumerateSimplex(p, avail, l2.cfg.Quantum)
+		want := EnumerateSimplex(p, avail, QuantumL2)
 		if got := l2.enumeration(avail); !reflect.DeepEqual(got, want) {
 			t.Fatalf("mask %d: table enumeration (%d) differs from a fresh one (%d)", masks, len(got), len(want))
 		}

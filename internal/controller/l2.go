@@ -15,14 +15,10 @@ import (
 type L2Config struct {
 	// PeriodSeconds is the sampling time T_L2 (paper: 2 min).
 	PeriodSeconds float64
-	// Quantum quantizes the module fractions γ_i (paper: 0.1).
-	Quantum float64
 	// EnumLimit bounds full enumeration of the quantized simplex; above
 	// it the controller falls back to a bounded neighbourhood of the
 	// previous decision (scalable control for many modules).
 	EnumLimit int
-	// NeighbourDepth is the bounded-search depth used past EnumLimit.
-	NeighbourDepth int
 	// UncertaintySamples averages the cost over {λ̂−δ, λ̂, λ̂+δ} when
 	// true, mirroring the L1 chattering mitigation.
 	UncertaintySamples bool
@@ -42,13 +38,18 @@ type L2Config struct {
 // some of them).
 const DeltaWeight float64 = 0.05
 
+const (
+	// QuantumL2 quantizes the module fractions γ_i (paper: 0.1).
+	QuantumL2 float64 = 0.1
+	// NeighbourDepthL2 is the bounded-search depth used past EnumLimit.
+	NeighbourDepthL2 int = 3
+)
+
 // DefaultL2Config returns the paper's §5.2 settings.
 func DefaultL2Config() L2Config {
 	return L2Config{
 		PeriodSeconds:      120,
-		Quantum:            0.1,
 		EnumLimit:          5000,
-		NeighbourDepth:     3,
 		UncertaintySamples: true,
 		NonNegativeCosts:   true,
 	}
@@ -59,15 +60,8 @@ func (c L2Config) Validate() error {
 	if c.PeriodSeconds <= 0 {
 		return fmt.Errorf("controller: L2 period %v <= 0", c.PeriodSeconds)
 	}
-	units := math.Round(1 / c.Quantum)
-	if c.Quantum <= 0 || c.Quantum > 1 || math.Abs(units*c.Quantum-1) > 1e-9 {
-		return fmt.Errorf("controller: L2 quantum %v must evenly divide 1", c.Quantum)
-	}
 	if c.EnumLimit < 1 {
 		return fmt.Errorf("controller: L2 enum limit %d < 1", c.EnumLimit)
-	}
-	if c.NeighbourDepth < 1 {
-		return fmt.Errorf("controller: L2 neighbour depth %d < 1", c.NeighbourDepth)
 	}
 	return nil
 }
@@ -185,11 +179,11 @@ func NewL2(cfg L2Config, jtildes []JTilde, table *CandidateTable) (*L2, error) {
 		mask[i] = true
 		weights[i] = 1
 	}
-	prev, err := SnapSimplex(weights, mask, cfg.Quantum)
+	prev, err := SnapSimplex(weights, mask, QuantumL2)
 	if err != nil {
 		return nil, err
 	}
-	table, err = tableFor(table, L2TableKey(cfg, p))
+	table, err = tableFor(table, L2TableKey(p))
 	if err != nil {
 		return nil, err
 	}
@@ -250,14 +244,14 @@ func (l *L2) Decide(obs L2Observation) (L2Decision, error) {
 
 	var candidates [][]float64
 	switch {
-	case CountSimplex(avail, l.cfg.Quantum) > l.cfg.EnumLimit:
-		seed, err := SnapSimplex(l.prevGamma, obs.Available, l.cfg.Quantum)
+	case CountSimplex(avail, QuantumL2) > l.cfg.EnumLimit:
+		seed, err := SnapSimplex(l.prevGamma, obs.Available, QuantumL2)
 		if err != nil {
 			return L2Decision{}, err
 		}
-		candidates = SimplexNeighbours(seed, obs.Available, l.cfg.Quantum, l.cfg.NeighbourDepth)
+		candidates = SimplexNeighbours(seed, obs.Available, QuantumL2, NeighbourDepthL2)
 	case p > 64:
-		candidates = EnumerateSimplex(p, obs.Available, l.cfg.Quantum)
+		candidates = EnumerateSimplex(p, obs.Available, QuantumL2)
 	default:
 		candidates = l.enumeration(obs.Available)
 	}
@@ -312,7 +306,7 @@ func (l *L2) enumeration(avail []bool) [][]float64 {
 	mask := packBools(avail)
 	set := l.table.lookup(mask)
 	if set == nil {
-		set = l.table.publish(mask, &candidateSet{cands: EnumerateSimplex(len(avail), avail, l.cfg.Quantum)})
+		set = l.table.publish(mask, &candidateSet{cands: EnumerateSimplex(len(avail), avail, QuantumL2)})
 	}
 	return set.cands
 }

@@ -29,9 +29,7 @@ func TestL2ConfigValidation(t *testing.T) {
 	}
 	mutations := []func(*L2Config){
 		func(c *L2Config) { c.PeriodSeconds = 0 },
-		func(c *L2Config) { c.Quantum = 0.3 },
 		func(c *L2Config) { c.EnumLimit = 0 },
-		func(c *L2Config) { c.NeighbourDepth = 0 },
 	}
 	for i, mutate := range mutations {
 		cfg := base
@@ -172,7 +170,7 @@ func TestL2BoundedModeAboveEnumLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := CountSimplex(4, cfg.Quantum)
+	full := CountSimplex(4, QuantumL2)
 	if dec.Explored >= full {
 		t.Errorf("bounded mode explored %d, full enumeration is %d", dec.Explored, full)
 	}

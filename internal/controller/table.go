@@ -29,8 +29,8 @@ const maxGammaMemoFloats = 1 << 20
 // CandidateTable maps an on/off or availability mask to that mask's
 // candidate set, for one shape: an L1's capacity-seeded γ neighbourhoods
 // (a pure function of its capacity weights, quantum and neighbour depth —
-// see L1TableKey) or an L2's simplex enumerations (of its module count and
-// quantum — see L2TableKey). Every controller of the shape may share one
+// see L1TableKey) or an L2's simplex enumerations (of its module count —
+// see L2TableKey). Every controller of the shape may share one
 // table, from any goroutine: a read takes no lock — it loads an atomic
 // pointer to an immutable map — and a miss publishes under a mutex by
 // copying the map, so an entry is never mutated once published. The table
@@ -106,9 +106,9 @@ func L1TableKey(cfg L1Config, gmaps []*GMap) string {
 }
 
 // L2TableKey names the shape an L2's candidate table depends on: the
-// module count and the exact bits of the quantum.
-func L2TableKey(cfg L2Config, modules int) string {
-	return fmt.Sprintf("l2|q%x|p%d", math.Float64bits(cfg.Quantum), modules)
+// module count (the quantum is QuantumL2).
+func L2TableKey(modules int) string {
+	return fmt.Sprintf("l2|p%d", modules)
 }
 
 // tableFor returns table, or a private one for the shape when it is nil,

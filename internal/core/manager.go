@@ -367,7 +367,7 @@ func (s *ArtifactStore) NewManager(spec cluster.Spec, cfg Config) (_ *Manager, e
 		for i := range m.modules {
 			jtildes[i] = treeCache[moduleKey(spec.Modules[i])]
 		}
-		l2, err := controller.NewL2(cfg.L2, jtildes, m.acquireTable(controller.L2TableKey(cfg.L2, len(jtildes))))
+		l2, err := controller.NewL2(cfg.L2, jtildes, m.acquireTable(controller.L2TableKey(len(jtildes))))
 		if err != nil {
 			return nil, err
 		}

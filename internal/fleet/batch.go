@@ -58,24 +58,21 @@ type batchOut struct {
 }
 
 // batchCall is one ObserveBatchInto or ObserveInto call's state, pooled per
-// fleet: the entries' cells and the completion counter. pending counts the
-// enqueued jobs still running plus, in a batch, one hold the caller keeps
-// while it is enqueueing; whoever drops it to zero puts the call's one
-// token in done.
+// fleet: the entries' cells and the completion, which counts the enqueued
+// jobs plus, in a batch, one hold the caller keeps while it is enqueueing.
 type batchCall struct {
+	completion
 	f         *Fleet
 	decisions bool
 	cells     []batchOut
-	pending   atomic.Int64
-	done      chan struct{} // capacity 1: one token per call, taken before reuse
-	one       [1]float64    // ObserveInto's bin: the counts of its one cell
+	one       [1]float64 // ObserveInto's bin: the counts of its one cell
 }
 
 // takeCall returns a pooled call with n zeroed cells.
 func (f *Fleet) takeCall(n int, decisions bool) *batchCall {
 	call, _ := f.batchCalls.Get().(*batchCall)
 	if call == nil {
-		call = &batchCall{f: f, done: make(chan struct{}, 1)}
+		call = &batchCall{f: f}
 	}
 	call.decisions = decisions
 	if cap(call.cells) < n {
@@ -91,12 +88,6 @@ func (f *Fleet) takeCall(n int, decisions bool) *batchCall {
 func (f *Fleet) putCall(call *batchCall) {
 	clear(call.cells)
 	f.batchCalls.Put(call)
-}
-
-func (c *batchCall) release() {
-	if c.pending.Add(-1) == 0 {
-		c.done <- struct{}{}
-	}
 }
 
 // run steps the entry's bins on its tenant's home shard. The decision is
@@ -124,7 +115,7 @@ func (o *batchOut) run() {
 	f.ticks.Add(int64(o.applied * t.sub))
 	f.decideNanos.Add(time.Since(start).Nanoseconds())
 	o.finished.Store(true)
-	c.release()
+	c.finish()
 }
 
 // ObserveBatch is ObserveBatchInto into a fresh slice with every entry's
@@ -170,7 +161,7 @@ func (f *Fleet) ObserveBatchInto(dst []BatchResult, entries []BatchEntry, decisi
 
 	call := f.takeCall(len(entries), decisions)
 	cells := call.cells
-	call.pending.Store(1)
+	call.arm(1)
 
 	f.mu.RLock()
 	for i := range entries {
@@ -178,13 +169,8 @@ func (f *Fleet) ObserveBatchInto(dst []BatchResult, entries []BatchEntry, decisi
 	}
 	f.mu.RUnlock()
 	call.enqueue(cells, entries, results)
-	call.release()
-	closed := false
-	select {
-	case <-call.done:
-	case <-f.ctx.Done():
-		closed = true
-	}
+	call.finish()
+	closed := f.wait(&call.completion) != nil
 	for i := range cells {
 		if cells[i].enqueued {
 			cells[i].collect(&results[i])

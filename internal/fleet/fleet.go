@@ -8,13 +8,16 @@
 // Concurrency model: every tenant has a home shard, and all operations on
 // a tenant execute serially on that shard's goroutine — per-tenant
 // ordering is total, distinct tenants step concurrently, and the tenant
-// state needs no locks. Whole-fleet reads never hop once per tenant:
-// States, Snapshot and a journal append are one sweep — one job per shard
-// that visits the shard's tenants in bounded slices — and
-// TelemetrySummary one job per shard that visits none, because the shards
-// fold telemetry as the bins step. The shard loops run under the
-// context-aware fan-out in internal/par, so closing the fleet stops them
-// promptly.
+// state needs no locks. Every shard call completes one way: the caller
+// sends its jobs down the shard queues and waits on one completion, which
+// the last job to finish signals. Whole-fleet reads never hop once per
+// tenant: States, Snapshot and a journal append are one sweep — one job
+// per shard that visits the shard's tenants in bounded slices. The one
+// piece of shard state read under a mutex is the shard's telemetry fold,
+// which the shards keep as the bins step: TelemetrySummary reads it
+// without joining any queue, so a scrape never waits behind ingest. The
+// shard loops run under the context-aware fan-out in internal/par, so
+// closing the fleet stops them promptly.
 //
 // Invariants:
 //
@@ -128,23 +131,79 @@ type Fleet struct {
 
 // job is one unit of work on a shard queue. A bin reaches its shard one
 // way, as a pooled batch cell that is its own job (Observe's is a batch of
-// one); a sweep's turn is a sweepJob and a telemetry read's a
-// telemetryJob; the single-tenant reads and CloseTenant ride as funcJobs.
+// one); a sweep's turn is a sweepJob; the single-tenant reads and
+// CloseTenant ride as funcJobs.
 type job interface{ run() }
 
 type funcJob func()
 
 func (fn funcJob) run() { fn() }
 
+// completion is how a shard call learns its jobs are done: pending counts
+// the jobs still to finish (plus any hold the caller keeps while it
+// enqueues), and whoever drops it to zero puts the call's one token in
+// done. A call takes the token before its completion is armed again.
+type completion struct {
+	pending atomic.Int64
+	done    chan struct{} // capacity 1
+}
+
+// arm readies c for n finishes.
+func (c *completion) arm(n int) {
+	if c.done == nil {
+		c.done = make(chan struct{}, 1)
+	}
+	c.pending.Store(int64(n))
+}
+
+// finish marks one job (or the caller's hold) done.
+func (c *completion) finish() {
+	if c.pending.Add(-1) == 0 {
+		c.done <- struct{}{}
+	}
+}
+
+// send puts j on s's queue, waiting for room, or returns ErrClosed if the
+// fleet closes first.
+func (f *Fleet) send(s *shard, j job) error {
+	select {
+	case s.jobs <- j:
+		return nil
+	case <-f.ctx.Done():
+		return ErrClosed
+	}
+}
+
+// wait takes c's token, or returns ErrClosed if the fleet closes first.
+// Both may be ready at once; the token wins, so work that did finish (and
+// may have mutated tenant state) is never reported as closed. A call that
+// got ErrClosed must not reuse what its jobs write: a job abandoned by the
+// shutdown may still be running.
+func (f *Fleet) wait(c *completion) error {
+	select {
+	case <-c.done:
+		return nil
+	case <-f.ctx.Done():
+		select {
+		case <-c.done:
+			return nil
+		default:
+			return ErrClosed
+		}
+	}
+}
+
 // shard executes the jobs of its assigned tenants serially.
 type shard struct {
 	jobs chan job
 	// The shard's share of the fleet-wide telemetry fold, kept current as
-	// its tenants step (see fold): the cumulative totals, the rankings of
-	// its registered tenants, and foldBuf, the scratch a tenant's new
-	// records are decoded into — all owned by the shard goroutine.
-	agg     TelemetryTotals
-	top     TelemetryRankings
+	// its tenants step (see fold): the cumulative totals and the rankings
+	// of its registered tenants. Only the shard goroutine writes them, under
+	// mu; TelemetrySummary reads them under mu from any goroutine.
+	mu  sync.Mutex
+	agg TelemetryTotals
+	top TelemetryRankings
+	// foldBuf is the scratch a tenant's new records are decoded into.
 	foldBuf []obs.Record
 	// ckpt is the scratch a capture on this shard encodes a tenant's
 	// checkpoint into before keeping an exact-size copy.
@@ -207,13 +266,12 @@ func (f *Fleet) Close() {
 // exec runs fn on t's home shard and waits for it, bailing out with
 // ErrClosed if the fleet shuts down first.
 func (f *Fleet) exec(t *tenant, fn func()) error {
-	done := make(chan struct{})
-	select {
-	case t.home.jobs <- funcJob(func() { defer close(done); fn() }):
-	case <-f.ctx.Done():
-		return ErrClosed
+	c := new(completion)
+	c.arm(1)
+	if err := f.send(t.home, funcJob(func() { defer c.finish(); fn() })); err != nil {
+		return err
 	}
-	return f.await(done)
+	return f.wait(c)
 }
 
 // stepTenant applies one observation bin to t with panic containment.
@@ -371,13 +429,11 @@ func (f *Fleet) ObserveInto(id string, count float64, dst *core.BinDecision) err
 	cell := &call.cells[0]
 	call.one[0] = count
 	cell.call, cell.t, cell.counts, cell.dec = call, t, call.one[:], dst
-	call.pending.Store(1)
-	select {
-	case t.home.jobs <- cell:
-	case <-f.ctx.Done():
-		return ErrClosed
+	call.arm(1)
+	if err := f.send(t.home, cell); err != nil {
+		return err
 	}
-	if err := f.await(call.done); err != nil {
+	if err := f.wait(&call.completion); err != nil {
 		// The job the shutdown abandoned may still write its cell, so the
 		// call is left to the collector.
 		return err

@@ -1,9 +1,6 @@
 package fleet
 
-import (
-	"sort"
-	"sync/atomic"
-)
+import "sort"
 
 // sweepSlice bounds how many listed tenants a sweep job looks at per turn
 // on its shard: a sweep of any fleet holds a shard for at most this many
@@ -11,15 +8,12 @@ import (
 const sweepSlice = 64
 
 // sweepCall is one sweep's state: the tenant listing, the per-shard jobs
-// and the completion counter.
+// and the completion they share.
 type sweepCall struct {
+	completion
 	all   []*tenant
 	visit func(pos int, t *tenant)
 	jobs  []sweepJob
-	// pending counts the shard jobs still running; the one that drops it to
-	// zero puts the call's one token in done.
-	pending atomic.Int64
-	done    chan struct{}
 }
 
 // sweepJob is one shard's share of a sweep: how far down the listing it
@@ -53,9 +47,7 @@ func (j *sweepJob) run() {
 		default:
 		}
 	}
-	if c.pending.Add(-1) == 0 {
-		close(c.done)
-	}
+	c.finish()
 }
 
 // sweep is the fleet's one way to read every tenant: it lists the
@@ -74,7 +66,7 @@ func sweep[T any](f *Fleet, visit func(t *tenant) (T, error)) ([]T, error) {
 	if f.ctx.Err() != nil {
 		return nil, ErrClosed
 	}
-	c := &sweepCall{jobs: make([]sweepJob, len(f.shards)), done: make(chan struct{})}
+	c := &sweepCall{jobs: make([]sweepJob, len(f.shards))}
 	f.mu.RLock()
 	c.all = make([]*tenant, 0, len(f.tenants))
 	for _, t := range f.tenants {
@@ -88,16 +80,14 @@ func sweep[T any](f *Fleet, visit func(t *tenant) (T, error)) ([]T, error) {
 		vals[pos], errs[pos] = visit(t)
 		visited[pos] = true
 	}
-	c.pending.Store(int64(len(c.jobs)))
+	c.arm(len(c.jobs))
 	for i, s := range f.shards {
 		c.jobs[i] = sweepJob{call: c, home: s}
-		select {
-		case s.jobs <- &c.jobs[i]:
-		case <-f.ctx.Done():
-			return nil, ErrClosed
+		if err := f.send(s, &c.jobs[i]); err != nil {
+			return nil, err
 		}
 	}
-	if err := f.await(c.done); err != nil {
+	if err := f.wait(&c.completion); err != nil {
 		return nil, err
 	}
 	kept := vals[:0]
@@ -110,21 +100,4 @@ func sweep[T any](f *Fleet, visit func(t *tenant) (T, error)) ([]T, error) {
 		}
 	}
 	return kept, nil
-}
-
-// await waits for a shard-side completion signal, or the fleet's end.
-func (f *Fleet) await(done <-chan struct{}) error {
-	select {
-	case <-done:
-		return nil
-	case <-f.ctx.Done():
-		// Both may be ready at once; prefer done so work that did finish
-		// (and may have mutated tenant state) is never reported as closed.
-		select {
-		case <-done:
-			return nil
-		default:
-			return ErrClosed
-		}
-	}
 }

@@ -6,7 +6,9 @@ import (
 	"path/filepath"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // sweepTenantConfig is a small recording tenant: a 2-computer module with
@@ -114,16 +116,9 @@ func TestSweepYieldsInSlices(t *testing.T) {
 	sh.jobs <- funcJob(func() { close(parked); <-gate })
 	<-parked
 	var visits int
-	finished := func(j *sweepJob) bool {
-		select {
-		case <-j.call.done:
-			return true
-		default:
-			return false
-		}
-	}
+	finished := func(j *sweepJob) bool { return j.call.pending.Load() == 0 }
 	newJob := func() *sweepJob {
-		c := &sweepCall{jobs: make([]sweepJob, 1), done: make(chan struct{})}
+		c := &sweepCall{jobs: make([]sweepJob, 1)}
 		for _, id := range f.Tenants() {
 			c.all = append(c.all, f.tenants[id])
 		}
@@ -133,7 +128,7 @@ func TestSweepYieldsInSlices(t *testing.T) {
 			}
 			visits++
 		}
-		c.pending.Store(1)
+		c.arm(1)
 		c.jobs[0] = sweepJob{call: c, home: sh}
 		return &c.jobs[0]
 	}
@@ -164,13 +159,12 @@ func TestSweepYieldsInSlices(t *testing.T) {
 }
 
 // TestTelemetrySummaryAllocsFlatInTenants pins the cost of the fleet call
-// behind a metrics scrape: TelemetrySummary allocates the same whether the
-// fleet hosts 16 tenants or 512 — the per-shard parts and one job per
-// shard, nothing per tenant.
+// behind a metrics scrape: TelemetrySummary allocates nothing whether the
+// fleet hosts 16 tenants or 512 — each shard's fold is read in place,
+// nothing per tenant.
 func TestTelemetrySummaryAllocsFlatInTenants(t *testing.T) {
-	allocs := func(tenants int) float64 {
+	for _, tenants := range []int{16, 512} {
 		f := New(Config{Shards: 2, QueueDepth: tenants})
-		defer f.Close()
 		entries := make([]BatchEntry, tenants)
 		for i := range entries {
 			id := fmt.Sprintf("t%03d", i)
@@ -189,25 +183,22 @@ func TestTelemetrySummaryAllocsFlatInTenants(t *testing.T) {
 		if got := sum.Levels[0].Decisions; got < uint64(2*tenants) || sum.Operational < tenants || sum.Top.QoS[TopK-1].Count == 0 {
 			t.Fatalf("%d tenants: %d L0 decisions, %d operational, ranking %v", tenants, got, sum.Operational, sum.Top.QoS)
 		}
-		return testing.AllocsPerRun(50, func() {
+		if allocs := testing.AllocsPerRun(50, func() {
 			if _, err := f.TelemetrySummary(); err != nil {
 				t.Fatal(err)
 			}
-		})
-	}
-	few, many := allocs(16), allocs(512)
-	if few != many {
-		t.Errorf("TelemetrySummary allocates %v times with 16 tenants, %v with 512; want equal", few, many)
-	}
-	if many > 10 {
-		t.Errorf("TelemetrySummary allocates %v times on 2 shards, want <= 10", many)
+		}); allocs != 0 {
+			t.Errorf("TelemetrySummary allocates %v times with %d tenants, want 0", allocs, tenants)
+		}
+		f.Close()
 	}
 }
 
-// TestTelemetrySummaryIntoWarmAllocs: a warm TelemetrySummaryInto — the
-// caller's read holding the per-shard parts and jobs — allocates nothing
-// and reads what TelemetrySummary does; a read the fleet's close cut
-// short reports ErrClosed and leaves the read usable on another fleet.
+// TestTelemetrySummaryIntoWarmAllocs: a warm scrape — TelemetrySummary
+// writing into the caller's summary, the shards' folds read in place —
+// allocates nothing and reads the same as the first, non-empty read; a
+// closed fleet reports ErrClosed, and a fresh fleet opened after it reads
+// a zero summary.
 func TestTelemetrySummaryIntoWarmAllocs(t *testing.T) {
 	f := New(Config{Shards: 3})
 	entries := make([]BatchEntry, 12)
@@ -221,32 +212,91 @@ func TestTelemetrySummaryIntoWarmAllocs(t *testing.T) {
 	if _, err := f.ObserveBatch(entries); err != nil {
 		t.Fatal(err)
 	}
-	var rd TelemetryRead
-	if err := f.TelemetrySummaryInto(&rd); err != nil {
-		t.Fatal(err)
-	}
 	want, err := f.TelemetrySummary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rd.Summary != want || want.Top.QoS[TopK-1].Count == 0 {
-		t.Fatalf("TelemetrySummaryInto read %+v, TelemetrySummary %+v", rd.Summary, want)
+	if want.Top.QoS[TopK-1].Count == 0 {
+		t.Fatalf("summary after ingest ranks too few tenants: %+v", want)
 	}
+	var got TelemetrySummary
 	if allocs := testing.AllocsPerRun(50, func() {
-		if err := f.TelemetrySummaryInto(&rd); err != nil {
+		if got, err = f.TelemetrySummary(); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
-		t.Errorf("a warm TelemetrySummaryInto allocates %v times, want 0", allocs)
+		t.Errorf("a warm TelemetrySummary allocates %v times, want 0", allocs)
+	}
+	if got != want {
+		t.Fatalf("warm read %+v, first read %+v", got, want)
 	}
 	f.Close()
-	if err := f.TelemetrySummaryInto(&rd); err != ErrClosed {
+	if _, err := f.TelemetrySummary(); err != ErrClosed {
 		t.Fatalf("read of a closed fleet: %v, want ErrClosed", err)
 	}
 	g := New(Config{Shards: 2})
 	defer g.Close()
-	if err := g.TelemetrySummaryInto(&rd); err != nil || rd.Summary != (TelemetrySummary{}) {
-		t.Fatalf("read of an empty fleet after a closed one: %v, %+v", err, rd.Summary)
+	if sum, err := g.TelemetrySummary(); err != nil || sum != (TelemetrySummary{}) {
+		t.Fatalf("read of an empty fleet after a closed one: %v, %+v", err, sum)
+	}
+}
+
+// TestTelemetrySummaryIgnoresBusyShard: a scrape does not queue behind
+// ingest. The fleet's one shard is wedged inside a tenant's step, with
+// more bins queued behind it, and TelemetrySummary still returns — with
+// what the shard folded before the wedge — before the step is released.
+func TestTelemetrySummaryIgnoresBusyShard(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	var wedge atomic.Bool
+	f := New(Config{Shards: 1, ObserveFailpoint: func(string, float64) {
+		if wedge.CompareAndSwap(true, false) {
+			close(entered)
+			<-release
+		}
+	}})
+	defer f.Close()
+	defer close(release)
+	if err := f.CreateTenant("a", sweepTenantConfig(1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Observe("a", 2000); err != nil {
+		t.Fatal(err)
+	}
+	before, err := f.TelemetrySummary()
+	if err != nil || before.Levels[0].Decisions == 0 {
+		t.Fatalf("summary after one bin: %v, %+v", err, before)
+	}
+	wedge.Store(true)
+	observed := make(chan error, 2)
+	for range 2 {
+		go func() {
+			_, err := f.Observe("a", 100)
+			observed <- err
+		}()
+	}
+	<-entered
+	type reply struct {
+		sum TelemetrySummary
+		err error
+	}
+	read := make(chan reply, 1)
+	go func() {
+		sum, err := f.TelemetrySummary()
+		read <- reply{sum, err}
+	}()
+	select {
+	case r := <-read:
+		if r.err != nil || r.sum != before {
+			t.Errorf("summary read during the wedged step: %v, %+v; want the pre-wedge %+v", r.err, r.sum, before)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("TelemetrySummary waited on a busy shard")
+	}
+	release <- struct{}{}
+	for range 2 {
+		if err := <-observed; err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -1,10 +1,6 @@
 package fleet
 
-import (
-	"sync/atomic"
-
-	"hierctl/internal/obs"
-)
+import "hierctl/internal/obs"
 
 // The bucket upper bounds of the fleet-wide decision histograms: decide
 // latency in nanoseconds (1 µs .. 1 s by decades) and states explored per
@@ -169,7 +165,9 @@ type TelemetrySummary struct {
 // shard's aggregate and t's own counters, and keeps the shard's rankings
 // and operational count current with them. Runs on the shard goroutine,
 // right after a bin stepped, so the ring needs to hold one bin's records
-// for none to be lost, however rarely anyone scrapes.
+// for none to be lost, however rarely anyone scrapes. The records are
+// decoded before s.mu is taken, so a scrape waits for at most one
+// tenant's fold.
 //
 //hpm:hotpath
 func (s *shard) fold(t *tenant) {
@@ -181,10 +179,14 @@ func (s *shard) fold(t *tenant) {
 	if rec == nil {
 		return
 	}
+	var dropped uint64
 	if oldest := rec.Oldest(); t.cursor < oldest {
-		s.agg.Dropped += oldest - t.cursor
+		dropped = oldest - t.cursor
 	}
 	s.foldBuf, t.cursor = rec.Since(s.foldBuf[:0], t.cursor)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.agg.Dropped += dropped
 	qos, degraded, stale := t.qos, t.degraded, t.stale
 	for i := range s.foldBuf {
 		r := &s.foldBuf[i]
@@ -248,116 +250,53 @@ func (s *shard) fold(t *tenant) {
 func (s *shard) forget(f *Fleet, t *tenant) {
 	s.operational.Add(int64(-t.operational))
 	rerank := false
+	s.mu.Lock()
 	for _, top := range []*TopTenants{&s.top.QoS, &s.top.Degraded, &s.top.Stale} {
 		wasFull := top.full()
 		rerank = top.drop(t.id) && wasFull || rerank
 	}
+	s.mu.Unlock()
 	if !rerank {
 		return
 	}
-	s.top = TelemetryRankings{}
 	// The registry is the fleet's; the counters read through it are this
-	// shard's own. Nothing holds f.mu while waiting on a shard.
+	// shard's own. The rankings are rebuilt under f.mu and swapped in under
+	// s.mu, so neither lock is taken while the other is held.
+	var top TelemetryRankings
 	f.mu.RLock()
 	for _, m := range f.tenants {
 		if m.home == s && !m.closed {
-			s.top.QoS.add(m.id, m.qos)
-			s.top.Degraded.add(m.id, m.degraded)
-			s.top.Stale.add(m.id, m.stale)
+			top.QoS.add(m.id, m.qos)
+			top.Degraded.add(m.id, m.degraded)
+			top.Stale.add(m.id, m.stale)
 		}
 	}
 	f.mu.RUnlock()
+	s.mu.Lock()
+	s.top = top
+	s.mu.Unlock()
 }
 
-// TelemetrySummary returns the fleet-wide telemetry fold; see
-// TelemetrySummaryInto, which it calls with a read of its own.
+// TelemetrySummary returns the fleet-wide telemetry fold: it reads each
+// shard's share — what the shard accumulated as its tenants stepped —
+// under that shard's lock, one shard at a time, and sums and merges them.
+// No tenant is visited and no shard queue is joined, so the cost depends
+// on neither the number of tenants nor the ingest queued on the shards.
 func (f *Fleet) TelemetrySummary() (TelemetrySummary, error) {
-	var rd TelemetryRead
-	err := f.TelemetrySummaryInto(&rd)
-	return rd.Summary, err
-}
-
-// TelemetryRead is a caller-owned fleet-wide telemetry read: Summary is
-// the last read's result, and the per-shard parts and the shard jobs that
-// fill them stay for the next read, so a warm read allocates nothing. The
-// zero value is ready to use; it serves one read at a time.
-type TelemetryRead struct {
-	Summary TelemetrySummary
-	call    *telemetryCall
-}
-
-// telemetryCall is a TelemetryRead's per-shard state, bound to one fleet:
-// one part and one job per shard, and the completion the jobs share. A
-// read the fleet's close cut short drops it, since a shard that outlives
-// the close may still write its part.
-type telemetryCall struct {
-	fleet *Fleet
-	parts []TelemetrySummary
-	jobs  []telemetryJob
-	// pending counts the shard jobs still running; the one that drops it to
-	// zero puts the read's token in done (buffered, drained by the read).
-	pending atomic.Int64
-	done    chan struct{}
-}
-
-// telemetryJob copies one shard's share of the fold into its part. It is
-// its own queue entry, as a sweepJob is, so a read costs no closure.
-type telemetryJob struct {
-	call *telemetryCall
-	home *shard
-	part *TelemetrySummary
-}
-
-func (j *telemetryJob) run() {
-	s := j.home
-	*j.part = TelemetrySummary{TelemetryTotals: s.agg, Operational: int(s.operational.Load()), Top: s.top}
-	if j.call.pending.Add(-1) == 0 {
-		j.call.done <- struct{}{}
+	if f.ctx.Err() != nil {
+		return TelemetrySummary{}, ErrClosed
 	}
-}
-
-// TelemetrySummaryInto reads the fleet-wide telemetry fold into
-// dst.Summary: one job per shard copies what the shard accumulated as its
-// tenants stepped into dst's part for it, summed and merged here. No
-// tenant is visited, so the cost does not depend on how many there are.
-func (f *Fleet) TelemetrySummaryInto(dst *TelemetryRead) error {
-	c := dst.call
-	if c == nil || c.fleet != f {
-		c = &telemetryCall{
-			fleet: f,
-			parts: make([]TelemetrySummary, len(f.shards)),
-			jobs:  make([]telemetryJob, len(f.shards)),
-			done:  make(chan struct{}, 1),
+	var out TelemetrySummary
+	for _, s := range f.shards {
+		out.Operational += int(s.operational.Load())
+		s.mu.Lock()
+		out.TelemetryTotals.add(&s.agg)
+		for k := range s.top.QoS {
+			out.Top.QoS.add(s.top.QoS[k].ID, s.top.QoS[k].Count)
+			out.Top.Degraded.add(s.top.Degraded[k].ID, s.top.Degraded[k].Count)
+			out.Top.Stale.add(s.top.Stale[k].ID, s.top.Stale[k].Count)
 		}
-		for i, s := range f.shards {
-			c.jobs[i] = telemetryJob{call: c, home: s, part: &c.parts[i]}
-		}
-		dst.call = c
+		s.mu.Unlock()
 	}
-	c.pending.Store(int64(len(c.jobs)))
-	for i := range c.jobs {
-		select {
-		case c.jobs[i].home.jobs <- &c.jobs[i]:
-		case <-f.ctx.Done():
-			dst.call = nil
-			return ErrClosed
-		}
-	}
-	if err := f.await(c.done); err != nil {
-		dst.call = nil
-		return err
-	}
-	out := &dst.Summary
-	*out = c.parts[0]
-	for i := 1; i < len(c.parts); i++ {
-		p := &c.parts[i]
-		out.TelemetryTotals.add(&p.TelemetryTotals)
-		out.Operational += p.Operational
-		for k := range p.Top.QoS {
-			out.Top.QoS.add(p.Top.QoS[k].ID, p.Top.QoS[k].Count)
-			out.Top.Degraded.add(p.Top.Degraded[k].ID, p.Top.Degraded[k].Count)
-			out.Top.Stale.add(p.Top.Stale[k].ID, p.Top.Stale[k].Count)
-		}
-	}
-	return nil
+	return out, nil
 }
