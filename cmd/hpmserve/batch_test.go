@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -16,7 +17,7 @@ import (
 	"hierctl/internal/race"
 )
 
-func createFastTenant(t *testing.T, h http.Handler, id string) {
+func createFastTenant(t testing.TB, h http.Handler, id string) {
 	t.Helper()
 	doJSON(t, h, http.MethodPost, "/v1/tenants",
 		fmt.Sprintf(`{"id":%q,"moduleSize":2,"fast":true,"binSeconds":30}`, id), http.StatusCreated)
@@ -429,9 +430,11 @@ func TestServerBatchScratchBounded(t *testing.T) {
 
 // TestHandleObserveBatchSteadyStateAllocs: with a warm scratch pool a
 // batch request costs heap per call, not per entry. Widening the request
-// from 8 to 64 one-bin entries may add, per entry, the decoded tenant-id
-// string — no decode slices, result or row copies, job closures, decisions
-// or controller copy-outs.
+// from 8 to 64 one-bin entries of registered tenants adds nothing: the
+// decoded id is the fleet's own string, and there are no decode slices,
+// result or row copies, job closures, decisions or controller copy-outs.
+// An entry naming an unregistered tenant costs its one id string, the copy
+// its per-entry error row names.
 func TestHandleObserveBatchSteadyStateAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("sync.Pool drops Puts at random under the race detector")
@@ -443,20 +446,27 @@ func TestHandleObserveBatchSteadyStateAllocs(t *testing.T) {
 	for i := 0; i < tenants; i++ {
 		createFastTenant(t, h, fmt.Sprintf("tenant-%02d", i))
 	}
-	post := func(width int) func() {
+	// post sends one batch whose first known entries name registered
+	// tenants and the rest, up to width, unregistered ones.
+	post := func(width, known int) func() {
 		body := batchBody(width, func(i int) string {
+			if i >= known {
+				return fmt.Sprintf(`{"tenant":"ghost-%02d","counts":[1]}`, i)
+			}
 			return fmt.Sprintf(`{"tenant":"tenant-%02d","counts":[%d]}`, i, 2+i%5)
 		})
-		want := fmt.Sprintf(`{"applied":%d,"rejected":0,`, width)
+		want := fmt.Sprintf(`{"applied":%d,"rejected":0,`, known)
+		row := fmt.Sprintf(`{"tenant":"ghost-%02d","applied":0,"error":%q}`, width-1, hierctl.ErrTenantNotFound.Error())
 		return func() {
 			w := httptest.NewRecorder()
 			h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/observe:batch", strings.NewReader(body)))
-			if w.Code != http.StatusOK || !strings.HasPrefix(w.Body.String(), want) {
-				t.Fatalf("batch of %d = %d %.120s", width, w.Code, w.Body.String())
+			reply := w.Body.String()
+			if w.Code != http.StatusOK || !strings.HasPrefix(reply, want) || known < width && !strings.Contains(reply, row) {
+				t.Fatalf("batch of %d (%d registered) = %d %.120s", width, known, w.Code, reply)
 			}
 		}
 	}
-	narrow, wide := post(8), post(tenants)
+	narrow, wide, ghosts := post(8, 8), post(tenants, tenants), post(tenants, 8)
 	// Warm the pool at full width and park every tenant between two
 	// regrowths of its per-bin logs (append doubles at 256 and 512 bins).
 	for i := 0; i < 300; i++ {
@@ -465,11 +475,64 @@ func TestHandleObserveBatchSteadyStateAllocs(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		narrow()
 	}
+	ghosts()
 	perNarrow := testing.AllocsPerRun(40, narrow)
 	perWide := testing.AllocsPerRun(40, wide)
-	t.Logf("allocs per request: 8 entries %v, %d entries %v", perNarrow, tenants, perWide)
-	perEntry := (perWide - perNarrow) / (tenants - 8)
-	if perEntry > 1+0.25 {
-		t.Errorf("an extra one-bin entry costs %.2f allocs per request, want <= 1 (its tenant-id string)", perEntry)
+	perGhosts := testing.AllocsPerRun(40, ghosts)
+	t.Logf("allocs per request: 8 entries %v, %d entries %v, 8 + %d unregistered %v", perNarrow, tenants, perWide, tenants-8, perGhosts)
+	if perWide > perNarrow {
+		t.Errorf("%d registered one-bin entries cost %v allocs per request, 8 cost %v: want no per-entry allocation", tenants, perWide, perNarrow)
+	}
+	if perUnknown := (perGhosts - perNarrow) / (tenants - 8); perUnknown < 1-0.25 || perUnknown > 1+0.25 {
+		t.Errorf("an unregistered entry costs %.2f allocs per request, want 1 (its copied id)", perUnknown)
+	}
+}
+
+// BenchmarkBatchDecode prices the decode of a /v1/observe:batch body of 256
+// one-bin entries, wide-sparse's shape, into a warm scratch: fast is
+// parseBatch, the strict decoder of the compact shape clients send, and
+// unmarshal is json.Unmarshal, the path every other body takes. The
+// tenants are registered, so the fast path names each by the fleet's own
+// id string. Regenerate with
+//
+//	go test -run '^$' -bench BatchDecode -benchmem ./cmd/hpmserve/
+func BenchmarkBatchDecode(b *testing.B) {
+	const entries = 256
+	f := hierctl.NewFleet(hierctl.FleetConfig{Shards: 1})
+	b.Cleanup(f.Close)
+	h := newServer(f, 0).routes()
+	for i := 0; i < entries; i++ {
+		createFastTenant(b, h, fmt.Sprintf("tenant-%03d", i))
+	}
+	body := []byte(batchBody(entries, func(i int) string {
+		return fmt.Sprintf(`{"tenant":"tenant-%03d","counts":[%d]}`, i, 3+i%7)
+	}))
+	decoders := []struct {
+		name   string
+		decode func(sc *batchScratch) error
+	}{
+		{"fast", func(sc *batchScratch) error {
+			if !parseBatch(body, &sc.req, f) {
+				return fmt.Errorf("the fast path refused the body")
+			}
+			return nil
+		}},
+		{"unmarshal", func(sc *batchScratch) error { return json.Unmarshal(body, &sc.req) }},
+	}
+	for _, d := range decoders {
+		b.Run(d.name, func(b *testing.B) {
+			sc := new(batchScratch)
+			if err := d.decode(sc); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sc.recycle()
+				if err := d.decode(sc); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

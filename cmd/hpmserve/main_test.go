@@ -27,7 +27,7 @@ func testHandler(t *testing.T) (http.Handler, *hierctl.Fleet) {
 	return newServer(f, 1<<12).routes(), f
 }
 
-func doJSON(t *testing.T, h http.Handler, method, path, body string, wantStatus int) map[string]any {
+func doJSON(t testing.TB, h http.Handler, method, path, body string, wantStatus int) map[string]any {
 	t.Helper()
 	var r io.Reader
 	if body != "" {

@@ -665,13 +665,28 @@ func (s *server) handleObserveBatch(w http.ResponseWriter, r *http.Request) {
 
 // observeBatch serves one batch request out of sc and reports whether sc
 // may be used again: not once the fleet closed under the call, when an
-// abandoned shard job may still be reading the decoded counts.
+// abandoned shard job may still be reading the decoded counts. The body is
+// decoded by parseBatch when it has the compact shape clients send, and by
+// json.Unmarshal otherwise.
 func (s *server) observeBatch(w http.ResponseWriter, r *http.Request, sc *batchScratch) (reusable bool) {
-	req := &sc.req
-	if err := decodeBody(w, r, maxBatchBodyBytes, &sc.body, req); err != nil {
+	if err := readBody(w, r, maxBatchBodyBytes, &sc.body); err != nil {
 		writeError(w, err)
 		return true
 	}
+	if !parseBatch(sc.body.Bytes(), &sc.req, s.fleet) {
+		sc.recycle() // the fast path may have written part of the body
+		if err := json.Unmarshal(sc.body.Bytes(), &sc.req); err != nil {
+			writeError(w, fmt.Errorf("decode request: %w", err))
+			return true
+		}
+	}
+	return s.applyBatch(w, sc)
+}
+
+// applyBatch is observeBatch after the decode: it validates the decoded
+// request, fans it out and writes the reply.
+func (s *server) applyBatch(w http.ResponseWriter, sc *batchScratch) (reusable bool) {
+	req := &sc.req
 	if len(req.Entries) == 0 {
 		writeError(w, fmt.Errorf("empty batch"))
 		return true
@@ -872,6 +887,113 @@ func parseObserve(body []byte) (float64, bool) {
 	}
 	count, err := strconv.ParseFloat(string(num), 64)
 	return count, err == nil
+}
+
+// parseBatch decodes the compact batch body clients send into req without
+// encoding/json, reusing req's entries and each entry's Counts backing
+// array. It accepts exactly
+//
+//	{"entries":[E(,E)*]}  or  {"entries":[E(,E)*],"decisions":true|false}
+//
+// where each E is {"tenant":"<id>","counts":[]} or
+// {"tenant":"<id>","counts":[N(,N)*]}, <id> is printable ASCII with no
+// quote or backslash (so its bytes are the decoded string), and each N
+// matches JSON's number grammar and converts with strconv.ParseFloat, as
+// json.Unmarshal does for a float64. Any other body — whitespace, another
+// key, key order or case, an escape, null, a number out of float64's range
+// — reports false, leaving req partly written, for json.Unmarshal to
+// decode or refuse as it always has. A registered tenant's id is the
+// fleet's own string; only an unknown one is copied.
+//
+//hpm:hotpath
+func parseBatch(body []byte, req *batchReq, ids *hierctl.Fleet) bool {
+	const (
+		head      = `{"entries":[`
+		tenantKey = `{"tenant":"`
+		countsKey = `","counts":[`
+	)
+	if !hasPrefix(body, head) {
+		return false
+	}
+	i := len(head)
+	entries := req.Entries[:0]
+	for {
+		if !hasPrefix(body[i:], tenantKey) {
+			return false
+		}
+		i += len(tenantKey)
+		start := i
+		for i < len(body) && body[i] != '"' {
+			if c := body[i]; c < ' ' || c > '~' || c == '\\' {
+				return false
+			}
+			i++
+		}
+		raw := body[start:i]
+		if !hasPrefix(body[i:], countsKey) {
+			return false
+		}
+		i += len(countsKey)
+		if len(entries) < cap(entries) {
+			entries = entries[:len(entries)+1]
+		} else {
+			entries = append(entries, hierctl.BatchEntry{})
+		}
+		e := &entries[len(entries)-1]
+		id, ok := ids.TenantID(raw)
+		if !ok {
+			id = string(raw) //hpm:alloc an unknown id: its per-entry error row names it
+		}
+		e.Tenant = id
+		counts := e.Counts[:0]
+		if i < len(body) && body[i] == ']' {
+			i++
+		} else {
+			for {
+				j := i
+				for j < len(body) && body[j] != ',' && body[j] != ']' {
+					j++
+				}
+				num := body[i:j]
+				if j == len(body) || !isJSONNumber(num) {
+					return false
+				}
+				c, err := strconv.ParseFloat(string(num), 64)
+				if err != nil {
+					return false
+				}
+				counts = append(counts, c)
+				i = j + 1
+				if body[j] == ']' {
+					break
+				}
+			}
+		}
+		e.Counts = counts
+		if !hasPrefix(body[i:], "}") {
+			return false
+		}
+		i++
+		if !hasPrefix(body[i:], ",") {
+			break
+		}
+		i++
+	}
+	switch string(body[i:]) {
+	case `]}`, `],"decisions":false}`:
+		req.Decisions = false
+	case `],"decisions":true}`:
+		req.Decisions = true
+	default:
+		return false
+	}
+	req.Entries = entries
+	return true
+}
+
+// hasPrefix reports whether b begins with s, without converting either.
+func hasPrefix(b []byte, s string) bool {
+	return len(b) >= len(s) && string(b[:len(s)]) == s
 }
 
 // isJSONNumber reports whether b is exactly one JSON number:

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"hierctl/internal/cluster"
 	"hierctl/internal/race"
@@ -310,5 +311,44 @@ func TestJournalAppendAllocsPerFrame(t *testing.T) {
 		if many-one > 64 {
 			t.Errorf("an Append of %d delta frames allocates %.1f B more a frame of 64 counts than of 1: it copies the counts", n, many-one)
 		}
+	}
+}
+
+// TestFleetTenantIDInterned: TenantID names a registered tenant by the
+// fleet's own id string, with no copy of the bytes it was asked about and
+// no allocation, and stops naming it once the tenant is closed.
+func TestFleetTenantIDInterned(t *testing.T) {
+	f := New(Config{Shards: 1})
+	defer f.Close()
+	tc := TenantConfig{
+		Spec:       cluster.Spec{Modules: []cluster.ModuleSpec{moduleOf("M1", 2)}},
+		Core:       fastCore(),
+		Store:      testStoreConfig(),
+		StoreSeed:  5,
+		BinSeconds: 30,
+	}
+	own := fmt.Sprintf("tenant-%d", 7)
+	if err := f.CreateTenant(own, tc); err != nil {
+		t.Fatal(err)
+	}
+	wire := []byte("tenant-7")
+	id, ok := f.TenantID(wire)
+	if !ok || id != own {
+		t.Fatalf("TenantID(%q) = %q, %v; want %q, true", wire, id, ok, own)
+	}
+	if unsafe.StringData(id) != unsafe.StringData(own) {
+		t.Errorf("TenantID returned a copy of the id, not the fleet's own string")
+	}
+	if _, ok := f.TenantID([]byte("tenant-8")); ok {
+		t.Errorf("TenantID named an unregistered tenant")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { id, ok = f.TenantID(wire) }); allocs != 0 {
+		t.Errorf("TenantID allocates %v per call, want 0", allocs)
+	}
+	if _, err := f.CloseTenant(own); err != nil {
+		t.Fatal(err)
+	}
+	if id, ok := f.TenantID(wire); ok {
+		t.Errorf("TenantID(%q) = %q, true after CloseTenant", wire, id)
 	}
 }

@@ -342,6 +342,20 @@ func (f *Fleet) tenant(id string) (*tenant, error) {
 	return t, nil
 }
 
+// TenantID returns the id of the registered tenant whose id equals b, as
+// the fleet's own string, and whether one is registered. A caller decoding
+// ids off the wire can so name a registered tenant without a copy of its
+// id: the lookup allocates nothing.
+func (f *Fleet) TenantID(b []byte) (string, bool) {
+	f.mu.RLock()
+	t, ok := f.tenants[string(b)]
+	f.mu.RUnlock()
+	if !ok {
+		return "", false
+	}
+	return t.id, true
+}
+
 // register adds a built tenant to the map and assigns its home shard.
 func (f *Fleet) register(t *tenant) error {
 	f.mu.Lock()
