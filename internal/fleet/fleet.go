@@ -205,8 +205,11 @@ type shard struct {
 	top TelemetryRankings
 	// foldBuf is the scratch a tenant's new records are decoded into.
 	foldBuf []obs.Record
+	// idx is the shard's position in the fleet, which picks its buffer in
+	// a capture (see capture.bufs).
+	idx int
 	// ckpt is the scratch a capture on this shard encodes a tenant's
-	// checkpoint into before keeping an exact-size copy.
+	// checkpoint into before appending it to the capture's buffer.
 	ckpt ckpt.Writer
 	// operational sums the shard's registered tenants' operational
 	// computers as of their last decisions. Atomic because a restored
@@ -241,7 +244,7 @@ func New(cfg Config) *Fleet {
 	}
 	f.ctx, f.cancel = context.WithCancel(context.Background())
 	for i := range f.shards {
-		f.shards[i] = &shard{jobs: make(chan job, depth)}
+		f.shards[i] = &shard{jobs: make(chan job, depth), idx: i}
 	}
 	go func() { // single long-lived supervisor; the fan-out inside is the bounded par pool
 		defer close(f.done)

@@ -38,7 +38,7 @@ func fuzzSeedLogs(t testing.TB) [][]byte {
 			t.Fatal(err)
 		}
 	}
-	snaps, err := f.captureAll(false)
+	snaps, err := f.captureAll(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

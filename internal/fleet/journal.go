@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -79,6 +80,21 @@ type Journal struct {
 	// torn-tolerant recovery stops at the garbage and drops them.
 	broken bool
 
+	// The memory Append and compaction reuse, all under mu: the buffer
+	// every writer of the journal encodes its frames in (a compaction's
+	// writes the new log's, fw the frames appended to it), the capture that
+	// compactions and Append's checkpoint base frames write, Append's sweep
+	// slots (whose results hold the frames it writes) and its visit, bound
+	// once, the counts of the delta being encoded, and the closed tenants'
+	// ids and remove frame.
+	frameBuf bytes.Buffer
+	capture  capture
+	changes  sweepScratch[journalChange]
+	changeOf func(t *tenant) (journalChange, error)
+	counts   []float64
+	removed  []string
+	remove   logFrame
+
 	// failpoints: when non-nil, invoked at the matching point and the
 	// operation aborts with the returned error — the crash injection
 	// seam for the recovery tests.
@@ -103,6 +119,21 @@ type journalMark struct {
 	// would resurrect the tenant un-quarantined; instead the transition
 	// forces a one-time re-base.
 	quar bool
+}
+
+// journalChange is what Append's sweep found for one tenant.
+type journalChange struct {
+	id string
+	// frame is the tenant's frame; Kind 0 when nothing is new since its
+	// mark. A delta's counts are copied out of view into the frame right
+	// before it is encoded.
+	frame logFrame
+	view  logView
+	mark  journalMark
+	// stale flags a mark left by an older incarnation of this id (tenant
+	// closed and recreated between Appends): a remove frame precedes the
+	// fresh base so recovery retires the old state.
+	stale bool
 }
 
 // JournalStats reports the journal's live size and compaction counters
@@ -139,7 +170,8 @@ func OpenJournal(fl *Fleet, path string, cfg JournalConfig) (*Journal, error) {
 	} else if !os.IsNotExist(err) {
 		return nil, fmt.Errorf("fleet: open journal: %w", err)
 	}
-	j := &Journal{fl: fl, path: path, marks: map[string]journalMark{}, cfg: cfg}
+	j := &Journal{fl: fl, path: path, marks: map[string]journalMark{}, cfg: cfg, capture: capture{journal: true}}
+	j.changeOf = j.change
 	if err := j.Compact(); err != nil {
 		j.stopLogging()
 		return nil, err
@@ -166,60 +198,22 @@ func (j *Journal) Append() error {
 	if j.broken {
 		return fmt.Errorf("fleet: journal poisoned by a failed append; Compact to recover")
 	}
-	type change struct {
-		id    string
-		frame *logFrame // nil: nothing new since the tenant's mark
-		mark  journalMark
-		// stale flags a mark left by an older incarnation of this id
-		// (tenant closed and recreated between Appends): a remove frame
-		// precedes the fresh base so recovery retires the old state.
-		stale bool
-	}
 	// One sweep captures the changes on the home shards; they come back
 	// in tenant id order, so identical change sets append identical bytes.
-	// The marks are only read here (j.mu is held, nothing writes them).
-	changes, err := sweep(j.fl, func(t *tenant) (change, error) {
-		mark, marked := j.marks[t.id]
-		known := marked && mark.gen == t.gen
-		c := change{id: t.id}
-		if known {
-			// Everything before the mark is durable: the log lets it go.
-			t.observations.drop(mark.obs)
-		}
-		switch {
-		case !known, t.quarantined.Load() != mark.quar:
-			// Never journaled under this incarnation, or the quarantine
-			// latch flipped since the last frame: write a checkpoint base
-			// (a later base frame for the same id replaces the assembled
-			// state wholesale, so no remove is needed for the quarantine
-			// re-base) and log the counts past it.
-			snap, err := t.snapshot()
-			if err != nil {
-				return c, err
-			}
-			t.journaled = true
-			t.observations.restart(snap.Bins)
-			c.frame = &logFrame{Kind: frameCheckpoint, Base: &snap}
-			c.mark = journalMark{obs: snap.Bins, gen: t.gen, quar: snap.Quarantined}
-			c.stale = marked && !known
-		case t.observations.len() > mark.obs:
-			counts := t.observations.tail(mark.obs)
-			c.frame = &logFrame{Kind: frameDelta, ID: t.id, From: mark.obs, Counts: counts}
-			c.mark = journalMark{obs: mark.obs + len(counts), gen: t.gen, quar: mark.quar}
-		}
-		return c, nil
-	})
+	j.capture.reset(len(j.fl.shards))
+	changes, err := sweepInto(j.fl, &j.changes, j.changeOf)
 	if err != nil {
 		return err
 	}
 	// A marked tenant the sweep did not visit is closed: retire it.
-	var removed []string
+	removed := j.removed[:0]
 	for id := range j.marks {
-		if _, live := slices.BinarySearchFunc(changes, id, func(c change, id string) int { return strings.Compare(c.id, id) }); !live {
+		if _, live := slices.BinarySearchFunc(changes, id, func(c journalChange, id string) int { return strings.Compare(c.id, id) }); !live {
 			removed = append(removed, id)
 		}
 	}
 	sort.Strings(removed)
+	j.removed = removed
 
 	// The pre-append end of the log: on any write or sync failure the file
 	// is truncated back here, so a torn frame never sits in the middle of
@@ -227,25 +221,32 @@ func (j *Journal) Append() error {
 	offset := j.baseBytes + j.tailBytes
 	var written int64
 	fw := j.fw
-	for _, c := range changes {
-		if c.frame == nil {
+	for i := range changes {
+		c := &changes[i]
+		if c.frame.Kind == 0 {
 			continue
 		}
 		if c.stale {
-			n, err := fw.frame(&logFrame{Kind: frameRemove, ID: c.id})
+			j.remove = logFrame{Kind: frameRemove, ID: c.id}
+			n, err := fw.frame(&j.remove)
 			if err != nil {
 				return j.failAppend(offset, err)
 			}
 			written += n
 		}
-		n, err := fw.frame(c.frame)
+		if c.frame.Kind == frameDelta {
+			j.counts = c.view.appendTo(j.counts[:0])
+			c.frame.Counts = j.counts
+		}
+		n, err := fw.frame(&c.frame)
 		if err != nil {
 			return j.failAppend(offset, err)
 		}
 		written += n
 	}
 	for _, id := range removed {
-		n, err := fw.frame(&logFrame{Kind: frameRemove, ID: id})
+		j.remove = logFrame{Kind: frameRemove, ID: id}
+		n, err := fw.frame(&j.remove)
 		if err != nil {
 			return j.failAppend(offset, err)
 		}
@@ -262,8 +263,8 @@ func (j *Journal) Append() error {
 		}
 	}
 	// The frames are durable; only now may the marks move past them.
-	for _, c := range changes {
-		if c.frame != nil {
+	for i := range changes {
+		if c := &changes[i]; c.frame.Kind != 0 {
 			j.marks[c.id] = c.mark
 		}
 	}
@@ -281,6 +282,41 @@ func (j *Journal) Append() error {
 		return j.compactLocked()
 	}
 	return nil
+}
+
+// change is Append's sweep visit: it drops from t's log what the last
+// Append made durable and reports what t has new. Runs on t's home shard,
+// under mu: the marks are only read here, nothing writes them.
+func (j *Journal) change(t *tenant) (journalChange, error) {
+	mark, marked := j.marks[t.id]
+	known := marked && mark.gen == t.gen
+	c := journalChange{id: t.id}
+	if known {
+		// Everything before the mark is durable: the log lets it go.
+		t.observations.drop(mark.obs)
+	}
+	switch {
+	case !known, t.quarantined.Load() != mark.quar:
+		// Never journaled under this incarnation, or the quarantine latch
+		// flipped since the last frame: write a checkpoint base (a later
+		// base frame for the same id replaces the assembled state
+		// wholesale, so no remove is needed for the quarantine re-base)
+		// and log the counts past it.
+		snap, err := t.snapshot(&j.capture.bufs[t.home.idx])
+		if err != nil {
+			return c, err
+		}
+		t.journaled = true
+		t.observations.restart(snap.Bins)
+		c.frame = logFrame{Kind: frameCheckpoint, Base: &snap}
+		c.mark = journalMark{obs: snap.Bins, gen: t.gen, quar: snap.Quarantined}
+		c.stale = marked && !known
+	case t.observations.len() > mark.obs:
+		c.view = t.observations.tail(mark.obs)
+		c.frame = logFrame{Kind: frameDelta, ID: t.id, From: mark.obs}
+		c.mark = journalMark{obs: mark.obs + c.view.n, gen: t.gen, quar: mark.quar}
+	}
+	return c, nil
 }
 
 // failAppend cleans up after a write/sync failure mid-Append: the tail
@@ -326,7 +362,7 @@ func (j *Journal) Compact() error {
 }
 
 func (j *Journal) compactLocked() error {
-	snaps, err := j.fl.captureAll(true)
+	snaps, err := j.fl.captureAll(&j.capture)
 	if err != nil {
 		return err
 	}
@@ -335,7 +371,8 @@ func (j *Journal) compactLocked() error {
 	if err != nil {
 		return fmt.Errorf("fleet: compact journal: %w", err)
 	}
-	fw, written, werr := writeBaseLog(file, snaps)
+	fw := &frameWriter{buf: &j.frameBuf}
+	written, werr := fw.writeBase(file, snaps)
 	if werr == nil {
 		werr = file.Sync()
 	}
@@ -369,11 +406,10 @@ func (j *Journal) compactLocked() error {
 	}
 	fw.w = j.file
 	j.fw = fw
-	marks := make(map[string]journalMark, len(snaps))
+	clear(j.marks)
 	for i := range snaps {
-		marks[snaps[i].ID] = journalMark{obs: snaps[i].Bins, gen: snaps[i].gen, quar: snaps[i].Quarantined}
+		j.marks[snaps[i].ID] = journalMark{obs: snaps[i].Bins, gen: snaps[i].gen, quar: snaps[i].Quarantined}
 	}
-	j.marks = marks
 	j.baseBytes = written
 	j.tailBytes = 0
 	j.appends = 0
@@ -416,7 +452,7 @@ func (j *Journal) Close() error {
 func (j *Journal) stopLogging() {
 	_, _ = sweep(j.fl, func(t *tenant) (struct{}, error) {
 		t.journaled = false
-		t.observations = obsLog{}
+		t.observations.restart(0)
 		return struct{}{}, nil
 	})
 }

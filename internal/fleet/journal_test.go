@@ -27,7 +27,7 @@ func journalPath(t *testing.T) string {
 // compaction's.
 func snapshotWriter(t testing.TB, f *Fleet, w io.Writer) *frameWriter {
 	t.Helper()
-	snaps, err := f.captureAll(false)
+	snaps, err := f.captureAll(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,6 +36,22 @@ func snapshotWriter(t testing.TB, f *Fleet, w io.Writer) *frameWriter {
 		t.Fatal(err)
 	}
 	return fw
+}
+
+// writeBaseLog writes snaps to w as a complete frame log and returns the
+// writer whose stream later frames continue, and the bytes written.
+func writeBaseLog(w io.Writer, snaps []tenantSnap) (*frameWriter, int64, error) {
+	fw := &frameWriter{buf: new(bytes.Buffer)}
+	n, err := fw.writeBase(w, snaps)
+	return fw, n, err
+}
+
+// newFrameWriter opens a gob stream on w by writing its segment start, and
+// reports the bytes written.
+func newFrameWriter(w io.Writer) (*frameWriter, int64, error) {
+	fw := &frameWriter{buf: new(bytes.Buffer)}
+	n, err := fw.start(w)
+	return fw, n, err
 }
 
 // appendWriter returns a writer to w whose frames continue any log this
@@ -518,13 +534,17 @@ func TestJournalTornTailRecovers(t *testing.T) {
 }
 
 // TestJournalAppendRacesIngest runs Append and Compact while ObserveBatch
-// steps tenants on four shards, for the race detector: Append encodes each
-// delta straight from its tenant's count log, after the sweep that took
-// the view returned and while the tenant keeps stepping. Once ingest stops,
-// one more Append is the last durable point, and the fleet the journal
-// recovers there is the live one (sameFleets).
+// steps tenants on four shards, for the race detector: Append copies each
+// delta out of its tenant's count blocks after the sweep that took the view
+// returned, while the tenant keeps stepping. Every round steps each tenant
+// more than a block's counts and the appender follows each round, so every
+// delta spans two or more blocks, and the blocks an Append's sweep drops go
+// back to the pool while the next round's adds — other tenants' among them
+// — take blocks from it as the deltas are copied. Once ingest stops, one
+// more Append is the last durable point, and the fleet the journal recovers
+// there is the live one (sameFleets).
 func TestJournalAppendRacesIngest(t *testing.T) {
-	const tenants, rounds = 12, 60
+	const tenants, rounds = 12, 8
 	f := New(Config{Shards: 4})
 	defer f.Close()
 	entries := make([]BatchEntry, tenants)
@@ -533,7 +553,7 @@ func TestJournalAppendRacesIngest(t *testing.T) {
 		if err := f.CreateTenant(id, batchTenantConfig(int64(i+1))); err != nil {
 			t.Fatal(err)
 		}
-		entries[i] = BatchEntry{Tenant: id, Counts: make([]float64, 1+i%3)}
+		entries[i] = BatchEntry{Tenant: id, Counts: make([]float64, logBlockCounts+3+40*(i%3))}
 	}
 	path := journalPath(t)
 	j, err := OpenJournal(f, path, JournalConfig{CompactFactor: 1e9, MaxAppends: 1 << 20})
@@ -543,6 +563,7 @@ func TestJournalAppendRacesIngest(t *testing.T) {
 	defer j.Close()
 
 	ingested := make(chan error, 1)
+	stepped := make(chan struct{}, 1)
 	go func() {
 		for r := 0; r < rounds; r++ {
 			for i := range entries {
@@ -553,6 +574,10 @@ func TestJournalAppendRacesIngest(t *testing.T) {
 			if _, err := f.ObserveBatch(entries); err != nil {
 				ingested <- err
 				return
+			}
+			select {
+			case stepped <- struct{}{}:
+			default:
 			}
 		}
 		ingested <- nil
@@ -565,7 +590,7 @@ func TestJournalAppendRacesIngest(t *testing.T) {
 				t.Fatal(err)
 			}
 			done = true
-		default:
+		case <-stepped:
 		}
 		if appends%4 == 3 {
 			err = j.Compact()
@@ -708,7 +733,7 @@ func TestDeltaFrameIsSlim(t *testing.T) {
 	if err := f.CreateTenant("a", batchTenantConfig(1)); err != nil {
 		t.Fatal(err)
 	}
-	snaps, err := f.captureAll(false)
+	snaps, err := f.captureAll(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

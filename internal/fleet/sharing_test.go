@@ -372,7 +372,7 @@ func TestRestoreLearnsOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	snaps, err := two.captureAll(false)
+	snaps, err := two.captureAll(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,10 +43,10 @@ import (
 // log whose first frame is not a segment start and any later frame that
 // carries a type definition, so a lost or repeated start fails loudly
 // instead of decoding against a stream it does not belong to. The
-// descriptors are paid once per log, not once per frame. writeBaseLog
-// writes every log head (Fleet.Snapshot's and every journal compaction's),
-// the segment start included, and the journal's appends continue that
-// stream. A failed append is cut away and the stream goes on: the segment
+// descriptors are paid once per log, not once per frame.
+// frameWriter.writeBase writes every log head (Fleet.Snapshot's and every
+// journal compaction's), the segment start included, and the journal's
+// appends continue that stream. A failed append is cut away and the stream goes on: the segment
 // start sent every type the stream will use, so an append never leaves
 // the encoder knowing a type the log does not.
 //
@@ -167,20 +167,20 @@ type logFrame struct {
 // frameWriter writes the frames of a log's gob stream to w. The stream's
 // encoder writes each frame's gob message into buf behind frameHeader
 // reserved bytes, so header and payload go out in one Write; buf grows to
-// the largest frame once.
+// the largest frame once. A frame is whole in buf only while it is written,
+// so writers used one frame at a time may share a buffer.
 type frameWriter struct {
 	w   io.Writer
-	buf bytes.Buffer
+	buf *bytes.Buffer
 	enc *gob.Encoder
 }
 
-// newFrameWriter opens a gob stream on w by writing its segment start, and
+// start opens fw's gob stream on w by writing its segment start, and
 // reports the bytes written.
-func newFrameWriter(w io.Writer) (*frameWriter, int64, error) {
-	fw := &frameWriter{w: w}
-	fw.enc = gob.NewEncoder(&fw.buf)
-	n, err := fw.frame(&logFrame{Kind: frameSegment})
-	return fw, n, err
+func (fw *frameWriter) start(w io.Writer) (int64, error) {
+	fw.w = w
+	fw.enc = gob.NewEncoder(fw.buf)
+	return fw.frame(&logFrame{Kind: frameSegment})
 }
 
 // frame encodes fr on the stream behind a reserved header, fills the
@@ -499,56 +499,93 @@ func assembleLog(r io.Reader, tolerateTorn bool) ([]tenantSnap, error) {
 	return tenants, nil
 }
 
-// captureAll snapshots every tenant, sorted by id: one sweep, so each
-// capture runs on the tenant's home shard (serialized against in-flight
-// observations) and shards capture concurrently; tenants removed
-// mid-capture are skipped. A journal's capture (journaled) also has every
-// tenant log its counts from the checkpoint on, until its journal marks
-// them durable.
-func (f *Fleet) captureAll(journaled bool) ([]tenantSnap, error) {
-	return sweep(f, func(t *tenant) (tenantSnap, error) {
-		snap, err := t.snapshot()
-		if err == nil && journaled && !t.journaled {
-			t.journaled = true
-			t.observations.restart(snap.Bins)
-		}
-		return snap, err
-	})
+// capture is what a fleet-wide capture writes: the sweep's slots and, per
+// shard, the buffer the checkpoints captured on that shard are appended to.
+// A journal keeps one for its life and reuses it for every capture under
+// Journal.mu; Fleet.Snapshot captures into a fresh one. The snapshots a
+// capture returns view its buffers, valid until its next capture.
+type capture struct {
+	sweep sweepScratch[tenantSnap]
+	bufs  [][]byte
+	take  func(t *tenant) (tenantSnap, error)
+	// journal marks a journal's capture, which also has every tenant log
+	// its counts from the checkpoint on, until its journal marks them
+	// durable.
+	journal bool
 }
 
-// writeBaseLog writes snaps as a complete frame log — the magic header,
-// then the segment start and one base frame per tenant — and reports the
-// bytes written and the writer, whose stream later frames may continue. It
-// is the one base-log writer: Fleet.Snapshot streams it to the caller's
-// writer, journal compaction to the temp file it then fsyncs and swaps in.
-func writeBaseLog(w io.Writer, snaps []tenantSnap) (*frameWriter, int64, error) {
-	if _, err := io.WriteString(w, snapshotMagic); err != nil {
-		return nil, 0, fmt.Errorf("fleet: write frame log: %w", err)
+// reset empties the capture's buffers, one per shard of an n-shard fleet.
+func (c *capture) reset(n int) {
+	if len(c.bufs) != n {
+		c.bufs = make([][]byte, n)
 	}
-	fw, n, err := newFrameWriter(w)
+	for i := range c.bufs {
+		c.bufs[i] = c.bufs[i][:0]
+	}
+}
+
+// snapshot captures t into the buffer of its home shard. Runs there.
+func (c *capture) snapshot(t *tenant) (tenantSnap, error) {
+	snap, err := t.snapshot(&c.bufs[t.home.idx])
+	if err == nil && c.journal && !t.journaled {
+		t.journaled = true
+		t.observations.restart(snap.Bins)
+	}
+	return snap, err
+}
+
+// captureAll snapshots every tenant into c (a fresh capture when nil),
+// sorted by id: one sweep, so each capture runs on the tenant's home shard
+// (serialized against in-flight observations) and shards capture
+// concurrently; tenants removed mid-capture are skipped.
+func (f *Fleet) captureAll(c *capture) ([]tenantSnap, error) {
+	if c == nil {
+		c = new(capture)
+	}
+	c.reset(len(f.shards))
+	if c.take == nil {
+		c.take = c.snapshot
+	}
+	return sweepInto(f, &c.sweep, c.take)
+}
+
+// writeBase writes snaps to w as a complete frame log — the magic header,
+// then the segment start of fw's stream and one base frame per tenant — and
+// reports the bytes written; later frames may continue the stream. It is
+// the one base-log writer:
+// Fleet.Snapshot streams it to the caller's writer, journal compaction to
+// the temp file it then fsyncs and swaps in.
+func (fw *frameWriter) writeBase(w io.Writer, snaps []tenantSnap) (int64, error) {
+	if _, err := io.WriteString(w, snapshotMagic); err != nil {
+		return 0, fmt.Errorf("fleet: write frame log: %w", err)
+	}
+	n, err := fw.start(w)
 	written := int64(len(snapshotMagic)) + n
 	if err != nil {
-		return nil, written, err
+		return written, err
 	}
+	fr := logFrame{Kind: frameCheckpoint}
 	for i := range snaps {
-		n, err := fw.frame(&logFrame{Kind: frameCheckpoint, Base: &snaps[i]})
+		fr.Base = &snaps[i]
+		n, err := fw.frame(&fr)
 		if err != nil {
-			return nil, written, err
+			return written, err
 		}
 		written += n
 	}
-	return fw, written, nil
+	return written, nil
 }
 
 // Snapshot serializes every tenant's state to w as a base log: one
 // checkpoint base frame per tenant (sorted by tenant id — identical fleet
 // state yields identical bytes).
 func (f *Fleet) Snapshot(w io.Writer) error {
-	snaps, err := f.captureAll(false)
+	snaps, err := f.captureAll(nil)
 	if err != nil {
 		return err
 	}
-	if _, _, err := writeBaseLog(w, snaps); err != nil {
+	fw := &frameWriter{buf: new(bytes.Buffer)}
+	if _, err := fw.writeBase(w, snaps); err != nil {
 		return err
 	}
 	f.snapshots.Add(1)
@@ -616,9 +653,10 @@ func (f *Fleet) registerAll(tenants []*tenant) error {
 
 // snapshot captures one tenant: its configuration and checkpoint — or,
 // for a halted tenant, its halt report. Runs on the tenant's home shard,
-// whose scratch writer encodes the checkpoint; the snapshot keeps an
-// exact-size copy.
-func (t *tenant) snapshot() (tenantSnap, error) {
+// whose scratch writer encodes the checkpoint; the snapshot's checkpoint is
+// a view of the copy appended to buf, a buffer the caller owns for this
+// shard.
+func (t *tenant) snapshot(buf *[]byte) (tenantSnap, error) {
 	snap := tenantSnap{
 		ID:          t.id,
 		Config:      t.cfg,
@@ -626,21 +664,36 @@ func (t *tenant) snapshot() (tenantSnap, error) {
 		Quarantined: t.quarantined.Load(),
 		gen:         t.gen,
 	}
-	var err error
 	if t.halt != nil {
-		var buf bytes.Buffer
-		err = gob.NewEncoder(&buf).Encode(t.halt)
-		snap.Halt = buf.Bytes()
-	} else {
-		w := &t.home.ckpt
-		w.Reset(w.Bytes())
-		err = t.sess.Checkpoint(w)
-		snap.Checkpoint = bytes.Clone(w.Bytes())
+		var b bytes.Buffer
+		if err := gob.NewEncoder(&b).Encode(t.halt); err != nil {
+			return snap, fmt.Errorf("fleet: tenant %s: %w", t.id, err)
+		}
+		snap.Halt = b.Bytes()
+		return snap, nil
 	}
-	if err != nil {
+	w := &t.home.ckpt
+	w.Reset(w.Bytes())
+	if err := t.sess.Checkpoint(w); err != nil {
 		return snap, fmt.Errorf("fleet: tenant %s: %w", t.id, err)
 	}
+	start := len(*buf)
+	*buf = appendDoubling(*buf, w.Bytes())
+	snap.Checkpoint = (*buf)[start:len(*buf):len(*buf)]
 	return snap, nil
+}
+
+// appendDoubling appends p to buf, doubling buf's array when p does not
+// fit. Past 256 bytes append grows an array by about a quarter at a time,
+// which allocates several times a capture buffer's final size on its way
+// there; doubling allocates about twice it, once.
+func appendDoubling(buf, p []byte) []byte {
+	if len(p) > cap(buf)-len(buf) {
+		grown := make([]byte, len(buf), max(2*cap(buf), len(buf)+len(p)))
+		copy(grown, buf)
+		buf = grown
+	}
+	return append(buf, p...)
 }
 
 // restoreTenant rebuilds one tenant from its assembled state: it is

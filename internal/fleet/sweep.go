@@ -1,6 +1,9 @@
 package fleet
 
-import "sort"
+import (
+	"slices"
+	"strings"
+)
 
 // sweepSlice bounds how many listed tenants a sweep job looks at per turn
 // on its shard: a sweep of any fleet holds a shard for at most this many
@@ -50,6 +53,28 @@ func (j *sweepJob) run() {
 	c.finish()
 }
 
+// sweepScratch is the memory a sweep writes: its call, with the listing
+// and the per-shard jobs, and one result, error and visited flag per listed
+// tenant. A caller that sweeps on a schedule keeps one and hands it to
+// every sweep, which then allocates nothing once the slots have grown to
+// the fleet; the results a sweep returns are a view of it, valid until
+// its next sweep. After a sweep that failed with ErrClosed a shard may
+// still be writing it, but a closed fleet sweeps no more.
+type sweepScratch[T any] struct {
+	call    sweepCall
+	visitFn func(t *tenant) (T, error)
+	vals    []T
+	errs    []error
+	visited []bool
+}
+
+// at visits the listed tenant at pos. Each position is written by the one
+// shard that visits it.
+func (s *sweepScratch[T]) at(pos int, t *tenant) {
+	s.vals[pos], s.errs[pos] = s.visitFn(t)
+	s.visited[pos] = true
+}
+
 // sweep is the fleet's one way to read every tenant: it lists the
 // registered tenants in id order and runs one job per shard that calls
 // visit for each listed tenant on its home shard — serialized against that
@@ -63,41 +88,63 @@ func (j *sweepJob) run() {
 // listing for its shard's tenants, so a sweep costs each shard one pass
 // over n pointers plus its visits, whatever the shard count.
 func sweep[T any](f *Fleet, visit func(t *tenant) (T, error)) ([]T, error) {
+	return sweepInto(f, new(sweepScratch[T]), visit)
+}
+
+// sweepInto is sweep writing into s.
+func sweepInto[T any](f *Fleet, s *sweepScratch[T], visit func(t *tenant) (T, error)) ([]T, error) {
 	if f.ctx.Err() != nil {
 		return nil, ErrClosed
 	}
-	c := &sweepCall{jobs: make([]sweepJob, len(f.shards))}
+	c := &s.call
+	if len(c.jobs) != len(f.shards) {
+		c.jobs = make([]sweepJob, len(f.shards))
+	}
+	if c.visit == nil {
+		c.visit = s.at
+	}
+	s.visitFn = visit
 	f.mu.RLock()
-	c.all = make([]*tenant, 0, len(f.tenants))
+	c.all = c.all[:0]
 	for _, t := range f.tenants {
 		c.all = append(c.all, t)
 	}
 	f.mu.RUnlock()
-	sort.Slice(c.all, func(i, j int) bool { return c.all[i].id < c.all[j].id })
-	// Each position is written by the one shard that visits it.
-	vals, errs, visited := make([]T, len(c.all)), make([]error, len(c.all)), make([]bool, len(c.all))
-	c.visit = func(pos int, t *tenant) {
-		vals[pos], errs[pos] = visit(t)
-		visited[pos] = true
-	}
+	slices.SortFunc(c.all, func(a, b *tenant) int { return strings.Compare(a.id, b.id) })
+	n := len(c.all)
+	s.vals, s.errs, s.visited = resize(s.vals, n), resize(s.errs, n), resize(s.visited, n)
 	c.arm(len(c.jobs))
-	for i, s := range f.shards {
-		c.jobs[i] = sweepJob{call: c, home: s}
-		if err := f.send(s, &c.jobs[i]); err != nil {
+	for i, sh := range f.shards {
+		c.jobs[i] = sweepJob{call: c, home: sh}
+		if err := f.send(sh, &c.jobs[i]); err != nil {
 			return nil, err
 		}
 	}
 	if err := f.wait(&c.completion); err != nil {
 		return nil, err
 	}
-	kept := vals[:0]
-	for i := range vals {
-		if errs[i] != nil {
-			return nil, errs[i]
+	// The listing goes, so a tenant closed since is not kept alive by it.
+	clear(c.all)
+	kept := s.vals[:0]
+	for i := range s.vals {
+		if s.errs[i] != nil {
+			return nil, s.errs[i]
 		}
-		if visited[i] {
-			kept = append(kept, vals[i])
+		if s.visited[i] {
+			kept = append(kept, s.vals[i])
 		}
 	}
+	clear(s.vals[len(kept):])
 	return kept, nil
+}
+
+// resize returns a zeroed slice of n elements, on s's array when it is
+// large enough.
+func resize[E any](s []E, n int) []E {
+	if cap(s) < n {
+		return make([]E, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }

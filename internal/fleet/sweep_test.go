@@ -20,12 +20,19 @@ func sweepTenantConfig(seed int64) TenantConfig {
 }
 
 // TestObsLog pins the journaled tenant's count log: absolute bin indices
-// from its start, tail views that later adds leave as they were, and a
-// dropped prefix that keeps the backing array for the counts after it.
+// from its start, a log of several blocks that reads back what was added,
+// views that later adds — opening new blocks — leave as they were, and a
+// drop that returns to the pool exactly the blocks wholly before it.
 func TestObsLog(t *testing.T) {
+	blocks := func(l *obsLog) (bs []*logBlock) {
+		for b := l.first; b != nil; b = b.next {
+			bs = append(bs, b)
+		}
+		return bs
+	}
 	var l obsLog
-	if l.len() != 0 || l.tail(0) != nil {
-		t.Fatalf("empty log: len %d, tail %v", l.len(), l.tail(0))
+	if l.len() != 0 || l.tail(0).appendTo(nil) != nil {
+		t.Fatalf("empty log: len %d, tail %v", l.len(), l.tail(0).appendTo(nil))
 	}
 	l.restart(100)
 	const n = 1031
@@ -37,42 +44,67 @@ func TestObsLog(t *testing.T) {
 	if l.len() != 100+n {
 		t.Fatalf("len = %d, want %d", l.len(), 100+n)
 	}
-	for _, from := range []int{100, 101, 611, 100 + n - 1} {
-		if got := l.tail(from); !reflect.DeepEqual(got, want[from-100:]) {
-			t.Errorf("tail(%d): %d entries starting %v, want %d starting %v", from, len(got), got[:1], n-from+100, want[from-100])
+	if got, wantBlocks := len(blocks(&l)), (n+logBlockCounts-1)/logBlockCounts; got != wantBlocks || blocks(&l)[got-1] != l.last {
+		t.Fatalf("%d counts in %d blocks, want %d ending at last", n, got, wantBlocks)
+	}
+	for _, from := range []int{100, 101, 100 + logBlockCounts - 1, 100 + logBlockCounts, 611, 100 + n - 1} {
+		if got := l.tail(from).appendTo(nil); !reflect.DeepEqual(got, want[from-100:]) {
+			t.Errorf("tail(%d): %d entries, want %d starting %v", from, len(got), n-from+100, want[from-100])
 		}
 	}
-	if got := l.tail(100 + n); got != nil {
-		t.Errorf("tail(len) = %v, want nil", got)
+	if got := l.tail(100 + n); got.n != 0 || got.appendTo(nil) != nil {
+		t.Errorf("tail(len) = %+v, want empty", got)
 	}
+
+	// Views survive adds that open new blocks: one inside a block, and one
+	// that ends on a full block, whose link the next add writes.
 	var v obsLog
 	v.add(1)
 	v.add(2)
-	view := v.tail(0)
-	if &view[0] != &v.counts[0] {
-		t.Error("tail copied the log")
+	short := v.tail(0)
+	for i := 2; i < logBlockCounts; i++ {
+		v.add(float64(i + 1))
 	}
-	for range 100 { // past the array's capacity: add moves the log
+	full := v.tail(1)
+	for range 3 * logBlockCounts {
 		v.add(-1)
 	}
-	if !reflect.DeepEqual(view, []float64{1, 2}) {
-		t.Errorf("adds rewrote a view tail handed out: %v", view)
+	if got := short.appendTo(nil); !reflect.DeepEqual(got, []float64{1, 2}) {
+		t.Errorf("adds rewrote a view tail handed out: %v", got)
 	}
-	backing := &l.counts[:1][0]
-	l.drop(600)
-	if got := l.tail(600); !reflect.DeepEqual(got, want[500:]) || l.len() != 100+n {
-		t.Fatalf("after drop(600): len %d, tail %d entries", l.len(), len(got))
+	if got := full.appendTo(nil); len(got) != logBlockCounts-1 || got[0] != 2 || got[len(got)-1] != logBlockCounts {
+		t.Errorf("a view ending on a full block reads %d counts %v..%v, want %d counts 2..%d", len(got), got[0], got[len(got)-1], logBlockCounts-1, logBlockCounts)
 	}
-	if &l.counts[:1][0] != backing {
-		t.Error("drop moved the log off its backing array")
+
+	// Bins 100.. fill blocks of logBlockCounts: upto inside the fourth
+	// block drops the three before it and keeps the rest linked.
+	before := blocks(&l)
+	upto := 100 + 3*logBlockCounts + 5
+	l.drop(upto)
+	after := blocks(&l)
+	if len(after) != len(before)-3 || after[0] != before[3] || l.last != before[len(before)-1] {
+		t.Fatalf("drop(%d) kept %d of %d blocks, want all but the 3 wholly before it", upto, len(after), len(before))
 	}
-	l.drop(550) // before the start: nothing to drop
-	if l.from != 600 {
-		t.Errorf("drop below the start moved it to %d", l.from)
+	for i, b := range before[:3] {
+		if b.next != nil {
+			t.Errorf("dropped block %d still links on: not returned to the pool", i)
+		}
 	}
-	l.drop(5000) // past the end: an empty log from there
-	if l.len() != 5000 || l.tail(5000) != nil {
-		t.Errorf("drop past the end: len %d, tail %v", l.len(), l.tail(5000))
+	if got := l.tail(upto).appendTo(nil); !reflect.DeepEqual(got, want[upto-100:]) || l.len() != 100+n {
+		t.Fatalf("after drop(%d): len %d, tail %d entries", upto, l.len(), len(got))
+	}
+	l.drop(upto - 50) // before the start: nothing to drop
+	if l.from != upto || len(blocks(&l)) != len(after) {
+		t.Errorf("drop below the start moved it to %d, %d blocks", l.from, len(blocks(&l)))
+	}
+	l.drop(5000) // past the end: an empty log from there, its blocks returned
+	if l.len() != 5000 || l.tail(5000).n != 0 || l.first != nil {
+		t.Errorf("drop past the end: len %d, tail %+v, %d blocks", l.len(), l.tail(5000), len(blocks(&l)))
+	}
+	for i, b := range after {
+		if b.next != nil {
+			t.Errorf("block %d of a restarted log still links on: not returned to the pool", i)
+		}
 	}
 }
 

@@ -271,7 +271,7 @@ func TestTelemetryRecordsBounded(t *testing.T) {
 	if err := f.Snapshot(&snap); err != nil {
 		t.Fatal(err)
 	}
-	snaps, err := f.captureAll(false)
+	snaps, err := f.captureAll(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

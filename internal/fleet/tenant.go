@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"hierctl/internal/cluster"
@@ -274,52 +275,136 @@ func (t *tenant) freeze() {
 	t.halt = h
 }
 
+// logBlockCounts is the counts one block of a count log holds: 127 counts
+// and the link fill the runtime's 1024-byte size class exactly (128 would
+// spill into the 1152-byte class).
+const logBlockCounts = 127
+
+// logBlock is one link of a tenant's count log.
+type logBlock struct {
+	counts [logBlockCounts]float64
+	next   *logBlock
+}
+
+// logBlockPool holds the dropped count blocks of every tenant in the
+// process, so a log borrows memory for the counts its journal has not yet
+// made durable and a tenant that stalled through one long interval holds
+// no more than a normal interval's blocks two Appends later. A block's
+// counts are always written before they are read, so a block is not
+// cleared on its way back.
+var logBlockPool = sync.Pool{New: func() any { return new(logBlock) }}
+
+// putLogBlock hands a dropped block back to logBlockPool.
+func putLogBlock(b *logBlock) {
+	b.next = nil
+	logBlockPool.Put(b)
+}
+
 // obsLog is a journaled tenant's count stream past its last durable
-// mark: the counts of bins [from, len()). The journal drops the prefix its
-// marks have made durable, so the log spans about two journal intervals,
-// and a dropped prefix leaves its backing array to the counts after it:
-// a steady tenant's log allocates nothing once it has grown to its
-// interval. The zero value is an empty log from bin 0.
+// mark: the counts of bins [from, len()), held in a linked list of
+// logBlocks from logBlockPool. The journal drops the prefix its marks have
+// made durable, and drop returns every block that lies wholly before it to
+// the pool, so the log spans about two journal intervals and a steady
+// tenant's log allocates nothing once the pool holds its interval's
+// blocks. The zero value is an empty log from bin 0.
 //
-// tail hands out views of the backing array, not copies: Journal.Append
-// encodes each delta straight from the view its sweep took, after the sweep
-// returned and while the tenant keeps stepping. That is safe because add
-// only writes past len() (or moves the log to a new array), so a view's
-// elements stay as they were; only drop and restart rewrite elements before
-// len(), and both run only inside a journal sweep — Append's, or a
-// compaction's capture — under Journal.mu, which the Append encoding a view
-// holds until it is done with it.
+// tail hands out views of the blocks, not copies: Journal.Append copies
+// each delta out of the view its sweep took right before encoding it,
+// after the sweep returned and while the tenant keeps stepping. That is
+// safe because add only writes past len() — into the last block's free
+// slots, or a block it links behind the last — so a view's counts stay as
+// they were, and a view's reader never follows its last block's link,
+// the one field add rewrites. Only drop and restart recycle blocks, and
+// both run only inside a journal sweep — Append's, a compaction's capture
+// or Close's — under Journal.mu, which the Append copying a view holds
+// until it is done with it.
 type obsLog struct {
-	from   int
-	counts []float64
+	// first and last are the log's blocks (nil while it holds no count);
+	// first.counts[0] is bin base.
+	first, last *logBlock
+	base        int
+	from, end   int
 }
 
 // len returns the bin one past the last logged count.
-func (l *obsLog) len() int { return l.from + len(l.counts) }
+func (l *obsLog) len() int { return l.end }
 
-func (l *obsLog) add(count float64) { l.counts = append(l.counts, count) }
-
-// tail returns a view of the counts from bin from on (nil when there are
-// none), valid until the next drop or restart. from must not precede the
-// log's start.
-func (l *obsLog) tail(from int) []float64 {
-	if from >= l.len() {
-		return nil
+func (l *obsLog) add(count float64) {
+	if l.first == nil {
+		l.first = logBlockPool.Get().(*logBlock)
+		l.last, l.base = l.first, l.end
+	} else if (l.end-l.base)%logBlockCounts == 0 {
+		b := logBlockPool.Get().(*logBlock)
+		l.last.next, l.last = b, b
 	}
-	return l.counts[from-l.from:]
+	l.last.counts[(l.end-l.base)%logBlockCounts] = count
+	l.end++
 }
 
-// drop forgets the counts before bin upto, keeping the backing array.
+// logView is a run of a count log's counts, from counts[off] of block
+// first on: the n counts tail handed out.
+type logView struct {
+	first  *logBlock
+	off, n int
+}
+
+// tail returns a view of the counts from bin from on (empty when there are
+// none), valid until the next drop or restart. from must not precede the
+// log's start.
+func (l *obsLog) tail(from int) logView {
+	if from >= l.end {
+		return logView{}
+	}
+	b, p := l.first, from-l.base
+	for ; p >= logBlockCounts; p -= logBlockCounts {
+		b = b.next
+	}
+	return logView{first: b, off: p, n: l.end - from}
+}
+
+// appendTo appends the view's counts to dst. It reads the link of a block
+// only while counts past that block remain, so it never reads the one an
+// add may be writing.
+func (v logView) appendTo(dst []float64) []float64 {
+	if v.n == 0 {
+		return dst
+	}
+	b, off, n := v.first, v.off, v.n
+	for {
+		k := min(n, logBlockCounts-off)
+		dst = append(dst, b.counts[off:off+k]...)
+		if n -= k; n == 0 {
+			return dst
+		}
+		b, off = b.next, 0
+	}
+}
+
+// drop forgets the counts before bin upto, returning to the pool every
+// block that lies wholly before it.
 func (l *obsLog) drop(upto int) {
 	switch {
 	case upto <= l.from:
-	case upto >= l.len():
+	case upto >= l.end:
 		l.restart(upto)
 	default:
-		n := copy(l.counts, l.counts[upto-l.from:])
-		l.from, l.counts = upto, l.counts[:n]
+		// The block holding bin upto stays, so first never passes last.
+		for l.base+logBlockCounts <= upto {
+			b := l.first
+			l.first, l.base = b.next, l.base+logBlockCounts
+			putLogBlock(b)
+		}
+		l.from = upto
 	}
 }
 
-// restart empties the log to start at bin at.
-func (l *obsLog) restart(at int) { l.from, l.counts = at, l.counts[:0] }
+// restart empties the log to start at bin at, returning its blocks to the
+// pool.
+func (l *obsLog) restart(at int) {
+	for b := l.first; b != nil; {
+		next := b.next
+		putLogBlock(b)
+		b = next
+	}
+	*l = obsLog{from: at, end: at}
+}
