@@ -105,7 +105,7 @@ func BenchmarkFig7LoadDistribution(b *testing.B) {
 	for i := range jt {
 		jt[i] = quadraticJTilde{scale: 100 + 20*float64(i)}
 	}
-	l2, err := controller.NewL2(controller.DefaultL2Config(), jt, nil)
+	l2, err := controller.NewL2(controller.DefaultL2Config(), jt)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -400,6 +400,35 @@ func TestServerModuleSizeCap(t *testing.T) {
 	}
 }
 
+// TestServerModulesCapL2Work pins the work of one L2 decision at the
+// modules cap, which runs on the tenant's home shard with every sibling
+// queued behind it: each module's 11 quanta are priced once per band
+// sample, plus at most 3,003 near ties per sample, whatever the J̃ trees
+// (the L2 summary record's explored count; deterministic, so the bound does
+// not depend on the host).
+func TestServerModulesCapL2Work(t *testing.T) {
+	h, _ := testHandler(t)
+	doJSON(t, h, http.MethodPost, "/v1/tenants",
+		fmt.Sprintf(`{"id":"wide","modules":%d,"fast":true}`, maxModules), http.StatusCreated)
+	doJSON(t, h, http.MethodPost, "/v1/tenants/wide/observe", `{"count":9000}`, http.StatusOK)
+	resp := doJSON(t, h, http.MethodGet, "/v1/tenants/wide/telemetry", "", http.StatusOK)
+	const bound = maxModules*11*3 + 3*3003
+	summaries := 0
+	for _, raw := range resp["records"].([]any) {
+		rec := raw.(map[string]any)
+		if rec["level"] != "l2" || rec["module"].(float64) != -1 {
+			continue
+		}
+		summaries++
+		if explored := rec["explored"].(float64); explored < maxModules*11 || explored > bound {
+			t.Errorf("L2 decision explored %v states, want within [%d, %d]", explored, maxModules*11, bound)
+		}
+	}
+	if summaries != 1 {
+		t.Fatalf("%d L2 summary records after one bin, want 1", summaries)
+	}
+}
+
 func TestServerRejectsBadTenantIDs(t *testing.T) {
 	h, _ := testHandler(t)
 	for _, id := range []string{"a/b", "a b", "a\tb"} {

@@ -283,6 +283,13 @@ const (
 	// doubles as the moduleSize decode default.
 	standardModuleSize = 4
 
+	// maxModules bounds the L2 decision, which runs on the tenant's home
+	// shard with every sibling queued behind it. It prices each module's
+	// 11 quanta once per band sample plus at most 3,003 near ties per
+	// sample: ≤ 64·11·3 + 3·3,003 = 11,121 states at the cap (the L2
+	// summary record's explored count, deterministic). A fresh 64-module
+	// `fast` tenant's L2 decision explores 705 in ≈ 0.13 ms and its whole
+	// bin takes ≈ 4-14 ms on a 2-vCPU box; README has the table.
 	maxModules = 64
 	// maxModuleSize bounds the work of one L1 decision, which runs on the
 	// tenant's home shard with every sibling tenant queued behind it: the

@@ -144,14 +144,14 @@ func TestL1DecideSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestL2DecideSteadyStateAllocs pins the warm L2 period (enumeration
-// path, table hot) at zero allocations.
+// TestL2DecideSteadyStateAllocs pins the warm L2 period (term table and
+// near-tie pool at their high-water mark) at zero allocations.
 func TestL2DecideSteadyStateAllocs(t *testing.T) {
 	jts := make([]JTilde, 4)
 	for i := range jts {
 		jts[i] = allocQuadJTilde{scale: 100 + 20*float64(i)}
 	}
-	l2, err := NewL2(DefaultL2Config(), jts, nil)
+	l2, err := NewL2(DefaultL2Config(), jts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,43 +459,5 @@ func TestL1GammaMemoBoundedByFloats(t *testing.T) {
 		if shared.floats > maxGammaMemoFloats {
 			t.Fatalf("period %d: table holds %d floats, bound %d", i, shared.floats, maxGammaMemoFloats)
 		}
-	}
-}
-
-// TestL2EnumerationBoundedByFloats: the L2's table has the same float
-// bound. Twelve modules, six of them up, enumerate 3,003 vectors of twelve
-// floats a mask, so the bound binds after a few dozen of the 924 masks; past
-// it an enumeration still equals a fresh one, and the table stops growing.
-func TestL2EnumerationBoundedByFloats(t *testing.T) {
-	const p = 12
-	jts := make([]JTilde, p)
-	for i := range jts {
-		jts[i] = allocQuadJTilde{scale: 100}
-	}
-	l2, err := NewL2(DefaultL2Config(), jts, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	masks, offered := 0, 0
-	avail := make([]bool, p)
-	for bitsOn := uint16(0); masks < 48; bitsOn++ {
-		if bits.OnesCount16(bitsOn) != p/2 || bitsOn>>p != 0 {
-			continue
-		}
-		for i := range avail {
-			avail[i] = bitsOn>>i&1 == 1
-		}
-		want := EnumerateSimplex(p, avail, QuantumL2)
-		if got := l2.enumeration(avail); !reflect.DeepEqual(got, want) {
-			t.Fatalf("mask %d: table enumeration (%d) differs from a fresh one (%d)", masks, len(got), len(want))
-		}
-		masks++
-		offered += len(want) * p
-		if tb := l2.table; tb.floats > maxGammaMemoFloats || tb.floats != tableFloats(tb) {
-			t.Fatalf("mask %d: table accounts %d floats, holds %d, bound %d", masks, tb.floats, tableFloats(tb), maxGammaMemoFloats)
-		}
-	}
-	if held := l2.table.Len(); held == 0 || held >= masks || offered <= maxGammaMemoFloats {
-		t.Fatalf("%d masks offering %d floats left %d stored: the bound (%d) never bound", masks, offered, held, maxGammaMemoFloats)
 	}
 }

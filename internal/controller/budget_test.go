@@ -89,7 +89,7 @@ func TestL2Budget(t *testing.T) {
 	checkBudget(t, func() budgeted[L2Decision] {
 		l2, err := NewL2(DefaultL2Config(), []JTilde{
 			convexLoadCost(100), convexLoadCost(120), convexLoadCost(140), convexLoadCost(160),
-		}, nil)
+		})
 		if err != nil {
 			t.Fatal(err)
 		}

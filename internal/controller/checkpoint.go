@@ -7,10 +7,11 @@ import (
 )
 
 // A controller's checkpoint is what it carries from one decision to the
-// next: the previous decision L1 and L2 search around, and the explored
-// and decision counts of the overhead metering. Its candidate table is the
-// shape's, its searcher holds nothing between decisions, and its compute
-// time is wall-clock — a restored controller's starts again at zero.
+// next: the previous decision (L1 searches around it, L2 prices moves from
+// it), and the explored and decision counts of the overhead metering. An
+// L1's candidate table is the shape's, the searchers and L2's tables hold
+// nothing between decisions, and compute time is wall-clock — a restored
+// controller's starts again at zero.
 
 func checkpointCounts(w *ckpt.Writer, explored, decisions int) {
 	w.Int(int64(explored))

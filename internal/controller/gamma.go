@@ -7,7 +7,8 @@
 //     {γ_ij} by bounded neighbourhood search over an offline-learned
 //     abstraction map g, with uncertainty-band chattering mitigation;
 //   - L2 (§5.1): cluster-level module fractions {γ_i} minimizing the sum
-//     of regression-tree cost approximations J̃_i.
+//     of regression-tree cost approximations J̃_i, solved exactly by a
+//     separable dynamic program over the quantized simplex.
 //
 // Invariants: every controller's Decide is a pure function of its
 // observation and its own prior decision (for the bounded neighbourhood),
@@ -23,11 +24,11 @@
 // in buffers they own, valid until their next Decide.
 //
 // Invariant: the candidate sets that are pure functions of a shape — an
-// L1's capacity-seeded γ neighbourhood per on/off mask, an L2's simplex
-// enumeration per availability mask — are memoized once per shape, not per
-// controller: a CandidateTable (table.go) shared by every controller built
-// over the shape, read without a lock, bounded in floats, and never part of
-// a controller's own state.
+// L1's capacity-seeded γ neighbourhood per on/off mask — are memoized once
+// per shape, not per controller: a CandidateTable (table.go) shared by
+// every L1 built over the shape, read without a lock, bounded in floats,
+// and never part of a controller's own state. L2 needs no such table: its
+// dynamic program prices each module's terms directly.
 //
 // This file provides the quantized-simplex machinery the L1 and L2
 // controllers share: load-fraction vectors must satisfy Σγ = 1, γ ≥ 0,
@@ -284,60 +285,4 @@ func SimplexNeighbours(gamma []float64, mask []bool, quantum float64, depth int)
 		frontier = next
 	}
 	return out
-}
-
-// EnumerateSimplex lists every quantized simplex vector over the masked
-// entries (compositions of 1/quantum units). The count grows
-// combinatorially; callers should check CountSimplex first.
-func EnumerateSimplex(n int, mask []bool, quantum float64) [][]float64 {
-	units := int(math.Round(1 / quantum))
-	var active []int
-	for i := 0; i < n; i++ {
-		if mask == nil || mask[i] {
-			active = append(active, i)
-		}
-	}
-	var out [][]float64
-	if len(active) == 0 {
-		return out
-	}
-	comp := make([]int, len(active))
-	var rec func(pos, remaining int)
-	rec = func(pos, remaining int) {
-		if pos == len(active)-1 {
-			comp[pos] = remaining
-			g := make([]float64, n)
-			for k, idx := range active {
-				g[idx] = float64(comp[k]) * quantum
-			}
-			out = append(out, g)
-			return
-		}
-		for u := 0; u <= remaining; u++ {
-			comp[pos] = u
-			rec(pos+1, remaining-u)
-		}
-	}
-	rec(0, units)
-	return out
-}
-
-// CountSimplex returns the number of vectors EnumerateSimplex would
-// produce for k active entries: C(units+k-1, k-1).
-func CountSimplex(k int, quantum float64) int {
-	if k <= 0 {
-		return 0
-	}
-	units := int(math.Round(1 / quantum))
-	// Compute the binomial coefficient iteratively.
-	n := units + k - 1
-	r := k - 1
-	if r > n-r {
-		r = n - r
-	}
-	acc := 1
-	for i := 1; i <= r; i++ {
-		acc = acc * (n - r + i) / i
-	}
-	return acc
 }

@@ -362,7 +362,7 @@ func (l *L1) Decide(obs L1Observation) (L1Decision, error) {
 	// A fully failed module cannot serve: degrade to the all-off
 	// decision so the hierarchy keeps running (the L2 routes around the
 	// module via its availability flag).
-	if countTrue(obs.Available) == 0 {
+	if countOn(obs.Available) == 0 {
 		clear(l.bestAlphaScr)
 		clear(l.bestGammaScr)
 		dec := L1Decision{Alpha: l.bestAlphaScr, Gamma: l.bestGammaScr}
@@ -539,7 +539,7 @@ func (l *L1) evaluate(alpha []bool, gamma []float64, obs L1Observation, lambda f
 func (l *L1) alphaCandidates(avail []bool) [][]bool {
 	m := l.Size()
 	minOn := l.cfg.MinOn
-	if a := countTrue(avail); a < minOn {
+	if a := countOn(avail); a < minOn {
 		minOn = a
 	}
 	base := l.alphaBase
@@ -681,8 +681,6 @@ func countOn(a []bool) int {
 	}
 	return n
 }
-
-func countTrue(a []bool) int { return countOn(a) }
 
 func ensureMinOn(a, avail []bool, minOn int) {
 	for j := 0; countOn(a) < minOn && j < len(a); j++ {

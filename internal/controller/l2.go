@@ -15,43 +15,34 @@ import (
 type L2Config struct {
 	// PeriodSeconds is the sampling time T_L2 (paper: 2 min).
 	PeriodSeconds float64
-	// EnumLimit bounds full enumeration of the quantized simplex; above
-	// it the controller falls back to a bounded neighbourhood of the
-	// previous decision (scalable control for many modules).
-	EnumLimit int
 	// UncertaintySamples averages the cost over {λ̂−δ, λ̂, λ̂+δ} when
 	// true, mirroring the L1 chattering mitigation.
 	UncertaintySamples bool
-	// NonNegativeCosts declares the per-sample candidate costs
-	// non-negative — true for regression trees fitted to the module
-	// costs, which are sums of slack and power terms — enabling
-	// llc.OneStep's partial-mean pruning (the reallocation term only adds
-	// more): the selected γ is bit-identical and only Explored shrinks.
-	// Disable for JTilde models that can return negative costs.
-	NonNegativeCosts bool
 }
 
 // DeltaWeight is the S weight of Eq. 3 applied to ‖γ − γ_prev‖₁: a small
 // reallocation cost that stabilizes the distribution and breaks ties
 // between equally priced allocations toward the incumbent (identical
-// modules otherwise tie exactly and the enumeration order would starve
-// some of them).
+// modules otherwise tie exactly, and the first allocation in simplex order
+// would win every period, starving the others).
 const DeltaWeight float64 = 0.05
 
 const (
 	// QuantumL2 quantizes the module fractions γ_i (paper: 0.1).
 	QuantumL2 float64 = 0.1
-	// NeighbourDepthL2 is the bounded-search depth used past EnumLimit.
-	NeighbourDepthL2 int = 3
+	// unitsL2 is the number of quanta the module fractions share.
+	unitsL2 = 10
+	// maxNearTiesL2 caps the near ties a decision prices: C(15, 5), the
+	// whole 6-module simplex, so up to 6 modules none is ever dropped, and
+	// above 6 a dropped one is within rounding of the optimum.
+	maxNearTiesL2 = 3003
 )
 
 // DefaultL2Config returns the paper's §5.2 settings.
 func DefaultL2Config() L2Config {
 	return L2Config{
 		PeriodSeconds:      120,
-		EnumLimit:          5000,
 		UncertaintySamples: true,
-		NonNegativeCosts:   true,
 	}
 }
 
@@ -59,9 +50,6 @@ func DefaultL2Config() L2Config {
 func (c L2Config) Validate() error {
 	if c.PeriodSeconds <= 0 {
 		return fmt.Errorf("controller: L2 period %v <= 0", c.PeriodSeconds)
-	}
-	if c.EnumLimit < 1 {
-		return fmt.Errorf("controller: L2 enum limit %d < 1", c.EnumLimit)
 	}
 	return nil
 }
@@ -119,19 +107,17 @@ type L2Decision struct {
 	// Gamma[i] is the fraction of the global arrivals dispatched to
 	// module i (Σ = 1, quantized).
 	Gamma []float64
-	// Explored counts candidate states evaluated.
+	// Explored counts priced J̃ terms plus near-tie candidate-samples.
 	Explored int
 }
 
 // L2 is the cluster-level controller. Construct with NewL2.
 //
-// The full-enumeration candidate set depends only on the availability
-// mask (module count and quantum are fixed), so it comes from a
-// CandidateTable shared by every L2 of the shape; with the table warm a
-// Decide on the enumeration path allocates nothing (pinned by
+// Its tables are sized at NewL2 and its near-tie pool grows to a
+// high-water mark, so a warm Decide allocates nothing (pinned by
 // TestL2DecideSteadyStateAllocs). The returned decision's Gamma belongs to
 // the controller and stays valid until its next Decide. Not safe for
-// concurrent use; the table is.
+// concurrent use.
 type L2 struct {
 	cfg     L2Config
 	jtildes []JTilde
@@ -139,12 +125,19 @@ type L2 struct {
 	prevGamma []float64
 	decGamma  []float64 // the returned decision's γ
 
-	// table holds EnumerateSimplex per availability mask (modules ≤ 64;
-	// larger clusters re-enumerate each period). Its vectors are never
-	// mutated, so the incumbent may reference them directly.
-	table      *CandidateTable
-	pr         l2Pricer
-	samplesBuf [3]float64
+	// The decision in flight, module i's entry for u quanta at
+	// e = i·(unitsL2+1) + u: J̃ terms at terms[e·nSamples+s], the
+	// reallocation term delta[e] and c_i(u) at cost[e].
+	avail       []bool
+	samplesBuf  [3]float64
+	nSamples    int
+	terms       []float64
+	delta, cost []float64
+	suf         []float64
+	lastAvail   int
+	quanta      []uint8   // the walk's current allocation
+	tieQuanta   []uint8   // the near ties, len(jtildes) quanta each
+	ties        [][]uint8 // views into tieQuanta, in simplex order
 
 	explored    int
 	decisions   int
@@ -157,10 +150,7 @@ type L2 struct {
 }
 
 // NewL2 builds an L2 controller over per-module cost approximations.
-// table holds the simplex enumerations of the shape, shared with every L2
-// built over it (see L2TableKey; a table of another shape is refused); nil
-// gives the controller a private one.
-func NewL2(cfg L2Config, jtildes []JTilde, table *CandidateTable) (*L2, error) {
+func NewL2(cfg L2Config, jtildes []JTilde) (*L2, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -183,20 +173,11 @@ func NewL2(cfg L2Config, jtildes []JTilde, table *CandidateTable) (*L2, error) {
 	if err != nil {
 		return nil, err
 	}
-	table, err = tableFor(table, L2TableKey(p))
-	if err != nil {
-		return nil, err
-	}
-	l := &L2{cfg: cfg, jtildes: jtildes, prevGamma: prev, decGamma: make([]float64, p), table: table}
-	l.pr = l2Pricer{l: l, obs: L2Observation{QAvg: make([]float64, p), CHat: make([]float64, p), Available: make([]bool, p)}}
-	return l, nil
+	n := p * (unitsL2 + 1)
+	return &L2{cfg: cfg, jtildes: jtildes, prevGamma: prev, decGamma: make([]float64, p),
+		avail: make([]bool, p), terms: make([]float64, 3*n), delta: make([]float64, n),
+		cost: make([]float64, n), suf: make([]float64, n+unitsL2+1), quanta: make([]uint8, p)}, nil
 }
-
-// Modules returns the number of modules the controller manages.
-func (l *L2) Modules() int { return len(l.jtildes) }
-
-// Table returns the candidate table the controller reads.
-func (l *L2) Table() *CandidateTable { return l.table }
 
 // SetRecorder attaches a decision flight recorder (nil detaches). Each
 // Decide writes one summary record (Module == -1: explored count,
@@ -205,22 +186,23 @@ func (l *L2) Table() *CandidateTable { return l.table }
 // decisions are identical with it on or off.
 func (l *L2) SetRecorder(r *flight.Recorder) { l.rec = r }
 
-// SetMaxExplored caps the candidate-state evaluations each subsequent
-// Decide may perform, exactly as L1.SetMaxExplored does; n <= 0 removes
-// the cap.
+// SetMaxExplored caps the states each subsequent Decide may evaluate —
+// priced terms plus near-tie candidate-samples — exactly as
+// L1.SetMaxExplored does; n <= 0 removes the cap.
 func (l *L2) SetMaxExplored(n int) { l.maxExplored = n }
 
-// Decide solves the L2 optimization (Eq. 15): choose {γ_i} minimizing
-// Σ_i J̃_i. The quantized simplex is enumerated exhaustively while small
-// enough, otherwise a bounded neighbourhood of the previous decision is
-// searched.
-//
-// The returned Gamma belongs to the controller and stays valid until its
-// next Decide.
+// Decide solves the L2 optimization (Eq. 15) exactly: the quantized {γ_i}
+// minimizing the sample mean of Σ_i J̃_i plus Σ_i δ·|γ_i − γ_prev,i|. The
+// cost separates by module, so each term T_i(u, s) = J̃_i(q_i, u·q·λ_s, ĉ_i)
+// is priced once, a min-plus table over modules gives the optimum V*, and
+// only the near ties of V* are priced whole, through llc.OneStep in
+// enumeration order and summation: the winner and its cost are those of
+// pricing the whole simplex, bit for bit, and the work is linear in
+// modules. The returned Gamma is valid until the next Decide.
 //
 //hpm:hotpath
 func (l *L2) Decide(obs L2Observation) (L2Decision, error) {
-	p := l.Modules()
+	p := len(l.jtildes)
 	if len(obs.QAvg) != p || len(obs.CHat) != p {
 		return L2Decision{}, fmt.Errorf("controller: observation sizes %d/%d, modules %d", len(obs.QAvg), len(obs.CHat), p)
 	}
@@ -233,8 +215,7 @@ func (l *L2) Decide(obs L2Observation) (L2Decision, error) {
 	if len(obs.Available) != p {
 		return L2Decision{}, fmt.Errorf("controller: observation has %d availability flags, modules %d", len(obs.Available), p)
 	}
-	avail := countTrue(obs.Available)
-	if avail == 0 {
+	if countOn(obs.Available) == 0 {
 		return L2Decision{}, fmt.Errorf("controller: no available modules")
 	}
 	if obs.LambdaHat < 0 {
@@ -242,37 +223,29 @@ func (l *L2) Decide(obs L2Observation) (L2Decision, error) {
 	}
 	start := time.Now() //hpm:wallclock decide-latency for the §4.3 overhead metric; observe-only
 
-	var candidates [][]float64
-	switch {
-	case CountSimplex(avail, QuantumL2) > l.cfg.EnumLimit:
-		seed, err := SnapSimplex(l.prevGamma, obs.Available, QuantumL2)
-		if err != nil {
-			return L2Decision{}, err
-		}
-		candidates = SimplexNeighbours(seed, obs.Available, QuantumL2, NeighbourDepthL2)
-	case p > 64:
-		candidates = EnumerateSimplex(p, obs.Available, QuantumL2)
-	default:
-		candidates = l.enumeration(obs.Available)
+	copy(l.avail, obs.Available)
+	l.nSamples = len(bandSamples(&l.samplesBuf, obs.LambdaHat, obs.Delta, l.cfg.UncertaintySamples))
+	sc := llc.Scan{MaxExplored: l.maxExplored}
+	margin, err := l.priceTerms(&sc, obs)
+	if err != nil {
+		return L2Decision{}, searchErr("L2", err)
 	}
-
-	samples := bandSamples(&l.samplesBuf, obs.LambdaHat, obs.Delta, l.cfg.UncertaintySamples)
-	sc := llc.Scan{Prune: l.cfg.NonNegativeCosts, MaxExplored: l.maxExplored}
-	copy(l.pr.obs.QAvg, obs.QAvg)
-	copy(l.pr.obs.CHat, obs.CHat)
-	copy(l.pr.obs.Available, obs.Available)
-	bi, bestCost, err := llc.OneStep(&sc, &l.pr, candidates, len(samples), math.Inf(1))
+	l.solve()
+	l.tieQuanta, l.ties = l.tieQuanta[:0], l.ties[:0]
+	l.collect(0, unitsL2, 0, l.suf[unitsL2]+margin)
+	bi, bestCost, err := llc.OneStep(&sc, l2Pricer{l}, l.ties, l.nSamples, math.Inf(1))
 	if err != nil {
 		return L2Decision{}, searchErr("L2", err)
 	}
 	if bi < 0 {
 		return L2Decision{}, fmt.Errorf("controller: L2 found no candidate allocation")
 	}
-	best := candidates[bi]
+	for i, u := range l.ties[bi] {
+		l.decGamma[i] = float64(u) * QuantumL2
+	}
+	copy(l.prevGamma, l.decGamma)
 	explored := sc.Explored
 	elapsed := time.Since(start) //hpm:wallclock decide-latency for the §4.3 overhead metric; observe-only
-	copy(l.prevGamma, best)
-	copy(l.decGamma, best)
 	l.explored += explored
 	l.decisions++
 	l.computeTime += elapsed
@@ -286,7 +259,7 @@ func (l *L2) Decide(obs L2Observation) (L2Decision, error) {
 			DecideNs: elapsed.Nanoseconds(),
 			Cost:     bestCost,
 		})
-		for i, g := range best {
+		for i, g := range l.decGamma {
 			l.rec.Record(flight.Record{
 				Level:   flight.LevelL2,
 				Module:  int16(i),
@@ -299,50 +272,129 @@ func (l *L2) Decide(obs L2Observation) (L2Decision, error) {
 	return L2Decision{Gamma: l.decGamma, Explored: explored}, nil
 }
 
-// enumeration returns EnumerateSimplex over the availability mask from the
-// shape's table: a pure function of the mask, so steady-state periods skip
-// the combinatorial rebuild.
-func (l *L2) enumeration(avail []bool) [][]float64 {
-	mask := packBools(avail)
-	set := l.table.lookup(mask)
-	if set == nil {
-		set = l.table.publish(mask, &candidateSet{cands: EnumerateSimplex(len(avail), avail, QuantumL2)})
+// priceTerms fills the term, reallocation and cost tables, counting each
+// J̃ prediction as one explored state, and returns the margin the walk
+// allows above the optimum V*. γ_i·λ_s is formed as a full enumeration
+// forms it, so each term has the bits it would compute.
+//
+// The margin keeps the first minimizer x* of the enumeration's priced cost
+// F. Let u = 2⁻⁵³, γ_K = K·u/(1−K·u) and B = Σ_i max_u (Σ_s |T_i(u, s)|/S
+// + |δ_i(u)|), from magnitudes, so it holds for costs of either sign. Every
+// cost computed for an allocation x — F(x) (S·A additions, a division, p
+// reallocation additions), or a table or walk sum of the c_i (S + 1
+// roundings in each, p + 1 additions across them) — sums x's terms in at
+// most K = S·p + p + 2 roundings, so lies within γ_K·B of x's exact cost
+// R(x). With x° a minimizer of R: R(x*) ≤ F(x*) + γ_K·B ≤ F(x°) + γ_K·B ≤
+// R(x°) + 2γ_K·B; V* is a float sum of some allocation, so R(x°) ≤ V* +
+// γ_K·B; and a walk test on a prefix of x* is at most a float sum of x*'s
+// terms (suf is at most x*'s own completion, and float addition is
+// monotone), so at most R(x*) + γ_K·B ≤ V* + 4γ_K·B. 8·K·u·B covers that,
+// B's rounding and V* + margin's.
+func (l *L2) priceTerms(sc *llc.Scan, obs L2Observation) (float64, error) {
+	n, bound := l.nSamples, 0.0
+	for i, jt := range l.jtildes {
+		lams := l.samplesBuf[:n]
+		if !l.avail[i] {
+			lams = nil // held at 0 quanta, it costs only its reallocation
+		}
+		widest := 0.0
+		for u := 0; u <= unitsL2; u++ {
+			e := i*(unitsL2+1) + u
+			g := float64(u) * QuantumL2
+			l.delta[e] = DeltaWeight * math.Abs(g-l.prevGamma[i])
+			sum, abs := 0.0, 0.0
+			for s, lam := range lams {
+				// Zero-share modules still cost their learned idle floor
+				// (the L1 keeps MinOn computers powered), so concentration
+				// is not falsely free.
+				c, err := jt.Predict(obs.QAvg[i], g*lam, obs.CHat[i])
+				if err != nil {
+					return 0, err
+				}
+				sc.Explored++
+				if sc.MaxExplored > 0 && sc.Explored > sc.MaxExplored {
+					return 0, llc.ErrBudget
+				}
+				l.terms[e*n+s] = c
+				sum, abs = sum+c, abs+math.Abs(c)
+			}
+			l.cost[e] = sum/float64(n) + l.delta[e]
+			widest = max(widest, abs/float64(n)+l.delta[e])
+		}
+		bound += widest
 	}
-	return set.cands
+	return float64(n*len(l.jtildes)+len(l.jtildes)+2) * bound * 0x1p-50, nil
 }
 
-// l2Pricer prices γ candidates for llc.OneStep against the decision in
-// flight: the sampled arrival rates in L2.samplesBuf, and its own copy of
-// the observation's per-module fields, so the controller keeps nothing of
-// the caller's observation.
-type l2Pricer struct {
-	l   *L2
-	obs L2Observation
+// solve fills suf[i][r], the least Σ c_j over allocations of r quanta to
+// modules i.. (unavailable ones at 0; +Inf where none exists), so
+// V* = suf[0][10].
+func (l *L2) solve() {
+	p, w := len(l.jtildes), unitsL2+1
+	for r := range w {
+		l.suf[p*w+r] = math.Inf(1)
+	}
+	l.suf[p*w], l.lastAvail = 0, -1
+	for i := p - 1; i >= 0; i-- {
+		if l.avail[i] && l.lastAvail < 0 {
+			l.lastAvail = i
+		}
+		for r := range w {
+			best := math.Inf(1)
+			for u := 0; u <= r && (u == 0 || l.avail[i]); u++ {
+				if v := l.cost[i*w+u] + l.suf[(i+1)*w+r-u]; v < best {
+					best = v
+				}
+			}
+			l.suf[i*w+r] = best
+		}
+	}
 }
 
-func (p *l2Pricer) Price(gamma []float64, si int, sum float64) (float64, error) {
-	lam := p.l.samplesBuf[si]
-	for i := range gamma {
-		if !p.obs.Available[i] {
-			continue
+// collect walks the simplex from module i, r quanta left at prefix cost
+// pre, in EnumerateSimplex order (quanta ascending module by module, the
+// last available module taking the rest), and appends every allocation
+// whose prefixes all stay within limit to the near ties, up to
+// maxNearTiesL2.
+func (l *L2) collect(i, r int, pre, limit float64) {
+	if i == len(l.jtildes) {
+		k := len(l.tieQuanta)
+		l.tieQuanta = append(l.tieQuanta, l.quanta...)
+		l.ties = append(l.ties, l.tieQuanta[k:])
+		return
+	}
+	lo, hi := 0, r
+	if !l.avail[i] {
+		hi = 0
+	} else if i == l.lastAvail {
+		lo = r
+	}
+	for u := lo; u <= hi && len(l.ties) < maxNearTiesL2; u++ {
+		if c := pre + l.cost[i*(unitsL2+1)+u]; c+l.suf[(i+1)*(unitsL2+1)+r-u] <= limit {
+			l.quanta[i] = uint8(u)
+			l.collect(i+1, r-u, c, limit)
 		}
-		// Zero-share modules still cost their learned idle floor (the L1
-		// keeps MinOn computers powered), so concentration is not falsely
-		// free.
-		c, err := p.l.jtildes[i].Predict(p.obs.QAvg[i], gamma[i]*lam, p.obs.CHat[i])
-		if err != nil {
-			return sum, err
+	}
+}
+
+// l2Pricer prices near ties for llc.OneStep from the decision's term
+// table, in the order a full enumeration sums them: per sample, module by
+// module, then the reallocation terms on the mean.
+type l2Pricer struct{ l *L2 }
+
+func (p l2Pricer) Price(quanta []uint8, si int, sum float64) (float64, error) {
+	for i, u := range quanta {
+		if p.l.avail[i] {
+			sum += p.l.terms[(i*(unitsL2+1)+int(u))*p.l.nSamples+si]
 		}
-		sum += c
 	}
 	return sum, nil
 }
 
-// Finish adds the ‖Δu‖_S reallocation cost (Eq. 3). It is non-negative,
-// so the partial-mean bound stays valid for the full cost.
-func (p *l2Pricer) Finish(gamma []float64, mean float64) float64 {
-	for i := range gamma {
-		mean += DeltaWeight * math.Abs(gamma[i]-p.l.prevGamma[i])
+// Finish adds the ‖Δu‖_S reallocation cost (Eq. 3).
+func (p l2Pricer) Finish(quanta []uint8, mean float64) float64 {
+	for i, u := range quanta {
+		mean += p.l.delta[i*(unitsL2+1)+int(u)]
 	}
 	return mean
 }

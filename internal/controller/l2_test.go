@@ -29,7 +29,6 @@ func TestL2ConfigValidation(t *testing.T) {
 	}
 	mutations := []func(*L2Config){
 		func(c *L2Config) { c.PeriodSeconds = 0 },
-		func(c *L2Config) { c.EnumLimit = 0 },
 	}
 	for i, mutate := range mutations {
 		cfg := base
@@ -41,10 +40,10 @@ func TestL2ConfigValidation(t *testing.T) {
 }
 
 func TestNewL2Validation(t *testing.T) {
-	if _, err := NewL2(DefaultL2Config(), nil, nil); err == nil {
+	if _, err := NewL2(DefaultL2Config(), nil); err == nil {
 		t.Error("no models: want error")
 	}
-	if _, err := NewL2(DefaultL2Config(), []JTilde{nil}, nil); err == nil {
+	if _, err := NewL2(DefaultL2Config(), []JTilde{nil}); err == nil {
 		t.Error("nil model: want error")
 	}
 }
@@ -54,7 +53,7 @@ func TestL2BalancesIdenticalModules(t *testing.T) {
 		convexLoadCost(100), convexLoadCost(100),
 		convexLoadCost(100), convexLoadCost(100),
 	}
-	l2, err := NewL2(DefaultL2Config(), models, nil)
+	l2, err := NewL2(DefaultL2Config(), models)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +84,7 @@ func TestL2BalancesIdenticalModules(t *testing.T) {
 func TestL2ShiftsLoadToCheaperModule(t *testing.T) {
 	// Module 0 is 4× the capacity of module 1.
 	models := []JTilde{convexLoadCost(200), convexLoadCost(50)}
-	l2, err := NewL2(DefaultL2Config(), models, nil)
+	l2, err := NewL2(DefaultL2Config(), models)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +103,7 @@ func TestL2ShiftsLoadToCheaperModule(t *testing.T) {
 
 func TestL2UnavailableModuleGetsZero(t *testing.T) {
 	models := []JTilde{convexLoadCost(100), convexLoadCost(100), convexLoadCost(100)}
-	l2, err := NewL2(DefaultL2Config(), models, nil)
+	l2, err := NewL2(DefaultL2Config(), models)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +122,7 @@ func TestL2UnavailableModuleGetsZero(t *testing.T) {
 }
 
 func TestL2NoAvailableModules(t *testing.T) {
-	l2, err := NewL2(DefaultL2Config(), []JTilde{convexLoadCost(100)}, nil)
+	l2, err := NewL2(DefaultL2Config(), []JTilde{convexLoadCost(100)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +138,7 @@ func TestL2NoAvailableModules(t *testing.T) {
 }
 
 func TestL2ObservationValidation(t *testing.T) {
-	l2, err := NewL2(DefaultL2Config(), []JTilde{convexLoadCost(100), convexLoadCost(100)}, nil)
+	l2, err := NewL2(DefaultL2Config(), []JTilde{convexLoadCost(100), convexLoadCost(100)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,41 +150,9 @@ func TestL2ObservationValidation(t *testing.T) {
 	}
 }
 
-func TestL2BoundedModeAboveEnumLimit(t *testing.T) {
-	cfg := DefaultL2Config()
-	cfg.EnumLimit = 10 // force the bounded path for 4 modules
-	models := []JTilde{
-		convexLoadCost(100), convexLoadCost(100),
-		convexLoadCost(100), convexLoadCost(100),
-	}
-	l2, err := NewL2(cfg, models, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := l2.Decide(L2Observation{
-		QAvg:      []float64{0, 0, 0, 0},
-		LambdaHat: 100,
-		CHat:      []float64{0.018, 0.018, 0.018, 0.018},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	full := CountSimplex(4, QuantumL2)
-	if dec.Explored >= full {
-		t.Errorf("bounded mode explored %d, full enumeration is %d", dec.Explored, full)
-	}
-	sum := 0.0
-	for _, g := range dec.Gamma {
-		sum += g
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Errorf("Σγ = %v, want 1", sum)
-	}
-}
-
 func TestL2UncertaintySamplesIncreaseExploration(t *testing.T) {
 	models := []JTilde{convexLoadCost(100), convexLoadCost(100)}
-	l2, err := NewL2(DefaultL2Config(), models, nil)
+	l2, err := NewL2(DefaultL2Config(), models)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,13 +178,12 @@ func TestL2UncertaintySamplesIncreaseExploration(t *testing.T) {
 }
 
 // TestL2UncertaintySamplesExactWithoutPruning pins the unpruned
-// accounting: with NonNegativeCosts off every candidate prices all three
-// band samples, so exploration is exactly 3× the nominal run.
+// accounting: every term and every near tie is priced under all three band
+// samples, so exploration is exactly 3× the nominal run.
 func TestL2UncertaintySamplesExactWithoutPruning(t *testing.T) {
 	cfg := DefaultL2Config()
-	cfg.NonNegativeCosts = false
 	models := []JTilde{convexLoadCost(100), convexLoadCost(100)}
-	l2, err := NewL2(cfg, models, nil)
+	l2, err := NewL2(cfg, models)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,46 +203,6 @@ func TestL2UncertaintySamplesExactWithoutPruning(t *testing.T) {
 	}
 	if banded.Explored != 3*nominal.Explored {
 		t.Errorf("banded explored %d, want 3× nominal %d", banded.Explored, nominal.Explored)
-	}
-}
-
-// TestL2PruningPreservesDecision pins the branch-and-bound contract at
-// the L2 level: pruned and unpruned searches pick the identical γ while
-// pruning never explores more.
-func TestL2PruningPreservesDecision(t *testing.T) {
-	obs := []L2Observation{
-		{QAvg: []float64{5, 40, 0}, LambdaHat: 200, Delta: 30, CHat: []float64{0.018, 0.022, 0.015}},
-		{QAvg: []float64{0, 0, 80}, LambdaHat: 90, Delta: 15, CHat: []float64{0.018, 0.022, 0.015}},
-		{QAvg: []float64{12, 3, 7}, LambdaHat: 310, Delta: 45, CHat: []float64{0.018, 0.022, 0.015}},
-	}
-	mk := func(prune bool) *L2 {
-		cfg := DefaultL2Config()
-		cfg.NonNegativeCosts = prune
-		models := []JTilde{convexLoadCost(90), convexLoadCost(120), convexLoadCost(150)}
-		l2, err := NewL2(cfg, models, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return l2
-	}
-	pruned, naive := mk(true), mk(false)
-	for step, o := range obs {
-		dp, err := pruned.Decide(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dn, err := naive.Decide(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range dn.Gamma {
-			if dp.Gamma[i] != dn.Gamma[i] {
-				t.Fatalf("step %d: γ[%d] = %v pruned vs %v naive", step, i, dp.Gamma[i], dn.Gamma[i])
-			}
-		}
-		if dp.Explored > dn.Explored {
-			t.Errorf("step %d: pruned explored %d exceeds naive %d", step, dp.Explored, dn.Explored)
-		}
 	}
 }
 

@@ -79,7 +79,7 @@ func simplexNeighboursLegacy(gamma []float64, mask []bool, quantum float64, dept
 func alphaCandidatesLegacy(l *L1, avail []bool) [][]bool {
 	m := l.Size()
 	minOn := l.cfg.MinOn
-	if a := countTrue(avail); a < minOn {
+	if a := countOn(avail); a < minOn {
 		minOn = a
 	}
 	base := make([]bool, m)

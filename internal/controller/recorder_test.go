@@ -83,7 +83,7 @@ func TestL2DecideSteadyStateAllocsWithRecorder(t *testing.T) {
 	for i := range jts {
 		jts[i] = allocQuadJTilde{scale: 100 + 20*float64(i)}
 	}
-	l2, err := NewL2(DefaultL2Config(), jts, nil)
+	l2, err := NewL2(DefaultL2Config(), jts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestControllerRecorderEquivalence(t *testing.T) {
 			queues[j] = float64((i * (5 + 3*j)) % 90)
 		}
 		avail[i%4] = i%5 != 0
-		if countTrue(avail) == 0 {
+		if countOn(avail) == 0 {
 			avail[0] = true
 		}
 		o := L1Observation{QueueLens: queues, LambdaHat: lam, Delta: 8, CHat: 0.0175, Available: avail}
@@ -182,7 +182,7 @@ func TestControllerRecorderEquivalence(t *testing.T) {
 		for i := range jts {
 			jts[i] = allocQuadJTilde{scale: 100 + 20*float64(i)}
 		}
-		l2, err := NewL2(DefaultL2Config(), jts, nil)
+		l2, err := NewL2(DefaultL2Config(), jts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -284,7 +284,7 @@ func TestControllerRecordShapes(t *testing.T) {
 	for i := range jts {
 		jts[i] = allocQuadJTilde{scale: 100 + 20*float64(i)}
 	}
-	l2, err := NewL2(DefaultL2Config(), jts, nil)
+	l2, err := NewL2(DefaultL2Config(), jts)
 	if err != nil {
 		t.Fatal(err)
 	}

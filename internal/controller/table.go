@@ -9,8 +9,8 @@ import (
 )
 
 // candidateSet is one mask's entry in a CandidateTable: the candidate
-// vectors and, for L1 neighbourhoods, their packed dedup keys (flat,
-// L1.gammaWords per candidate). Never mutated once published.
+// vectors and their packed dedup keys (flat, L1.gammaWords per candidate).
+// Never mutated once published.
 type candidateSet struct {
 	cands [][]float64
 	keys  []uint64
@@ -18,22 +18,20 @@ type candidateSet struct {
 
 // maxGammaMemoFloats bounds one CandidateTable by the float64s its stored
 // candidate vectors hold: 1 Mi floats = 8 MiB, about 10.5 MB with the
-// per-vector slice headers and L1 dedup keys. Entry size grows steeply with
-// the vector length — a 4-computer mask stores a few hundred floats, a
-// 16-computer one 13,321 vectors ≈ 213k floats ≈ 2.2 MB, an L2 enumeration
-// up to EnumLimit vectors of one float per module — so a bound on entries
-// would let one large shape under rotating masks pin hundreds of megabytes.
-// Every benchmarked shape's working set of masks fits well inside the bound.
+// per-vector slice headers and dedup keys. Entry size grows steeply with
+// the module size — a 4-computer mask stores a few hundred floats, a
+// 16-computer one 13,321 vectors ≈ 213k floats ≈ 2.2 MB — so a bound on
+// entries would let one large shape under rotating masks pin hundreds of
+// megabytes. Every benchmarked shape's working set of masks fits well
+// inside the bound.
 const maxGammaMemoFloats = 1 << 20
 
-// CandidateTable maps an on/off or availability mask to that mask's
-// candidate set, for one shape: an L1's capacity-seeded γ neighbourhoods
-// (a pure function of its capacity weights, quantum and neighbour depth —
-// see L1TableKey) or an L2's simplex enumerations (of its module count —
-// see L2TableKey). Every controller of the shape may share one
-// table, from any goroutine: a read takes no lock — it loads an atomic
-// pointer to an immutable map — and a miss publishes under a mutex by
-// copying the map, so an entry is never mutated once published. The table
+// CandidateTable maps an L1 on/off mask to that mask's capacity-seeded γ
+// neighbourhood, for one shape (a pure function of its capacity weights,
+// quantum and neighbour depth — see L1TableKey). Every L1 of the shape may
+// share one table, from any goroutine: a read takes no lock — it loads an
+// atomic pointer to an immutable map — and a miss publishes under a mutex
+// by copying the map, so an entry is never mutated once published. The table
 // is bounded at maxGammaMemoFloats; past the bound a miss computes without
 // storing, which changes how much is allocated and never a decision.
 type CandidateTable struct {
@@ -45,8 +43,7 @@ type CandidateTable struct {
 }
 
 // NewCandidateTable returns an empty table for the shape key names
-// (L1TableKey or L2TableKey); a controller refuses a table of another
-// shape.
+// (L1TableKey); a controller refuses a table of another shape.
 func NewCandidateTable(key string) *CandidateTable {
 	t := &CandidateTable{key: key}
 	t.sets.Store(&map[uint64]*candidateSet{})
@@ -103,12 +100,6 @@ func L1TableKey(cfg L1Config, gmaps []*GMap) string {
 		fmt.Fprintf(&b, ",%x", math.Float64bits(g.Spec().SpeedFactor))
 	}
 	return b.String()
-}
-
-// L2TableKey names the shape an L2's candidate table depends on: the
-// module count (the quantum is QuantumL2).
-func L2TableKey(modules int) string {
-	return fmt.Sprintf("l2|p%d", modules)
 }
 
 // tableFor returns table, or a private one for the shape when it is nil,

@@ -223,13 +223,13 @@ func TestStoreKeyedByConfig(t *testing.T) {
 	}
 }
 
-// TestStoreManagersShareCandidateTables: the controllers' candidate tables
-// belong to the shape, not the manager. Two managers of one shape built
-// through one store hold the same tables — one for the identical modules'
-// L1s, one for the L2 — and a second L1 of the shape, warm, allocates
-// nothing on its first decides over masks only the first L1 has met, where
-// a twin with a private table computes them. The tables leave the store with
-// their last manager.
+// TestStoreManagersShareCandidateTables: the L1s' candidate table belongs
+// to the shape, not the manager. Two managers of one shape built through
+// one store hold the same table — one for the identical modules' L1s; the
+// L2 keeps none — and a second L1 of the shape, warm, allocates nothing on
+// its first decides over masks only the first L1 has met, where a twin with
+// a private table computes them. The table leaves the store with its last
+// manager.
 func TestStoreManagersShareCandidateTables(t *testing.T) {
 	spec := cluster.Spec{Modules: []cluster.ModuleSpec{moduleOf("M1", 4), moduleOf("M2", 4)}}
 	cfg := fastConfig()
@@ -255,14 +255,11 @@ func TestStoreManagersShareCandidateTables(t *testing.T) {
 			}
 		}
 	}
-	if second.l2.Table() != first.l2.Table() || first.l2.Table() == l1Table {
-		t.Fatal("the L2s do not share one table of their own")
-	}
 	if private.modules[0].l1.Table() == l1Table {
 		t.Fatal("a manager outside the store reads the store's table")
 	}
-	if held := len(store.tables.entries); held != 2 {
-		t.Fatalf("store holds %d candidate tables, want 2 (one L1 shape, one L2 shape)", held)
+	if held := len(store.tables.entries); held != 1 {
+		t.Fatalf("store holds %d candidate tables, want 1 (one L1 shape)", held)
 	}
 
 	// Step 0 has every computer up, from a previous split far from the
@@ -328,8 +325,8 @@ func TestStoreManagersShareCandidateTables(t *testing.T) {
 	}
 
 	first.Release()
-	if held := len(store.tables.entries); held != 2 {
-		t.Fatalf("store holds %d candidate tables with one manager left, want 2", held)
+	if held := len(store.tables.entries); held != 1 {
+		t.Fatalf("store holds %d candidate tables with one manager left, want 1", held)
 	}
 	second.Release()
 	if held := len(store.tables.entries); held != 0 {

@@ -42,12 +42,11 @@ func treeFingerprint(cfg Config, module string) string {
 // cached process-wide. The zero value is not usable — construct with
 // NewArtifactStore.
 //
-// A third tier of the same type holds the controllers' candidate tables
-// (controller.CandidateTable: the L1 γ neighbourhoods and the L2 simplex
-// enumerations), one per shape key. They are computed, not learned: the
-// tier's "learn" is NewCandidateTable, a table starts empty, fills as its
-// controllers meet masks, and is never persisted or journalled.
-// ArtifactStats does not count them.
+// A third tier of the same type holds the L1s' candidate tables
+// (controller.CandidateTable: the γ neighbourhoods per on/off mask), one
+// per shape key. They are computed, not learned: the tier's "learn" is
+// NewCandidateTable, a table starts empty, fills as its L1s meet masks,
+// and is never persisted or journalled. ArtifactStats does not count them.
 type ArtifactStore struct {
 	gmaps  artifactTier[*controller.GMap]
 	trees  artifactTier[*controller.TreeJTilde]

@@ -269,7 +269,7 @@ func NewManager(spec cluster.Spec, cfg Config) (*Manager, error) {
 // NewManager is the package-level NewManager with the offline learning
 // shared through the store: every artifact is acquired by fingerprint, so
 // only the first manager of a fingerprint learns it and all of them use
-// the same read-only copy, and every L1 and L2 reads the candidate table
+// the same read-only copy, and every L1 reads the candidate table
 // of its shape. Call Release when the manager is discarded.
 func (s *ArtifactStore) NewManager(spec cluster.Spec, cfg Config) (_ *Manager, err error) {
 	if err := cfg.Validate(); err != nil {
@@ -367,7 +367,7 @@ func (s *ArtifactStore) NewManager(spec cluster.Spec, cfg Config) (_ *Manager, e
 		for i := range m.modules {
 			jtildes[i] = treeCache[moduleKey(spec.Modules[i])]
 		}
-		l2, err := controller.NewL2(cfg.L2, jtildes, m.acquireTable(controller.L2TableKey(len(jtildes))))
+		l2, err := controller.NewL2(cfg.L2, jtildes)
 		if err != nil {
 			return nil, err
 		}
@@ -428,9 +428,9 @@ func acquireDistinct[T any](t *artifactTier[T], workers, n int, held *[]string, 
 	return cache, nil
 }
 
-// acquireTable takes a reference to the store's candidate table for a
-// controller shape key, recorded for Release under the table's own copy of
-// the key, so managers of a shape hold one key string between them.
+// acquireTable takes a reference to the store's candidate table for an
+// L1 shape key, recorded for Release under the table's own copy of the
+// key, so managers of a shape hold one key string between them.
 func (m *Manager) acquireTable(key string) *controller.CandidateTable {
 	// The error is dropped because this learn cannot fail.
 	t, _ := m.store.tables.acquire(key, func() (*controller.CandidateTable, error) {

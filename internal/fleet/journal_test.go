@@ -892,8 +892,6 @@ func TestTenantConfigFields(t *testing.T) {
 		"Core.L1.Quantum",
 		"Core.L1.SwitchWeight",
 		"Core.L1.UncertaintySamples",
-		"Core.L2.EnumLimit",
-		"Core.L2.NonNegativeCosts",
 		"Core.L2.PeriodSeconds",
 		"Core.L2.UncertaintySamples",
 		"Core.ModuleSim.CLevels",

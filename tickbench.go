@@ -251,7 +251,7 @@ func RunTickBench(decisions, tenants int) (TickBenchSnapshot, error) {
 	for i := range jts {
 		jts[i] = tree
 	}
-	l2, err := controller.NewL2(controller.DefaultL2Config(), jts, nil)
+	l2, err := controller.NewL2(controller.DefaultL2Config(), jts)
 	if err != nil {
 		return TickBenchSnapshot{}, err
 	}
