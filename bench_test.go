@@ -14,7 +14,7 @@
 //	energy        total energy consumed (abstract units)
 //	resp_ms       mean response time in milliseconds
 //	viol_pct      percent of T_L0 intervals violating r*
-//	states_per_L1 states examined per L1 period (§4.3's ≈858 metric)
+//	states_per_L1 map probes per L1 period (§4.3's overhead metric)
 package hierctl
 
 import (

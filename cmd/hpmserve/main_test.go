@@ -402,17 +402,15 @@ func TestServerModuleSizeCap(t *testing.T) {
 
 // TestServerModulesCapL2Work pins the work of one L2 decision at the
 // modules cap, which runs on the tenant's home shard with every sibling
-// queued behind it: each module's 11 quanta are priced once per band
-// sample, plus at most 3,003 near ties per sample, whatever the J̃ trees
-// (the L2 summary record's explored count; deterministic, so the bound does
-// not depend on the host).
+// queued behind it: each available module's 11 quanta are priced once per
+// band sample, whatever the J̃ trees (the L2 summary record's explored
+// count; deterministic, so the pin does not depend on the host).
 func TestServerModulesCapL2Work(t *testing.T) {
 	h, _ := testHandler(t)
 	doJSON(t, h, http.MethodPost, "/v1/tenants",
 		fmt.Sprintf(`{"id":"wide","modules":%d,"fast":true}`, maxModules), http.StatusCreated)
 	doJSON(t, h, http.MethodPost, "/v1/tenants/wide/observe", `{"count":9000}`, http.StatusOK)
 	resp := doJSON(t, h, http.MethodGet, "/v1/tenants/wide/telemetry", "", http.StatusOK)
-	const bound = maxModules*11*3 + 3*3003
 	summaries := 0
 	for _, raw := range resp["records"].([]any) {
 		rec := raw.(map[string]any)
@@ -420,12 +418,49 @@ func TestServerModulesCapL2Work(t *testing.T) {
 			continue
 		}
 		summaries++
-		if explored := rec["explored"].(float64); explored < maxModules*11 || explored > bound {
-			t.Errorf("L2 decision explored %v states, want within [%d, %d]", explored, maxModules*11, bound)
+		if explored := rec["explored"].(float64); explored != maxModules*11 && explored != maxModules*11*3 {
+			t.Errorf("L2 decision explored %v states, want 11·%d per band sample", explored, maxModules)
 		}
 	}
 	if summaries != 1 {
 		t.Fatalf("%d L2 summary records after one bin, want 1", summaries)
+	}
+}
+
+// TestServerModuleSizeCapL1Work pins the work of one L1 decision at the
+// moduleSize cap, on the tenant's home shard like the L2's: the summary
+// record's explored count — map probes, each cell of a computer's map at
+// most once — is within the closed form maxModuleSize·Q·Λ of the fast
+// learning grid, and the record carries every computer's bit of the mask.
+func TestServerModuleSizeCapL1Work(t *testing.T) {
+	h, _ := testHandler(t)
+	doJSON(t, h, http.MethodPost, "/v1/tenants",
+		fmt.Sprintf(`{"id":"wide","moduleSize":%d,"fast":true}`, maxModuleSize), http.StatusCreated)
+	// Five 30 s bins span two L1 periods: the second decision sees the
+	// forecast the first bins taught the filter.
+	for range 5 {
+		doJSON(t, h, http.MethodPost, "/v1/tenants/wide/observe", `{"count":9000}`, http.StatusOK)
+	}
+	resp := doJSON(t, h, http.MethodGet, "/v1/tenants/wide/telemetry", "", http.StatusOK)
+	grid := hierctl.ExperimentOptions{Fast: true}.Config().GMap
+	bound := maxModuleSize * int((grid.QMax/grid.QStep+1)*(grid.LambdaMax/grid.LambdaStep+1))
+	summaries := 0
+	for _, raw := range resp["records"].([]any) {
+		rec := raw.(map[string]any)
+		if rec["level"] != "l1" || rec["comp"].(float64) != -1 {
+			continue
+		}
+		summaries++
+		if explored := rec["explored"].(float64); explored < 1 || explored > float64(bound) {
+			t.Errorf("L1 decision explored %v states, want within [1, %d]", explored, bound)
+		}
+		if alpha := uint64(rec["alpha"].(float64)); alpha>>maxModuleSize != 0 || alpha == 0 {
+			t.Errorf("L1 decision's α mask %b, want a non-empty mask of %d computers", alpha, maxModuleSize)
+		}
+		t.Logf("%d-computer L1 decision: %v probes, %v ns", maxModuleSize, rec["explored"], rec["decideNs"])
+	}
+	if summaries < 2 {
+		t.Fatalf("%d L1 summary records after five bins, want 2", summaries)
 	}
 }
 

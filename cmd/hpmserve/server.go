@@ -284,22 +284,26 @@ const (
 	standardModuleSize = 4
 
 	// maxModules bounds the L2 decision, which runs on the tenant's home
-	// shard with every sibling queued behind it. It prices each module's
-	// 11 quanta once per band sample plus at most 3,003 near ties per
-	// sample: ≤ 64·11·3 + 3·3,003 = 11,121 states at the cap (the L2
-	// summary record's explored count, deterministic). A fresh 64-module
-	// `fast` tenant's L2 decision explores 705 in ≈ 0.13 ms and its whole
-	// bin takes ≈ 4-14 ms on a 2-vCPU box; README has the table.
+	// shard with every sibling queued behind it. It prices each available
+	// module's 11 quanta once per band sample: ≤ 64·11·3 = 2,112 states at
+	// the cap (the L2 summary record's explored count, deterministic). A
+	// fresh 64-module `fast` tenant's first L2 decision explores 704 in
+	// tens of µs and its whole bin takes ≈ 5 ms on a 2-vCPU box; README
+	// has the table.
 	maxModules = 64
 	// maxModuleSize bounds the work of one L1 decision, which runs on the
-	// tenant's home shard with every sibling tenant queued behind it: the
-	// candidate set grows ~m⁴ (depth-2 γ neighbourhood × single-computer
-	// α toggles), and a fresh m-computer module explores 41,855 states at
-	// m = 12, 178,609 at 16, 244,010 at 17, 1,112,475 at 24 (the L1
-	// summary record's explored count; deterministic, so the cap does not
-	// depend on the host). 16 is the largest size under 2×10⁵ states per
-	// decision; README "Online control plane" has the measured table.
-	maxModuleSize  = 16
+	// tenant's home shard with every sibling tenant queued behind it. A
+	// decision probes each (queue, arrival-rate) cell of a computer's map
+	// at most once: at most 21·21 = 441 probes a computer (11·11 on the
+	// fast grid; the L1 summary record's explored count, deterministic,
+	// so the cap does not depend on the host), so the
+	// 2×10⁵-probe criterion would admit 453 computers and the one-uint64
+	// on/off mask 64. The binding limit is the flight recorder: the
+	// summary record carries the mask as a varint, and 21 computers is the
+	// widest whose record fits the 24-byte writer maximum
+	// (internal/obs TestRecordEncodedSize). README "Online control plane"
+	// has the measured table.
+	maxModuleSize  = 21
 	maxBinSeconds  = 3600 // one bin = at most 120 T_L0 control periods
 	maxCalibration = 1 << 16
 	maxBodyBytes   = 1 << 20

@@ -61,7 +61,7 @@ func run(w io.Writer, opts hierctl.ExperimentOptions, bins int) error {
 	fmt.Fprintf(w, "target met in      : %.1f%% of intervals\n", 100*(1-rec.ViolationFrac))
 	fmt.Fprintf(w, "energy consumed    : %.1f units\n", rec.Energy)
 	fmt.Fprintf(w, "computers on (avg) : %.2f of %d\n", rec.Operational.Mean(), spec.Computers())
-	fmt.Fprintf(w, "states per L1 step : %.0f (paper reports ≈858 for m=4)\n", rec.ExploredPerL1Decision())
+	fmt.Fprintf(w, "map probes per L1  : %.0f (the paper's search examines ≈858 states for m=4)\n", rec.ExploredPerL1Decision())
 	fmt.Fprintf(w, "control time/period: %v (paper: ≈2 s in MATLAB)\n", rec.DecisionTimePerPeriod())
 	fmt.Fprintln(w)
 	fmt.Fprint(w, rec.Operational.ASCIIPlot("operational computers over time", 80, 5))

@@ -166,8 +166,9 @@ type OverheadRow struct {
 	Label string
 	// Computers is the cluster size.
 	Computers int
-	// ExploredPerL1 is the average states examined per L1 period (the
-	// paper reports ≈858 for m = 4).
+	// ExploredPerL1 is the average abstraction-map probes per L1 period
+	// (the paper's bounded search examines ≈858 states for m = 4; the
+	// exact program prices every split from one probe per map cell).
 	ExploredPerL1 float64
 	// DecisionTime is the mean online hierarchy computation per L1
 	// period (the paper's MATLAB setup measured ≈2.0 s for m = 4).

@@ -175,9 +175,12 @@ func TestOverheadRows(t *testing.T) {
 	if row.Computers != 4 {
 		t.Errorf("computers = %d", row.Computers)
 	}
-	// The paper's overhead metric is O(10²–10³) states per L1 period.
-	if row.ExploredPerL1 < 10 || row.ExploredPerL1 > 1e5 {
-		t.Errorf("states per L1 = %v, implausible", row.ExploredPerL1)
+	// An L1 period's explored states are map probes: at least one, and at
+	// most one per cell of the (queue, arrival-rate) grid per computer.
+	grid := fastOpts().Config().GMap
+	cells := (grid.QMax/grid.QStep + 1) * (grid.LambdaMax/grid.LambdaStep + 1)
+	if row.ExploredPerL1 < 1 || row.ExploredPerL1 > 4*cells {
+		t.Errorf("states per L1 = %v, outside [1, %v]", row.ExploredPerL1, 4*cells)
 	}
 	if row.DecisionTime <= 0 {
 		t.Error("decision time not recorded")

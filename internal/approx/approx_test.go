@@ -23,6 +23,35 @@ func TestQuantizerValidation(t *testing.T) {
 	}
 }
 
+// TestAxisIndexRoundsHalfAway pins Axis.Index's floor-and-fraction form
+// to the rounding every table was learned under, math.Round of the clamped
+// offset in steps: over random offsets, exact halves and their float
+// neighbours, and values past either end of the axis.
+func TestAxisIndexRoundsHalfAway(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	for trial := 0; trial < 200; trial++ {
+		lo := 100 * rng.NormFloat64()
+		step := math.Exp(4 * rng.NormFloat64())
+		hi := lo + step*float64(rng.Intn(1000))
+		q, err := NewQuantizer([]float64{lo}, []float64{hi}, []float64{step})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := q.Axis(0)
+		for i := 0; i < 2000; i++ {
+			v := lo + (hi-lo)*(1.2*rng.Float64()-0.1)
+			if i%2 == 1 {
+				half := lo + step*(float64(rng.Intn(1000))+0.5)
+				v = math.Nextafter(half, half+float64(rng.Intn(3)-1))
+			}
+			want := int(math.Round((min(max(v, lo), hi) - lo) / step))
+			if got := a.Index(v); got != want {
+				t.Fatalf("axis [%v, %v] step %v: Index(%v) = %d, math.Round gives %d", lo, hi, step, v, got, want)
+			}
+		}
+	}
+}
+
 func TestQuantizerLevels(t *testing.T) {
 	q, err := NewQuantizer([]float64{0}, []float64{1}, []float64{0.25})
 	if err != nil {

@@ -52,16 +52,29 @@ func NewQuantizer(min, max, step []float64) (*Quantizer, error) {
 // Dims returns the number of feature dimensions.
 func (q *Quantizer) Dims() int { return len(q.Min) }
 
-// index returns the grid index of v along dimension d (clamped into
-// range). Every keying path funnels through this one expression.
-func (q *Quantizer) index(d int, v float64) int {
-	if v < q.Min[d] {
-		v = q.Min[d]
+// Index returns the grid index of v along dimension d (clamped into
+// range).
+func (q *Quantizer) Index(d int, v float64) int { return q.Axis(d).Index(v) }
+
+// Axis is one dimension of a Quantizer, for callers that index many values
+// along it: Axis(d).Index(v) is Index(d, v), and inlines.
+type Axis struct{ min, max, step float64 }
+
+// Axis returns dimension d.
+func (q *Quantizer) Axis(d int) Axis { return Axis{q.Min[d], q.Max[d], q.Step[d]} }
+
+// Index returns the grid index of v along the axis (clamped into range),
+// the clamped offset in steps rounded half away from zero. Every keying
+// path funnels through this one expression. The offset is never negative,
+// so math.Round is its floor plus one when the (exact) fraction is at
+// least a half — the form that inlines.
+func (a Axis) Index(v float64) int {
+	x := (max(a.min, min(v, a.max)) - a.min) / a.step
+	f := math.Floor(x)
+	if x-f >= 0.5 {
+		f++
 	}
-	if v > q.Max[d] {
-		v = q.Max[d]
-	}
-	return int(math.Round((v - q.Min[d]) / q.Step[d]))
+	return int(f)
 }
 
 // Levels returns the grid values of dimension d from Min to Max inclusive,
@@ -138,7 +151,7 @@ func (t *Table) cellOf(x []float64) (int, error) {
 		if math.IsNaN(v) {
 			return -1, nil
 		}
-		i = i*t.size[d] + t.quant.index(d, v)
+		i = i*t.size[d] + t.quant.Index(d, v)
 	}
 	return i, nil
 }
@@ -176,11 +189,21 @@ func (t *Table) Add(x []float64, outputs []float64) error {
 //hpm:hotpath
 func (t *Table) LookupInto(dst []float64, x []float64) ([]float64, bool, error) {
 	i, err := t.cellOf(x)
-	if err != nil {
+	if err != nil || i < 0 {
 		return nil, false, err
 	}
-	if i < 0 || t.counts[i] == 0 {
-		return nil, false, nil
+	dst, ok := t.LookupCell(dst, i)
+	return dst, ok, nil
+}
+
+// LookupCell is LookupInto for the cell with row-major index i — the
+// Quantizer's per-dimension indices, last dimension fastest, over
+// Levels — for callers that key their own memo by cell.
+//
+//hpm:hotpath
+func (t *Table) LookupCell(dst []float64, i int) ([]float64, bool) {
+	if t.counts[i] == 0 {
+		return nil, false
 	}
 	if cap(dst) < t.width {
 		dst = make([]float64, t.width) //hpm:alloc fallback when caller scratch is too small; the *Into contract
@@ -192,8 +215,14 @@ func (t *Table) LookupInto(dst []float64, x []float64) ([]float64, bool, error) 
 	for j, v := range t.sums[i*t.width : (i+1)*t.width] {
 		dst[j] = v / n
 	}
-	return dst, true, nil
+	return dst, true
 }
+
+// Quantizer returns the table's grid.
+func (t *Table) Quantizer() *Quantizer { return t.quant }
+
+// Levels returns the number of grid levels along dimension d.
+func (t *Table) Levels(d int) int { return t.size[d] }
 
 // Cells returns the number of observed cells.
 func (t *Table) Cells() int { return t.cells }

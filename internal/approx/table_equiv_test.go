@@ -40,7 +40,7 @@ func newRefTable(q *Quantizer, width int) *refTable {
 func (t *refTable) cell(x []float64) []int {
 	idx := make([]int, len(x))
 	for d, v := range x {
-		idx[d] = t.quant.index(d, v)
+		idx[d] = t.quant.Index(d, v)
 	}
 	return idx
 }

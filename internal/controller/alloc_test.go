@@ -2,14 +2,12 @@ package controller
 
 // Allocation pins for the decision tick (the §4.3 controller-overhead
 // story): warm controllers must not allocate at all — the decisions they
-// return are their own buffers — and the pooled/packed candidate generator must
-// produce exactly the candidate lists of the historical allocating ones
-// (legacy_oracle_test.go).
+// return are their own buffers — and the mask and packed-key candidate
+// generators must produce exactly the candidate lists of the historical
+// allocating ones (legacy_oracle_test.go).
 
 import (
-	"fmt"
 	"math"
-	"math/bits"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -95,23 +93,13 @@ func TestL0BandSwitchZeroAlloc(t *testing.T) {
 }
 
 // TestL1DecideSteadyStateAllocs pins the warm L1 period at zero
-// allocations — the returned decision is the controller's own buffers — for
-// a one-word γ key (m = 4) and a two-word one (m = 16).
+// allocations — the returned decision is the controller's own buffers —
+// for a four- and a sixteen-computer module.
 func TestL1DecideSteadyStateAllocs(t *testing.T) {
 	for _, m := range []int{4, 16} {
 		l1 := newTestL1(t, m)
 		swing := 40.0
 		if m == 16 {
-			// Depth 1 keeps a 16-computer decision in the millisecond
-			// range — the key stride (80 bits → 2 words) is what is
-			// pinned — and a steady load keeps the on/off masks it visits
-			// inside the candidate table's bound.
-			cfg := DefaultL1Config()
-			cfg.NeighbourDepth = 1
-			var err error
-			if l1, err = NewL1(cfg, testModuleGMaps(t, m), nil); err != nil {
-				t.Fatal(err)
-			}
 			swing = 4
 		}
 		avail := make([]bool, m)
@@ -144,8 +132,8 @@ func TestL1DecideSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestL2DecideSteadyStateAllocs pins the warm L2 period (term table and
-// near-tie pool at their high-water mark) at zero allocations.
+// TestL2DecideSteadyStateAllocs pins the warm L2 period (term and min-plus
+// tables sized at NewL2) at zero allocations.
 func TestL2DecideSteadyStateAllocs(t *testing.T) {
 	jts := make([]JTilde, 4)
 	for i := range jts {
@@ -188,85 +176,43 @@ func (q allocQuadJTilde) Predict(qAvg, lambda, c float64) (float64, error) {
 	return (lambda/q.scale)*(lambda/q.scale) + 0.01*qAvg + 0.8, nil
 }
 
-// TestL1CandidateGeneratorsMatchLegacy drives the one candidate generator
-// and the in-test string-keyed oracle through every module size the
-// controller accepts, four quanta, and random availability masks and
+// TestL1CandidateGeneratorsMatchLegacy drives the on/off mask generator
+// and the in-test bool-vector oracle through every module size the
+// controller accepts and random availability masks, minimum on-counts and
 // previous decisions, and requires identical candidate lists, in order.
 func TestL1CandidateGeneratorsMatchLegacy(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	// Three capacities, cycled, so seed allocations are not uniform.
-	var pool []*GMap
-	for _, speed := range []float64{1, 0.75, 1.5} {
-		spec := ctrlSpec(fmt.Sprintf("oracle-%v", speed))
-		spec.SpeedFactor = speed
-		pool = append(pool, testGMap(t, spec))
-	}
 	for m := 1; m <= 64; m++ {
 		gmaps := make([]*GMap, m)
 		for j := range gmaps {
-			gmaps[j] = pool[j%len(pool)]
+			gmaps[j] = testGMap(t, ctrlSpec("c0"))
 		}
-		for _, quantum := range []float64{0.05, 0.1, 0.2, 0.25} {
+		for trial := 0; trial < 12; trial++ {
 			cfg := DefaultL1Config()
-			cfg.Quantum = quantum
-			l1, err := NewL1(cfg, gmaps, nil)
+			cfg.MinOn = 1 + rng.Intn(min(m, 3))
+			l1, err := NewL1(cfg, gmaps)
 			if err != nil {
 				t.Fatal(err)
 			}
-			trials := 12
-			if m > 8 {
-				trials = 3
+			avail := make([]bool, m)
+			for _, j := range rng.Perm(m)[:1+rng.Intn(m)] {
+				avail[j] = true
 			}
-			for trial := 0; trial < trials; trial++ {
-				// Above 8 computers the depth-2 neighbourhood of a full
-				// module runs to 10^4..10^6 vectors; keep at most 6
-				// available, at random positions, so the supports stay
-				// small while the keys still span every word.
-				maxUp := m
-				if m > 8 {
-					maxUp = 6
-				}
-				avail := make([]bool, m)
-				for _, j := range rng.Perm(m)[:1+rng.Intn(maxUp)] {
-					avail[j] = true
-				}
-				// Random previous decision on the quantized simplex, partly
-				// outside availability (a computer that has since failed).
-				alpha := make([]bool, m)
-				for j := range alpha {
-					alpha[j] = avail[j] && rng.Intn(3) > 0
-				}
-				alpha[rng.Intn(m)] = true
-				weights := make([]float64, m)
-				for j := range weights {
-					weights[j] = rng.Float64()
-				}
-				gamma, err := SnapSimplex(weights, alpha, quantum)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := l1.SetState(alpha, gamma); err != nil {
-					t.Fatal(err)
-				}
-
-				at := fmt.Sprintf("m=%d quantum=%v trial %d", m, quantum, trial)
-				gotA := l1.alphaCandidates(avail)
-				wantA := alphaCandidatesLegacy(l1, avail)
-				if !reflect.DeepEqual(gotA, wantA) {
-					t.Fatalf("%s: alpha candidates diverged:\n got %v\nwant %v", at, gotA, wantA)
-				}
-				for _, cand := range wantA {
-					gotG := l1.gammaCandidates(cand)
-					wantG := gammaCandidatesLegacy(l1, cand)
-					if len(gotG) != len(wantG) {
-						t.Fatalf("%s: %d gamma candidates for %v, oracle %d", at, len(gotG), cand, len(wantG))
-					}
-					for i := range wantG {
-						if !reflect.DeepEqual(gotG[i], wantG[i]) {
-							t.Fatalf("%s: gamma candidate %d for %v diverged: %v vs %v", at, i, cand, gotG[i], wantG[i])
-						}
-					}
-				}
+			// A random previous decision, partly outside availability (a
+			// computer that has since failed).
+			alpha := make([]bool, m)
+			for j := range alpha {
+				alpha[j] = rng.Intn(3) > 0
+			}
+			if err := l1.SetState(alpha, make([]float64, m)); err != nil {
+				t.Fatal(err)
+			}
+			var want []uint64
+			for _, a := range alphaCandidatesLegacy(l1, avail) {
+				want = append(want, packBools(a))
+			}
+			if got := l1.alphaCandidates(avail); !reflect.DeepEqual(got, want) {
+				t.Fatalf("m=%d trial %d: masks %x, oracle %x", m, trial, got, want)
 			}
 		}
 	}
@@ -363,101 +309,6 @@ func TestGammaPackedKeyMatchesStringKey(t *testing.T) {
 			if samePacked != sameString {
 				t.Fatalf("(%d, %v) trial %d: packed equality %v, string equality %v for %v / %v", sh.n, sh.quantum, trial, samePacked, sameString, a, b)
 			}
-		}
-	}
-}
-
-// tableFloats counts the float64s a table's published vectors hold.
-func tableFloats(tb *CandidateTable) int {
-	n := 0
-	for _, e := range *tb.sets.Load() {
-		for _, c := range e.cands {
-			n += len(c)
-		}
-	}
-	return n
-}
-
-// TestL1GammaMemoBoundedByFloats pins the candidate table's footprint
-// bound: two 16-computer controllers sharing one table, driven between them
-// through more distinct availability masks than the table can hold, stop
-// storing at maxGammaMemoFloats for the table as a whole — one bound per
-// table, not per controller, and not an entry count, which at this module
-// size let ~0.5 GB accumulate — and a miss past the bound changes nothing
-// but allocation: every candidate list, and every decision under rotating
-// failure masks, equals those of a controller whose table is always empty.
-func TestL1GammaMemoBoundedByFloats(t *testing.T) {
-	const m = 16
-	gmaps := testModuleGMaps(t, m)
-	cfg := DefaultL1Config()
-	shared := NewCandidateTable(L1TableKey(cfg, gmaps))
-	var sharers [2]*L1
-	for i := range sharers {
-		l1, err := NewL1(cfg, gmaps, shared)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sharers[i] = l1
-	}
-	fresh, err := NewL1(cfg, gmaps, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	forget := func() { fresh.table = NewCandidateTable(fresh.table.key) }
-
-	// The first 260 ways (of 12,870) to fail half of sixteen computers —
-	// past the old 256-entry cap, a few tens of kilofloats per entry —
-	// alternating between the two sharers.
-	masks, offered := 0, 0
-	alpha := make([]bool, m)
-	for bitsOn := uint16(0); masks < 260; bitsOn++ {
-		if bits.OnesCount16(bitsOn) != m/2 {
-			continue
-		}
-		for j := range alpha {
-			alpha[j] = bitsOn>>j&1 == 1
-		}
-		forget()
-		want := fresh.gammaCandidates(alpha)
-		got := sharers[masks%2].gammaCandidates(alpha)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("mask %d: shared-table candidate list (%d) differs from a fresh one (%d)", masks, len(got), len(want))
-		}
-		masks++
-		offered += tableFloats(fresh.table)
-		if shared.floats > maxGammaMemoFloats || shared.floats != tableFloats(shared) {
-			t.Fatalf("mask %d: table accounts %d floats, holds %d, bound %d", masks, shared.floats, tableFloats(shared), maxGammaMemoFloats)
-		}
-	}
-	if held := shared.Len(); held == 0 || held >= masks || offered <= maxGammaMemoFloats {
-		t.Fatalf("%d masks offering %d floats left %d stored: the bound (%d) never bound", masks, offered, held, maxGammaMemoFloats)
-	}
-
-	// Decisions with the table full, under rotating failures (half the
-	// module down keeps a 16-computer search short), against the
-	// controller whose table is emptied every period.
-	avail := make([]bool, m)
-	queues := make([]float64, m)
-	for i := 0; i < 3; i++ {
-		for j := range avail {
-			avail[j] = (j+i)%2 == 0
-			queues[j] = float64((i*(3+2*j) + j) % 40)
-		}
-		obs := L1Observation{QueueLens: queues, LambdaHat: 40 + 25*float64(i), Delta: 6, CHat: 0.0175, Available: avail}
-		forget()
-		want, err := fresh.Decide(obs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := sharers[0].Decide(obs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("period %d: decision %+v with a full table, %+v without one", i, got, want)
-		}
-		if shared.floats > maxGammaMemoFloats {
-			t.Fatalf("period %d: table holds %d floats, bound %d", i, shared.floats, maxGammaMemoFloats)
 		}
 	}
 }

@@ -3,37 +3,34 @@
 //
 //   - L0 (§4.1): per-computer DVFS frequency selection by exhaustive
 //     lookahead over the fluid queue model;
-//   - L1 (§4.2): per-module on/off vector {α_ij} and load-fraction vector
-//     {γ_ij} by bounded neighbourhood search over an offline-learned
-//     abstraction map g, with uncertainty-band chattering mitigation;
+//   - L1 (§4.2): per-module on/off vector {α_ij} over a bounded candidate
+//     set (the previous vector, its single toggles, all on) and, for each,
+//     the exact load-fraction vector {γ_ij} by a min-plus program over an
+//     offline-learned abstraction map g, with uncertainty-band chattering
+//     mitigation;
 //   - L2 (§5.1): cluster-level module fractions {γ_i} minimizing the sum
 //     of regression-tree cost approximations J̃_i, solved exactly by a
 //     separable dynamic program over the quantized simplex.
 //
 // Invariants: every controller's Decide is a pure function of its
-// observation and its own prior decision (for the bounded neighbourhood),
-// so decisions are reproducible given the observation stream; the learned
-// artifacts (GMap, TreeJTilde) are keyed by configuration fingerprints and
-// are read-only during decision making, which is what lets managers share
-// them across identical hardware and lets snapshots skip relearning.
+// observation and its own prior decision, so decisions are reproducible
+// given the observation stream; the learned artifacts (GMap, TreeJTilde)
+// are keyed by configuration fingerprints and are read-only during
+// decision making, which is what lets managers share them across identical
+// hardware and lets snapshots skip relearning.
 //
 // Invariant: the steady-state decision tick is allocation-free (see
-// alloc_test.go) — candidate vectors live in per-controller pools, dedup
-// runs on packed integer keys, abstraction-map probes go through the approx
-// *Into APIs with controller-owned scratch, and L1 and L2 return decisions
-// in buffers they own, valid until their next Decide.
+// alloc_test.go) — L1 and L2 price into tables they size once, L1's
+// abstraction-map probes go through controller-owned scratch and a per-cell
+// memo, and L1 and L2 return decisions in buffers they own, valid until
+// their next Decide. Neither keeps a candidate set between decisions: both
+// programs price each term directly, so a controller holds nothing that is
+// a function of its shape alone.
 //
-// Invariant: the candidate sets that are pure functions of a shape — an
-// L1's capacity-seeded γ neighbourhood per on/off mask — are memoized once
-// per shape, not per controller: a CandidateTable (table.go) shared by
-// every L1 built over the shape, read without a lock, bounded in floats,
-// and never part of a controller's own state. L2 needs no such table: its
-// dynamic program prices each module's terms directly.
-//
-// This file provides the quantized-simplex machinery the L1 and L2
-// controllers share: load-fraction vectors must satisfy Σγ = 1, γ ≥ 0,
-// quantized to a fixed step (the paper quantizes γ_ij at 0.05 and γ_i at
-// 0.1).
+// This file provides the quantized-simplex machinery the controllers and
+// the centralized comparator share: load-fraction vectors must satisfy
+// Σγ = 1, γ ≥ 0, quantized to a fixed step (the paper quantizes γ_ij at
+// 0.05 and γ_i at 0.1).
 package controller
 
 import (

@@ -172,6 +172,25 @@ func (g *GMap) EvaluateInto(scratch []float64, q0, lambda, c float64) (cost, qEn
 	return out[gColCost], out[gColQEnd], out[gColResp], out[gColPower], nil
 }
 
+// axis returns dimension d of the map's grid — 0 the queue length, 1 the
+// arrival rate, 2 the processing time — whose Index is the coordinate
+// Evaluate keys on.
+func (g *GMap) axis(d int) approx.Axis { return g.table.Quantizer().Axis(d) }
+
+// levels returns the number of grid levels along dimension d.
+func (g *GMap) levels(d int) int { return g.table.Levels(d) }
+
+// cellInto is EvaluateInto for the cell at grid indices (qi, li, ci)
+// (see axis), returning its cost and end-of-period queue; ok is false for
+// an unlearned cell.
+func (g *GMap) cellInto(scratch []float64, qi, li, ci int) (cost, qEnd float64, ok bool) {
+	out, ok := g.table.LookupCell(scratch, (qi*g.levels(1)+li)*g.levels(2)+ci)
+	if !ok {
+		return 0, 0, false
+	}
+	return out[gColCost], out[gColQEnd], true
+}
+
 // Cells returns the number of learned cells.
 func (g *GMap) Cells() int { return g.table.Cells() }
 

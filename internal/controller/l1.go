@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"time"
 
@@ -41,9 +42,6 @@ type L1Config struct {
 	Quantum float64
 	// SwitchWeight is W, the transient cost of powering a computer on.
 	SwitchWeight float64
-	// NeighbourDepth bounds the γ neighbourhood search: how many quanta
-	// may move between computers relative to the seed allocations.
-	NeighbourDepth int
 	// MinOn is the minimum number of operational computers (≥ 1 keeps
 	// the module able to serve).
 	MinOn int
@@ -51,14 +49,11 @@ type L1Config struct {
 	// true the expected cost is averaged over {λ̂−δ, λ̂, λ̂+δ}; when
 	// false only the nominal forecast is used (the EXT2 ablation).
 	UncertaintySamples bool
-	// NonNegativeCosts declares the per-sample candidate costs
-	// non-negative — true for the learned abstraction maps, whose cells
-	// store sums of slack and power terms — enabling llc.OneStep's
-	// partial-mean pruning: the selected (α, γ) is bit-identical and only
-	// Explored shrinks. Disable for maps that can price candidates
-	// negatively.
-	NonNegativeCosts bool
 }
+
+// maxUnitsL1 bounds the quanta one decision places (Quantum ≥ 1/100): the
+// program's tables grow with their square and its work with their cube.
+const maxUnitsL1 = 100
 
 // DefaultL1Config returns the paper's §4.3 settings.
 func DefaultL1Config() L1Config {
@@ -66,10 +61,8 @@ func DefaultL1Config() L1Config {
 		PeriodSeconds:      DefaultPeriodL1,
 		Quantum:            DefaultQuantumL1,
 		SwitchWeight:       DefaultSwitchWeight,
-		NeighbourDepth:     2,
 		MinOn:              1,
 		UncertaintySamples: true,
-		NonNegativeCosts:   true,
 	}
 }
 
@@ -82,11 +75,11 @@ func (c L1Config) Validate() error {
 	if c.Quantum <= 0 || c.Quantum > 1 || math.Abs(units*c.Quantum-1) > 1e-9 {
 		return fmt.Errorf("controller: L1 quantum %v must evenly divide 1", c.Quantum)
 	}
+	if units > maxUnitsL1 {
+		return fmt.Errorf("controller: L1 quantum %v places more than %d quanta", c.Quantum, maxUnitsL1)
+	}
 	if c.SwitchWeight < 0 {
 		return fmt.Errorf("controller: L1 switch weight %v < 0", c.SwitchWeight)
-	}
-	if c.NeighbourDepth < 0 {
-		return fmt.Errorf("controller: L1 neighbour depth %d < 0", c.NeighbourDepth)
 	}
 	if c.MinOn < 1 {
 		return fmt.Errorf("controller: L1 min-on %d < 1", c.MinOn)
@@ -118,28 +111,9 @@ type L1Decision struct {
 	// Gamma[j] is the fraction of module load dispatched to computer j;
 	// zero wherever Alpha[j] is false, summing to 1.
 	Gamma []float64
-	// Explored counts candidate states evaluated (overhead metric).
+	// Explored counts the abstraction-map probes the decision made: each
+	// computer probes each cell of its map at most once (overhead metric).
 	Explored int
-}
-
-// vecPool recycles candidate vectors across periods.
-type vecPool[T any] struct {
-	vecs [][]T
-	used int
-}
-
-func (p *vecPool[T]) reset() { p.used = 0 }
-
-func (p *vecPool[T]) get(n int) []T {
-	if p.used < len(p.vecs) {
-		v := p.vecs[p.used]
-		p.used++
-		return v
-	}
-	v := make([]T, n)
-	p.vecs = append(p.vecs, v)
-	p.used++
-	return v
 }
 
 // packBools packs an on/off vector into a uint64 bitmask (len ≤ 64).
@@ -153,52 +127,61 @@ func packBools(a []bool) uint64 {
 	return k
 }
 
+// probe is one memoized abstraction-map cell of the computer being priced:
+// its cost and the grid index of its end-of-period queue, valid while
+// stamp is the L1's.
+type probe struct {
+	cost  float64
+	qEnd  int32
+	stamp uint32
+}
+
 // L1 is the module-level controller. Construct with NewL1.
 //
 // L1 always prices the boot dead time (§1's "control actions with dead
 // times ... requiring proactive control"), because the request-level plant
 // really imposes it: each candidate is priced over two periods, the first
-// with fresh computers booting (see evaluate). The paper's optimistic
+// with fresh computers booting (see Decide). The paper's optimistic
 // N_L1 = 1 pricing, where a switched-on computer serves at once, is not
 // offered.
 //
-// The controller owns candidate pools, dedup key slices, abstraction-map
-// scratch and the decision it returns; the capacity-seeded γ neighbourhood
-// of each α mask comes from a CandidateTable shared by every L1 of the
-// shape. A warm Decide allocates nothing (pinned by
-// TestL1DecideSteadyStateAllocs): the returned decision's slices belong to
-// the controller and stay valid until its next Decide, so a caller that
-// keeps a decision longer copies it. α candidates dedup on a 64-bit on/off
-// mask — hence the m ≤ 64 bound in NewL1 — and γ candidates on their packed
-// unit counts (see gammaLayout), one mechanism for every module size. Not
-// safe for concurrent use; the table is.
+// The controller owns its term, probe-memo and min-plus tables, sized by
+// the module and the map grid (the memo grows to the arrival-rate cells
+// the load reaches), and the decision it returns. A warm Decide
+// allocates nothing (pinned by TestL1DecideSteadyStateAllocs): the returned
+// decision's slices belong to the controller and stay valid until its next
+// Decide, so a caller that keeps a decision longer copies it. On/off
+// candidates are 64-bit masks, hence the m ≤ 64 bound in NewL1. Not safe
+// for concurrent use.
 type L1 struct {
 	cfg   L1Config
 	gmaps []*GMap
-	caps  []float64 // relative capacity weights for seed allocations
+	units int // quanta per decision, 1/Quantum
+	tri   int // a staying computer's terms: one per (u, S), u ≤ S ≤ units
 
 	prevAlpha []bool
 	prevGamma []float64
 
-	gammaPer   uint // packed-γ key: bits per entry
-	gammaWords int  // packed-γ key: words per candidate
-
-	snap       snapper
-	pr         l1Pricer
+	// The decision in flight. Computer j's mean term for u quanta at
+	// serving share S is terms[row(j, S) + u]; memo holds the probes of the
+	// computer being priced (map pg, ĉ index pc), stride arrival-rate
+	// cells per queue cell.
 	samplesBuf [3]float64
+	layout     int   // stayAtUnits, stayAlone or stayShared
+	off        []int // computer j's terms start at terms[off[j]] (see row)
+	terms      []float64
+	memo       []probe
+	stride     int
+	stamp      uint32
+	pg         *GMap
+	pc         int
+	probes     int   // probes so far, checked against maxExplored
+	err        error // the first failed probe's error
 	evalBuf    [gColWidth]float64
-	qEndBuf    []float64
-	alphaBase  []bool
-	alphaScr   []bool
-	alphaPool  vecPool[bool]
-	alphaCands [][]bool
-	alphaKeys  []uint64
-	table      *CandidateTable
-	gammaPool  vecPool[float64]
-	gammaList  [][]float64
-	gammaKeys  []uint64
-	gammaScr   []float64
-	prevSnap   []float64
+	masks      []uint64
+	staying    []int
+	booting    []int
+	tables     []float64 // the booting, then the staying suffix table, (len+1)·(units+1) each
 	// bestAlphaScr and bestGammaScr hold the incumbent of the decision in
 	// flight and, once Decide returns, the decision it hands out.
 	bestAlphaScr []bool
@@ -218,11 +201,8 @@ type L1 struct {
 
 // NewL1 builds an L1 controller over the module's learned abstraction
 // maps (one per computer, in module order). The initial assumed state is
-// all computers on with a capacity-proportional allocation. table holds the
-// γ neighbourhoods of the shape, shared with every L1 built over it (see
-// L1TableKey; a table of another shape is refused); nil gives the
-// controller a private one.
-func NewL1(cfg L1Config, gmaps []*GMap, table *CandidateTable) (*L1, error) {
+// all computers on with a capacity-proportional allocation.
+func NewL1(cfg L1Config, gmaps []*GMap) (*L1, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -241,30 +221,36 @@ func NewL1(cfg L1Config, gmaps []*GMap, table *CandidateTable) (*L1, error) {
 	if m > 64 {
 		return nil, fmt.Errorf("controller: L1 module size %d exceeds 64 (the on/off mask is one uint64)", m)
 	}
-	l := &L1{cfg: cfg, gmaps: gmaps, caps: make([]float64, m)}
-	for j, g := range gmaps {
-		// Capacity proxy: service rate at full speed for a nominal
-		// demand, used only to seed allocations.
-		l.caps[j] = g.Spec().SpeedFactor
+	units := int(math.Round(1 / cfg.Quantum))
+	w := units + 1
+	l := &L1{cfg: cfg, gmaps: gmaps, units: units, tri: w * (w + 1) / 2}
+	// Every computer holds one row, except under stayShared, where at most
+	// m−1 staying computers hold a row per S beside a booting one; that
+	// takes three computers.
+	n := m * w
+	if m >= 3 {
+		n = (m-1)*l.tri + w
 	}
-	var err error
-	if l.table, err = tableFor(table, L1TableKey(cfg, gmaps)); err != nil {
-		return nil, err
-	}
-	l.gammaPer, l.gammaWords = gammaLayout(m, cfg.Quantum)
-	l.qEndBuf = make([]float64, m)
-	l.pr = l1Pricer{l: l, obs: L1Observation{QueueLens: make([]float64, m)}}
-	l.alphaBase = make([]bool, m)
-	l.alphaScr = make([]bool, m)
-	l.gammaScr = make([]float64, m)
-	l.prevSnap = make([]float64, m)
+	l.terms = make([]float64, n)
+	l.tables = make([]float64, (m+2)*w)
+	l.off = make([]int, m)
+	l.staying = make([]int, 0, m)
+	l.booting = make([]int, 0, m)
+	// The memo starts at the two lowest arrival-rate cells and grows with
+	// the load.
+	l.memo = make([]probe, 2*l.queueCells())
 	l.bestAlphaScr = make([]bool, m)
 	l.bestGammaScr = make([]float64, m)
 	l.prevAlpha = make([]bool, m)
-	for j := range l.prevAlpha {
+	caps := make([]float64, m)
+	for j, g := range gmaps {
 		l.prevAlpha[j] = true
+		// Capacity proxy for the initial allocation: service rate at
+		// full speed for a nominal demand.
+		caps[j] = g.Spec().SpeedFactor
 	}
-	l.prevGamma, err = SnapSimplex(l.caps, l.prevAlpha, cfg.Quantum)
+	var err error
+	l.prevGamma, err = SnapSimplex(caps, l.prevAlpha, cfg.Quantum)
 	if err != nil {
 		return nil, err
 	}
@@ -273,9 +259,6 @@ func NewL1(cfg L1Config, gmaps []*GMap, table *CandidateTable) (*L1, error) {
 
 // Size returns the number of computers the controller manages.
 func (l *L1) Size() int { return len(l.gmaps) }
-
-// Table returns the candidate table the controller reads.
-func (l *L1) Table() *CandidateTable { return l.table }
 
 // SetRecorder attaches a decision flight recorder (nil detaches) and
 // names the module index stamped onto records. Each Decide writes one
@@ -311,8 +294,8 @@ func (l *L1) record(dec L1Decision, cost float64, elapsed time.Duration) {
 	}
 }
 
-// SetMaxExplored caps the candidate-state evaluations each subsequent
-// Decide may perform — the deterministic per-tick decision deadline (see
+// SetMaxExplored caps the abstraction-map probes each subsequent Decide
+// may make — the deterministic per-tick decision deadline (see
 // llc.Searcher.SetMaxExplored); n <= 0 removes the cap. A Decide that
 // exhausts it fails with llc.ErrBudget; the caller applies deterministic
 // safe fallback settings for the tick and searches again next period.
@@ -329,11 +312,32 @@ func (l *L1) SetState(alpha []bool, gamma []float64) error {
 	return nil
 }
 
-// Decide solves the L1 optimization (Eq. 14) by bounded search: candidate
-// on/off vectors are the previous one and its single-computer toggles;
-// candidate load fractions are the quantized neighbourhoods of
-// capacity-proportional and previous allocations; the expected cost of
-// each candidate is averaged over the forecast uncertainty band.
+// Decide solves the L1 optimization (Eq. 14) over the bounded on/off
+// candidates of alphaCandidates, each with its exact load split: every
+// composition of the quanta over the mask's computers is priced, by a
+// min-plus program rather than one by one.
+//
+// The cost of mask α and split u, averaged over the forecast band, is
+// priced over two periods so the boot dead time counts. A computer that
+// was on and stays on serves from period 1, with share u_j/S of the module
+// load, S being the quanta on such computers; a booting computer draws
+// base power in period 1; in period 2 every on computer serves its γ_j =
+// u_j·quantum from its predicted queue. Each on computer's term is the
+// band-sample mean of its per-sample costs — period 1, period 2, then the
+// §4.2 stability penalty — and the mask's cost is the right fold
+// c_1 + (c_2 + (… + (c_k + W·boots))) over its staying computers, then its
+// booting ones, in module order; when S = 0 nothing serves in period 1 and
+// the stranded work, λ·T_L1 averaged over the band, is added to the fold.
+//
+// A staying computer's terms depend on (u, S) and a booting one's on u
+// alone, so each is priced once per decision, shared by every mask, with
+// the map probed at most once per cell and computer (ĉ is fixed within a
+// decision and g is a nearest-cell table). For each S, a min-plus table
+// over the staying computers onto one over the booting ones gives the
+// mask's optimum exactly — rounded addition is monotone — and the
+// backtrack takes, computer by computer, the fewest quanta attaining the
+// suffix minimum. Masks are tried in order; a later one wins only when
+// strictly cheaper.
 //
 // The returned Alpha and Gamma belong to the controller and stay valid
 // until its next Decide.
@@ -353,8 +357,15 @@ func (l *L1) Decide(obs L1Observation) (L1Decision, error) {
 	if len(obs.Available) != m {
 		return L1Decision{}, fmt.Errorf("controller: observation has %d availability flags, module has %d", len(obs.Available), m)
 	}
-	if obs.CHat <= 0 {
-		return L1Decision{}, fmt.Errorf("controller: L1 processing-time estimate %v <= 0", obs.CHat)
+	// The grid indexes finite values only (an infinite queue clamps to its
+	// edge).
+	if sum := obs.CHat + obs.LambdaHat + obs.Delta; !(obs.CHat > 0) || math.IsNaN(sum) || math.IsInf(sum, 0) {
+		return L1Decision{}, fmt.Errorf("controller: L1 estimates ĉ %v, λ̂ %v ± %v: want ĉ > 0, all finite", obs.CHat, obs.LambdaHat, obs.Delta)
+	}
+	for j, q := range obs.QueueLens {
+		if math.IsNaN(q) {
+			return L1Decision{}, fmt.Errorf("controller: queue length of computer %d is NaN", j)
+		}
 	}
 	if obs.LambdaHat < 0 {
 		obs.LambdaHat = 0
@@ -377,33 +388,29 @@ func (l *L1) Decide(obs L1Observation) (L1Decision, error) {
 	start := time.Now() //hpm:wallclock decide-latency for the §4.3 overhead metric; observe-only
 
 	samples := bandSamples(&l.samplesBuf, obs.LambdaHat, obs.Delta, l.cfg.UncertaintySamples)
+	masks := l.alphaCandidates(obs.Available)
+	if err := l.priceTerms(obs, samples, masks); err != nil {
+		return L1Decision{}, searchErr("L1", err)
+	}
+	stranded := 0.0
+	for _, lam := range samples {
+		stranded += lam * l.cfg.PeriodSeconds
+	}
+	stranded /= float64(len(samples))
 	bestCost := math.Inf(1)
-	sc := llc.Scan{Prune: l.cfg.NonNegativeCosts, MaxExplored: l.maxExplored}
-	copy(l.pr.obs.QueueLens, obs.QueueLens)
-	l.pr.obs.CHat = obs.CHat
-	for _, alpha := range l.alphaCandidates(obs.Available) {
-		l.pr.alpha = alpha
-		gammas := l.gammaCandidates(alpha)
-		gi, cost, err := llc.OneStep(&sc, &l.pr, gammas, len(samples), bestCost)
-		if err != nil {
-			return L1Decision{}, searchErr("L1", err)
-		}
-		if gi >= 0 {
+	for _, mask := range masks {
+		if cost := l.solve(mask, stranded, bestCost); cost < bestCost {
 			bestCost = cost
-			// Candidate vectors live in pools recycled on the next
-			// generator call, so the incumbent is copied out now.
-			copy(l.bestAlphaScr, alpha)
-			copy(l.bestGammaScr, gammas[gi])
 		}
 	}
 	if math.IsInf(bestCost, 1) {
 		return L1Decision{}, fmt.Errorf("controller: L1 found no candidate configuration")
 	}
-	best := L1Decision{Alpha: l.bestAlphaScr, Gamma: l.bestGammaScr, Explored: sc.Explored}
+	best := L1Decision{Alpha: l.bestAlphaScr, Gamma: l.bestGammaScr, Explored: l.probes}
 	elapsed := time.Since(start) //hpm:wallclock decide-latency for the §4.3 overhead metric; observe-only
 	copy(l.prevAlpha, best.Alpha)
 	copy(l.prevGamma, best.Gamma)
-	l.explored += sc.Explored
+	l.explored += l.probes
 	l.decisions++
 	l.computeTime += elapsed
 	if l.rec.Enabled() {
@@ -411,23 +418,6 @@ func (l *L1) Decide(obs L1Observation) (L1Decision, error) {
 	}
 	return best, nil
 }
-
-// l1Pricer prices the γ candidates of one α for llc.OneStep against the
-// decision in flight: the sampled arrival rates in L1.samplesBuf, and its
-// own copy of the observation fields evaluate reads (QueueLens, CHat), so
-// the controller keeps nothing of the caller's observation.
-type l1Pricer struct {
-	l     *L1
-	alpha []bool
-	obs   L1Observation
-}
-
-func (p *l1Pricer) Price(gamma []float64, si int, sum float64) (float64, error) {
-	c, err := p.l.evaluate(p.alpha, gamma, p.obs, p.l.samplesBuf[si])
-	return sum + c, err
-}
-
-func (p *l1Pricer) Finish(_ []float64, mean float64) float64 { return mean }
 
 // bandSamples fills buf with the arrival rates a decision averages its
 // cost over (§4.2): {max(0, λ̂−δ), λ̂, λ̂+δ} when banded and δ > 0, else λ̂.
@@ -440,8 +430,8 @@ func bandSamples(buf *[3]float64, lambda, delta float64, banded bool) []float64 
 	return buf[:]
 }
 
-// searchErr wraps a budget trip of the level's llc.OneStep search and
-// passes a pricing error through as is.
+// searchErr wraps a budget trip of the level's search and passes a pricing
+// error through as is.
 func searchErr(level string, err error) error {
 	if errors.Is(err, llc.ErrBudget) {
 		return fmt.Errorf("controller: %s search: %w", level, err)
@@ -449,222 +439,310 @@ func searchErr(level string, err error) error {
 	return err
 }
 
-// evaluate prices one (α, γ) candidate under one sampled arrival rate
-// following Eq. 14: Σ_j α_j·J̃(x, γ_j) + W·‖Δα‖, with J̃ from the
-// abstraction maps, over two periods so the boot dead time is priced:
-// during the first period fresh computers draw base power only and their
-// load share is renormalized onto the already-serving computers — exactly
-// what the dispatcher does in the plant — and during the second period the
-// full configuration serves from the first period's predicted end queues.
-func (l *L1) evaluate(alpha []bool, gamma []float64, obs L1Observation, lambda float64) (float64, error) {
-	switchCost := 0.0
-	for j := range alpha {
-		if alpha[j] && !l.prevAlpha[j] {
-			switchCost += l.cfg.SwitchWeight
-		}
+// stabilityPenalty is the §4.2 queuing-stability soft barrier on one
+// computer carrying γ of arrival rate λ: a full-speed utilization beyond
+// StabilityUtil costs 10⁴ per unit of excess, dwarfing power costs so a
+// stable split always wins when one exists, while overload still yields
+// the least-bad one.
+func stabilityPenalty(gamma, lambda, cHat, speed float64) float64 {
+	if util := gamma * lambda * cHat / speed; util > StabilityUtil {
+		return 1e4 * (util - StabilityUtil)
 	}
-	// Queuing-stability soft barrier (§4.2): penalize candidates whose
-	// steady-state full-speed utilization exceeds the stability bound on
-	// any computer. The penalty dwarfs power costs so a stable candidate
-	// always wins when one exists, while overload still yields the
-	// least-bad allocation.
-	const stabilityPenalty = 1e4
-	for j := range alpha {
-		if !alpha[j] || gamma[j] == 0 {
-			continue
-		}
-		util := gamma[j] * lambda * obs.CHat / l.gmaps[j].Spec().SpeedFactor
-		if util > StabilityUtil {
-			switchCost += stabilityPenalty * (util - StabilityUtil)
-		}
-	}
-	// Period 1: only computers already serving do work; fresh boots draw
-	// base power.
-	servingShare := 0.0
-	anyServing := false
-	for j := range alpha {
-		if alpha[j] && l.prevAlpha[j] {
-			servingShare += gamma[j]
-			anyServing = true
-		}
-	}
-	total := switchCost
-	qEnd := l.qEndBuf
-	for j := range alpha {
-		qEnd[j] = obs.QueueLens[j]
-		if !alpha[j] {
-			continue
-		}
-		if !l.prevAlpha[j] {
-			// Booting: base power for the period, no service.
-			total += l.gmaps[j].Spec().Power.Base
-			continue
-		}
-		share := gamma[j]
-		if servingShare > 0 {
-			share = gamma[j] / servingShare
-		}
-		cost, qe, _, _, err := l.gmaps[j].EvaluateInto(l.evalBuf[:], obs.QueueLens[j], share*lambda, obs.CHat)
-		if err != nil {
-			return 0, err
-		}
-		total += cost
-		qEnd[j] = qe
-	}
-	if !anyServing && lambda > 0 {
-		// Nothing serves during period 1: the whole period's demand
-		// queues unserved. Penalize proportionally to the stranded work.
-		total += lambda * l.cfg.PeriodSeconds
-	}
-
-	// Period 2: the full configuration serves from the predicted queues.
-	for j := range alpha {
-		if !alpha[j] {
-			continue
-		}
-		cost, _, _, _, err := l.gmaps[j].EvaluateInto(l.evalBuf[:], qEnd[j], gamma[j]*lambda, obs.CHat)
-		if err != nil {
-			return 0, err
-		}
-		total += cost
-	}
-	return total, nil
+	return 0
 }
 
-// alphaCandidates returns the bounded on/off candidate set: the previous
-// vector projected onto availability, every single-computer toggle of it,
-// and the all-available-on vector, each with at least MinOn computers on
-// (or as many as availability allows). Candidate vectors live in the
-// controller's pool and are recycled on the next call.
-func (l *L1) alphaCandidates(avail []bool) [][]bool {
-	m := l.Size()
-	minOn := l.cfg.MinOn
-	if a := countOn(avail); a < minOn {
-		minOn = a
-	}
-	base := l.alphaBase
-	for j := range base {
-		base[j] = l.prevAlpha[j] && avail[j]
-	}
-	ensureMinOn(base, avail, minOn)
+// How a decision lays out a staying computer's terms: the (u, S) pairs
+// its masks can read (see row).
+const (
+	// stayAtUnits: every available computer was on, so no mask boots one
+	// and S = units; one row, every u.
+	stayAtUnits = iota
+	// stayAlone: no mask keeps two computers on that were on, so a staying
+	// computer holds all S quanta; one row, u = S.
+	stayAlone
+	// stayShared: every u ≤ S, a row per S.
+	stayShared
+)
 
-	l.alphaPool.reset()
-	l.alphaCands = l.alphaCands[:0]
-	l.alphaKeys = l.alphaKeys[:0]
-	add := func(a []bool) {
-		if countOn(a) < minOn {
-			return
+// priceTerms fills every available computer's terms (see Decide): a
+// computer that was on is priced as staying, at the (u, S) pairs the
+// masks can read, and one that was off as booting.
+func (l *L1) priceTerms(obs L1Observation, samples []float64, masks []uint64) error {
+	m, w := l.Size(), l.units+1
+	l.layout = stayAtUnits
+	for j, a := range obs.Available {
+		if a && !l.prevAlpha[j] {
+			l.layout = stayAlone
 		}
-		k := packBools(a)
-		for _, ek := range l.alphaKeys {
-			if ek == k {
-				return
+	}
+	prev := packBools(l.prevAlpha)
+	for _, mask := range masks {
+		if l.layout == stayAlone && bits.OnesCount64(mask&prev) > 1 {
+			l.layout = stayShared
+		}
+	}
+	// Every probed rate is at most the band's top rate λ_max up to an ulp,
+	// so it lands in the cells up to index(λ_max)+1.
+	lamMax := samples[len(samples)-1]
+	l.stride = 0
+	for _, g := range l.gmaps {
+		l.stride = max(l.stride, min(g.levels(1), g.axis(1).Index(lamMax)+2))
+	}
+	if n := l.queueCells() * l.stride; n > len(l.memo) {
+		l.memo = make([]probe, n) //hpm:alloc the probe memo grows to the load's high-water mark
+	}
+	at := 0
+	for j, a := range obs.Available {
+		l.off[j] = at
+		if a && l.prevAlpha[j] && l.layout == stayShared {
+			at += l.tri
+		} else if a {
+			at += w
+		}
+	}
+	l.probes, l.err = 0, nil
+	for j, g := range l.gmaps {
+		if !obs.Available[j] {
+			continue
+		}
+		if l.stamp++; l.stamp == 0 {
+			clear(l.memo)
+			l.stamp = 1
+		}
+		terms := l.terms[l.off[j]:]
+		if j+1 < m {
+			terms = terms[:l.off[j+1]-l.off[j]]
+		}
+		clear(terms)
+		l.pg, l.pc = g, g.axis(2).Index(obs.CHat)
+		lAxis := g.axis(1)
+		qi := g.axis(0).Index(obs.QueueLens[j])
+		spec := g.Spec()
+		for _, lam := range samples {
+			for u := 0; u <= l.units; u++ {
+				gam := float64(u) * l.cfg.Quantum
+				li := lAxis.Index(gam * lam)
+				stab := stabilityPenalty(gam, lam, obs.CHat, spec.SpeedFactor)
+				// The memo's hit path is written out: a call per probe
+				// costs a fifth of the decision.
+				if !l.prevAlpha[j] {
+					p := &l.memo[qi*l.stride+li]
+					if p.stamp != l.stamp {
+						l.fill(p, qi, li)
+					}
+					terms[u] += spec.Power.Base + p.cost + stab
+				} else {
+					sLo, sHi := u, l.units
+					switch l.layout {
+					case stayAtUnits:
+						sLo = l.units
+					case stayAlone:
+						sHi = u
+					}
+					for S := sLo; S <= sHi; S++ {
+						share := 0.0
+						if S > 0 {
+							share = float64(u) / float64(S)
+						}
+						li1 := lAxis.Index(share * lam)
+						p1 := &l.memo[qi*l.stride+li1]
+						if p1.stamp != l.stamp {
+							l.fill(p1, qi, li1)
+						}
+						q2 := int(p1.qEnd)
+						p2 := &l.memo[q2*l.stride+li]
+						if p2.stamp != l.stamp {
+							l.fill(p2, q2, li)
+						}
+						terms[l.row(j, S)-l.off[j]+u] += p1.cost + p2.cost + stab
+					}
+				}
+				if l.err != nil {
+					return l.err
+				}
 			}
 		}
-		l.alphaKeys = append(l.alphaKeys, k)
-		cp := l.alphaPool.get(m)
-		copy(cp, a)
-		l.alphaCands = append(l.alphaCands, cp)
+		for e := range terms {
+			terms[e] /= float64(len(samples))
+		}
+	}
+	return nil
+}
+
+// queueCells returns the most queue-length levels of the module's maps.
+func (l *L1) queueCells() int {
+	n := 0
+	for _, g := range l.gmaps {
+		n = max(n, g.levels(0))
+	}
+	return n
+}
+
+// fill probes the priced computer's cell (qi, li) at the decision's ĉ
+// into its memo entry p, counting the probe against the budget; a failure
+// is left in l.err.
+func (l *L1) fill(p *probe, qi, li int) {
+	cost, qEnd, ok := l.pg.cellInto(l.evalBuf[:], qi, li, l.pc)
+	if l.probes++; !ok {
+		l.err = fmt.Errorf("controller: gmap cell (%d, %d, %d) missing", qi, li, l.pc)
+	} else if l.maxExplored > 0 && l.probes > l.maxExplored {
+		l.err = llc.ErrBudget
+	}
+	*p = probe{cost: cost, qEnd: int32(l.pg.axis(0).Index(qEnd)), stamp: l.stamp}
+}
+
+// solve returns the cheapest cost of mask over every split of the quanta
+// (see Decide) and, when it is below limit, makes that split the
+// incumbent.
+func (l *L1) solve(mask uint64, stranded, limit float64) float64 {
+	w := l.units + 1
+	st, bt := l.staying[:0], l.booting[:0]
+	for j := range l.gmaps {
+		if mask>>j&1 == 0 {
+			continue
+		}
+		if l.prevAlpha[j] {
+			st = append(st, j)
+		} else {
+			bt = append(bt, j)
+		}
+	}
+	// The booting computers' suffix table, onto the switching cost; the
+	// staying computers' follows it in the same buffer.
+	nb := len(bt)
+	boot, stay := l.tables[:(nb+1)*w], l.tables[(nb+1)*w:]
+	for r := 1; r < w; r++ {
+		boot[nb*w+r] = math.Inf(1)
+	}
+	boot[nb*w] = float64(nb) * l.cfg.SwitchWeight
+	for i := nb - 1; i >= 0; i-- {
+		minPlus(boot[i*w:(i+1)*w], l.terms[l.row(bt[i], 0):], boot[(i+1)*w:], 0, l.units, i == nb-1)
+	}
+	// S: every quantum on staying computers when none boots, none when
+	// none stays.
+	sLo, sHi := 0, l.units
+	if nb == 0 {
+		sLo = l.units
+	}
+	if len(st) == 0 {
+		sHi = 0
+	}
+	best, bestS := math.Inf(1), -1
+	for S := sLo; S <= sHi; S++ {
+		v := l.stayFold(stay, st, S, boot[l.units-S])
+		if S == 0 {
+			v += stranded
+		}
+		if v < best {
+			best, bestS = v, S
+		}
+	}
+	if !(best < limit) {
+		return best
+	}
+	clear(l.bestAlphaScr)
+	clear(l.bestGammaScr)
+	l.stayFold(stay, st, bestS, boot[l.units-bestS])
+	l.backtrack(st, stay, bestS, bestS)
+	l.backtrack(bt, boot, l.units-bestS, 0)
+	return best
+}
+
+// stayFold fills the staying computers' suffix table at serving share S
+// onto base, the booting optimum for the other units−S quanta, and returns
+// its head: the mask's least fold with S quanta staying.
+func (l *L1) stayFold(stay []float64, st []int, S int, base float64) float64 {
+	w := l.units + 1
+	ns := len(st)
+	for r := 1; r <= S; r++ {
+		stay[ns*w+r] = math.Inf(1)
+	}
+	stay[ns*w] = base
+	for i := ns - 1; i >= 0; i-- {
+		lo := 0
+		if i == 0 {
+			lo = S // the head needs only the whole share
+		}
+		minPlus(stay[i*w:(i+1)*w], l.terms[l.row(st[i], S):], stay[(i+1)*w:], lo, S, i == ns-1)
+	}
+	return stay[S]
+}
+
+// minPlus sets dst[r] = min over u ≤ r of c[u] + next[r−u], for r in
+// [lo, hi]. Over a table's base row, finite at r = 0 only, that is
+// c[r] + next[0].
+func minPlus(dst, c, next []float64, lo, hi int, base bool) {
+	if base {
+		for r := lo; r <= hi; r++ {
+			dst[r] = c[r] + next[0]
+		}
+		return
+	}
+	for r := lo; r <= hi; r++ {
+		best := math.Inf(1)
+		for u := 0; u <= r; u++ {
+			if v := c[u] + next[r-u]; v < best {
+				best = v
+			}
+		}
+		dst[r] = best
+	}
+}
+
+// backtrack walks a suffix table from r quanta, giving each computer the
+// fewest quanta that attain its suffix minimum, into the incumbent; S is
+// the serving share the computers' terms are read at.
+func (l *L1) backtrack(comps []int, table []float64, r, S int) {
+	w := l.units + 1
+	for i, j := range comps {
+		c := l.terms[l.row(j, S):]
+		u := 0
+		for ; u < r && c[u]+table[(i+1)*w+r-u] != table[i*w+r]; u++ {
+		}
+		l.bestAlphaScr[j] = true
+		l.bestGammaScr[j] = float64(u) * l.cfg.Quantum
+		r -= u
+	}
+}
+
+// row returns where computer j's terms at serving share S start, so that
+// its term for u quanta is terms[row(j, S) + u]: a booting computer's
+// terms are one row of units+1, and so are a staying one's unless the
+// layout is stayShared, where they are rows S = 0..units of S+1 terms
+// each.
+func (l *L1) row(j, S int) int {
+	if !l.prevAlpha[j] || l.layout != stayShared {
+		return l.off[j]
+	}
+	return l.off[j] + S*(S+1)/2
+}
+
+// alphaCandidates returns the bounded on/off candidate set as masks: the
+// previous vector projected onto availability, every single-computer
+// toggle of it, and the all-available-on vector, each with at least MinOn
+// computers on (or as many as availability allows), in that order without
+// repeats. The slice is the controller's, recycled on the next call.
+func (l *L1) alphaCandidates(avail []bool) []uint64 {
+	minOn := min(l.cfg.MinOn, countOn(avail))
+	all := packBools(avail)
+	base := packBools(l.prevAlpha) & all
+	for j := 0; bits.OnesCount64(base) < minOn; j++ {
+		base |= all & (1 << j)
+	}
+	l.masks = l.masks[:0]
+	add := func(mask uint64) {
+		if bits.OnesCount64(mask) >= minOn && !slices.Contains(l.masks, mask) {
+			l.masks = append(l.masks, mask)
+		}
 	}
 	add(base)
-	cand := l.alphaScr
-	for j := 0; j < m; j++ {
-		copy(cand, base)
-		if cand[j] {
-			cand[j] = false
-		} else if avail[j] {
-			cand[j] = true
-		} else {
-			continue
-		}
-		add(cand)
-	}
-	for j := range cand {
-		cand[j] = avail[j]
-	}
-	add(cand)
-	return l.alphaCands
-}
-
-// gammaCandidates returns the bounded γ candidate set for a given α: the
-// quantized neighbourhoods of the capacity-proportional seed and of the
-// previous allocation projected onto α's support. The capacity-seeded
-// part depends only on the α mask (capacities, quantum and depth are
-// fixed), so it comes from the shape's candidate table; the
-// previous-allocation part is regenerated each period into pooled vectors,
-// deduped against the list by packed keys. Returned vectors are recycled on
-// the next call; the table's are read, never written.
-func (l *L1) gammaCandidates(alpha []bool) [][]float64 {
-	mask := packBools(alpha)
-	entry := l.table.lookup(mask)
-	if entry == nil {
-		seedCap, err := SnapSimplex(l.caps, alpha, l.cfg.Quantum)
-		if err != nil {
-			return nil
-		}
-		cands := SimplexNeighbours(seedCap, alpha, l.cfg.Quantum, l.cfg.NeighbourDepth)
-		entry = &candidateSet{cands: cands, keys: make([]uint64, 0, len(cands)*l.gammaWords)}
-		for _, g := range cands {
-			entry.keys = appendGammaKey(entry.keys, g, l.cfg.Quantum, l.gammaPer)
-		}
-		entry = l.table.publish(mask, entry)
-	}
-	l.gammaPool.reset()
-	l.gammaList = append(l.gammaList[:0], entry.cands...)
-	l.gammaKeys = append(l.gammaKeys[:0], entry.keys...)
-
-	// Previous-allocation neighbourhood (depth 1): prev snapped onto α's
-	// support, then every single-quantum move — the same vectors, in the
-	// same order, SimplexNeighbours(prev, α, quantum, 1) produces.
-	prev, err := l.snap.snapInto(l.prevSnap, l.prevGamma, alpha, l.cfg.Quantum)
-	if err != nil {
-		return l.gammaList
-	}
-	l.prevSnap = prev
-	l.addGammaIfNew(prev)
-	cand := l.gammaScr
-	for a := range prev {
-		if !alpha[a] || prev[a] < l.cfg.Quantum-1e-9 {
-			continue
-		}
-		for b := range prev {
-			if b == a || !alpha[b] {
-				continue
-			}
-			copy(cand, prev)
-			cand[a] -= l.cfg.Quantum
-			cand[b] += l.cfg.Quantum
-			if cand[a] < -1e-9 {
-				continue
-			}
-			if cand[a] < 0 {
-				cand[a] = 0
-			}
-			l.addGammaIfNew(cand)
+	for j := range l.gmaps {
+		if bit := uint64(1) << j; base&bit != 0 || all&bit != 0 {
+			add(base ^ bit)
 		}
 	}
-	return l.gammaList
-}
-
-// addGammaIfNew appends a copy of g to the candidate list unless its
-// packed key is already present. The key is packed onto the tail of
-// gammaKeys and dropped again on a match, so the scan needs no scratch.
-func (l *L1) addGammaIfNew(g []float64) {
-	w := l.gammaWords
-	tail := len(l.gammaKeys)
-	l.gammaKeys = appendGammaKey(l.gammaKeys, g, l.cfg.Quantum, l.gammaPer)
-	key := l.gammaKeys[tail:]
-	for at := 0; at < tail; at += w {
-		// First word first: for one-word keys (m·bits ≤ 64, every
-		// benchmarked shape) that is the whole comparison.
-		if l.gammaKeys[at] == key[0] && slices.Equal(l.gammaKeys[at+1:at+w], key[1:]) {
-			l.gammaKeys = l.gammaKeys[:tail]
-			return
-		}
-	}
-	cp := l.gammaPool.get(len(g))
-	copy(cp, g)
-	l.gammaList = append(l.gammaList, cp)
+	add(all)
+	return l.masks
 }
 
 // Overhead reports accumulated overhead counters.
@@ -680,12 +758,4 @@ func countOn(a []bool) int {
 		}
 	}
 	return n
-}
-
-func ensureMinOn(a, avail []bool, minOn int) {
-	for j := 0; countOn(a) < minOn && j < len(a); j++ {
-		if avail[j] && !a[j] {
-			a[j] = true
-		}
-	}
 }

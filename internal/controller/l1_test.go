@@ -52,7 +52,7 @@ func testModuleGMaps(t *testing.T, m int) []*GMap {
 
 func newTestL1(t *testing.T, m int) *L1 {
 	t.Helper()
-	l1, err := NewL1(DefaultL1Config(), testModuleGMaps(t, m), nil)
+	l1, err := NewL1(DefaultL1Config(), testModuleGMaps(t, m))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestL1ConfigValidation(t *testing.T) {
 		func(c *L1Config) { c.Quantum = 0 },
 		func(c *L1Config) { c.Quantum = 0.3 },
 		func(c *L1Config) { c.SwitchWeight = -1 },
-		func(c *L1Config) { c.NeighbourDepth = -1 },
+		func(c *L1Config) { c.Quantum = 0.005 },
 		func(c *L1Config) { c.MinOn = 0 },
 	}
 	for i, mutate := range mutations {
@@ -82,15 +82,15 @@ func TestL1ConfigValidation(t *testing.T) {
 }
 
 func TestNewL1Validation(t *testing.T) {
-	if _, err := NewL1(DefaultL1Config(), nil, nil); err == nil {
+	if _, err := NewL1(DefaultL1Config(), nil); err == nil {
 		t.Error("no gmaps: want error")
 	}
-	if _, err := NewL1(DefaultL1Config(), []*GMap{nil}, nil); err == nil {
+	if _, err := NewL1(DefaultL1Config(), []*GMap{nil}); err == nil {
 		t.Error("nil gmap: want error")
 	}
 	cfg := DefaultL1Config()
 	cfg.MinOn = 5
-	if _, err := NewL1(cfg, testModuleGMaps(t, 2), nil); err == nil {
+	if _, err := NewL1(cfg, testModuleGMaps(t, 2)); err == nil {
 		t.Error("min-on > module size: want error")
 	}
 	// The on/off dedup key is one uint64: 64 computers build, 65 do not.
@@ -98,10 +98,10 @@ func TestNewL1Validation(t *testing.T) {
 	for j := range wide {
 		wide[j] = testGMap(t, ctrlSpec("c0"))
 	}
-	if _, err := NewL1(DefaultL1Config(), wide[:64], nil); err != nil {
+	if _, err := NewL1(DefaultL1Config(), wide[:64]); err != nil {
 		t.Errorf("64-computer module: %v", err)
 	}
-	if _, err := NewL1(DefaultL1Config(), wide, nil); err == nil {
+	if _, err := NewL1(DefaultL1Config(), wide); err == nil {
 		t.Error("65-computer module: want error")
 	}
 }
@@ -222,7 +222,7 @@ func TestL1SwitchPenaltyDiscouragesPowerOn(t *testing.T) {
 	decide := func(w float64) int {
 		cfg := DefaultL1Config()
 		cfg.SwitchWeight = w
-		l1, err := NewL1(cfg, testModuleGMaps(t, 2), nil)
+		l1, err := NewL1(cfg, testModuleGMaps(t, 2))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -273,7 +273,7 @@ func TestL1RespectsAvailability(t *testing.T) {
 func TestL1MinOnEnforced(t *testing.T) {
 	cfg := DefaultL1Config()
 	cfg.MinOn = 2
-	l1, err := NewL1(cfg, testModuleGMaps(t, 4), nil)
+	l1, err := NewL1(cfg, testModuleGMaps(t, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,9 +324,9 @@ func TestL1OverheadMetering(t *testing.T) {
 	if explored != dec.Explored || decisions != 1 || compute <= 0 {
 		t.Errorf("overhead = (%d, %d, %v), want (%d, 1, >0)", explored, decisions, compute, dec.Explored)
 	}
-	// The paper's m = 4 L1 examines O(10²–10³) states per period.
-	if dec.Explored < 50 || dec.Explored > 20000 {
-		t.Errorf("explored = %d, want O(10²–10³)", dec.Explored)
+	// Explored counts map probes, each cell at most once per computer.
+	if bound := exploredBoundL1(l1.gmaps); dec.Explored > bound {
+		t.Errorf("explored = %d, above the closed-form bound %d", dec.Explored, bound)
 	}
 }
 
@@ -354,48 +354,5 @@ func TestL1SetStateValidation(t *testing.T) {
 	l1 := newTestL1(t, 2)
 	if err := l1.SetState([]bool{true}, []float64{1}); err == nil {
 		t.Error("size mismatch: want error")
-	}
-}
-
-// TestL1PruningPreservesDecision pins the branch-and-bound contract at
-// the L1 level: with NonNegativeCosts on (the default — abstraction-map
-// costs are sums of slack and power terms) the selected (α, γ) is
-// bit-identical to the unpruned search across a varied observation
-// sequence, while exploration never grows.
-func TestL1PruningPreservesDecision(t *testing.T) {
-	mk := func(prune bool) *L1 {
-		cfg := DefaultL1Config()
-		cfg.NonNegativeCosts = prune
-		l1, err := NewL1(cfg, testModuleGMaps(t, 4), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return l1
-	}
-	pruned, naive := mk(true), mk(false)
-	obs := []L1Observation{
-		{QueueLens: []float64{0, 0, 0, 0}, LambdaHat: 20, Delta: 5, CHat: 0.0175},
-		{QueueLens: []float64{40, 10, 0, 0}, LambdaHat: 140, Delta: 30, CHat: 0.0175},
-		{QueueLens: []float64{5, 5, 5, 5}, LambdaHat: 60, Delta: 10, CHat: 0.0175},
-		{QueueLens: []float64{0, 80, 0, 20}, LambdaHat: 200, Delta: 40, CHat: 0.0175},
-	}
-	for step, o := range obs {
-		dp, err := pruned.Decide(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dn, err := naive.Decide(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := range dn.Alpha {
-			if dp.Alpha[j] != dn.Alpha[j] || dp.Gamma[j] != dn.Gamma[j] {
-				t.Fatalf("step %d computer %d: pruned (%v, %v) vs naive (%v, %v)",
-					step, j, dp.Alpha[j], dp.Gamma[j], dn.Alpha[j], dn.Gamma[j])
-			}
-		}
-		if dp.Explored > dn.Explored {
-			t.Errorf("step %d: pruned explored %d exceeds naive %d", step, dp.Explored, dn.Explored)
-		}
 	}
 }

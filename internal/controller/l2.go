@@ -32,10 +32,6 @@ const (
 	QuantumL2 float64 = 0.1
 	// unitsL2 is the number of quanta the module fractions share.
 	unitsL2 = 10
-	// maxNearTiesL2 caps the near ties a decision prices: C(15, 5), the
-	// whole 6-module simplex, so up to 6 modules none is ever dropped, and
-	// above 6 a dropped one is within rounding of the optimum.
-	maxNearTiesL2 = 3003
 )
 
 // DefaultL2Config returns the paper's §5.2 settings.
@@ -107,17 +103,17 @@ type L2Decision struct {
 	// Gamma[i] is the fraction of the global arrivals dispatched to
 	// module i (Σ = 1, quantized).
 	Gamma []float64
-	// Explored counts priced J̃ terms plus near-tie candidate-samples.
+	// Explored counts priced J̃ terms: 11 per available module and band
+	// sample.
 	Explored int
 }
 
 // L2 is the cluster-level controller. Construct with NewL2.
 //
-// Its tables are sized at NewL2 and its near-tie pool grows to a
-// high-water mark, so a warm Decide allocates nothing (pinned by
-// TestL2DecideSteadyStateAllocs). The returned decision's Gamma belongs to
-// the controller and stays valid until its next Decide. Not safe for
-// concurrent use.
+// Its tables are sized at NewL2, so a warm Decide allocates nothing
+// (pinned by TestL2DecideSteadyStateAllocs). The returned decision's Gamma
+// belongs to the controller and stays valid until its next Decide. Not
+// safe for concurrent use.
 type L2 struct {
 	cfg     L2Config
 	jtildes []JTilde
@@ -125,19 +121,12 @@ type L2 struct {
 	prevGamma []float64
 	decGamma  []float64 // the returned decision's γ
 
-	// The decision in flight, module i's entry for u quanta at
-	// e = i·(unitsL2+1) + u: J̃ terms at terms[e·nSamples+s], the
-	// reallocation term delta[e] and c_i(u) at cost[e].
-	avail       []bool
-	samplesBuf  [3]float64
-	nSamples    int
-	terms       []float64
-	delta, cost []float64
-	suf         []float64
-	lastAvail   int
-	quanta      []uint8   // the walk's current allocation
-	tieQuanta   []uint8   // the near ties, len(jtildes) quanta each
-	ties        [][]uint8 // views into tieQuanta, in simplex order
+	// The decision in flight: module i's term c_i(u) for u quanta at
+	// cost[i·(unitsL2+1) + u], and the suffix table suf.
+	avail      []bool
+	samplesBuf [3]float64
+	cost       []float64
+	suf        []float64
 
 	explored    int
 	decisions   int
@@ -175,8 +164,7 @@ func NewL2(cfg L2Config, jtildes []JTilde) (*L2, error) {
 	}
 	n := p * (unitsL2 + 1)
 	return &L2{cfg: cfg, jtildes: jtildes, prevGamma: prev, decGamma: make([]float64, p),
-		avail: make([]bool, p), terms: make([]float64, 3*n), delta: make([]float64, n),
-		cost: make([]float64, n), suf: make([]float64, n+unitsL2+1), quanta: make([]uint8, p)}, nil
+		avail: make([]bool, p), cost: make([]float64, n), suf: make([]float64, n+unitsL2+1)}, nil
 }
 
 // SetRecorder attaches a decision flight recorder (nil detaches). Each
@@ -186,19 +174,19 @@ func NewL2(cfg L2Config, jtildes []JTilde) (*L2, error) {
 // decisions are identical with it on or off.
 func (l *L2) SetRecorder(r *flight.Recorder) { l.rec = r }
 
-// SetMaxExplored caps the states each subsequent Decide may evaluate —
-// priced terms plus near-tie candidate-samples — exactly as
-// L1.SetMaxExplored does; n <= 0 removes the cap.
+// SetMaxExplored caps the J̃ terms each subsequent Decide may price,
+// exactly as L1.SetMaxExplored caps probes; n <= 0 removes the cap.
 func (l *L2) SetMaxExplored(n int) { l.maxExplored = n }
 
 // Decide solves the L2 optimization (Eq. 15) exactly: the quantized {γ_i}
-// minimizing the sample mean of Σ_i J̃_i plus Σ_i δ·|γ_i − γ_prev,i|. The
-// cost separates by module, so each term T_i(u, s) = J̃_i(q_i, u·q·λ_s, ĉ_i)
-// is priced once, a min-plus table over modules gives the optimum V*, and
-// only the near ties of V* are priced whole, through llc.OneStep in
-// enumeration order and summation: the winner and its cost are those of
-// pricing the whole simplex, bit for bit, and the work is linear in
-// modules. The returned Gamma is valid until the next Decide.
+// minimizing Σ_i c_i(u_i), where module i's term c_i(u) is the band-sample
+// mean of J̃_i(q_i, u·q·λ_s, ĉ_i) plus its reallocation cost
+// δ·|u·q − γ_prev,i|, summed as the right fold c_1 + (c_2 + (… + c_p)).
+// Each term is priced once, a min-plus table over modules gives the
+// optimum — rounded addition is monotone, so it is exact for the fold —
+// and the backtrack takes, module by module, the fewest quanta attaining
+// the suffix minimum. The work is 11 terms per available module and band
+// sample. The returned Gamma is valid until the next Decide.
 //
 //hpm:hotpath
 func (l *L2) Decide(obs L2Observation) (L2Decision, error) {
@@ -224,27 +212,23 @@ func (l *L2) Decide(obs L2Observation) (L2Decision, error) {
 	start := time.Now() //hpm:wallclock decide-latency for the §4.3 overhead metric; observe-only
 
 	copy(l.avail, obs.Available)
-	l.nSamples = len(bandSamples(&l.samplesBuf, obs.LambdaHat, obs.Delta, l.cfg.UncertaintySamples))
-	sc := llc.Scan{MaxExplored: l.maxExplored}
-	margin, err := l.priceTerms(&sc, obs)
+	explored, err := l.priceTerms(obs)
 	if err != nil {
 		return L2Decision{}, searchErr("L2", err)
 	}
-	l.solve()
-	l.tieQuanta, l.ties = l.tieQuanta[:0], l.ties[:0]
-	l.collect(0, unitsL2, 0, l.suf[unitsL2]+margin)
-	bi, bestCost, err := llc.OneStep(&sc, l2Pricer{l}, l.ties, l.nSamples, math.Inf(1))
-	if err != nil {
-		return L2Decision{}, searchErr("L2", err)
-	}
-	if bi < 0 {
+	bestCost := l.solve()
+	if !(bestCost < math.Inf(1)) {
 		return L2Decision{}, fmt.Errorf("controller: L2 found no candidate allocation")
 	}
-	for i, u := range l.ties[bi] {
+	w := unitsL2 + 1
+	for i, r := 0, unitsL2; i < p; i++ {
+		u := 0
+		for ; u < r && l.cost[i*w+u]+l.suf[(i+1)*w+r-u] != l.suf[i*w+r]; u++ {
+		}
 		l.decGamma[i] = float64(u) * QuantumL2
+		r -= u
 	}
 	copy(l.prevGamma, l.decGamma)
-	explored := sc.Explored
 	elapsed := time.Since(start) //hpm:wallclock decide-latency for the §4.3 overhead metric; observe-only
 	l.explored += explored
 	l.decisions++
@@ -272,38 +256,20 @@ func (l *L2) Decide(obs L2Observation) (L2Decision, error) {
 	return L2Decision{Gamma: l.decGamma, Explored: explored}, nil
 }
 
-// priceTerms fills the term, reallocation and cost tables, counting each
-// J̃ prediction as one explored state, and returns the margin the walk
-// allows above the optimum V*. γ_i·λ_s is formed as a full enumeration
-// forms it, so each term has the bits it would compute.
-//
-// The margin keeps the first minimizer x* of the enumeration's priced cost
-// F. Let u = 2⁻⁵³, γ_K = K·u/(1−K·u) and B = Σ_i max_u (Σ_s |T_i(u, s)|/S
-// + |δ_i(u)|), from magnitudes, so it holds for costs of either sign. Every
-// cost computed for an allocation x — F(x) (S·A additions, a division, p
-// reallocation additions), or a table or walk sum of the c_i (S + 1
-// roundings in each, p + 1 additions across them) — sums x's terms in at
-// most K = S·p + p + 2 roundings, so lies within γ_K·B of x's exact cost
-// R(x). With x° a minimizer of R: R(x*) ≤ F(x*) + γ_K·B ≤ F(x°) + γ_K·B ≤
-// R(x°) + 2γ_K·B; V* is a float sum of some allocation, so R(x°) ≤ V* +
-// γ_K·B; and a walk test on a prefix of x* is at most a float sum of x*'s
-// terms (suf is at most x*'s own completion, and float addition is
-// monotone), so at most R(x*) + γ_K·B ≤ V* + 4γ_K·B. 8·K·u·B covers that,
-// B's rounding and V* + margin's.
-func (l *L2) priceTerms(sc *llc.Scan, obs L2Observation) (float64, error) {
-	n, bound := l.nSamples, 0.0
+// priceTerms fills the term table, counting each J̃ prediction as one
+// explored state against the budget, and returns the count.
+func (l *L2) priceTerms(obs L2Observation) (int, error) {
+	samples := bandSamples(&l.samplesBuf, obs.LambdaHat, obs.Delta, l.cfg.UncertaintySamples)
+	n, explored := float64(len(samples)), 0
 	for i, jt := range l.jtildes {
-		lams := l.samplesBuf[:n]
+		lams := samples
 		if !l.avail[i] {
 			lams = nil // held at 0 quanta, it costs only its reallocation
 		}
-		widest := 0.0
 		for u := 0; u <= unitsL2; u++ {
-			e := i*(unitsL2+1) + u
 			g := float64(u) * QuantumL2
-			l.delta[e] = DeltaWeight * math.Abs(g-l.prevGamma[i])
-			sum, abs := 0.0, 0.0
-			for s, lam := range lams {
+			sum := 0.0
+			for _, lam := range lams {
 				// Zero-share modules still cost their learned idle floor
 				// (the L1 keeps MinOn computers powered), so concentration
 				// is not falsely free.
@@ -311,34 +277,27 @@ func (l *L2) priceTerms(sc *llc.Scan, obs L2Observation) (float64, error) {
 				if err != nil {
 					return 0, err
 				}
-				sc.Explored++
-				if sc.MaxExplored > 0 && sc.Explored > sc.MaxExplored {
+				if explored++; l.maxExplored > 0 && explored > l.maxExplored {
 					return 0, llc.ErrBudget
 				}
-				l.terms[e*n+s] = c
-				sum, abs = sum+c, abs+math.Abs(c)
+				sum += c
 			}
-			l.cost[e] = sum/float64(n) + l.delta[e]
-			widest = max(widest, abs/float64(n)+l.delta[e])
+			l.cost[i*(unitsL2+1)+u] = sum/n + DeltaWeight*math.Abs(g-l.prevGamma[i])
 		}
-		bound += widest
 	}
-	return float64(n*len(l.jtildes)+len(l.jtildes)+2) * bound * 0x1p-50, nil
+	return explored, nil
 }
 
-// solve fills suf[i][r], the least Σ c_j over allocations of r quanta to
-// modules i.. (unavailable ones at 0; +Inf where none exists), so
-// V* = suf[0][10].
-func (l *L2) solve() {
+// solve fills suf[i][r], the least fold of c_i.. over allocations of r
+// quanta to modules i.. (unavailable ones at 0; +Inf where none exists),
+// and returns the optimum suf[0][10].
+func (l *L2) solve() float64 {
 	p, w := len(l.jtildes), unitsL2+1
 	for r := range w {
 		l.suf[p*w+r] = math.Inf(1)
 	}
-	l.suf[p*w], l.lastAvail = 0, -1
+	l.suf[p*w] = 0
 	for i := p - 1; i >= 0; i-- {
-		if l.avail[i] && l.lastAvail < 0 {
-			l.lastAvail = i
-		}
 		for r := range w {
 			best := math.Inf(1)
 			for u := 0; u <= r && (u == 0 || l.avail[i]); u++ {
@@ -349,54 +308,7 @@ func (l *L2) solve() {
 			l.suf[i*w+r] = best
 		}
 	}
-}
-
-// collect walks the simplex from module i, r quanta left at prefix cost
-// pre, in EnumerateSimplex order (quanta ascending module by module, the
-// last available module taking the rest), and appends every allocation
-// whose prefixes all stay within limit to the near ties, up to
-// maxNearTiesL2.
-func (l *L2) collect(i, r int, pre, limit float64) {
-	if i == len(l.jtildes) {
-		k := len(l.tieQuanta)
-		l.tieQuanta = append(l.tieQuanta, l.quanta...)
-		l.ties = append(l.ties, l.tieQuanta[k:])
-		return
-	}
-	lo, hi := 0, r
-	if !l.avail[i] {
-		hi = 0
-	} else if i == l.lastAvail {
-		lo = r
-	}
-	for u := lo; u <= hi && len(l.ties) < maxNearTiesL2; u++ {
-		if c := pre + l.cost[i*(unitsL2+1)+u]; c+l.suf[(i+1)*(unitsL2+1)+r-u] <= limit {
-			l.quanta[i] = uint8(u)
-			l.collect(i+1, r-u, c, limit)
-		}
-	}
-}
-
-// l2Pricer prices near ties for llc.OneStep from the decision's term
-// table, in the order a full enumeration sums them: per sample, module by
-// module, then the reallocation terms on the mean.
-type l2Pricer struct{ l *L2 }
-
-func (p l2Pricer) Price(quanta []uint8, si int, sum float64) (float64, error) {
-	for i, u := range quanta {
-		if p.l.avail[i] {
-			sum += p.l.terms[(i*(unitsL2+1)+int(u))*p.l.nSamples+si]
-		}
-	}
-	return sum, nil
-}
-
-// Finish adds the ‖Δu‖_S reallocation cost (Eq. 3).
-func (p l2Pricer) Finish(quanta []uint8, mean float64) float64 {
-	for i, u := range quanta {
-		mean += p.l.delta[i*(unitsL2+1)+int(u)]
-	}
-	return mean
+	return l.suf[unitsL2]
 }
 
 // Overhead reports accumulated overhead counters.

@@ -2,9 +2,9 @@ package controller
 
 // The whole-simplex L2, kept as the reference the dynamic program is
 // compared against: every quantized allocation, in EnumerateSimplex order,
-// priced by llc.OneStep with one J̃ prediction per module per
-// candidate-sample and no pruning. The first strictly cheapest allocation
-// wins.
+// priced module by module from J̃ predictions made afresh for each one, the
+// module terms summed as the same right fold, and the first optimum of
+// every suffix of the fold taken.
 
 import (
 	"math"
@@ -12,7 +12,6 @@ import (
 	"slices"
 	"testing"
 
-	"hierctl/internal/llc"
 	flight "hierctl/internal/obs"
 )
 
@@ -73,49 +72,43 @@ func CountSimplex(k int, quantum float64) int {
 	return acc
 }
 
-// enumerationPricer prices whole γ vectors: one Predict per available
-// module per sample, summed per sample module by module, then the
-// reallocation terms added to the mean.
-type enumerationPricer struct {
-	jts     []JTilde
-	obs     L2Observation
-	samples []float64
-	prev    []float64
-}
-
-func (p *enumerationPricer) Price(gamma []float64, si int, sum float64) (float64, error) {
-	for i := range gamma {
-		if !p.obs.Available[i] {
-			continue
-		}
-		c, err := p.jts[i].Predict(p.obs.QAvg[i], gamma[i]*p.samples[si], p.obs.CHat[i])
-		if err != nil {
-			return sum, err
-		}
-		sum += c
-	}
-	return sum, nil
-}
-
-func (p *enumerationPricer) Finish(gamma []float64, mean float64) float64 {
-	for i := range gamma {
-		mean += DeltaWeight * math.Abs(gamma[i]-p.prev[i])
-	}
-	return mean
-}
-
 // enumerationDecide is the oracle's decision: the winning γ and its cost.
+// Module i's term is the band-sample mean of its J̃ plus its reallocation
+// cost; an allocation costs the right fold of the terms, and its tie key
+// is (V_1, u_1, V_2, u_2, …), V_i the fold of modules i.., so the least
+// key is the optimum whose every suffix is the first optimum of its own.
 func enumerationDecide(t *testing.T, jts []JTilde, banded bool, obs L2Observation, prev []float64) ([]float64, float64) {
 	t.Helper()
 	var buf [3]float64
 	samples := bandSamples(&buf, math.Max(0, obs.LambdaHat), obs.Delta, banded)
-	cands := EnumerateSimplex(len(jts), obs.Available, QuantumL2)
-	var sc llc.Scan
-	bi, cost, err := llc.OneStep(&sc, &enumerationPricer{jts: jts, obs: obs, samples: samples, prev: prev}, cands, len(samples), math.Inf(1))
-	if err != nil || bi < 0 {
-		t.Fatalf("oracle: winner %d, err %v", bi, err)
+	var best []float64
+	var bestKey []float64
+	for _, gamma := range EnumerateSimplex(len(jts), obs.Available, QuantumL2) {
+		key := make([]float64, 2*len(jts))
+		v := 0.0
+		for i := len(jts) - 1; i >= 0; i-- {
+			sum := 0.0
+			for _, lam := range samples {
+				if !obs.Available[i] {
+					break
+				}
+				c, err := jts[i].Predict(obs.QAvg[i], gamma[i]*lam, obs.CHat[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				sum += c
+			}
+			v = sum/float64(len(samples)) + DeltaWeight*math.Abs(gamma[i]-prev[i]) + v
+			key[2*i], key[2*i+1] = v, gamma[i]
+		}
+		if bestKey == nil || slices.Compare(key, bestKey) < 0 {
+			best, bestKey = gamma, key
+		}
 	}
-	return cands[bi], cost
+	if best == nil {
+		t.Fatal("oracle: no allocation")
+	}
+	return best, bestKey[0]
 }
 
 // stepJTilde is a piecewise-constant J̃, the shape of a fitted regression
@@ -178,7 +171,7 @@ func randomL2Observation(rng *rand.Rand, p int) L2Observation {
 
 // checkAgainstOracle runs decisions on a fresh L2 from a random previous
 // γ and requires each γ and recorded cost to be bit-equal to the oracle's,
-// and the work within its bound.
+// and the work to be 11 terms per available module and band sample.
 func checkAgainstOracle(t *testing.T, rng *rand.Rand, jts []JTilde, decisions int) {
 	t.Helper()
 	p := len(jts)
@@ -217,19 +210,21 @@ func checkAgainstOracle(t *testing.T, rng *rand.Rand, jts []JTilde, decisions in
 		if math.Float64bits(gotCost) != math.Float64bits(wantCost) {
 			t.Fatalf("%d modules, decision %d: cost %v, enumeration %v", p, d, gotCost, wantCost)
 		}
-		a, s := countOn(obs.Available), l2.nSamples
-		if dec.Explored != (unitsL2+1)*a*s+s*len(l2.ties) || len(l2.ties) > maxNearTiesL2 {
-			t.Fatalf("%d modules: explored %d with %d near ties, want 11·%d·%d + %d·ties", p, dec.Explored, len(l2.ties), a, s, s)
+		a, s := countOn(obs.Available), 1
+		if cfg.UncertaintySamples && obs.Delta > 0 {
+			s = 3
+		}
+		if dec.Explored != (unitsL2+1)*a*s {
+			t.Fatalf("%d modules: explored %d, want 11·%d·%d", p, dec.Explored, a, s)
 		}
 		copy(prev, wantGamma)
 	}
 }
 
-// TestL2MatchesEnumerationOracle: at 1-6 modules, where the near ties can
-// never reach their cap, the dynamic program picks the allocation full
-// enumeration picks, at the same cost, bit for bit — over piecewise-constant
-// J̃ (some shared between modules, so exact ties are common), masks, bands
-// and previous allocations.
+// TestL2MatchesEnumerationOracle: at 1-6 modules the dynamic program picks
+// the allocation full enumeration picks, at the same cost, bit for bit —
+// over piecewise-constant J̃ (some shared between modules, so exact ties
+// are common), masks, bands and previous allocations.
 func TestL2MatchesEnumerationOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	for _, tc := range []struct{ modules, trials int }{
@@ -249,12 +244,12 @@ func TestL2MatchesEnumerationOracle(t *testing.T) {
 	}
 }
 
-// TestL2ExactAboveSixModules: past the size where the near-tie cap covers
-// the whole simplex, the dynamic program still equals full enumeration when
-// ties are rare (7-9 modules, a J̃ of its own per module); and where they are
-// not — 64 modules of flat cost, three share-carrying ones down, so every
-// placement of their three quanta ties — it stops at the cap with an
-// allocation within the rounding margin of the optimum.
+// TestL2ExactAboveSixModules: past six modules the dynamic program still
+// equals full enumeration (7-9 modules, a J̃ of its own per module); and at
+// 64 modules of flat cost, three share-carrying ones down, where every
+// placement of their three quanta ties, it prices 11 terms per available
+// module and sample and returns an optimum, its recorded cost the table's
+// head.
 func TestL2ExactAboveSixModules(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, tc := range []struct{ modules, trials int }{{7, 6}, {8, 3}, {9, 2}} {
@@ -295,12 +290,15 @@ func TestL2ExactAboveSixModules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(l2.ties) != maxNearTiesL2 {
-		t.Fatalf("flat cost: %d near ties, want the cap %d", len(l2.ties), maxNearTiesL2)
-	}
-	if want := (unitsL2+1)*(p-3)*3 + 3*maxNearTiesL2; dec.Explored != want {
+	if want := (unitsL2 + 1) * (p - 3) * 3; dec.Explored != want {
 		t.Fatalf("flat cost: explored %d, want %d", dec.Explored, want)
 	}
+	recs := rec.Window(nil, 0)
+	if cost := recs[len(recs)-p-1].Cost; cost != l2.suf[unitsL2] {
+		t.Fatalf("flat cost: recorded cost %v, table head %v", cost, l2.suf[unitsL2])
+	}
+	// Every available module costs 1 and each of the three stranded quanta
+	// is δ·q to take off and δ·q to put anywhere else.
 	units := 0
 	for i, g := range dec.Gamma {
 		if !obs.Available[i] && g != 0 {
@@ -308,21 +306,16 @@ func TestL2ExactAboveSixModules(t *testing.T) {
 		}
 		units += int(math.Round(g / QuantumL2))
 	}
-	recs := rec.Window(nil, 0)
-	cost, optimum := recs[len(recs)-p-1].Cost, l2.suf[unitsL2]
-	// At most the decision's margin: every |J̃| is 1 and every δ term at
-	// most DeltaWeight, so B ≤ p·(1 + DeltaWeight).
-	margin := float64(3*p+p+2) * float64(p) * (1 + DeltaWeight) * 0x1p-50
-	if units != unitsL2 || math.Abs(cost-optimum) > margin {
-		t.Fatalf("flat cost: γ %v (%d quanta) at cost %v, optimum %v ± %v", dec.Gamma, units, cost, optimum, margin)
+	if optimum := float64(p-3) + 6*DeltaWeight*QuantumL2; units != unitsL2 || math.Abs(l2.suf[unitsL2]-optimum) > 1e-9 {
+		t.Fatalf("flat cost: γ %v (%d quanta) at cost %v, optimum %v", dec.Gamma, units, l2.suf[unitsL2], optimum)
 	}
 }
 
 // TestL2ExploredLinearInModules is L2's half of the §4.3 overhead claim:
-// a decision explores exactly 11·A·S priced terms plus S per near tie, so
-// its work grows linearly in modules — at 8, 16, 32 and 64 modules no
-// decision explores more per module than the most a 4-module one does.
-// Explored counts are deterministic, so the bound cannot flake.
+// a decision explores exactly 11·A·S priced terms (A available modules, S
+// band samples), so its work grows linearly in modules — at 8, 16, 32 and
+// 64 modules no decision explores more per module than the most a 4-module
+// one does. Explored counts are deterministic, so the bound cannot flake.
 func TestL2ExploredLinearInModules(t *testing.T) {
 	perModule4 := 0.0
 	for _, p := range []int{4, 8, 16, 32, 64} {
@@ -346,8 +339,8 @@ func TestL2ExploredLinearInModules(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := (unitsL2+1)*countOn(avail)*3 + 3*len(l2.ties); dec.Explored != want {
-				t.Fatalf("%d modules, decision %d: explored %d, want 11·A·S + S·ties = %d", p, d, dec.Explored, want)
+			if want := (unitsL2 + 1) * countOn(avail) * 3; dec.Explored != want {
+				t.Fatalf("%d modules, decision %d: explored %d, want 11·A·S = %d", p, d, dec.Explored, want)
 			}
 			most = max(most, dec.Explored)
 		}

@@ -1,10 +1,10 @@
 package controller
 
 // The historical allocating, string-keyed candidate generators, kept as
-// the reference the one production generator (pooled vectors, packed
-// multi-word keys) is compared against. Nothing here shares code with the
-// packed keys: vectors are deduplicated by a fixed-width byte string of
-// their unit counts.
+// the reference the production ones (the L1's on/off masks, the packed
+// multi-word keys of SimplexNeighbours) are compared against. Nothing here
+// shares code with the packed keys: vectors are deduplicated by a
+// fixed-width byte string of their unit counts.
 
 import "math"
 
@@ -86,7 +86,11 @@ func alphaCandidatesLegacy(l *L1, avail []bool) [][]bool {
 	for j := range base {
 		base[j] = l.prevAlpha[j] && avail[j]
 	}
-	ensureMinOn(base, avail, minOn)
+	for j := 0; countOn(base) < minOn && j < m; j++ {
+		if avail[j] && !base[j] {
+			base[j] = true
+		}
+	}
 
 	seen := map[string]bool{}
 	var out [][]bool
@@ -118,29 +122,4 @@ func alphaCandidatesLegacy(l *L1, avail []bool) [][]bool {
 	}
 	add(allOn)
 	return out
-}
-
-// gammaCandidatesLegacy is the historical load-fraction candidate
-// generator: the capacity-seeded neighbourhood, then the previous
-// allocation's depth-1 neighbourhood, deduplicated by string key in
-// first-seen order.
-func gammaCandidatesLegacy(l *L1, alpha []bool) [][]float64 {
-	seedCap, errCap := SnapSimplex(l.caps, alpha, l.cfg.Quantum)
-	if errCap != nil {
-		return nil
-	}
-	cands := simplexNeighboursLegacy(seedCap, alpha, l.cfg.Quantum, l.cfg.NeighbourDepth)
-	seen := map[string]bool{}
-	for _, g := range cands {
-		seen[gammaKey(g, l.cfg.Quantum)] = true
-	}
-	if prev, err := SnapSimplex(l.prevGamma, alpha, l.cfg.Quantum); err == nil {
-		for _, g := range simplexNeighboursLegacy(prev, alpha, l.cfg.Quantum, 1) {
-			if k := gammaKey(g, l.cfg.Quantum); !seen[k] {
-				seen[k] = true
-				cands = append(cands, g)
-			}
-		}
-	}
-	return cands
 }

@@ -22,7 +22,7 @@ func TestL1MetamorphicAvailabilityAndFloor(t *testing.T) {
 		m := 2 + rng.Intn(4)
 		cfg := DefaultL1Config()
 		cfg.MinOn = 1 + rng.Intn(2)
-		l1, err := NewL1(cfg, testModuleGMaps(t, m), nil)
+		l1, err := NewL1(cfg, testModuleGMaps(t, m))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,48 +93,31 @@ func TestL1MetamorphicAvailabilityAndFloor(t *testing.T) {
 	}
 }
 
-// l1MeanCost prices a decision the way Decide does — Eq. 14 averaged over
-// the forecast band — on a controller whose previous decision is (alpha,
-// gamma).
-func l1MeanCost(t *testing.T, cfg L1Config, gmaps []*GMap, alpha []bool, gamma []float64, dec L1Decision, obs L1Observation) float64 {
+// l1MeanCost prices a decision the way Decide does (see l1Oracle) on a
+// controller whose previous on/off vector is alpha.
+func l1MeanCost(t *testing.T, cfg L1Config, gmaps []*GMap, alpha []bool, dec L1Decision, obs L1Observation) float64 {
 	t.Helper()
-	l1, err := NewL1(cfg, gmaps, nil)
-	if err != nil {
-		t.Fatal(err)
+	units := make([]int, len(dec.Gamma))
+	for j, g := range dec.Gamma {
+		units[j] = int(math.Round(g / cfg.Quantum))
 	}
-	if err := l1.SetState(alpha, gamma); err != nil {
-		t.Fatal(err)
-	}
-	samples := []float64{obs.LambdaHat}
-	if cfg.UncertaintySamples && obs.Delta > 0 {
-		samples = []float64{math.Max(0, obs.LambdaHat-obs.Delta), obs.LambdaHat, obs.LambdaHat + obs.Delta}
-	}
-	sum := 0.0
-	for _, lam := range samples {
-		c, err := l1.evaluate(dec.Alpha, dec.Gamma, obs, lam)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum += c
-	}
-	return sum / float64(len(samples))
+	cost, _ := newL1Oracle(cfg, gmaps, alpha, obs).price(t, dec.Alpha, units)
+	return cost
 }
 
 // TestL1MetamorphicPermutation: a module of identical computers has no
 // first computer. Relabel them — queues, availability and the previous
 // decision permuted alike — and the decision comes back relabelled: carried
 // back through the permutation it is available-only, on α's support, and
-// costs exactly what the original decision costs, so it is the same optimum
-// up to which of several equal-cost candidates the search met first (the
-// abstraction map is a grid; ties between mirror-image candidates are
-// exact). γ runs on a 4-unit grid with the neighbourhood wide enough to
-// hold every composition, which makes the candidate set itself symmetric;
-// at the paper's quantum the capacity seed hands 20 units' remainder to the
-// lowest indices and the bounded neighbourhood around it is not.
+// costs what the original decision costs, so it is the same optimum up to
+// which of several equal-cost candidates the tie order takes (the
+// abstraction map is a grid, so mirror-image candidates tie, and the fold
+// sums their terms in another order, so their costs agree to rounding).
+// It runs at the paper's quantum: every split of its 20 units is priced,
+// so the candidate set is symmetric.
 func TestL1MetamorphicPermutation(t *testing.T) {
 	rng := rand.New(rand.NewSource(20062))
 	cfg := DefaultL1Config()
-	cfg.Quantum, cfg.NeighbourDepth = 0.25, 4
 	for trial := 0; trial < 200; trial++ {
 		m := 2 + rng.Intn(3)
 		gmaps := testModuleGMaps(t, m)
@@ -174,7 +157,7 @@ func TestL1MetamorphicPermutation(t *testing.T) {
 			alphaP[p], gammaP[p] = alpha[j], gamma[j]
 		}
 		decide := func(alpha []bool, gamma []float64, obs L1Observation) L1Decision {
-			l1, err := NewL1(cfg, gmaps, nil)
+			l1, err := NewL1(cfg, gmaps)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -198,8 +181,8 @@ func TestL1MetamorphicPermutation(t *testing.T) {
 					trial, j, obs.Available[j], back.Alpha[j], back.Gamma[j])
 			}
 		}
-		cost := l1MeanCost(t, cfg, gmaps, alpha, gamma, dec, obs)
-		costBack := l1MeanCost(t, cfg, gmaps, alpha, gamma, back, obs)
+		cost := l1MeanCost(t, cfg, gmaps, alpha, dec, obs)
+		costBack := l1MeanCost(t, cfg, gmaps, alpha, back, obs)
 		if math.Abs(cost-costBack) > 1e-9*math.Max(1, math.Abs(cost)) {
 			t.Fatalf("trial %d (perm %v): decision α %v γ %v costs %v; the relabelled module's, carried back, α %v γ %v costs %v",
 				trial, perm, dec.Alpha, dec.Gamma, cost, back.Alpha, back.Gamma, costBack)
@@ -233,11 +216,11 @@ func TestL1MetamorphicLoadCapacityScaling(t *testing.T) {
 		}
 		return gmaps
 	}
-	base, err := NewL1(DefaultL1Config(), learn(1), nil)
+	base, err := NewL1(DefaultL1Config(), learn(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	scaled, err := NewL1(DefaultL1Config(), learn(scale), nil)
+	scaled, err := NewL1(DefaultL1Config(), learn(scale))
 	if err != nil {
 		t.Fatal(err)
 	}

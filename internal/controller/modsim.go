@@ -50,7 +50,7 @@ func (c ModuleSimConfig) Validate() error {
 // all-on L1 state, so the sampled cost reflects the module's intrinsic
 // response to (q, λ, c) rather than a particular control history.
 func SimulateModulePeriod(l0cfg L0Config, l1cfg L1Config, gmaps []*GMap, qAvg, lambda, c float64) (cost, qEndAvg float64, err error) {
-	l1, err := NewL1(l1cfg, gmaps, nil)
+	l1, err := NewL1(l1cfg, gmaps)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -2,8 +2,6 @@ package core
 
 import (
 	"errors"
-	"runtime"
-	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -160,8 +158,8 @@ func TestStoreManagersShareAndRelease(t *testing.T) {
 	}
 	// A construction that fails after acquiring releases what it took:
 	// the map is shared from a live single-module manager (the gmap
-	// fingerprint holds no L1 field), and so is the L1's candidate table,
-	// then NewL1 refuses a minimum on-count larger than the module.
+	// fingerprint holds no L1 field), then NewL1 refuses a minimum
+	// on-count larger than the module.
 	other := NewArtifactStore()
 	single, err := other.NewManager(cluster.Spec{Modules: spec.Modules[:1]}, cfg)
 	if err != nil {
@@ -176,8 +174,8 @@ func TestStoreManagersShareAndRelease(t *testing.T) {
 		t.Fatalf("failed construction left references behind: %+v", got)
 	}
 	single.Release()
-	if got := other.Stats(); got.GMaps.Held != 0 || len(other.tables.entries) != 0 {
-		t.Fatalf("store after the failed construction's only sibling released: %+v, %d candidate tables", got, len(other.tables.entries))
+	if got := other.Stats(); got.GMaps.Held != 0 {
+		t.Fatalf("store after the failed construction's only sibling released: %+v", got)
 	}
 	first.Release()
 	first.Release()
@@ -221,126 +219,4 @@ func TestStoreKeyedByConfig(t *testing.T) {
 	if got := store.Stats().GMaps; got.Held != 0 {
 		t.Fatalf("store after the last release: %+v", got)
 	}
-}
-
-// TestStoreManagersShareCandidateTables: the L1s' candidate table belongs
-// to the shape, not the manager. Two managers of one shape built through
-// one store hold the same table — one for the identical modules' L1s; the
-// L2 keeps none — and a second L1 of the shape, warm, allocates nothing on
-// its first decides over masks only the first L1 has met, where a twin with
-// a private table computes them. The table leaves the store with its last
-// manager.
-func TestStoreManagersShareCandidateTables(t *testing.T) {
-	spec := cluster.Spec{Modules: []cluster.ModuleSpec{moduleOf("M1", 4), moduleOf("M2", 4)}}
-	cfg := fastConfig()
-	cfg.Parallelism = 1
-	store := NewArtifactStore()
-	first, err := store.NewManager(spec, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := store.NewManager(spec, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	private, err := NewManager(spec, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l1Table := first.modules[0].l1.Table()
-	for _, m := range []*Manager{first, second} {
-		for i, asm := range m.modules {
-			if asm.l1.Table() != l1Table {
-				t.Fatalf("module %d's L1 holds its own candidate table", i)
-			}
-		}
-	}
-	if private.modules[0].l1.Table() == l1Table {
-		t.Fatal("a manager outside the store reads the store's table")
-	}
-	if held := len(store.tables.entries); held != 1 {
-		t.Fatalf("store holds %d candidate tables, want 1 (one L1 shape)", held)
-	}
-
-	// Step 0 has every computer up, from a previous split far from the
-	// capacity seed, so an L1 that decided it holds scratch for the largest
-	// candidate lists; each later step fails another computer, so its α
-	// masks are new to such an L1.
-	const steps = 5
-	obs := make([]controller.L1Observation, steps)
-	for k := range obs {
-		o := controller.L1Observation{QueueLens: make([]float64, 4), LambdaHat: 160 - 25*float64(k), Delta: 6, CHat: 0.0175, Available: make([]bool, 4)}
-		for j := range o.Available {
-			o.Available[j] = k == 0 || j != (k-1)%4
-			o.QueueLens[j] = float64((k*(3+2*j) + j) % 40)
-		}
-		obs[k] = o
-	}
-	a, b, c := first.modules[0].l1, second.modules[0].l1, private.modules[0].l1
-	for _, l1 := range []*controller.L1{a, b, c} {
-		if err := l1.SetState([]bool{true, true, true, true}, []float64{0.85, 0.05, 0.05, 0.05}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want := make([]controller.L1Decision, steps)
-	for k, o := range obs {
-		dec, err := a.Decide(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[k] = controller.L1Decision{Alpha: slices.Clone(dec.Alpha), Gamma: slices.Clone(dec.Gamma), Explored: dec.Explored}
-	}
-	published := l1Table.Len()
-	// decideRest runs steps 1.. on l1 and reports the first step whose
-	// decision differs from a's, allocating nothing of its own.
-	decideRest := func(l1 *controller.L1) (diverged int) {
-		for k := 1; k < steps; k++ {
-			dec, err := l1.Decide(obs[k])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if diverged == 0 && (!slices.Equal(dec.Alpha, want[k].Alpha) || !slices.Equal(dec.Gamma, want[k].Gamma) || dec.Explored != want[k].Explored) {
-				diverged = k
-			}
-		}
-		return diverged
-	}
-	for _, l1 := range []*controller.L1{b, c} {
-		if _, err := l1.Decide(obs[0]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var diverged int
-	if n := mallocs(func() { diverged = decideRest(b) }); n != 0 {
-		t.Errorf("a second L1 over masks the first published allocated %d times in %d decides, want 0", n, steps-1)
-	}
-	if diverged != 0 {
-		t.Errorf("step %d: the second L1 decided differently from the first", diverged)
-	}
-	if l1Table.Len() != published {
-		t.Errorf("the second L1 published %d masks, want none", l1Table.Len()-published)
-	}
-	if n := mallocs(func() { diverged = decideRest(c) }); n == 0 || diverged != 0 {
-		t.Errorf("the private-table twin allocated %d times (the masks were new to it: want > 0) and diverged at step %d (want none)", n, diverged)
-	}
-
-	first.Release()
-	if held := len(store.tables.entries); held != 1 {
-		t.Fatalf("store holds %d candidate tables with one manager left, want 1", held)
-	}
-	second.Release()
-	if held := len(store.tables.entries); held != 0 {
-		t.Fatalf("store holds %d candidate tables after the last release", held)
-	}
-}
-
-// mallocs counts the heap allocations fn makes, the way testing.AllocsPerRun
-// does, for a call that must be measured the first time it runs.
-func mallocs(fn func()) uint64 {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	fn()
-	runtime.ReadMemStats(&after)
-	return after.Mallocs - before.Mallocs
 }

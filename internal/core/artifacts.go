@@ -37,20 +37,14 @@ func treeFingerprint(cfg Config, module string) string {
 // dropped when the last one calls Release, which bounds the store by its
 // live managers rather than by uptime.
 //
-// Shared artifacts are read-only: the decision paths (GMap.EvaluateInto,
-// TreeJTilde.Predict) never mutate them. A fleet owns one store; nothing is
-// cached process-wide. The zero value is not usable — construct with
-// NewArtifactStore.
-//
-// A third tier of the same type holds the L1s' candidate tables
-// (controller.CandidateTable: the γ neighbourhoods per on/off mask), one
-// per shape key. They are computed, not learned: the tier's "learn" is
-// NewCandidateTable, a table starts empty, fills as its L1s meet masks,
-// and is never persisted or journalled. ArtifactStats does not count them.
+// Shared artifacts are read-only: the decision paths (the L1's probes of
+// g, TreeJTilde.Predict) never mutate them, and a controller's decision
+// scratch is its own, so the store holds learned artifacts and nothing
+// else. A fleet owns one store; nothing is cached process-wide. The zero
+// value is not usable — construct with NewArtifactStore.
 type ArtifactStore struct {
-	gmaps  artifactTier[*controller.GMap]
-	trees  artifactTier[*controller.TreeJTilde]
-	tables artifactTier[*controller.CandidateTable]
+	gmaps artifactTier[*controller.GMap]
+	trees artifactTier[*controller.TreeJTilde]
 }
 
 // NewArtifactStore returns an empty store.
@@ -58,7 +52,6 @@ func NewArtifactStore() *ArtifactStore {
 	s := &ArtifactStore{}
 	s.gmaps.entries = map[string]*artifactEntry[*controller.GMap]{}
 	s.trees.entries = map[string]*artifactEntry[*controller.TreeJTilde]{}
-	s.tables.entries = map[string]*artifactEntry[*controller.CandidateTable]{}
 	return s
 }
 

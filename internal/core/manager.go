@@ -174,12 +174,10 @@ type Manager struct {
 
 	artifacts ArtifactSet
 	// store and the held lists record the references this manager took in
-	// its ArtifactStore (fingerprints or table keys, per kind); Release
-	// returns them.
-	store      *ArtifactStore
-	heldGMaps  []string
-	heldTrees  []string
-	heldTables []string
+	// its ArtifactStore (fingerprints, per kind); Release returns them.
+	store     *ArtifactStore
+	heldGMaps []string
+	heldTrees []string
 
 	learnTime time.Duration
 
@@ -269,8 +267,7 @@ func NewManager(spec cluster.Spec, cfg Config) (*Manager, error) {
 // NewManager is the package-level NewManager with the offline learning
 // shared through the store: every artifact is acquired by fingerprint, so
 // only the first manager of a fingerprint learns it and all of them use
-// the same read-only copy, and every L1 reads the candidate table
-// of its shape. Call Release when the manager is discarded.
+// the same read-only copy. Call Release when the manager is discarded.
 func (s *ArtifactStore) NewManager(spec cluster.Spec, cfg Config) (_ *Manager, err error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -315,7 +312,7 @@ func (s *ArtifactStore) NewManager(spec cluster.Spec, cfg Config) (_ *Manager, e
 			asm.specs = append(asm.specs, cs)
 			asm.gmaps = append(asm.gmaps, gmapCache[hardwareKey(cs)])
 		}
-		l1, err := controller.NewL1(cfg.L1, asm.gmaps, m.acquireTable(controller.L1TableKey(cfg.L1, asm.gmaps)))
+		l1, err := controller.NewL1(cfg.L1, asm.gmaps)
 		if err != nil {
 			return nil, err
 		}
@@ -428,21 +425,8 @@ func acquireDistinct[T any](t *artifactTier[T], workers, n int, held *[]string, 
 	return cache, nil
 }
 
-// acquireTable takes a reference to the store's candidate table for an
-// L1 shape key, recorded for Release under the table's own copy of the
-// key, so managers of a shape hold one key string between them.
-func (m *Manager) acquireTable(key string) *controller.CandidateTable {
-	// The error is dropped because this learn cannot fail.
-	t, _ := m.store.tables.acquire(key, func() (*controller.CandidateTable, error) {
-		return controller.NewCandidateTable(key), nil
-	})
-	m.heldTables = append(m.heldTables, t.Key())
-	return t
-}
-
 // Release returns the references this manager holds in its ArtifactStore;
-// the store drops an artifact or a candidate table when its last holder
-// releases it. The manager keeps its own pointers, so a released manager
+// the store drops an artifact when its last holder releases it. The manager keeps its own pointers, so a released manager
 // still works — it just no longer keeps the store's entries alive.
 // Idempotent; a manager from the package-level NewManager need not call it
 // (its private store dies with it).
@@ -453,10 +437,7 @@ func (m *Manager) Release() {
 	for _, fp := range m.heldTrees {
 		m.store.trees.release(fp)
 	}
-	for _, key := range m.heldTables {
-		m.store.tables.release(key)
-	}
-	m.heldGMaps, m.heldTrees, m.heldTables = nil, nil, nil
+	m.heldGMaps, m.heldTrees = nil, nil
 }
 
 // hardwareKey fingerprints the control-relevant hardware of a computer

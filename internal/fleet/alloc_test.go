@@ -279,8 +279,10 @@ func TestObsLogReleasesAfterLongInterval(t *testing.T) {
 // recorder (68,620 B: a 65,536 B arena of 16 B per record on average and
 // 3,084 B of seek anchors, one per 16 records), its store's locality
 // history (18,432 B) and some 11.3 KB of manager, session, plant and feed
-// — 98,385 B measured, held to that + 5 %. The recorder's arena at 24 B a
-// record and one offset per record held 114,688 B.
+// — 98,385 B measured when the bound was set, held to that + 5 %; the
+// L1's decision tables, sized at construction, have since added ≈ 1 KB.
+// The recorder's arena at 24 B a record and one offset per record held
+// 114,688 B.
 func TestTenantFootprintAtRest(t *testing.T) {
 	const tenants = 256
 	f := New(Config{Shards: 1})

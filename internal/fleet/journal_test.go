@@ -886,8 +886,6 @@ func TestTenantConfigFields(t *testing.T) {
 		"Core.GMap.SubSteps",
 		"Core.L0.Horizon",
 		"Core.L1.MinOn",
-		"Core.L1.NeighbourDepth",
-		"Core.L1.NonNegativeCosts",
 		"Core.L1.PeriodSeconds",
 		"Core.L1.Quantum",
 		"Core.L1.SwitchWeight",

@@ -475,15 +475,14 @@ func TestSharedArtifactStress(t *testing.T) {
 	}
 }
 
-// TestSharedCandidateTableStress is the -race pin for the controllers'
-// candidate tables, which every tenant of a shape shares through the
-// store: tenants of one L2-active shape (four two-computer modules) step on
-// every shard at once under staggered failure plans, so each meets its
-// on/off and availability masks at its own time and a table publishes
-// while tenants on other shards read it. Every tenant must end bit-identical
-// — decision stream, state and close record — to a twin fed the same
-// counts alone in its own fleet, whose tables nobody else fills.
-func TestSharedCandidateTableStress(t *testing.T) {
+// TestMultiModuleSharingStress is the -race pin for multi-module tenants
+// of one shape sharing the store's learned maps and trees: tenants of one
+// L2-active shape (four two-computer modules) step on every shard at once
+// under staggered failure plans, so each meets its on/off and availability
+// masks at its own time while tenants on other shards decide over the same
+// artifacts. Every tenant must end bit-identical — decision stream, state
+// and close record — to a twin fed the same counts alone in its own fleet.
+func TestMultiModuleSharingStress(t *testing.T) {
 	const shards, tenants, bins = 4, 8, 48
 	counts := make([]float64, bins)
 	for b := range counts {
@@ -552,7 +551,7 @@ func TestSharedCandidateTableStress(t *testing.T) {
 		got, want := closeState(t, f, id), closeState(t, twin, id)
 		twin.Close()
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("tenant %s with shared tables:\n got %+v\nwant %+v (alone)", id, got, want)
+			t.Errorf("tenant %s beside seven sharers:\n got %+v\nwant %+v (alone)", id, got, want)
 		}
 	}
 }

@@ -13,11 +13,12 @@
 //     sequence, used by the L0 controller, whose input set — processor
 //     frequencies — is small and whose horizon is several steps.
 //   - OneStep: the flat one-step loop over a caller-built candidate set
-//     (a bounded neighbourhood of the previous decision), used by the L1
-//     and L2 controllers and the centralized baseline, whose input spaces
-//     are combinatorial. It owns the explored count, the budget, the
-//     partial-mean pruning and the first-strictly-better rule for all
-//     three.
+//     (a bounded neighbourhood of the previous decision), used by the
+//     centralized baseline, whose input space is combinatorial. It owns
+//     the explored count, the budget, the partial-mean pruning and the
+//     first-strictly-better rule. (The L1 and L2 objectives separate by
+//     computer and module, so those controllers solve them exactly by
+//     min-plus programs of their own.)
 //
 // Uncertainty in environment forecasts is handled as in §4.2: each horizon
 // step may carry several sampled environment vectors (e.g. λ̂−δ, λ̂, λ̂+δ)

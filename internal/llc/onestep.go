@@ -21,10 +21,9 @@ type Scan struct {
 	Explored    int  // candidate-samples priced so far: the §4.3 overhead metric
 }
 
-// OneStep is the one-step search of the L1, L2 and centralized
-// controllers: a candidate costs Finish of the mean of its n per-sample
-// costs (§4.2), and the first candidate strictly cheaper than the
-// incumbent wins. It returns the winner's index and cost, or −1 and the
+// OneStep is the one-step search of the centralized controller: a
+// candidate costs Finish of the mean of its n per-sample costs (§4.2), and
+// the first candidate strictly cheaper than the incumbent wins. It returns the winner's index and cost, or −1 and the
 // incumbent. A budget trip, checked after each sample, returns ErrBudget;
 // a Price error is returned as is. Under sc.Prune a candidate whose
 // partial mean sum/n meets the incumbent before its last sample is

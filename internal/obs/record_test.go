@@ -39,14 +39,14 @@ func roundTrip(t *testing.T, prev, tick int64, rec Record) Record {
 
 // The extremes of what the committed writers put in a record. The engine
 // writes a tick record every tick, so consecutive records are at most one
-// tick apart; hpmserve admits 64 modules of at most 16 computers, and a
-// 16-computer module's L1 search explores 178,609 states; a decision that
+// tick apart; hpmserve admits 64 modules of at most 21 computers, and an
+// L1 decision probes at most 21·21 map cells per computer; a decision that
 // takes a minute would be a stall, not a decision.
 const (
 	extremeModule   = 63
-	extremeComp     = 15
-	extremeAlpha    = 1<<16 - 1
-	extremeL1States = 178_609
+	extremeComp     = 20
+	extremeAlpha    = 1<<21 - 1
+	extremeL1States = 21 * 21 * 21
 	extremeStates   = 1<<20 - 1
 	extremeDecideNs = 60e9
 )

@@ -223,7 +223,7 @@ func RunTickBench(decisions, tenants int) (TickBenchSnapshot, error) {
 	if err != nil {
 		return TickBenchSnapshot{}, err
 	}
-	l1, err := controller.NewL1(controller.DefaultL1Config(), gmaps, nil)
+	l1, err := controller.NewL1(controller.DefaultL1Config(), gmaps)
 	if err != nil {
 		return TickBenchSnapshot{}, err
 	}
