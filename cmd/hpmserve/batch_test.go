@@ -380,6 +380,8 @@ func echoBatch(dst []hierctl.BatchResult, entries []hierctl.BatchEntry, decision
 // leave its buffers behind — an idle daemon's memory would ratchet up to
 // its largest request — while a full-width batch of one-bin entries, the
 // 10k-tenant fan-out's shape, is kept.
+//
+//hpm:pin mechanics
 func TestServerBatchScratchBounded(t *testing.T) {
 	f := hierctl.NewFleet(hierctl.FleetConfig{Shards: 1})
 	t.Cleanup(f.Close)
@@ -435,6 +437,8 @@ func TestServerBatchScratchBounded(t *testing.T) {
 // result or row copies, job closures, decisions or controller copy-outs.
 // An entry naming an unregistered tenant costs its one id string, the copy
 // its per-entry error row names.
+//
+//hpm:pin mechanics
 func TestHandleObserveBatchSteadyStateAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("sync.Pool drops Puts at random under the race detector")

@@ -33,6 +33,8 @@ import (
 // The committed corpus (testdata/fuzz/FuzzBatchDecode) holds those shapes
 // and the compact shape's edges; the fleet call is the echo stub, so a
 // reply is a pure function of the decoded request.
+//
+//hpm:pin fuzz
 func FuzzBatchDecode(f *testing.F) {
 	f.Add([]byte(`{"entries":[{"tenant":"a","counts":[1,2,3]}],"decisions":true}` + "\x00" + `{"entries":[{"tenant":"b"}]}`))
 	fl := hierctl.NewFleet(hierctl.FleetConfig{Shards: 1})
@@ -115,6 +117,8 @@ func sameBatchReq(a, b *batchReq) bool {
 // (testdata/fuzz/FuzzObserveDecode) holds the edges of the compact shape:
 // -0, a number out of range, a leading zero, a bare or leading point, key
 // case, null, a duplicate key and trailing whitespace.
+//
+//hpm:pin fuzz
 func FuzzObserveDecode(f *testing.F) {
 	fl := hierctl.NewFleet(hierctl.FleetConfig{Shards: 1})
 	f.Cleanup(fl.Close)

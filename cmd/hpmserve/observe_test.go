@@ -31,6 +31,8 @@ func (w *replyWriter) Write(b []byte) (int, error) { return w.body.Write(b) }
 // Header().Set do — at most 4 times. The body, the decision and the reply
 // come from the pooled observeScratch, the decode takes the compact
 // fast path, and the fleet copies the decision into the scratch's.
+//
+//hpm:pin mechanics
 func TestHandleObserveSteadyStateAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("sync.Pool drops Puts at random under the race detector")

@@ -318,6 +318,8 @@ func metricLines(body string) (fixed int, top map[string]int) {
 // observed tenants render the same lines except for the worst-tenant
 // rankings, which name min(tenants, K) tenants — and the cost follows: a
 // warm scrape of 512 tenants allocates exactly what one of 64 does.
+//
+//hpm:pin mechanics
 func TestMetricsCardinalityFlatInTenants(t *testing.T) {
 	type fleetScrape struct {
 		fixed  int
@@ -378,6 +380,8 @@ func TestMetricsCardinalityFlatInTenants(t *testing.T) {
 // rankings (saturated, so every one is Reset and resolved again) and the
 // render buffer are the server's retained scratch — at 64 tenants and at
 // 512, into a reused writer.
+//
+//hpm:pin mechanics
 func TestHandleMetricsSteadyStateAllocs(t *testing.T) {
 	for _, tenants := range []int{64, 512} {
 		f := hierctl.NewFleet(hierctl.FleetConfig{Shards: 2, QueueDepth: tenants})
@@ -414,6 +418,8 @@ func TestHandleMetricsSteadyStateAllocs(t *testing.T) {
 // scrape lints clean and names at most FleetTopK tenants per ranking —
 // never the union of two — whether it reused the server's scratch or made
 // its own.
+//
+//hpm:pin scrape
 func TestConcurrentScrapesStayConsistent(t *testing.T) {
 	const tenants, scrapers, scrapes = 16, 4, 20
 	f := hierctl.NewFleet(hierctl.FleetConfig{Shards: 2})

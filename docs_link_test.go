@@ -65,12 +65,31 @@ var (
 	// map, however it is worded ("Paper § → package map",
 	// "Paper-to-package map").
 	paperMapHeading = regexp.MustCompile(`(?mi)^#+ .*paper.*package map`)
+	// ciMention matches a CI step or job named in a doc: CI `name`, the
+	// two words possibly on two lines.
+	ciMention = regexp.MustCompile("\\bCI\\s+`([^`]+)`")
+	// ciStep and ciJob match a step's name and a job's key in the workflow.
+	ciStep = regexp.MustCompile(`(?m)^\s+- name: (.+)$`)
+	ciJob  = regexp.MustCompile(`(?m)^  ([\w-]+):\s*$`)
 )
 
 // TestDocsDescribeThePresent keeps README.md and docs/ARCHITECTURE.md
 // about the current code: history lives in CHANGES.md, so neither cites a
-// PR, and the paper-to-package map exists once, in ARCHITECTURE.
+// PR, the paper-to-package map exists once, in ARCHITECTURE, and every CI
+// step or job either names (CI `name`) is one the workflow has.
 func TestDocsDescribeThePresent(t *testing.T) {
+	workflow, err := os.ReadFile(filepath.Join(".github", "workflows", "ci.yml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ci := map[string]bool{}
+	for _, m := range ciStep.FindAllStringSubmatch(string(workflow), -1) {
+		ci[strings.TrimSpace(m[1])] = true
+	}
+	_, jobs, _ := strings.Cut(string(workflow), "\njobs:\n")
+	for _, m := range ciJob.FindAllStringSubmatch(jobs, -1) {
+		ci[m[1]] = true
+	}
 	var maps []string
 	for _, file := range []string{"README.md", filepath.Join("docs", "ARCHITECTURE.md")} {
 		data, err := os.ReadFile(file)
@@ -84,6 +103,12 @@ func TestDocsDescribeThePresent(t *testing.T) {
 		}
 		for _, h := range paperMapHeading.FindAllString(string(data), -1) {
 			maps = append(maps, file+": "+h)
+		}
+		for _, m := range ciMention.FindAllStringSubmatchIndex(string(data), -1) {
+			if name := string(data[m[2]:m[3]]); !ci[name] {
+				line := 1 + strings.Count(string(data[:m[0]]), "\n")
+				t.Errorf("%s:%d names CI `%s`, which is no step or job in ci.yml", file, line, name)
+			}
 		}
 	}
 	if len(maps) != 1 {

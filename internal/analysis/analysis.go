@@ -40,11 +40,13 @@ type Analyzer struct {
 type Pass struct {
 	// Fset maps token positions for every file in the pass.
 	Fset *token.FileSet
-	// Files are the package's parsed source files (tests excluded).
+	// Files are the package's parsed source files (tests excluded), or,
+	// in hpmvet's syntax-only pass for hpmdirective, its test files.
 	Files []*ast.File
-	// Pkg is the type-checked package.
+	// Pkg is the type-checked package (nil in the syntax-only pass).
 	Pkg *types.Package
-	// TypesInfo holds expression types and identifier resolutions.
+	// TypesInfo holds expression types and identifier resolutions (nil in
+	// the syntax-only pass).
 	TypesInfo *types.Info
 	// Report records one finding.
 	Report func(Diagnostic)

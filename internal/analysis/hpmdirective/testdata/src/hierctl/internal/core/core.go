@@ -19,3 +19,8 @@ func unjustified() int {
 }
 
 var _, _, _ = sanctioned, typod, unjustified
+
+// A pin in a production file is never run by go test.
+//
+//hpm:pin mechanics // want `//hpm:pin on TestInProductionFile outside a _test.go file`
+func TestInProductionFile() {}

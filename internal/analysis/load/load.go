@@ -24,10 +24,15 @@ import (
 type Package struct {
 	// Path is the package's import path.
 	Path string
+	// Dir is the package's source directory.
+	Dir string
 	// Fset positions every file below.
 	Fset *token.FileSet
 	// Files are the parsed non-test sources.
 	Files []*ast.File
+	// TestFiles are the package's _test.go files (in-package and
+	// external), parsed with comments but not type-checked.
+	TestFiles []*ast.File
 	// Pkg is the type-checked package object.
 	Pkg *types.Package
 	// Info holds expression types and identifier resolutions.
@@ -39,11 +44,15 @@ type listPkg struct {
 	ImportPath string
 	Dir        string
 	GoFiles    []string
-	Export     string
-	Standard   bool
-	DepOnly    bool
-	Module     *struct{ Path string }
-	Error      *struct{ Err string }
+	// TestGoFiles and XTestGoFiles are the in-package and external
+	// _test.go files.
+	TestGoFiles  []string
+	XTestGoFiles []string
+	Export       string
+	Standard     bool
+	DepOnly      bool
+	Module       *struct{ Path string }
+	Error        *struct{ Err string }
 }
 
 // goList runs `go list -deps -export -json patterns...` in dir and
@@ -102,9 +111,10 @@ func (ei *exportImporter) ImportFrom(path, dir string, mode types.ImportMode) (*
 
 // Packages loads and type-checks the packages matching the patterns
 // (e.g. "./...") relative to dir, excluding dependencies outside the
-// main module. Test files are not loaded: the invariants the analyzers
-// enforce apply to production code, and tests legitimately read clocks
-// and environments.
+// main module. Test files are parsed but not type-checked: the
+// invariants the type-aware analyzers enforce apply to production code,
+// and tests legitimately read clocks and environments; only the
+// directives in test files (the //hpm:pin lines) are read.
 func Packages(dir string, patterns []string) ([]*Package, error) {
 	listed, err := goList(dir, patterns)
 	if err != nil {
@@ -122,6 +132,9 @@ func Packages(dir string, patterns []string) ([]*Package, error) {
 		}
 		pkg, err := typecheck(fset, lp, imp)
 		if err != nil {
+			return nil, err
+		}
+		if pkg.TestFiles, err = parseFiles(fset, lp.Dir, append(lp.TestGoFiles, lp.XTestGoFiles...)); err != nil {
 			return nil, err
 		}
 		out = append(out, pkg)
@@ -162,18 +175,27 @@ func exportsOf(listed []*listPkg) map[string]string {
 	return exports
 }
 
-func typecheck(fset *token.FileSet, lp *listPkg, imp types.ImporterFrom) (*Package, error) {
+// parseFiles parses the named files of dir with their comments.
+func parseFiles(fset *token.FileSet, dir string, names []string) ([]*ast.File, error) {
 	var files []*ast.File
-	for _, name := range lp.GoFiles {
+	for _, name := range names {
 		path := name
 		if !filepath.IsAbs(path) {
-			path = filepath.Join(lp.Dir, name)
+			path = filepath.Join(dir, name)
 		}
 		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
 		if err != nil {
 			return nil, fmt.Errorf("load: parse %s: %v", path, err)
 		}
 		files = append(files, f)
+	}
+	return files, nil
+}
+
+func typecheck(fset *token.FileSet, lp *listPkg, imp types.ImporterFrom) (*Package, error) {
+	files, err := parseFiles(fset, lp.Dir, lp.GoFiles)
+	if err != nil {
+		return nil, err
 	}
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
@@ -188,5 +210,5 @@ func typecheck(fset *token.FileSet, lp *listPkg, imp types.ImporterFrom) (*Packa
 	if err != nil {
 		return nil, fmt.Errorf("load: typecheck %s: %v", lp.ImportPath, err)
 	}
-	return &Package{Path: lp.ImportPath, Fset: fset, Files: files, Pkg: tpkg, Info: info}, nil
+	return &Package{Path: lp.ImportPath, Dir: lp.Dir, Fset: fset, Files: files, Pkg: tpkg, Info: info}, nil
 }

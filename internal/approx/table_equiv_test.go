@@ -106,6 +106,8 @@ func randomPoint(rng *rand.Rand, q *Quantizer) []float64 {
 // TestTablePackedEquivalenceRandom drives the table and the string-keyed
 // oracle through identical Add/Lookup sequences over 300 random grids and
 // checks every answer bit-identically.
+//
+//hpm:pin search
 func TestTablePackedEquivalenceRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 300; trial++ {
@@ -165,6 +167,8 @@ func checkAgainstOracle(t *testing.T, rng *rand.Rand, tab *Table, q *Quantizer, 
 // largest allowed grid builds and answers identically to the oracle; one
 // cell more, and a grid whose cell product overflows int, are errors from
 // NewTable, not panics or huge allocations.
+//
+//hpm:pin search
 func TestTableOverflowFallbackBoundary(t *testing.T) {
 	t.Run("max-cells", func(t *testing.T) {
 		// 1024 × 1024 levels: exactly maxCells.
@@ -206,6 +210,8 @@ func TestTableOverflowFallbackBoundary(t *testing.T) {
 // (and an Add error), never an out-of-range index, even on a fully
 // populated grid. (Even level counts matter: int(NaN) times an even
 // stride can wrap to a valid index.)
+//
+//hpm:pin search
 func TestTableNaNProbeMisses(t *testing.T) {
 	q, err := NewQuantizer([]float64{0, 0, 0}, []float64{9, 9, 9}, []float64{1, 1, 1})
 	if err != nil {
@@ -236,6 +242,8 @@ func TestTableNaNProbeMisses(t *testing.T) {
 
 // TestTableLookupIntoZeroAlloc pins the steady-state lookup at zero
 // allocations per probe.
+//
+//hpm:pin search
 func TestTableLookupIntoZeroAlloc(t *testing.T) {
 	q, err := NewQuantizer([]float64{0, 0, 0.01}, []float64{400, 300, 0.026}, []float64{20, 15, 0.004})
 	if err != nil {

@@ -225,6 +225,8 @@ func TestRunValidation(t *testing.T) {
 // TestCentralPruningPreservesDecision pins the flat controller's
 // branch-and-bound contract: pruned and unpruned searches pick the
 // identical joint configuration, and pruning never explores more.
+//
+//hpm:pin search
 func TestCentralPruningPreservesDecision(t *testing.T) {
 	obs := []Observation{
 		{QueueLens: []float64{0, 0, 0, 0}, LambdaHat: 30, Delta: 5, CHat: 0.0175},

@@ -173,6 +173,8 @@ func blocksHeld(c *Computer) int {
 // statistics, queue lengths, states and lifetime counters must agree
 // float-for-float after every step, and the queue must hold no more blocks
 // than its backlog needs — none when empty.
+//
+//hpm:pin mechanics
 func TestComputerBlockQueueMatchesSliceQueue(t *testing.T) {
 	var spanned3, refilled, failedDeep bool
 	for trial := 0; trial < 320; trial++ {
@@ -270,6 +272,8 @@ func TestComputerBlockQueueMatchesSliceQueue(t *testing.T) {
 // the peak, not the jobs served since the computer last idled — recycle
 // them through the pool without allocating in steady state, and hold none
 // once it drains.
+//
+//hpm:pin mechanics
 func TestComputerQueueBounded(t *testing.T) {
 	spec := testSpec("c")
 	spec.BootDelaySeconds = 0

@@ -13,6 +13,11 @@ import (
 	"testing"
 )
 
+// TestGMapEvaluateIntoZeroAlloc pins a probe of the abstraction map g,
+// which every L1 term is priced by, at zero allocations into caller
+// scratch.
+//
+//hpm:pin search
 func TestGMapEvaluateIntoZeroAlloc(t *testing.T) {
 	g := testGMap(t, ctrlSpec("alloc-gmap"))
 	scratch := make([]float64, 4)
@@ -26,6 +31,10 @@ func TestGMapEvaluateIntoZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestL0DecideZeroAlloc pins a warm banded L0 decision at zero
+// allocations, over a varying queue and arrival forecast.
+//
+//hpm:pin search
 func TestL0DecideZeroAlloc(t *testing.T) {
 	l0, err := NewL0(DefaultL0Config(), ctrlSpec("alloc-l0"))
 	if err != nil {
@@ -56,6 +65,8 @@ func TestL0DecideZeroAlloc(t *testing.T) {
 // (δ > 0, three samples a step) and unbanded (δ = 0, one) allocate
 // nothing — the forecast store is shaped once for three samples — and
 // each equals a fresh controller's decision.
+//
+//hpm:pin search
 func TestL0BandSwitchZeroAlloc(t *testing.T) {
 	spec := ctrlSpec("alloc-l0-band")
 	l0, err := NewL0(DefaultL0Config(), spec)
@@ -95,6 +106,8 @@ func TestL0BandSwitchZeroAlloc(t *testing.T) {
 // TestL1DecideSteadyStateAllocs pins the warm L1 period at zero
 // allocations — the returned decision is the controller's own buffers —
 // for a four- and a sixteen-computer module.
+//
+//hpm:pin search
 func TestL1DecideSteadyStateAllocs(t *testing.T) {
 	for _, m := range []int{4, 16} {
 		l1 := newTestL1(t, m)
@@ -134,6 +147,8 @@ func TestL1DecideSteadyStateAllocs(t *testing.T) {
 
 // TestL2DecideSteadyStateAllocs pins the warm L2 period (term and min-plus
 // tables sized at NewL2) at zero allocations.
+//
+//hpm:pin search
 func TestL2DecideSteadyStateAllocs(t *testing.T) {
 	jts := make([]JTilde, 4)
 	for i := range jts {

@@ -66,6 +66,10 @@ func checkBudget[D any](t *testing.T, build func() budgeted[D], explored func(D)
 	}
 }
 
+// TestL1Budget pins the decision budget (checkBudget) on a four-computer
+// L1, whose budget counts map probes.
+//
+//hpm:pin search
 func TestL1Budget(t *testing.T) {
 	obs := []L1Observation{
 		{QueueLens: []float64{0, 0, 0, 0}, LambdaHat: 20, CHat: 0.018},
@@ -80,6 +84,10 @@ func TestL1Budget(t *testing.T) {
 	}, func(d L1Decision) int { return d.Explored })
 }
 
+// TestL2Budget pins the decision budget (checkBudget) on L2, whose budget
+// counts priced J̃ terms.
+//
+//hpm:pin search
 func TestL2Budget(t *testing.T) {
 	chat := []float64{0.018, 0.018, 0.018, 0.018}
 	obs := []L2Observation{

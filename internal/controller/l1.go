@@ -689,16 +689,23 @@ func minPlus(dst, c, next []float64, lo, hi int, base bool) {
 	}
 }
 
+// firstOptimum returns the fewest quanta u ≤ r attaining
+// best = min over u of c[u] + next[r−u], the row minPlus filled: the
+// backtrack's step, shared by L1 and L2.
+func firstOptimum(c, next []float64, r int, best float64) int {
+	u := 0
+	for ; u < r && c[u]+next[r-u] != best; u++ {
+	}
+	return u
+}
+
 // backtrack walks a suffix table from r quanta, giving each computer the
 // fewest quanta that attain its suffix minimum, into the incumbent; S is
 // the serving share the computers' terms are read at.
 func (l *L1) backtrack(comps []int, table []float64, r, S int) {
 	w := l.units + 1
 	for i, j := range comps {
-		c := l.terms[l.row(j, S):]
-		u := 0
-		for ; u < r && c[u]+table[(i+1)*w+r-u] != table[i*w+r]; u++ {
-		}
+		u := firstOptimum(l.terms[l.row(j, S):], table[(i+1)*w:], r, table[i*w+r])
 		l.bestAlphaScr[j] = true
 		l.bestGammaScr[j] = float64(u) * l.cfg.Quantum
 		r -= u

@@ -213,6 +213,8 @@ type randomMapSpec struct {
 // with coarse costs, so exact ties are common), availability, minimum
 // on-counts, quanta and previous on/off vectors, with the stability penalty
 // and the stranded-work penalty in reach.
+//
+//hpm:pin search
 func TestL1MatchesEnumerationOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	for _, tc := range []struct{ m, trials int }{{1, 40}, {2, 120}, {3, 80}, {4, 30}, {5, 12}} {
@@ -321,6 +323,8 @@ func exploredBoundL1(gmaps []*GMap) int {
 // and half on, from four computers up (where two staying computers can
 // share a mask with a booting one), m/4 times what four do. Probe counts
 // are deterministic, so the pins cannot flake.
+//
+//hpm:pin search
 func TestL1ExploredLinearInModules(t *testing.T) {
 	g := testGMap(t, ctrlSpec("linear"))
 	per := g.levels(0) * g.levels(1)

@@ -216,15 +216,23 @@ func (l *L2) Decide(obs L2Observation) (L2Decision, error) {
 	if err != nil {
 		return L2Decision{}, searchErr("L2", err)
 	}
-	bestCost := l.solve()
+	// suf[i·w + r] is the least fold of c_i.. over allocations of r quanta
+	// to modules i.. (+Inf where none exists), over a base row finite at
+	// r = 0 only.
+	w := unitsL2 + 1
+	for r := range w {
+		l.suf[p*w+r] = math.Inf(1)
+	}
+	l.suf[p*w] = 0
+	for i := p - 1; i >= 0; i-- {
+		minPlus(l.suf[i*w:(i+1)*w], l.cost[i*w:], l.suf[(i+1)*w:], 0, unitsL2, i == p-1)
+	}
+	bestCost := l.suf[unitsL2]
 	if !(bestCost < math.Inf(1)) {
 		return L2Decision{}, fmt.Errorf("controller: L2 found no candidate allocation")
 	}
-	w := unitsL2 + 1
 	for i, r := 0, unitsL2; i < p; i++ {
-		u := 0
-		for ; u < r && l.cost[i*w+u]+l.suf[(i+1)*w+r-u] != l.suf[i*w+r]; u++ {
-		}
+		u := firstOptimum(l.cost[i*w:], l.suf[(i+1)*w:], r, l.suf[i*w+r])
 		l.decGamma[i] = float64(u) * QuantumL2
 		r -= u
 	}
@@ -257,16 +265,22 @@ func (l *L2) Decide(obs L2Observation) (L2Decision, error) {
 }
 
 // priceTerms fills the term table, counting each J̃ prediction as one
-// explored state against the budget, and returns the count.
+// explored state against the budget, and returns the count. An unavailable
+// module is held at 0 quanta: that term is its reallocation cost alone,
+// and every other is +Inf, priced by no prediction.
 func (l *L2) priceTerms(obs L2Observation) (int, error) {
 	samples := bandSamples(&l.samplesBuf, obs.LambdaHat, obs.Delta, l.cfg.UncertaintySamples)
 	n, explored := float64(len(samples)), 0
 	for i, jt := range l.jtildes {
 		lams := samples
 		if !l.avail[i] {
-			lams = nil // held at 0 quanta, it costs only its reallocation
+			lams = nil
 		}
 		for u := 0; u <= unitsL2; u++ {
+			if !l.avail[i] && u > 0 {
+				l.cost[i*(unitsL2+1)+u] = math.Inf(1)
+				continue
+			}
 			g := float64(u) * QuantumL2
 			sum := 0.0
 			for _, lam := range lams {
@@ -286,29 +300,6 @@ func (l *L2) priceTerms(obs L2Observation) (int, error) {
 		}
 	}
 	return explored, nil
-}
-
-// solve fills suf[i][r], the least fold of c_i.. over allocations of r
-// quanta to modules i.. (unavailable ones at 0; +Inf where none exists),
-// and returns the optimum suf[0][10].
-func (l *L2) solve() float64 {
-	p, w := len(l.jtildes), unitsL2+1
-	for r := range w {
-		l.suf[p*w+r] = math.Inf(1)
-	}
-	l.suf[p*w] = 0
-	for i := p - 1; i >= 0; i-- {
-		for r := range w {
-			best := math.Inf(1)
-			for u := 0; u <= r && (u == 0 || l.avail[i]); u++ {
-				if v := l.cost[i*w+u] + l.suf[(i+1)*w+r-u]; v < best {
-					best = v
-				}
-			}
-			l.suf[i*w+r] = best
-		}
-	}
-	return l.suf[unitsL2]
 }
 
 // Overhead reports accumulated overhead counters.

@@ -225,6 +225,8 @@ func checkAgainstOracle(t *testing.T, rng *rand.Rand, jts []JTilde, decisions in
 // the allocation full enumeration picks, at the same cost, bit for bit —
 // over piecewise-constant J̃ (some shared between modules, so exact ties
 // are common), masks, bands and previous allocations.
+//
+//hpm:pin search
 func TestL2MatchesEnumerationOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	for _, tc := range []struct{ modules, trials int }{
@@ -250,6 +252,8 @@ func TestL2MatchesEnumerationOracle(t *testing.T) {
 // placement of their three quanta ties, it prices 11 terms per available
 // module and sample and returns an optimum, its recorded cost the table's
 // head.
+//
+//hpm:pin search
 func TestL2ExactAboveSixModules(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, tc := range []struct{ modules, trials int }{{7, 6}, {8, 3}, {9, 2}} {
@@ -316,6 +320,8 @@ func TestL2ExactAboveSixModules(t *testing.T) {
 // band samples), so its work grows linearly in modules — at 8, 16, 32 and
 // 64 modules no decision explores more per module than the most a 4-module
 // one does. Explored counts are deterministic, so the bound cannot flake.
+//
+//hpm:pin search
 func TestL2ExploredLinearInModules(t *testing.T) {
 	perModule4 := 0.0
 	for _, p := range []int{4, 8, 16, 32, 64} {

@@ -181,6 +181,8 @@ func TestL2UncertaintySamplesIncreaseExploration(t *testing.T) {
 // TestL2UncertaintySamplesExactWithoutPruning pins the unpruned
 // accounting: every term is priced under all three band samples, so
 // exploration is exactly 3× the nominal run.
+//
+//hpm:pin search
 func TestL2UncertaintySamplesExactWithoutPruning(t *testing.T) {
 	cfg := DefaultL2Config()
 	models := []JTilde{convexLoadCost(100), convexLoadCost(100)}

@@ -25,6 +25,8 @@ import (
 //   - ObserveBin adds exactly the returned decision, which owns its slices:
 //     the Modules slice and one backing array per element type (floats,
 //     bools, ints), whatever the module count.
+//
+//hpm:pin mechanics
 func TestSessionObserveBinSteadyStateAllocs(t *testing.T) {
 	series := []float64{400, 620, 12, 900, 150, 5, 480, 760, 30, 240, 880, 9, 330, 560, 700, 60}
 	shapes := []struct {
@@ -109,6 +111,8 @@ func TestSessionObserveBinSteadyStateAllocs(t *testing.T) {
 // backlog — and once drained it is back within 1 MB. Before the pooled
 // batch and block queues, the feed kept the spike's batch and each
 // computer a ring at its backlog's peak, for as long as the session lived.
+//
+//hpm:pin mechanics
 func TestSessionMemoryFollowsBacklog(t *testing.T) {
 	const spike = 1e6 // fleet's maxBinCount
 	// A block is BlockJobs 16-byte jobs and the link: one 4096-byte size class.
@@ -229,6 +233,8 @@ func TestSessionDecisionOwnsItsSlices(t *testing.T) {
 // nil and empty slices as they were, gammaModules omitted for one module,
 // nothing left over from the wider decision before it. A second copy at
 // the same shape rewrites dst in place and allocates nothing.
+//
+//hpm:pin mechanics
 func TestSessionDecisionIntoAcrossShapes(t *testing.T) {
 	shapes := [][]int{{1}, {2}, {5}, {3, 1}, {2, 2, 2}, {1, 2, 3, 1}, {4, 4, 4, 4}}
 	sessions := make([]*Session, len(shapes))

@@ -37,6 +37,8 @@ func waitForRefs(t *testing.T, tier *artifactTier[*controller.GMap], fingerprint
 // first acquirer learns while the rest wait and share; a failed (or
 // panicking) learn reaches every waiter and is not cached, so the next
 // acquire retries; the last release empties the store.
+//
+//hpm:pin sharing
 func TestArtifactStoreLearnOnce(t *testing.T) {
 	cfg := fastConfig()
 	g, err := controller.LearnGMap(cfg.L0, moduleOf("M1", 1).Computers[0], cfg.GMap)
@@ -126,6 +128,8 @@ func TestArtifactStoreLearnOnce(t *testing.T) {
 // TestStoreManagersShareAndRelease: managers built through one store use
 // the same artifact objects, only the first learns, Release is idempotent,
 // and the store empties with its last manager.
+//
+//hpm:pin sharing
 func TestStoreManagersShareAndRelease(t *testing.T) {
 	spec := cluster.Spec{Modules: []cluster.ModuleSpec{moduleOf("M1", 2), moduleOf("M2", 2)}}
 	cfg := fastConfig()
@@ -191,6 +195,8 @@ func TestStoreManagersShareAndRelease(t *testing.T) {
 // TestStoreKeyedByConfig: an artifact is keyed by everything that shaped
 // it, so a changed learning grid built through the same store learns its
 // own map instead of reusing the first.
+//
+//hpm:pin sharing
 func TestStoreKeyedByConfig(t *testing.T) {
 	spec := cluster.Spec{Modules: []cluster.ModuleSpec{moduleOf("M1", 2)}}
 	cfg := fastConfig()

@@ -89,6 +89,8 @@ func plantHas(s *Session, st cluster.PowerState) bool {
 // that never stopped. The cuts include a computer failed by the plan and
 // one mid-boot, and a restored session checkpoints to the very bytes it
 // was restored from.
+//
+//hpm:pin checkpoint
 func TestSessionCheckpointRestoresState(t *testing.T) {
 	const bins = 24
 	store := NewArtifactStore()
@@ -171,6 +173,8 @@ func TestSessionCheckpointRestoresState(t *testing.T) {
 // TestSessionCheckpointRefusals: a checkpoint is taken between bins of a
 // live streaming session and restored into a fresh one; a corrupt blob is
 // an error, never a panic.
+//
+//hpm:pin checkpoint
 func TestSessionCheckpointRefusals(t *testing.T) {
 	store := NewArtifactStore()
 	run := newCheckpointRun(t, store)
@@ -211,6 +215,8 @@ func TestSessionCheckpointRefusals(t *testing.T) {
 // session — at the bin's first tick, or after its last tick ran and the
 // clock reached the bin boundary. A halted session has no checkpoint, steps
 // no further, and reports the progress and decision of its last clean bin.
+//
+//hpm:pin checkpoint
 func TestSessionHaltedMidBin(t *testing.T) {
 	store := NewArtifactStore()
 	for _, at := range []string{"first tick", "last tick"} {
@@ -266,6 +272,8 @@ func TestSessionHaltedMidBin(t *testing.T) {
 // it cannot size an allocation past the bytes that follow). Seeds are
 // real checkpoints of a session with a failure plan in progress and
 // computers booting.
+//
+//hpm:pin fuzz
 func FuzzCheckpointDecode(f *testing.F) {
 	store := NewArtifactStore()
 	seed := newCheckpointRun(f, store)

@@ -43,6 +43,8 @@ func TestRNGDeterministicAndDistinct(t *testing.T) {
 // stream is 16 bytes, and marshalling it mid-stream into a fresh Stream
 // carries everything the next draws depend on — through every *rand.Rand
 // method the simulation uses, rand.Zipf included.
+//
+//hpm:pin mechanics
 func TestStreamIsItsState(t *testing.T) {
 	if got := unsafe.Sizeof(Stream{}); got != 16 {
 		t.Fatalf("Stream is %d bytes, want 16", got)
@@ -121,6 +123,8 @@ func jumpRef(s State, n uint64) State {
 // lands where the math/big reference does, and — for every distance short
 // enough to walk — where the stream itself is after that many draws, so
 // the draw that follows is the same one.
+//
+//hpm:pin fuzz
 func FuzzStreamJump(f *testing.F) {
 	for _, seed := range []int64{0, 1, -1, 20060704} {
 		for _, n := range []uint64{0, 1, 255, 256, 9999, 65536, 1 << 31, math.MaxUint64} {

@@ -46,6 +46,8 @@ func (p *fixedPolicy) Observe(int, Interval, []ModuleStats) error { return nil }
 // every computer at once, so the warm-up queues the peak bin on each; it
 // drains in the first tick and leaves its blocks in the pool. Between bins
 // the harness holds no batch.
+//
+//hpm:pin mechanics
 func TestHarnessTickSteadyStateAllocs(t *testing.T) {
 	series := []float64{400, 620, 12, 900, 150, 5, 480, 760, 30, 240, 880, 9, 330, 560, 700, 60}
 	for _, modules := range []int{1, 4} {

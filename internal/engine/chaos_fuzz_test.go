@@ -128,6 +128,8 @@ func chaosRun(t *testing.T, plan chaos.Plan) ([]Interval, Totals, int) {
 // Ticks near MaxInt and MinInt, Module -1 and out of range, an unknown
 // Kind, Factor 0, NaN, -1 and +Inf, and every kind on one module in one
 // tick.
+//
+//hpm:pin fuzz
 func FuzzChaosSchedule(f *testing.F) {
 	var baseline struct {
 		once      sync.Once

@@ -43,6 +43,8 @@ func (h *ringHarness) spread(bin int, reqs []workload.Request) {
 // the clamp cases: an arrival before the bin, the largest u below 1 (which
 // can round onto the bin's right edge), an empty bin, and bins with fewer
 // requests than ticks.
+//
+//hpm:pin mechanics
 func TestSpreadRunsMatchRingOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	periods := []float64{0.25, 1, 7.5, 30, 45, 0.1}

@@ -22,6 +22,8 @@ import (
 // and its box). Through ObserveBatchInto with a warm dst and decisions off,
 // the entry itself costs nothing: widening the call from 16 to 256 one-bin
 // entries adds at most a constant too.
+//
+//hpm:pin mechanics
 func TestObserveBatchAllocsPerEntry(t *testing.T) {
 	if race.Enabled {
 		t.Skip("sync.Pool drops Puts at random under the race detector; the request batch and queue blocks are pooled")
@@ -153,6 +155,8 @@ func footprintTenant(t *testing.T, f *Fleet) func(n int) {
 // (HeapAlloc after a forced collection) by 8 KB, for the rest of the test
 // binary's heap not being perfectly still. The replay log a snapshot once
 // needed grew 8 B/bin here; a session that kept per-bin series ~40 B/bin.
+//
+//hpm:pin mechanics
 func TestTenantFootprintFlatInUptime(t *testing.T) {
 	const warm, more = 2500, 10_000
 	f := New(Config{Shards: 1})
@@ -175,6 +179,8 @@ func TestTenantFootprintFlatInUptime(t *testing.T) {
 // journal has not made durable, and each Append's sweep drops what the one
 // before it made durable — so after an Append the log holds at most the
 // bins since the Append before it, and the live heap stays flat in uptime.
+//
+//hpm:pin mechanics
 func TestJournaledTenantFootprintFlatInUptime(t *testing.T) {
 	const warm, more, interval = 2500, 10_000, 100
 	f := New(Config{Shards: 1})
@@ -224,6 +230,8 @@ func TestJournaledTenantFootprintFlatInUptime(t *testing.T) {
 // normal Appends, the tenant holds only the blocks a normal interval's
 // counts span. A log in one growing array kept its peak size for the
 // tenant's whole life.
+//
+//hpm:pin mechanics
 func TestObsLogReleasesAfterLongInterval(t *testing.T) {
 	const interval = 50
 	f := New(Config{Shards: 1})
@@ -320,6 +328,8 @@ func TestTenantFootprintAtRest(t *testing.T) {
 // re-sent ≈ 3 KB of descriptors, a delta copied per frame cost 8 B a count
 // (504 B more a frame at 64 counts than at 1), and a frame and sweep slots
 // allocated per Append ≈ 175 B a frame.
+//
+//hpm:pin mechanics
 func TestJournalAppendAllocsPerFrame(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector instruments allocations")
@@ -384,6 +394,8 @@ func TestJournalAppendAllocsPerFrame(t *testing.T) {
 // interval, three blocks long, borrows the blocks the Append before it
 // dropped. An interval's every bin is measured, in one AllocsPerRun run
 // (which also steps one unmeasured interval first).
+//
+//hpm:pin mechanics
 func TestJournaledStepZeroAlloc(t *testing.T) {
 	if race.Enabled {
 		t.Skip("sync.Pool drops Puts at random under the race detector")
@@ -435,6 +447,8 @@ func TestJournaledStepZeroAlloc(t *testing.T) {
 // the configuration's slices, ≈ 130 B a frame, and the new stream's
 // encoder and type descriptors — and the temp file's. A copy per tenant
 // allocated the checkpoints' bytes again, and more.
+//
+//hpm:pin mechanics
 func TestJournalCompactReusesCapture(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector instruments allocations")
@@ -488,6 +502,8 @@ func TestJournalCompactReusesCapture(t *testing.T) {
 // TestFleetTenantIDInterned: TenantID names a registered tenant by the
 // fleet's own id string, with no copy of the bytes it was asked about and
 // no allocation, and stops naming it once the tenant is closed.
+//
+//hpm:pin mechanics
 func TestFleetTenantIDInterned(t *testing.T) {
 	f := New(Config{Shards: 1})
 	defer f.Close()

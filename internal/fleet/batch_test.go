@@ -310,6 +310,8 @@ func TestObserveBatchQueueFull(t *testing.T) {
 // against the same fleet — the -race pin for the ingest layer. Outcomes
 // are checked loosely (every submitted bin lands); bit-identical replay
 // is TestObserveBatchEquivalence's job.
+//
+//hpm:pin pools
 func TestObserveBatchStress(t *testing.T) {
 	const clients = 4
 	const batches = 12
@@ -399,6 +401,8 @@ func TestObserveBatchStress(t *testing.T) {
 // quarantined mid-backlog and closed. Every stepping tenant must end where
 // a twin fed the same counts alone on one shard ends — same state, same
 // decision, same close record — whatever memory the pools handed it.
+//
+//hpm:pin pools
 func TestSharedPoolStress(t *testing.T) {
 	const shards, steppers, rounds = 4, 6, 6
 	counts := make([]float64, 4*rounds)
@@ -588,6 +592,8 @@ func TestObserveBatchClosedMidCall(t *testing.T) {
 // Observe at a time, before and after a snapshot→restore (whose replay
 // builds no decision either); and a tenant quarantined on its very first
 // bin, which never had a decision in force, reports none.
+//
+//hpm:pin mechanics
 func TestStateAfterSilentBatch(t *testing.T) {
 	counts := []float64{300, 520, 12, 700, 150, 5, 480}
 	seq := panicFleet(t, 2)

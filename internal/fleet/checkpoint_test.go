@@ -142,6 +142,8 @@ func stepCheckpointFleet(t *testing.T, f *Fleet, from, to int) {
 // restored fleet is the uninterrupted one (see sameFleets). The snapshot
 // of the restored fleet is the snapshot it was restored from, byte for
 // byte.
+//
+//hpm:pin checkpoint
 func TestCheckpointRestoreEqualsUninterrupted(t *testing.T) {
 	for _, cut := range []int{0, 2, 5, 8, 11} {
 		live := checkpointFleet(t)

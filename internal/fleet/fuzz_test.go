@@ -221,6 +221,8 @@ func fuzzSafeShape(s tenantSnap) bool {
 // a snapshot of the restored fleet restores again to a fleet with the same
 // states and telemetry cursors, bit-identical next decisions and records,
 // and the same close records (the checkpoint property, sameFleets).
+//
+//hpm:pin fuzz
 func FuzzSnapshotRestore(f *testing.F) {
 	for _, seed := range fuzzSeedLogs(f) {
 		f.Add(seed)
@@ -313,6 +315,8 @@ func resealFrames(data []byte) []byte {
 // cannot drive an allocation past maxFramePayload, and no payload makes
 // the gob decoder balloon); and Fleet.Restore on the same bytes registers
 // every tenant the log holds or none.
+//
+//hpm:pin fuzz
 func FuzzFoldLog(f *testing.F) {
 	for _, seed := range foldSeedLogs(f) {
 		f.Add(seed)

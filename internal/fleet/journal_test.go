@@ -315,6 +315,8 @@ func TestJournalFailedAppendTruncates(t *testing.T) {
 // segment start, verifies and recovers every tenant. A second stream
 // opened after it — a fresh writer's segment start and a delta — is
 // refused.
+//
+//hpm:pin checkpoint
 func TestJournalFailedAppendKeepsStream(t *testing.T) {
 	path := journalPath(t)
 	f := New(Config{Shards: 1})
@@ -543,6 +545,9 @@ func TestJournalTornTailRecovers(t *testing.T) {
 // — take blocks from it as the deltas are copied. Once ingest stops, one
 // more Append is the last durable point, and the fleet the journal recovers
 // there is the live one (sameFleets).
+//
+//hpm:pin pools
+//hpm:pin checkpoint
 func TestJournalAppendRacesIngest(t *testing.T) {
 	const tenants, rounds = 12, 8
 	f := New(Config{Shards: 4})
@@ -781,6 +786,8 @@ type parentJournalGolden struct {
 // tenants learning each fingerprint once as creates would; continues with
 // the golden's decisions; and is rewritten without artifacts by the
 // compaction recovery ends with.
+//
+//hpm:pin checkpoint
 func TestParentJournalRecovers(t *testing.T) {
 	for _, tc := range []struct {
 		name         string
@@ -870,6 +877,8 @@ func TestParentJournalRecovers(t *testing.T) {
 // earn its field: a binary, an example, an experiment table or a behaviour
 // test sets it to a value other than its default and depends on it. The
 // paper's fixed parameters are constants instead.
+//
+//hpm:pin checkpoint
 func TestTenantConfigFields(t *testing.T) {
 	want := []string{
 		"BinSeconds",

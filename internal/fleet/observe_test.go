@@ -23,6 +23,8 @@ import (
 // what Session.Decision allocates plus the one boxed decision — no
 // channel, no closure — measured against a silent one-entry batch, which
 // pays for the same stepping and builds no decision.
+//
+//hpm:pin mechanics
 func TestObserveIsOneEntryBatch(t *testing.T) {
 	tc := batchTenantConfig(3)
 	tc.TelemetryRecords = 512
@@ -196,6 +198,8 @@ func TestObserveIsOneEntryBatch(t *testing.T) {
 // silent one-entry batch costs: the stepping, and nothing for the
 // decision, the call or the enqueue. The decision it leaves is the one
 // Observe returns for the same bin.
+//
+//hpm:pin mechanics
 func TestObserveIntoWarmAllocs(t *testing.T) {
 	tc := batchTenantConfig(3)
 	tc.TelemetryRecords = 512

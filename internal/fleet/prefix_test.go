@@ -174,6 +174,8 @@ func recoverStates(log []byte) (map[string]TenantState, error) {
 // fleet reported — or, for a cut inside the magic, refuse. A partial frame
 // never contributes a tenant or a bin. OpenJournal itself, compaction
 // included, recovers one cut inside every frame.
+//
+//hpm:pin checkpoint
 func TestJournalEveryPrefixRecovers(t *testing.T) {
 	log, points, _ := buildPrefixJournal(t, 0)
 	ends := frameEnds(t, log)
@@ -262,6 +264,8 @@ func TestJournalEveryPrefixRecovers(t *testing.T) {
 // Any other missing frame either fails the read loudly or leaves each
 // tenant in a state it held at some frame boundary of the real log — never
 // one assembled from frames that do not follow.
+//
+//hpm:pin checkpoint
 func TestJournalDroppedOrDuplicatedFrame(t *testing.T) {
 	log, _, _ := buildPrefixJournal(t, 0)
 	ends := frameEnds(t, log)
@@ -324,6 +328,8 @@ func TestJournalDroppedOrDuplicatedFrame(t *testing.T) {
 // kept running — the same states and telemetry cursors, then the same
 // decisions, records and close records (see sameFleets), the halted
 // tenant included.
+//
+//hpm:pin checkpoint
 func TestJournalCrashRecoveryEqualsUninterrupted(t *testing.T) {
 	_, points, _ := buildPrefixJournal(t, 0)
 	for stop := 1; stop <= len(points); stop++ {

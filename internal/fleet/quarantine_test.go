@@ -287,6 +287,8 @@ func haltAfterBin(t testing.TB, f *Fleet, id string, bin int) {
 // clean bin, and a journal recovery and a snapshot restore bring it back
 // reporting the same — beside a healthy tenant, whose restore it must not
 // block — and the restored fleet is the uninterrupted one (sameFleets).
+//
+//hpm:pin checkpoint
 func TestHaltedTenantPersists(t *testing.T) {
 	path := journalPath(t)
 	f := panicFleet(t, 2)

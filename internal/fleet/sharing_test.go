@@ -76,6 +76,8 @@ func runTenant(t *testing.T, f *Fleet, id string, tc TenantConfig, counts []floa
 // the store produce the same decision stream and the same final record,
 // and a restore into a fresh fleet, which learns them again as a create
 // would, continues identically.
+//
+//hpm:pin sharing
 func TestSharedArtifactsEquivalence(t *testing.T) {
 	const bins = 24
 	for _, scenario := range []string{"flashcrowd", "failstorm", "step"} {
@@ -149,6 +151,8 @@ func TestSharedArtifactsEquivalence(t *testing.T) {
 // distinct fingerprint — one map g for both shapes, one tree J̃ for the
 // multi-module shape — and the store is empty again once every tenant,
 // including a quarantined one, is closed.
+//
+//hpm:pin sharing
 func TestArtifactsLearnedOncePerFingerprint(t *testing.T) {
 	f := panicFleet(t, 4)
 	single := quarantineTenantConfig()
@@ -268,6 +272,8 @@ func TestFailedLearnIsNotCached(t *testing.T) {
 // same fingerprint keeps one copy — a restored tenant is built as a
 // created one is, so it shares the store's — and a failed (all-or-nothing)
 // restore gives every reference back.
+//
+//hpm:pin sharing
 func TestRestoreSharesWithLiveTenants(t *testing.T) {
 	src := New(Config{Shards: 2})
 	defer src.Close()
@@ -312,6 +318,8 @@ func TestRestoreSharesWithLiveTenants(t *testing.T) {
 // restored tenant — and a tenant created after — holds the store's one
 // object. A restore with one corrupt checkpoint fails all-or-nothing:
 // nothing registers, nothing stays held.
+//
+//hpm:pin sharing
 func TestRestoreLearnsOnce(t *testing.T) {
 	const n = 4
 	src := New(Config{Shards: 2})
@@ -400,6 +408,8 @@ func TestRestoreLearnsOnce(t *testing.T) {
 // (L1 probing the one shared GMap, L2 the one shared tree) while tenants
 // of the same fingerprint are created and closed, and while Snapshot,
 // Journal.Append and Compact capture the tenants.
+//
+//hpm:pin sharing
 func TestSharedArtifactStress(t *testing.T) {
 	const shards, steppers, rounds = 4, 8, 12
 	f := New(Config{Shards: shards})
@@ -482,6 +492,8 @@ func TestSharedArtifactStress(t *testing.T) {
 // masks at its own time while tenants on other shards decide over the same
 // artifacts. Every tenant must end bit-identical — decision stream, state
 // and close record — to a twin fed the same counts alone in its own fleet.
+//
+//hpm:pin sharing
 func TestMultiModuleSharingStress(t *testing.T) {
 	const shards, tenants, bins = 4, 8, 48
 	counts := make([]float64, bins)

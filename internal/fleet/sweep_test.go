@@ -194,6 +194,8 @@ func TestSweepYieldsInSlices(t *testing.T) {
 // behind a metrics scrape: TelemetrySummary allocates nothing whether the
 // fleet hosts 16 tenants or 512 — each shard's fold is read in place,
 // nothing per tenant.
+//
+//hpm:pin mechanics
 func TestTelemetrySummaryAllocsFlatInTenants(t *testing.T) {
 	for _, tenants := range []int{16, 512} {
 		f := New(Config{Shards: 2, QueueDepth: tenants})
@@ -231,6 +233,8 @@ func TestTelemetrySummaryAllocsFlatInTenants(t *testing.T) {
 // allocates nothing and reads the same as the first, non-empty read; a
 // closed fleet reports ErrClosed, and a fresh fleet opened after it reads
 // a zero summary.
+//
+//hpm:pin mechanics
 func TestTelemetrySummaryIntoWarmAllocs(t *testing.T) {
 	f := New(Config{Shards: 3})
 	entries := make([]BatchEntry, 12)
@@ -277,6 +281,8 @@ func TestTelemetrySummaryIntoWarmAllocs(t *testing.T) {
 // ingest. The fleet's one shard is wedged inside a tenant's step, with
 // more bins queued behind it, and TelemetrySummary still returns — with
 // what the shard folded before the wedge — before the step is released.
+//
+//hpm:pin scrape
 func TestTelemetrySummaryIgnoresBusyShard(t *testing.T) {
 	entered, release := make(chan struct{}), make(chan struct{})
 	var wedge atomic.Bool
@@ -337,7 +343,12 @@ func TestTelemetrySummaryIgnoresBusyShard(t *testing.T) {
 // batched ingest while tenants are created and closed under them. No sweep
 // that starts after a CloseTenant returned may still see that tenant, and
 // when the dust settles the fleet-wide fold equals that of a twin fleet
-// fed the same bins one tenant at a time — closed tenants included.
+// fed the same bins one tenant at a time — closed tenants included. The
+// race it looks for: a telemetry read takes each shard's fold under the
+// shard's lock, from outside the shard, while the shard writes that fold
+// as bins step and swaps in ranking rebuilds as tenants close.
+//
+//hpm:pin scrape
 func TestSweepRaceAgainstLifecycle(t *testing.T) {
 	const (
 		stable = 6 // tenants that live through the test
@@ -504,6 +515,8 @@ func TestSweepRaceAgainstLifecycle(t *testing.T) {
 // counter will announce — must leave TelemetrySummary equal to a ranking
 // rebuilt from every live tenant's counters, and the operational count
 // equal to the sum over their last decisions.
+//
+//hpm:pin scrape
 func TestRankingsStayExactAcrossCloses(t *testing.T) {
 	const tenants = 3 * TopK
 	f := New(Config{Shards: 2})

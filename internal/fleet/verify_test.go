@@ -312,6 +312,8 @@ func TestVerifyJournalBadMagic(t *testing.T) {
 // TestTornHeaderAllocatesWhatArrived: a log whose last frame header claims
 // maxFramePayload with 16 bytes behind it is a torn tail, and reading it
 // allocates for the bytes that are there, not the 64 MiB the header names.
+//
+//hpm:pin checkpoint
 func TestTornHeaderAllocatesWhatArrived(t *testing.T) {
 	log := []byte(snapshotMagic)
 	log = binary.LittleEndian.AppendUint32(log, maxFramePayload)

@@ -100,6 +100,8 @@ func assertSameDecision(t *testing.T, label string, want, got Result[float64, in
 // it also reproduces its exact Explored count. (One search runs on one
 // goroutine; "Parallel" survives in the name only because the test floor
 // lists it.)
+//
+//hpm:pin search
 func TestPrunedParallelBitIdenticalToNaiveExhaustive(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 300; trial++ {
@@ -188,6 +190,8 @@ func randomTable(rng *rand.Rand, k, n int) *tablePricer {
 // count when unpruned and no more when pruned. Under a budget it trips iff
 // the count it would reach exceeds the budget, also when the count is
 // carried across two calls the way L1's α loop carries it.
+//
+//hpm:pin search
 func TestPrunedParallelBitIdenticalToNaiveBounded(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	cands := []int{0, 1, 2, 3, 4, 5}

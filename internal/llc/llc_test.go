@@ -198,22 +198,6 @@ func TestLongerHorizonNeverWorseOnDeterministicModel(t *testing.T) {
 	}
 }
 
-func TestWeightsCost(t *testing.T) {
-	w := Weights{Q: 100, R: 1, S: 8}
-	got := w.Cost(0.5, 2, 1)
-	if want := 100*0.5 + 1*2 + 8*1; got != want {
-		t.Errorf("Cost = %v, want %v", got, want)
-	}
-	// Absolute values are taken.
-	if w.Cost(-0.5, -2, -1) != got {
-		t.Error("Cost not symmetric in sign")
-	}
-	zero := Weights{}
-	if zero.Cost(1, 1, 1) != 0 {
-		t.Error("zero weights should cost 0")
-	}
-}
-
 func TestSlack(t *testing.T) {
 	if got := Slack(3, 4); got != 0 {
 		t.Errorf("Slack(3,4) = %v, want 0", got)

@@ -61,6 +61,8 @@ func TestSearcherReuseMatchesFreshSearch(t *testing.T) {
 // TestSearcherWarmDecideZeroAlloc pins a warm Searcher decide
 // at zero allocations per call: the walk buffers, candidate cursors and
 // result slices are all reused.
+//
+//hpm:pin search
 func TestSearcherWarmDecideZeroAlloc(t *testing.T) {
 	m := scalarModel{target: 5, inputs: []int{-2, -1, 0, 1, 2}, inputWeight: 0.01}
 	sr, err := NewSearcher[float64, int](m, Options{NonNegativeCosts: true})
@@ -109,6 +111,8 @@ func TestSearcherWarmDecideZeroAlloc(t *testing.T) {
 // search explores more than n states, the trip repeats identically, a
 // budget the search fits in changes nothing, and lifting the budget
 // restores the unbudgeted decision.
+//
+//hpm:pin search
 func TestSearcherBudget(t *testing.T) {
 	m := scalarModel{target: 5, inputs: []int{-2, -1, 0, 1, 2}, inputWeight: 0.01}
 	envs := make([]([]Env), 3)

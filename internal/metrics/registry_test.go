@@ -316,6 +316,8 @@ func TestRegistryConcurrency(t *testing.T) {
 // TestRegistryWriteTextSteadyStateAllocs: a warm WriteText of the golden
 // registry allocates nothing, with a saturated ranking family Reset and
 // resolved again before every render.
+//
+//hpm:pin mechanics
 func TestRegistryWriteTextSteadyStateAllocs(t *testing.T) {
 	r := goldenRegistry(t)
 	top := mustGauge(t, r, "golden_top", "A ranking rebuilt every render.", "tenant")

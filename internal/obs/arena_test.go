@@ -15,6 +15,8 @@ import (
 // mix, with hpmserve's 4096-record ring the records wrap the ring at least
 // three times without the arena growing past what NewRecorder allocated,
 // and the retained window averages at most the budget.
+//
+//hpm:pin mechanics
 func TestRecorderArenaFlat(t *testing.T) {
 	const records = 4096
 	shapes := []struct {

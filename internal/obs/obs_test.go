@@ -117,6 +117,8 @@ func TestRecorderSinceCursor(t *testing.T) {
 // allocate. The 4095-record ring is read at its fill levels around the
 // first wrap, mid-growth and at the end, whole from the cursors within two
 // anchors of either end.
+//
+//hpm:pin mechanics
 func TestRecorderSinceEveryWindow(t *testing.T) {
 	for _, capacity := range []int{1, 7, 15, anchorStride, 17, 4095} {
 		t.Run(fmt.Sprint(capacity), func(t *testing.T) { sinceEveryWindow(t, capacity) })
@@ -203,6 +205,8 @@ func sinceEveryWindow(t *testing.T, capacity int) {
 // writes below wrap a small ring many times over records of every writer
 // shape, so the arena's wrap, the eviction and the straddling copies all
 // run.
+//
+//hpm:pin mechanics
 func TestRecorderRecordZeroAlloc(t *testing.T) {
 	r, err := NewRecorder(64)
 	if err != nil {

@@ -129,6 +129,8 @@ const writerMax = 24
 // writer emits, at the extremes of what it writes, fits writerMax, and the
 // longest encoding of any record is maxRecordSize. A new field costs
 // nothing while it is zero; once a writer sets it, its bytes show here.
+//
+//hpm:pin mechanics
 func TestRecordEncodedSize(t *testing.T) {
 	var buf [maxRecordSize]byte
 	widest := 0
@@ -181,6 +183,8 @@ func TestRecorderGrowthCeiling(t *testing.T) {
 // FuzzRecorderRoundTrip drives the encoding with arbitrary records: every
 // field, the level and the three flags take any value, and the tick any
 // distance from the previous record's. Since reads back bit for bit.
+//
+//hpm:pin fuzz
 func FuzzRecorderRoundTrip(f *testing.F) {
 	for i, tc := range writerShapes[:6] {
 		r := tc.rec
@@ -350,6 +354,8 @@ func TestRecorderMatchesSliceOracle(t *testing.T) {
 // newest Capacity() records from its cursor, bit for bit, however the
 // writes wrapped the arena, grew it, and moved the anchors and the hint
 // the last read left.
+//
+//hpm:pin fuzz
 func FuzzRecorderOps(f *testing.F) {
 	f.Add(uint16(1), []byte{1, 0, 1, 2, 2, 0, 1, 15, 2, 0x80, 3, 0})
 	f.Add(uint16(15), []byte{1, 1, 0, 3, 1, 2, 1, 3, 1, 4, 2, 0x81, 1, 15, 1, 15, 2, 0x83, 3, 5})

@@ -13,6 +13,8 @@ import (
 // panics. The committed corpus under testdata/fuzz/FuzzTraceCSV holds two
 // hpmgen outputs (step, synthetic) and the malformed shapes the property
 // is about.
+//
+//hpm:pin fuzz
 func FuzzTraceCSV(f *testing.F) {
 	tr, err := Synthetic(DefaultSyntheticConfig())
 	if err != nil {

@@ -13,6 +13,8 @@ import (
 // TestRequestSize pins what a synthesized request costs: a feed's one
 // batch buffer is the peak bin × this, and it is exactly the (arrival,
 // demand) pair a cluster.Computer queues.
+//
+//hpm:pin mechanics
 func TestRequestSize(t *testing.T) {
 	if got := unsafe.Sizeof(Request{}); got != 16 {
 		t.Fatalf("Request is %d bytes, want 16", got)
@@ -30,6 +32,8 @@ func TestRequestSize(t *testing.T) {
 // A bin of no arrivals, a negative count included, is empty and draws
 // nothing — through Generator and Feed alike, or the two would part ways
 // after a negative trace value.
+//
+//hpm:pin mechanics
 func TestSynthBinOrderedUniform(t *testing.T) {
 	store := newTestStore(t, DefaultStoreConfig())
 	src := des.NewStream(9, "workload")

@@ -454,6 +454,8 @@ func TestFeedValidation(t *testing.T) {
 // a further pass allocates nothing. (A constant series hides capacity
 // clipped to the current bin: every bin then fits the previous one's
 // buffers.)
+//
+//hpm:pin mechanics
 func TestFeedPushSteadyStateZeroAlloc(t *testing.T) {
 	store, err := NewStore(des.NewStream(3, "store"), DefaultStoreConfig())
 	if err != nil {
@@ -493,6 +495,8 @@ func TestFeedPushSteadyStateZeroAlloc(t *testing.T) {
 // at a few dozen — each keep reusing a batch of their own size and
 // allocate nothing once warm, and after one outsized bin no later small
 // bin holds its batch.
+//
+//hpm:pin mechanics
 func TestFeedBatchFollowsBin(t *testing.T) {
 	store := newTestStore(t, DefaultStoreConfig())
 	big, err := NewFeed(0, 120, store, rand.New(rand.NewSource(5)))
@@ -537,6 +541,8 @@ func TestFeedBatchFollowsBin(t *testing.T) {
 // capacity from NewStore on — sampling past the cap (where remember drops
 // the oldest half) never regrows it, so a long-lived tenant does not pay
 // append growth on the measured path.
+//
+//hpm:pin mechanics
 func TestStoreHistoryAllocatedOnce(t *testing.T) {
 	cfg := DefaultStoreConfig()
 	store, err := NewStore(des.NewStream(3, "store"), cfg)
