@@ -356,15 +356,6 @@ func BenchmarkLLCExhaustiveSearch(b *testing.B) {
 	}
 }
 
-func BenchmarkSimplexNeighbourhood(b *testing.B) {
-	gamma := []float64{0.25, 0.25, 0.25, 0.25}
-	mask := []bool{true, true, true, true}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		controller.SimplexNeighbours(gamma, mask, 0.05, 2)
-	}
-}
-
 func BenchmarkFluidQueueStep(b *testing.B) {
 	s := queue.State{Q: 50}
 	p := queue.Params{Lambda: 40, C: 0.0175, Phi: 0.8, T: 30}

@@ -71,12 +71,18 @@ var (
 	// ciStep and ciJob match a step's name and a job's key in the workflow.
 	ciStep = regexp.MustCompile(`(?m)^\s+- name: (.+)$`)
 	ciJob  = regexp.MustCompile(`(?m)^  ([\w-]+):\s*$`)
+	// testMention matches a test, fuzz target or benchmark named in a
+	// doc, `TestX`; testDecl matches one declared in a _test.go file.
+	testMention = regexp.MustCompile("`((?:Test|Fuzz|Benchmark)\\w+)`")
+	testDecl    = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w+)\(`)
 )
 
 // TestDocsDescribeThePresent keeps README.md and docs/ARCHITECTURE.md
 // about the current code: history lives in CHANGES.md, so neither cites a
-// PR, the paper-to-package map exists once, in ARCHITECTURE, and every CI
-// step or job either names (CI `name`) is one the workflow has.
+// PR, the paper-to-package map exists once, in ARCHITECTURE, every CI
+// step or job either names (CI `name`) is one the workflow has, and every
+// test, fuzz target or benchmark either names (`TestX`) is declared in a
+// _test.go file.
 func TestDocsDescribeThePresent(t *testing.T) {
 	workflow, err := os.ReadFile(filepath.Join(".github", "workflows", "ci.yml"))
 	if err != nil {
@@ -89,6 +95,25 @@ func TestDocsDescribeThePresent(t *testing.T) {
 	_, jobs, _ := strings.Cut(string(workflow), "\njobs:\n")
 	for _, m := range ciJob.FindAllStringSubmatch(jobs, -1) {
 		ci[m[1]] = true
+	}
+	tests := map[string]bool{}
+	err = filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") && path != "."):
+			return filepath.SkipDir
+		case !strings.HasSuffix(path, "_test.go"):
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		for _, m := range testDecl.FindAllStringSubmatch(string(src), -1) {
+			tests[m[1]] = true
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	var maps []string
 	for _, file := range []string{"README.md", filepath.Join("docs", "ARCHITECTURE.md")} {
@@ -108,6 +133,12 @@ func TestDocsDescribeThePresent(t *testing.T) {
 			if name := string(data[m[2]:m[3]]); !ci[name] {
 				line := 1 + strings.Count(string(data[:m[0]]), "\n")
 				t.Errorf("%s:%d names CI `%s`, which is no step or job in ci.yml", file, line, name)
+			}
+		}
+		for _, m := range testMention.FindAllStringSubmatchIndex(string(data), -1) {
+			if name := string(data[m[2]:m[3]]); !tests[name] {
+				line := 1 + strings.Count(string(data[:m[0]]), "\n")
+				t.Errorf("%s:%d names `%s`, which no _test.go declares", file, line, name)
 			}
 		}
 	}

@@ -17,6 +17,7 @@ package central
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"hierctl/internal/cluster"
@@ -37,23 +38,20 @@ const (
 	freqSteps = 1
 	// minOn keeps at least this many computers operational.
 	minOn = 1
+	// quantum is the step of the load fractions: 20 units, so one byte
+	// holds an entry's unit count.
+	quantum = controller.DefaultQuantumL1
 )
 
 // Config parameterizes the flat controller.
 type Config struct {
 	// NeighbourDepth bounds the γ neighbourhood per candidate α/u.
 	NeighbourDepth int
-	// NonNegativeCosts declares the per-sample configuration costs
-	// non-negative — true for the fluid-model pricing below, a sum of
-	// slack, power and switch terms — enabling the partial-mean pruning of
-	// llc.OneStep the hierarchy's searches use. Each α candidate's passes
-	// start from their own +Inf incumbent.
-	NonNegativeCosts bool
 }
 
 // DefaultConfig mirrors the hierarchy's settings.
 func DefaultConfig() Config {
-	return Config{NeighbourDepth: 2, NonNegativeCosts: true}
+	return Config{NeighbourDepth: 2}
 }
 
 // Validate reports whether the configuration is usable.
@@ -115,7 +113,7 @@ func New(cfg Config, specs []cluster.ComputerSpec) (*Controller, error) {
 		c.caps[j] = specs[j].SpeedFactor
 	}
 	var err error
-	c.prevGamma, err = controller.SnapSimplex(c.caps, c.prevAlpha, controller.DefaultQuantumL1)
+	c.prevGamma, err = controller.SnapSimplex(c.caps, c.prevAlpha, quantum)
 	if err != nil {
 		return nil, err
 	}
@@ -191,11 +189,8 @@ func (c *Controller) Decide(obs Observation) (Decision, error) {
 	bestCost := math.Inf(1)
 	explored := 0
 	for _, alpha := range c.alphaCandidates(obs.Available) {
-		cost, dec, searched, err := c.searchAlpha(alpha, obs, samples)
+		cost, dec, searched := c.searchAlpha(alpha, obs, samples)
 		explored += searched
-		if err != nil {
-			return Decision{}, err
-		}
 		if cost < bestCost {
 			bestCost = cost
 			best = dec
@@ -216,53 +211,56 @@ func (c *Controller) Decide(obs Observation) (Decision, error) {
 
 // searchAlpha runs one α candidate's two passes — the best γ at held
 // frequencies, then the best frequency vector at that γ — each one
-// llc.OneStep against a +Inf incumbent. It returns the candidate's cost
-// (+Inf when it has no finite configuration), its configuration, and the
-// states explored.
-func (c *Controller) searchAlpha(alpha []bool, obs Observation, samples []float64) (float64, Decision, int, error) {
-	sc := llc.Scan{Prune: c.cfg.NonNegativeCosts}
+// oneStep. It returns the candidate's cost (+Inf when it has no finite
+// configuration), its configuration, and the states both passes explored.
+func (c *Controller) searchAlpha(alpha []bool, obs Observation, samples []float64) (float64, Decision, int) {
 	// freqs[0] holds every computer at its previous frequency.
 	freqs := c.freqCandidates(alpha)
-	p := &alphaPricer{c: c, obs: obs, samples: samples, alpha: alpha, freq: freqs[0]}
 	gammas := c.gammaCandidates(alpha)
-	gi, _, err := llc.OneStep(&sc, p, gammas, len(samples), math.Inf(1))
-	if err != nil || gi < 0 {
-		return math.Inf(1), Decision{}, sc.Explored, err
+	gi, _, explored := oneStep(len(gammas), len(samples), func(ci, si int) float64 {
+		return c.evaluate(alpha, gammas[ci], freqs[0], obs, samples[si])
+	})
+	if gi < 0 {
+		return math.Inf(1), Decision{}, explored
 	}
-	p.gamma = gammas[gi]
-	fi, cost, err := llc.OneStep(&sc, (*freqPass)(p), freqs, len(samples), math.Inf(1))
-	if err != nil || fi < 0 {
-		return math.Inf(1), Decision{}, sc.Explored, err
+	fi, cost, searched := oneStep(len(freqs), len(samples), func(ci, si int) float64 {
+		return c.evaluate(alpha, gammas[gi], freqs[ci], obs, samples[si])
+	})
+	explored += searched
+	if fi < 0 {
+		return math.Inf(1), Decision{}, explored
 	}
-	return cost, Decision{Alpha: alpha, Gamma: p.gamma, FreqIdx: freqs[fi]}, sc.Explored, nil
+	return cost, Decision{Alpha: alpha, Gamma: gammas[gi], FreqIdx: freqs[fi]}, explored
 }
 
-// alphaPricer prices one α candidate's γ candidates at the held
-// frequencies; once that pass has chosen γ, freqPass prices frequency
-// vectors at it.
-type alphaPricer struct {
-	c       *Controller
-	obs     Observation
-	samples []float64
-	alpha   []bool
-	gamma   []float64
-	freq    []int
+// oneStep searches k candidates of n samples each: a candidate costs the
+// mean of its per-sample prices, summed in sample order, and the first
+// candidate strictly cheaper than the best so far wins, starting from
+// +Inf. A candidate whose partial mean sum/n meets the best before its
+// last sample is abandoned: prices are non-negative (slack, power and
+// switch terms), so it could at best tie, and a tie never displaces the
+// best. It returns the winner's index (−1 when no candidate is finite),
+// its cost, and the candidate-samples priced — the §4.3 overhead metric.
+//
+//hpm:hotpath
+func oneStep(k, n int, price func(ci, si int) float64) (best int, cost float64, explored int) {
+	best, cost = -1, math.Inf(1)
+next:
+	for ci := 0; ci < k; ci++ {
+		sum := 0.0
+		for si := 0; si < n; si++ {
+			sum += price(ci, si)
+			explored++
+			if si+1 < n && sum/float64(n) >= cost {
+				continue next
+			}
+		}
+		if mean := sum / float64(n); mean < cost {
+			best, cost = ci, mean
+		}
+	}
+	return best, cost, explored
 }
-
-func (p *alphaPricer) Price(gamma []float64, si int, sum float64) (float64, error) {
-	return sum + p.c.evaluate(p.alpha, gamma, p.freq, p.obs, p.samples[si]), nil
-}
-
-func (p *alphaPricer) Finish(_ []float64, mean float64) float64 { return mean }
-
-// freqPass is an alphaPricer pricing frequency vectors at the chosen γ.
-type freqPass alphaPricer
-
-func (p *freqPass) Price(freq []int, si int, sum float64) (float64, error) {
-	return sum + p.c.evaluate(p.alpha, p.gamma, freq, p.obs, p.samples[si]), nil
-}
-
-func (p *freqPass) Finish(_ []int, mean float64) float64 { return mean }
 
 // evaluate prices a joint configuration: fluid-model slack + power per
 // sub-period per on computer, plus switch-on transients.
@@ -344,15 +342,69 @@ func (c *Controller) alphaCandidates(avail []bool) [][]bool {
 // gammaCandidates is the quantized-simplex neighbourhood over the whole
 // cluster — the joint γ space whose size grows combinatorially with n.
 func (c *Controller) gammaCandidates(alpha []bool) [][]float64 {
-	seed, err := controller.SnapSimplex(c.caps, alpha, controller.DefaultQuantumL1)
+	seed, err := controller.SnapSimplex(c.caps, alpha, quantum)
 	if err != nil {
 		return nil
 	}
-	cands := controller.SimplexNeighbours(seed, alpha, controller.DefaultQuantumL1, c.cfg.NeighbourDepth)
-	if prev, err := controller.SnapSimplex(c.prevGamma, alpha, controller.DefaultQuantumL1); err == nil {
-		cands = append(cands, controller.SimplexNeighbours(prev, alpha, controller.DefaultQuantumL1, 1)...)
+	cands := simplexNeighbours(seed, alpha, c.cfg.NeighbourDepth)
+	if prev, err := controller.SnapSimplex(c.prevGamma, alpha, quantum); err == nil {
+		cands = append(cands, simplexNeighbours(prev, alpha, 1)...)
 	}
 	return cands
+}
+
+// simplexNeighbours is the quantized-simplex neighbourhood of gamma: every
+// vector reached by moving up to depth quanta, one at a time, from one
+// masked entry to another, in breadth-first order with gamma itself
+// first. Entries outside the mask stay zero. A vector reached twice is
+// kept once, recognized by its unit counts, one byte an entry.
+func simplexNeighbours(gamma []float64, mask []bool, depth int) [][]float64 {
+	seen := map[string]struct{}{}
+	key := make([]byte, len(gamma))
+	var out [][]float64
+	add := func(g []float64) bool {
+		for j, v := range g {
+			key[j] = byte(int(math.Round(v / quantum)))
+		}
+		if _, ok := seen[string(key)]; ok {
+			return false
+		}
+		seen[string(key)] = struct{}{}
+		out = append(out, slices.Clone(g))
+		return true
+	}
+	add(gamma)
+	frontier := [][]float64{gamma}
+	cand := make([]float64, len(gamma))
+	for d := 0; d < depth; d++ {
+		var next [][]float64
+		for _, g := range frontier {
+			for a := range g {
+				if !mask[a] || g[a] < quantum-1e-9 {
+					continue
+				}
+				for b := range g {
+					if b == a || !mask[b] {
+						continue
+					}
+					copy(cand, g)
+					cand[a] -= quantum
+					cand[b] += quantum
+					if cand[a] < -1e-9 {
+						continue
+					}
+					if cand[a] < 0 {
+						cand[a] = 0
+					}
+					if add(cand) {
+						next = append(next, out[len(out)-1])
+					}
+				}
+			}
+		}
+		frontier = next
+	}
+	return out
 }
 
 // freqCandidates enumerates joint frequency moves: each computer may move

@@ -222,9 +222,11 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
-// TestCentralPruningPreservesDecision pins the flat controller's
-// branch-and-bound contract: pruned and unpruned searches pick the
-// identical joint configuration, and pruning never explores more.
+// TestCentralPruningPreservesDecision pins the flat controller's pruned
+// search over three successive observations: each joint configuration (α,
+// γ bits, frequencies) and explored count equals the recorded literal. An
+// unpruned search picks the same configurations at the naive counts, so
+// pruning changed no decision and never explores more.
 //
 //hpm:pin search
 func TestCentralPruningPreservesDecision(t *testing.T) {
@@ -233,32 +235,46 @@ func TestCentralPruningPreservesDecision(t *testing.T) {
 		{QueueLens: []float64{60, 10, 0, 5}, LambdaHat: 180, Delta: 40, CHat: 0.0175},
 		{QueueLens: []float64{5, 5, 50, 0}, LambdaHat: 90, Delta: 20, CHat: 0.0175},
 	}
-	mk := func(prune bool) *Controller {
-		cfg := DefaultConfig()
-		cfg.NonNegativeCosts = prune
-		ctl, err := New(cfg, testSpecs(4))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ctl
+	want := []struct {
+		alpha           []bool
+		gammaBits       []uint64
+		freq            []int
+		explored, naive int
+	}{
+		{
+			[]bool{false, true, true, true},
+			[]uint64{0, 0x3fd6666666666667, 0x3fd6666666666667, 0x3fd3333333333334},
+			[]int{3, 2, 3, 3}, 594, 594,
+		},
+		{
+			[]bool{true, true, true, true},
+			[]uint64{0x3fd0000000000000, 0x3fc999999999999a, 0x3fd3333333333333, 0x3fd0000000000000},
+			[]int{3, 3, 3, 3}, 391, 426,
+		},
+		{
+			[]bool{false, true, true, true},
+			[]uint64{0, 0x3fd6666666666667, 0x3fd6666666666667, 0x3fd3333333333334},
+			[]int{3, 2, 3, 3}, 594, 594,
+		},
 	}
-	pruned, naive := mk(true), mk(false)
+	ctl, err := New(DefaultConfig(), testSpecs(4))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for step, o := range obs {
-		dp, err := pruned.Decide(o)
+		dec, err := ctl.Decide(o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dn, err := naive.Decide(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := range dn.Alpha {
-			if dp.Alpha[j] != dn.Alpha[j] || dp.Gamma[j] != dn.Gamma[j] || dp.FreqIdx[j] != dn.FreqIdx[j] {
-				t.Fatalf("step %d computer %d: pruned/naive decisions diverged", step, j)
+		w := want[step]
+		for j := range w.alpha {
+			if dec.Alpha[j] != w.alpha[j] || math.Float64bits(dec.Gamma[j]) != w.gammaBits[j] || dec.FreqIdx[j] != w.freq[j] {
+				t.Fatalf("step %d computer %d: (α %v, γ %v, u %d), want (%v, %v, %d)", step, j,
+					dec.Alpha[j], dec.Gamma[j], dec.FreqIdx[j], w.alpha[j], math.Float64frombits(w.gammaBits[j]), w.freq[j])
 			}
 		}
-		if dp.Explored > dn.Explored {
-			t.Errorf("step %d: pruned explored %d exceeds naive %d", step, dp.Explored, dn.Explored)
+		if dec.Explored != w.explored || dec.Explored > w.naive {
+			t.Errorf("step %d: explored %d, want %d (naive %d)", step, dec.Explored, w.explored, w.naive)
 		}
 	}
 }

@@ -232,98 +232,3 @@ func TestL1CandidateGeneratorsMatchLegacy(t *testing.T) {
 		}
 	}
 }
-
-// TestSimplexNeighboursMatchesStringKeyedOracle pins the packed-word
-// dedup set inside SimplexNeighbours against the string-keyed oracle on
-// full-support neighbourhoods whose keys are one, two and three words.
-func TestSimplexNeighboursMatchesStringKeyedOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(47))
-	for _, n := range []int{3, 12, 13, 16, 30} {
-		mask := make([]bool, n)
-		weights := make([]float64, n)
-		for j := range mask {
-			mask[j] = rng.Intn(5) > 0
-			weights[j] = rng.Float64()
-		}
-		mask[0] = true
-		seed, err := SnapSimplex(weights, mask, 0.05)
-		if err != nil {
-			t.Fatal(err)
-		}
-		depth := 2
-		if n > 16 {
-			depth = 1
-		}
-		got := SimplexNeighbours(seed, mask, 0.05, depth)
-		want := simplexNeighboursLegacy(seed, mask, 0.05, depth)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("n=%d: %d neighbours, oracle %d (or order differs)", n, len(got), len(want))
-		}
-	}
-}
-
-// TestGammaPackedKeyMatchesStringKey: the packed multi-word key must
-// induce exactly the string key's equivalence, including where entries
-// straddle a word boundary (m·bits = 60, 64, 65, 128, 320).
-func TestGammaPackedKeyMatchesStringKey(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	shapes := []struct {
-		n       int
-		quantum float64
-		bits    int
-	}{
-		{12, 0.05, 60}, {16, 0.1, 64}, {13, 0.05, 65}, {32, 0.1, 128}, {64, 0.05, 320},
-		{1, 0.5, 2}, {6, 0.25, 18}, {64, 1, 64},
-	}
-	for _, sh := range shapes {
-		per, words := gammaLayout(sh.n, sh.quantum)
-		if sh.n*int(per) != sh.bits || words != (sh.bits+63)/64 {
-			t.Fatalf("(%d, %v): layout %d bits x %d words, want %d bits total", sh.n, sh.quantum, per, words, sh.bits)
-		}
-		for trial := 0; trial < 200; trial++ {
-			mask := make([]bool, sh.n)
-			mask[rng.Intn(sh.n)] = true
-			for j := range mask {
-				if rng.Intn(2) == 0 {
-					mask[j] = true
-				}
-			}
-			weights := make([]float64, sh.n)
-			for j := range weights {
-				weights[j] = rng.Float64()
-			}
-			a, err := SnapSimplex(weights, mask, sh.quantum)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// b: a itself, a single-quantum move of it, or a fresh draw —
-			// near-equal vectors are where a dropped bit would show.
-			b := append([]float64(nil), a...)
-			switch trial % 3 {
-			case 1:
-				from, to := rng.Intn(sh.n), rng.Intn(sh.n)
-				if b[from] >= sh.quantum && mask[to] {
-					b[from] -= sh.quantum
-					b[to] += sh.quantum
-				}
-			case 2:
-				for j := range weights {
-					weights[j] = rng.Float64()
-				}
-				if b, err = SnapSimplex(weights, mask, sh.quantum); err != nil {
-					t.Fatal(err)
-				}
-			}
-			ka := appendGammaKey(nil, a, sh.quantum, per)
-			kb := appendGammaKey(nil, b, sh.quantum, per)
-			if len(ka) != words || len(kb) != words {
-				t.Fatalf("(%d, %v): key of %d words, layout says %d", sh.n, sh.quantum, len(ka), words)
-			}
-			samePacked := reflect.DeepEqual(ka, kb)
-			sameString := gammaKey(a, sh.quantum) == gammaKey(b, sh.quantum)
-			if samePacked != sameString {
-				t.Fatalf("(%d, %v) trial %d: packed equality %v, string equality %v for %v / %v", sh.n, sh.quantum, trial, samePacked, sameString, a, b)
-			}
-		}
-	}
-}

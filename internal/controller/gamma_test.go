@@ -116,58 +116,6 @@ func TestSnapSimplexProperty(t *testing.T) {
 	}
 }
 
-func TestSimplexNeighboursValidity(t *testing.T) {
-	gamma := []float64{0.5, 0.5, 0}
-	mask := []bool{true, true, true}
-	nbrs := SimplexNeighbours(gamma, mask, 0.25, 2)
-	if len(nbrs) < 2 {
-		t.Fatalf("neighbourhood too small: %d", len(nbrs))
-	}
-	// First entry is the input itself.
-	if nbrs[0][0] != 0.5 || nbrs[0][1] != 0.5 {
-		t.Errorf("first neighbour = %v, want input", nbrs[0])
-	}
-	for _, g := range nbrs {
-		if !sumsToOne(g) || !isQuantized(g, 0.25) {
-			t.Errorf("invalid neighbour %v", g)
-		}
-	}
-}
-
-func TestSimplexNeighboursMask(t *testing.T) {
-	gamma := []float64{1, 0, 0}
-	mask := []bool{true, true, false}
-	for _, g := range SimplexNeighbours(gamma, mask, 0.5, 3) {
-		if g[2] != 0 {
-			t.Errorf("masked entry received mass: %v", g)
-		}
-	}
-}
-
-func TestSimplexNeighboursDepthGrows(t *testing.T) {
-	gamma := []float64{1, 0, 0, 0}
-	mask := []bool{true, true, true, true}
-	d1 := SimplexNeighbours(gamma, mask, 0.05, 1)
-	d3 := SimplexNeighbours(gamma, mask, 0.05, 3)
-	if len(d3) <= len(d1) {
-		t.Errorf("depth 3 (%d) not larger than depth 1 (%d)", len(d3), len(d1))
-	}
-}
-
-func TestSimplexNeighboursNoDuplicates(t *testing.T) {
-	gamma := []float64{0.5, 0.5}
-	mask := []bool{true, true}
-	nbrs := SimplexNeighbours(gamma, mask, 0.25, 4)
-	seen := map[string]bool{}
-	for _, g := range nbrs {
-		k := gammaKey(g, 0.25)
-		if seen[k] {
-			t.Errorf("duplicate neighbour %v", g)
-		}
-		seen[k] = true
-	}
-}
-
 func TestEnumerateSimplexMatchesCount(t *testing.T) {
 	for _, tc := range []struct {
 		k       int

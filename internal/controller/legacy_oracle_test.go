@@ -1,22 +1,9 @@
 package controller
 
-// The historical allocating, string-keyed candidate generators, kept as
-// the reference the production ones (the L1's on/off masks, the packed
-// multi-word keys of SimplexNeighbours) are compared against. Nothing here
-// shares code with the packed keys: vectors are deduplicated by a
-// fixed-width byte string of their unit counts.
-
-import "math"
-
-// gammaKey is the historical string dedup key of a γ vector.
-func gammaKey(g []float64, quantum float64) string {
-	buf := make([]byte, 0, len(g)*2)
-	for _, v := range g {
-		u := uint16(int(math.Round(v / quantum)))
-		buf = append(buf, byte(u), byte(u>>8))
-	}
-	return string(buf)
-}
+// The historical allocating, string-keyed on/off candidate generator,
+// kept as the reference the L1's packed on/off masks are compared against.
+// Nothing here shares code with the packed masks: vectors are deduplicated
+// by a byte string of their states.
 
 func alphaKey(a []bool) string {
 	buf := make([]byte, len(a))
@@ -26,53 +13,6 @@ func alphaKey(a []bool) string {
 		}
 	}
 	return string(buf)
-}
-
-// simplexNeighboursLegacy is SimplexNeighbours over a string-keyed set.
-func simplexNeighboursLegacy(gamma []float64, mask []bool, quantum float64, depth int) [][]float64 {
-	seen := map[string]bool{}
-	var out [][]float64
-	add := func(g []float64) bool {
-		k := gammaKey(g, quantum)
-		if seen[k] {
-			return false
-		}
-		seen[k] = true
-		out = append(out, append([]float64(nil), g...))
-		return true
-	}
-	add(gamma)
-	frontier := [][]float64{gamma}
-	cand := make([]float64, len(gamma))
-	for d := 0; d < depth; d++ {
-		var next [][]float64
-		for _, g := range frontier {
-			for a := range g {
-				if !mask[a] || g[a] < quantum-1e-9 {
-					continue
-				}
-				for b := range g {
-					if b == a || !mask[b] {
-						continue
-					}
-					copy(cand, g)
-					cand[a] -= quantum
-					cand[b] += quantum
-					if cand[a] < -1e-9 {
-						continue
-					}
-					if cand[a] < 0 {
-						cand[a] = 0
-					}
-					if add(cand) {
-						next = append(next, out[len(out)-1])
-					}
-				}
-			}
-		}
-		frontier = next
-	}
-	return out
 }
 
 // alphaCandidatesLegacy is the historical on/off candidate generator.

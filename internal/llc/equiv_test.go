@@ -1,7 +1,6 @@
 package llc
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -129,126 +128,6 @@ func TestPrunedParallelBitIdenticalToNaiveExhaustive(t *testing.T) {
 		assertSameDecision(t, "pruned", ref, pruned)
 		if pruned.Explored > ref.Explored {
 			t.Fatalf("trial %d: pruned Explored = %d exceeds naive %d", trial, pruned.Explored, ref.Explored)
-		}
-	}
-}
-
-// tablePricer prices candidate c under sample si at costs[c][si]. Finish
-// adds extra[c]'s terms onto the mean one at a time, in order — the shape
-// of L2's ‖Δγ‖ fold, whose rounding depends on that order.
-type tablePricer struct {
-	costs [][]float64
-	extra [][]float64
-}
-
-func (p *tablePricer) Price(c, si int, sum float64) (float64, error) {
-	return sum + p.costs[c][si], nil
-}
-
-func (p *tablePricer) Finish(c int, mean float64) float64 {
-	for _, x := range p.extra[c] {
-		mean += x
-	}
-	return mean
-}
-
-func (p *tablePricer) price(c, si int) float64 { return p.costs[c][si] }
-
-// randomTable draws k candidates × n samples of non-negative costs. One
-// trial in three draws small integers, so ties — which must never
-// displace the incumbent — are common; one in two adds a per-candidate
-// Finish addend of up to three terms.
-func randomTable(rng *rand.Rand, k, n int) *tablePricer {
-	p := &tablePricer{costs: make([][]float64, k), extra: make([][]float64, k)}
-	ties := rng.Intn(3) == 0
-	addend := rng.Intn(2) == 0
-	for c := range p.costs {
-		p.costs[c] = make([]float64, n)
-		for si := range p.costs[c] {
-			if ties {
-				p.costs[c][si] = float64(rng.Intn(4))
-			} else {
-				p.costs[c][si] = rng.Float64() * 10
-			}
-		}
-		if addend {
-			p.extra[c] = make([]float64, rng.Intn(4))
-			for i := range p.extra[c] {
-				p.extra[c][i] = rng.Float64() * 0.3
-			}
-		}
-	}
-	return p
-}
-
-// TestPrunedParallelBitIdenticalToNaiveBounded is the same pin for the
-// bounded neighbourhood search of the L1 and L2 controllers and the
-// centralized baseline — OneStep over a caller-built candidate set —
-// against the naive one-step loop: across randomized cost tables, sample
-// counts, incoming incumbents and Finish addends it returns the same
-// winner at a bit-identical cost, pruned or not, with the exact explored
-// count when unpruned and no more when pruned. Under a budget it trips iff
-// the count it would reach exceeds the budget, also when the count is
-// carried across two calls the way L1's α loop carries it.
-//
-//hpm:pin search
-func TestPrunedParallelBitIdenticalToNaiveBounded(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	cands := []int{0, 1, 2, 3, 4, 5}
-	for trial := 0; trial < 300; trial++ {
-		k, n := 1+rng.Intn(6), 1+rng.Intn(4)
-		p := randomTable(rng, k, n)
-		incumbent := math.Inf(1)
-		if rng.Intn(2) == 0 {
-			incumbent = rng.Float64() * 8
-		}
-		wantIdx, wantCost, naive := referenceOneStep(cands[:k], n, incumbent, p.price, p.Finish)
-
-		counts := map[bool]int{}
-		for _, prune := range []bool{false, true} {
-			sc := Scan{Prune: prune}
-			idx, cost, err := OneStep(&sc, p, cands[:k], n, incumbent)
-			if err != nil {
-				t.Fatalf("trial %d (prune %v): %v", trial, prune, err)
-			}
-			if idx != wantIdx || math.Float64bits(cost) != math.Float64bits(wantCost) {
-				t.Fatalf("trial %d (prune %v): (%d, %v), want (%d, %v)", trial, prune, idx, cost, wantIdx, wantCost)
-			}
-			if !prune && sc.Explored != naive {
-				t.Fatalf("trial %d: unpruned explored %d, want %d", trial, sc.Explored, naive)
-			}
-			if prune && sc.Explored > naive {
-				t.Fatalf("trial %d: pruned explored %d exceeds naive %d", trial, sc.Explored, naive)
-			}
-			counts[prune] = sc.Explored
-		}
-
-		// The same candidates in two calls, the incumbent and the Scan
-		// carried between them: the same winner, the same count, and the
-		// budget trips iff that count exceeds it.
-		split := rng.Intn(k + 1)
-		for _, prune := range []bool{false, true} {
-			e := counts[prune]
-			for _, budget := range []int{0, 1, e / 2, e - 1, e, e + 1} {
-				sc := Scan{Prune: prune, MaxExplored: budget}
-				idx, cost, err := OneStep(&sc, p, cands[:split], n, incumbent)
-				if err == nil {
-					var idx2 int
-					if idx2, cost, err = OneStep(&sc, p, cands[split:k], n, cost); idx2 >= 0 {
-						idx = split + idx2
-					}
-				}
-				trips := budget > 0 && e > budget
-				switch {
-				case trips && !errors.Is(err, ErrBudget):
-					t.Fatalf("trial %d (prune %v): budget %d of %d: err %v, want ErrBudget", trial, prune, budget, e, err)
-				case !trips && err != nil:
-					t.Fatalf("trial %d (prune %v): budget %d of %d: %v", trial, prune, budget, e, err)
-				case !trips && (idx != wantIdx || math.Float64bits(cost) != math.Float64bits(wantCost) || sc.Explored != e):
-					t.Fatalf("trial %d (prune %v) split at %d: (%d, %v, %d explored), want (%d, %v, %d)",
-						trial, prune, split, idx, cost, sc.Explored, wantIdx, wantCost, e)
-				}
-			}
 		}
 	}
 }

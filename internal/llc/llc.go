@@ -6,19 +6,13 @@
 // At every control step the framework constructs the tree of future states
 // reachable from the current state over a prediction horizon N, evaluates
 // the cumulative cost of each trajectory against forecast environment
-// inputs, and returns the first input of the best trajectory (Eq. 4). Two
-// searches are provided, one per shape of the paper's levels (§3-4):
-//
-//   - Searcher.Exhaustive: the tree search over every admissible input
-//     sequence, used by the L0 controller, whose input set — processor
-//     frequencies — is small and whose horizon is several steps.
-//   - OneStep: the flat one-step loop over a caller-built candidate set
-//     (a bounded neighbourhood of the previous decision), used by the
-//     centralized baseline, whose input space is combinatorial. It owns
-//     the explored count, the budget, the partial-mean pruning and the
-//     first-strictly-better rule. (The L1 and L2 objectives separate by
-//     computer and module, so those controllers solve them exactly by
-//     min-plus programs of their own.)
+// inputs, and returns the first input of the best trajectory (Eq. 4). The
+// search, Searcher.Exhaustive, walks every admissible input sequence. The
+// L0 controller uses it: its input set — processor frequencies — is small
+// and its horizon several steps. (The L1 and L2 objectives
+// separate by computer and module, so those controllers solve them
+// exactly by min-plus programs of their own, and the centralized baseline
+// owns its one-step loop over a bounded candidate set.)
 //
 // Uncertainty in environment forecasts is handled as in §4.2: each horizon
 // step may carry several sampled environment vectors (e.g. λ̂−δ, λ̂, λ̂+δ)
@@ -144,7 +138,7 @@ type Result[S, U any] struct {
 var ErrNoInputs = errors.New("llc: model returned no admissible inputs")
 
 // ErrBudget is returned when a search exhausts its decision budget (see
-// Searcher.SetMaxExplored and Scan.MaxExplored) before completing.
+// Searcher.SetMaxExplored) before completing.
 // Callers treat it as the decision deadline expiring: apply deterministic
 // fallback settings for this tick and search again next tick.
 var ErrBudget = errors.New("llc: decision budget exhausted")

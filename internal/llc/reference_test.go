@@ -8,8 +8,7 @@ import (
 // This file preserves the original recursive, unpruned search engine as a
 // test oracle: the branch-and-bound engine must reproduce its decisions
 // bit-for-bit (inputs, states, cost, feasibility) and, when pruning is
-// off, its exact Explored count and evaluation order. Beside it sits the
-// naive one-step loop, the oracle OneStep must reproduce the same way.
+// off, its exact Explored count and evaluation order.
 
 type refSearch[S, U any] struct {
 	m        Model[S, U]
@@ -89,24 +88,4 @@ func refReverse[T any](xs []T) {
 	for i, j := 0, len(xs)-1; i < j; i, j = i+1, j-1 {
 		xs[i], xs[j] = xs[j], xs[i]
 	}
-}
-
-// referenceOneStep is the naive one-step loop: every candidate priced over
-// every sample with a plain sum += price loop, the mean passed through
-// finish, and the first candidate strictly cheaper than the incumbent
-// kept — no pruning, no budget. It returns the winner (−1 when none beat
-// the incumbent), its cost and the candidate-samples priced.
-func referenceOneStep[C any](cands []C, n int, incumbent float64, price func(c C, si int) float64, finish func(c C, mean float64) float64) (int, float64, int) {
-	best, cost, explored := -1, incumbent, 0
-	for ci, c := range cands {
-		sum := 0.0
-		for si := 0; si < n; si++ {
-			sum += price(c, si)
-			explored++
-		}
-		if f := finish(c, sum/float64(n)); f < cost {
-			best, cost = ci, f
-		}
-	}
-	return best, cost, explored
 }
