@@ -63,7 +63,8 @@ type (
 	ComputerSpec = cluster.ComputerSpec
 	// Config bundles the hierarchy's tunables.
 	Config = core.Config
-	// Manager owns one experiment (plant + hierarchy + learning).
+	// Manager holds one hierarchy's learned artifacts and configuration;
+	// each of its sessions runs its own controllers, estimators and plant.
 	Manager = core.Manager
 	// Record holds a run's recorded results.
 	Record = core.Record

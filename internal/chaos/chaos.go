@@ -96,8 +96,10 @@ type Plan struct {
 	// the scenario failure plan and fired by the engine's usual
 	// quantize-to-tick injection path.
 	Failures []workload.FailureEvent
-	// DecisionBudget caps the LLC controllers' explored states per
-	// decision (0 = unlimited). A squeezed budget is injectable chaos
+	// DecisionBudget caps each controller decision's search work (0 =
+	// unlimited), counted per level: the states an L0 lookahead
+	// evaluates, the abstraction-map probes of an L1 decision, the J̃
+	// terms an L2 decision prices. A squeezed budget is injectable chaos
 	// like any sensor fault: searches that exhaust it trip the
 	// deterministic deadline fallback.
 	DecisionBudget int

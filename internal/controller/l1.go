@@ -87,6 +87,18 @@ func (c L1Config) Validate() error {
 	return nil
 }
 
+// ValidateModule reports whether an L1 of this configuration can manage a
+// module of m computers.
+func (c L1Config) ValidateModule(m int) error {
+	if c.MinOn > m {
+		return fmt.Errorf("controller: L1 min-on %d exceeds module size %d", c.MinOn, m)
+	}
+	if m > 64 {
+		return fmt.Errorf("controller: L1 module size %d exceeds 64 (the on/off mask is one uint64)", m)
+	}
+	return nil
+}
+
 // L1Observation is the aggregated module state x_L1 (Eq. 9) plus the
 // environment estimates ω̂_L1 (Eq. 11–12) the L1 controller consumes.
 type L1Observation struct {
@@ -214,13 +226,10 @@ func NewL1(cfg L1Config, gmaps []*GMap) (*L1, error) {
 			return nil, fmt.Errorf("controller: L1 abstraction map %d is nil", j)
 		}
 	}
-	if cfg.MinOn > len(gmaps) {
-		return nil, fmt.Errorf("controller: L1 min-on %d exceeds module size %d", cfg.MinOn, len(gmaps))
+	if err := cfg.ValidateModule(len(gmaps)); err != nil {
+		return nil, err
 	}
 	m := len(gmaps)
-	if m > 64 {
-		return nil, fmt.Errorf("controller: L1 module size %d exceeds 64 (the on/off mask is one uint64)", m)
-	}
 	units := int(math.Round(1 / cfg.Quantum))
 	w := units + 1
 	l := &L1{cfg: cfg, gmaps: gmaps, units: units, tri: w * (w + 1) / 2}

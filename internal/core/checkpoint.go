@@ -57,9 +57,8 @@ func (s *Session) RestoreCheckpoint(b []byte) error {
 		return err
 	}
 	s.bins = s.h.Bins()
-	m := s.r.m
 	for i, st := range s.h.LastObserved() {
-		m.modules[i].lastAgg, m.modules[i].lastPer = st.Agg, st.Per
+		s.r.modules[i].lastAgg, s.r.modules[i].lastPer = st.Agg, st.Per
 	}
 	if bins := s.h.Bins(); bins > 0 {
 		s.r.refreshDecision(bins - 1)
@@ -69,7 +68,6 @@ func (s *Session) RestoreCheckpoint(b []byte) error {
 
 // checkpoint appends the hierarchy's side of a session checkpoint.
 func (r *run) checkpoint(w *ckpt.Writer) {
-	m := r.m
 	w.Floats(r.respWindow)
 	w.Bool(r.gammaModules != nil)
 	w.Floats(r.gammaModules)
@@ -80,7 +78,7 @@ func (r *run) checkpoint(w *ckpt.Writer) {
 			w.Int(int64(f))
 		}
 	}
-	for _, asm := range m.modules {
+	for _, asm := range r.modules {
 		asm.kalman0.Checkpoint(w)
 		asm.kalman1.Checkpoint(w)
 		asm.band.Checkpoint(w)
@@ -98,31 +96,30 @@ func (r *run) checkpoint(w *ckpt.Writer) {
 			l0.Checkpoint(w)
 		}
 	}
-	m.kalmanG.Checkpoint(w)
-	m.bandG.Checkpoint(w)
-	if m.l2 != nil {
-		m.l2.Checkpoint(w)
+	r.kalmanG.Checkpoint(w)
+	r.bandG.Checkpoint(w)
+	if r.l2 != nil {
+		r.l2.Checkpoint(w)
 	}
-	m.recorder.Checkpoint(w)
+	r.recorder.Checkpoint(w)
 }
 
 // restore reads back what checkpoint wrote.
 func (r *run) restore(rd *ckpt.Reader) {
-	m := r.m
 	rd.Floats(r.respWindow)
 	r.gammaModules = nil
 	if rd.Bool() {
-		r.gammaModules = make([]float64, len(m.modules))
+		r.gammaModules = make([]float64, len(r.modules))
 		rd.Floats(r.gammaModules)
 	}
 	r.lambdaGRate = rd.Float()
 	r.arrivedTL2 = rd.IntIn(0, maxCount, "arrivals")
 	for i, idx := range r.freqIdx {
 		for j := range idx {
-			idx[j] = rd.IntIn(-1, len(m.modules[i].specs[j].FrequenciesHz)-1, "frequency index")
+			idx[j] = rd.IntIn(-1, len(r.modules[i].specs[j].FrequenciesHz)-1, "frequency index")
 		}
 	}
-	for _, asm := range m.modules {
+	for _, asm := range r.modules {
 		asm.kalman0.RestoreCheckpoint(rd)
 		asm.kalman1.RestoreCheckpoint(rd)
 		asm.band.RestoreCheckpoint(rd)
@@ -140,12 +137,12 @@ func (r *run) restore(rd *ckpt.Reader) {
 			l0.RestoreCheckpoint(rd)
 		}
 	}
-	m.kalmanG.RestoreCheckpoint(rd)
-	m.bandG.RestoreCheckpoint(rd)
-	if m.l2 != nil {
-		m.l2.RestoreCheckpoint(rd)
+	r.kalmanG.RestoreCheckpoint(rd)
+	r.bandG.RestoreCheckpoint(rd)
+	if r.l2 != nil {
+		r.l2.RestoreCheckpoint(rd)
 	}
-	m.recorder.RestoreCheckpoint(rd)
+	r.recorder.RestoreCheckpoint(rd)
 }
 
 // maxCount bounds a restored arrival counter: far past any period's

@@ -344,14 +344,14 @@ func TestManagerLearningShared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(mgr.modules) != 4 {
-		t.Fatalf("modules = %d, want 4", len(mgr.modules))
+	if len(mgr.gmaps) != 4 {
+		t.Fatalf("modules = %d, want 4", len(mgr.gmaps))
 	}
 	// All computers share one hardware key, so all gmaps must be the
 	// same object.
-	first := mgr.modules[0].gmaps[0]
-	for _, asm := range mgr.modules {
-		for _, g := range asm.gmaps {
+	first := mgr.gmaps[0][0]
+	for _, gmaps := range mgr.gmaps {
+		for _, g := range gmaps {
 			if g != first {
 				t.Fatal("identical hardware got distinct abstraction maps")
 			}

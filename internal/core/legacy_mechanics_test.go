@@ -10,7 +10,6 @@ import (
 	"hierctl/internal/controller"
 	"hierctl/internal/des"
 	"hierctl/internal/engine"
-	"hierctl/internal/forecast"
 	"hierctl/internal/series"
 	"hierctl/internal/workload"
 )
@@ -18,7 +17,7 @@ import (
 // legacyMechanicsRun reproduces the package's pre-engine session mechanics
 // verbatim — own plant and feed, pending ring indexed by step mod sub,
 // ceil-quantized failure schedule, dispatch/advance/harvest loop — while
-// driving the same policy hooks (initPolicy, Decide, Observe, finish) the
+// driving the same policy hooks (Init, Decide, Observe, finish) the
 // engine harness calls. It is the equivalence oracle for the engine
 // migration: Manager.Run must keep producing bit-identical Records against
 // an independent implementation of the mechanics. Do not modify it.
@@ -50,41 +49,14 @@ func legacyMechanicsRun(m *Manager, trace *series.Series, store *workload.Store)
 		return nil, err
 	}
 
-	// Kalman tuning and estimator resets, as NewSession performs them.
-	prefixBins := int(float64(trace.Len()) * TunePrefixFrac)
-	cal := trace.Values[:prefixBins]
-	ql, qt, ro := 1.0, 0.1, 10.0
-	if len(cal) >= 8 {
-		tuned, _, err := forecast.TuneKalman(cal)
-		if err != nil {
-			return nil, err
-		}
-		ql, qt, ro = tuned.Params()
-	}
-	newKalman := func() (*forecast.Kalman, error) { return forecast.NewKalman(ql, qt, ro) }
-	for _, asm := range m.modules {
-		if asm.kalman0, err = newKalman(); err != nil {
-			return nil, err
-		}
-		if asm.kalman1, err = newKalman(); err != nil {
-			return nil, err
-		}
-		asm.lastPer = make([]cluster.IntervalStats, len(asm.specs))
-		asm.lastAgg = cluster.IntervalStats{}
-		asm.arrivedTL1 = 0
-		asm.hasPredicted = false
-		asm.pendingRatio = 1
-		asm.l0Ratio = 1
-	}
-	if m.kalmanG, err = newKalman(); err != nil {
-		return nil, err
-	}
-	if m.bandG, err = forecast.NewBand(forecast.BandSmoothing); err != nil {
+	// The hierarchy, built by the session's own constructor on the
+	// calibration prefix NewSession takes from a trace.
+	if err := r.build(trace.Values[:int(float64(trace.Len())*TunePrefixFrac)]); err != nil {
 		return nil, err
 	}
 
 	// Warm start all-on at full speed, then pre-roll through the boot.
-	for i, asm := range m.modules {
+	for i, asm := range r.modules {
 		for j := range asm.specs {
 			if err := plant.PowerOn(i, j); err != nil {
 				return nil, err
@@ -104,13 +76,13 @@ func legacyMechanicsRun(m *Manager, trace *series.Series, store *workload.Store)
 		if err := plant.Advance(preroll); err != nil {
 			return nil, err
 		}
-		for i := range m.modules {
+		for i := range r.modules {
 			if _, _, err := plant.ModuleIntervalStats(i); err != nil {
 				return nil, err
 			}
 		}
 	}
-	if err := r.initPolicy(plant); err != nil {
+	if err := r.Init(plant); err != nil {
 		return nil, err
 	}
 
@@ -184,9 +156,9 @@ func legacyMechanicsRun(m *Manager, trace *series.Series, store *workload.Store)
 			if set.Degraded {
 				tot.DegradedTicks++
 			}
-			stats := make([]engine.ModuleStats, len(m.modules))
+			stats := make([]engine.ModuleStats, len(r.modules))
 			var iv engine.Interval
-			for i := range m.modules {
+			for i := range r.modules {
 				agg, per, err := plant.ModuleIntervalStats(i)
 				if err != nil {
 					return nil, err
@@ -222,7 +194,7 @@ func legacyMechanicsRun(m *Manager, trace *series.Series, store *workload.Store)
 	tot.Energy = plant.TotalEnergy()
 	tot.Switches = plant.TotalSwitches()
 	tot.ResponseP95 = plant.Latencies().Quantile(0.95)
-	for i := range m.modules {
+	for i := range r.modules {
 		for j := 0; j < plant.ModuleSize(i); j++ {
 			c := plant.Computer(i, j)
 			tot.Completed += c.TotalCompleted()

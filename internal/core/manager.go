@@ -2,13 +2,13 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"time"
 
 	"hierctl/internal/chaos"
 	"hierctl/internal/cluster"
 	"hierctl/internal/controller"
 	"hierctl/internal/engine"
-	"hierctl/internal/forecast"
 	"hierctl/internal/obs"
 	"hierctl/internal/par"
 	"hierctl/internal/workload"
@@ -117,60 +117,22 @@ func modRem(a, b float64) float64 {
 	return r
 }
 
-// moduleAsm bundles one module's controllers and estimators.
-type moduleAsm struct {
-	specs []cluster.ComputerSpec
-	gmaps []*controller.GMap
-	l1    *controller.L1
-	l0s   []*controller.L0
-
-	kalman0 *forecast.Kalman // module arrivals per T_L0 bin
-	kalman1 *forecast.Kalman // module arrivals per T_L1 bin
-	band    *forecast.Band   // δ at T_L1 granularity
-	band0   *forecast.Band   // δ at T_L0 granularity (L0 burst hedging)
-	cEst    *forecast.EWMA
-
-	alpha []bool
-	gamma []float64
-
-	lastPer []cluster.IntervalStats
-	lastAgg cluster.IntervalStats
-
-	arrivedTL1   int
-	predictedTL1 float64
-	hasPredicted bool
-
-	// pendingRatio rescales the module's own arrival forecast right
-	// after the L2 reallocates fractions: the module filter has only
-	// seen arrivals under the old γ_i, but λ_i = γ_i·λ_g (Fig. 2b), so
-	// the known new share adjusts the forecast until the filter catches
-	// up. 1 means no pending reallocation.
-	pendingRatio float64
-	// l0Ratio carries the same correction down to the L0 frequency
-	// controllers for the remainder of the L1 period, since their
-	// per-T_L0 filter lags reallocations just the same.
-	l0Ratio float64
-
-	// Observation scratch, reused across control periods: the
-	// controllers read their observation slices and never retain them,
-	// and each module is planned by a single goroutine, so the decision
-	// loop stays allocation-free (the tick invariant — see the
-	// controller package doc).
-	obsQueues []float64
-	obsAvail  []bool
-	l0Lambda  []float64
-}
-
-// Manager owns one experiment: the plant, the controller hierarchy, the
-// estimators, and the learned approximations. Construct with NewManager,
-// then call Run (batch replay) or NewSession (incremental stepping).
+// Manager holds what one hierarchy learned and how it is configured: the
+// configuration, the cluster spec, each module's abstraction maps g, the
+// module trees J̃, and the injected failure and chaos plans. It runs
+// nothing itself. Construct with NewManager, then call Run (batch replay)
+// or NewSession (incremental stepping): each session builds its own
+// controllers and estimators from the Manager's learned artifacts, and its
+// engine harness owns the plant, so a Manager's sessions are independent of
+// each other and of the order they are opened in.
 type Manager struct {
-	cfg     Config
-	spec    cluster.Spec
-	modules []*moduleAsm
-	l2      *controller.L2
-	kalmanG *forecast.Kalman // cluster arrivals per T_L2 bin
-	bandG   *forecast.Band   // δ at T_L2 granularity
+	cfg  Config
+	spec cluster.Spec
+	// gmaps holds each module's abstraction maps, one per computer in
+	// module order; jtildes each module's J̃ tree (nil for a single
+	// module, which has no L2). Both are read-only and shared.
+	gmaps   [][]*controller.GMap
+	jtildes []controller.JTilde
 
 	artifacts ArtifactSet
 	// store and the held lists record the references this manager took in
@@ -198,30 +160,20 @@ type Manager struct {
 	// production.
 	observeFailpoint func(tick int)
 
-	// recorder is the attached decision flight recorder (nil = off); it
-	// feeds every controller and the sessions built afterwards.
+	// recorder is the attached decision flight recorder (nil = off), handed
+	// to the sessions built afterwards.
 	recorder *obs.Recorder
 }
 
-// SetRecorder attaches a decision flight recorder to the whole hierarchy
-// — the L2, every module's L1, every L0 — and to sessions created
-// afterwards (which add the engine's per-tick records). A nil recorder
-// detaches. Recording is observe-only: runs are bit-identical with it on
-// or off, and the record sequence is the same at any Parallelism — the
-// hierarchy records from one goroutine (pinned by
+// SetRecorder attaches a decision flight recorder to the sessions created
+// afterwards: to their L2, every module's L1, every L0 and the engine's
+// per-tick records. A nil recorder detaches. A recorder attached to a
+// Manager is shared by all the sessions opened after it, which record into
+// it in the order they step. Recording is observe-only: runs are
+// bit-identical with it on or off, and the record sequence is the same at
+// any Parallelism — a session records from one goroutine (pinned by
 // TestManagerRecorderEquivalence).
-func (m *Manager) SetRecorder(r *obs.Recorder) {
-	m.recorder = r
-	for i, asm := range m.modules {
-		asm.l1.SetRecorder(r, i)
-		for j, l0 := range asm.l0s {
-			l0.SetRecorder(r, i, j)
-		}
-	}
-	if m.l2 != nil {
-		m.l2.SetRecorder(r)
-	}
-}
+func (m *Manager) SetRecorder(r *obs.Recorder) { m.recorder = r }
 
 // Recorder returns the attached flight recorder (nil when disabled).
 func (m *Manager) Recorder() *obs.Recorder { return m.recorder }
@@ -240,20 +192,10 @@ type ArtifactSet struct {
 // copied but the artifacts themselves are shared; they are read-only
 // during decision making.
 func (m *Manager) Artifacts() ArtifactSet {
-	out := ArtifactSet{
-		GMaps: make(map[string]*controller.GMap, len(m.artifacts.GMaps)),
-		Trees: make(map[string]*controller.TreeJTilde, len(m.artifacts.Trees)),
-	}
-	for k, v := range m.artifacts.GMaps {
-		out.GMaps[k] = v
-	}
-	for k, v := range m.artifacts.Trees {
-		out.Trees[k] = v
-	}
-	return out
+	return ArtifactSet{GMaps: maps.Clone(m.artifacts.GMaps), Trees: maps.Clone(m.artifacts.Trees)}
 }
 
-// NewManager builds the hierarchy for the given cluster: it learns the
+// NewManager learns what the hierarchy needs for the given cluster: the
 // abstraction map g for every distinct computer hardware (§4.2) and, when
 // the cluster has more than one module, the regression-tree J̃ for every
 // distinct module composition (§5.1). Learning results are shared across
@@ -306,39 +248,14 @@ func (s *ArtifactStore) NewManager(spec cluster.Spec, cfg Config) (_ *Manager, e
 	}
 	m.artifacts = ArtifactSet{GMaps: gmapCache, Trees: map[string]*controller.TreeJTilde{}}
 
-	for _, ms := range spec.Modules {
-		asm := &moduleAsm{}
+	m.gmaps = make([][]*controller.GMap, len(spec.Modules))
+	for i, ms := range spec.Modules {
+		if err := cfg.L1.ValidateModule(len(ms.Computers)); err != nil {
+			return nil, err
+		}
 		for _, cs := range ms.Computers {
-			asm.specs = append(asm.specs, cs)
-			asm.gmaps = append(asm.gmaps, gmapCache[hardwareKey(cs)])
+			m.gmaps[i] = append(m.gmaps[i], gmapCache[hardwareKey(cs)])
 		}
-		l1, err := controller.NewL1(cfg.L1, asm.gmaps)
-		if err != nil {
-			return nil, err
-		}
-		asm.l1 = l1
-		for _, cs := range ms.Computers {
-			l0, err := controller.NewL0(cfg.L0, cs)
-			if err != nil {
-				return nil, err
-			}
-			asm.l0s = append(asm.l0s, l0)
-		}
-		asm.cEst, err = forecast.NewEWMA(forecast.CHatSmoothing)
-		if err != nil {
-			return nil, err
-		}
-		asm.band, err = forecast.NewBand(forecast.BandSmoothing)
-		if err != nil {
-			return nil, err
-		}
-		asm.band0, err = forecast.NewBand(forecast.BandSmoothing)
-		if err != nil {
-			return nil, err
-		}
-		asm.alpha = make([]bool, len(ms.Computers))
-		asm.gamma = make([]float64, len(ms.Computers))
-		m.modules = append(m.modules, asm)
 	}
 
 	if len(spec.Modules) > 1 {
@@ -347,12 +264,12 @@ func (s *ArtifactStore) NewManager(spec cluster.Spec, cfg Config) (_ *Manager, e
 		treeCache, err := acquireDistinct(&s.trees, workers, len(spec.Modules), &m.heldTrees,
 			func(i int) string { return moduleKey(spec.Modules[i]) },
 			func(i int, key string) artifactTask[*controller.TreeJTilde] {
-				asm := m.modules[i]
+				gmaps := m.gmaps[i]
 				return artifactTask[*controller.TreeJTilde]{
 					fingerprint: treeFingerprint(cfg, key),
 					what:        "J̃ for module " + spec.Modules[i].Name,
 					learn: func() (*controller.TreeJTilde, error) {
-						return controller.LearnModuleTree(cfg.L0, cfg.L1, asm.gmaps, cfg.ModuleSim)
+						return controller.LearnModuleTree(cfg.L0, cfg.L1, gmaps, cfg.ModuleSim)
 					},
 				}
 			})
@@ -360,15 +277,10 @@ func (s *ArtifactStore) NewManager(spec cluster.Spec, cfg Config) (_ *Manager, e
 			return nil, err
 		}
 		m.artifacts.Trees = treeCache
-		jtildes := make([]controller.JTilde, len(spec.Modules))
-		for i := range m.modules {
-			jtildes[i] = treeCache[moduleKey(spec.Modules[i])]
+		m.jtildes = make([]controller.JTilde, len(spec.Modules))
+		for i, ms := range spec.Modules {
+			m.jtildes[i] = treeCache[moduleKey(ms)]
 		}
-		l2, err := controller.NewL2(cfg.L2, jtildes)
-		if err != nil {
-			return nil, err
-		}
-		m.l2 = l2
 	}
 	m.learnTime = time.Since(learnStart) //hpm:wallclock one-time learning-phase duration report; observe-only
 	return m, nil
@@ -492,25 +404,13 @@ func (m *Manager) InjectPlan(plan []workload.FailureEvent) {
 // InjectChaos schedules a sensor-fault chaos plan for sessions created
 // afterwards: its sensor faults corrupt what the controllers observe (the
 // plant and its accounting stay truthful), its availability events merge
-// with the scenario failure plan, and a positive DecisionBudget caps the
-// explored states of every LLC search — searches that exhaust it trip the
-// deterministic degraded-tick fallback. An empty plan is a no-op: runs
-// stay bit-identical to never calling InjectChaos. Call before
-// Run/NewSession.
-func (m *Manager) InjectChaos(p chaos.Plan) {
-	m.chaos = p
-	if p.DecisionBudget > 0 {
-		for _, asm := range m.modules {
-			asm.l1.SetMaxExplored(p.DecisionBudget)
-			for _, l0 := range asm.l0s {
-				l0.SetMaxExplored(p.DecisionBudget)
-			}
-		}
-		if m.l2 != nil {
-			m.l2.SetMaxExplored(p.DecisionBudget)
-		}
-	}
-}
+// with the scenario failure plan, and a positive DecisionBudget caps every
+// decision's search work — the states each L0 lookahead evaluates, the
+// abstraction-map probes of each L1 decision, the J̃ terms each L2 decision
+// prices — and a decision that exhausts it trips the deterministic
+// degraded-tick fallback. An empty plan is a no-op: runs stay bit-identical
+// to never calling InjectChaos. Call before Run/NewSession.
+func (m *Manager) InjectChaos(p chaos.Plan) { m.chaos = p }
 
 // SetL1Failpoint installs a test hook invoked at the top of every L1
 // planning call with the module index and tick; a panicking hook

@@ -9,7 +9,9 @@ import (
 	"hierctl/internal/cluster"
 	"hierctl/internal/controller"
 	"hierctl/internal/engine"
+	"hierctl/internal/forecast"
 	"hierctl/internal/llc"
+	"hierctl/internal/obs"
 	"hierctl/internal/series"
 	"hierctl/internal/workload"
 )
@@ -57,7 +59,18 @@ func (m *Manager) Run(trace *series.Series, store *workload.Store) (*Record, err
 // dispatch fractions; Observe folds the harvested interval back into the
 // estimators.
 type run struct {
-	m       *Manager
+	m *Manager
+	// The hierarchy this run steps, built by build from m's learned
+	// artifacts: one assembly per module, the L2 (nil for a single
+	// module), and the cluster arrival filter and band.
+	modules []*moduleAsm
+	l2      *controller.L2
+	kalmanG *forecast.Kalman // cluster arrivals per T_L2 bin
+	bandG   *forecast.Band   // δ at T_L2 granularity
+	// recorder is the flight recorder the manager had attached when the
+	// run was built (nil = off).
+	recorder *obs.Recorder
+
 	trace   *series.Series // full trace when known up front; nil when streaming
 	sub     int            // T_L0 bins per observation bin
 	tl0     float64
@@ -70,7 +83,7 @@ type run struct {
 	// oracle lookups); 0 when streaming.
 	totalSteps int
 
-	plant *cluster.Plant // set by the harness via initPolicy
+	plant *cluster.Plant // set by the harness via Init
 
 	// rec is the run's record. Its series exist only when the trace does
 	// (see Record): a streaming run has no end to bound them by.
@@ -100,13 +113,13 @@ type run struct {
 
 	arrivedTL2 int
 
-	// L2 observation scratch, reused across periods (the controller
-	// reads, never retains it).
+	// L2 observation scratch, sized by build (nil without an L2) and
+	// reused across periods (the controller reads, never retains it).
 	l2QAvg  []float64
 	l2CHat  []float64
 	l2Avail []bool
 
-	// Decide scratch, sized once in initPolicy and reused every tick: the
+	// Decide scratch, sized once in build and reused every tick: the
 	// per-module L1 plans, the equal-share module split in force before
 	// the first L2 decision, and the dispatch weights. The harness hands
 	// the weights to Plant.Dispatch, which reads and never retains them.
@@ -117,6 +130,48 @@ type run struct {
 	// last is the decision in force after the most recent cleanly applied
 	// bin, refreshed in place by refreshDecision (see Session.Decision).
 	last BinDecision
+}
+
+// moduleAsm bundles one module's controllers and estimators within a run.
+type moduleAsm struct {
+	specs []cluster.ComputerSpec
+	l1    *controller.L1
+	l0s   []*controller.L0
+
+	kalman0 *forecast.Kalman // module arrivals per T_L0 bin
+	kalman1 *forecast.Kalman // module arrivals per T_L1 bin
+	band    *forecast.Band   // δ at T_L1 granularity
+	band0   *forecast.Band   // δ at T_L0 granularity (L0 burst hedging)
+	cEst    *forecast.EWMA
+
+	alpha []bool
+	gamma []float64
+
+	lastPer []cluster.IntervalStats
+	lastAgg cluster.IntervalStats
+
+	arrivedTL1   int
+	predictedTL1 float64
+	hasPredicted bool
+
+	// pendingRatio rescales the module's own arrival forecast right
+	// after the L2 reallocates fractions: the module filter has only
+	// seen arrivals under the old γ_i, but λ_i = γ_i·λ_g (Fig. 2b), so
+	// the known new share adjusts the forecast until the filter catches
+	// up. 1 means no pending reallocation.
+	pendingRatio float64
+	// l0Ratio carries the same correction down to the L0 frequency
+	// controllers for the remainder of the L1 period, since their
+	// per-T_L0 filter lags reallocations just the same.
+	l0Ratio float64
+
+	// Observation scratch, sized by build and reused across control
+	// periods: the controllers read their observation slices and never
+	// retain them, so the decision loop stays allocation-free (the tick
+	// invariant — see the controller package doc).
+	obsQueues []float64
+	obsAvail  []bool
+	l0Lambda  []float64
 }
 
 // capacities returns relative capacity weights used for seed allocations.
@@ -131,11 +186,6 @@ func capacities(specs []cluster.ComputerSpec) []float64 {
 // Name implements engine.Policy.
 func (r *run) Name() string { return "hierarchical-llc" }
 
-// Init implements engine.Policy (see initPolicy in session.go: the L1
-// state seeding and record construction live next to NewSession, whose
-// estimator setup they complete).
-func (r *run) Init(p *cluster.Plant) error { return r.initPolicy(p) }
-
 // Decide implements engine.Policy: one T_L0 control period at step index
 // k. The failure schedule has already fired for this boundary (the
 // harness applies it ahead of the controllers, matching the event
@@ -144,14 +194,13 @@ func (r *run) Init(p *cluster.Plant) error { return r.initPolicy(p) }
 //
 //hpm:hotpath
 func (r *run) Decide(k, pending int) (engine.Settings, error) {
-	m := r.m
 	degraded := false
 
 	// (1) L2: redistribute load across modules. A budget trip or panic
 	// leaves the previous split in force (decideL2 errors before it
 	// mutates L2 state); the fallback only re-appends the series sample
 	// so the record cadence is preserved.
-	if m.l2 != nil && k%r.l2Every == 0 {
+	if r.l2 != nil && k%r.l2Every == 0 {
 		if err := r.decideL2Guarded(k); err != nil {
 			if !degradable(err) {
 				return engine.Settings{}, err
@@ -169,10 +218,10 @@ func (r *run) Decide(k, pending int) (engine.Settings, error) {
 	// module's failure never skips a sibling's estimator folds.
 	if k%r.l1Every == 0 {
 		plans := r.plans
-		for i := range m.modules {
+		for i := range r.modules {
 			plans[i] = r.planL1Guarded(i, k)
 		}
-		for i := range m.modules {
+		for i := range r.modules {
 			if plans[i].err != nil {
 				if !degradable(plans[i].err) {
 					return engine.Settings{}, plans[i].err
@@ -200,7 +249,7 @@ func (r *run) Decide(k, pending int) (engine.Settings, error) {
 
 	// (3) L0 per computer: frequency for the next period. Budget trips
 	// and panics degrade to full speed per computer inside decideL0.
-	for i, asm := range m.modules {
+	for i, asm := range r.modules {
 		deg, err := r.decideL0(i, asm, k)
 		if err != nil {
 			return engine.Settings{}, err
@@ -218,7 +267,7 @@ func (r *run) Decide(k, pending int) (engine.Settings, error) {
 	if gm == nil {
 		gm = r.equalShares
 	}
-	for i, asm := range m.modules {
+	for i, asm := range r.modules {
 		weights := r.weights[i]
 		for j := range asm.specs {
 			weights[j] = 0
@@ -245,13 +294,8 @@ func (r *run) decideL2Guarded(k int) (err error) {
 // (equal shares before any decision) stays in force, re-appended to the
 // record series so the per-boundary cadence is preserved.
 func (r *run) fallbackL2() {
-	m := r.m
 	if r.gammaModules == nil {
-		gm := make([]float64, len(m.modules))
-		for i := range gm {
-			gm[i] = 1 / float64(len(gm))
-		}
-		r.gammaModules = gm
+		r.gammaModules = slices.Clone(r.equalShares)
 	}
 	r.recordGammaModules(r.gammaModules)
 }
@@ -271,7 +315,7 @@ func (r *run) recordGammaModules(gamma []float64) {
 // plant state, and it reseeds the L1's bounded search so the next
 // healthy tick resumes from a coherent previous decision.
 func (r *run) fallbackL1(i int) (controller.L1Decision, error) {
-	asm := r.m.modules[i]
+	asm := r.modules[i]
 	alpha := make([]bool, len(asm.specs))
 	avail := 0
 	for j := range asm.specs {
@@ -305,24 +349,18 @@ func (r *run) decideL2(k int) error {
 	m := r.m
 	// Fold the completed T_L2 interval into the cluster filter and band.
 	if k > 0 {
-		prior := m.kalmanG.Observe(float64(r.arrivedTL2))
-		if m.kalmanG.Steps() > 1 {
-			m.bandG.Observe(prior, float64(r.arrivedTL2))
+		prior := r.kalmanG.Observe(float64(r.arrivedTL2))
+		if r.kalmanG.Steps() > 1 {
+			r.bandG.Observe(prior, float64(r.arrivedTL2))
 		}
 		r.arrivedTL2 = 0
 	}
-	lambdaG := math.Max(0, m.kalmanG.Forecast(1))
-	deltaG := m.bandG.Delta()
+	lambdaG := math.Max(0, r.kalmanG.Forecast(1))
+	deltaG := r.bandG.Delta()
 	if m.cfg.OracleForecast {
 		mean, peak := r.futureProfile(k, r.l2Every)
 		lambdaG = mean * float64(r.l2Every)
 		deltaG = (peak - mean) * float64(r.l2Every)
-	}
-	// Reused observation scratch (the L2 reads, never retains it).
-	if r.l2QAvg == nil {
-		r.l2QAvg = make([]float64, len(m.modules))
-		r.l2CHat = make([]float64, len(m.modules))
-		r.l2Avail = make([]bool, len(m.modules))
 	}
 	obs := controller.L2Observation{
 		QAvg:      r.l2QAvg,
@@ -331,7 +369,7 @@ func (r *run) decideL2(k int) error {
 		CHat:      r.l2CHat,
 		Available: r.l2Avail,
 	}
-	for i, asm := range m.modules {
+	for i, asm := range r.modules {
 		obs.QAvg[i] = float64(asm.lastAgg.QueueLen) / float64(len(asm.specs))
 		obs.CHat[i] = r.cHat(asm)
 		obs.Available[i] = moduleAvailable(r.plant, i)
@@ -340,14 +378,14 @@ func (r *run) decideL2(k int) error {
 		r.fallbackL2()
 		return nil
 	}
-	dec, err := m.l2.Decide(obs)
+	dec, err := r.l2.Decide(obs)
 	if err != nil {
 		return err
 	}
 	// Propagate the reallocation to the module forecasts: λ_i = γ_i·λ_g,
 	// so a module whose share changed expects arrivals scaled by the
 	// share ratio until its own filter has seen the new regime.
-	for i, asm := range m.modules {
+	for i, asm := range r.modules {
 		ratio := 1.0
 		switch {
 		case r.gammaModules != nil && r.gammaModules[i] > 0.01:
@@ -399,7 +437,7 @@ func (r *run) planL1Guarded(i, k int) (plan l1Plan) {
 // not depend on the order the modules are planned in.
 func (r *run) planL1(i int, k int) (l1Plan, error) {
 	m := r.m
-	asm := m.modules[i]
+	asm := r.modules[i]
 	var plan l1Plan
 
 	// Fold the completed T_L1 interval into the module filter and band;
@@ -425,10 +463,6 @@ func (r *run) planL1(i int, k int) (l1Plan, error) {
 	}
 	asm.hasPredicted = true
 
-	if asm.obsQueues == nil {
-		asm.obsQueues = make([]float64, len(asm.specs))
-		asm.obsAvail = make([]bool, len(asm.specs))
-	}
 	queues, avail := asm.obsQueues, asm.obsAvail
 	for j := range asm.specs {
 		queues[j] = float64(asm.lastPer[j].QueueLen)
@@ -436,7 +470,7 @@ func (r *run) planL1(i int, k int) (l1Plan, error) {
 	}
 	own := asm.predictedTL1 / m.cfg.L1.PeriodSeconds
 	lambdaHat := asm.pendingRatio * own
-	if m.l2 != nil && r.gammaModules != nil && !m.cfg.OracleForecast {
+	if r.l2 != nil && r.gammaModules != nil && !m.cfg.OracleForecast {
 		// λ_i = γ_i·λ_g floor right after a reallocation (Fig. 2b).
 		if floor := r.gammaModules[i] * r.lambdaGRate; floor > lambdaHat {
 			lambdaHat = floor
@@ -477,7 +511,7 @@ func (r *run) planL1(i int, k int) (l1Plan, error) {
 // plant's on/off switches, and the module's dispatch fractions. Called
 // sequentially in module order.
 func (r *run) applyL1(i int, plan l1Plan) error {
-	asm := r.m.modules[i]
+	asm := r.modules[i]
 	if plan.hasPredActual && r.trace != nil {
 		r.predActual = append(r.predActual, plan.predActual)
 	}
@@ -507,16 +541,13 @@ func (r *run) applyL1(i int, plan l1Plan) error {
 func (r *run) decideL0(i int, asm *moduleAsm, k int) (degraded bool, err error) {
 	m := r.m
 	cHat := r.cHat(asm)
-	if cap(asm.l0Lambda) < m.cfg.L0.Horizon {
-		asm.l0Lambda = make([]float64, m.cfg.L0.Horizon)
-	}
 	for j := range asm.specs {
 		if st := r.plant.Computer(i, j).State(); st == cluster.Failed || st == cluster.PowerOff {
 			r.freqIdx[i][j] = -1
 			r.recordFreq(i, j, 0)
 			continue
 		}
-		lambda := asm.l0Lambda[:m.cfg.L0.Horizon]
+		lambda := asm.l0Lambda
 		for h := range lambda {
 			var forecastCount float64
 			if m.cfg.OracleForecast {
@@ -576,7 +607,7 @@ func (r *run) Observe(k int, iv engine.Interval, stats []engine.ModuleStats) err
 	if r.m.observeFailpoint != nil {
 		r.m.observeFailpoint(k)
 	}
-	for i, asm := range r.m.modules {
+	for i, asm := range r.modules {
 		agg, per := stats[i].Agg, stats[i].Per
 		asm.lastAgg = agg
 		asm.lastPer = per
@@ -631,7 +662,7 @@ func (r *run) moduleShare(i int) float64 {
 	if r.gammaModules != nil {
 		return r.gammaModules[i]
 	}
-	return 1 / float64(len(r.m.modules))
+	return r.equalShares[i]
 }
 
 // cHat returns the module's processing-time estimate.
@@ -655,13 +686,12 @@ func moduleAvailable(p *cluster.Plant, i int) bool {
 // harness has already drained in-flight work and closed the energy
 // accounting.
 func (r *run) finish(tot engine.Totals) *Record {
-	m := r.m
 	rec := r.rec
 
 	// Assemble the Fig. 4 prediction series: per T_L1 boundary, sum the
 	// per-module predictions and actuals (predActual is empty on a
 	// streaming run, which has no series to fill).
-	per := len(m.modules)
+	per := len(r.modules)
 	for i := 0; i+per <= len(r.predActual); i += per {
 		var p, a float64
 		for j := 0; j < per; j++ {
@@ -678,7 +708,7 @@ func (r *run) finish(tot engine.Totals) *Record {
 	rec.ResponseP50 = lat.Quantile(0.50)
 	rec.ResponseP99 = lat.Quantile(0.99)
 	rec.ResponseMax = lat.Max()
-	for _, asm := range m.modules {
+	for _, asm := range r.modules {
 		for _, l0 := range asm.l0s {
 			e, d, ct := l0.Overhead()
 			rec.L0Explored += e
@@ -690,8 +720,8 @@ func (r *run) finish(tot engine.Totals) *Record {
 		rec.L1Decisions += d
 		rec.L1Time += ct
 	}
-	if m.l2 != nil {
-		e, d, ct := m.l2.Overhead()
+	if r.l2 != nil {
+		e, d, ct := r.l2.Overhead()
 		rec.L2Explored = e
 		rec.L2Decisions = d
 		rec.L2Time = ct

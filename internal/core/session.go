@@ -57,8 +57,11 @@ type SessionConfig struct {
 // and owns only the hierarchy's control flow. The pre-engine mechanics
 // survive verbatim as the test oracle in legacy_mechanics_test.go.
 //
-// A Manager supports one live session at a time — NewSession resets the
-// hierarchy's estimator state. Sessions are not safe for concurrent use.
+// A session owns everything that changes while it runs — the plant (in its
+// engine harness), the controllers and the estimators — and shares with its
+// Manager only what was learned and configured, so a Manager may have
+// several sessions open, each deciding exactly as a fresh Manager's would.
+// Sessions are not safe for concurrent use.
 type Session struct {
 	r *run
 	h *engine.Harness
@@ -101,10 +104,11 @@ type ModuleDecision struct {
 	FreqHz  []float64 `json:"freqHz"`
 }
 
-// NewSession builds the runtime state for an incremental run: the plant is
-// booted and pre-rolled by the engine harness, the Kalman filters are
-// tuned on the calibration prefix, and the request feed is seeded. See
-// SessionConfig for the online vs batch modes.
+// NewSession builds the runtime state for an incremental run: the
+// hierarchy's controllers and estimators are built from the manager's
+// learned artifacts, the Kalman filters are tuned on the calibration
+// prefix, the plant is booted and pre-rolled by the engine harness, and the
+// request feed is seeded. See SessionConfig for the online vs batch modes.
 func (m *Manager) NewSession(store *workload.Store, sc SessionConfig) (*Session, error) {
 	if store == nil {
 		return nil, fmt.Errorf("core: nil store")
@@ -140,41 +144,12 @@ func (m *Manager) NewSession(store *workload.Store, sc SessionConfig) (*Session,
 		r.totalSteps = totalBins * sub
 	}
 
-	// Tune Kalman noise parameters on the calibration prefix (§4.3). The
-	// same tuned parameters serve all levels: the filter gain depends on
-	// the Q/R ratios, which are scale-invariant across aggregation levels.
 	cal := sc.Calibration
 	if cal == nil && sc.Trace != nil {
 		prefixBins := int(float64(sc.Trace.Len()) * TunePrefixFrac)
 		cal = sc.Trace.Values[:prefixBins]
 	}
-	ql, qt, ro := 1.0, 0.1, 10.0 // fallback prior
-	if len(cal) >= 8 {
-		tuned, _, err := forecast.TuneKalman(cal)
-		if err != nil {
-			return nil, err
-		}
-		ql, qt, ro = tuned.Params()
-	}
-	newKalman := func() (*forecast.Kalman, error) { return forecast.NewKalman(ql, qt, ro) }
-	for _, asm := range m.modules {
-		if asm.kalman0, err = newKalman(); err != nil {
-			return nil, err
-		}
-		if asm.kalman1, err = newKalman(); err != nil {
-			return nil, err
-		}
-		asm.lastPer = make([]cluster.IntervalStats, len(asm.specs))
-		asm.lastAgg = cluster.IntervalStats{}
-		asm.arrivedTL1 = 0
-		asm.hasPredicted = false
-		asm.pendingRatio = 1
-		asm.l0Ratio = 1
-	}
-	if m.kalmanG, err = newKalman(); err != nil {
-		return nil, err
-	}
-	if m.bandG, err = forecast.NewBand(forecast.BandSmoothing); err != nil {
+	if err := r.build(cal); err != nil {
 		return nil, err
 	}
 
@@ -188,7 +163,7 @@ func (m *Manager) NewSession(store *workload.Store, sc SessionConfig) (*Session,
 		DrainSeconds:  m.cfg.DrainSeconds,
 		Failures:      m.failures,
 		Chaos:         m.chaos,
-		Recorder:      m.recorder,
+		Recorder:      r.recorder,
 		QoSTarget:     controller.TargetResponse,
 	}, store, r)
 	if err != nil {
@@ -197,49 +172,127 @@ func (m *Manager) NewSession(store *workload.Store, sc SessionConfig) (*Session,
 	return &Session{r: r, h: h}, nil
 }
 
-// initPolicy is the engine.Policy Init hook: the plant arrives warm
-// (all-on at full frequency, pre-roll advanced). It seeds the L1
-// controllers' state to the all-on configuration and builds the record.
-func (r *run) initPolicy(plant *cluster.Plant) error {
+// build gives the run its hierarchy, fresh from the manager's learned
+// artifacts: per module an L1 over the module's maps, one L0 per computer,
+// the Kalman filters, the bands, the ĉ EWMA and the decision scratch;
+// across modules the L2 over the trees and the cluster filter and band.
+// One Kalman tuning on the calibration prefix cal (§4.3) serves every
+// level: the filter gain depends on the Q/R ratios, which are
+// scale-invariant across aggregation levels. The run keeps the manager's
+// recorder and chaos DecisionBudget as they stand now, so no two runs
+// share anything that changes while they run.
+func (r *run) build(cal []float64) error {
 	m := r.m
-	r.plant = plant
-	preroll := plant.Now()
-	for _, asm := range m.modules {
-		allOn := make([]bool, len(asm.specs))
-		for j := range allOn {
-			allOn[j] = true
-		}
-		gamma, err := controller.SnapSimplex(capacities(asm.specs), allOn, m.cfg.L1.Quantum)
+	ql, qt, ro := 1.0, 0.1, 10.0 // fallback prior
+	if len(cal) >= 8 {
+		tuned, _, err := forecast.TuneKalman(cal)
 		if err != nil {
 			return err
 		}
-		asm.alpha = allOn
-		asm.gamma = gamma
-		if err := asm.l1.SetState(allOn, gamma); err != nil {
+		ql, qt, ro = tuned.Params()
+	}
+	newKalman := func() (*forecast.Kalman, error) { return forecast.NewKalman(ql, qt, ro) }
+	r.recorder = m.recorder
+	budget := m.chaos.DecisionBudget
+	var err error
+
+	p := len(m.spec.Modules)
+	r.modules = make([]*moduleAsm, p)
+	r.freqIdx = make([][]int, p)
+	r.weights = make([][]float64, p)
+	for i, ms := range m.spec.Modules {
+		n := len(ms.Computers)
+		asm := &moduleAsm{
+			specs:        ms.Computers,
+			alpha:        make([]bool, n),
+			lastPer:      make([]cluster.IntervalStats, n),
+			pendingRatio: 1,
+			l0Ratio:      1,
+			obsQueues:    make([]float64, n),
+			obsAvail:     make([]bool, n),
+			l0Lambda:     make([]float64, m.cfg.L0.Horizon),
+		}
+		if asm.l1, err = controller.NewL1(m.cfg.L1, m.gmaps[i]); err != nil {
 			return err
 		}
-	}
-
-	r.rec = &Record{
-		TargetResponse: controller.TargetResponse,
-		LearnTime:      m.learnTime,
-	}
-	if r.trace != nil {
-		r.initSeries(preroll)
-	}
-	r.respWindow = make([]float64, r.sub)
-	r.freqIdx = make([][]int, len(m.modules))
-	r.plans = make([]l1Plan, len(m.modules))
-	r.equalShares = make([]float64, len(m.modules))
-	r.weights = make([][]float64, len(m.modules))
-	r.last.Modules = make([]ModuleDecision, len(m.modules))
-	for i, asm := range m.modules {
-		r.freqIdx[i] = make([]int, len(asm.specs))
+		asm.l1.SetRecorder(r.recorder, i)
+		asm.l1.SetMaxExplored(budget)
+		for j, cs := range ms.Computers {
+			l0, err := controller.NewL0(m.cfg.L0, cs)
+			if err != nil {
+				return err
+			}
+			l0.SetRecorder(r.recorder, i, j)
+			l0.SetMaxExplored(budget)
+			asm.l0s = append(asm.l0s, l0)
+		}
+		if asm.kalman0, err = newKalman(); err != nil {
+			return err
+		}
+		if asm.kalman1, err = newKalman(); err != nil {
+			return err
+		}
+		if asm.band, err = forecast.NewBand(forecast.BandSmoothing); err != nil {
+			return err
+		}
+		if asm.band0, err = forecast.NewBand(forecast.BandSmoothing); err != nil {
+			return err
+		}
+		if asm.cEst, err = forecast.NewEWMA(forecast.CHatSmoothing); err != nil {
+			return err
+		}
+		// The plant arrives warm, all-on at full frequency: the state a new
+		// L1 assumes, with its capacity-proportional split.
+		for j := range asm.alpha {
+			asm.alpha[j] = true
+		}
+		if asm.gamma, err = controller.SnapSimplex(capacities(asm.specs), asm.alpha, m.cfg.L1.Quantum); err != nil {
+			return err
+		}
+		r.modules[i] = asm
+		r.freqIdx[i] = make([]int, n)
 		for j := range r.freqIdx[i] {
 			r.freqIdx[i][j] = -1
 		}
-		r.equalShares[i] = 1 / float64(len(m.modules))
-		r.weights[i] = make([]float64, len(asm.specs))
+		r.weights[i] = make([]float64, n)
+	}
+	if m.jtildes != nil {
+		if r.l2, err = controller.NewL2(m.cfg.L2, m.jtildes); err != nil {
+			return err
+		}
+		r.l2.SetRecorder(r.recorder)
+		r.l2.SetMaxExplored(budget)
+		r.l2QAvg = make([]float64, p)
+		r.l2CHat = make([]float64, p)
+		r.l2Avail = make([]bool, p)
+	}
+	if r.kalmanG, err = newKalman(); err != nil {
+		return err
+	}
+	if r.bandG, err = forecast.NewBand(forecast.BandSmoothing); err != nil {
+		return err
+	}
+
+	r.respWindow = make([]float64, r.sub)
+	r.plans = make([]l1Plan, p)
+	r.equalShares = make([]float64, p)
+	for i := range r.equalShares {
+		r.equalShares[i] = 1 / float64(p)
+	}
+	r.last.Modules = make([]ModuleDecision, p)
+	return nil
+}
+
+// Init implements engine.Policy: the plant arrives warm (all-on at full
+// frequency, pre-roll advanced), and the run builds its record.
+func (r *run) Init(plant *cluster.Plant) error {
+	r.plant = plant
+	r.rec = &Record{
+		TargetResponse: controller.TargetResponse,
+		LearnTime:      r.m.learnTime,
+	}
+	if r.trace != nil {
+		r.initSeries(plant.Now())
 	}
 	return nil
 }
@@ -256,8 +309,8 @@ func (r *run) initSeries(preroll float64) {
 	rec.Operational = series.New(preroll, m.cfg.L1.PeriodSeconds, 0)
 	rec.ResponseMean = series.New(preroll, r.tl0, 0)
 	rec.FreqByComputer = map[string]*series.Series{}
-	if m.l2 != nil {
-		rec.GammaModules = make([]*series.Series, len(m.modules))
+	if r.l2 != nil {
+		rec.GammaModules = make([]*series.Series, len(r.modules))
 		for i := range rec.GammaModules {
 			rec.GammaModules[i] = series.New(preroll, m.cfg.L2.PeriodSeconds, 0)
 		}
@@ -442,13 +495,12 @@ func (s *Session) Finish() (*Record, error) {
 // refreshDecision rewrites r.last, in place, with the decision payload
 // after bin's steps ran.
 func (r *run) refreshDecision(bin int) {
-	m := r.m
 	d := &r.last
 	d.Bin = bin
 	d.Time = r.start0 + float64(bin+1)*r.binStep
 	d.Operational = r.plant.OperationalComputers()
 	d.GammaModules = append(d.GammaModules[:0], r.gammaModules...)
-	for i, asm := range m.modules {
+	for i, asm := range r.modules {
 		md := &d.Modules[i]
 		md.Alpha = append(md.Alpha[:0], asm.alpha...)
 		md.Gamma = append(md.Gamma[:0], asm.gamma...)

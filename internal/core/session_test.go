@@ -317,3 +317,87 @@ func TestManagerWithArtifactsSkipsLearning(t *testing.T) {
 	}
 	recordsIdentical(t, a, b)
 }
+
+// TestManagerSessionsAreIndependent pins the split between a Manager, which
+// holds what was learned, and a Session, which owns everything that changes
+// while it runs: the controllers, the estimators and their scratch. A
+// Manager's second Run must equal a fresh Manager's first, and two streaming
+// sessions of one Manager, stepped alternately over different loads, must
+// decide bin for bin as two Managers' sessions do. The trace varies, so the
+// bands and the ĉ filters move and any state carried between sessions shows.
+func TestManagerSessionsAreIndependent(t *testing.T) {
+	spec := cluster.Spec{Modules: []cluster.ModuleSpec{moduleOf("M1", 2), moduleOf("M2", 2)}}
+	trace := series.New(0, 30, 60)
+	for i := range trace.Values {
+		trace.Values[i] = 900 + 600*math.Sin(float64(i)/5)
+	}
+	newManager := func() *Manager {
+		m, err := NewManager(spec, fastConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	run := func(m *Manager) *Record {
+		rec, err := m.Run(trace, testStore(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec.LearnTime, rec.L0Time, rec.L1Time, rec.L2Time = 0, 0, 0, 0
+		return rec
+	}
+
+	shared := newManager()
+	run(shared)
+	second, fresh := run(shared), run(newManager())
+	recordsIdentical(t, fresh, second)
+	if !reflect.DeepEqual(fresh, second) {
+		t.Errorf("second run diverges from a fresh manager's\nfresh:  %+v\nsecond: %+v", fresh, second)
+	}
+
+	prefix := int(float64(trace.Len()) * TunePrefixFrac)
+	open := func(m *Manager) *Session {
+		s, err := m.NewSession(testStore(t), SessionConfig{BinSeconds: trace.Step, Calibration: trace.Values[:prefix]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	one := newManager()
+	// Each pair is a session of the shared Manager and its twin on a
+	// Manager of its own; the second pair sees half the load, reversed.
+	pairs := [2][2]*Session{{open(one), open(newManager())}, {open(one), open(newManager())}}
+	for bin := range trace.Values {
+		for p, pair := range pairs {
+			count := trace.Values[bin]
+			if p == 1 {
+				count = trace.Values[trace.Len()-1-bin] / 2
+			}
+			got, err := pair[0].ObserveBin(count)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := pair[1].ObserveBin(count)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("session %d, bin %d: shared manager decided\n%+v\nwant %+v", p, bin, got, want)
+			}
+		}
+	}
+	for p, pair := range pairs {
+		got, err := pair[0].Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := pair[1].Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		scalarsIdentical(t, want, got)
+		if t.Failed() {
+			t.Fatalf("session %d finished differently on the shared manager", p)
+		}
+	}
+}

@@ -179,7 +179,8 @@ func newTenant(id string, tc TenantConfig, artifacts *core.ArtifactStore) (_ *te
 		if err != nil {
 			return nil, fmt.Errorf("fleet: tenant %s: %w", id, err)
 		}
-		// Attach before NewSession so the engine harness records ticks.
+		// Attach before NewSession: a session records into the recorder
+		// its manager had when the session was opened.
 		mgr.SetRecorder(rec)
 	}
 	mgr.InjectPlan(tc.Failures)
