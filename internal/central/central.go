@@ -340,28 +340,31 @@ func (c *Controller) alphaCandidates(avail []bool) [][]bool {
 }
 
 // gammaCandidates is the quantized-simplex neighbourhood over the whole
-// cluster — the joint γ space whose size grows combinatorially with n.
+// cluster — the joint γ space whose size grows combinatorially with n:
+// the seed's neighbourhood, then the previous γ's. One seen-set spans
+// both, so each γ is priced once; a repeat could only tie its first copy,
+// and a tie never displaces the best.
 func (c *Controller) gammaCandidates(alpha []bool) [][]float64 {
 	seed, err := controller.SnapSimplex(c.caps, alpha, quantum)
 	if err != nil {
 		return nil
 	}
-	cands := simplexNeighbours(seed, alpha, c.cfg.NeighbourDepth)
+	seen := map[string]struct{}{}
+	cands := simplexNeighbours(nil, seen, seed, alpha, c.cfg.NeighbourDepth)
 	if prev, err := controller.SnapSimplex(c.prevGamma, alpha, quantum); err == nil {
-		cands = append(cands, simplexNeighbours(prev, alpha, 1)...)
+		cands = simplexNeighbours(cands, seen, prev, alpha, 1)
 	}
 	return cands
 }
 
-// simplexNeighbours is the quantized-simplex neighbourhood of gamma: every
-// vector reached by moving up to depth quanta, one at a time, from one
-// masked entry to another, in breadth-first order with gamma itself
-// first. Entries outside the mask stay zero. A vector reached twice is
-// kept once, recognized by its unit counts, one byte an entry.
-func simplexNeighbours(gamma []float64, mask []bool, depth int) [][]float64 {
-	seen := map[string]struct{}{}
+// simplexNeighbours appends to out the quantized-simplex neighbourhood of
+// gamma: every vector reached by moving up to depth quanta, one at a
+// time, from one masked entry to another, in breadth-first order with
+// gamma itself first. Entries outside the mask stay zero. A vector in seen
+// — reached twice, or already in out — is kept once, recognized by its
+// unit counts, one byte an entry.
+func simplexNeighbours(out [][]float64, seen map[string]struct{}, gamma []float64, mask []bool, depth int) [][]float64 {
 	key := make([]byte, len(gamma))
-	var out [][]float64
 	add := func(g []float64) bool {
 		for j, v := range g {
 			key[j] = byte(int(math.Round(v / quantum)))

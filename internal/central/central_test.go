@@ -244,17 +244,17 @@ func TestCentralPruningPreservesDecision(t *testing.T) {
 		{
 			[]bool{false, true, true, true},
 			[]uint64{0, 0x3fd6666666666667, 0x3fd6666666666667, 0x3fd3333333333334},
-			[]int{3, 2, 3, 3}, 594, 594,
+			[]int{3, 2, 3, 3}, 471, 471,
 		},
 		{
 			[]bool{true, true, true, true},
 			[]uint64{0x3fd0000000000000, 0x3fc999999999999a, 0x3fd3333333333333, 0x3fd0000000000000},
-			[]int{3, 3, 3, 3}, 391, 426,
+			[]int{3, 3, 3, 3}, 343, 378,
 		},
 		{
 			[]bool{false, true, true, true},
 			[]uint64{0, 0x3fd6666666666667, 0x3fd6666666666667, 0x3fd3333333333334},
-			[]int{3, 2, 3, 3}, 594, 594,
+			[]int{3, 2, 3, 3}, 486, 486,
 		},
 	}
 	ctl, err := New(DefaultConfig(), testSpecs(4))

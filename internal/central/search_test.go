@@ -104,7 +104,7 @@ func units(g []float64) ([]int, bool) {
 func TestSimplexNeighboursValidity(t *testing.T) {
 	gamma := []float64{0.5, 0.5, 0}
 	mask := []bool{true, true, true}
-	nbrs := simplexNeighbours(gamma, mask, 2)
+	nbrs := simplexNeighbours(nil, map[string]struct{}{}, gamma, mask, 2)
 	if len(nbrs) < 2 {
 		t.Fatalf("neighbourhood too small: %d", len(nbrs))
 	}
@@ -122,7 +122,7 @@ func TestSimplexNeighboursValidity(t *testing.T) {
 func TestSimplexNeighboursMask(t *testing.T) {
 	gamma := []float64{1, 0, 0}
 	mask := []bool{true, true, false}
-	for _, g := range simplexNeighbours(gamma, mask, 3) {
+	for _, g := range simplexNeighbours(nil, map[string]struct{}{}, gamma, mask, 3) {
 		if g[2] != 0 {
 			t.Errorf("masked entry received mass: %v", g)
 		}
@@ -132,8 +132,8 @@ func TestSimplexNeighboursMask(t *testing.T) {
 func TestSimplexNeighboursDepthGrows(t *testing.T) {
 	gamma := []float64{1, 0, 0, 0}
 	mask := []bool{true, true, true, true}
-	d1 := simplexNeighbours(gamma, mask, 1)
-	d3 := simplexNeighbours(gamma, mask, 3)
+	d1 := simplexNeighbours(nil, map[string]struct{}{}, gamma, mask, 1)
+	d3 := simplexNeighbours(nil, map[string]struct{}{}, gamma, mask, 3)
 	if len(d3) <= len(d1) {
 		t.Errorf("depth 3 (%d) not larger than depth 1 (%d)", len(d3), len(d1))
 	}
@@ -142,7 +142,7 @@ func TestSimplexNeighboursDepthGrows(t *testing.T) {
 func TestSimplexNeighboursNoDuplicates(t *testing.T) {
 	gamma := []float64{0.5, 0.5}
 	mask := []bool{true, true}
-	nbrs := simplexNeighbours(gamma, mask, 4)
+	nbrs := simplexNeighbours(nil, map[string]struct{}{}, gamma, mask, 4)
 	if len(nbrs) != 9 {
 		t.Errorf("%d neighbours, want the 9 splits within 4 quanta of 50/50", len(nbrs))
 	}
@@ -155,6 +155,35 @@ func TestSimplexNeighboursNoDuplicates(t *testing.T) {
 			seen[k] = true
 		}
 	}
+}
+
+// TestGammaCandidatesPricedOnce: the seed's and the previous γ's
+// neighbourhoods share one seen-set, so no γ is a candidate twice — at
+// start-up, where the previous γ is the seed itself, and after a decision.
+func TestGammaCandidatesPricedOnce(t *testing.T) {
+	ctl, err := New(DefaultConfig(), testSpecs(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(label string) {
+		t.Helper()
+		for _, alpha := range ctl.alphaCandidates([]bool{true, true, true, true}) {
+			seen := map[string]bool{}
+			for _, g := range ctl.gammaCandidates(alpha) {
+				u, _ := units(g)
+				if k := fmt.Sprint(u); seen[k] {
+					t.Fatalf("%s: α %v prices γ %v twice", label, alpha, g)
+				} else {
+					seen[k] = true
+				}
+			}
+		}
+	}
+	check("start-up")
+	if _, err := ctl.Decide(Observation{QueueLens: []float64{60, 10, 0, 5}, LambdaHat: 180, Delta: 40, CHat: 0.0175}); err != nil {
+		t.Fatal(err)
+	}
+	check("after a decision")
 }
 
 // BenchmarkCentralDecide times one decision of a fresh flat controller at

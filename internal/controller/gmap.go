@@ -5,7 +5,6 @@ import (
 
 	"hierctl/internal/approx"
 	"hierctl/internal/cluster"
-	"hierctl/internal/llc"
 	"hierctl/internal/queue"
 )
 
@@ -136,7 +135,7 @@ func (g *GMap) simulateCell(l0 *L0, q0, lambda, c float64) (avgCost, qEnd, avgRe
 			return 0, 0, 0, 0, err
 		}
 		psi := g.spec.Power.Draw(phi, true)
-		costSum += SlackWeight*llc.Slack(next.R, EffectiveTarget) + PowerWeight*psi
+		costSum += stageCost(next.R, psi)
 		respSum += next.R
 		powerSum += psi
 		state = next

@@ -2,6 +2,7 @@ package controller
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"hierctl/internal/cluster"
@@ -62,6 +63,10 @@ type l0Model struct {
 	spec    cluster.ComputerSpec
 	phis    []float64
 	indices []int
+	// top indexes the highest scaling factor and psiMin is the cheapest
+	// power draw over the ladder: the completion bound's two halves.
+	top    int
+	psiMin float64
 }
 
 func (m *l0Model) Step(s queue.State, u int, env llc.Env) queue.State {
@@ -87,16 +92,47 @@ func (m *l0Model) Step(s queue.State, u int, env llc.Env) queue.State {
 // physical), so the search runs under the llc.Options.NonNegativeCosts
 // branch-and-bound contract.
 func (m *l0Model) Cost(next queue.State, u int, env llc.Env) float64 {
-	eps := llc.Slack(next.R, EffectiveTarget)
-	psi := m.spec.Power.Draw(m.phis[u], true)
-	return SlackWeight*eps + PowerWeight*psi
+	return stageCost(next.R, m.spec.Power.Draw(m.phis[u], true))
+}
+
+// stageCost is the §4.1 stage cost of a period ending at response time r
+// under power draw psi.
+func stageCost(r, psi float64) float64 {
+	return SlackWeight*llc.Slack(r, EffectiveTarget) + PowerWeight*psi
 }
 
 func (m *l0Model) Feasible(queue.State) bool { return true }
 
 func (m *l0Model) Inputs(queue.State) []int { return m.indices }
 
-var _ llc.Model[queue.State, int] = (*l0Model)(nil)
+// Floors implements llc.Floorer. The fluid queue's q and R are
+// non-increasing in φ and non-decreasing in the queue they start from,
+// and so is every floating-point operation computing them (each is
+// correctly rounded, hence monotone). So along the top-frequency path out
+// of s, each level's queue is no longer than any input sequence's nominal
+// queue there, and each sample's response no longer than theirs; the
+// slack is non-decreasing in the response, the cheapest draw is no more
+// than any input's, and the floor sums its samples in the walk's order.
+func (m *l0Model) Floors(s queue.State, envs []([]llc.Env), floors []float64) {
+	for i, samples := range envs {
+		f := 0.0
+		var nominal queue.State
+		for j, env := range samples {
+			next := m.Step(s, m.top, env)
+			f += stageCost(next.R, m.psiMin)
+			if j == len(samples)/2 {
+				nominal = next
+			}
+		}
+		floors[i] = f / float64(len(samples))
+		s = nominal
+	}
+}
+
+var (
+	_ llc.Model[queue.State, int] = (*l0Model)(nil)
+	_ llc.Floorer[queue.State]    = (*l0Model)(nil)
+)
 
 // L0 is the per-computer frequency controller. Construct with NewL0.
 //
@@ -108,6 +144,10 @@ type L0 struct {
 	cfg      L0Config
 	model    *l0Model
 	searcher *llc.Searcher[queue.State, int]
+	// incumbents are the constant lowest- and highest-frequency input
+	// sequences over the horizon, which bound every search from its
+	// start (see l0Model.incumbents).
+	incumbents [][]int
 
 	// Reused forecast buffers: envs[q] holds the uncertainty samples for
 	// horizon step q, a window of envStore, whose entries are llc.Env views
@@ -149,6 +189,7 @@ func NewL0(cfg L0Config, spec cluster.ComputerSpec) (*L0, error) {
 		l.envStore[i] = l.envBacking[2*i : 2*i+2]
 	}
 	l.envs = make([]([]llc.Env), cfg.Horizon)
+	l.incumbents = m.incumbents(cfg.Horizon)
 	return l, nil
 }
 
@@ -173,23 +214,48 @@ func (l *L0) ensureEnvs(samples int) {
 
 // NewL0Model exposes the per-computer fluid-queue model the L0 controller
 // searches over — state queue.State, input a frequency index, environment
-// {λ, ĉ} — so benchmarks and custom engines can drive the llc search
-// against the paper's §4.3 configuration directly. Its stage costs are
-// non-negative, satisfying llc.Options.NonNegativeCosts.
-func NewL0Model(spec cluster.ComputerSpec) (llc.Model[queue.State, int], error) {
-	return newL0Model(spec)
+// {λ, ĉ} — with the incumbent input sequences an L0 controller of the given
+// horizon hands that search, so benchmarks and custom engines can drive
+// the llc search against the paper's §4.3 configuration directly. Its
+// stage costs are non-negative, satisfying llc.Options.NonNegativeCosts,
+// and it implements llc.Floorer.
+func NewL0Model(spec cluster.ComputerSpec, horizon int) (llc.Model[queue.State, int], [][]int, error) {
+	m, err := newL0Model(spec)
+	if err != nil {
+		return nil, nil, err
+	}
+	return m, m.incumbents(horizon), nil
 }
 
 func newL0Model(spec cluster.ComputerSpec) (*l0Model, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
+	// The ladder ascends (spec.Validate), so the top frequency is last.
 	m := &l0Model{spec: spec, phis: spec.PhiLadder()}
 	m.indices = make([]int, len(m.phis))
-	for i := range m.indices {
+	m.top = len(m.phis) - 1
+	m.psiMin = math.Inf(1)
+	for i, phi := range m.phis {
 		m.indices[i] = i
+		m.psiMin = min(m.psiMin, spec.Power.Draw(phi, true))
 	}
 	return m, nil
+}
+
+// incumbents returns the input sequences holding the lowest and the
+// highest frequency over the horizon — optimal when the computer idles
+// and when it is overloaded, which covers most of the load range — or
+// none at horizon 1, where they are the walk's own leaves.
+func (m *l0Model) incumbents(horizon int) [][]int {
+	if horizon <= 1 {
+		return nil
+	}
+	lowest, highest := make([]int, horizon), make([]int, horizon)
+	for q := range highest {
+		highest[q] = m.top
+	}
+	return [][]int{lowest, highest}
 }
 
 // Config returns the controller's configuration.
@@ -235,6 +301,33 @@ func (l *L0) DecideBanded(queueLen float64, lambda []float64, delta, cHat float6
 		return 0, fmt.Errorf("controller: L0 processing-time estimate %v <= 0", cHat)
 	}
 	start := time.Now() //hpm:wallclock decide-latency for the §4.3 overhead metric; observe-only
+	res, err := l.search(queueLen, lambda, delta, cHat)
+	if err != nil {
+		return 0, fmt.Errorf("controller: L0 search: %w", err)
+	}
+	elapsed := time.Since(start) //hpm:wallclock decide-latency for the §4.3 overhead metric; observe-only
+	l.explored += res.Explored
+	l.decisions++
+	l.computeTime += elapsed
+	if l.rec.Enabled() {
+		l.rec.Record(obs.Record{
+			Level:    obs.LevelL0,
+			Module:   l.recModule,
+			Comp:     l.recComp,
+			FreqIdx:  int16(res.Inputs[0]),
+			Explored: int32(res.Explored),
+			DecideNs: elapsed.Nanoseconds(),
+			Cost:     res.Cost,
+		})
+	}
+	return res.Inputs[0], nil
+}
+
+// search fills the forecast buffers for one decision and runs the bounded
+// lookahead search over them. The result aliases the searcher's buffers.
+//
+//hpm:hotpath
+func (l *L0) search(queueLen float64, lambda []float64, delta, cHat float64) (llc.Result[queue.State, int], error) {
 	banded := delta > 0
 	samples := 1
 	if banded {
@@ -258,26 +351,7 @@ func (l *L0) DecideBanded(queueLen float64, lambda []float64, delta, cHat float6
 			l.envs[q][0][0], l.envs[q][0][1] = lam, cHat
 		}
 	}
-	res, err := l.searcher.Exhaustive(queue.State{Q: queueLen}, l.envs)
-	if err != nil {
-		return 0, fmt.Errorf("controller: L0 search: %w", err)
-	}
-	elapsed := time.Since(start) //hpm:wallclock decide-latency for the §4.3 overhead metric; observe-only
-	l.explored += res.Explored
-	l.decisions++
-	l.computeTime += elapsed
-	if l.rec.Enabled() {
-		l.rec.Record(obs.Record{
-			Level:    obs.LevelL0,
-			Module:   l.recModule,
-			Comp:     l.recComp,
-			FreqIdx:  int16(res.Inputs[0]),
-			Explored: int32(res.Explored),
-			DecideNs: elapsed.Nanoseconds(),
-			Cost:     res.Cost,
-		})
-	}
-	return res.Inputs[0], nil
+	return l.searcher.Exhaustive(queue.State{Q: queueLen}, l.envs, l.incumbents...)
 }
 
 // Overhead reports the accumulated overhead counters: total states

@@ -14,17 +14,19 @@ import (
 // key. The ArtifactStore a fleet shares across its tenants is keyed by it;
 // nothing persists a learned artifact, so a new process learns it anew.
 
-// gmapFingerprint keys an abstraction map g: the L0 controller it was
-// simulated under, the learning grid, and the computer's hardware key.
-func gmapFingerprint(cfg Config, hardware string) string {
-	return fmt.Sprintf("%+v|%+v|%s", cfg.L0, cfg.GMap, hardware)
+// gmapConfigKey is the configuration half of an abstraction map g's
+// fingerprint — the L0 controller it was simulated under and the learning
+// grid — which the computer's hardware key completes.
+func gmapConfigKey(cfg Config) string {
+	return fmt.Sprintf("%+v|%+v|", cfg.L0, cfg.GMap)
 }
 
-// treeFingerprint keys a module tree J̃: everything its member maps depend
-// on plus the L1 controller, the module-simulation grid and the module's
-// composition key.
-func treeFingerprint(cfg Config, module string) string {
-	return fmt.Sprintf("%+v|%+v|%+v|%+v|%s", cfg.L0, cfg.L1, cfg.GMap, cfg.ModuleSim, module)
+// treeConfigKey is the configuration half of a module tree J̃'s
+// fingerprint — everything its member maps depend on plus the L1
+// controller and the module-simulation grid — which the module's
+// composition key completes.
+func treeConfigKey(cfg Config) string {
+	return fmt.Sprintf("%+v|%+v|%+v|%+v|", cfg.L0, cfg.L1, cfg.GMap, cfg.ModuleSim)
 }
 
 // ArtifactStore shares offline learning results between the managers built

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"maps"
+	"math"
 	"time"
 
 	"hierctl/internal/chaos"
@@ -226,17 +228,28 @@ func (s *ArtifactStore) NewManager(spec cluster.Spec, cfg Config) (_ *Manager, e
 	learnStart := time.Now() //hpm:wallclock one-time learning-phase duration report; observe-only
 	workers := par.Workers(cfg.Parallelism)
 
-	// Learn the abstraction map g once per distinct hardware.
+	// Key every computer and every module once; the keys index the
+	// shared artifacts below.
 	var computers []cluster.ComputerSpec
-	for _, ms := range spec.Modules {
-		computers = append(computers, ms.Computers...)
+	var hwKeys []string
+	modKeys := make([]string, len(spec.Modules))
+	for i, ms := range spec.Modules {
+		for _, cs := range ms.Computers {
+			key := hardwareKey(cs)
+			computers = append(computers, cs)
+			hwKeys = append(hwKeys, key)
+			modKeys[i] += key
+		}
 	}
+
+	// Learn the abstraction map g once per distinct hardware.
+	gmapConfig := gmapConfigKey(cfg)
 	gmapCache, err := acquireDistinct(&s.gmaps, workers, len(computers), &m.heldGMaps,
-		func(i int) string { return hardwareKey(computers[i]) },
+		func(i int) string { return hwKeys[i] },
 		func(i int, key string) artifactTask[*controller.GMap] {
 			cs := computers[i]
 			return artifactTask[*controller.GMap]{
-				fingerprint: gmapFingerprint(cfg, key),
+				fingerprint: gmapConfig + key,
 				what:        "g for " + cs.Name,
 				learn: func() (*controller.GMap, error) {
 					return controller.LearnGMap(cfg.L0, cs, cfg.GMap)
@@ -249,24 +262,27 @@ func (s *ArtifactStore) NewManager(spec cluster.Spec, cfg Config) (_ *Manager, e
 	m.artifacts = ArtifactSet{GMaps: gmapCache, Trees: map[string]*controller.TreeJTilde{}}
 
 	m.gmaps = make([][]*controller.GMap, len(spec.Modules))
+	next := 0
 	for i, ms := range spec.Modules {
 		if err := cfg.L1.ValidateModule(len(ms.Computers)); err != nil {
 			return nil, err
 		}
-		for _, cs := range ms.Computers {
-			m.gmaps[i] = append(m.gmaps[i], gmapCache[hardwareKey(cs)])
+		for range ms.Computers {
+			m.gmaps[i] = append(m.gmaps[i], gmapCache[hwKeys[next]])
+			next++
 		}
 	}
 
 	if len(spec.Modules) > 1 {
 		// Same scheme for the per-composition J̃ trees: one learning task
 		// per distinct module composition.
+		treeConfig := treeConfigKey(cfg)
 		treeCache, err := acquireDistinct(&s.trees, workers, len(spec.Modules), &m.heldTrees,
-			func(i int) string { return moduleKey(spec.Modules[i]) },
+			func(i int) string { return modKeys[i] },
 			func(i int, key string) artifactTask[*controller.TreeJTilde] {
 				gmaps := m.gmaps[i]
 				return artifactTask[*controller.TreeJTilde]{
-					fingerprint: treeFingerprint(cfg, key),
+					fingerprint: treeConfig + key,
 					what:        "J̃ for module " + spec.Modules[i].Name,
 					learn: func() (*controller.TreeJTilde, error) {
 						return controller.LearnModuleTree(cfg.L0, cfg.L1, gmaps, cfg.ModuleSim)
@@ -278,8 +294,8 @@ func (s *ArtifactStore) NewManager(spec cluster.Spec, cfg Config) (_ *Manager, e
 		}
 		m.artifacts.Trees = treeCache
 		m.jtildes = make([]controller.JTilde, len(spec.Modules))
-		for i, ms := range spec.Modules {
-			m.jtildes[i] = treeCache[moduleKey(ms)]
+		for i := range spec.Modules {
+			m.jtildes[i] = treeCache[modKeys[i]]
 		}
 	}
 	m.learnTime = time.Since(learnStart) //hpm:wallclock one-time learning-phase duration report; observe-only
@@ -353,18 +369,20 @@ func (m *Manager) Release() {
 }
 
 // hardwareKey fingerprints the control-relevant hardware of a computer
-// (everything except its name).
+// (everything except its name): every float64 field by its bits, the
+// frequencies behind their count. The key is exact — two computers share
+// it only when each field is bit-equal — and self-delimiting, so a
+// module's composition key is its computers' keys concatenated.
 func hardwareKey(cs cluster.ComputerSpec) string {
-	return fmt.Sprintf("%v|%v|%v|%v", cs.FrequenciesHz, cs.SpeedFactor, cs.Power, cs.BootDelaySeconds)
-}
-
-// moduleKey fingerprints a module's composition.
-func moduleKey(ms cluster.ModuleSpec) string {
-	key := ""
-	for _, cs := range ms.Computers {
-		key += hardwareKey(cs) + ";"
+	b := make([]byte, 0, 8*(len(cs.FrequenciesHz)+5))
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(cs.FrequenciesHz)))
+	for _, f := range cs.FrequenciesHz {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
 	}
-	return key
+	for _, f := range [...]float64{cs.SpeedFactor, cs.Power.Base, cs.Power.SwitchCost, cs.BootDelaySeconds} {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
+	}
+	return string(b)
 }
 
 // Spec returns the cluster specification.

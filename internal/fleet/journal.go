@@ -124,6 +124,7 @@ type journalMark struct {
 // journalChange is what Append's sweep found for one tenant.
 type journalChange struct {
 	id string
+	t  *tenant
 	// frame is the tenant's frame; Kind 0 when nothing is new since its
 	// mark. A delta's counts are copied out of view into the frame right
 	// before it is encoded.
@@ -262,10 +263,12 @@ func (j *Journal) Append() error {
 			return j.failAppend(offset, fmt.Errorf("fleet: sync journal: %w", err))
 		}
 	}
-	// The frames are durable; only now may the marks move past them.
+	// The frames are durable; only now may the marks move past them, and
+	// the tenants' logs reuse what lies before them.
 	for i := range changes {
 		if c := &changes[i]; c.frame.Kind != 0 {
 			j.marks[c.id] = c.mark
+			c.t.durable.Store(int64(c.mark.obs))
 		}
 	}
 	for _, id := range removed {
@@ -290,7 +293,7 @@ func (j *Journal) Append() error {
 func (j *Journal) change(t *tenant) (journalChange, error) {
 	mark, marked := j.marks[t.id]
 	known := marked && mark.gen == t.gen
-	c := journalChange{id: t.id}
+	c := journalChange{id: t.id, t: t}
 	if known {
 		// Everything before the mark is durable: the log lets it go.
 		t.observations.drop(mark.obs)

@@ -39,7 +39,7 @@ func TestObsLog(t *testing.T) {
 	want := make([]float64, n)
 	for i := range want {
 		want[i] = float64(3 * i)
-		l.add(want[i])
+		l.add(want[i], 0)
 	}
 	if l.len() != 100+n {
 		t.Fatalf("len = %d, want %d", l.len(), 100+n)
@@ -59,15 +59,15 @@ func TestObsLog(t *testing.T) {
 	// Views survive adds that open new blocks: one inside a block, and one
 	// that ends on a full block, whose link the next add writes.
 	var v obsLog
-	v.add(1)
-	v.add(2)
+	v.add(1, 0)
+	v.add(2, 0)
 	short := v.tail(0)
 	for i := 2; i < logBlockCounts; i++ {
-		v.add(float64(i + 1))
+		v.add(float64(i+1), 0)
 	}
 	full := v.tail(1)
 	for range 3 * logBlockCounts {
-		v.add(-1)
+		v.add(-1, 0)
 	}
 	if got := short.appendTo(nil); !reflect.DeepEqual(got, []float64{1, 2}) {
 		t.Errorf("adds rewrote a view tail handed out: %v", got)
@@ -105,6 +105,32 @@ func TestObsLog(t *testing.T) {
 		if b.next != nil {
 			t.Errorf("block %d of a restarted log still links on: not returned to the pool", i)
 		}
+	}
+}
+
+// TestObsLogReusesDurableBlocks: a full log reuses its first block for
+// the next count once that block lies wholly before the durable bin —
+// not a block that still holds a count past it — and the counts after
+// the durable bin read back unchanged.
+func TestObsLogReusesDurableBlocks(t *testing.T) {
+	var l obsLog
+	l.restart(10)
+	want := make([]float64, 0, 4*logBlockCounts)
+	for i := 0; i < 3*logBlockCounts; i++ {
+		want = append(want, float64(i))
+		l.add(want[i], 10+logBlockCounts-1) // the first block holds bin 10+logBlockCounts-1 past it
+	}
+	first, second := l.first, l.first.next
+	durable := 10 + logBlockCounts
+	for i := 3 * logBlockCounts; i < 4*logBlockCounts; i++ {
+		want = append(want, float64(i))
+		l.add(want[i], durable)
+	}
+	if l.last != first || l.first != second || l.base != durable || l.from != durable {
+		t.Fatalf("log did not reuse its first block: last reused %v, base %d, from %d, want %d", l.last == first, l.base, l.from, durable)
+	}
+	if got := l.tail(durable).appendTo(nil); !reflect.DeepEqual(got, want[logBlockCounts:]) {
+		t.Fatalf("tail past the durable bin: %d counts, want %d", len(got), len(want)-logBlockCounts)
 	}
 }
 

@@ -129,6 +129,10 @@ type tenant struct {
 	// checkpoint, so nothing it keeps grows with uptime.
 	journaled    bool
 	observations obsLog
+	// durable is the bin before which the journal holds every count: the
+	// tenant's mark, published by Journal.Append once its frames are
+	// fsynced. The log reuses its blocks wholly before it (see obsLog.add).
+	durable atomic.Int64
 
 	// halt is what the tenant reports once its session stopped mid-bin
 	// (see haltState); nil while the session can step.
@@ -221,7 +225,7 @@ func (t *tenant) step(count float64) error {
 	}
 	t.bins++
 	if t.journaled {
-		t.observations.add(count)
+		t.observations.add(count, int(t.durable.Load()))
 	}
 	return nil
 }
@@ -303,11 +307,12 @@ func putLogBlock(b *logBlock) {
 
 // obsLog is a journaled tenant's count stream past its last durable
 // mark: the counts of bins [from, len()), held in a linked list of
-// logBlocks from logBlockPool. The journal drops the prefix its marks have
-// made durable, and drop returns every block that lies wholly before it to
-// the pool, so the log spans about two journal intervals and a steady
-// tenant's log allocates nothing once the pool holds its interval's
-// blocks. The zero value is an empty log from bin 0.
+// logBlocks. The journal drops the prefix its marks have made durable,
+// and drop returns every block that lies wholly before it to
+// logBlockPool; between drops, add reuses a block that lies wholly before
+// the durable bin the last Append published. So the log spans about one
+// journal interval, and a steady tenant's log allocates nothing once it
+// holds that interval's blocks. The zero value is an empty log from bin 0.
 //
 // tail hands out views of the blocks, not copies: Journal.Append copies
 // each delta out of the view its sweep took right before encoding it,
@@ -315,10 +320,12 @@ func putLogBlock(b *logBlock) {
 // safe because add only writes past len() — into the last block's free
 // slots, or a block it links behind the last — so a view's counts stay as
 // they were, and a view's reader never follows its last block's link,
-// the one field add rewrites. Only drop and restart recycle blocks, and
-// both run only inside a journal sweep — Append's, a compaction's capture
-// or Close's — under Journal.mu, which the Append copying a view holds
-// until it is done with it.
+// the one field add rewrites. A block add reuses lies wholly before the
+// durable bin, which Append publishes only after it copied every view it
+// took and fsynced them, and every later view starts at or past it. drop
+// and restart recycle blocks only inside a journal sweep — Append's, a
+// compaction's capture or Close's — under Journal.mu, which the Append
+// copying a view holds until it is done with it.
 type obsLog struct {
 	// first and last are the log's blocks (nil while it holds no count);
 	// first.counts[0] is bin base.
@@ -330,11 +337,22 @@ type obsLog struct {
 // len returns the bin one past the last logged count.
 func (l *obsLog) len() int { return l.end }
 
-func (l *obsLog) add(count float64) {
-	if l.first == nil {
+// add logs the count of bin len(). When it needs a new block, it reuses
+// the first one if that lies wholly before durable, the bin before which
+// the journal holds every count.
+func (l *obsLog) add(count float64, durable int) {
+	switch {
+	case l.first == nil:
 		l.first = logBlockPool.Get().(*logBlock)
 		l.last, l.base = l.first, l.end
-	} else if (l.end-l.base)%logBlockCounts == 0 {
+	case (l.end-l.base)%logBlockCounts != 0:
+	case l.first != l.last && l.base+logBlockCounts <= durable:
+		b := l.first
+		l.first, l.base = b.next, l.base+logBlockCounts
+		l.from = max(l.from, l.base)
+		b.next = nil
+		l.last.next, l.last = b, b
+	default:
 		b := logBlockPool.Get().(*logBlock)
 		l.last.next, l.last = b, b
 	}

@@ -1,6 +1,7 @@
 package llc
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -219,5 +220,64 @@ func TestDegenerateSubtreeNoLongerAbortsSearch(t *testing.T) {
 	all := scalarModel{target: 0, inputs: []int{1}, inputWeight: math.Inf(1)}
 	if _, err := Exhaustive[float64, int](all, 0, envs, Options{}); err == nil {
 		t.Error("all-Inf search: want error")
+	}
+}
+
+// flooredModel is propModel with a completion bound: every stage costs at
+// least noiseWeight/2 (the sin term is ≥ −1), summed in the walk's sample
+// order.
+type flooredModel struct{ propModel }
+
+func (m flooredModel) Floors(_ float64, envs []([]Env), floors []float64) {
+	for i, samples := range envs {
+		f := 0.0
+		for range samples {
+			f += m.noiseWeight * 0.5
+		}
+		floors[i] = f / float64(len(samples))
+	}
+}
+
+var _ Floorer[float64] = flooredModel{}
+
+// TestBoundedSearchBitIdenticalToNaive: with a Floorer's completion bound
+// and incumbent sequences — a random one and the optimum itself, which
+// only the one-ulp nudge keeps reachable — the pruned search returns the
+// unpruned search's trajectory, cost and feasibility; the naive engine
+// ignores incumbents and explores exactly as without them.
+func TestBoundedSearchBitIdenticalToNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for trial := 0; trial < 300; trial++ {
+		m := flooredModel{randomPropModel(rng)}
+		envs := randomEnvs(rng)
+		x0 := rng.Float64()*10 - 5
+
+		ref, err := referenceExhaustive[float64, int](m, x0, envs, Options{})
+		if err != nil {
+			t.Fatalf("trial %d: reference: %v", trial, err)
+		}
+		random := make([]int, len(envs))
+		for q := range random {
+			random[q] = m.inputs[rng.Intn(len(m.inputs))]
+		}
+		optimum := append([]int(nil), ref.Inputs...)
+		for _, seeds := range [][][]int{nil, {random}, {optimum}, {random, optimum}} {
+			got, err := Exhaustive[float64, int](m, x0, envs, Options{NonNegativeCosts: true}, seeds...)
+			if err != nil {
+				t.Fatalf("trial %d (%d incumbents): %v", trial, len(seeds), err)
+			}
+			assertSameDecision(t, fmt.Sprintf("trial %d, %d incumbents", trial, len(seeds)), ref, got)
+			naive, err := Exhaustive[float64, int](m, x0, envs, Options{}, seeds...)
+			if err != nil {
+				t.Fatalf("trial %d: naive: %v", trial, err)
+			}
+			assertSameDecision(t, "naive", ref, naive)
+			if naive.Explored != ref.Explored {
+				t.Fatalf("trial %d: naive with incumbents explored %d, want %d", trial, naive.Explored, ref.Explored)
+			}
+		}
+	}
+	if _, err := Exhaustive[float64, int](propModel{inputs: []int{1}}, 0, nominalEnvs(2, 0), Options{NonNegativeCosts: true}, []int{1}); err == nil {
+		t.Error("incumbent shorter than the horizon: want error")
 	}
 }

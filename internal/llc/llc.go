@@ -29,14 +29,27 @@
 // depth-first walk over preallocated per-level buffers (no recursion, no
 // per-node allocation) that keeps the best trajectory found so far as an
 // incumbent. Under the Options.NonNegativeCosts contract the engine prunes
-// any partial trajectory whose accumulated cost already matches or exceeds
-// the incumbent — such a trajectory can only tie, and ties never displace
-// the incumbent, so the returned decision is bit-identical to the
-// unpruned search while Result.Explored (the paper's §4.3
-// controller-overhead metric) shrinks. One search runs on one goroutine:
-// Explored is a pure function of the model, the state and the forecasts,
-// so it can be gated byte-exact. Work fans out between independent
-// decisions (runs, tenants, sweep cells), never inside one.
+// on what a partial trajectory can still cost against that incumbent:
+//
+//   - the accumulated cost of the prefix, which lower-bounds every
+//     completion because the stages below it are non-negative;
+//   - the completion bound, when the model also implements Floorer: the
+//     prefix folded with the model's floors for the levels not yet
+//     expanded, in the same leaf-to-root order as a leaf's exact cost;
+//   - incumbent input sequences handed to Exhaustive, priced before the
+//     walk with its own stage arithmetic and nudged one ulp up, so the
+//     walk starts with a finite bound instead of walking its leftmost
+//     path unpruned.
+//
+// A pruned trajectory could at best tie the incumbent, and ties never
+// displace it, so the returned decision — inputs, states, cost — is
+// bit-identical to the unpruned search while Result.Explored (the paper's
+// §4.3 controller-overhead metric) shrinks. Explored counts every state
+// evaluation the search pays for, floors and incumbent pricing included,
+// and so does the decision budget. One search runs on one goroutine:
+// Explored is a pure function of the model, the state, the forecasts and
+// the incumbents, so it can be gated byte-exact. Work fans out between
+// independent decisions (runs, tenants, sweep cells), never inside one.
 package llc
 
 import (
@@ -91,12 +104,14 @@ type Options struct {
 	// breaks the contract). Under this contract the accumulated cost of
 	// a partial trajectory is a lower bound on every completion, and the
 	// engine branch-and-bound prunes partial trajectories that already
-	// meet the incumbent best: the selected trajectory, its cost and its
-	// feasibility are bit-identical to the unpruned search — a pruned
-	// trajectory could at best tie, and ties never displace the
-	// incumbent under the first-best-in-candidate-order rule — but
-	// Result.Explored shrinks. Setting this with a model that can return
-	// negative stage costs voids the equivalence guarantee.
+	// meet the incumbent best — on the prefix alone, on the prefix with
+	// a Floorer's floors below it, and against incumbent sequences given
+	// to Exhaustive (ignored without this contract). The selected
+	// trajectory, its cost and its feasibility are bit-identical to the
+	// unpruned search — a pruned trajectory could at best tie, and ties
+	// never displace the incumbent under the first-best-in-candidate-order
+	// rule — but Result.Explored shrinks. Setting this with a model that
+	// can return negative stage costs voids the equivalence guarantee.
 	//
 	// Error surfacing is best-effort under pruning: a subtree that
 	// cannot improve the incumbent is skipped without calling
@@ -105,6 +120,25 @@ type Options struct {
 	// bit-identical guarantee covers the returned decision; models should
 	// not rely on the search to probe states that cannot win.
 	NonNegativeCosts bool
+}
+
+// Floorer is an optional Model extension that arms the completion bound
+// under Options.NonNegativeCosts. When the walk enters an interior node
+// whose prefix alone does not meet the incumbent, it asks for the floors
+// of the levels below the node and prunes the subtree if the prefix folded
+// with them does.
+//
+// Floors writes into floors[i] a lower bound on the expected stage cost
+// the walk computes at the i-th level below a node whose nominal successor
+// is s, under every admissible input sequence; envs[i] holds that level's
+// samples. The bound must hold in floating point: the walk's stage is the
+// sum, in sample order from 0, of Cost (plus the infeasible penalty) over
+// the samples, divided by their number, with the state recursion driven by
+// the nominal sample. A floor above that value voids the equivalence
+// guarantee. The search charges each floor level as many explored states
+// as it has samples, the price of expanding one node there.
+type Floorer[S any] interface {
+	Floors(s S, envs []([]Env), floors []float64)
 }
 
 // infeasiblePenalty is added to the stage cost of states failing
@@ -124,9 +158,10 @@ type Result[S, U any] struct {
 	// Cost is the expected cumulative cost of the best trajectory.
 	Cost float64
 	// Explored counts state evaluations performed during the search —
-	// the paper's controller-overhead metric (§4.3). Branch-and-bound
-	// pruning (Options.NonNegativeCosts) lowers it without changing the
-	// decision.
+	// the paper's controller-overhead metric (§4.3): the nodes expanded,
+	// the completion bound's floors and the incumbents' pricing.
+	// Branch-and-bound pruning (Options.NonNegativeCosts) lowers it
+	// without changing the decision.
 	Explored int
 	// Feasible reports whether the entire nominal trajectory satisfies
 	// the hard constraints.
@@ -149,12 +184,19 @@ var ErrBudget = errors.New("llc: decision budget exhausted")
 // horizon step q; the horizon is len(envs) and must be ≥ 1. With |U|
 // inputs the naive search evaluates Σ_{q=1..N} |U|^q states, so keep
 // horizons short — the paper uses N ≤ 3 with ≤ 10 inputs.
-func Exhaustive[S, U any](m Model[S, U], x0 S, envs []([]Env), opt Options) (Result[S, U], error) {
+//
+// Each incumbent is an input sequence of the horizon's length that the
+// tree holds — every entry admissible in the state its predecessors lead
+// to along the nominal trajectory. Under Options.NonNegativeCosts the
+// cheapest of them bounds the walk from the start; the decision is the
+// same with or without them, and an incumbent the tree does not hold
+// voids that guarantee.
+func Exhaustive[S, U any](m Model[S, U], x0 S, envs []([]Env), opt Options, incumbents ...[]U) (Result[S, U], error) {
 	sr, err := NewSearcher(m, opt)
 	if err != nil {
 		return Result[S, U]{}, err
 	}
-	return sr.Exhaustive(x0, envs)
+	return sr.Exhaustive(x0, envs, incumbents...)
 }
 
 func checkEnvs(envs []([]Env)) error {
@@ -168,12 +210,6 @@ func checkEnvs(envs []([]Env)) error {
 	}
 	return nil
 }
-
-// nominal returns the sample that drives the state recursion at one
-// horizon step: index ⌊len/2⌋ — the middle sample for odd counts, the
-// upper of the two middle samples for even counts (pinned by tests; see
-// the package doc).
-func nominal(samples []Env) Env { return samples[len(samples)/2] }
 
 // finish assembles the Result from the walk's incumbent.
 func (sr *Searcher[S, U]) finish() (Result[S, U], error) {
@@ -226,18 +262,88 @@ func (sr *Searcher[S, U]) reset(x0 S, roots []U) {
 	sr.err = nil
 }
 
+// count charges n state evaluations to explored and reports false, with
+// sr.err set, once they exceed the decision budget. The budget is
+// denominated in explored states, so the trip point is identical across
+// runs and machines.
+//
+//hpm:hotpath
+func (sr *Searcher[S, U]) count(n int) bool {
+	sr.explored += n
+	if sr.maxExplored > 0 && sr.explored > sr.maxExplored {
+		sr.err = ErrBudget
+		return false
+	}
+	return true
+}
+
+// expand evaluates the node reached by applying u in x at level lv: its
+// expected stage cost over the level's uncertainty samples (§4.2) — each
+// sample yields its own successor, the cost is their average — and the
+// nominal sample's successor, which drives the state recursion. It is the
+// one place stage costs are computed, for the walk and for incumbents
+// alike; false means the budget ran out.
+//
+//hpm:hotpath
+func (sr *Searcher[S, U]) expand(x S, u U, lv int) (stage float64, next S, ok bool) {
+	samples := sr.envs[lv]
+	nominal := len(samples) / 2 // see the package doc
+	for i, env := range samples {
+		succ := sr.m.Step(x, u, env)
+		if !sr.count(1) {
+			return 0, next, false
+		}
+		c := sr.m.Cost(succ, u, env)
+		if !sr.m.Feasible(succ) {
+			c += infeasiblePenalty
+		}
+		stage += c
+		if i == nominal {
+			next = succ
+		}
+	}
+	return stage / float64(len(samples)), next, true
+}
+
+// seed prices one incumbent input sequence down its nominal trajectory with
+// expand and bound, exactly as the walk will price it, and arms bestCost
+// with that cost nudged one ulp up when it undercuts the bound so far. The
+// walk prunes on >=, so the nudge keeps every trajectory that ties the
+// incumbent — the incumbent itself included — reachable; bestSet stays
+// false, and the walk records the first-best trajectory in candidate order
+// as it would have unseeded. Pricing stops early once the prefix alone
+// meets the bound. False means the budget ran out.
+func (sr *Searcher[S, U]) seed(x0 S, seq []U) bool {
+	x := x0
+	for lv, u := range seq {
+		stage, next, ok := sr.expand(x, u, lv)
+		if !ok {
+			return false
+		}
+		sr.stage[lv] = stage
+		if sr.bound(lv) >= sr.bestCost {
+			return true
+		}
+		x = next
+	}
+	if c := math.Nextafter(sr.bound(len(seq)-1), math.Inf(1)); c < sr.bestCost {
+		sr.bestCost = c
+	}
+	return true
+}
+
 // walk explores the tree depth-first in candidate order. The expected stage
 // cost of the node entered at each level is accumulated in stage[];
 // trajectory costs are folded leaf-to-root (bound(), matching the original
-// recursive engine's summation order exactly), and under the
-// NonNegativeCosts contract the fold over the current prefix lower-bounds
-// every completion, enabling incumbent pruning.
+// recursive engine's summation order exactly). Under the NonNegativeCosts
+// contract the fold over the current prefix lower-bounds every completion,
+// and so does the fold of the prefix with a Floorer's floors in the
+// levels below it; either meeting the incumbent prunes the subtree.
 //
 //hpm:hotpath
 func (sr *Searcher[S, U]) walk() {
 	last := len(sr.envs) - 1
 	prune := sr.opt.NonNegativeCosts
-	maxExplored := sr.maxExplored
 	for lv := 0; lv >= 0; {
 		f := &sr.frames[lv]
 		if f.idx >= len(f.cands) {
@@ -247,31 +353,12 @@ func (sr *Searcher[S, U]) walk() {
 		u := f.cands[f.idx]
 		f.idx++
 
-		// Expected stage cost over the uncertainty samples (§4.2):
-		// each sample yields its own successor; the cost is their
-		// average. The nominal sample drives the state recursion.
-		samples := sr.envs[lv]
-		stage := 0.0
-		for _, env := range samples {
-			next := sr.m.Step(f.x, u, env)
-			sr.explored++
-			if maxExplored > 0 && sr.explored > maxExplored {
-				// Deterministic decision deadline: the budget is
-				// denominated in explored states, so the trip point
-				// is identical across runs and machines.
-				sr.err = ErrBudget
-				return
-			}
-			c := sr.m.Cost(next, u, env)
-			if !sr.m.Feasible(next) {
-				c += infeasiblePenalty
-			}
-			stage += c
+		stage, next, ok := sr.expand(f.x, u, lv)
+		if !ok {
+			return
 		}
-		stage /= float64(len(samples))
-		nominalNext := sr.m.Step(f.x, u, nominal(samples))
 		sr.inputs[lv] = u
-		sr.states[lv] = nominalNext
+		sr.states[lv] = next
 		sr.stage[lv] = stage
 
 		b := sr.bound(lv)
@@ -290,9 +377,26 @@ func (sr *Searcher[S, U]) walk() {
 			}
 			continue
 		}
+		if sr.floorer != nil && sr.bestCost < math.Inf(1) {
+			// Completion bound: the floors stand in for the stages
+			// below lv until the walk enters those levels and
+			// overwrites them, so stage[0..lv] stays the exact path.
+			below := sr.envs[lv+1:]
+			sr.floorer.Floors(next, below, sr.stage[lv+1:])
+			n := 0
+			for _, samples := range below {
+				n += len(samples)
+			}
+			if !sr.count(n) {
+				return
+			}
+			if sr.bound(last) >= sr.bestCost {
+				continue
+			}
+		}
 		nf := &sr.frames[lv+1]
-		nf.x = nominalNext
-		nf.cands = sr.m.Inputs(nominalNext)
+		nf.x = next
+		nf.cands = sr.m.Inputs(next)
 		nf.idx = 0
 		if len(nf.cands) == 0 {
 			sr.err = fmt.Errorf("%w (level %d)", ErrNoInputs, lv+1)
@@ -307,6 +411,9 @@ func (sr *Searcher[S, U]) walk() {
 // at an interior level it lower-bounds every completion of the prefix
 // under the NonNegativeCosts contract (appending non-negative suffix terms
 // inside the fold can only round upward, never below the prefix fold).
+// Floating-point addition is monotone in each operand, so a fold whose
+// terms below lv are floors no larger than the stages they stand for
+// lower-bounds those completions too.
 //
 //hpm:hotpath
 func (sr *Searcher[S, U]) bound(lv int) float64 {

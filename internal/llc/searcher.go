@@ -21,6 +21,9 @@ type Searcher[S, U any] struct {
 	m    Model[S, U]
 	opt  Options
 	envs []([]Env)
+	// floorer is m's completion bound under NonNegativeCosts; nil when m
+	// supplies none or pruning is off.
+	floorer Floorer[S]
 	// maxExplored is the decision budget (see SetMaxExplored); 0 = none.
 	maxExplored int
 
@@ -44,7 +47,11 @@ func NewSearcher[S, U any](m Model[S, U], opt Options) (*Searcher[S, U], error) 
 	if m == nil {
 		return nil, errors.New("llc: nil model")
 	}
-	return &Searcher[S, U]{m: m, opt: opt}, nil
+	sr := &Searcher[S, U]{m: m, opt: opt}
+	if f, ok := m.(Floorer[S]); ok && opt.NonNegativeCosts {
+		sr.floorer = f
+	}
+	return sr, nil
 }
 
 // SetMaxExplored caps the state evaluations each subsequent search may
@@ -57,14 +64,19 @@ func NewSearcher[S, U any](m Model[S, U], opt Options) (*Searcher[S, U], error) 
 // DecisionBudget arrives here through the controllers' SetMaxExplored.
 func (sr *Searcher[S, U]) SetMaxExplored(n int) { sr.maxExplored = n }
 
-// Exhaustive runs the full tree search of §4.1 from x0 (see the package
-// function of the same name for semantics), walking the tree in the reused
-// buffers.
+// Exhaustive runs the full tree search of §4.1 from x0, bounded by the
+// incumbents (see the package function of the same name for semantics),
+// walking the tree in the reused buffers.
 //
 //hpm:hotpath
-func (sr *Searcher[S, U]) Exhaustive(x0 S, envs []([]Env)) (Result[S, U], error) {
+func (sr *Searcher[S, U]) Exhaustive(x0 S, envs []([]Env), incumbents ...[]U) (Result[S, U], error) {
 	if err := checkEnvs(envs); err != nil {
 		return Result[S, U]{}, err
+	}
+	for i, seq := range incumbents {
+		if len(seq) != len(envs) {
+			return Result[S, U]{}, fmt.Errorf("llc: incumbent %d has %d inputs for a horizon of %d", i, len(seq), len(envs))
+		}
 	}
 	sr.envs = envs
 	roots := sr.m.Inputs(x0)
@@ -72,6 +84,13 @@ func (sr *Searcher[S, U]) Exhaustive(x0 S, envs []([]Env)) (Result[S, U], error)
 		return Result[S, U]{}, fmt.Errorf("%w (level 0)", ErrNoInputs)
 	}
 	sr.reset(x0, roots)
+	if sr.opt.NonNegativeCosts {
+		for _, seq := range incumbents {
+			if !sr.seed(x0, seq) {
+				return Result[S, U]{}, sr.err
+			}
+		}
+	}
 	sr.walk()
 	return sr.finish()
 }

@@ -49,11 +49,11 @@ func TestRecorderArenaFlat(t *testing.T) {
 					t.Fatal(err)
 				}
 				// The run spans about 5,000 bins of 30 s, so the plan's faults
-				// land in full windows; a budget of 300 explored states
+				// land in full windows; a budget of 120 explored states
 				// trips the fallback on some decisions. A window of nothing
 				// but fallback ticks would sit at the budget.
 				plan := mixed.Build(25, 5000*30)
-				plan.DecisionBudget = 300
+				plan.DecisionBudget = 120
 				mgr.InjectChaos(plan)
 			}
 			rec, err := obs.NewRecorder(records)

@@ -17,7 +17,8 @@ import (
 type LLCBenchRow struct {
 	// Engine identifies the search variant: "naive" (unpruned — the
 	// original recursive engine's exploration) or "pruned"
-	// (branch-and-bound).
+	// (branch-and-bound with the L0 model's completion bound and
+	// incumbents).
 	Engine        string  `json:"engine"`
 	Explored      int     `json:"explored"`
 	NsPerDecision float64 `json:"nsPerDecision"`
@@ -52,12 +53,13 @@ func RunLLCBench(decisions int) (LLCBenchSnapshot, error) {
 	cfg := controller.DefaultL0Config()
 	names := []string{"C1", "C2", "C3", "C4"}
 	models := make([]llc.Model[queue.State, int], len(names))
+	incumbents := make([][][]int, len(names))
 	for i, name := range names {
 		spec, err := cluster.StandardComputer(i, name)
 		if err != nil {
 			return LLCBenchSnapshot{}, err
 		}
-		models[i], err = controller.NewL0Model(spec)
+		models[i], incumbents[i], err = controller.NewL0Model(spec, cfg.Horizon)
 		if err != nil {
 			return LLCBenchSnapshot{}, err
 		}
@@ -79,6 +81,9 @@ func RunLLCBench(decisions int) (LLCBenchSnapshot, error) {
 		return envs
 	}
 
+	// The pruned engine searches as the L0 controller does: with the
+	// model's completion bound and its constant-path incumbents (which
+	// the naive engine ignores).
 	engines := []struct {
 		name string
 		opt  llc.Options
@@ -100,8 +105,8 @@ func RunLLCBench(decisions int) (LLCBenchSnapshot, error) {
 		for d := 0; d < decisions; d++ {
 			envs := envsFor(d)
 			x0 := queue.State{Q: float64((d * 7) % 200)}
-			for _, m := range models {
-				res, err := llc.Exhaustive[queue.State, int](m, x0, envs, eng.opt)
+			for i, m := range models {
+				res, err := llc.Exhaustive(m, x0, envs, eng.opt, incumbents[i]...)
 				if err != nil {
 					return LLCBenchSnapshot{}, fmt.Errorf("hierctl: llc bench %s: %w", eng.name, err)
 				}
