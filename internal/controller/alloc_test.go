@@ -120,16 +120,19 @@ func TestL1DecideSteadyStateAllocs(t *testing.T) {
 			avail[j] = true
 		}
 		queues := make([]float64, m)
+		var on []bool
 		decide := func(i int) {
 			lam := 15*float64(m) + swing*math.Sin(float64(i)/9)
 			for j := range queues {
 				queues[j] = float64((i * (3 + 2*j)) % 80)
 			}
-			if _, err := l1.Decide(L1Observation{
-				QueueLens: queues, LambdaHat: lam, Delta: 8, CHat: 0.0175, Available: avail,
-			}); err != nil {
+			dec, err := l1.Decide(L1Observation{
+				QueueLens: queues, On: on, LambdaHat: lam, Delta: 8, CHat: 0.0175, Available: avail,
+			})
+			if err != nil {
 				t.Fatal(err)
 			}
+			on = dec.Alpha
 		}
 		for i := 0; i < 20; i++ {
 			decide(i)
@@ -219,11 +222,9 @@ func TestL1CandidateGeneratorsMatchLegacy(t *testing.T) {
 			for j := range alpha {
 				alpha[j] = rng.Intn(3) > 0
 			}
-			if err := l1.SetState(alpha, make([]float64, m)); err != nil {
-				t.Fatal(err)
-			}
+			l1.on = packBools(alpha)
 			var want []uint64
-			for _, a := range alphaCandidatesLegacy(l1, avail) {
+			for _, a := range alphaCandidatesLegacy(l1, alpha, avail) {
 				want = append(want, packBools(a))
 			}
 			if got := l1.alphaCandidates(avail); !reflect.DeepEqual(got, want) {

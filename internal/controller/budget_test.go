@@ -3,6 +3,7 @@ package controller
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
 	"hierctl/internal/llc"
@@ -77,8 +78,17 @@ func TestL1Budget(t *testing.T) {
 	}
 	checkBudget(t, func() budgeted[L1Decision] {
 		l1 := newTestL1(t, 4)
+		var on []bool
 		return budgeted[L1Decision]{
-			decide: func(step int) (L1Decision, error) { return l1.Decide(obs[step]) },
+			decide: func(step int) (L1Decision, error) {
+				o := obs[step]
+				o.On = on
+				d, err := l1.Decide(o)
+				if err == nil {
+					on = slices.Clone(d.Alpha)
+				}
+				return d, err
+			},
 			setMax: l1.SetMaxExplored,
 		}
 	}, func(d L1Decision) int { return d.Explored })

@@ -2,55 +2,62 @@ package controller
 
 import (
 	"math"
+	"time"
 
 	"hierctl/internal/ckpt"
 )
 
 // A controller's checkpoint is what it carries from one decision to the
-// next: the previous decision (L1 prices switching and serving from its
-// on/off vector, L2 prices moves from its split), and the explored and
-// decision counts of the overhead metering. The searchers' and programs'
-// tables hold nothing between decisions, and compute time is wall-clock —
-// a restored controller's starts again at zero.
+// next: the explored and decision counts of its overhead meter, and the
+// L2's split, from which it prices moves (before its first decision that
+// is the equal split snapped to its quantum, which the run does not hold).
+// The L0 and L1 keep no decision: the L1's on/off vector in force comes in
+// with its observation. The searchers' and programs' tables hold nothing
+// between decisions, and compute time is wall-clock — a restored
+// controller's starts again at zero.
 
-func checkpointCounts(w *ckpt.Writer, explored, decisions int) {
-	w.Int(int64(explored))
-	w.Int(int64(decisions))
+// meter is a controller's §4.3 overhead metering, embedded in each: what
+// its decisions explored (states, map probes or priced terms), how many
+// decisions it made, and their wall-clock compute time.
+type meter struct {
+	explored    int
+	decisions   int
+	computeTime time.Duration
 }
 
-func restoreCounts(r *ckpt.Reader, explored, decisions *int) {
-	*explored = r.IntIn(0, math.MaxInt, "explored count")
-	*decisions = r.IntIn(0, math.MaxInt, "decision count")
+// count meters one decision.
+func (m *meter) count(explored int, elapsed time.Duration) {
+	m.explored += explored
+	m.decisions++
+	m.computeTime += elapsed
 }
 
-// Checkpoint appends the L0's overhead counts.
-func (l *L0) Checkpoint(w *ckpt.Writer) { checkpointCounts(w, l.explored, l.decisions) }
+// Overhead reports the accumulated overhead counters: total explored,
+// number of decisions, and wall-clock compute time.
+func (m *meter) Overhead() (explored, decisions int, compute time.Duration) {
+	return m.explored, m.decisions, m.computeTime
+}
+
+// Checkpoint appends the overhead counts.
+func (m *meter) Checkpoint(w *ckpt.Writer) {
+	w.Int(int64(m.explored))
+	w.Int(int64(m.decisions))
+}
 
 // RestoreCheckpoint reads back what Checkpoint wrote.
-func (l *L0) RestoreCheckpoint(r *ckpt.Reader) { restoreCounts(r, &l.explored, &l.decisions) }
-
-// Checkpoint appends the L1's previous decision and overhead counts.
-func (l *L1) Checkpoint(w *ckpt.Writer) {
-	w.Bools(l.prevAlpha)
-	w.Floats(l.prevGamma)
-	checkpointCounts(w, l.explored, l.decisions)
-}
-
-// RestoreCheckpoint reads back what Checkpoint wrote.
-func (l *L1) RestoreCheckpoint(r *ckpt.Reader) {
-	r.Bools(l.prevAlpha)
-	r.Floats(l.prevGamma)
-	restoreCounts(r, &l.explored, &l.decisions)
+func (m *meter) RestoreCheckpoint(r *ckpt.Reader) {
+	m.explored = r.IntIn(0, math.MaxInt, "explored count")
+	m.decisions = r.IntIn(0, math.MaxInt, "decision count")
 }
 
 // Checkpoint appends the L2's previous decision and overhead counts.
 func (l *L2) Checkpoint(w *ckpt.Writer) {
 	w.Floats(l.prevGamma)
-	checkpointCounts(w, l.explored, l.decisions)
+	l.meter.Checkpoint(w)
 }
 
 // RestoreCheckpoint reads back what Checkpoint wrote.
 func (l *L2) RestoreCheckpoint(r *ckpt.Reader) {
 	r.Floats(l.prevGamma)
-	restoreCounts(r, &l.explored, &l.decisions)
+	l.meter.RestoreCheckpoint(r)
 }

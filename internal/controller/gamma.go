@@ -4,7 +4,7 @@
 //   - L0 (§4.1): per-computer DVFS frequency selection by exhaustive
 //     lookahead over the fluid queue model;
 //   - L1 (§4.2): per-module on/off vector {α_ij} over a bounded candidate
-//     set (the previous vector, its single toggles, all on) and, for each,
+//     set (the vector in force, its single toggles, all on) and, for each,
 //     the exact load-fraction vector {γ_ij} by a min-plus program over an
 //     offline-learned abstraction map g, with uncertainty-band chattering
 //     mitigation;
@@ -13,8 +13,9 @@
 //     separable dynamic program over the quantized simplex.
 //
 // Invariants: every controller's Decide is a pure function of its
-// observation and its own prior decision, so decisions are reproducible
-// given the observation stream; the learned artifacts (GMap, TreeJTilde)
+// observation — the L1's includes the on/off vector in force — apart from
+// the L2, which also prices moves from its own previous split; so decisions
+// are reproducible given the observation stream; the learned artifacts (GMap, TreeJTilde)
 // are keyed by configuration fingerprints and are read-only during
 // decision making, which is what lets managers share them across identical
 // hardware and lets snapshots skip relearning.

@@ -115,16 +115,18 @@ func LearnGMap(l0cfg L0Config, spec cluster.ComputerSpec, cfg GMapConfig) (*GMap
 }
 
 // simulateCell runs the closed L0 loop on the fluid model for one L1
-// period with constant environment inputs.
+// period with constant environment inputs, through the L0's search: a
+// learning decision is not metered.
 func (g *GMap) simulateCell(l0 *L0, q0, lambda, c float64) (avgCost, qEnd, avgResp, avgPower float64, err error) {
 	state := queue.State{Q: q0}
+	lam := [1]float64{lambda}
 	var costSum, respSum, powerSum float64
 	for step := 0; step < g.cfg.SubSteps; step++ {
-		idx, err := l0.Decide(state.Q, []float64{lambda}, c)
+		res, err := l0.search(state.Q, lam[:], 0, c)
 		if err != nil {
-			return 0, 0, 0, 0, err
+			return 0, 0, 0, 0, fmt.Errorf("controller: L0 search: %w", err)
 		}
-		phi := g.spec.Phi(idx)
+		phi := g.spec.Phi(res.Inputs[0])
 		next, err := queue.Step(state, queue.Params{
 			Lambda: lambda,
 			C:      c / g.spec.SpeedFactor,

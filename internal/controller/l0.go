@@ -157,10 +157,7 @@ type L0 struct {
 	envBacking []float64
 	envSamples int
 
-	// Overhead metering (§4.3).
-	explored    int
-	decisions   int
-	computeTime time.Duration
+	meter
 
 	// Flight recorder (nil = disabled) and this computer's coordinates
 	// in its records.
@@ -306,9 +303,7 @@ func (l *L0) DecideBanded(queueLen float64, lambda []float64, delta, cHat float6
 		return 0, fmt.Errorf("controller: L0 search: %w", err)
 	}
 	elapsed := time.Since(start) //hpm:wallclock decide-latency for the §4.3 overhead metric; observe-only
-	l.explored += res.Explored
-	l.decisions++
-	l.computeTime += elapsed
+	l.count(res.Explored, elapsed)
 	if l.rec.Enabled() {
 		l.rec.Record(obs.Record{
 			Level:    obs.LevelL0,
@@ -352,10 +347,4 @@ func (l *L0) search(queueLen float64, lambda []float64, delta, cHat float64) (ll
 		}
 	}
 	return l.searcher.Exhaustive(queue.State{Q: queueLen}, l.envs, l.incumbents...)
-}
-
-// Overhead reports the accumulated overhead counters: total states
-// explored, number of decisions, and wall-clock compute time.
-func (l *L0) Overhead() (explored, decisions int, compute time.Duration) {
-	return l.explored, l.decisions, l.computeTime
 }

@@ -104,6 +104,11 @@ func (c L1Config) ValidateModule(m int) error {
 type L1Observation struct {
 	// QueueLens holds the observed queue length of each computer.
 	QueueLens []float64
+	// On is the operating state vector in force: On[j] is true if computer
+	// j is on (or booting) under the decision being replaced. Nil means
+	// all on, a fresh module's state. It may be the previous decision's
+	// Alpha, which Decide reads before it overwrites.
+	On []bool
 	// LambdaHat is the forecast module arrival rate (requests/second)
 	// over the next L1 period.
 	LambdaHat float64
@@ -157,9 +162,12 @@ type probe struct {
 // N_L1 = 1 pricing, where a switched-on computer serves at once, is not
 // offered.
 //
-// The controller owns its term, probe-memo and min-plus tables, sized by
-// the module and the map grid (the memo grows to the arrival-rate cells
-// the load reaches), and the decision it returns. A warm Decide
+// The controller holds no decision between calls: the on/off vector in
+// force is part of the module state it observes (L1Observation.On), so a
+// decision is a pure function of its observation. It owns its term,
+// probe-memo and min-plus tables, sized by the module and the map grid
+// (the memo grows to the arrival-rate cells the load reaches), and the
+// decision it returns. A warm Decide
 // allocates nothing (pinned by TestL1DecideSteadyStateAllocs): the returned
 // decision's slices belong to the controller and stay valid until its next
 // Decide, so a caller that keeps a decision longer copies it. On/off
@@ -171,13 +179,12 @@ type L1 struct {
 	units int // quanta per decision, 1/Quantum
 	tri   int // a staying computer's terms: one per (u, S), u ≤ S ≤ units
 
-	prevAlpha []bool
-	prevGamma []float64
-
-	// The decision in flight. Computer j's mean term for u quanta at
-	// serving share S is terms[row(j, S) + u]; memo holds the probes of the
-	// computer being priced (map pg, ĉ index pc), stride arrival-rate
-	// cells per queue cell.
+	// The decision in flight. on is the observation's On as a mask.
+	// Computer j's mean term for u quanta at serving share S is
+	// terms[row(j, S) + u]; memo holds the probes of the computer being
+	// priced (map pg, ĉ index pc), stride arrival-rate cells per queue
+	// cell.
+	on         uint64
 	samplesBuf [3]float64
 	layout     int   // stayAtUnits, stayAlone or stayShared
 	off        []int // computer j's terms start at terms[off[j]] (see row)
@@ -199,9 +206,7 @@ type L1 struct {
 	bestAlphaScr []bool
 	bestGammaScr []float64
 
-	explored    int
-	decisions   int
-	computeTime time.Duration
+	meter
 	// maxExplored is the decision budget (see SetMaxExplored); 0 = none.
 	maxExplored int
 
@@ -212,8 +217,7 @@ type L1 struct {
 }
 
 // NewL1 builds an L1 controller over the module's learned abstraction
-// maps (one per computer, in module order). The initial assumed state is
-// all computers on with a capacity-proportional allocation.
+// maps (one per computer, in module order).
 func NewL1(cfg L1Config, gmaps []*GMap) (*L1, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -250,19 +254,6 @@ func NewL1(cfg L1Config, gmaps []*GMap) (*L1, error) {
 	l.memo = make([]probe, 2*l.queueCells())
 	l.bestAlphaScr = make([]bool, m)
 	l.bestGammaScr = make([]float64, m)
-	l.prevAlpha = make([]bool, m)
-	caps := make([]float64, m)
-	for j, g := range gmaps {
-		l.prevAlpha[j] = true
-		// Capacity proxy for the initial allocation: service rate at
-		// full speed for a nominal demand.
-		caps[j] = g.Spec().SpeedFactor
-	}
-	var err error
-	l.prevGamma, err = SnapSimplex(caps, l.prevAlpha, cfg.Quantum)
-	if err != nil {
-		return nil, err
-	}
 	return l, nil
 }
 
@@ -310,17 +301,6 @@ func (l *L1) record(dec L1Decision, cost float64, elapsed time.Duration) {
 // safe fallback settings for the tick and searches again next period.
 func (l *L1) SetMaxExplored(n int) { l.maxExplored = n }
 
-// SetState overrides the controller's notion of the previous decision —
-// used when the manager forces a configuration (e.g. initial state).
-func (l *L1) SetState(alpha []bool, gamma []float64) error {
-	if len(alpha) != l.Size() || len(gamma) != l.Size() {
-		return fmt.Errorf("controller: L1 state size mismatch")
-	}
-	copy(l.prevAlpha, alpha)
-	copy(l.prevGamma, gamma)
-	return nil
-}
-
 // Decide solves the L1 optimization (Eq. 14) over the bounded on/off
 // candidates of alphaCandidates, each with its exact load split: every
 // composition of the quanta over the mask's computers is priced, by a
@@ -366,6 +346,14 @@ func (l *L1) Decide(obs L1Observation) (L1Decision, error) {
 	if len(obs.Available) != m {
 		return L1Decision{}, fmt.Errorf("controller: observation has %d availability flags, module has %d", len(obs.Available), m)
 	}
+	switch {
+	case obs.On == nil:
+		l.on = ^uint64(0) >> (64 - m)
+	case len(obs.On) != m:
+		return L1Decision{}, fmt.Errorf("controller: observation has %d on/off flags, module has %d", len(obs.On), m)
+	default:
+		l.on = packBools(obs.On)
+	}
 	// The grid indexes finite values only (an infinite queue clamps to its
 	// edge).
 	if sum := obs.CHat + obs.LambdaHat + obs.Delta; !(obs.CHat > 0) || math.IsNaN(sum) || math.IsInf(sum, 0) {
@@ -386,8 +374,6 @@ func (l *L1) Decide(obs L1Observation) (L1Decision, error) {
 		clear(l.bestAlphaScr)
 		clear(l.bestGammaScr)
 		dec := L1Decision{Alpha: l.bestAlphaScr, Gamma: l.bestGammaScr}
-		clear(l.prevAlpha)
-		clear(l.prevGamma)
 		l.decisions++
 		if l.rec.Enabled() {
 			l.record(dec, 0, 0)
@@ -417,11 +403,7 @@ func (l *L1) Decide(obs L1Observation) (L1Decision, error) {
 	}
 	best := L1Decision{Alpha: l.bestAlphaScr, Gamma: l.bestGammaScr, Explored: l.probes}
 	elapsed := time.Since(start) //hpm:wallclock decide-latency for the §4.3 overhead metric; observe-only
-	copy(l.prevAlpha, best.Alpha)
-	copy(l.prevGamma, best.Gamma)
-	l.explored += l.probes
-	l.decisions++
-	l.computeTime += elapsed
+	l.count(l.probes, elapsed)
 	if l.rec.Enabled() {
 		l.record(best, bestCost, elapsed)
 	}
@@ -480,13 +462,12 @@ func (l *L1) priceTerms(obs L1Observation, samples []float64, masks []uint64) er
 	m, w := l.Size(), l.units+1
 	l.layout = stayAtUnits
 	for j, a := range obs.Available {
-		if a && !l.prevAlpha[j] {
+		if a && !l.wasOn(j) {
 			l.layout = stayAlone
 		}
 	}
-	prev := packBools(l.prevAlpha)
 	for _, mask := range masks {
-		if l.layout == stayAlone && bits.OnesCount64(mask&prev) > 1 {
+		if l.layout == stayAlone && bits.OnesCount64(mask&l.on) > 1 {
 			l.layout = stayShared
 		}
 	}
@@ -503,7 +484,7 @@ func (l *L1) priceTerms(obs L1Observation, samples []float64, masks []uint64) er
 	at := 0
 	for j, a := range obs.Available {
 		l.off[j] = at
-		if a && l.prevAlpha[j] && l.layout == stayShared {
+		if a && l.wasOn(j) && l.layout == stayShared {
 			at += l.tri
 		} else if a {
 			at += w
@@ -534,7 +515,7 @@ func (l *L1) priceTerms(obs L1Observation, samples []float64, masks []uint64) er
 				stab := stabilityPenalty(gam, lam, obs.CHat, spec.SpeedFactor)
 				// The memo's hit path is written out: a call per probe
 				// costs a fifth of the decision.
-				if !l.prevAlpha[j] {
+				if !l.wasOn(j) {
 					p := &l.memo[qi*l.stride+li]
 					if p.stamp != l.stamp {
 						l.fill(p, qi, li)
@@ -610,7 +591,7 @@ func (l *L1) solve(mask uint64, stranded, limit float64) float64 {
 		if mask>>j&1 == 0 {
 			continue
 		}
-		if l.prevAlpha[j] {
+		if l.wasOn(j) {
 			st = append(st, j)
 		} else {
 			bt = append(bt, j)
@@ -727,21 +708,24 @@ func (l *L1) backtrack(comps []int, table []float64, r, S int) {
 // layout is stayShared, where they are rows S = 0..units of S+1 terms
 // each.
 func (l *L1) row(j, S int) int {
-	if !l.prevAlpha[j] || l.layout != stayShared {
+	if !l.wasOn(j) || l.layout != stayShared {
 		return l.off[j]
 	}
 	return l.off[j] + S*(S+1)/2
 }
 
+// wasOn reports whether computer j is on in the decision in force.
+func (l *L1) wasOn(j int) bool { return l.on>>j&1 != 0 }
+
 // alphaCandidates returns the bounded on/off candidate set as masks: the
-// previous vector projected onto availability, every single-computer
+// vector in force projected onto availability, every single-computer
 // toggle of it, and the all-available-on vector, each with at least MinOn
 // computers on (or as many as availability allows), in that order without
 // repeats. The slice is the controller's, recycled on the next call.
 func (l *L1) alphaCandidates(avail []bool) []uint64 {
 	minOn := min(l.cfg.MinOn, countOn(avail))
 	all := packBools(avail)
-	base := packBools(l.prevAlpha) & all
+	base := l.on & all
 	for j := 0; bits.OnesCount64(base) < minOn; j++ {
 		base |= all & (1 << j)
 	}
@@ -759,11 +743,6 @@ func (l *L1) alphaCandidates(avail []bool) []uint64 {
 	}
 	add(all)
 	return l.masks
-}
-
-// Overhead reports accumulated overhead counters.
-func (l *L1) Overhead() (explored, decisions int, compute time.Duration) {
-	return l.explored, l.decisions, l.computeTime
 }
 
 func countOn(a []bool) int {

@@ -132,7 +132,7 @@ func (o *l1Oracle) decide(t *testing.T, l *L1) ([]bool, []int, float64) {
 	var bestAlpha []bool
 	var bestUnits []int
 	bestCost := math.Inf(1)
-	for _, alpha := range alphaCandidatesLegacy(l, o.obs.Available) {
+	for _, alpha := range alphaCandidatesLegacy(l, o.prevAlpha, o.obs.Available) {
 		var on []int
 		for j, a := range alpha {
 			if a {
@@ -262,12 +262,10 @@ func checkL1AgainstOracle(t *testing.T, rng *rand.Rand, cfg L1Config, gmaps []*G
 	for j := range prev {
 		prev[j] = rng.Intn(3) > 0
 	}
-	if err := l1.SetState(prev, make([]float64, m)); err != nil {
-		t.Fatal(err)
-	}
 	for d := 0; d < decisions; d++ {
 		obs := L1Observation{
 			QueueLens: make([]float64, m),
+			On:        prev,
 			LambdaHat: math.Round(90 * rng.Float64()),
 			CHat:      0.014 + 0.008*rng.Float64(),
 			Available: make([]bool, m),
@@ -280,7 +278,7 @@ func checkL1AgainstOracle(t *testing.T, rng *rand.Rand, cfg L1Config, gmaps []*G
 			obs.Available[j] = rng.Intn(5) > 0
 		}
 		obs.Available[rng.Intn(m)] = true
-		o := newL1Oracle(cfg, gmaps, l1.prevAlpha, obs)
+		o := newL1Oracle(cfg, gmaps, prev, obs)
 		wantAlpha, wantUnits, wantCost := o.decide(t, l1)
 		dec, err := l1.Decide(obs)
 		if err != nil {
@@ -301,6 +299,7 @@ func checkL1AgainstOracle(t *testing.T, rng *rand.Rand, cfg L1Config, gmaps []*G
 		if bound := exploredBoundL1(gmaps); dec.Explored < 1 || dec.Explored > bound {
 			t.Fatalf("%d computers: %d probes, want within [1, %d]", m, dec.Explored, bound)
 		}
+		prev = dec.Alpha
 	}
 }
 
@@ -359,12 +358,9 @@ func TestL1ExploredLinearInModules(t *testing.T) {
 			}
 			// Half the module was off: the staying half prices every
 			// serving share, the booting half one term per split.
-			prev := make([]bool, m)
-			for j := range prev {
-				prev[j] = j%2 == 0
-			}
-			if err := l1.SetState(prev, make([]float64, m)); err != nil {
-				t.Fatal(err)
+			o.On = make([]bool, m)
+			for j := range o.On {
+				o.On[j] = j%2 == 0
 			}
 			mixed, err := l1.Decide(o)
 			if err != nil {

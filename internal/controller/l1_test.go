@@ -187,6 +187,7 @@ func TestL1ScalesDownAtLowLoad(t *testing.T) {
 		}
 		validateDecision(t, dec, l1.cfg.Quantum)
 		on = countOn(dec.Alpha)
+		obs.On = dec.Alpha
 	}
 	if on != 1 {
 		t.Errorf("computers on after repeated low load = %d, want 1", on)
@@ -195,15 +196,10 @@ func TestL1ScalesDownAtLowLoad(t *testing.T) {
 
 func TestL1ScalesUpUnderHighLoad(t *testing.T) {
 	l1 := newTestL1(t, 4)
-	// Start from a single computer.
-	alpha := []bool{true, false, false, false}
-	gamma := []float64{1, 0, 0, 0}
-	if err := l1.SetState(alpha, gamma); err != nil {
-		t.Fatal(err)
-	}
 	obs := L1Observation{
 		QueueLens: []float64{150, 0, 0, 0},
-		LambdaHat: 150, // far beyond one computer's ~55 req/s capacity
+		On:        []bool{true, false, false, false}, // a single computer on
+		LambdaHat: 150,                               // far beyond one computer's ~55 req/s capacity
 		CHat:      0.018,
 	}
 	dec, err := l1.Decide(obs)
@@ -226,11 +222,9 @@ func TestL1SwitchPenaltyDiscouragesPowerOn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := l1.SetState([]bool{true, false}, []float64{1, 0}); err != nil {
-			t.Fatal(err)
-		}
 		dec, err := l1.Decide(L1Observation{
 			QueueLens: []float64{10, 0},
+			On:        []bool{true, false},
 			LambdaHat: 40,
 			CHat:      0.018,
 		})
@@ -290,6 +284,7 @@ func TestL1MinOnEnforced(t *testing.T) {
 		if countOn(dec.Alpha) < 2 {
 			t.Fatalf("on = %d, want >= MinOn 2", countOn(dec.Alpha))
 		}
+		obs.On = dec.Alpha
 	}
 }
 
@@ -303,6 +298,9 @@ func TestL1ObservationValidation(t *testing.T) {
 	}
 	if _, err := l1.Decide(L1Observation{QueueLens: []float64{1, 1}, LambdaHat: 1, CHat: 0.018, Available: []bool{true}}); err == nil {
 		t.Error("availability size mismatch: want error")
+	}
+	if _, err := l1.Decide(L1Observation{QueueLens: []float64{1, 1}, LambdaHat: 1, CHat: 0.018, On: []bool{true}}); err == nil {
+		t.Error("on/off size mismatch: want error")
 	}
 }
 
@@ -339,7 +337,7 @@ func TestL1UncertaintyBandUsesThreeSamples(t *testing.T) {
 		t.Fatal(err)
 	}
 	banded, err := l1.Decide(L1Observation{
-		QueueLens: []float64{0, 0}, LambdaHat: 30, Delta: 10, CHat: 0.018,
+		QueueLens: []float64{0, 0}, On: base.Alpha, LambdaHat: 30, Delta: 10, CHat: 0.018,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -347,12 +345,5 @@ func TestL1UncertaintyBandUsesThreeSamples(t *testing.T) {
 	// Same candidate set, 3× the evaluations.
 	if banded.Explored <= base.Explored {
 		t.Errorf("banded explored %d not above nominal %d", banded.Explored, base.Explored)
-	}
-}
-
-func TestL1SetStateValidation(t *testing.T) {
-	l1 := newTestL1(t, 2)
-	if err := l1.SetState([]bool{true}, []float64{1}); err == nil {
-		t.Error("size mismatch: want error")
 	}
 }

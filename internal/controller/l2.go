@@ -128,9 +128,7 @@ type L2 struct {
 	cost       []float64
 	suf        []float64
 
-	explored    int
-	decisions   int
-	computeTime time.Duration
+	meter
 	// maxExplored is the decision budget (see SetMaxExplored); 0 = none.
 	maxExplored int
 
@@ -238,9 +236,7 @@ func (l *L2) Decide(obs L2Observation) (L2Decision, error) {
 	}
 	copy(l.prevGamma, l.decGamma)
 	elapsed := time.Since(start) //hpm:wallclock decide-latency for the §4.3 overhead metric; observe-only
-	l.explored += explored
-	l.decisions++
-	l.computeTime += elapsed
+	l.count(explored, elapsed)
 	if l.rec.Enabled() {
 		l.rec.Record(flight.Record{
 			Level:    flight.LevelL2,
@@ -300,9 +296,4 @@ func (l *L2) priceTerms(obs L2Observation) (int, error) {
 		}
 	}
 	return explored, nil
-}
-
-// Overhead reports accumulated overhead counters.
-func (l *L2) Overhead() (explored, decisions int, compute time.Duration) {
-	return l.explored, l.decisions, l.computeTime
 }

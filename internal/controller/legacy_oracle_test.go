@@ -15,8 +15,9 @@ func alphaKey(a []bool) string {
 	return string(buf)
 }
 
-// alphaCandidatesLegacy is the historical on/off candidate generator.
-func alphaCandidatesLegacy(l *L1, avail []bool) [][]bool {
+// alphaCandidatesLegacy is the historical on/off candidate generator, from
+// the on/off vector on in force.
+func alphaCandidatesLegacy(l *L1, on, avail []bool) [][]bool {
 	m := l.Size()
 	minOn := l.cfg.MinOn
 	if a := countOn(avail); a < minOn {
@@ -24,7 +25,7 @@ func alphaCandidatesLegacy(l *L1, avail []bool) [][]bool {
 	}
 	base := make([]bool, m)
 	for j := range base {
-		base[j] = l.prevAlpha[j] && avail[j]
+		base[j] = on[j] && avail[j]
 	}
 	for j := 0; countOn(base) < minOn && j < m; j++ {
 		if avail[j] && !base[j] {

@@ -55,9 +55,11 @@ func TestL1MetamorphicAvailabilityAndFloor(t *testing.T) {
 		}
 
 		// Random walk: masks (all-failed included), queues and loads.
+		var on []bool
 		for step := 0; step < 5; step++ {
 			obs := L1Observation{
 				QueueLens: make([]float64, m),
+				On:        on,
 				LambdaHat: 220 * rng.Float64(),
 				Delta:     30 * rng.Float64() * float64(rng.Intn(2)),
 				CHat:      0.014 + 0.008*rng.Float64(),
@@ -72,36 +74,37 @@ func TestL1MetamorphicAvailabilityAndFloor(t *testing.T) {
 				t.Fatalf("trial %d step %d: %v", trial, step, err)
 			}
 			check("walk", dec, obs.Available)
+			on = dec.Alpha
 		}
 
 		// Zero load, empty queues, everything available.
-		idle := L1Observation{QueueLens: make([]float64, m), CHat: 0.018, Available: make([]bool, m)}
+		idle := L1Observation{QueueLens: make([]float64, m), On: on, CHat: 0.018, Available: make([]bool, m)}
 		for j := range idle.Available {
 			idle.Available[j] = true
 		}
-		on := m
+		n := m
 		for d := 0; d < m; d++ {
 			dec, err := l1.Decide(idle)
 			if err != nil {
 				t.Fatalf("trial %d idle %d: %v", trial, d, err)
 			}
-			on = check("idle", dec, idle.Available)
+			n = check("idle", dec, idle.Available)
+			idle.On = dec.Alpha
 		}
-		if on != cfg.MinOn {
-			t.Fatalf("trial %d: %d of %d on after %d idle decisions, want MinOn %d", trial, on, m, m, cfg.MinOn)
+		if n != cfg.MinOn {
+			t.Fatalf("trial %d: %d of %d on after %d idle decisions, want MinOn %d", trial, n, m, m, cfg.MinOn)
 		}
 	}
 }
 
-// l1MeanCost prices a decision the way Decide does (see l1Oracle) on a
-// controller whose previous on/off vector is alpha.
-func l1MeanCost(t *testing.T, cfg L1Config, gmaps []*GMap, alpha []bool, dec L1Decision, obs L1Observation) float64 {
+// l1MeanCost prices a decision the way Decide does (see l1Oracle).
+func l1MeanCost(t *testing.T, cfg L1Config, gmaps []*GMap, dec L1Decision, obs L1Observation) float64 {
 	t.Helper()
 	units := make([]int, len(dec.Gamma))
 	for j, g := range dec.Gamma {
 		units[j] = int(math.Round(g / cfg.Quantum))
 	}
-	cost, _ := newL1Oracle(cfg, gmaps, alpha, obs).price(t, dec.Alpha, units)
+	cost, _ := newL1Oracle(cfg, gmaps, obs.On, obs).price(t, dec.Alpha, units)
 	return cost
 }
 
@@ -128,14 +131,14 @@ func TestL1MetamorphicPermutation(t *testing.T) {
 			Delta:     30 * rng.Float64() * float64(rng.Intn(2)),
 			CHat:      0.014 + 0.008*rng.Float64(),
 			Available: make([]bool, m),
+			On:        make([]bool, m),
 		}
-		alpha, weights := make([]bool, m), make([]float64, m)
+		alpha := obs.On
 		serving := false
 		for j := 0; j < m; j++ {
 			obs.QueueLens[j] = math.Floor(180 * rng.Float64() * float64(rng.Intn(2)))
 			obs.Available[j] = rng.Intn(4) > 0
 			alpha[j] = rng.Intn(3) > 0
-			weights[j] = rng.Float64()
 			serving = serving || alpha[j] && obs.Available[j]
 		}
 		if !serving {
@@ -143,25 +146,16 @@ func TestL1MetamorphicPermutation(t *testing.T) {
 			// turns on the first available computers, by index.
 			continue
 		}
-		gamma, err := SnapSimplex(weights, alpha, cfg.Quantum)
-		if err != nil {
-			t.Fatal(err)
-		}
 		relabel := L1Observation{
 			QueueLens: make([]float64, m), LambdaHat: obs.LambdaHat, Delta: obs.Delta, CHat: obs.CHat,
-			Available: make([]bool, m),
+			Available: make([]bool, m), On: make([]bool, m),
 		}
-		alphaP, gammaP := make([]bool, m), make([]float64, m)
 		for j, p := range perm {
-			relabel.QueueLens[p], relabel.Available[p] = obs.QueueLens[j], obs.Available[j]
-			alphaP[p], gammaP[p] = alpha[j], gamma[j]
+			relabel.QueueLens[p], relabel.Available[p], relabel.On[p] = obs.QueueLens[j], obs.Available[j], alpha[j]
 		}
-		decide := func(alpha []bool, gamma []float64, obs L1Observation) L1Decision {
+		decide := func(obs L1Observation) L1Decision {
 			l1, err := NewL1(cfg, gmaps)
 			if err != nil {
-				t.Fatal(err)
-			}
-			if err := l1.SetState(alpha, gamma); err != nil {
 				t.Fatal(err)
 			}
 			dec, err := l1.Decide(obs)
@@ -170,7 +164,7 @@ func TestL1MetamorphicPermutation(t *testing.T) {
 			}
 			return dec
 		}
-		dec, decP := decide(alpha, gamma, obs), decide(alphaP, gammaP, relabel)
+		dec, decP := decide(obs), decide(relabel)
 		back := L1Decision{Alpha: make([]bool, m), Gamma: make([]float64, m)}
 		for j, p := range perm {
 			back.Alpha[j], back.Gamma[j] = decP.Alpha[p], decP.Gamma[p]
@@ -181,8 +175,8 @@ func TestL1MetamorphicPermutation(t *testing.T) {
 					trial, j, obs.Available[j], back.Alpha[j], back.Gamma[j])
 			}
 		}
-		cost := l1MeanCost(t, cfg, gmaps, alpha, dec, obs)
-		costBack := l1MeanCost(t, cfg, gmaps, alpha, back, obs)
+		cost := l1MeanCost(t, cfg, gmaps, dec, obs)
+		costBack := l1MeanCost(t, cfg, gmaps, back, obs)
 		if math.Abs(cost-costBack) > 1e-9*math.Max(1, math.Abs(cost)) {
 			t.Fatalf("trial %d (perm %v): decision α %v γ %v costs %v; the relabelled module's, carried back, α %v γ %v costs %v",
 				trial, perm, dec.Alpha, dec.Gamma, cost, back.Alpha, back.Gamma, costBack)
@@ -193,8 +187,7 @@ func TestL1MetamorphicPermutation(t *testing.T) {
 // TestL1MetamorphicLoadCapacityScaling: requests twice as heavy on computers
 // twice as fast are the same module — every place the controller reads a
 // processing time it divides by the computer's speed (the fluid model under
-// the abstraction map, the stability bound, the capacity-proportional
-// seed). With maps learned on the processing-time grid scaled alike, and
+// the abstraction map, the stability bound). With maps learned on the processing-time grid scaled alike, and
 // a factor of two so no rounding differs, the decision is not merely the
 // same α: α, γ and the explored count are identical over a closed-loop walk
 // of a heterogeneous module.
@@ -226,6 +219,7 @@ func TestL1MetamorphicLoadCapacityScaling(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(20063))
 	m := len(speeds)
+	var on, onS []bool
 	for step := 0; step < 300; step++ {
 		obs := L1Observation{
 			QueueLens: make([]float64, m),
@@ -238,8 +232,9 @@ func TestL1MetamorphicLoadCapacityScaling(t *testing.T) {
 			obs.QueueLens[j] = math.Floor(180 * rng.Float64() * float64(rng.Intn(2)))
 			obs.Available[j] = rng.Intn(8) > 0
 		}
+		obs.On = on
 		heavier := obs
-		heavier.CHat = scale * obs.CHat
+		heavier.CHat, heavier.On = scale*obs.CHat, onS
 		dec, err := base.Decide(obs)
 		if err != nil {
 			t.Fatalf("step %d: %v", step, err)
@@ -252,5 +247,6 @@ func TestL1MetamorphicLoadCapacityScaling(t *testing.T) {
 			t.Fatalf("step %d: α %v γ %v (%d explored); with demand and speed ×%d: α %v γ %v (%d explored)",
 				step, dec.Alpha, dec.Gamma, dec.Explored, scale, decS.Alpha, decS.Gamma, decS.Explored)
 		}
+		on, onS = dec.Alpha, decS.Alpha
 	}
 }

@@ -46,85 +46,84 @@ func (c ModuleSimConfig) Validate() error {
 // the total cost accumulated (response slack + power + switching),
 // normalized per L0 step, and the resulting average queue length.
 //
-// The module starts with qAvg queued requests per computer and a fresh
-// all-on L1 state, so the sampled cost reflects the module's intrinsic
-// response to (q, λ, c) rather than a particular control history.
+// The module starts with qAvg queued requests per computer, all computers
+// on, so the sampled cost reflects the module's intrinsic response to
+// (q, λ, c) rather than a particular control history.
 func SimulateModulePeriod(l0cfg L0Config, l1cfg L1Config, gmaps []*GMap, qAvg, lambda, c float64) (cost, qEndAvg float64, err error) {
+	sim, err := newModuleSim(l0cfg, l1cfg, gmaps)
+	if err != nil {
+		return 0, 0, err
+	}
+	return sim(qAvg, lambda, c)
+}
+
+// newModuleSim returns SimulateModulePeriod over one module's controllers,
+// built once for every training point: neither keeps a decision, so every
+// run starts from the same all-on module. The L0s run their search.
+func newModuleSim(l0cfg L0Config, l1cfg L1Config, gmaps []*GMap) (func(qAvg, lambda, c float64) (float64, float64, error), error) {
 	l1, err := NewL1(l1cfg, gmaps)
 	if err != nil {
-		return 0, 0, err
+		return nil, err
 	}
 	m := len(gmaps)
-	queues := make([]float64, m)
-	for j := range queues {
-		queues[j] = qAvg
-	}
-	obs := L1Observation{
-		QueueLens: queues,
-		LambdaHat: lambda,
-		CHat:      c,
-	}
-	dec, err := l1.Decide(obs)
-	if err != nil {
-		return 0, 0, err
-	}
-
-	subSteps := int(l1cfg.PeriodSeconds / PeriodL0)
-	if subSteps < 1 {
-		subSteps = 1
-	}
-	states := make([]queue.State, m)
-	for j := range states {
-		states[j] = queue.State{Q: queues[j]}
-	}
 	l0s := make([]*L0, m)
 	for j := range l0s {
-		l0s[j], err = NewL0(l0cfg, gmaps[j].Spec())
+		if l0s[j], err = NewL0(l0cfg, gmaps[j].Spec()); err != nil {
+			return nil, err
+		}
+	}
+	queues, states := make([]float64, m), make([]queue.State, m)
+	var lam [1]float64
+	subSteps := max(int(l1cfg.PeriodSeconds/PeriodL0), 1)
+	return func(qAvg, lambda, c float64) (float64, float64, error) {
+		for j := range queues {
+			queues[j] = qAvg
+		}
+		dec, err := l1.Decide(L1Observation{QueueLens: queues, LambdaHat: lambda, CHat: c})
 		if err != nil {
 			return 0, 0, err
 		}
-	}
-	total := 0.0
-	for j := range gmaps {
-		if dec.Alpha[j] {
-			continue
+		for j := range states {
+			// Off computers contribute no running cost; queued work is
+			// redistributed by the dispatcher in the real plant, modelled
+			// here by dropping it from the fluid state.
+			states[j] = queue.State{}
+			if dec.Alpha[j] {
+				states[j].Q = qAvg
+			}
 		}
-		// Off computers contribute no running cost; queued work is
-		// redistributed by the dispatcher in the real plant, modelled
-		// here by dropping it from the fluid state.
-		states[j] = queue.State{}
-	}
-	for step := 0; step < subSteps; step++ {
-		for j := range gmaps {
-			if !dec.Alpha[j] {
-				continue
+		total := 0.0
+		for step := 0; step < subSteps; step++ {
+			for j, g := range gmaps {
+				if !dec.Alpha[j] {
+					continue
+				}
+				spec := g.Spec()
+				lam[0] = dec.Gamma[j] * lambda
+				res, err := l0s[j].search(states[j].Q, lam[:], 0, c)
+				if err != nil {
+					return 0, 0, fmt.Errorf("controller: L0 search: %w", err)
+				}
+				phi := spec.Phi(res.Inputs[0])
+				next, err := queue.Step(states[j], queue.Params{
+					Lambda: lam[0],
+					C:      c / spec.SpeedFactor,
+					Phi:    phi,
+					T:      PeriodL0,
+				})
+				if err != nil {
+					return 0, 0, err
+				}
+				total += SlackWeight*llc.Slack(next.R, EffectiveTarget) + PowerWeight*spec.Power.Draw(phi, true)
+				states[j] = next
 			}
-			spec := gmaps[j].Spec()
-			lamJ := dec.Gamma[j] * lambda
-			idx, err := l0s[j].Decide(states[j].Q, []float64{lamJ}, c)
-			if err != nil {
-				return 0, 0, err
-			}
-			phi := spec.Phi(idx)
-			next, err := queue.Step(states[j], queue.Params{
-				Lambda: lamJ,
-				C:      c / spec.SpeedFactor,
-				Phi:    phi,
-				T:      PeriodL0,
-			})
-			if err != nil {
-				return 0, 0, err
-			}
-			psi := spec.Power.Draw(phi, true)
-			total += SlackWeight*llc.Slack(next.R, EffectiveTarget) + PowerWeight*psi
-			states[j] = next
 		}
-	}
-	qEnd := 0.0
-	for j := range states {
-		qEnd += states[j].Q
-	}
-	return total / float64(subSteps), qEnd / float64(m), nil
+		qEnd := 0.0
+		for _, st := range states {
+			qEnd += st.Q
+		}
+		return total / float64(subSteps), qEnd / float64(m), nil
+	}, nil
 }
 
 // LearnModuleTree performs the full §5.1 pipeline for one module: sweep
@@ -135,9 +134,13 @@ func LearnModuleTree(l0cfg L0Config, l1cfg L1Config, gmaps []*GMap, cfg ModuleSi
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	sim, err := newModuleSim(l0cfg, l1cfg, gmaps)
+	if err != nil {
+		return nil, err
+	}
 	levels := [][]float64{cfg.QLevels, cfg.LambdaLevels, cfg.CLevels}
 	samples, err := approx.Learn(levels, func(p []float64) (float64, error) {
-		cost, _, err := SimulateModulePeriod(l0cfg, l1cfg, gmaps, p[0], p[1], p[2])
+		cost, _, err := sim(p[0], p[1], p[2])
 		return cost, err
 	})
 	if err != nil {

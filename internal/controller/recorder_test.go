@@ -54,16 +54,19 @@ func TestL1DecideSteadyStateAllocsWithRecorder(t *testing.T) {
 	l1.SetRecorder(newCtrlRecorder(t), 0)
 	avail := []bool{true, true, true, true}
 	queues := make([]float64, 4)
+	var on []bool
 	decide := func(i int) {
 		lam := 60 + 40*math.Sin(float64(i)/9)
 		for j := range queues {
 			queues[j] = float64((i * (3 + 2*j)) % 80)
 		}
-		if _, err := l1.Decide(L1Observation{
-			QueueLens: queues, LambdaHat: lam, Delta: 8, CHat: 0.0175, Available: avail,
-		}); err != nil {
+		dec, err := l1.Decide(L1Observation{
+			QueueLens: queues, On: on, LambdaHat: lam, Delta: 8, CHat: 0.0175, Available: avail,
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
+		on = dec.Alpha
 	}
 	for i := 0; i < 20; i++ {
 		decide(i)
@@ -151,6 +154,7 @@ func TestControllerRecorderEquivalence(t *testing.T) {
 	l1b.SetRecorder(newCtrlRecorder(t), 0)
 	queues := make([]float64, 4)
 	avail := []bool{true, true, true, true}
+	var onA, onB []bool
 	for i := 0; i < 40; i++ {
 		lam := 60 + 40*math.Sin(float64(i)/7)
 		for j := range queues {
@@ -160,11 +164,12 @@ func TestControllerRecorderEquivalence(t *testing.T) {
 		if countOn(avail) == 0 {
 			avail[0] = true
 		}
-		o := L1Observation{QueueLens: queues, LambdaHat: lam, Delta: 8, CHat: 0.0175, Available: avail}
+		o := L1Observation{QueueLens: queues, On: onA, LambdaHat: lam, Delta: 8, CHat: 0.0175, Available: avail}
 		da, err := l1a.Decide(o)
 		if err != nil {
 			t.Fatal(err)
 		}
+		o.On = onB
 		db, err := l1b.Decide(o)
 		if err != nil {
 			t.Fatal(err)
@@ -175,6 +180,7 @@ func TestControllerRecorderEquivalence(t *testing.T) {
 					i, j, da.Alpha[j], da.Gamma[j], db.Alpha[j], db.Gamma[j])
 			}
 		}
+		onA, onB = da.Alpha, db.Alpha
 	}
 
 	mkL2 := func() *L2 {

@@ -6,14 +6,15 @@ import (
 	"hierctl/internal/ckpt"
 )
 
-// checkpointVersion is the first word of every session checkpoint; a
-// reader refuses any other.
-const checkpointVersion = 1
+// checkpointVersion is the first word of every session checkpoint. A
+// reader also takes version 1 (see restore) and refuses any other.
+const checkpointVersion = 2
 
 // Checkpoint appends to w the state of a streaming session after its last
 // clean bin — the harness (plant, feed, store, random streams, counters),
-// every estimator, each controller's previous decision and overhead
-// counts, and the flight recorder's Total — as one versioned blob.
+// every estimator, each module's decision in force, the L2's split, each
+// controller's overhead counts, and the flight recorder's Total — as one
+// versioned blob.
 // Nothing derivable from the manager's configuration or its learned
 // artifacts is written. A session opened on a trace, finished, or stopped
 // mid-bin by a failed step has no checkpoint.
@@ -46,13 +47,14 @@ func (s *Session) RestoreCheckpoint(b []byte) error {
 		return fmt.Errorf("core: restore into a used or trace-replay session")
 	}
 	rd := ckpt.NewReader(b)
-	if v := rd.Uint(); rd.Err() == nil && v != checkpointVersion {
-		return fmt.Errorf("core: checkpoint version %d, want %d", v, checkpointVersion)
+	v := rd.Uint()
+	if rd.Err() == nil && v != checkpointVersion && v != 1 {
+		return fmt.Errorf("core: checkpoint version %d, want %d or 1", v, checkpointVersion)
 	}
-	if err := s.h.RestoreCheckpoint(rd); err != nil {
+	if err := s.h.RestoreCheckpoint(rd, v == 1); err != nil {
 		return err
 	}
-	s.r.restore(rd)
+	s.r.restore(rd, v == 1)
 	if err := rd.Done(); err != nil {
 		return err
 	}
@@ -89,7 +91,6 @@ func (r *run) checkpoint(w *ckpt.Writer) {
 		w.Int(int64(asm.arrivedTL1))
 		w.Float(asm.predictedTL1)
 		w.Bool(asm.hasPredicted)
-		w.Float(asm.pendingRatio)
 		w.Float(asm.l0Ratio)
 		asm.l1.Checkpoint(w)
 		for _, l0 := range asm.l0s {
@@ -104,8 +105,11 @@ func (r *run) checkpoint(w *ckpt.Writer) {
 	r.recorder.Checkpoint(w)
 }
 
-// restore reads back what checkpoint wrote.
-func (r *run) restore(rd *ckpt.Reader) {
+// restore reads back what checkpoint wrote. v1 skips the words version 1
+// also wrote: per module the pending reallocation ratio (1 at every
+// checkpoint) and its L1's copy of the module decision, and the harness's
+// second copy of each module observation.
+func (r *run) restore(rd *ckpt.Reader, v1 bool) {
 	rd.Floats(r.respWindow)
 	r.gammaModules = nil
 	if rd.Bool() {
@@ -130,8 +134,14 @@ func (r *run) restore(rd *ckpt.Reader) {
 		asm.arrivedTL1 = rd.IntIn(0, maxCount, "arrivals")
 		asm.predictedTL1 = rd.Float()
 		asm.hasPredicted = rd.Bool()
-		asm.pendingRatio = rd.Float()
+		if v1 {
+			rd.Float()
+		}
 		asm.l0Ratio = rd.Float()
+		if v1 { // into the observation scratch, which the next plan rewrites
+			rd.Bools(asm.obsAvail)
+			rd.Floats(asm.obsQueues)
+		}
 		asm.l1.RestoreCheckpoint(rd)
 		for _, l0 := range asm.l0s {
 			l0.RestoreCheckpoint(rd)

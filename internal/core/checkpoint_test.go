@@ -31,8 +31,14 @@ func newCheckpointRun(t testing.TB, store *ArtifactStore) checkpointRun {
 // newCheckpointRunAt is newCheckpointRun with bins binSeconds wide.
 func newCheckpointRunAt(t testing.TB, store *ArtifactStore, binSeconds float64) checkpointRun {
 	t.Helper()
+	return newCheckpointRunWith(t, store, fastConfig(), binSeconds)
+}
+
+// newCheckpointRunWith is newCheckpointRunAt under configuration cfg.
+func newCheckpointRunWith(t testing.TB, store *ArtifactStore, cfg Config, binSeconds float64) checkpointRun {
+	t.Helper()
 	spec := cluster.Spec{Modules: []cluster.ModuleSpec{moduleOf("M1", 3), moduleOf("M2", 3)}}
-	mgr, err := store.NewManager(spec, fastConfig())
+	mgr, err := store.NewManager(spec, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,10 +51,10 @@ func newCheckpointRunAt(t testing.TB, store *ArtifactStore, binSeconds float64) 
 		{At: 240, Module: 1, Comp: 0},
 		{At: 600, Module: 1, Comp: 0, Repair: true},
 	})
-	cfg := workload.DefaultStoreConfig()
-	cfg.Objects = 500
-	cfg.PopularCount = 50
-	st, err := workload.NewStore(des.NewStream(3, "store"), cfg)
+	scfg := workload.DefaultStoreConfig()
+	scfg.Objects = 500
+	scfg.PopularCount = 50
+	st, err := workload.NewStore(des.NewStream(3, "store"), scfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -144,6 +144,7 @@ type moduleAsm struct {
 	band0   *forecast.Band   // δ at T_L0 granularity (L0 burst hedging)
 	cEst    *forecast.EWMA
 
+	// The module's decision in force, the only copy of it.
 	alpha []bool
 	gamma []float64
 
@@ -158,7 +159,8 @@ type moduleAsm struct {
 	// after the L2 reallocates fractions: the module filter has only
 	// seen arrivals under the old γ_i, but λ_i = γ_i·λ_g (Fig. 2b), so
 	// the known new share adjusts the forecast until the filter catches
-	// up. 1 means no pending reallocation.
+	// up. 1 means no pending reallocation: the L1 plan of the tick whose
+	// L2 decision set it takes it, so a checkpoint needs no copy.
 	pendingRatio float64
 	// l0Ratio carries the same correction down to the L0 frequency
 	// controllers for the remainder of the L1 period, since their
@@ -312,8 +314,8 @@ func (r *run) recordGammaModules(gamma []float64) {
 // decision: every non-failed computer powered, capacity-proportional
 // quantized split (all-off when nothing is available, mirroring the L1's
 // own degraded path). The result is a pure function of the module's
-// plant state, and it reseeds the L1's bounded search so the next
-// healthy tick resumes from a coherent previous decision.
+// plant state; once applied it is the module's decision in force, from
+// which the next healthy tick's search starts.
 func (r *run) fallbackL1(i int) (controller.L1Decision, error) {
 	asm := r.modules[i]
 	alpha := make([]bool, len(asm.specs))
@@ -331,9 +333,6 @@ func (r *run) fallbackL1(i int) (controller.L1Decision, error) {
 			return controller.L1Decision{}, err
 		}
 		gamma = g
-	}
-	if err := asm.l1.SetState(alpha, gamma); err != nil {
-		return controller.L1Decision{}, err
 	}
 	return controller.L1Decision{Alpha: alpha, Gamma: gamma}, nil
 }
@@ -439,6 +438,8 @@ func (r *run) planL1(i int, k int) (l1Plan, error) {
 	m := r.m
 	asm := r.modules[i]
 	var plan l1Plan
+	pending := asm.pendingRatio
+	asm.pendingRatio = 1
 
 	// Fold the completed T_L1 interval into the module filter and band;
 	// asm.predictedTL1 still holds the forecast made at the previous
@@ -469,7 +470,7 @@ func (r *run) planL1(i int, k int) (l1Plan, error) {
 		avail[j] = r.plant.Computer(i, j).State() != cluster.Failed
 	}
 	own := asm.predictedTL1 / m.cfg.L1.PeriodSeconds
-	lambdaHat := asm.pendingRatio * own
+	lambdaHat := pending * own
 	if r.l2 != nil && r.gammaModules != nil && !m.cfg.OracleForecast {
 		// λ_i = γ_i·λ_g floor right after a reallocation (Fig. 2b).
 		if floor := r.gammaModules[i] * r.lambdaGRate; floor > lambdaHat {
@@ -479,7 +480,6 @@ func (r *run) planL1(i int, k int) (l1Plan, error) {
 	if m.cfg.OracleForecast {
 		lambdaHat = own
 	}
-	asm.pendingRatio = 1
 	// Carry the correction down to the L0 filters for this L1 period.
 	asm.l0Ratio = 1
 	if own > 1e-9 {
@@ -491,6 +491,7 @@ func (r *run) planL1(i int, k int) (l1Plan, error) {
 	}
 	obs := controller.L1Observation{
 		QueueLens: queues,
+		On:        asm.alpha,
 		LambdaHat: lambdaHat,
 		Delta:     delta,
 		CHat:      r.cHat(asm),

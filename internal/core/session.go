@@ -241,8 +241,8 @@ func (r *run) build(cal []float64) error {
 		if asm.cEst, err = forecast.NewEWMA(forecast.CHatSmoothing); err != nil {
 			return err
 		}
-		// The plant arrives warm, all-on at full frequency: the state a new
-		// L1 assumes, with its capacity-proportional split.
+		// The plant arrives warm, all-on at full frequency, under the
+		// capacity-proportional split.
 		for j := range asm.alpha {
 			asm.alpha[j] = true
 		}

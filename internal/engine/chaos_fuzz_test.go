@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"reflect"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"hierctl/internal/chaos"
+	"hierctl/internal/ckpt"
 	"hierctl/internal/cluster"
 )
 
@@ -66,8 +68,10 @@ func (p *checkedPolicy) Observe(tick int, iv Interval, stats []ModuleStats) erro
 }
 
 // chaosRun steps a two-module harness fuzzTicks ticks under plan, checking
-// the injector's and the sanitizer's counters after every tick, and returns
-// what the policy observed, the run's totals and how many actions fired.
+// the injector's and the sanitizer's counters after every tick and that
+// each module's observation writes the checkpoint bytes of the sanitizer's
+// last good one, and returns what the policy observed, the run's totals and
+// how many actions fired.
 func chaosRun(t *testing.T, plan chaos.Plan) ([]Interval, Totals, int) {
 	t.Helper()
 	var spec cluster.Spec
@@ -105,12 +109,61 @@ func chaosRun(t *testing.T, plan chaos.Plan) ([]Interval, Totals, int) {
 			if in := &h.inj[i]; in.dropUntil < 0 || in.stashDue < -1 {
 				t.Fatalf("tick %d module %d: drop window until %d, stash due %d: a fault's length wrapped", k, i, in.dropUntil, in.stashDue)
 			}
+			var st, good ckpt.Writer
+			checkpointStats(&st, h.stats[i], len(h.per[i]))
+			checkpointStats(&good, h.san[i].good, len(h.per[i]))
+			if !bytes.Equal(st.Bytes(), good.Bytes()) {
+				t.Fatalf("tick %d module %d: observation %+v, last good %+v", k, i, h.stats[i], h.san[i].good)
+			}
 		}
 	}
 	if err := h.Finish(); err != nil {
 		t.Fatal(err)
 	}
 	return pol.intervals, h.Totals(), fired
+}
+
+// TestSanitizerEndsTickAtLastGood pins what a harness checkpoint relies on
+// to write each module's observation once: after every tick the
+// observation the policy was shown is the sanitizer's last good one, held
+// where a fault dropped or spoiled the fresh one and refreshed from it
+// otherwise (chaosRun checks it tick by tick). The plan fires every sensor
+// fault kind, on both modules, some overlapping.
+//
+//hpm:pin checkpoint
+func TestSanitizerEndsTickAtLastGood(t *testing.T) {
+	plan := chaos.Plan{Name: "sensors", Faults: []chaos.Fault{
+		{At: 60, Module: 0, Kind: chaos.KindDrop, Ticks: 3},
+		{At: 90, Module: 1, Kind: chaos.KindNaN},
+		{At: 150, Module: 0, Kind: chaos.KindNegative},
+		{At: 180, Module: 1, Kind: chaos.KindSpike, Factor: 50},
+		{At: 240, Module: 0, Kind: chaos.KindDelay, Ticks: 2},
+		{At: 270, Module: 0, Kind: chaos.KindNaN}, // spoils a tick the delay reads as dropped
+		{At: 300, Module: 1, Kind: chaos.KindDupe},
+		{At: 330, Module: 1, Kind: chaos.KindDrop}, // drops the tick the dupe supersedes
+		{At: 420, Module: 0, Kind: chaos.KindDupe},
+		{At: 450, Module: 0, Kind: chaos.KindNegative}, // spoils the tick the dupe delivers on
+		{At: 600, Module: 1, Kind: chaos.KindDelay, Ticks: 4},
+		{At: 630, Module: 1, Kind: chaos.KindSpike},
+	}}
+	sched, err := plan.Schedule(fuzzPeriod, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := map[chaos.Kind]int{}
+	for k := 0; k < fuzzTicks; k++ {
+		for _, a := range sched.ActionsAt(k) {
+			kinds[a.Kind]++
+		}
+	}
+	for _, kind := range []chaos.Kind{chaos.KindDrop, chaos.KindNaN, chaos.KindNegative, chaos.KindSpike, chaos.KindDelay, chaos.KindDupe} {
+		if kinds[kind] == 0 {
+			t.Fatalf("no %v action fires inside the run: %v", kind, kinds)
+		}
+	}
+	if _, totals, _ := chaosRun(t, plan); totals.StaleObservations == 0 {
+		t.Fatalf("the plan held no observation stale: %+v", totals)
+	}
 }
 
 // FuzzChaosSchedule is the safety pin of the chaos plan's way in,

@@ -9,10 +9,11 @@ import (
 
 // Checkpoint appends the harness's mutable state between two bins: the
 // feed's position, the dispatcher's and feed's random streams, the store,
-// the plant, the run's counters and window, the module statistics the
-// policy last observed and the sanitizer's last good ones. Everything else — the failure
-// schedule, the tick cadence, the pre-roll — follows from Config. A
-// harness mid-bin, finished, or running a chaos plan has no checkpoint.
+// the plant, the run's counters and window, and the module statistics the
+// policy last observed (every tick leaves the sanitizer's last good ones
+// equal to them). Everything else — the failure schedule, the tick
+// cadence, the pre-roll — follows from Config. A harness mid-bin,
+// finished, or running a chaos plan has no checkpoint.
 func (h *Harness) Checkpoint(w *ckpt.Writer) error {
 	switch {
 	case h.finished:
@@ -38,7 +39,6 @@ func (h *Harness) Checkpoint(w *ckpt.Writer) error {
 	w.Float(h.window.DemandMass)
 	for i := range h.stats {
 		checkpointStats(w, h.stats[i], len(h.per[i])) // Per is nil before the first tick
-		checkpointStats(w, h.san[i].good, len(h.per[i]))
 	}
 	return nil
 }
@@ -56,20 +56,20 @@ func checkpointStats(w *ckpt.Writer, st ModuleStats, n int) {
 	}
 }
 
-// restoreStats reads what checkpointStats wrote into st, whose Per is
-// per's full length.
-func restoreStats(r *ckpt.Reader, st *ModuleStats, per []cluster.IntervalStats) {
+// restoreStats reads what checkpointStats wrote into st, whose Per is the
+// module's full length.
+func restoreStats(r *ckpt.Reader, st *ModuleStats) {
 	st.Agg.RestoreCheckpoint(r)
-	st.Per = per
-	for j := range per {
-		per[j].RestoreCheckpoint(r)
+	for j := range st.Per {
+		st.Per[j].RestoreCheckpoint(r)
 	}
 }
 
 // RestoreCheckpoint replaces the state of a harness built from the same
 // Config with what Checkpoint wrote. The policy is not touched: it reads
-// what it last observed back through LastObserved.
-func (h *Harness) RestoreCheckpoint(r *ckpt.Reader) error {
+// what it last observed back through LastObserved. twice skips the
+// sanitizer's copy of each module observation that older blobs wrote.
+func (h *Harness) RestoreCheckpoint(r *ckpt.Reader, twice bool) error {
 	if h.finished || h.chaos != nil || h.batch != nil {
 		return fmt.Errorf("engine: restore into a finished, chaos-planned or mid-bin harness")
 	}
@@ -89,8 +89,14 @@ func (h *Harness) RestoreCheckpoint(r *ckpt.Reader) error {
 	h.window.RespMass = r.Float()
 	h.window.DemandMass = r.Float()
 	for i := range h.stats {
-		restoreStats(r, &h.stats[i], h.per[i])
-		restoreStats(r, &h.san[i].good, h.san[i].good.Per)
+		// The observation is the last good one too, held as a stale tick
+		// holds it.
+		good := &h.san[i].good
+		restoreStats(r, good)
+		if twice {
+			restoreStats(r, good)
+		}
+		h.stats[i] = *good
 	}
 	return r.Err()
 }

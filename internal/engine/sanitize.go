@@ -49,7 +49,8 @@ func (in *injectorState) stashStats(src ModuleStats) {
 // injectAndSanitize runs after the tick's harvest and before the policy's
 // Observe: planned sensor faults perturb h.stats in place, then the
 // always-on sanitizer rejects non-finite or negative observations and
-// holds dropped or rejected modules at their last good value. It returns
+// holds dropped or rejected modules at their last good value, so each
+// module's h.stats and last good value end the tick equal. It returns
 // how many modules were held stale this tick. With no chaos schedule and
 // clean plant statistics it never modifies h.stats, so fault-free runs
 // stay bit-identical to runs without the sanitizer in the path.

@@ -18,8 +18,9 @@ import (
 // captures (a) its configuration and (b) its checkpoint: the tenant's state
 // after its last clean bin — plant queues and clocks, energy books, latency
 // histogram, random-stream positions, the store's locality history,
-// estimators, each controller's previous decision — as one versioned binary
-// blob (core.Session.Checkpoint), followed by the counts of any bins since.
+// estimators, each module's decision in force and the cluster split — as
+// one versioned binary blob (core.Session.Checkpoint, which still restores
+// its version 1), followed by the counts of any bins since.
 // Restoring is creating: the tenant is built from its configuration exactly
 // as Fleet.CreateTenant builds it (its learned maps and trees shared through
 // the fleet's artifact store, learned once per fingerprint — the learners

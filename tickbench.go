@@ -130,15 +130,15 @@ func driveTickL0(l0 *controller.L0, lambda []float64, i int) error {
 	return err
 }
 
-func driveTickL1(l1 *controller.L1, queues []float64, avail []bool, i int) error {
+// driveTickL1's on is the previous decision's Alpha (nil: all on).
+func driveTickL1(l1 *controller.L1, queues []float64, on, avail []bool, i int) (controller.L1Decision, error) {
 	lam := 60 + 40*math.Sin(float64(i)/9)
 	for j := range queues {
 		queues[j] = float64((i * (3 + 2*j)) % 80)
 	}
-	_, err := l1.Decide(controller.L1Observation{
-		QueueLens: queues, LambdaHat: lam, Delta: 8, CHat: 0.0175, Available: avail,
+	return l1.Decide(controller.L1Observation{
+		QueueLens: queues, On: on, LambdaHat: lam, Delta: 8, CHat: 0.0175, Available: avail,
 	})
-	return err
 }
 
 func driveTickL2(l2 *controller.L2, qavg, chat []float64, avail []bool, i int) error {
@@ -232,8 +232,11 @@ func RunTickBench(decisions, tenants int) (TickBenchSnapshot, error) {
 	for j := range avail {
 		avail[j] = true
 	}
+	var on []bool
 	row, err = measureTick("L1-decide", warmup, decisions, func(i int) error {
-		return driveTickL1(l1, queues, avail, i)
+		dec, err := driveTickL1(l1, queues, on, avail, i)
+		on = dec.Alpha
+		return err
 	})
 	if err != nil {
 		return TickBenchSnapshot{}, err
