@@ -8,13 +8,12 @@ import (
 )
 
 // A controller's checkpoint is what it carries from one decision to the
-// next: the explored and decision counts of its overhead meter, and the
-// L2's split, from which it prices moves (before its first decision that
-// is the equal split snapped to its quantum, which the run does not hold).
-// The L0 and L1 keep no decision: the L1's on/off vector in force comes in
-// with its observation. The searchers' and programs' tables hold nothing
-// between decisions, and compute time is wall-clock — a restored
-// controller's starts again at zero.
+// next: the explored and decision counts of its overhead meter, and
+// nothing else. No controller keeps its decision: the L1's on/off vector
+// in force and the L2's split in force come in with their observations.
+// The searchers' and programs' tables hold nothing between decisions, and
+// compute time is wall-clock — a restored controller's starts again at
+// zero.
 
 // meter is a controller's §4.3 overhead metering, embedded in each: what
 // its decisions explored (states, map probes or priced terms), how many
@@ -48,16 +47,4 @@ func (m *meter) Checkpoint(w *ckpt.Writer) {
 func (m *meter) RestoreCheckpoint(r *ckpt.Reader) {
 	m.explored = r.IntIn(0, math.MaxInt, "explored count")
 	m.decisions = r.IntIn(0, math.MaxInt, "decision count")
-}
-
-// Checkpoint appends the L2's previous decision and overhead counts.
-func (l *L2) Checkpoint(w *ckpt.Writer) {
-	w.Floats(l.prevGamma)
-	l.meter.Checkpoint(w)
-}
-
-// RestoreCheckpoint reads back what Checkpoint wrote.
-func (l *L2) RestoreCheckpoint(r *ckpt.Reader) {
-	r.Floats(l.prevGamma)
-	l.meter.RestoreCheckpoint(r)
 }

@@ -13,9 +13,10 @@
 //     separable dynamic program over the quantized simplex.
 //
 // Invariants: every controller's Decide is a pure function of its
-// observation — the L1's includes the on/off vector in force — apart from
-// the L2, which also prices moves from its own previous split; so decisions
-// are reproducible given the observation stream; the learned artifacts (GMap, TreeJTilde)
+// observation — the L1's includes the on/off vector in force, the L2's the
+// module split in force — so decisions are reproducible given the
+// observation stream, and a controller's checkpoint is its overhead counts
+// alone; the learned artifacts (GMap, TreeJTilde)
 // are keyed by configuration fingerprints and are read-only during
 // decision making, which is what lets managers share them across identical
 // hardware and lets snapshots skip relearning.
@@ -31,7 +32,8 @@
 // This file provides SnapSimplex, which the controllers, the engine and
 // the centralized comparator use to seed load-fraction vectors: they must
 // satisfy Σγ = 1, γ ≥ 0, quantized to a fixed step (the paper quantizes
-// γ_ij at 0.05 and γ_i at 0.1).
+// γ_ij at 0.05 and γ_i at 0.1); and EqualSplit, the module split before
+// the L2's first decision.
 package controller
 
 import (
@@ -117,4 +119,20 @@ func SnapSimplex(weights []float64, mask []bool, quantum float64) ([]float64, er
 		dst[i] *= quantum
 	}
 	return dst, nil
+}
+
+// EqualSplit writes into dst, and returns, the module split before an
+// L2's first decision: SnapSimplex's equal weights over len(dst) modules
+// at QuantumL2 — ⌊10/p⌋ quanta each, one more to each of the first 10 mod
+// p — without allocating.
+func EqualSplit(dst []float64) []float64 {
+	p := len(dst)
+	for i := range dst {
+		u := unitsL2 / p
+		if i < unitsL2%p {
+			u++
+		}
+		dst[i] = float64(u) * QuantumL2
+	}
+	return dst
 }

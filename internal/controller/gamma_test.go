@@ -62,6 +62,27 @@ func TestSnapSimplexZeroWeightsUniform(t *testing.T) {
 	}
 }
 
+// TestEqualSplitIsSnappedEqualWeights: EqualSplit is, bit for bit, what
+// SnapSimplex makes of equal weights over every module at QuantumL2.
+func TestEqualSplitIsSnappedEqualWeights(t *testing.T) {
+	for p := 1; p <= 24; p++ {
+		weights, mask := make([]float64, p), make([]bool, p)
+		for i := range weights {
+			weights[i], mask[i] = 1, true
+		}
+		want, err := SnapSimplex(weights, mask, QuantumL2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := EqualSplit(make([]float64, p))
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%d modules: EqualSplit %v, SnapSimplex %v", p, got, want)
+			}
+		}
+	}
+}
+
 func TestSnapSimplexErrors(t *testing.T) {
 	if _, err := SnapSimplex(nil, nil, 0.1); err == nil {
 		t.Error("empty input: want error")

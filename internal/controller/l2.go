@@ -96,6 +96,9 @@ type L2Observation struct {
 	// Available marks modules that can currently serve (≥ 1 healthy
 	// computer). Unavailable modules are forced to γ_i = 0.
 	Available []bool
+	// Split is the module split in force, from which the decision prices
+	// its moves. Nil means the split before any decision, EqualSplit's.
+	Split []float64
 }
 
 // L2Decision is the cluster controller's output.
@@ -118,8 +121,7 @@ type L2 struct {
 	cfg     L2Config
 	jtildes []JTilde
 
-	prevGamma []float64
-	decGamma  []float64 // the returned decision's γ
+	decGamma []float64 // the returned decision's γ
 
 	// The decision in flight: module i's term c_i(u) for u quanta at
 	// cost[i·(unitsL2+1) + u], and the suffix table suf.
@@ -150,18 +152,8 @@ func NewL2(cfg L2Config, jtildes []JTilde) (*L2, error) {
 		}
 	}
 	p := len(jtildes)
-	mask := make([]bool, p)
-	weights := make([]float64, p)
-	for i := range mask {
-		mask[i] = true
-		weights[i] = 1
-	}
-	prev, err := SnapSimplex(weights, mask, QuantumL2)
-	if err != nil {
-		return nil, err
-	}
 	n := p * (unitsL2 + 1)
-	return &L2{cfg: cfg, jtildes: jtildes, prevGamma: prev, decGamma: make([]float64, p),
+	return &L2{cfg: cfg, jtildes: jtildes, decGamma: make([]float64, p),
 		avail: make([]bool, p), cost: make([]float64, n), suf: make([]float64, n+unitsL2+1)}, nil
 }
 
@@ -179,7 +171,8 @@ func (l *L2) SetMaxExplored(n int) { l.maxExplored = n }
 // Decide solves the L2 optimization (Eq. 15) exactly: the quantized {γ_i}
 // minimizing Σ_i c_i(u_i), where module i's term c_i(u) is the band-sample
 // mean of J̃_i(q_i, u·q·λ_s, ĉ_i) plus its reallocation cost
-// δ·|u·q − γ_prev,i|, summed as the right fold c_1 + (c_2 + (… + c_p)).
+// δ·|u·q − γ_prev,i| from the split in force obs.Split, summed as the
+// right fold c_1 + (c_2 + (… + c_p)).
 // Each term is priced once, a min-plus table over modules gives the
 // optimum — rounded addition is monotone, so it is exact for the fold —
 // and the backtrack takes, module by module, the fewest quanta attaining
@@ -200,6 +193,14 @@ func (l *L2) Decide(obs L2Observation) (L2Decision, error) {
 	}
 	if len(obs.Available) != p {
 		return L2Decision{}, fmt.Errorf("controller: observation has %d availability flags, modules %d", len(obs.Available), p)
+	}
+	if obs.Split == nil {
+		// Into the decision's buffer: every term is priced before the
+		// backtrack overwrites it.
+		obs.Split = EqualSplit(l.decGamma)
+	}
+	if len(obs.Split) != p {
+		return L2Decision{}, fmt.Errorf("controller: observation split has %d modules, want %d", len(obs.Split), p)
 	}
 	if countOn(obs.Available) == 0 {
 		return L2Decision{}, fmt.Errorf("controller: no available modules")
@@ -234,7 +235,6 @@ func (l *L2) Decide(obs L2Observation) (L2Decision, error) {
 		l.decGamma[i] = float64(u) * QuantumL2
 		r -= u
 	}
-	copy(l.prevGamma, l.decGamma)
 	elapsed := time.Since(start) //hpm:wallclock decide-latency for the §4.3 overhead metric; observe-only
 	l.count(explored, elapsed)
 	if l.rec.Enabled() {
@@ -292,7 +292,7 @@ func (l *L2) priceTerms(obs L2Observation) (int, error) {
 				}
 				sum += c
 			}
-			l.cost[i*(unitsL2+1)+u] = sum/n + DeltaWeight*math.Abs(g-l.prevGamma[i])
+			l.cost[i*(unitsL2+1)+u] = sum/n + DeltaWeight*math.Abs(g-obs.Split[i])
 		}
 	}
 	return explored, nil

@@ -186,15 +186,20 @@ func checkAgainstOracle(t *testing.T, rng *rand.Rand, jts []JTilde, decisions in
 		t.Fatal(err)
 	}
 	l2.SetRecorder(rec)
+	// The first decision prices from the fresh split (Split nil) or a
+	// random one; each later one from its predecessor's.
+	prev := EqualSplit(make([]float64, p))
+	var split []float64
 	if rng.Intn(4) != 0 {
-		clear(l2.prevGamma)
+		clear(prev)
 		for range unitsL2 {
-			l2.prevGamma[rng.Intn(p)] += QuantumL2
+			prev[rng.Intn(p)] += QuantumL2
 		}
+		split = prev
 	}
-	prev := slices.Clone(l2.prevGamma)
 	for d := 0; d < decisions; d++ {
 		obs := randomL2Observation(rng, p)
+		obs.Split = split
 		wantGamma, wantCost := enumerationDecide(t, jts, cfg.UncertaintySamples, obs, prev)
 		dec, err := l2.Decide(obs)
 		if err != nil {
@@ -218,6 +223,7 @@ func checkAgainstOracle(t *testing.T, rng *rand.Rand, jts []JTilde, decisions in
 			t.Fatalf("%d modules: explored %d, want 11·%d·%d", p, dec.Explored, a, s)
 		}
 		copy(prev, wantGamma)
+		split = prev
 	}
 }
 
@@ -282,10 +288,11 @@ func TestL2ExactAboveSixModules(t *testing.T) {
 	}
 	l2.SetRecorder(rec)
 	obs := L2Observation{QAvg: make([]float64, p), LambdaHat: 300, Delta: 30, CHat: make([]float64, p), Available: make([]bool, p)}
+	fresh := EqualSplit(make([]float64, p))
 	down := 0
 	for i := range obs.Available {
 		obs.Available[i] = true
-		if l2.prevGamma[i] > 0 && down < 3 {
+		if fresh[i] > 0 && down < 3 {
 			obs.Available[i] = false
 			down++
 		}

@@ -148,6 +148,9 @@ func TestL2ObservationValidation(t *testing.T) {
 	if _, err := l2.Decide(L2Observation{QAvg: []float64{0, 0}, LambdaHat: 1, CHat: []float64{0.018, 0.018}, Available: []bool{true}}); err == nil {
 		t.Error("availability size mismatch: want error")
 	}
+	if _, err := l2.Decide(L2Observation{QAvg: []float64{0, 0}, LambdaHat: 1, CHat: []float64{0.018, 0.018}, Split: []float64{1}}); err == nil {
+		t.Error("split size mismatch: want error")
+	}
 }
 
 func TestL2UncertaintySamplesIncreaseExploration(t *testing.T) {

@@ -4,17 +4,18 @@ import (
 	"fmt"
 
 	"hierctl/internal/ckpt"
+	"hierctl/internal/forecast"
 )
 
 // checkpointVersion is the first word of every session checkpoint. A
-// reader also takes version 1 (see restore) and refuses any other.
-const checkpointVersion = 2
+// reader also takes versions 1 and 2 (see restore) and refuses any other.
+const checkpointVersion = 3
 
 // Checkpoint appends to w the state of a streaming session after its last
 // clean bin — the harness (plant, feed, store, random streams, counters),
-// every estimator, each module's decision in force, the L2's split, each
-// controller's overhead counts, and the flight recorder's Total — as one
-// versioned blob.
+// every estimator, each module's decision in force, the module split in
+// force, each controller's overhead counts, and the flight recorder's
+// Total — as one versioned blob.
 // Nothing derivable from the manager's configuration or its learned
 // artifacts is written. A session opened on a trace, finished, or stopped
 // mid-bin by a failed step has no checkpoint.
@@ -48,13 +49,13 @@ func (s *Session) RestoreCheckpoint(b []byte) error {
 	}
 	rd := ckpt.NewReader(b)
 	v := rd.Uint()
-	if rd.Err() == nil && v != checkpointVersion && v != 1 {
-		return fmt.Errorf("core: checkpoint version %d, want %d or 1", v, checkpointVersion)
+	if rd.Err() == nil && (v < 1 || v > checkpointVersion) {
+		return fmt.Errorf("core: checkpoint version %d, want 1 to %d", v, checkpointVersion)
 	}
 	if err := s.h.RestoreCheckpoint(rd, v == 1); err != nil {
 		return err
 	}
-	s.r.restore(rd, v == 1)
+	s.r.restore(rd, v)
 	if err := rd.Done(); err != nil {
 		return err
 	}
@@ -68,13 +69,17 @@ func (s *Session) RestoreCheckpoint(b []byte) error {
 	return nil
 }
 
-// checkpoint appends the hierarchy's side of a session checkpoint.
+// checkpoint appends the hierarchy's side of a session checkpoint. The
+// cluster words — the split, the cluster rate and arrival counter, each
+// module's L0 correction, the cluster filter and band, the L2's counts —
+// are written only with an L2: a one-module run holds no cluster state.
 func (r *run) checkpoint(w *ckpt.Writer) {
 	w.Floats(r.respWindow)
-	w.Bool(r.gammaModules != nil)
-	w.Floats(r.gammaModules)
-	w.Float(r.lambdaGRate)
-	w.Int(int64(r.arrivedTL2))
+	if r.l2 != nil {
+		w.Floats(r.gammaModules)
+		w.Float(r.lambdaGRate)
+		w.Int(int64(r.arrivedTL2))
+	}
 	for _, idx := range r.freqIdx {
 		for _, f := range idx {
 			w.Int(int64(f))
@@ -90,34 +95,46 @@ func (r *run) checkpoint(w *ckpt.Writer) {
 		w.Floats(asm.gamma)
 		w.Int(int64(asm.arrivedTL1))
 		w.Float(asm.predictedTL1)
-		w.Bool(asm.hasPredicted)
-		w.Float(asm.l0Ratio)
+		if r.l2 != nil {
+			w.Float(asm.l0Ratio)
+		}
 		asm.l1.Checkpoint(w)
 		for _, l0 := range asm.l0s {
 			l0.Checkpoint(w)
 		}
 	}
-	r.kalmanG.Checkpoint(w)
-	r.bandG.Checkpoint(w)
 	if r.l2 != nil {
+		r.kalmanG.Checkpoint(w)
+		r.bandG.Checkpoint(w)
 		r.l2.Checkpoint(w)
 	}
 	r.recorder.Checkpoint(w)
 }
 
-// restore reads back what checkpoint wrote. v1 skips the words version 1
-// also wrote: per module the pending reallocation ratio (1 at every
-// checkpoint) and its L1's copy of the module decision, and the harness's
-// second copy of each module observation.
-func (r *run) restore(rd *ckpt.Reader, v1 bool) {
+// restore reads back what checkpoint wrote, of version v. Versions 1 and 2
+// also wrote a flag saying whether the split follows (not before the first
+// L2 decision, when the split build seeded stands), each module's
+// forecast-made flag (set at every boundary past the first), the L2's own
+// copy of the split, and the cluster words on a one-module run too, where
+// nothing reads them; those are read and dropped. Version 1 also wrote per
+// module the pending reallocation ratio (1 at every checkpoint) and its
+// L1's copy of the module decision, and the harness's second copy of each
+// module observation.
+func (r *run) restore(rd *ckpt.Reader, v uint64) {
+	old := v < checkpointVersion
+	cluster := r.l2 != nil || old
 	rd.Floats(r.respWindow)
-	r.gammaModules = nil
-	if rd.Bool() {
-		r.gammaModules = make([]float64, len(r.modules))
+	follows := r.l2 != nil
+	if old {
+		follows = rd.Bool()
+	}
+	if follows {
 		rd.Floats(r.gammaModules)
 	}
-	r.lambdaGRate = rd.Float()
-	r.arrivedTL2 = rd.IntIn(0, maxCount, "arrivals")
+	if cluster {
+		r.lambdaGRate = rd.Float()
+		r.arrivedTL2 = rd.IntIn(0, maxCount, "arrivals")
+	}
 	for i, idx := range r.freqIdx {
 		for j := range idx {
 			idx[j] = rd.IntIn(-1, len(r.modules[i].specs[j].FrequenciesHz)-1, "frequency index")
@@ -133,12 +150,16 @@ func (r *run) restore(rd *ckpt.Reader, v1 bool) {
 		rd.Floats(asm.gamma)
 		asm.arrivedTL1 = rd.IntIn(0, maxCount, "arrivals")
 		asm.predictedTL1 = rd.Float()
-		asm.hasPredicted = rd.Bool()
-		if v1 {
+		if old {
+			rd.Bool()
+		}
+		if v == 1 {
 			rd.Float()
 		}
-		asm.l0Ratio = rd.Float()
-		if v1 { // into the observation scratch, which the next plan rewrites
+		if cluster {
+			asm.l0Ratio = rd.Float()
+		}
+		if v == 1 { // into the observation scratch, which the next plan rewrites
 			rd.Bools(asm.obsAvail)
 			rd.Floats(asm.obsQueues)
 		}
@@ -147,10 +168,18 @@ func (r *run) restore(rd *ckpt.Reader, v1 bool) {
 			l0.RestoreCheckpoint(rd)
 		}
 	}
-	r.kalmanG.RestoreCheckpoint(rd)
-	r.bandG.RestoreCheckpoint(rd)
-	if r.l2 != nil {
+	switch {
+	case r.l2 != nil:
+		r.kalmanG.RestoreCheckpoint(rd)
+		r.bandG.RestoreCheckpoint(rd)
+		if old { // into the observation scratch, which the next decision rewrites
+			rd.Floats(r.l2QAvg)
+		}
 		r.l2.RestoreCheckpoint(rd)
+	case old: // a one-module run's cluster words, dropped for what build made
+		new(forecast.Kalman).RestoreCheckpoint(rd)
+		new(forecast.EWMA).RestoreCheckpoint(rd) // a band's words are its EWMA's
+		r.gammaModules[0], r.lambdaGRate, r.arrivedTL2, r.modules[0].l0Ratio = 1, 0, 0, 1
 	}
 	r.recorder.RestoreCheckpoint(rd)
 }

@@ -16,8 +16,9 @@ import (
 )
 
 // checkpointRun is one streaming session of the checkpoint property: two
-// modules (the L2 decides), a failure plan that fails a computer and later
-// repairs it, and a flight recorder.
+// modules (the L2 decides) unless asked for one, a failure plan that fails
+// a computer of the last module and later repairs it, and a flight
+// recorder.
 type checkpointRun struct {
 	sess *Session
 	mgr  *Manager
@@ -31,13 +32,14 @@ func newCheckpointRun(t testing.TB, store *ArtifactStore) checkpointRun {
 // newCheckpointRunAt is newCheckpointRun with bins binSeconds wide.
 func newCheckpointRunAt(t testing.TB, store *ArtifactStore, binSeconds float64) checkpointRun {
 	t.Helper()
-	return newCheckpointRunWith(t, store, fastConfig(), binSeconds)
+	return newCheckpointRunWith(t, store, fastConfig(), binSeconds, 2)
 }
 
-// newCheckpointRunWith is newCheckpointRunAt under configuration cfg.
-func newCheckpointRunWith(t testing.TB, store *ArtifactStore, cfg Config, binSeconds float64) checkpointRun {
+// newCheckpointRunWith is newCheckpointRunAt under configuration cfg, over
+// modules modules (one or two).
+func newCheckpointRunWith(t testing.TB, store *ArtifactStore, cfg Config, binSeconds float64, modules int) checkpointRun {
 	t.Helper()
-	spec := cluster.Spec{Modules: []cluster.ModuleSpec{moduleOf("M1", 3), moduleOf("M2", 3)}}
+	spec := cluster.Spec{Modules: []cluster.ModuleSpec{moduleOf("M1", 3), moduleOf("M2", 3)}[:modules]}
 	mgr, err := store.NewManager(spec, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -48,8 +50,8 @@ func newCheckpointRunWith(t testing.TB, store *ArtifactStore, cfg Config, binSec
 	}
 	mgr.SetRecorder(rec)
 	mgr.InjectPlan([]workload.FailureEvent{
-		{At: 240, Module: 1, Comp: 0},
-		{At: 600, Module: 1, Comp: 0, Repair: true},
+		{At: 240, Module: modules - 1, Comp: 0},
+		{At: 600, Module: modules - 1, Comp: 0, Repair: true},
 	})
 	scfg := workload.DefaultStoreConfig()
 	scfg.Objects = 500

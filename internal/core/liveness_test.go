@@ -87,10 +87,11 @@ func walkCheckpoint(t *testing.T, s *Session) []ckptField {
 	}
 	r := s.r
 	k.put("respWindow", nil, func(w *ckpt.Writer) { w.Floats(r.respWindow) })
-	k.put("gammaModules.set", nil, func(w *ckpt.Writer) { w.Bool(r.gammaModules != nil) })
-	k.put("gammaModules", nil, func(w *ckpt.Writer) { w.Floats(r.gammaModules) })
-	k.put("lambdaGRate", nil, func(w *ckpt.Writer) { w.Float(r.lambdaGRate) })
-	k.put("arrivedTL2", nil, func(w *ckpt.Writer) { w.Int(int64(r.arrivedTL2)) })
+	if r.l2 != nil {
+		k.put("gammaModules", nil, func(w *ckpt.Writer) { w.Floats(r.gammaModules) })
+		k.put("lambdaGRate", nil, func(w *ckpt.Writer) { w.Float(r.lambdaGRate) })
+		k.put("arrivedTL2", nil, func(w *ckpt.Writer) { w.Int(int64(r.arrivedTL2)) })
+	}
 	k.put("freqIdx", nil, func(w *ckpt.Writer) {
 		for _, idx := range r.freqIdx {
 			for _, f := range idx {
@@ -111,16 +112,19 @@ func walkCheckpoint(t *testing.T, s *Session) []ckptField {
 		k.put(m+"gamma", nil, func(w *ckpt.Writer) { w.Floats(asm.gamma) })
 		k.put(m+"arrivedTL1", nil, func(w *ckpt.Writer) { w.Int(int64(asm.arrivedTL1)) })
 		k.put(m+"predictedTL1", nil, func(w *ckpt.Writer) { w.Float(asm.predictedTL1) })
-		k.put(m+"hasPredicted", nil, func(w *ckpt.Writer) { w.Bool(asm.hasPredicted) })
-		k.put(m+"l0Ratio", nil, func(w *ckpt.Writer) { w.Float(asm.l0Ratio) })
+		if r.l2 != nil {
+			k.put(m+"l0Ratio", nil, func(w *ckpt.Writer) { w.Float(asm.l0Ratio) })
+		}
 		k.put(m+"l1", countWords, asm.l1.Checkpoint)
 		for _, l0 := range asm.l0s {
 			k.put(m+"l0", countWords, l0.Checkpoint)
 		}
 	}
-	k.put("kalmanG", kalmanWords, r.kalmanG.Checkpoint)
-	k.put("bandG", ewmaWords, r.bandG.Checkpoint)
-	k.put("l2", append([]ckptWord{{"prevGamma", 'f', len(r.modules)}}, countWords...), r.l2.Checkpoint)
+	if r.l2 != nil {
+		k.put("kalmanG", kalmanWords, r.kalmanG.Checkpoint)
+		k.put("bandG", ewmaWords, r.bandG.Checkpoint)
+		k.put("l2", countWords, r.l2.Checkpoint)
+	}
 	k.put("recorder.total", nil, r.recorder.Checkpoint)
 	var want ckpt.Writer
 	if err := s.Checkpoint(&want); err != nil {
@@ -132,12 +136,13 @@ func walkCheckpoint(t *testing.T, s *Session) []ckptField {
 	return k.fields
 }
 
-// newLivenessRun is newCheckpointRun with T_L2 = 2·T_L1.
-func newLivenessRun(t testing.TB, store *ArtifactStore) checkpointRun {
+// newLivenessRun is newCheckpointRunWith over modules modules with
+// T_L2 = 2·T_L1.
+func newLivenessRun(t testing.TB, store *ArtifactStore, modules int) checkpointRun {
 	t.Helper()
 	cfg := fastConfig()
 	cfg.L2.PeriodSeconds = 2 * cfg.L1.PeriodSeconds
-	return newCheckpointRunWith(t, store, cfg, 30)
+	return newCheckpointRunWith(t, store, cfg, 30, modules)
 }
 
 // livenessOutcome is everything a restored session shows: the decision in
@@ -154,11 +159,12 @@ type livenessOutcome struct {
 	rec      *Record
 }
 
-// playLiveness restores blob into a fresh run and steps it through bins
-// [from, to) of checkpointLoad. A panic is an outcome like any other.
-func playLiveness(t *testing.T, store *ArtifactStore, blob []byte, from, to int) (out livenessOutcome) {
+// playLiveness restores blob into a fresh run over modules modules and
+// steps it through bins [from, to) of checkpointLoad. A panic is an outcome
+// like any other.
+func playLiveness(t *testing.T, store *ArtifactStore, modules int, blob []byte, from, to int) (out livenessOutcome) {
 	t.Helper()
-	run := newLivenessRun(t, store)
+	run := newLivenessRun(t, store, modules)
 	if err := run.sess.RestoreCheckpoint(blob); err != nil {
 		return livenessOutcome{refused: true}
 	}
@@ -195,11 +201,9 @@ func playLiveness(t *testing.T, store *ArtifactStore, blob []byte, from, to int)
 	return out
 }
 
-// deadByDesign names the checkpoint fields the liveness test finds no
-// perturbation of to show, each with the reason it stays.
-var deadByDesign = map[string]string{
-	"gammaModules.set": "says whether the L2's split follows: a flip misparses the rest of the blob, so no flip restores",
-}
+// livenessCut is a checkpoint of the liveness run over modules modules,
+// taken once bin bins have stepped.
+type livenessCut struct{ modules, bin int }
 
 // TestCheckpointFieldsLive is the checkpoint's liveness property: every
 // field that run.checkpoint and the controllers' Checkpoint write is read.
@@ -208,65 +212,71 @@ var deadByDesign = map[string]string{
 // varint's sign — is played livenessBins bins and finished; the field is
 // live once some flip changes what the session shows (livenessOutcome)
 // against the unperturbed twin. A flip the reader refuses shows nothing.
-// The run has T_L2 = 2·T_L1: with T_L2 = T_L1 the cluster rate is rewritten
-// before any L1 boundary reads it. It is cut twice, off the L1 boundary
-// (the L0 correction is rewritten first at one): early, while the filters'
-// step counts and the bands' started flags still matter, and late, once
-// the cluster band has started and its value is read. A field no flip
-// shows must be named in deadByDesign. Under -short only the late cut
-// plays, and a field it cannot show is logged.
+// Each shape must show every field its checkpoint writes: the two-module
+// run, whose L2 decides, and the one-module run, which writes no cluster
+// state. The run has T_L2 = 2·T_L1: with T_L2 = T_L1 the cluster rate is
+// rewritten before any L1 boundary reads it. Each shape is cut twice, off
+// the L1 boundary (the L0 correction is rewritten first at one): early,
+// while the filters' step counts and the bands' started flags still
+// matter, and late, once the bands have started and their values are read.
+// Under -short only the late cuts play, and a field they cannot show is
+// logged.
 //
 //hpm:pin checkpoint
 func TestCheckpointFieldsLive(t *testing.T) {
 	const livenessBins = 12
-	cuts := []int{1, 18}
+	cuts := []livenessCut{{2, 18}, {1, 18}, {2, 1}, {1, 1}}
 	if testing.Short() {
-		cuts = cuts[1:]
+		cuts = cuts[:2]
 	}
 	store := NewArtifactStore()
-	ref := newLivenessRun(t, store)
-	blobs := map[int][]byte{}
-	for b := 0; b <= cuts[len(cuts)-1]; b++ {
-		if slices.Contains(cuts, b) {
-			var w ckpt.Writer
-			if err := ref.sess.Checkpoint(&w); err != nil {
+	blobs := map[livenessCut][]byte{}
+	for _, modules := range []int{2, 1} {
+		ref := newLivenessRun(t, store, modules)
+		for b := 0; b <= 18; b++ {
+			if c := (livenessCut{modules, b}); slices.Contains(cuts, c) {
+				var w ckpt.Writer
+				if err := ref.sess.Checkpoint(&w); err != nil {
+					t.Fatal(err)
+				}
+				blobs[c] = w.Bytes()
+			}
+			if _, err := ref.sess.ObserveBin(checkpointLoad(b)); err != nil {
 				t.Fatal(err)
 			}
-			blobs[b] = w.Bytes()
 		}
-		if _, err := ref.sess.ObserveBin(checkpointLoad(b)); err != nil {
-			t.Fatal(err)
+		if modules == 2 && ref.sess.r.bandG.Delta() == 0 {
+			t.Fatal("the cluster band has not started by the late cut: cut later")
 		}
-	}
-	if ref.sess.r.bandG.Delta() == 0 || ref.sess.r.gammaModules == nil {
-		t.Fatal("the cluster band has not started by the late cut: cut later")
 	}
 
+	// Fields are named per shape: each must show in the run that writes it.
 	live := map[string]bool{}
 	var names []string
 	for _, cut := range cuts {
 		blob := blobs[cut]
-		restored := newLivenessRun(t, store)
+		restored := newLivenessRun(t, store, cut.modules)
 		if err := restored.sess.RestoreCheckpoint(blob); err != nil {
 			t.Fatal(err)
 		}
 		fields := walkCheckpoint(t, restored.sess)
-		twin := playLiveness(t, store, blob, cut, cut+livenessBins)
-		if twin.refused || twin.failed != "" || !reflect.DeepEqual(twin, playLiveness(t, store, blob, cut, cut+livenessBins)) {
-			t.Fatalf("cut %d: the unperturbed restore fails (%q) or does not replay itself", cut, twin.failed)
+		twin := playLiveness(t, store, cut.modules, blob, cut.bin, cut.bin+livenessBins)
+		if twin.refused || twin.failed != "" || !reflect.DeepEqual(twin, playLiveness(t, store, cut.modules, blob, cut.bin, cut.bin+livenessBins)) {
+			t.Fatalf("cut %+v: the unperturbed restore fails (%q) or does not replay itself", cut, twin.failed)
 		}
 		for _, f := range fields {
-			if !slices.Contains(names, f.name) {
-				names = append(names, f.name)
+			name := fmt.Sprintf("%d-module %s", cut.modules, f.name)
+			if !slices.Contains(names, name) {
+				names = append(names, name)
 			}
 			// Most significant bytes first: a float's exponent, a varint's
 			// high digits.
-			for at := f.hi - 1; at >= f.lo && !live[f.name]; at-- {
+			for at := f.hi - 1; at >= f.lo && !live[name]; at-- {
 				for _, bit := range []byte{1 << 6, 1 << 1, 1} {
 					flipped := slices.Clone(blob)
 					flipped[at] ^= bit
-					if out := playLiveness(t, store, flipped, cut, cut+livenessBins); !out.refused && !reflect.DeepEqual(out, twin) {
-						live[f.name] = true
+					if out := playLiveness(t, store, cut.modules, flipped, cut.bin, cut.bin+livenessBins); !out.refused && !reflect.DeepEqual(out, twin) {
+						live[name] = true
 						break
 					}
 				}
@@ -274,19 +284,11 @@ func TestCheckpointFieldsLive(t *testing.T) {
 		}
 	}
 	for _, name := range names {
-		reason, named := deadByDesign[name]
 		switch {
-		case !live[name] && !named && testing.Short():
-			t.Logf("checkpoint field %s: not shown by the late cut alone", name)
-		case !live[name] && !named:
-			t.Errorf("checkpoint field %s: no flip of any of its bytes changes what the session shows: remove it, or name it in deadByDesign", name)
-		case live[name] && named:
-			t.Errorf("checkpoint field %s is live, yet deadByDesign names it (%s)", name, reason)
-		}
-	}
-	for name := range deadByDesign {
-		if !slices.Contains(names, name) {
-			t.Errorf("deadByDesign names %s, which the checkpoint does not write", name)
+		case !live[name] && testing.Short():
+			t.Logf("checkpoint field %s: not shown by the late cuts alone", name)
+		case !live[name]:
+			t.Errorf("checkpoint field %s: no flip of any of its bytes changes what the session shows: remove it", name)
 		}
 	}
 }

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
+	"hierctl/internal/chaos"
 	"hierctl/internal/cluster"
 )
 
@@ -210,6 +212,41 @@ func TestAllButOneModuleFailedDecidesAsBefore(t *testing.T) {
 	}
 	if want := []float64{2, 1, 1, 1, 1, 2, 2, 2, 2, 2}; !reflect.DeepEqual(rec.Operational.Values, want) {
 		t.Errorf("operational computers per T_L1 %v, want %v", rec.Operational.Values, want)
+	}
+}
+
+// TestDegradedFirstL2HoldsSnappedSplit pins the module split a first L2
+// boundary that cannot decide holds: the split in force before any
+// decision, the equal split snapped to the L2's quantum — what the L2
+// prices its next moves from, and what the run dispatches. With four
+// modules and a decision budget no search fits in, that is 0.3/0.3/0.2/0.2
+// after bin 0, not exact quarters.
+func TestDegradedFirstL2HoldsSnappedSplit(t *testing.T) {
+	spec := cluster.Spec{Modules: []cluster.ModuleSpec{
+		moduleOf("M1", 2), moduleOf("M2", 2), moduleOf("M3", 2), moduleOf("M4", 2),
+	}}
+	mgr, err := NewManager(spec, fastConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr.InjectChaos(chaos.Plan{DecisionBudget: 1})
+	sess, err := mgr.NewSession(testStore(t), SessionConfig{BinSeconds: 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := sess.ObserveBin(200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []float64{0.3, 0.3, 0.2, 0.2}
+	if len(dec.GammaModules) != len(want) {
+		t.Fatalf("split after bin 0 %v, want %v", dec.GammaModules, want)
+	}
+	for i, g := range dec.GammaModules {
+		if math.Abs(g-want[i]) > 1e-12 {
+			t.Errorf("split after bin 0 %v, want %v", dec.GammaModules, want)
+			break
+		}
 	}
 }
 

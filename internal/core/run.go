@@ -61,8 +61,8 @@ func (m *Manager) Run(trace *series.Series, store *workload.Store) (*Record, err
 type run struct {
 	m *Manager
 	// The hierarchy this run steps, built by build from m's learned
-	// artifacts: one assembly per module, the L2 (nil for a single
-	// module), and the cluster arrival filter and band.
+	// artifacts: one assembly per module, and the L2 and the cluster
+	// arrival filter and band (all nil for a single module).
 	modules []*moduleAsm
 	l2      *controller.L2
 	kalmanG *forecast.Kalman // cluster arrivals per T_L2 bin
@@ -99,8 +99,8 @@ type run struct {
 	// in initSeries; nil when the frequencies are not recorded.
 	freqSeries [][]*series.Series
 
-	// gammaModules is the module split in force: the run's own copy of the
-	// last L2 decision (or of the fallback's), nil before the first.
+	// gammaModules is the module split in force, its only copy: [1] with
+	// one module, else controller.EqualSplit's, then each L2 decision's.
 	gammaModules []float64
 	// lambdaGRate is the cluster arrival-rate forecast at the last L2
 	// boundary (requests/second), used as a floor for module forecasts
@@ -111,7 +111,7 @@ type run struct {
 	// only).
 	predActual [][2]float64
 
-	arrivedTL2 int
+	arrivedTL2 int // cluster arrivals this T_L2 period, counted with an L2
 
 	// L2 observation scratch, sized by build (nil without an L2) and
 	// reused across periods (the controller reads, never retains it).
@@ -120,12 +120,10 @@ type run struct {
 	l2Avail []bool
 
 	// Decide scratch, sized once in build and reused every tick: the
-	// per-module L1 plans, the equal-share module split in force before
-	// the first L2 decision, and the dispatch weights. The harness hands
-	// the weights to Plant.Dispatch, which reads and never retains them.
-	plans       []l1Plan
-	equalShares []float64
-	weights     [][]float64
+	// per-module L1 plans and the dispatch weights. The harness hands the
+	// weights to Plant.Dispatch, which reads and never retains them.
+	plans   []l1Plan
+	weights [][]float64
 
 	// last is the decision in force after the most recent cleanly applied
 	// bin, refreshed in place by refreshDecision (see Session.Decision).
@@ -153,7 +151,6 @@ type moduleAsm struct {
 
 	arrivedTL1   int
 	predictedTL1 float64
-	hasPredicted bool
 
 	// pendingRatio rescales the module's own arrival forecast right
 	// after the L2 reallocates fractions: the module filter has only
@@ -164,7 +161,8 @@ type moduleAsm struct {
 	pendingRatio float64
 	// l0Ratio carries the same correction down to the L0 frequency
 	// controllers for the remainder of the L1 period, since their
-	// per-T_L0 filter lags reallocations just the same.
+	// per-T_L0 filter lags reallocations just the same. Without an L2 no
+	// correction is pending, and it stays exactly 1.
 	l0Ratio float64
 
 	// Observation scratch, sized by build and reused across control
@@ -240,7 +238,7 @@ func (r *run) Decide(k, pending int) (engine.Settings, error) {
 				plans[i].err = nil
 				degraded = true
 			}
-			if err := r.applyL1(i, plans[i]); err != nil {
+			if err := r.applyL1(i, k, plans[i]); err != nil {
 				return engine.Settings{}, err
 			}
 		}
@@ -265,10 +263,6 @@ func (r *run) Decide(k, pending int) (engine.Settings, error) {
 	if pending == 0 {
 		return engine.Settings{Degraded: degraded}, nil
 	}
-	gm := r.gammaModules
-	if gm == nil {
-		gm = r.equalShares
-	}
 	for i, asm := range r.modules {
 		weights := r.weights[i]
 		for j := range asm.specs {
@@ -278,7 +272,7 @@ func (r *run) Decide(k, pending int) (engine.Settings, error) {
 			}
 		}
 	}
-	return engine.Settings{GammaModules: gm, GammaComputers: r.weights, Degraded: degraded}, nil
+	return engine.Settings{GammaModules: r.gammaModules, GammaComputers: r.weights, Degraded: degraded}, nil
 }
 
 // decideL2Guarded is decideL2 with panic recovery: a panicking search is
@@ -292,13 +286,10 @@ func (r *run) decideL2Guarded(k int) (err error) {
 	return r.decideL2(k)
 }
 
-// fallbackL2 is the L2 deterministic safe fallback: the previous split
-// (equal shares before any decision) stays in force, re-appended to the
-// record series so the per-boundary cadence is preserved.
+// fallbackL2 is the L2 deterministic safe fallback: the split in force
+// stays, re-appended to the record series so the per-boundary cadence is
+// preserved.
 func (r *run) fallbackL2() {
-	if r.gammaModules == nil {
-		r.gammaModules = slices.Clone(r.equalShares)
-	}
 	r.recordGammaModules(r.gammaModules)
 }
 
@@ -367,6 +358,7 @@ func (r *run) decideL2(k int) error {
 		Delta:     deltaG / m.cfg.L2.PeriodSeconds,
 		CHat:      r.l2CHat,
 		Available: r.l2Avail,
+		Split:     r.gammaModules,
 	}
 	for i, asm := range r.modules {
 		obs.QAvg[i] = float64(asm.lastAgg.QueueLen) / float64(len(asm.specs))
@@ -387,10 +379,10 @@ func (r *run) decideL2(k int) error {
 	for i, asm := range r.modules {
 		ratio := 1.0
 		switch {
-		case r.gammaModules != nil && r.gammaModules[i] > 0.01:
+		case k > 0 && r.gammaModules[i] > 0.01:
 			ratio = dec.Gamma[i] / r.gammaModules[i]
 		case dec.Gamma[i] > 0:
-			ratio = 5 // from (near) zero share: trust the γ_i·λ_g floor
+			ratio = 5 // first decision, or from (near) zero share: trust the γ_i·λ_g floor
 		}
 		asm.pendingRatio = math.Min(5, math.Max(0.2, ratio))
 	}
@@ -398,7 +390,7 @@ func (r *run) decideL2(k int) error {
 	r.recordGammaModules(dec.Gamma)
 	// The decision is the L2's until its next Decide: keep a copy, made
 	// only now that the share ratios above have read the old split.
-	r.gammaModules = append(r.gammaModules[:0], dec.Gamma...)
+	copy(r.gammaModules, dec.Gamma)
 	return nil
 }
 
@@ -408,10 +400,9 @@ type l1Plan struct {
 	// dec is the L1's decision, valid until that L1's next Decide — the
 	// next boundary, long after applyL1 copied it.
 	dec controller.L1Decision
-	// predActual is the (predicted, actual) pair for the Fig. 4 series;
-	// hasPredActual marks boundaries where the module had a forecast.
-	predActual    [2]float64
-	hasPredActual bool
+	// predActual is the (predicted, actual) pair for the Fig. 4 series,
+	// set past the first boundary, the first with a forecast to score.
+	predActual [2]float64
 	// err is the planning failure, captured here so the planning loop
 	// never exits early (every module's estimator folds run each
 	// boundary, whichever sibling failed).
@@ -446,23 +437,19 @@ func (r *run) planL1(i int, k int) (l1Plan, error) {
 	// boundary at this point.
 	if k > 0 {
 		asm.kalman1.Observe(float64(asm.arrivedTL1))
-		if asm.hasPredicted {
-			asm.band.Observe(asm.predictedTL1, float64(asm.arrivedTL1))
-			plan.predActual = [2]float64{asm.predictedTL1, float64(asm.arrivedTL1)}
-			plan.hasPredActual = true
-		}
+		asm.band.Observe(asm.predictedTL1, float64(asm.arrivedTL1))
+		plan.predActual = [2]float64{asm.predictedTL1, float64(asm.arrivedTL1)}
 		asm.arrivedTL1 = 0
 	}
 	asm.predictedTL1 = math.Max(0, asm.kalman1.Forecast(1))
 	var oracleDelta float64
 	if m.cfg.OracleForecast {
 		mean, peak := r.futureProfile(k, r.l1Every)
-		asm.predictedTL1 = r.moduleShare(i) * mean * float64(r.l1Every)
+		asm.predictedTL1 = r.gammaModules[i] * mean * float64(r.l1Every)
 		// Perfect information includes the within-period profile: hedge
 		// the decision against the true peak sub-period, not a guess.
-		oracleDelta = r.moduleShare(i) * (peak - mean) / r.tl0
+		oracleDelta = r.gammaModules[i] * (peak - mean) / r.tl0
 	}
-	asm.hasPredicted = true
 
 	queues, avail := asm.obsQueues, asm.obsAvail
 	for j := range asm.specs {
@@ -471,7 +458,7 @@ func (r *run) planL1(i int, k int) (l1Plan, error) {
 	}
 	own := asm.predictedTL1 / m.cfg.L1.PeriodSeconds
 	lambdaHat := pending * own
-	if r.l2 != nil && r.gammaModules != nil && !m.cfg.OracleForecast {
+	if r.l2 != nil && !m.cfg.OracleForecast {
 		// λ_i = γ_i·λ_g floor right after a reallocation (Fig. 2b).
 		if floor := r.gammaModules[i] * r.lambdaGRate; floor > lambdaHat {
 			lambdaHat = floor
@@ -508,12 +495,12 @@ func (r *run) planL1(i int, k int) (l1Plan, error) {
 	return plan, nil
 }
 
-// applyL1 commits one module's planned decision: the Fig. 4 sample, the
+// applyL1 commits module i's plan at step k: the Fig. 4 sample, the
 // plant's on/off switches, and the module's dispatch fractions. Called
 // sequentially in module order.
-func (r *run) applyL1(i int, plan l1Plan) error {
+func (r *run) applyL1(i, k int, plan l1Plan) error {
 	asm := r.modules[i]
-	if plan.hasPredActual && r.trace != nil {
+	if k > 0 && r.trace != nil {
 		r.predActual = append(r.predActual, plan.predActual)
 	}
 	dec := plan.dec
@@ -552,7 +539,7 @@ func (r *run) decideL0(i int, asm *moduleAsm, k int) (degraded bool, err error) 
 		for h := range lambda {
 			var forecastCount float64
 			if m.cfg.OracleForecast {
-				forecastCount = r.moduleShare(i) * r.futureCount(k+h, 1)
+				forecastCount = r.gammaModules[i] * r.futureCount(k+h, 1)
 			} else {
 				forecastCount = asm.l0Ratio * math.Max(0, asm.kalman0.Forecast(h+1))
 			}
@@ -621,7 +608,9 @@ func (r *run) Observe(k int, iv engine.Interval, stats []engine.ModuleStats) err
 			asm.cEst.Observe(agg.MeanDemand)
 		}
 	}
-	r.arrivedTL2 += iv.Arrived
+	if r.l2 != nil {
+		r.arrivedTL2 += iv.Arrived
+	}
 	mean := iv.MeanResponse()
 	r.respWindow[k%r.sub] = mean
 	if s := r.rec.ResponseMean; s != nil {
@@ -656,14 +645,6 @@ func (r *run) futureProfile(k, n int) (mean, peak float64) {
 		mean /= float64(count)
 	}
 	return mean, peak
-}
-
-// moduleShare returns module i's current fraction of the global arrivals.
-func (r *run) moduleShare(i int) float64 {
-	if r.gammaModules != nil {
-		return r.gammaModules[i]
-	}
-	return r.equalShares[i]
 }
 
 // cHat returns the module's processing-time estimate.

@@ -265,20 +265,18 @@ func (r *run) build(cal []float64) error {
 		r.l2QAvg = make([]float64, p)
 		r.l2CHat = make([]float64, p)
 		r.l2Avail = make([]bool, p)
+		if r.kalmanG, err = newKalman(); err != nil {
+			return err
+		}
+		if r.bandG, err = forecast.NewBand(forecast.BandSmoothing); err != nil {
+			return err
+		}
 	}
-	if r.kalmanG, err = newKalman(); err != nil {
-		return err
-	}
-	if r.bandG, err = forecast.NewBand(forecast.BandSmoothing); err != nil {
-		return err
-	}
+	// With one module this is [1].
+	r.gammaModules = controller.EqualSplit(make([]float64, p))
 
 	r.respWindow = make([]float64, r.sub)
 	r.plans = make([]l1Plan, p)
-	r.equalShares = make([]float64, p)
-	for i := range r.equalShares {
-		r.equalShares[i] = 1 / float64(p)
-	}
 	r.last.Modules = make([]ModuleDecision, p)
 	return nil
 }
@@ -499,7 +497,9 @@ func (r *run) refreshDecision(bin int) {
 	d.Bin = bin
 	d.Time = r.start0 + float64(bin+1)*r.binStep
 	d.Operational = r.plant.OperationalComputers()
-	d.GammaModules = append(d.GammaModules[:0], r.gammaModules...)
+	if r.l2 != nil {
+		d.GammaModules = append(d.GammaModules[:0], r.gammaModules...)
+	}
 	for i, asm := range r.modules {
 		md := &d.Modules[i]
 		md.Alpha = append(md.Alpha[:0], asm.alpha...)

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -771,8 +772,8 @@ type parentJournalGolden struct {
 	Next   map[string]core.BinDecision
 }
 
-// TestParentJournalRecovers pins read compatibility with two older
-// layouts and pins the current one. pr12.journal predates artifact
+// TestParentJournalRecovers pins read compatibility with older layouts
+// and older session checkpoints. pr12.journal predates artifact
 // frames and wire structs: artifact blobs embedded in every genesis base
 // frame, delta and remove frames encoded from the union type.
 // pr32.journal holds artifact frames of both kinds (a map g and a tree J̃)
@@ -781,7 +782,12 @@ type parentJournalGolden struct {
 // and checkpoint bases, the first append's deltas, then two appends each
 // after a failed one that was cut away — a halted tenant, a quarantine
 // re-base, a closed tenant's remove, a tenant closed and recreated under
-// its id (remove, fresh base), a two-module tenant's deltas. Each verifies
+// its id (remove, fresh base), a two-module tenant's deltas.
+// pr52.journal's bases are version-2 checkpoints, the last to carry the
+// split flag, the forecast-made flags, the L2's own copy of the split and a
+// one-module tenant's cluster words: a one-module tenant, a two-module
+// tenant mid-run, a two-module tenant based at bin 0, before its first L2
+// decision, and a closed tenant's base and remove. Each verifies
 // to the writer's report; recovers to the same tenants, bins and State, its
 // tenants learning each fingerprint once as creates would; continues with
 // the golden's decisions; and is rewritten without artifacts by the
@@ -796,6 +802,7 @@ func TestParentJournalRecovers(t *testing.T) {
 		{"pr12", core.ArtifactKindStats{Held: 1, Learns: 1, Shares: 1}, core.ArtifactKindStats{}},
 		{"pr32", core.ArtifactKindStats{Held: 1, Learns: 1, Shares: 3}, core.ArtifactKindStats{Held: 1, Learns: 1}},
 		{"pr36", core.ArtifactKindStats{Held: 1, Learns: 1, Shares: 4}, core.ArtifactKindStats{Held: 1, Learns: 1}},
+		{"pr52", core.ArtifactKindStats{Held: 1, Learns: 1, Shares: 2}, core.ArtifactKindStats{Held: 1, Learns: 1, Shares: 1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			data, err := os.ReadFile(filepath.Join("testdata", tc.name+".journal"))
@@ -869,6 +876,53 @@ func TestParentJournalRecovers(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestParentJournalsCoverCheckpointVersions: every session-checkpoint
+// version older than the current one — the first word of a fresh tenant's
+// checkpoint — is the version of some base in a parent journal under
+// testdata, so a version bump cannot leave the reader of its predecessor
+// untested.
+//
+//hpm:pin checkpoint
+func TestParentJournalsCoverCheckpointVersions(t *testing.T) {
+	f := New(Config{Shards: 1})
+	defer f.Close()
+	if err := f.CreateTenant("a", batchTenantConfig(1)); err != nil {
+		t.Fatal(err)
+	}
+	snaps, err := f.captureAll(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	current, _ := binary.Uvarint(snaps[0].Checkpoint)
+	paths, err := filepath.Glob(filepath.Join("testdata", "*.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := map[uint64][]string{}
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := foldLog(bytes.NewReader(data), func(fr *logFrame, _ []float64) {
+			if fr.Base != nil && len(fr.Base.Checkpoint) > 0 {
+				v, _ := binary.Uvarint(fr.Base.Checkpoint)
+				if !slices.Contains(held[v], path) {
+					held[v] = append(held[v], path)
+				}
+			}
+		}); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+	}
+	for v := uint64(1); v < current; v++ {
+		if len(held[v]) == 0 {
+			t.Errorf("no parent journal holds a version-%d checkpoint: write one with the code of that version and add it to TestParentJournalRecovers", v)
+		}
+	}
+	t.Logf("current version %d; older versions held by %v", current, held)
 }
 
 // TestTenantConfigFields pins the persisted schema: every settable leaf of

@@ -20,7 +20,7 @@ import (
 // histogram, random-stream positions, the store's locality history,
 // estimators, each module's decision in force and the cluster split — as
 // one versioned binary blob (core.Session.Checkpoint, which still restores
-// its version 1), followed by the counts of any bins since.
+// its versions 1 and 2), followed by the counts of any bins since.
 // Restoring is creating: the tenant is built from its configuration exactly
 // as Fleet.CreateTenant builds it (its learned maps and trees shared through
 // the fleet's artifact store, learned once per fingerprint — the learners
