@@ -223,7 +223,7 @@ func benchmarkAblation(b *testing.B, mutate func(*Config)) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		rec, err = mgr.Run(trace, store)
+		rec, err = mgr.Run(store, SessionConfig{Trace: trace})
 		if err != nil {
 			b.Fatal(err)
 		}

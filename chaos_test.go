@@ -36,9 +36,11 @@ func chaosFingerprintOf(r *Record) chaosFingerprint {
 }
 
 // runDegradedHier runs the hierarchical controller on a registered
-// scenario's leading maxBins bins, learning on par workers, with prep
-// applied to the manager before the run (chaos injection, failpoints).
-func runDegradedHier(t *testing.T, scenario string, seed int64, par, maxBins int, prep func(*Manager)) *Record {
+// scenario's leading maxBins bins, learning on par workers, under the
+// scenario's failure plan and the chaos plan, with prep (when not nil)
+// applied to the session before its first bin (failpoints). It is
+// Manager.Run with the session in reach.
+func runDegradedHier(t *testing.T, scenario string, seed int64, par, maxBins int, plan ChaosPlan, prep func(*Session)) *Record {
 	t.Helper()
 	sc, err := workload.LookupScenario(scenario)
 	if err != nil {
@@ -62,15 +64,23 @@ func runDegradedHier(t *testing.T, scenario string, seed int64, par, maxBins int
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr.InjectPlan(sc.FailurePlan(trace))
-	if prep != nil {
-		prep(mgr)
-	}
 	store, err := NewStore(seed, sc.StoreConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := mgr.Run(trace, store)
+	sess, err := mgr.NewSession(store, SessionConfig{Trace: trace, Failures: sc.FailurePlan(trace), Chaos: plan})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prep != nil {
+		prep(sess)
+	}
+	for _, count := range trace.Values {
+		if err := sess.StepBin(count); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rec, err := sess.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,15 +99,13 @@ func TestChaosZeroFaultEquivalence(t *testing.T) {
 	var firstBySeed [2]chaosFingerprint
 	for _, scenario := range []string{"synthetic", "flashcrowd"} {
 		for si, seed := range []int64{1, 2} {
-			plain := chaosFingerprintOf(runDegradedHier(t, scenario, seed, 1, 24, nil))
+			plain := chaosFingerprintOf(runDegradedHier(t, scenario, seed, 1, 24, ChaosPlan{}, nil))
 			if plain.Degraded != 0 || plain.Stale != 0 || plain.Rejects != 0 {
 				t.Errorf("%s seed %d: healthy run reports degraded counters: %+v", scenario, seed,
 					[]int64{int64(plain.Degraded), plain.Stale, plain.Rejects})
 			}
 			for _, par := range []int{1, 4} {
-				got := chaosFingerprintOf(runDegradedHier(t, scenario, seed, par, 24, func(m *Manager) {
-					m.InjectChaos(none.Build(seed, 1e9))
-				}))
+				got := chaosFingerprintOf(runDegradedHier(t, scenario, seed, par, 24, none.Build(seed, 1e9), nil))
 				if !reflect.DeepEqual(plain, got) {
 					t.Errorf("%s seed %d parallelism %d: zero-fault chaos run diverged from plain run", scenario, seed, par)
 				}
@@ -190,15 +198,15 @@ func TestChaosZeroFaultEquivalenceBaselines(t *testing.T) {
 // completes, and two identical runs — including which ticks degraded —
 // are bit-identical.
 func TestDeadlineFallbackDeterministic(t *testing.T) {
-	squeeze := func(m *Manager) { m.InjectChaos(ChaosPlan{Name: "squeeze", DecisionBudget: 24}) }
-	a := runDegradedHier(t, "flashcrowd", 1, 1, 24, squeeze)
+	squeeze := ChaosPlan{Name: "squeeze", DecisionBudget: 24}
+	a := runDegradedHier(t, "flashcrowd", 1, 1, 24, squeeze, nil)
 	if a.DegradedTicks == 0 {
 		t.Fatal("budget 24 tripped no deadline fallback")
 	}
 	if a.Completed == 0 {
 		t.Fatal("degraded run completed no requests")
 	}
-	b := runDegradedHier(t, "flashcrowd", 1, 2, 24, squeeze)
+	b := runDegradedHier(t, "flashcrowd", 1, 2, 24, squeeze, nil)
 	if !reflect.DeepEqual(chaosFingerprintOf(a), chaosFingerprintOf(b)) {
 		t.Error("deadline-fallback runs diverged across repetitions/parallelism")
 	}
@@ -211,9 +219,9 @@ func TestPanicFallbackDeterministic(t *testing.T) {
 	// Trigger on module 0's third planning call rather than a fixed tick,
 	// so the test doesn't depend on the L1 cadence. Only module 0's calls
 	// touch the counter, and ticks are sequenced by the run loop.
-	boom := func(m *Manager) {
+	boom := func(s *Session) {
 		calls := 0
-		m.SetL1Failpoint(func(module, tick int) {
+		s.SetL1Failpoint(func(module, tick int) {
 			if module == 0 {
 				if calls++; calls == 3 {
 					panic("injected controller fault")
@@ -221,18 +229,18 @@ func TestPanicFallbackDeterministic(t *testing.T) {
 			}
 		})
 	}
-	a := runDegradedHier(t, "synthetic", 1, 1, 24, boom)
+	a := runDegradedHier(t, "synthetic", 1, 1, 24, ChaosPlan{}, boom)
 	if a.DegradedTicks == 0 {
 		t.Fatal("recovered panic produced no degraded tick")
 	}
 	if a.Completed == 0 {
 		t.Fatal("run with recovered panic completed no requests")
 	}
-	b := runDegradedHier(t, "synthetic", 1, 1, 24, boom)
+	b := runDegradedHier(t, "synthetic", 1, 1, 24, ChaosPlan{}, boom)
 	if !reflect.DeepEqual(chaosFingerprintOf(a), chaosFingerprintOf(b)) {
 		t.Error("panic-fallback runs diverged across repetitions")
 	}
-	healthy := chaosFingerprintOf(runDegradedHier(t, "synthetic", 1, 1, 24, nil))
+	healthy := chaosFingerprintOf(runDegradedHier(t, "synthetic", 1, 1, 24, ChaosPlan{}, nil))
 	if reflect.DeepEqual(healthy, chaosFingerprintOf(a)) {
 		t.Error("panic fallback indistinguishable from healthy run — failpoint never fired?")
 	}

@@ -102,8 +102,9 @@ func run(args []string, stdout io.Writer) (retErr error) {
 	sc.ScaleToCluster(trace, spec.Computers())
 	opts := hierctl.ExperimentOptions{Scale: *scale, Seed: *seed, Fast: *fast}
 	trace = trimTrace(trace, *scale)
-	// Entries addressing slots outside the selected cluster are skipped by
-	// the runners themselves (the shared injection contract).
+	// Entries addressing slots outside the selected cluster are skipped
+	// when they fall due (cluster.Plant.ApplyPlannedFailures, which every
+	// policy's runner goes through).
 	plan := sc.FailurePlan(trace)
 
 	store, err := hierctl.NewStore(*seed, sc.StoreConfig())
@@ -124,8 +125,7 @@ func run(args []string, stdout io.Writer) (retErr error) {
 			}
 			mgr.SetRecorder(flight)
 		}
-		mgr.InjectPlan(plan)
-		rec, err := mgr.Run(trace, store)
+		rec, err := mgr.Run(store, hierctl.SessionConfig{Trace: trace, Failures: plan})
 		if err != nil {
 			return err
 		}

@@ -48,7 +48,7 @@ func run(w io.Writer, opts hierctl.ExperimentOptions, bins, maxModules int) erro
 		if err != nil {
 			return err
 		}
-		rec, err := mgr.Run(trace, store)
+		rec, err := mgr.Run(store, hierctl.SessionConfig{Trace: trace})
 		if err != nil {
 			return err
 		}

@@ -41,15 +41,17 @@ func run(w io.Writer, opts hierctl.ExperimentOptions, bins int) error {
 	// Fail two computers of module 1 a third into the run; repair one
 	// of them two thirds in.
 	third := trace.End() / 3
-	mgr.InjectFailure(third, 0, 0)
-	mgr.InjectFailure(third, 0, 1)
-	mgr.InjectRepair(2*third, 0, 0)
+	failures := []hierctl.FailureEvent{
+		{At: third, Module: 0, Comp: 0},
+		{At: third, Module: 0, Comp: 1},
+		{At: 2 * third, Module: 0, Comp: 0, Repair: true},
+	}
 
 	store, err := hierctl.NewStore(opts.Seed, hierctl.DefaultStoreConfig())
 	if err != nil {
 		return err
 	}
-	rec, err := mgr.Run(trace, store)
+	rec, err := mgr.Run(store, hierctl.SessionConfig{Trace: trace, Failures: failures})
 	if err != nil {
 		return err
 	}

@@ -51,7 +51,7 @@ func run(w io.Writer, opts hierctl.ExperimentOptions, bins int) error {
 		return err
 	}
 
-	rec, err := mgr.Run(trace, store)
+	rec, err := mgr.Run(store, hierctl.SessionConfig{Trace: trace})
 	if err != nil {
 		return err
 	}

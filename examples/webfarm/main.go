@@ -52,7 +52,7 @@ func run(w io.Writer, opts hierctl.ExperimentOptions, bins int) error {
 	if err != nil {
 		return err
 	}
-	rec, err := mgr.Run(trace, store)
+	rec, err := mgr.Run(store, hierctl.SessionConfig{Trace: trace})
 	if err != nil {
 		return err
 	}

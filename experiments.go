@@ -120,7 +120,7 @@ func RunFig4Fig5(opts ExperimentOptions) (*Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	return mgr.Run(opts.scaleTrace(trace), store)
+	return mgr.Run(store, SessionConfig{Trace: opts.scaleTrace(trace)})
 }
 
 // RunFig6Fig7 reproduces the §5.2 cluster experiment behind Figs. 6 and 7:
@@ -157,7 +157,7 @@ func runCluster(p int, opts ExperimentOptions) (*Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	return mgr.Run(opts.scaleTrace(trace), store)
+	return mgr.Run(store, SessionConfig{Trace: opts.scaleTrace(trace)})
 }
 
 // OverheadRow is one line of the §4.3/§5.2 controller-overhead tables.
@@ -211,7 +211,7 @@ func RunOverheadModule(m int, quantum float64, opts ExperimentOptions) (Overhead
 	if err != nil {
 		return OverheadRow{}, err
 	}
-	rec, err := mgr.Run(opts.scaleTrace(trace), store)
+	rec, err := mgr.Run(store, SessionConfig{Trace: opts.scaleTrace(trace)})
 	if err != nil {
 		return OverheadRow{}, err
 	}
@@ -352,7 +352,7 @@ func RunEnergyComparison(opts ExperimentOptions) ([]EnergyRow, error) {
 			if err != nil {
 				return err
 			}
-			rec, err := mgr.Run(trace, store)
+			rec, err := mgr.Run(store, SessionConfig{Trace: trace})
 			if err != nil {
 				return err
 			}
@@ -405,12 +405,11 @@ func RunScenario(opts ExperimentOptions) (*Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	mgr.InjectPlan(sc.FailurePlan(trace))
 	store, err := NewStore(opts.Seed, sc.StoreConfig())
 	if err != nil {
 		return nil, err
 	}
-	return mgr.Run(trace, store)
+	return mgr.Run(store, SessionConfig{Trace: trace, Failures: sc.FailurePlan(trace)})
 }
 
 // ScenarioCell is one cell of the robustness matrix: one policy's outcome
@@ -574,9 +573,7 @@ func runMatrixCell(sc workload.Scenario, buildChaos func(seed int64, span float6
 		if err != nil {
 			return matrixCell{}, err
 		}
-		mgr.InjectPlan(failures)
-		mgr.InjectChaos(plan)
-		rec, err := mgr.Run(trace, store)
+		rec, err := mgr.Run(store, SessionConfig{Trace: trace, Failures: failures, Chaos: plan})
 		if err != nil {
 			return matrixCell{}, err
 		}
@@ -800,7 +797,7 @@ func RunAblations(opts ExperimentOptions) ([]AblationRow, error) {
 		if err != nil {
 			return AblationRow{}, err
 		}
-		rec, err := mgr.Run(trace, store)
+		rec, err := mgr.Run(store, SessionConfig{Trace: trace})
 		if err != nil {
 			return AblationRow{}, fmt.Errorf("hierctl: ablation %s: %w", v.label, err)
 		}

@@ -32,7 +32,7 @@
 //	mgr, _ := hierctl.NewManager(spec, cfg)
 //	trace, _ := hierctl.SyntheticTrace(hierctl.DefaultSyntheticConfig())
 //	store, _ := hierctl.NewStore(1, hierctl.DefaultStoreConfig())
-//	rec, _ := mgr.Run(trace, store)
+//	rec, _ := mgr.Run(store, hierctl.SessionConfig{Trace: trace})
 //	fmt.Println(rec.MeanResponse(), rec.Energy)
 package hierctl
 
@@ -91,7 +91,8 @@ type (
 	BaselineConfig = baseline.RunnerConfig
 	// Session steps one hierarchy incrementally over streamed arrivals.
 	Session = core.Session
-	// SessionConfig parameterizes an incremental run.
+	// SessionConfig parameterizes one run of a Manager — a batch replay
+	// or an incremental session — and carries its failure and chaos plans.
 	SessionConfig = core.SessionConfig
 	// BinDecision is the controller output for one observation bin.
 	BinDecision = core.BinDecision

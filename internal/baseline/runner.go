@@ -57,7 +57,6 @@ type Result struct {
 // the legacy step loop did, in the same order.
 type runner struct {
 	spec   cluster.Spec
-	cfg    RunnerConfig
 	policy Policy
 
 	plant *cluster.Plant
@@ -236,7 +235,7 @@ func PrepareEngine(spec cluster.Spec, policy Policy, trace *series.Series, store
 	if trace == nil || trace.Len() == 0 {
 		return nil, nil, fmt.Errorf("baseline: empty trace")
 	}
-	r := &runner{spec: spec, cfg: cfg, policy: policy}
+	r := &runner{spec: spec, policy: policy}
 	h, err := engine.New(engine.Config{
 		Spec:          spec,
 		Seed:          cfg.Seed,

@@ -52,10 +52,10 @@ type Result struct {
 
 // runner adapts the flat controller onto the shared simulation engine,
 // holding the estimator chain (Kalman arrival forecast, uncertainty band,
-// processing-time EWMA) and the queue/gamma state the controller observes.
+// processing-time EWMA) and the queue state the controller observes. The
+// fractions in force are the controller's own (Controller.prevGamma).
 type runner struct {
 	spec cluster.Spec
-	cfg  RunnerConfig
 
 	ctl    *Controller
 	kalman *forecast.Kalman
@@ -66,7 +66,6 @@ type runner struct {
 	slots []slot
 
 	queues        []float64
-	gamma         []float64
 	arrivedPeriod int
 	cHat          float64
 
@@ -89,7 +88,6 @@ func (r *runner) Init(p *cluster.Plant) error {
 	}
 	r.res = &Result{Operational: series.New(p.Now(), controller.DefaultPeriodL1, 0)}
 	r.queues = make([]float64, len(r.slots))
-	r.gamma = append([]float64(nil), r.ctl.prevGamma...)
 	r.cHat = workload.DefaultCHat
 	return nil
 }
@@ -137,7 +135,6 @@ func (r *runner) Decide(k, pending int) (engine.Settings, error) {
 				return engine.Settings{}, err
 			}
 		}
-		r.gamma = dec.Gamma
 		r.res.Operational.Values = append(r.res.Operational.Values, float64(r.plant.OperationalComputers()))
 	}
 
@@ -152,8 +149,8 @@ func (r *runner) Decide(k, pending int) (engine.Settings, error) {
 	}
 	for idx, s := range r.slots {
 		if r.plant.Computer(s.i, s.j).State() == cluster.PowerOn {
-			gc[s.i][s.j] = r.gamma[idx]
-			gm[s.i] += r.gamma[idx]
+			gc[s.i][s.j] = r.ctl.prevGamma[idx]
+			gm[s.i] += r.ctl.prevGamma[idx]
 		}
 	}
 	return engine.Settings{GammaModules: gm, GammaComputers: gc}, nil
@@ -219,7 +216,7 @@ func Run(spec cluster.Spec, trace *series.Series, store *workload.Store, cfg Run
 		return nil, err
 	}
 
-	r := &runner{spec: spec, cfg: cfg, ctl: ctl, kalman: kalman, band: band, cEst: cEst}
+	r := &runner{spec: spec, ctl: ctl, kalman: kalman, band: band, cEst: cEst}
 	h, err := engine.New(engine.Config{
 		Spec:          spec,
 		Seed:          cfg.Seed,

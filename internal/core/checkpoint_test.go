@@ -49,10 +49,6 @@ func newCheckpointRunWith(t testing.TB, store *ArtifactStore, cfg Config, binSec
 		t.Fatal(err)
 	}
 	mgr.SetRecorder(rec)
-	mgr.InjectPlan([]workload.FailureEvent{
-		{At: 240, Module: modules - 1, Comp: 0},
-		{At: 600, Module: modules - 1, Comp: 0, Repair: true},
-	})
 	scfg := workload.DefaultStoreConfig()
 	scfg.Objects = 500
 	scfg.PopularCount = 50
@@ -60,7 +56,10 @@ func newCheckpointRunWith(t testing.TB, store *ArtifactStore, cfg Config, binSec
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := mgr.NewSession(st, SessionConfig{BinSeconds: binSeconds})
+	sess, err := mgr.NewSession(st, SessionConfig{BinSeconds: binSeconds, Failures: []workload.FailureEvent{
+		{At: 240, Module: modules - 1, Comp: 0},
+		{At: 600, Module: modules - 1, Comp: 0, Repair: true},
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +239,7 @@ func TestSessionHaltedMidBin(t *testing.T) {
 		if at == "last tick" {
 			tick += run.sess.r.sub - 1
 		}
-		run.mgr.SetObserveFailpoint(func(k int) {
+		run.sess.SetObserveFailpoint(func(k int) {
 			if k == tick {
 				panic("injected fault")
 			}
@@ -267,7 +266,7 @@ func TestSessionHaltedMidBin(t *testing.T) {
 		if got := run.sess.Decision(); !reflect.DeepEqual(got, dec) {
 			t.Errorf("%s: decision %+v, want the last clean one %+v", at, got, dec)
 		}
-		run.mgr.SetObserveFailpoint(nil)
+		run.sess.SetObserveFailpoint(nil)
 		if err := run.sess.StepBin(400); err == nil {
 			t.Errorf("%s: a halted session stepped", at)
 		}

@@ -105,7 +105,7 @@ func TestSingleModuleSteadyLoadMeetsTarget(t *testing.T) {
 	// 900 requests per 30 s bin ≈ 30 req/s — well within one or two
 	// computers' capacity.
 	trace := steadyTrace(40, 900)
-	rec, err := mgr.Run(trace, testStore(t))
+	rec, err := mgr.Run(testStore(t), SessionConfig{Trace: trace})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestStepLoadScalesUpAndDown(t *testing.T) {
 			trace.Values[i] = 150
 		}
 	}
-	rec, err := mgr.Run(trace, testStore(t))
+	rec, err := mgr.Run(testStore(t), SessionConfig{Trace: trace})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestMultiModuleClusterWithL2(t *testing.T) {
 		t.Fatal(err)
 	}
 	trace := steadyTrace(40, 1500) // 50 req/s across 4 computers
-	rec, err := mgr.Run(trace, testStore(t))
+	rec, err := mgr.Run(testStore(t), SessionConfig{Trace: trace})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,11 +229,12 @@ func TestFailureInjectionRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Fail one computer mid-run; repair near the end.
-	mgr.InjectFailure(600, 0, 0)
-	mgr.InjectRepair(1500, 0, 0)
 	trace := steadyTrace(60, 1800) // 60 req/s
-	rec, err := mgr.Run(trace, testStore(t))
+	// Fail one computer mid-run; repair near the end.
+	rec, err := mgr.Run(testStore(t), SessionConfig{Trace: trace, Failures: []workload.FailureEvent{
+		{At: 600, Module: 0, Comp: 0},
+		{At: 1500, Module: 0, Comp: 0, Repair: true},
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +255,7 @@ func TestRunDeterministicPerSeed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec, err := mgr.Run(steadyTrace(20, 600), testStore(t))
+		rec, err := mgr.Run(testStore(t), SessionConfig{Trace: steadyTrace(20, 600)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -279,17 +280,17 @@ func TestRunValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	store := testStore(t)
-	if _, err := mgr.Run(nil, store); err == nil {
+	if _, err := mgr.Run(store, SessionConfig{}); err == nil {
 		t.Error("nil trace: want error")
 	}
-	if _, err := mgr.Run(steadyTrace(10, 100), nil); err == nil {
+	if _, err := mgr.Run(nil, SessionConfig{Trace: steadyTrace(10, 100)}); err == nil {
 		t.Error("nil store: want error")
 	}
 	bad := series.New(0, 45, 10) // 45 s bins are not a multiple of 30 s
 	for i := range bad.Values {
 		bad.Values[i] = 100
 	}
-	if _, err := mgr.Run(bad, store); err == nil {
+	if _, err := mgr.Run(store, SessionConfig{Trace: bad}); err == nil {
 		t.Error("misaligned trace bins: want error")
 	}
 }
@@ -301,7 +302,7 @@ func TestRecordSeriesShapes(t *testing.T) {
 		t.Fatal(err)
 	}
 	trace := steadyTrace(16, 300)
-	rec, err := mgr.Run(trace, testStore(t))
+	rec, err := mgr.Run(testStore(t), SessionConfig{Trace: trace})
 	if err != nil {
 		t.Fatal(err)
 	}

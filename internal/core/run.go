@@ -28,24 +28,24 @@ func degradable(err error) bool {
 	return errors.Is(err, llc.ErrBudget) || errors.Is(err, errPanic)
 }
 
-// Run simulates the hierarchy against the plant for the whole trace and
-// returns the recorded results. The trace's bin width must be an integer
-// multiple of T_L0. The run is deterministic for a given (spec, config,
-// trace, store) tuple.
+// Run simulates the hierarchy against the plant for the whole of sc.Trace,
+// which is required, and returns the recorded results. The trace's bin
+// width must be an integer multiple of T_L0. The run is deterministic for
+// a given (spec, config, store, sc) tuple.
 //
 // Run is the batch replay built on the incremental session engine: it
-// opens a session primed with the full trace and streams the trace's bins
-// through it, so batch replays and online operation share one code path.
-func (m *Manager) Run(trace *series.Series, store *workload.Store) (*Record, error) {
-	if trace == nil || trace.Len() == 0 {
+// opens NewSession(store, sc) and streams the trace's bins through it, so
+// batch replays and online operation share one code path.
+func (m *Manager) Run(store *workload.Store, sc SessionConfig) (*Record, error) {
+	if sc.Trace == nil || sc.Trace.Len() == 0 {
 		return nil, fmt.Errorf("core: empty trace")
 	}
-	s, err := m.NewSession(store, SessionConfig{Trace: trace})
+	s, err := m.NewSession(store, sc)
 	if err != nil {
 		return nil, err
 	}
-	for _, count := range trace.Values {
-		if _, err := s.ObserveBin(count); err != nil {
+	for _, count := range sc.Trace.Values {
+		if err := s.StepBin(count); err != nil {
 			return nil, err
 		}
 	}
@@ -128,6 +128,12 @@ type run struct {
 	// last is the decision in force after the most recent cleanly applied
 	// bin, refreshed in place by refreshDecision (see Session.Decision).
 	last BinDecision
+
+	// l1Failpoint and observeFailpoint are test seams (see
+	// Session.SetL1Failpoint and Session.SetObserveFailpoint). Never
+	// serialized; nil in production.
+	l1Failpoint      func(module, tick int)
+	observeFailpoint func(tick int)
 }
 
 // moduleAsm bundles one module's controllers and estimators within a run.
@@ -484,8 +490,8 @@ func (r *run) planL1(i int, k int) (l1Plan, error) {
 		CHat:      r.cHat(asm),
 		Available: avail,
 	}
-	if m.l1Failpoint != nil {
-		m.l1Failpoint(i, k)
+	if r.l1Failpoint != nil {
+		r.l1Failpoint(i, k)
 	}
 	dec, err := asm.l1.Decide(obs)
 	if err != nil {
@@ -592,8 +598,8 @@ func (r *run) recordFreq(i, j int, hz float64) {
 //
 //hpm:hotpath
 func (r *run) Observe(k int, iv engine.Interval, stats []engine.ModuleStats) error {
-	if r.m.observeFailpoint != nil {
-		r.m.observeFailpoint(k)
+	if r.observeFailpoint != nil {
+		r.observeFailpoint(k)
 	}
 	for i, asm := range r.modules {
 		agg, per := stats[i].Agg, stats[i].Per

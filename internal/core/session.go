@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"hierctl/internal/chaos"
 	"hierctl/internal/cluster"
 	"hierctl/internal/controller"
 	"hierctl/internal/engine"
@@ -24,7 +25,8 @@ const TunePrefixFrac float64 = 0.15
 // from the trace, and oracle forecasts (Config.OracleForecast) become
 // possible because the future is known. Only a session opened on a Trace
 // records the Record's series (see Record): a streaming session keeps no
-// per-bin state at all.
+// per-bin state at all. Either mode runs under its own Failures and Chaos
+// plans.
 type SessionConfig struct {
 	// BinSeconds is the observation bin width in seconds; it must be an
 	// integer multiple of T_L0. Ignored when Trace is set.
@@ -39,8 +41,23 @@ type SessionConfig struct {
 	Calibration []float64
 	// Trace, when set, fixes the whole workload plan up front: ObserveBin
 	// must then be fed the trace's values in order. Required for
-	// Config.OracleForecast and for the Record's series.
+	// Config.OracleForecast, for the Record's series and for Manager.Run.
 	Trace *series.Series
+	// Failures is the availability plan: each event fails or repairs one
+	// computer at its time, quantized to the next T_L0 boundary. Entries
+	// addressing a computer the cluster does not have are skipped when
+	// they fall due (cluster.Plant.ApplyPlannedFailures), so one scenario
+	// plan drives every policy and every cluster shape identically.
+	Failures []workload.FailureEvent
+	// Chaos is the sensor-fault plan: its sensor faults corrupt what the
+	// controllers observe (the plant and its accounting stay truthful),
+	// its availability events merge with Failures, and a positive
+	// DecisionBudget caps every decision's search work — the states each
+	// L0 lookahead evaluates, the abstraction-map probes of each L1
+	// decision, the J̃ terms each L2 decision prices — and a decision that
+	// exhausts it trips the deterministic degraded-tick fallback. The zero
+	// plan injects nothing.
+	Chaos chaos.Plan
 }
 
 // Session advances one hierarchy incrementally: each ObserveBin ingests
@@ -57,10 +74,11 @@ type SessionConfig struct {
 // and owns only the hierarchy's control flow. The pre-engine mechanics
 // survive verbatim as the test oracle in legacy_mechanics_test.go.
 //
-// A session owns everything that changes while it runs — the plant (in its
-// engine harness), the controllers and the estimators — and shares with its
-// Manager only what was learned and configured, so a Manager may have
-// several sessions open, each deciding exactly as a fresh Manager's would.
+// A session owns everything that changes while it runs — its plans, the
+// plant (in its engine harness), the controllers and the estimators — and
+// shares with its Manager only what was learned and configured, so a
+// Manager may have several sessions open, each deciding exactly as a fresh
+// Manager's would.
 // Sessions are not safe for concurrent use.
 type Session struct {
 	r *run
@@ -149,7 +167,7 @@ func (m *Manager) NewSession(store *workload.Store, sc SessionConfig) (*Session,
 		prefixBins := int(float64(sc.Trace.Len()) * TunePrefixFrac)
 		cal = sc.Trace.Values[:prefixBins]
 	}
-	if err := r.build(cal); err != nil {
+	if err := r.build(cal, sc.Chaos.DecisionBudget); err != nil {
 		return nil, err
 	}
 
@@ -161,8 +179,8 @@ func (m *Manager) NewSession(store *workload.Store, sc SessionConfig) (*Session,
 		Start:         start0,
 		TotalBins:     totalBins,
 		DrainSeconds:  m.cfg.DrainSeconds,
-		Failures:      m.failures,
-		Chaos:         m.chaos,
+		Failures:      sc.Failures,
+		Chaos:         sc.Chaos,
 		Recorder:      r.recorder,
 		QoSTarget:     controller.TargetResponse,
 	}, store, r)
@@ -172,16 +190,30 @@ func (m *Manager) NewSession(store *workload.Store, sc SessionConfig) (*Session,
 	return &Session{r: r, h: h}, nil
 }
 
+// SetL1Failpoint installs a test hook invoked at the top of every L1
+// planning call with the module index and tick; a panicking hook
+// exercises the degraded-tick recovery path. Nil (the default) disables
+// it. Test seam only — never serialized, never set in production.
+func (s *Session) SetL1Failpoint(fn func(module, tick int)) { s.r.l1Failpoint = fn }
+
+// SetObserveFailpoint installs a test hook invoked with the tick at the top
+// of every tick's Observe — after the tick's mechanics ran and the clock
+// advanced, outside every controller guard — so a panicking hook stops the
+// session mid-bin the way an unguarded fault would. Nil (the default)
+// disables it. Test seam only — never serialized, never set in production.
+func (s *Session) SetObserveFailpoint(fn func(tick int)) { s.r.observeFailpoint = fn }
+
 // build gives the run its hierarchy, fresh from the manager's learned
 // artifacts: per module an L1 over the module's maps, one L0 per computer,
 // the Kalman filters, the bands, the ĉ EWMA and the decision scratch;
 // across modules the L2 over the trees and the cluster filter and band.
 // One Kalman tuning on the calibration prefix cal (§4.3) serves every
 // level: the filter gain depends on the Q/R ratios, which are
-// scale-invariant across aggregation levels. The run keeps the manager's
-// recorder and chaos DecisionBudget as they stand now, so no two runs
-// share anything that changes while they run.
-func (r *run) build(cal []float64) error {
+// scale-invariant across aggregation levels. budget is the session's chaos
+// DecisionBudget (0 = unbounded). The run keeps the manager's recorder as
+// it stands now, so no two runs share anything that changes while they
+// run.
+func (r *run) build(cal []float64, budget int) error {
 	m := r.m
 	ql, qt, ro := 1.0, 0.1, 10.0 // fallback prior
 	if len(cal) >= 8 {
@@ -193,7 +225,6 @@ func (r *run) build(cal []float64) error {
 	}
 	newKalman := func() (*forecast.Kalman, error) { return forecast.NewKalman(ql, qt, ro) }
 	r.recorder = m.recorder
-	budget := m.chaos.DecisionBudget
 	var err error
 
 	p := len(m.spec.Modules)

@@ -3,10 +3,13 @@ package core
 import (
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 
+	"hierctl/internal/chaos"
 	"hierctl/internal/cluster"
 	"hierctl/internal/series"
+	"hierctl/internal/workload"
 )
 
 func seriesIdentical(t *testing.T, name string, a, b *series.Series) {
@@ -88,25 +91,29 @@ func scalarsIdentical(t *testing.T, batch, online *Record) {
 // run's decisions bin for bin (α, γ, frequencies, mean response and
 // operational count: what the series sampled, and more) and finish with
 // its totals bit for bit, while recording no series. The batch side is the
-// trace-mode session Manager.Run is. Failure injections ride along to
-// cover the event-calendar ordering.
+// trace-mode session Manager.Run is. Both sessions run on one Manager
+// under a failure plan, which covers the event-calendar ordering and must
+// show: computer (0,1), the one module 0 keeps on at this load, is on
+// before its failure and off between the failure and its repair.
 func TestStreamingSessionMatchesBatchRun(t *testing.T) {
 	spec := cluster.Spec{Modules: []cluster.ModuleSpec{
 		moduleOf("M1", 2), moduleOf("M2", 2),
 	}}
-	cfg := fastConfig()
 	trace := series.New(0, 30, 60)
 	for i := range trace.Values {
 		trace.Values[i] = 900 + 600*math.Sin(float64(i)/5)
 	}
+	const failAt, repairAt = 600, 1200
+	plan := []workload.FailureEvent{
+		{At: failAt, Module: 0, Comp: 1},
+		{At: repairAt, Module: 0, Comp: 1, Repair: true},
+	}
 
-	batchMgr, err := NewManager(spec, cfg)
+	mgr, err := NewManager(spec, fastConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	batchMgr.InjectFailure(600, 0, 0)
-	batchMgr.InjectRepair(1200, 0, 0)
-	batchSess, err := batchMgr.NewSession(testStore(t), SessionConfig{Trace: trace})
+	batchSess, err := mgr.NewSession(testStore(t), SessionConfig{Trace: trace, Failures: plan})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,18 +132,23 @@ func TestStreamingSessionMatchesBatchRun(t *testing.T) {
 	if batch.ResponseMean.Len() != trace.Len() || batch.Operational.Len() == 0 || batch.Trace != trace {
 		t.Fatal("trace-mode session recorded no series")
 	}
-
-	onlineMgr, err := NewManager(spec, cfg)
-	if err != nil {
-		t.Fatal(err)
+	for _, dec := range want {
+		md := dec.Modules[0]
+		switch on := md.Alpha[1] || md.FreqIdx[1] != -1; {
+		case dec.Time == failAt && !on:
+			t.Errorf("bin %d (t = %v s): computer (0,1) is off before its failure; the plan tests nothing", dec.Bin, dec.Time)
+		case dec.Time > failAt && dec.Time <= repairAt && on:
+			t.Errorf("bin %d (t = %v s): failed computer (0,1) has α %v, frequency index %d; want off",
+				dec.Bin, dec.Time, md.Alpha[1], md.FreqIdx[1])
+		}
 	}
-	onlineMgr.InjectFailure(600, 0, 0)
-	onlineMgr.InjectRepair(1200, 0, 0)
+
 	prefix := int(float64(trace.Len()) * TunePrefixFrac)
-	sess, err := onlineMgr.NewSession(testStore(t), SessionConfig{
+	sess, err := mgr.NewSession(testStore(t), SessionConfig{
 		BinSeconds:  trace.Step,
 		Start:       trace.Start,
 		Calibration: trace.Values[:prefix],
+		Failures:    plan,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -307,11 +319,11 @@ func TestManagerWithArtifactsSkipsLearning(t *testing.T) {
 		}
 	}
 	trace := steadyTrace(20, 900)
-	a, err := first.Run(trace, testStore(t))
+	a, err := first.Run(testStore(t), SessionConfig{Trace: trace})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := second.Run(trace, testStore(t))
+	b, err := second.Run(testStore(t), SessionConfig{Trace: trace})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,11 +332,14 @@ func TestManagerWithArtifactsSkipsLearning(t *testing.T) {
 
 // TestManagerSessionsAreIndependent pins the split between a Manager, which
 // holds what was learned, and a Session, which owns everything that changes
-// while it runs: the controllers, the estimators and their scratch. A
-// Manager's second Run must equal a fresh Manager's first, and two streaming
-// sessions of one Manager, stepped alternately over different loads, must
-// decide bin for bin as two Managers' sessions do. The trace varies, so the
-// bands and the ĉ filters move and any state carried between sessions shows.
+// while it runs: the controllers, the estimators and their scratch, and the
+// failure and chaos plans it runs under. A Manager's second Run must equal a
+// fresh Manager's first, and two streaming sessions of one Manager, stepped
+// alternately, must decide bin for bin as two Managers' sessions do — over
+// different loads, and under different plans: one fails a computer, the
+// other has a decision budget no search fits in, and only the budgeted one
+// degrades. The trace varies, so the bands and the ĉ filters move and any
+// state carried between sessions shows.
 func TestManagerSessionsAreIndependent(t *testing.T) {
 	spec := cluster.Spec{Modules: []cluster.ModuleSpec{moduleOf("M1", 2), moduleOf("M2", 2)}}
 	trace := series.New(0, 30, 60)
@@ -339,7 +354,7 @@ func TestManagerSessionsAreIndependent(t *testing.T) {
 		return m
 	}
 	run := func(m *Manager) *Record {
-		rec, err := m.Run(trace, testStore(t))
+		rec, err := m.Run(testStore(t), SessionConfig{Trace: trace})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -356,23 +371,46 @@ func TestManagerSessionsAreIndependent(t *testing.T) {
 	}
 
 	prefix := int(float64(trace.Len()) * TunePrefixFrac)
-	open := func(m *Manager) *Session {
-		s, err := m.NewSession(testStore(t), SessionConfig{BinSeconds: trace.Step, Calibration: trace.Values[:prefix]})
+	base := SessionConfig{BinSeconds: trace.Step, Calibration: trace.Values[:prefix]}
+	failing, budgeted := base, base
+	failing.Failures = []workload.FailureEvent{
+		{At: 600, Module: 0, Comp: 1},
+		{At: 1200, Module: 0, Comp: 1, Repair: true},
+	}
+	budgeted.Chaos = chaos.Plan{DecisionBudget: 1}
+	forward := func(bin int) float64 { return trace.Values[bin] }
+	reversed := func(bin int) float64 { return trace.Values[trace.Len()-1-bin] / 2 }
+	twinSessions(t, newManager, [2]SessionConfig{base, base}, [2]func(int) float64{forward, reversed}, trace.Len())
+	planned := twinSessions(t, newManager, [2]SessionConfig{failing, budgeted}, [2]func(int) float64{forward, forward}, trace.Len())
+	if planned[0].DegradedTicks != 0 || planned[1].DegradedTicks == 0 {
+		t.Errorf("degraded ticks %d and %d, want none under the failure plan and some under the budget",
+			planned[0].DegradedTicks, planned[1].DegradedTicks)
+	}
+}
+
+// twinSessions opens two sessions of one Manager, one under each of scs,
+// and beside each a twin on a Manager of its own under the same
+// SessionConfig. It steps them alternately for bins bins, session p on
+// loads[p], failing t unless each decides bin for bin and finishes as its
+// twin, and returns the two shared-Manager sessions' records.
+func twinSessions(t *testing.T, newManager func() *Manager, scs [2]SessionConfig, loads [2]func(bin int) float64, bins int) [2]*Record {
+	t.Helper()
+	open := func(m *Manager, sc SessionConfig) *Session {
+		s, err := m.NewSession(testStore(t), sc)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return s
 	}
 	one := newManager()
-	// Each pair is a session of the shared Manager and its twin on a
-	// Manager of its own; the second pair sees half the load, reversed.
-	pairs := [2][2]*Session{{open(one), open(newManager())}, {open(one), open(newManager())}}
-	for bin := range trace.Values {
+	// Each pair is a session of the shared Manager and its twin.
+	var pairs [2][2]*Session
+	for p, sc := range scs {
+		pairs[p] = [2]*Session{open(one, sc), open(newManager(), sc)}
+	}
+	for bin := 0; bin < bins; bin++ {
 		for p, pair := range pairs {
-			count := trace.Values[bin]
-			if p == 1 {
-				count = trace.Values[trace.Len()-1-bin] / 2
-			}
+			count := loads[p](bin)
 			got, err := pair[0].ObserveBin(count)
 			if err != nil {
 				t.Fatal(err)
@@ -386,6 +424,7 @@ func TestManagerSessionsAreIndependent(t *testing.T) {
 			}
 		}
 	}
+	var recs [2]*Record
 	for p, pair := range pairs {
 		got, err := pair[0].Finish()
 		if err != nil {
@@ -399,5 +438,80 @@ func TestManagerSessionsAreIndependent(t *testing.T) {
 		if t.Failed() {
 			t.Fatalf("session %d finished differently on the shared manager", p)
 		}
+		recs[p] = got
+	}
+	return recs
+}
+
+// TestManagerSessionsStepConcurrently pins that what two sessions of one
+// Manager share — the learned maps and trees — is only read while they
+// run: two streaming sessions of one Manager (no recorder), under
+// different loads and plans, stepped at once on two goroutines, decide bin
+// for bin and finish as each one's twin stepped alone. Under -race it
+// fails on any write to the shared artifacts.
+//
+//hpm:pin sharing
+func TestManagerSessionsStepConcurrently(t *testing.T) {
+	spec := cluster.Spec{Modules: []cluster.ModuleSpec{moduleOf("M1", 2), moduleOf("M2", 2)}}
+	mgr, err := NewManager(spec, fastConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bins = 40
+	loads := [2]func(bin int) float64{
+		func(bin int) float64 { return 900 + 600*math.Sin(float64(bin)/5) },
+		func(bin int) float64 { return 450 + 300*math.Cos(float64(bin)/3) },
+	}
+	scs := [2]SessionConfig{
+		{BinSeconds: 30, Failures: []workload.FailureEvent{{At: 300, Module: 1, Comp: 0}}},
+		{BinSeconds: 30, Chaos: chaos.Plan{DecisionBudget: 64}},
+	}
+	// step runs session p through every bin, keeping its decisions and
+	// record; it reports failures as errors, so that it may run off the
+	// test's goroutine.
+	type result struct {
+		decs []BinDecision
+		rec  *Record
+		err  error
+	}
+	step := func(p int) (res result) {
+		s, err := mgr.NewSession(testStore(t), scs[p])
+		if err != nil {
+			return result{err: err}
+		}
+		for bin := 0; bin < bins; bin++ {
+			dec, err := s.ObserveBin(loads[p](bin))
+			if err != nil {
+				return result{err: err}
+			}
+			res.decs = append(res.decs, dec)
+		}
+		res.rec, res.err = s.Finish()
+		return res
+	}
+	var alone, together [2]result
+	for p := range alone {
+		alone[p] = step(p)
+	}
+	var wg sync.WaitGroup
+	for p := range together {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			together[p] = step(p)
+		}()
+	}
+	wg.Wait()
+	for p := range together {
+		want, got := alone[p], together[p]
+		if want.err != nil || got.err != nil {
+			t.Fatalf("session %d: alone %v, concurrently %v", p, want.err, got.err)
+		}
+		for bin := range want.decs {
+			if !reflect.DeepEqual(got.decs[bin], want.decs[bin]) {
+				t.Fatalf("session %d, bin %d: concurrently decided\n%+v\nwant %+v", p, bin, got.decs[bin], want.decs[bin])
+			}
+		}
+		scalarsIdentical(t, want.rec, got.rec)
 	}
 }

@@ -275,7 +275,7 @@ func haltAfterBin(t testing.TB, f *Fleet, id string, bin int) {
 		t.Fatal(err)
 	}
 	last := (bin+1)*tn.sub - 1
-	tn.mgr.SetObserveFailpoint(func(k int) {
+	tn.sess.SetObserveFailpoint(func(k int) {
 		if k == last {
 			panic("injected fault after the bin's last tick")
 		}

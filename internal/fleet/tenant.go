@@ -187,7 +187,6 @@ func newTenant(id string, tc TenantConfig, artifacts *core.ArtifactStore) (_ *te
 		// its manager had when the session was opened.
 		mgr.SetRecorder(rec)
 	}
-	mgr.InjectPlan(tc.Failures)
 	// The derivation hierctl.NewStore uses: a batch run at the same seed and
 	// configuration draws the same demands and popularity stream.
 	store, err := workload.NewStore(des.NewStream(tc.StoreSeed, "store"), tc.Store)
@@ -198,6 +197,7 @@ func newTenant(id string, tc TenantConfig, artifacts *core.ArtifactStore) (_ *te
 		BinSeconds:  tc.BinSeconds,
 		Start:       tc.Start,
 		Calibration: tc.Calibration,
+		Failures:    tc.Failures,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("fleet: tenant %s: %w", id, err)

@@ -43,6 +43,7 @@ func TestRecorderArenaFlat(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			sc := hierctl.SessionConfig{BinSeconds: 30}
 			if sh.chaos {
 				mixed, err := hierctl.LookupChaosPlan("mixed")
 				if err != nil {
@@ -52,9 +53,8 @@ func TestRecorderArenaFlat(t *testing.T) {
 				// land in full windows; a budget of 120 explored states
 				// trips the fallback on some decisions. A window of nothing
 				// but fallback ticks would sit at the budget.
-				plan := mixed.Build(25, 5000*30)
-				plan.DecisionBudget = 120
-				mgr.InjectChaos(plan)
+				sc.Chaos = mixed.Build(25, 5000*30)
+				sc.Chaos.DecisionBudget = 120
 			}
 			rec, err := obs.NewRecorder(records)
 			if err != nil {
@@ -65,7 +65,7 @@ func TestRecorderArenaFlat(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sess, err := mgr.NewSession(store, hierctl.SessionConfig{BinSeconds: 30})
+			sess, err := mgr.NewSession(store, sc)
 			if err != nil {
 				t.Fatal(err)
 			}

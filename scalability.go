@@ -72,7 +72,7 @@ func RunScalability(sizes []int, opts ExperimentOptions) ([]ScalabilityRow, erro
 		if err != nil {
 			return err
 		}
-		rec, err := mgr.Run(trace, store)
+		rec, err := mgr.Run(store, SessionConfig{Trace: trace})
 		if err != nil {
 			return err
 		}
