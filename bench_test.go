@@ -76,7 +76,7 @@ func BenchmarkFig5L0Control(b *testing.B) {
 	lambda := []float64{40, 45, 50}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := l0.Decide(float64(i%200), lambda, 0.0175); err != nil {
+		if _, err := l0.Decide(float64(i%200), lambda, 0, 0.0175); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -350,7 +350,7 @@ func BenchmarkLLCExhaustiveSearch(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := l0.Decide(50, []float64{40}, 0.0175); err != nil {
+		if _, err := l0.Decide(50, []float64{40}, 0, 0.0175); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -197,6 +197,8 @@ func TestChaosZeroFaultEquivalenceBaselines(t *testing.T) {
 // squeezed budget trips the safe fallback on some ticks, the run still
 // completes, and two identical runs — including which ticks degraded —
 // are bit-identical.
+//
+//hpm:pin degraded
 func TestDeadlineFallbackDeterministic(t *testing.T) {
 	squeeze := ChaosPlan{Name: "squeeze", DecisionBudget: 24}
 	a := runDegradedHier(t, "flashcrowd", 1, 1, 24, squeeze, nil)
@@ -215,6 +217,8 @@ func TestDeadlineFallbackDeterministic(t *testing.T) {
 // TestPanicFallbackDeterministic pins the panic leg of the fallback: a
 // controller panic mid-run is recovered into the same deterministic safe
 // settings, the run completes, and the outcome is reproducible.
+//
+//hpm:pin degraded
 func TestPanicFallbackDeterministic(t *testing.T) {
 	// Trigger on module 0's third planning call rather than a fixed tick,
 	// so the test doesn't depend on the L1 cadence. Only module 0's calls

@@ -8,9 +8,9 @@
 //	go run ./cmd/hpmvet -pins <group> ./... # list a pin group
 //
 // -pins prints the members of one //hpm:pin group (mechanics, search,
-// sharing, pools, scrape, checkpoint, fuzz) as `dir Name` lines, sorted,
-// for a CI step to run by name and count; it refuses to list while any
-// test file's directives are malformed.
+// sharing, pools, scrape, checkpoint, degraded, fuzz) as `dir Name` lines,
+// sorted, for a CI step to run by name and count; it refuses to list while
+// any test file's directives are malformed.
 //
 // The analyzers:
 //

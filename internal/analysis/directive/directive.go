@@ -68,8 +68,9 @@ const (
 //	pools       process-wide request and queue pools, under -race
 //	scrape      telemetry reads beside ingest, under -race
 //	checkpoint  checkpoint, restore and the journal's crash suite
+//	degraded    the deterministic fallback under budget trips and panics
 //	fuzz        fuzz targets run past their committed corpora
-var PinGroups = []string{"mechanics", "search", "sharing", "pools", "scrape", "checkpoint", "fuzz"}
+var PinGroups = []string{"mechanics", "search", "sharing", "pools", "scrape", "checkpoint", "degraded", "fuzz"}
 
 // needsArg reports whether the kind requires a justification argument.
 func needsArg(k Kind) bool { return k != Hotpath }

@@ -44,7 +44,7 @@ func TestL0DecideZeroAlloc(t *testing.T) {
 	decide := func(i int) {
 		lam := 40 + 30*math.Sin(float64(i)/9)
 		lambda[0], lambda[1], lambda[2] = lam, lam+2, lam+4
-		if _, err := l0.DecideBanded(float64((i*7)%200), lambda, 8, 0.0175); err != nil {
+		if _, err := l0.Decide(float64((i*7)%200), lambda, 8, 0.0175); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -78,7 +78,7 @@ func TestL0BandSwitchZeroAlloc(t *testing.T) {
 	decide := func(l *L0, i int) int {
 		lam := 40 + 30*math.Sin(float64(i)/9)
 		lambda[0], lambda[1], lambda[2] = lam, lam+2, lam+4
-		u, err := l.DecideBanded(float64((i*7)%200), lambda, delta(i), 0.0175)
+		u, err := l.Decide(float64((i*7)%200), lambda, delta(i), 0.0175)
 		if err != nil {
 			t.Fatal(err)
 		}

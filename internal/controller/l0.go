@@ -275,22 +275,14 @@ func (l *L0) SetRecorder(r *obs.Recorder, module, comp int) {
 // observed queue length; lambda holds the forecast arrival rates
 // (requests/second) for each horizon step (length ≥ 1 — shorter than the
 // horizon is padded with the last value); cHat is the estimated full-speed
-// processing time. It is equivalent to DecideBanded with δ = 0.
+// processing time. delta is the forecast uncertainty band half-width
+// (requests/second), extending the paper's §4.2 uncertainty-band treatment
+// down to the frequency controller: with δ > 0 each horizon step's cost
+// averages the three sampled rates {λ̂−δ, λ̂, λ̂+δ}, so the processor hedges
+// against arrival bursts instead of riding the queue at the set-point.
 //
 //hpm:hotpath
-func (l *L0) Decide(queueLen float64, lambda []float64, cHat float64) (freqIdx int, err error) {
-	return l.DecideBanded(queueLen, lambda, 0, cHat)
-}
-
-// DecideBanded is Decide with a forecast uncertainty band half-width
-// delta (requests/second). It extends the paper's §4.2 uncertainty-band
-// treatment down to the frequency controller: with δ > 0 each horizon
-// step's cost averages the three sampled rates {λ̂−δ, λ̂, λ̂+δ}, so the
-// processor hedges against arrival bursts instead of riding the queue at
-// the set-point.
-//
-//hpm:hotpath
-func (l *L0) DecideBanded(queueLen float64, lambda []float64, delta, cHat float64) (freqIdx int, err error) {
+func (l *L0) Decide(queueLen float64, lambda []float64, delta, cHat float64) (freqIdx int, err error) {
 	if len(lambda) == 0 {
 		return 0, fmt.Errorf("controller: L0 needs at least one arrival-rate forecast")
 	}

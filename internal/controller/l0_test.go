@@ -55,7 +55,7 @@ func TestL0LowLoadPicksLowFrequency(t *testing.T) {
 	l0 := newTestL0(t)
 	// λ = 2 req/s, c = 17.5 ms → utilization at φ=0.25 is 0.14: the
 	// lowest frequency meets r* easily, and power cost favours it.
-	idx, err := l0.Decide(0, []float64{2}, 0.0175)
+	idx, err := l0.Decide(0, []float64{2}, 0, 0.0175)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestL0LowLoadPicksLowFrequency(t *testing.T) {
 func TestL0HighLoadPicksHighFrequency(t *testing.T) {
 	l0 := newTestL0(t)
 	// λ = 55 req/s, c = 17.5 ms → needs φ ≈ 0.96: only φ=1 is stable.
-	idx, err := l0.Decide(0, []float64{55}, 0.0175)
+	idx, err := l0.Decide(0, []float64{55}, 0, 0.0175)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,11 +81,11 @@ func TestL0BacklogForcesSpeedUp(t *testing.T) {
 	// A backlog deep enough that the lowest frequency cannot clear it
 	// within the horizon (capacity at φ=0.25 is ≈430 requests/period)
 	// forces a speed-up even with negligible new arrivals.
-	idxBacklog, err := l0.Decide(3000, []float64{1}, 0.0175)
+	idxBacklog, err := l0.Decide(3000, []float64{1}, 0, 0.0175)
 	if err != nil {
 		t.Fatal(err)
 	}
-	idxEmpty, err := l0.Decide(0, []float64{1}, 0.0175)
+	idxEmpty, err := l0.Decide(0, []float64{1}, 0, 0.0175)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,11 +108,11 @@ func TestL0HorizonScalesExploration(t *testing.T) {
 	}
 	l0Long := newTestL0(t)
 	for _, lam := range []float64{2, 55} {
-		a, err := l0Short.Decide(0, []float64{lam}, 0.0175)
+		a, err := l0Short.Decide(0, []float64{lam}, 0, 0.0175)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := l0Long.Decide(0, []float64{lam}, 0.0175)
+		b, err := l0Long.Decide(0, []float64{lam}, 0, 0.0175)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,28 +135,28 @@ func TestL0HorizonScalesExploration(t *testing.T) {
 func TestL0ShortForecastPadded(t *testing.T) {
 	l0 := newTestL0(t)
 	// A single-element forecast works with horizon 3.
-	if _, err := l0.Decide(0, []float64{10}, 0.0175); err != nil {
+	if _, err := l0.Decide(0, []float64{10}, 0, 0.0175); err != nil {
 		t.Errorf("short forecast: %v", err)
 	}
 }
 
 func TestL0InputValidation(t *testing.T) {
 	l0 := newTestL0(t)
-	if _, err := l0.Decide(0, nil, 0.0175); err == nil {
+	if _, err := l0.Decide(0, nil, 0, 0.0175); err == nil {
 		t.Error("empty forecast: want error")
 	}
-	if _, err := l0.Decide(0, []float64{1}, 0); err == nil {
+	if _, err := l0.Decide(0, []float64{1}, 0, 0); err == nil {
 		t.Error("zero c: want error")
 	}
 	// Negative forecasts are clamped, not an error.
-	if _, err := l0.Decide(0, []float64{-5}, 0.0175); err != nil {
+	if _, err := l0.Decide(0, []float64{-5}, 0, 0.0175); err != nil {
 		t.Errorf("negative forecast: %v", err)
 	}
 }
 
 func TestL0OverheadMetering(t *testing.T) {
 	l0 := newTestL0(t)
-	if _, err := l0.Decide(0, []float64{10}, 0.0175); err != nil {
+	if _, err := l0.Decide(0, []float64{10}, 0, 0.0175); err != nil {
 		t.Fatal(err)
 	}
 	explored, decisions, compute := l0.Overhead()
@@ -172,7 +172,7 @@ func TestL0OverheadMetering(t *testing.T) {
 	if compute <= 0 {
 		t.Error("compute time not recorded")
 	}
-	if _, err := l0.Decide(0, []float64{10}, 0.0175); err != nil {
+	if _, err := l0.Decide(0, []float64{10}, 0, 0.0175); err != nil {
 		t.Fatal(err)
 	}
 	explored2, _, _ := l0.Overhead()

@@ -244,12 +244,15 @@ func TestTreeJTilde(t *testing.T) {
 }
 
 func TestSimulateModulePeriodCostMonotoneInLoad(t *testing.T) {
-	gmaps := testModuleGMaps(t, 2)
-	lo, _, err := SimulateModulePeriod(fastL0Config(), DefaultL1Config(), gmaps, 0, 5, 0.018)
+	sim, err := newModuleSim(fastL0Config(), DefaultL1Config(), testModuleGMaps(t, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	hi, _, err := SimulateModulePeriod(fastL0Config(), DefaultL1Config(), gmaps, 50, 150, 0.018)
+	lo, _, err := sim(0, 5, 0.018)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hi, _, err := sim(50, 150, 0.018)
 	if err != nil {
 		t.Fatal(err)
 	}

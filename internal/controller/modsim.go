@@ -40,24 +40,15 @@ func (c ModuleSimConfig) Validate() error {
 	return nil
 }
 
-// SimulateModulePeriod runs the closed L1+L0 loop of one module on the
-// fluid model for one L1 period: the L1 picks (α, γ) for the offered load,
-// then each on computer's L0 controller runs SubSteps periods. It returns
-// the total cost accumulated (response slack + power + switching),
+// newModuleSim returns a simulation of the closed L1+L0 loop of one module
+// on the fluid model for one L1 period: the L1 picks (α, γ) for the offered
+// load, then each on computer's L0 controller runs SubSteps periods. A call
+// returns the total cost accumulated (response slack + power + switching),
 // normalized per L0 step, and the resulting average queue length.
 //
 // The module starts with qAvg queued requests per computer, all computers
 // on, so the sampled cost reflects the module's intrinsic response to
-// (q, λ, c) rather than a particular control history.
-func SimulateModulePeriod(l0cfg L0Config, l1cfg L1Config, gmaps []*GMap, qAvg, lambda, c float64) (cost, qEndAvg float64, err error) {
-	sim, err := newModuleSim(l0cfg, l1cfg, gmaps)
-	if err != nil {
-		return 0, 0, err
-	}
-	return sim(qAvg, lambda, c)
-}
-
-// newModuleSim returns SimulateModulePeriod over one module's controllers,
+// (q, λ, c) rather than a particular control history. The controllers are
 // built once for every training point: neither keeps a decision, so every
 // run starts from the same all-on module. The L0s run their search.
 func newModuleSim(l0cfg L0Config, l1cfg L1Config, gmaps []*GMap) (func(qAvg, lambda, c float64) (float64, float64, error), error) {

@@ -32,7 +32,7 @@ func TestL0DecideZeroAllocWithRecorder(t *testing.T) {
 	decide := func(i int) {
 		lam := 40 + 30*math.Sin(float64(i)/9)
 		lambda[0], lambda[1], lambda[2] = lam, lam+2, lam+4
-		if _, err := l0.DecideBanded(float64((i*7)%200), lambda, 8, 0.0175); err != nil {
+		if _, err := l0.Decide(float64((i*7)%200), lambda, 8, 0.0175); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -136,11 +136,11 @@ func TestControllerRecorderEquivalence(t *testing.T) {
 		lam := 40 + 30*math.Sin(float64(i)/7)
 		lambda[0], lambda[1], lambda[2] = lam, lam+2, lam+4
 		q := float64((i * 11) % 150)
-		fa, err := l0a.DecideBanded(q, lambda, 8, 0.0175)
+		fa, err := l0a.Decide(q, lambda, 8, 0.0175)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fb, err := l0b.DecideBanded(q, lambda, 8, 0.0175)
+		fb, err := l0b.Decide(q, lambda, 8, 0.0175)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,7 +233,7 @@ func TestControllerRecordShapes(t *testing.T) {
 		t.Fatal(err)
 	}
 	l0.SetRecorder(rec, 2, 3)
-	freq, err := l0.Decide(10, []float64{50}, 0.0175)
+	freq, err := l0.Decide(10, []float64{50}, 0, 0.0175)
 	if err != nil {
 		t.Fatal(err)
 	}

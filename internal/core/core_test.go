@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 
 	"hierctl/internal/approx"
@@ -223,6 +225,10 @@ func TestMultiModuleClusterWithL2(t *testing.T) {
 	}
 }
 
+// TestFailureInjectionRecovers fails computer (0,2) mid-run and repairs it
+// near the end. At 60 req/s the L1 keeps that computer on (computers 0 and
+// 1 it keeps off, so failing them changes nothing), so the failure shows in
+// the record, and the module must still absorb the load.
 func TestFailureInjectionRecovers(t *testing.T) {
 	spec := cluster.Spec{Modules: []cluster.ModuleSpec{moduleOf("M1", 4)}}
 	mgr, err := NewManager(spec, fastConfig())
@@ -230,13 +236,20 @@ func TestFailureInjectionRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	trace := steadyTrace(60, 1800) // 60 req/s
-	// Fail one computer mid-run; repair near the end.
 	rec, err := mgr.Run(testStore(t), SessionConfig{Trace: trace, Failures: []workload.FailureEvent{
-		{At: 600, Module: 0, Comp: 0},
-		{At: 1500, Module: 0, Comp: 0, Repair: true},
+		{At: 600, Module: 0, Comp: 2},
+		{At: 1500, Module: 0, Comp: 2, Repair: true},
 	}})
 	if err != nil {
 		t.Fatal(err)
+	}
+	healthy, err := mgr.Run(testStore(t), SessionConfig{Trace: trace})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Completed == healthy.Completed && rec.Energy == healthy.Energy &&
+		rec.Switches == healthy.Switches && rec.MeanResponse() == healthy.MeanResponse() {
+		t.Error("the failure changed nothing: the run equals the run without it")
 	}
 	total := int64(trace.Sum())
 	// The failed computer drops its queue; the rest must absorb the load.
@@ -245,6 +258,100 @@ func TestFailureInjectionRecovers(t *testing.T) {
 	}
 	if got := rec.MeanResponse(); got > 3*rec.TargetResponse {
 		t.Errorf("mean response %v did not recover (target %v)", got, rec.TargetResponse)
+	}
+}
+
+// panicJTilde is a module cost approximation whose every prediction
+// panics, so each L2 search does.
+type panicJTilde struct{}
+
+func (panicJTilde) Predict(qAvg, lambda, c float64) (float64, error) {
+	panic("injected J̃ fault")
+}
+
+// TestPanicFallbackTwoModules pins the panic legs of the degraded path on
+// a two-module run: an L2 whose search always panics holds the split in
+// force, an L1 panic on module 0 falls back to the safe settings while
+// module 1 still plans at the same boundary, the run completes, and two
+// runs are identical.
+//
+//hpm:pin degraded
+func TestPanicFallbackTwoModules(t *testing.T) {
+	spec := cluster.Spec{Modules: []cluster.ModuleSpec{moduleOf("M1", 2), moduleOf("M2", 2)}}
+	trace := steadyTrace(24, 1500) // 50 req/s across 4 computers
+	type outcome struct {
+		rec       *Record
+		panicTick int
+		module1At []int
+	}
+	runOnce := func() outcome {
+		mgr, err := NewManager(spec, fastConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		mgr.jtildes = []controller.JTilde{panicJTilde{}, panicJTilde{}}
+		s, err := mgr.NewSession(testStore(t), SessionConfig{Trace: trace})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := outcome{panicTick: -1}
+		calls := 0
+		s.SetL1Failpoint(func(module, tick int) {
+			if module == 1 {
+				out.module1At = append(out.module1At, tick)
+				return
+			}
+			if calls++; calls == 3 {
+				out.panicTick = tick
+				panic("injected L1 fault")
+			}
+		})
+		for _, count := range trace.Values {
+			if err := s.StepBin(count); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if out.rec, err = s.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		out.rec.LearnTime, out.rec.L0Time, out.rec.L1Time, out.rec.L2Time = 0, 0, 0, 0
+		return out
+	}
+	a := runOnce()
+	if a.panicTick < 0 {
+		t.Fatal("the L1 failpoint never fired")
+	}
+	if !slices.Contains(a.module1At, a.panicTick) {
+		t.Errorf("module 1 did not plan at tick %d, where module 0 fell back (planned at %v)", a.panicTick, a.module1At)
+	}
+	boundaries := a.rec.Operational.Len()
+	if want := 2*boundaries - 1; a.rec.L1Decisions != want {
+		t.Errorf("L1 decisions %d over %d boundaries, want %d (all but module 0's panicked one)", a.rec.L1Decisions, boundaries, want)
+	}
+	if a.rec.L2Decisions != 0 {
+		t.Errorf("L2 decisions %d with a J̃ that always panics, want 0", a.rec.L2Decisions)
+	}
+	l2Boundaries := a.rec.GammaModules[0].Len()
+	if l2Boundaries == 0 {
+		t.Fatal("no L2 boundary recorded")
+	}
+	// Every L2 boundary degrades. T_L1 = T_L2 here, so module 0's fallback
+	// falls on one of them and adds no tick.
+	if a.rec.DegradedTicks != l2Boundaries {
+		t.Errorf("degraded ticks %d, want the %d L2 boundaries", a.rec.DegradedTicks, l2Boundaries)
+	}
+	for i, g := range a.rec.GammaModules {
+		for b, v := range g.Values {
+			if v != 0.5 {
+				t.Fatalf("γ_%d at L2 boundary %d = %v, want the equal split held", i, b, v)
+			}
+		}
+	}
+	if a.rec.Completed == 0 {
+		t.Fatal("the degraded run completed no requests")
+	}
+	if b := runOnce(); !reflect.DeepEqual(a, b) {
+		t.Error("two degraded runs diverged")
 	}
 }
 

@@ -227,7 +227,7 @@ func inCluster(spec cluster.Spec, plan []workload.FailureEvent) []workload.Failu
 // TestRunMatchesLegacyMechanics pins the engine migration for the
 // hierarchy: the harness-backed Manager.Run must reproduce the legacy
 // session mechanics bit-for-bit across the scenario registry, multiple
-// seeds, and both sequential and fanned-out L1 planning. Wall-clock
+// seeds, and both sequential and fanned-out offline learning. Wall-clock
 // overhead fields are the only nondeterministic ones and are zeroed.
 func TestRunMatchesLegacyMechanics(t *testing.T) {
 	spec := cluster.Spec{Modules: []cluster.ModuleSpec{moduleOf("M1", 2), moduleOf("M2", 2)}}
@@ -250,8 +250,8 @@ func TestRunMatchesLegacyMechanics(t *testing.T) {
 				plan := sc.FailurePlan(trace)
 				cfg := fastConfig()
 				cfg.Seed = seed
-				// Sweep the L1 planning fan-out: the plans are applied in
-				// module order regardless, so results must not depend on it.
+				// Sweep the learning fan-out: it changes only learning
+				// wall-clock time, so results must not depend on it.
 				cfg.Parallelism = 1
 				if seed%2 == 0 {
 					cfg.Parallelism = 4

@@ -9,8 +9,8 @@
 //   - A run is deterministic for a given (spec, config, trace, store)
 //     tuple: every random stream derives from Config.Seed.
 //   - Config.Parallelism only changes the wall-clock time of offline
-//     learning: a control tick runs on one goroutine (every module's L1
-//     decision is planned, then every plan applied, in module order), so
+//     learning: a control tick runs on one goroutine (each module's L1
+//     decision is planned and applied in turn, in module order), so
 //     run records and flight-recorder sequences are bit-identical at any
 //     worker count (pinned by parallel_test.go at the repo root and
 //     TestManagerRecorderEquivalence).

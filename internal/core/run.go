@@ -119,10 +119,9 @@ type run struct {
 	l2CHat  []float64
 	l2Avail []bool
 
-	// Decide scratch, sized once in build and reused every tick: the
-	// per-module L1 plans and the dispatch weights. The harness hands the
-	// weights to Plant.Dispatch, which reads and never retains them.
-	plans   []l1Plan
+	// weights is Decide's dispatch scratch, sized once in build and reused
+	// every tick. The harness hands it to Plant.Dispatch, which reads and
+	// never retains it.
 	weights [][]float64
 
 	// last is the decision in force after the most recent cleanly applied
@@ -207,44 +206,37 @@ func (r *run) Decide(k, pending int) (engine.Settings, error) {
 	// mutates L2 state); the fallback only re-appends the series sample
 	// so the record cadence is preserved.
 	if r.l2 != nil && k%r.l2Every == 0 {
-		if err := r.decideL2Guarded(k); err != nil {
+		if err := r.decideL2(k); err != nil {
 			if !degradable(err) {
 				return engine.Settings{}, err
 			}
-			r.fallbackL2()
+			r.recordGammaModules(r.gammaModules)
 			degraded = true
 		}
 	}
 
-	// (2) L1 per module: operating states and within-module fractions.
-	// Every module is planned first, against the plant as the previous
-	// boundary left it (§3's decomposition: the modules decide
-	// independently); plant mutations and record appends are applied in
-	// module order afterwards. Errors are captured in the plans, so one
-	// module's failure never skips a sibling's estimator folds.
+	// (2) L1 per module: operating states and within-module fractions,
+	// each module planned and applied in turn, in module order. §3's
+	// modules decide independently, and the order changes nothing: a
+	// module's plan reads only its own estimators and its own computers,
+	// and applying it touches only its own computers.
 	if k%r.l1Every == 0 {
-		plans := r.plans
 		for i := range r.modules {
-			plans[i] = r.planL1Guarded(i, k)
-		}
-		for i := range r.modules {
-			if plans[i].err != nil {
-				if !degradable(plans[i].err) {
-					return engine.Settings{}, plans[i].err
+			dec, err := r.planL1(i, k)
+			if err != nil {
+				if !degradable(err) {
+					return engine.Settings{}, err
 				}
 				// Deterministic safe fallback: every non-failed computer
 				// powered, capacity-proportional split — a pure function
 				// of the module's plant state, so degraded runs stay
 				// reproducible.
-				dec, err := r.fallbackL1(i)
-				if err != nil {
+				if dec, err = r.fallbackL1(i); err != nil {
 					return engine.Settings{}, err
 				}
-				plans[i].dec = dec
-				plans[i].err = nil
 				degraded = true
 			}
-			if err := r.applyL1(i, k, plans[i]); err != nil {
+			if err := r.applyL1(i, dec); err != nil {
 				return engine.Settings{}, err
 			}
 		}
@@ -281,22 +273,15 @@ func (r *run) Decide(k, pending int) (engine.Settings, error) {
 	return engine.Settings{GammaModules: r.gammaModules, GammaComputers: r.weights, Degraded: degraded}, nil
 }
 
-// decideL2Guarded is decideL2 with panic recovery: a panicking search is
-// absorbed into the degraded-tick fallback like an exhausted budget.
-func (r *run) decideL2Guarded(k int) (err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			err = fmt.Errorf("%w: L2: %v", errPanic, v)
-		}
-	}()
-	return r.decideL2(k)
-}
-
-// fallbackL2 is the L2 deterministic safe fallback: the split in force
-// stays, re-appended to the record series so the per-boundary cadence is
-// preserved.
-func (r *run) fallbackL2() {
-	r.recordGammaModules(r.gammaModules)
+// recoverAs is the decide path's one panic guard: deferred by a level's
+// decide, it turns a panic there into an errPanic error naming the level,
+// which the degraded-tick fallback absorbs like an exhausted decision
+// budget. It must be the deferred call itself — recover stops a panic only
+// there.
+func recoverAs(err *error, level string) {
+	if v := recover(); v != nil {
+		*err = fmt.Errorf("%w: %s: %v", errPanic, level, v)
+	}
 }
 
 // recordGammaModules appends one T_L2 sample to each module's γ series
@@ -336,12 +321,13 @@ func (r *run) fallbackL1(i int) (controller.L1Decision, error) {
 
 // decideL2 runs the cluster-level controller and stores its fractions.
 // With every module down there is no split to choose: the previous one is
-// held exactly as fallbackL2 holds it — each module's L1 goes all-off on its
-// own — so the run continues and planned repairs land. Such a tick is not
-// flagged degraded: the flag marks a controller that could not finish its
-// search, and a single-module tenant's all-off L1 decision in the same plant
-// state is not flagged either.
-func (r *run) decideL2(k int) error {
+// held exactly as a degraded L2 tick holds it — each module's L1 goes
+// all-off on its own — so the run continues and planned repairs land. Such
+// a tick is not flagged degraded: the flag marks a controller that could
+// not finish its search, and a single-module tenant's all-off L1 decision in
+// the same plant state is not flagged either.
+func (r *run) decideL2(k int) (err error) {
+	defer recoverAs(&err, "L2")
 	m := r.m
 	// Fold the completed T_L2 interval into the cluster filter and band.
 	if k > 0 {
@@ -372,7 +358,7 @@ func (r *run) decideL2(k int) error {
 		obs.Available[i] = moduleAvailable(r.plant, i)
 	}
 	if !slices.Contains(obs.Available, true) {
-		r.fallbackL2()
+		r.recordGammaModules(r.gammaModules)
 		return nil
 	}
 	dec, err := r.l2.Decide(obs)
@@ -400,41 +386,14 @@ func (r *run) decideL2(k int) error {
 	return nil
 }
 
-// l1Plan is one module's L1 outcome, computed before any module's plan is
-// applied to the shared plant and record.
-type l1Plan struct {
-	// dec is the L1's decision, valid until that L1's next Decide — the
-	// next boundary, long after applyL1 copied it.
-	dec controller.L1Decision
-	// predActual is the (predicted, actual) pair for the Fig. 4 series,
-	// set past the first boundary, the first with a forecast to score.
-	predActual [2]float64
-	// err is the planning failure, captured here so the planning loop
-	// never exits early (every module's estimator folds run each
-	// boundary, whichever sibling failed).
-	err error
-}
-
-// planL1Guarded is planL1 with panic recovery and in-plan error capture.
-func (r *run) planL1Guarded(i, k int) (plan l1Plan) {
-	defer func() {
-		if v := recover(); v != nil {
-			plan.err = fmt.Errorf("%w: L1 module %d: %v", errPanic, i, v)
-		}
-	}()
-	var err error
-	plan, err = r.planL1(i, k)
-	plan.err = err
-	return plan
-}
-
-// planL1 runs one module's L1 controller. It touches only module i's own
-// estimators and reads (never mutates) the shared plant, so the plans do
-// not depend on the order the modules are planned in.
-func (r *run) planL1(i int, k int) (l1Plan, error) {
+// planL1 runs one module's L1 controller and appends the boundary's Fig. 4
+// (predicted, actual) pair. It touches only module i's own estimators and
+// reads (never mutates) the shared plant. The decision is valid until the
+// L1's next Decide — the next boundary, long after applyL1 copied it.
+func (r *run) planL1(i int, k int) (dec controller.L1Decision, err error) {
+	defer recoverAs(&err, "L1")
 	m := r.m
 	asm := r.modules[i]
-	var plan l1Plan
 	pending := asm.pendingRatio
 	asm.pendingRatio = 1
 
@@ -444,7 +403,9 @@ func (r *run) planL1(i int, k int) (l1Plan, error) {
 	if k > 0 {
 		asm.kalman1.Observe(float64(asm.arrivedTL1))
 		asm.band.Observe(asm.predictedTL1, float64(asm.arrivedTL1))
-		plan.predActual = [2]float64{asm.predictedTL1, float64(asm.arrivedTL1)}
+		if r.trace != nil {
+			r.predActual = append(r.predActual, [2]float64{asm.predictedTL1, float64(asm.arrivedTL1)})
+		}
 		asm.arrivedTL1 = 0
 	}
 	asm.predictedTL1 = math.Max(0, asm.kalman1.Forecast(1))
@@ -493,23 +454,13 @@ func (r *run) planL1(i int, k int) (l1Plan, error) {
 	if r.l1Failpoint != nil {
 		r.l1Failpoint(i, k)
 	}
-	dec, err := asm.l1.Decide(obs)
-	if err != nil {
-		return plan, err
-	}
-	plan.dec = dec
-	return plan, nil
+	return asm.l1.Decide(obs)
 }
 
-// applyL1 commits module i's plan at step k: the Fig. 4 sample, the
-// plant's on/off switches, and the module's dispatch fractions. Called
-// sequentially in module order.
-func (r *run) applyL1(i, k int, plan l1Plan) error {
+// applyL1 commits module i's decision: the plant's on/off switches and
+// the module's dispatch fractions.
+func (r *run) applyL1(i int, dec controller.L1Decision) error {
 	asm := r.modules[i]
-	if k > 0 && r.trace != nil {
-		r.predActual = append(r.predActual, plan.predActual)
-	}
-	dec := plan.dec
 	for j := range asm.specs {
 		switch on := r.plant.Computer(i, j).Accepting(); {
 		case dec.Alpha[j] && !on:
@@ -545,7 +496,8 @@ func (r *run) decideL0(i int, asm *moduleAsm, k int) (degraded bool, err error) 
 		for h := range lambda {
 			var forecastCount float64
 			if m.cfg.OracleForecast {
-				forecastCount = r.gammaModules[i] * r.futureCount(k+h, 1)
+				mean, _ := r.futureProfile(k+h, 1)
+				forecastCount = r.gammaModules[i] * mean
 			} else {
 				forecastCount = asm.l0Ratio * math.Max(0, asm.kalman0.Forecast(h+1))
 			}
@@ -555,7 +507,7 @@ func (r *run) decideL0(i int, asm *moduleAsm, k int) (degraded bool, err error) 
 		if m.cfg.OracleForecast {
 			delta = 0
 		}
-		idx, err := decideBandedGuarded(asm.l0s[j], float64(asm.lastPer[j].QueueLen), lambda, delta, cHat)
+		idx, err := searchL0(asm.l0s[j], float64(asm.lastPer[j].QueueLen), lambda, delta, cHat)
 		if err != nil {
 			if !degradable(err) {
 				return degraded, err
@@ -572,14 +524,11 @@ func (r *run) decideL0(i int, asm *moduleAsm, k int) (degraded bool, err error) 
 	return degraded, nil
 }
 
-// decideBandedGuarded is L0.DecideBanded with panic recovery.
-func decideBandedGuarded(l0 *controller.L0, queueLen float64, lambda []float64, delta, cHat float64) (idx int, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			err = fmt.Errorf("%w: L0: %v", errPanic, v)
-		}
-	}()
-	return l0.DecideBanded(queueLen, lambda, delta, cHat)
+// searchL0 is one computer's L0 search under the panic guard, which
+// covers the search and never the actuation that follows it.
+func searchL0(l0 *controller.L0, queueLen float64, lambda []float64, delta, cHat float64) (idx int, err error) {
+	defer recoverAs(&err, "L0")
+	return l0.Decide(queueLen, lambda, delta, cHat)
 }
 
 // recordFreq appends one T_L0 sample to computer (i, j)'s frequency series
@@ -625,18 +574,9 @@ func (r *run) Observe(k int, iv engine.Interval, stats []engine.ModuleStats) err
 	return nil
 }
 
-// futureCount returns the true request count arriving in steps [k, k+n),
-// read straight from the trace — the oracle forecast.
-func (r *run) futureCount(k, n int) float64 {
-	total := 0.0
-	for s := k; s < k+n && s < r.totalSteps; s++ {
-		total += r.trace.Values[s/r.sub] / float64(r.sub)
-	}
-	return total
-}
-
 // futureProfile returns the mean and peak per-step request counts over
-// steps [k, k+n) — the oracle's within-period profile.
+// steps [k, k+n), read straight from the trace — the oracle forecast and
+// its within-period profile.
 func (r *run) futureProfile(k, n int) (mean, peak float64) {
 	count := 0
 	for s := k; s < k+n && s < r.totalSteps; s++ {

@@ -190,10 +190,11 @@ func (m *Manager) NewSession(store *workload.Store, sc SessionConfig) (*Session,
 	return &Session{r: r, h: h}, nil
 }
 
-// SetL1Failpoint installs a test hook invoked at the top of every L1
-// planning call with the module index and tick; a panicking hook
-// exercises the degraded-tick recovery path. Nil (the default) disables
-// it. Test seam only — never serialized, never set in production.
+// SetL1Failpoint installs a test hook invoked in every L1 planning call,
+// after the module's estimator folds and just before its search, with the
+// module index and tick; a panicking hook exercises the degraded-tick
+// recovery path. Nil (the default) disables it. Test seam only — never
+// serialized, never set in production.
 func (s *Session) SetL1Failpoint(fn func(module, tick int)) { s.r.l1Failpoint = fn }
 
 // SetObserveFailpoint installs a test hook invoked with the tick at the top
@@ -307,7 +308,6 @@ func (r *run) build(cal []float64, budget int) error {
 	r.gammaModules = controller.EqualSplit(make([]float64, p))
 
 	r.respWindow = make([]float64, r.sub)
-	r.plans = make([]l1Plan, p)
 	r.last.Modules = make([]ModuleDecision, p)
 	return nil
 }
