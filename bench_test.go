@@ -74,14 +74,16 @@ func BenchmarkFig5L0Control(b *testing.B) {
 		b.Fatal(err)
 	}
 	lambda := []float64{40, 45, 50}
+	explored := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := l0.Decide(float64(i%200), lambda, 0, 0.0175); err != nil {
+		_, n, err := l0.Decide(float64(i%200), lambda, 0, 0.0175)
+		if err != nil {
 			b.Fatal(err)
 		}
+		explored += n
 	}
-	explored, decisions, _ := l0.Overhead()
-	b.ReportMetric(float64(explored)/float64(decisions), "states_per_decide")
+	b.ReportMetric(float64(explored)/float64(b.N), "states_per_decide")
 }
 
 // BenchmarkFig6ClusterControl runs the §5.2 cluster experiment (Fig. 6):
@@ -350,7 +352,7 @@ func BenchmarkLLCExhaustiveSearch(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := l0.Decide(50, []float64{40}, 0, 0.0175); err != nil {
+		if _, _, err := l0.Decide(50, []float64{40}, 0, 0.0175); err != nil {
 			b.Fatal(err)
 		}
 	}

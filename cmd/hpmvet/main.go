@@ -7,10 +7,10 @@
 //	go run ./cmd/hpmvet ./...              # the CI gate: analyze the tree
 //	go run ./cmd/hpmvet -pins <group> ./... # list a pin group
 //
-// -pins prints the members of one //hpm:pin group (mechanics, search,
-// sharing, pools, scrape, checkpoint, degraded, fuzz) as `dir Name` lines,
-// sorted, for a CI step to run by name and count; it refuses to list while
-// any test file's directives are malformed.
+// -pins prints the members of one //hpm:pin group (directive.PinGroups
+// names them; an unknown name lists them) as `dir Name` lines, sorted, for
+// a CI step to run by name and count; it refuses to list while any test
+// file's directives are malformed.
 //
 // The analyzers:
 //

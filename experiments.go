@@ -171,7 +171,8 @@ type OverheadRow struct {
 	// exact program prices every split from one probe per map cell).
 	ExploredPerL1 float64
 	// DecisionTime is the mean online hierarchy computation per L1
-	// period (the paper's MATLAB setup measured ≈2.0 s for m = 4).
+	// decision, timed by the harness around each tick's decide step (the
+	// paper's MATLAB setup measured ≈2.0 s for m = 4).
 	DecisionTime time.Duration
 	// LearnTime is the offline learning cost.
 	LearnTime time.Duration

@@ -220,14 +220,14 @@ func VerifyFleetJournal(path string) (*FleetVerifyReport, error) {
 	return fleet.VerifyJournalFile(path)
 }
 
-// ChaosPlans returns every registered chaos plan's spec sorted by name.
+// ChaosPlans returns every chaos plan's spec sorted by name.
 func ChaosPlans() []ChaosSpec { return chaos.Specs() }
 
-// ChaosPlanNames returns the sorted registered chaos-plan names.
+// ChaosPlanNames returns the sorted chaos-plan names.
 func ChaosPlanNames() []string { return chaos.Names() }
 
-// LookupChaosPlan resolves a registered chaos plan by name. Unknown names
-// error with the registered list.
+// LookupChaosPlan resolves a chaos plan by name. Unknown names error with
+// the list of plans.
 func LookupChaosPlan(name string) (ChaosSpec, error) { return chaos.Lookup(name) }
 
 // CheckTelemetryRecords reports whether n is a valid

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"time"
 
 	"hierctl/internal/cluster"
 	"hierctl/internal/controller"
@@ -75,18 +74,15 @@ type Decision struct {
 }
 
 // Controller is the flat cluster controller. Construct with New.
+//
+// It holds no decision between calls: the joint configuration in force is
+// part of what it observes (Observation.InForce), so a decision is a pure
+// function of its observation. Each returned decision's slices are freshly
+// built, so a caller may keep one as the next decision's InForce.
 type Controller struct {
 	cfg   Config
 	specs []cluster.ComputerSpec
 	caps  []float64 // capacity weights seeding γ allocations
-
-	prevAlpha []bool
-	prevGamma []float64
-	prevFreq  []int
-
-	explored    int
-	decisions   int
-	computeTime time.Duration
 }
 
 // New builds a flat controller over the given computers (flattened from
@@ -103,21 +99,26 @@ func New(cfg Config, specs []cluster.ComputerSpec) (*Controller, error) {
 			return nil, fmt.Errorf("central: computer %d: %w", i, err)
 		}
 	}
-	n := len(specs)
-	c := &Controller{cfg: cfg, specs: specs, caps: make([]float64, n)}
-	c.prevAlpha = make([]bool, n)
-	c.prevFreq = make([]int, n)
+	c := &Controller{cfg: cfg, specs: specs, caps: make([]float64, len(specs))}
 	for j := range specs {
-		c.prevAlpha[j] = true
-		c.prevFreq[j] = len(specs[j].FrequenciesHz) - 1
 		c.caps[j] = specs[j].SpeedFactor
 	}
-	var err error
-	c.prevGamma, err = controller.SnapSimplex(c.caps, c.prevAlpha, quantum)
-	if err != nil {
-		return nil, err
-	}
 	return c, nil
+}
+
+// fresh returns the configuration in force before any decision: every
+// computer on at its top frequency, the capacity split snapped to the
+// quantum.
+func (c *Controller) fresh() (Decision, error) {
+	n := len(c.specs)
+	d := Decision{Alpha: make([]bool, n), FreqIdx: make([]int, n)}
+	for j := range c.specs {
+		d.Alpha[j] = true
+		d.FreqIdx[j] = len(c.specs[j].FrequenciesHz) - 1
+	}
+	var err error
+	d.Gamma, err = controller.SnapSimplex(c.caps, d.Alpha, quantum)
+	return d, err
 }
 
 // Observation is the flat controller's input.
@@ -132,13 +133,17 @@ type Observation struct {
 	CHat float64
 	// Available marks computers that may be powered (false = failed).
 	Available []bool
+	// InForce is the joint configuration in force, from which the
+	// decision prices its moves: the previous decision's. Nil means the
+	// configuration before any decision (see Controller.fresh).
+	InForce *Decision
 }
 
 // Decide jointly picks (α, γ, u) for the next period by bounded search
-// over the flat configuration space: candidate α vectors (previous plus
-// single toggles plus all-on), for each a γ neighbourhood on the quantized
-// simplex, and per-computer frequency moves within freqSteps of the
-// previous operating point. The full cartesian product α×γ×u is
+// over the flat configuration space: candidate α vectors (the one in force
+// plus single toggles plus all-on), for each a γ neighbourhood on the
+// quantized simplex, and per-computer frequency moves within freqSteps of
+// the operating point in force. The full cartesian product α×γ×u is
 // intractable even at n = 8 (this is exactly the §3 dimensionality
 // argument), so the search uses coordinate descent per α candidate: best γ
 // at held frequencies, then best frequency vector at the chosen γ. Even
@@ -161,6 +166,16 @@ func (c *Controller) Decide(obs Observation) (Decision, error) {
 	if len(obs.Available) != n {
 		return Decision{}, fmt.Errorf("central: availability size mismatch")
 	}
+	if obs.InForce == nil {
+		fresh, err := c.fresh()
+		if err != nil {
+			return Decision{}, err
+		}
+		obs.InForce = &fresh
+	}
+	if in := obs.InForce; len(in.Alpha) != n || len(in.Gamma) != n || len(in.FreqIdx) != n {
+		return Decision{}, fmt.Errorf("central: configuration in force size mismatch")
+	}
 	if obs.CHat <= 0 {
 		return Decision{}, fmt.Errorf("central: non-positive c-hat")
 	}
@@ -168,15 +183,11 @@ func (c *Controller) Decide(obs Observation) (Decision, error) {
 		obs.LambdaHat = 0
 	}
 	// With every computer down there is nothing to search: decide all-off
-	// at the previous frequencies so the run keeps going, as the
+	// at the frequencies in force so the run keeps going, as the
 	// hierarchy's L1 does for a fully failed module.
 	if countOn(obs.Available) == 0 {
-		dec := Decision{Alpha: make([]bool, n), Gamma: make([]float64, n), FreqIdx: c.prevFreq}
-		c.prevAlpha, c.prevGamma = dec.Alpha, dec.Gamma
-		c.decisions++
-		return dec, nil
+		return Decision{Alpha: make([]bool, n), Gamma: make([]float64, n), FreqIdx: obs.InForce.FreqIdx}, nil
 	}
-	start := time.Now() //hpm:wallclock decide-latency for the §4.3 overhead metric; observe-only
 	samples := []float64{obs.LambdaHat}
 	if obs.Delta > 0 {
 		samples = []float64{math.Max(0, obs.LambdaHat-obs.Delta), obs.LambdaHat, obs.LambdaHat + obs.Delta}
@@ -188,7 +199,7 @@ func (c *Controller) Decide(obs Observation) (Decision, error) {
 	best := Decision{}
 	bestCost := math.Inf(1)
 	explored := 0
-	for _, alpha := range c.alphaCandidates(obs.Available) {
+	for _, alpha := range c.alphaCandidates(obs) {
 		cost, dec, searched := c.searchAlpha(alpha, obs, samples)
 		explored += searched
 		if cost < bestCost {
@@ -200,12 +211,6 @@ func (c *Controller) Decide(obs Observation) (Decision, error) {
 		return Decision{}, fmt.Errorf("central: no candidate configuration")
 	}
 	best.Explored = explored
-	c.prevAlpha = best.Alpha
-	c.prevGamma = best.Gamma
-	c.prevFreq = best.FreqIdx
-	c.explored += explored
-	c.decisions++
-	c.computeTime += time.Since(start) //hpm:wallclock decide-latency for the §4.3 overhead metric; observe-only
 	return best, nil
 }
 
@@ -214,9 +219,9 @@ func (c *Controller) Decide(obs Observation) (Decision, error) {
 // oneStep. It returns the candidate's cost (+Inf when it has no finite
 // configuration), its configuration, and the states both passes explored.
 func (c *Controller) searchAlpha(alpha []bool, obs Observation, samples []float64) (float64, Decision, int) {
-	// freqs[0] holds every computer at its previous frequency.
-	freqs := c.freqCandidates(alpha)
-	gammas := c.gammaCandidates(alpha)
+	// freqs[0] holds every computer at its frequency in force.
+	freqs := c.freqCandidates(alpha, obs.InForce.FreqIdx)
+	gammas := c.gammaCandidates(alpha, obs.InForce.Gamma)
 	gi, _, explored := oneStep(len(gammas), len(samples), func(ci, si int) float64 {
 		return c.evaluate(alpha, gammas[ci], freqs[0], obs, samples[si])
 	})
@@ -270,7 +275,7 @@ func (c *Controller) evaluate(alpha []bool, gamma []float64, freq []int, obs Obs
 		if !alpha[j] {
 			continue
 		}
-		if !c.prevAlpha[j] {
+		if !obs.InForce.Alpha[j] {
 			total += controller.DefaultSwitchWeight
 		}
 		phi := c.specs[j].Phi(freq[j])
@@ -295,12 +300,14 @@ func (c *Controller) evaluate(alpha []bool, gamma []float64, freq []int, obs Obs
 }
 
 // alphaCandidates mirrors the hierarchy's bounded on/off set, but over the
-// whole cluster: previous vector, every single toggle, all-available-on.
-func (c *Controller) alphaCandidates(avail []bool) [][]bool {
+// whole cluster: the vector in force, every single toggle,
+// all-available-on.
+func (c *Controller) alphaCandidates(obs Observation) [][]bool {
 	n := len(c.specs)
+	avail := obs.Available
 	base := make([]bool, n)
 	for j := range base {
-		base[j] = c.prevAlpha[j] && avail[j]
+		base[j] = obs.InForce.Alpha[j] && avail[j]
 	}
 	for j := 0; countOn(base) < minOn && j < n; j++ {
 		if avail[j] && !base[j] {
@@ -341,17 +348,17 @@ func (c *Controller) alphaCandidates(avail []bool) [][]bool {
 
 // gammaCandidates is the quantized-simplex neighbourhood over the whole
 // cluster — the joint γ space whose size grows combinatorially with n:
-// the seed's neighbourhood, then the previous γ's. One seen-set spans
-// both, so each γ is priced once; a repeat could only tie its first copy,
-// and a tie never displaces the best.
-func (c *Controller) gammaCandidates(alpha []bool) [][]float64 {
+// the seed's neighbourhood, then that of the γ in force, prev. One
+// seen-set spans both, so each γ is priced once; a repeat could only tie
+// its first copy, and a tie never displaces the best.
+func (c *Controller) gammaCandidates(alpha []bool, prev []float64) [][]float64 {
 	seed, err := controller.SnapSimplex(c.caps, alpha, quantum)
 	if err != nil {
 		return nil
 	}
 	seen := map[string]struct{}{}
 	cands := simplexNeighbours(nil, seen, seed, alpha, c.cfg.NeighbourDepth)
-	if prev, err := controller.SnapSimplex(c.prevGamma, alpha, quantum); err == nil {
+	if prev, err := controller.SnapSimplex(prev, alpha, quantum); err == nil {
 		cands = simplexNeighbours(cands, seen, prev, alpha, 1)
 	}
 	return cands
@@ -411,15 +418,15 @@ func simplexNeighbours(out [][]float64, seen map[string]struct{}, gamma []float6
 }
 
 // freqCandidates enumerates joint frequency moves: each computer may move
-// up to freqSteps indices from its previous point; to keep the candidate
-// count finite the moves are axis-aligned (one computer moves per
-// candidate), after the all-stay vector (first) and the all-max one.
-func (c *Controller) freqCandidates(alpha []bool) [][]int {
+// up to freqSteps indices from its point in force, prev; to keep the
+// candidate count finite the moves are axis-aligned (one computer moves
+// per candidate), after the all-stay vector (first) and the all-max one.
+func (c *Controller) freqCandidates(alpha []bool, prev []int) [][]int {
 	n := len(c.specs)
 	stay := make([]int, n)
 	maxv := make([]int, n)
 	for j := range c.specs {
-		stay[j] = clampIdx(c.prevFreq[j], len(c.specs[j].FrequenciesHz))
+		stay[j] = clampIdx(prev[j], len(c.specs[j].FrequenciesHz))
 		maxv[j] = len(c.specs[j].FrequenciesHz) - 1
 	}
 	out := [][]int{append([]int(nil), stay...), maxv}
@@ -441,11 +448,6 @@ func (c *Controller) freqCandidates(alpha []bool) [][]int {
 		}
 	}
 	return out
-}
-
-// Overhead reports accumulated overhead counters.
-func (c *Controller) Overhead() (explored, decisions int, compute time.Duration) {
-	return c.explored, c.decisions, c.computeTime
 }
 
 func countOn(a []bool) int {

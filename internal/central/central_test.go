@@ -57,31 +57,32 @@ func TestDecideScalesWithLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Low load: scale down over repeated decisions.
+	// Low load: scale down over repeated decisions, each from the last.
 	on := 4
+	var inForce *Decision
 	for i := 0; i < 4; i++ {
 		dec, err := ctl.Decide(Observation{
 			QueueLens: []float64{0, 0, 0, 0},
 			LambdaHat: 2,
 			CHat:      0.0175,
+			InForce:   inForce,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		on = countOn(dec.Alpha)
 		validateGamma(t, dec)
+		inForce = &dec
 	}
 	if on != 1 {
 		t.Errorf("computers on at trivial load = %d, want 1", on)
 	}
 	// Overload from one computer: scale up.
-	ctl.prevAlpha = []bool{true, false, false, false}
-	ctl.prevGamma = []float64{1, 0, 0, 0}
-	ctl.prevFreq = []int{3, 3, 3, 3}
 	dec, err := ctl.Decide(Observation{
 		QueueLens: []float64{200, 0, 0, 0},
 		LambdaHat: 150,
 		CHat:      0.0175,
+		InForce:   &Decision{Alpha: []bool{true, false, false, false}, Gamma: []float64{1, 0, 0, 0}, FreqIdx: []int{3, 3, 3, 3}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -223,7 +224,8 @@ func TestRunValidation(t *testing.T) {
 }
 
 // TestCentralPruningPreservesDecision pins the flat controller's pruned
-// search over three successive observations: each joint configuration (α,
+// search over three successive observations, each deciding from the
+// last's decision: each joint configuration (α,
 // γ bits, frequencies) and explored count equals the recorded literal. An
 // unpruned search picks the same configurations at the naive counts, so
 // pruning changed no decision and never explores more.
@@ -261,11 +263,14 @@ func TestCentralPruningPreservesDecision(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var inForce *Decision
 	for step, o := range obs {
+		o.InForce = inForce
 		dec, err := ctl.Decide(o)
 		if err != nil {
 			t.Fatal(err)
 		}
+		inForce = &dec
 		w := want[step]
 		for j := range w.alpha {
 			if dec.Alpha[j] != w.alpha[j] || math.Float64bits(dec.Gamma[j]) != w.gammaBits[j] || dec.FreqIdx[j] != w.freq[j] {

@@ -67,21 +67,21 @@ func TestRunWithFailurePlan(t *testing.T) {
 
 // TestDecideAllDownIsAllOff pins the total-outage decision: with no
 // computer available there is nothing to search, so Decide returns the
-// all-off configuration — zero γ, the previous frequencies, nothing
-// explored — and counts it, as the hierarchy's L1 does for a fully failed
-// module.
+// all-off configuration — zero γ, the frequencies in force, nothing
+// explored — as the hierarchy's L1 does for a fully failed module.
 func TestDecideAllDownIsAllOff(t *testing.T) {
 	ctl, err := New(DefaultConfig(), testSpecs(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	prevFreq := append([]int(nil), ctl.prevFreq...)
+	prevFreq := []int{1, 3, 0}
 	dec, err := ctl.Decide(Observation{
 		QueueLens: []float64{4, 0, 7},
 		LambdaHat: 60,
 		Delta:     5,
 		CHat:      0.0175,
 		Available: []bool{false, false, false},
+		InForce:   &Decision{Alpha: []bool{true, true, true}, Gamma: []float64{0.3, 0.3, 0.4}, FreqIdx: prevFreq},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -93,9 +93,6 @@ func TestDecideAllDownIsAllOff(t *testing.T) {
 	}
 	if dec.Explored != 0 {
 		t.Errorf("explored %d states with nothing to search", dec.Explored)
-	}
-	if explored, decisions, _ := ctl.Overhead(); explored != 0 || decisions != 1 {
-		t.Errorf("overhead (%d explored, %d decisions), want (0, 1)", explored, decisions)
 	}
 }
 

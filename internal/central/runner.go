@@ -45,15 +45,18 @@ func DefaultRunnerConfig() RunnerConfig {
 // scalability study needs.
 type Result struct {
 	engine.Totals
-	ExploredPerStep   float64
-	DecideTimePerStep time.Duration // mean wall-clock of one Decide
+	ExploredPerStep float64
+	// DecideTimePerStep is the harness's decide clock (engine.Harness.DecideTime)
+	// per controller decision: the wall-clock of every tick's Decide call,
+	// the dispatch-only ticks between decisions included.
+	DecideTimePerStep time.Duration
 	Operational       *series.Series
 }
 
 // runner adapts the flat controller onto the shared simulation engine,
 // holding the estimator chain (Kalman arrival forecast, uncertainty band,
-// processing-time EWMA) and the queue state the controller observes. The
-// fractions in force are the controller's own (Controller.prevGamma).
+// processing-time EWMA), the queue state the controller observes, the
+// decision in force, and the run's overhead counts.
 type runner struct {
 	spec cluster.Spec
 
@@ -68,6 +71,11 @@ type runner struct {
 	queues        []float64
 	arrivedPeriod int
 	cHat          float64
+
+	// inForce is the last decision, nil before the first; explored and
+	// decisions sum what the decisions explored and how many there were.
+	inForce             *Decision
+	explored, decisions int
 
 	res *Result
 }
@@ -115,10 +123,14 @@ func (r *runner) Decide(k, pending int) (engine.Settings, error) {
 			Delta:     r.band.Delta() / controller.DefaultPeriodL1,
 			CHat:      r.cHat,
 			Available: avail,
+			InForce:   r.inForce,
 		})
 		if err != nil {
 			return engine.Settings{}, err
 		}
+		r.inForce = &dec
+		r.explored += dec.Explored
+		r.decisions++
 		for idx, s := range r.slots {
 			operational := r.plant.Computer(s.i, s.j).Accepting()
 			if dec.Alpha[idx] && !operational {
@@ -149,8 +161,8 @@ func (r *runner) Decide(k, pending int) (engine.Settings, error) {
 	}
 	for idx, s := range r.slots {
 		if r.plant.Computer(s.i, s.j).State() == cluster.PowerOn {
-			gc[s.i][s.j] = r.ctl.prevGamma[idx]
-			gm[s.i] += r.ctl.prevGamma[idx]
+			gc[s.i][s.j] = r.inForce.Gamma[idx]
+			gm[s.i] += r.inForce.Gamma[idx]
 		}
 	}
 	return engine.Settings{GammaModules: gm, GammaComputers: gc}, nil
@@ -237,10 +249,9 @@ func Run(spec cluster.Spec, trace *series.Series, store *workload.Store, cfg Run
 	}
 	res := r.res
 	res.Totals = h.Totals()
-	explored, decisions, compute := ctl.Overhead()
-	if decisions > 0 {
-		res.ExploredPerStep = float64(explored) / float64(decisions)
-		res.DecideTimePerStep = compute / time.Duration(decisions)
+	if r.decisions > 0 {
+		res.ExploredPerStep = float64(r.explored) / float64(r.decisions)
+		res.DecideTimePerStep = h.DecideTime() / time.Duration(r.decisions)
 	}
 	return res, nil
 }

@@ -165,11 +165,13 @@ func TestGammaCandidatesPricedOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	check := func(label string) {
+	obs := Observation{QueueLens: []float64{60, 10, 0, 5}, LambdaHat: 180, Delta: 40, CHat: 0.0175, Available: []bool{true, true, true, true}}
+	check := func(label string, inForce Decision) {
 		t.Helper()
-		for _, alpha := range ctl.alphaCandidates([]bool{true, true, true, true}) {
+		obs.InForce = &inForce
+		for _, alpha := range ctl.alphaCandidates(obs) {
 			seen := map[string]bool{}
-			for _, g := range ctl.gammaCandidates(alpha) {
+			for _, g := range ctl.gammaCandidates(alpha, inForce.Gamma) {
 				u, _ := units(g)
 				if k := fmt.Sprint(u); seen[k] {
 					t.Fatalf("%s: α %v prices γ %v twice", label, alpha, g)
@@ -179,11 +181,16 @@ func TestGammaCandidatesPricedOnce(t *testing.T) {
 			}
 		}
 	}
-	check("start-up")
-	if _, err := ctl.Decide(Observation{QueueLens: []float64{60, 10, 0, 5}, LambdaHat: 180, Delta: 40, CHat: 0.0175}); err != nil {
+	fresh, err := ctl.fresh()
+	if err != nil {
 		t.Fatal(err)
 	}
-	check("after a decision")
+	check("start-up", fresh)
+	dec, err := ctl.Decide(obs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("after a decision", dec)
 }
 
 // BenchmarkCentralDecide times one decision of a fresh flat controller at

@@ -23,9 +23,8 @@ package chaos
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
-	"sync"
 
 	"hierctl/internal/workload"
 )
@@ -182,10 +181,10 @@ func (s *Schedule) ActionsAt(k int) []Action {
 	return s.at[k]
 }
 
-// Spec is one registered chaos plan builder. Build must be deterministic
-// per (seed, span): the chaos matrix snapshot is committed byte-for-byte.
+// Spec is one chaos plan builder. Build must be deterministic per (seed,
+// span): the chaos matrix snapshot is committed byte-for-byte.
 type Spec struct {
-	// Name is the registry key (lowercase, no spaces or colons).
+	// Name is the plan's key (lowercase, no spaces or colons).
 	Name string
 	// Description is a one-line summary for listings and docs.
 	Description string
@@ -194,69 +193,25 @@ type Spec struct {
 	Build func(seed int64, span float64) Plan
 }
 
-var (
-	regMu sync.RWMutex
-	reg   = map[string]Spec{}
-)
+// Specs returns every chaos plan spec sorted by name.
+func Specs() []Spec { return slices.Clone(specs) }
 
-// Register adds a chaos plan spec to the registry. Names must be unique,
-// non-empty, and free of reserved separators.
-func Register(s Spec) error {
-	if s.Name == "" {
-		return fmt.Errorf("chaos: spec with empty name")
-	}
-	if strings.ContainsAny(s.Name, ": \t\n") {
-		return fmt.Errorf("chaos: spec name %q contains reserved characters", s.Name)
-	}
-	if s.Build == nil {
-		return fmt.Errorf("chaos: spec %q has no builder", s.Name)
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := reg[s.Name]; dup {
-		return fmt.Errorf("chaos: spec %q already registered", s.Name)
-	}
-	reg[s.Name] = s
-	return nil
-}
-
-func mustRegister(s Spec) {
-	if err := Register(s); err != nil {
-		panic(err)
-	}
-}
-
-// Specs returns every registered spec sorted by name.
-func Specs() []Spec {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]Spec, 0, len(reg))
-	for _, s := range reg {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// Names returns the sorted registered plan names.
+// Names returns the sorted plan names.
 func Names() []string {
-	specs := Specs()
-	names := make([]string, 0, len(specs))
-	for _, s := range specs {
-		names = append(names, s.Name)
+	names := make([]string, len(specs))
+	for i, s := range specs {
+		names[i] = s.Name
 	}
 	return names
 }
 
-// Lookup resolves a registered spec by name, erroring with the full list
-// so CLI callers get an actionable message.
+// Lookup resolves a plan spec by name, erroring with the full list so CLI
+// callers get an actionable message.
 func Lookup(name string) (Spec, error) {
-	regMu.RLock()
-	s, ok := reg[name]
-	regMu.RUnlock()
-	if !ok {
-		return Spec{}, fmt.Errorf("chaos: unknown plan %q (registered: %s)",
-			name, strings.Join(Names(), ", "))
+	for _, s := range specs {
+		if s.Name == name {
+			return s, nil
+		}
 	}
-	return s, nil
+	return Spec{}, fmt.Errorf("chaos: unknown plan %q (plans: %s)", name, strings.Join(Names(), ", "))
 }

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -109,35 +110,34 @@ func TestScheduleValidation(t *testing.T) {
 	}
 }
 
+// TestRegistry pins the plan table: its names are unique, sorted,
+// non-empty and free of separators, every plan has a builder, and Lookup
+// finds each built-in plan and no other.
 func TestRegistry(t *testing.T) {
 	names := Names()
 	if len(names) < 7 {
-		t.Fatalf("registry holds %d plans, want >= 7: %v", len(names), names)
+		t.Fatalf("table holds %d plans, want >= 7: %v", len(names), names)
 	}
-	for i := 1; i < len(names); i++ {
-		if names[i-1] >= names[i] {
-			t.Fatalf("names not sorted: %v", names)
+	for i, name := range names {
+		if name == "" || strings.ContainsAny(name, ": \t\n") {
+			t.Errorf("plan name %q is empty or holds a separator", name)
+		}
+		if i > 0 && names[i-1] >= name {
+			t.Errorf("names not sorted and unique: %v", names)
+		}
+	}
+	for _, s := range Specs() {
+		if s.Build == nil {
+			t.Errorf("plan %q has no builder", s.Name)
 		}
 	}
 	for _, want := range []string{"none", "drop-bins", "corrupt-counts", "delay-dupe", "flap", "deadline", "mixed"} {
-		if _, err := Lookup(want); err != nil {
-			t.Errorf("built-in plan %q missing: %v", want, err)
+		if s, err := Lookup(want); err != nil || s.Name != want {
+			t.Errorf("built-in plan %q: got %q, %v", want, s.Name, err)
 		}
 	}
 	if _, err := Lookup("no-such-plan"); err == nil {
 		t.Error("Lookup accepted an unknown name")
-	}
-	if err := Register(Spec{Name: "none", Build: func(int64, float64) Plan { return Plan{} }}); err == nil {
-		t.Error("duplicate registration accepted")
-	}
-	if err := Register(Spec{Name: "", Build: func(int64, float64) Plan { return Plan{} }}); err == nil {
-		t.Error("empty name accepted")
-	}
-	if err := Register(Spec{Name: "bad name", Build: func(int64, float64) Plan { return Plan{} }}); err == nil {
-		t.Error("name with space accepted")
-	}
-	if err := Register(Spec{Name: "nobuild"}); err == nil {
-		t.Error("spec without builder accepted")
 	}
 }
 

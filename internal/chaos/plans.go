@@ -80,40 +80,41 @@ func mixedPlan(seed int64, span float64) Plan {
 	return p
 }
 
-func init() {
-	mustRegister(Spec{
-		Name:        "none",
-		Description: "empty plan — pinned bit-identical to running without chaos",
-		Build:       func(int64, float64) Plan { return Plan{Name: "none"} },
-	})
-	mustRegister(Spec{
-		Name:        "drop-bins",
-		Description: "three multi-tick observation blackouts across all modules (sanitizer hold probe)",
-		Build:       dropPlan,
-	})
-	mustRegister(Spec{
+// specs is every chaos plan, sorted by name.
+var specs = []Spec{
+	{
 		Name:        "corrupt-counts",
 		Description: "NaN, negative, and x1000-spiked observation counts (sanitizer reject + estimator stress)",
 		Build:       corruptPlan,
-	})
-	mustRegister(Spec{
-		Name:        "delay-dupe",
-		Description: "delayed (2-3 ticks) and duplicated observation delivery (ordering stress)",
-		Build:       delayDupePlan,
-	})
-	mustRegister(Spec{
-		Name:        "flap",
-		Description: "computer 0 of module 0 flaps three times (~4% of span per outage)",
-		Build:       flapPlan,
-	})
-	mustRegister(Spec{
+	},
+	{
 		Name:        "deadline",
 		Description: "LLC decision budget squeezed to 48 explored states per decision (fallback probe)",
 		Build:       deadlinePlan,
-	})
-	mustRegister(Spec{
+	},
+	{
+		Name:        "delay-dupe",
+		Description: "delayed (2-3 ticks) and duplicated observation delivery (ordering stress)",
+		Build:       delayDupePlan,
+	},
+	{
+		Name:        "drop-bins",
+		Description: "three multi-tick observation blackouts across all modules (sanitizer hold probe)",
+		Build:       dropPlan,
+	},
+	{
+		Name:        "flap",
+		Description: "computer 0 of module 0 flaps three times (~4% of span per outage)",
+		Build:       flapPlan,
+	},
+	{
 		Name:        "mixed",
 		Description: "drop-bins + corrupt-counts + flap combined",
 		Build:       mixedPlan,
-	})
+	},
+	{
+		Name:        "none",
+		Description: "empty plan — pinned bit-identical to running without chaos",
+		Build:       func(int64, float64) Plan { return Plan{Name: "none"} },
+	},
 }

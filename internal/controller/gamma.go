@@ -15,8 +15,11 @@
 // Invariants: every controller's Decide is a pure function of its
 // observation — the L1's includes the on/off vector in force, the L2's the
 // module split in force — so decisions are reproducible given the
-// observation stream, and a controller's checkpoint is its overhead counts
-// alone; the learned artifacts (GMap, TreeJTilde)
+// observation stream and a controller has nothing to checkpoint (pinned by
+// TestControllersHaveNoMemory). Each decision reports what it explored
+// (L0.Decide's count, L1Decision.Explored, L2Decision.Explored) and the
+// caller meters the §4.3 overhead; a controller reads the clock only for
+// its flight record's latency. The learned artifacts (GMap, TreeJTilde)
 // are keyed by configuration fingerprints and are read-only during
 // decision making, which is what lets managers share them across identical
 // hardware and lets snapshots skip relearning.

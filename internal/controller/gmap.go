@@ -115,8 +115,7 @@ func LearnGMap(l0cfg L0Config, spec cluster.ComputerSpec, cfg GMapConfig) (*GMap
 }
 
 // simulateCell runs the closed L0 loop on the fluid model for one L1
-// period with constant environment inputs, through the L0's search: a
-// learning decision is not metered.
+// period with constant environment inputs, through the L0's search.
 func (g *GMap) simulateCell(l0 *L0, q0, lambda, c float64) (avgCost, qEnd, avgResp, avgPower float64, err error) {
 	state := queue.State{Q: q0}
 	lam := [1]float64{lambda}

@@ -157,8 +157,6 @@ type L0 struct {
 	envBacking []float64
 	envSamples int
 
-	meter
-
 	// Flight recorder (nil = disabled) and this computer's coordinates
 	// in its records.
 	rec       *obs.Recorder
@@ -280,22 +278,25 @@ func (l *L0) SetRecorder(r *obs.Recorder, module, comp int) {
 // down to the frequency controller: with δ > 0 each horizon step's cost
 // averages the three sampled rates {λ̂−δ, λ̂, λ̂+δ}, so the processor hedges
 // against arrival bursts instead of riding the queue at the set-point.
+// explored counts the states the search evaluated (the §4.3 overhead
+// metric).
 //
 //hpm:hotpath
-func (l *L0) Decide(queueLen float64, lambda []float64, delta, cHat float64) (freqIdx int, err error) {
+func (l *L0) Decide(queueLen float64, lambda []float64, delta, cHat float64) (freqIdx, explored int, err error) {
 	if len(lambda) == 0 {
-		return 0, fmt.Errorf("controller: L0 needs at least one arrival-rate forecast")
+		return 0, 0, fmt.Errorf("controller: L0 needs at least one arrival-rate forecast")
 	}
 	if cHat <= 0 {
-		return 0, fmt.Errorf("controller: L0 processing-time estimate %v <= 0", cHat)
+		return 0, 0, fmt.Errorf("controller: L0 processing-time estimate %v <= 0", cHat)
 	}
-	start := time.Now() //hpm:wallclock decide-latency for the §4.3 overhead metric; observe-only
+	var start time.Time
+	if l.rec.Enabled() {
+		start = time.Now() //hpm:wallclock decide latency for the flight record; observe-only
+	}
 	res, err := l.search(queueLen, lambda, delta, cHat)
 	if err != nil {
-		return 0, fmt.Errorf("controller: L0 search: %w", err)
+		return 0, 0, fmt.Errorf("controller: L0 search: %w", err)
 	}
-	elapsed := time.Since(start) //hpm:wallclock decide-latency for the §4.3 overhead metric; observe-only
-	l.count(res.Explored, elapsed)
 	if l.rec.Enabled() {
 		l.rec.Record(obs.Record{
 			Level:    obs.LevelL0,
@@ -303,11 +304,11 @@ func (l *L0) Decide(queueLen float64, lambda []float64, delta, cHat float64) (fr
 			Comp:     l.recComp,
 			FreqIdx:  int16(res.Inputs[0]),
 			Explored: int32(res.Explored),
-			DecideNs: elapsed.Nanoseconds(),
+			DecideNs: time.Since(start).Nanoseconds(), //hpm:wallclock decide latency for the flight record; observe-only
 			Cost:     res.Cost,
 		})
 	}
-	return res.Inputs[0], nil
+	return res.Inputs[0], res.Explored, nil
 }
 
 // search fills the forecast buffers for one decision and runs the bounded

@@ -206,7 +206,6 @@ type L1 struct {
 	bestAlphaScr []bool
 	bestGammaScr []float64
 
-	meter
 	// maxExplored is the decision budget (see SetMaxExplored); 0 = none.
 	maxExplored int
 
@@ -374,13 +373,15 @@ func (l *L1) Decide(obs L1Observation) (L1Decision, error) {
 		clear(l.bestAlphaScr)
 		clear(l.bestGammaScr)
 		dec := L1Decision{Alpha: l.bestAlphaScr, Gamma: l.bestGammaScr}
-		l.decisions++
 		if l.rec.Enabled() {
 			l.record(dec, 0, 0)
 		}
 		return dec, nil
 	}
-	start := time.Now() //hpm:wallclock decide-latency for the §4.3 overhead metric; observe-only
+	var start time.Time
+	if l.rec.Enabled() {
+		start = time.Now() //hpm:wallclock decide latency for the flight record; observe-only
+	}
 
 	samples := bandSamples(&l.samplesBuf, obs.LambdaHat, obs.Delta, l.cfg.UncertaintySamples)
 	masks := l.alphaCandidates(obs.Available)
@@ -402,10 +403,8 @@ func (l *L1) Decide(obs L1Observation) (L1Decision, error) {
 		return L1Decision{}, fmt.Errorf("controller: L1 found no candidate configuration")
 	}
 	best := L1Decision{Alpha: l.bestAlphaScr, Gamma: l.bestGammaScr, Explored: l.probes}
-	elapsed := time.Since(start) //hpm:wallclock decide-latency for the §4.3 overhead metric; observe-only
-	l.count(l.probes, elapsed)
 	if l.rec.Enabled() {
-		l.record(best, bestCost, elapsed)
+		l.record(best, bestCost, time.Since(start)) //hpm:wallclock decide latency for the flight record; observe-only
 	}
 	return best, nil
 }

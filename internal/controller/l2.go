@@ -130,7 +130,6 @@ type L2 struct {
 	cost       []float64
 	suf        []float64
 
-	meter
 	// maxExplored is the decision budget (see SetMaxExplored); 0 = none.
 	maxExplored int
 
@@ -208,7 +207,10 @@ func (l *L2) Decide(obs L2Observation) (L2Decision, error) {
 	if obs.LambdaHat < 0 {
 		obs.LambdaHat = 0
 	}
-	start := time.Now() //hpm:wallclock decide-latency for the §4.3 overhead metric; observe-only
+	var start time.Time
+	if l.rec.Enabled() {
+		start = time.Now() //hpm:wallclock decide latency for the flight record; observe-only
+	}
 
 	copy(l.avail, obs.Available)
 	explored, err := l.priceTerms(obs)
@@ -235,8 +237,6 @@ func (l *L2) Decide(obs L2Observation) (L2Decision, error) {
 		l.decGamma[i] = float64(u) * QuantumL2
 		r -= u
 	}
-	elapsed := time.Since(start) //hpm:wallclock decide-latency for the §4.3 overhead metric; observe-only
-	l.count(explored, elapsed)
 	if l.rec.Enabled() {
 		l.rec.Record(flight.Record{
 			Level:    flight.LevelL2,
@@ -244,7 +244,7 @@ func (l *L2) Decide(obs L2Observation) (L2Decision, error) {
 			Comp:     -1,
 			FreqIdx:  -1,
 			Explored: int32(explored),
-			DecideNs: elapsed.Nanoseconds(),
+			DecideNs: time.Since(start).Nanoseconds(), //hpm:wallclock decide latency for the flight record; observe-only
 			Cost:     bestCost,
 		})
 		for i, g := range l.decGamma {

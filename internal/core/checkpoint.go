@@ -8,13 +8,13 @@ import (
 )
 
 // checkpointVersion is the first word of every session checkpoint. A
-// reader also takes versions 1 and 2 (see restore) and refuses any other.
-const checkpointVersion = 3
+// reader also takes versions 1 to 3 (see restore) and refuses any other.
+const checkpointVersion = 4
 
 // Checkpoint appends to w the state of a streaming session after its last
 // clean bin — the harness (plant, feed, store, random streams, counters),
 // every estimator, each module's decision in force, the module split in
-// force, each controller's overhead counts, and the flight recorder's
+// force, the run's overhead counts per level, and the flight recorder's
 // Total — as one versioned blob.
 // Nothing derivable from the manager's configuration or its learned
 // artifacts is written. A session opened on a trace, finished, or stopped
@@ -71,8 +71,10 @@ func (s *Session) RestoreCheckpoint(b []byte) error {
 
 // checkpoint appends the hierarchy's side of a session checkpoint. The
 // cluster words — the split, the cluster rate and arrival counter, each
-// module's L0 correction, the cluster filter and band, the L2's counts —
-// are written only with an L2: a one-module run holds no cluster state.
+// module's L0 correction, the cluster filter and band, the L2's overhead
+// counts — are written only with an L2: a one-module run holds no cluster
+// state. No controller is written: each decides from its observation
+// alone.
 func (r *run) checkpoint(w *ckpt.Writer) {
 	w.Floats(r.respWindow)
 	if r.l2 != nil {
@@ -98,34 +100,37 @@ func (r *run) checkpoint(w *ckpt.Writer) {
 		if r.l2 != nil {
 			w.Float(asm.l0Ratio)
 		}
-		asm.l1.Checkpoint(w)
-		for _, l0 := range asm.l0s {
-			l0.Checkpoint(w)
-		}
 	}
+	rec := r.rec
+	writeCounts(w, rec.L0Explored, rec.L0Decisions)
+	writeCounts(w, rec.L1Explored, rec.L1Decisions)
 	if r.l2 != nil {
 		r.kalmanG.Checkpoint(w)
 		r.bandG.Checkpoint(w)
-		r.l2.Checkpoint(w)
+		writeCounts(w, rec.L2Explored, rec.L2Decisions)
 	}
 	r.recorder.Checkpoint(w)
 }
 
-// restore reads back what checkpoint wrote, of version v. Versions 1 and 2
-// also wrote a flag saying whether the split follows (not before the first
-// L2 decision, when the split build seeded stands), each module's
-// forecast-made flag (set at every boundary past the first), the L2's own
-// copy of the split, and the cluster words on a one-module run too, where
-// nothing reads them; those are read and dropped. Version 1 also wrote per
-// module the pending reallocation ratio (1 at every checkpoint) and its
-// L1's copy of the module decision, and the harness's second copy of each
-// module observation.
+// restore reads back what checkpoint wrote, of version v. Versions 1 to 3
+// wrote the overhead counts per controller — in each module's words its
+// L1's, then each L0's, and the L2's where the run's L2 counts stand now —
+// and they are summed per level. Versions 1 and 2 also wrote a flag saying
+// whether the split follows (not before the first L2 decision, when the
+// split build seeded stands), each module's forecast-made flag (set at
+// every boundary past the first), the L2's own copy of the split, and the
+// cluster words on a one-module run too, where nothing reads them; those
+// are read and dropped. Version 1 also wrote per module the pending
+// reallocation ratio (1 at every checkpoint) and its L1's copy of the
+// module decision, and the harness's second copy of each module
+// observation.
 func (r *run) restore(rd *ckpt.Reader, v uint64) {
-	old := v < checkpointVersion
-	cluster := r.l2 != nil || old
+	upToV2 := v < 3
+	cluster := r.l2 != nil || upToV2
+	rec := r.rec
 	rd.Floats(r.respWindow)
 	follows := r.l2 != nil
-	if old {
+	if upToV2 {
 		follows = rd.Bool()
 	}
 	if follows {
@@ -150,7 +155,7 @@ func (r *run) restore(rd *ckpt.Reader, v uint64) {
 		rd.Floats(asm.gamma)
 		asm.arrivedTL1 = rd.IntIn(0, maxCount, "arrivals")
 		asm.predictedTL1 = rd.Float()
-		if old {
+		if upToV2 {
 			rd.Bool()
 		}
 		if v == 1 {
@@ -163,20 +168,26 @@ func (r *run) restore(rd *ckpt.Reader, v uint64) {
 			rd.Bools(asm.obsAvail)
 			rd.Floats(asm.obsQueues)
 		}
-		asm.l1.RestoreCheckpoint(rd)
-		for _, l0 := range asm.l0s {
-			l0.RestoreCheckpoint(rd)
+		if v < 4 {
+			readCounts(rd, &rec.L1Explored, &rec.L1Decisions)
+			for range asm.l0s {
+				readCounts(rd, &rec.L0Explored, &rec.L0Decisions)
+			}
 		}
+	}
+	if v >= 4 {
+		readCounts(rd, &rec.L0Explored, &rec.L0Decisions)
+		readCounts(rd, &rec.L1Explored, &rec.L1Decisions)
 	}
 	switch {
 	case r.l2 != nil:
 		r.kalmanG.RestoreCheckpoint(rd)
 		r.bandG.RestoreCheckpoint(rd)
-		if old { // into the observation scratch, which the next decision rewrites
+		if upToV2 { // into the observation scratch, which the next decision rewrites
 			rd.Floats(r.l2QAvg)
 		}
-		r.l2.RestoreCheckpoint(rd)
-	case old: // a one-module run's cluster words, dropped for what build made
+		readCounts(rd, &rec.L2Explored, &rec.L2Decisions)
+	case upToV2: // a one-module run's cluster words, dropped for what build made
 		new(forecast.Kalman).RestoreCheckpoint(rd)
 		new(forecast.EWMA).RestoreCheckpoint(rd) // a band's words are its EWMA's
 		r.gammaModules[0], r.lambdaGRate, r.arrivedTL2, r.modules[0].l0Ratio = 1, 0, 0, 1
@@ -184,6 +195,19 @@ func (r *run) restore(rd *ckpt.Reader, v uint64) {
 	r.recorder.RestoreCheckpoint(rd)
 }
 
-// maxCount bounds a restored arrival counter: far past any period's
-// arrivals at the fleet's 10⁶-per-bin cap.
+// writeCounts appends one level's overhead counts.
+func writeCounts(w *ckpt.Writer, explored, decisions int) {
+	w.Int(int64(explored))
+	w.Int(int64(decisions))
+}
+
+// readCounts adds one explored-and-decisions pair of counts to the run's
+// sums, which a restore starts at zero.
+func readCounts(rd *ckpt.Reader, explored, decisions *int) {
+	*explored += rd.IntIn(0, maxCount, "explored count")
+	*decisions += rd.IntIn(0, maxCount, "decision count")
+}
+
+// maxCount bounds a restored counter: far past any period's arrivals at
+// the fleet's 10⁶-per-bin cap, and any run's explored states.
 const maxCount = 1 << 52

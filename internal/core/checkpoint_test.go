@@ -169,7 +169,7 @@ func TestSessionCheckpointRestoresState(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, r := range []*Record{gotRec, wantRec} {
-			r.L0Time, r.L1Time, r.L2Time, r.LearnTime = 0, 0, 0, 0
+			r.DecideTime, r.LearnTime = 0, 0
 		}
 		if !reflect.DeepEqual(gotRec, wantRec) {
 			t.Fatalf("cut %d: close record\n%+v\nwant\n%+v", cut, gotRec, wantRec)

@@ -314,7 +314,7 @@ func TestPanicFallbackTwoModules(t *testing.T) {
 		if out.rec, err = s.Finish(); err != nil {
 			t.Fatal(err)
 		}
-		out.rec.LearnTime, out.rec.L0Time, out.rec.L1Time, out.rec.L2Time = 0, 0, 0, 0
+		out.rec.LearnTime, out.rec.DecideTime = 0, 0
 		return out
 	}
 	a := runOnce()

@@ -20,7 +20,8 @@ type ckptWord struct {
 	n    int
 }
 
-// The layouts of the estimators' and controllers' checkpoints.
+// The layouts of the estimators' checkpoints and of a level's overhead
+// counts.
 var (
 	kalmanWords = []ckptWord{{"level", 'f', 1}, {"trend", 'f', 1}, {"P", 'f', 4}, {"steps", 'v', 1}}
 	ewmaWords   = []ckptWord{{"value", 'f', 1}, {"started", 'b', 1}}
@@ -75,9 +76,9 @@ func (k *ckptWalk) put(name string, words []ckptWord, write func(*ckpt.Writer)) 
 	}
 }
 
-// walkCheckpoint labels the fields run.checkpoint writes, each controller's
-// and estimator's split into its words, and checks that the walk writes the
-// session's checkpoint byte for byte.
+// walkCheckpoint labels the fields run.checkpoint writes, each estimator's
+// and each level's counts split into their words, and checks that the walk
+// writes the session's checkpoint byte for byte.
 func walkCheckpoint(t *testing.T, s *Session) []ckptField {
 	t.Helper()
 	k := &ckptWalk{t: t}
@@ -115,15 +116,14 @@ func walkCheckpoint(t *testing.T, s *Session) []ckptField {
 		if r.l2 != nil {
 			k.put(m+"l0Ratio", nil, func(w *ckpt.Writer) { w.Float(asm.l0Ratio) })
 		}
-		k.put(m+"l1", countWords, asm.l1.Checkpoint)
-		for _, l0 := range asm.l0s {
-			k.put(m+"l0", countWords, l0.Checkpoint)
-		}
 	}
+	rec := r.rec
+	k.put("l0", countWords, func(w *ckpt.Writer) { writeCounts(w, rec.L0Explored, rec.L0Decisions) })
+	k.put("l1", countWords, func(w *ckpt.Writer) { writeCounts(w, rec.L1Explored, rec.L1Decisions) })
 	if r.l2 != nil {
 		k.put("kalmanG", kalmanWords, r.kalmanG.Checkpoint)
 		k.put("bandG", ewmaWords, r.bandG.Checkpoint)
-		k.put("l2", countWords, r.l2.Checkpoint)
+		k.put("l2", countWords, func(w *ckpt.Writer) { writeCounts(w, rec.L2Explored, rec.L2Decisions) })
 	}
 	k.put("recorder.total", nil, r.recorder.Checkpoint)
 	var want ckpt.Writer
@@ -189,7 +189,7 @@ func playLiveness(t *testing.T, store *ArtifactStore, modules int, blob []byte, 
 		out.failed = err.Error()
 		return out
 	}
-	final.L0Time, final.L1Time, final.L2Time, final.LearnTime = 0, 0, 0, 0
+	final.DecideTime, final.LearnTime = 0, 0
 	out.rec, out.total = final, rec.Total()
 	out.recs = rec.Window(nil, 0)
 	if uint64(len(out.recs)) != out.total-start {
@@ -206,7 +206,8 @@ func playLiveness(t *testing.T, store *ArtifactStore, modules int, blob []byte, 
 type livenessCut struct{ modules, bin int }
 
 // TestCheckpointFieldsLive is the checkpoint's liveness property: every
-// field that run.checkpoint and the controllers' Checkpoint write is read.
+// field that run.checkpoint writes is read, the run's overhead counts
+// included.
 // For each byte of each field, a restore of the checkpoint with bit 6, 1 or
 // 0 flipped — never a varint's continuation bit; bit 0 is a zig-zag
 // varint's sign — is played livenessBins bins and finished; the field is

@@ -70,10 +70,16 @@ type Record struct {
 	ResponseP50, ResponseP99, ResponseMax float64
 	TargetResponse                        float64
 
-	// Overhead (per level, summed over the run).
+	// Overhead: per level, the states explored and the decisions made,
+	// summed over the run's decisions that returned (a budget trip or a
+	// recovered panic counts for neither).
 	L0Explored, L1Explored, L2Explored    int
 	L0Decisions, L1Decisions, L2Decisions int
-	L0Time, L1Time, L2Time                time.Duration
+	// DecideTime is the wall-clock time of every tick's decide step, all
+	// three levels and the dispatch fractions, timed by the harness
+	// (engine.Harness.DecideTime). A restored session counts from its
+	// restore.
+	DecideTime time.Duration
 	// LearnTime is the offline phase (maps g + trees J̃).
 	LearnTime time.Duration
 }
@@ -93,12 +99,11 @@ func (r *Record) ExploredPerL1Decision() float64 {
 }
 
 // DecisionTimePerPeriod returns the mean online computation time spent per
-// L1 period across the whole hierarchy (the §4.3/§5.2 execution-time
-// metric).
+// L1 decision across the whole hierarchy, DecideTime over L1Decisions (the
+// §4.3/§5.2 execution-time metric).
 func (r *Record) DecisionTimePerPeriod() time.Duration {
 	if r.L1Decisions == 0 {
 		return 0
 	}
-	total := r.L0Time + r.L1Time + r.L2Time
-	return total / time.Duration(r.L1Decisions)
+	return r.DecideTime / time.Duration(r.L1Decisions)
 }

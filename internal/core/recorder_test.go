@@ -63,7 +63,7 @@ func TestManagerRecorderEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				r.LearnTime, r.L0Time, r.L1Time, r.L2Time = 0, 0, 0, 0
+				r.LearnTime, r.DecideTime = 0, 0
 				return r
 			}
 			// sequence is everything the recorder holds, oldest first,

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"time"
 
 	"hierctl/internal/cluster"
 	"hierctl/internal/controller"
@@ -365,6 +366,8 @@ func (r *run) decideL2(k int) (err error) {
 	if err != nil {
 		return err
 	}
+	r.rec.L2Explored += dec.Explored
+	r.rec.L2Decisions++
 	// Propagate the reallocation to the module forecasts: λ_i = γ_i·λ_g,
 	// so a module whose share changed expects arrivals scaled by the
 	// share ratio until its own filter has seen the new regime.
@@ -386,10 +389,11 @@ func (r *run) decideL2(k int) (err error) {
 	return nil
 }
 
-// planL1 runs one module's L1 controller and appends the boundary's Fig. 4
-// (predicted, actual) pair. It touches only module i's own estimators and
-// reads (never mutates) the shared plant. The decision is valid until the
-// L1's next Decide — the next boundary, long after applyL1 copied it.
+// planL1 runs one module's L1 controller, counts its decision, and appends
+// the boundary's Fig. 4 (predicted, actual) pair. It touches only module
+// i's own estimators and reads (never mutates) the shared plant. The
+// decision is valid until the L1's next Decide — the next boundary, long
+// after applyL1 copied it.
 func (r *run) planL1(i int, k int) (dec controller.L1Decision, err error) {
 	defer recoverAs(&err, "L1")
 	m := r.m
@@ -454,7 +458,11 @@ func (r *run) planL1(i int, k int) (dec controller.L1Decision, err error) {
 	if r.l1Failpoint != nil {
 		r.l1Failpoint(i, k)
 	}
-	return asm.l1.Decide(obs)
+	if dec, err = asm.l1.Decide(obs); err == nil {
+		r.rec.L1Explored += dec.Explored
+		r.rec.L1Decisions++
+	}
+	return dec, err
 }
 
 // applyL1 commits module i's decision: the plant's on/off switches and
@@ -507,13 +515,16 @@ func (r *run) decideL0(i int, asm *moduleAsm, k int) (degraded bool, err error) 
 		if m.cfg.OracleForecast {
 			delta = 0
 		}
-		idx, err := searchL0(asm.l0s[j], float64(asm.lastPer[j].QueueLen), lambda, delta, cHat)
+		idx, explored, err := searchL0(asm.l0s[j], float64(asm.lastPer[j].QueueLen), lambda, delta, cHat)
 		if err != nil {
 			if !degradable(err) {
 				return degraded, err
 			}
 			idx = len(asm.specs[j].FrequenciesHz) - 1
 			degraded = true
+		} else {
+			r.rec.L0Explored += explored
+			r.rec.L0Decisions++
 		}
 		if err := r.plant.SetFrequency(i, j, idx); err != nil {
 			return degraded, err
@@ -526,7 +537,7 @@ func (r *run) decideL0(i int, asm *moduleAsm, k int) (degraded bool, err error) 
 
 // searchL0 is one computer's L0 search under the panic guard, which
 // covers the search and never the actuation that follows it.
-func searchL0(l0 *controller.L0, queueLen float64, lambda []float64, delta, cHat float64) (idx int, err error) {
+func searchL0(l0 *controller.L0, queueLen float64, lambda []float64, delta, cHat float64) (idx, explored int, err error) {
 	defer recoverAs(&err, "L0")
 	return l0.Decide(queueLen, lambda, delta, cHat)
 }
@@ -610,10 +621,10 @@ func moduleAvailable(p *cluster.Plant, i int) bool {
 	return false
 }
 
-// finish assembles the Record around the harness's run outcome. The
-// harness has already drained in-flight work and closed the energy
-// accounting.
-func (r *run) finish(tot engine.Totals) *Record {
+// finish assembles the Record around the harness's run outcome and its
+// decide clock. The harness has already drained in-flight work and closed
+// the energy accounting.
+func (r *run) finish(tot engine.Totals, decide time.Duration) *Record {
 	rec := r.rec
 
 	// Assemble the Fig. 4 prediction series: per T_L1 boundary, sum the
@@ -636,23 +647,6 @@ func (r *run) finish(tot engine.Totals) *Record {
 	rec.ResponseP50 = lat.Quantile(0.50)
 	rec.ResponseP99 = lat.Quantile(0.99)
 	rec.ResponseMax = lat.Max()
-	for _, asm := range r.modules {
-		for _, l0 := range asm.l0s {
-			e, d, ct := l0.Overhead()
-			rec.L0Explored += e
-			rec.L0Decisions += d
-			rec.L0Time += ct
-		}
-		e, d, ct := asm.l1.Overhead()
-		rec.L1Explored += e
-		rec.L1Decisions += d
-		rec.L1Time += ct
-	}
-	if r.l2 != nil {
-		e, d, ct := r.l2.Overhead()
-		rec.L2Explored = e
-		rec.L2Decisions = d
-		rec.L2Time = ct
-	}
+	rec.DecideTime = decide
 	return rec
 }

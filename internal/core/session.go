@@ -518,7 +518,7 @@ func (s *Session) Finish() (*Record, error) {
 	if err := s.h.Finish(); err != nil {
 		return nil, err
 	}
-	return s.r.finish(s.h.Totals()), nil
+	return s.r.finish(s.h.Totals(), s.h.DecideTime()), nil
 }
 
 // refreshDecision rewrites r.last, in place, with the decision payload

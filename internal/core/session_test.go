@@ -358,7 +358,7 @@ func TestManagerSessionsAreIndependent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec.LearnTime, rec.L0Time, rec.L1Time, rec.L2Time = 0, 0, 0, 0
+		rec.LearnTime, rec.DecideTime = 0, 0
 		return rec
 	}
 

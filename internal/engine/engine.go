@@ -137,6 +137,9 @@ type Harness struct {
 	// window is the running sum of every tick's Interval, module by module
 	// (see WindowTotals).
 	window Interval
+	// decideTime is the wall-clock sum of every tick's Policy.Decide (see
+	// DecideTime).
+	decideTime time.Duration
 }
 
 // New builds the harness: the plant is constructed and warm-started (every
@@ -333,18 +336,13 @@ func (h *Harness) Tick() error {
 	reqs := h.batch[h.cuts[d]:h.cuts[d+1]]
 	rec := h.cfg.Recorder
 	rec.SetTick(int64(k))
-	var decideStart time.Time
-	if rec.Enabled() {
-		decideStart = time.Now() //hpm:wallclock decide-latency telemetry; observe-only, never a decision input
-	}
+	decideStart := time.Now() //hpm:wallclock decide latency for the §4.3 overhead metric; observe-only, never a decision input
 	st, err := h.policy.Decide(k, len(reqs))
 	if err != nil {
 		return err
 	}
-	var decideNs int64
-	if rec.Enabled() {
-		decideNs = time.Since(decideStart).Nanoseconds() //hpm:wallclock decide-latency telemetry; observe-only, never a decision input
-	}
+	decide := time.Since(decideStart) //hpm:wallclock decide latency for the §4.3 overhead metric; observe-only, never a decision input
+	h.decideTime += decide
 	if len(reqs) > 0 {
 		if err := h.plant.Dispatch(reqs, st.GammaModules, st.GammaComputers); err != nil {
 			return err
@@ -394,7 +392,7 @@ func (h *Harness) Tick() error {
 			Module:   -1,
 			Comp:     -1,
 			FreqIdx:  -1,
-			DecideNs: decideNs,
+			DecideNs: decide.Nanoseconds(),
 			Resp:     mean,
 			QoS:      violated,
 			Degraded: st.Degraded,
@@ -490,6 +488,12 @@ func (h *Harness) Totals() Totals {
 	out.ResponseP95 = h.plant.Latencies().Quantile(0.95)
 	return out
 }
+
+// DecideTime returns the wall-clock time the policy's Decide took, summed
+// over every tick this harness has run: the §4.3 decision-time metric of
+// every policy, timed around the same call. It is observe-only and not
+// checkpointed: a restored harness counts from zero.
+func (h *Harness) DecideTime() time.Duration { return h.decideTime }
 
 // WindowTotals returns the run's Interval so far: every tick's module
 // aggregates, added one by one as the policy was shown them. Shared-clock

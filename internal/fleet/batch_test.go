@@ -496,7 +496,7 @@ func closeState(t *testing.T, f *Fleet, id string) [2]any {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec.L0Time, rec.L1Time, rec.L2Time, rec.LearnTime = 0, 0, 0, 0
+	rec.DecideTime, rec.LearnTime = 0, 0
 	return [2]any{st, *rec}
 }
 

@@ -72,7 +72,7 @@ func sameFleets(t *testing.T, live, restored *Fleet, from, k int) {
 		}
 		for _, r := range []*core.Record{rec1, rec2} {
 			if r != nil {
-				r.L0Time, r.L1Time, r.L2Time, r.LearnTime = 0, 0, 0, 0
+				r.DecideTime, r.LearnTime = 0, 0
 			}
 		}
 		if !reflect.DeepEqual(rec1, rec2) {

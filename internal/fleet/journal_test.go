@@ -760,7 +760,8 @@ func TestDeltaFrameIsSlim(t *testing.T) {
 // parentJournalGolden is what the code that wrote a parent journal
 // reported for it: the verify report, each live tenant's bins and (in
 // pr32.journal's golden) State, and Next, what each steppable tenant
-// decides on its next bin of 210 arrivals. pr12.journal's Next follows the
+// decides on its next bin of 210 arrivals; in pr55.journal's golden,
+// Overhead is each tenant's overhead counts once it has decided that bin. pr12.journal's Next follows the
 // random streams: it was regenerated once, with BENCH_scenarios.json, when
 // the streams became des.Stream and synthesis went sort-free (α, γ and the
 // frequencies came out as the old stream's; each bin's mean response
@@ -770,6 +771,8 @@ type parentJournalGolden struct {
 	Bins   map[string]int
 	State  map[string]TenantState
 	Next   map[string]core.BinDecision
+	// Overhead is {L0, L1, L2} × {explored, decisions}.
+	Overhead map[string][6]int
 }
 
 // TestParentJournalRecovers pins read compatibility with older layouts
@@ -787,11 +790,18 @@ type parentJournalGolden struct {
 // split flag, the forecast-made flags, the L2's own copy of the split and a
 // one-module tenant's cluster words: a one-module tenant, a two-module
 // tenant mid-run, a two-module tenant based at bin 0, before its first L2
-// decision, and a closed tenant's base and remove. Each verifies
-// to the writer's report; recovers to the same tenants, bins and State, its
-// tenants learning each fingerprint once as creates would; continues with
-// the golden's decisions; and is rewritten without artifacts by the
-// compaction recovery ends with.
+// decision, and a closed tenant's base and remove. pr55.journal's bases
+// are version-3 checkpoints, the last to carry each controller's overhead
+// counts: a one-module tenant at bin 5, a two-module tenant mid-T_L2 at bin
+// 6 and a two-module tenant at bin 0, all live, then two bins of deltas
+// each. Each verifies to the writer's report; recovers to the same tenants,
+// bins and State, its tenants learning each fingerprint once as creates
+// would; continues with the golden's decisions, and its overhead counts
+// from the writer's; and is rewritten as bases
+// alone by the compaction recovery ends with, the same bytes a fresh fleet
+// recovering that rewrite compacts its tenants to. (A log of live tenants
+// need not shrink: bases taken later can outweigh earlier bases and their
+// deltas.)
 //
 //hpm:pin checkpoint
 func TestParentJournalRecovers(t *testing.T) {
@@ -803,6 +813,7 @@ func TestParentJournalRecovers(t *testing.T) {
 		{"pr32", core.ArtifactKindStats{Held: 1, Learns: 1, Shares: 3}, core.ArtifactKindStats{Held: 1, Learns: 1}},
 		{"pr36", core.ArtifactKindStats{Held: 1, Learns: 1, Shares: 4}, core.ArtifactKindStats{Held: 1, Learns: 1}},
 		{"pr52", core.ArtifactKindStats{Held: 1, Learns: 1, Shares: 2}, core.ArtifactKindStats{Held: 1, Learns: 1, Shares: 1}},
+		{"pr55", core.ArtifactKindStats{Held: 1, Learns: 1, Shares: 2}, core.ArtifactKindStats{Held: 1, Learns: 1, Shares: 1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			data, err := os.ReadFile(filepath.Join("testdata", tc.name+".journal"))
@@ -871,8 +882,32 @@ func TestParentJournalRecovers(t *testing.T) {
 			if rewritten.Segments != 1 || rewritten.Frames != 1+rewritten.BaseFrames || rewritten.BaseFrames != want.Report.Tenants || rewritten.Observations != want.Report.Observations {
 				t.Errorf("compacted log: %+v; want one segment of only %d bases, %d observations", rewritten, want.Report.Tenants, want.Report.Observations)
 			}
-			if st, err := os.Stat(path); err != nil || st.Size() >= int64(len(data)) {
-				t.Errorf("compacted log is %d bytes (err %v), want less than the parent layout's %d", st.Size(), err, len(data))
+			compacted, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			again := journalPath(t)
+			if err := os.WriteFile(again, compacted, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			fresh := New(Config{Shards: 2})
+			defer fresh.Close()
+			jf, err := OpenJournal(fresh, again, JournalConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer jf.Close()
+			if got, err := os.ReadFile(again); err != nil || !bytes.Equal(got, compacted) {
+				t.Errorf("a fresh fleet of the recovered tenants compacts to %d bytes (err %v) that are not the recovery's %d", len(got), err, len(compacted))
+			}
+			for id, want := range want.Overhead {
+				r, err := f.CloseTenant(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := [6]int{r.L0Explored, r.L0Decisions, r.L1Explored, r.L1Decisions, r.L2Explored, r.L2Decisions}; got != want {
+					t.Errorf("tenant %s overhead counts %v, want the writer's %v", id, got, want)
+				}
 			}
 		})
 	}

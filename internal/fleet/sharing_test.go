@@ -66,7 +66,7 @@ func runTenant(t *testing.T, f *Fleet, id string, tc TenantConfig, counts []floa
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec.L0Time, rec.L1Time, rec.L2Time, rec.LearnTime = 0, 0, 0, 0
+	rec.DecideTime, rec.LearnTime = 0, 0
 	return decs, rec
 }
 

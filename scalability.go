@@ -82,7 +82,7 @@ func RunScalability(sizes []int, opts ExperimentOptions) ([]ScalabilityRow, erro
 		explored := float64(rec.L0Explored+rec.L1Explored+rec.L2Explored) / float64(max(1, periods))
 		decide := time.Duration(0)
 		if periods > 0 {
-			decide = (rec.L0Time + rec.L1Time + rec.L2Time) / time.Duration(periods)
+			decide = rec.DecideTime / time.Duration(periods)
 		}
 		rows[2*si] = ScalabilityRow{
 			Controller:          "hierarchical",
