@@ -75,9 +75,10 @@ func BenchmarkFig5L0Control(b *testing.B) {
 	}
 	lambda := []float64{40, 45, 50}
 	explored := 0
+	sc := new(controller.Scratch)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, n, err := l0.Decide(float64(i%200), lambda, 0, 0.0175)
+		_, n, err := l0.Decide(sc, float64(i%200), lambda, 0, 0.0175)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -117,10 +118,11 @@ func BenchmarkFig7LoadDistribution(b *testing.B) {
 		Delta:     20,
 		CHat:      []float64{0.0175, 0.0175, 0.0175, 0.0175},
 	}
+	sc := new(controller.Scratch)
 	b.ResetTimer()
 	var explored int
 	for i := 0; i < b.N; i++ {
-		dec, err := l2.Decide(obs)
+		dec, err := l2.Decide(sc, obs)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -350,9 +352,10 @@ func BenchmarkLLCExhaustiveSearch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	sc := new(controller.Scratch)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := l0.Decide(50, []float64{40}, 0, 0.0175); err != nil {
+		if _, _, err := l0.Decide(sc, 50, []float64{40}, 0, 0.0175); err != nil {
 			b.Fatal(err)
 		}
 	}

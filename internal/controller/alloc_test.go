@@ -40,11 +40,12 @@ func TestL0DecideZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sc := new(Scratch)
 	lambda := make([]float64, 3)
 	decide := func(i int) {
 		lam := 40 + 30*math.Sin(float64(i)/9)
 		lambda[0], lambda[1], lambda[2] = lam, lam+2, lam+4
-		if _, _, err := l0.Decide(float64((i*7)%200), lambda, 8, 0.0175); err != nil {
+		if _, _, err := l0.Decide(sc, float64((i*7)%200), lambda, 8, 0.0175); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -73,12 +74,13 @@ func TestL0BandSwitchZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sc := new(Scratch)
 	lambda := make([]float64, 3)
 	delta := func(i int) float64 { return float64(i%2) * 8 }
-	decide := func(l *L0, i int) int {
+	decide := func(l *L0, sc *Scratch, i int) int {
 		lam := 40 + 30*math.Sin(float64(i)/9)
 		lambda[0], lambda[1], lambda[2] = lam, lam+2, lam+4
-		u, _, err := l.Decide(float64((i*7)%200), lambda, delta(i), 0.0175)
+		u, _, err := l.Decide(sc, float64((i*7)%200), lambda, delta(i), 0.0175)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,13 +91,13 @@ func TestL0BandSwitchZeroAlloc(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := decide(l0, i), decide(fresh, i); got != want {
+		if got, want := decide(l0, sc, i), decide(fresh, new(Scratch), i); got != want {
 			t.Fatalf("decision %d (δ = %v): warm controller chose %d, a fresh one %d", i, delta(i), got, want)
 		}
 	}
 	i := 0
 	allocs := testing.AllocsPerRun(200, func() {
-		decide(l0, i)
+		decide(l0, sc, i)
 		i++
 	})
 	if allocs != 0 {
@@ -104,13 +106,14 @@ func TestL0BandSwitchZeroAlloc(t *testing.T) {
 }
 
 // TestL1DecideSteadyStateAllocs pins the warm L1 period at zero
-// allocations — the returned decision is the controller's own buffers —
+// allocations — the returned decision is the scratch's own buffers —
 // for a four- and a sixteen-computer module.
 //
 //hpm:pin search
 func TestL1DecideSteadyStateAllocs(t *testing.T) {
 	for _, m := range []int{4, 16} {
 		l1 := newTestL1(t, m)
+		sc := new(Scratch)
 		swing := 40.0
 		if m == 16 {
 			swing = 4
@@ -126,7 +129,7 @@ func TestL1DecideSteadyStateAllocs(t *testing.T) {
 			for j := range queues {
 				queues[j] = float64((i * (3 + 2*j)) % 80)
 			}
-			dec, err := l1.Decide(L1Observation{
+			dec, err := l1.Decide(sc, L1Observation{
 				QueueLens: queues, On: on, LambdaHat: lam, Delta: 8, CHat: 0.0175, Available: avail,
 			})
 			if err != nil {
@@ -149,7 +152,7 @@ func TestL1DecideSteadyStateAllocs(t *testing.T) {
 }
 
 // TestL2DecideSteadyStateAllocs pins the warm L2 period (term and min-plus
-// tables sized at NewL2) at zero allocations.
+// tables sized in the scratch by the first Decide) at zero allocations.
 //
 //hpm:pin search
 func TestL2DecideSteadyStateAllocs(t *testing.T) {
@@ -161,6 +164,7 @@ func TestL2DecideSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sc := new(Scratch)
 	qavg := make([]float64, 4)
 	chat := []float64{0.0175, 0.0175, 0.0175, 0.0175}
 	avail := []bool{true, true, true, true}
@@ -169,7 +173,7 @@ func TestL2DecideSteadyStateAllocs(t *testing.T) {
 		for j := range qavg {
 			qavg[j] = float64((i * (3 + 2*j)) % 40)
 		}
-		if _, err := l2.Decide(L2Observation{
+		if _, err := l2.Decide(sc, L2Observation{
 			QAvg: qavg, LambdaHat: lam, Delta: 20, CHat: chat, Available: avail,
 		}); err != nil {
 			t.Fatal(err)
@@ -222,12 +226,12 @@ func TestL1CandidateGeneratorsMatchLegacy(t *testing.T) {
 			for j := range alpha {
 				alpha[j] = rng.Intn(3) > 0
 			}
-			l1.on = packBools(alpha)
+			d := l1Decision{l1, &l1Scratch{on: packBools(alpha)}}
 			var want []uint64
 			for _, a := range alphaCandidatesLegacy(l1, alpha, avail) {
 				want = append(want, packBools(a))
 			}
-			if got := l1.alphaCandidates(avail); !reflect.DeepEqual(got, want) {
+			if got := d.alphaCandidates(avail); !reflect.DeepEqual(got, want) {
 				t.Fatalf("m=%d trial %d: masks %x, oracle %x", m, trial, got, want)
 			}
 		}

@@ -83,7 +83,7 @@ func TestL1Budget(t *testing.T) {
 			decide: func(step int) (L1Decision, error) {
 				o := obs[step]
 				o.On = on
-				d, err := l1.Decide(o)
+				d, err := l1.Decide(new(Scratch), o)
 				if err == nil {
 					on = slices.Clone(d.Alpha)
 				}
@@ -112,7 +112,7 @@ func TestL2Budget(t *testing.T) {
 			t.Fatal(err)
 		}
 		return budgeted[L2Decision]{
-			decide: func(step int) (L2Decision, error) { return l2.Decide(obs[step]) },
+			decide: func(step int) (L2Decision, error) { return l2.Decide(new(Scratch), obs[step]) },
 			setMax: l2.SetMaxExplored,
 		}
 	}, func(d L2Decision) int { return d.Explored })

@@ -24,13 +24,21 @@
 // decision making, which is what lets managers share them across identical
 // hardware and lets snapshots skip relearning.
 //
+// Invariant: a controller keeps only its configuration, the learned
+// artifacts it reads, its budget and its recorder coordinates. A decision's
+// working memory — the L1's and L2's term and min-plus tables, the L1's
+// probe memo, the L0's lookahead buffers and forecasts, and the decision L1
+// and L2 return — is a Scratch the caller hands Decide, owned by the
+// goroutine that steps the controllers: one per fleet shard, shared by
+// every tenant it steps. Since decisions are pure, sharing changes no bit
+// of them. The returned slices alias the Scratch until the next Decide of
+// the same level on it; core copies them out at once.
+//
 // Invariant: the steady-state decision tick is allocation-free (see
-// alloc_test.go) — L1 and L2 price into tables they size once, L1's
-// abstraction-map probes go through controller-owned scratch and a per-cell
-// memo, and L1 and L2 return decisions in buffers they own, valid until
-// their next Decide. Neither keeps a candidate set between decisions: both
-// programs price each term directly, so a controller holds nothing that is
-// a function of its shape alone.
+// alloc_test.go) — a Scratch grows to the largest shape it has served and
+// is reused from then on, and L1's abstraction-map probes go through it
+// and a per-cell memo in it. Neither L1 nor L2 keeps a candidate set: both
+// programs price each term directly.
 //
 // This file provides SnapSimplex, which the controllers, the engine and
 // the centralized comparator use to seed load-fraction vectors: they must

@@ -99,10 +99,11 @@ func LearnGMap(l0cfg L0Config, spec cluster.ComputerSpec, cfg GMapConfig) (*GMap
 	}
 	g := &GMap{table: table, cfg: cfg, spec: spec}
 
+	var sc l0Scratch
 	levels := [][]float64{quant.Levels(0), quant.Levels(1), quant.Levels(2)}
 	err = approx.Grid(levels, func(p []float64) error {
 		q0, lambda, c := p[0], p[1], p[2]
-		cost, qEnd, resp, pw, err := g.simulateCell(l0, q0, lambda, c)
+		cost, qEnd, resp, pw, err := g.simulateCell(l0, &sc, q0, lambda, c)
 		if err != nil {
 			return err
 		}
@@ -115,13 +116,13 @@ func LearnGMap(l0cfg L0Config, spec cluster.ComputerSpec, cfg GMapConfig) (*GMap
 }
 
 // simulateCell runs the closed L0 loop on the fluid model for one L1
-// period with constant environment inputs, through the L0's search.
-func (g *GMap) simulateCell(l0 *L0, q0, lambda, c float64) (avgCost, qEnd, avgResp, avgPower float64, err error) {
+// period with constant environment inputs, through the L0's search in sc.
+func (g *GMap) simulateCell(l0 *L0, sc *l0Scratch, q0, lambda, c float64) (avgCost, qEnd, avgResp, avgPower float64, err error) {
 	state := queue.State{Q: q0}
 	lam := [1]float64{lambda}
 	var costSum, respSum, powerSum float64
 	for step := 0; step < g.cfg.SubSteps; step++ {
-		res, err := l0.search(state.Q, lam[:], 0, c)
+		res, err := l0.search(sc, state.Q, lam[:], 0, c)
 		if err != nil {
 			return 0, 0, 0, 0, fmt.Errorf("controller: L0 search: %w", err)
 		}

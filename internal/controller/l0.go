@@ -136,26 +136,21 @@ var (
 
 // L0 is the per-computer frequency controller. Construct with NewL0.
 //
-// The controller owns a reusable llc.Searcher and its environment-forecast
-// buffers, so a warm Decide performs no allocation (pinned by
+// The lookahead search's buffers and the environment forecasts live in the
+// Scratch each Decide is handed, whose llc.Searcher walks for every L0 it
+// serves, so a Decide in a warm Scratch performs no allocation (pinned by
 // TestL0DecideZeroAlloc); like every controller here it is not safe for
 // concurrent use.
 type L0 struct {
-	cfg      L0Config
-	model    *l0Model
-	searcher *llc.Searcher[queue.State, int]
+	cfg   L0Config
+	model *l0Model
 	// incumbents are the constant lowest- and highest-frequency input
 	// sequences over the horizon, which bound every search from its
 	// start (see l0Model.incumbents).
 	incumbents [][]int
 
-	// Reused forecast buffers: envs[q] holds the uncertainty samples for
-	// horizon step q, a window of envStore, whose entries are llc.Env views
-	// into envBacking.
-	envs       []([]llc.Env)
-	envStore   []llc.Env
-	envBacking []float64
-	envSamples int
+	// maxExplored is the decision budget (see SetMaxExplored); 0 = none.
+	maxExplored int
 
 	// Flight recorder (nil = disabled) and this computer's coordinates
 	// in its records.
@@ -173,38 +168,46 @@ func NewL0(cfg L0Config, spec cluster.ComputerSpec) (*L0, error) {
 	if err != nil {
 		return nil, err
 	}
-	sr, err := llc.NewSearcher[queue.State, int](m, llc.Options{NonNegativeCosts: true})
-	if err != nil {
-		return nil, err
-	}
-	l := &L0{cfg: cfg, model: m, searcher: sr}
-	l.envBacking = make([]float64, cfg.Horizon*maxEnvSamples*2)
-	l.envStore = make([]llc.Env, cfg.Horizon*maxEnvSamples)
-	for i := range l.envStore {
-		l.envStore[i] = l.envBacking[2*i : 2*i+2]
-	}
-	l.envs = make([]([]llc.Env), cfg.Horizon)
-	l.incumbents = m.incumbents(cfg.Horizon)
-	return l, nil
+	return &L0{cfg: cfg, model: m, incumbents: m.incumbents(cfg.Horizon)}, nil
 }
 
 // maxEnvSamples is the most uncertainty samples an L0 horizon step takes:
 // the band's {λ̂−δ, λ̂, λ̂+δ}.
 const maxEnvSamples = 3
 
-// ensureEnvs points envs[q] at the given number of samples of horizon step
-// q's maxEnvSamples slots in envStore, laid out once by NewL0: a banded ↔
-// unbanded switch only reslices.
-//
-//hpm:hotpath
-func (l *L0) ensureEnvs(samples int) {
-	if l.envSamples == samples {
-		return
+// l0Scratch is an L0 decision's working memory, a Scratch's L0 share: the
+// searcher, pointed at each decision's model in turn, and the forecast
+// buffers. envs[q] holds the uncertainty samples for horizon step q, a
+// window of envStore, whose entries are llc.Env views into envBacking.
+type l0Scratch struct {
+	searcher   *llc.Searcher[queue.State, int]
+	envs       []([]llc.Env)
+	envStore   []llc.Env
+	envBacking []float64
+}
+
+// fit readies the scratch for a search of the given horizon and samples
+// per step over model m under budget maxExplored: the searcher walks m,
+// and envs[q] is the first samples of horizon step q's maxEnvSamples slots
+// in envStore, which grows with the longest horizon served.
+func (d *l0Scratch) fit(m *l0Model, horizon, samples, maxExplored int) {
+	if d.searcher == nil {
+		// NewSearcher fails only on a nil model.
+		d.searcher, _ = llc.NewSearcher[queue.State, int](m, llc.Options{NonNegativeCosts: true})
 	}
-	for q := range l.envs {
-		l.envs[q] = l.envStore[q*maxEnvSamples : q*maxEnvSamples+samples]
+	d.searcher.SetModel(m)
+	d.searcher.SetMaxExplored(maxExplored)
+	if n := horizon * maxEnvSamples; len(d.envStore) < n {
+		d.envBacking = make([]float64, 2*n)
+		d.envStore = make([]llc.Env, n)
+		for i := range d.envStore {
+			d.envStore[i] = d.envBacking[2*i : 2*i+2]
+		}
 	}
-	l.envSamples = samples
+	d.envs = resize(d.envs, horizon)
+	for q := range d.envs {
+		d.envs[q] = d.envStore[q*maxEnvSamples : q*maxEnvSamples+samples]
+	}
 }
 
 // NewL0Model exposes the per-computer fluid-queue model the L0 controller
@@ -260,7 +263,7 @@ func (l *L0) Config() L0Config { return l.cfg }
 // may evaluate (see llc.Searcher.SetMaxExplored); n <= 0 removes the cap. A
 // Decide that exhausts it fails with llc.ErrBudget and the caller applies
 // safe fallback settings for the tick.
-func (l *L0) SetMaxExplored(n int) { l.searcher.SetMaxExplored(n) }
+func (l *L0) SetMaxExplored(n int) { l.maxExplored = n }
 
 // SetRecorder attaches a decision flight recorder (nil detaches) and
 // names the (module, computer) coordinates stamped onto records.
@@ -279,10 +282,10 @@ func (l *L0) SetRecorder(r *obs.Recorder, module, comp int) {
 // averages the three sampled rates {λ̂−δ, λ̂, λ̂+δ}, so the processor hedges
 // against arrival bursts instead of riding the queue at the set-point.
 // explored counts the states the search evaluated (the §4.3 overhead
-// metric).
+// metric). The search runs in sc's L0 share.
 //
 //hpm:hotpath
-func (l *L0) Decide(queueLen float64, lambda []float64, delta, cHat float64) (freqIdx, explored int, err error) {
+func (l *L0) Decide(sc *Scratch, queueLen float64, lambda []float64, delta, cHat float64) (freqIdx, explored int, err error) {
 	if len(lambda) == 0 {
 		return 0, 0, fmt.Errorf("controller: L0 needs at least one arrival-rate forecast")
 	}
@@ -293,7 +296,7 @@ func (l *L0) Decide(queueLen float64, lambda []float64, delta, cHat float64) (fr
 	if l.rec.Enabled() {
 		start = time.Now() //hpm:wallclock decide latency for the flight record; observe-only
 	}
-	res, err := l.search(queueLen, lambda, delta, cHat)
+	res, err := l.search(&sc.l0, queueLen, lambda, delta, cHat)
 	if err != nil {
 		return 0, 0, fmt.Errorf("controller: L0 search: %w", err)
 	}
@@ -311,17 +314,17 @@ func (l *L0) Decide(queueLen float64, lambda []float64, delta, cHat float64) (fr
 	return res.Inputs[0], res.Explored, nil
 }
 
-// search fills the forecast buffers for one decision and runs the bounded
-// lookahead search over them. The result aliases the searcher's buffers.
+// search fills d's forecast buffers for one decision and runs the bounded
+// lookahead search over them. The result aliases d's searcher.
 //
 //hpm:hotpath
-func (l *L0) search(queueLen float64, lambda []float64, delta, cHat float64) (llc.Result[queue.State, int], error) {
+func (l *L0) search(d *l0Scratch, queueLen float64, lambda []float64, delta, cHat float64) (llc.Result[queue.State, int], error) {
 	banded := delta > 0
 	samples := 1
 	if banded {
 		samples = 3
 	}
-	l.ensureEnvs(samples)
+	d.fit(l.model, l.cfg.Horizon, samples, l.maxExplored)
 	for q := 0; q < l.cfg.Horizon; q++ {
 		lam := lambda[min(q, len(lambda)-1)]
 		if lam < 0 {
@@ -332,12 +335,12 @@ func (l *L0) search(queueLen float64, lambda []float64, delta, cHat float64) (ll
 			if lo < 0 {
 				lo = 0
 			}
-			l.envs[q][0][0], l.envs[q][0][1] = lo, cHat
-			l.envs[q][1][0], l.envs[q][1][1] = lam, cHat
-			l.envs[q][2][0], l.envs[q][2][1] = lam+delta, cHat
+			d.envs[q][0][0], d.envs[q][0][1] = lo, cHat
+			d.envs[q][1][0], d.envs[q][1][1] = lam, cHat
+			d.envs[q][2][0], d.envs[q][2][1] = lam+delta, cHat
 		} else {
-			l.envs[q][0][0], l.envs[q][0][1] = lam, cHat
+			d.envs[q][0][0], d.envs[q][0][1] = lam, cHat
 		}
 	}
-	return l.searcher.Exhaustive(queue.State{Q: queueLen}, l.envs, l.incumbents...)
+	return d.searcher.Exhaustive(queue.State{Q: queueLen}, d.envs, l.incumbents...)
 }

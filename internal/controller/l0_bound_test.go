@@ -38,6 +38,7 @@ func TestL0MatchesNaiveExhaustive(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			sc := new(l0Scratch)
 			for _, cHat := range []float64{0.0105, 0.0175, 0.026} {
 				capacity := spec.SpeedFactor / cHat
 				for _, q0 := range []float64{0, 3, 40, 250, 2000} {
@@ -50,11 +51,11 @@ func TestL0MatchesNaiveExhaustive(t *testing.T) {
 						}
 						for _, delta := range []float64{0, 0.15*lambda[0] + 1} {
 							label := fmt.Sprintf("%s N=%d c=%v q=%v load=%v δ=%v", spec.Name, horizon, cHat, q0, load, delta)
-							got, err := l0.search(q0, lambda, delta, cHat)
+							got, err := l0.search(sc, q0, lambda, delta, cHat)
 							if err != nil {
 								t.Fatalf("%s: %v", label, err)
 							}
-							want, err := llc.Exhaustive(l0.model, queue.State{Q: q0}, l0.envs, llc.Options{})
+							want, err := llc.Exhaustive(l0.model, queue.State{Q: q0}, sc.envs, llc.Options{})
 							if err != nil {
 								t.Fatalf("%s: naive: %v", label, err)
 							}

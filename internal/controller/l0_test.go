@@ -55,7 +55,7 @@ func TestL0LowLoadPicksLowFrequency(t *testing.T) {
 	l0 := newTestL0(t)
 	// λ = 2 req/s, c = 17.5 ms → utilization at φ=0.25 is 0.14: the
 	// lowest frequency meets r* easily, and power cost favours it.
-	idx, _, err := l0.Decide(0, []float64{2}, 0, 0.0175)
+	idx, _, err := l0.Decide(new(Scratch), 0, []float64{2}, 0, 0.0175)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestL0LowLoadPicksLowFrequency(t *testing.T) {
 func TestL0HighLoadPicksHighFrequency(t *testing.T) {
 	l0 := newTestL0(t)
 	// λ = 55 req/s, c = 17.5 ms → needs φ ≈ 0.96: only φ=1 is stable.
-	idx, _, err := l0.Decide(0, []float64{55}, 0, 0.0175)
+	idx, _, err := l0.Decide(new(Scratch), 0, []float64{55}, 0, 0.0175)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,11 +81,11 @@ func TestL0BacklogForcesSpeedUp(t *testing.T) {
 	// A backlog deep enough that the lowest frequency cannot clear it
 	// within the horizon (capacity at φ=0.25 is ≈430 requests/period)
 	// forces a speed-up even with negligible new arrivals.
-	idxBacklog, _, err := l0.Decide(3000, []float64{1}, 0, 0.0175)
+	idxBacklog, _, err := l0.Decide(new(Scratch), 3000, []float64{1}, 0, 0.0175)
 	if err != nil {
 		t.Fatal(err)
 	}
-	idxEmpty, _, err := l0.Decide(0, []float64{1}, 0, 0.0175)
+	idxEmpty, _, err := l0.Decide(new(Scratch), 0, []float64{1}, 0, 0.0175)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,11 +109,11 @@ func TestL0HorizonScalesExploration(t *testing.T) {
 	l0Long := newTestL0(t)
 	eShort, eLong := 0, 0
 	for _, lam := range []float64{2, 55} {
-		a, ea, err := l0Short.Decide(0, []float64{lam}, 0, 0.0175)
+		a, ea, err := l0Short.Decide(new(Scratch), 0, []float64{lam}, 0, 0.0175)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, eb, err := l0Long.Decide(0, []float64{lam}, 0, 0.0175)
+		b, eb, err := l0Long.Decide(new(Scratch), 0, []float64{lam}, 0, 0.0175)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,28 +135,28 @@ func TestL0HorizonScalesExploration(t *testing.T) {
 func TestL0ShortForecastPadded(t *testing.T) {
 	l0 := newTestL0(t)
 	// A single-element forecast works with horizon 3.
-	if _, _, err := l0.Decide(0, []float64{10}, 0, 0.0175); err != nil {
+	if _, _, err := l0.Decide(new(Scratch), 0, []float64{10}, 0, 0.0175); err != nil {
 		t.Errorf("short forecast: %v", err)
 	}
 }
 
 func TestL0InputValidation(t *testing.T) {
 	l0 := newTestL0(t)
-	if _, _, err := l0.Decide(0, nil, 0, 0.0175); err == nil {
+	if _, _, err := l0.Decide(new(Scratch), 0, nil, 0, 0.0175); err == nil {
 		t.Error("empty forecast: want error")
 	}
-	if _, _, err := l0.Decide(0, []float64{1}, 0, 0); err == nil {
+	if _, _, err := l0.Decide(new(Scratch), 0, []float64{1}, 0, 0); err == nil {
 		t.Error("zero c: want error")
 	}
 	// Negative forecasts are clamped, not an error.
-	if _, _, err := l0.Decide(0, []float64{-5}, 0, 0.0175); err != nil {
+	if _, _, err := l0.Decide(new(Scratch), 0, []float64{-5}, 0, 0.0175); err != nil {
 		t.Errorf("negative forecast: %v", err)
 	}
 }
 
 func TestL0OverheadMetering(t *testing.T) {
 	l0 := newTestL0(t)
-	_, explored, err := l0.Decide(0, []float64{10}, 0, 0.0175)
+	_, explored, err := l0.Decide(new(Scratch), 0, []float64{10}, 0, 0.0175)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestL0OverheadMetering(t *testing.T) {
 	if explored < 4 || explored > 84 {
 		t.Errorf("explored = %d, want within [4, 84]", explored)
 	}
-	_, explored2, err := l0.Decide(0, []float64{10}, 0, 0.0175)
+	_, explored2, err := l0.Decide(new(Scratch), 0, []float64{10}, 0, 0.0175)
 	if err != nil {
 		t.Fatal(err)
 	}

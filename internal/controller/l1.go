@@ -146,7 +146,7 @@ func packBools(a []bool) uint64 {
 
 // probe is one memoized abstraction-map cell of the computer being priced:
 // its cost and the grid index of its end-of-period queue, valid while
-// stamp is the L1's.
+// stamp is the scratch's.
 type probe struct {
 	cost  float64
 	qEnd  int32
@@ -164,13 +164,12 @@ type probe struct {
 //
 // The controller holds no decision between calls: the on/off vector in
 // force is part of the module state it observes (L1Observation.On), so a
-// decision is a pure function of its observation. It owns its term,
-// probe-memo and min-plus tables, sized by the module and the map grid
-// (the memo grows to the arrival-rate cells the load reaches), and the
-// decision it returns. A warm Decide
-// allocates nothing (pinned by TestL1DecideSteadyStateAllocs): the returned
-// decision's slices belong to the controller and stay valid until its next
-// Decide, so a caller that keeps a decision longer copies it. On/off
+// decision is a pure function of its observation. Nor does it hold the
+// decision's working memory: its term, probe-memo and min-plus tables and
+// the decision it returns live in the Scratch each Decide is handed, sized
+// there by the module and the map grid (the memo grows to the
+// arrival-rate cells the load reaches). A Decide in a warm Scratch
+// allocates nothing (pinned by TestL1DecideSteadyStateAllocs). On/off
 // candidates are 64-bit masks, hence the m ≤ 64 bound in NewL1. Not safe
 // for concurrent use.
 type L1 struct {
@@ -179,11 +178,20 @@ type L1 struct {
 	units int // quanta per decision, 1/Quantum
 	tri   int // a staying computer's terms: one per (u, S), u ≤ S ≤ units
 
-	// The decision in flight. on is the observation's On as a mask.
-	// Computer j's mean term for u quanta at serving share S is
-	// terms[row(j, S) + u]; memo holds the probes of the computer being
-	// priced (map pg, ĉ index pc), stride arrival-rate cells per queue
-	// cell.
+	// maxExplored is the decision budget (see SetMaxExplored); 0 = none.
+	maxExplored int
+
+	// Flight recorder (nil = disabled) and the module index stamped onto
+	// records.
+	rec       *flight.Recorder
+	recModule int16
+}
+
+// l1Scratch is an L1 decision's working memory, a Scratch's L1 share. on
+// is the observation's On as a mask. Computer j's mean term for u quanta
+// at serving share S is terms[row(j, S) + u]; memo holds the probes of the
+// computer being priced, stride arrival-rate cells per queue cell.
+type l1Scratch struct {
 	on         uint64
 	samplesBuf [3]float64
 	layout     int   // stayAtUnits, stayAlone or stayShared
@@ -192,8 +200,6 @@ type L1 struct {
 	memo       []probe
 	stride     int
 	stamp      uint32
-	pg         *GMap
-	pc         int
 	probes     int   // probes so far, checked against maxExplored
 	err        error // the first failed probe's error
 	evalBuf    [gColWidth]float64
@@ -201,18 +207,17 @@ type L1 struct {
 	staying    []int
 	booting    []int
 	tables     []float64 // the booting, then the staying suffix table, (len+1)·(units+1) each
-	// bestAlphaScr and bestGammaScr hold the incumbent of the decision in
+	// bestAlpha and bestGamma hold the incumbent of the decision in
 	// flight and, once Decide returns, the decision it hands out.
-	bestAlphaScr []bool
-	bestGammaScr []float64
+	bestAlpha []bool
+	bestGamma []float64
+}
 
-	// maxExplored is the decision budget (see SetMaxExplored); 0 = none.
-	maxExplored int
-
-	// Flight recorder (nil = disabled) and the module index stamped onto
-	// records.
-	rec       *flight.Recorder
-	recModule int16
+// l1Decision is one L1 decision in flight: the controller and the scratch
+// it decides in.
+type l1Decision struct {
+	*L1
+	*l1Scratch
 }
 
 // NewL1 builds an L1 controller over the module's learned abstraction
@@ -232,28 +237,28 @@ func NewL1(cfg L1Config, gmaps []*GMap) (*L1, error) {
 	if err := cfg.ValidateModule(len(gmaps)); err != nil {
 		return nil, err
 	}
-	m := len(gmaps)
 	units := int(math.Round(1 / cfg.Quantum))
 	w := units + 1
-	l := &L1{cfg: cfg, gmaps: gmaps, units: units, tri: w * (w + 1) / 2}
-	// Every computer holds one row, except under stayShared, where at most
-	// m−1 staying computers hold a row per S beside a booting one; that
-	// takes three computers.
+	return &L1{cfg: cfg, gmaps: gmaps, units: units, tri: w * (w + 1) / 2}, nil
+}
+
+// fit sizes the scratch's tables for this controller's module: every
+// computer holds one row of terms, except under stayShared, where at most
+// m−1 staying computers hold a row per S beside a booting one (that takes
+// three computers); the two suffix tables share (m+2)·(units+1) floats.
+func (l l1Decision) fit() {
+	m, w := l.Size(), l.units+1
 	n := m * w
 	if m >= 3 {
 		n = (m-1)*l.tri + w
 	}
-	l.terms = make([]float64, n)
-	l.tables = make([]float64, (m+2)*w)
-	l.off = make([]int, m)
-	l.staying = make([]int, 0, m)
-	l.booting = make([]int, 0, m)
-	// The memo starts at the two lowest arrival-rate cells and grows with
-	// the load.
-	l.memo = make([]probe, 2*l.queueCells())
-	l.bestAlphaScr = make([]bool, m)
-	l.bestGammaScr = make([]float64, m)
-	return l, nil
+	l.terms = resize(l.terms, n)
+	l.tables = resize(l.tables, (m+2)*w)
+	l.off = resize(l.off, m)
+	l.staying = resize(l.staying, m)[:0]
+	l.booting = resize(l.booting, m)[:0]
+	l.bestAlpha = resize(l.bestAlpha, m)
+	l.bestGamma = resize(l.bestGamma, m)
 }
 
 // Size returns the number of computers the controller manages.
@@ -327,11 +332,12 @@ func (l *L1) SetMaxExplored(n int) { l.maxExplored = n }
 // suffix minimum. Masks are tried in order; a later one wins only when
 // strictly cheaper.
 //
-// The returned Alpha and Gamma belong to the controller and stay valid
-// until its next Decide.
+// The decision is worked out in sc, whose L1 share is sized to the module
+// first. The returned Alpha and Gamma alias sc and stay valid until the
+// next L1 Decide on it; a caller that keeps a decision longer copies it.
 //
 //hpm:hotpath
-func (l *L1) Decide(obs L1Observation) (L1Decision, error) {
+func (l *L1) Decide(sc *Scratch, obs L1Observation) (L1Decision, error) {
 	m := l.Size()
 	if len(obs.QueueLens) != m {
 		return L1Decision{}, fmt.Errorf("controller: observation has %d queues, module has %d", len(obs.QueueLens), m)
@@ -345,13 +351,8 @@ func (l *L1) Decide(obs L1Observation) (L1Decision, error) {
 	if len(obs.Available) != m {
 		return L1Decision{}, fmt.Errorf("controller: observation has %d availability flags, module has %d", len(obs.Available), m)
 	}
-	switch {
-	case obs.On == nil:
-		l.on = ^uint64(0) >> (64 - m)
-	case len(obs.On) != m:
+	if obs.On != nil && len(obs.On) != m {
 		return L1Decision{}, fmt.Errorf("controller: observation has %d on/off flags, module has %d", len(obs.On), m)
-	default:
-		l.on = packBools(obs.On)
 	}
 	// The grid indexes finite values only (an infinite queue clamps to its
 	// edge).
@@ -366,13 +367,20 @@ func (l *L1) Decide(obs L1Observation) (L1Decision, error) {
 	if obs.LambdaHat < 0 {
 		obs.LambdaHat = 0
 	}
+	// The mask first: On may alias the scratch's last decision.
+	d := l1Decision{l, &sc.l1}
+	d.on = ^uint64(0) >> (64 - m)
+	if obs.On != nil {
+		d.on = packBools(obs.On)
+	}
+	d.fit()
 	// A fully failed module cannot serve: degrade to the all-off
 	// decision so the hierarchy keeps running (the L2 routes around the
 	// module via its availability flag).
 	if countOn(obs.Available) == 0 {
-		clear(l.bestAlphaScr)
-		clear(l.bestGammaScr)
-		dec := L1Decision{Alpha: l.bestAlphaScr, Gamma: l.bestGammaScr}
+		clear(d.bestAlpha)
+		clear(d.bestGamma)
+		dec := L1Decision{Alpha: d.bestAlpha, Gamma: d.bestGamma}
 		if l.rec.Enabled() {
 			l.record(dec, 0, 0)
 		}
@@ -383,9 +391,9 @@ func (l *L1) Decide(obs L1Observation) (L1Decision, error) {
 		start = time.Now() //hpm:wallclock decide latency for the flight record; observe-only
 	}
 
-	samples := bandSamples(&l.samplesBuf, obs.LambdaHat, obs.Delta, l.cfg.UncertaintySamples)
-	masks := l.alphaCandidates(obs.Available)
-	if err := l.priceTerms(obs, samples, masks); err != nil {
+	samples := bandSamples(&d.samplesBuf, obs.LambdaHat, obs.Delta, l.cfg.UncertaintySamples)
+	masks := d.alphaCandidates(obs.Available)
+	if err := d.priceTerms(obs, samples, masks); err != nil {
 		return L1Decision{}, searchErr("L1", err)
 	}
 	stranded := 0.0
@@ -395,14 +403,14 @@ func (l *L1) Decide(obs L1Observation) (L1Decision, error) {
 	stranded /= float64(len(samples))
 	bestCost := math.Inf(1)
 	for _, mask := range masks {
-		if cost := l.solve(mask, stranded, bestCost); cost < bestCost {
+		if cost := d.solve(mask, stranded, bestCost); cost < bestCost {
 			bestCost = cost
 		}
 	}
 	if math.IsInf(bestCost, 1) {
 		return L1Decision{}, fmt.Errorf("controller: L1 found no candidate configuration")
 	}
-	best := L1Decision{Alpha: l.bestAlphaScr, Gamma: l.bestGammaScr, Explored: l.probes}
+	best := L1Decision{Alpha: d.bestAlpha, Gamma: d.bestGamma, Explored: d.probes}
 	if l.rec.Enabled() {
 		l.record(best, bestCost, time.Since(start)) //hpm:wallclock decide latency for the flight record; observe-only
 	}
@@ -457,7 +465,7 @@ const (
 // priceTerms fills every available computer's terms (see Decide): a
 // computer that was on is priced as staying, at the (u, S) pairs the
 // masks can read, and one that was off as booting.
-func (l *L1) priceTerms(obs L1Observation, samples []float64, masks []uint64) error {
+func (l l1Decision) priceTerms(obs L1Observation, samples []float64, masks []uint64) error {
 	m, w := l.Size(), l.units+1
 	l.layout = stayAtUnits
 	for j, a := range obs.Available {
@@ -503,7 +511,7 @@ func (l *L1) priceTerms(obs L1Observation, samples []float64, masks []uint64) er
 			terms = terms[:l.off[j+1]-l.off[j]]
 		}
 		clear(terms)
-		l.pg, l.pc = g, g.axis(2).Index(obs.CHat)
+		pc := g.axis(2).Index(obs.CHat)
 		lAxis := g.axis(1)
 		qi := g.axis(0).Index(obs.QueueLens[j])
 		spec := g.Spec()
@@ -517,7 +525,7 @@ func (l *L1) priceTerms(obs L1Observation, samples []float64, masks []uint64) er
 				if !l.wasOn(j) {
 					p := &l.memo[qi*l.stride+li]
 					if p.stamp != l.stamp {
-						l.fill(p, qi, li)
+						l.fill(g, pc, p, qi, li)
 					}
 					terms[u] += spec.Power.Base + p.cost + stab
 				} else {
@@ -536,12 +544,12 @@ func (l *L1) priceTerms(obs L1Observation, samples []float64, masks []uint64) er
 						li1 := lAxis.Index(share * lam)
 						p1 := &l.memo[qi*l.stride+li1]
 						if p1.stamp != l.stamp {
-							l.fill(p1, qi, li1)
+							l.fill(g, pc, p1, qi, li1)
 						}
 						q2 := int(p1.qEnd)
 						p2 := &l.memo[q2*l.stride+li]
 						if p2.stamp != l.stamp {
-							l.fill(p2, q2, li)
+							l.fill(g, pc, p2, q2, li)
 						}
 						terms[l.row(j, S)-l.off[j]+u] += p1.cost + p2.cost + stab
 					}
@@ -567,23 +575,23 @@ func (l *L1) queueCells() int {
 	return n
 }
 
-// fill probes the priced computer's cell (qi, li) at the decision's ĉ
-// into its memo entry p, counting the probe against the budget; a failure
-// is left in l.err.
-func (l *L1) fill(p *probe, qi, li int) {
-	cost, qEnd, ok := l.pg.cellInto(l.evalBuf[:], qi, li, l.pc)
+// fill probes cell (qi, li) of the priced computer's map g at the
+// decision's ĉ index pc into its memo entry p, counting the probe against
+// the budget; a failure is left in l.err.
+func (l l1Decision) fill(g *GMap, pc int, p *probe, qi, li int) {
+	cost, qEnd, ok := g.cellInto(l.evalBuf[:], qi, li, pc)
 	if l.probes++; !ok {
-		l.err = fmt.Errorf("controller: gmap cell (%d, %d, %d) missing", qi, li, l.pc)
+		l.err = fmt.Errorf("controller: gmap cell (%d, %d, %d) missing", qi, li, pc)
 	} else if l.maxExplored > 0 && l.probes > l.maxExplored {
 		l.err = llc.ErrBudget
 	}
-	*p = probe{cost: cost, qEnd: int32(l.pg.axis(0).Index(qEnd)), stamp: l.stamp}
+	*p = probe{cost: cost, qEnd: int32(g.axis(0).Index(qEnd)), stamp: l.stamp}
 }
 
 // solve returns the cheapest cost of mask over every split of the quanta
 // (see Decide) and, when it is below limit, makes that split the
 // incumbent.
-func (l *L1) solve(mask uint64, stranded, limit float64) float64 {
+func (l l1Decision) solve(mask uint64, stranded, limit float64) float64 {
 	w := l.units + 1
 	st, bt := l.staying[:0], l.booting[:0]
 	for j := range l.gmaps {
@@ -629,8 +637,8 @@ func (l *L1) solve(mask uint64, stranded, limit float64) float64 {
 	if !(best < limit) {
 		return best
 	}
-	clear(l.bestAlphaScr)
-	clear(l.bestGammaScr)
+	clear(l.bestAlpha)
+	clear(l.bestGamma)
 	l.stayFold(stay, st, bestS, boot[l.units-bestS])
 	l.backtrack(st, stay, bestS, bestS)
 	l.backtrack(bt, boot, l.units-bestS, 0)
@@ -640,7 +648,7 @@ func (l *L1) solve(mask uint64, stranded, limit float64) float64 {
 // stayFold fills the staying computers' suffix table at serving share S
 // onto base, the booting optimum for the other units−S quanta, and returns
 // its head: the mask's least fold with S quanta staying.
-func (l *L1) stayFold(stay []float64, st []int, S int, base float64) float64 {
+func (l l1Decision) stayFold(stay []float64, st []int, S int, base float64) float64 {
 	w := l.units + 1
 	ns := len(st)
 	for r := 1; r <= S; r++ {
@@ -691,12 +699,12 @@ func firstOptimum(c, next []float64, r int, best float64) int {
 // backtrack walks a suffix table from r quanta, giving each computer the
 // fewest quanta that attain its suffix minimum, into the incumbent; S is
 // the serving share the computers' terms are read at.
-func (l *L1) backtrack(comps []int, table []float64, r, S int) {
+func (l l1Decision) backtrack(comps []int, table []float64, r, S int) {
 	w := l.units + 1
 	for i, j := range comps {
 		u := firstOptimum(l.terms[l.row(j, S):], table[(i+1)*w:], r, table[i*w+r])
-		l.bestAlphaScr[j] = true
-		l.bestGammaScr[j] = float64(u) * l.cfg.Quantum
+		l.bestAlpha[j] = true
+		l.bestGamma[j] = float64(u) * l.cfg.Quantum
 		r -= u
 	}
 }
@@ -706,7 +714,7 @@ func (l *L1) backtrack(comps []int, table []float64, r, S int) {
 // terms are one row of units+1, and so are a staying one's unless the
 // layout is stayShared, where they are rows S = 0..units of S+1 terms
 // each.
-func (l *L1) row(j, S int) int {
+func (l l1Decision) row(j, S int) int {
 	if !l.wasOn(j) || l.layout != stayShared {
 		return l.off[j]
 	}
@@ -714,14 +722,14 @@ func (l *L1) row(j, S int) int {
 }
 
 // wasOn reports whether computer j is on in the decision in force.
-func (l *L1) wasOn(j int) bool { return l.on>>j&1 != 0 }
+func (l l1Decision) wasOn(j int) bool { return l.on>>j&1 != 0 }
 
 // alphaCandidates returns the bounded on/off candidate set as masks: the
 // vector in force projected onto availability, every single-computer
 // toggle of it, and the all-available-on vector, each with at least MinOn
 // computers on (or as many as availability allows), in that order without
-// repeats. The slice is the controller's, recycled on the next call.
-func (l *L1) alphaCandidates(avail []bool) []uint64 {
+// repeats. The slice is the scratch's, recycled on the next call.
+func (l l1Decision) alphaCandidates(avail []bool) []uint64 {
 	minOn := min(l.cfg.MinOn, countOn(avail))
 	all := packBools(avail)
 	base := l.on & all

@@ -280,7 +280,7 @@ func checkL1AgainstOracle(t *testing.T, rng *rand.Rand, cfg L1Config, gmaps []*G
 		obs.Available[rng.Intn(m)] = true
 		o := newL1Oracle(cfg, gmaps, prev, obs)
 		wantAlpha, wantUnits, wantCost := o.decide(t, l1)
-		dec, err := l1.Decide(obs)
+		dec, err := l1.Decide(new(Scratch), obs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -346,7 +346,7 @@ func TestL1ExploredLinearInModules(t *testing.T) {
 			for j := range o.QueueLens {
 				o.QueueLens[j] = 30
 			}
-			dec, err := l1.Decide(o)
+			dec, err := l1.Decide(new(Scratch), o)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -362,7 +362,7 @@ func TestL1ExploredLinearInModules(t *testing.T) {
 			for j := range o.On {
 				o.On[j] = j%2 == 0
 			}
-			mixed, err := l1.Decide(o)
+			mixed, err := l1.Decide(new(Scratch), o)
 			if err != nil {
 				t.Fatal(err)
 			}

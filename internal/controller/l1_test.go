@@ -181,7 +181,7 @@ func TestL1ScalesDownAtLowLoad(t *testing.T) {
 	}
 	on := 4
 	for i := 0; i < 4; i++ {
-		dec, err := l1.Decide(obs)
+		dec, err := l1.Decide(new(Scratch), obs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,7 +202,7 @@ func TestL1ScalesUpUnderHighLoad(t *testing.T) {
 		LambdaHat: 150,                               // far beyond one computer's ~55 req/s capacity
 		CHat:      0.018,
 	}
-	dec, err := l1.Decide(obs)
+	dec, err := l1.Decide(new(Scratch), obs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestL1SwitchPenaltyDiscouragesPowerOn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dec, err := l1.Decide(L1Observation{
+		dec, err := l1.Decide(new(Scratch), L1Observation{
 			QueueLens: []float64{10, 0},
 			On:        []bool{true, false},
 			LambdaHat: 40,
@@ -251,7 +251,7 @@ func TestL1RespectsAvailability(t *testing.T) {
 		CHat:      0.018,
 		Available: []bool{true, false, true}, // computer 1 failed
 	}
-	dec, err := l1.Decide(obs)
+	dec, err := l1.Decide(new(Scratch), obs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestL1MinOnEnforced(t *testing.T) {
 		CHat:      0.018,
 	}
 	for i := 0; i < 5; i++ {
-		dec, err := l1.Decide(obs)
+		dec, err := l1.Decide(new(Scratch), obs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -290,23 +290,23 @@ func TestL1MinOnEnforced(t *testing.T) {
 
 func TestL1ObservationValidation(t *testing.T) {
 	l1 := newTestL1(t, 2)
-	if _, err := l1.Decide(L1Observation{QueueLens: []float64{1}, LambdaHat: 1, CHat: 0.018}); err == nil {
+	if _, err := l1.Decide(new(Scratch), L1Observation{QueueLens: []float64{1}, LambdaHat: 1, CHat: 0.018}); err == nil {
 		t.Error("queue size mismatch: want error")
 	}
-	if _, err := l1.Decide(L1Observation{QueueLens: []float64{1, 1}, LambdaHat: 1, CHat: 0}); err == nil {
+	if _, err := l1.Decide(new(Scratch), L1Observation{QueueLens: []float64{1, 1}, LambdaHat: 1, CHat: 0}); err == nil {
 		t.Error("zero c: want error")
 	}
-	if _, err := l1.Decide(L1Observation{QueueLens: []float64{1, 1}, LambdaHat: 1, CHat: 0.018, Available: []bool{true}}); err == nil {
+	if _, err := l1.Decide(new(Scratch), L1Observation{QueueLens: []float64{1, 1}, LambdaHat: 1, CHat: 0.018, Available: []bool{true}}); err == nil {
 		t.Error("availability size mismatch: want error")
 	}
-	if _, err := l1.Decide(L1Observation{QueueLens: []float64{1, 1}, LambdaHat: 1, CHat: 0.018, On: []bool{true}}); err == nil {
+	if _, err := l1.Decide(new(Scratch), L1Observation{QueueLens: []float64{1, 1}, LambdaHat: 1, CHat: 0.018, On: []bool{true}}); err == nil {
 		t.Error("on/off size mismatch: want error")
 	}
 }
 
 func TestL1OverheadMetering(t *testing.T) {
 	l1 := newTestL1(t, 4)
-	dec, err := l1.Decide(L1Observation{
+	dec, err := l1.Decide(new(Scratch), L1Observation{
 		QueueLens: []float64{5, 5, 5, 5},
 		LambdaHat: 60,
 		Delta:     10,
@@ -326,13 +326,13 @@ func TestL1OverheadMetering(t *testing.T) {
 
 func TestL1UncertaintyBandUsesThreeSamples(t *testing.T) {
 	l1 := newTestL1(t, 2)
-	base, err := l1.Decide(L1Observation{
+	base, err := l1.Decide(new(Scratch), L1Observation{
 		QueueLens: []float64{0, 0}, LambdaHat: 30, Delta: 0, CHat: 0.018,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	banded, err := l1.Decide(L1Observation{
+	banded, err := l1.Decide(new(Scratch), L1Observation{
 		QueueLens: []float64{0, 0}, On: base.Alpha, LambdaHat: 30, Delta: 10, CHat: 0.018,
 	})
 	if err != nil {

@@ -113,22 +113,13 @@ type L2Decision struct {
 
 // L2 is the cluster-level controller. Construct with NewL2.
 //
-// Its tables are sized at NewL2, so a warm Decide allocates nothing
-// (pinned by TestL2DecideSteadyStateAllocs). The returned decision's Gamma
-// belongs to the controller and stays valid until its next Decide. Not
-// safe for concurrent use.
+// Its term and suffix tables and the decision it returns live in the
+// Scratch each Decide is handed, sized there by the module count, so a
+// Decide in a warm Scratch allocates nothing (pinned by
+// TestL2DecideSteadyStateAllocs). Not safe for concurrent use.
 type L2 struct {
 	cfg     L2Config
 	jtildes []JTilde
-
-	decGamma []float64 // the returned decision's γ
-
-	// The decision in flight: module i's term c_i(u) for u quanta at
-	// cost[i·(unitsL2+1) + u], and the suffix table suf.
-	avail      []bool
-	samplesBuf [3]float64
-	cost       []float64
-	suf        []float64
 
 	// maxExplored is the decision budget (see SetMaxExplored); 0 = none.
 	maxExplored int
@@ -150,10 +141,27 @@ func NewL2(cfg L2Config, jtildes []JTilde) (*L2, error) {
 			return nil, fmt.Errorf("controller: L2 module model %d is nil", i)
 		}
 	}
-	p := len(jtildes)
+	return &L2{cfg: cfg, jtildes: jtildes}, nil
+}
+
+// l2Scratch is an L2 decision's working memory, a Scratch's L2 share:
+// module i's term c_i(u) for u quanta at cost[i·(unitsL2+1) + u], the
+// suffix table suf, and the returned decision's γ.
+type l2Scratch struct {
+	avail      []bool
+	samplesBuf [3]float64
+	cost       []float64
+	suf        []float64
+	decGamma   []float64
+}
+
+// fit sizes the scratch for p modules.
+func (d *l2Scratch) fit(p int) {
 	n := p * (unitsL2 + 1)
-	return &L2{cfg: cfg, jtildes: jtildes, decGamma: make([]float64, p),
-		avail: make([]bool, p), cost: make([]float64, n), suf: make([]float64, n+unitsL2+1)}, nil
+	d.avail = resize(d.avail, p)
+	d.cost = resize(d.cost, n)
+	d.suf = resize(d.suf, n+unitsL2+1)
+	d.decGamma = resize(d.decGamma, p)
 }
 
 // SetRecorder attaches a decision flight recorder (nil detaches). Each
@@ -176,10 +184,11 @@ func (l *L2) SetMaxExplored(n int) { l.maxExplored = n }
 // optimum — rounded addition is monotone, so it is exact for the fold —
 // and the backtrack takes, module by module, the fewest quanta attaining
 // the suffix minimum. The work is 11 terms per available module and band
-// sample. The returned Gamma is valid until the next Decide.
+// sample, in sc's L2 share. The returned Gamma aliases sc and is valid
+// until the next L2 Decide on it.
 //
 //hpm:hotpath
-func (l *L2) Decide(obs L2Observation) (L2Decision, error) {
+func (l *L2) Decide(sc *Scratch, obs L2Observation) (L2Decision, error) {
 	p := len(l.jtildes)
 	if len(obs.QAvg) != p || len(obs.CHat) != p {
 		return L2Decision{}, fmt.Errorf("controller: observation sizes %d/%d, modules %d", len(obs.QAvg), len(obs.CHat), p)
@@ -193,16 +202,18 @@ func (l *L2) Decide(obs L2Observation) (L2Decision, error) {
 	if len(obs.Available) != p {
 		return L2Decision{}, fmt.Errorf("controller: observation has %d availability flags, modules %d", len(obs.Available), p)
 	}
-	if obs.Split == nil {
-		// Into the decision's buffer: every term is priced before the
-		// backtrack overwrites it.
-		obs.Split = EqualSplit(l.decGamma)
-	}
-	if len(obs.Split) != p {
+	if obs.Split != nil && len(obs.Split) != p {
 		return L2Decision{}, fmt.Errorf("controller: observation split has %d modules, want %d", len(obs.Split), p)
 	}
 	if countOn(obs.Available) == 0 {
 		return L2Decision{}, fmt.Errorf("controller: no available modules")
+	}
+	d := &sc.l2
+	d.fit(p)
+	if obs.Split == nil {
+		// Into the decision's buffer: every term is priced before the
+		// backtrack overwrites it.
+		obs.Split = EqualSplit(d.decGamma)
 	}
 	if obs.LambdaHat < 0 {
 		obs.LambdaHat = 0
@@ -212,8 +223,8 @@ func (l *L2) Decide(obs L2Observation) (L2Decision, error) {
 		start = time.Now() //hpm:wallclock decide latency for the flight record; observe-only
 	}
 
-	copy(l.avail, obs.Available)
-	explored, err := l.priceTerms(obs)
+	copy(d.avail, obs.Available)
+	explored, err := l.priceTerms(d, obs)
 	if err != nil {
 		return L2Decision{}, searchErr("L2", err)
 	}
@@ -222,19 +233,19 @@ func (l *L2) Decide(obs L2Observation) (L2Decision, error) {
 	// r = 0 only.
 	w := unitsL2 + 1
 	for r := range w {
-		l.suf[p*w+r] = math.Inf(1)
+		d.suf[p*w+r] = math.Inf(1)
 	}
-	l.suf[p*w] = 0
+	d.suf[p*w] = 0
 	for i := p - 1; i >= 0; i-- {
-		minPlus(l.suf[i*w:(i+1)*w], l.cost[i*w:], l.suf[(i+1)*w:], 0, unitsL2, i == p-1)
+		minPlus(d.suf[i*w:(i+1)*w], d.cost[i*w:], d.suf[(i+1)*w:], 0, unitsL2, i == p-1)
 	}
-	bestCost := l.suf[unitsL2]
+	bestCost := d.suf[unitsL2]
 	if !(bestCost < math.Inf(1)) {
 		return L2Decision{}, fmt.Errorf("controller: L2 found no candidate allocation")
 	}
 	for i, r := 0, unitsL2; i < p; i++ {
-		u := firstOptimum(l.cost[i*w:], l.suf[(i+1)*w:], r, l.suf[i*w+r])
-		l.decGamma[i] = float64(u) * QuantumL2
+		u := firstOptimum(d.cost[i*w:], d.suf[(i+1)*w:], r, d.suf[i*w+r])
+		d.decGamma[i] = float64(u) * QuantumL2
 		r -= u
 	}
 	if l.rec.Enabled() {
@@ -247,7 +258,7 @@ func (l *L2) Decide(obs L2Observation) (L2Decision, error) {
 			DecideNs: time.Since(start).Nanoseconds(), //hpm:wallclock decide latency for the flight record; observe-only
 			Cost:     bestCost,
 		})
-		for i, g := range l.decGamma {
+		for i, g := range d.decGamma {
 			l.rec.Record(flight.Record{
 				Level:   flight.LevelL2,
 				Module:  int16(i),
@@ -257,24 +268,24 @@ func (l *L2) Decide(obs L2Observation) (L2Decision, error) {
 			})
 		}
 	}
-	return L2Decision{Gamma: l.decGamma, Explored: explored}, nil
+	return L2Decision{Gamma: d.decGamma, Explored: explored}, nil
 }
 
 // priceTerms fills the term table, counting each J̃ prediction as one
 // explored state against the budget, and returns the count. An unavailable
 // module is held at 0 quanta: that term is its reallocation cost alone,
 // and every other is +Inf, priced by no prediction.
-func (l *L2) priceTerms(obs L2Observation) (int, error) {
-	samples := bandSamples(&l.samplesBuf, obs.LambdaHat, obs.Delta, l.cfg.UncertaintySamples)
+func (l *L2) priceTerms(d *l2Scratch, obs L2Observation) (int, error) {
+	samples := bandSamples(&d.samplesBuf, obs.LambdaHat, obs.Delta, l.cfg.UncertaintySamples)
 	n, explored := float64(len(samples)), 0
 	for i, jt := range l.jtildes {
 		lams := samples
-		if !l.avail[i] {
+		if !d.avail[i] {
 			lams = nil
 		}
 		for u := 0; u <= unitsL2; u++ {
-			if !l.avail[i] && u > 0 {
-				l.cost[i*(unitsL2+1)+u] = math.Inf(1)
+			if !d.avail[i] && u > 0 {
+				d.cost[i*(unitsL2+1)+u] = math.Inf(1)
 				continue
 			}
 			g := float64(u) * QuantumL2
@@ -292,7 +303,7 @@ func (l *L2) priceTerms(obs L2Observation) (int, error) {
 				}
 				sum += c
 			}
-			l.cost[i*(unitsL2+1)+u] = sum/n + DeltaWeight*math.Abs(g-obs.Split[i])
+			d.cost[i*(unitsL2+1)+u] = sum/n + DeltaWeight*math.Abs(g-obs.Split[i])
 		}
 	}
 	return explored, nil

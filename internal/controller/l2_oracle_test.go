@@ -201,7 +201,7 @@ func checkAgainstOracle(t *testing.T, rng *rand.Rand, jts []JTilde, decisions in
 		obs := randomL2Observation(rng, p)
 		obs.Split = split
 		wantGamma, wantCost := enumerationDecide(t, jts, cfg.UncertaintySamples, obs, prev)
-		dec, err := l2.Decide(obs)
+		dec, err := l2.Decide(new(Scratch), obs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -297,7 +297,8 @@ func TestL2ExactAboveSixModules(t *testing.T) {
 			down++
 		}
 	}
-	dec, err := l2.Decide(obs)
+	sc := new(Scratch)
+	dec, err := l2.Decide(sc, obs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,8 +306,8 @@ func TestL2ExactAboveSixModules(t *testing.T) {
 		t.Fatalf("flat cost: explored %d, want %d", dec.Explored, want)
 	}
 	recs := rec.Window(nil, 0)
-	if cost := recs[len(recs)-p-1].Cost; cost != l2.suf[unitsL2] {
-		t.Fatalf("flat cost: recorded cost %v, table head %v", cost, l2.suf[unitsL2])
+	if cost := recs[len(recs)-p-1].Cost; cost != sc.l2.suf[unitsL2] {
+		t.Fatalf("flat cost: recorded cost %v, table head %v", cost, sc.l2.suf[unitsL2])
 	}
 	// Every available module costs 1 and each of the three stranded quanta
 	// is δ·q to take off and δ·q to put anywhere else.
@@ -317,8 +318,8 @@ func TestL2ExactAboveSixModules(t *testing.T) {
 		}
 		units += int(math.Round(g / QuantumL2))
 	}
-	if optimum := float64(p-3) + 6*DeltaWeight*QuantumL2; units != unitsL2 || math.Abs(l2.suf[unitsL2]-optimum) > 1e-9 {
-		t.Fatalf("flat cost: γ %v (%d quanta) at cost %v, optimum %v", dec.Gamma, units, l2.suf[unitsL2], optimum)
+	if optimum := float64(p-3) + 6*DeltaWeight*QuantumL2; units != unitsL2 || math.Abs(sc.l2.suf[unitsL2]-optimum) > 1e-9 {
+		t.Fatalf("flat cost: γ %v (%d quanta) at cost %v, optimum %v", dec.Gamma, units, sc.l2.suf[unitsL2], optimum)
 	}
 }
 
@@ -348,7 +349,7 @@ func TestL2ExploredLinearInModules(t *testing.T) {
 				chat[i] = 0.0175
 				avail[i] = d != 3 || i%7 != 0
 			}
-			dec, err := l2.Decide(L2Observation{QAvg: qavg, LambdaHat: 40 * float64(p+d), Delta: 20, CHat: chat, Available: avail})
+			dec, err := l2.Decide(new(Scratch), L2Observation{QAvg: qavg, LambdaHat: 40 * float64(p+d), Delta: 20, CHat: chat, Available: avail})
 			if err != nil {
 				t.Fatal(err)
 			}

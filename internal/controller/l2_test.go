@@ -57,7 +57,7 @@ func TestL2BalancesIdenticalModules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := l2.Decide(L2Observation{
+	dec, err := l2.Decide(new(Scratch), L2Observation{
 		QAvg:      []float64{0, 0, 0, 0},
 		LambdaHat: 200,
 		CHat:      []float64{0.018, 0.018, 0.018, 0.018},
@@ -88,7 +88,7 @@ func TestL2ShiftsLoadToCheaperModule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := l2.Decide(L2Observation{
+	dec, err := l2.Decide(new(Scratch), L2Observation{
 		QAvg:      []float64{0, 0},
 		LambdaHat: 100,
 		CHat:      []float64{0.018, 0.018},
@@ -107,7 +107,7 @@ func TestL2UnavailableModuleGetsZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := l2.Decide(L2Observation{
+	dec, err := l2.Decide(new(Scratch), L2Observation{
 		QAvg:      []float64{0, 0, 0},
 		LambdaHat: 100,
 		CHat:      []float64{0.018, 0.018, 0.018},
@@ -126,7 +126,7 @@ func TestL2NoAvailableModules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = l2.Decide(L2Observation{
+	_, err = l2.Decide(new(Scratch), L2Observation{
 		QAvg:      []float64{0},
 		LambdaHat: 1,
 		CHat:      []float64{0.018},
@@ -142,13 +142,13 @@ func TestL2ObservationValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l2.Decide(L2Observation{QAvg: []float64{0}, LambdaHat: 1, CHat: []float64{0.018, 0.018}}); err == nil {
+	if _, err := l2.Decide(new(Scratch), L2Observation{QAvg: []float64{0}, LambdaHat: 1, CHat: []float64{0.018, 0.018}}); err == nil {
 		t.Error("QAvg size mismatch: want error")
 	}
-	if _, err := l2.Decide(L2Observation{QAvg: []float64{0, 0}, LambdaHat: 1, CHat: []float64{0.018, 0.018}, Available: []bool{true}}); err == nil {
+	if _, err := l2.Decide(new(Scratch), L2Observation{QAvg: []float64{0, 0}, LambdaHat: 1, CHat: []float64{0.018, 0.018}, Available: []bool{true}}); err == nil {
 		t.Error("availability size mismatch: want error")
 	}
-	if _, err := l2.Decide(L2Observation{QAvg: []float64{0, 0}, LambdaHat: 1, CHat: []float64{0.018, 0.018}, Split: []float64{1}}); err == nil {
+	if _, err := l2.Decide(new(Scratch), L2Observation{QAvg: []float64{0, 0}, LambdaHat: 1, CHat: []float64{0.018, 0.018}, Split: []float64{1}}); err == nil {
 		t.Error("split size mismatch: want error")
 	}
 }
@@ -159,14 +159,14 @@ func TestL2UncertaintySamplesIncreaseExploration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nominal, err := l2.Decide(L2Observation{
+	nominal, err := l2.Decide(new(Scratch), L2Observation{
 		QAvg: []float64{0, 0}, LambdaHat: 50, Delta: 0,
 		CHat: []float64{0.018, 0.018},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	banded, err := l2.Decide(L2Observation{
+	banded, err := l2.Decide(new(Scratch), L2Observation{
 		QAvg: []float64{0, 0}, LambdaHat: 50, Delta: 20,
 		CHat: []float64{0.018, 0.018},
 	})
@@ -193,14 +193,14 @@ func TestL2UncertaintySamplesExactWithoutPruning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nominal, err := l2.Decide(L2Observation{
+	nominal, err := l2.Decide(new(Scratch), L2Observation{
 		QAvg: []float64{0, 0}, LambdaHat: 50, Delta: 0,
 		CHat: []float64{0.018, 0.018},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	banded, err := l2.Decide(L2Observation{
+	banded, err := l2.Decide(new(Scratch), L2Observation{
 		QAvg: []float64{0, 0}, LambdaHat: 50, Delta: 20,
 		CHat: []float64{0.018, 0.018},
 	})

@@ -94,8 +94,9 @@ func TestControllersHaveNoMemory(t *testing.T) {
 					}
 					l0.SetMaxExplored(limit)
 					l0.SetRecorder(rec, 0, 0)
+					sc := new(Scratch)
 					return func(o []float64) (any, error) {
-						idx, explored, err := l0.Decide(o[0], o[3:], o[1], o[2])
+						idx, explored, err := l0.Decide(sc, o[0], o[3:], o[1], o[2])
 						return [2]int{idx, explored}, err
 					}
 				},
@@ -136,7 +137,8 @@ func TestControllersHaveNoMemory(t *testing.T) {
 					}
 					l1.SetMaxExplored(limit)
 					l1.SetRecorder(rec, 0)
-					return func(o L1Observation) (any, error) { return l1.Decide(o) }
+					sc := new(Scratch)
+					return func(o L1Observation) (any, error) { return l1.Decide(sc, o) }
 				},
 				draw: func() L1Observation {
 					o := L1Observation{
@@ -179,7 +181,8 @@ func TestControllersHaveNoMemory(t *testing.T) {
 					}
 					l2.SetMaxExplored(limit)
 					l2.SetRecorder(rec)
-					return func(o L2Observation) (any, error) { return l2.Decide(o) }
+					sc := new(Scratch)
+					return func(o L2Observation) (any, error) { return l2.Decide(sc, o) }
 				},
 				draw: func() L2Observation {
 					o := randomL2Observation(rng, p)

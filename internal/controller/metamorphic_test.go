@@ -69,7 +69,7 @@ func TestL1MetamorphicAvailabilityAndFloor(t *testing.T) {
 				obs.QueueLens[j] = math.Floor(180 * rng.Float64() * float64(rng.Intn(2)))
 				obs.Available[j] = rng.Intn(4) > 0
 			}
-			dec, err := l1.Decide(obs)
+			dec, err := l1.Decide(new(Scratch), obs)
 			if err != nil {
 				t.Fatalf("trial %d step %d: %v", trial, step, err)
 			}
@@ -84,7 +84,7 @@ func TestL1MetamorphicAvailabilityAndFloor(t *testing.T) {
 		}
 		n := m
 		for d := 0; d < m; d++ {
-			dec, err := l1.Decide(idle)
+			dec, err := l1.Decide(new(Scratch), idle)
 			if err != nil {
 				t.Fatalf("trial %d idle %d: %v", trial, d, err)
 			}
@@ -158,7 +158,7 @@ func TestL1MetamorphicPermutation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			dec, err := l1.Decide(obs)
+			dec, err := l1.Decide(new(Scratch), obs)
 			if err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
@@ -235,11 +235,11 @@ func TestL1MetamorphicLoadCapacityScaling(t *testing.T) {
 		obs.On = on
 		heavier := obs
 		heavier.CHat, heavier.On = scale*obs.CHat, onS
-		dec, err := base.Decide(obs)
+		dec, err := base.Decide(new(Scratch), obs)
 		if err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
-		decS, err := scaled.Decide(heavier)
+		decS, err := scaled.Decide(new(Scratch), heavier)
 		if err != nil {
 			t.Fatalf("step %d scaled: %v", step, err)
 		}

@@ -48,9 +48,10 @@ func (c ModuleSimConfig) Validate() error {
 //
 // The module starts with qAvg queued requests per computer, all computers
 // on, so the sampled cost reflects the module's intrinsic response to
-// (q, λ, c) rather than a particular control history. The controllers are
-// built once for every training point: neither keeps a decision, so every
-// run starts from the same all-on module. The L0s run their search.
+// (q, λ, c) rather than a particular control history. The controllers and
+// the one Scratch they decide in are built once for every training point:
+// no controller keeps a decision, so every run starts from the same all-on
+// module. The L0s run their search.
 func newModuleSim(l0cfg L0Config, l1cfg L1Config, gmaps []*GMap) (func(qAvg, lambda, c float64) (float64, float64, error), error) {
 	l1, err := NewL1(l1cfg, gmaps)
 	if err != nil {
@@ -63,6 +64,7 @@ func newModuleSim(l0cfg L0Config, l1cfg L1Config, gmaps []*GMap) (func(qAvg, lam
 			return nil, err
 		}
 	}
+	sc := new(Scratch)
 	queues, states := make([]float64, m), make([]queue.State, m)
 	var lam [1]float64
 	subSteps := max(int(l1cfg.PeriodSeconds/PeriodL0), 1)
@@ -70,7 +72,7 @@ func newModuleSim(l0cfg L0Config, l1cfg L1Config, gmaps []*GMap) (func(qAvg, lam
 		for j := range queues {
 			queues[j] = qAvg
 		}
-		dec, err := l1.Decide(L1Observation{QueueLens: queues, LambdaHat: lambda, CHat: c})
+		dec, err := l1.Decide(sc, L1Observation{QueueLens: queues, LambdaHat: lambda, CHat: c})
 		if err != nil {
 			return 0, 0, err
 		}
@@ -91,7 +93,7 @@ func newModuleSim(l0cfg L0Config, l1cfg L1Config, gmaps []*GMap) (func(qAvg, lam
 				}
 				spec := g.Spec()
 				lam[0] = dec.Gamma[j] * lambda
-				res, err := l0s[j].search(states[j].Q, lam[:], 0, c)
+				res, err := l0s[j].search(&sc.l0, states[j].Q, lam[:], 0, c)
 				if err != nil {
 					return 0, 0, fmt.Errorf("controller: L0 search: %w", err)
 				}

@@ -28,11 +28,12 @@ func TestL0DecideZeroAllocWithRecorder(t *testing.T) {
 		t.Fatal(err)
 	}
 	l0.SetRecorder(newCtrlRecorder(t), 0, 1)
+	sc := new(Scratch)
 	lambda := make([]float64, 3)
 	decide := func(i int) {
 		lam := 40 + 30*math.Sin(float64(i)/9)
 		lambda[0], lambda[1], lambda[2] = lam, lam+2, lam+4
-		if _, _, err := l0.Decide(float64((i*7)%200), lambda, 8, 0.0175); err != nil {
+		if _, _, err := l0.Decide(sc, float64((i*7)%200), lambda, 8, 0.0175); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -52,6 +53,7 @@ func TestL0DecideZeroAllocWithRecorder(t *testing.T) {
 func TestL1DecideSteadyStateAllocsWithRecorder(t *testing.T) {
 	l1 := newTestL1(t, 4)
 	l1.SetRecorder(newCtrlRecorder(t), 0)
+	sc := new(Scratch)
 	avail := []bool{true, true, true, true}
 	queues := make([]float64, 4)
 	var on []bool
@@ -60,7 +62,7 @@ func TestL1DecideSteadyStateAllocsWithRecorder(t *testing.T) {
 		for j := range queues {
 			queues[j] = float64((i * (3 + 2*j)) % 80)
 		}
-		dec, err := l1.Decide(L1Observation{
+		dec, err := l1.Decide(sc, L1Observation{
 			QueueLens: queues, On: on, LambdaHat: lam, Delta: 8, CHat: 0.0175, Available: avail,
 		})
 		if err != nil {
@@ -91,6 +93,7 @@ func TestL2DecideSteadyStateAllocsWithRecorder(t *testing.T) {
 		t.Fatal(err)
 	}
 	l2.SetRecorder(newCtrlRecorder(t))
+	sc := new(Scratch)
 	qavg := make([]float64, 4)
 	chat := []float64{0.0175, 0.0175, 0.0175, 0.0175}
 	avail := []bool{true, true, true, true}
@@ -99,7 +102,7 @@ func TestL2DecideSteadyStateAllocsWithRecorder(t *testing.T) {
 		for j := range qavg {
 			qavg[j] = float64((i * (3 + 2*j)) % 40)
 		}
-		if _, err := l2.Decide(L2Observation{
+		if _, err := l2.Decide(sc, L2Observation{
 			QAvg: qavg, LambdaHat: lam, Delta: 20, CHat: chat, Available: avail,
 		}); err != nil {
 			t.Fatal(err)
@@ -131,16 +134,17 @@ func TestControllerRecorderEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	l0b.SetRecorder(newCtrlRecorder(t), 0, 0)
+	sa, sb := new(Scratch), new(Scratch)
 	lambda := make([]float64, 3)
 	for i := 0; i < 40; i++ {
 		lam := 40 + 30*math.Sin(float64(i)/7)
 		lambda[0], lambda[1], lambda[2] = lam, lam+2, lam+4
 		q := float64((i * 11) % 150)
-		fa, _, err := l0a.Decide(q, lambda, 8, 0.0175)
+		fa, _, err := l0a.Decide(sa, q, lambda, 8, 0.0175)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fb, _, err := l0b.Decide(q, lambda, 8, 0.0175)
+		fb, _, err := l0b.Decide(sb, q, lambda, 8, 0.0175)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,12 +169,12 @@ func TestControllerRecorderEquivalence(t *testing.T) {
 			avail[0] = true
 		}
 		o := L1Observation{QueueLens: queues, On: onA, LambdaHat: lam, Delta: 8, CHat: 0.0175, Available: avail}
-		da, err := l1a.Decide(o)
+		da, err := l1a.Decide(sa, o)
 		if err != nil {
 			t.Fatal(err)
 		}
 		o.On = onB
-		db, err := l1b.Decide(o)
+		db, err := l1b.Decide(sb, o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,11 +209,11 @@ func TestControllerRecorderEquivalence(t *testing.T) {
 			qavg[j] = float64((i * (3 + 2*j)) % 40)
 		}
 		o := L2Observation{QAvg: qavg, LambdaHat: lam, Delta: 20, CHat: chat, Available: availM}
-		da, err := l2a.Decide(o)
+		da, err := l2a.Decide(sa, o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		db, err := l2b.Decide(o)
+		db, err := l2b.Decide(sb, o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,7 +237,7 @@ func TestControllerRecordShapes(t *testing.T) {
 		t.Fatal(err)
 	}
 	l0.SetRecorder(rec, 2, 3)
-	freq, _, err := l0.Decide(10, []float64{50}, 0, 0.0175)
+	freq, _, err := l0.Decide(new(Scratch), 10, []float64{50}, 0, 0.0175)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +254,7 @@ func TestControllerRecordShapes(t *testing.T) {
 	l1 := newTestL1(t, 4)
 	l1.SetRecorder(rec, 5)
 	before := rec.Total()
-	dec, err := l1.Decide(L1Observation{
+	dec, err := l1.Decide(new(Scratch), L1Observation{
 		QueueLens: []float64{1, 2, 3, 4}, LambdaHat: 80, CHat: 0.0175,
 	})
 	if err != nil {
@@ -274,7 +278,7 @@ func TestControllerRecordShapes(t *testing.T) {
 
 	// A fully failed module records the degraded all-off decision too.
 	before = rec.Total()
-	if _, err := l1.Decide(L1Observation{
+	if _, err := l1.Decide(new(Scratch), L1Observation{
 		QueueLens: []float64{1, 2, 3, 4}, LambdaHat: 80, CHat: 0.0175,
 		Available: []bool{false, false, false, false},
 	}); err != nil {
@@ -296,7 +300,7 @@ func TestControllerRecordShapes(t *testing.T) {
 	}
 	l2.SetRecorder(rec)
 	before = rec.Total()
-	d2, err := l2.Decide(L2Observation{
+	d2, err := l2.Decide(new(Scratch), L2Observation{
 		QAvg: []float64{1, 2, 3}, LambdaHat: 250, CHat: []float64{0.0175, 0.0175, 0.0175},
 	})
 	if err != nil {

@@ -2,6 +2,8 @@ package core
 
 import (
 	"errors"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -224,5 +226,78 @@ func TestStoreKeyedByConfig(t *testing.T) {
 	second.Release()
 	if got := store.Stats().GMaps; got.Held != 0 {
 		t.Fatalf("store after the last release: %+v", got)
+	}
+}
+
+// TestConfigKeysCoverEveryField: flipping any field of L0Config,
+// GMapConfig, L1Config or ModuleSimConfig — Tree's fields and each level
+// list's length and entries included — changes the fingerprint half that
+// depends on it, so a field added later can never let one configuration
+// share artifacts learned under another. The fields are found by
+// reflection: a new one the keys do not write fails here, and one of a kind
+// the test cannot flip fails too, until both learn it.
+func TestConfigKeysCoverEveryField(t *testing.T) {
+	base := DefaultConfig()
+	parts := []struct {
+		name string
+		of   func(*Config) reflect.Value
+		gmap bool // the g key depends on it too
+	}{
+		{"L0", func(c *Config) reflect.Value { return reflect.ValueOf(&c.L0).Elem() }, true},
+		{"GMap", func(c *Config) reflect.Value { return reflect.ValueOf(&c.GMap).Elem() }, true},
+		{"L1", func(c *Config) reflect.Value { return reflect.ValueOf(&c.L1).Elem() }, false},
+		{"ModuleSim", func(c *Config) reflect.Value { return reflect.ValueOf(&c.ModuleSim).Elem() }, false},
+	}
+	// leaves lists the index paths of v's non-struct fields, depth first.
+	var leaves func(v reflect.Value, prefix []int) [][]int
+	leaves = func(v reflect.Value, prefix []int) [][]int {
+		var out [][]int
+		for i := range v.NumField() {
+			path := append(slices.Clone(prefix), i)
+			if f := v.Field(i); f.Kind() == reflect.Struct {
+				out = append(out, leaves(f, path)...)
+			} else {
+				out = append(out, path)
+			}
+		}
+		return out
+	}
+	for _, p := range parts {
+		typ := p.of(&base).Type()
+		for _, path := range leaves(p.of(&base), nil) {
+			name := p.name + "." + typ.FieldByIndex(path).Name
+			var flips []func(reflect.Value)
+			switch kind := p.of(&base).FieldByIndex(path).Kind(); kind {
+			case reflect.Int:
+				flips = append(flips, func(f reflect.Value) { f.SetInt(f.Int() + 1) })
+			case reflect.Float64:
+				flips = append(flips, func(f reflect.Value) { f.SetFloat(2*f.Float() + 1) })
+			case reflect.Bool:
+				flips = append(flips, func(f reflect.Value) { f.SetBool(!f.Bool()) })
+			case reflect.Slice:
+				// New slices: the copy of base shares its arrays.
+				flips = append(flips,
+					func(f reflect.Value) {
+						f.Set(reflect.ValueOf(append(slices.Clone(f.Interface().([]float64)), 1e3)))
+					},
+					func(f reflect.Value) {
+						s := slices.Clone(f.Interface().([]float64))
+						s[len(s)-1] = 2*s[len(s)-1] + 1
+						f.Set(reflect.ValueOf(s))
+					})
+			default:
+				t.Fatalf("%s is a %s: teach the configuration keys and this test to flip it", name, kind)
+			}
+			for k, flip := range flips {
+				cfg := base
+				flip(p.of(&cfg).FieldByIndex(path))
+				if treeConfigKey(cfg) == treeConfigKey(base) {
+					t.Errorf("%s (flip %d): the tree key does not change", name, k)
+				}
+				if p.gmap && gmapConfigKey(cfg) == gmapConfigKey(base) {
+					t.Errorf("%s (flip %d): the g key does not change", name, k)
+				}
+			}
+		}
 	}
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"sync"
 
 	"hierctl/internal/controller"
@@ -16,17 +18,55 @@ import (
 
 // gmapConfigKey is the configuration half of an abstraction map g's
 // fingerprint — the L0 controller it was simulated under and the learning
-// grid — which the computer's hardware key completes.
+// grid — which the computer's hardware key completes. Like hardwareKey it
+// is binary and exact: every field in declaration order, each as its 8
+// bytes (TestConfigKeysCoverEveryField holds it to every field there is).
 func gmapConfigKey(cfg Config) string {
-	return fmt.Sprintf("%+v|%+v|", cfg.L0, cfg.GMap)
+	return string(appendGMapConfigKey(nil, cfg))
+}
+
+func appendGMapConfigKey(b []byte, cfg Config) []byte {
+	g := cfg.GMap
+	b = appendInts(b, cfg.L0.Horizon)
+	b = appendFloats(b, g.QMax, g.QStep, g.LambdaMax, g.LambdaStep, g.CMin, g.CMax, g.CStep)
+	return appendInts(b, g.SubSteps)
 }
 
 // treeConfigKey is the configuration half of a module tree J̃'s
 // fingerprint — everything its member maps depend on plus the L1
 // controller and the module-simulation grid — which the module's
-// composition key completes.
+// composition key completes. A list of levels comes behind its length, so
+// the key is self-delimiting.
 func treeConfigKey(cfg Config) string {
-	return fmt.Sprintf("%+v|%+v|%+v|%+v|", cfg.L0, cfg.L1, cfg.GMap, cfg.ModuleSim)
+	l1, ms := cfg.L1, cfg.ModuleSim
+	b := appendGMapConfigKey(nil, cfg)
+	b = appendFloats(b, l1.PeriodSeconds, l1.Quantum, l1.SwitchWeight)
+	uncertain := 0
+	if l1.UncertaintySamples {
+		uncertain = 1
+	}
+	b = appendInts(b, l1.MinOn, uncertain)
+	for _, levels := range [...][]float64{ms.QLevels, ms.LambdaLevels, ms.CLevels} {
+		b = appendInts(b, len(levels))
+		b = appendFloats(b, levels...)
+	}
+	return string(appendInts(b, ms.Tree.MaxDepth, ms.Tree.MinLeaf))
+}
+
+// appendFloats appends each value's bits to a fingerprint.
+func appendFloats(b []byte, fs ...float64) []byte {
+	for _, f := range fs {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
+	}
+	return b
+}
+
+// appendInts appends each value to a fingerprint as 8 bytes.
+func appendInts(b []byte, ns ...int) []byte {
+	for _, n := range ns {
+		b = binary.LittleEndian.AppendUint64(b, uint64(n))
+	}
+	return b
 }
 
 // ArtifactStore shares offline learning results between the managers built
@@ -40,8 +80,9 @@ func treeConfigKey(cfg Config) string {
 // live managers rather than by uptime.
 //
 // Shared artifacts are read-only: the decision paths (the L1's probes of
-// g, TreeJTilde.Predict) never mutate them, and a controller's decision
-// scratch is its own, so the store holds learned artifacts and nothing
+// g, TreeJTilde.Predict) never mutate them, and a decision's working
+// memory is the stepping goroutine's controller.Scratch, so the store holds
+// learned artifacts and nothing
 // else. A fleet owns one store; nothing is cached process-wide. The zero
 // value is not usable — construct with NewArtifactStore.
 type ArtifactStore struct {
@@ -146,6 +187,19 @@ func (t *artifactTier[T]) acquire(fingerprint string, learn func() (T, error)) (
 	t.shares++
 	t.mu.Unlock()
 	return e.val, nil
+}
+
+// holdsAll reports whether the tier holds an entry — learned or being
+// learned — for every task's fingerprint.
+func (t *artifactTier[T]) holdsAll(tasks []artifactTask[T]) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, tk := range tasks {
+		if _, ok := t.entries[tk.fingerprint]; !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // release drops one reference; the last one removes the entry.

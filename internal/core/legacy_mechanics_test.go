@@ -39,6 +39,7 @@ func legacyMechanicsRun(m *Manager, trace *series.Series, store *workload.Store,
 		start0:  start0,
 		l1Every: int(m.cfg.L1.PeriodSeconds/tl0 + 0.5),
 		l2Every: int(m.cfg.L2.PeriodSeconds/tl0 + 0.5),
+		sc:      new(controller.Scratch),
 	}
 	r.totalSteps = trace.Len() * sub
 

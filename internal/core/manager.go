@@ -1,10 +1,8 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 	"maps"
-	"math"
 	"time"
 
 	"hierctl/internal/cluster"
@@ -294,11 +292,13 @@ type artifactTask[T any] struct {
 
 // acquireDistinct resolves one artifact per distinct key among n items,
 // fanning the learning tasks across the worker pool — the one fan-out a
-// Manager keeps, and it runs before any control tick. Keys are collected in
-// first-seen order and results land in indexed slots, so the returned map
-// is identical to the sequential walk's; task receives the first item that
-// carried each key. The fingerprint of every reference taken is appended
-// to *held, on error too, so the caller's Release returns them.
+// Manager keeps, and it runs before any control tick. When the tier already
+// holds every fingerprint there is nothing to learn, and the acquires run
+// inline. Keys are collected in first-seen order and results land in
+// indexed slots, so the returned map is identical to the sequential walk's;
+// task receives the first item that carried each key. The fingerprint of
+// every reference taken is appended to *held, on error too, so the
+// caller's Release returns them.
 func acquireDistinct[T any](t *artifactTier[T], workers, n int, held *[]string, keyOf func(i int) string, task func(i int, key string) artifactTask[T]) (map[string]T, error) {
 	var keys []string
 	var first []int
@@ -310,10 +310,17 @@ func acquireDistinct[T any](t *artifactTier[T], workers, n int, held *[]string, 
 			first = append(first, i)
 		}
 	}
+	tasks := make([]artifactTask[T], len(keys))
+	for j, key := range keys {
+		tasks[j] = task(first[j], key)
+	}
+	if t.holdsAll(tasks) {
+		workers = 1
+	}
 	slots := make([]T, len(keys))
 	taken := make([]string, len(keys)) // fingerprint of each reference taken
 	err := par.For(workers, len(keys), func(j int) error {
-		tk := task(first[j], keys[j])
+		tk := tasks[j]
 		val, err := t.acquire(tk.fingerprint, tk.learn)
 		if err != nil {
 			return fmt.Errorf("core: learning %s: %w", tk.what, err)
@@ -358,14 +365,9 @@ func (m *Manager) Release() {
 // module's composition key is its computers' keys concatenated.
 func hardwareKey(cs cluster.ComputerSpec) string {
 	b := make([]byte, 0, 8*(len(cs.FrequenciesHz)+5))
-	b = binary.LittleEndian.AppendUint64(b, uint64(len(cs.FrequenciesHz)))
-	for _, f := range cs.FrequenciesHz {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
-	}
-	for _, f := range [...]float64{cs.SpeedFactor, cs.Power.Base, cs.Power.SwitchCost, cs.BootDelaySeconds} {
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
-	}
-	return string(b)
+	b = appendInts(b, len(cs.FrequenciesHz))
+	b = appendFloats(b, cs.FrequenciesHz...)
+	return string(appendFloats(b, cs.SpeedFactor, cs.Power.Base, cs.Power.SwitchCost, cs.BootDelaySeconds))
 }
 
 // Spec returns the cluster specification.

@@ -71,6 +71,10 @@ type run struct {
 	// recorder is the flight recorder the manager had attached when the
 	// run was built (nil = off).
 	recorder *obs.Recorder
+	// sc is the controllers' working memory while a bin steps, nil between
+	// bins: the Scratch of whoever steps the session (see
+	// Session.StepBinIn), never the run's own.
+	sc *controller.Scratch
 
 	trace   *series.Series // full trace when known up front; nil when streaming
 	sub     int            // T_L0 bins per observation bin
@@ -362,7 +366,7 @@ func (r *run) decideL2(k int) (err error) {
 		r.recordGammaModules(r.gammaModules)
 		return nil
 	}
-	dec, err := r.l2.Decide(obs)
+	dec, err := r.l2.Decide(r.sc, obs)
 	if err != nil {
 		return err
 	}
@@ -383,8 +387,9 @@ func (r *run) decideL2(k int) (err error) {
 	}
 	r.lambdaGRate = obs.LambdaHat
 	r.recordGammaModules(dec.Gamma)
-	// The decision is the L2's until its next Decide: keep a copy, made
-	// only now that the share ratios above have read the old split.
+	// The decision is the scratch's until the next L2 Decide in it: keep a
+	// copy, made only now that the share ratios above have read the old
+	// split.
 	copy(r.gammaModules, dec.Gamma)
 	return nil
 }
@@ -392,8 +397,8 @@ func (r *run) decideL2(k int) (err error) {
 // planL1 runs one module's L1 controller, counts its decision, and appends
 // the boundary's Fig. 4 (predicted, actual) pair. It touches only module
 // i's own estimators and reads (never mutates) the shared plant. The
-// decision is valid until the L1's next Decide — the next boundary, long
-// after applyL1 copied it.
+// decision aliases the step's Scratch until the next L1 Decide on it — the
+// next module's, after applyL1 copied this one.
 func (r *run) planL1(i int, k int) (dec controller.L1Decision, err error) {
 	defer recoverAs(&err, "L1")
 	m := r.m
@@ -458,7 +463,7 @@ func (r *run) planL1(i int, k int) (dec controller.L1Decision, err error) {
 	if r.l1Failpoint != nil {
 		r.l1Failpoint(i, k)
 	}
-	if dec, err = asm.l1.Decide(obs); err == nil {
+	if dec, err = asm.l1.Decide(r.sc, obs); err == nil {
 		r.rec.L1Explored += dec.Explored
 		r.rec.L1Decisions++
 	}
@@ -481,7 +486,8 @@ func (r *run) applyL1(i int, dec controller.L1Decision) error {
 			}
 		}
 	}
-	// The decision is the L1's until its next Decide: keep a copy.
+	// The decision is the scratch's until the next L1 Decide in it: keep a
+	// copy.
 	copy(asm.alpha, dec.Alpha)
 	copy(asm.gamma, dec.Gamma)
 	return nil
@@ -515,7 +521,7 @@ func (r *run) decideL0(i int, asm *moduleAsm, k int) (degraded bool, err error) 
 		if m.cfg.OracleForecast {
 			delta = 0
 		}
-		idx, explored, err := searchL0(asm.l0s[j], float64(asm.lastPer[j].QueueLen), lambda, delta, cHat)
+		idx, explored, err := searchL0(asm.l0s[j], r.sc, float64(asm.lastPer[j].QueueLen), lambda, delta, cHat)
 		if err != nil {
 			if !degradable(err) {
 				return degraded, err
@@ -537,9 +543,9 @@ func (r *run) decideL0(i int, asm *moduleAsm, k int) (degraded bool, err error) 
 
 // searchL0 is one computer's L0 search under the panic guard, which
 // covers the search and never the actuation that follows it.
-func searchL0(l0 *controller.L0, queueLen float64, lambda []float64, delta, cHat float64) (idx, explored int, err error) {
+func searchL0(l0 *controller.L0, sc *controller.Scratch, queueLen float64, lambda []float64, delta, cHat float64) (idx, explored int, err error) {
 	defer recoverAs(&err, "L0")
-	return l0.Decide(queueLen, lambda, delta, cHat)
+	return l0.Decide(sc, queueLen, lambda, delta, cHat)
 }
 
 // recordFreq appends one T_L0 sample to computer (i, j)'s frequency series

@@ -78,11 +78,17 @@ type SessionConfig struct {
 // plant (in its engine harness), the controllers and the estimators — and
 // shares with its Manager only what was learned and configured, so a
 // Manager may have several sessions open, each deciding exactly as a fresh
-// Manager's would.
+// Manager's would. The controllers' working memory is not the session's
+// state: a bin steps in the controller.Scratch its caller hands StepBinIn
+// (a fleet shard's, shared by every tenant it steps), or, through StepBin,
+// in one the session makes at its first bin and keeps.
 // Sessions are not safe for concurrent use.
 type Session struct {
 	r *run
 	h *engine.Harness
+	// scratch is what StepBin steps in, made at its first call; nil for a
+	// session only ever stepped through StepBinIn.
+	scratch *controller.Scratch
 	// bins counts the bins StepBin finished: one behind the harness while
 	// a bin is in progress, and for good once a step stopped mid-bin.
 	bins     int
@@ -370,8 +376,26 @@ func (s *Session) ObserveBin(count float64) (BinDecision, error) {
 // StepBin is ObserveBin without the decision payload: it ingests the bin
 // and steps the hierarchy through it, allocating nothing in steady state.
 // Callers that need the decisions in force read them with Decision, once,
-// where they escape.
+// where they escape. The controllers decide in the session's own Scratch.
 func (s *Session) StepBin(count float64) error {
+	if s.scratch == nil {
+		s.scratch = new(controller.Scratch)
+	}
+	return s.StepBinIn(s.scratch, count)
+}
+
+// StepBinIn is StepBin with the controllers deciding in sc, which the
+// session uses only for this call and does not keep: whoever steps many
+// sessions on one goroutine hands each the same Scratch, and every session
+// decides bit for bit as in a Scratch of its own.
+func (s *Session) StepBinIn(sc *controller.Scratch, count float64) error {
+	s.r.sc = sc
+	err := s.stepBin(count)
+	s.r.sc = nil
+	return err
+}
+
+func (s *Session) stepBin(count float64) error {
 	if s.finished {
 		return fmt.Errorf("core: session already finished")
 	}

@@ -8,6 +8,8 @@ import (
 
 	"hierctl/internal/chaos"
 	"hierctl/internal/cluster"
+	"hierctl/internal/controller"
+	"hierctl/internal/obs"
 	"hierctl/internal/series"
 	"hierctl/internal/workload"
 )
@@ -513,5 +515,108 @@ func TestManagerSessionsStepConcurrently(t *testing.T) {
 			}
 		}
 		scalarsIdentical(t, want.rec, got.rec)
+	}
+}
+
+// TestSessionsShareScratch: sessions stepped on one goroutine may share
+// one controller.Scratch, whatever their shapes, and decide bit for bit as
+// each does alone in its own. Three streaming sessions — two computers,
+// one four-computer module, four modules of four — under failure plans and
+// a DecisionBudget small enough to trip, are stepped interleaved through
+// StepBinIn in one Scratch, the largest first; each must match its twin
+// stepped alone through StepBin: decisions every bin, flight records
+// (latency zeroed) and the finished record. The fleet's shard-level twin
+// is TestShardScratchSharedAcrossShapes.
+//
+//hpm:pin sharing
+func TestSessionsShareScratch(t *testing.T) {
+	const bins = 32
+	specs := []cluster.Spec{
+		{Modules: []cluster.ModuleSpec{moduleOf("M1", 4), moduleOf("M2", 4), moduleOf("M3", 4), moduleOf("M4", 4)}},
+		{Modules: []cluster.ModuleSpec{moduleOf("M1", 4)}},
+		{Modules: []cluster.ModuleSpec{moduleOf("M1", 2)}},
+	}
+	type run struct {
+		sess *Session
+		rec  *obs.Recorder
+		decs []BinDecision
+	}
+	// open starts session p's run, recording into a recorder of its own.
+	mgrs := make([]*Manager, len(specs))
+	open := func(p int) *run {
+		rec, err := obs.NewRecorder(4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mgrs[p].SetRecorder(rec)
+		s, err := mgrs[p].NewSession(testStore(t), SessionConfig{
+			BinSeconds: 30,
+			Failures:   []workload.FailureEvent{{At: 200, Module: 0, Comp: 1}, {At: 500, Module: 0, Comp: 1, Repair: true}},
+			Chaos:      chaos.Plan{DecisionBudget: 48},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &run{sess: s, rec: rec}
+	}
+	load := func(p, bin int) float64 {
+		return math.Round(float64(specs[p].Computers()) * (300 + 250*math.Sin(float64(bin+5*p)/4)))
+	}
+	alone, shared := make([]*run, len(specs)), make([]*run, len(specs))
+	for p, spec := range specs {
+		mgr, err := NewManager(spec, fastConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		mgrs[p] = mgr
+		alone[p] = open(p)
+		for bin := range bins {
+			dec, err := alone[p].sess.ObserveBin(load(p, bin))
+			if err != nil {
+				t.Fatal(err)
+			}
+			alone[p].decs = append(alone[p].decs, dec)
+		}
+		shared[p] = open(p)
+	}
+	sc := new(controller.Scratch)
+	for bin := range bins {
+		for p, r := range shared {
+			if err := r.sess.StepBinIn(sc, load(p, bin)); err != nil {
+				t.Fatal(err)
+			}
+			r.decs = append(r.decs, r.sess.Decision())
+		}
+	}
+	degraded := 0
+	for p := range specs {
+		want, got := alone[p], shared[p]
+		for bin := range bins {
+			if !reflect.DeepEqual(got.decs[bin], want.decs[bin]) {
+				t.Fatalf("session %d, bin %d: in a shared scratch decided\n%+v\nalone %+v", p, bin, got.decs[bin], want.decs[bin])
+			}
+		}
+		flights := [2][]obs.Record{want.rec.Window(nil, 0), got.rec.Window(nil, 0)}
+		for _, recs := range flights {
+			for i := range recs {
+				recs[i].DecideNs = 0
+			}
+		}
+		if !reflect.DeepEqual(flights[0], flights[1]) {
+			t.Fatalf("session %d: flight records differ in a shared scratch", p)
+		}
+		wantRec, err := want.sess.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotRec, err := got.sess.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		scalarsIdentical(t, wantRec, gotRec)
+		degraded += gotRec.Totals.DegradedTicks
+	}
+	if degraded == 0 {
+		t.Fatal("no decision tripped the budget: the test no longer covers a trip in a shared scratch")
 	}
 }

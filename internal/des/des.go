@@ -52,6 +52,10 @@ func (s *Stream) State() State {
 	return State{Hi: binary.BigEndian.Uint64(b[4:]), Lo: binary.BigEndian.Uint64(b[12:])}
 }
 
+// SetState positions the stream at st: the draws after it are the draws
+// that follow st.
+func (s *Stream) SetState(st State) { s.PCG.Seed(st.Hi, st.Lo) }
+
 // Checkpoint appends the stream's position: its two state words.
 func (s *Stream) Checkpoint(w *ckpt.Writer) {
 	st := s.State()

@@ -285,12 +285,12 @@ func TestObsLogReleasesAfterLongInterval(t *testing.T) {
 // where it is decided: the two-computer tenant hpmserve creates by default
 // (4096-record ring, the paper's 10,000-object store) is its flight
 // recorder (68,620 B: a 65,536 B arena of 16 B per record on average and
-// 3,084 B of seek anchors, one per 16 records), its store's locality
-// history (18,432 B) and some 11.3 KB of manager, session, plant and feed
-// — 98,385 B measured when the bound was set, held to that + 5 %; the
-// L1's decision tables, sized at construction, have since added ≈ 1 KB.
-// The recorder's arena at 24 B a record and one offset per record held
-// 114,688 B.
+// 3,084 B of seek anchors, one per 16 records), its store's 8,192 B
+// locality ring and some 9 KB of manager, session, plant and feed —
+// 85,772 B measured when the bound was set, held to that + 5 %. The
+// controllers' decision tables are not in it: they live in the scratch of
+// the shard that steps the tenant. With the tables in the tenant and the
+// history an []int32 of HistoryCap+1 ids it held 99,020 B.
 func TestTenantFootprintAtRest(t *testing.T) {
 	const tenants = 256
 	f := New(Config{Shards: 1})
@@ -310,10 +310,61 @@ func TestTenantFootprintAtRest(t *testing.T) {
 		}
 	}
 	per := (liveHeap() - before) / tenants
-	if per > 103_304 {
-		t.Fatalf("a default tenant at rest holds %d B of live heap, want <= 103,304", per)
+	if per > 90_060 {
+		t.Fatalf("a default tenant at rest holds %d B of live heap, want <= 90,060", per)
 	}
 	t.Logf("a default tenant at rest holds %d B of live heap", per)
+}
+
+// TestClusterTenantFootprint is TestTenantFootprintAtRest's twin for the
+// four-module × 4 tenant (the cmd/hpmperf cluster-l2 shape: L2 active,
+// hpmserve's 4096-record ring, the paper's store), measured after 40 bins
+// of 60-140 arrivals, so that every level has decided and any decision
+// memory a tenant kept — the L1s' tables and probe memo, the L0s' search
+// buffers, the L2's tables — would show: they belong in the stepping
+// shard's scratch. It held 103,305 B when the bound was set, held to that
+// + 5 %; with the controllers' working memory in each tenant it held
+// 159,018 B.
+func TestClusterTenantFootprint(t *testing.T) {
+	const tenants, bins = 32, 40
+	f := New(Config{Shards: 1})
+	defer f.Close()
+	tc := telemetryTenantConfig(4096)
+	tc.Spec = cluster.Spec{Modules: []cluster.ModuleSpec{moduleOf("M1", 4), moduleOf("M2", 4), moduleOf("M3", 4), moduleOf("M4", 4)}}
+	tc.Store = workload.DefaultStoreConfig()
+	// The first tenant learns the maps and trees the rest share and grows
+	// the shard's scratch; it is not counted.
+	ids := make([]string, tenants+1)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("t%d", i)
+	}
+	step := func(ids []string) {
+		t.Helper()
+		for b := range bins {
+			for i, id := range ids {
+				if _, err := f.Observe(id, float64(60+(7*b+13*i)%81)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	if err := f.CreateTenant(ids[0], tc); err != nil {
+		t.Fatal(err)
+	}
+	step(ids[:1])
+	before := liveHeap()
+	for i, id := range ids[1:] {
+		tc.StoreSeed = int64(i)
+		if err := f.CreateTenant(id, tc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	step(ids[1:])
+	per := (liveHeap() - before) / tenants
+	if per > 108_470 {
+		t.Fatalf("a four-module tenant after %d bins holds %d B of live heap, want <= 108,470", bins, per)
+	}
+	t.Logf("a four-module tenant after %d bins holds %d B of live heap", bins, per)
 }
 
 // TestJournalAppendAllocsPerFrame pins what a steady Append costs per delta

@@ -8,7 +8,10 @@
 // Concurrency model: every tenant has a home shard, and all operations on
 // a tenant execute serially on that shard's goroutine — per-tenant
 // ordering is total, distinct tenants step concurrently, and the tenant
-// state needs no locks. Every shard call completes one way: the caller
+// state needs no locks. A tenant is only its state: the controllers'
+// working memory is its home shard's one controller.Scratch, which every
+// tenant the shard steps decides in (a restore's replay uses its worker's
+// own). Every shard call completes one way: the caller
 // sends its jobs down the shard queues and waits on one completion, which
 // the last job to finish signals. Whole-fleet reads never hop once per
 // tenant: States, Snapshot and a journal append are one sweep — one job
@@ -47,6 +50,7 @@ import (
 	"sync/atomic"
 
 	"hierctl/internal/ckpt"
+	"hierctl/internal/controller"
 	"hierctl/internal/core"
 	"hierctl/internal/obs"
 	"hierctl/internal/par"
@@ -211,6 +215,10 @@ type shard struct {
 	// ckpt is the scratch a capture on this shard encodes a tenant's
 	// checkpoint into before appending it to the capture's buffer.
 	ckpt ckpt.Writer
+	// scratch is the controllers' working memory for every bin the shard
+	// steps, whichever tenant it belongs to: the tenants keep only their
+	// state, and it grows to the largest tenant shape the shard has served.
+	scratch controller.Scratch
 	// operational sums the shard's registered tenants' operational
 	// computers as of their last decisions. Atomic because a restored
 	// tenant brings its count in at admission, off the shard.
@@ -305,7 +313,7 @@ func (f *Fleet) stepTenant(t *tenant, count float64) (err error) {
 	if f.failpoint != nil {
 		f.failpoint(t.id, count)
 	}
-	if err := t.step(count); err != nil {
+	if err := t.step(&t.home.scratch, count); err != nil {
 		if t.sess.Halted() {
 			return f.latch(t, err)
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"hierctl/internal/cluster"
 	"hierctl/internal/controller"
 	"hierctl/internal/core"
+	"hierctl/internal/obs"
 	"hierctl/internal/workload"
 )
 
@@ -564,6 +566,173 @@ func TestMultiModuleSharingStress(t *testing.T) {
 		twin.Close()
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("tenant %s beside seven sharers:\n got %+v\nwant %+v (alone)", id, got, want)
+		}
+	}
+}
+
+// TestShardScratchSharedAcrossShapes: a shard's controller scratch serves
+// every tenant it steps, whatever their shapes, without a bit of any
+// decision moving. One one-shard fleet holds a two-computer tenant, a
+// four-computer module and four modules of four, each under a failure plan
+// (the cluster loses a whole module for a while), steps them interleaved —
+// the largest first, so the small ones decide in a scratch grown past them
+// — and is journaled and crashed midway; a fresh fleet recovers them, its
+// restore workers replaying the journaled counts in their own scratch, and
+// steps them to the end. Each must equal a lone twin in a fleet of its
+// own, bin for bin and at the end: decisions, State, the newest flight
+// records and the close record. The budget half of the property, which a
+// fleet tenant cannot configure, is core's TestSessionsShareScratch.
+//
+//hpm:pin sharing
+func TestShardScratchSharedAcrossShapes(t *testing.T) {
+	const bins, pre, journaled = 24, 4, 8
+	shapes := []struct {
+		id      string
+		modules int
+		size    int
+	}{{"cluster", 4, 4}, {"four", 1, 4}, {"two", 1, 2}}
+	configs := make([]TenantConfig, len(shapes))
+	counts := make([][]float64, len(shapes))
+	for s, sh := range shapes {
+		var spec cluster.Spec
+		for m := range sh.modules {
+			spec.Modules = append(spec.Modules, moduleOf(fmt.Sprintf("M%d", m+1), sh.size))
+		}
+		cfg := fastCore()
+		cfg.Parallelism = 1
+		cfg.Seed = int64(s + 3)
+		failures := []workload.FailureEvent{{At: 150, Module: 0, Comp: 1}, {At: 450, Module: 0, Comp: 1, Repair: true}}
+		if sh.modules > 1 {
+			for c := range sh.size {
+				failures = append(failures,
+					workload.FailureEvent{At: 240, Module: 1, Comp: c},
+					workload.FailureEvent{At: 600, Module: 1, Comp: c, Repair: true})
+			}
+		}
+		configs[s] = TenantConfig{
+			Spec:             spec,
+			Core:             cfg,
+			Store:            testStoreConfig(),
+			StoreSeed:        int64(s + 11),
+			BinSeconds:       30,
+			Failures:         failures,
+			TelemetryRecords: 2048,
+		}
+		n := float64(spec.Computers())
+		for b := range bins {
+			counts[s] = append(counts[s], math.Round(n*(250+200*math.Sin(float64(b+3*s)/3))))
+		}
+	}
+
+	// The lone twins, each in a fleet of its own.
+	type outcome struct {
+		decs   []core.BinDecision
+		state  TenantState
+		recs   []obs.Record
+		cursor uint64
+		close  *core.Record
+	}
+	finish := func(f *Fleet, id string, o *outcome, newest int) {
+		t.Helper()
+		var err error
+		if o.state, err = f.State(id); err != nil {
+			t.Fatal(err)
+		}
+		if o.recs, o.cursor, err = f.Telemetry(id, newest); err != nil {
+			t.Fatal(err)
+		}
+		for i := range o.recs {
+			o.recs[i].DecideNs = 0
+		}
+		if o.close, err = f.CloseTenant(id); err != nil {
+			t.Fatal(err)
+		}
+		o.close.DecideTime, o.close.LearnTime = 0, 0
+	}
+	twins := make([]outcome, len(shapes))
+	twinFleets := make([]*Fleet, len(shapes))
+	for s, sh := range shapes {
+		f := New(Config{Shards: 1})
+		defer f.Close()
+		if err := f.CreateTenant(sh.id, configs[s]); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range counts[s] {
+			dec, err := f.Observe(sh.id, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			twins[s].decs = append(twins[s].decs, dec)
+		}
+		twinFleets[s] = f
+	}
+
+	shared := make([]outcome, len(shapes))
+	step := func(f *Fleet, from, to int) {
+		t.Helper()
+		for b := from; b < to; b++ {
+			for s, sh := range shapes {
+				dec, err := f.Observe(sh.id, counts[s][b])
+				if err != nil {
+					t.Fatal(err)
+				}
+				shared[s].decs = append(shared[s].decs, dec)
+			}
+		}
+	}
+	path := journalPath(t)
+	first := New(Config{Shards: 1})
+	for s, sh := range shapes {
+		if err := first.CreateTenant(sh.id, configs[s]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	step(first, 0, pre)
+	j, err := OpenJournal(first, path, JournalConfig{CompactFactor: 1e9, MaxAppends: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	step(first, pre, pre+journaled)
+	if err := j.Append(); err != nil {
+		t.Fatal(err)
+	}
+	first.Close() // the crash: nothing past the Append survives
+
+	second := New(Config{Shards: 1})
+	defer second.Close()
+	j2, err := OpenJournal(second, path, JournalConfig{CompactFactor: 1e9, MaxAppends: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	step(second, pre+journaled, bins)
+
+	for s, sh := range shapes {
+		for b := range bins {
+			if !reflect.DeepEqual(shared[s].decs[b], twins[s].decs[b]) {
+				t.Fatalf("%s bin %d: decided\n%+v\nsharing its shard's scratch, alone\n%+v", sh.id, b, shared[s].decs[b], twins[s].decs[b])
+			}
+		}
+		// The recovered ring holds what the tenant recorded since its
+		// restore began; the twin's newest records of as many must match.
+		recs, _, err := second.Telemetry(sh.id, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) == 0 {
+			t.Fatalf("%s: no flight records after the restore", sh.id)
+		}
+		finish(second, sh.id, &shared[s], len(recs))
+		finish(twinFleets[s], sh.id, &twins[s], len(recs))
+		got, want := shared[s], twins[s]
+		if !reflect.DeepEqual(got.state, want.state) {
+			t.Errorf("%s: state %+v, alone %+v", sh.id, got.state, want.state)
+		}
+		if got.cursor != want.cursor || !reflect.DeepEqual(got.recs, want.recs) {
+			t.Errorf("%s: the newest %d flight records (cursor %d) differ from the twin's (cursor %d)", sh.id, len(got.recs), got.cursor, want.cursor)
+		}
+		if !reflect.DeepEqual(got.close, want.close) {
+			t.Errorf("%s: close record differs from the twin's", sh.id)
 		}
 	}
 }

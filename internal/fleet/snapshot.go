@@ -10,6 +10,7 @@ import (
 	"io"
 	"slices"
 
+	"hierctl/internal/controller"
 	"hierctl/internal/core"
 	"hierctl/internal/par"
 )
@@ -612,8 +613,12 @@ func (f *Fleet) restoreLog(r io.Reader, tolerateTorn bool) error {
 		return err
 	}
 	tenants := make([]*tenant, len(snaps))
-	err = par.ForCtx(f.ctx, par.Workers(0), len(snaps), func(i int) error {
-		t, err := restoreTenant(snaps[i], f.artifacts)
+	// One Scratch per restore worker, whatever the tenant count: a worker
+	// replays its tenants' counts one after another in its own.
+	workers := par.Workers(0)
+	scratch := make([]controller.Scratch, workers)
+	err = par.ForWorkerCtx(f.ctx, workers, len(snaps), func(w, i int) error {
+		t, err := restoreTenant(snaps[i], f.artifacts, &scratch[w])
 		tenants[i] = t
 		return err
 	})
@@ -699,11 +704,11 @@ func appendDoubling(buf, p []byte) []byte {
 
 // restoreTenant rebuilds one tenant from its assembled state: it is
 // created from its configuration as CreateTenant creates it, its
-// checkpoint (if any) is restored, and the counts since are stepped. A
+// checkpoint (if any) is restored, and the counts since are stepped in sc. A
 // checkpoint is read defensively, but a well-formed one can still hold
 // state no run reaches; a panic stepping from it fails this restore like
 // any other error instead of taking the process down.
-func restoreTenant(s tenantSnap, store *core.ArtifactStore) (_ *tenant, err error) {
+func restoreTenant(s tenantSnap, store *core.ArtifactStore, sc *controller.Scratch) (_ *tenant, err error) {
 	t, err := newTenant(s.ID, s.Config, store)
 	if err != nil {
 		return nil, err
@@ -735,7 +740,7 @@ func restoreTenant(s tenantSnap, store *core.ArtifactStore) (_ *tenant, err erro
 		t.bins = s.Bins
 	}
 	for _, count := range s.Observations {
-		if err := t.step(count); err != nil {
+		if err := t.step(sc, count); err != nil {
 			t.mgr.Release()
 			return nil, fmt.Errorf("fleet: tenant %s replay: %w", s.ID, err)
 		}

@@ -216,11 +216,13 @@ func newTenant(id string, tc TenantConfig, artifacts *core.ArtifactStore) (_ *te
 // shard (an Observe reply, a batch entry that asked, state) copies it out
 // with sess.Decision there. Every bin a tenant ever applies passes through
 // here — live, batched or replayed — so this is where its count is checked.
-func (t *tenant) step(count float64) error {
+// The controllers decide in sc, the Scratch of the goroutine stepping the
+// tenant: its home shard's, or a restore worker's.
+func (t *tenant) step(sc *controller.Scratch, count float64) error {
 	if err := CheckBinCount(count); err != nil {
 		return fmt.Errorf("fleet: tenant %s bin %d: %w", t.id, t.bins, err)
 	}
-	if err := t.sess.StepBin(count); err != nil {
+	if err := t.sess.StepBinIn(sc, count); err != nil {
 		return err
 	}
 	t.bins++

@@ -244,10 +244,12 @@ type frame[S, U any] struct {
 }
 
 // reset (re)arms the Searcher for one exploration of roots from x0:
-// per-level buffers are reallocated only when the horizon changed, so a
-// reused Searcher performs no steady-state allocation.
+// per-level buffers are reallocated only when the horizon outgrew them, so
+// a reused Searcher performs no steady-state allocation, whatever mix of
+// horizons it walks.
 func (sr *Searcher[S, U]) reset(x0 S, roots []U) {
-	if n := len(sr.envs); len(sr.frames) != n {
+	n := len(sr.envs)
+	if cap(sr.frames) < n {
 		sr.frames = make([]frame[S, U], n)
 		sr.inputs = make([]U, n)
 		sr.states = make([]S, n)
@@ -255,6 +257,8 @@ func (sr *Searcher[S, U]) reset(x0 S, roots []U) {
 		sr.bestInputs = make([]U, n)
 		sr.bestStates = make([]S, n)
 	}
+	sr.frames, sr.inputs, sr.states = sr.frames[:n], sr.inputs[:n], sr.states[:n]
+	sr.stage, sr.bestInputs, sr.bestStates = sr.stage[:n], sr.bestInputs[:n], sr.bestStates[:n]
 	sr.frames[0] = frame[S, U]{x: x0, cands: roots}
 	sr.bestSet = false
 	sr.bestCost = math.Inf(1)

@@ -8,10 +8,11 @@ import (
 // Searcher is a reusable lookahead engine: it owns the depth-first walk's
 // per-level buffers, so driving many receding-horizon decisions through
 // one Searcher performs no steady-state allocation (the buffers are
-// reallocated only when the horizon length changes). The one-shot
-// Exhaustive package function constructs a fresh Searcher per call;
-// controllers that decide every period hold one instead, as the L0
-// controller does.
+// reallocated only when a horizon outgrows them), and SetModel points it
+// at another model between searches. The one-shot Exhaustive package
+// function constructs a fresh Searcher per call; code that decides every
+// period keeps one instead, as a controller.Scratch does for every L0 it
+// serves.
 //
 // A Searcher is NOT safe for concurrent use: its buffers are shared
 // across calls. Result.Inputs and Result.States returned by a Searcher
@@ -47,11 +48,21 @@ func NewSearcher[S, U any](m Model[S, U], opt Options) (*Searcher[S, U], error) 
 	if m == nil {
 		return nil, errors.New("llc: nil model")
 	}
-	sr := &Searcher[S, U]{m: m, opt: opt}
-	if f, ok := m.(Floorer[S]); ok && opt.NonNegativeCosts {
+	sr := &Searcher[S, U]{opt: opt}
+	sr.SetModel(m)
+	return sr, nil
+}
+
+// SetModel points the Searcher at another model of the same state and
+// input types, keeping its buffers: one Searcher walks for any number of
+// models in turn, as a controller.Scratch's does for every L0 it serves.
+// The next search is the one a fresh Searcher over m with the same options
+// and budget would run.
+func (sr *Searcher[S, U]) SetModel(m Model[S, U]) {
+	sr.m, sr.floorer = m, nil
+	if f, ok := m.(Floorer[S]); ok && sr.opt.NonNegativeCosts {
 		sr.floorer = f
 	}
-	return sr, nil
 }
 
 // SetMaxExplored caps the state evaluations each subsequent search may

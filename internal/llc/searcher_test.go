@@ -106,6 +106,51 @@ func TestSearcherWarmDecideZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestSearcherSetModelMixedHorizons: one Searcher pointed at two models in
+// turn, over horizons 2 and 3 alternately, answers each search as a fresh
+// Searcher of that model does, and once it has walked the longer horizon
+// allocates nothing — what lets one controller.Scratch serve every L0 a
+// goroutine steps.
+func TestSearcherSetModelMixedHorizons(t *testing.T) {
+	models := []Model[float64, int]{ // boxed once, as an L0 holds its model
+		scalarModel{target: 5, inputs: []int{-2, -1, 0, 1, 2}, inputWeight: 0.01},
+		scalarModel{target: -3, inputs: []int{-1, 0, 1}, inputWeight: 0.1},
+	}
+	sr, err := NewSearcher[float64, int](models[0], Options{NonNegativeCosts: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	envs := [][]([]Env){make([]([]Env), 2), make([]([]Env), 3)}
+	for _, e := range envs {
+		for q := range e {
+			e[q] = []Env{{-1}, {0}, {1}}
+		}
+	}
+	search := func(d int) Result[float64, int] {
+		m, e := models[d%2], envs[d%3%2]
+		sr.SetModel(m)
+		got, err := sr.Exhaustive(float64(d%7), e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	for d := range 24 {
+		got := search(d)
+		want, err := Exhaustive[float64, int](models[d%2], float64(d%7), envs[d%3%2], Options{NonNegativeCosts: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Cost != want.Cost || got.Explored != want.Explored || !slices.Equal(got.Inputs, want.Inputs) {
+			t.Fatalf("search %d: %+v, a fresh Searcher %+v", d, got, want)
+		}
+	}
+	d := 0
+	if allocs := testing.AllocsPerRun(100, func() { search(d); d++ }); allocs != 0 {
+		t.Fatalf("warm searches over mixed models and horizons allocated %v/op, want 0", allocs)
+	}
+}
+
 // TestSearcherBudget pins the decision budget at its one way in: a warm
 // Searcher under SetMaxExplored(n) trips with ErrBudget iff the unbudgeted
 // search explores more than n states, the trip repeats identically, a

@@ -60,6 +60,14 @@ func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
 // task ran and succeeded. Long-running tasks that should stop mid-flight
 // must watch ctx themselves.
 func ForCtx(ctx context.Context, workers, n int, fn func(i int) error) error {
+	return ForWorkerCtx(ctx, workers, n, func(_, i int) error { return fn(i) })
+}
+
+// ForWorkerCtx is ForCtx telling each task which worker runs it: fn(w, i)
+// runs task i on worker w, in [0, min(workers, n)), and a worker runs one
+// task at a time — so a task may use per-worker scratch indexed by w
+// without a lock. With workers <= 1 every task runs inline as worker 0.
+func ForWorkerCtx(ctx context.Context, workers, n int, fn func(w, i int) error) error {
 	if n <= 0 {
 		return nil
 	}
@@ -71,7 +79,7 @@ func ForCtx(ctx context.Context, workers, n int, fn func(i int) error) error {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if err := fn(i); err != nil {
+			if err := fn(0, i); err != nil {
 				return err
 			}
 		}
@@ -83,19 +91,19 @@ func ForCtx(ctx context.Context, workers, n int, fn func(i int) error) error {
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func() {
+		go func(w int) {
 			defer wg.Done()
 			for !failed.Load() && ctx.Err() == nil {
 				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}
-				if errs[i] = fn(i); errs[i] != nil {
+				if errs[i] = fn(w, i); errs[i] != nil {
 					failed.Store(true)
 				}
 				completed.Add(1)
 			}
-		}()
+		}(w)
 	}
 	wg.Wait()
 	for _, err := range errs {

@@ -232,3 +232,35 @@ func TestMapCtxDropsResultsOnCancel(t *testing.T) {
 		t.Errorf("partial results returned: %v", out)
 	}
 }
+
+// TestForWorkerCtxWorkerRunsOneTaskAtATime: every task runs once, on a
+// worker in [0, min(workers, n)), and no worker runs two tasks at once —
+// what lets a task use per-worker scratch without a lock. Inline (one
+// worker) every task is worker 0's.
+func TestForWorkerCtxWorkerRunsOneTaskAtATime(t *testing.T) {
+	for _, workers := range []int{1, 3, 8} {
+		const n = 200
+		var busy [8]atomic.Int32
+		var ran [n]atomic.Int32
+		err := ForWorkerCtx(context.Background(), workers, n, func(w, i int) error {
+			if w < 0 || w >= min(workers, n) {
+				return fmt.Errorf("task %d on worker %d of %d", i, w, workers)
+			}
+			if busy[w].Add(1) != 1 {
+				return fmt.Errorf("worker %d ran two tasks at once", w)
+			}
+			ran[i].Add(1)
+			runtime.Gosched()
+			busy[w].Add(-1)
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("workers %d: %v", workers, err)
+		}
+		for i := range ran {
+			if got := ran[i].Load(); got != 1 {
+				t.Fatalf("workers %d: task %d ran %d times", workers, i, got)
+			}
+		}
+	}
+}

@@ -62,8 +62,12 @@ const (
 	// LogSigma is the σ of the lognormal stack distance of temporal
 	// locality (§4.3 cites Barford & Crovella); LogMu is its μ.
 	LogSigma float64 = 1.5
-	// HistoryCap bounds the locality history length.
+	// HistoryCap bounds the locality history length. A power of two: the
+	// history is a ring of HistoryCap slots.
 	HistoryCap = 4096
+	// MaxObjects bounds StoreConfig.Objects: the locality history holds
+	// object ids as uint16.
+	MaxObjects = 1 << 16
 )
 
 // LogMu is the μ of the lognormal stack distance, ln 50: a variable, as
@@ -100,10 +104,15 @@ type Store struct {
 	popZipf  *rand.Zipf
 	rareZipf *rand.Zipf
 
-	// Temporal locality state. The history holds object ids as int32
-	// (Validate bounds Objects), half the resident bytes of []int.
+	// Temporal locality state: a ring of HistoryCap slots holding the last
+	// histLen requested object ids, the newest at
+	// history[(histHead−1) mod HistoryCap]. An id is a uint16 (Validate
+	// bounds Objects), so the ring is 8 KB, made by NewStore at its final
+	// size.
 	localProb float64
-	history   []int32
+	history   []uint16
+	histHead  int
+	histLen   int
 }
 
 // StoreConfig parameterizes NewStore. The zero value is not valid; use
@@ -141,8 +150,8 @@ func DefaultStoreConfig() StoreConfig {
 
 // Validate reports whether the configuration is usable.
 func (c StoreConfig) Validate() error {
-	if c.Objects <= 0 || c.Objects > math.MaxInt32 {
-		return fmt.Errorf("workload: objects %d outside (0, %d]", c.Objects, math.MaxInt32)
+	if c.Objects <= 0 || c.Objects > MaxObjects {
+		return fmt.Errorf("workload: objects %d outside (0, %d]", c.Objects, MaxObjects)
 	}
 	if c.PopularCount <= 0 || c.PopularCount > c.Objects {
 		return fmt.Errorf("workload: popular count %d outside (0, %d]", c.PopularCount, c.Objects)
@@ -174,22 +183,24 @@ func NewStore(stream *des.Stream, cfg StoreConfig) (*Store, error) {
 		objects:      cfg.Objects,
 		popularCount: cfg.PopularCount,
 		localProb:    cfg.LocalityProb,
-		// remember appends one past the cap before it drops the oldest
-		// half, so this is the history's final size: no growth later.
-		history: make([]int32, 0, HistoryCap+1),
-		stream:  stream,
+		history:      make([]uint16, HistoryCap),
+		stream:       stream,
 	}
-	origin := *stream
 	rng := rand.New(stream)
-	if cfg.TailFrac > 0 || !oneDrawEach(stream, cfg.Objects) {
-		*stream = origin // back over whatever the look drew
-		s.demands = drawDemands(rng, cfg)
-	} else {
-		from := origin.State()
+	if cfg.TailFrac == 0 {
+		from := stream.State()
 		s.strides = make([]des.State, cfg.Objects>>8+1)
 		for i := range s.strides {
 			s.strides[i] = from.Jump(uint64(i) << 8)
 		}
+		if oneDrawEach(s.strides, cfg.Objects) {
+			stream.SetState(from.Jump(uint64(cfg.Objects)))
+		} else {
+			s.strides = nil
+		}
+	}
+	if s.strides == nil {
+		s.demands = drawDemands(rng, cfg)
 	}
 	s.popZipf = rand.NewZipf(rng, ZipfS, 1, uint64(cfg.PopularCount-1))
 	rare := cfg.Objects - cfg.PopularCount
@@ -204,13 +215,33 @@ func NewStore(stream *des.Stream, cfg StoreConfig) (*Store, error) {
 // throws away and draws again.
 func unitFloat(u uint64) float64 { return float64(int64(u>>1)) / (1 << 63) }
 
-// oneDrawEach advances stream past n Float64 draws, storing nothing, and
-// reports whether each took exactly one value of the stream — whether draw
-// i is object i's. A redraw (2^-54 a draw) shifts every later index.
-func oneDrawEach(stream *des.Stream, n int) bool {
-	for i := 0; i < n; i++ {
-		if unitFloat(stream.Uint64()) == 1 {
-			return false
+// redrawFrom is the least draw unitFloat maps to 1: u>>1 rounds up to 2^63
+// from 2^63 − 512 on, where float64 steps by 1024 and a tie goes to even.
+const redrawFrom = math.MaxUint64 - 1023
+
+// oneDrawEach reports whether each of the first n Float64 draws of the
+// stream whose every 256th state strides holds (strides[i] is the origin
+// 256·i steps on) takes exactly one value of the stream — whether draw i
+// is object i's. A redraw (2^-54 a draw) shifts every later index. Four
+// strides' runs of 256 draws are walked side by side, each in variables of
+// its own: each step of a walk waits on the one before it, and four
+// independent walks keep the multiplier busy.
+func oneDrawEach(strides []des.State, n int) bool {
+	for base := 0; base < len(strides); base += 4 {
+		var st [4]des.State
+		var draws [4]int // of the lane's 256; none past the last stride
+		for l := range st {
+			if i := base + l; i < len(strides) {
+				st[l], draws[l] = strides[i], min(256, n-i<<8)
+			}
+		}
+		s0, s1, s2, s3 := st[0], st[1], st[2], st[3]
+		for k := range 256 {
+			s0, s1, s2, s3 = s0.Next(), s1.Next(), s2.Next(), s3.Next()
+			if k < draws[0] && s0.Output() >= redrawFrom || k < draws[1] && s1.Output() >= redrawFrom ||
+				k < draws[2] && s2.Output() >= redrawFrom || k < draws[3] && s3.Output() >= redrawFrom {
+				return false
+			}
 		}
 	}
 	return true
@@ -254,13 +285,13 @@ func (s *Store) Demand(id int) float64 {
 // Sample draws the next requested object id, honouring temporal locality
 // and the popular/rare partition split.
 func (s *Store) Sample(rng *rand.Rand) int {
-	if len(s.history) > 0 && rng.Float64() < s.localProb {
-		// Lognormal stack distance into the recent-history buffer, compared
+	if s.histLen > 0 && rng.Float64() < s.localProb {
+		// Lognormal stack distance into the recent history, compared
 		// before it is truncated: a distance past the history may have no
 		// int to convert to.
 		d := math.Exp(LogMu + LogSigma*rng.NormFloat64())
-		if d < float64(len(s.history)) {
-			id := int(s.history[len(s.history)-1-int(d)])
+		if d < float64(s.histLen) {
+			id := int(s.history[(s.histHead-1-int(d))&(HistoryCap-1)])
 			s.remember(id)
 			return id
 		}
@@ -275,25 +306,27 @@ func (s *Store) Sample(rng *rand.Rand) int {
 	return id
 }
 
+// remember appends id to the history. One past the cap the history drops
+// its oldest half, which the ring does by its length alone; the slot the
+// newest id takes is then the oldest's.
 func (s *Store) remember(id int) {
-	s.history = append(s.history, int32(id))
-	if len(s.history) > HistoryCap {
-		// Drop the oldest half to amortize the copy.
-		keep := HistoryCap / 2
-		copy(s.history, s.history[len(s.history)-keep:])
-		s.history = s.history[:keep]
+	s.history[s.histHead] = uint16(id)
+	s.histHead = (s.histHead + 1) & (HistoryCap - 1)
+	if s.histLen++; s.histLen > HistoryCap {
+		s.histLen = HistoryCap / 2
 	}
 }
 
 // Checkpoint appends the store's mutable state: the position of its
-// popularity stream and the locality history, every entry and its length
-// (remember halves it past the cap, so the length is state, not a ring
-// position). The demands and samplers follow from the configuration.
+// popularity stream and the locality history, its length and then every
+// entry, oldest first (remember halves it past the cap, so the length is
+// state; where the ring starts is not). The demands and samplers follow
+// from the configuration.
 func (s *Store) Checkpoint(w *ckpt.Writer) {
 	s.stream.Checkpoint(w)
-	w.Uint(uint64(len(s.history)))
-	for _, id := range s.history {
-		w.Uint(uint64(id))
+	w.Uint(uint64(s.histLen))
+	for i := s.histHead - s.histLen; i < s.histHead; i++ {
+		w.Uint(uint64(s.history[i&(HistoryCap-1)]))
 	}
 }
 
@@ -306,13 +339,13 @@ func (s *Store) RestoreCheckpoint(r *ckpt.Reader) {
 		r.Fail("locality history of %d past its cap %d", n, HistoryCap)
 		n = 0
 	}
-	s.history = s.history[:n]
-	for i := range s.history {
+	s.histHead, s.histLen = n&(HistoryCap-1), n
+	for i := range n {
 		id := r.Uint()
 		if id >= uint64(s.objects) {
 			r.Fail("locality history names object %d of %d", id, s.objects)
 			id = 0
 		}
-		s.history[i] = int32(id)
+		s.history[i] = uint16(id)
 	}
 }

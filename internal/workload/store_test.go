@@ -76,7 +76,7 @@ func checkStoreMatchesReference(t *testing.T, origin des.Stream, cfg StoreConfig
 // table's levels, and a heavy-tail store — whose i-th demand is not the
 // i-th draw — still keeps one.
 func TestStoreDemandEqualsMaterialized(t *testing.T) {
-	for _, objects := range []int{1, 1000, 10000, 100000} {
+	for _, objects := range []int{1, 1000, 10000, 65536} {
 		for _, seed := range []int64{0, 1, 7, 20060704} {
 			cfg := DefaultStoreConfig()
 			cfg.Objects = objects
@@ -154,6 +154,15 @@ func TestStoreRedrawFallsBack(t *testing.T) {
 		if got, want := s.demands != nil, k < cfg.Objects; got != want {
 			t.Errorf("redraw at draw %d of %d: materialized %v, want %v", k, cfg.Objects, got, want)
 		}
+	}
+}
+
+// TestRedrawThreshold: the draws NewStore's check flags are exactly those
+// math/rand's Float64 rounds to 1 and draws again.
+func TestRedrawThreshold(t *testing.T) {
+	if unitFloat(redrawFrom) != 1 || unitFloat(redrawFrom-1) >= 1 || unitFloat(math.MaxUint64) != 1 {
+		t.Fatalf("unitFloat(%#x) = %v, unitFloat(%#x) = %v: the threshold is not where Float64 redraws",
+			uint64(redrawFrom), unitFloat(redrawFrom), uint64(redrawFrom-1), unitFloat(redrawFrom-1))
 	}
 }
 

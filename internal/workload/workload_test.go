@@ -26,8 +26,8 @@ func TestStoreConfigValidation(t *testing.T) {
 	}
 	mutations := []func(*StoreConfig){
 		func(c *StoreConfig) { c.Objects = 0 },
-		// One past what the int32 locality history can hold.
-		func(c *StoreConfig) { c.Objects = math.MaxInt32; c.Objects++ },
+		// One past what the uint16 locality history can hold.
+		func(c *StoreConfig) { c.Objects = 65537 },
 		func(c *StoreConfig) { c.PopularCount = 0 },
 		func(c *StoreConfig) { c.PopularCount = c.Objects + 1 },
 		func(c *StoreConfig) { c.LocalityProb = 1.0 },
@@ -537,10 +537,12 @@ func TestFeedBatchFollowsBin(t *testing.T) {
 	}
 }
 
-// TestStoreHistoryAllocatedOnce: the locality history has its final
-// capacity from NewStore on — sampling past the cap (where remember drops
-// the oldest half) never regrows it, so a long-lived tenant does not pay
-// append growth on the measured path.
+// TestStoreHistoryAllocatedOnce: the locality history is a ring of
+// HistoryCap slots held in the Store from NewStore on — sampling past the
+// cap (where remember drops the oldest half) keeps the same array, so a
+// long-lived tenant pays no growth on the measured path — and after every
+// sample it holds, oldest first, what the slice it replaced held: append
+// the id, and one past the cap keep the newest half.
 //
 //hpm:pin mechanics
 func TestStoreHistoryAllocatedOnce(t *testing.T) {
@@ -549,14 +551,24 @@ func TestStoreHistoryAllocatedOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := cap(store.history); got != HistoryCap+1 {
-		t.Fatalf("history capacity %d after NewStore, want %d", got, HistoryCap+1)
-	}
+	backing := &store.history[0]
+	var want []int
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 3*HistoryCap; i++ {
-		store.Sample(rng)
+		want = append(want, store.Sample(rng))
+		if len(want) > HistoryCap {
+			want = append(want[:0], want[len(want)-HistoryCap/2:]...)
+		}
+		if store.histLen != len(want) {
+			t.Fatalf("sample %d: history length %d, want %d", i, store.histLen, len(want))
+		}
+		for k, id := range want {
+			if got := int(store.history[(store.histHead-len(want)+k)&(HistoryCap-1)]); got != id {
+				t.Fatalf("sample %d: history entry %d (oldest first) is %d, want %d", i, k, got, id)
+			}
+		}
 	}
-	if got := cap(store.history); got != HistoryCap+1 {
-		t.Fatalf("history capacity grew to %d, want %d", got, HistoryCap+1)
+	if len(store.history) != HistoryCap || &store.history[0] != backing {
+		t.Fatalf("history moved or resized: %d slots", len(store.history))
 	}
 }

@@ -121,32 +121,32 @@ func learnTickGMaps(n int) ([]*controller.GMap, error) {
 }
 
 // The driveTick* helpers set the i-th tick's observation into the
-// caller's scratch and run one decision.
+// caller's buffers and run one decision in the caller's Scratch.
 
-func driveTickL0(l0 *controller.L0, lambda []float64, i int) error {
+func driveTickL0(l0 *controller.L0, sc *controller.Scratch, lambda []float64, i int) error {
 	lam := 40 + 30*math.Sin(float64(i)/9)
 	lambda[0], lambda[1], lambda[2] = lam, lam+2, lam+4
-	_, _, err := l0.Decide(float64((i*7)%200), lambda, 8, 0.0175)
+	_, _, err := l0.Decide(sc, float64((i*7)%200), lambda, 8, 0.0175)
 	return err
 }
 
 // driveTickL1's on is the previous decision's Alpha (nil: all on).
-func driveTickL1(l1 *controller.L1, queues []float64, on, avail []bool, i int) (controller.L1Decision, error) {
+func driveTickL1(l1 *controller.L1, sc *controller.Scratch, queues []float64, on, avail []bool, i int) (controller.L1Decision, error) {
 	lam := 60 + 40*math.Sin(float64(i)/9)
 	for j := range queues {
 		queues[j] = float64((i * (3 + 2*j)) % 80)
 	}
-	return l1.Decide(controller.L1Observation{
+	return l1.Decide(sc, controller.L1Observation{
 		QueueLens: queues, On: on, LambdaHat: lam, Delta: 8, CHat: 0.0175, Available: avail,
 	})
 }
 
-func driveTickL2(l2 *controller.L2, qavg, chat []float64, avail []bool, i int) error {
+func driveTickL2(l2 *controller.L2, sc *controller.Scratch, qavg, chat []float64, avail []bool, i int) error {
 	lam := 200 + 100*math.Sin(float64(i)/9)
 	for j := range qavg {
 		qavg[j] = float64((i * (3 + 2*j)) % 40)
 	}
-	_, err := l2.Decide(controller.L2Observation{
+	_, err := l2.Decide(sc, controller.L2Observation{
 		QAvg: qavg, LambdaHat: lam, Delta: 20, CHat: chat, Available: avail,
 	})
 	return err
@@ -199,6 +199,9 @@ func RunTickBench(decisions, tenants int) (TickBenchSnapshot, error) {
 	names := []string{"C1", "C2", "C3", "C4"}
 	snap := TickBenchSnapshot{Computers: names, Decisions: decisions, Tenants: tenants}
 	const warmup = 24
+	// One Scratch for the three decide rows, as one fleet shard's serves
+	// every level of its tenants.
+	sc := new(controller.Scratch)
 
 	// L0: the paper's C4 under the default §4.3 configuration.
 	c4, err := cluster.StandardComputer(3, "C4")
@@ -211,7 +214,7 @@ func RunTickBench(decisions, tenants int) (TickBenchSnapshot, error) {
 	}
 	lambda := make([]float64, 3)
 	row, err := measureTick("L0-decide", warmup, decisions, func(i int) error {
-		return driveTickL0(l0, lambda, i)
+		return driveTickL0(l0, sc, lambda, i)
 	})
 	if err != nil {
 		return TickBenchSnapshot{}, err
@@ -234,7 +237,7 @@ func RunTickBench(decisions, tenants int) (TickBenchSnapshot, error) {
 	}
 	var on []bool
 	row, err = measureTick("L1-decide", warmup, decisions, func(i int) error {
-		dec, err := driveTickL1(l1, queues, on, avail, i)
+		dec, err := driveTickL1(l1, sc, queues, on, avail, i)
 		on = dec.Alpha
 		return err
 	})
@@ -262,7 +265,7 @@ func RunTickBench(decisions, tenants int) (TickBenchSnapshot, error) {
 	chat := []float64{0.0175, 0.0175, 0.0175, 0.0175}
 	l2avail := []bool{true, true, true, true}
 	row, err = measureTick("L2-decide", warmup, decisions, func(i int) error {
-		return driveTickL2(l2, qavg, chat, l2avail, i)
+		return driveTickL2(l2, sc, qavg, chat, l2avail, i)
 	})
 	if err != nil {
 		return TickBenchSnapshot{}, err
