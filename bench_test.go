@@ -78,11 +78,11 @@ func BenchmarkFig5L0Control(b *testing.B) {
 	sc := new(controller.Scratch)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, n, err := l0.Decide(sc, float64(i%200), lambda, 0, 0.0175)
+		dec, err := l0.Decide(sc, float64(i%200), lambda, 0, 0.0175)
 		if err != nil {
 			b.Fatal(err)
 		}
-		explored += n
+		explored += dec.Explored
 	}
 	b.ReportMetric(float64(explored)/float64(b.N), "states_per_decide")
 }
@@ -355,7 +355,7 @@ func BenchmarkLLCExhaustiveSearch(b *testing.B) {
 	sc := new(controller.Scratch)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := l0.Decide(sc, 50, []float64{40}, 0, 0.0175); err != nil {
+		if _, err := l0.Decide(sc, 50, []float64{40}, 0, 0.0175); err != nil {
 			b.Fatal(err)
 		}
 	}

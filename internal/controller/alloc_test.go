@@ -45,7 +45,7 @@ func TestL0DecideZeroAlloc(t *testing.T) {
 	decide := func(i int) {
 		lam := 40 + 30*math.Sin(float64(i)/9)
 		lambda[0], lambda[1], lambda[2] = lam, lam+2, lam+4
-		if _, _, err := l0.Decide(sc, float64((i*7)%200), lambda, 8, 0.0175); err != nil {
+		if _, err := l0.Decide(sc, float64((i*7)%200), lambda, 8, 0.0175); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -80,11 +80,11 @@ func TestL0BandSwitchZeroAlloc(t *testing.T) {
 	decide := func(l *L0, sc *Scratch, i int) int {
 		lam := 40 + 30*math.Sin(float64(i)/9)
 		lambda[0], lambda[1], lambda[2] = lam, lam+2, lam+4
-		u, _, err := l.Decide(sc, float64((i*7)%200), lambda, delta(i), 0.0175)
+		dec, err := l.Decide(sc, float64((i*7)%200), lambda, delta(i), 0.0175)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return u
+		return dec.FreqIdx
 	}
 	for i := 0; i < 40; i++ {
 		fresh, err := NewL0(DefaultL0Config(), spec)
@@ -107,7 +107,9 @@ func TestL0BandSwitchZeroAlloc(t *testing.T) {
 
 // TestL1DecideSteadyStateAllocs pins the warm L1 period at zero
 // allocations — the returned decision is the scratch's own buffers —
-// for a four- and a sixteen-computer module.
+// for a four- and a sixteen-computer module. Each run decides twice, with
+// the availability flags and with a nil Available (all available), which
+// normalizes into the scratch.
 //
 //hpm:pin search
 func TestL1DecideSteadyStateAllocs(t *testing.T) {
@@ -122,6 +124,7 @@ func TestL1DecideSteadyStateAllocs(t *testing.T) {
 		for j := range avail {
 			avail[j] = true
 		}
+		avails := [][]bool{avail, nil}
 		queues := make([]float64, m)
 		var on []bool
 		decide := func(i int) {
@@ -130,7 +133,7 @@ func TestL1DecideSteadyStateAllocs(t *testing.T) {
 				queues[j] = float64((i * (3 + 2*j)) % 80)
 			}
 			dec, err := l1.Decide(sc, L1Observation{
-				QueueLens: queues, On: on, LambdaHat: lam, Delta: 8, CHat: 0.0175, Available: avail,
+				QueueLens: queues, On: on, LambdaHat: lam, Delta: 8, CHat: 0.0175, Available: avails[i%2],
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -143,16 +146,19 @@ func TestL1DecideSteadyStateAllocs(t *testing.T) {
 		i := 0
 		allocs := testing.AllocsPerRun(100, func() {
 			decide(i)
-			i++
+			decide(i + 1)
+			i += 2
 		})
 		if allocs != 0 {
-			t.Fatalf("m=%d: warm L1 decide allocated %v/op, want 0", m, allocs)
+			t.Fatalf("m=%d: two warm L1 decides allocated %v/op, want 0", m, allocs)
 		}
 	}
 }
 
 // TestL2DecideSteadyStateAllocs pins the warm L2 period (term and min-plus
-// tables sized in the scratch by the first Decide) at zero allocations.
+// tables sized in the scratch by the first Decide) at zero allocations,
+// each run deciding with the flags and with a nil Available, as for the
+// L1.
 //
 //hpm:pin search
 func TestL2DecideSteadyStateAllocs(t *testing.T) {
@@ -167,14 +173,14 @@ func TestL2DecideSteadyStateAllocs(t *testing.T) {
 	sc := new(Scratch)
 	qavg := make([]float64, 4)
 	chat := []float64{0.0175, 0.0175, 0.0175, 0.0175}
-	avail := []bool{true, true, true, true}
+	avails := [][]bool{{true, true, true, true}, nil}
 	decide := func(i int) {
 		lam := 200 + 100*math.Sin(float64(i)/9)
 		for j := range qavg {
 			qavg[j] = float64((i * (3 + 2*j)) % 40)
 		}
 		if _, err := l2.Decide(sc, L2Observation{
-			QAvg: qavg, LambdaHat: lam, Delta: 20, CHat: chat, Available: avail,
+			QAvg: qavg, LambdaHat: lam, Delta: 20, CHat: chat, Available: avails[i%2],
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -185,10 +191,11 @@ func TestL2DecideSteadyStateAllocs(t *testing.T) {
 	i := 0
 	allocs := testing.AllocsPerRun(100, func() {
 		decide(i)
-		i++
+		decide(i + 1)
+		i += 2
 	})
 	if allocs != 0 {
-		t.Fatalf("warm L2 decide allocated %v/op, want 0", allocs)
+		t.Fatalf("two warm L2 decides allocated %v/op, want 0", allocs)
 	}
 }
 
@@ -226,10 +233,10 @@ func TestL1CandidateGeneratorsMatchLegacy(t *testing.T) {
 			for j := range alpha {
 				alpha[j] = rng.Intn(3) > 0
 			}
-			d := l1Decision{l1, &l1Scratch{on: packBools(alpha)}}
+			d := l1Decision{l1, &l1Scratch{on: PackBools(alpha)}}
 			var want []uint64
 			for _, a := range alphaCandidatesLegacy(l1, alpha, avail) {
-				want = append(want, packBools(a))
+				want = append(want, PackBools(a))
 			}
 			if got := d.alphaCandidates(avail); !reflect.DeepEqual(got, want) {
 				t.Fatalf("m=%d trial %d: masks %x, oracle %x", m, trial, got, want)

@@ -16,23 +16,24 @@
 // observation — the L1's includes the on/off vector in force, the L2's the
 // module split in force — so decisions are reproducible given the
 // observation stream and a controller has nothing to checkpoint (pinned by
-// TestControllersHaveNoMemory). Each decision reports what it explored
-// (L0.Decide's count, L1Decision.Explored, L2Decision.Explored) and the
-// caller meters the §4.3 overhead; a controller reads the clock only for
-// its flight record's latency. The learned artifacts (GMap, TreeJTilde)
-// are keyed by configuration fingerprints and are read-only during
-// decision making, which is what lets managers share them across identical
-// hardware and lets snapshots skip relearning.
+// TestControllersHaveNoMemory). Each level returns one decision shape:
+// what it chose, the states it explored (Explored) and the model cost it
+// was priced at (Cost). The caller meters the §4.3 overhead from them and
+// writes the flight records; a controller reads no clock and records
+// nothing (pinned by TestControllerReadsNoClock). The learned artifacts
+// (GMap, TreeJTilde) are keyed by configuration fingerprints and are
+// read-only during decision making, which is what lets managers share them
+// across identical hardware and lets snapshots skip relearning.
 //
 // Invariant: a controller keeps only its configuration, the learned
-// artifacts it reads, its budget and its recorder coordinates. A decision's
-// working memory — the L1's and L2's term and min-plus tables, the L1's
-// probe memo, the L0's lookahead buffers and forecasts, and the decision L1
-// and L2 return — is a Scratch the caller hands Decide, owned by the
-// goroutine that steps the controllers: one per fleet shard, shared by
-// every tenant it steps. Since decisions are pure, sharing changes no bit
-// of them. The returned slices alias the Scratch until the next Decide of
-// the same level on it; core copies them out at once.
+// artifacts it reads and its budget. A decision's working memory — the
+// L1's and L2's term and min-plus tables, the L1's probe memo, the L0's
+// lookahead buffers and forecasts, and the decision L1 and L2 return — is
+// a Scratch the caller hands Decide, owned by the goroutine that steps
+// the controllers: one per fleet shard, shared by every tenant it steps.
+// Since decisions are pure, sharing changes no bit of them. The returned
+// slices alias the Scratch until the next Decide of the same level on it;
+// core copies them out at once.
 //
 // Invariant: the steady-state decision tick is allocation-free (see
 // alloc_test.go) — a Scratch grows to the largest shape it has served and

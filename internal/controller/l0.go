@@ -3,11 +3,9 @@ package controller
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"hierctl/internal/cluster"
 	"hierctl/internal/llc"
-	"hierctl/internal/obs"
 	"hierctl/internal/queue"
 )
 
@@ -151,12 +149,18 @@ type L0 struct {
 
 	// maxExplored is the decision budget (see SetMaxExplored); 0 = none.
 	maxExplored int
+}
 
-	// Flight recorder (nil = disabled) and this computer's coordinates
-	// in its records.
-	rec       *obs.Recorder
-	recModule int16
-	recComp   int16
+// L0Decision is the frequency controller's output.
+type L0Decision struct {
+	// FreqIdx is the frequency index for the next period.
+	FreqIdx int
+	// Explored counts the states the search evaluated (the §4.3 overhead
+	// metric).
+	Explored int
+	// Cost is the expected cumulative §4.1 cost of the chosen input
+	// sequence over the horizon, the price the decision was made at.
+	Cost float64
 }
 
 // NewL0 builds an L0 controller for the given computer.
@@ -265,13 +269,6 @@ func (l *L0) Config() L0Config { return l.cfg }
 // safe fallback settings for the tick.
 func (l *L0) SetMaxExplored(n int) { l.maxExplored = n }
 
-// SetRecorder attaches a decision flight recorder (nil detaches) and
-// names the (module, computer) coordinates stamped onto records.
-// Recording is observe-only: decisions are identical with it on or off.
-func (l *L0) SetRecorder(r *obs.Recorder, module, comp int) {
-	l.rec, l.recModule, l.recComp = r, int16(module), int16(comp)
-}
-
 // Decide selects the frequency index for the next period. queueLen is the
 // observed queue length; lambda holds the forecast arrival rates
 // (requests/second) for each horizon step (length ≥ 1 — shorter than the
@@ -281,37 +278,21 @@ func (l *L0) SetRecorder(r *obs.Recorder, module, comp int) {
 // down to the frequency controller: with δ > 0 each horizon step's cost
 // averages the three sampled rates {λ̂−δ, λ̂, λ̂+δ}, so the processor hedges
 // against arrival bursts instead of riding the queue at the set-point.
-// explored counts the states the search evaluated (the §4.3 overhead
-// metric). The search runs in sc's L0 share.
+// The search runs in sc's L0 share.
 //
 //hpm:hotpath
-func (l *L0) Decide(sc *Scratch, queueLen float64, lambda []float64, delta, cHat float64) (freqIdx, explored int, err error) {
+func (l *L0) Decide(sc *Scratch, queueLen float64, lambda []float64, delta, cHat float64) (L0Decision, error) {
 	if len(lambda) == 0 {
-		return 0, 0, fmt.Errorf("controller: L0 needs at least one arrival-rate forecast")
+		return L0Decision{}, fmt.Errorf("controller: L0 needs at least one arrival-rate forecast")
 	}
 	if cHat <= 0 {
-		return 0, 0, fmt.Errorf("controller: L0 processing-time estimate %v <= 0", cHat)
-	}
-	var start time.Time
-	if l.rec.Enabled() {
-		start = time.Now() //hpm:wallclock decide latency for the flight record; observe-only
+		return L0Decision{}, fmt.Errorf("controller: L0 processing-time estimate %v <= 0", cHat)
 	}
 	res, err := l.search(&sc.l0, queueLen, lambda, delta, cHat)
 	if err != nil {
-		return 0, 0, fmt.Errorf("controller: L0 search: %w", err)
+		return L0Decision{}, fmt.Errorf("controller: L0 search: %w", err)
 	}
-	if l.rec.Enabled() {
-		l.rec.Record(obs.Record{
-			Level:    obs.LevelL0,
-			Module:   l.recModule,
-			Comp:     l.recComp,
-			FreqIdx:  int16(res.Inputs[0]),
-			Explored: int32(res.Explored),
-			DecideNs: time.Since(start).Nanoseconds(), //hpm:wallclock decide latency for the flight record; observe-only
-			Cost:     res.Cost,
-		})
-	}
-	return res.Inputs[0], res.Explored, nil
+	return L0Decision{FreqIdx: res.Inputs[0], Explored: res.Explored, Cost: res.Cost}, nil
 }
 
 // search fills d's forecast buffers for one decision and runs the bounded

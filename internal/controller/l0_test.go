@@ -55,24 +55,24 @@ func TestL0LowLoadPicksLowFrequency(t *testing.T) {
 	l0 := newTestL0(t)
 	// λ = 2 req/s, c = 17.5 ms → utilization at φ=0.25 is 0.14: the
 	// lowest frequency meets r* easily, and power cost favours it.
-	idx, _, err := l0.Decide(new(Scratch), 0, []float64{2}, 0, 0.0175)
+	dec, err := l0.Decide(new(Scratch), 0, []float64{2}, 0, 0.0175)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if idx != 0 {
-		t.Errorf("freq index = %d, want 0 (lowest)", idx)
+	if dec.FreqIdx != 0 {
+		t.Errorf("freq index = %d, want 0 (lowest)", dec.FreqIdx)
 	}
 }
 
 func TestL0HighLoadPicksHighFrequency(t *testing.T) {
 	l0 := newTestL0(t)
 	// λ = 55 req/s, c = 17.5 ms → needs φ ≈ 0.96: only φ=1 is stable.
-	idx, _, err := l0.Decide(new(Scratch), 0, []float64{55}, 0, 0.0175)
+	dec, err := l0.Decide(new(Scratch), 0, []float64{55}, 0, 0.0175)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if idx != 3 {
-		t.Errorf("freq index = %d, want 3 (max)", idx)
+	if dec.FreqIdx != 3 {
+		t.Errorf("freq index = %d, want 3 (max)", dec.FreqIdx)
 	}
 }
 
@@ -81,19 +81,19 @@ func TestL0BacklogForcesSpeedUp(t *testing.T) {
 	// A backlog deep enough that the lowest frequency cannot clear it
 	// within the horizon (capacity at φ=0.25 is ≈430 requests/period)
 	// forces a speed-up even with negligible new arrivals.
-	idxBacklog, _, err := l0.Decide(new(Scratch), 3000, []float64{1}, 0, 0.0175)
+	backlog, err := l0.Decide(new(Scratch), 3000, []float64{1}, 0, 0.0175)
 	if err != nil {
 		t.Fatal(err)
 	}
-	idxEmpty, _, err := l0.Decide(new(Scratch), 0, []float64{1}, 0, 0.0175)
+	empty, err := l0.Decide(new(Scratch), 0, []float64{1}, 0, 0.0175)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if idxBacklog <= idxEmpty {
-		t.Errorf("backlog freq %d not above empty-queue freq %d", idxBacklog, idxEmpty)
+	if backlog.FreqIdx <= empty.FreqIdx {
+		t.Errorf("backlog freq %d not above empty-queue freq %d", backlog.FreqIdx, empty.FreqIdx)
 	}
-	if idxBacklog != 3 {
-		t.Errorf("deep backlog freq = %d, want max (3)", idxBacklog)
+	if backlog.FreqIdx != 3 {
+		t.Errorf("deep backlog freq = %d, want max (3)", backlog.FreqIdx)
 	}
 }
 
@@ -109,18 +109,18 @@ func TestL0HorizonScalesExploration(t *testing.T) {
 	l0Long := newTestL0(t)
 	eShort, eLong := 0, 0
 	for _, lam := range []float64{2, 55} {
-		a, ea, err := l0Short.Decide(new(Scratch), 0, []float64{lam}, 0, 0.0175)
+		a, err := l0Short.Decide(new(Scratch), 0, []float64{lam}, 0, 0.0175)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, eb, err := l0Long.Decide(new(Scratch), 0, []float64{lam}, 0, 0.0175)
+		b, err := l0Long.Decide(new(Scratch), 0, []float64{lam}, 0, 0.0175)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if a != b {
-			t.Errorf("λ=%v: horizon-1 picked %d, horizon-3 picked %d", lam, a, b)
+		if a.FreqIdx != b.FreqIdx {
+			t.Errorf("λ=%v: horizon-1 picked %d, horizon-3 picked %d", lam, a.FreqIdx, b.FreqIdx)
 		}
-		eShort, eLong = eShort+ea, eLong+eb
+		eShort, eLong = eShort+a.Explored, eLong+b.Explored
 	}
 	if eShort != 2*4 {
 		t.Errorf("horizon-1 explored %d, want 8", eShort)
@@ -135,42 +135,43 @@ func TestL0HorizonScalesExploration(t *testing.T) {
 func TestL0ShortForecastPadded(t *testing.T) {
 	l0 := newTestL0(t)
 	// A single-element forecast works with horizon 3.
-	if _, _, err := l0.Decide(new(Scratch), 0, []float64{10}, 0, 0.0175); err != nil {
+	if _, err := l0.Decide(new(Scratch), 0, []float64{10}, 0, 0.0175); err != nil {
 		t.Errorf("short forecast: %v", err)
 	}
 }
 
 func TestL0InputValidation(t *testing.T) {
 	l0 := newTestL0(t)
-	if _, _, err := l0.Decide(new(Scratch), 0, nil, 0, 0.0175); err == nil {
+	if _, err := l0.Decide(new(Scratch), 0, nil, 0, 0.0175); err == nil {
 		t.Error("empty forecast: want error")
 	}
-	if _, _, err := l0.Decide(new(Scratch), 0, []float64{1}, 0, 0); err == nil {
+	if _, err := l0.Decide(new(Scratch), 0, []float64{1}, 0, 0); err == nil {
 		t.Error("zero c: want error")
 	}
 	// Negative forecasts are clamped, not an error.
-	if _, _, err := l0.Decide(new(Scratch), 0, []float64{-5}, 0, 0.0175); err != nil {
+	if _, err := l0.Decide(new(Scratch), 0, []float64{-5}, 0, 0.0175); err != nil {
 		t.Errorf("negative forecast: %v", err)
 	}
 }
 
 func TestL0OverheadMetering(t *testing.T) {
 	l0 := newTestL0(t)
-	_, explored, err := l0.Decide(new(Scratch), 0, []float64{10}, 0, 0.0175)
+	dec, err := l0.Decide(new(Scratch), 0, []float64{10}, 0, 0.0175)
 	if err != nil {
 		t.Fatal(err)
 	}
+	explored := dec.Explored
 	// |U| = 4, N = 3: the naive tree holds 4 + 16 + 64 = 84 states; the
 	// branch-and-bound search must visit at least the root fan-out and
 	// at most the naive count, and stay deterministic across decisions.
 	if explored < 4 || explored > 84 {
 		t.Errorf("explored = %d, want within [4, 84]", explored)
 	}
-	_, explored2, err := l0.Decide(new(Scratch), 0, []float64{10}, 0, 0.0175)
+	again, err := l0.Decide(new(Scratch), 0, []float64{10}, 0, 0.0175)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if explored2 != explored {
-		t.Errorf("explored by a second identical decision = %d, want %d", explored2, explored)
+	if again.Explored != explored {
+		t.Errorf("explored by a second identical decision = %d, want %d", again.Explored, explored)
 	}
 }

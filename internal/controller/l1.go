@@ -6,11 +6,8 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"time"
 
 	"hierctl/internal/llc"
-	// Aliased: Decide's observation parameter is conventionally named obs.
-	flight "hierctl/internal/obs"
 )
 
 // The paper's §4.2-§4.3 L1 settings. StabilityUtil is fixed; the other
@@ -131,10 +128,16 @@ type L1Decision struct {
 	// Explored counts the abstraction-map probes the decision made: each
 	// computer probes each cell of its map at most once (overhead metric).
 	Explored int
+	// Cost is the Eq. 14 cost of the chosen mask and split (see Decide),
+	// the price the decision was made at; 0 for a fully failed module's
+	// all-off decision, which prices nothing.
+	Cost float64
 }
 
-// packBools packs an on/off vector into a uint64 bitmask (len ≤ 64).
-func packBools(a []bool) uint64 {
+// PackBools packs an on/off vector into a uint64 bitmask, bit j set when
+// a[j] is (len ≤ 64, the L1's module bound): the L1's candidate masks and
+// the flight record's α.
+func PackBools(a []bool) uint64 {
 	k := uint64(0)
 	for i, v := range a {
 		if v {
@@ -180,19 +183,16 @@ type L1 struct {
 
 	// maxExplored is the decision budget (see SetMaxExplored); 0 = none.
 	maxExplored int
-
-	// Flight recorder (nil = disabled) and the module index stamped onto
-	// records.
-	rec       *flight.Recorder
-	recModule int16
 }
 
 // l1Scratch is an L1 decision's working memory, a Scratch's L1 share. on
-// is the observation's On as a mask. Computer j's mean term for u quanta
+// is the observation's On as a mask, and avail the all-true flags a nil
+// Available stands for. Computer j's mean term for u quanta
 // at serving share S is terms[row(j, S) + u]; memo holds the probes of the
 // computer being priced, stride arrival-rate cells per queue cell.
 type l1Scratch struct {
 	on         uint64
+	avail      []bool
 	samplesBuf [3]float64
 	layout     int   // stayAtUnits, stayAlone or stayShared
 	off        []int // computer j's terms start at terms[off[j]] (see row)
@@ -264,40 +264,6 @@ func (l l1Decision) fit() {
 // Size returns the number of computers the controller manages.
 func (l *L1) Size() int { return len(l.gmaps) }
 
-// SetRecorder attaches a decision flight recorder (nil detaches) and
-// names the module index stamped onto records. Each Decide writes one
-// summary record (Comp == -1: packed α mask, explored count, incumbent
-// cost, decide latency) followed by one detail record per computer
-// (its On state and γ share). Recording is observe-only: decisions are
-// identical with it on or off.
-func (l *L1) SetRecorder(r *flight.Recorder, module int) {
-	l.rec, l.recModule = r, int16(module)
-}
-
-// record writes the decision boundary to the flight recorder.
-func (l *L1) record(dec L1Decision, cost float64, elapsed time.Duration) {
-	l.rec.Record(flight.Record{
-		Level:    flight.LevelL1,
-		Module:   l.recModule,
-		Comp:     -1,
-		FreqIdx:  -1,
-		Explored: int32(dec.Explored),
-		DecideNs: elapsed.Nanoseconds(),
-		Alpha:    packBools(dec.Alpha),
-		Cost:     cost,
-	})
-	for j := range dec.Gamma {
-		l.rec.Record(flight.Record{
-			Level:   flight.LevelL1,
-			Module:  l.recModule,
-			Comp:    int16(j),
-			FreqIdx: -1,
-			On:      dec.Alpha[j],
-			Gamma:   dec.Gamma[j],
-		})
-	}
-}
-
 // SetMaxExplored caps the abstraction-map probes each subsequent Decide
 // may make — the deterministic per-tick decision deadline (see
 // llc.Searcher.SetMaxExplored); n <= 0 removes the cap. A Decide that
@@ -343,10 +309,7 @@ func (l *L1) Decide(sc *Scratch, obs L1Observation) (L1Decision, error) {
 		return L1Decision{}, fmt.Errorf("controller: observation has %d queues, module has %d", len(obs.QueueLens), m)
 	}
 	if obs.Available == nil {
-		obs.Available = make([]bool, m) //hpm:alloc nil-Available normalization; steady-state callers pass their scratch slice
-		for j := range obs.Available {
-			obs.Available[j] = true
-		}
+		obs.Available = allOn(&sc.l1.avail, m)
 	}
 	if len(obs.Available) != m {
 		return L1Decision{}, fmt.Errorf("controller: observation has %d availability flags, module has %d", len(obs.Available), m)
@@ -371,7 +334,7 @@ func (l *L1) Decide(sc *Scratch, obs L1Observation) (L1Decision, error) {
 	d := l1Decision{l, &sc.l1}
 	d.on = ^uint64(0) >> (64 - m)
 	if obs.On != nil {
-		d.on = packBools(obs.On)
+		d.on = PackBools(obs.On)
 	}
 	d.fit()
 	// A fully failed module cannot serve: degrade to the all-off
@@ -380,17 +343,8 @@ func (l *L1) Decide(sc *Scratch, obs L1Observation) (L1Decision, error) {
 	if countOn(obs.Available) == 0 {
 		clear(d.bestAlpha)
 		clear(d.bestGamma)
-		dec := L1Decision{Alpha: d.bestAlpha, Gamma: d.bestGamma}
-		if l.rec.Enabled() {
-			l.record(dec, 0, 0)
-		}
-		return dec, nil
+		return L1Decision{Alpha: d.bestAlpha, Gamma: d.bestGamma}, nil
 	}
-	var start time.Time
-	if l.rec.Enabled() {
-		start = time.Now() //hpm:wallclock decide latency for the flight record; observe-only
-	}
-
 	samples := bandSamples(&d.samplesBuf, obs.LambdaHat, obs.Delta, l.cfg.UncertaintySamples)
 	masks := d.alphaCandidates(obs.Available)
 	if err := d.priceTerms(obs, samples, masks); err != nil {
@@ -410,11 +364,7 @@ func (l *L1) Decide(sc *Scratch, obs L1Observation) (L1Decision, error) {
 	if math.IsInf(bestCost, 1) {
 		return L1Decision{}, fmt.Errorf("controller: L1 found no candidate configuration")
 	}
-	best := L1Decision{Alpha: d.bestAlpha, Gamma: d.bestGamma, Explored: d.probes}
-	if l.rec.Enabled() {
-		l.record(best, bestCost, time.Since(start)) //hpm:wallclock decide latency for the flight record; observe-only
-	}
-	return best, nil
+	return L1Decision{Alpha: d.bestAlpha, Gamma: d.bestGamma, Explored: d.probes, Cost: bestCost}, nil
 }
 
 // bandSamples fills buf with the arrival rates a decision averages its
@@ -731,7 +681,7 @@ func (l l1Decision) wasOn(j int) bool { return l.on>>j&1 != 0 }
 // repeats. The slice is the scratch's, recycled on the next call.
 func (l l1Decision) alphaCandidates(avail []bool) []uint64 {
 	minOn := min(l.cfg.MinOn, countOn(avail))
-	all := packBools(avail)
+	all := PackBools(avail)
 	base := l.on & all
 	for j := 0; bits.OnesCount64(base) < minOn; j++ {
 		base |= all & (1 << j)
@@ -750,6 +700,16 @@ func (l l1Decision) alphaCandidates(avail []bool) []uint64 {
 	}
 	add(all)
 	return l.masks
+}
+
+// allOn returns *buf at length n with every flag true: a nil Available's
+// normalization, into the scratch.
+func allOn(buf *[]bool, n int) []bool {
+	*buf = resize(*buf, n)
+	for i := range *buf {
+		(*buf)[i] = true
+	}
+	return *buf
 }
 
 func countOn(a []bool) int {

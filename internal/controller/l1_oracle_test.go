@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"hierctl/internal/approx"
-	flight "hierctl/internal/obs"
 )
 
 // l1Oracle prices (α, u) pairs for one decision: the controller's
@@ -244,7 +243,7 @@ func TestL1MatchesEnumerationOracle(t *testing.T) {
 }
 
 // checkL1AgainstOracle runs decisions on a fresh L1 from a random previous
-// on/off vector and requires each α, γ and recorded cost to be bit-equal to
+// on/off vector and requires each α, γ and its cost to be bit-equal to
 // the oracle's, and the probes within the closed-form bound.
 func checkL1AgainstOracle(t *testing.T, rng *rand.Rand, cfg L1Config, gmaps []*GMap, decisions int) {
 	t.Helper()
@@ -253,11 +252,6 @@ func checkL1AgainstOracle(t *testing.T, rng *rand.Rand, cfg L1Config, gmaps []*G
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := flight.NewRecorder(4 * (m + 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	l1.SetRecorder(rec, 0)
 	prev := make([]bool, m)
 	for j := range prev {
 		prev[j] = rng.Intn(3) > 0
@@ -284,8 +278,6 @@ func checkL1AgainstOracle(t *testing.T, rng *rand.Rand, cfg L1Config, gmaps []*G
 		if err != nil {
 			t.Fatal(err)
 		}
-		recs := rec.Window(nil, 0)
-		gotCost := recs[len(recs)-m-1].Cost
 		for j := range wantAlpha {
 			want := float64(wantUnits[j]) * cfg.Quantum
 			if dec.Alpha[j] != wantAlpha[j] || math.Float64bits(dec.Gamma[j]) != math.Float64bits(want) {
@@ -293,8 +285,8 @@ func checkL1AgainstOracle(t *testing.T, rng *rand.Rand, cfg L1Config, gmaps []*G
 					m, d, dec.Alpha, dec.Gamma, wantAlpha, wantUnits, obs, o.prevAlpha)
 			}
 		}
-		if math.Float64bits(gotCost) != math.Float64bits(wantCost) {
-			t.Fatalf("%d computers, decision %d: cost %v, enumeration %v", m, d, gotCost, wantCost)
+		if math.Float64bits(dec.Cost) != math.Float64bits(wantCost) {
+			t.Fatalf("%d computers, decision %d: cost %v, enumeration %v", m, d, dec.Cost, wantCost)
 		}
 		if bound := exploredBoundL1(gmaps); dec.Explored < 1 || dec.Explored > bound {
 			t.Fatalf("%d computers: %d probes, want within [1, %d]", m, dec.Explored, bound)

@@ -3,12 +3,9 @@ package controller
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"hierctl/internal/approx"
 	"hierctl/internal/llc"
-	// Aliased: Decide's observation parameter is conventionally named obs.
-	flight "hierctl/internal/obs"
 )
 
 // L2Config parameterizes the cluster-level L2 controller (§5.1).
@@ -109,6 +106,9 @@ type L2Decision struct {
 	// Explored counts priced J̃ terms: 11 per available module and band
 	// sample.
 	Explored int
+	// Cost is the optimum of the Eq. 15 objective Gamma attains, the price
+	// the decision was made at.
+	Cost float64
 }
 
 // L2 is the cluster-level controller. Construct with NewL2.
@@ -123,9 +123,6 @@ type L2 struct {
 
 	// maxExplored is the decision budget (see SetMaxExplored); 0 = none.
 	maxExplored int
-
-	// Flight recorder (nil = disabled).
-	rec *flight.Recorder
 }
 
 // NewL2 builds an L2 controller over per-module cost approximations.
@@ -146,7 +143,8 @@ func NewL2(cfg L2Config, jtildes []JTilde) (*L2, error) {
 
 // l2Scratch is an L2 decision's working memory, a Scratch's L2 share:
 // module i's term c_i(u) for u quanta at cost[i·(unitsL2+1) + u], the
-// suffix table suf, and the returned decision's γ.
+// suffix table suf, the returned decision's γ, and avail, the all-true
+// flags a nil Available stands for.
 type l2Scratch struct {
 	avail      []bool
 	samplesBuf [3]float64
@@ -158,18 +156,10 @@ type l2Scratch struct {
 // fit sizes the scratch for p modules.
 func (d *l2Scratch) fit(p int) {
 	n := p * (unitsL2 + 1)
-	d.avail = resize(d.avail, p)
 	d.cost = resize(d.cost, n)
 	d.suf = resize(d.suf, n+unitsL2+1)
 	d.decGamma = resize(d.decGamma, p)
 }
-
-// SetRecorder attaches a decision flight recorder (nil detaches). Each
-// Decide writes one summary record (Module == -1: explored count,
-// incumbent cost, decide latency) followed by one detail record per
-// module carrying its chosen γ share. Recording is observe-only:
-// decisions are identical with it on or off.
-func (l *L2) SetRecorder(r *flight.Recorder) { l.rec = r }
 
 // SetMaxExplored caps the J̃ terms each subsequent Decide may price,
 // exactly as L1.SetMaxExplored caps probes; n <= 0 removes the cap.
@@ -193,11 +183,9 @@ func (l *L2) Decide(sc *Scratch, obs L2Observation) (L2Decision, error) {
 	if len(obs.QAvg) != p || len(obs.CHat) != p {
 		return L2Decision{}, fmt.Errorf("controller: observation sizes %d/%d, modules %d", len(obs.QAvg), len(obs.CHat), p)
 	}
+	d := &sc.l2
 	if obs.Available == nil {
-		obs.Available = make([]bool, p) //hpm:alloc nil-Available normalization; steady-state callers pass their scratch slice
-		for i := range obs.Available {
-			obs.Available[i] = true
-		}
+		obs.Available = allOn(&d.avail, p)
 	}
 	if len(obs.Available) != p {
 		return L2Decision{}, fmt.Errorf("controller: observation has %d availability flags, modules %d", len(obs.Available), p)
@@ -208,7 +196,6 @@ func (l *L2) Decide(sc *Scratch, obs L2Observation) (L2Decision, error) {
 	if countOn(obs.Available) == 0 {
 		return L2Decision{}, fmt.Errorf("controller: no available modules")
 	}
-	d := &sc.l2
 	d.fit(p)
 	if obs.Split == nil {
 		// Into the decision's buffer: every term is priced before the
@@ -218,12 +205,6 @@ func (l *L2) Decide(sc *Scratch, obs L2Observation) (L2Decision, error) {
 	if obs.LambdaHat < 0 {
 		obs.LambdaHat = 0
 	}
-	var start time.Time
-	if l.rec.Enabled() {
-		start = time.Now() //hpm:wallclock decide latency for the flight record; observe-only
-	}
-
-	copy(d.avail, obs.Available)
 	explored, err := l.priceTerms(d, obs)
 	if err != nil {
 		return L2Decision{}, searchErr("L2", err)
@@ -248,27 +229,7 @@ func (l *L2) Decide(sc *Scratch, obs L2Observation) (L2Decision, error) {
 		d.decGamma[i] = float64(u) * QuantumL2
 		r -= u
 	}
-	if l.rec.Enabled() {
-		l.rec.Record(flight.Record{
-			Level:    flight.LevelL2,
-			Module:   -1,
-			Comp:     -1,
-			FreqIdx:  -1,
-			Explored: int32(explored),
-			DecideNs: time.Since(start).Nanoseconds(), //hpm:wallclock decide latency for the flight record; observe-only
-			Cost:     bestCost,
-		})
-		for i, g := range d.decGamma {
-			l.rec.Record(flight.Record{
-				Level:   flight.LevelL2,
-				Module:  int16(i),
-				Comp:    -1,
-				FreqIdx: -1,
-				Gamma:   g,
-			})
-		}
-	}
-	return L2Decision{Gamma: d.decGamma, Explored: explored}, nil
+	return L2Decision{Gamma: d.decGamma, Explored: explored, Cost: bestCost}, nil
 }
 
 // priceTerms fills the term table, counting each J̃ prediction as one
@@ -280,11 +241,11 @@ func (l *L2) priceTerms(d *l2Scratch, obs L2Observation) (int, error) {
 	n, explored := float64(len(samples)), 0
 	for i, jt := range l.jtildes {
 		lams := samples
-		if !d.avail[i] {
+		if !obs.Available[i] {
 			lams = nil
 		}
 		for u := 0; u <= unitsL2; u++ {
-			if !d.avail[i] && u > 0 {
+			if !obs.Available[i] && u > 0 {
 				d.cost[i*(unitsL2+1)+u] = math.Inf(1)
 				continue
 			}

@@ -11,8 +11,6 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
-
-	flight "hierctl/internal/obs"
 )
 
 // EnumerateSimplex lists every quantized simplex vector over the masked
@@ -170,7 +168,7 @@ func randomL2Observation(rng *rand.Rand, p int) L2Observation {
 }
 
 // checkAgainstOracle runs decisions on a fresh L2 from a random previous
-// γ and requires each γ and recorded cost to be bit-equal to the oracle's,
+// γ and requires each γ and its cost to be bit-equal to the oracle's,
 // and the work to be 11 terms per available module and band sample.
 func checkAgainstOracle(t *testing.T, rng *rand.Rand, jts []JTilde, decisions int) {
 	t.Helper()
@@ -181,11 +179,6 @@ func checkAgainstOracle(t *testing.T, rng *rand.Rand, jts []JTilde, decisions in
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := flight.NewRecorder(4 * (p + 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	l2.SetRecorder(rec)
 	// The first decision prices from the fresh split (Split nil) or a
 	// random one; each later one from its predecessor's.
 	prev := EqualSplit(make([]float64, p))
@@ -205,15 +198,13 @@ func checkAgainstOracle(t *testing.T, rng *rand.Rand, jts []JTilde, decisions in
 		if err != nil {
 			t.Fatal(err)
 		}
-		recs := rec.Window(nil, 0)
-		gotCost := recs[len(recs)-p-1].Cost
 		for i := range wantGamma {
 			if math.Float64bits(dec.Gamma[i]) != math.Float64bits(wantGamma[i]) {
 				t.Fatalf("%d modules, decision %d: γ %v, enumeration %v (obs %+v, prev %v)", p, d, dec.Gamma, wantGamma, obs, prev)
 			}
 		}
-		if math.Float64bits(gotCost) != math.Float64bits(wantCost) {
-			t.Fatalf("%d modules, decision %d: cost %v, enumeration %v", p, d, gotCost, wantCost)
+		if math.Float64bits(dec.Cost) != math.Float64bits(wantCost) {
+			t.Fatalf("%d modules, decision %d: cost %v, enumeration %v", p, d, dec.Cost, wantCost)
 		}
 		a, s := countOn(obs.Available), 1
 		if cfg.UncertaintySamples && obs.Delta > 0 {
@@ -256,8 +247,7 @@ func TestL2MatchesEnumerationOracle(t *testing.T) {
 // equals full enumeration (7-9 modules, a J̃ of its own per module); and at
 // 64 modules of flat cost, three share-carrying ones down, where every
 // placement of their three quanta ties, it prices 11 terms per available
-// module and sample and returns an optimum, its recorded cost the table's
-// head.
+// module and sample and returns an optimum, its cost the table's head.
 //
 //hpm:pin search
 func TestL2ExactAboveSixModules(t *testing.T) {
@@ -282,11 +272,6 @@ func TestL2ExactAboveSixModules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := flight.NewRecorder(2 * (p + 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	l2.SetRecorder(rec)
 	obs := L2Observation{QAvg: make([]float64, p), LambdaHat: 300, Delta: 30, CHat: make([]float64, p), Available: make([]bool, p)}
 	fresh := EqualSplit(make([]float64, p))
 	down := 0
@@ -305,9 +290,8 @@ func TestL2ExactAboveSixModules(t *testing.T) {
 	if want := (unitsL2 + 1) * (p - 3) * 3; dec.Explored != want {
 		t.Fatalf("flat cost: explored %d, want %d", dec.Explored, want)
 	}
-	recs := rec.Window(nil, 0)
-	if cost := recs[len(recs)-p-1].Cost; cost != sc.l2.suf[unitsL2] {
-		t.Fatalf("flat cost: recorded cost %v, table head %v", cost, sc.l2.suf[unitsL2])
+	if dec.Cost != sc.l2.suf[unitsL2] {
+		t.Fatalf("flat cost: decision cost %v, table head %v", dec.Cost, sc.l2.suf[unitsL2])
 	}
 	// Every available module costs 1 and each of the three stranded quanta
 	// is δ·q to take off and δ·q to put anywhere else.

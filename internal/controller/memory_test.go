@@ -5,30 +5,23 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	flight "hierctl/internal/obs"
 )
 
 // memoryTrials is how many observations each controller is checked on.
 const memoryTrials = 80
 
-// memorySetup is one trial's controller: build makes a fresh one, its
-// records going to rec, whose decide runs a decision and renders it; draw
-// draws an observation.
+// memorySetup is one trial's controller: build makes a fresh one, whose
+// decide runs a decision; draw draws an observation.
 type memorySetup[O any] struct {
-	build func(rec *flight.Recorder) (decide func(O) (any, error))
+	build func() (decide func(O) (any, error))
 	draw  func() O
 }
 
 // rendered is a decision as a string, bit for bit (%v prints each float
-// in its shortest exact form, -0 included), with its error and the flight
-// records it wrote, latency zeroed.
-func rendered(rec *flight.Recorder, from uint64, dec any, err error) string {
-	recs, _ := rec.Since(nil, from)
-	for i := range recs {
-		recs[i].DecideNs = 0
-	}
-	return fmt.Sprintf("%+v | %v | %+v", dec, err, recs)
+// in its shortest exact form, -0 included, so its Cost counts), with its
+// error.
+func rendered(dec any, err error) string {
+	return fmt.Sprintf("%+v | %v", dec, err)
 }
 
 // checkNoMemory: over memoryTrials seeded trials, a controller warmed by a
@@ -39,24 +32,13 @@ func checkNoMemory[O any](t *testing.T, rng *rand.Rand, setup func() memorySetup
 	t.Helper()
 	for trial := range memoryTrials {
 		s := setup()
-		warmRec, err := flight.NewRecorder(512)
-		if err != nil {
-			t.Fatal(err)
-		}
-		freshRec, err := flight.NewRecorder(512)
-		if err != nil {
-			t.Fatal(err)
-		}
-		warm := s.build(warmRec)
+		warm := s.build()
 		for range 1 + rng.Intn(6) {
 			warm(s.draw()) // a failed decision warms it as well
 		}
 		o := s.draw()
-		from := warmRec.Total()
-		dec, err := warm(o)
-		got := rendered(warmRec, from, dec, err)
-		dec, err = s.build(freshRec)(o)
-		if want := rendered(freshRec, 0, dec, err); got != want {
+		got := rendered(warm(o))
+		if want := rendered(s.build()(o)); got != want {
 			t.Fatalf("trial %d: warmed controller decides\n%s\na fresh one\n%s", trial, got, want)
 		}
 	}
@@ -73,9 +55,9 @@ func budget(rng *rand.Rand, most int) int {
 // TestControllersHaveNoMemory is the property that every controller's
 // Decide is a pure function of its observation: a warmed L0, L1 or L2
 // decides a seeded random observation bit for bit as a fresh one does, its
-// explored count, cost and flight records included. The L1's on/off vector
-// and the L2's split in force come in with the observation, drawn at
-// random like the rest of it. It is why no controller is checkpointed.
+// explored count and cost included. The L1's on/off vector and the L2's
+// split in force come in with the observation, drawn at random like the
+// rest of it. It is why no controller is checkpointed.
 //
 //hpm:pin checkpoint
 func TestControllersHaveNoMemory(t *testing.T) {
@@ -87,18 +69,14 @@ func TestControllersHaveNoMemory(t *testing.T) {
 			spec.SpeedFactor = []float64{0.75, 1, 1.5}[rng.Intn(3)]
 			limit := budget(rng, 60)
 			return memorySetup[[]float64]{
-				build: func(rec *flight.Recorder) func([]float64) (any, error) {
+				build: func() func([]float64) (any, error) {
 					l0, err := NewL0(cfg, spec)
 					if err != nil {
 						t.Fatal(err)
 					}
 					l0.SetMaxExplored(limit)
-					l0.SetRecorder(rec, 0, 0)
 					sc := new(Scratch)
-					return func(o []float64) (any, error) {
-						idx, explored, err := l0.Decide(sc, o[0], o[3:], o[1], o[2])
-						return [2]int{idx, explored}, err
-					}
+					return func(o []float64) (any, error) { return l0.Decide(sc, o[0], o[3:], o[1], o[2]) }
 				},
 				// {queue, δ, ĉ, λ̂ per horizon step...}
 				draw: func() []float64 {
@@ -130,13 +108,12 @@ func TestControllersHaveNoMemory(t *testing.T) {
 			cfg.UncertaintySamples = rng.Intn(4) != 0
 			limit := budget(rng, 40)
 			return memorySetup[L1Observation]{
-				build: func(rec *flight.Recorder) func(L1Observation) (any, error) {
+				build: func() func(L1Observation) (any, error) {
 					l1, err := NewL1(cfg, gmaps)
 					if err != nil {
 						t.Fatal(err)
 					}
 					l1.SetMaxExplored(limit)
-					l1.SetRecorder(rec, 0)
 					sc := new(Scratch)
 					return func(o L1Observation) (any, error) { return l1.Decide(sc, o) }
 				},
@@ -174,13 +151,12 @@ func TestControllersHaveNoMemory(t *testing.T) {
 			cfg.UncertaintySamples = rng.Intn(4) != 0
 			limit := budget(rng, 80)
 			return memorySetup[L2Observation]{
-				build: func(rec *flight.Recorder) func(L2Observation) (any, error) {
+				build: func() func(L2Observation) (any, error) {
 					l2, err := NewL2(cfg, jts)
 					if err != nil {
 						t.Fatal(err)
 					}
 					l2.SetMaxExplored(limit)
-					l2.SetRecorder(rec)
 					sc := new(Scratch)
 					return func(o L2Observation) (any, error) { return l2.Decide(sc, o) }
 				},

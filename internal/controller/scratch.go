@@ -4,8 +4,8 @@ package controller
 // suffix tables, probe memo, candidate masks and incumbent; the L2's term
 // and suffix tables and its decision; and the L0's lookahead buffers and
 // forecast environments. A controller keeps only its configuration, the
-// learned artifacts it reads, its budget and its recorder coordinates;
-// every Decide works in the Scratch it is handed.
+// learned artifacts it reads and its budget; every Decide works in the
+// Scratch it is handed.
 //
 // Because every decision is a pure function of its observation (pinned by
 // TestControllersHaveNoMemory), one Scratch serves any number of

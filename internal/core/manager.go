@@ -149,8 +149,8 @@ type Manager struct {
 }
 
 // SetRecorder attaches a decision flight recorder to the sessions created
-// afterwards: to their L2, every module's L1, every L0 and the engine's
-// per-tick records. A nil recorder detaches. A recorder attached to a
+// afterwards: each run records its L2, L1 and L0 decisions and the engine
+// its per-tick records. A nil recorder detaches. A recorder attached to a
 // Manager is shared by all the sessions opened after it, which record into
 // it in the order they step. Recording is observe-only: runs are
 // bit-identical with it on or off, and the record sequence is the same at

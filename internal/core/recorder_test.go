@@ -1,11 +1,13 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
 
+	"hierctl/internal/chaos"
 	"hierctl/internal/cluster"
 	"hierctl/internal/des"
 	"hierctl/internal/obs"
@@ -116,5 +118,126 @@ func TestManagerRecorderEquivalence(t *testing.T) {
 				t.Errorf("tick stamps did not advance (max %d)", ticks)
 			}
 		})
+	}
+}
+
+// TestRunRecordsEveryDecision pins the flight record layout the run writes
+// where it counts each decision. A two-module session under a failure plan
+// and a DecisionBudget small enough to trip records, each tick, in order:
+// at an L2 boundary the L2 summary and one γ detail per module; at an L1
+// boundary, per module, its L1 summary and one detail per computer; one L0
+// record per computer decided; then the tick record. Per level the
+// summaries number the Record's decisions and their explored counts sum to
+// its explored states; the details and the L0 frequencies are the decision
+// in force after the bin; and a tick is flagged degraded exactly when a
+// decision due in it left no record — a tripped search writes none.
+func TestRunRecordsEveryDecision(t *testing.T) {
+	const bins, m = 48, 3
+	spec := cluster.Spec{Modules: []cluster.ModuleSpec{moduleOf("M1", m), moduleOf("M2", m)}}
+	p := len(spec.Modules)
+	mgr, err := NewManager(spec, fastConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := obs.NewRecorder(1 << 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr.SetRecorder(rec)
+	// One T_L0 tick per 30 s bin, so bin k's records are tick k's.
+	s, err := mgr.NewSession(testStore(t), SessionConfig{
+		BinSeconds: 30,
+		Failures:   []workload.FailureEvent{{At: 200, Module: 0, Comp: 1}, {At: 800, Module: 0, Comp: 1, Repair: true}},
+		Chaos:      chaos.Plan{DecisionBudget: 28},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decisions, explored, tripped [4]int // by obs.Level
+	var cursor uint64
+	for k := range bins {
+		dec, err := s.ObserveBin(math.Round(float64(p*m) * (300 + 250*math.Sin(float64(k)/4))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var recs []obs.Record
+		recs, cursor = rec.Since(nil, cursor)
+		for _, r := range recs {
+			if r.Tick != int64(k) {
+				t.Fatalf("tick %d: record stamped tick %d: %+v", k, r.Tick, r)
+			}
+		}
+		// take removes the tick's next record and its n details when it
+		// is the level's summary at (module, comp), and counts them; a
+		// decision due that left none tripped.
+		missing := false
+		take := func(lv obs.Level, module, comp int16, n int) []obs.Record {
+			if len(recs) == 0 || recs[0].Level != lv || recs[0].Module != module || recs[0].Comp != comp {
+				tripped[lv]++
+				missing = true
+				return nil
+			}
+			if len(recs) < 1+n {
+				t.Fatalf("tick %d: %v summary with %d of its %d details", k, lv, len(recs)-1, n)
+			}
+			group := recs[:1+n]
+			recs = recs[1+n:]
+			decisions[lv]++
+			explored[lv] += int(group[0].Explored)
+			return group
+		}
+		if k%s.r.l2Every == 0 {
+			if group := take(obs.LevelL2, -1, -1, p); group != nil {
+				for i, d := range group[1:] {
+					if d.Level != obs.LevelL2 || d.Module != int16(i) || d.Gamma != dec.GammaModules[i] {
+						t.Fatalf("tick %d: L2 detail %d %+v, γ in force %v", k, i, d, dec.GammaModules)
+					}
+				}
+			}
+		}
+		if k%s.r.l1Every == 0 {
+			for i, md := range dec.Modules {
+				group := take(obs.LevelL1, int16(i), -1, m)
+				for j, d := range group[min(1, len(group)):] {
+					if d.Level != obs.LevelL1 || d.Module != int16(i) || d.Comp != int16(j) ||
+						d.On != md.Alpha[j] || d.Gamma != md.Gamma[j] {
+						t.Fatalf("tick %d: module %d L1 detail %d %+v, in force α %v γ %v", k, i, j, d, md.Alpha, md.Gamma)
+					}
+				}
+			}
+		}
+		for i, md := range dec.Modules {
+			for j, idx := range md.FreqIdx {
+				if idx < 0 {
+					continue // off or failed: no L0 decides it
+				}
+				if group := take(obs.LevelL0, int16(i), int16(j), 0); group != nil && group[0].FreqIdx != int16(idx) {
+					t.Fatalf("tick %d: computer (%d, %d) L0 record %+v, frequency in force %d", k, i, j, group[0], idx)
+				}
+			}
+		}
+		if len(recs) != 1 || recs[0].Level != obs.LevelTick {
+			t.Fatalf("tick %d: after the decisions, %+v, want the tick record alone", k, recs)
+		}
+		if recs[0].Degraded != missing {
+			t.Fatalf("tick %d: tick record degraded %v, a due decision left no record %v", k, recs[0].Degraded, missing)
+		}
+	}
+	if rec.Total() > uint64(rec.Capacity()) {
+		t.Fatalf("ring of %d wrapped (%d records)", rec.Capacity(), rec.Total())
+	}
+	fin, err := s.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := [3][2]int{{decisions[obs.LevelL0], explored[obs.LevelL0]}, {decisions[obs.LevelL1], explored[obs.LevelL1]}, {decisions[obs.LevelL2], explored[obs.LevelL2]}}
+	want := [3][2]int{{fin.L0Decisions, fin.L0Explored}, {fin.L1Decisions, fin.L1Explored}, {fin.L2Decisions, fin.L2Explored}}
+	if got != want {
+		t.Fatalf("recorded (decisions, explored) by level L0, L1, L2: %v, the Record's %v", got, want)
+	}
+	for _, lv := range []obs.Level{obs.LevelL0, obs.LevelL1, obs.LevelL2} {
+		if decisions[lv] == 0 || tripped[lv] == 0 {
+			t.Fatalf("%v: %d decisions recorded, %d tripped: the test no longer covers both", lv, decisions[lv], tripped[lv])
+		}
 	}
 }

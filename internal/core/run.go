@@ -366,12 +366,12 @@ func (r *run) decideL2(k int) (err error) {
 		r.recordGammaModules(r.gammaModules)
 		return nil
 	}
+	start := r.latencyStart()
 	dec, err := r.l2.Decide(r.sc, obs)
 	if err != nil {
 		return err
 	}
-	r.rec.L2Explored += dec.Explored
-	r.rec.L2Decisions++
+	r.countL2(dec, start)
 	// Propagate the reallocation to the module forecasts: λ_i = γ_i·λ_g,
 	// so a module whose share changed expects arrivals scaled by the
 	// share ratio until its own filter has seen the new regime.
@@ -394,11 +394,11 @@ func (r *run) decideL2(k int) (err error) {
 	return nil
 }
 
-// planL1 runs one module's L1 controller, counts its decision, and appends
-// the boundary's Fig. 4 (predicted, actual) pair. It touches only module
-// i's own estimators and reads (never mutates) the shared plant. The
-// decision aliases the step's Scratch until the next L1 Decide on it — the
-// next module's, after applyL1 copied this one.
+// planL1 runs one module's L1 controller, counts and records its decision,
+// and appends the boundary's Fig. 4 (predicted, actual) pair. It touches
+// only module i's own estimators and reads (never mutates) the shared
+// plant. The decision aliases the step's Scratch until the next L1 Decide
+// on it — the next module's, after applyL1 copied this one.
 func (r *run) planL1(i int, k int) (dec controller.L1Decision, err error) {
 	defer recoverAs(&err, "L1")
 	m := r.m
@@ -463,9 +463,9 @@ func (r *run) planL1(i int, k int) (dec controller.L1Decision, err error) {
 	if r.l1Failpoint != nil {
 		r.l1Failpoint(i, k)
 	}
+	start := r.latencyStart()
 	if dec, err = asm.l1.Decide(r.sc, obs); err == nil {
-		r.rec.L1Explored += dec.Explored
-		r.rec.L1Decisions++
+		r.countL1(i, dec, start)
 	}
 	return dec, err
 }
@@ -521,7 +521,9 @@ func (r *run) decideL0(i int, asm *moduleAsm, k int) (degraded bool, err error) 
 		if m.cfg.OracleForecast {
 			delta = 0
 		}
-		idx, explored, err := searchL0(asm.l0s[j], r.sc, float64(asm.lastPer[j].QueueLen), lambda, delta, cHat)
+		start := r.latencyStart()
+		dec, err := searchL0(asm.l0s[j], r.sc, float64(asm.lastPer[j].QueueLen), lambda, delta, cHat)
+		idx := dec.FreqIdx
 		if err != nil {
 			if !degradable(err) {
 				return degraded, err
@@ -529,8 +531,7 @@ func (r *run) decideL0(i int, asm *moduleAsm, k int) (degraded bool, err error) 
 			idx = len(asm.specs[j].FrequenciesHz) - 1
 			degraded = true
 		} else {
-			r.rec.L0Explored += explored
-			r.rec.L0Decisions++
+			r.countL0(i, j, dec, start)
 		}
 		if err := r.plant.SetFrequency(i, j, idx); err != nil {
 			return degraded, err
@@ -543,9 +544,81 @@ func (r *run) decideL0(i int, asm *moduleAsm, k int) (degraded bool, err error) 
 
 // searchL0 is one computer's L0 search under the panic guard, which
 // covers the search and never the actuation that follows it.
-func searchL0(l0 *controller.L0, sc *controller.Scratch, queueLen float64, lambda []float64, delta, cHat float64) (idx, explored int, err error) {
+func searchL0(l0 *controller.L0, sc *controller.Scratch, queueLen float64, lambda []float64, delta, cHat float64) (dec controller.L0Decision, err error) {
 	defer recoverAs(&err, "L0")
 	return l0.Decide(sc, queueLen, lambda, delta, cHat)
+}
+
+// countL2, countL1 and countL0 count a level's decision and explored
+// states (the §4.3 overhead) and write its flight records, for a decision
+// that returned only: a tripped or panicking search counts nothing and
+// writes no record. Within a tick the records come L2, then each module's
+// L1, then the L0s, then the harness's tick record. start is latencyStart's
+// reading before the Decide.
+
+// countL2 counts an L2 decision and records one summary (Module == -1:
+// explored count, cost, latency), then one detail per module (its γ).
+func (r *run) countL2(dec controller.L2Decision, start time.Time) {
+	r.rec.L2Explored += dec.Explored
+	r.rec.L2Decisions++
+	if !r.recorder.Enabled() {
+		return
+	}
+	r.recorder.Record(obs.Record{
+		Level: obs.LevelL2, Module: -1, Comp: -1, FreqIdx: -1,
+		Explored: int32(dec.Explored), DecideNs: latencyNs(start), Cost: dec.Cost,
+	})
+	for i, g := range dec.Gamma {
+		r.recorder.Record(obs.Record{Level: obs.LevelL2, Module: int16(i), Comp: -1, FreqIdx: -1, Gamma: g})
+	}
+}
+
+// countL1 counts module i's L1 decision and records one summary (Comp ==
+// -1: packed α mask, explored count, cost, latency), then one detail per
+// computer (its α and γ).
+func (r *run) countL1(i int, dec controller.L1Decision, start time.Time) {
+	r.rec.L1Explored += dec.Explored
+	r.rec.L1Decisions++
+	if !r.recorder.Enabled() {
+		return
+	}
+	r.recorder.Record(obs.Record{
+		Level: obs.LevelL1, Module: int16(i), Comp: -1, FreqIdx: -1,
+		Explored: int32(dec.Explored), DecideNs: latencyNs(start), Alpha: controller.PackBools(dec.Alpha), Cost: dec.Cost,
+	})
+	for j, on := range dec.Alpha {
+		r.recorder.Record(obs.Record{
+			Level: obs.LevelL1, Module: int16(i), Comp: int16(j), FreqIdx: -1, On: on, Gamma: dec.Gamma[j],
+		})
+	}
+}
+
+// countL0 counts computer (i, j)'s L0 decision and records it.
+func (r *run) countL0(i, j int, dec controller.L0Decision, start time.Time) {
+	r.rec.L0Explored += dec.Explored
+	r.rec.L0Decisions++
+	if !r.recorder.Enabled() {
+		return
+	}
+	r.recorder.Record(obs.Record{
+		Level: obs.LevelL0, Module: int16(i), Comp: int16(j), FreqIdx: int16(dec.FreqIdx),
+		Explored: int32(dec.Explored), DecideNs: latencyNs(start), Cost: dec.Cost,
+	})
+}
+
+// latencyStart reads the wall clock before a Decide for its flight record's
+// latency, and only while a recorder is attached: the zero time otherwise,
+// which nothing reads.
+func (r *run) latencyStart() time.Time {
+	if !r.recorder.Enabled() {
+		return time.Time{}
+	}
+	return time.Now() //hpm:wallclock decide latency for the flight record; observe-only, never a decision input
+}
+
+// latencyNs is the latency since a latencyStart reading.
+func latencyNs(start time.Time) int64 {
+	return time.Since(start).Nanoseconds() //hpm:wallclock decide latency for the flight record; observe-only, never a decision input
 }
 
 // recordFreq appends one T_L0 sample to computer (i, j)'s frequency series

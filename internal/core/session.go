@@ -253,14 +253,12 @@ func (r *run) build(cal []float64, budget int) error {
 		if asm.l1, err = controller.NewL1(m.cfg.L1, m.gmaps[i]); err != nil {
 			return err
 		}
-		asm.l1.SetRecorder(r.recorder, i)
 		asm.l1.SetMaxExplored(budget)
-		for j, cs := range ms.Computers {
+		for _, cs := range ms.Computers {
 			l0, err := controller.NewL0(m.cfg.L0, cs)
 			if err != nil {
 				return err
 			}
-			l0.SetRecorder(r.recorder, i, j)
 			l0.SetMaxExplored(budget)
 			asm.l0s = append(asm.l0s, l0)
 		}
@@ -298,7 +296,6 @@ func (r *run) build(cal []float64, budget int) error {
 		if r.l2, err = controller.NewL2(m.cfg.L2, m.jtildes); err != nil {
 			return err
 		}
-		r.l2.SetRecorder(r.recorder)
 		r.l2.SetMaxExplored(budget)
 		r.l2QAvg = make([]float64, p)
 		r.l2CHat = make([]float64, p)

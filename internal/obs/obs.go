@@ -72,7 +72,9 @@ func (l *Level) UnmarshalText(b []byte) error {
 
 // Record is one flight-recorder entry. It is deliberately flat — no
 // slices, no pointers. Fields that don't apply to a record's level keep
-// their zero value (index fields use -1 for "not applicable"):
+// their zero value (index fields use -1 for "not applicable"). The engine
+// harness writes the tick records and the run (internal/core) the L0, L1
+// and L2 ones, from the decisions the controllers return:
 //
 //   - tick records (LevelTick): DecideNs spans the whole hierarchical
 //     decision, Resp is the interval's mean response time and QoS flags a

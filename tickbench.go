@@ -126,7 +126,7 @@ func learnTickGMaps(n int) ([]*controller.GMap, error) {
 func driveTickL0(l0 *controller.L0, sc *controller.Scratch, lambda []float64, i int) error {
 	lam := 40 + 30*math.Sin(float64(i)/9)
 	lambda[0], lambda[1], lambda[2] = lam, lam+2, lam+4
-	_, _, err := l0.Decide(sc, float64((i*7)%200), lambda, 8, 0.0175)
+	_, err := l0.Decide(sc, float64((i*7)%200), lambda, 8, 0.0175)
 	return err
 }
 
