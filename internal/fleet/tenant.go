@@ -44,11 +44,11 @@ type TenantConfig struct {
 	// TelemetryRecords sizes the tenant's decision flight recorder (the
 	// retained window of per-tick and per-controller records served by
 	// Fleet.Telemetry); 0 disables recording. The recorder allocates about
-	// 16.75 bytes per record at create (a 16-byte average arena budget and
-	// a 12-byte seek anchor every 16 records), so at most 1 << 20
-	// (≈ 17 MB); records averaging over the budget — none the hierarchy
+	// 11.25 bytes per record at create (an 11-byte average arena budget and
+	// a 4-byte seek anchor every 16 records), so at most 1 << 20
+	// (≈ 12 MB); records averaging over the budget — none the hierarchy
 	// writes on the daemon's tenant shapes — would double the arena, to
-	// 128 bytes per record at worst. Part of the configuration, so
+	// 88 bytes per record at worst. Part of the configuration, so
 	// snapshots persist it; the ring itself is ephemeral — a restored
 	// tenant's starts empty, its Total carried on from the checkpoint.
 	TelemetryRecords int

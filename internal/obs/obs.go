@@ -9,8 +9,7 @@
 // is a valid, disabled recorder, so instrumented code paths carry a
 // single pointer test and no allocation. Telemetry observes, never
 // steers: decisions are bit-identical with recording on or off (pinned
-// by the recorder equivalence suites in internal/controller and
-// internal/core).
+// by internal/core's TestManagerRecorderEquivalence).
 //
 // A recorder has one writer: the hierarchy records from the goroutine that
 // steps its tenant — nothing fans out inside a control tick — so the record
@@ -20,10 +19,8 @@
 package obs
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
-	"math/bits"
 	"slices"
 
 	"hierctl/internal/ckpt"
@@ -96,7 +93,8 @@ func (l *Level) UnmarshalText(b []byte) error {
 //     (Module == i) carrying the module's Gamma share.
 //
 // The recorder keeps every field of every record exactly (floats bit for
-// bit), and a field at its "not applicable" value costs it no byte.
+// bit). A field its record's kind does not carry, or one that repeats its
+// level's previous record of the kind, costs it no byte.
 type Record struct {
 	Tick     int64   `json:"tick"`
 	Level    Level   `json:"level"`
@@ -115,67 +113,37 @@ type Record struct {
 	Stale    int16   `json:"stale,omitempty"`
 }
 
-// A record as the arena holds it: a two-byte little-endian header, then
-// the fields it marks present, in the header's bit order. Integers are
-// zigzag varints — the tick as the delta from the previous record's, so a
-// tick's records after its first carry none — Alpha is a uvarint, and the
-// floats are their 8 raw bytes, so NaN payloads and −0 survive. A field is
-// absent at zero, the index fields (Module, Comp, FreqIdx) at −1, a float
-// when its bits are zero. Levels above 3 and Degraded, which only a
-// fallback tick sets, take an extension byte after the header.
-const (
-	hdrLevel    = 0b11   // Level & 3
-	hdrOn       = 1 << 2 // On
-	hdrQoS      = 1 << 3 // QoS
-	hdrExt      = 1 << 4 // extension byte: Degraded in bit 0, Level >> 2 above it
-	hasTick     = 1 << 5
-	hasModule   = 1 << 6
-	hasComp     = 1 << 7
-	hasFreqIdx  = 1 << 8
-	hasExplored = 1 << 9
-	hasDecideNs = 1 << 10
-	hasAlpha    = 1 << 11
-	hasGamma    = 1 << 12
-	hasCost     = 1 << 13
-	hasResp     = 1 << 14
-	hasStale    = 1 << 15
-)
-
-// maxRecordSize is the longest encoding: header, extension byte, three
-// 10-byte 64-bit varints, three int16 and one int32 varint, three floats,
-// the int16 Stale.
-const maxRecordSize = 2 + 1 + 3*binary.MaxVarintLen64 + 3*3 + 5 + 3*8 + 3
-
 // recordBudget is the arena bytes NewRecorder sets aside per record, on
-// average: the records the hierarchy writes take up to 24 bytes at the
-// extremes of what they carry (TestRecordEncodedSize) but 12–15 over a
-// window, so a ring of them wraps without the arena ever growing
-// (TestRecorderArenaFlat). A window of longer records grows it; one made
-// only of fallback ticks, which only a squeezed decision budget writes,
-// sits at the budget.
-const recordBudget = 16
+// average. The records the hierarchy writes take up to 24 bytes at the
+// extremes of what they carry (TestRecordEncodedSize), but coded against
+// their block's predecessors they average 5.5–9 over a window, so a ring
+// of them wraps without the arena ever growing (TestRecorderArenaFlat). It
+// is the smallest whole number at least 8 % above that test's worst window
+// on every shape, 9.5 B under the race detector, whose slower decisions
+// take longer latency varints. A window of longer records grows the arena.
+const recordBudget = 11
 
 // growthCeiling is the most arena bytes a record can come to cost. An arena
 // doubles from capacity × recordBudget only while it is short of capacity ×
 // maxRecordSize, so it stops at the first power-of-two multiple of the
 // budget that covers maxRecordSize (TestRecorderGrowthCeiling).
-const growthCeiling = 128
+const growthCeiling = 88
 
 // maxCapacity keeps every arena offset a uint32 however far the arena
 // grows.
 const maxCapacity = math.MaxUint32 / growthCeiling
 
 // anchorStride is how many records apart the seek anchors are: every
-// record whose sequence number is a multiple of it has one.
+// record whose sequence number is a multiple of it has one, and starts a
+// block, whose first record is coded against resetPred.
 const anchorStride = 16
 
 // A mark locates a record the arena holds: its sequence number, the arena
-// offset it starts at and the tick of the record before it, the origin of
-// its tick delta.
+// offset it starts at and what it is coded against.
 type mark struct {
-	seq  uint64
-	off  int
-	tick int64
+	seq uint64
+	off int
+	p   pred
 }
 
 // Recorder is a fixed-size ring of the most recent Records, kept encoded
@@ -184,25 +152,25 @@ type mark struct {
 // how instrumented code stays allocation-free when telemetry is off.
 //
 // The encoding is self-delimiting, so the recorder keeps no offset per
-// record. A read walks forward from the nearest of the arena's oldest
-// record, a seek anchor (one every anchorStride records) and the mark the
-// last read left at what was then the newest: at most anchorStride − 1
-// records. A record the ring no longer retains keeps its bytes until a
-// write needs the room; the write then jumps the arena's tail to the
-// oldest retained record the same way.
+// record, and each record is coded against the ones before it in its
+// block, so a read decodes from a mark, which carries what its record is
+// coded against. A read walks forward from the nearest of the arena's
+// oldest record, a seek anchor (one every anchorStride records, where a
+// block starts afresh) and the mark the last read left at what was then
+// the newest: at most anchorStride − 1 records. A record the ring no
+// longer retains keeps its bytes until a write needs the room; the write
+// then jumps the arena's tail to the oldest retained record the same way.
 type Recorder struct {
 	// arena holds the encodings of records [tail.seq, total) back to back,
 	// wrapping at its end; a record may straddle it. The ring retains the
 	// newest capacity of them.
 	arena []byte
-	// anchorOff[i] and anchorTick[i] locate record seq (seq a multiple of
-	// anchorStride, i its anchorSlot) until the ring has dropped it and
-	// anchorStride more: where it starts and the tick its delta starts
-	// from.
-	anchorOff  []uint32
-	anchorTick []int64
-	capacity   int
-	tail       mark
+	// anchorOff[i] is where record seq (seq a multiple of anchorStride, i
+	// its anchorSlot) starts, until the ring has dropped it and
+	// anchorStride more.
+	anchorOff []uint32
+	capacity  int
+	tail      mark
 	// start is the sequence number of the first record the ring held: 0,
 	// or the total a checkpoint restored.
 	start uint64
@@ -210,15 +178,16 @@ type Recorder struct {
 	end   int   // the offset the next record starts at
 	used  int   // arena bytes from tail to end
 	tick  int64 // current engine tick, stamped onto writes
-	last  int64 // tick of the newest record
+	// next is what the next record is coded against.
+	next pred
 	// hint is where the last read ended; reads from there on (the fleet
 	// folds each bin's records as it steps) walk nothing.
 	hint mark
 }
 
 // NewRecorder returns a recorder retaining the most recent capacity
-// records. It allocates about capacity × 16.75 bytes: the arena's
-// per-record budget and a 12-byte seek anchor every 16 records.
+// records. It allocates about capacity × 11.25 bytes: the arena's
+// per-record budget and a 4-byte seek anchor every 16 records.
 func NewRecorder(capacity int) (*Recorder, error) {
 	if capacity < 1 || capacity > maxCapacity {
 		return nil, fmt.Errorf("obs: recorder capacity %d outside [1, %d]", capacity, maxCapacity)
@@ -226,12 +195,13 @@ func NewRecorder(capacity int) (*Recorder, error) {
 	// One anchor more than a full ring holds, so the anchor at or before
 	// the oldest retained record is still there.
 	anchors := (capacity + 2*anchorStride - 1) / anchorStride
-	return &Recorder{
-		arena:      make([]byte, capacity*recordBudget),
-		anchorOff:  make([]uint32, anchors),
-		anchorTick: make([]int64, anchors),
-		capacity:   capacity,
-	}, nil
+	r := &Recorder{
+		arena:     make([]byte, capacity*recordBudget),
+		anchorOff: make([]uint32, anchors),
+		capacity:  capacity,
+	}
+	r.Resume(0)
+	return r, nil
 }
 
 // Enabled reports whether records will actually be retained. It is the
@@ -278,7 +248,8 @@ func (r *Recorder) Record(rec Record) {
 		return
 	}
 	var buf [maxRecordSize]byte
-	n := encode(&buf, &rec, r.tick-r.last)
+	rec.Tick = r.tick
+	n := encode(&buf, &rec, &r.next)
 	if r.used+n > len(r.arena) { // drop what the ring will not retain, then grow if still short
 		c := uint64(r.capacity)
 		r.trim(max(r.total+1, c) - c)
@@ -287,17 +258,17 @@ func (r *Recorder) Record(rec Record) {
 		}
 	}
 	if r.total%anchorStride == 0 {
-		i := r.anchorSlot(r.total)
-		r.anchorOff[i] = uint32(r.end)
-		r.anchorTick[i] = r.last
+		r.anchorOff[r.anchorSlot(r.total)] = uint32(r.end)
 	}
 	if k := copy(r.arena[r.end:], buf[:n]); k < n {
 		copy(r.arena, buf[k:n])
 	}
 	r.end = r.wrap(r.end + n)
 	r.used += n
-	r.last = r.tick
 	r.total++
+	if r.total%anchorStride == 0 {
+		r.next = resetPred
+	}
 }
 
 // trim moves the arena's tail up to record seq, freeing the bytes of the
@@ -347,13 +318,12 @@ func (r *Recorder) grow(need int) {
 }
 
 // anchor returns the mark of record seq, a multiple of anchorStride from
-// the arena's tail to the next record written.
+// the arena's tail to the next record written, which starts its block.
 func (r *Recorder) anchor(seq uint64) mark {
-	if seq == r.total {
-		return mark{seq, r.end, r.last}
+	if seq == r.total { // its anchor is not set until it is written
+		return mark{seq, r.end, resetPred}
 	}
-	i := r.anchorSlot(seq)
-	return mark{seq, int(r.anchorOff[i]), r.anchorTick[i]}
+	return mark{seq, int(r.anchorOff[r.anchorSlot(seq)]), resetPred}
 }
 
 // anchorSlot returns the index of record seq's anchor, seq a multiple of
@@ -384,15 +354,20 @@ func (r *Recorder) view(off int, scratch *[maxRecordSize]byte) []byte {
 
 // step moves m past the record it locates to the next one.
 func (r *Recorder) step(m *mark, scratch *[maxRecordSize]byte) {
-	n, dtick := span(r.view(m.off, scratch))
-	m.seq++
-	m.off = r.wrap(m.off + n)
-	m.tick += dtick
+	r.moved(m, span(r.view(m.off, scratch), &m.p))
 }
 
-// Total returns how many records were ever written, including ones the
-// ring has since overwritten. It is also the cursor one past the newest
-// record (see Since).
+// moved steps m, whose p has been moved past the n-byte record it
+// located, to the next record; a block starts afresh at every multiple of
+// anchorStride.
+func (r *Recorder) moved(m *mark, n int) {
+	m.seq++
+	m.off = r.wrap(m.off + n)
+	if m.seq%anchorStride == 0 {
+		m.p = resetPred
+	}
+}
+
 func (r *Recorder) Total() uint64 {
 	if r == nil {
 		return 0
@@ -417,8 +392,9 @@ func (r *Recorder) Resume(total uint64) {
 		return
 	}
 	r.total, r.start = total, total
-	r.tail = mark{seq: total}
-	r.end, r.used, r.last = 0, 0, 0
+	r.next = resetPred
+	r.tail = mark{seq: total, p: resetPred}
+	r.end, r.used = 0, 0
 	r.hint = r.tail
 }
 
@@ -473,22 +449,18 @@ func (r *Recorder) Since(dst []Record, cursor uint64) ([]Record, uint64) {
 	}
 	at := len(dst)
 	dst = slices.Grow(dst, int(r.total-start))[:at+int(r.total-start)]
-	off, tick := r.seek(start)
+	m := r.seek(start)
 	var scratch [maxRecordSize]byte
 	for i := at; i < len(dst); i++ {
-		var n int
-		tick, n = decode(r.view(off, &scratch), &dst[i], tick)
-		off = r.wrap(off + n)
+		r.moved(&m, decode(r.view(m.off, &scratch), &dst[i], &m.p))
 	}
-	r.hint = mark{r.total, r.end, r.last}
+	r.hint = mark{r.total, r.end, r.next}
 	return dst, r.total
 }
 
-// seek returns the arena offset of retained record seq and the tick of the
-// record before it — the origin of seq's tick delta — stepping from the
-// nearest mark at or before it: the arena's tail, seq's anchor or the
-// hint.
-func (r *Recorder) seek(seq uint64) (off int, tick int64) {
+// seek returns the mark of retained record seq, stepping from the nearest
+// mark at or before it: the arena's tail, seq's anchor or the hint.
+func (r *Recorder) seek(seq uint64) mark {
 	m := r.tail
 	if a := seq &^ (anchorStride - 1); a > m.seq {
 		m = r.anchor(a)
@@ -500,176 +472,5 @@ func (r *Recorder) seek(seq uint64) (off int, tick int64) {
 	for m.seq < seq {
 		r.step(&m, &scratch)
 	}
-	return m.off, m.tick
-}
-
-// encode writes rec, dtick ticks after the previous record, into b and
-// returns its length.
-func encode(b *[maxRecordSize]byte, rec *Record, dtick int64) int {
-	hdr := uint16(rec.Level & hdrLevel)
-	n := 2
-	if rec.On {
-		hdr |= hdrOn
-	}
-	if rec.QoS {
-		hdr |= hdrQoS
-	}
-	if rec.Degraded || rec.Level > hdrLevel {
-		hdr |= hdrExt
-		b[n] = byte(rec.Level>>2) << 1
-		if rec.Degraded {
-			b[n] |= 1
-		}
-		n++
-	}
-	if dtick != 0 {
-		hdr |= hasTick
-		n += binary.PutVarint(b[n:], dtick)
-	}
-	if rec.Module != -1 {
-		hdr |= hasModule
-		n += binary.PutVarint(b[n:], int64(rec.Module))
-	}
-	if rec.Comp != -1 {
-		hdr |= hasComp
-		n += binary.PutVarint(b[n:], int64(rec.Comp))
-	}
-	if rec.FreqIdx != -1 {
-		hdr |= hasFreqIdx
-		n += binary.PutVarint(b[n:], int64(rec.FreqIdx))
-	}
-	if rec.Explored != 0 {
-		hdr |= hasExplored
-		n += binary.PutVarint(b[n:], int64(rec.Explored))
-	}
-	if rec.DecideNs != 0 {
-		hdr |= hasDecideNs
-		n += binary.PutVarint(b[n:], rec.DecideNs)
-	}
-	if rec.Alpha != 0 {
-		hdr |= hasAlpha
-		n += binary.PutUvarint(b[n:], rec.Alpha)
-	}
-	if bits := math.Float64bits(rec.Gamma); bits != 0 {
-		hdr |= hasGamma
-		binary.LittleEndian.PutUint64(b[n:], bits)
-		n += 8
-	}
-	if bits := math.Float64bits(rec.Cost); bits != 0 {
-		hdr |= hasCost
-		binary.LittleEndian.PutUint64(b[n:], bits)
-		n += 8
-	}
-	if bits := math.Float64bits(rec.Resp); bits != 0 {
-		hdr |= hasResp
-		binary.LittleEndian.PutUint64(b[n:], bits)
-		n += 8
-	}
-	if rec.Stale != 0 {
-		hdr |= hasStale
-		n += binary.PutVarint(b[n:], int64(rec.Stale))
-	}
-	binary.LittleEndian.PutUint16(b[:], hdr)
-	return n
-}
-
-// decode rebuilds into rec the record encode wrote to the start of b, tick
-// being the previous record's tick, and returns rec's tick and length.
-func decode(b []byte, rec *Record, tick int64) (int64, int) {
-	hdr := binary.LittleEndian.Uint16(b)
-	n := 2
-	*rec = Record{Level: Level(hdr & hdrLevel), Module: -1, Comp: -1, FreqIdx: -1} // dst may be a reused buffer
-	rec.On = hdr&hdrOn != 0
-	rec.QoS = hdr&hdrQoS != 0
-	if hdr&hdrExt != 0 {
-		rec.Level |= Level(b[n]>>1) << 2
-		rec.Degraded = b[n]&1 != 0
-		n++
-	}
-	if hdr&hasTick != 0 {
-		tick += varint(b, &n)
-	}
-	rec.Tick = tick
-	if hdr&hasModule != 0 {
-		rec.Module = int16(varint(b, &n))
-	}
-	if hdr&hasComp != 0 {
-		rec.Comp = int16(varint(b, &n))
-	}
-	if hdr&hasFreqIdx != 0 {
-		rec.FreqIdx = int16(varint(b, &n))
-	}
-	if hdr&hasExplored != 0 {
-		rec.Explored = int32(varint(b, &n))
-	}
-	if hdr&hasDecideNs != 0 {
-		rec.DecideNs = varint(b, &n)
-	}
-	if hdr&hasAlpha != 0 {
-		rec.Alpha = uvarint(b, &n)
-	}
-	if hdr&hasGamma != 0 {
-		rec.Gamma = float(b, &n)
-	}
-	if hdr&hasCost != 0 {
-		rec.Cost = float(b, &n)
-	}
-	if hdr&hasResp != 0 {
-		rec.Resp = float(b, &n)
-	}
-	if hdr&hasStale != 0 {
-		rec.Stale = int16(varint(b, &n))
-	}
-	return tick, n
-}
-
-// uvarint reads the uvarint at b[*n:] and steps *n past it.
-func uvarint(b []byte, n *int) uint64 {
-	v, k := binary.Uvarint(b[*n:])
-	*n += k
-	return v
-}
-
-// varint reads the zigzag varint at b[*n:] and steps *n past it.
-func varint(b []byte, n *int) int64 {
-	v, k := binary.Varint(b[*n:])
-	*n += k
-	return v
-}
-
-// float reads the 8 raw bytes at b[*n:] and steps *n past them.
-func float(b []byte, n *int) float64 {
-	v := math.Float64frombits(binary.LittleEndian.Uint64(b[*n:]))
-	*n += 8
-	return v
-}
-
-// span returns the length and the tick delta of the record encoded at the
-// start of b: it reads the tick delta and steps over the other fields.
-func span(b []byte) (n int, dtick int64) {
-	hdr := binary.LittleEndian.Uint16(b)
-	n = 2
-	if hdr&hdrExt != 0 {
-		n++
-	}
-	if hdr&hasTick != 0 {
-		dtick = varint(b, &n)
-	}
-	n = skipVarints(b, n, bits.OnesCount16(hdr&(hasModule|hasComp|hasFreqIdx|hasExplored|hasDecideNs|hasAlpha)))
-	n += 8 * bits.OnesCount16(hdr&(hasGamma|hasCost|hasResp))
-	if hdr&hasStale != 0 {
-		n = skipVarints(b, n, 1)
-	}
-	return n, dtick
-}
-
-// skipVarints returns the offset past the k varints starting at b[n:],
-// each ending at its first byte with the high bit clear.
-func skipVarints(b []byte, n, k int) int {
-	for ; k > 0; n++ {
-		if b[n] < 0x80 {
-			k--
-		}
-	}
-	return n
+	return m
 }

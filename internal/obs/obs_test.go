@@ -158,10 +158,10 @@ func sinceEveryWindow(t *testing.T, capacity int) {
 				// A large ring's middle cursors: Since decodes on from
 				// where seek lands, so the record there must be the
 				// cursor's. Reading each whole would cost cap² decodes.
-				off, tick := r.seek(cursor)
+				m := r.seek(cursor)
 				var scratch [maxRecordSize]byte
 				var rec Record
-				decode(r.view(off, &scratch), &rec, tick)
+				decode(r.view(m.off, &scratch), &rec, &m.p)
 				if rec.Explored != int32(cursor) || rec.Tick != int64(cursor/3) {
 					t.Fatalf("total %d: seek(%d) lands on seq %d at tick %d", total, cursor, rec.Explored, rec.Tick)
 				}

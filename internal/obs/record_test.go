@@ -135,17 +135,19 @@ func TestRecordEncodedSize(t *testing.T) {
 	var buf [maxRecordSize]byte
 	widest := 0
 	for _, tc := range writerShapes {
-		n := encode(&buf, &tc.rec, 1)
+		p, q := resetPred, resetPred
+		n := encode(&buf, &tc.rec, &p)
 		if n > writerMax {
 			t.Errorf("%s encodes to %d bytes, over the %d-byte writer maximum", tc.name, n, writerMax)
 		}
-		if got, _ := span(buf[:]); got != n {
+		if got := span(buf[:], &q); got != n {
 			t.Errorf("%s encodes to %d bytes, but its header and varints span %d", tc.name, n, got)
 		}
 		widest = max(widest, n)
 	}
-	rec := longestRecord()
-	if n := encode(&buf, &rec, math.MinInt64); n != maxRecordSize {
+	rec, p := longestRecord(), resetPred
+	rec.Tick = math.MinInt64
+	if n := encode(&buf, &rec, &p); n != maxRecordSize {
 		t.Errorf("the longest record encodes to %d bytes, want maxRecordSize = %d", n, maxRecordSize)
 	}
 	t.Logf("writer shapes encode to at most %d bytes (an average budget of %d)", widest, recordBudget)
@@ -299,10 +301,10 @@ func TestRecorderMatchesSliceOracle(t *testing.T) {
 					// A large ring's middle cursors: Since decodes on from
 					// where seek lands, so the record there must be the
 					// cursor's. Reading each whole would cost cap² decodes.
-					off, tick := r.seek(cursor)
+					m := r.seek(cursor)
 					var scratch [maxRecordSize]byte
 					buf = append(buf[:0], Record{})
-					decode(r.view(off, &scratch), &buf[0], tick)
+					decode(r.view(m.off, &scratch), &buf[0], &m.p)
 					same("seek", buf, oracle[cursor:cursor+1])
 					continue
 				}
@@ -349,11 +351,11 @@ func TestRecorderMatchesSliceOracle(t *testing.T) {
 }
 
 // FuzzRecorderOps drives a recorder of any capacity up to 200 with an
-// arbitrary sequence of SetTick, Record, Since and Window, two bytes an
-// operation, against a []Record oracle: every read returns exactly the
-// newest Capacity() records from its cursor, bit for bit, however the
-// writes wrapped the arena, grew it, and moved the anchors and the hint
-// the last read left.
+// arbitrary sequence of SetTick, Record, Since, Window and Resume, two
+// bytes an operation, against a []Record oracle: every read returns
+// exactly the newest Capacity() records written since the last Resume from
+// its cursor, bit for bit, however the writes wrapped the arena, grew it,
+// and moved the anchors and the hint the last read left.
 //
 //hpm:pin fuzz
 func FuzzRecorderOps(f *testing.F) {
@@ -364,39 +366,70 @@ func FuzzRecorderOps(f *testing.F) {
 	// A read leaves its hint past a wrapped record, then a write grows the
 	// arena and moves every offset under the hint.
 	f.Add(uint16(1), []byte("10102\x81192\x01"))
+	// A restart numbers the next record 12, mid-block: the records up to
+	// 16 are coded from the restart, the block from 16 afresh.
+	f.Add(uint16(19), ops(
+		"1\x02", "0\x41", "1\x00", "1\x08", "0\x41", "1\x03", "1\x04", "1\x05", "2\x81", "\x80\x06",
+		"0\x41", "1\x06", "1\x00", "2\x81", "1\x02", "0\x41", "1\x03", "1\x04", "1\x05", "0\x41",
+		"1\x00", "1\x08", "0\x41", "1\x06", "1\x07", "1\x00", "0\x41", "1\x02", "1\x03", "2\x01",
+		"2\x8a", "2\x84", "3\x00", "3\x05"))
+	// A read leaves its hint at record 21, mid-block, then a write of the
+	// longest records grows the arena under it.
+	f.Add(uint16(39), ops(
+		"1\x01", "1\x02", "0\x41", "1\x02", "1\x05", "0\x41", "1\x01", "1\x02", "0\x41", "1\x02",
+		"1\x05", "0\x41", "1\x01", "1\x02", "0\x41", "1\x02", "1\x05", "0\x41", "1\x01", "1\x02",
+		"0\x41", "1\x02", "1\x05", "0\x41", "1\x01", "1\x02", "0\x41", "1\x02", "1\x05", "0\x41",
+		"1\x01", "2\x81", "1\x0f", "1\x0f", "1\x0f", "1\x0f", "1\x0f", "2\x83", "1\x01", "2\x81",
+		"3\x00"))
+	// Writes trim the tail to record 19, past the first records of the
+	// block from 16, and a read from 28, among its last ones, seeks from the
+	// tail, mid-block.
+	f.Add(uint16(19), ops(
+		"0\x41", "1\x0a", "0\x41", "1\x00", "0\x41", "1\x05", "0\x41", "1\x02", "1\x09", "1\x05",
+		"0\x41", "1\x09", "1\x00", "1\x0a", "0\x41", "1\x08", "1\x07", "1\x08", "1\x09", "0\x41",
+		"0\x41", "1\x01", "1\x06", "1\x04", "0\x41", "0\x41", "1\x06", "1\x04", "1\x00", "1\x09",
+		"1\x04", "1\x08", "1\x04", "1\x03", "0\x41", "1\x0a", "1\x06", "1\x03", "1\x0e", "1\x03",
+		"1\x07", "1\x00", "1\x00", "0\x41", "0\x41", "1\x0d", "1\x04", "1\x0d", "1\x06", "0\x41",
+		"0\x41", "1\x00", "0\x41", "1\x05", "0\x41", "1\x0a", "1\x07", "1\x01", "0\x41", "0\x41",
+		"2\x07", "2\x00", "3\x00"))
 	f.Fuzz(func(t *testing.T, capacity uint16, ops []byte) {
 		c := 1 + int(capacity%200)
 		r, err := NewRecorder(c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var oracle []Record
+		var oracle []Record // the records written since the last Resume, the first numbered base
+		var base uint64
 		var buf []Record
 		var tick int64
 		same := func(what string, got, want []Record) {
 			t.Helper()
 			if len(got) != len(want) {
-				t.Fatalf("cap %d, %d written: %s read %d records, want %d", c, len(oracle), what, len(got), len(want))
+				t.Fatalf("cap %d, %d written from %d: %s read %d records, want %d", c, len(oracle), base, what, len(got), len(want))
 			}
 			for i := range got {
 				if !sameBits(got[i], want[i]) {
-					t.Fatalf("cap %d, %d written: %s record %d is %+v, want %+v", c, len(oracle), what, i, got[i], want[i])
+					t.Fatalf("cap %d, %d written from %d: %s record %d is %+v, want %+v", c, len(oracle), base, what, i, got[i], want[i])
 				}
 			}
 		}
 		for ; len(ops) >= 2; ops = ops[2:] {
 			op, arg := ops[0], ops[1]
-			total := uint64(len(oracle))
-			oldest := uint64(max(0, len(oracle)-c))
-			switch op % 4 {
-			case 0: // a step of up to ±63 ticks, or a jump anywhere
+			total := base + uint64(len(oracle))
+			oldest := total - uint64(min(len(oracle), c))
+			switch {
+			case op&0x80 != 0 && op%4 == 0: // a restart: the next record is numbered up to 255 past the newest
+				base = total + uint64(arg)
+				oracle = oracle[:0]
+				r.Resume(base)
+			case op%4 == 0: // a step of up to ±63 ticks, or a jump anywhere
 				if arg&0x80 != 0 {
 					tick = int64(uint64(arg) << 57)
 				} else {
 					tick += int64(arg) - 64
 				}
 				r.SetTick(tick)
-			case 1: // a writer shape, or the longest record
+			case op%4 == 1: // a writer shape, or the longest record
 				rec := longestRecord()
 				if i := int(arg) % (len(writerShapes) + 1); i < len(writerShapes) {
 					rec = writerShapes[i].rec
@@ -404,7 +437,7 @@ func FuzzRecorderOps(f *testing.F) {
 				r.Record(rec)
 				rec.Tick = tick
 				oracle = append(oracle, rec)
-			case 2: // a cursor up to 127 past the oldest, or back from the newest
+			case op%4 == 2: // a cursor up to 127 past the oldest, or back from the newest
 				cursor := oldest + uint64(arg&0x7f)
 				if arg&0x80 != 0 {
 					cursor = total - min(total, uint64(arg&0x7f))
@@ -414,30 +447,40 @@ func FuzzRecorderOps(f *testing.F) {
 				if next != total {
 					t.Fatalf("Since(%d) returned cursor %d, want %d", cursor, next, total)
 				}
-				same("Since", buf, oracle[min(max(cursor, oldest), total):])
-			case 3:
+				same("Since", buf, oracle[min(max(cursor, oldest), total)-base:])
+			case op%4 == 3:
 				m := int(arg) % (c + 2)
-				want := oracle[oldest:]
+				want := oracle[oldest-base:]
 				if m > 0 && m < len(want) {
 					want = want[len(want)-m:]
 				}
 				buf = r.Window(buf[:0], m)
 				same("Window", buf, want)
 			}
-			if r.Total() != uint64(len(oracle)) || r.Len() != min(len(oracle), c) {
-				t.Fatalf("Total %d Len %d, want %d %d", r.Total(), r.Len(), len(oracle), min(len(oracle), c))
+			if r.Total() != base+uint64(len(oracle)) || r.Len() != min(len(oracle), c) {
+				t.Fatalf("Total %d Len %d, want %d %d", r.Total(), r.Len(), base+uint64(len(oracle)), min(len(oracle), c))
 			}
 		}
 	})
 }
 
+// ops joins FuzzRecorderOps operations, two bytes each, into one input.
+func ops(each ...string) []byte {
+	var b []byte
+	for _, op := range each {
+		b = append(b, op...)
+	}
+	return b
+}
+
 // BenchmarkRecorderSince reads a full 4096-record ring of the hierarchy's
 // record mix two ways. "bin" is the fleet's per-bin fold: write one bin's
-// records (a two-computer tenant's tick: the tick record, two L0 decisions,
-// an L1 summary and its two details) and read them back from the cursor
-// the previous read returned. "window" reads the whole ring.
+// records (a two-computer tenant's tick, in the order the hierarchy writes
+// them: an L1 summary and its two details, two L0 decisions, the tick
+// record) and read them back from the cursor the previous read returned.
+// "window" reads the whole ring.
 func BenchmarkRecorderSince(b *testing.B) {
-	bin := []Record{writerShapes[0].rec, writerShapes[2].rec, writerShapes[8].rec, writerShapes[3].rec, writerShapes[4].rec, writerShapes[5].rec}
+	bin := []Record{writerShapes[3].rec, writerShapes[5].rec, writerShapes[4].rec, writerShapes[2].rec, writerShapes[8].rec, writerShapes[0].rec}
 	fill := func(b *testing.B) *Recorder {
 		r, err := NewRecorder(4096)
 		if err != nil {
