@@ -112,6 +112,10 @@ type metricsScratch struct {
 // every scrape instead of built per call.
 var metricsContentType = []string{"text/plain; version=0.0.4"}
 
+// jsonContentType is every JSON reply's Content-Type header value, shared
+// the same way: Header().Set would build a one-element slice per reply.
+var jsonContentType = []string{"application/json"}
+
 func newServer(f *hierctl.Fleet, telemetryRecords int) *server {
 	s := &server{
 		fleet:            f,
@@ -349,7 +353,7 @@ type recordDTO struct {
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
 }
@@ -875,7 +879,7 @@ func (s *server) observeCount(w http.ResponseWriter, id string, count float64, s
 	s.observeLatency.Observe(time.Since(start).Seconds())
 	sc.reply.Reset()
 	_ = sc.enc.Encode(&sc.dec) // as writeJSON: a value that fails to encode leaves the body empty
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(sc.reply.Bytes()) // the client went away: nothing to report to
 	return true

@@ -284,13 +284,15 @@ func TestObsLogReleasesAfterLongInterval(t *testing.T) {
 // TestTenantFootprintAtRest pins what a tenant costs before its first bin,
 // where it is decided: the two-computer tenant hpmserve creates by default
 // (4096-record ring, the paper's 10,000-object store) is its flight
-// recorder (51,008 B of heap: a 45,056 B arena of 11 B per record on
-// average, which Go rounds up to six 8 KB pages, and 1,028 B of 4-byte
-// seek anchors, one per 16 records), its store's 8,192 B locality ring and
-// some 8 KB of manager, session, plant and feed — 67,564 B measured when
-// the bound was set, held to that + 5 %. With each record in its
-// self-contained form, 16 B per record of arena and 12-byte anchors, it
-// held 85,772 B (bound 90,060 B). The controllers' decision tables are not
+// recorder (35,008 B of heap: sixteen 2 KB pages in one 32,768 B backing,
+// 8 B per record, their 384 B page table and 1,028 B of 4-byte seek
+// anchors, one per 16 records), its store's 8,192 B locality ring and some
+// 8 KB of manager, session, plant and feed — 51,564 B measured when the
+// bound was set, held to that + 5 %. With the records in one arena of 11 B
+// per record, 45,056 B that Go rounds up to 49,152, it held 67,564 B
+// (bound 70,942 B); with each record in its self-contained form, 16 B per
+// record of arena and 12-byte anchors, 85,772 B (bound 90,060 B). The
+// controllers' decision tables are not
 // in it: they live in the scratch of the shard that steps the tenant. With
 // the tables in the tenant and the history an []int32 of HistoryCap+1 ids
 // it held 99,020 B.
@@ -313,8 +315,8 @@ func TestTenantFootprintAtRest(t *testing.T) {
 		}
 	}
 	per := (liveHeap() - before) / tenants
-	if per > 70_942 {
-		t.Fatalf("a default tenant at rest holds %d B of live heap, want <= 70,942", per)
+	if per > 54_142 {
+		t.Fatalf("a default tenant at rest holds %d B of live heap, want <= 54,142", per)
 	}
 	t.Logf("a default tenant at rest holds %d B of live heap", per)
 }
@@ -325,9 +327,10 @@ func TestTenantFootprintAtRest(t *testing.T) {
 // of 60-140 arrivals, so that every level has decided and any decision
 // memory a tenant kept — the L1s' tables and probe memo, the L0s' search
 // buffers, the L2's tables — would show: they belong in the stepping
-// shard's scratch. It held 84,814 B when the bound was set, held to that
-// + 5 %; with each flight record in its self-contained form (16 B per
-// record of arena) it held 103,305 B (bound 108,470 B), and with the
+// shard's scratch. It held 68,805 B when the bound was set, held to that
+// + 5 %; with the flight records in one arena of 11 B per record it held
+// 84,814 B (bound 89,055 B), with each record in its self-contained form
+// (16 B per record of arena) 103,305 B (bound 108,470 B), and with the
 // controllers' working memory in each tenant 159,018 B.
 func TestClusterTenantFootprint(t *testing.T) {
 	const tenants, bins = 32, 40
@@ -365,8 +368,8 @@ func TestClusterTenantFootprint(t *testing.T) {
 	}
 	step(ids[1:])
 	per := (liveHeap() - before) / tenants
-	if per > 89_055 {
-		t.Fatalf("a four-module tenant after %d bins holds %d B of live heap, want <= 89,055", bins, per)
+	if per > 72_245 {
+		t.Fatalf("a four-module tenant after %d bins holds %d B of live heap, want <= 72,245", bins, per)
 	}
 	t.Logf("a four-module tenant after %d bins holds %d B of live heap", bins, per)
 }

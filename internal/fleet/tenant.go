@@ -44,18 +44,18 @@ type TenantConfig struct {
 	// TelemetryRecords sizes the tenant's decision flight recorder (the
 	// retained window of per-tick and per-controller records served by
 	// Fleet.Telemetry); 0 disables recording. The recorder allocates about
-	// 11.25 bytes per record at create (an 11-byte average arena budget and
-	// a 4-byte seek anchor every 16 records), so at most 1 << 20
-	// (≈ 12 MB); records averaging over the budget — none the hierarchy
-	// writes on the daemon's tenant shapes — would double the arena, to
-	// 88 bytes per record at worst. Part of the configuration, so
+	// 8.25 bytes per record at create (8 bytes of 2 KB pages and a 4-byte
+	// seek anchor every 16 records), so at most 1 << 20 (≈ 8.7 MB); a
+	// window of records averaging over 8 bytes — of the daemon's tenant
+	// shapes, a four-computer module's — adds a page at a time, to 74 bytes
+	// per record at worst. Part of the configuration, so
 	// snapshots persist it; the ring itself is ephemeral — a restored
 	// tenant's starts empty, its Total carried on from the checkpoint.
 	TelemetryRecords int
 }
 
-// maxTelemetryRecords bounds TenantConfig.TelemetryRecords: ≈ 17 MB of
-// recorder at create, 128 MB if its arena ever doubled three times.
+// maxTelemetryRecords bounds TenantConfig.TelemetryRecords: ≈ 8.7 MB of
+// recorder at create, ≈ 78 MB if every record took the longest encoding.
 // The size arrives from outside the process — a flag, a snapshot or a
 // journal frame — and sizes an allocation made before anything else about
 // the tenant is checked, so a crafted or corrupt frame must not be able

@@ -75,11 +75,14 @@ func recordShape(t *testing.T, i int, rec *obs.Recorder, records uint64, each fu
 	return bin
 }
 
-// TestRecorderArenaFlat pins the per-record budget, an average, against
-// what the hierarchy actually writes: on each of arenaShapes, with
-// hpmserve's 4096-record ring, the records wrap the ring at least three
-// times without the arena growing past what NewRecorder allocated, and the
-// retained window averages at most the budget.
+// TestRecorderArenaFlat pins the pages a ring holds against what the
+// hierarchy actually writes: on each of arenaShapes, with hpmserve's
+// 4096-record ring, NewRecorder's 16 pages take the records, or the ring
+// adds pages until it holds ⌈W / page⌉ + 1, W the most bytes any window of
+// 4096 records took, and once the window has wrapped twice it adds no page.
+// The records' latencies are wall-clock varints, so how many pages a shape
+// adds depends on the runner (a race-detector build's slower decisions
+// take longer ones); it is logged, not held.
 //
 //hpm:pin mechanics
 func TestRecorderArenaFlat(t *testing.T) {
@@ -90,18 +93,15 @@ func TestRecorderArenaFlat(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			arena, _ := obs.ArenaBytes(rec)
-			if arena != records*obs.RecordBudget {
-				t.Fatalf("a %d-record ring has a %d B arena, want %d", records, arena, records*obs.RecordBudget)
+			initial, _ := obs.ArenaBytes(rec)
+			if want := records * obs.InitialRecordBytes; initial != want || initial%obs.PageBytes != 0 {
+				t.Fatalf("a %d-record ring starts with %d B of pages, want %d in %d B pages", records, initial, want, obs.PageBytes)
 			}
 			var degraded, stale int
-			worst := 0.0 // the largest average over a full window
-			var recs []obs.Record
+			var all, recs []obs.Record
 			var cursor uint64
+			most, wrapped := 0, 0 // the most pages held, and the pages held once the window had wrapped twice
 			bins := recordShape(t, i, rec, 4*records, func(bin int) {
-				if got, _ := obs.ArenaBytes(rec); got != arena {
-					t.Fatalf("bin %d, %d records: the arena grew from %d to %d bytes", bin, rec.Total(), arena, got)
-				}
 				recs, cursor = rec.Since(recs[:0], cursor)
 				for _, r := range recs {
 					if r.Degraded {
@@ -111,20 +111,64 @@ func TestRecorderArenaFlat(t *testing.T) {
 						stale++
 					}
 				}
-				if rec.Len() == records {
-					_, used := obs.ArenaBytes(rec)
-					worst = max(worst, float64(used)/records)
+				all = append(all, recs...)
+				size, _ := obs.ArenaBytes(rec)
+				most = max(most, size/obs.PageBytes)
+				if wrapped == 0 && rec.Total() >= 3*records {
+					wrapped = most
 				}
 			})
 			if sh.chaos && (degraded == 0 || stale == 0) {
 				t.Fatalf("%d degraded and %d stale tick records over %d bins: the plan did not reach the recorder", degraded, stale, bins)
 			}
-			if worst > obs.RecordBudget {
-				t.Fatalf("a window of %d records took %.2f B each, over the %d B budget", records, worst, obs.RecordBudget)
+			// The bytes of every window of 4096 records, as the ring coded them.
+			worst, window := 0, 0
+			lengths := make([]int, len(all))
+			obs.CodedLengths(all, func(j, n int, _ int64) {
+				lengths[j] = n
+				if window += n; j >= records {
+					window -= lengths[j-records]
+				}
+				worst = max(worst, window)
+			})
+			if ceiling := max(initial/obs.PageBytes, (worst+obs.PageBytes-1)/obs.PageBytes+1); most > ceiling {
+				t.Fatalf("the ring came to hold %d pages, over the %d a window of %d B needs", most, ceiling, worst)
+			}
+			if most != wrapped {
+				t.Fatalf("the ring held %d pages once the window had wrapped twice and then added %d more", wrapped, most-wrapped)
 			}
 			_, used := obs.ArenaBytes(rec)
-			t.Logf("%d records over %d bins through a %d B arena; the last %d take %.1f B each, the worst window %.2f (%d degraded, %d stale)",
-				rec.Total(), bins, arena, rec.Len(), float64(used)/records, worst, degraded, stale)
+			t.Logf("%d records over %d bins; %d pages held, %d added to the first %d; the last %d records take %.2f B each, the worst window %.2f (%d degraded, %d stale)",
+				rec.Total(), bins, most, most-initial/obs.PageBytes, initial/obs.PageBytes, rec.Len(), float64(used)/records, float64(worst)/records, degraded, stale)
+		})
+	}
+}
+
+// TestRecorderSettledZeroAlloc pins that a settled ring allocates nothing:
+// on each of arenaShapes, once the window has wrapped, the pages the tail
+// passes take the next records. The window the shape wrote is written
+// again, once to settle and once counted.
+//
+//hpm:pin mechanics
+func TestRecorderSettledZeroAlloc(t *testing.T) {
+	const records = 4096
+	for i, sh := range arenaShapes {
+		t.Run(sh.name, func(t *testing.T) {
+			rec, err := obs.NewRecorder(records)
+			if err != nil {
+				t.Fatal(err)
+			}
+			recordShape(t, i, rec, 2*records, func(int) {})
+			window := rec.Window(nil, 0)
+			allocs := testing.AllocsPerRun(1, func() {
+				for _, r := range window {
+					rec.SetTick(r.Tick)
+					rec.Record(r)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("writing a wrapped window of %d records again allocated %v times", len(window), allocs)
+			}
 		})
 	}
 }

@@ -1,15 +1,25 @@
 package obs
 
-// ArenaBytes exposes the arena to the external tests: its length, which
-// grows only past the budget NewRecorder sets aside, and the bytes the
+// ArenaBytes exposes the pages to the external tests: the bytes they hold,
+// which grow only past what NewRecorder sets aside, and the bytes the
 // retained records take.
 func ArenaBytes(r *Recorder) (size, used int) {
 	r.trim(r.Oldest())
-	return len(r.arena), r.used
+	return len(r.pages) << r.shift, int(r.end - r.tail.pos)
 }
 
-// RecordBudget is the average arena bytes a record is budgeted.
-const RecordBudget = recordBudget
+// addedPages returns how many pages r holds past those NewRecorder
+// allocated.
+func addedPages(r *Recorder) int {
+	page := 1 << r.shift
+	return len(r.pages) - (r.capacity*initialRecordBytes+page-1)/page
+}
+
+// PageBytes is the page size of a ring of 256 records or more.
+const PageBytes = 1 << maxPageShift
+
+// InitialRecordBytes is what NewRecorder sets aside per record.
+const InitialRecordBytes = initialRecordBytes
 
 // CodedLengths codes recs as a recorder that wrote them from sequence
 // number 0 would and calls f with each one's length and the tick it was

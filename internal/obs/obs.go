@@ -21,6 +21,7 @@ package obs
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"hierctl/internal/ckpt"
@@ -113,71 +114,77 @@ type Record struct {
 	Stale    int16   `json:"stale,omitempty"`
 }
 
-// recordBudget is the arena bytes NewRecorder sets aside per record, on
-// average. The records the hierarchy writes take up to 24 bytes at the
-// extremes of what they carry (TestRecordEncodedSize), but coded against
-// their block's predecessors they average 5.5–9 over a window, so a ring
-// of them wraps without the arena ever growing (TestRecorderArenaFlat). It
-// is the smallest whole number at least 8 % above that test's worst window
-// on every shape, 9.5 B under the race detector, whose slower decisions
-// take longer latency varints. A window of longer records grows the arena.
-const recordBudget = 11
+// maxPageShift makes a page 2 KB, the runtime's 2048-byte size class, so a
+// page the ring adds costs exactly what it holds.
+const maxPageShift = 11
 
-// growthCeiling is the most arena bytes a record can come to cost. An arena
-// doubles from capacity × recordBudget only while it is short of capacity ×
-// maxRecordSize, so it stops at the first power-of-two multiple of the
-// budget that covers maxRecordSize (TestRecorderGrowthCeiling).
-const growthCeiling = 88
+// initialRecordBytes is what NewRecorder sets aside per record. The records
+// the hierarchy writes take up to 24 bytes at the extremes of what they
+// carry (TestRecordEncodedSize), but coded against their block's
+// predecessors they average 5.5–9 over a window, so on the hpmperf shapes
+// a ring of them wraps in its first pages or one or two more
+// (TestRecorderArenaFlat). A window of longer records adds pages.
+const initialRecordBytes = 8
 
-// maxCapacity keeps every arena offset a uint32 however far the arena
-// grows.
-const maxCapacity = math.MaxUint32 / growthCeiling
+// maxCapacity keeps every position difference the ring compares a uint32:
+// a ring holds at most a window of the longest records, the record being
+// written and the unused start of the tail's page.
+const maxCapacity = (math.MaxUint32 - 2<<maxPageShift) / maxRecordSize
 
 // anchorStride is how many records apart the seek anchors are: every
 // record whose sequence number is a multiple of it has one, and starts a
 // block, whose first record is coded against resetPred.
 const anchorStride = 16
 
-// A mark locates a record the arena holds: its sequence number, the arena
-// offset it starts at and what it is coded against.
+// A mark locates a record the ring holds: its sequence number, the logical
+// byte position it starts at and what it is coded against.
 type mark struct {
 	seq uint64
-	off int
+	pos uint32
 	p   pred
 }
 
 // Recorder is a fixed-size ring of the most recent Records, kept encoded
-// in one byte arena. The zero value is not usable; a nil *Recorder is —
-// every method no-ops (or returns emptiness) on a nil receiver, which is
-// how instrumented code stays allocation-free when telemetry is off.
+// in fixed-size byte pages. The zero value is not usable; a nil *Recorder
+// is — every method no-ops (or returns emptiness) on a nil receiver, which
+// is how instrumented code stays allocation-free when telemetry is off.
 //
-// The encoding is self-delimiting, so the recorder keeps no offset per
+// The encoding is self-delimiting, so the recorder keeps no position per
 // record, and each record is coded against the ones before it in its
 // block, so a read decodes from a mark, which carries what its record is
-// coded against. A read walks forward from the nearest of the arena's
+// coded against. A read walks forward from the nearest of the ring's
 // oldest record, a seek anchor (one every anchorStride records, where a
 // block starts afresh) and the mark the last read left at what was then
 // the newest: at most anchorStride − 1 records. A record the ring no
 // longer retains keeps its bytes until a write needs the room; the write
-// then jumps the arena's tail to the oldest retained record the same way.
+// then jumps the ring's tail to the oldest retained record the same way,
+// and the pages the tail passed take the next records.
+//
+// Records are addressed by logical byte position, which counts every byte
+// written, modulo 2³². Positions are only compared as differences from
+// first, so the count may wrap.
 type Recorder struct {
-	// arena holds the encodings of records [tail.seq, total) back to back,
-	// wrapping at its end; a record may straddle it. The ring retains the
-	// newest capacity of them.
-	arena []byte
-	// anchorOff[i] is where record seq (seq a multiple of anchorStride, i
+	// pages hold the encodings of records [tail.seq, total) back to back
+	// from position tail.pos to end; a record may straddle a page end.
+	// pages[base] holds the bytes from position first, which starts the
+	// page the tail is in, and the pages after it, wrapping at the end of
+	// pages, hold the bytes after those.
+	pages [][]byte
+	shift uint8 // a page is 1<<shift bytes
+	base  int
+	first uint32
+	// anchorPos[i] is where record seq (seq a multiple of anchorStride, i
 	// its anchorSlot) starts, until the ring has dropped it and
 	// anchorStride more.
-	anchorOff []uint32
+	anchorPos []uint32
 	capacity  int
 	tail      mark
 	// start is the sequence number of the first record the ring held: 0,
 	// or the total a checkpoint restored.
 	start uint64
 	total uint64
-	end   int   // the offset the next record starts at
-	used  int   // arena bytes from tail to end
-	tick  int64 // current engine tick, stamped onto writes
+	end   uint32 // the position the next record starts at
+	tick  int64  // current engine tick, stamped onto writes
 	// next is what the next record is coded against.
 	next pred
 	// hint is where the last read ended; reads from there on (the fleet
@@ -186,18 +193,29 @@ type Recorder struct {
 }
 
 // NewRecorder returns a recorder retaining the most recent capacity
-// records. It allocates about capacity × 11.25 bytes: the arena's
-// per-record budget and a 4-byte seek anchor every 16 records.
+// records. It allocates about capacity × 8.25 bytes: 8 B a record of pages
+// in one backing, and a 4-byte seek anchor every 16 records. A page is
+// 2 KB, or the whole backing, rounded up to a power of two, in a ring of
+// under 256 records; the 32 KB backing of a 4096-record ring is 16 pages.
 func NewRecorder(capacity int) (*Recorder, error) {
 	if capacity < 1 || capacity > maxCapacity {
 		return nil, fmt.Errorf("obs: recorder capacity %d outside [1, %d]", capacity, maxCapacity)
+	}
+	size := capacity * initialRecordBytes
+	shift := min(bits.Len(uint(size-1)), maxPageShift)
+	page := 1 << shift
+	backing := make([]byte, (size+page-1)&^(page-1))
+	pages := make([][]byte, len(backing)/page)
+	for i := range pages {
+		pages[i] = backing[i*page : (i+1)*page : (i+1)*page]
 	}
 	// One anchor more than a full ring holds, so the anchor at or before
 	// the oldest retained record is still there.
 	anchors := (capacity + 2*anchorStride - 1) / anchorStride
 	r := &Recorder{
-		arena:     make([]byte, capacity*recordBudget),
-		anchorOff: make([]uint32, anchors),
+		pages:     pages,
+		shift:     uint8(shift),
+		anchorPos: make([]uint32, anchors),
 		capacity:  capacity,
 	}
 	r.Resume(0)
@@ -238,9 +256,9 @@ func (r *Recorder) Tick() int64 {
 
 // Record appends rec to the ring, stamping the current tick over
 // rec.Tick and dropping the oldest record once the ring is full. It
-// encodes into a stack buffer and copies that into the arena; it
-// allocates only if the retained window and rec would overflow the arena,
-// which no record mix the hierarchy writes does.
+// encodes into a stack buffer and copies that into the pages; it
+// allocates only if the retained window and rec would overflow the pages,
+// and then one page at a time.
 //
 //hpm:hotpath
 func (r *Recorder) Record(rec Record) {
@@ -250,31 +268,48 @@ func (r *Recorder) Record(rec Record) {
 	var buf [maxRecordSize]byte
 	rec.Tick = r.tick
 	n := encode(&buf, &rec, &r.next)
-	if r.used+n > len(r.arena) { // drop what the ring will not retain, then grow if still short
+	if r.short(n) { // drop what the ring will not retain, then add pages while still short
 		c := uint64(r.capacity)
 		r.trim(max(r.total+1, c) - c)
-		if r.used+n > len(r.arena) {
-			r.grow(n)
+		for r.short(n) {
+			r.addPage()
 		}
 	}
 	if r.total%anchorStride == 0 {
-		r.anchorOff[r.anchorSlot(r.total)] = uint32(r.end)
+		r.anchorPos[r.anchorSlot(r.total)] = r.end
 	}
-	if k := copy(r.arena[r.end:], buf[:n]); k < n {
-		copy(r.arena, buf[k:n])
+	for b := buf[:n]; len(b) > 0; {
+		k := copy(r.pages[r.index(r.end)][r.end&r.mask():], b)
+		b = b[k:]
+		r.end += uint32(k)
 	}
-	r.end = r.wrap(r.end + n)
-	r.used += n
 	r.total++
 	if r.total%anchorStride == 0 {
 		r.next = resetPred
 	}
 }
 
-// trim moves the arena's tail up to record seq, freeing the bytes of the
-// records before it.
+// short reports whether the pages lack the room for n more bytes.
+func (r *Recorder) short(n int) bool {
+	return r.end-r.first+uint32(n) > uint32(len(r.pages))<<r.shift
+}
+
+// mask selects a position's byte within its page.
+func (r *Recorder) mask() uint32 { return 1<<r.shift - 1 }
+
+// index returns the index in pages of the page holding position pos, which
+// is less than one ring of pages past first.
+func (r *Recorder) index(pos uint32) int {
+	i := r.base + int((pos-r.first)>>r.shift)
+	if i >= len(r.pages) {
+		i -= len(r.pages)
+	}
+	return i
+}
+
+// trim moves the ring's tail up to record seq, freeing the pages before
+// the one it lands in.
 func (r *Recorder) trim(seq uint64) {
-	from := r.tail.off
 	if a := seq &^ (anchorStride - 1); a > r.tail.seq {
 		r.tail = r.anchor(a)
 	}
@@ -282,79 +317,63 @@ func (r *Recorder) trim(seq uint64) {
 	for r.tail.seq < seq {
 		r.step(&r.tail, &scratch)
 	}
-	if r.tail.seq == r.total {
-		r.used = 0
-		return
-	}
-	if freed := r.tail.off - from; freed >= 0 {
-		r.used -= freed
-	} else {
-		r.used -= freed + len(r.arena)
+	r.release()
+}
+
+// release hands the pages wholly before the tail's to the head of the
+// ring: they come after the last page, in the same order.
+func (r *Recorder) release() {
+	for r.tail.pos-r.first > r.mask() {
+		r.first += 1 << r.shift
+		if r.base++; r.base == len(r.pages) {
+			r.base = 0
+		}
 	}
 }
 
-// grow moves the arena's records to the front of an arena at least twice
-// the size with room for need more bytes, and rebases the anchors.
-func (r *Recorder) grow(need int) {
-	size := 2 * len(r.arena)
-	for size < r.used+need {
-		size *= 2
-	}
-	arena := make([]byte, size) //hpm:alloc cold: only a window of records averaging over recordBudget bytes reaches it
-	from := r.tail.off
-	k := copy(arena[:r.used], r.arena[from:])
-	copy(arena[k:r.used], r.arena)
-	for seq := (r.tail.seq + anchorStride - 1) &^ (anchorStride - 1); seq < r.total; seq += anchorStride {
-		i := r.anchorSlot(seq)
-		off := int(r.anchorOff[i]) - from
-		if off < 0 {
-			off += len(r.arena)
-		}
-		r.anchorOff[i] = uint32(off)
-	}
-	r.tail.off, r.end = 0, r.used
-	r.hint = r.tail
-	r.arena = arena
+// addPage adds a page after the ring's last. It takes index base, which
+// the last page's successor has, and the pages from there on move up one.
+func (r *Recorder) addPage() {
+	r.pages = slices.Insert(r.pages, r.base, make([]byte, 1<<r.shift)) //hpm:alloc cold: only a window of records over the pages NewRecorder sets aside reaches it
+	r.base++
 }
 
 // anchor returns the mark of record seq, a multiple of anchorStride from
-// the arena's tail to the next record written, which starts its block.
+// the ring's tail to the next record written, which starts its block.
 func (r *Recorder) anchor(seq uint64) mark {
 	if seq == r.total { // its anchor is not set until it is written
 		return mark{seq, r.end, resetPred}
 	}
-	return mark{seq, int(r.anchorOff[r.anchorSlot(seq)]), resetPred}
+	return mark{seq, r.anchorPos[r.anchorSlot(seq)], resetPred}
 }
 
 // anchorSlot returns the index of record seq's anchor, seq a multiple of
 // anchorStride.
 func (r *Recorder) anchorSlot(seq uint64) int {
-	return int(seq / anchorStride % uint64(len(r.anchorOff)))
+	return int(seq / anchorStride % uint64(len(r.anchorPos)))
 }
 
-// wrap folds an offset up to one arena length past its end back into it.
-func (r *Recorder) wrap(off int) int {
-	if off >= len(r.arena) {
-		return off - len(r.arena)
+// view returns the bytes from position pos on: a slice of its page, or of
+// scratch when a record starting there could cross the page's end. It
+// holds the whole encoding of the record at pos, and maybe bytes past it.
+func (r *Recorder) view(pos uint32, scratch *[maxRecordSize]byte) []byte {
+	i, off := r.index(pos), pos&r.mask()
+	if int(off)+maxRecordSize <= len(r.pages[i]) {
+		return r.pages[i][off:]
 	}
-	return off
-}
-
-// view returns the arena from offset off on: a slice of the arena, or of
-// scratch when a record starting there could straddle the arena's end. It
-// holds the whole encoding of the record at off, and maybe bytes past it.
-func (r *Recorder) view(off int, scratch *[maxRecordSize]byte) []byte {
-	if off+maxRecordSize <= len(r.arena) {
-		return r.arena[off:]
+	k := copy(scratch[:], r.pages[i][off:])
+	for k < maxRecordSize {
+		if i++; i == len(r.pages) {
+			i = 0
+		}
+		k += copy(scratch[k:], r.pages[i])
 	}
-	k := copy(scratch[:], r.arena[off:])
-	copy(scratch[k:], r.arena)
 	return scratch[:]
 }
 
 // step moves m past the record it locates to the next one.
 func (r *Recorder) step(m *mark, scratch *[maxRecordSize]byte) {
-	r.moved(m, span(r.view(m.off, scratch), &m.p))
+	r.moved(m, span(r.view(m.pos, scratch), &m.p))
 }
 
 // moved steps m, whose p has been moved past the n-byte record it
@@ -362,7 +381,7 @@ func (r *Recorder) step(m *mark, scratch *[maxRecordSize]byte) {
 // anchorStride.
 func (r *Recorder) moved(m *mark, n int) {
 	m.seq++
-	m.off = r.wrap(m.off + n)
+	m.pos += uint32(n)
 	if m.seq%anchorStride == 0 {
 		m.p = resetPred
 	}
@@ -386,15 +405,16 @@ func (r *Recorder) Checkpoint(w *ckpt.Writer) { w.Uint(r.Total()) }
 func (r *Recorder) RestoreCheckpoint(rd *ckpt.Reader) { r.Resume(rd.Uint()) }
 
 // Resume empties the ring and numbers the next record total, as
-// RestoreCheckpoint does with the Total it reads.
+// RestoreCheckpoint does with the Total it reads. The ring keeps its pages:
+// the next record starts where the last one ended.
 func (r *Recorder) Resume(total uint64) {
 	if r == nil {
 		return
 	}
 	r.total, r.start = total, total
 	r.next = resetPred
-	r.tail = mark{seq: total, p: resetPred}
-	r.end, r.used = 0, 0
+	r.tail = mark{seq: total, pos: r.end, p: resetPred}
+	r.release()
 	r.hint = r.tail
 }
 
@@ -452,14 +472,14 @@ func (r *Recorder) Since(dst []Record, cursor uint64) ([]Record, uint64) {
 	m := r.seek(start)
 	var scratch [maxRecordSize]byte
 	for i := at; i < len(dst); i++ {
-		r.moved(&m, decode(r.view(m.off, &scratch), &dst[i], &m.p))
+		r.moved(&m, decode(r.view(m.pos, &scratch), &dst[i], &m.p))
 	}
 	r.hint = mark{r.total, r.end, r.next}
 	return dst, r.total
 }
 
 // seek returns the mark of retained record seq, stepping from the nearest
-// mark at or before it: the arena's tail, seq's anchor or the hint.
+// mark at or before it: the ring's tail, seq's anchor or the hint.
 func (r *Recorder) seek(seq uint64) mark {
 	m := r.tail
 	if a := seq &^ (anchorStride - 1); a > m.seq {

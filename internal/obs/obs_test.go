@@ -110,9 +110,9 @@ func TestRecorderSinceCursor(t *testing.T) {
 // TestRecorderSinceEveryWindow checks the read against the definition —
 // the ring retains the newest capacity records — for every cursor at every
 // fill level of rings either side of the anchor stride: straight windows,
-// windows that wrap the arena's end, the full ring, and stale or future
+// windows that wrap the pages' end, the full ring, and stale or future
 // cursors. Records written in the third lap carry two floats more, so the
-// arena grows under the reads. Oldest reports how many records a stale
+// ring adds pages under the reads. Oldest reports how many records a stale
 // cursor lost, and a read into a buffer that is large enough does not
 // allocate. The 4095-record ring is read at its fill levels around the
 // first wrap, mid-growth and at the end, whole from the cursors within two
@@ -161,7 +161,7 @@ func sinceEveryWindow(t *testing.T, capacity int) {
 				m := r.seek(cursor)
 				var scratch [maxRecordSize]byte
 				var rec Record
-				decode(r.view(m.off, &scratch), &rec, &m.p)
+				decode(r.view(m.pos, &scratch), &rec, &m.p)
 				if rec.Explored != int32(cursor) || rec.Tick != int64(cursor/3) {
 					t.Fatalf("total %d: seek(%d) lands on seq %d at tick %d", total, cursor, rec.Explored, rec.Tick)
 				}
@@ -192,8 +192,8 @@ func sinceEveryWindow(t *testing.T, capacity int) {
 		r.SetTick(int64(total / 3))
 		r.Record(rec)
 	}
-	if len(r.arena) == capacity*recordBudget {
-		t.Fatalf("the arena never grew")
+	if addedPages(r) == 0 {
+		t.Fatalf("the ring never added a page")
 	}
 	if allocs := testing.AllocsPerRun(100, func() { r.Since(buf[:0], 0) }); allocs != 0 {
 		t.Fatalf("Since into a large-enough buffer allocated %v/op, want 0", allocs)
@@ -203,7 +203,7 @@ func sinceEveryWindow(t *testing.T, capacity int) {
 // The recorder hot path must not allocate: the whole point of the ring
 // is that enabling telemetry keeps the engine's 0-alloc decision tick. The
 // writes below wrap a small ring many times over records of every writer
-// shape, so the arena's wrap, the eviction and the straddling copies all
+// shape, so the pages' wrap, the eviction and the straddling copies all
 // run.
 //
 //hpm:pin mechanics
@@ -212,8 +212,9 @@ func TestRecorderRecordZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A ring of writer shapes at their extremes averages over the budget,
-	// so the arena grows once while the ring first fills, before the count.
+	// A ring of writer shapes at their extremes averages over the 8 B a
+	// record NewRecorder sets aside, so the ring adds pages while it first
+	// fills, before the count.
 	i := 0
 	for ; i < 2*r.Capacity(); i++ {
 		r.SetTick(int64(i / 5))

@@ -121,11 +121,11 @@ func longestRecord() Record {
 }
 
 // writerMax is the longest record a writer emits, at the extremes of what
-// it carries. The arena's budget is an average well below it
-// (TestRecorderArenaFlat).
+// it carries. What NewRecorder sets aside per record is an average well
+// below it (TestRecorderArenaFlat).
 const writerMax = 24
 
-// TestRecordEncodedSize pins what a record costs the arena: every shape a
+// TestRecordEncodedSize pins what a record costs the ring: every shape a
 // writer emits, at the extremes of what it writes, fits writerMax, and the
 // longest encoding of any record is maxRecordSize. A new field costs
 // nothing while it is zero; once a writer sets it, its bytes show here.
@@ -150,35 +150,34 @@ func TestRecordEncodedSize(t *testing.T) {
 	if n := encode(&buf, &rec, &p); n != maxRecordSize {
 		t.Errorf("the longest record encodes to %d bytes, want maxRecordSize = %d", n, maxRecordSize)
 	}
-	t.Logf("writer shapes encode to at most %d bytes (an average budget of %d)", widest, recordBudget)
+	t.Logf("writer shapes encode to at most %d bytes (NewRecorder sets aside %d a record)", widest, initialRecordBytes)
 }
 
-// TestRecorderGrowthCeiling re-derives what a record can come to cost the
-// arena from grow's rule — double from recordBudget until the window fits,
-// and no window needs more than maxRecordSize a record — and checks that an
-// arena of maxCapacity records at that cost keeps every offset a uint32.
+// TestRecorderGrowthCeiling pins what a ring of the longest records comes
+// to hold. A page is added only while a window of them, the record being
+// written and the unused start of the tail's page do not fit the pages, so
+// a ring holds at most ⌈capacity × maxRecordSize / page⌉ + 1 of them — or
+// what NewRecorder allocated, if that is more — and maxCapacity records at
+// that cost keep every position difference a uint32.
 func TestRecorderGrowthCeiling(t *testing.T) {
-	ceiling := recordBudget
-	for ceiling < maxRecordSize {
-		ceiling *= 2
+	if ring := uint64(maxCapacity)*maxRecordSize + 2<<maxPageShift; ring > math.MaxUint32 {
+		t.Fatalf("%d records × %d B and two pages = %d B: a position difference would overflow a uint32", maxCapacity, maxRecordSize, ring)
 	}
-	if ceiling != growthCeiling {
-		t.Fatalf("doubling %d B until it covers %d B ends at %d B, want growthCeiling = %d", recordBudget, maxRecordSize, ceiling, growthCeiling)
-	}
-	if arena := uint64(maxCapacity) * growthCeiling; arena > math.MaxUint32 {
-		t.Fatalf("%d records × %d B = %d B: an offset would overflow a uint32", maxCapacity, growthCeiling, arena)
-	}
-	// A ring of the longest records grows the arena to the ceiling, not past it.
-	r, err := NewRecorder(17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3*r.Capacity(); i++ {
-		r.SetTick(int64(i%2) * math.MinInt64)
-		r.Record(longestRecord())
-	}
-	if got := len(r.arena); got != r.Capacity()*growthCeiling {
-		t.Fatalf("a ring of the longest records has a %d B arena, want %d", got, r.Capacity()*growthCeiling)
+	for _, capacity := range []int{1, 17, 300, 4096} {
+		r, err := NewRecorder(capacity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		initial := len(r.pages)
+		for i := 0; i < 3*r.Capacity(); i++ {
+			r.SetTick(int64(i%2) * math.MinInt64)
+			r.Record(longestRecord())
+		}
+		page := 1 << r.shift
+		ceiling := max(initial, (capacity*maxRecordSize+page-1)/page+1)
+		if got := len(r.pages); got <= initial || got > ceiling {
+			t.Fatalf("a %d-record ring of the longest records holds %d pages of %d B, want (%d, %d]", capacity, got, page, initial, ceiling)
+		}
 	}
 }
 
@@ -255,7 +254,7 @@ func randomRecord(rng *rand.Rand) Record {
 // definition — a []Record of everything written, of which it retains the
 // newest Capacity() — over capacities either side of the anchor stride and
 // random ones, and random record mixes that include runs of the longest
-// records, through many wraps and the arena's growth: Oldest, Len and
+// records, through many wraps and added pages: Oldest, Len and
 // Total, Since from every cursor and Window for every max. The 4095-record
 // ring reads back at four points (wrapped, mid-growth, grown and at the
 // end), whole reads from the cursors within two anchors of either end.
@@ -304,7 +303,7 @@ func TestRecorderMatchesSliceOracle(t *testing.T) {
 					m := r.seek(cursor)
 					var scratch [maxRecordSize]byte
 					buf = append(buf[:0], Record{})
-					decode(r.view(m.off, &scratch), &buf[0], &m.p)
+					decode(r.view(m.pos, &scratch), &buf[0], &m.p)
 					same("seek", buf, oracle[cursor:cursor+1])
 					continue
 				}
@@ -330,7 +329,7 @@ func TestRecorderMatchesSliceOracle(t *testing.T) {
 		for w := 0; w < 8*capacity; w++ {
 			rec := randomRecord(rng)
 			switch {
-			case w >= 3*capacity && w < 5*capacity: // a ring of the longest records: the arena must grow
+			case w >= 3*capacity && w < 5*capacity: // a ring of the longest records: the ring must add pages
 				rec = longestRecord()
 				tick += math.MinInt64
 			case rng.IntN(16) == 0:
@@ -344,8 +343,8 @@ func TestRecorderMatchesSliceOracle(t *testing.T) {
 			oracle = append(oracle, rec)
 			check(w)
 		}
-		if len(r.arena) <= capacity*recordBudget {
-			t.Fatalf("cap %d: the arena never grew", capacity)
+		if addedPages(r) == 0 {
+			t.Fatalf("cap %d: the ring never added a page", capacity)
 		}
 	}
 }
@@ -354,7 +353,7 @@ func TestRecorderMatchesSliceOracle(t *testing.T) {
 // arbitrary sequence of SetTick, Record, Since, Window and Resume, two
 // bytes an operation, against a []Record oracle: every read returns
 // exactly the newest Capacity() records written since the last Resume from
-// its cursor, bit for bit, however the writes wrapped the arena, grew it,
+// its cursor, bit for bit, however the writes wrapped the pages, added some,
 // and moved the anchors and the hint the last read left.
 //
 //hpm:pin fuzz
@@ -363,8 +362,8 @@ func FuzzRecorderOps(f *testing.F) {
 	f.Add(uint16(15), []byte{1, 1, 0, 3, 1, 2, 1, 3, 1, 4, 2, 0x81, 1, 15, 1, 15, 2, 0x83, 3, 5})
 	f.Add(uint16(16), []byte{0, 0x90, 1, 0, 1, 15, 2, 0x80, 1, 15, 1, 2, 2, 0x82, 0, 1, 1, 6, 2, 4})
 	f.Add(uint16(17), []byte{1, 9, 1, 9, 1, 9, 2, 0x80, 0, 0xff, 1, 15, 1, 15, 2, 0x80, 3, 0})
-	// A read leaves its hint past a wrapped record, then a write grows the
-	// arena and moves every offset under the hint.
+	// A read leaves its hint past a wrapped record, then a write adds a
+	// page under the hint.
 	f.Add(uint16(1), []byte("10102\x81192\x01"))
 	// A restart numbers the next record 12, mid-block: the records up to
 	// 16 are coded from the restart, the block from 16 afresh.
@@ -374,7 +373,7 @@ func FuzzRecorderOps(f *testing.F) {
 		"1\x00", "1\x08", "0\x41", "1\x06", "1\x07", "1\x00", "0\x41", "1\x02", "1\x03", "2\x01",
 		"2\x8a", "2\x84", "3\x00", "3\x05"))
 	// A read leaves its hint at record 21, mid-block, then a write of the
-	// longest records grows the arena under it.
+	// longest records adds pages under it.
 	f.Add(uint16(39), ops(
 		"1\x01", "1\x02", "0\x41", "1\x02", "1\x05", "0\x41", "1\x01", "1\x02", "0\x41", "1\x02",
 		"1\x05", "0\x41", "1\x01", "1\x02", "0\x41", "1\x02", "1\x05", "0\x41", "1\x01", "1\x02",
@@ -392,6 +391,25 @@ func FuzzRecorderOps(f *testing.F) {
 		"1\x07", "1\x00", "1\x00", "0\x41", "0\x41", "1\x0d", "1\x04", "1\x0d", "1\x06", "0\x41",
 		"0\x41", "1\x00", "0\x41", "1\x05", "0\x41", "1\x0a", "1\x07", "1\x01", "0\x41", "0\x41",
 		"2\x07", "2\x00", "3\x00"))
+	// A two-record ring's 16 B page is outgrown by its second record, and
+	// the fifth straddles the end of the added page; the reads cross it.
+	f.Add(uint16(1), ops("1\x03", "1\x04", "1\x02", "0\x41", "1\x00", "2\x00", "3\x00", "1\x03", "1\x05", "2\x82", "3\x00"))
+	// A longest record grows an eight-record ring to two pages, and the
+	// writer shapes after it wrap them, so the tail's page is no longer the
+	// first; then a run of the longest records, tick jumps between them,
+	// adds pages there while the window still holds writer shapes and a
+	// read left its hint among them. The reads span the added pages.
+	f.Add(uint16(7), ops(
+		"1\x0f", "0\x41", "1\x03", "1\x05", "1\x04", "1\x02", "1\x02", "0\x41", "1\x00",
+		"1\x03", "1\x05", "1\x04", "1\x02", "1\x02", "0\x41", "1\x00",
+		"1\x03", "1\x05", "1\x04", "1\x02", "1\x02", "0\x41", "1\x00", "2\x81",
+		"1\x0f", "0\xc0", "1\x0f", "0\x80", "1\x0f", "2\x83", "2\x00", "3\x00"))
+	// Three of the longest records grow a five-record ring to four pages,
+	// then a restart keeps them: the records after it are numbered from 6,
+	// straddle page ends and wrap the ring.
+	f.Add(uint16(4), ops(
+		"1\x0f", "0\xc0", "1\x0f", "0\x80", "1\x0f", "2\x00", "\x80\x03", "1\x03", "1\x04", "1\x02",
+		"0\x41", "1\x00", "2\x00", "1\x03", "1\x04", "1\x02", "0\x41", "1\x00", "2\x82", "3\x00"))
 	f.Fuzz(func(t *testing.T, capacity uint16, ops []byte) {
 		c := 1 + int(capacity%200)
 		r, err := NewRecorder(c)
