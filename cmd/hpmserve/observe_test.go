@@ -31,7 +31,7 @@ func (w *replyWriter) Write(b []byte) (int, error) { return w.body.Write(b) }
 // body, the decision and the reply come from the pooled observeScratch,
 // the decode takes the compact fast path, the fleet copies the decision
 // into the scratch's, and the Content-Type header is the shared
-// jsonContentType (Header().Set built a slice per reply: 4 allocations).
+// jsonContentType.
 //
 //hpm:pin mechanics
 func TestHandleObserveSteadyStateAllocs(t *testing.T) {

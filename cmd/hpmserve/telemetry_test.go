@@ -313,18 +313,17 @@ func metricLines(body string) (fixed int, top map[string]int) {
 	return fixed, top
 }
 
-// TestMetricsCardinalityFlatInTenants pins ROADMAP 6a: a scrape's sample
-// lines do not grow with the number of tenants. Fleets of 4, 64 and 512
-// observed tenants render the same lines except for the worst-tenant
-// rankings, which name min(tenants, K) tenants — and the cost follows: a
-// warm scrape of 512 tenants allocates exactly what one of 64 does.
+// TestMetricsCardinalityFlatInTenants: a scrape's sample lines do not grow
+// with the number of tenants. Fleets of 4, 64 and 512 observed tenants
+// render the same lines except for the worst-tenant rankings, which name
+// min(tenants, K) tenants. What a scrape allocates is
+// TestHandleMetricsSteadyStateAllocs'.
 //
 //hpm:pin mechanics
 func TestMetricsCardinalityFlatInTenants(t *testing.T) {
 	type fleetScrape struct {
-		fixed  int
-		top    map[string]int
-		allocs float64
+		fixed int
+		top   map[string]int
 	}
 	measure := func(tenants int) fleetScrape {
 		f := hierctl.NewFleet(hierctl.FleetConfig{Shards: 2, QueueDepth: tenants})
@@ -346,8 +345,6 @@ func TestMetricsCardinalityFlatInTenants(t *testing.T) {
 		}
 		out := fleetScrape{}
 		out.fixed, out.top = metricLines(body)
-		req := httptest.NewRequest(http.MethodGet, "/metrics", nil)
-		out.allocs = testing.AllocsPerRun(20, func() { h.ServeHTTP(httptest.NewRecorder(), req) })
 		return out
 	}
 	small, mid, large := measure(4), measure(64), measure(512)
@@ -368,11 +365,7 @@ func TestMetricsCardinalityFlatInTenants(t *testing.T) {
 			}
 		}
 	}
-	// 448 more tenants, and their larger counts, cost nothing more.
-	if large.allocs != mid.allocs {
-		t.Errorf("a scrape allocates %v times with 64 tenants and %v with 512, want equal", mid.allocs, large.allocs)
-	}
-	t.Logf("%d fixed sample lines; %v allocs per scrape at 64 tenants, %v at 512", large.fixed, mid.allocs, large.allocs)
+	t.Logf("%d fixed sample lines", large.fixed)
 }
 
 // TestHandleMetricsSteadyStateAllocs: a warm /metrics scrape allocates

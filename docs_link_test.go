@@ -4,8 +4,11 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
+
+	"hierctl/internal/analysis/directive"
 )
 
 // markdownLink matches inline markdown links [text](target). Reference
@@ -75,14 +78,18 @@ var (
 	// doc, `TestX`; testDecl matches one declared in a _test.go file.
 	testMention = regexp.MustCompile("`((?:Test|Fuzz|Benchmark)\\w+)`")
 	testDecl    = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w+)\(`)
+	// pinGroupMention matches a pin group named in a doc: the `x` pin
+	// group, the words possibly on two lines.
+	pinGroupMention = regexp.MustCompile("`(\\w+)`\\s+pin\\s+group")
 )
 
 // TestDocsDescribeThePresent keeps README.md and docs/ARCHITECTURE.md
 // about the current code: history lives in CHANGES.md, so neither cites a
 // PR, the paper-to-package map exists once, in ARCHITECTURE, every CI
-// step or job either names (CI `name`) is one the workflow has, and every
+// step or job either names (CI `name`) is one the workflow has, every
 // test, fuzz target or benchmark either names (`TestX`) is declared in a
-// _test.go file.
+// _test.go file, every "`x` pin group" either names is one of
+// directive.PinGroups, and ARCHITECTURE names each of those that way.
 func TestDocsDescribeThePresent(t *testing.T) {
 	workflow, err := os.ReadFile(filepath.Join(".github", "workflows", "ci.yml"))
 	if err != nil {
@@ -139,6 +146,22 @@ func TestDocsDescribeThePresent(t *testing.T) {
 			if name := string(data[m[2]:m[3]]); !tests[name] {
 				line := 1 + strings.Count(string(data[:m[0]]), "\n")
 				t.Errorf("%s:%d names `%s`, which no _test.go declares", file, line, name)
+			}
+		}
+		named := map[string]bool{}
+		for _, m := range pinGroupMention.FindAllStringSubmatchIndex(string(data), -1) {
+			name := string(data[m[2]:m[3]])
+			named[name] = true
+			if !slices.Contains(directive.PinGroups, name) {
+				line := 1 + strings.Count(string(data[:m[0]]), "\n")
+				t.Errorf("%s:%d names the `%s` pin group, which directive.PinGroups does not have", file, line, name)
+			}
+		}
+		if filepath.Base(file) == "ARCHITECTURE.md" {
+			for _, group := range directive.PinGroups {
+				if !named[group] {
+					t.Errorf("%s names no `%s` pin group; directive.PinGroups has it", file, group)
+				}
 			}
 		}
 	}

@@ -232,7 +232,7 @@ func LookupChaosPlan(name string) (ChaosSpec, error) { return chaos.Lookup(name)
 
 // CheckTelemetryRecords reports whether n is a valid
 // TenantConfig.TelemetryRecords: 0 (off) up to the 1 << 20 records a
-// tenant may retain (≈ 8.25 bytes each allocated at create: ≈ 8.7 MB).
+// tenant may retain (NewTelemetryRecorder's ring, allocated at create).
 func CheckTelemetryRecords(n int) error { return fleet.CheckTelemetryRecords(n) }
 
 // CheckBinCount reports whether count is a valid arrival count for one

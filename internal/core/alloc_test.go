@@ -108,9 +108,7 @@ func TestSessionObserveBinSteadyStateAllocs(t *testing.T) {
 // exceeds its pre-spike value by no more than the queue blocks the current
 // backlog needs, ⌈q/BlockJobs⌉+1 per computer, plus 1 MB — so the session
 // holds no request batch between bins and no computer a block past its
-// backlog — and once drained it is back within 1 MB. Before the pooled
-// batch and block queues, the feed kept the spike's batch and each
-// computer a ring at its backlog's peak, for as long as the session lived.
+// backlog — and once drained it is back within 1 MB.
 //
 //hpm:pin mechanics
 func TestSessionMemoryFollowsBacklog(t *testing.T) {

@@ -129,7 +129,9 @@ func TestArtifactStoreLearnOnce(t *testing.T) {
 
 // TestStoreManagersShareAndRelease: managers built through one store use
 // the same artifact objects, only the first learns, Release is idempotent,
-// and the store empties with its last manager.
+// and a construction that fails gives back what it took. That the store
+// empties with its last holder is TestArtifactStoreLearnOnce's, and the
+// fleet's TestArtifactsLearnedOncePerFingerprint's.
 //
 //hpm:pin sharing
 func TestStoreManagersShareAndRelease(t *testing.T) {
@@ -189,9 +191,6 @@ func TestStoreManagersShareAndRelease(t *testing.T) {
 		t.Fatalf("store after one of two managers released (twice): %+v", got)
 	}
 	second.Release()
-	if got := store.Stats(); got.GMaps.Held != 0 || got.Trees.Held != 0 {
-		t.Fatalf("store after the last release: %+v", got)
-	}
 }
 
 // TestStoreKeyedByConfig: an artifact is keyed by everything that shaped
@@ -224,9 +223,6 @@ func TestStoreKeyedByConfig(t *testing.T) {
 	}
 	first.Release()
 	second.Release()
-	if got := store.Stats().GMaps; got.Held != 0 {
-		t.Fatalf("store after the last release: %+v", got)
-	}
 }
 
 // TestConfigKeysCoverEveryField: flipping any field of L0Config,

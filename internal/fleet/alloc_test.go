@@ -153,8 +153,7 @@ func footprintTenant(t *testing.T, f *Fleet) func(n int) {
 // retains nothing per bin — snapshots carry its checkpoint, so it keeps no
 // log of its counts. Four times the warm-up's bins may grow the live heap
 // (HeapAlloc after a forced collection) by 8 KB, for the rest of the test
-// binary's heap not being perfectly still. The replay log a snapshot once
-// needed grew 8 B/bin here; a session that kept per-bin series ~40 B/bin.
+// binary's heap not being perfectly still.
 //
 //hpm:pin mechanics
 func TestTenantFootprintFlatInUptime(t *testing.T) {
@@ -284,18 +283,10 @@ func TestObsLogReleasesAfterLongInterval(t *testing.T) {
 // TestTenantFootprintAtRest pins what a tenant costs before its first bin,
 // where it is decided: the two-computer tenant hpmserve creates by default
 // (4096-record ring, the paper's 10,000-object store) is its flight
-// recorder (35,008 B of heap: sixteen 2 KB pages in one 32,768 B backing,
-// 8 B per record, their 384 B page table and 1,028 B of 4-byte seek
-// anchors, one per 16 records), its store's 8,192 B locality ring and some
-// 8 KB of manager, session, plant and feed — 51,564 B measured when the
-// bound was set, held to that + 5 %. With the records in one arena of 11 B
-// per record, 45,056 B that Go rounds up to 49,152, it held 67,564 B
-// (bound 70,942 B); with each record in its self-contained form, 16 B per
-// record of arena and 12-byte anchors, 85,772 B (bound 90,060 B). The
-// controllers' decision tables are not
-// in it: they live in the scratch of the shard that steps the tenant. With
-// the tables in the tenant and the history an []int32 of HistoryCap+1 ids
-// it held 99,020 B.
+// recorder, its store's locality ring and its manager, session, plant and
+// feed — held to the measured value + 5 %. The controllers' decision
+// tables are not in it: they live in the scratch of the shard that steps
+// the tenant.
 func TestTenantFootprintAtRest(t *testing.T) {
 	const tenants = 256
 	f := New(Config{Shards: 1})
@@ -327,11 +318,7 @@ func TestTenantFootprintAtRest(t *testing.T) {
 // of 60-140 arrivals, so that every level has decided and any decision
 // memory a tenant kept — the L1s' tables and probe memo, the L0s' search
 // buffers, the L2's tables — would show: they belong in the stepping
-// shard's scratch. It held 68,805 B when the bound was set, held to that
-// + 5 %; with the flight records in one arena of 11 B per record it held
-// 84,814 B (bound 89,055 B), with each record in its self-contained form
-// (16 B per record of arena) 103,305 B (bound 108,470 B), and with the
-// controllers' working memory in each tenant 159,018 B.
+// shard's scratch. Held to the measured value + 5 %.
 func TestClusterTenantFootprint(t *testing.T) {
 	const tenants, bins = 32, 40
 	f := New(Config{Shards: 1})
@@ -382,10 +369,7 @@ func TestClusterTenantFootprint(t *testing.T) {
 // the count blocks an Append's sweep drops go back to a sync.Pool, whose
 // per-P chains grow now and again (up to ≈ 20 B a frame in one Append of 32
 // frames) — the pool's housekeeping, not a frame's cost. It is flat in the
-// frames per Append and in the counts per frame: a fresh encoder per frame
-// re-sent ≈ 3 KB of descriptors, a delta copied per frame cost 8 B a count
-// (504 B more a frame at 64 counts than at 1), and a frame and sweep slots
-// allocated per Append ≈ 175 B a frame.
+// frames per Append and in the counts per frame.
 //
 //hpm:pin mechanics
 func TestJournalAppendAllocsPerFrame(t *testing.T) {

@@ -19,10 +19,8 @@ import (
 // decisions, flight-recorder records, run records and Stats as the
 // all-batch stream. (2) The one difference is the enqueue: with the shard
 // wedged and its one queue slot taken, ObserveBatch rejects while a
-// concurrent Observe waits, then applies. (3) A warm Observe allocates
-// what Session.Decision allocates plus the one boxed decision — no
-// channel, no closure — measured against a silent one-entry batch, which
-// pays for the same stepping and builds no decision.
+// concurrent Observe waits, then applies. What the one-entry path
+// allocates is TestObserveIntoWarmAllocs'.
 //
 //hpm:pin mechanics
 func TestObserveIsOneEntryBatch(t *testing.T) {
@@ -139,56 +137,6 @@ func TestObserveIsOneEntryBatch(t *testing.T) {
 		}
 		if stats := f.Stats(); st.Bins != 1 || stats.Observations != 1 || stats.QueueRejects != 1 {
 			t.Fatalf("%d bins, %d observations, %d rejects; want the waiting bin applied and the batch's rejected", st.Bins, stats.Observations, stats.QueueRejects)
-		}
-	})
-
-	t.Run("allocs", func(t *testing.T) {
-		if race.Enabled {
-			t.Skip("sync.Pool drops Puts at random under the race detector")
-		}
-		f := New(Config{Shards: 1})
-		defer f.Close()
-		if err := f.CreateTenant("a", tc); err != nil {
-			t.Fatal(err)
-		}
-		// Four bins a run: one L1 decision per run at this cadence,
-		// whatever bin the run starts on.
-		const per = 4
-		bin := 0
-		entries := []BatchEntry{{Tenant: "a", Counts: make([]float64, 1)}}
-		var dst []BatchResult
-		observe := func() {
-			for i := 0; i < per; i++ {
-				if _, err := f.Observe("a", count(bin, 0)/10); err != nil {
-					t.Fatal(err)
-				}
-				bin++
-			}
-		}
-		silent := func() {
-			for i := 0; i < per; i++ {
-				entries[0].Counts[0] = count(bin, 0) / 10
-				var err error
-				if dst, err = f.ObserveBatchInto(dst[:0], entries, false); err != nil || dst[0].Err != nil {
-					t.Fatal(err, dst[0].Err)
-				}
-				bin++
-			}
-		}
-		// Warm the pooled call and dst; the whole subtest stays inside the
-		// observation log's first 512-bin chunk.
-		for i := 0; i < 10; i++ {
-			observe()
-			silent()
-		}
-		sess := f.tenants["a"].sess // the shard is idle between calls
-		perDecision := testing.AllocsPerRun(40, func() { _ = sess.Decision() })
-		perSilent := testing.AllocsPerRun(40, silent)
-		perObserve := testing.AllocsPerRun(40, observe)
-		t.Logf("allocs per %d bins: Observe %v, silent one-entry batch %v; Session.Decision %v", per, perObserve, perSilent, perDecision)
-		if want := per * (perDecision + 1); perObserve-perSilent != want {
-			t.Errorf("%d Observe calls cost %v allocs over the stepping's %v, want %v (Session.Decision's %v plus one boxed decision, each)",
-				per, perObserve-perSilent, perSilent, want, perDecision)
 		}
 	})
 }

@@ -217,9 +217,11 @@ func TestSweepYieldsInSlices(t *testing.T) {
 }
 
 // TestTelemetrySummaryAllocsFlatInTenants pins the cost of the fleet call
-// behind a metrics scrape: TelemetrySummary allocates nothing whether the
-// fleet hosts 16 tenants or 512 — each shard's fold is read in place,
-// nothing per tenant.
+// behind a metrics scrape: a warm TelemetrySummary allocates nothing and
+// reads what the first read did, whether the fleet hosts 16 tenants or 512
+// — each shard's fold is read in place, nothing per tenant. A closed fleet
+// reports ErrClosed, and a fresh fleet opened after it reads a zero
+// summary.
 //
 //hpm:pin mechanics
 func TestTelemetrySummaryAllocsFlatInTenants(t *testing.T) {
@@ -236,65 +238,28 @@ func TestTelemetrySummaryAllocsFlatInTenants(t *testing.T) {
 		if _, err := f.ObserveBatch(entries); err != nil {
 			t.Fatal(err)
 		}
-		sum, err := f.TelemetrySummary()
+		want, err := f.TelemetrySummary()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := sum.Levels[0].Decisions; got < uint64(2*tenants) || sum.Operational < tenants || sum.Top.QoS[TopK-1].Count == 0 {
-			t.Fatalf("%d tenants: %d L0 decisions, %d operational, ranking %v", tenants, got, sum.Operational, sum.Top.QoS)
+		if got := want.Levels[0].Decisions; got < uint64(2*tenants) || want.Operational < tenants || want.Top.QoS[TopK-1].Count == 0 {
+			t.Fatalf("%d tenants: %d L0 decisions, %d operational, ranking %v", tenants, got, want.Operational, want.Top.QoS)
 		}
+		var got TelemetrySummary
 		if allocs := testing.AllocsPerRun(50, func() {
-			if _, err := f.TelemetrySummary(); err != nil {
+			if got, err = f.TelemetrySummary(); err != nil {
 				t.Fatal(err)
 			}
 		}); allocs != 0 {
 			t.Errorf("TelemetrySummary allocates %v times with %d tenants, want 0", allocs, tenants)
 		}
+		if got != want {
+			t.Fatalf("%d tenants: warm read %+v, first read %+v", tenants, got, want)
+		}
 		f.Close()
-	}
-}
-
-// TestTelemetrySummaryIntoWarmAllocs: a warm scrape — TelemetrySummary
-// writing into the caller's summary, the shards' folds read in place —
-// allocates nothing and reads the same as the first, non-empty read; a
-// closed fleet reports ErrClosed, and a fresh fleet opened after it reads
-// a zero summary.
-//
-//hpm:pin mechanics
-func TestTelemetrySummaryIntoWarmAllocs(t *testing.T) {
-	f := New(Config{Shards: 3})
-	entries := make([]BatchEntry, 12)
-	for i := range entries {
-		id := fmt.Sprintf("t%02d", i)
-		if err := f.CreateTenant(id, sweepTenantConfig(int64(i+1))); err != nil {
-			t.Fatal(err)
+		if _, err := f.TelemetrySummary(); err != ErrClosed {
+			t.Fatalf("read of a closed fleet: %v, want ErrClosed", err)
 		}
-		entries[i] = BatchEntry{Tenant: id, Counts: []float64{2000, 100}}
-	}
-	if _, err := f.ObserveBatch(entries); err != nil {
-		t.Fatal(err)
-	}
-	want, err := f.TelemetrySummary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.Top.QoS[TopK-1].Count == 0 {
-		t.Fatalf("summary after ingest ranks too few tenants: %+v", want)
-	}
-	var got TelemetrySummary
-	if allocs := testing.AllocsPerRun(50, func() {
-		if got, err = f.TelemetrySummary(); err != nil {
-			t.Fatal(err)
-		}
-	}); allocs != 0 {
-		t.Errorf("a warm TelemetrySummary allocates %v times, want 0", allocs)
-	}
-	if got != want {
-		t.Fatalf("warm read %+v, first read %+v", got, want)
-	}
-	f.Close()
-	if _, err := f.TelemetrySummary(); err != ErrClosed {
-		t.Fatalf("read of a closed fleet: %v, want ErrClosed", err)
 	}
 	g := New(Config{Shards: 2})
 	defer g.Close()

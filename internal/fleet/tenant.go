@@ -43,19 +43,17 @@ type TenantConfig struct {
 	Failures []workload.FailureEvent
 	// TelemetryRecords sizes the tenant's decision flight recorder (the
 	// retained window of per-tick and per-controller records served by
-	// Fleet.Telemetry); 0 disables recording. The recorder allocates about
-	// 8.25 bytes per record at create (8 bytes of 2 KB pages and a 4-byte
-	// seek anchor every 16 records), so at most 1 << 20 (≈ 8.7 MB); a
-	// window of records averaging over 8 bytes — of the daemon's tenant
-	// shapes, a four-computer module's — adds a page at a time, to 74 bytes
-	// per record at worst. Part of the configuration, so
-	// snapshots persist it; the ring itself is ephemeral — a restored
-	// tenant's starts empty, its Total carried on from the checkpoint.
+	// Fleet.Telemetry); 0 disables recording, and at most 1 << 20. The
+	// recorder is allocated at create (obs.NewRecorder gives its bytes a
+	// record). Part of the configuration, so snapshots persist it; the
+	// ring itself is ephemeral — a restored tenant's starts empty, its
+	// Total carried on from the checkpoint.
 	TelemetryRecords int
 }
 
-// maxTelemetryRecords bounds TenantConfig.TelemetryRecords: ≈ 8.7 MB of
-// recorder at create, ≈ 78 MB if every record took the longest encoding.
+// maxTelemetryRecords bounds TenantConfig.TelemetryRecords, and so the
+// recorder allocated at create and the most its ring grows to if every
+// record took the longest encoding (obs's TestRecorderGrowthCeiling).
 // The size arrives from outside the process — a flag, a snapshot or a
 // journal frame — and sizes an allocation made before anything else about
 // the tenant is checked, so a crafted or corrupt frame must not be able
