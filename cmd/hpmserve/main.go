@@ -61,7 +61,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	shards := fs.Int("shards", 0, "worker shards hosting tenants (0 = one per CPU)")
 	journal := fs.String("journal", "", "incremental snapshot journal: recovered on start when present, appended on shutdown and every -journal-interval")
 	journalInterval := fs.Duration("journal-interval", 0, "periodic journal append cadence (0 = only on shutdown; needs -journal)")
-	telemetryRecords := fs.Int("telemetry-records", 4096, "flight-recorder ring size per tenant: decisions retained for /v1/tenants/{id}/telemetry, about 8.25 bytes each allocated at tenant create (8 bytes of 2 KB pages and a 4-byte seek anchor every 16 records; a window of records longer than 8 bytes on average adds a page at a time, up to 74 bytes per record); /metrics is folded as bins step and needs only one bin's records in the ring (0 disables recording and the /metrics telemetry, at most 1048576)")
+	telemetryRecords := fs.Int("telemetry-records", 4096, "flight-recorder ring size per tenant: decisions retained for /v1/tenants/{id}/telemetry, about 8.25 bytes each allocated at tenant create (8 bytes of 2 KB pages and a 4-byte seek anchor every 16 records; a window of records longer than 8 bytes on average adds a page at a time, up to 74 bytes per record); /metrics does not read the ring (0 disables recording, at most 1048576)")
 	debugAddr := fs.String("debug-addr", "", "serve net/http/pprof on this separate address (empty = profiling off; keep it private)")
 	journalVerify := fs.String("journal-verify", "", "verify the snapshot/journal log at this path read-only and exit: prints a frame/tenant report, reports a torn tail (recoverable) with exit 0, exits non-zero on corruption")
 	if err := fs.Parse(args); err != nil {

@@ -45,8 +45,8 @@ type server struct {
 	// observes the single-bin /observe state (*observeScratch).
 	scratch, observes sync.Pool
 	// telemetryRecords sizes each new tenant's flight recorder (0 turns
-	// recording off and empties the telemetry endpoint, the per-level
-	// decision histograms and the tick counters).
+	// recording off and empties the telemetry endpoint; /metrics does not
+	// read the recorders).
 	telemetryRecords int
 	// ready gates /readyz: false until startup recovery finished and again
 	// once shutdown begins, so load balancers stop routing before the
@@ -80,14 +80,13 @@ type server struct {
 	// Wall-clock latency of the fleet call in single-bin /observe requests
 	// (shard-queue wait + step), fleet-wide.
 	observeLatency metrics.FixedHistogram
-	// The fleet's step-time fold of the tenants' flight recorders, set from
-	// Fleet.TelemetrySummary at scrape time: fleet-wide totals, the
+	// The decisions and tick counters the shards count as their tenants
+	// step, set from Fleet.TelemetrySummary at scrape time: fleet-wide totals, the
 	// per-level decision histograms, and the worst tenants per counter — at
 	// most hierctl.FleetTopK series each, so no family grows with the
 	// tenant count. Per-tenant detail is served by /v1/tenants/{id}/state
 	// and /telemetry.
 	qosViolations, degradedTicks, staleObs metrics.Counter
-	telemetryDropped                       metrics.Counter
 	operational                            metrics.Gauge
 	levelDecide, levelExplored             *metrics.HistogramVec
 	qosTop, degradedTop, staleTop          *metrics.GaugeVec
@@ -199,13 +198,11 @@ func newServer(f *hierctl.Fleet, telemetryRecords int) *server {
 	s.operational = mustGauge("hpmserve_operational_computers",
 		"Operational computers across tenants, as of each tenant's last decision.").With()
 	s.levelDecide = mustHistogram("hpmserve_level_decide_seconds",
-		"Controller decide latency from the flight recorders, per hierarchy level.",
+		"Controller decide latency, per hierarchy level.",
 		hierctl.FleetTelemetryDecideBounds(), "level")
 	s.levelExplored = mustHistogram("hpmserve_level_explored",
-		"States explored per decision from the flight recorders, per hierarchy level.",
+		"States explored per decision, per hierarchy level.",
 		hierctl.FleetTelemetryExploredBounds(), "level")
-	s.telemetryDropped = mustCounter("hpmserve_telemetry_dropped_records_total",
-		"Flight-recorder records a ring smaller than one bin's output overwrote before the step-time fold read them; the hpmserve_level_* histograms and the tick counters miss exactly these.").With()
 	s.qosTop = mustGauge("hpmserve_qos_violations_top",
 		"QoS-violating control periods of the tenants with the most (at most 8 series).", "tenant")
 	s.degradedTop = mustGauge("hpmserve_degraded_ticks_top",
@@ -1095,13 +1092,12 @@ func (s *server) handleTelemetry(w http.ResponseWriter, r *http.Request, id stri
 	writeJSON(w, http.StatusOK, telemetryDTO{Tenant: id, Total: total, Records: recs})
 }
 
-// handleMetrics renders the fleet counters and the flight-recorder
-// telemetry in the Prometheus text exposition format (the internal
-// registry — no client library). Every series is set from the fleet's
-// authoritative counters at scrape time: Stats, and one telemetry read —
-// each shard's fold under its lock, nothing per tenant and no wait behind
-// queued ingest — of what the shards folded out of the flight recorders
-// as the bins stepped. No family has a series per tenant, so the output
+// handleMetrics renders the fleet counters and the decision telemetry in
+// the Prometheus text exposition format (the internal registry — no client
+// library). Every series is set from the fleet's authoritative counters at
+// scrape time: Stats, and one telemetry read — each shard's totals under
+// its lock, nothing per tenant and no wait behind queued ingest — of what
+// the shards counted as the bins stepped; no flight record is read. No family has a series per tenant, so the output
 // does not grow with the tenant count. A warm scrape allocates nothing
 // here: the reads and the render reuse the server's metricsScratch, and
 // the rendered bytes go straight to the response.
@@ -1154,7 +1150,6 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.qosViolations.SetTotal(float64(tel.QoSViolations))
 	s.degradedTicks.SetTotal(float64(tel.DegradedTicks))
 	s.staleObs.SetTotal(float64(tel.StaleObservations))
-	s.telemetryDropped.SetTotal(float64(tel.Dropped))
 	s.operational.Set(float64(tel.Operational))
 	for i, level := range hierctl.FleetTelemetryLevels {
 		lv := &tel.Levels[i]

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -78,7 +79,8 @@ func TestServerTelemetryEndpoint(t *testing.T) {
 }
 
 // TestServerTelemetryDisabled pins the -telemetry-records 0 path: the
-// endpoint stays routable and returns an empty window.
+// endpoint stays routable and returns an empty window, and /metrics still
+// counts the decisions.
 func TestServerTelemetryDisabled(t *testing.T) {
 	f := hierctl.NewFleet(hierctl.FleetConfig{Shards: 1})
 	t.Cleanup(f.Close)
@@ -93,9 +95,10 @@ func TestServerTelemetryDisabled(t *testing.T) {
 	if records := resp["records"].([]any); len(records) != 0 {
 		t.Errorf("records = %v, want empty", records)
 	}
-	// The per-level histograms stay at their headers — no samples.
-	if strings.Contains(scrape(t, h), `hpmserve_level_decide_seconds_count{level=`) {
-		t.Error("level histograms populated with recording disabled")
+	// /metrics does not read the ring: the per-level histograms count the
+	// bin's decisions all the same.
+	if !strings.Contains(scrape(t, h), `hpmserve_level_decide_seconds_count{level="l0"}`) {
+		t.Error("level histograms empty with recording disabled")
 	}
 }
 
@@ -103,9 +106,9 @@ func TestServerTelemetryDisabled(t *testing.T) {
 // of a serving daemon — a tenant created and observed, then a second tenant
 // of the same shape sharing its learned artifacts — parses under the strict
 // exposition linter (the check CI once piped a live scrape through), the
-// step-time fold populates the per-level histograms exactly once per
-// record, and a closed tenant leaves the worst-tenant rankings while the
-// fleet totals keep what it contributed.
+// shards' step-time counts populate the per-level histograms, and a closed
+// tenant leaves the worst-tenant rankings while the fleet totals keep what
+// it contributed.
 func TestServerMetricsTelemetry(t *testing.T) {
 	h, _ := testHandler(t)
 	doJSON(t, h, http.MethodPost, "/v1/tenants",
@@ -138,11 +141,11 @@ func TestServerMetricsTelemetry(t *testing.T) {
 		}
 	}
 
-	// The fold is cursor-based: a second scrape with no new observations
-	// must not re-count the same records.
+	// A scrape reads the totals and moves none: a second scrape with no
+	// new observations reports the same count.
 	first := levelCount(t, body, "decide_seconds", "l0")
 	if first == 0 {
-		t.Fatal("no l0 decides folded")
+		t.Fatal("no l0 decides counted")
 	}
 	if again := levelCount(t, scrape(t, h), "decide_seconds", "l0"); again != first {
 		t.Errorf("idle rescrape moved the l0 decide count %d -> %d", first, again)
@@ -193,106 +196,123 @@ func levelCount(t *testing.T, body, hist, level string) int {
 	return int(sampleValue(t, body, fmt.Sprintf(`hpmserve_level_%s_count{level=%q}`, hist, level)))
 }
 
-// TestServerMetricsCountDroppedTelemetry: the fold runs after every bin,
-// so it loses records only when the ring cannot hold one bin's output —
-// and then it must say how many, so the histograms' undercount is visible.
-// A 2-record ring under a tenant that writes at least three records a bin
-// (a tick and two L0 decisions) keeps two per bin: the rest of everything
-// the tenant ever wrote is hpmserve_telemetry_dropped_records_total.
-func TestServerMetricsCountDroppedTelemetry(t *testing.T) {
-	const ring, bins = 2, 12
-	f := hierctl.NewFleet(hierctl.FleetConfig{Shards: 1})
-	t.Cleanup(f.Close)
-	h := newServer(f, ring).routes()
-	createFastTenant(t, h, "small")
-
-	body := scrape(t, h)
-	if err := metrics.LintPromText(strings.NewReader(body)); err != nil {
-		t.Fatalf("metrics output fails the exposition linter: %v", err)
-	}
-	if n := sampleValue(t, body, "hpmserve_telemetry_dropped_records_total"); n != 0 {
-		t.Fatalf("dropped = %v before any observation", n)
-	}
-	for i := 0; i < bins; i++ {
-		doJSON(t, h, http.MethodPost, "/v1/tenants/small/observe", `{"count":300}`, http.StatusOK)
-	}
-	_, written, err := f.Telemetry("small", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body = scrape(t, h)
-	if got, want := sampleValue(t, body, "hpmserve_telemetry_dropped_records_total"), float64(written-ring*bins); got != want {
-		t.Fatalf("dropped %v, want %v (%d records written, %d folded)", got, want, written, ring*bins)
-	}
-	if again := sampleValue(t, scrape(t, h), "hpmserve_telemetry_dropped_records_total"); again != float64(written-ring*bins) {
-		t.Errorf("idle rescrape moved the dropped count to %v", again)
-	}
-}
-
-// TestMetricsFoldExactAcrossRingWrap: the per-level histograms count every
-// decision the tenants made, however rarely anyone scrapes. Two tenants
-// with 64-record rings wrap them several times over before the only
-// scrape — a scrape-time drain would have seen the last 64 of each — and
-// one of them is closed mid-stream. hpmserve_level_*_count equals the
-// number of decision records twins with rings large enough to keep
-// everything wrote, nothing is reported dropped, and the closed tenant's
-// share stays.
+// TestMetricsFoldExactAcrossRingWrap: /metrics counts every decision the
+// tenants made, whatever the size of their flight-recorder rings, which
+// only /telemetry reads. At rings of 0, 2 and 64 records — off, smaller
+// than one bin's output, and wrapped several times over before the only
+// scrape — and 4096, two tenants step the same bins, and one of them is
+// closed mid-stream. Per level, hpmserve_level_*_count and the explored
+// sum are what twins with rings large enough to keep everything wrote in
+// decision records, the QoS, degraded and stale totals are what their tick
+// records show, the explored buckets match the twins' scrape, and the
+// closed tenant's share stays.
 func TestMetricsFoldExactAcrossRingWrap(t *testing.T) {
-	const ring, bins = 64, 240
-	f := hierctl.NewFleet(hierctl.FleetConfig{Shards: 2})
-	t.Cleanup(f.Close)
-	h := newServer(f, ring).routes()
+	const bins = 240
 	twins := hierctl.NewFleet(hierctl.FleetConfig{Shards: 1})
 	t.Cleanup(twins.Close)
 	th := newServer(twins, 1<<16).routes()
-
-	want := map[hierctl.TelemetryLevel]int{}
-	observe := func(id string, n int) {
-		for i := 0; i < n; i++ {
-			body := fmt.Sprintf(`{"count":%d}`, 150+37*i%400)
-			doJSON(t, h, http.MethodPost, "/v1/tenants/"+id+"/observe", body, http.StatusOK)
-			doJSON(t, th, http.MethodPost, "/v1/tenants/"+id+"/observe", body, http.StatusOK)
+	for _, id := range []string{"gone", "stays"} {
+		createFastTenant(t, th, id)
+	}
+	// Every ninth bin is overloaded, so the QoS total has something to count.
+	body := func(i int) string {
+		if i%9 == 0 {
+			return `{"count":3000}`
+		}
+		return fmt.Sprintf(`{"count":%d}`, 150+37*i%400)
+	}
+	for _, id := range []string{"gone", "stays"} {
+		for i := 0; i < bins; i++ {
+			doJSON(t, th, http.MethodPost, "/v1/tenants/"+id+"/observe", body(i), http.StatusOK)
 		}
 	}
-	// countTwin adds the decision records id's twin has written so far.
-	countTwin := func(id string) {
+	// The decision and tick records the twins wrote: what the rings must
+	// not matter to.
+	decisions := map[hierctl.TelemetryLevel]int{}
+	explored := map[hierctl.TelemetryLevel]int64{}
+	var qos, degraded, stale int
+	for _, id := range []string{"gone", "stays"} {
 		recs, total, err := twins.Telemetry(id, 0)
 		if err != nil || int(total) != len(recs) {
 			t.Fatalf("twin %s: %d of %d records retained, err %v", id, len(recs), total, err)
 		}
 		for _, r := range recs {
-			if r.Level == hierctl.TelemetryLevel(1) || // every L0 record is a decision
+			switch {
+			case r.Level == hierctl.TelemetryLevel(0): // tick
+				if r.QoS {
+					qos++
+				}
+				if r.Degraded {
+					degraded++
+				}
+				stale += int(r.Stale)
+			case r.Level == hierctl.TelemetryLevel(1) || // every L0 record is a decision
 				r.Level == hierctl.TelemetryLevel(2) && r.Comp == -1 || // L1 summary
-				r.Level == hierctl.TelemetryLevel(3) && r.Module == -1 { // L2 summary
-				want[r.Level]++
+				r.Level == hierctl.TelemetryLevel(3) && r.Module == -1: // L2 summary
+				decisions[r.Level]++
+				explored[r.Level] += int64(r.Explored)
 			}
 		}
 	}
-	for _, id := range []string{"gone", "stays"} {
-		createFastTenant(t, h, id)
-		createFastTenant(t, th, id)
+	if decisions[hierctl.TelemetryLevel(2)] == 0 || qos == 0 {
+		t.Fatalf("the twins decided %v with %d QoS violations: nothing to compare", decisions, qos)
 	}
-	observe("gone", bins/2)
-	observe("stays", bins/2)
-	countTwin("gone")
-	// The drain a close runs decides nothing: the tally above is final.
-	doJSON(t, h, http.MethodDelete, "/v1/tenants/gone", "", http.StatusOK)
-	observe("stays", bins/2)
-	countTwin("stays")
+	exploredFamily := func(body string) []string {
+		var lines []string
+		for _, line := range strings.Split(body, "\n") {
+			if strings.HasPrefix(line, "hpmserve_level_explored") {
+				lines = append(lines, line)
+			}
+		}
+		return lines
+	}
+	twinExplored := exploredFamily(scrape(t, th))
 
-	body := scrape(t, h)
-	for _, hist := range []string{"decide_seconds", "explored"} {
-		for level, n := range want {
-			if got := levelCount(t, body, hist, level.String()); got != n {
-				t.Errorf("hpmserve_level_%s_count{level=%q} = %d, want %d decisions", hist, level, got, n)
+	for _, ring := range []int{0, 2, 64, 4096} {
+		t.Run(fmt.Sprintf("ring=%d", ring), func(t *testing.T) {
+			f := hierctl.NewFleet(hierctl.FleetConfig{Shards: 2})
+			t.Cleanup(f.Close)
+			h := newServer(f, ring).routes()
+			observe := func(id string, from, to int) {
+				for i := from; i < to; i++ {
+					doJSON(t, h, http.MethodPost, "/v1/tenants/"+id+"/observe", body(i), http.StatusOK)
+				}
 			}
-		}
-	}
-	if _, written, err := f.Telemetry("stays", 1); err != nil || written < 4*ring || want[hierctl.TelemetryLevel(2)] == 0 {
-		t.Fatalf("tenant stays wrote %d records (err %v), decisions %v: not enough to wrap its %d-record ring", written, err, want, ring)
-	}
-	if n := sampleValue(t, body, "hpmserve_telemetry_dropped_records_total"); n != 0 {
-		t.Errorf("dropped = %v with a ring that holds a bin's output", n)
+			for _, id := range []string{"gone", "stays"} {
+				createFastTenant(t, h, id)
+			}
+			observe("gone", 0, bins)
+			observe("stays", 0, bins/2)
+			doJSON(t, h, http.MethodDelete, "/v1/tenants/gone", "", http.StatusOK)
+			observe("stays", bins/2, bins)
+
+			got := scrape(t, h)
+			for level, n := range decisions {
+				for _, hist := range []string{"decide_seconds", "explored"} {
+					if c := levelCount(t, got, hist, level.String()); c != n {
+						t.Errorf("hpmserve_level_%s_count{level=%q} = %d, want %d decisions", hist, level, c, n)
+					}
+				}
+				if sum := sampleValue(t, got, fmt.Sprintf(`hpmserve_level_explored_sum{level=%q}`, level)); sum != float64(explored[level]) {
+					t.Errorf("hpmserve_level_explored_sum{level=%q} = %v, want %d", level, sum, explored[level])
+				}
+			}
+			for name, want := range map[string]int{
+				"hpmserve_qos_violations_total":     qos,
+				"hpmserve_degraded_ticks_total":     degraded,
+				"hpmserve_stale_observations_total": stale,
+			} {
+				if v := sampleValue(t, got, name); v != float64(want) {
+					t.Errorf("%s = %v, want %d", name, v, want)
+				}
+			}
+			if lines := exploredFamily(got); !slices.Equal(lines, twinExplored) {
+				t.Errorf("hpmserve_level_explored:\n%s\nthe twins':\n%s", strings.Join(lines, "\n"), strings.Join(twinExplored, "\n"))
+			}
+			if _, written, err := f.Telemetry("stays", 1); err != nil || ring > 0 && ring <= 64 && written < 4*uint64(ring) {
+				t.Fatalf("tenant stays wrote %d records (err %v): not enough to wrap its %d-record ring", written, err, ring)
+			}
+		})
 	}
 }
 
@@ -318,8 +338,6 @@ func metricLines(body string) (fixed int, top map[string]int) {
 // render the same lines except for the worst-tenant rankings, which name
 // min(tenants, K) tenants. What a scrape allocates is
 // TestHandleMetricsSteadyStateAllocs'.
-//
-//hpm:pin mechanics
 func TestMetricsCardinalityFlatInTenants(t *testing.T) {
 	type fleetScrape struct {
 		fixed int

@@ -109,10 +109,10 @@ type (
 	TenantState = fleet.TenantState
 	// FleetStats summarizes fleet-level counters.
 	FleetStats = fleet.Stats
-	// FleetTelemetry is the fixed-size fleet-wide fold of the tenants'
-	// flight recorders (Fleet.TelemetrySummary): per-level decision
-	// histograms, tick counters, and the FleetTopK worst tenants per
-	// counter.
+	// FleetTelemetry is the fixed-size fleet-wide telemetry that the
+	// shards count as their tenants decide (Fleet.TelemetrySummary):
+	// per-level decision histograms, tick counters, and the FleetTopK
+	// worst tenants per counter.
 	FleetTelemetry = fleet.TelemetrySummary
 	// FleetTopTenants is one worst-tenant ranking of a FleetTelemetry.
 	FleetTopTenants = fleet.TopTenants
@@ -188,15 +188,15 @@ const FleetTopK = fleet.TopK
 
 // FleetTelemetryLevels are the hierarchy levels FleetTelemetry.Levels is
 // indexed by.
-var FleetTelemetryLevels = fleet.TelemetryLevels
+var FleetTelemetryLevels = core.TallyLevels
 
 // FleetTelemetryDecideBounds returns the bucket bounds (seconds) of a
 // FleetTelemetry level's DecideBuckets.
-func FleetTelemetryDecideBounds() []float64 { return fleet.TelemetryDecideBounds() }
+func FleetTelemetryDecideBounds() []float64 { return core.DecideBounds() }
 
 // FleetTelemetryExploredBounds returns the bucket bounds (states) of a
 // FleetTelemetry level's ExploredBuckets.
-func FleetTelemetryExploredBounds() []float64 { return fleet.TelemetryExploredBounds() }
+func FleetTelemetryExploredBounds() []float64 { return core.ExploredBounds() }
 
 // NewFleet starts an online control plane hosting tenant hierarchies
 // sharded across worker goroutines.

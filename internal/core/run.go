@@ -75,6 +75,9 @@ type run struct {
 	// bins: the Scratch of whoever steps the session (see
 	// Session.StepBinIn), never the run's own.
 	sc *controller.Scratch
+	// tally counts the bin's decisions while it steps, nil when nobody
+	// counts them (see Session.StepBinIn).
+	tally *Tally
 
 	trace   *series.Series // full trace when known up front; nil when streaming
 	sub     int            // T_L0 bins per observation bin
@@ -550,23 +553,25 @@ func searchL0(l0 *controller.L0, sc *controller.Scratch, queueLen float64, lambd
 }
 
 // countL2, countL1 and countL0 count a level's decision and explored
-// states (the §4.3 overhead) and write its flight records, for a decision
-// that returned only: a tripped or panicking search counts nothing and
-// writes no record. Within a tick the records come L2, then each module's
-// L1, then the L0s, then the harness's tick record. start is latencyStart's
-// reading before the Decide.
+// states (the §4.3 overhead) in the record and the step's tally, and write
+// its flight records, for a decision that returned only: a tripped or
+// panicking search counts nothing and writes no record. Within a tick the
+// records come L2, then each module's L1, then the L0s, then the harness's
+// tick record. start is latencyStart's reading before the Decide.
 
 // countL2 counts an L2 decision and records one summary (Module == -1:
 // explored count, cost, latency), then one detail per module (its γ).
 func (r *run) countL2(dec controller.L2Decision, start time.Time) {
 	r.rec.L2Explored += dec.Explored
 	r.rec.L2Decisions++
+	ns := latencyNs(start)
+	r.tally.decision(obs.LevelL2, ns, dec.Explored)
 	if !r.recorder.Enabled() {
 		return
 	}
 	r.recorder.Record(obs.Record{
 		Level: obs.LevelL2, Module: -1, Comp: -1, FreqIdx: -1,
-		Explored: int32(dec.Explored), DecideNs: latencyNs(start), Cost: dec.Cost,
+		Explored: int32(dec.Explored), DecideNs: ns, Cost: dec.Cost,
 	})
 	for i, g := range dec.Gamma {
 		r.recorder.Record(obs.Record{Level: obs.LevelL2, Module: int16(i), Comp: -1, FreqIdx: -1, Gamma: g})
@@ -579,12 +584,14 @@ func (r *run) countL2(dec controller.L2Decision, start time.Time) {
 func (r *run) countL1(i int, dec controller.L1Decision, start time.Time) {
 	r.rec.L1Explored += dec.Explored
 	r.rec.L1Decisions++
+	ns := latencyNs(start)
+	r.tally.decision(obs.LevelL1, ns, dec.Explored)
 	if !r.recorder.Enabled() {
 		return
 	}
 	r.recorder.Record(obs.Record{
 		Level: obs.LevelL1, Module: int16(i), Comp: -1, FreqIdx: -1,
-		Explored: int32(dec.Explored), DecideNs: latencyNs(start), Alpha: controller.PackBools(dec.Alpha), Cost: dec.Cost,
+		Explored: int32(dec.Explored), DecideNs: ns, Alpha: controller.PackBools(dec.Alpha), Cost: dec.Cost,
 	})
 	for j, on := range dec.Alpha {
 		r.recorder.Record(obs.Record{
@@ -597,28 +604,33 @@ func (r *run) countL1(i int, dec controller.L1Decision, start time.Time) {
 func (r *run) countL0(i, j int, dec controller.L0Decision, start time.Time) {
 	r.rec.L0Explored += dec.Explored
 	r.rec.L0Decisions++
+	ns := latencyNs(start)
+	r.tally.decision(obs.LevelL0, ns, dec.Explored)
 	if !r.recorder.Enabled() {
 		return
 	}
 	r.recorder.Record(obs.Record{
 		Level: obs.LevelL0, Module: int16(i), Comp: int16(j), FreqIdx: int16(dec.FreqIdx),
-		Explored: int32(dec.Explored), DecideNs: latencyNs(start), Cost: dec.Cost,
+		Explored: int32(dec.Explored), DecideNs: ns, Cost: dec.Cost,
 	})
 }
 
-// latencyStart reads the wall clock before a Decide for its flight record's
-// latency, and only while a recorder is attached: the zero time otherwise,
-// which nothing reads.
+// latencyStart reads the wall clock before a Decide for its latency, and
+// only while a recorder or a tally is attached: the zero time otherwise,
+// which latencyNs reads as no latency.
 func (r *run) latencyStart() time.Time {
-	if !r.recorder.Enabled() {
+	if !r.recorder.Enabled() && r.tally == nil {
 		return time.Time{}
 	}
-	return time.Now() //hpm:wallclock decide latency for the flight record; observe-only, never a decision input
+	return time.Now() //hpm:wallclock decide latency for the flight record and the tally; observe-only, never a decision input
 }
 
 // latencyNs is the latency since a latencyStart reading.
 func latencyNs(start time.Time) int64 {
-	return time.Since(start).Nanoseconds() //hpm:wallclock decide latency for the flight record; observe-only, never a decision input
+	if start.IsZero() {
+		return 0
+	}
+	return time.Since(start).Nanoseconds() //hpm:wallclock decide latency for the flight record and the tally; observe-only, never a decision input
 }
 
 // recordFreq appends one T_L0 sample to computer (i, j)'s frequency series

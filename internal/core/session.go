@@ -373,23 +373,34 @@ func (s *Session) ObserveBin(count float64) (BinDecision, error) {
 // StepBin is ObserveBin without the decision payload: it ingests the bin
 // and steps the hierarchy through it, allocating nothing in steady state.
 // Callers that need the decisions in force read them with Decision, once,
-// where they escape. The controllers decide in the session's own Scratch.
+// where they escape. The controllers decide in the session's own Scratch,
+// and nothing tallies the bin.
 func (s *Session) StepBin(count float64) error {
 	if s.scratch == nil {
 		s.scratch = new(controller.Scratch)
 	}
-	return s.StepBinIn(s.scratch, count)
+	return s.StepBinIn(s.scratch, nil, count)
 }
 
-// StepBinIn is StepBin with the controllers deciding in sc, which the
-// session uses only for this call and does not keep: whoever steps many
-// sessions on one goroutine hands each the same Scratch, and every session
-// decides bit for bit as in a Scratch of its own.
-func (s *Session) StepBinIn(sc *controller.Scratch, count float64) error {
-	s.r.sc = sc
-	err := s.stepBin(count)
-	s.r.sc = nil
-	return err
+// StepBinIn is StepBin with the controllers deciding in sc, and the bin's
+// decisions and tick counters added to tl unless it is nil — what the bin
+// got through, if the step fails or panics mid-bin. The session uses sc
+// and tl only for this call and keeps neither: whoever steps many sessions
+// on one goroutine hands each the same ones, and every session decides bit
+// for bit as in a Scratch of its own.
+func (s *Session) StepBinIn(sc *controller.Scratch, tl *Tally, count float64) error {
+	s.r.sc, s.r.tally = sc, tl
+	qos, degraded, stale := s.h.TickCounts()
+	defer func() {
+		s.r.sc, s.r.tally = nil, nil
+		if tl != nil {
+			q, d, st := s.h.TickCounts()
+			tl.QoSViolations += uint64(q - qos)
+			tl.DegradedTicks += uint64(d - degraded)
+			tl.StaleObservations += uint64(st - stale)
+		}
+	}()
+	return s.stepBin(count)
 }
 
 func (s *Session) stepBin(count float64) error {

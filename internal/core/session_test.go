@@ -582,7 +582,7 @@ func TestSessionsShareScratch(t *testing.T) {
 	sc := new(controller.Scratch)
 	for bin := range bins {
 		for p, r := range shared {
-			if err := r.sess.StepBinIn(sc, load(p, bin)); err != nil {
+			if err := r.sess.StepBinIn(sc, nil, load(p, bin)); err != nil {
 				t.Fatal(err)
 			}
 			r.decs = append(r.decs, r.sess.Decision())

@@ -465,6 +465,13 @@ type Totals struct {
 	SanitizedRejects  int64
 }
 
+// TickCounts returns the tick records' QoS, Degraded and Stale so far,
+// summed: Totals.ViolationFrac's numerator, DegradedTicks and
+// StaleObservations.
+func (h *Harness) TickCounts() (qos, degraded int, stale int64) {
+	return h.violations, h.degraded, h.stale
+}
+
 // Totals reads the run's aggregate outcomes; call after Finish.
 func (h *Harness) Totals() Totals {
 	out := Totals{

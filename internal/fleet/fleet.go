@@ -16,8 +16,8 @@
 // the last job to finish signals. Whole-fleet reads never hop once per
 // tenant: States, Snapshot and a journal append are one sweep — one job
 // per shard that visits the shard's tenants in bounded slices. The one
-// piece of shard state read under a mutex is the shard's telemetry fold,
-// which the shards keep as the bins step: TelemetrySummary reads it
+// piece of shard state read under a mutex is the shard's telemetry, which
+// each step counts into as it decides: TelemetrySummary reads it
 // without joining any queue, so a scrape never waits behind ingest. The
 // shard loops run under the context-aware fan-out in internal/par, so
 // closing the fleet stops them promptly.
@@ -200,15 +200,13 @@ func (f *Fleet) wait(c *completion) error {
 // shard executes the jobs of its assigned tenants serially.
 type shard struct {
 	jobs chan job
-	// The shard's share of the fleet-wide telemetry fold, kept current as
-	// its tenants step (see fold): the cumulative totals and the rankings
-	// of its registered tenants. Only the shard goroutine writes them, under
+	// The shard's share of the fleet-wide telemetry, kept current as its
+	// tenants step (see count): the cumulative totals and the rankings of
+	// its registered tenants. Only the shard goroutine writes them, under
 	// mu; TelemetrySummary reads them under mu from any goroutine.
 	mu  sync.Mutex
-	agg TelemetryTotals
+	agg core.Tally
 	top TelemetryRankings
-	// foldBuf is the scratch a tenant's new records are decoded into.
-	foldBuf []obs.Record
 	// idx is the shard's position in the fleet, which picks its buffer in
 	// a capture (see capture.bufs).
 	idx int
@@ -219,6 +217,9 @@ type shard struct {
 	// steps, whichever tenant it belongs to: the tenants keep only their
 	// state, and it grows to the largest tenant shape the shard has served.
 	scratch controller.Scratch
+	// tally counts the decisions and tick counters of the step in
+	// progress, whichever tenant's; count moves it into agg after it.
+	tally core.Tally
 	// operational sums the shard's registered tenants' operational
 	// computers as of their last decisions. Atomic because a restored
 	// tenant brings its count in at admission, off the shard.
@@ -294,10 +295,10 @@ func (f *Fleet) exec(t *tenant, fn func()) error {
 // entry only after a bin applies cleanly, so a tenant that panicked before
 // its bin began checkpoints to exactly the pre-fault state; one that
 // stopped inside the bin — by a panic or an error — is halted (see
-// haltState) and quarantined with it. A clean bin's
-// flight-recorder records are folded into the shard's telemetry aggregate
-// before anything else can overwrite them. A step that reaches the shard
-// behind the tenant's close job finds the tenant gone.
+// haltState) and quarantined with it. Whatever the step decided, a
+// faulted bin's partial output included, is counted into the shard's
+// telemetry before the shard steps anything else. A step that reaches the
+// shard behind the tenant's close job finds the tenant gone.
 func (f *Fleet) stepTenant(t *tenant, count float64) (err error) {
 	if t.closed {
 		return ErrNotFound
@@ -310,16 +311,16 @@ func (f *Fleet) stepTenant(t *tenant, count float64) (err error) {
 			err = f.quarantine(t, v)
 		}
 	}()
+	defer t.home.count(t)
 	if f.failpoint != nil {
 		f.failpoint(t.id, count)
 	}
-	if err := t.step(&t.home.scratch, count); err != nil {
+	if err := t.step(&t.home.scratch, &t.home.tally, count); err != nil {
 		if t.sess.Halted() {
 			return f.latch(t, err)
 		}
 		return err
 	}
-	t.home.fold(t)
 	return nil
 }
 
@@ -545,14 +546,10 @@ func (f *Fleet) CloseTenant(id string) (*core.Record, error) {
 		}
 		t.closed = true
 		// Released on the home shard; the store drops what this tenant
-		// held last. Before that the shard folds what the recorder gained
-		// since the last clean bin — the drain's ticks, a faulted bin's
-		// partial output — so the fleet totals keep all of it.
+		// held last. The drain decides nothing, so the fleet totals already
+		// hold all the tenant counted.
 		defer t.mgr.Release()
-		defer func() {
-			t.home.fold(t)
-			t.home.forget(f, t)
-		}()
+		defer t.home.forget(f, t)
 		if t.quarantined.Load() {
 			ferr = ErrTenantQuarantined
 			return

@@ -21,8 +21,6 @@ import (
 // wedged and its one queue slot taken, ObserveBatch rejects while a
 // concurrent Observe waits, then applies. What the one-entry path
 // allocates is TestObserveIntoWarmAllocs'.
-//
-//hpm:pin mechanics
 func TestObserveIsOneEntryBatch(t *testing.T) {
 	tc := batchTenantConfig(3)
 	tc.TelemetryRecords = 512

@@ -740,7 +740,7 @@ func restoreTenant(s tenantSnap, store *core.ArtifactStore, sc *controller.Scrat
 		t.bins = s.Bins
 	}
 	for _, count := range s.Observations {
-		if err := t.step(sc, count); err != nil {
+		if err := t.step(sc, nil, count); err != nil { // reconstruction, not work this fleet did: not tallied
 			t.mgr.Release()
 			return nil, fmt.Errorf("fleet: tenant %s replay: %w", s.ID, err)
 		}
@@ -748,9 +748,6 @@ func restoreTenant(s tenantSnap, store *core.ArtifactStore, sc *controller.Scrat
 	if s.Quarantined {
 		t.quarantined.Store(true)
 	}
-	// The restore is reconstruction, not work this fleet did: the
-	// telemetry fold starts past it.
-	t.cursor = t.mgr.Recorder().Total()
 	t.operational = t.sess.Operational()
 	if t.halt != nil && t.halt.Decision != nil {
 		t.operational = t.halt.Decision.Operational

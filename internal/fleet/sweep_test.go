@@ -333,11 +333,11 @@ func TestTelemetrySummaryIgnoresBusyShard(t *testing.T) {
 // summaries, state listings, snapshots and journal appends run against
 // batched ingest while tenants are created and closed under them. No sweep
 // that starts after a CloseTenant returned may still see that tenant, and
-// when the dust settles the fleet-wide fold equals that of a twin fleet
-// fed the same bins one tenant at a time — closed tenants included. The
-// race it looks for: a telemetry read takes each shard's fold under the
-// shard's lock, from outside the shard, while the shard writes that fold
-// as bins step and swaps in ranking rebuilds as tenants close.
+// when the dust settles the fleet-wide telemetry equals that of a twin
+// fleet fed the same bins one tenant at a time — closed tenants included.
+// The race it looks for: a telemetry read takes each shard's totals under
+// the shard's lock, from outside the shard, while the shard counts into
+// them as bins step and swaps in ranking rebuilds as tenants close.
 //
 //hpm:pin scrape
 func TestSweepRaceAgainstLifecycle(t *testing.T) {
@@ -485,14 +485,14 @@ func TestSweepRaceAgainstLifecycle(t *testing.T) {
 	for _, sum := range []*TelemetrySummary{&got, &want} {
 		for l := range sum.Levels {
 			sum.Levels[l].DecideNs = 0
-			sum.Levels[l].DecideBuckets = [len(decideBoundsNs)]uint64{}
+			clear(sum.Levels[l].DecideBuckets[:])
 		}
 	}
 	if got != want {
-		t.Errorf("fold after the concurrent run:\n%+v\nsequential twin:\n%+v", got, want)
+		t.Errorf("telemetry after the concurrent run:\n%+v\nsequential twin:\n%+v", got, want)
 	}
 	if got.Levels[0].Decisions == 0 || got.QoSViolations == 0 || got.Operational == 0 {
-		t.Errorf("the run folded nothing to compare: %+v", got)
+		t.Errorf("the run counted nothing to compare: %+v", got)
 	}
 	if n := f.Stats().Tenants; n != stable {
 		t.Errorf("%d tenants registered after the run, want %d", n, stable)

@@ -1,51 +1,6 @@
 package fleet
 
-import "hierctl/internal/obs"
-
-// The bucket upper bounds of the fleet-wide decision histograms: decide
-// latency in nanoseconds (1 µs .. 1 s by decades) and states explored per
-// decision. A value above the last bound counts only toward the total, the
-// implicit +Inf bucket of a Prometheus histogram.
-var (
-	decideBoundsNs = [...]int64{1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9}
-	exploredBounds = [...]int32{1, 10, 100, 1e3, 1e4, 1e5}
-)
-
-// TelemetryDecideBounds returns the decide-latency bucket bounds of
-// LevelTelemetry.DecideBuckets, in seconds.
-func TelemetryDecideBounds() []float64 {
-	out := make([]float64, len(decideBoundsNs))
-	for i, ns := range decideBoundsNs {
-		out[i] = float64(ns) / 1e9
-	}
-	return out
-}
-
-// TelemetryExploredBounds returns the bucket bounds of
-// LevelTelemetry.ExploredBuckets.
-func TelemetryExploredBounds() []float64 {
-	out := make([]float64, len(exploredBounds))
-	for i, n := range exploredBounds {
-		out[i] = float64(n)
-	}
-	return out
-}
-
-// TelemetryLevels are the hierarchy levels TelemetrySummary.Levels is
-// indexed by: the controllers, in obs.Level order.
-var TelemetryLevels = [...]obs.Level{obs.LevelL0, obs.LevelL1, obs.LevelL2}
-
-// LevelTelemetry is one hierarchy level's decisions across the fleet,
-// cumulative since the fleet started: one sample per decision (an L0
-// record, an L1 or L2 summary record). Bucket i counts the samples at or
-// under bound i and above bound i-1.
-type LevelTelemetry struct {
-	Decisions       uint64
-	DecideNs        int64 // summed decide latency
-	Explored        int64 // summed states explored
-	DecideBuckets   [len(decideBoundsNs)]uint64
-	ExploredBuckets [len(exploredBounds)]uint64
-}
+import "hierctl/internal/core"
 
 // TopK is how many tenants each worst-tenant ranking of TelemetrySummary
 // names: a constant, so a metrics scrape's size does not depend on the
@@ -107,53 +62,20 @@ func (top *TopTenants) raise(id string, count uint64) {
 	top.add(id, count)
 }
 
-// TelemetryTotals is the cumulative part of the fleet-wide telemetry fold
-// — what a shard accumulates at step time. It only grows: tenants closed
-// since keep their contribution. A restored tenant's checkpointed history
-// is not counted, like Stats.Observations.
-type TelemetryTotals struct {
-	// Levels holds the per-level decision histograms, indexed like
-	// TelemetryLevels.
-	Levels [len(TelemetryLevels)]LevelTelemetry
-	// QoSViolations and DegradedTicks count control periods whose interval
-	// mean response exceeded the target / that were decided through the
-	// deterministic fallback; StaleObservations counts module observations
-	// the input sanitizer held at the last good value.
-	QoSViolations, DegradedTicks, StaleObservations uint64
-	// Dropped counts flight-recorder records overwritten before the fold
-	// read them — possible only for a ring smaller than one bin's output.
-	Dropped uint64
-}
-
-func (a *TelemetryTotals) add(b *TelemetryTotals) {
-	for l := range a.Levels {
-		to, from := &a.Levels[l], &b.Levels[l]
-		to.Decisions += from.Decisions
-		to.DecideNs += from.DecideNs
-		to.Explored += from.Explored
-		for i := range to.DecideBuckets {
-			to.DecideBuckets[i] += from.DecideBuckets[i]
-		}
-		for i := range to.ExploredBuckets {
-			to.ExploredBuckets[i] += from.ExploredBuckets[i]
-		}
-	}
-	a.QoSViolations += b.QoSViolations
-	a.DegradedTicks += b.DegradedTicks
-	a.StaleObservations += b.StaleObservations
-	a.Dropped += b.Dropped
-}
-
 // TelemetryRankings names the registered tenants with the largest
 // cumulative counts, per counter.
 type TelemetryRankings struct {
 	QoS, Degraded, Stale TopTenants
 }
 
-// TelemetrySummary is the fleet-wide fold of the tenants' flight
-// recorders: fixed-size whatever the number of tenants.
+// TelemetrySummary is the fleet-wide telemetry: fixed-size whatever the
+// number of tenants.
 type TelemetrySummary struct {
-	TelemetryTotals
+	// Tally is the cumulative part, what the shards' tallies counted as
+	// their tenants stepped. It only grows: tenants closed since keep their
+	// contribution. A restored tenant's checkpointed history is not
+	// counted, like Stats.Observations: its replay steps without a tally.
+	core.Tally
 	// Operational is the number of operational computers across the
 	// registered tenants, as of each tenant's last decision.
 	Operational int
@@ -161,89 +83,40 @@ type TelemetrySummary struct {
 	Top TelemetryRankings
 }
 
-// fold adds the records t's flight recorder gained since t.cursor to the
-// shard's aggregate and t's own counters, and keeps the shard's rankings
-// and operational count current with them. Runs on the shard goroutine,
-// right after a bin stepped, so the ring needs to hold one bin's records
-// for none to be lost, however rarely anyone scrapes. The records are
-// decoded before s.mu is taken, so a scrape waits for at most one
-// tenant's fold.
+// count moves what t's step decided — the shard's tally, a bin's partial
+// output included when the step stopped mid-bin — into the shard's totals
+// and t's counters, keeps the rankings and operational count current with
+// them, and empties the tally for the next step. Runs on the shard
+// goroutine after every step, however it ended, so a faulted bin counts
+// for the tenant that ran it and nothing carries into the next tenant's.
 //
 //hpm:hotpath
-func (s *shard) fold(t *tenant) {
-	if op := t.sess.Operational(); op != t.operational {
+func (s *shard) count(t *tenant) {
+	if op := t.sess.Operational(); op != t.operational { // as of the last clean bin
 		s.operational.Add(int64(op - t.operational))
 		t.operational = op
 	}
-	rec := t.mgr.Recorder()
-	if rec == nil {
-		return
-	}
-	var dropped uint64
-	if oldest := rec.Oldest(); t.cursor < oldest {
-		dropped = oldest - t.cursor
-	}
-	s.foldBuf, t.cursor = rec.Since(s.foldBuf[:0], t.cursor)
+	tl := &s.tally
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.agg.Dropped += dropped
-	qos, degraded, stale := t.qos, t.degraded, t.stale
-	for i := range s.foldBuf {
-		r := &s.foldBuf[i]
-		switch r.Level {
-		case obs.LevelTick:
-			if r.QoS {
-				t.qos++
-			}
-			if r.Degraded {
-				t.degraded++
-			}
-			if r.Stale > 0 {
-				t.stale += uint64(r.Stale)
-			}
-			continue
-		case obs.LevelL1:
-			if r.Comp != -1 { // per-computer detail row
-				continue
-			}
-		case obs.LevelL2:
-			if r.Module != -1 { // per-module detail row
-				continue
-			}
-		}
-		lv := &s.agg.Levels[r.Level-obs.LevelL0]
-		lv.Decisions++
-		lv.DecideNs += r.DecideNs
-		lv.Explored += int64(r.Explored)
-		for b, bound := range decideBoundsNs {
-			if r.DecideNs <= bound {
-				lv.DecideBuckets[b]++
-				break
-			}
-		}
-		for b, bound := range exploredBounds {
-			if r.Explored <= bound {
-				lv.ExploredBuckets[b]++
-				break
-			}
-		}
-	}
-	if t.qos != qos {
-		s.agg.QoSViolations += t.qos - qos
+	s.agg.Add(tl)
+	if tl.QoSViolations != 0 {
+		t.qos += tl.QoSViolations
 		s.top.QoS.raise(t.id, t.qos)
 	}
-	if t.degraded != degraded {
-		s.agg.DegradedTicks += t.degraded - degraded
+	if tl.DegradedTicks != 0 {
+		t.degraded += tl.DegradedTicks
 		s.top.Degraded.raise(t.id, t.degraded)
 	}
-	if t.stale != stale {
-		s.agg.StaleObservations += t.stale - stale
+	if tl.StaleObservations != 0 {
+		t.stale += tl.StaleObservations
 		s.top.Stale.raise(t.id, t.stale)
 	}
+	*tl = core.Tally{}
 }
 
 // forget takes a closing tenant out of the shard's operational count and
-// rankings. Runs in the tenant's close job, after its last fold. Leaving a
+// rankings. Runs in the tenant's close job, after its last step. Leaving a
 // full ranking opens a place for a tenant outside it, which only a pass
 // over the shard's tenants can find (rare: a fleet has K such tenants per
 // counter); any other departure leaves the rankings exact as they are.
@@ -277,8 +150,8 @@ func (s *shard) forget(f *Fleet, t *tenant) {
 	s.mu.Unlock()
 }
 
-// TelemetrySummary returns the fleet-wide telemetry fold: it reads each
-// shard's share — what the shard accumulated as its tenants stepped —
+// TelemetrySummary returns the fleet-wide telemetry: it reads each
+// shard's share — what the shard counted as its tenants stepped —
 // under that shard's lock, one shard at a time, and sums and merges them.
 // No tenant is visited and no shard queue is joined, so the cost depends
 // on neither the number of tenants nor the ingest queued on the shards.
@@ -290,7 +163,7 @@ func (f *Fleet) TelemetrySummary() (TelemetrySummary, error) {
 	for _, s := range f.shards {
 		out.Operational += int(s.operational.Load())
 		s.mu.Lock()
-		out.TelemetryTotals.add(&s.agg)
+		out.Tally.Add(&s.agg)
 		for k := range s.top.QoS {
 			out.Top.QoS.add(s.top.QoS[k].ID, s.top.QoS[k].Count)
 			out.Top.Degraded.add(s.top.Degraded[k].ID, s.top.Degraded[k].Count)

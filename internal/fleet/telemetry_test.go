@@ -2,12 +2,14 @@ package fleet
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"slices"
 	"strings"
 	"testing"
 
 	"hierctl/internal/cluster"
+	"hierctl/internal/core"
 	"hierctl/internal/obs"
 )
 
@@ -295,4 +297,188 @@ func TestTelemetryRecordsBounded(t *testing.T) {
 	if err := f2.Restore(bytes.NewReader(snap.Bytes())); err != nil {
 		t.Fatalf("the unedited snapshot does not restore: %v", err)
 	}
+}
+
+// recordTally counts recs the way a step counts its decisions, without the
+// buckets: one decision per L0 record and per L1 and L2 summary record,
+// and the tick records' counters.
+func recordTally(recs []obs.Record) core.Tally {
+	var tl core.Tally
+	for _, r := range recs {
+		switch {
+		case r.Level == obs.LevelTick:
+			if r.QoS {
+				tl.QoSViolations++
+			}
+			if r.Degraded {
+				tl.DegradedTicks++
+			}
+			tl.StaleObservations += uint64(r.Stale)
+		case r.Level == obs.LevelL0, r.Level == obs.LevelL1 && r.Comp == -1, r.Level == obs.LevelL2 && r.Module == -1:
+			lv := &tl.Levels[r.Level-obs.LevelL0]
+			lv.Decisions++
+			lv.DecideNs += r.DecideNs
+			lv.Explored += int64(r.Explored)
+		}
+	}
+	return tl
+}
+
+// tallyGain is what after counted beyond before. Without timed, the
+// wall-clock fields are zeroed; without buckets, the buckets are.
+func tallyGain(after, before core.Tally, timed, buckets bool) core.Tally {
+	d := after
+	for l := range d.Levels {
+		lv, b := &d.Levels[l], &before.Levels[l]
+		lv.Decisions -= b.Decisions
+		lv.DecideNs -= b.DecideNs
+		lv.Explored -= b.Explored
+		for i := range lv.DecideBuckets {
+			lv.DecideBuckets[i] -= b.DecideBuckets[i]
+		}
+		for i := range lv.ExploredBuckets {
+			lv.ExploredBuckets[i] -= b.ExploredBuckets[i]
+		}
+		if !timed {
+			lv.DecideNs = 0
+			clear(lv.DecideBuckets[:])
+		}
+		if !buckets {
+			clear(lv.DecideBuckets[:])
+			clear(lv.ExploredBuckets[:])
+		}
+	}
+	d.QoSViolations -= before.QoSViolations
+	d.DegradedTicks -= before.DegradedTicks
+	d.StaleObservations -= before.StaleObservations
+	return d
+}
+
+func summaryTally(t *testing.T, f *Fleet) core.Tally {
+	t.Helper()
+	sum, err := f.TelemetrySummary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sum.Tally
+}
+
+// TestRestoredHistoryIsNotCounted: a restore replays a tenant's
+// checkpointed bins, which is reconstruction, not work the restoring fleet
+// did. Its TelemetrySummary counts nothing after the restore, and one more
+// bin adds exactly what the same bin added in the original fleet, up to
+// the wall-clock latency.
+func TestRestoredHistoryIsNotCounted(t *testing.T) {
+	f1 := New(Config{Shards: 1})
+	defer f1.Close()
+	if err := f1.CreateTenant("a", telemetryTenantConfig(64)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if _, err := f1.Observe("a", 600+50*float64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := f1.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	f2 := New(Config{Shards: 1})
+	defer f2.Close()
+	if err := f2.Restore(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	if got := summaryTally(t, f2); got != (core.Tally{}) {
+		t.Fatalf("the restore counted the replayed history: %+v", got)
+	}
+	before := summaryTally(t, f1)
+	for _, f := range []*Fleet{f1, f2} {
+		if _, err := f.Observe("a", 3000); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := tallyGain(summaryTally(t, f1), before, false, true)
+	got := tallyGain(summaryTally(t, f2), core.Tally{}, false, true)
+	if got != want {
+		t.Errorf("the restored fleet's bin counted\n%+v\nthe original's\n%+v", got, want)
+	}
+	if want.Levels[0].Decisions == 0 || want.QoSViolations == 0 {
+		t.Errorf("the bin counted nothing to compare: %+v", want)
+	}
+}
+
+// TestHaltedBinCountsForItsTenant: a step that stops mid-bin has decided
+// part of the bin. Those decisions count, and for the tenant that made
+// them: the fleet totals and the tenant's ranking hold exactly what its
+// flight records show, and the next tenant stepped on the same shard adds
+// only its own bin's decisions.
+func TestHaltedBinCountsForItsTenant(t *testing.T) {
+	f := New(Config{Shards: 1})
+	defer f.Close()
+	tc := quarantineTenantConfig()
+	tc.TelemetryRecords = 1 << 12
+	for _, id := range []string{"a", "b"} {
+		if err := f.CreateTenant(id, tc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const cleanBins = 2
+	for b := 0; b < cleanBins; b++ {
+		for _, id := range []string{"a", "b"} {
+			if _, err := f.Observe(id, 3000); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	clean, err := f.TelemetrySummary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	haltAfterBin(t, f, "a", cleanBins)
+	if _, err := f.Observe("a", 3000); !errors.Is(err, ErrTenantQuarantined) {
+		t.Fatalf("observe into the armed fault: %v, want ErrTenantQuarantined", err)
+	}
+	recsA, _, err := f.Telemetry("a", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recsB, cursorB, err := f.Telemetry("b", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromA, fromB := recordTally(recsA), recordTally(recsB)
+	want := fromA
+	want.Add(&fromB)
+	sum, err := f.TelemetrySummary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tallyGain(sum.Tally, core.Tally{}, true, false); got != want {
+		t.Fatalf("after a halted bin the totals hold\n%+v\nthe flight records\n%+v", got, want)
+	}
+	if n, was := rankedCount(&sum.Top.QoS, "a"), rankedCount(&clean.Top.QoS, "a"); n != fromA.QoSViolations || n <= was {
+		t.Errorf("tenant a ranks at %d QoS violations (%d after its clean bins), its records show %d", n, was, fromA.QoSViolations)
+	}
+
+	before := sum.Tally
+	if _, err := f.Observe("b", 3000); err != nil {
+		t.Fatal(err)
+	}
+	newB, _, err := f.TelemetrySince("b", cursorB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := tallyGain(summaryTally(t, f), before, true, false), recordTally(newB); got != want || want.Levels[0].Decisions == 0 {
+		t.Errorf("tenant b's next bin counted\n%+v\nits flight records\n%+v", got, want)
+	}
+}
+
+// rankedCount is id's count in top, 0 if it is not ranked.
+func rankedCount(top *TopTenants, id string) uint64 {
+	for _, e := range top {
+		if e.ID == id {
+			return e.Count
+		}
+	}
+	return 0
 }

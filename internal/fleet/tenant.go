@@ -43,7 +43,8 @@ type TenantConfig struct {
 	Failures []workload.FailureEvent
 	// TelemetryRecords sizes the tenant's decision flight recorder (the
 	// retained window of per-tick and per-controller records served by
-	// Fleet.Telemetry); 0 disables recording, and at most 1 << 20. The
+	// Fleet.Telemetry, which TelemetrySummary does not read); 0 disables
+	// recording, and at most 1 << 20. The
 	// recorder is allocated at create (obs.NewRecorder gives its bytes a
 	// record). Part of the configuration, so snapshots persist it; the
 	// ring itself is ephemeral — a restored tenant's starts empty, its
@@ -136,11 +137,9 @@ type tenant struct {
 	// (see haltState); nil while the session can step.
 	halt *haltState
 
-	// The tenant's share of the step-time telemetry fold (see shard.fold):
-	// how far its flight recorder has been folded, the operational
-	// computers after the last clean bin, and the three cumulative tick
-	// counters the shard's worst-tenant rankings go by.
-	cursor               uint64
+	// The tenant's share of the shard's telemetry (see shard.count): the
+	// operational computers after the last clean bin, and the three
+	// cumulative tick counters the shard's worst-tenant rankings go by.
 	operational          int
 	qos, degraded, stale uint64
 
@@ -215,12 +214,13 @@ func newTenant(id string, tc TenantConfig, artifacts *core.ArtifactStore) (_ *te
 // with sess.Decision there. Every bin a tenant ever applies passes through
 // here — live, batched or replayed — so this is where its count is checked.
 // The controllers decide in sc, the Scratch of the goroutine stepping the
-// tenant: its home shard's, or a restore worker's.
-func (t *tenant) step(sc *controller.Scratch, count float64) error {
+// tenant — its home shard's, or a restore worker's — and the decisions
+// are counted into tl, the home shard's tally (nil in a restore).
+func (t *tenant) step(sc *controller.Scratch, tl *core.Tally, count float64) error {
 	if err := CheckBinCount(count); err != nil {
 		return fmt.Errorf("fleet: tenant %s bin %d: %w", t.id, t.bins, err)
 	}
-	if err := t.sess.StepBinIn(sc, count); err != nil {
+	if err := t.sess.StepBinIn(sc, tl, count); err != nil {
 		return err
 	}
 	t.bins++

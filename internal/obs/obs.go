@@ -187,8 +187,8 @@ type Recorder struct {
 	tick  int64  // current engine tick, stamped onto writes
 	// next is what the next record is coded against.
 	next pred
-	// hint is where the last read ended; reads from there on (the fleet
-	// folds each bin's records as it steps) walk nothing.
+	// hint is where the last read ended; reads from there on (a poller
+	// resuming from the cursor its last read returned) walk nothing.
 	hint mark
 }
 
