@@ -81,11 +81,11 @@ type server struct {
 	// (shard-queue wait + step), fleet-wide.
 	observeLatency metrics.FixedHistogram
 	// The decisions and tick counters the shards count as their tenants
-	// step, set from Fleet.TelemetrySummary at scrape time: fleet-wide totals, the
-	// per-level decision histograms, and the worst tenants per counter — at
-	// most hierctl.FleetTopK series each, so no family grows with the
-	// tenant count. Per-tenant detail is served by /v1/tenants/{id}/state
-	// and /telemetry.
+	// step, set from the same Fleet.Stats at scrape time: fleet-wide
+	// totals, the per-level decision histograms, and the worst tenants per
+	// counter — at most hierctl.FleetTopK series each, so no family grows
+	// with the tenant count. Per-tenant detail is served by
+	// /v1/tenants/{id}/state and /telemetry.
 	qosViolations, degradedTicks, staleObs metrics.Counter
 	operational                            metrics.Gauge
 	levelDecide, levelExplored             *metrics.HistogramVec
@@ -1094,13 +1094,14 @@ func (s *server) handleTelemetry(w http.ResponseWriter, r *http.Request, id stri
 
 // handleMetrics renders the fleet counters and the decision telemetry in
 // the Prometheus text exposition format (the internal registry — no client
-// library). Every series is set from the fleet's authoritative counters at
-// scrape time: Stats, and one telemetry read — each shard's totals under
-// its lock, nothing per tenant and no wait behind queued ingest — of what
-// the shards counted as the bins stepped; no flight record is read. No family has a series per tenant, so the output
-// does not grow with the tenant count. A warm scrape allocates nothing
-// here: the reads and the render reuse the server's metricsScratch, and
-// the rendered bytes go straight to the response.
+// library). Every series is set at scrape time from one read of the
+// fleet's counters, Stats — each shard's totals under its lock, nothing
+// per tenant and no wait behind queued ingest, no flight record read —
+// plus the shard queue depths and the journal's sizes. No family has a
+// series per tenant, so the output does not grow with the tenant count. A
+// warm scrape allocates nothing here: the reads and the render reuse the
+// server's metricsScratch, and the rendered bytes go straight to the
+// response.
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.renderMu.Lock()
 	sc := s.metricsScratch
@@ -1116,11 +1117,6 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}()
 	stats := s.fleet.Stats()
 	sc.depths = s.fleet.QueueDepthsInto(sc.depths)
-	tel, err := s.fleet.TelemetrySummary()
-	if err != nil {
-		writeError(w, err)
-		return
-	}
 	var js hierctl.FleetJournalStats
 	if s.journal != nil {
 		js = s.journal.Stats()
@@ -1147,12 +1143,12 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.journalTail.Set(float64(js.TailBytes))
 	s.journalCompactions.SetTotal(float64(js.Compactions))
 
-	s.qosViolations.SetTotal(float64(tel.QoSViolations))
-	s.degradedTicks.SetTotal(float64(tel.DegradedTicks))
-	s.staleObs.SetTotal(float64(tel.StaleObservations))
-	s.operational.Set(float64(tel.Operational))
+	s.qosViolations.SetTotal(float64(stats.QoSViolations))
+	s.degradedTicks.SetTotal(float64(stats.DegradedTicks))
+	s.staleObs.SetTotal(float64(stats.StaleObservations))
+	s.operational.Set(float64(stats.Operational))
 	for i, level := range hierctl.FleetTelemetryLevels {
-		lv := &tel.Levels[i]
+		lv := &stats.Levels[i]
 		if lv.Decisions == 0 {
 			continue // a level no tenant has (L2 on single-module fleets) gets no series
 		}
@@ -1160,9 +1156,9 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		s.levelDecide.With(name).SetBuckets(lv.DecideBuckets[:], lv.Decisions, float64(lv.DecideNs)/1e9) //hpm:boundedlabel level enum: l0, l1, l2
 		s.levelExplored.With(name).SetBuckets(lv.ExploredBuckets[:], lv.Decisions, float64(lv.Explored)) //hpm:boundedlabel level enum: l0, l1, l2
 	}
-	setTop(s.qosTop, &tel.Top.QoS)
-	setTop(s.degradedTop, &tel.Top.Degraded)
-	setTop(s.staleTop, &tel.Top.Stale)
+	setTop(s.qosTop, &stats.Top.QoS)
+	setTop(s.degradedTop, &stats.Top.Degraded)
+	setTop(s.staleTop, &stats.Top.Stale)
 	sc.body = s.reg.AppendText(sc.body[:0])
 	s.renderMu.Unlock()
 	w.Header()["Content-Type"] = metricsContentType

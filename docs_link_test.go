@@ -1,6 +1,9 @@
 package hierctl
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -81,7 +84,129 @@ var (
 	// pinGroupMention matches a pin group named in a doc: the `x` pin
 	// group, the words possibly on two lines.
 	pinGroupMention = regexp.MustCompile("`(\\w+)`\\s+pin\\s+group")
+	// memberMention matches a member of a type named in a doc, `T.M`.
+	memberMention = regexp.MustCompile("`(\\w+)\\.(\\w+)(?:\\(\\))?`")
 )
+
+// declaredMembers parses the module's non-test Go files and returns a
+// lookup of their types' members: for a type name T (an alias included)
+// the lookup reports whether T is declared and whether it has the member
+// M, as a method, struct field or interface method, or through an
+// embedded field (named by its type) or the type an alias names. Types
+// are keyed by name alone, so same-named types of two packages pool their
+// members. A T that is also the name of one of the module's packages
+// reports no type: `series.SubSteps` names a function, not a member.
+func declaredMembers(t *testing.T) func(typ, member string) (isType, declared bool) {
+	members, packages := map[string]map[string]bool{}, map[string]bool{}
+	// inherits holds T's embedded types and the type its alias names.
+	inherits := map[string][]string{}
+	// typeName is the T of T, *T, pkg.T and T[P].
+	typeName := func(e ast.Expr) string {
+		for {
+			switch x := e.(type) {
+			case *ast.StarExpr:
+				e = x.X
+			case *ast.IndexExpr:
+				e = x.X
+			case *ast.IndexListExpr:
+				e = x.X
+			case *ast.SelectorExpr:
+				return x.Sel.Name
+			case *ast.Ident:
+				return x.Name
+			default:
+				return ""
+			}
+		}
+	}
+	add := func(typ, member string) {
+		if members[typ] == nil {
+			members[typ] = map[string]bool{}
+		}
+		if member != "" {
+			members[typ][member] = true
+		}
+	}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") && path != "."):
+			return filepath.SkipDir
+		case !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go"):
+			return nil
+		}
+		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		packages[file.Name.Name] = true
+		for _, decl := range file.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv != nil {
+				add(typeName(fn.Recv.List[0].Type), fn.Name.Name)
+			}
+			gen, ok := decl.(*ast.GenDecl)
+			if !ok {
+				continue
+			}
+			for _, spec := range gen.Specs {
+				ts, ok := spec.(*ast.TypeSpec)
+				if !ok {
+					continue
+				}
+				name := ts.Name.Name
+				add(name, "")
+				var list *ast.FieldList
+				switch x := ts.Type.(type) {
+				case *ast.StructType:
+					list = x.Fields
+				case *ast.InterfaceType:
+					list = x.Methods
+				default:
+					if ts.Assign.IsValid() {
+						inherits[name] = append(inherits[name], typeName(x))
+					}
+				}
+				if list == nil {
+					continue
+				}
+				for _, f := range list.List {
+					for _, n := range f.Names {
+						add(name, n.Name)
+					}
+					if len(f.Names) == 0 {
+						add(name, typeName(f.Type))
+						inherits[name] = append(inherits[name], typeName(f.Type))
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var has func(typ, member string, seen map[string]bool) bool
+	has = func(typ, member string, seen map[string]bool) bool {
+		if seen[typ] {
+			return false
+		}
+		seen[typ] = true
+		if members[typ][member] {
+			return true
+		}
+		for _, e := range inherits[typ] {
+			if has(e, member, seen) {
+				return true
+			}
+		}
+		return false
+	}
+	return func(typ, member string) (bool, bool) {
+		return members[typ] != nil && !packages[typ], has(typ, member, map[string]bool{})
+	}
+}
 
 // TestDocsDescribeThePresent keeps README.md and docs/ARCHITECTURE.md
 // about the current code: history lives in CHANGES.md, so neither cites a
@@ -89,7 +214,9 @@ var (
 // step or job either names (CI `name`) is one the workflow has, every
 // test, fuzz target or benchmark either names (`TestX`) is declared in a
 // _test.go file, every "`x` pin group" either names is one of
-// directive.PinGroups, and ARCHITECTURE names each of those that way.
+// directive.PinGroups, ARCHITECTURE names each of those that way, and
+// every `T.M` either names, where T is a type the module declares, names
+// a method or struct field of T.
 func TestDocsDescribeThePresent(t *testing.T) {
 	workflow, err := os.ReadFile(filepath.Join(".github", "workflows", "ci.yml"))
 	if err != nil {
@@ -122,6 +249,7 @@ func TestDocsDescribeThePresent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	member := declaredMembers(t)
 	var maps []string
 	for _, file := range []string{"README.md", filepath.Join("docs", "ARCHITECTURE.md")} {
 		data, err := os.ReadFile(file)
@@ -146,6 +274,13 @@ func TestDocsDescribeThePresent(t *testing.T) {
 			if name := string(data[m[2]:m[3]]); !tests[name] {
 				line := 1 + strings.Count(string(data[:m[0]]), "\n")
 				t.Errorf("%s:%d names `%s`, which no _test.go declares", file, line, name)
+			}
+		}
+		for _, m := range memberMention.FindAllStringSubmatchIndex(string(data), -1) {
+			typ, name := string(data[m[2]:m[3]]), string(data[m[4]:m[5]])
+			if isType, declared := member(typ, name); isType && !declared {
+				line := 1 + strings.Count(string(data[:m[0]]), "\n")
+				t.Errorf("%s:%d names `%s.%s`, but %s declares no method or field %s", file, line, typ, name, typ, name)
 			}
 		}
 		named := map[string]bool{}

@@ -62,10 +62,10 @@ type FleetBenchRow struct {
 	AllocBytesPerBin float64 `json:"allocBytesPerBin"`
 	AllocsPerBin     float64 `json:"allocsPerBin"`
 	// ScrapeMicros and ScrapeAllocBytes price what a /metrics scrape asks
-	// of the fleet — one Fleet.TelemetrySummary, on the idle fleet after
-	// the ingest rounds, median of fleetBenchScrapes: each shard's fold
-	// read under its lock, no shard queue joined and nothing per tenant,
-	// so the bytes are zero at every scale (the time is informational,
+	// of the fleet — one Fleet.Stats, on the idle fleet after the ingest
+	// rounds, median of fleetBenchScrapes: each shard's counters read
+	// under its lock, no shard queue joined and nothing per tenant, so the
+	// bytes are zero at every scale (the time is informational,
 	// wall-clock).
 	ScrapeMicros     float64 `json:"scrapeMicros"`
 	ScrapeAllocBytes float64 `json:"scrapeAllocBytes"`
@@ -198,30 +198,28 @@ func observeRound(f *fleet.Fleet, dst []fleet.BatchResult, entries []fleet.Batch
 	return results, nil
 }
 
-// fleetBenchScrapes is how many telemetry sweeps a scale row's scrape
+// fleetBenchScrapes is how many counter reads a scale row's scrape
 // columns are the median of.
 const fleetBenchScrapes = 9
 
-// measureScrape times fleetBenchScrapes TelemetrySummary reads, as the
-// daemon's scrape makes them, and returns the median microseconds and
-// allocated bytes.
-func measureScrape(f *fleet.Fleet) (micros, allocBytes float64, err error) {
+// measureScrape times fleetBenchScrapes Stats reads, as the daemon's
+// scrape makes them, and returns the median microseconds and allocated
+// bytes.
+func measureScrape(f *fleet.Fleet) (micros, allocBytes float64) {
 	took := make([]float64, fleetBenchScrapes)
 	allocated := make([]float64, fleetBenchScrapes)
 	var before, after runtime.MemStats
 	for i := range took {
 		runtime.ReadMemStats(&before)
 		start := time.Now()
-		if _, err := f.TelemetrySummary(); err != nil {
-			return 0, 0, err
-		}
+		f.Stats()
 		took[i] = float64(time.Since(start).Nanoseconds()) / 1e3
 		runtime.ReadMemStats(&after)
 		allocated[i] = float64(after.TotalAlloc - before.TotalAlloc)
 	}
 	sort.Float64s(took)
 	sort.Float64s(allocated)
-	return took[len(took)/2], allocated[len(allocated)/2], nil
+	return took[len(took)/2], allocated[len(allocated)/2]
 }
 
 func runFleetBenchScale(n, bins int, count float64, verifySequential bool) (FleetBenchRow, bool, bool, error) {
@@ -283,10 +281,7 @@ func runFleetBenchScale(n, bins int, count float64, verifySequential bool) (Flee
 		g.Close()
 	}
 
-	scrapeMicros, scrapeAllocBytes, err := measureScrape(f)
-	if err != nil {
-		return FleetBenchRow{}, false, false, err
-	}
+	scrapeMicros, scrapeAllocBytes := measureScrape(f)
 
 	var buf bytes.Buffer
 	snapStart := time.Now()

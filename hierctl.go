@@ -107,14 +107,12 @@ type (
 	TenantConfig = fleet.TenantConfig
 	// TenantState is a tenant's progress report.
 	TenantState = fleet.TenantState
-	// FleetStats summarizes fleet-level counters.
+	// FleetStats holds the fleet's fixed-size counters, which the shards
+	// count as their tenants step (Fleet.Stats): bins, ticks and stepping
+	// time, per-level decision histograms, tick counters, and the
+	// FleetTopK worst tenants per counter.
 	FleetStats = fleet.Stats
-	// FleetTelemetry is the fixed-size fleet-wide telemetry that the
-	// shards count as their tenants decide (Fleet.TelemetrySummary):
-	// per-level decision histograms, tick counters, and the FleetTopK
-	// worst tenants per counter.
-	FleetTelemetry = fleet.TelemetrySummary
-	// FleetTopTenants is one worst-tenant ranking of a FleetTelemetry.
+	// FleetTopTenants is one worst-tenant ranking of a FleetStats.
 	FleetTopTenants = fleet.TopTenants
 	// ArtifactKindStats counts one kind of shared learning artifact in a
 	// fleet (FleetStats.Artifacts): held, learned, shared.
@@ -183,19 +181,19 @@ var (
 	ErrTenantQuarantined = fleet.ErrTenantQuarantined
 )
 
-// FleetTopK is the length of a FleetTelemetry worst-tenant ranking.
+// FleetTopK is the length of a FleetStats worst-tenant ranking.
 const FleetTopK = fleet.TopK
 
-// FleetTelemetryLevels are the hierarchy levels FleetTelemetry.Levels is
+// FleetTelemetryLevels are the hierarchy levels FleetStats.Levels is
 // indexed by.
 var FleetTelemetryLevels = core.TallyLevels
 
 // FleetTelemetryDecideBounds returns the bucket bounds (seconds) of a
-// FleetTelemetry level's DecideBuckets.
+// FleetStats level's DecideBuckets.
 func FleetTelemetryDecideBounds() []float64 { return core.DecideBounds() }
 
 // FleetTelemetryExploredBounds returns the bucket bounds (states) of a
-// FleetTelemetry level's ExploredBuckets.
+// FleetStats level's ExploredBuckets.
 func FleetTelemetryExploredBounds() []float64 { return core.ExploredBounds() }
 
 // NewFleet starts an online control plane hosting tenant hierarchies

@@ -3,7 +3,6 @@ package fleet
 import (
 	"slices"
 	"sync/atomic"
-	"time"
 
 	"hierctl/internal/core"
 )
@@ -34,14 +33,13 @@ type BatchResult struct {
 }
 
 // batchOut is one entry's cell in a batch call, and the job its home shard
-// runs — the only place a bin is stepped, timed and counted: the caller
-// fills t and counts (and dec, for ObserveInto) and sends the cell itself
-// down the shard queue, so an entry costs no closure. The job owns
-// applied, dec and err until it sets finished; the caller reads them only
-// after loading finished true, so a job abandoned by fleet shutdown can
-// still write its cell harmlessly — which is also why the cells of a call
-// that saw the fleet close, and the decision one was filling, are never
-// reused.
+// runs — the only place a bin is stepped: the caller fills t and counts
+// (and dec, for ObserveInto) and sends the cell itself down the shard
+// queue, so an entry costs no closure. The job owns applied, dec and err
+// until it sets finished; the caller reads them only after loading
+// finished true, so a job abandoned by fleet shutdown can still write its
+// cell harmlessly — which is also why the cells of a call that saw the
+// fleet close, and the decision one was filling, are never reused.
 type batchOut struct {
 	call   *batchCall
 	t      *tenant // nil: the entry's id did not resolve
@@ -96,10 +94,8 @@ func (f *Fleet) putCall(call *batchCall) {
 //hpm:hotpath
 func (o *batchOut) run() {
 	c, t := o.call, o.t
-	f := c.f
-	start := time.Now()
 	for _, count := range o.counts {
-		if err := f.stepTenant(t, count); err != nil {
+		if err := c.f.stepTenant(t, count); err != nil {
 			o.err = err
 			break
 		}
@@ -111,9 +107,6 @@ func (o *batchOut) run() {
 		}
 		t.sess.DecisionInto(o.dec)
 	}
-	f.observations.Add(int64(o.applied))
-	f.ticks.Add(int64(o.applied * t.sub))
-	f.decideNanos.Add(time.Since(start).Nanoseconds())
 	o.finished.Store(true)
 	c.finish()
 }

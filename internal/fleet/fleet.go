@@ -16,9 +16,9 @@
 // the last job to finish signals. Whole-fleet reads never hop once per
 // tenant: States, Snapshot and a journal append are one sweep — one job
 // per shard that visits the shard's tenants in bounded slices. The one
-// piece of shard state read under a mutex is the shard's telemetry, which
-// each step counts into as it decides: TelemetrySummary reads it
-// without joining any queue, so a scrape never waits behind ingest. The
+// piece of shard state read under a mutex is the shard's counters, which
+// each step counts into as it decides: Stats reads them without joining
+// any queue, so a scrape never waits behind ingest. The
 // shard loops run under the context-aware fan-out in internal/par, so
 // closing the fleet stops them promptly.
 //
@@ -48,6 +48,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"hierctl/internal/ckpt"
 	"hierctl/internal/controller"
@@ -115,13 +116,9 @@ type Fleet struct {
 	// it and every removal releases into it.
 	artifacts *core.ArtifactStore
 
-	observations atomic.Int64
-	ticks        atomic.Int64
-	decideNanos  atomic.Int64
 	snapshots    atomic.Int64
 	restores     atomic.Int64
 	queueRejects atomic.Int64
-	panics       atomic.Int64
 	// quarantined counts the registered tenants under quarantine: up at the
 	// latch (or when a quarantined tenant is restored), down at close.
 	quarantined atomic.Int64
@@ -200,13 +197,16 @@ func (f *Fleet) wait(c *completion) error {
 // shard executes the jobs of its assigned tenants serially.
 type shard struct {
 	jobs chan job
-	// The shard's share of the fleet-wide telemetry, kept current as its
+	// The shard's share of the fleet's counters, kept current as its
 	// tenants step (see count): the cumulative totals and the rankings of
 	// its registered tenants. Only the shard goroutine writes them, under
-	// mu; TelemetrySummary reads them under mu from any goroutine.
-	mu  sync.Mutex
-	agg core.Tally
-	top TelemetryRankings
+	// mu; Stats reads them under mu from any goroutine.
+	mu                  sync.Mutex
+	agg                 core.Tally
+	observations, ticks int64 // bins applied cleanly, and their T_L0 periods
+	stepNs              int64 // wall clock of every step
+	panics              int64 // tenant panics recovered
+	top                 TelemetryRankings
 	// idx is the shard's position in the fleet, which picks its buffer in
 	// a capture (see capture.bufs).
 	idx int
@@ -296,9 +296,10 @@ func (f *Fleet) exec(t *tenant, fn func()) error {
 // its bin began checkpoints to exactly the pre-fault state; one that
 // stopped inside the bin — by a panic or an error — is halted (see
 // haltState) and quarantined with it. Whatever the step decided, a
-// faulted bin's partial output included, is counted into the shard's
-// telemetry before the shard steps anything else. A step that reaches the
-// shard behind the tenant's close job finds the tenant gone.
+// faulted bin's partial output included, and its wall clock are counted
+// into the shard's totals before the shard steps anything else. A step
+// that reaches the shard behind the tenant's close job finds the tenant
+// gone.
 func (f *Fleet) stepTenant(t *tenant, count float64) (err error) {
 	if t.closed {
 		return ErrNotFound
@@ -311,7 +312,8 @@ func (f *Fleet) stepTenant(t *tenant, count float64) (err error) {
 			err = f.quarantine(t, v)
 		}
 	}()
-	defer t.home.count(t)
+	start, clean := time.Now(), false
+	defer func() { t.home.count(t, clean, time.Since(start).Nanoseconds()) }()
 	if f.failpoint != nil {
 		f.failpoint(t.id, count)
 	}
@@ -321,6 +323,7 @@ func (f *Fleet) stepTenant(t *tenant, count float64) (err error) {
 		}
 		return err
 	}
+	clean = true
 	return nil
 }
 
@@ -328,7 +331,10 @@ func (f *Fleet) stepTenant(t *tenant, count float64) (err error) {
 // the error the interrupted operation reports. Runs on t's home shard, on
 // a tenant that is still registered.
 func (f *Fleet) quarantine(t *tenant, v any) error {
-	f.panics.Add(1)
+	s := t.home
+	s.mu.Lock()
+	s.panics++
+	s.mu.Unlock()
 	return f.latch(t, v)
 }
 
@@ -437,11 +443,11 @@ func (f *Fleet) Observe(id string, count float64) (core.BinDecision, error) {
 // decisions now in force into dst (Session.DecisionInto: a dst an earlier
 // call filled for a tenant at least as wide costs no allocation). It is a
 // one-entry batch: the bin reaches the home shard as the same pooled cell
-// an ObserveBatch entry does and is stepped, timed, counted and copied out
-// in the same place (batchOut.run). The one difference is the enqueue,
-// which waits for room on the shard's queue where ObserveBatch rejects
-// with ErrQueueFull. Calls for the same tenant serialize on its home
-// shard; calls for different tenants run concurrently.
+// an ObserveBatch entry does and is stepped and copied out in the same
+// place (batchOut.run). The one difference is the enqueue, which waits
+// for room on the shard's queue where ObserveBatch rejects with
+// ErrQueueFull. Calls for the same tenant serialize on its home shard;
+// calls for different tenants run concurrently.
 //
 // An error leaves dst as it was, with one exception: after ErrClosed dst
 // must not be read or reused, as a job abandoned by the shutdown may still
@@ -602,13 +608,14 @@ func (f *Fleet) Tenants() []string {
 	return ids
 }
 
-// Stats summarizes fleet-level counters for the metrics endpoint.
+// Stats is what the fleet counts: fixed-size whatever the number of
+// tenants.
 type Stats struct {
 	Tenants       int
 	Shards        int
-	Observations  int64   // bins ingested across all tenants
-	Ticks         int64   // T_L0 control periods stepped
-	DecideSeconds float64 // wall-clock spent inside tenant stepping
+	Observations  int64   // bins applied cleanly across all tenants
+	Ticks         int64   // T_L0 control periods those bins stepped
+	DecideSeconds float64 // wall clock of every tenant step
 	Snapshots     int64
 	Restores      int64
 	QueueRejects  int64 // batch entries refused with ErrQueueFull
@@ -618,24 +625,53 @@ type Stats struct {
 	// holds, how many it learned, and how many tenant constructions were
 	// served one it already held.
 	Artifacts core.ArtifactStats
+	// Tally is what the shards' tallies counted as their tenants stepped.
+	// It and the bin counters only grow: tenants closed since keep their
+	// contribution. A restored tenant's checkpointed history is not
+	// counted: its replay steps on no shard.
+	core.Tally
+	// Operational is the number of operational computers across the
+	// registered tenants, as of each tenant's last decision.
+	Operational int
+	// Top ranks the registered tenants per counter.
+	Top TelemetryRankings
 }
 
-// Stats returns a snapshot of the fleet counters.
+// Stats returns the fleet's counters. It reads each shard's share — what
+// the shard counted as its tenants stepped — under that shard's lock, one
+// shard at a time, and sums and merges them. No tenant is visited and no
+// shard queue is joined, so the cost depends on neither the number of
+// tenants nor the ingest queued on the shards, and a closed fleet reports
+// what it counted.
 func (f *Fleet) Stats() Stats {
 	f.mu.RLock()
 	n := len(f.tenants)
 	f.mu.RUnlock()
-	return Stats{
-		Tenants:       n,
-		Shards:        len(f.shards),
-		Observations:  f.observations.Load(),
-		Ticks:         f.ticks.Load(),
-		DecideSeconds: float64(f.decideNanos.Load()) / 1e9,
-		Snapshots:     f.snapshots.Load(),
-		Restores:      f.restores.Load(),
-		QueueRejects:  f.queueRejects.Load(),
-		Panics:        f.panics.Load(),
-		Quarantined:   int(f.quarantined.Load()),
-		Artifacts:     f.artifacts.Stats(),
+	st := Stats{
+		Tenants:      n,
+		Shards:       len(f.shards),
+		Snapshots:    f.snapshots.Load(),
+		Restores:     f.restores.Load(),
+		QueueRejects: f.queueRejects.Load(),
+		Quarantined:  int(f.quarantined.Load()),
+		Artifacts:    f.artifacts.Stats(),
 	}
+	var stepNs int64
+	for _, s := range f.shards {
+		st.Operational += int(s.operational.Load())
+		s.mu.Lock()
+		st.Tally.Add(&s.agg)
+		st.Observations += s.observations
+		st.Ticks += s.ticks
+		stepNs += s.stepNs
+		st.Panics += s.panics
+		for k := range s.top.QoS {
+			st.Top.QoS.add(s.top.QoS[k].ID, s.top.QoS[k].Count)
+			st.Top.Degraded.add(s.top.Degraded[k].ID, s.top.Degraded[k].Count)
+			st.Top.Stale.add(s.top.Stale[k].ID, s.top.Stale[k].Count)
+		}
+		s.mu.Unlock()
+	}
+	st.DecideSeconds = float64(stepNs) / 1e9
+	return st
 }

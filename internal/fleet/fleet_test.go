@@ -347,6 +347,76 @@ func TestFleetTenantLifecycleErrors(t *testing.T) {
 	}
 }
 
+// TestStatsCountCleanBins pins what the fleet's bin counters count: one
+// observation and the tenant's T_L0 periods per bin that applied cleanly,
+// and one panic per quarantine. A bin refused before it began (an unknown
+// tenant, a bad count, a fault before the bin) and one that halted inside
+// the bin count toward neither, and the entry's later bins are not tried.
+func TestStatsCountCleanBins(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		halt    string // tenant halted inside its bin 1
+		entries []BatchEntry
+		applied []int
+		panics  int64
+	}{
+		{name: "clean", entries: []BatchEntry{
+			{Tenant: "a", Counts: []float64{100, 200, 300}},
+			{Tenant: "b", Counts: []float64{150, 250}},
+			{Tenant: "a", Counts: []float64{120}},
+		}, applied: []int{3, 2, 1}},
+		{name: "unknown tenant", entries: []BatchEntry{
+			{Tenant: "ghost", Counts: []float64{100, 100}},
+			{Tenant: "b", Counts: []float64{100}},
+		}, applied: []int{0, 1}},
+		{name: "bad second count", entries: []BatchEntry{
+			{Tenant: "b", Counts: []float64{100, -1, 100}},
+			{Tenant: "a", Counts: []float64{100, math.NaN()}},
+		}, applied: []int{1, 1}},
+		{name: "fault before the bin", entries: []BatchEntry{
+			{Tenant: "b", Counts: []float64{100, panicCount, 100}},
+			{Tenant: "a", Counts: []float64{panicCount}},
+			{Tenant: "a", Counts: []float64{100}},
+		}, applied: []int{1, 0, 0}, panics: 2},
+		{name: "halt inside the bin", halt: "b", entries: []BatchEntry{
+			{Tenant: "b", Counts: []float64{100, 100, 100}},
+			{Tenant: "a", Counts: []float64{100, 100}},
+		}, applied: []int{1, 2}, panics: 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := panicFleet(t, 2)
+			for id, seconds := range map[string]float64{"a": 30, "b": 60} {
+				cfg := quarantineTenantConfig()
+				cfg.BinSeconds = seconds
+				if err := f.CreateTenant(id, cfg); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if tc.halt != "" {
+				haltAfterBin(t, f, tc.halt, 1)
+			}
+			sub := map[string]int64{"a": 1, "b": 2}
+			var observations, ticks int64
+			for i, e := range tc.entries {
+				res, err := f.ObserveBatch([]BatchEntry{e})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res[0].Applied != tc.applied[i] {
+					t.Fatalf("entry %d: %d bins applied (%v), want %d", i, res[0].Applied, res[0].Err, tc.applied[i])
+				}
+				observations += int64(res[0].Applied)
+				ticks += int64(res[0].Applied) * sub[e.Tenant]
+			}
+			st := f.Stats()
+			if st.Observations != observations || st.Ticks != ticks || st.Panics != tc.panics || st.Quarantined != int(tc.panics) {
+				t.Errorf("%d observations, %d ticks, %d panics, %d quarantined; want %d, %d, %d, %d",
+					st.Observations, st.Ticks, st.Panics, st.Quarantined, observations, ticks, tc.panics, tc.panics)
+			}
+		})
+	}
+}
+
 // TestFleetCloseIsPrompt pins the shutdown path: Close returns quickly
 // and everything afterwards reports ErrClosed.
 func TestFleetCloseIsPrompt(t *testing.T) {

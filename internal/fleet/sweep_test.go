@@ -217,11 +217,10 @@ func TestSweepYieldsInSlices(t *testing.T) {
 }
 
 // TestTelemetrySummaryAllocsFlatInTenants pins the cost of the fleet call
-// behind a metrics scrape: a warm TelemetrySummary allocates nothing and
-// reads what the first read did, whether the fleet hosts 16 tenants or 512
-// — each shard's fold is read in place, nothing per tenant. A closed fleet
-// reports ErrClosed, and a fresh fleet opened after it reads a zero
-// summary.
+// behind a metrics scrape: a warm Stats allocates nothing and reads what
+// the first read did, whether the fleet hosts 16 tenants or 512 — each
+// shard's counters are summed under its lock, nothing per tenant. A fresh
+// fleet opened after a closed one counts nothing.
 //
 //hpm:pin mechanics
 func TestTelemetrySummaryAllocsFlatInTenants(t *testing.T) {
@@ -238,40 +237,31 @@ func TestTelemetrySummaryAllocsFlatInTenants(t *testing.T) {
 		if _, err := f.ObserveBatch(entries); err != nil {
 			t.Fatal(err)
 		}
-		want, err := f.TelemetrySummary()
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := f.Stats()
 		if got := want.Levels[0].Decisions; got < uint64(2*tenants) || want.Operational < tenants || want.Top.QoS[TopK-1].Count == 0 {
 			t.Fatalf("%d tenants: %d L0 decisions, %d operational, ranking %v", tenants, got, want.Operational, want.Top.QoS)
 		}
-		var got TelemetrySummary
-		if allocs := testing.AllocsPerRun(50, func() {
-			if got, err = f.TelemetrySummary(); err != nil {
-				t.Fatal(err)
-			}
-		}); allocs != 0 {
-			t.Errorf("TelemetrySummary allocates %v times with %d tenants, want 0", allocs, tenants)
+		var got Stats
+		if allocs := testing.AllocsPerRun(50, func() { got = f.Stats() }); allocs != 0 {
+			t.Errorf("Stats allocates %v times with %d tenants, want 0", allocs, tenants)
 		}
 		if got != want {
 			t.Fatalf("%d tenants: warm read %+v, first read %+v", tenants, got, want)
 		}
 		f.Close()
-		if _, err := f.TelemetrySummary(); err != ErrClosed {
-			t.Fatalf("read of a closed fleet: %v, want ErrClosed", err)
-		}
 	}
 	g := New(Config{Shards: 2})
 	defer g.Close()
-	if sum, err := g.TelemetrySummary(); err != nil || sum != (TelemetrySummary{}) {
-		t.Fatalf("read of an empty fleet after a closed one: %v, %+v", err, sum)
+	if st := g.Stats(); st != (Stats{Shards: 2}) {
+		t.Fatalf("read of an empty fleet after a closed one: %+v", st)
 	}
 }
 
 // TestTelemetrySummaryIgnoresBusyShard: a scrape does not queue behind
 // ingest. The fleet's one shard is wedged inside a tenant's step, with
-// more bins queued behind it, and TelemetrySummary still returns — with
-// what the shard folded before the wedge — before the step is released.
+// more bins queued behind it, and Stats still returns — with what the
+// shard counted for the steps before the wedge — before the step is
+// released.
 //
 //hpm:pin scrape
 func TestTelemetrySummaryIgnoresBusyShard(t *testing.T) {
@@ -291,9 +281,9 @@ func TestTelemetrySummaryIgnoresBusyShard(t *testing.T) {
 	if _, err := f.Observe("a", 2000); err != nil {
 		t.Fatal(err)
 	}
-	before, err := f.TelemetrySummary()
-	if err != nil || before.Levels[0].Decisions == 0 {
-		t.Fatalf("summary after one bin: %v, %+v", err, before)
+	before := f.Stats()
+	if before.Levels[0].Decisions == 0 || before.Observations != 1 {
+		t.Fatalf("stats after one bin: %+v", before)
 	}
 	wedge.Store(true)
 	observed := make(chan error, 2)
@@ -304,22 +294,15 @@ func TestTelemetrySummaryIgnoresBusyShard(t *testing.T) {
 		}()
 	}
 	<-entered
-	type reply struct {
-		sum TelemetrySummary
-		err error
-	}
-	read := make(chan reply, 1)
-	go func() {
-		sum, err := f.TelemetrySummary()
-		read <- reply{sum, err}
-	}()
+	read := make(chan Stats, 1)
+	go func() { read <- f.Stats() }()
 	select {
-	case r := <-read:
-		if r.err != nil || r.sum != before {
-			t.Errorf("summary read during the wedged step: %v, %+v; want the pre-wedge %+v", r.err, r.sum, before)
+	case st := <-read:
+		if st != before {
+			t.Errorf("stats read during the wedged step: %+v; want the pre-wedge %+v", st, before)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("TelemetrySummary waited on a busy shard")
+		t.Fatal("Stats waited on a busy shard")
 	}
 	release <- struct{}{}
 	for range 2 {
@@ -379,8 +362,8 @@ func TestSweepRaceAgainstLifecycle(t *testing.T) {
 			}
 		}()
 	}
-	reader(func() error { _, err := f.TelemetrySummary(); return err })
-	reader(func() error { f.States(); f.Stats(); return nil })
+	reader(func() error { f.Stats(); return nil })
+	reader(func() error { f.States(); return nil })
 	reader(func() error { return f.Snapshot(new(bytes.Buffer)) })
 	reader(j.Append)
 
@@ -429,14 +412,9 @@ func TestSweepRaceAgainstLifecycle(t *testing.T) {
 					t.Errorf("States lists %s after CloseTenant returned", id)
 				}
 			}
-			sum, err := f.TelemetrySummary()
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			for _, e := range sum.Top.QoS {
+			for _, e := range f.Stats().Top.QoS {
 				if e.ID == id {
-					t.Errorf("TelemetrySummary ranks %s after CloseTenant returned", id)
+					t.Errorf("Stats ranks %s after CloseTenant returned", id)
 				}
 			}
 		}
@@ -472,30 +450,25 @@ func TestSweepRaceAgainstLifecycle(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, err := f.TelemetrySummary()
-	if err != nil {
-		t.Fatal(err)
+	got, want := f.Stats(), twin.Stats()
+	if got.Tenants != stable {
+		t.Errorf("%d tenants registered after the run, want %d", got.Tenants, stable)
 	}
-	want, err := twin.TelemetrySummary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Decide latencies are wall clock; everything else is a function of the
-	// bins fed.
-	for _, sum := range []*TelemetrySummary{&got, &want} {
-		for l := range sum.Levels {
-			sum.Levels[l].DecideNs = 0
-			clear(sum.Levels[l].DecideBuckets[:])
+	// Stepping time and decide latencies are wall clock, and only the
+	// concurrent fleet has three shards and took snapshots; everything
+	// else is a function of the bins fed.
+	for _, st := range []*Stats{&got, &want} {
+		st.Shards, st.Snapshots, st.DecideSeconds = 0, 0, 0
+		for l := range st.Levels {
+			st.Levels[l].DecideNs = 0
+			clear(st.Levels[l].DecideBuckets[:])
 		}
 	}
 	if got != want {
-		t.Errorf("telemetry after the concurrent run:\n%+v\nsequential twin:\n%+v", got, want)
+		t.Errorf("counters after the concurrent run:\n%+v\nsequential twin:\n%+v", got, want)
 	}
-	if got.Levels[0].Decisions == 0 || got.QoSViolations == 0 || got.Operational == 0 {
+	if got.Levels[0].Decisions == 0 || got.QoSViolations == 0 || got.Operational == 0 || got.Observations == 0 {
 		t.Errorf("the run counted nothing to compare: %+v", got)
-	}
-	if n := f.Stats().Tenants; n != stable {
-		t.Errorf("%d tenants registered after the run, want %d", n, stable)
 	}
 }
 
@@ -503,9 +476,9 @@ func TestSweepRaceAgainstLifecycle(t *testing.T) {
 // counters move instead of visiting them at scrape time, which is exact
 // only while every ranked tenant stays. Closing ranked tenants out of full
 // rankings — the one departure that makes room for a tenant nobody's
-// counter will announce — must leave TelemetrySummary equal to a ranking
-// rebuilt from every live tenant's counters, and the operational count
-// equal to the sum over their last decisions.
+// counter will announce — must leave the rankings Stats reports equal to
+// ones rebuilt from every live tenant's counters, and the operational
+// count equal to the sum over their last decisions.
 //
 //hpm:pin scrape
 func TestRankingsStayExactAcrossCloses(t *testing.T) {
@@ -524,12 +497,9 @@ func TestRankingsStayExactAcrossCloses(t *testing.T) {
 			}
 		}
 	}
-	check := func(when string) TelemetrySummary {
+	check := func(when string) Stats {
 		t.Helper()
-		got, err := f.TelemetrySummary()
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := f.Stats()
 		var want TelemetryRankings
 		operational := 0
 		for _, st := range f.States() {

@@ -2,9 +2,9 @@ package fleet
 
 import "hierctl/internal/core"
 
-// TopK is how many tenants each worst-tenant ranking of TelemetrySummary
-// names: a constant, so a metrics scrape's size does not depend on the
-// number of tenants.
+// TopK is how many tenants each worst-tenant ranking of Stats names: a
+// constant, so a metrics scrape's size does not depend on the number of
+// tenants.
 const TopK = 8
 
 // TenantCount is one entry of a worst-tenant ranking.
@@ -68,30 +68,17 @@ type TelemetryRankings struct {
 	QoS, Degraded, Stale TopTenants
 }
 
-// TelemetrySummary is the fleet-wide telemetry: fixed-size whatever the
-// number of tenants.
-type TelemetrySummary struct {
-	// Tally is the cumulative part, what the shards' tallies counted as
-	// their tenants stepped. It only grows: tenants closed since keep their
-	// contribution. A restored tenant's checkpointed history is not
-	// counted, like Stats.Observations: its replay steps without a tally.
-	core.Tally
-	// Operational is the number of operational computers across the
-	// registered tenants, as of each tenant's last decision.
-	Operational int
-	// Top ranks the registered tenants per counter.
-	Top TelemetryRankings
-}
-
 // count moves what t's step decided — the shard's tally, a bin's partial
 // output included when the step stopped mid-bin — into the shard's totals
 // and t's counters, keeps the rankings and operational count current with
-// them, and empties the tally for the next step. Runs on the shard
-// goroutine after every step, however it ended, so a faulted bin counts
-// for the tenant that ran it and nothing carries into the next tenant's.
+// them, and empties the tally for the next step. The totals also gain the
+// step's wall clock, ns nanoseconds, and, when the bin applied cleanly,
+// one observation and its T_L0 periods. Runs on the shard goroutine after
+// every step, however it ended, so a faulted bin counts for the tenant
+// that ran it and nothing carries into the next tenant's.
 //
 //hpm:hotpath
-func (s *shard) count(t *tenant) {
+func (s *shard) count(t *tenant, clean bool, ns int64) {
 	if op := t.sess.Operational(); op != t.operational { // as of the last clean bin
 		s.operational.Add(int64(op - t.operational))
 		t.operational = op
@@ -100,6 +87,11 @@ func (s *shard) count(t *tenant) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.agg.Add(tl)
+	s.stepNs += ns
+	if clean {
+		s.observations++
+		s.ticks += int64(t.sub)
+	}
 	if tl.QoSViolations != 0 {
 		t.qos += tl.QoSViolations
 		s.top.QoS.raise(t.id, t.qos)
@@ -148,28 +140,4 @@ func (s *shard) forget(f *Fleet, t *tenant) {
 	s.mu.Lock()
 	s.top = top
 	s.mu.Unlock()
-}
-
-// TelemetrySummary returns the fleet-wide telemetry: it reads each
-// shard's share — what the shard counted as its tenants stepped —
-// under that shard's lock, one shard at a time, and sums and merges them.
-// No tenant is visited and no shard queue is joined, so the cost depends
-// on neither the number of tenants nor the ingest queued on the shards.
-func (f *Fleet) TelemetrySummary() (TelemetrySummary, error) {
-	if f.ctx.Err() != nil {
-		return TelemetrySummary{}, ErrClosed
-	}
-	var out TelemetrySummary
-	for _, s := range f.shards {
-		out.Operational += int(s.operational.Load())
-		s.mu.Lock()
-		out.Tally.Add(&s.agg)
-		for k := range s.top.QoS {
-			out.Top.QoS.add(s.top.QoS[k].ID, s.top.QoS[k].Count)
-			out.Top.Degraded.add(s.top.Degraded[k].ID, s.top.Degraded[k].Count)
-			out.Top.Stale.add(s.top.Stale[k].ID, s.top.Stale[k].Count)
-		}
-		s.mu.Unlock()
-	}
-	return out, nil
 }

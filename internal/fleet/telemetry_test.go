@@ -354,18 +354,9 @@ func tallyGain(after, before core.Tally, timed, buckets bool) core.Tally {
 	return d
 }
 
-func summaryTally(t *testing.T, f *Fleet) core.Tally {
-	t.Helper()
-	sum, err := f.TelemetrySummary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sum.Tally
-}
-
 // TestRestoredHistoryIsNotCounted: a restore replays a tenant's
 // checkpointed bins, which is reconstruction, not work the restoring fleet
-// did. Its TelemetrySummary counts nothing after the restore, and one more
+// did. Its Stats count nothing after the restore, and one more
 // bin adds exactly what the same bin added in the original fleet, up to
 // the wall-clock latency.
 func TestRestoredHistoryIsNotCounted(t *testing.T) {
@@ -388,17 +379,17 @@ func TestRestoredHistoryIsNotCounted(t *testing.T) {
 	if err := f2.Restore(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	if got := summaryTally(t, f2); got != (core.Tally{}) {
+	if got := f2.Stats().Tally; got != (core.Tally{}) {
 		t.Fatalf("the restore counted the replayed history: %+v", got)
 	}
-	before := summaryTally(t, f1)
+	before := f1.Stats().Tally
 	for _, f := range []*Fleet{f1, f2} {
 		if _, err := f.Observe("a", 3000); err != nil {
 			t.Fatal(err)
 		}
 	}
-	want := tallyGain(summaryTally(t, f1), before, false, true)
-	got := tallyGain(summaryTally(t, f2), core.Tally{}, false, true)
+	want := tallyGain(f1.Stats().Tally, before, false, true)
+	got := tallyGain(f2.Stats().Tally, core.Tally{}, false, true)
 	if got != want {
 		t.Errorf("the restored fleet's bin counted\n%+v\nthe original's\n%+v", got, want)
 	}
@@ -430,10 +421,7 @@ func TestHaltedBinCountsForItsTenant(t *testing.T) {
 			}
 		}
 	}
-	clean, err := f.TelemetrySummary()
-	if err != nil {
-		t.Fatal(err)
-	}
+	clean := f.Stats()
 	haltAfterBin(t, f, "a", cleanBins)
 	if _, err := f.Observe("a", 3000); !errors.Is(err, ErrTenantQuarantined) {
 		t.Fatalf("observe into the armed fault: %v, want ErrTenantQuarantined", err)
@@ -449,10 +437,7 @@ func TestHaltedBinCountsForItsTenant(t *testing.T) {
 	fromA, fromB := recordTally(recsA), recordTally(recsB)
 	want := fromA
 	want.Add(&fromB)
-	sum, err := f.TelemetrySummary()
-	if err != nil {
-		t.Fatal(err)
-	}
+	sum := f.Stats()
 	if got := tallyGain(sum.Tally, core.Tally{}, true, false); got != want {
 		t.Fatalf("after a halted bin the totals hold\n%+v\nthe flight records\n%+v", got, want)
 	}
@@ -468,7 +453,7 @@ func TestHaltedBinCountsForItsTenant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := tallyGain(summaryTally(t, f), before, true, false), recordTally(newB); got != want || want.Levels[0].Decisions == 0 {
+	if got, want := tallyGain(f.Stats().Tally, before, true, false), recordTally(newB); got != want || want.Levels[0].Decisions == 0 {
 		t.Errorf("tenant b's next bin counted\n%+v\nits flight records\n%+v", got, want)
 	}
 }

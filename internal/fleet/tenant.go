@@ -43,12 +43,12 @@ type TenantConfig struct {
 	Failures []workload.FailureEvent
 	// TelemetryRecords sizes the tenant's decision flight recorder (the
 	// retained window of per-tick and per-controller records served by
-	// Fleet.Telemetry, which TelemetrySummary does not read); 0 disables
-	// recording, and at most 1 << 20. The
-	// recorder is allocated at create (obs.NewRecorder gives its bytes a
-	// record). Part of the configuration, so snapshots persist it; the
-	// ring itself is ephemeral — a restored tenant's starts empty, its
-	// Total carried on from the checkpoint.
+	// Fleet.Telemetry, which Stats does not read); 0 disables recording,
+	// and at most 1 << 20. The recorder is allocated at create
+	// (obs.NewRecorder gives its bytes a record). Part of the
+	// configuration, so snapshots persist it; the ring itself is
+	// ephemeral — a restored tenant's starts empty, its Total carried on
+	// from the checkpoint.
 	TelemetryRecords int
 }
 
